@@ -28,9 +28,8 @@ func main() {
 	bandwidth := flag.Float64("bandwidth", 0, "modeled source->target bandwidth in bytes/sec (0 = unlimited)")
 	latency := flag.Duration("latency", 0, "modeled link latency")
 	state := flag.String("state", "", "directory for persisted registrations (survives restarts)")
-	streamed := flag.Bool("streamed", false, "drive exchanges over the zero-materialization wire path")
 	codec := flag.String("codec", "", "default shipment codec: xml, feed, bin, or bin+flate")
-	reliab := flag.Bool("reliable", false, "retry, resume, and circuit-break exchanges (implies the streamed wire path)")
+	reliab := flag.Bool("reliable", false, "retry, resume, and circuit-break exchanges under the -retry-*/-chunk/-breaker-* policy (off = one attempt per call)")
 	retryAttempts := flag.Int("retry-attempts", 0, "max attempts per call (0 = default 4)")
 	retryBudget := flag.Int("retry-budget", 0, "total retries allowed per exchange (0 = default 16)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "per-attempt SOAP call timeout (0 = client default)")
@@ -45,7 +44,7 @@ func main() {
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant exchange admission rate per second, token-bucket (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant token-bucket burst capacity (0 = ceil(rate))")
 	planCache := flag.Bool("plan-cache", true, "cache derived plan templates per fragmentation pair, invalidated on re-registration")
-	delta := flag.Bool("delta", false, "ship repeat exchanges as deltas against the target's retained base (requires -reliable)")
+	delta := flag.Bool("delta", false, "ship repeat exchanges as deltas against the target's retained base")
 	filter := flag.String("filter", "", "source-side pushdown filter, e.g. '/Customer/CustName=\"Ann\"' (per-request filter attr overrides)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty = off)")
 	verbose := flag.Bool("v", false, "log exchange activity (retries, breaker transitions, outcomes) to stderr")
@@ -64,7 +63,6 @@ func main() {
 	}
 	agency.SetPlanCache(*planCache)
 	svc := registry.NewService(agency, link)
-	svc.Streamed = *streamed
 	svc.ParallelChunks = *codecWorkers
 	if *exchangeWorkers >= 0 {
 		sched := registry.NewScheduler(registry.SchedulerConfig{
@@ -105,9 +103,6 @@ func main() {
 		log.Printf("xdxd: reliable exchanges on (chunk=%d)", cfg.ChunkSize)
 	}
 	if *delta {
-		if !*reliab {
-			log.Fatal("xdxd: -delta requires -reliable")
-		}
 		svc.Delta = true
 		log.Printf("xdxd: delta exchanges on")
 	}

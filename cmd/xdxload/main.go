@@ -61,9 +61,8 @@ func main() {
 	tenantInflight := flag.Int("tenant-inflight", 0, "per-tenant in-flight budget (0 = unlimited)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate per second (0 = unlimited)")
 	codec := flag.String("codec", "", "shipment codec for exchanges (xml, feed, bin, bin+flate)")
-	streamed := flag.Bool("streamed", false, "drive exchanges over the streaming wire path")
-	delta := flag.Bool("delta", false, "drive repeat exchanges in delta mode (implies the reliable session path)")
-	fsync := flag.String("fsync", "", "make every exchange a durable reliable session: journal each tenant target under this WAL fsync policy (always, batch, interval, off; empty = memory-only, no sessions)")
+	delta := flag.Bool("delta", false, "drive repeat exchanges in delta mode")
+	fsync := flag.String("fsync", "", "make every exchange a durable retried session: journal each tenant target under this WAL fsync policy (always, batch, interval, off; empty = memory-only sessions, one attempt per call)")
 	mode := flag.String("mode", "both", "serial, concurrent, or both")
 	out := flag.String("out", "", "write the JSON report here instead of stdout")
 	check := flag.Bool("check", false, "exit nonzero unless every driven mode had nonzero throughput and zero failures")
@@ -79,7 +78,7 @@ func main() {
 		log.Fatalf("xdxload: bad -mode %q", *mode)
 	}
 
-	w := newWorld(*tenants, *customers, *netLatency, *codec, *streamed, *fsync, *delta, logf)
+	w := newWorld(*tenants, *customers, *netLatency, *codec, *fsync, *delta, logf)
 	defer w.close()
 
 	// Default the queue to hold the full offered concurrency: the harness
@@ -111,7 +110,6 @@ func main() {
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		NumCPU:           runtime.NumCPU(),
 		Codec:            *codec,
-		Streamed:         *streamed,
 		Fsync:            *fsync,
 	}
 
@@ -196,7 +194,6 @@ type report struct {
 	GOMAXPROCS       int         `json:"gomaxprocs"`
 	NumCPU           int         `json:"num_cpu"`
 	Codec            string      `json:"codec,omitempty"`
-	Streamed         bool        `json:"streamed"`
 	Fsync            string      `json:"fsync,omitempty"`
 	Serial           *modeStats  `json:"serial,omitempty"`
 	Concurrent       *modeStats  `json:"concurrent,omitempty"`
@@ -234,38 +231,23 @@ type world struct {
 	services    []string
 	latency     time.Duration
 	codec       string
-	streamed    bool
 	delta       bool
 	reliability *reliable.Config
 	stops       []func()
 }
 
-func newWorld(tenants, customers int, latency time.Duration, codec string, streamed bool, fsync string, delta bool, logf func(string, ...any)) *world {
-	w := &world{agency: registry.New(), latency: latency, codec: codec, streamed: streamed, delta: delta, link: netsim.Loopback()}
+func newWorld(tenants, customers int, latency time.Duration, codec, fsync string, delta bool, logf func(string, ...any)) *world {
+	w := &world{agency: registry.New(), latency: latency, codec: codec, delta: delta, link: netsim.Loopback()}
 	var fsyncPol durable.FsyncPolicy
 	if fsync != "" {
 		var err error
 		if fsyncPol, err = durable.ParseFsync(fsync); err != nil {
 			log.Fatal("xdxload: ", err)
 		}
-		// Durable drive: every exchange becomes a resumable chunked
+		// Durable drive: every exchange retries and resumes its chunked
 		// session, and every tenant target journals its chunk commits —
 		// many concurrent sessions sharing one WAL per tenant, which is
 		// the workload group commit amortizes.
-		w.reliability = &reliable.Config{
-			Seed:      1,
-			ChunkSize: 8,
-			Policy: reliable.Policy{
-				MaxAttempts: 3,
-				BaseDelay:   time.Millisecond,
-				MaxDelay:    4 * time.Millisecond,
-				Budget:      64,
-			},
-		}
-	}
-	if delta && w.reliability == nil {
-		// Delta exchanges ride the reliable session path; without a
-		// journal the sessions are memory-only.
 		w.reliability = &reliable.Config{
 			Seed:      1,
 			ChunkSize: 8,
@@ -357,7 +339,6 @@ func (w *world) serve(h http.Handler) string {
 func (w *world) serveService(sched *registry.Scheduler) (string, func()) {
 	svc := registry.NewService(w.agency, w.link)
 	svc.Codec = w.codec
-	svc.Streamed = w.streamed
 	svc.Reliability = w.reliability
 	svc.Delta = w.delta
 	svc.Sched = sched

@@ -51,7 +51,7 @@ func main() {
 	report, err := agency.Execute("AuctionService", plan, xdx.Loopback())
 	check(err)
 	deTotal := report.SourceTime + report.TargetTime + report.WriteTime + report.IndexTime
-	fmt.Printf("optimized exchange:  shipped %8d bytes, processing %v\n", report.ShipBytes, deTotal)
+	fmt.Printf("optimized exchange:  shipped %8d bytes, processing %v\n", report.WireBytes, deTotal)
 
 	// ---- Publish&map baseline on the same data.
 	pmStart := time.Now()

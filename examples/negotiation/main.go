@@ -106,7 +106,7 @@ func main() {
 	exReq.SetAttr("service", "AuctionService")
 	exResp, err := client.Call("Exchange", exReq)
 	check(err)
-	bytesShipped, _ := exResp.Attr("shipBytes")
+	bytesShipped, _ := exResp.Attr("wireBytes")
 	fmt.Printf("\nexchange complete: %s bytes shipped; target now holds %d rows in %d tables\n",
 		bytesShipped, tgtStore.Rows(), len(tgtStore.Tables()))
 }

@@ -86,7 +86,7 @@ func main() {
 	report, err := agency.Execute("CustomerInfoService", plan, xdx.Loopback())
 	check(err)
 	fmt.Printf("\nExchange done: %d bytes shipped, source %.2fms, write %.2fms\n",
-		report.ShipBytes, report.SourceTime.Seconds()*1000, report.WriteTime.Seconds()*1000)
+		report.WireBytes, report.SourceTime.Seconds()*1000, report.WriteTime.Seconds()*1000)
 
 	fmt.Println("\nProvisioning directory contents:")
 	for _, class := range dirStore.Dir.Classes() {

@@ -126,6 +126,23 @@ func (g *Graph) In(op *Op) []*Edge { return g.in[op.ID] }
 // Out returns the edges leaving op.
 func (g *Graph) Out(op *Op) []*Edge { return g.out[op.ID] }
 
+// FragmentsByName is the program's fragment dictionary — every op output,
+// split part and edge fragment keyed by name — which shipment decoders
+// resolve instance headers against.
+func (g *Graph) FragmentsByName() map[string]*Fragment {
+	frags := map[string]*Fragment{}
+	for _, op := range g.Ops {
+		frags[op.Out.Name] = op.Out
+		for _, p := range op.Parts {
+			frags[p.Name] = p
+		}
+	}
+	for _, ed := range g.Edges {
+		frags[ed.Frag.Name] = ed.Frag
+	}
+	return frags
+}
+
 // Topo returns the ops in a topological order. Ops are created
 // producer-first by the program generator, so op ID order is already
 // topological; this verifies it in debug builds and returns it.

@@ -19,7 +19,6 @@ import (
 	"xdx/internal/obs"
 	"xdx/internal/reliable"
 	"xdx/internal/relstore"
-	"xdx/internal/schema"
 	"xdx/internal/soap"
 	"xdx/internal/wire"
 	"xdx/internal/wsdlx"
@@ -250,8 +249,8 @@ func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 	e.srv.Handle("DeltaStatus", e.deltaStatus)
 	e.srv.Handle("SessionStatus", e.sessionStatus)
 	e.srv.Handle("EndSession", e.endSession)
-	e.srv.HandleStream("ExecuteSource", e.executeSourceStream)
-	e.srv.HandleStream("ExecuteTarget", e.executeTargetStream)
+	e.srv.HandleStream("ExecuteSource", e.executeSource)
+	e.srv.HandleStream("ExecuteTarget", e.executeTarget)
 	return e
 }
 
@@ -372,9 +371,9 @@ func (e *Endpoint) supportsCodec(name string) bool {
 // supports, the Content-Encoding-style half of negotiation — with the
 // universal tagged-XML format as the answer when nothing advertised is
 // spoken here. Requests that did not negotiate fall back to the payload's
-// explicit codec attribute, then the legacy format attribute. The second
-// return reports whether negotiation happened (and so whether the choice
-// should be stamped on the response envelope).
+// explicit codec attribute. The second return reports whether negotiation
+// happened (and so whether the choice should be stamped on the response
+// envelope).
 func (e *Endpoint) pickCodec(env soap.Header, req *xmltree.Node) (wire.Codec, bool, error) {
 	if len(env.Codecs) > 0 {
 		for _, name := range env.Codecs {
@@ -396,9 +395,6 @@ func (e *Endpoint) pickCodec(env soap.Header, req *xmltree.Node) (wire.Codec, bo
 			return wire.Codec{}, false, &soap.Fault{Code: "soap:Client", String: err.Error()}
 		}
 		return c, false, nil
-	}
-	if v, _ := req.Attr("format"); v == "feed" {
-		return wire.Codec{Kind: wire.CodecFeed}, false, nil
 	}
 	return wire.Codec{}, false, nil
 }
@@ -615,51 +611,6 @@ func (e *Endpoint) clearBackend() {
 	}
 }
 
-// executeSource runs the source slice of a program: scans plus the
-// operations placed at this system, returning the cross-edge shipment.
-// A service argument (§3.2) arrives as filterElem/filterValue attributes
-// and is applied before execution: the system "filters the data
-// accordingly and provides the relevant pieces".
-func (e *Endpoint) executeSource(req *xmltree.Node, codec wire.Codec) (*xmltree.Node, error) {
-	g, a, err := decodeProgramChild(req, e.backend.Layout())
-	if err != nil {
-		return nil, err
-	}
-	scan, err := e.sourceScan(req)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	outbound, _, err := sliceExecutor(req)(g, e.backend.Layout().Schema, a, core.LocSource, core.SliceIO{
-		Scan: scan,
-	})
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	e.met.Counter("endpoint.source.executes").Inc()
-	e.met.Histogram("endpoint.source.millis").Observe(float64(elapsed) / float64(time.Millisecond))
-	resp := &xmltree.Node{Name: "ExecuteSourceResponse"}
-	resp.SetAttr("queryMillis", formatMillis(elapsed))
-	shipment, err := wire.EncodeShipmentCodec(outbound, e.backend.Layout().Schema, codec)
-	if err != nil {
-		return nil, err
-	}
-	resp.AddKid(shipment)
-	return resp, nil
-}
-
-// sliceExecutor selects the slice executor a request asks for: the
-// pipelined streaming engine when the request carries pipelined="1" (or
-// "true"), the batch executor otherwise. Both have identical semantics;
-// the pipelined one overlaps stage execution.
-func sliceExecutor(req *xmltree.Node) func(*core.Graph, *schema.Schema, core.Assignment, core.Location, core.SliceIO) (map[string]*core.Instance, []core.OpTrace, error) {
-	if v, ok := req.Attr("pipelined"); ok && (v == "1" || v == "true") {
-		return core.ExecuteSlicePipelined
-	}
-	return core.ExecuteSlice
-}
-
 // scanByElems resolves a plan fragment to this system's layout fragment by
 // element set, so plans need not share pointers with the store.
 func (e *Endpoint) scanByElems(f *core.Fragment) (*core.Instance, error) {
@@ -676,10 +627,10 @@ func (e *Endpoint) scanByElems(f *core.Fragment) (*core.Instance, error) {
 }
 
 // sourceScan resolves the scan an ExecuteSource request's slice runs
-// over. A compiled pushdown filter (the filter attribute, §3.2's service
-// arguments generalized to comparisons) wins; the legacy
-// filterElem/filterValue equality pair stays for old callers; without
-// either, plain layout scans.
+// over: a compiled pushdown filter (the filter attribute, §3.2's service
+// arguments generalized to comparisons) when the request carries one —
+// the system "filters the data accordingly and provides the relevant
+// pieces" — plain layout scans otherwise.
 func (e *Endpoint) sourceScan(req *xmltree.Node) (func(*core.Fragment) (*core.Instance, error), error) {
 	if expr, ok := req.Attr("filter"); ok && expr != "" {
 		f, err := core.CompileFilter(expr, e.backend.Layout().Schema)
@@ -694,13 +645,6 @@ func (e *Endpoint) sourceScan(req *xmltree.Node) (func(*core.Fragment) (*core.In
 		}
 		e.met.Counter("endpoint.source.filtered").Inc()
 		return e.filteredScan(f.Predicate())
-	}
-	if filterElem, ok := req.Attr("filterElem"); ok && filterElem != "" {
-		filterValue, _ := req.Attr("filterValue")
-		return e.filteredScan(func(rec *xmltree.Node) bool {
-			n := rec.Find(filterElem)
-			return n != nil && n.Text == filterValue
-		})
 	}
 	return e.scanByElems, nil
 }

@@ -188,14 +188,20 @@ func TestExecuteSourceAndTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms, ok := respS.Attr("queryMillis"); !ok || ms == "" {
-		t.Error("missing queryMillis")
-	}
-	var shipment *xmltree.Node
+	var shipment, timing *xmltree.Node
 	for _, k := range respS.Kids {
-		if k.Name == "shipment" {
+		switch k.Name {
+		case "shipment":
 			shipment = k
+		case "timing":
+			timing = k
 		}
+	}
+	if timing == nil {
+		t.Fatal("missing trailing <timing>")
+	}
+	if ms, ok := timing.Attr("queryMillis"); !ok || ms == "" {
+		t.Error("missing queryMillis")
 	}
 	if shipment == nil || len(shipment.Kids) != fr.Len() {
 		t.Fatalf("shipment has %d instances, want %d", len(shipment.Kids), fr.Len())
@@ -207,6 +213,7 @@ func TestExecuteSourceAndTarget(t *testing.T) {
 	reqT := &xmltree.Node{Name: "ExecuteTarget"}
 	reqT.AddKid(prog2)
 	reqT.AddKid(shipment)
+	reqT.SetAttr("session", "s1")
 	respT, err := tgtClient.Call("ExecuteTarget", reqT)
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +260,7 @@ func TestExecuteTargetMissingShipment(t *testing.T) {
 	}
 	progXML, _ := wire.EncodeProgram(g, a)
 	req := &xmltree.Node{Name: "ExecuteTarget"}
+	req.SetAttr("session", "s1")
 	req.AddKid(progXML)
 	if _, err := c.Call("ExecuteTarget", req); err == nil {
 		t.Error("missing shipment must fault")
@@ -374,8 +382,7 @@ func TestExecuteSourceWithFilter(t *testing.T) {
 	}
 	progXML, _ := wire.EncodeProgram(g, a)
 	req := &xmltree.Node{Name: "ExecuteSource"}
-	req.SetAttr("filterElem", "CustName")
-	req.SetAttr("filterValue", "NoSuchCustomer")
+	req.SetAttr("filter", "CustName = 'NoSuchCustomer'")
 	req.AddKid(progXML)
 	resp, err := c.Call("ExecuteSource", req)
 	if err != nil {

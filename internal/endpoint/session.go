@@ -1,8 +1,8 @@
 package endpoint
 
 // Resumable ExecuteTarget sessions (the reliable-exchange subsystem's
-// endpoint side). A caller that tags ExecuteTarget with session="id" opts
-// into at-most-once delivery semantics across reconnects:
+// endpoint side). Every ExecuteTarget names a session="id", which gives
+// the delivery at-most-once semantics across reconnects:
 //
 //   - the shipment decoder commits chunks into a per-session instance map,
 //     guarded by the session's idempotency ledger, so chunks that survived
@@ -375,9 +375,9 @@ func (ts *targetSession) hydrateLocked(lookup func(name string) *core.Fragment) 
 	ts.recovered = nil
 }
 
-// respondSession is the session-mode responder: execute once, stamp the
-// ledger's checkpoint and dedup count onto the response, and replay the
-// stored response on retries of a completed execution. Execution runs
+// respondSession runs once the request is fully consumed: execute once,
+// stamp the ledger's checkpoint and dedup count onto the response, and
+// replay the stored response on retries of a completed execution. Runs
 // under the commit lock (mu) so duplicate requests wait and then replay,
 // but never under stateMu — SessionStatus probes answer throughout.
 func (t *targetScan) respondSession(w io.Writer) error {

@@ -53,16 +53,7 @@ func scanWriteProgram(t *testing.T, fr *core.Fragmentation) (*core.Graph, core.A
 // fragDict returns the program's fragment dictionary, as the target's
 // shipment decoder resolves it.
 func fragDict(g *core.Graph) func(name string) *core.Fragment {
-	frags := map[string]*core.Fragment{}
-	for _, op := range g.Ops {
-		frags[op.Out.Name] = op.Out
-		for _, p := range op.Parts {
-			frags[p.Name] = p
-		}
-	}
-	for _, ed := range g.Edges {
-		frags[ed.Frag.Name] = ed.Frag
-	}
+	frags := g.FragmentsByName()
 	return func(name string) *core.Fragment { return frags[name] }
 }
 
@@ -148,6 +139,32 @@ func newSessionFixture(t *testing.T) (*sessionFixture, func()) {
 	}, srv.Close
 }
 
+// TestExecuteTargetWithoutSessionFaults pins the one ExecuteTarget
+// behaviour: every delivery is a session, so a well-formed request that
+// names none is refused with a soap:Client fault before anything is
+// decoded — nothing loads and no session state is minted.
+func TestExecuteTargetWithoutSessionFaults(t *testing.T) {
+	fx, done := newSessionFixture(t)
+	defer done()
+	err := fx.client.CallStream("ExecuteTarget", func(w io.Writer) error {
+		io.WriteString(w, "<ExecuteTarget>")
+		io.WriteString(w, fx.prog)
+		_, werr := w.Write(fx.wire)
+		io.WriteString(w, "</ExecuteTarget>")
+		return werr
+	}, &xmltree.TreeBuilder{})
+	var f *soap.Fault
+	if !errors.As(err, &f) || f.Code != "soap:Client" {
+		t.Fatalf("session-less ExecuteTarget: err = %v, want a soap:Client fault", err)
+	}
+	if fx.store.Rows() != 0 {
+		t.Errorf("refused ExecuteTarget still loaded %d rows", fx.store.Rows())
+	}
+	if n := fx.ep.Sessions().Len(); n != 0 {
+		t.Errorf("refused ExecuteTarget minted %d sessions", n)
+	}
+}
+
 // TestExecuteTargetSessionResume drives the endpoint's resumable-session
 // protocol end to end: a delivery torn mid-chunk leaves only whole chunks
 // committed, SessionStatus reports the checkpoint, a full retry commits
@@ -174,12 +191,19 @@ func TestExecuteTargetSessionResume(t *testing.T) {
 		t.Fatalf("target loaded %d rows from a torn delivery", fx.store.Rows())
 	}
 
-	// The target acked exactly the chunks that arrived whole.
+	// The target acked exactly the chunks that arrived whole. The client
+	// sees its own abort before the server has necessarily drained the torn
+	// body, so wait for the checkpoint rather than sampling it once.
 	status := &xmltree.Node{Name: "SessionStatus"}
 	status.SetAttr("session", "sess-resume-1")
-	st, err := fx.client.Call("SessionStatus", status)
-	if err != nil {
-		t.Fatal(err)
+	var st *xmltree.Node
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, err = fx.client.Call("SessionStatus", status); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := st.Attr("next"); v != "0" || time.Now().After(deadline) {
+			break
+		}
 	}
 	if v, _ := st.Attr("known"); v != "1" {
 		t.Fatalf("session unknown after torn delivery: %s", xmltree.Marshal(st, xmltree.WriteOptions{}))

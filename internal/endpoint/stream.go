@@ -1,18 +1,16 @@
 package endpoint
 
-// Streaming execution handlers. Both execute operations dispatch through
-// the SOAP server's streaming path, so the endpoint never materializes an
-// envelope:
+// Execution handlers. Both execute operations dispatch through the SOAP
+// server's streaming path, so the endpoint never materializes an envelope:
 //
-//   - ExecuteSource consumes the (small) request tree and, when the caller
-//     asks for stream="1", serializes the outbound shipment directly onto
-//     the HTTP response as the slice executes — with the pipelined engine
-//     records hit the wire while upstream operators still produce.
-//   - ExecuteTarget always scans its (large) request as SAX events: the
-//     program subtree is materialized, the shipment subtree flows straight
-//     into the streaming shipment decoder, and the envelope tree is never
-//     built. Buffered and streaming clients produce the same bytes, so one
-//     request path serves both.
+//   - ExecuteSource consumes the (small) request tree and serializes the
+//     outbound shipment directly onto the HTTP response as the slice
+//     executes — with the pipelined engine records hit the wire while
+//     upstream operators still produce.
+//   - ExecuteTarget scans its (large) request as SAX events: the program
+//     subtree is materialized, the shipment subtree flows straight into
+//     the session's shipment decoder (see session.go), and the envelope
+//     tree is never built.
 
 import (
 	"fmt"
@@ -39,31 +37,11 @@ func findAttr(attrs []xmltree.Attr, name string) string {
 	return ""
 }
 
-// executeSourceStream is the stream dispatch for ExecuteSource. Requests
-// without stream="1" take the legacy tree path (materialize request,
-// build response tree); with it, the response shipment streams. Either
-// way the reply's shipment codec is resolved the same: envelope
-// negotiation first, payload attributes as the fallback.
-func (e *Endpoint) executeSourceStream(env soap.Header, attrs []xmltree.Attr) (xmltree.AttrHandler, soap.RespondFunc, error) {
-	streamed := attrTrue(findAttr(attrs, "stream"))
+// executeSource is the stream dispatch for ExecuteSource: the request tree
+// is materialized, the response shipment streams.
+func (e *Endpoint) executeSource(env soap.Header, attrs []xmltree.Attr) (xmltree.AttrHandler, soap.RespondFunc, error) {
 	tb := &xmltree.TreeBuilder{}
-	if !streamed {
-		return tb, func(w io.Writer) error {
-			codec, negotiated, err := e.pickCodec(env, tb.Root())
-			if err != nil {
-				return err
-			}
-			if negotiated {
-				stampCodec(w, codec)
-			}
-			resp, err := e.executeSource(tb.Root(), codec)
-			if err != nil {
-				return err
-			}
-			return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
-		}, nil
-	}
-	return tb, func(w io.Writer) error { return e.respondSourceStream(env, tb.Root(), w) }, nil
+	return tb, func(w io.Writer) error { return e.respondSource(env, tb.Root(), w) }, nil
 }
 
 // stampCodec records the negotiated codec on the response envelope, when
@@ -75,11 +53,12 @@ func stampCodec(w io.Writer, c wire.Codec) {
 	}
 }
 
-// respondSourceStream executes the source slice and streams the shipment
-// onto w as it is produced. Since serialization overlaps execution, the
-// query time cannot ride on the response root's attributes; it follows the
-// shipment as a trailing <timing> element.
-func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.Writer) error {
+// respondSource executes the source slice — scans plus the operations
+// placed at this system — and streams the cross-edge shipment onto w as it
+// is produced. Since serialization overlaps execution, the query time
+// cannot ride on the response root's attributes; it follows the shipment
+// as a trailing <timing> element.
+func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer) error {
 	g, a, err := decodeProgramChild(req, e.backend.Layout())
 	if err != nil {
 		return err
@@ -133,18 +112,24 @@ func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.
 	return err
 }
 
-// executeTargetStream is the stream dispatch for ExecuteTarget: one SAX
-// pass over the request, program tree materialized, shipment decoded
-// incrementally.
-func (e *Endpoint) executeTargetStream(env soap.Header, attrs []xmltree.Attr) (xmltree.AttrHandler, soap.RespondFunc, error) {
-	h := &targetScan{e: e}
-	return h, h.respond, nil
+// executeTarget is the stream dispatch for ExecuteTarget: one SAX pass
+// over the request, program tree materialized, shipment decoded
+// incrementally. Every delivery is a session — the ledger is what makes a
+// retried request load once — so a request without one is rejected before
+// anything is decoded.
+func (e *Endpoint) executeTarget(env soap.Header, attrs []xmltree.Attr) (xmltree.AttrHandler, soap.RespondFunc, error) {
+	id := findAttr(attrs, "session")
+	if id == "" {
+		return nil, nil, &soap.Fault{Code: "soap:Client", String: "ExecuteTarget without session id"}
+	}
+	h := &targetScan{e: e, ts: e.targetSessionFor(id)}
+	return h, h.respondSession, nil
 }
 
 // targetScan routes an ExecuteTarget request's subtrees: <program> into a
 // tree builder (programs are small), <shipment> into the streaming
-// shipment decoder, which restores interior PARENT links as elements
-// arrive.
+// session's shipment decoder, which restores interior PARENT links as
+// elements arrive.
 type targetScan struct {
 	e *Endpoint
 
@@ -181,16 +166,10 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 	switch t.depth {
 	case 1:
 		t.pipelined = attrTrue(findAttr(attrs, "pipelined"))
-		if id := findAttr(attrs, "session"); id != "" {
-			t.ts = t.e.targetSessionFor(id)
-		}
 		t.stream = findAttr(attrs, "stream")
 		t.epoch = findAttr(attrs, "epoch")
 		t.delta = attrTrue(findAttr(attrs, "delta"))
 		if t.delta {
-			if t.ts == nil {
-				return &soap.Fault{Code: "soap:Client", String: "delta shipment requires a session"}
-			}
 			// Fail the delivery before any chunk flows: without a warm
 			// base the delta cannot be applied, and the agency's fallback
 			// is a full reship on a fresh session.
@@ -274,49 +253,13 @@ func (t *targetScan) programDone() error {
 		return err
 	}
 	t.g, t.a = g, a
-	frags := map[string]*core.Fragment{}
-	for _, op := range g.Ops {
-		frags[op.Out.Name] = op.Out
-		for _, p := range op.Parts {
-			frags[p.Name] = p
-		}
-	}
-	for _, ed := range g.Edges {
-		frags[ed.Frag.Name] = ed.Frag
-	}
-	lookup := func(name string) *core.Fragment { return frags[name] }
-	if t.ts != nil {
-		// Session mode: decode into the session's accumulating map, with
-		// the ledger guarding chunk admission and record dedup.
-		t.dec = t.ts.decoder(t.e.backend.Layout().Schema, lookup)
-	} else {
-		t.dec = wire.NewShipmentDecoder(t.e.backend.Layout().Schema, lookup)
-	}
+	frags := g.FragmentsByName()
+	// Decode into the session's accumulating map, with the ledger guarding
+	// chunk admission and record dedup.
+	t.dec = t.ts.decoder(t.e.backend.Layout().Schema, func(name string) *core.Fragment { return frags[name] })
 	t.dec.Workers = t.e.codecWorkers
 	t.dec.Met = t.e.met
 	return nil
-}
-
-// respond runs the target slice once the request is fully consumed.
-func (t *targetScan) respond(w io.Writer) error {
-	if t.ts != nil {
-		return t.respondSession(w)
-	}
-	if t.g == nil {
-		return &soap.Fault{Code: "soap:Client", String: "missing program"}
-	}
-	if !t.sawShipment {
-		return &soap.Fault{Code: "soap:Client", String: "missing shipment"}
-	}
-	inbound, err := t.dec.Result()
-	if err != nil {
-		return err
-	}
-	resp, err := t.e.runTarget(t.g, t.a, inbound, t.pipelined)
-	if err != nil {
-		return err
-	}
-	return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
 }
 
 // runTarget executes the target slice over decoded inbound instances and

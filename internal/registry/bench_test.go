@@ -17,31 +17,20 @@ import (
 	"xdx/internal/xmark"
 )
 
-// benchExchange drives the full agency-mediated exchange (two live SOAP
-// endpoints over httptest HTTP) once per iteration.
-func benchExchange(b *testing.B, opts ExecOptions) {
+// BenchmarkSoapRoundTrip drives the full agency-mediated exchange (two
+// live SOAP endpoints over httptest HTTP) once per iteration with default
+// options: shipments stream onto responses and through io.Pipe request
+// bodies without intermediate trees.
+func BenchmarkSoapRoundTrip(b *testing.B) {
 	ag, plan, _, done := startExchange(b, AlgGreedy)
 	defer done()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ag.ExecuteOpts("CustomerInfoService", plan, opts); err != nil {
+		if _, err := ag.Execute("CustomerInfoService", plan, netsim.Loopback()); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSoapRoundTripBuffered materializes every envelope: response
-// trees on the source hop, a fully built request tree on the target hop.
-func BenchmarkSoapRoundTripBuffered(b *testing.B) {
-	benchExchange(b, ExecOptions{Link: netsim.Loopback()})
-}
-
-// BenchmarkSoapRoundTripStreamed uses the zero-materialization wire path
-// end to end: shipments stream onto responses and through io.Pipe request
-// bodies without intermediate trees.
-func BenchmarkSoapRoundTripStreamed(b *testing.B) {
-	benchExchange(b, ExecOptions{Link: netsim.Loopback(), Streamed: true})
 }
 
 // BenchmarkReliableExchangeDurable measures the durability tax on a full

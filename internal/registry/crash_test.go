@@ -130,7 +130,7 @@ func TestDurableEndpointRestartResumes(t *testing.T) {
 func testDurableEndpointRestartResumes(t *testing.T, pol durable.FsyncPolicy) {
 	// Baseline: what the target must hold after an uninterrupted run.
 	agA, planA, tgtA, _, doneA := startAuctionExchange(t)
-	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
+	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback()}); err != nil {
 		t.Fatal(err)
 	}
 	want := assembleTarget(t, tgtA)
@@ -341,7 +341,7 @@ func TestKillRestartChildEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agBase.ExecuteOpts("Auction", planBase, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
+	if _, err := agBase.ExecuteOpts("Auction", planBase, ExecOptions{Link: netsim.Loopback()}); err != nil {
 		t.Fatal(err)
 	}
 	// Read the baseline back out through the same LF->LF hop the child
@@ -484,7 +484,7 @@ func readBack(t *testing.T, svc string, sch *schema.Schema, tFr *core.Fragmentat
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ag.ExecuteOpts(svc, plan, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
+	if _, err := ag.ExecuteOpts(svc, plan, ExecOptions{Link: netsim.Loopback()}); err != nil {
 		t.Fatal(err)
 	}
 	return assembleTarget(t, st)

@@ -403,6 +403,36 @@ func TestDeltaExchangeCrashRestartFallsBack(t *testing.T) {
 	}
 }
 
+// TestDeltaExchangeDefaultOptions: deltas ride the sessioned chunk
+// protocol, which every exchange now speaks — so Delta needs no
+// Reliability config. The first exchange ships the full snapshot cold, the
+// repeat runs warm as a (here empty) delta, and the target converges on the
+// snapshot instead of accumulating it twice.
+func TestDeltaExchangeDefaultOptions(t *testing.T) {
+	ag, plan, tgtStore, _, done := startAuctionExchange(t)
+	defer done()
+	opts := ExecOptions{Link: netsim.Loopback(), Delta: true}
+	cold, err := ag.ExecuteOpts("Auction", plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tgtStore.Rows()
+	if cold.Delta || rows == 0 {
+		t.Fatalf("first exchange: delta=%v rows=%d, want a cold full ship", cold.Delta, rows)
+	}
+	warm, err := ag.ExecuteOpts("Auction", plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Delta || warm.DeltaRecords != 0 || warm.WireBytes >= cold.WireBytes {
+		t.Errorf("repeat exchange: delta=%v records=%d wire=%d (cold %d), want an empty warm delta",
+			warm.Delta, warm.DeltaRecords, warm.WireBytes, cold.WireBytes)
+	}
+	if tgtStore.Rows() != rows {
+		t.Errorf("target holds %d rows after the repeat, want %d", tgtStore.Rows(), rows)
+	}
+}
+
 // TestPushdownFilterExchange drives the compiled-filter path end to end:
 // a comparison filter ships only matching root records, a non-matching
 // filter ships nothing, and a filter that fails schema checking fails at
@@ -426,7 +456,7 @@ func TestPushdownFilterExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tgtStore.Rows() == 0 || rep.ShipBytes == 0 {
+	if tgtStore.Rows() == 0 || rep.WireBytes == 0 {
 		t.Error("matching pushdown filter delivered nothing")
 	}
 

@@ -95,8 +95,8 @@ func TestObservedReliableExchange(t *testing.T) {
 	if tr == nil || tr.Name != "exchange" {
 		t.Fatalf("report trace = %+v", tr)
 	}
-	if tr.Attr("service") != "Auction" || tr.Attr("path") != "reliable" {
-		t.Errorf("trace attrs: service=%q path=%q", tr.Attr("service"), tr.Attr("path"))
+	if tr.Attr("service") != "Auction" {
+		t.Errorf("trace attrs: service=%q", tr.Attr("service"))
 	}
 	if tr.Duration() <= 0 {
 		t.Error("trace has no duration")
@@ -165,7 +165,6 @@ func TestObservedExchangeFailure(t *testing.T) {
 	met := obs.NewRegistry()
 	rep, err := ag.ExecuteOpts("Auction", plan, ExecOptions{
 		Link:      netsim.Loopback(),
-		Streamed:  true,
 		Transport: fl.RoundTripper(nil),
 		Metrics:   met,
 	})
@@ -181,7 +180,7 @@ func TestObservedExchangeFailure(t *testing.T) {
 	if rep == nil || rep.Trace == nil {
 		t.Fatalf("failed exchange returned no trace (report %+v)", rep)
 	}
-	if rep.Trace.Attr("path") != "streamed" {
-		t.Errorf("trace path = %q", rep.Trace.Attr("path"))
+	if rep.Trace.Attr("service") != "Auction" {
+		t.Errorf("trace service = %q", rep.Trace.Attr("service"))
 	}
 }

@@ -536,20 +536,18 @@ type Report struct {
 	// SourceTime is step 1: executing the program parts assigned to the
 	// source.
 	SourceTime time.Duration
-	// ShipBytes is the size of the shipped fragments; ShipTime the modeled
-	// time over the configured link (step 2). ShipBytes equals WireBytes
-	// and is kept for compatibility.
-	ShipBytes int64
-	ShipTime  time.Duration
-	// WireBytes is what actually crossed the link: shipment framing,
-	// codec encoding, compression and transfer text included — and, on
-	// the reliable path, retransmitted attempts. PayloadBytes is the same
-	// shipment measured in the universal tagged-XML tree codec, so the
-	// two diverge exactly by what the negotiated codec saved (or framing
-	// cost). PayloadBytes is zero on the buffered tree path, which
-	// forwards the shipment without decoding it.
+	// WireBytes is what crossed the link to the target: every byte of the
+	// shipment as serialized onto the ExecuteTarget request — framing, codec
+	// encoding, compression and transfer text included — summed over every
+	// delivery attempt, torn ones too (retransmission is a real
+	// communication cost). ShipTime is the modeled time for WireBytes over
+	// the configured link (step 2). PayloadBytes is the same shipment
+	// measured once in the universal tagged-XML tree codec, so the two
+	// diverge exactly by what the negotiated codec saved and what retries
+	// re-sent.
 	WireBytes    int64
 	PayloadBytes int64
+	ShipTime     time.Duration
 	// Codec is the shipment codec the exchange actually traveled under —
 	// the server's negotiation answer when one arrived, the requested
 	// codec otherwise.
@@ -560,8 +558,8 @@ type Report struct {
 	WriteTime time.Duration
 	// IndexTime is step 5: updating target indexes.
 	IndexTime time.Duration
-	// Retries counts failed call attempts that were retried by the
-	// reliability engine (zero on the plain paths).
+	// Retries counts failed call attempts that were retried under the
+	// exchange's retry policy (always zero with the single-attempt default).
 	Retries int
 	// Resumes counts target deliveries that resumed from a positive chunk
 	// checkpoint instead of restarting the shipment.
@@ -593,52 +591,35 @@ func (r *Report) Total() time.Duration {
 type ExecOptions struct {
 	// Link models the source→target connection.
 	Link netsim.Link
-	// Format selects the shipment encoding: "" or "xml" for XML trees,
-	// "feed" for sorted feeds (flat fragments only; others fall back to
-	// XML per instance). Superseded by Codec, which wins when both are
-	// set.
-	Format string
 	// Codec names the shipment encoding for the exchange: "xml", "feed",
-	// "bin", or "bin+flate". On the streamed paths the agency advertises
-	// it (plus the universal "xml") on the request envelope and the
-	// source endpoint answers with its pick; the shipment itself stays
-	// self-describing either way.
+	// "bin", or "bin+flate"; empty is "xml". The agency advertises it (plus
+	// the universal "xml") on the request envelope and the source endpoint
+	// answers with its pick; the shipment itself stays self-describing
+	// either way.
 	Codec string
-	// FilterElem/FilterValue pass a service argument (§3.2) to the source:
-	// only root-fragment records whose FilterElem leaf equals FilterValue
-	// (and their descendants) are exchanged.
-	FilterElem, FilterValue string
-	// Filter is the compiled-pushdown generalization of FilterElem: a
+	// Filter passes a service argument (§3.2) to the source: a
 	// core.CompileFilter expression (child steps + leaf comparison)
-	// evaluated source-side. When both are set, Filter wins.
+	// evaluated source-side, so only matching root-fragment records (and
+	// their descendants) are exchanged.
 	Filter string
 	// Delta asks for an incremental delivery: the agency diffs the fresh
 	// shipment against its reconciliation index for this service and ships
 	// only added/changed records plus tombstones for deletions, falling
 	// back to a full re-ship whenever either side's state is cold or the
-	// fragmentation epoch changed. Requires Reliability (deltas ride the
-	// sessioned chunk protocol).
+	// fragmentation epoch changed.
 	Delta bool
 	// Pipelined asks both endpoints to run their program slices on the
 	// streaming executor (stages connected by channels) instead of the
 	// batch one. Semantics are identical; scheduling overlaps.
 	Pipelined bool
-	// Streamed drives the exchange over the zero-materialization wire
-	// path: the source serializes its shipment directly onto the HTTP
-	// response as the slice executes, the agency decodes it incrementally
-	// and pipes it onward, and the target decodes the request in one SAX
-	// pass — no envelope tree is materialized anywhere. With Streamed,
-	// ShipBytes reports actual wire bytes of the shipment (framing
-	// included), where the tree path counts serialized records only.
-	Streamed bool
-	// Reliability, when set, drives the exchange through the reliable
-	// subsystem: retried source execution with backoff and circuit
-	// breaking, and a resumable chunked session for the target delivery.
-	// It implies the streaming wire path; see executeReliable.
+	// Reliability is the exchange's retry policy: retried source execution
+	// with backoff and circuit breaking, and resume-from-checkpoint for the
+	// target delivery. Nil is a single attempt per call with private
+	// breakers — the same drive, just with no second try.
 	Reliability *reliable.Config
 	// Transport, when set, is installed into the SOAP clients driving the
 	// exchange — the hook a fault-injecting netsim.FaultyLink plugs into.
-	// With Reliability set it is used unless the config carries its own.
+	// A Reliability config carrying its own transport wins.
 	Transport http.RoundTripper
 	// Logger, when set, narrates the exchange: attempts, retries, breaker
 	// transitions, and the final outcome. Nil is silent.
@@ -661,28 +642,6 @@ type ExecOptions struct {
 	Tenant string
 }
 
-// client builds a SOAP client for url honoring the configured transport.
-func (o ExecOptions) client(url string) *soap.Client {
-	c := &soap.Client{URL: url}
-	if o.Transport != nil {
-		c.HTTPClient = &http.Client{Transport: o.Transport}
-	}
-	return c
-}
-
-// effectiveCodec resolves the shipment codec the options ask for: Codec
-// wins, the legacy Format field maps onto its codec, and the default is
-// tagged XML.
-func (o ExecOptions) effectiveCodec() (wire.Codec, error) {
-	if o.Codec != "" {
-		return wire.ParseCodec(o.Codec)
-	}
-	if o.Format == "feed" {
-		return wire.Codec{Kind: wire.CodecFeed}, nil
-	}
-	return wire.Codec{}, nil
-}
-
 // advertise configures c to negotiate for codec: the client offers its
 // preference plus the universal tagged-XML fallback.
 func advertise(c *soap.Client, codec wire.Codec) {
@@ -698,12 +657,12 @@ func (a *Agency) Execute(service string, plan *Plan, link netsim.Link) (*Report,
 	return a.ExecuteOpts(service, plan, ExecOptions{Link: link})
 }
 
-// ExecuteOpts drives an exchange end-to-end: the source executes its slice
-// and returns the cross-edge shipment, which the agency forwards to the
-// target together with the target slice. Communication time is modeled
-// over the link from the actual shipment size. Every drive carries a span
-// tree (Report.Trace) and, when opts wires a Logger/Metrics, emits
-// exchange.* observability.
+// ExecuteOpts drives an exchange end-to-end (§5.2's step list): the source
+// executes its slice and streams back the cross-edge shipment, which the
+// agency delivers to the target as one sessioned, chunked request together
+// with the target slice. Communication time is modeled over the link from
+// the actual wire bytes. Every drive carries a span tree (Report.Trace)
+// and, when opts wires a Logger/Metrics, emits exchange.* observability.
 func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Report, error) {
 	if opts.Scheduler != nil {
 		sched, tenant := opts.Scheduler, opts.Tenant
@@ -719,29 +678,20 @@ func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Rep
 		})
 		return report, err
 	}
-	if opts.Delta && opts.Reliability == nil {
-		return nil, fmt.Errorf("registry: ExecOptions.Delta requires Reliability (deltas ride the sessioned chunk protocol)")
-	}
 	start := time.Now()
 	met := opts.Metrics
 	log := obs.OrNop(opts.Logger)
 	met.Counter("exchange.total").Inc()
 
-	var report *Report
-	var err error
-	switch {
-	case opts.Reliability != nil:
-		if opts.Reliability.Transport == nil && opts.Transport != nil {
-			cfg := *opts.Reliability
-			cfg.Transport = opts.Transport
-			opts.Reliability = &cfg
-		}
-		report, err = a.executeReliable(service, plan, opts)
-	case opts.Streamed:
-		report, err = a.executeStreamed(service, plan, opts)
-	default:
-		report, err = a.executeTree(service, plan, opts)
+	cfg := reliable.Config{Policy: reliable.Policy{MaxAttempts: 1}}
+	if opts.Reliability != nil {
+		cfg = *opts.Reliability
 	}
+	if cfg.Transport == nil {
+		cfg.Transport = opts.Transport
+	}
+	opts.Reliability = &cfg
+	report, err := a.drive(service, plan, opts)
 
 	met.Histogram("exchange.millis").ObserveSince(start)
 	if report != nil {
@@ -761,119 +711,4 @@ func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Rep
 			"resumes", report.Resumes, "millis", time.Since(start).Milliseconds())
 	}
 	return report, nil
-}
-
-// newTrace roots an exchange's span tree.
-func newTrace(service, path string) *obs.Span {
-	sp := obs.NewSpan("exchange")
-	sp.Set("service", service)
-	sp.Set("path", path)
-	return sp
-}
-
-// executeTree is the buffered tree path: materialize the source response,
-// forward the shipment subtree, materialize the target response.
-func (a *Agency) executeTree(service string, plan *Plan, opts ExecOptions) (*Report, error) {
-	link := opts.Link
-	src, tgt := a.parties(service)
-	if src == nil || tgt == nil {
-		return nil, fmt.Errorf("registry: service %q not fully registered", service)
-	}
-	progXML, err := wire.EncodeProgram(plan.Program, plan.Assign)
-	if err != nil {
-		return nil, err
-	}
-	codec, err := opts.effectiveCodec()
-	if err != nil {
-		return nil, err
-	}
-	trace := newTrace(service, "tree")
-	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace}
-
-	reqS := &xmltree.Node{Name: "ExecuteSource"}
-	if opts.Codec != "" {
-		reqS.SetAttr("codec", opts.Codec)
-	}
-	if opts.Format != "" {
-		reqS.SetAttr("format", opts.Format)
-	}
-	if opts.FilterElem != "" {
-		reqS.SetAttr("filterElem", opts.FilterElem)
-		reqS.SetAttr("filterValue", opts.FilterValue)
-	}
-	if opts.Filter != "" {
-		reqS.SetAttr("filter", opts.Filter)
-	}
-	if opts.Pipelined {
-		reqS.SetAttr("pipelined", "1")
-	}
-	reqS.AddKid(progXML)
-	cs := opts.client(src.URL)
-	srcSpan := trace.Child("source")
-	respS, err := cs.Call("ExecuteSource", reqS)
-	srcSpan.End()
-	if err != nil {
-		srcSpan.Set("err", err.Error())
-		return report, fmt.Errorf("registry: source execution: %w", err)
-	}
-	if v, ok := respS.Attr("queryMillis"); ok {
-		report.SourceTime = parseMillis(v)
-	}
-	var shipment *xmltree.Node
-	for _, k := range respS.Kids {
-		if k.Name == "shipment" {
-			shipment = k
-		}
-	}
-	if shipment == nil {
-		return report, fmt.Errorf("registry: source returned no shipment")
-	}
-	for _, ix := range shipment.Kids {
-		if format, _ := ix.Attr("format"); format != "" {
-			// Encoded instances (feed, bin) carry their payload as text.
-			report.WireBytes += int64(len(ix.Text))
-			continue
-		}
-		for _, rec := range ix.Kids {
-			report.WireBytes += xmltree.SizeWith(rec, xmltree.WriteOptions{EmitAllIDs: true})
-		}
-	}
-	report.ShipBytes = report.WireBytes
-	report.ShipTime = link.TransferTime(report.ShipBytes)
-
-	reqT := &xmltree.Node{Name: "ExecuteTarget"}
-	if opts.Pipelined {
-		reqT.SetAttr("pipelined", "1")
-	}
-	// Re-encode the program for the target side.
-	progXML2, err := wire.EncodeProgram(plan.Program, plan.Assign)
-	if err != nil {
-		return nil, err
-	}
-	reqT.AddKid(progXML2)
-	reqT.AddKid(shipment)
-	ct := opts.client(tgt.URL)
-	tgtSpan := trace.Child("deliver")
-	respT, err := ct.Call("ExecuteTarget", reqT)
-	tgtSpan.End()
-	if err != nil {
-		tgtSpan.Set("err", err.Error())
-		return report, fmt.Errorf("registry: target execution: %w", err)
-	}
-	if v, ok := respT.Attr("execMillis"); ok {
-		report.TargetTime = parseMillis(v)
-	}
-	if v, ok := respT.Attr("writeMillis"); ok {
-		report.WriteTime = parseMillis(v)
-	}
-	if v, ok := respT.Attr("indexMillis"); ok {
-		report.IndexTime = parseMillis(v)
-	}
-	return report, nil
-}
-
-func parseMillis(s string) time.Duration {
-	var f float64
-	fmt.Sscanf(s, "%g", &f)
-	return time.Duration(f * float64(time.Millisecond))
 }

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,8 +11,10 @@ import (
 	"xdx/internal/endpoint"
 	"xdx/internal/ldapstore"
 	"xdx/internal/netsim"
+	"xdx/internal/publish"
 	"xdx/internal/relstore"
 	"xdx/internal/schema"
+	"xdx/internal/shred"
 	"xdx/internal/wsdlx"
 	"xdx/internal/xmltree"
 )
@@ -87,6 +91,15 @@ func wsdlFor(t testing.TB, sch *schema.Schema, fr *core.Fragmentation, addr stri
 // and a registered agency.
 func startExchange(t testing.TB, alg Algorithm) (*Agency, *Plan, *relstore.Store, func()) {
 	t.Helper()
+	ag, plan, _, tgtStore, _, cleanup := startExchangeEP(t, alg)
+	return ag, plan, tgtStore, cleanup
+}
+
+// startExchangeEP is startExchange with the source store and the target
+// endpoint riding along, for tests that need the publish&map oracle or the
+// target's session store.
+func startExchangeEP(t testing.TB, alg Algorithm) (*Agency, *Plan, *relstore.Store, *relstore.Store, *endpoint.Endpoint, func()) {
+	t.Helper()
 	sch := schema.CustomerInfo()
 	sFr := sFragmentation(t, sch)
 	tFr := tFragmentation(t, sch)
@@ -120,7 +133,89 @@ func startExchange(t testing.TB, alg Algorithm) (*Agency, *Plan, *relstore.Store
 		t.Fatal(err)
 	}
 	cleanup := func() { srcSrv.Close(); tgtSrv.Close() }
-	return ag, plan, tgtStore, cleanup
+	return ag, plan, srcStore, tgtStore, tgtEP, cleanup
+}
+
+// publishMap is the paper's baseline and the exchange's oracle: publish
+// the source as one document, shred it per the target layout, load.
+func publishMap(t testing.TB, src *relstore.Store, tFr *core.Fragmentation) *relstore.Store {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := publish.Publish(src, &buf); err != nil {
+		t.Fatal(err)
+	}
+	insts, err := shred.Shred(&buf, tFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := relstore.NewStore(tFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range tFr.Fragments {
+		if err := pm.Load(insts[f.Name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pm
+}
+
+// TestDefaultExchangeMatchesPublishMap drives the one drive path with
+// default options (nil Reliability) over every codec, with and without a
+// pushdown filter, and holds each run to the paper's own oracle: the
+// target must hold exactly what publish&map loads. It also pins what the
+// single-attempt default means: one try per call, no retries, and the
+// target session released before ExecuteOpts returns.
+func TestDefaultExchangeMatchesPublishMap(t *testing.T) {
+	wireBytes := map[string]int64{}
+	for _, codec := range []string{"xml", "feed", "bin", "bin+flate"} {
+		for _, filter := range []string{"", `CustName = 'Ann'`} {
+			t.Run(fmt.Sprintf("codec=%s/filter=%t", codec, filter != ""), func(t *testing.T) {
+				ag, plan, srcStore, tgtStore, tgtEP, done := startExchangeEP(t, AlgGreedy)
+				defer done()
+				rep, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{
+					Link: netsim.Loopback(), Codec: codec, Filter: filter,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := publishMap(t, srcStore, tgtStore.Layout)
+				if tgtStore.Rows() != want.Rows() {
+					t.Errorf("target holds %d rows, publish&map %d", tgtStore.Rows(), want.Rows())
+				}
+				if got := assembleTarget(t, tgtStore); !xmltree.EqualShape(assembleTarget(t, want), got) {
+					t.Errorf("target differs from publish&map:\n%s", xmltree.Marshal(got, xmltree.WriteOptions{}))
+				}
+				if rep.Codec != codec {
+					t.Errorf("exchange traveled as %q, want %q", rep.Codec, codec)
+				}
+				if rep.WireBytes <= 0 || rep.PayloadBytes <= 0 {
+					t.Errorf("wire=%d payload=%d; both must be metered", rep.WireBytes, rep.PayloadBytes)
+				}
+				if rep.Retries != 0 || rep.Resumes != 0 {
+					t.Errorf("single-attempt default reported retries=%d resumes=%d", rep.Retries, rep.Resumes)
+				}
+				for _, sp := range rep.Trace.Kids() {
+					if sp.Name != "source" && sp.Name != "deliver" {
+						continue
+					}
+					if n := len(sp.Kids()); n != 1 {
+						t.Errorf("%s made %d attempts, want exactly 1", sp.Name, n)
+					}
+				}
+				if n := tgtEP.Sessions().Len(); n != 0 {
+					t.Errorf("target still holds %d sessions after the exchange", n)
+				}
+				if filter == "" {
+					wireBytes[codec] = rep.WireBytes
+				}
+			})
+		}
+	}
+	// §4.1's feed option: sorted feeds drop the per-record tagging.
+	if wireBytes["feed"] >= wireBytes["xml"] {
+		t.Errorf("feed shipment (%d bytes) not smaller than XML (%d bytes)", wireBytes["feed"], wireBytes["xml"])
+	}
 }
 
 func TestEndToEndExchangeGreedy(t *testing.T) {
@@ -133,7 +228,7 @@ func TestEndToEndExchangeGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.ShipBytes <= 0 {
+	if report.WireBytes <= 0 {
 		t.Errorf("no bytes shipped")
 	}
 	// The target store now holds the document; reassemble and compare.
@@ -163,7 +258,7 @@ func TestEndToEndExchangePipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.ShipBytes <= 0 {
+	if report.WireBytes <= 0 {
 		t.Errorf("no bytes shipped")
 	}
 	insts := map[string]*core.Instance{}
@@ -180,43 +275,6 @@ func TestEndToEndExchangePipelined(t *testing.T) {
 	}
 	if !xmltree.EqualShape(customerDoc(t), back) {
 		t.Errorf("document changed in pipelined transit:\n%s", xmltree.Marshal(back, xmltree.WriteOptions{}))
-	}
-}
-
-func TestEndToEndExchangeFeedFormat(t *testing.T) {
-	// The same exchange with sorted-feed shipments (§4.1's feed option):
-	// smaller on the wire, identical target contents.
-	ag, plan, tgtStore, done := startExchange(t, AlgGreedy)
-	defer done()
-	feedReport, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{Link: netsim.Loopback(), Format: "feed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts := map[string]*core.Instance{}
-	for _, f := range tgtStore.Layout.Fragments {
-		in, err := tgtStore.ScanFragment(f.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts[f.Name] = in
-	}
-	back, err := core.Document(tgtStore.Layout, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !xmltree.EqualShape(customerDoc(t), back) {
-		t.Errorf("feed exchange changed the document")
-	}
-	// Compare against XML-format shipping volume on a fresh exchange.
-	ag2, plan2, _, done2 := startExchange(t, AlgGreedy)
-	defer done2()
-	xmlReport, err := ag2.Execute("CustomerInfoService", plan2, netsim.Loopback())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if feedReport.ShipBytes >= xmlReport.ShipBytes {
-		t.Errorf("feed shipment (%d bytes) not smaller than XML (%d bytes)",
-			feedReport.ShipBytes, xmlReport.ShipBytes)
 	}
 }
 
@@ -279,33 +337,6 @@ func TestExchangeToLDAPDumbClient(t *testing.T) {
 	}
 	if got := len(dir.Dir.Search("", "FEATURE_T")); got != 3 {
 		t.Errorf("features in directory = %d, want 3", got)
-	}
-}
-
-func TestExchangeWithServiceArgument(t *testing.T) {
-	// §3.2: the service takes an argument that subsets the data; the source
-	// filters before shipping. Filtering on a CustName that does not exist
-	// must deliver nothing; filtering on "Ann" delivers everything (the
-	// fixture has one customer).
-	ag, plan, tgtStore, done := startExchange(t, AlgGreedy)
-	defer done()
-	if _, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{
-		Link: netsim.Loopback(), FilterElem: "CustName", FilterValue: "Nobody",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if tgtStore.Rows() != 0 {
-		t.Errorf("filter on missing customer delivered %d rows", tgtStore.Rows())
-	}
-	tgtStore.Clear()
-	report, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{
-		Link: netsim.Loopback(), FilterElem: "CustName", FilterValue: "Ann",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tgtStore.Rows() == 0 || report.ShipBytes == 0 {
-		t.Errorf("filter on existing customer delivered nothing")
 	}
 }
 

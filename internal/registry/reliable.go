@@ -1,23 +1,22 @@
 package registry
 
-// Reliable exchange driving. The plain drivers treat every SOAP call as
-// fire-once: a dropped connection, a stalled stream, or an injected 5xx
-// aborts the whole exchange. With ExecOptions.Reliability set, the agency
-// drives the exchange through internal/reliable instead:
+// The exchange driver. There is one way to drive an exchange, and it goes
+// through internal/reliable whether or not the caller asked for retries:
 //
-//   - the source call is retried wholesale under backoff — it is idempotent
-//     (the source recomputes its slice), so each attempt decodes into a
-//     fresh map;
-//   - the target delivery becomes a resumable session: the shipment travels
-//     as seq-numbered chunks, a torn delivery is resumed from the chunk
+//   - the source call streams the shipment back and is retried wholesale
+//     under backoff — it is idempotent (the source recomputes its slice),
+//     so each attempt decodes into a fresh map;
+//   - the target delivery is a resumable session: the shipment travels as
+//     seq-numbered chunks, a torn delivery is resumed from the chunk
 //     checkpoint the target acked via SessionStatus, and the target's
 //     ledger dedups any overlap, so the loaded instances are byte-identical
 //     to a fault-free run;
 //   - every attempt passes the endpoint's circuit breaker, and the whole
 //     exchange shares one retry budget and deadline.
 //
-// Reliability implies the streaming wire path: resume granularity is the
-// chunk, and chunks ride on the streaming shipment serialization.
+// An exchange without ExecOptions.Reliability runs the same protocol under
+// a single-attempt policy: one source call, one sessioned delivery, and any
+// failure ends it.
 
 import (
 	"fmt"
@@ -29,6 +28,7 @@ import (
 	"time"
 
 	"xdx/internal/core"
+	"xdx/internal/endpoint"
 	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/reliable"
@@ -60,9 +60,10 @@ func wireExchangeObs(ex *reliable.Exchange, opts ExecOptions) {
 	}
 }
 
-// executeReliable drives an exchange end-to-end under the reliability
-// config: retried source execution, resumable chunked target delivery.
-func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (*Report, error) {
+// drive runs an exchange end-to-end under opts.Reliability (ExecuteOpts
+// has resolved nil to the single-attempt config): retried source
+// execution, resumable chunked target delivery.
+func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, error) {
 	src, tgt := a.parties(service)
 	if src == nil || tgt == nil {
 		return nil, fmt.Errorf("registry: service %q not fully registered", service)
@@ -72,38 +73,22 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 	if err != nil {
 		return nil, err
 	}
-	codec, err := opts.effectiveCodec()
+	codec, err := wire.ParseCodec(opts.Codec)
 	if err != nil {
 		return nil, err
 	}
-	trace := newTrace(service, "reliable")
+	trace := obs.NewSpan("exchange")
+	trace.Set("service", service)
 	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace}
 	ex := reliable.NewExchange(opts.Reliability)
 	wireExchangeObs(ex, opts)
 
-	frags := map[string]*core.Fragment{}
-	for _, op := range plan.Program.Ops {
-		frags[op.Out.Name] = op.Out
-		for _, p := range op.Parts {
-			frags[p.Name] = p
-		}
-	}
-	for _, ed := range plan.Program.Edges {
-		frags[ed.Frag.Name] = ed.Frag
-	}
+	frags := plan.Program.FragmentsByName()
 	lookup := func(name string) *core.Fragment { return frags[name] }
 
 	reqS := &xmltree.Node{Name: "ExecuteSource"}
-	reqS.SetAttr("stream", "1")
 	if opts.Codec != "" {
 		reqS.SetAttr("codec", opts.Codec)
-	}
-	if opts.Format != "" {
-		reqS.SetAttr("format", opts.Format)
-	}
-	if opts.FilterElem != "" {
-		reqS.SetAttr("filterElem", opts.FilterElem)
-		reqS.SetAttr("filterValue", opts.FilterValue)
 	}
 	if opts.Filter != "" {
 		reqS.SetAttr("filter", opts.Filter)
@@ -157,14 +142,12 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 	if answeredCodec != "" {
 		report.Codec = answeredCodec
 	}
-	report.SourceTime = parseMillis(sourceMillis)
+	report.SourceTime = endpoint.ParseMillis(sourceMillis)
 	report.PayloadBytes = wire.ShipmentBytes(inbound)
 
 	// Phase 2: resumable target delivery. The shipment is rechunked at the
 	// configured granularity; each redelivery first asks the target which
-	// chunk it acked last and resumes emission there. ShipBytes counts the
-	// actual wire bytes across all attempts — retransmission is a real
-	// communication cost.
+	// chunk it acked last and resumes emission there.
 	ct := ex.Client(tgt.URL)
 	stream, epoch := service, deltaEpoch(src, tgt)
 
@@ -220,10 +203,7 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 				// Accumulated on every exit path: an attempt torn mid-chunk
 				// still spent its bytes on the wire, and WireBytes counts the
 				// retransmission cost across all attempts.
-				defer func() {
-					report.WireBytes += m.Bytes()
-					report.ShipBytes = report.WireBytes
-				}()
+				defer func() { report.WireBytes += m.Bytes() }()
 				sw := wire.NewShipmentWriterCodec(m, sch, codec)
 				sw.SetWorkers(opts.ParallelChunks)
 				sw.SetObs(opts.Metrics)
@@ -268,6 +248,9 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 			return nil
 		})
 		if err != nil {
+			// Given up: release the half-filled session now rather than leave
+			// it to the target's idle sweeper.
+			ct.Call("EndSession", endSessionReq(sessionID))
 			return nil, err
 		}
 		// The response is in hand, so the target's session state (ledger,
@@ -343,15 +326,15 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 		// fresh shipment: commit its hashes as the next exchange's base.
 		a.recon.Commit(stream, epoch, hashes)
 	}
-	report.ShipTime = opts.Link.TransferTime(report.ShipBytes)
+	report.ShipTime = opts.Link.TransferTime(report.WireBytes)
 	if v, ok := respT.Attr("execMillis"); ok {
-		report.TargetTime = parseMillis(v)
+		report.TargetTime = endpoint.ParseMillis(v)
 	}
 	if v, ok := respT.Attr("writeMillis"); ok {
-		report.WriteTime = parseMillis(v)
+		report.WriteTime = endpoint.ParseMillis(v)
 	}
 	if v, ok := respT.Attr("indexMillis"); ok {
-		report.IndexTime = parseMillis(v)
+		report.IndexTime = endpoint.ParseMillis(v)
 	}
 	if v, ok := respT.Attr("deduped"); ok {
 		report.DedupedRecords, _ = strconv.ParseInt(v, 10, 64)

@@ -2,10 +2,13 @@ package registry
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,7 +144,7 @@ func soakConfig(seed int64) *reliable.Config {
 func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 	// Fault-free baseline: what the target must hold afterwards.
 	agA, planA, tgtA, _, doneA := startAuctionExchange(t)
-	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
+	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback()}); err != nil {
 		t.Fatal(err)
 	}
 	want := assembleTarget(t, tgtA)
@@ -150,7 +153,7 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 	for _, codec := range []string{"xml", "bin", "bin+flate"} {
 		codec := codec
 		t.Run("codec="+codec, func(t *testing.T) {
-			// Clean reliable run: the ShipBytes floor. The faulted runs below
+			// Clean reliable run: the WireBytes floor. The faulted runs below
 			// use the same chunked framing, so retransmission can only add
 			// bytes — a report below this floor means torn attempts went
 			// unmetered.
@@ -161,7 +164,7 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseShipBytes := repR.ShipBytes
+			baseWireBytes := repR.WireBytes
 			doneR()
 
 			totalResumes := 0
@@ -177,7 +180,7 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 						defer doneC()
 						flC := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(seed))
 						if _, err := agC.ExecuteOpts("Auction", planC, ExecOptions{
-							Link: netsim.Loopback(), Streamed: true, Transport: flC.RoundTripper(nil),
+							Link: netsim.Loopback(), Transport: flC.RoundTripper(nil),
 						}); err == nil {
 							t.Fatal("unreliable exchange survived the fault seed")
 						}
@@ -207,9 +210,9 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 					if rep.Retries == 0 {
 						t.Errorf("report shows no retries (injected %+v)", flB.Counts())
 					}
-					if rep.ShipBytes < baseShipBytes {
-						t.Errorf("ShipBytes = %d under faults, below the clean floor %d — torn attempts went unmetered",
-							rep.ShipBytes, baseShipBytes)
+					if rep.WireBytes < baseWireBytes {
+						t.Errorf("WireBytes = %d under faults, below the clean floor %d — torn attempts went unmetered",
+							rep.WireBytes, baseWireBytes)
 					}
 					totalResumes += rep.Resumes
 					got := assembleTarget(t, tgtB)
@@ -230,7 +233,7 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 func TestReliableExchangeFaultFree(t *testing.T) {
 	agA, planA, tgtA, _, doneA := startAuctionExchange(t)
 	defer doneA()
-	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
+	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback()}); err != nil {
 		t.Fatal(err)
 	}
 	want := assembleTarget(t, tgtA)
@@ -248,7 +251,7 @@ func TestReliableExchangeFaultFree(t *testing.T) {
 		t.Errorf("clean link produced retries=%d resumes=%d deduped=%d",
 			rep.Retries, rep.Resumes, rep.DedupedRecords)
 	}
-	if rep.ShipBytes <= 0 {
+	if rep.WireBytes <= 0 {
 		t.Error("no bytes metered")
 	}
 	// The driver releases its session via EndSession before returning, so
@@ -259,6 +262,48 @@ func TestReliableExchangeFaultFree(t *testing.T) {
 	got := assembleTarget(t, tgtB)
 	if !xmltree.Equal(want, got) {
 		t.Error("reliable driver changed the exchanged document")
+	}
+}
+
+// TestSingleAttemptExchangeFailsOnce pins what nil Reliability means on
+// the one drive path: the same sessioned delivery, but a retryable failure
+// ends the exchange instead of scheduling a second try. The target dies
+// mid-delivery (torn request body, connection severed with no response) —
+// exactly one ExecuteTarget reaches it, the report shows no retries, and
+// the half-filled session is released by the driver's EndSession instead
+// of waiting for the idle sweeper.
+func TestSingleAttemptExchangeFailsOnce(t *testing.T) {
+	ag, plan, tgtStore, tgtEP, done := startAuctionExchange(t)
+	defer done()
+	var deliveries atomic.Int32
+	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("SOAPAction") != `"ExecuteTarget"` {
+			tgtEP.Handler().ServeHTTP(w, r)
+			return
+		}
+		deliveries.Add(1)
+		r.Body = io.NopCloser(&tearReader{r: r.Body, budget: 16 << 10})
+		tgtEP.Handler().ServeHTTP(httptest.NewRecorder(), r)
+		panic(http.ErrAbortHandler)
+	}))
+	defer dying.Close()
+	ag.Party("Auction", RoleTarget).URL = dying.URL
+
+	rep, err := ag.Execute("Auction", plan, netsim.Loopback())
+	if err == nil {
+		t.Fatal("exchange against a dying target reported success")
+	}
+	if n := deliveries.Load(); n != 1 {
+		t.Errorf("target saw %d ExecuteTarget attempts, want exactly 1", n)
+	}
+	if rep == nil || rep.Retries != 0 || rep.Resumes != 0 {
+		t.Errorf("single-attempt failure reported %+v", rep)
+	}
+	if tgtStore.Rows() != 0 {
+		t.Errorf("torn delivery loaded %d rows", tgtStore.Rows())
+	}
+	if n := tgtEP.Sessions().Len(); n != 0 {
+		t.Errorf("target still holds %d sessions after the failed exchange", n)
 	}
 }
 
@@ -274,11 +319,11 @@ func TestFaultSweepExperiment(t *testing.T) {
 	}
 
 	agA, planA, _, _, doneA := startAuctionExchange(t)
-	repA, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true})
+	repA, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseBytes := repA.ShipBytes
+	baseBytes := repA.WireBytes
 	doneA()
 
 	const runs = 20
@@ -303,7 +348,7 @@ func TestFaultSweepExperiment(t *testing.T) {
 			ok++
 			retries += rep.Retries
 			resumes += rep.Resumes
-			bytes += rep.ShipBytes
+			bytes += rep.WireBytes
 		}
 		inflation := 0.0
 		if ok > 0 {

@@ -21,23 +21,21 @@ type Service struct {
 	Agency *Agency
 	// Link models the source→target connection used when executing.
 	Link netsim.Link
-	// Streamed selects the zero-materialization wire path for exchanges.
-	Streamed bool
 	// Codec is the default shipment codec for exchanges ("xml", "feed",
 	// "bin", "bin+flate"); a codec attribute on the Plan/Exchange request
 	// overrides it.
 	Codec string
-	// Reliability, when set, drives every exchange through the reliable
-	// path (retries, resumable sessions, circuit breaking). Set
-	// Reliability.Breakers to share breaker state across exchanges.
+	// Reliability is the retry policy of every exchange the service drives
+	// (backoff, resume-from-checkpoint, circuit breaking); nil is a single
+	// attempt per call. Set Reliability.Breakers to share breaker state
+	// across exchanges.
 	Reliability *reliable.Config
 	// ParallelChunks dials the chunk codec pools of every exchange the
 	// service drives (ExecOptions.ParallelChunks): 0 is one worker per
 	// CPU, 1 or less runs the codecs in-line.
 	ParallelChunks int
-	// Delta drives repeat exchanges in delta mode by default (requires
-	// Reliability); a delta attribute on the Exchange request overrides it
-	// per call.
+	// Delta drives repeat exchanges in delta mode by default; a delta
+	// attribute on the Exchange request overrides it per call.
 	Delta bool
 	// Filter is the service-wide pushdown filter expression applied
 	// source-side to every exchange; a filter attribute on the request
@@ -269,9 +267,6 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	if v, ok := req.Attr("delta"); ok {
 		delta = v == "1" || v == "true"
 	}
-	if delta && s.Reliability == nil {
-		return nil, &soap.Fault{Code: "soap:Client", String: "delta exchanges require the reliable path"}
-	}
 	// Planning probes the live endpoints for statistics; under a
 	// reliability config those probes deserve the same retry policy as the
 	// exchange itself (planning is idempotent, so retry it wholesale).
@@ -294,7 +289,6 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	report, err := s.Agency.ExecuteOpts(service, plan, ExecOptions{
 		Link:           s.Link,
 		Codec:          codec,
-		Streamed:       s.Streamed,
 		Reliability:    s.Reliability,
 		Logger:         s.log,
 		Metrics:        s.met,
@@ -307,11 +301,9 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	}
 	resp := &xmltree.Node{Name: "ExchangeResponse"}
 	resp.SetAttr("service", service)
-	if s.Reliability != nil {
-		resp.SetAttr("retries", strconv.Itoa(report.Retries))
-		resp.SetAttr("resumes", strconv.Itoa(report.Resumes))
-		resp.SetAttr("deduped", strconv.FormatInt(report.DedupedRecords, 10))
-	}
+	resp.SetAttr("retries", strconv.Itoa(report.Retries))
+	resp.SetAttr("resumes", strconv.Itoa(report.Resumes))
+	resp.SetAttr("deduped", strconv.FormatInt(report.DedupedRecords, 10))
 	if delta {
 		d := "0"
 		if report.Delta {
@@ -322,7 +314,6 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 		resp.SetAttr("tombstoneRecords", strconv.Itoa(report.TombstoneRecords))
 	}
 	resp.SetAttr("codec", report.Codec)
-	resp.SetAttr("shipBytes", strconv.FormatInt(report.ShipBytes, 10))
 	resp.SetAttr("wireBytes", strconv.FormatInt(report.WireBytes, 10))
 	resp.SetAttr("payloadBytes", strconv.FormatInt(report.PayloadBytes, 10))
 	resp.SetAttr("sourceMillis", fmt.Sprintf("%.3f", report.SourceTime.Seconds()*1000))

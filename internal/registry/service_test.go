@@ -94,9 +94,17 @@ func TestServicePlanAndExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytesStr, _ := exResp.Attr("shipBytes")
-	if n, err := strconv.ParseInt(bytesStr, 10, 64); err != nil || n <= 0 {
-		t.Errorf("shipBytes = %q", bytesStr)
+	for _, attr := range []string{"wireBytes", "payloadBytes"} {
+		v, _ := exResp.Attr(attr)
+		if n, err := strconv.ParseInt(v, 10, 64); err != nil || n <= 0 {
+			t.Errorf("%s = %q", attr, v)
+		}
+	}
+	// The retry accounting is part of every response, not only retried ones.
+	for _, attr := range []string{"retries", "resumes", "deduped"} {
+		if v, _ := exResp.Attr(attr); v != "0" {
+			t.Errorf("%s = %q, want 0 on a clean single-attempt exchange", attr, v)
+		}
 	}
 	if tgtStore.Rows() == 0 {
 		t.Error("exchange did not populate the target")

@@ -1,20 +1,11 @@
 package registry
 
-// Streamed exchange driving. The tree path in ExecuteOpts materializes the
-// source's whole response envelope, re-encodes the shipment into the
-// target request, and buffers that request too — three copies of the
-// exchange's dominant payload. The streamed path keeps exactly one: the
-// source response is decoded incrementally into instances as it arrives
-// (SAX events straight into the shipment decoder), and the target request
-// flows through an io.Pipe with the shipment serialized directly from
-// those instances, metered for the communication-cost report as it leaves.
+// The agency's side of the streaming wire path: the source response is
+// decoded incrementally into instances as it arrives (SAX events straight
+// into the shipment decoder), so no envelope tree is ever materialized for
+// the exchange's dominant payload.
 
 import (
-	"fmt"
-	"io"
-
-	"xdx/internal/core"
-	"xdx/internal/netsim"
 	"xdx/internal/wire"
 	"xdx/internal/xmltree"
 )
@@ -30,9 +21,8 @@ func scanAttr(attrs []xmltree.Attr, name string) string {
 }
 
 // sourceRespScan consumes an ExecuteSourceResponse stream: the shipment
-// subtree flows into the shipment decoder, the timing rides either on the
-// trailing <timing> element (streamed endpoint) or on the root's
-// queryMillis attribute (buffered endpoint).
+// subtree flows into the shipment decoder, the timing rides on the
+// trailing <timing> element.
 type sourceRespScan struct {
 	dec *wire.ShipmentDecoder
 
@@ -64,27 +54,17 @@ func (s *sourceRespScan) StartElement(name string, attrs []xmltree.Attr) error {
 		return s.dec.StartElement(name, attrs)
 	}
 	s.depth++
-	switch s.depth {
-	case 1:
-		if v := scanAttr(attrs, "queryMillis"); v != "" {
-			s.queryMillis = v
-		}
-	case 2:
+	if s.depth == 2 {
 		switch name {
 		case "shipment":
 			s.sawShipment = true
 			s.sub, s.subDepth = true, 1
 			return s.dec.StartElement(name, attrs)
 		case "timing":
-			if v := scanAttr(attrs, "queryMillis"); v != "" {
-				s.queryMillis = v
-			}
-			s.depth--
-			s.skip = 1
-		default:
-			s.depth--
-			s.skip = 1
+			s.queryMillis = scanAttr(attrs, "queryMillis")
 		}
+		s.depth--
+		s.skip = 1
 	}
 	return nil
 }
@@ -122,138 +102,4 @@ func (s *sourceRespScan) EndElement(name string) error {
 		s.depth--
 	}
 	return nil
-}
-
-// executeStreamed drives an exchange over the zero-materialization wire
-// path: streamed source response, piped target request, no envelope trees
-// on either hop. The shipment is counted by a meter as it is re-serialized
-// toward the target, so ShipBytes reports actual wire bytes (shipment
-// framing included — the tree path's per-record count omits the
-// <shipment>/<instance> wrappers).
-func (a *Agency) executeStreamed(service string, plan *Plan, opts ExecOptions) (*Report, error) {
-	link := opts.Link
-	src, tgt := a.parties(service)
-	if src == nil || tgt == nil {
-		return nil, fmt.Errorf("registry: service %q not fully registered", service)
-	}
-	sch := src.Fragmentation.Schema
-	progXML, err := wire.EncodeProgram(plan.Program, plan.Assign)
-	if err != nil {
-		return nil, err
-	}
-	codec, err := opts.effectiveCodec()
-	if err != nil {
-		return nil, err
-	}
-	trace := newTrace(service, "streamed")
-	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace}
-
-	reqS := &xmltree.Node{Name: "ExecuteSource"}
-	reqS.SetAttr("stream", "1")
-	if opts.Codec != "" {
-		reqS.SetAttr("codec", opts.Codec)
-	}
-	if opts.Format != "" {
-		reqS.SetAttr("format", opts.Format)
-	}
-	if opts.FilterElem != "" {
-		reqS.SetAttr("filterElem", opts.FilterElem)
-		reqS.SetAttr("filterValue", opts.FilterValue)
-	}
-	if opts.Filter != "" {
-		reqS.SetAttr("filter", opts.Filter)
-	}
-	if opts.Pipelined {
-		reqS.SetAttr("pipelined", "1")
-	}
-	reqS.AddKid(progXML)
-
-	frags := map[string]*core.Fragment{}
-	for _, op := range plan.Program.Ops {
-		frags[op.Out.Name] = op.Out
-		for _, p := range op.Parts {
-			frags[p.Name] = p
-		}
-	}
-	for _, ed := range plan.Program.Edges {
-		frags[ed.Frag.Name] = ed.Frag
-	}
-	dec := wire.NewShipmentDecoder(sch, func(name string) *core.Fragment { return frags[name] })
-	dec.Workers = opts.ParallelChunks
-	dec.Met = opts.Metrics
-	scanS := &sourceRespScan{dec: dec}
-
-	cs := opts.client(src.URL)
-	advertise(cs, codec)
-	srcSpan := trace.Child("source")
-	err = cs.CallStream("ExecuteSource", func(w io.Writer) error {
-		return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
-	}, scanS)
-	srcSpan.End()
-	if err != nil {
-		srcSpan.Set("err", err.Error())
-		return report, fmt.Errorf("registry: source execution: %w", err)
-	}
-	if !scanS.sawShipment {
-		return report, fmt.Errorf("registry: source returned no shipment")
-	}
-	if scanS.codec != "" {
-		report.Codec = scanS.codec
-	}
-	report.SourceTime = parseMillis(scanS.queryMillis)
-	inbound, err := dec.Result()
-	if err != nil {
-		return report, fmt.Errorf("registry: source shipment: %w", err)
-	}
-	report.PayloadBytes = wire.ShipmentBytes(inbound)
-
-	open := `<ExecuteTarget`
-	if opts.Pipelined {
-		open += ` pipelined="1"`
-	}
-	open += `>`
-	tb := &xmltree.TreeBuilder{}
-	ct := opts.client(tgt.URL)
-	delSpan := trace.Child("deliver")
-	err = ct.CallStream("ExecuteTarget", func(w io.Writer) error {
-		if _, err := io.WriteString(w, open); err != nil {
-			return err
-		}
-		if err := xmltree.Write(w, progXML, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
-			return err
-		}
-		m := netsim.NewMeter(w)
-		sw := wire.NewShipmentWriterCodec(m, sch, codec)
-		sw.SetWorkers(opts.ParallelChunks)
-		sw.SetObs(opts.Metrics)
-		if err := wire.EmitShipment(sw, inbound); err != nil {
-			sw.Close()
-			return err
-		}
-		if err := sw.Close(); err != nil {
-			return err
-		}
-		report.WireBytes = m.Bytes()
-		report.ShipBytes = report.WireBytes
-		_, err := io.WriteString(w, `</ExecuteTarget>`)
-		return err
-	}, tb)
-	delSpan.End()
-	if err != nil {
-		delSpan.Set("err", err.Error())
-		return report, fmt.Errorf("registry: target execution: %w", err)
-	}
-	report.ShipTime = link.TransferTime(report.ShipBytes)
-	if respT := tb.Root(); respT != nil {
-		if v, ok := respT.Attr("execMillis"); ok {
-			report.TargetTime = parseMillis(v)
-		}
-		if v, ok := respT.Attr("writeMillis"); ok {
-			report.WriteTime = parseMillis(v)
-		}
-		if v, ok := respT.Attr("indexMillis"); ok {
-			report.IndexTime = parseMillis(v)
-		}
-	}
-	return report, nil
 }

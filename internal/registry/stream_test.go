@@ -3,72 +3,12 @@ package registry
 import (
 	"testing"
 
-	"xdx/internal/core"
 	"xdx/internal/netsim"
-	"xdx/internal/relstore"
 	"xdx/internal/xmltree"
 )
 
-// streamedTargetDoc runs a full streamed exchange and reassembles the
-// target store's contents into a document.
-func streamedTargetDoc(t testing.TB, opts ExecOptions) (*Report, *xmltree.Node, *relstore.Store) {
-	t.Helper()
-	ag, plan, tgtStore, done := startExchange(t, AlgGreedy)
-	defer done()
-	report, err := ag.ExecuteOpts("CustomerInfoService", plan, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts := map[string]*core.Instance{}
-	for _, f := range tgtStore.Layout.Fragments {
-		in, err := tgtStore.ScanFragment(f.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts[f.Name] = in
-	}
-	back, err := core.Document(tgtStore.Layout, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return report, back, tgtStore
-}
-
-func TestEndToEndExchangeStreamed(t *testing.T) {
-	// The same exchange over the zero-materialization wire path: the
-	// source's shipment streams onto its response as slices execute, the
-	// agency decodes it incrementally and pipes it into the target request.
-	report, back, _ := streamedTargetDoc(t, ExecOptions{Link: netsim.Loopback(), Streamed: true})
-	if report.ShipBytes <= 0 {
-		t.Errorf("no bytes shipped")
-	}
-	if !xmltree.EqualShape(customerDoc(t), back) {
-		t.Errorf("document changed in streamed transit:\n%s", xmltree.Marshal(back, xmltree.WriteOptions{}))
-	}
-}
-
-func TestEndToEndExchangeStreamedPipelined(t *testing.T) {
-	// Streamed wire path with the pipelined executor on both endpoints:
-	// records reach the wire while upstream operators still produce.
-	report, back, _ := streamedTargetDoc(t, ExecOptions{Link: netsim.Loopback(), Streamed: true, Pipelined: true})
-	if report.ShipBytes <= 0 {
-		t.Errorf("no bytes shipped")
-	}
-	if !xmltree.EqualShape(customerDoc(t), back) {
-		t.Errorf("document changed in streamed pipelined transit:\n%s", xmltree.Marshal(back, xmltree.WriteOptions{}))
-	}
-}
-
-func TestEndToEndExchangeStreamedFeed(t *testing.T) {
-	// Streamed wire path with sorted-feed shipments (§4.1).
-	_, back, _ := streamedTargetDoc(t, ExecOptions{Link: netsim.Loopback(), Streamed: true, Format: "feed"})
-	if !xmltree.EqualShape(customerDoc(t), back) {
-		t.Errorf("document changed in streamed feed transit:\n%s", xmltree.Marshal(back, xmltree.WriteOptions{}))
-	}
-}
-
 func TestEndToEndExchangeNegotiatedBin(t *testing.T) {
-	// Streamed wire path with binary shipments negotiated per call: the
+	// Binary shipments negotiated per call: the
 	// agency advertises the codec on the request envelope, the source
 	// stamps its pick on the response envelope, and the report separates
 	// what crossed the link from the tree-codec payload size. Run on the
@@ -76,7 +16,7 @@ func TestEndToEndExchangeNegotiatedBin(t *testing.T) {
 	// and delta coding must beat the tree codec despite the base64
 	// transfer text.
 	agA, planA, tgtA, _, doneA := startAuctionExchange(t)
-	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
+	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback()}); err != nil {
 		t.Fatal(err)
 	}
 	want := assembleTarget(t, tgtA)
@@ -84,7 +24,7 @@ func TestEndToEndExchangeNegotiatedBin(t *testing.T) {
 
 	for _, codec := range []string{"bin", "bin+flate"} {
 		ag, plan, tgtStore, _, done := startAuctionExchange(t)
-		report, err := ag.ExecuteOpts("Auction", plan, ExecOptions{Link: netsim.Loopback(), Streamed: true, Codec: codec})
+		report, err := ag.ExecuteOpts("Auction", plan, ExecOptions{Link: netsim.Loopback(), Codec: codec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,25 +43,5 @@ func TestEndToEndExchangeNegotiatedBin(t *testing.T) {
 			t.Errorf("%s: document changed in negotiated transit", codec)
 		}
 		done()
-	}
-}
-
-func TestStreamedMatchesBufferedReport(t *testing.T) {
-	// Timing fields must be populated the same way on both paths; the
-	// streamed ShipBytes includes shipment framing, so it is >= the tree
-	// path's per-record count.
-	ag, plan, _, done := startExchange(t, AlgGreedy)
-	defer done()
-	buffered, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{Link: netsim.Loopback()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{Link: netsim.Loopback(), Streamed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed.ShipBytes < buffered.ShipBytes {
-		t.Errorf("streamed ShipBytes %d < buffered %d; framing should only add bytes",
-			streamed.ShipBytes, buffered.ShipBytes)
 	}
 }

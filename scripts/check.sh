@@ -11,6 +11,11 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# Informational: the non-test Go line count outside benchmark/ (ROADMAP
+# item 2 tracks it going down; each PR's CHANGES.md entry records the
+# before/after).
+echo "non-test Go lines outside benchmark/: $(./scripts/loc.sh)"
+
 # Benchmark smoke: 100 fixed iterations so broken benchmarks fail the gate
 # without turning it into a performance run.
 make bench-smoke

@@ -230,7 +230,7 @@ func TestFacadeAgencyOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.ShipBytes <= 0 || dir.Dir.Len() == 0 {
-		t.Errorf("exchange produced nothing: %d bytes, %d entries", report.ShipBytes, dir.Dir.Len())
+	if report.WireBytes <= 0 || dir.Dir.Len() == 0 {
+		t.Errorf("exchange produced nothing: %d bytes, %d entries", report.WireBytes, dir.Dir.Len())
 	}
 }
