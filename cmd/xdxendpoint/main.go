@@ -47,7 +47,7 @@ func main() {
 	noDelta := flag.Bool("no-delta", false, "retain no delta bases: DeltaStatus always answers cold, so agencies ship full snapshots")
 	walDir := flag.String("wal-dir", "", "directory for the session write-ahead log; on start, journaled sessions are recovered so interrupted exchanges resume (empty = memory-only)")
 	fsyncPolicy := flag.String("fsync", "always", "WAL sync policy: always (sync per commit), batch (group commit: coalesced syncs, always-equivalent acks), interval (background), or off")
-	snapshotEvery := flag.Int("snapshot-every", 256, "WAL appends between snapshot+compact cycles (0 = never compact)")
+	snapshotEvery := flag.Int("snapshot-every", 256, "WAL appends after a compaction before the next is considered; it runs once ended sessions hold at least as many WAL bytes as live ones (0 = never compact)")
 	batchBytes := flag.Int("batch-bytes", 0, "fsync=batch: max coalesced bytes per commit group (0 = 1MiB)")
 	batchFrames := flag.Int("batch-frames", 0, "fsync=batch: max frames per commit group (0 = 256)")
 	batchHold := flag.Duration("batch-hold", 0, "fsync=batch: max time a lone appender waits for a group (0 = fsync interval/10)")

@@ -3,11 +3,11 @@ package durable
 // Journal is the session-level client of the WAL: it logs the endpoint's
 // resumable-session lifecycle (mint, chunk commit, end) as one XML payload
 // per frame, keeps a shadow copy of the live state, and compacts the log
-// into a snapshot of that shadow every SnapshotEvery appends. After a
-// crash, OpenJournal rebuilds the shadow from snapshot+log; the endpoint
-// re-seeds its session store from Sessions() — ledger checkpoint, seen
-// record IDs, and the committed chunk contents a resumed delivery's
-// execute needs.
+// into a snapshot of that shadow once the bytes of ended sessions outweigh
+// the live ones (maybeCompactLocked). After a crash, OpenJournal rebuilds
+// the shadow from snapshot+log; the endpoint re-seeds its session store
+// from Sessions() — ledger checkpoint, seen record IDs, and the committed
+// chunk contents a resumed delivery's execute needs.
 //
 // Record formats (one tree per frame):
 //
@@ -32,12 +32,16 @@ package durable
 // written atomically; damage there is real corruption, not a torn append).
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
+	"xdx/internal/bufpool"
+	"xdx/internal/obs"
 	"xdx/internal/xmltree"
 )
 
@@ -64,6 +68,10 @@ type JSession struct {
 	Next int64
 	// Chunks are the committed chunks in commit order.
 	Chunks []SessionChunk
+
+	// bytes is what the session occupies on disk: its element in the
+	// snapshot plus its mint and applied chunk frames in the log.
+	bytes int64
 }
 
 // Journal persists session state through a WAL.
@@ -74,6 +82,14 @@ type Journal struct {
 	sessions map[string]*JSession
 	appends  int // since last snapshot
 	every    int
+	// total is the snapshot file plus every log frame; live is the part
+	// of it the live sessions own (the sum of their bytes). The rest —
+	// frames of ended sessions, end frames, replayed duplicates — is
+	// garbage a compaction would reclaim.
+	total, live int64
+
+	mLive, mGarbage        *obs.Gauge
+	mSkipped, mCompactErrs *obs.Counter
 
 	stats RecoveryStats
 }
@@ -84,13 +100,18 @@ func OpenJournal(dir string, o Options) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{wal: w, sessions: map[string]*JSession{}, every: o.SnapshotEvery}
+	j := &Journal{
+		wal: w, sessions: map[string]*JSession{}, every: o.SnapshotEvery,
+		mLive: o.Met.Gauge("wal.live.bytes"), mGarbage: o.Met.Gauge("wal.garbage.bytes"),
+		mSkipped: o.Met.Counter("wal.compactions.skipped"), mCompactErrs: o.Met.Counter("wal.compact.errors"),
+	}
 	st, err := w.Recover(j.replaySnapshot, j.replayRecord)
 	if err != nil {
 		w.Close()
 		return nil, err
 	}
 	j.stats = st
+	j.publishBytesLocked()
 	return j, nil
 }
 
@@ -133,24 +154,26 @@ func (j *Journal) Flush() { j.wal.Flush() }
 // implies a durable mint — and a lost mint alone is harmless, since chunk
 // replay creates unknown sessions.
 func (j *Journal) Mint(id string) error {
+	frame := bufpool.Buffer()
+	defer bufpool.PutBuffer(frame)
+	if err := encodeFrame(frame, "s", id); err != nil {
+		return err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.sessions[id] != nil {
 		return nil
 	}
-	n := &xmltree.Node{Name: "s"}
-	n.SetAttr("id", id)
-	p, err := j.appendPendingLocked(n)
-	if err != nil {
-		return err
-	}
+	p, size := j.appendLocked(frame.Bytes())
 	if !j.Batched() {
 		if err := p.Err(); err != nil {
 			return err
 		}
 	}
-	j.sessions[id] = &JSession{ID: id}
-	return j.maybeCompactLocked()
+	j.sessions[id] = &JSession{ID: id, bytes: size}
+	j.live += size
+	j.maybeCompactLocked()
+	return nil
 }
 
 // Chunk journals one committed chunk: it must be called before the chunk's
@@ -171,8 +194,7 @@ func (j *Journal) Chunk(id, key, frag string, seq int64, recs []*xmltree.Node) e
 // chunk's checkpoint — or acknowledge anything downstream of it — before
 // the ticket resolves successfully; that deferred ack is what lets the
 // decoder keep parsing the next chunk while this one's fsync is in
-// flight. An error return (encode or compaction failure) means nothing
-// was appended.
+// flight. An error return (encode failure) means nothing was appended.
 func (j *Journal) ChunkAsync(id, key, frag string, seq int64, recs []*xmltree.Node) (*Pending, error) {
 	return j.chunkAsync(id, SessionChunk{Key: key, Frag: frag, Seq: seq, Recs: recs})
 }
@@ -201,61 +223,66 @@ func (j *Journal) TombAsync(id, key string, seq int64, ids []string) (*Pending, 
 }
 
 func (j *Journal) chunkAsync(id string, c SessionChunk) (*Pending, error) {
+	// Rendering the records is the expensive part of a commit; it happens
+	// before the lock so concurrent sessions serialize only on the append.
+	frame := bufpool.Buffer()
+	defer bufpool.PutBuffer(frame)
+	if err := xmltree.Write(frame, chunkNode(id, c), frameOpts); err != nil {
+		return nil, err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := &xmltree.Node{Name: "c"}
-	n.SetAttr("id", id)
-	n.SetAttr("key", c.Key)
-	if c.Frag != "" {
-		n.SetAttr("frag", c.Frag)
-	}
-	n.SetAttr("seq", strconv.FormatInt(c.Seq, 10))
-	if c.Del {
-		n.SetAttr("del", "1")
-	}
-	n.Kids = c.Recs
-	p, err := j.appendPendingLocked(n)
-	if err != nil {
-		return nil, err
-	}
-	j.applyChunkLocked(id, c)
-	if err := j.maybeCompactLocked(); err != nil {
-		return nil, err
-	}
+	p, size := j.appendLocked(frame.Bytes())
+	j.applyChunkLocked(id, c, size)
+	j.maybeCompactLocked()
 	return p, nil
 }
 
 // End journals the release of sessions (EndSession, sweeps) and drops them
-// from the shadow state, shrinking the next snapshot. Under group commit
-// the end frames are not waited on: a lost end merely leaves a session to
-// be swept again, and the shadow deletion reaches the next snapshot
-// regardless.
+// from the shadow state, turning their bytes into garbage for the next
+// compaction to reclaim. Under group commit the end frames are not waited
+// on: a lost end merely leaves a session to be swept again, and the shadow
+// deletion reaches the next snapshot regardless.
 func (j *Journal) End(ids ...string) error {
+	// The end frames sit back to back in one buffer; ends[i] is where
+	// ids[i]'s frame stops.
+	frames := bufpool.Buffer()
+	defer bufpool.PutBuffer(frames)
+	ends := make([]int, len(ids))
+	for i, id := range ids {
+		if err := encodeFrame(frames, "e", id); err != nil {
+			return err
+		}
+		ends[i] = frames.Len()
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var firstErr error
-	for _, id := range ids {
-		if j.sessions[id] == nil {
+	start := 0
+	for i, id := range ids {
+		payload := frames.Bytes()[start:ends[i]]
+		start = ends[i]
+		s := j.sessions[id]
+		if s == nil {
 			continue
 		}
-		n := &xmltree.Node{Name: "e"}
-		n.SetAttr("id", id)
-		p, err := j.appendPendingLocked(n)
-		if err == nil && !j.Batched() {
-			err = p.Err()
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+		p, _ := j.appendLocked(payload)
+		if !j.Batched() {
+			if err := p.Err(); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
 			}
-			continue
 		}
 		delete(j.sessions, id)
+		j.live -= s.bytes
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	return j.maybeCompactLocked()
+	j.maybeCompactLocked()
+	return nil
 }
 
 // Compact snapshots the shadow state and truncates the log.
@@ -268,70 +295,133 @@ func (j *Journal) Compact() error {
 // Close syncs and releases the underlying WAL.
 func (j *Journal) Close() error { return j.wal.Close() }
 
-// appendPendingLocked encodes one record tree and hands it to the WAL,
-// returning the durability ticket. The error covers encoding only; the
-// append outcome arrives through the ticket.
-func (j *Journal) appendPendingLocked(n *xmltree.Node) (*Pending, error) {
-	var b strings.Builder
-	if err := xmltree.Write(&b, n, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
-		return nil, err
+// chunkNode builds a chunk's <c> element: a log frame names its session in
+// id, a snapshot nests the element under the session and passes "".
+func chunkNode(id string, c SessionChunk) *xmltree.Node {
+	n := &xmltree.Node{Name: "c", Kids: c.Recs}
+	if id != "" {
+		n.SetAttr("id", id)
 	}
+	n.SetAttr("key", c.Key)
+	if c.Frag != "" {
+		n.SetAttr("frag", c.Frag)
+	}
+	n.SetAttr("seq", strconv.FormatInt(c.Seq, 10))
+	if c.Del {
+		n.SetAttr("del", "1")
+	}
+	return n
+}
+
+var frameOpts = xmltree.WriteOptions{EmitAllIDs: true}
+
+// encodeFrame renders a mint ("s") or end ("e") record for session id.
+func encodeFrame(b *bytes.Buffer, name, id string) error {
+	n := &xmltree.Node{Name: name}
+	n.SetAttr("id", id)
+	return xmltree.Write(b, n, frameOpts)
+}
+
+// appendLocked hands one encoded record to the WAL, which copies it, and
+// returns the durability ticket with the frame's size on disk.
+func (j *Journal) appendLocked(payload []byte) (*Pending, int64) {
+	size := int64(frameHeader + len(payload))
 	j.appends++
-	return j.wal.AppendAsync([]byte(b.String())), nil
+	j.total += size
+	return j.wal.AppendAsync(payload), size
 }
 
-func (j *Journal) maybeCompactLocked() error {
+// maybeCompactLocked is the compaction rule. Once SnapshotEvery frames
+// have been appended since the last compaction, it compacts as soon as
+// the garbage is at least as large as the live state, so every byte a
+// snapshot writes is paid for by a byte it reclaims: snapshot traffic
+// never exceeds append traffic, a lone live session is never copied, and
+// snapshot+log — what recovery reads — stays under twice the live bytes
+// plus SnapshotEvery frames. Compaction is housekeeping: a failure is
+// counted and logged, the frame that triggered it stays journaled, and the
+// next append checks again.
+func (j *Journal) maybeCompactLocked() {
+	j.publishBytesLocked()
 	if j.every <= 0 || j.appends < j.every {
-		return nil
+		return
 	}
-	return j.compactLocked()
+	if j.total-j.live < j.live {
+		j.mSkipped.Inc()
+		return
+	}
+	if err := j.compactLocked(); err != nil {
+		j.mCompactErrs.Inc()
+		j.wal.log.Log(obs.LevelWarn, "journal compaction failed", "dir", j.wal.dir, "err", err.Error())
+	}
 }
 
-// compactLocked serializes the shadow state as <journal><s…><c…/></s></journal>
-// and hands it to WAL.Snapshot.
+func (j *Journal) publishBytesLocked() {
+	j.mLive.Set(j.live)
+	j.mGarbage.Set(j.total - j.live)
+}
+
+// countWriter counts what passes through, to size each session's element.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return c.w.Write(p)
+}
+
+// compactLocked streams the shadow state as <journal><s…><c…/></s></journal>
+// into WAL.Snapshot, and on success resets the byte tallies to what the
+// snapshot holds.
 func (j *Journal) compactLocked() error {
-	root := &xmltree.Node{Name: "journal"}
 	ids := make([]string, 0, len(j.sessions))
 	for id := range j.sessions {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	for _, id := range ids {
-		s := j.sessions[id]
-		sn := &xmltree.Node{Name: "s"}
-		sn.SetAttr("id", s.ID)
-		sn.SetAttr("next", strconv.FormatInt(s.Next, 10))
-		for _, c := range s.Chunks {
-			cn := &xmltree.Node{Name: "c"}
-			cn.SetAttr("key", c.Key)
-			if c.Frag != "" {
-				cn.SetAttr("frag", c.Frag)
-			}
-			cn.SetAttr("seq", strconv.FormatInt(c.Seq, 10))
-			if c.Del {
-				cn.SetAttr("del", "1")
-			}
-			cn.Kids = c.Recs
-			sn.AddKid(cn)
+	sizes := make([]int64, len(ids))
+	cw := &countWriter{}
+	err := j.wal.Snapshot(func(w io.Writer) error {
+		cw.w = w
+		if _, err := io.WriteString(cw, "<journal>"); err != nil {
+			return err
 		}
-		root.AddKid(sn)
-	}
-	var b strings.Builder
-	if err := xmltree.Write(&b, root, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
+		for i, id := range ids {
+			s := j.sessions[id]
+			sn := &xmltree.Node{Name: "s", Kids: make([]*xmltree.Node, len(s.Chunks))}
+			sn.SetAttr("id", s.ID)
+			sn.SetAttr("next", strconv.FormatInt(s.Next, 10))
+			for k, c := range s.Chunks {
+				sn.Kids[k] = chunkNode("", c)
+			}
+			before := cw.n
+			if err := xmltree.Write(cw, sn, frameOpts); err != nil {
+				return err
+			}
+			sizes[i] = cw.n - before
+		}
+		_, err := io.WriteString(cw, "</journal>")
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	if err := j.wal.Snapshot([]byte(b.String())); err != nil {
-		return err
+	j.appends, j.total, j.live = 0, frameHeader+cw.n, 0
+	for i, id := range ids {
+		j.sessions[id].bytes = sizes[i]
+		j.live += sizes[i]
 	}
-	j.appends = 0
+	j.publishBytesLocked()
 	return nil
 }
 
-// applyChunkLocked folds one chunk commit into the shadow state, with the
-// ledger's checkpoint rule (seq >= next advances next to seq+1; seqless
-// chunks leave it alone). Replayed duplicates — a stale log record applied
-// over a newer snapshot — are skipped by the same rule.
-func (j *Journal) applyChunkLocked(id string, c SessionChunk) {
+// applyChunkLocked folds one chunk commit, whose frame takes size bytes of
+// the log, into the shadow state, with the ledger's checkpoint rule
+// (seq >= next advances next to seq+1; seqless chunks leave it alone).
+// Replayed duplicates — a stale log record applied over a newer snapshot —
+// are skipped by the same rule, and their bytes stay garbage.
+func (j *Journal) applyChunkLocked(id string, c SessionChunk, size int64) {
 	s := j.sessions[id]
 	if s == nil {
 		s = &JSession{ID: id}
@@ -344,6 +434,8 @@ func (j *Journal) applyChunkLocked(id string, c SessionChunk) {
 	if c.Seq >= s.Next {
 		s.Next = c.Seq + 1
 	}
+	s.bytes += size
+	j.live += size
 }
 
 // replaySnapshot rebuilds the shadow state from a compacted snapshot.
@@ -363,7 +455,9 @@ func (j *Journal) replaySnapshot(payload []byte) error {
 		if id == "" {
 			return fmt.Errorf("snapshot session without id")
 		}
-		s := &JSession{ID: id}
+		// Parse drops nothing Write emits except whitespace around text, so
+		// re-measuring the element gives back the size compaction counted.
+		s := &JSession{ID: id, bytes: xmltree.SizeWith(sn, frameOpts)}
 		// The compactor always stamps next; a session element without it, or
 		// with an unparsable value, is corruption — restoring checkpoint 0
 		// here would rewind the ledger and mis-dedup resumed chunks.
@@ -387,7 +481,9 @@ func (j *Journal) replaySnapshot(payload []byte) error {
 			s.Chunks = append(s.Chunks, c)
 		}
 		j.sessions[id] = s
+		j.live += s.bytes
 	}
+	j.total = int64(frameHeader + len(payload))
 	return nil
 }
 
@@ -404,22 +500,29 @@ func (j *Journal) replayRecord(payload []byte) error {
 	if id == "" {
 		return fmt.Errorf("%w: %s record without id", ErrMalformedFrame, n.Name)
 	}
+	size := int64(frameHeader + len(payload))
 	switch n.Name {
 	case "s":
 		if j.sessions[id] == nil {
-			j.sessions[id] = &JSession{ID: id}
+			j.sessions[id] = &JSession{ID: id, bytes: size}
+			j.live += size
 		}
 	case "c":
 		c, err := parseChunk(n)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrMalformedFrame, err)
 		}
-		j.applyChunkLocked(id, c)
+		j.applyChunkLocked(id, c, size)
 	case "e":
-		delete(j.sessions, id)
+		if s := j.sessions[id]; s != nil {
+			j.live -= s.bytes
+			delete(j.sessions, id)
+		}
 	default:
 		return fmt.Errorf("%w: unknown journal record %q", ErrMalformedFrame, n.Name)
 	}
+	j.appends++
+	j.total += size
 	return nil
 }
 

@@ -140,7 +140,7 @@ func TestJournalCorruptSnapshotFails(t *testing.T) {
 		if _, err := w.Recover(nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Snapshot([]byte(snap)); err != nil {
+		if err := w.Snapshot(writeBytes([]byte(snap))); err != nil {
 			t.Fatal(err)
 		}
 		w.Close()

@@ -26,15 +26,18 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"xdx/internal/bufpool"
 	"xdx/internal/obs"
 )
 
@@ -119,7 +122,9 @@ type Options struct {
 	// latency a lone appender pays. Default FsyncInterval/10 (5ms).
 	MaxBatchHold time.Duration
 	// SnapshotEvery, when > 0, is consumed by layers above (the session
-	// Journal) as the number of appends between snapshot+compact cycles.
+	// Journal) as the number of appends since the last compaction after
+	// which it starts checking whether one would pay for itself; 0 never
+	// compacts.
 	SnapshotEvery int
 	// Log receives recovery and snapshot events. Nil is off.
 	Log obs.Logger
@@ -429,13 +434,17 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// Snapshot atomically replaces the snapshot with state and compacts the
-// log to empty. Ordering makes a crash at any point safe: the new snapshot
-// is fully durable (temp file + fsync + rename + directory fsync) before
-// the log is truncated, and a crash in between merely replays old log
-// records over the new snapshot — which replay handlers must treat
-// idempotently.
-func (w *WAL) Snapshot(state []byte) error {
+// Snapshot atomically replaces the snapshot with what write produces and
+// compacts the log to empty. The state streams through a pooled buffered
+// writer straight into the temp file — it is never materialised in memory — and
+// the length+CRC frame header is patched in once the length is known.
+// Ordering makes a crash at any point safe: the new snapshot is fully
+// durable (temp file + fsync + rename + directory fsync) before the log is
+// truncated, and a crash in between merely replays old log records over
+// the new snapshot — which replay handlers must treat idempotently. A
+// failure before the rename leaves the previous snapshot and the log as
+// they were.
+func (w *WAL) Snapshot(write func(io.Writer) error) error {
 	if w.bat != nil {
 		// Settle the pending group first so the truncated log never holds
 		// frames whose tickets are still unresolved.
@@ -450,22 +459,7 @@ func (w *WAL) Snapshot(state []byte) error {
 		return fmt.Errorf("durable: Snapshot on closed WAL")
 	}
 	tmp := filepath.Join(w.dir, snapFile+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(state)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(state))
-	if _, err := f.Write(hdr[:]); err == nil {
-		_, err = f.Write(state)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	size, err := writeSnapshotFile(tmp, write)
 	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("durable: snapshot: %w", err)
@@ -486,10 +480,60 @@ func (w *WAL) Snapshot(state []byte) error {
 	}
 	if w.met != nil {
 		w.met.Counter("wal.snapshots").Inc()
-		w.met.Gauge("wal.snapshot.bytes").Set(int64(len(state)))
+		w.met.Gauge("wal.snapshot.bytes").Set(size)
+		w.met.Counter("wal.snapshot.bytes.total").Add(size)
 	}
-	w.log.Log(obs.LevelDebug, "wal snapshot", "dir", w.dir, "bytes", len(state))
+	w.log.Log(obs.LevelDebug, "wal snapshot", "dir", w.dir, "bytes", size)
 	return nil
+}
+
+// frameWriter accumulates the length and CRC of a frame payload streamed
+// through it.
+type frameWriter struct {
+	w   *bufio.Writer
+	n   int64
+	crc uint32
+}
+
+func (fw *frameWriter) Write(p []byte) (int, error) {
+	fw.n += int64(len(p))
+	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, p)
+	return fw.w.Write(p)
+}
+
+// writeSnapshotFile writes one durable frame to path — header placeholder,
+// the payload write streams, header patched in place, fsync — and returns
+// the payload length.
+func writeSnapshotFile(path string, write func(io.Writer) error) (int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	var hdr [frameHeader]byte
+	fw := &frameWriter{w: bufpool.Writer(f)}
+	defer bufpool.PutWriter(fw.w)
+	_, err = fw.w.Write(hdr[:])
+	if err == nil {
+		err = write(fw)
+	}
+	if err == nil {
+		err = fw.w.Flush()
+	}
+	if err == nil && fw.n > maxFrameSize {
+		err = fmt.Errorf("state of %d bytes exceeds the %d-byte frame limit", fw.n, maxFrameSize)
+	}
+	if err == nil {
+		binary.LittleEndian.PutUint32(hdr[:], uint32(fw.n))
+		binary.LittleEndian.PutUint32(hdr[4:], fw.crc)
+		_, err = f.WriteAt(hdr[:], 0)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return fw.n, err
 }
 
 // syncDir fsyncs a directory so a rename inside it is durable. Errors are

@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,6 +96,14 @@ func TestWALAppendBeforeRecover(t *testing.T) {
 	}
 }
 
+// writeBytes is the Snapshot callback for a state already in memory.
+func writeBytes(state []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(state)
+		return err
+	}
+}
+
 func TestWALSnapshotCompacts(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openRecovered(t, dir, Options{})
@@ -103,7 +112,7 @@ func TestWALSnapshotCompacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Snapshot([]byte("state-v1")); err != nil {
+	if err := w.Snapshot(writeBytes([]byte("state-v1"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Append([]byte("after")); err != nil {

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"xdx/internal/bufpool"
 )
 
 // Node is one element instance in a document or fragment instance.
@@ -120,9 +122,11 @@ type WriteOptions struct {
 }
 
 // Write serializes the subtree rooted at n to w. This is the "tagger" step
-// of XML publishing.
+// of XML publishing. The buffered writer in between is pooled: every SOAP
+// envelope, session response and journal frame comes through here.
 func Write(w io.Writer, n *Node, opts WriteOptions) error {
-	bw := bufio.NewWriter(w)
+	bw := bufpool.Writer(w)
+	defer bufpool.PutWriter(bw)
 	if err := writeNode(bw, n, opts, 0, true); err != nil {
 		return err
 	}
@@ -233,9 +237,7 @@ func Escape(w *bufio.Writer, s string) { escapeTo(w, s) }
 // Marshal serializes the subtree to a string, for tests and small payloads.
 func Marshal(n *Node, opts WriteOptions) string {
 	var b strings.Builder
-	bw := bufio.NewWriter(&b)
-	writeNode(bw, n, opts, 0, true)
-	bw.Flush()
+	Write(&b, n, opts) // a strings.Builder never fails a write
 	return b.String()
 }
 
@@ -249,9 +251,7 @@ func SerializedSize(n *Node, emitIDs bool) int64 {
 // SizeWith returns the serialized size under arbitrary options.
 func SizeWith(n *Node, opts WriteOptions) int64 {
 	cw := &countWriter{}
-	bw := bufio.NewWriter(cw)
-	writeNode(bw, n, opts, 0, true)
-	bw.Flush()
+	Write(cw, n, opts) // a countWriter never fails a write
 	return cw.n
 }
 

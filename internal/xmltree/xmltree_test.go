@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -81,6 +82,25 @@ func TestSerializedSizeMatchesWrite(t *testing.T) {
 	}
 	if got, want := SerializedSize(n, true), int64(len(Marshal(n, WriteOptions{EmitIDs: true}))); got != want {
 		t.Errorf("SerializedSize(ids) = %d, want %d", got, want)
+	}
+}
+
+// Write's buffered writer comes from a pool: serializing into a sink that
+// already has room allocates nothing per call.
+func TestWriteDoesNotAllocateItsBuffer(t *testing.T) {
+	n := sample()
+	var sink bytes.Buffer
+	allocs := testing.AllocsPerRun(100, func() {
+		sink.Reset()
+		if err := Write(&sink, n, WriteOptions{EmitAllIDs: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1 {
+		t.Errorf("Write allocates %.0f times per call, want 0", allocs)
+	}
+	if got, want := sink.String(), Marshal(n, WriteOptions{EmitAllIDs: true}); got != want {
+		t.Errorf("Write produced %q, Marshal %q", got, want)
 	}
 }
 

@@ -10,7 +10,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-SNAP="${1:-BENCH_5.json}"
+# Default baseline: the newest snapshot (highest N) that carries the
+# end-to-end benchmark.
+SNAP="${1:-$(grep -l 'Figure9_EndToEnd' BENCH_*.json | sort -t_ -k2 -n | tail -1)}"
+[ -n "$SNAP" ] || { echo "alloc_smoke: no BENCH_N.json carries Figure9_EndToEnd" >&2; exit 1; }
 BASE="$(awk -F'"allocs_per_op": ' '/Figure9_EndToEnd/ { sub(/[,}].*/, "", $2); print $2 }' "$SNAP")"
 [ -n "$BASE" ] || { echo "alloc_smoke: no Figure9_EndToEnd allocs_per_op in $SNAP" >&2; exit 1; }
 
