@@ -114,13 +114,14 @@ func (in *Instance) appendRecords(recs []*xmltree.Node, shared []bool) {
 	}
 }
 
-// ownRec makes record i safe to mutate: a shared record is deep-cloned, its
-// index entries are repointed at the clone, and the record is marked owned.
-func (in *Instance) ownRec(i int) {
+// ownRec makes record i safe to mutate: a shared record is deep-cloned into
+// arena, its index entries are repointed at the clone, and the record is
+// marked owned.
+func (in *Instance) ownRec(i int, arena *xmltree.Arena) {
 	if !in.sharedRec(i) {
 		return
 	}
-	c := in.Records[i].Clone()
+	c := in.Records[i].CloneInto(arena)
 	in.Records[i] = c
 	in.shared[i] = false
 	if in.idx != nil {
@@ -217,6 +218,12 @@ type joiner struct {
 	childFrag *Fragment
 	joinElems []string
 	touched   map[*xmltree.Node]bool
+	// arena batches the copy-on-write clones: a Combine over a Share'd
+	// instance (every delta exchange runs over a shared base) clones each
+	// record it touches, and the clones live exactly as long as the merged
+	// instance they end up in. A joiner is single-goroutine, which is what
+	// an arena requires.
+	arena xmltree.Arena
 }
 
 // newJoiner validates the join (Definition 3.7's "specific join
@@ -278,12 +285,12 @@ func (j *joiner) attach(rec *xmltree.Node, shared bool) bool {
 		return false
 	}
 	if j.parent.sharedRec(e.rec) {
-		j.parent.ownRec(e.rec)
+		j.parent.ownRec(e.rec, &j.arena)
 		e = j.parent.idx[key]
 	}
 	child := rec
 	if shared {
-		child = rec.Clone()
+		child = rec.CloneInto(&j.arena)
 	}
 	e.n.AddKid(child)
 	j.parent.indexTree(child, e.rec)

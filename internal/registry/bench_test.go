@@ -175,7 +175,10 @@ func BenchmarkDeltaExchange(b *testing.B) {
 // iteration completes all n; near-flat ns/op across the widths means
 // near-linear session scaling, because the sessions share commit groups
 // and amortize each fsync across every session that queued a frame while
-// the previous sync was in flight.
+// the previous sync was in flight. The target store is emptied between
+// iterations (off the clock): its Load appends, so left alone B/op would
+// measure re-indexing everything earlier iterations loaded and grow with
+// -benchtime.
 func BenchmarkDurableMultiSession(b *testing.B) {
 	cfg := &reliable.Config{
 		Seed:      1,
@@ -189,7 +192,7 @@ func BenchmarkDurableMultiSession(b *testing.B) {
 	}
 	for _, n := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
-			ag, plan, _, tgtEP, done := startAuctionExchange(b)
+			ag, plan, tgtStore, tgtEP, done := startAuctionExchange(b)
 			defer done()
 			j, err := durable.OpenJournal(b.TempDir(), durable.Options{Fsync: durable.FsyncBatch})
 			if err != nil {
@@ -200,6 +203,9 @@ func BenchmarkDurableMultiSession(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tgtStore.Clear()
+				b.StartTimer()
 				var wg sync.WaitGroup
 				errs := make([]error, n)
 				for s := 0; s < n; s++ {

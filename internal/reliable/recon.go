@@ -11,7 +11,6 @@ package reliable
 // back to a full re-ship.
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
@@ -70,38 +69,49 @@ func (r *ReconIndex) Invalidate(stream string) {
 	delete(r.streams, stream)
 }
 
+// FNV-1a, 64 bit (hash/fnv's New64a, inlined so hashing a record neither
+// allocates a hasher nor stages the fields in a buffer).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
 // HashRecord computes an FNV-1a content hash over a record subtree: names,
 // IDs, attributes, text, and child order all contribute, so any visible
 // change to the record changes its hash.
-func HashRecord(rec *xmltree.Node) uint64 {
-	h := fnv.New64a()
-	var buf []byte
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		buf = buf[:0]
-		buf = append(buf, n.Name...)
-		buf = append(buf, 0)
-		buf = append(buf, n.ID...)
-		buf = append(buf, 0)
-		buf = append(buf, n.Parent...)
-		buf = append(buf, 0)
-		buf = append(buf, n.Text...)
-		buf = append(buf, 0)
-		for _, a := range n.Attrs {
-			buf = append(buf, a.Name...)
-			buf = append(buf, '=')
-			buf = append(buf, a.Value...)
-			buf = append(buf, 0)
-		}
-		buf = strconv.AppendInt(buf, int64(len(n.Kids)), 10)
-		buf = append(buf, 1)
-		h.Write(buf)
-		for _, k := range n.Kids {
-			walk(k)
-		}
+func HashRecord(rec *xmltree.Node) uint64 { return hashNode(fnvOffset64, rec) }
+
+// hashNode folds one node, then its kids in order, into h: NUL-terminated
+// name, ID, PARENT and text, name=value NUL per attribute, the decimal kid
+// count, 0x01. The terminators keep field boundaries in the hash, so
+// moving bytes between adjacent fields changes it.
+func hashNode(h uint64, n *xmltree.Node) uint64 {
+	h = fnvByte(fnvString(h, n.Name), 0)
+	h = fnvByte(fnvString(h, n.ID), 0)
+	h = fnvByte(fnvString(h, n.Parent), 0)
+	h = fnvByte(fnvString(h, n.Text), 0)
+	for _, a := range n.Attrs {
+		h = fnvByte(fnvString(h, a.Name), '=')
+		h = fnvByte(fnvString(h, a.Value), 0)
 	}
-	walk(rec)
-	return h.Sum64()
+	var dec [20]byte
+	for _, c := range strconv.AppendInt(dec[:0], int64(len(n.Kids)), 10) {
+		h = fnvByte(h, c)
+	}
+	h = fnvByte(h, 1)
+	for _, k := range n.Kids {
+		h = hashNode(h, k)
+	}
+	return h
 }
 
 // HashShipment hashes every record of a materialized shipment. The bool

@@ -1,6 +1,9 @@
 package reliable
 
 import (
+	"hash/fnv"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"xdx/internal/core"
@@ -39,6 +42,70 @@ func TestHashRecordSensitivity(t *testing.T) {
 	if HashRecord(a) == HashRecord(b) {
 		t.Error("sibling boundary aliased")
 	}
+}
+
+// refHashRecord is the hash/fnv formulation HashRecord was first written
+// as; the inlined FNV-1a must stay bit-identical to it.
+func refHashRecord(rec *xmltree.Node) uint64 {
+	h := fnv.New64a()
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		for _, f := range []string{n.Name, n.ID, n.Parent, n.Text} {
+			h.Write([]byte(f))
+			h.Write([]byte{0})
+		}
+		for _, a := range n.Attrs {
+			h.Write([]byte(a.Name + "=" + a.Value))
+			h.Write([]byte{0})
+		}
+		h.Write([]byte(strconv.Itoa(len(n.Kids))))
+		h.Write([]byte{1})
+		for _, k := range n.Kids {
+			walk(k)
+		}
+	}
+	walk(rec)
+	return h.Sum64()
+}
+
+func TestHashRecordMatchesFNVReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20040330))
+	str := func() string {
+		b := make([]byte, rng.Intn(12))
+		rng.Read(b)
+		return string(b)
+	}
+	var gen func(depth int) *xmltree.Node
+	gen = func(depth int) *xmltree.Node {
+		n := &xmltree.Node{Name: str(), ID: str(), Parent: str(), Text: str()}
+		for i := rng.Intn(3); i > 0; i-- {
+			n.Attrs = append(n.Attrs, xmltree.Attr{Name: str(), Value: str()})
+		}
+		if depth < 4 {
+			for i := rng.Intn(13); i > 0; i-- { // two-digit kid counts included
+				n.Kids = append(n.Kids, gen(depth+1))
+			}
+		}
+		return n
+	}
+	for i := 0; i < 200; i++ {
+		rec := gen(0)
+		if got, want := HashRecord(rec), refHashRecord(rec); got != want {
+			t.Fatalf("record %d: HashRecord %#x, hash/fnv reference %#x", i, got, want)
+		}
+	}
+}
+
+func TestHashRecordAllocatesNothing(t *testing.T) {
+	rec := &xmltree.Node{Name: "item", ID: "1.2", Parent: "1", Attrs: []xmltree.Attr{{Name: "x", Value: "y"}}}
+	for i := 0; i < 12; i++ {
+		rec.AddKid(reconRec("1.2."+strconv.Itoa(i), "text"))
+	}
+	var sink uint64
+	if allocs := testing.AllocsPerRun(100, func() { sink += HashRecord(rec) }); allocs != 0 {
+		t.Errorf("HashRecord allocates %.0f times per record, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestHashShipmentFlagsMissingIDs(t *testing.T) {

@@ -8,6 +8,9 @@ package reliable
 // contiguously received chunk — the ack a reconnecting source resumes
 // from — and (b) remembers every (edge, record ID) pair it committed, so
 // records replayed by an overlapping resume dedup instead of doubling.
+// The ID sets are keyed by the records' own ID strings: a session's ledger
+// lives exactly as long as the records it admitted, so it pins nothing the
+// session does not already hold.
 
 import (
 	"fmt"
@@ -25,14 +28,14 @@ import (
 // ChunkDone), so an endpoint plugs a ledger straight into the decoder.
 type Ledger struct {
 	mu      sync.Mutex
-	next    int64           // lowest chunk seq not yet fully received
-	seen    map[string]bool // edge\x00recordID pairs committed
+	next    int64                          // lowest chunk seq not yet fully received
+	seen    map[string]map[string]struct{} // edge -> record IDs committed
 	deduped int64
 }
 
 // NewLedger returns an empty ledger expecting chunk 0.
 func NewLedger() *Ledger {
-	return &Ledger{seen: make(map[string]bool)}
+	return &Ledger{seen: make(map[string]map[string]struct{})}
 }
 
 // AdmitChunk reports whether a chunk with this seq should be consumed:
@@ -68,15 +71,26 @@ func (l *Ledger) KeepRecord(edge string, rec *xmltree.Node) bool {
 	if rec.ID == "" {
 		return true
 	}
-	key := edge + "\x00" + rec.ID
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.seen[key] {
+	ids := l.idsLocked(edge)
+	if _, dup := ids[rec.ID]; dup {
 		l.deduped++
 		return false
 	}
-	l.seen[key] = true
+	ids[rec.ID] = struct{}{}
 	return true
+}
+
+// idsLocked returns the edge's committed-ID set, creating it on first
+// sight. Caller holds l.mu.
+func (l *Ledger) idsLocked(edge string) map[string]struct{} {
+	ids := l.seen[edge]
+	if ids == nil {
+		ids = make(map[string]struct{})
+		l.seen[edge] = ids
+	}
+	return ids
 }
 
 // Restore seeds the chunk checkpoint from recovered durable state. It is
@@ -99,7 +113,7 @@ func (l *Ledger) MarkSeen(edge, id string) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.seen[edge+"\x00"+id] = true
+	l.idsLocked(edge)[id] = struct{}{}
 }
 
 // Unmark forgets a committed (edge, record ID) pair. It is the rollback
@@ -112,7 +126,7 @@ func (l *Ledger) Unmark(edge, id string) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.seen, edge+"\x00"+id)
+	delete(l.seen[edge], id)
 }
 
 // Checkpoint returns the next chunk seq the session expects — the ack a

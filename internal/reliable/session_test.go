@@ -59,6 +59,59 @@ func TestLedgerRecordDedup(t *testing.T) {
 	if l.Deduped() != 1 {
 		t.Fatalf("Deduped = %d, want 1", l.Deduped())
 	}
+	// A failed journal append rolls its records back: Unmark forgets the
+	// pair on that edge only, and the retried chunk is admitted again.
+	l.Unmark("e1", "c1")
+	if l.KeepRecord("e2", r1) {
+		t.Fatal("Unmark on e1 forgot the same ID on e2")
+	}
+	if !l.KeepRecord("e1", r1) || l.KeepRecord("e1", r1) {
+		t.Fatal("Unmark must re-admit the record exactly once")
+	}
+	l.Unmark("never-seen", "c1")
+	// Recovery seeds pairs without counting them as dedups.
+	before := l.Deduped()
+	l.MarkSeen("e3", "c2")
+	if l.Deduped() != before || l.KeepRecord("e3", r2) || !l.KeepRecord("e3", r1) {
+		t.Fatal("MarkSeen must remember exactly the seeded pair")
+	}
+	// Edge and ID are separate keys, not one concatenation: pairs whose
+	// joined bytes coincide stay apart.
+	if !l.KeepRecord("a\x00b", &xmltree.Node{ID: "c"}) || !l.KeepRecord("a", &xmltree.Node{ID: "b\x00c"}) {
+		t.Fatal("(edge, ID) pairs aliased across the edge boundary")
+	}
+}
+
+// TestLedgerSteadyStateAllocatesNothing: deciding a record costs no heap
+// allocation — replays outright, and first sightings once the edge's ID
+// set has room (the set is keyed by the record's own ID string).
+func TestLedgerSteadyStateAllocatesNothing(t *testing.T) {
+	l := NewLedger()
+	recs := make([]*xmltree.Node, 512)
+	for i := range recs {
+		recs[i] = &xmltree.Node{Name: "item", ID: fmt.Sprintf("1.%d", i)}
+		l.KeepRecord("0:items", recs[i])
+	}
+	replay := testing.AllocsPerRun(10, func() {
+		for _, r := range recs {
+			if l.KeepRecord("0:items", r) {
+				t.Fatal("replay kept")
+			}
+		}
+	})
+	readmit := testing.AllocsPerRun(10, func() {
+		for _, r := range recs {
+			l.Unmark("0:items", r.ID)
+		}
+		for _, r := range recs {
+			if !l.KeepRecord("0:items", r) {
+				t.Fatal("unmarked record dropped")
+			}
+		}
+	})
+	if replay != 0 || readmit != 0 {
+		t.Errorf("allocations per 512 records: replay %.0f, unmark+keep %.0f; want 0 and 0", replay, readmit)
+	}
 }
 
 func TestSessionStoreLifecycle(t *testing.T) {

@@ -39,9 +39,9 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"xdx/internal/bufpool"
@@ -114,7 +114,19 @@ const (
 // stack.
 const binMaxDepth = 4096
 
+// binMaxKeyLen bounds a reconstructed ID or PARENT. Delta coding lets a
+// 3-byte field name a key one byte longer than the previous one, so
+// without a cap n such fields expand to n²/2 bytes; with it the decoded
+// size stays linear in the payload. Real keys (Dewey paths, LDAP DNs) are
+// tens of bytes. The encoder does not check: a longer key fails at the
+// receiver (the XML and feed formats carry any key).
+const binMaxKeyLen = 4096
+
 var errBinTruncated = fmt.Errorf("wire: bin: truncated chunk payload")
+
+// ErrBinKeyTooLong rejects a chunk whose delta-coded keys reconstruct past
+// binMaxKeyLen.
+var ErrBinKeyTooLong = errors.New("wire: bin: reconstructed key too long")
 
 // binDict is the schema-derived element dictionary: index+1 per element in
 // the schema's pre-order list, identical on both ends by construction.
@@ -258,10 +270,9 @@ func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compre
 }
 
 // readBinChunk decodes a bin chunk's accumulated wire text back into
-// records, allocating nodes from arena (nil falls back to the heap). Any
-// failure — torn base64, a truncated flate stream, a short payload —
-// rejects the chunk whole; nothing partial escapes.
-func readBinChunk(text []byte, sch *schema.Schema, enc string, arena *xmltree.Arena) ([]*xmltree.Node, error) {
+// records. Any failure — torn base64, a truncated flate stream, a short
+// payload — rejects the chunk whole; nothing partial escapes.
+func readBinChunk(text []byte, sch *schema.Schema, enc string) ([]*xmltree.Node, error) {
 	text = bytes.TrimSpace(text)
 	b64buf := bufpool.Buffer()
 	defer bufpool.PutBuffer(b64buf)
@@ -275,7 +286,7 @@ func readBinChunk(text []byte, sch *schema.Schema, enc string, arena *xmltree.Ar
 	raw = raw[:n]
 	switch enc {
 	case "":
-		return decodeBinRecords(raw, sch, arena)
+		return decodeBinRecords(raw, sch)
 	case "flate":
 		fr := bufpool.FlateReader(bytes.NewReader(raw))
 		buf := bufpool.Buffer()
@@ -288,17 +299,21 @@ func readBinChunk(text []byte, sch *schema.Schema, enc string, arena *xmltree.Ar
 		if err != nil {
 			return nil, fmt.Errorf("wire: bin: flate: %v", err)
 		}
-		return decodeBinRecords(buf.Bytes(), sch, arena)
+		return decodeBinRecords(buf.Bytes(), sch)
 	}
 	return nil, fmt.Errorf("wire: bin: unknown chunk encoding %q", enc)
 }
 
+// binDecoder parses one chunk payload. Every node and every string of the
+// chunk comes out of its arena: the chunk is the decode unit, so whatever
+// keeps one of its records alive keeps the chunk's slabs alive, and nothing
+// else does.
 type binDecoder struct {
 	data               []byte
 	pos                int
 	dict               *binDict
 	prevID, prevParent string
-	arena              *xmltree.Arena
+	arena              xmltree.Arena
 }
 
 func (d *binDecoder) uvarint() (uint64, error) {
@@ -319,30 +334,23 @@ func (d *binDecoder) take(n uint64) ([]byte, error) {
 	return b, nil
 }
 
+// str reads one length-prefixed string into the arena's string slab.
 func (d *binDecoder) str() (string, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return "", err
 	}
 	b, err := d.take(n)
-	return string(b), err
-}
-
-// strInterned is str for text and attribute values, which repeat heavily
-// across records (country names, category labels, flags): the arena's
-// intern table turns each repeat into a map hit instead of a heap copy.
-func (d *binDecoder) strInterned() (string, error) {
-	n, err := d.uvarint()
 	if err != nil {
 		return "", err
 	}
-	b, err := d.take(n)
-	if err != nil {
-		return "", err
-	}
-	return d.arena.InternBytes(b), nil
+	return d.arena.Bytes(b), nil
 }
 
+// delta reads one prefix-coded key: the kept prefix of the previous key
+// and the shipped suffix are spliced straight into the arena's string slab
+// — keys are the densest field in a chunk, and consecutive ones share
+// almost all their bytes.
 func (d *binDecoder) delta(prev *string) (string, error) {
 	p, err := d.uvarint()
 	if err != nil {
@@ -359,24 +367,16 @@ func (d *binDecoder) delta(prev *string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// Splice the suffix onto the kept prefix with a single allocation —
-	// an intermediate suffix string plus a concat would cost two per key,
-	// and keys are the densest field in a chunk.
-	var s string
-	switch {
-	case len(suffix) == 0 && int(p) == len(*prev):
-		s = *prev
-	case p == 0:
-		s = string(suffix)
-	default:
-		var sb strings.Builder
-		sb.Grow(int(p) + len(suffix))
-		sb.WriteString((*prev)[:p])
-		sb.Write(suffix)
-		s = sb.String()
+	if int(p)+len(suffix) > binMaxKeyLen {
+		return "", fmt.Errorf("%w: %d bytes, limit %d", ErrBinKeyTooLong, int(p)+len(suffix), binMaxKeyLen)
 	}
-	*prev = s
-	return s, nil
+	if len(suffix) == 0 {
+		// A prefix of a slab string is already a string.
+		*prev = (*prev)[:p]
+	} else {
+		*prev = d.arena.Concat((*prev)[:p], suffix)
+	}
+	return *prev, nil
 }
 
 func (d *binDecoder) node(parentID string, isRoot bool, depth int) (*xmltree.Node, error) {
@@ -421,7 +421,7 @@ func (d *binDecoder) node(parentID string, isRoot bool, depth int) (*xmltree.Nod
 		}
 	}
 	if flags&binFlagText != 0 {
-		if n.Text, err = d.strInterned(); err != nil {
+		if n.Text, err = d.str(); err != nil {
 			return nil, err
 		}
 	}
@@ -435,11 +435,11 @@ func (d *binDecoder) node(parentID string, isRoot bool, depth int) (*xmltree.Nod
 		}
 		n.Attrs = make([]xmltree.Attr, 0, cnt)
 		for i := uint64(0); i < cnt; i++ {
-			aname, err := d.strInterned()
+			aname, err := d.str()
 			if err != nil {
 				return nil, err
 			}
-			aval, err := d.strInterned()
+			aval, err := d.str()
 			if err != nil {
 				return nil, err
 			}
@@ -454,7 +454,7 @@ func (d *binDecoder) node(parentID string, isRoot bool, depth int) (*xmltree.Nod
 		return nil, errBinTruncated
 	}
 	if kids > 0 {
-		n.Kids = make([]*xmltree.Node, 0, kids)
+		n.Kids = d.arena.Kids(int(kids))
 	}
 	for i := uint64(0); i < kids; i++ {
 		k, err := d.node(n.ID, false, depth+1)
@@ -466,16 +466,16 @@ func (d *binDecoder) node(parentID string, isRoot bool, depth int) (*xmltree.Nod
 	return n, nil
 }
 
-// decodeBinRecords parses one chunk payload back into record trees, with
-// nodes carved from arena (nil allocates plainly).
-func decodeBinRecords(payload []byte, sch *schema.Schema, arena *xmltree.Arena) ([]*xmltree.Node, error) {
+// decodeBinRecords parses one chunk payload back into record trees, carved
+// from an arena of the chunk's own.
+func decodeBinRecords(payload []byte, sch *schema.Schema) ([]*xmltree.Node, error) {
 	if len(payload) == 0 {
 		return nil, errBinTruncated
 	}
 	if payload[0] != binVersion {
 		return nil, fmt.Errorf("wire: bin: unknown payload version %#x", payload[0])
 	}
-	d := binDecoder{data: payload, pos: 1, dict: dictFor(sch), arena: arena}
+	d := binDecoder{data: payload, pos: 1, dict: dictFor(sch)}
 	cnt, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -483,6 +483,9 @@ func decodeBinRecords(payload []byte, sch *schema.Schema, arena *xmltree.Arena) 
 	if cnt > uint64(len(payload)) {
 		return nil, errBinTruncated
 	}
+	// The header sizes the slabs: at least one node per record, and about
+	// as many string bytes as payload bytes (keys expand, framing shrinks).
+	d.arena.Reserve(int(cnt), len(payload))
 	recs := make([]*xmltree.Node, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		rec, err := d.node("", true, 0)

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -226,13 +229,75 @@ func TestReadBinChunkRejects(t *testing.T) {
 		{"unknown enc", "AQA=", "gzip"},
 		{"truncated flate", "AQA=", "flate"},
 	} {
-		if _, err := readBinChunk([]byte(c.text), sch, c.enc, nil); err == nil {
+		if _, err := readBinChunk([]byte(c.text), sch, c.enc); err == nil {
 			t.Errorf("%s: decoded clean", c.name)
 		}
 	}
 	// A well-formed empty chunk (version byte + zero record count) is fine.
-	recs, err := readBinChunk([]byte("AQA="), sch, "", nil)
+	recs, err := readBinChunk([]byte("AQA="), sch, "")
 	if err != nil || len(recs) != 0 {
 		t.Errorf("empty chunk: recs=%v err=%v", recs, err)
+	}
+}
+
+// quadraticKeyChunk crafts the payload binMaxKeyLen exists for: n records
+// whose IDs each keep the whole previous key and add one byte, so 4n
+// payload bytes name keys of 1, 2, ... n bytes.
+func quadraticKeyChunk(n int) []byte {
+	payload := binary.AppendUvarint([]byte{binVersion}, uint64(n))
+	for i := 0; i < n; i++ {
+		payload = binary.AppendUvarint(payload, 1) // first dictionary element
+		payload = append(payload, binFlagID)
+		payload = binary.AppendUvarint(payload, uint64(i)) // prefix: all of the previous key
+		payload = append(payload, 1, 'k', 0)               // 1-byte suffix, no kids
+	}
+	return payload
+}
+
+// TestBinKeyLengthCapped: delta-coded keys may not grow without bound — a
+// chunk that reconstructs a key past binMaxKeyLen fails whole, with the
+// typed error, and nothing of it is delivered.
+func TestBinKeyLengthCapped(t *testing.T) {
+	sch := schema.CustomerInfo()
+	recs, err := decodeBinRecords(quadraticKeyChunk(binMaxKeyLen), sch)
+	if err != nil || len(recs) != binMaxKeyLen || len(recs[binMaxKeyLen-1].ID) != binMaxKeyLen {
+		t.Fatalf("keys up to the limit must decode: %d recs, err %v", len(recs), err)
+	}
+	recs, err = decodeBinRecords(quadraticKeyChunk(binMaxKeyLen+1), sch)
+	if !errors.Is(err, ErrBinKeyTooLong) || recs != nil {
+		t.Fatalf("over-long key: %d recs, err %v; want ErrBinKeyTooLong and nothing decoded", len(recs), err)
+	}
+}
+
+// TestDecodeBinRecordsAllocatesPerChunk: decoding costs a constant number
+// of allocations per chunk — the record slice and one slab of each kind —
+// whatever the record count, where it used to cost several per record.
+func TestDecodeBinRecordsAllocatesPerChunk(t *testing.T) {
+	sch := schema.CustomerInfo()
+	for _, n := range []int{64, 1024} {
+		recs := make([]*xmltree.Node, n)
+		for i := range recs {
+			id := fmt.Sprintf("1.%d.%d", i/7, i)
+			recs[i] = &xmltree.Node{Name: "Feature", ID: id, Parent: fmt.Sprintf("1.%d", i/7), Kids: []*xmltree.Node{
+				{Name: "FeatureID", Parent: id, Text: fmt.Sprintf("feature %d", i)}, // leaf IDs do not travel
+			}}
+		}
+		var buf bytes.Buffer
+		appendBinRecords(&buf, recs, sch)
+		var got []*xmltree.Node
+		allocs := testing.AllocsPerRun(10, func() {
+			var err error
+			if got, err = decodeBinRecords(buf.Bytes(), sch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for i := range recs {
+			if !xmltree.Equal(recs[i], got[i]) {
+				t.Fatalf("n=%d: record %d differs after decode", n, i)
+			}
+		}
+		if allocs > 8 {
+			t.Errorf("n=%d records: %.0f allocations per chunk, want a constant handful", n, allocs)
+		}
 	}
 }

@@ -319,7 +319,7 @@ func DecodeShipmentAuto(x *xmltree.Node, sch *schema.Schema, lookup func(name st
 			in := &core.Instance{Frag: f}
 			if ix.Text != "" {
 				enc, _ := ix.Attr("enc")
-				recs, err := readBinChunk([]byte(ix.Text), sch, enc, nil)
+				recs, err := readBinChunk([]byte(ix.Text), sch, enc)
 				if err != nil {
 					return nil, err
 				}

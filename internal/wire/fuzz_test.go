@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -67,6 +68,8 @@ func FuzzBinShipment(f *testing.F) {
 	f.Add(`o"<>&`, "", "", "a|b\\n", `k<&>"`, true, uint16(0))
 	f.Add("", "p", "s", "\rtab\t ", "k", false, uint16(9999))
 	f.Add("id", "par", "sv", "text", "0:ord", true, uint16(120))
+	// A key past binMaxKeyLen: the decoder must refuse it, typed, whole.
+	f.Add(strings.Repeat("9", binMaxKeyLen+1), "p", "s", "t", "0:ord", false, uint16(60000))
 	sch := schema.CustomerInfo()
 	frag, err := core.NewFragment(sch, "ord", []string{"Order", "Service", "ServiceName"})
 	if err != nil {
@@ -91,12 +94,18 @@ func FuzzBinShipment(f *testing.F) {
 				t.Fatal(err)
 			}
 			gotDec, serr := ReadShipment(bytes.NewReader(buf.Bytes()), sch, lookup)
-			if serr != nil {
+			tooLong := len(id) > binMaxKeyLen || len(parent) > binMaxKeyLen || len(svcID) > binMaxKeyLen
+			if tooLong != errors.Is(serr, ErrBinKeyTooLong) {
+				t.Fatalf("keys of %d/%d/%d bytes: decode error %v", len(id), len(parent), len(svcID), serr)
+			}
+			if serr != nil && !tooLong {
 				// Only the key travels as XML (an attribute); a key XML
 				// cannot carry fails the framing — anything else must not.
 				if _, perr := xmltree.Parse(bytes.NewReader(buf.Bytes())); perr == nil {
 					t.Fatalf("bin decode failed on parseable framing: %v", serr)
 				}
+			}
+			if serr != nil {
 				return
 			}
 			wantDec, derr := DecodeShipment(EncodeShipment(out), lookup)

@@ -191,13 +191,13 @@ func (d *ShipmentDecoder) decodeWorkers() int {
 }
 
 // parseAsync is the decode worker body: parse the raw payload into
-// records (each worker allocates from its own arena), publish, release.
+// records (each bin chunk decodes into an arena of its own), publish,
+// release.
 func (d *ShipmentDecoder) parseAsync(job *parseJob) {
 	d.sem <- struct{}{}
 	defer func() { <-d.sem }()
 	start := time.Now()
-	var arena xmltree.Arena
-	job.recs, job.err = parseRawChunk(job.buf.Bytes(), job.format, job.enc, job.frag, d.sch, &arena)
+	job.recs, job.err = parseRawChunk(job.buf.Bytes(), job.format, job.enc, job.frag, d.sch)
 	bufpool.PutBuffer(job.buf)
 	job.buf = nil
 	d.Met.Histogram("wire.decode.parse_ms").ObserveSince(start)

@@ -121,6 +121,55 @@ func TestParallelDecodeMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelDecodeSlabStringsIntact holds the decoders' slab-backed
+// strings to the records that were shipped: every chunk here carries more
+// key and text bytes than one string block holds, so strings handed out
+// early in a chunk must survive the blocks that roll over behind them —
+// with four chunks decoding at once, under the race detector.
+func TestParallelDecodeSlabStringsIntact(t *testing.T) {
+	sch := schema.CustomerInfo()
+	f, err := core.NewFragment(sch, "feat", []string{"Feature", "FeatureID"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(string) *core.Fragment { return f }
+	chunks := make([][]*xmltree.Node, 12)
+	want := map[string]*core.Instance{}
+	for c := range chunks {
+		recs := make([]*xmltree.Node, 400)
+		for i := range recs {
+			id := fmt.Sprintf("1.%d.%d", c, i)
+			recs[i] = &xmltree.Node{Name: "Feature", ID: id, Parent: fmt.Sprintf("1.%d", c), Kids: []*xmltree.Node{
+				{Name: "FeatureID", Parent: id, Text: strings.Repeat(fmt.Sprintf("<%d&%d>", c, i), 1+i%40)},
+			}}
+		}
+		chunks[c] = recs
+		key := fmt.Sprintf("%d:feat", c%3)
+		if want[key] == nil {
+			want[key] = &core.Instance{Frag: f}
+		}
+		want[key].Records = append(want[key].Records, recs...)
+	}
+	for _, name := range []string{CodecBin, CodecBinFlate, CodecXML} {
+		codec, err := ParseCodec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewShipmentDecoder(sch, lookup)
+		d.Workers = 4
+		if err := xmltree.ScanAttrs(bytes.NewReader(encodeChunks(t, sch, f, chunks, codec, 4)), d); err != nil {
+			t.Fatalf("%s: scan: %v", name, err)
+		}
+		got, err := d.Result()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := shipmentsEqual(want, got); err != nil {
+			t.Errorf("%s: decoded shipment differs from what was shipped: %v", name, err)
+		}
+	}
+}
+
 // stallReader yields the stream in tiny bursts with pauses — the shape of
 // a stalling fault link — so commits race parses under the race detector.
 type stallReader struct {

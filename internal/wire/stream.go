@@ -451,7 +451,7 @@ type ShipmentDecoder struct {
 	workers int           // resolved pool size; 1 = serial
 	sem     chan struct{} // parse-pool slots (parallel mode)
 	jobs    []*parseJob   // submitted chunks awaiting in-order commit
-	arena   xmltree.Arena // scanner-side nodes; lives for the shipment
+	arena   xmltree.Arena // tagged-XML chunks' nodes and text; lives for the shipment
 
 	// Chunk staging: records of the open <instance> accumulate here and
 	// commit to the shared map only at its close tag, so a connection torn
@@ -633,9 +633,9 @@ func (d *ShipmentDecoder) Text(data string) error {
 }
 
 // TextBytes implements xmltree.TextBytesHandler: base64 chunk bodies
-// accumulate without an intermediate string per event, and leaf values —
-// where shipments repeat themselves — are interned through the decode
-// arena instead of allocated fresh.
+// accumulate without an intermediate string per event, and leaf values
+// are copied into the decode arena's string slab instead of allocated one
+// by one.
 func (d *ShipmentDecoder) TextBytes(data []byte) error {
 	switch {
 	case d.skip > 0:
@@ -644,7 +644,7 @@ func (d *ShipmentDecoder) TextBytes(data []byte) error {
 	case len(d.stack) > 0:
 		top := d.stack[len(d.stack)-1]
 		if top.Text == "" {
-			top.Text = d.arena.InternBytes(data)
+			top.Text = d.arena.Bytes(data)
 		} else {
 			// Split character data (entity boundaries, CDATA) is rare;
 			// fall back to plain concatenation.
@@ -715,7 +715,7 @@ func (d *ShipmentDecoder) commitChunk() error {
 			go d.parseAsync(job)
 			return d.drainJobs(decQueueSlack * w)
 		}
-		recs, err := parseRawChunk(raw.Bytes(), format, enc, frag, d.sch, &d.arena)
+		recs, err := parseRawChunk(raw.Bytes(), format, enc, frag, d.sch)
 		bufpool.PutBuffer(raw)
 		if err != nil {
 			return err
@@ -730,10 +730,8 @@ func (d *ShipmentDecoder) commitChunk() error {
 	return d.commitRecs(key, frag, seq, recs)
 }
 
-// parseRawChunk turns one raw chunk payload into records; arena supplies
-// the nodes (one arena per decode unit — the serial decoder's, or a pool
-// worker's own).
-func parseRawChunk(text []byte, format, enc string, frag *core.Fragment, sch *schema.Schema, arena *xmltree.Arena) ([]*xmltree.Node, error) {
+// parseRawChunk turns one raw chunk payload into records.
+func parseRawChunk(text []byte, format, enc string, frag *core.Fragment, sch *schema.Schema) ([]*xmltree.Node, error) {
 	switch format {
 	case "feed":
 		in, err := ReadFeed(bytes.NewReader(text), frag, sch)
@@ -747,7 +745,7 @@ func parseRawChunk(text []byte, format, enc string, frag *core.Fragment, sch *sc
 		if len(text) == 0 {
 			return nil, nil
 		}
-		return readBinChunk(text, sch, enc, arena)
+		return readBinChunk(text, sch, enc)
 	}
 	return nil, fmt.Errorf("wire: unknown chunk format %q", format)
 }
