@@ -13,8 +13,10 @@ package endpoint
 //     tree is never built.
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"xdx/internal/core"
@@ -74,6 +76,14 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	if err != nil {
 		return err
 	}
+	chunk := 0
+	if v, ok := req.Attr("chunk"); ok {
+		// The caller relays the shipment chunk by chunk, so the chunks are
+		// cut and numbered here, at the one place they are rendered.
+		if chunk, err = strconv.Atoi(v); err != nil || chunk <= 0 {
+			return &soap.Fault{Code: "soap:Client", String: "chunk must be a positive integer"}
+		}
+	}
 	sch := e.backend.Layout().Schema
 	start := time.Now()
 	if _, err := io.WriteString(w, "<ExecuteSourceResponse>"); err != nil {
@@ -82,6 +92,7 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	sw := wire.NewShipmentWriterCodec(w, sch, codec)
 	sw.SetWorkers(e.codecWorkers)
 	sw.SetObs(e.met)
+	sw.SetChunk(chunk)
 	if v, ok := req.Attr("pipelined"); ok && attrTrue(v) {
 		// Producers emit straight onto the wire as they finish batches.
 		_, _, err = core.ExecuteSlicePipelined(g, sch, a, core.LocSource, core.SliceIO{
@@ -105,7 +116,7 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	elapsed := time.Since(start)
 	e.met.Counter("endpoint.source.executes").Inc()
 	e.met.Histogram("endpoint.source.millis").Observe(float64(elapsed) / float64(time.Millisecond))
-	if _, err := fmt.Fprintf(w, `<timing queryMillis="%s"/>`, formatMillis(elapsed)); err != nil {
+	if _, err := fmt.Fprintf(w, `<timing queryMillis="%s" payloadBytes="%d"/>`, formatMillis(elapsed), sw.PayloadBytes()); err != nil {
 		return err
 	}
 	_, err = io.WriteString(w, "</ExecuteSourceResponse>")
@@ -199,12 +210,21 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 	return nil
 }
 
+// chunkFault makes the decoder's refusal of an oversized chunk the
+// sender's fault: a soap:Client fault, which no driver retries.
+func chunkFault(err error) error {
+	if errors.Is(err, wire.ErrChunkTooLarge) {
+		return &soap.Fault{Code: "soap:Client", String: err.Error()}
+	}
+	return err
+}
+
 // Text implements xmltree.AttrHandler.
 func (t *targetScan) Text(data string) error {
 	if t.skip > 0 || t.sub == nil {
 		return nil
 	}
-	return t.sub.Text(data)
+	return chunkFault(t.sub.Text(data))
 }
 
 // TextBytes implements xmltree.TextBytesHandler: shipment character data
@@ -216,7 +236,7 @@ func (t *targetScan) TextBytes(data []byte) error {
 		return nil
 	}
 	if tb, ok := t.sub.(xmltree.TextBytesHandler); ok {
-		return tb.TextBytes(data)
+		return chunkFault(tb.TextBytes(data))
 	}
 	return t.sub.Text(string(data))
 }

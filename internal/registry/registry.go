@@ -542,15 +542,16 @@ type Report struct {
 	// delivery attempt, torn ones too (retransmission is a real
 	// communication cost). ShipTime is the modeled time for WireBytes over
 	// the configured link (step 2). PayloadBytes is the same shipment
-	// measured once in the universal tagged-XML tree codec, so the two
+	// measured once in the universal tagged-XML tree codec (the source
+	// reports it alongside its timing), so the two
 	// diverge exactly by what the negotiated codec saved and what retries
 	// re-sent.
 	WireBytes    int64
 	PayloadBytes int64
 	ShipTime     time.Duration
-	// Codec is the shipment codec the exchange actually traveled under —
-	// the server's negotiation answer when one arrived, the requested
-	// codec otherwise.
+	// Codec is the shipment codec the exchange actually traveled under,
+	// on both hops — the source's negotiation answer when one arrived,
+	// the requested codec otherwise.
 	Codec string
 	// TargetTime is step 3: program parts executed at the target.
 	TargetTime time.Duration
@@ -627,10 +628,11 @@ type ExecOptions struct {
 	// Metrics, when set, receives exchange.* counters and latency
 	// histograms from the drive. Nil records nothing.
 	Metrics *obs.Registry
-	// ParallelChunks dials the agency-side chunk codec pools (encode
-	// renders and raw-chunk parses): 0 — the default — is one worker per
-	// CPU, 1 or less runs the codecs in-line. The wire bytes and the
-	// decoded instances are identical for every setting.
+	// ParallelChunks dials the agency-side chunk codec pools — the decode
+	// and diff render of a Delta exchange; a full shipment is relayed as
+	// the source's bytes and touches no codec here: 0 — the default — is
+	// one worker per CPU, 1 or less runs the codecs in-line. The wire
+	// bytes and the decoded instances are identical for every setting.
 	ParallelChunks int
 	// Scheduler, when set, routes the drive through the admission-
 	// controlled exchange pool: the exchange waits for a worker under

@@ -27,11 +27,13 @@ import (
 	"strings"
 	"time"
 
+	"xdx/internal/bufpool"
 	"xdx/internal/core"
 	"xdx/internal/endpoint"
 	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/reliable"
+	"xdx/internal/schema"
 	"xdx/internal/soap"
 	"xdx/internal/wire"
 	"xdx/internal/xmltree"
@@ -96,13 +98,19 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	if opts.Pipelined {
 		reqS.SetAttr("pipelined", "1")
 	}
+	chunk := ex.ChunkSize()
+	if opts.Delta {
+		chunk *= deltaSourceChunks
+	}
+	reqS.SetAttr("chunk", strconv.Itoa(chunk))
 	reqS.AddKid(progXML)
 
 	// Phase 1: source execution, retried wholesale. The source recomputes
-	// its slice on every attempt, so a fresh decoder per try keeps torn
-	// partial shipments out of the result.
-	var inbound map[string]*core.Instance
-	var sourceMillis, answeredCodec string
+	// its slice on every attempt, so each try restarts the capture and a
+	// torn partial shipment never reaches the target.
+	ship := wire.NewRelay()
+	defer ship.Release()
+	var scanS *sourceCapture
 	cs := ex.Client(src.URL)
 	advertise(cs, codec)
 	srcSpan := trace.Child("source")
@@ -110,10 +118,8 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		at := srcSpan.Child("attempt")
 		at.Set("try", strconv.Itoa(try))
 		defer at.End()
-		dec := wire.NewShipmentDecoder(sch, lookup)
-		dec.Workers = opts.ParallelChunks
-		dec.Met = opts.Metrics
-		scanS := &sourceRespScan{dec: dec}
+		ship.Reset()
+		scanS = &sourceCapture{relay: ship}
 		if err := cs.CallStream("ExecuteSource", func(w io.Writer) error {
 			return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
 		}, scanS); err != nil {
@@ -124,36 +130,41 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 			at.Set("err", "no shipment")
 			return reliable.Permanent(fmt.Errorf("registry: source returned no shipment"))
 		}
-		m, err := dec.Result()
-		if err != nil {
-			// The response scan completed, so this is a protocol defect,
-			// not a torn stream; retrying would repeat it.
-			at.Set("err", err.Error())
-			return reliable.Permanent(err)
-		}
-		inbound, sourceMillis, answeredCodec = m, scanS.queryMillis, scanS.codec
 		return nil
 	})
+	// A delta exchange is the one caller that compares records, so it is
+	// the one that decodes the captured chunks.
+	var inbound map[string]*core.Instance
+	if err == nil && opts.Delta {
+		dec := wire.NewShipmentDecoder(sch, lookup)
+		dec.Workers = opts.ParallelChunks
+		dec.Met = opts.Metrics
+		inbound, err = ship.Decode(dec)
+	}
 	srcSpan.End()
 	if err != nil {
 		report.Retries = ex.Retries()
 		return report, fmt.Errorf("registry: source execution: %w", err)
 	}
-	if answeredCodec != "" {
-		report.Codec = answeredCodec
+	if scanS.codec != "" {
+		// What the source answered is what travels on both hops.
+		report.Codec = scanS.codec
+		if codec, err = wire.ParseCodec(scanS.codec); err != nil {
+			return report, fmt.Errorf("registry: source execution: %w", err)
+		}
 	}
-	report.SourceTime = endpoint.ParseMillis(sourceMillis)
-	report.PayloadBytes = wire.ShipmentBytes(inbound)
+	report.SourceTime = endpoint.ParseMillis(scanS.queryMillis)
+	report.PayloadBytes, _ = strconv.ParseInt(scanS.payloadBytes, 10, 64)
 
-	// Phase 2: resumable target delivery. The shipment is rechunked at the
-	// configured granularity; each redelivery first asks the target which
-	// chunk it acked last and resumes emission there.
+	// Phase 2: resumable target delivery. The chunks travel as the source
+	// wrote them; each redelivery first asks the target which chunk it
+	// acked last and resumes there.
 	ct := ex.Client(tgt.URL)
 	stream, epoch := service, deltaEpoch(src, tgt)
 
-	// deliver drives one resumable session carrying the given record and
-	// tombstone chunks; the delta and full re-ship paths share it.
-	deliver := func(sessionID string, chunks []reliable.Chunk, tombs []tombChunk, delta bool) (*xmltree.Node, error) {
+	// deliver drives one resumable session carrying the relay's chunks; the
+	// delta and full re-ship paths share it.
+	deliver := func(sessionID string, ship *wire.Relay, delta bool) (*xmltree.Node, error) {
 		open := `<ExecuteTarget session="` + sessionID + `"`
 		if opts.Pipelined {
 			open += ` pipelined="1"`
@@ -172,7 +183,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		delSpan := trace.Child("deliver")
 		defer delSpan.End()
 		delSpan.Set("session", sessionID)
-		delSpan.Set("chunks", strconv.Itoa(len(chunks)+len(tombs)))
+		delSpan.Set("chunks", strconv.Itoa(ship.Len()))
 		if delta {
 			delSpan.Set("delta", "1")
 		}
@@ -204,29 +215,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 				// still spent its bytes on the wire, and WireBytes counts the
 				// retransmission cost across all attempts.
 				defer func() { report.WireBytes += m.Bytes() }()
-				sw := wire.NewShipmentWriterCodec(m, sch, codec)
-				sw.SetWorkers(opts.ParallelChunks)
-				sw.SetObs(opts.Metrics)
-				sw.SetDelta(delta)
-				for _, c := range chunks {
-					if c.Seq < next {
-						continue // acked on a prior attempt
-					}
-					if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
-						sw.Close()
-						return err
-					}
-				}
-				for _, tc := range tombs {
-					if tc.seq < next {
-						continue
-					}
-					if err := sw.EmitTombstones(tc.key, tc.ids, tc.seq); err != nil {
-						sw.Close()
-						return err
-					}
-				}
-				if err := sw.Close(); err != nil {
+				if err := ship.WriteShipment(m, next, delta); err != nil {
 					return err
 				}
 				_, err := io.WriteString(w, `</ExecuteTarget>`)
@@ -263,7 +252,6 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		return respT, nil
 	}
 
-	fullChunks := func() []reliable.Chunk { return reliable.ChunkShipment(inbound, ex.ChunkSize()) }
 	var respT *xmltree.Node
 	var hashes map[string]reliable.EdgeHashes
 	hashesOK := false
@@ -273,13 +261,13 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	}
 	switch {
 	case !opts.Delta:
-		respT, err = deliver(ex.SessionID(), fullChunks(), nil, false)
+		respT, err = deliver(ex.SessionID(), ship, false)
 	case !hashesOK:
 		// Records without IDs cannot be reconciled; this shipment shape is
 		// never delta-able, so don't bother warming the index either.
 		opts.Metrics.Counter("exchange.delta.unkeyed").Inc()
 		log.Log(obs.LevelInfo, "delta disabled: shipment carries records without IDs", "service", service)
-		respT, err = deliver(ex.SessionID(), fullChunks(), nil, false)
+		respT, err = deliver(ex.SessionID(), ship, false)
 	default:
 		base, warm := a.recon.Snapshot(stream, epoch)
 		if warm {
@@ -289,18 +277,16 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 			// Cold on either side (first exchange, restart, or epoch
 			// change): full re-ship, then warm the index for next time.
 			opts.Metrics.Counter("exchange.delta.cold").Inc()
-			respT, err = deliver(ex.SessionID(), fullChunks(), nil, false)
+			respT, err = deliver(ex.SessionID(), ship, false)
 		} else {
 			d := reliable.DiffShipment(inbound, base)
-			chunks := reliable.ChunkShipment(d.Ship, ex.ChunkSize())
-			seq := int64(len(chunks))
-			var tombs []tombChunk
-			for _, key := range sortedTombKeys(d.Tombs) {
-				tombs = append(tombs, tombChunk{key: key, ids: d.Tombs[key], seq: seq})
-				seq++
+			var diff *wire.Relay
+			if diff, err = renderDelta(d, sch, codec, ex.ChunkSize(), opts); err != nil {
+				return report, fmt.Errorf("registry: delta: %w", err)
 			}
+			defer diff.Release()
 			report.Delta, report.DeltaRecords, report.TombstoneRecords = true, d.Records, d.Tombstones
-			respT, err = deliver(ex.SessionID(), chunks, tombs, true)
+			respT, err = deliver(ex.SessionID(), diff, true)
 			if err != nil && soap.IsColdDelta(err) {
 				// The target lost its base between the warm probe and the
 				// delivery (sweep or restart mid-flight). Full re-ship on a
@@ -309,7 +295,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 				opts.Metrics.Counter("exchange.delta.fallbacks").Inc()
 				log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "service", service)
 				report.Delta, report.DeltaRecords, report.TombstoneRecords = false, 0, 0
-				respT, err = deliver(ex.SessionID(), fullChunks(), nil, false)
+				respT, err = deliver(ex.SessionID(), ship, false)
 			} else if err == nil {
 				opts.Metrics.Counter("exchange.delta.exchanges").Inc()
 				opts.Metrics.Counter("exchange.delta.records").Add(int64(d.Records))
@@ -342,24 +328,55 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	return report, nil
 }
 
-// tombChunk is one pending tombstone emission: the deleted record IDs of
-// an edge, sequenced after the delta's record chunks so the session ledger
-// checkpoints deletions like any chunk.
-type tombChunk struct {
-	key string
-	ids []string
-	seq int64
-}
+// deltaSourceChunks is how many session chunks' worth of records a delta
+// exchange asks the source to put in one chunk. A delta decodes the source's
+// chunks on every exchange, at a fixed cost per chunk in the codec pools,
+// and forwards them only when it falls back to a full re-ship — the one
+// case that resumes at their granularity — so it trades that for the other.
+const deltaSourceChunks = 16
 
-// sortedTombKeys orders tombstone edges deterministically, matching
-// ChunkShipment's sorted-key sequencing.
-func sortedTombKeys(tombs map[string][]string) []string {
-	keys := make([]string, 0, len(tombs))
-	for k := range tombs {
-		keys = append(keys, k)
+// renderDelta renders a delta — its record chunks, then one tombstone
+// chunk per edge in sorted-key order, sequenced together so the session
+// ledger checkpoints deletions like any chunk — and captures the result the
+// way a source response is captured.
+func renderDelta(d *reliable.Delta, sch *schema.Schema, codec wire.Codec, chunkSize int, opts ExecOptions) (*wire.Relay, error) {
+	buf := bufpool.Buffer()
+	defer bufpool.PutBuffer(buf)
+	sw := wire.NewShipmentWriterCodec(buf, sch, codec)
+	sw.SetWorkers(opts.ParallelChunks)
+	sw.SetObs(opts.Metrics)
+	emit := func() error {
+		chunks := reliable.ChunkShipment(d.Ship, chunkSize)
+		for _, c := range chunks {
+			if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
+				return err
+			}
+		}
+		keys := make([]string, 0, len(d.Tombs))
+		for k := range d.Tombs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for i, key := range keys {
+			if err := sw.EmitTombstones(key, d.Tombs[key], int64(len(chunks)+i)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	sort.Strings(keys)
-	return keys
+	err := emit()
+	if cerr := sw.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	relay := wire.NewRelay()
+	if err := xmltree.ScanAttrs(buf, &sourceCapture{relay: relay}); err != nil {
+		relay.Release()
+		return nil, err
+	}
+	return relay, nil
 }
 
 // deltaEpoch fingerprints the fragmentation agreement a reconciliation

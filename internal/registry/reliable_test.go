@@ -45,11 +45,20 @@ func soakSeeds(t testing.TB) []int64 {
 	return out
 }
 
-// startAuctionExchange wires the auction workload (the paper's §5 data,
-// generated XMark-style) into a most-fragmented source and a
-// least-fragmented target, registers both, and plans the exchange. The
-// target's endpoint rides along so tests can inspect its session store.
-func startAuctionExchange(t testing.TB) (*Agency, *Plan, *relstore.Store, *endpoint.Endpoint, func()) {
+// auctionWorld is the auction workload (the paper's §5 data, generated
+// XMark-style) wired into a most-fragmented source and a least-fragmented
+// target, both registered, the exchange planned.
+type auctionWorld struct {
+	ag       *Agency
+	plan     *Plan
+	src, tgt *endpoint.Endpoint
+	tgtStore *relstore.Store
+	close    func()
+}
+
+// startAuctionWorld stands the auction exchange up; front, when set, wraps
+// each endpoint's HTTP handler by role.
+func startAuctionWorld(t testing.TB, front func(role Role, h http.Handler) http.Handler) *auctionWorld {
 	t.Helper()
 	sch := xmark.Schema()
 	doc := xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})
@@ -68,23 +77,36 @@ func startAuctionExchange(t testing.TB) (*Agency, *Plan, *relstore.Store, *endpo
 		t.Fatal(err)
 	}
 
-	srcEP := endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil)
-	tgtEP := endpoint.New("T", &endpoint.RelBackend{Store: tgtStore, Speed: 1, CanCombine: true}, nil)
-	srcSrv := httptest.NewServer(srcEP.Handler())
-	tgtSrv := httptest.NewServer(tgtEP.Handler())
+	w := &auctionWorld{ag: New(), tgtStore: tgtStore}
+	w.src = endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil)
+	w.tgt = endpoint.New("T", &endpoint.RelBackend{Store: tgtStore, Speed: 1, CanCombine: true}, nil)
+	srcH, tgtH := w.src.Handler(), w.tgt.Handler()
+	if front != nil {
+		srcH, tgtH = front(RoleSource, srcH), front(RoleTarget, tgtH)
+	}
+	srcSrv := httptest.NewServer(srcH)
+	tgtSrv := httptest.NewServer(tgtH)
+	w.close = func() { srcSrv.Close(); tgtSrv.Close() }
 
-	ag := New()
-	if err := ag.Register("Auction", RoleSource, wsdlFor(t, sch, sFr, srcSrv.URL), srcSrv.URL); err != nil {
+	if err := w.ag.Register("Auction", RoleSource, wsdlFor(t, sch, sFr, srcSrv.URL), srcSrv.URL); err != nil {
 		t.Fatal(err)
 	}
-	if err := ag.Register("Auction", RoleTarget, wsdlFor(t, sch, tFr, tgtSrv.URL), tgtSrv.URL); err != nil {
+	if err := w.ag.Register("Auction", RoleTarget, wsdlFor(t, sch, tFr, tgtSrv.URL), tgtSrv.URL); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ag.Plan("Auction", PlanOptions{Algorithm: AlgGreedy})
-	if err != nil {
+	if w.plan, err = w.ag.Plan("Auction", PlanOptions{Algorithm: AlgGreedy}); err != nil {
 		t.Fatal(err)
 	}
-	return ag, plan, tgtStore, tgtEP, func() { srcSrv.Close(); tgtSrv.Close() }
+	return w
+}
+
+// startAuctionExchange is startAuctionWorld for tests that only drive the
+// exchange and inspect the target: agency, plan, target store, target
+// endpoint (for its session store) and the teardown.
+func startAuctionExchange(t testing.TB) (*Agency, *Plan, *relstore.Store, *endpoint.Endpoint, func()) {
+	t.Helper()
+	w := startAuctionWorld(t, nil)
+	return w.ag, w.plan, w.tgtStore, w.tgt, w.close
 }
 
 // assembleTarget reassembles the document a target store holds.

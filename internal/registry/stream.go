@@ -1,11 +1,13 @@
 package registry
 
-// The agency's side of the streaming wire path: the source response is
-// decoded incrementally into instances as it arrives (SAX events straight
-// into the shipment decoder), so no envelope tree is ever materialized for
-// the exchange's dominant payload.
+// The agency's side of the streaming wire path: the source response's
+// shipment is kept as the chunk bytes the source wrote (wire.Relay), so
+// neither an envelope tree nor the records are ever materialized for the
+// exchange's dominant payload.
 
 import (
+	"io"
+
 	"xdx/internal/wire"
 	"xdx/internal/xmltree"
 )
@@ -20,86 +22,61 @@ func scanAttr(attrs []xmltree.Attr, name string) string {
 	return ""
 }
 
-// sourceRespScan consumes an ExecuteSourceResponse stream: the shipment
-// subtree flows into the shipment decoder, the timing rides on the
-// trailing <timing> element.
-type sourceRespScan struct {
-	dec *wire.ShipmentDecoder
+// sourceCapture consumes an ExecuteSourceResponse stream for the relay:
+// each chunk element of the shipment goes into the relay as the bytes the
+// source wrote, unread but for its seq; the timing rides on the trailing
+// <timing> element. A bare <shipment> document reads the same way, which is
+// how a rendered delta enters its relay.
+type sourceCapture struct {
+	relay *wire.Relay
 
-	depth int
-	skip  int
+	depth  int
+	shipAt int // depth of the open <shipment>, 0 outside one
 
-	sub      bool
-	subDepth int
-
-	queryMillis string
-	sawShipment bool
-	codec       string
+	queryMillis  string
+	payloadBytes string
+	sawShipment  bool
+	codec        string
 }
 
 // ObserveEnvelope implements soap.EnvelopeObserver: the response
 // envelope's codec attribute is the server's negotiation answer.
-func (s *sourceRespScan) ObserveEnvelope(attrs []xmltree.Attr) {
+func (s *sourceCapture) ObserveEnvelope(attrs []xmltree.Attr) {
 	s.codec = scanAttr(attrs, "codec")
 }
 
+// StartRaw implements xmltree.RawHandler, claiming the shipment's chunks.
+func (s *sourceCapture) StartRaw(name string) io.Writer {
+	if s.shipAt > 0 && s.depth == s.shipAt && (name == "instance" || name == "tombstones") {
+		return s.relay.BeginChunk()
+	}
+	return nil
+}
+
+// EndRaw implements xmltree.RawHandler.
+func (s *sourceCapture) EndRaw(string) error { return s.relay.EndChunk() }
+
 // StartElement implements xmltree.AttrHandler.
-func (s *sourceRespScan) StartElement(name string, attrs []xmltree.Attr) error {
-	if s.skip > 0 {
-		s.skip++
-		return nil
-	}
-	if s.sub {
-		s.subDepth++
-		return s.dec.StartElement(name, attrs)
-	}
+func (s *sourceCapture) StartElement(name string, attrs []xmltree.Attr) error {
 	s.depth++
-	if s.depth == 2 {
-		switch name {
-		case "shipment":
-			s.sawShipment = true
-			s.sub, s.subDepth = true, 1
-			return s.dec.StartElement(name, attrs)
-		case "timing":
-			s.queryMillis = scanAttr(attrs, "queryMillis")
-		}
-		s.depth--
-		s.skip = 1
+	switch {
+	case s.shipAt > 0:
+	case name == "shipment":
+		s.shipAt, s.sawShipment = s.depth, true
+	case name == "timing":
+		s.queryMillis, s.payloadBytes = scanAttr(attrs, "queryMillis"), scanAttr(attrs, "payloadBytes")
 	}
 	return nil
 }
 
 // Text implements xmltree.AttrHandler.
-func (s *sourceRespScan) Text(data string) error {
-	if s.skip > 0 || !s.sub {
-		return nil
-	}
-	return s.dec.Text(data)
-}
-
-// TextBytes implements xmltree.TextBytesHandler, keeping the scanner's
-// zero-copy text path intact through to the shipment decoder.
-func (s *sourceRespScan) TextBytes(data []byte) error {
-	if s.skip > 0 || !s.sub {
-		return nil
-	}
-	return s.dec.TextBytes(data)
-}
+func (s *sourceCapture) Text(string) error { return nil }
 
 // EndElement implements xmltree.AttrHandler.
-func (s *sourceRespScan) EndElement(name string) error {
-	switch {
-	case s.skip > 0:
-		s.skip--
-	case s.sub:
-		s.subDepth--
-		if s.subDepth == 0 {
-			s.sub = false
-			s.depth--
-		}
-		return s.dec.EndElement(name)
-	default:
-		s.depth--
+func (s *sourceCapture) EndElement(string) error {
+	if s.depth == s.shipAt {
+		s.shipAt = 0
 	}
+	s.depth--
 	return nil
 }

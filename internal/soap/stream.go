@@ -258,6 +258,7 @@ type envelopeScanner struct {
 	inPayload   int
 	payloadSeen bool
 	sawEnvelope bool
+	rawTo       io.Writer // the payload handler's sink for the element being copied verbatim
 
 	inHeader int
 	hdr      *xmltree.TreeBuilder
@@ -370,6 +371,28 @@ func (v *envelopeScanner) TextBytes(data []byte) error {
 		}
 	}
 	return v.Text(string(data))
+}
+
+// StartRaw implements xmltree.RawHandler, forwarding the payload handler's
+// verbatim-element path the way TextBytes forwards its zero-copy text path.
+func (v *envelopeScanner) StartRaw(name string) io.Writer {
+	if rh, ok := v.h.(xmltree.RawHandler); ok && v.skip == 0 && v.inPayload > 0 {
+		if v.rawTo = rh.StartRaw(name); v.rawTo != nil {
+			return v
+		}
+	}
+	return nil
+}
+
+// Write passes a claimed element's bytes to the payload handler's sink.
+func (v *envelopeScanner) Write(p []byte) (int, error) {
+	n, err := v.rawTo.Write(p)
+	return n, payloadErr(err)
+}
+
+// EndRaw implements xmltree.RawHandler.
+func (v *envelopeScanner) EndRaw(name string) error {
+	return payloadErr(v.h.(xmltree.RawHandler).EndRaw(name))
 }
 
 // EndElement implements xmltree.AttrHandler.

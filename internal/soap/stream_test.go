@@ -245,3 +245,49 @@ func TestCallStreamPayloadError(t *testing.T) {
 		t.Fatalf("truncation misclassified as a payload rejection: %v", err)
 	}
 }
+
+// rawPayload claims every <chunk> raw and counts the ordinary events.
+type rawPayload struct {
+	rejectHandler
+	raw            strings.Builder
+	writeErr, done error
+	ended          int
+}
+
+func (r *rawPayload) StartRaw(name string) io.Writer {
+	if name != "chunk" {
+		return nil
+	}
+	return r
+}
+func (r *rawPayload) Write(p []byte) (int, error) {
+	if r.writeErr != nil {
+		return 0, r.writeErr
+	}
+	return r.raw.Write(p)
+}
+func (r *rawPayload) EndRaw(string) error { r.ended++; return r.done }
+
+// TestScanEnvelopeForwardsRawElements: the envelope walk hands a payload
+// handler's raw-element path through — inside the payload only, never for
+// header entries — and its refusals come back as payload errors, which
+// retry policies treat as permanent.
+func TestScanEnvelopeForwardsRawElements(t *testing.T) {
+	const env = `<soap:Envelope xmlns:soap="` + EnvelopeNS + `"><soap:Header><chunk>h</chunk></soap:Header>` +
+		`<soap:Body><Resp><chunk a=">">x<chunk/></chunk><chunk seq='1'/></Resp></soap:Body></soap:Envelope>`
+	h := &rawPayload{}
+	if _, err := ScanEnvelope(strings.NewReader(env), h); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.raw.String(), `<chunk a=">">x<chunk/></chunk><chunk seq='1'/>`; got != want || h.ended != 2 {
+		t.Errorf("payload handler was handed %q in %d elements, want %q in 2", got, h.ended, want)
+	}
+	refused := errors.New("refused")
+	for _, h := range []*rawPayload{{writeErr: refused}, {done: refused}} {
+		_, err := ScanEnvelope(strings.NewReader(env), h)
+		var pe *PayloadError
+		if !errors.As(err, &pe) || !errors.Is(err, refused) {
+			t.Errorf("err = %v, want the handler's refusal as a PayloadError", err)
+		}
+	}
+}

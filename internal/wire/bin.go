@@ -522,29 +522,18 @@ func InstanceWireBytes(recs []*xmltree.Node, frag *core.Fragment, sch *schema.Sc
 		}
 		fallthrough
 	default:
-		bw := bufpool.Writer(m)
-		for _, rec := range recs {
-			streamRecord(bw, rec, true)
-		}
-		err := bw.Flush()
-		bufpool.PutWriter(bw)
-		if err != nil {
-			return 0, err
-		}
+		return RecordBytes(recs), nil
 	}
 	return m.Bytes(), nil
 }
 
 // RecordBytes reports the tree-codec serialized size of recs — the
 // denominator compression ratios are measured against, and the size
-// Report.PayloadBytes carries.
+// Report.PayloadBytes carries — by walking the records, not rendering them.
 func RecordBytes(recs []*xmltree.Node) int64 {
-	m := netsim.NewMeter(nil)
-	bw := bufpool.Writer(m)
+	var n int64
 	for _, rec := range recs {
-		streamRecord(bw, rec, true)
+		n += recordSize(rec, true)
 	}
-	bw.Flush()
-	bufpool.PutWriter(bw)
-	return m.Bytes()
+	return n
 }

@@ -70,6 +70,8 @@ func FuzzBinShipment(f *testing.F) {
 	f.Add("id", "par", "sv", "text", "0:ord", true, uint16(120))
 	// A key past binMaxKeyLen: the decoder must refuse it, typed, whole.
 	f.Add(strings.Repeat("9", binMaxKeyLen+1), "p", "s", "t", "0:ord", false, uint16(60000))
+	// A chunk past MaxChunkBytes: refused typed before its payload parses.
+	f.Add("o1", "c1", "s1", strings.Repeat("t", MaxChunkBytes), "0:ord", false, uint16(7))
 	sch := schema.CustomerInfo()
 	frag, err := core.NewFragment(sch, "ord", []string{"Order", "Service", "ServiceName"})
 	if err != nil {
@@ -94,6 +96,12 @@ func FuzzBinShipment(f *testing.F) {
 				t.Fatal(err)
 			}
 			gotDec, serr := ReadShipment(bytes.NewReader(buf.Bytes()), sch, lookup)
+			if errors.Is(serr, ErrChunkTooLarge) {
+				if buf.Len() <= MaxChunkBytes {
+					t.Fatalf("a %d-byte shipment was refused as an oversized chunk", buf.Len())
+				}
+				return
+			}
 			tooLong := len(id) > binMaxKeyLen || len(parent) > binMaxKeyLen || len(svcID) > binMaxKeyLen
 			if tooLong != errors.Is(serr, ErrBinKeyTooLong) {
 				t.Fatalf("keys of %d/%d/%d bytes: decode error %v", len(id), len(parent), len(svcID), serr)

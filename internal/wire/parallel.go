@@ -57,9 +57,10 @@ func effectiveWorkers(n int) int {
 // fills buf/err and closes done; the splicer (whoever holds sw.mu) writes
 // completed head jobs to the output in FIFO order.
 type encJob struct {
-	buf  *bytes.Buffer
-	err  error
-	done chan struct{}
+	buf     *bytes.Buffer
+	payload int64 // RecordBytes of the chunk
+	err     error
+	done    chan struct{}
 }
 
 // encQueueSlack bounds how far rendering may run ahead of splicing, in
@@ -126,7 +127,7 @@ func (sw *ShipmentWriter) renderAsync(job *encJob, key string, frag *core.Fragme
 		err = ferr
 	}
 	bufpool.PutWriter(bw)
-	job.buf, job.err = buf, err
+	job.buf, job.payload, job.err = buf, RecordBytes(recs), err
 	sw.met.Histogram("wire.encode.render_ms").ObserveSince(start)
 	close(job.done)
 }
@@ -154,6 +155,7 @@ func (sw *ShipmentWriter) spliceLocked(max int) error {
 		}
 		if sw.firstErr == nil {
 			sw.bw.Write(job.buf.Bytes())
+			sw.payload += job.payload
 		}
 		bufpool.PutBuffer(job.buf)
 	}

@@ -28,7 +28,6 @@ import (
 
 	"xdx/internal/bufpool"
 	"xdx/internal/core"
-	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/schema"
 	"xdx/internal/xmltree"
@@ -58,6 +57,31 @@ type ShipmentWriter struct {
 	firstErr   error         // first failed chunk; sticky
 	met        *obs.Registry
 	delta      bool
+
+	chunk   int   // SetChunk: records per self-numbered chunk, 0 = off
+	nextSeq int64 // seq of the next self-numbered chunk
+	payload int64 // RecordBytes of everything rendered so far
+}
+
+// SetChunk makes the writer cut and number its own chunks: every Emit is
+// split into chunks of at most n records, sequenced densely from 0 in emit
+// order (an Emit without records still yields its one announcing chunk) —
+// for a sorted-key emitter exactly the chunks reliable.ChunkShipment cuts.
+// Must be called before the first Emit; n <= 0 leaves Emit unsequenced.
+func (sw *ShipmentWriter) SetChunk(n int) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if !sw.opened {
+		sw.chunk = n
+	}
+}
+
+// PayloadBytes reports the RecordBytes of the chunks rendered so far; after
+// Close, of the whole shipment.
+func (sw *ShipmentWriter) PayloadBytes() int64 {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.payload
 }
 
 // SetDelta marks the shipment as a delta: the open tag carries delta="1",
@@ -108,6 +132,24 @@ func (sw *ShipmentWriter) EmitChunk(key string, frag *core.Fragment, recs []*xml
 func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	if seq >= 0 || sw.chunk <= 0 {
+		return sw.emitLocked(key, frag, recs, seq)
+	}
+	for {
+		n := min(len(recs), sw.chunk)
+		if err := sw.emitLocked(key, frag, recs[:n], sw.nextSeq); err != nil {
+			return err
+		}
+		sw.nextSeq++
+		if recs = recs[n:]; len(recs) == 0 {
+			return nil
+		}
+	}
+}
+
+// emitLocked renders one chunk, in-line or through the pool. Caller holds
+// sw.mu.
+func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
 	if sw.closed {
 		return fmt.Errorf("wire: emit on closed shipment writer")
 	}
@@ -119,6 +161,7 @@ func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs []*xmltree.
 	if workers > 1 {
 		return sw.emitParallel(key, frag, recs, seq)
 	}
+	sw.payload += RecordBytes(recs)
 	return renderChunk(sw.bw, sw.sch, sw.codec, key, frag, recs, seq)
 }
 
@@ -321,6 +364,29 @@ func streamRecord(w *bufio.Writer, n *xmltree.Node, isRoot bool) {
 	w.WriteString("</")
 	w.WriteString(n.Name)
 	w.WriteByte('>')
+}
+
+// recordSize is the number of bytes streamRecord writes for the record.
+func recordSize(n *xmltree.Node, isRoot bool) int64 {
+	size := 1 + len(n.Name)
+	interior := len(n.Kids) > 0 || n.Text == ""
+	if (isRoot || interior) && n.ID != "" {
+		size += len(` ID=""`) + xmltree.EscapedLen(n.ID)
+	}
+	if isRoot && n.Parent != "" {
+		size += len(` PARENT=""`) + xmltree.EscapedLen(n.Parent)
+	}
+	for _, a := range n.Attrs {
+		size += len(` =""`) + len(a.Name) + xmltree.EscapedLen(a.Value)
+	}
+	if len(n.Kids) == 0 && n.Text == "" {
+		return int64(size + len("/>"))
+	}
+	total := int64(size + len("></>") + xmltree.EscapedLen(n.Text) + len(n.Name))
+	for _, k := range n.Kids {
+		total += recordSize(k, false)
+	}
+	return total
 }
 
 // StreamShipment encodes cross-edge instances directly to w — no record
@@ -624,6 +690,9 @@ func (d *ShipmentDecoder) Text(data string) error {
 	switch {
 	case d.skip > 0:
 	case d.raw != nil:
+		if d.raw.Len()+len(data) > MaxChunkBytes {
+			return ErrChunkTooLarge
+		}
 		d.raw.WriteString(data)
 	case len(d.stack) > 0:
 		top := d.stack[len(d.stack)-1]
@@ -640,6 +709,9 @@ func (d *ShipmentDecoder) TextBytes(data []byte) error {
 	switch {
 	case d.skip > 0:
 	case d.raw != nil:
+		if d.raw.Len()+len(data) > MaxChunkBytes {
+			return ErrChunkTooLarge
+		}
 		d.raw.Write(data)
 	case len(d.stack) > 0:
 		top := d.stack[len(d.stack)-1]
@@ -847,19 +919,12 @@ func ReadShipment(r io.Reader, sch *schema.Schema, lookup func(name string) *cor
 	return d.Result()
 }
 
-// ShipmentBytes serializes a shipment's records through a counting writer
-// and reports the size the communication cost is charged on. Pure
-// accounting: no record clones, no buffering — the streaming encoder runs
-// over a meter that discards the bytes.
+// ShipmentBytes reports the size the communication cost is charged on: the
+// shipment's records in the universal tagged-XML codec.
 func ShipmentBytes(out map[string]*core.Instance) int64 {
-	m := netsim.NewMeter(nil)
-	bw := bufpool.Writer(m)
+	var n int64
 	for _, in := range out {
-		for _, rec := range in.Records {
-			streamRecord(bw, rec, true)
-		}
+		n += RecordBytes(in.Records)
 	}
-	bw.Flush()
-	bufpool.PutWriter(bw)
-	return m.Bytes()
+	return n
 }

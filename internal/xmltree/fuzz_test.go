@@ -36,11 +36,13 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzScan checks the SAX scanner never panics and balances events.
+// FuzzScan checks the SAX scanner never panics and balances events, and
+// that its raw-element path finds the same element boundaries.
 func FuzzScan(f *testing.F) {
 	f.Add(`<a><b>x</b></a>`)
 	f.Add(`<a><b></a></b>`)
 	f.Add(`<?xml version="1.0"?><r/>`)
+	f.Add(`<r><c a='>'><!-- </c> --><c/><![CDATA[</c>]]></c><c/></r>`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		depth := 0
 		h := FuncHandler{
@@ -50,5 +52,6 @@ func FuzzScan(f *testing.F) {
 		if err := Scan(strings.NewReader(doc), h); err == nil && depth != 0 {
 			t.Fatalf("unbalanced events accepted: depth %d for %q", depth, doc)
 		}
+		checkRawAgreesWithScan(t, doc)
 	})
 }

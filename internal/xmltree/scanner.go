@@ -20,6 +20,7 @@ type attrScanner struct {
 	br    *bufio.Reader
 	h     AttrHandler
 	tb    TextBytesHandler // h's optional zero-copy text path, nil otherwise
+	raw   RawHandler       // h's optional verbatim-element path, nil otherwise
 	names map[string]string
 	attrs []Attr
 	text  []byte // raw accumulation of the pending character data
@@ -39,6 +40,7 @@ func scanStream(r io.Reader, h AttrHandler) error {
 		names: make(map[string]string, 32),
 	}
 	s.tb, _ = h.(TextBytesHandler)
+	s.raw, _ = h.(RawHandler)
 	for {
 		err := s.scanText()
 		if err == io.EOF {
@@ -296,6 +298,14 @@ func (s *attrScanner) scanStartTag() error {
 		return err
 	}
 	name := s.intern(localPart(nameB))
+	if s.raw != nil {
+		if w := s.raw.StartRaw(name); w != nil {
+			if err := s.copyRaw(w, nameB); err != nil {
+				return err
+			}
+			return s.raw.EndRaw(name)
+		}
+	}
 	s.attrs = s.attrs[:0]
 	for {
 		c, err := s.skipSpace()
@@ -323,6 +333,102 @@ func (s *attrScanner) scanStartTag() error {
 			}
 		}
 	}
+}
+
+// copyRaw copies the element whose open tag's name was just read — the
+// rest of that tag, the content, the close tag — to w byte for byte. It
+// follows tag nesting only, stepping over the places a '<' or '>' can hide
+// exactly as the tokenizer does: quoted attribute values, comments, CDATA
+// sections, processing instructions and declarations.
+func (s *attrScanner) copyRaw(w io.Writer, name []byte) error {
+	s.text = append(append(s.text[:0], '<'), name...)
+	if _, err := w.Write(s.text); err != nil {
+		return err
+	}
+	depth, err := s.copyTag(w)
+	for depth > 0 && err == nil {
+		if err = s.copyThrough(w, '<', ""); err != nil {
+			break
+		}
+		var next []byte
+		if next, err = s.br.Peek(2); err != nil {
+			return errUnterminated
+		}
+		switch {
+		case next[0] == '/':
+			depth--
+			_, err = s.copyTag(w)
+		case next[0] == '?':
+			err = s.copyThrough(w, '>', "?>")
+		case string(next) == "!-":
+			err = s.copyThrough(w, '>', "-->")
+		case string(next) == "![":
+			err = s.copyThrough(w, '>', "]]>")
+		case next[0] == '!':
+			bracket := 0
+			err = s.copyWhile(w, '>', func(chunk []byte) bool {
+				bracket += bytes.Count(chunk, []byte{'['}) - bytes.Count(chunk, []byte{']'})
+				return bracket > 0
+			})
+		default:
+			var open int
+			open, err = s.copyTag(w)
+			depth += open
+		}
+	}
+	return err
+}
+
+// copyWhile copies input to w in runs ending at delim, until a run does
+// end there and more — called on every run, in order — returns false.
+func (s *attrScanner) copyWhile(w io.Writer, delim byte, more func(run []byte) bool) error {
+	for {
+		run, rerr := s.br.ReadSlice(delim)
+		if rerr != nil && rerr != bufio.ErrBufferFull {
+			return errUnterminated
+		}
+		if _, err := w.Write(run); err != nil {
+			return err
+		}
+		if !more(run) && rerr == nil {
+			return nil
+		}
+	}
+}
+
+// copyTag copies the remainder of a tag through its closing '>' — one that
+// is not inside a quoted attribute value — and reports 1 when the tag
+// leaves an element open, 0 when it is self-closing.
+func (s *attrScanner) copyTag(w io.Writer) (int, error) {
+	var quote, prev, last byte
+	err := s.copyWhile(w, '>', func(run []byte) bool {
+		for _, c := range run {
+			if quote != 0 {
+				if c == quote {
+					quote = 0
+				}
+			} else if c == '"' || c == '\'' {
+				quote = c
+			}
+			prev, last = last, c
+		}
+		return quote != 0
+	})
+	if prev == '/' {
+		return 0, err
+	}
+	return 1, err
+}
+
+// copyThrough copies input to w through the next delim byte that completes
+// the terminator end ("" accepts the first delim).
+func (s *attrScanner) copyThrough(w io.Writer, delim byte, end string) error {
+	tail := s.dec[:0] // the last len(end) bytes copied
+	return s.copyWhile(w, delim, func(run []byte) bool {
+		tail = append(tail, run[max(0, len(run)-len(end)):]...)
+		tail = tail[max(0, len(tail)-len(end)):]
+		return string(tail) != end
+	})
 }
 
 // scanAttr parses one name="value" pair, dropping namespace declarations.

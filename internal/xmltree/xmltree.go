@@ -234,6 +234,12 @@ func escapeTo(w *bufio.Writer, s string) {
 // Node tree first.
 func Escape(w *bufio.Writer, s string) { escapeTo(w, s) }
 
+// EscapedLen is the number of bytes Escape writes for s.
+func EscapedLen(s string) int {
+	return len(s) + (len("&lt;")-1)*(strings.Count(s, "<")+strings.Count(s, ">")) +
+		(len("&amp;")-1)*strings.Count(s, "&") + (len("&quot;")-1)*strings.Count(s, `"`)
+}
+
 // Marshal serializes the subtree to a string, for tests and small payloads.
 func Marshal(n *Node, opts WriteOptions) string {
 	var b strings.Builder

@@ -24,7 +24,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH_N="${BENCH_N:-11}"
+BENCH_N="${BENCH_N:-12}"
 OUT="BENCH_${BENCH_N}.json"
 BENCHTIME=50x
 LOAD_ARGS="-tenants 4 -concurrency 32 -ops 256 -check -min-speedup 3"
