@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 
 	"xdx/internal/schema"
@@ -188,6 +190,15 @@ func AssignIntIDs(doc *xmltree.Node) {
 // document order of children from the schema. The result is a new Instance
 // over the merged fragment; parent's records are mutated in place (the
 // operation "modifies the input fragment f1").
+//
+// Both inputs must already have every node's kids in schema order; Combine
+// places each child among them and does not re-sort. A store scan builds
+// kids by walking the schema whatever order the loaded document had, a
+// shipment decoder rebuilds what a scan encoded, Split and FromDocument keep
+// the order of their input, and the endpoint checks a virtual fragment with
+// ValidateInstance. An instance from anywhere else — a hand-built one, or
+// FromDocument over a document not known to conform — needs ValidateInstance
+// first, or its out-of-order kids stay out of order.
 func Combine(sch *schema.Schema, parent, child *Instance) (*Instance, error) {
 	j, err := newJoiner(sch, parent, child.Frag)
 	if err != nil {
@@ -199,7 +210,6 @@ func Combine(sch *schema.Schema, parent, child *Instance) (*Instance, error) {
 				child.Frag.Name, parent.Frag.Name, rec.ID, rec.Parent)
 		}
 	}
-	j.finish()
 	merged, err := mergeFragments(sch, parent.Frag, child.Frag)
 	if err != nil {
 		return nil, err
@@ -215,15 +225,25 @@ func Combine(sch *schema.Schema, parent, child *Instance) (*Instance, error) {
 type joiner struct {
 	sch       *schema.Schema
 	parent    *Instance
-	childFrag *Fragment
-	joinElems []string
-	touched   map[*xmltree.Node]bool
-	// arena batches the copy-on-write clones: a Combine over a Share'd
-	// instance (every delta exchange runs over a shared base) clones each
-	// record it touches, and the clones live exactly as long as the merged
-	// instance they end up in. A joiner is single-goroutine, which is what
-	// an arena requires.
+	joinElems []joinElem
+	// arena batches the copy-on-write clones and the kid slices attach
+	// grows: a Combine over a Share'd instance (every delta exchange runs
+	// over a shared base) clones each record it touches, every attach past a
+	// node's capacity needs a longer slice, and both live exactly as long as
+	// the merged instance they end up in. A joiner is single-goroutine,
+	// which is what an arena requires.
 	arena xmltree.Arena
+}
+
+// joinElem is one possible schema parent of the child fragment's root,
+// with everything attach needs to place a child under an instance of it
+// resolved once per Combine instead of once per node.
+type joinElem struct {
+	name string
+	// order ranks the element's possible children (schema.ChildOrderMap);
+	// rank is the child root's own position in it.
+	order map[string]int
+	rank  int
 }
 
 // newJoiner validates the join (Definition 3.7's "specific join
@@ -232,17 +252,20 @@ type joiner struct {
 // item all six regions must be present or some records would be orphaned)
 // and indexes the parent's current records.
 func newJoiner(sch *schema.Schema, parent *Instance, childFrag *Fragment) (*joiner, error) {
-	joinElems := sch.Parents(childFrag.Root)
-	if len(joinElems) == 0 {
+	parents := sch.Parents(childFrag.Root)
+	if len(parents) == 0 {
 		return nil, fmt.Errorf("core: cannot combine %q into %q: %q is the schema root", childFrag.Name, parent.Frag.Name, childFrag.Root)
 	}
-	for _, p := range joinElems {
+	joinElems := make([]joinElem, len(parents))
+	for i, p := range parents {
 		if !parent.Frag.Elems[p] {
 			return nil, fmt.Errorf("core: cannot combine %q into %q: parent element %q of %q missing", childFrag.Name, parent.Frag.Name, p, childFrag.Root)
 		}
+		order := sch.ChildOrderMap(p)
+		joinElems[i] = joinElem{name: p, order: order, rank: order[childFrag.Root]}
 	}
 	parent.ensureIndex(sch)
-	return &joiner{sch: sch, parent: parent, childFrag: childFrag, joinElems: joinElems, touched: make(map[*xmltree.Node]bool)}, nil
+	return &joiner{sch: sch, parent: parent, joinElems: joinElems}, nil
 }
 
 // adopt replaces an empty parent with inst wholesale, inheriting inst's
@@ -272,16 +295,15 @@ func (j *joiner) appendParent(recs []*xmltree.Node, shared []bool) {
 func (j *joiner) attach(rec *xmltree.Node, shared bool) bool {
 	var e idxEntry
 	var key nodeKey
-	found := false
-	for _, je := range j.joinElems {
-		key = nodeKey{name: je, id: rec.Parent}
+	var je *joinElem
+	for i := range j.joinElems {
+		key = nodeKey{name: j.joinElems[i].name, id: rec.Parent}
 		if ent, ok := j.parent.idx[key]; ok {
-			e = ent
-			found = true
+			e, je = ent, &j.joinElems[i]
 			break
 		}
 	}
-	if !found {
+	if je == nil {
 		return false
 	}
 	if j.parent.sharedRec(e.rec) {
@@ -292,78 +314,31 @@ func (j *joiner) attach(rec *xmltree.Node, shared bool) bool {
 	if shared {
 		child = rec.CloneInto(&j.arena)
 	}
-	e.n.AddKid(child)
+	j.place(e.n, child, je)
 	j.parent.indexTree(child, e.rec)
-	j.touched[e.n] = true
 	return true
 }
 
-// finish recovers the child order dictated by the XML Schema (Definition
-// 3.7) under every parent instance that received children.
-func (j *joiner) finish() {
-	for p := range j.touched {
-		sortKids(j.sch, p)
+// place inserts child among p's kids at the position the XML Schema
+// dictates (Definition 3.7): after every kid that ranks at or below it,
+// which is where appending and then stably sorting would leave it. It
+// rests on p's kids already being in schema order — every Scan, shipment
+// decoder, Split and earlier Combine hands records over that way. The
+// common case, a last kid that is a same-named sibling or ranks no higher,
+// is one string compare (and at most one rank lookup) and an append; only
+// a child that belongs before the last kid searches for its slot. A full
+// kid slice moves into the joiner's arena, first cut to the element's
+// schema fan-out, instead of regrowing on the heap once per attach.
+func (j *joiner) place(p, child *xmltree.Node, je *joinElem) {
+	kids := p.Kids
+	at := len(kids)
+	if at > 0 && kids[at-1].Name != child.Name && je.order[kids[at-1].Name] > je.rank {
+		at = sort.Search(at-1, func(i int) bool { return je.order[kids[i].Name] > je.rank })
 	}
-}
-
-// sortKids stably reorders n's children into schema order.
-func sortKids(sch *schema.Schema, n *xmltree.Node) { SortKids(sch, n) }
-
-// SortKids stably reorders n's children into schema order (Definition 3.7)
-// using the cached child-order map. Exported for stores that reassemble
-// records outside the executor. It avoids sort.SliceStable: the reflective
-// swapper and the closure were two heap allocations per touched parent,
-// which dominated Combine-heavy exchanges.
-func SortKids(sch *schema.Schema, n *xmltree.Node) {
-	kids := n.Kids
-	if len(kids) < 2 {
-		return
+	if len(kids) == cap(kids) {
+		kids = append(j.arena.Kids(max(2*len(kids), len(je.order))), kids...)
 	}
-	order := sch.ChildOrderMap(n.Name)
-	// Appends arrive grouped by producer, so runs are usually already in
-	// schema order; detect that before touching anything.
-	sorted := true
-	for i := 1; i < len(kids); i++ {
-		if order[kids[i].Name] < order[kids[i-1].Name] {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	if len(kids) <= 32 {
-		// Stable insertion sort; equal keys never swap.
-		for i := 1; i < len(kids); i++ {
-			for j := i; j > 0 && order[kids[j].Name] < order[kids[j-1].Name]; j-- {
-				kids[j], kids[j-1] = kids[j-1], kids[j]
-			}
-		}
-		return
-	}
-	// Stable counting sort: keys are positions among the parent's possible
-	// children, so the key space is tiny and one linear pass places every
-	// kid in order.
-	maxKey := 0
-	for _, k := range order {
-		if k > maxKey {
-			maxKey = k
-		}
-	}
-	counts := make([]int, maxKey+2)
-	for _, k := range kids {
-		counts[order[k.Name]+1]++
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	out := make([]*xmltree.Node, len(kids))
-	for _, k := range kids {
-		key := order[k.Name]
-		out[counts[key]] = k
-		counts[key]++
-	}
-	copy(kids, out)
+	p.Kids = slices.Insert(kids, at, child)
 }
 
 // mergeFragments returns the fragment covering the union of a and b, rooted
@@ -482,9 +457,10 @@ func (sp *splitter) extract(rec *xmltree.Node, out map[*Fragment][]*xmltree.Node
 }
 
 // FromDocument extracts the instance of every fragment of fr from a full
-// document (which must conform to fr's schema and carry instance IDs, e.g.
-// via AssignIDs). It is the reference implementation of a source Scan and
-// is also how documents are loaded in tests.
+// document (which must conform to fr's schema, child order included, and
+// carry instance IDs, e.g. via AssignIDs; it is not checked here —
+// ValidateInstance does). It is the reference implementation of a source
+// Scan and is also how documents are loaded in tests.
 func FromDocument(fr *Fragmentation, doc *xmltree.Node) (map[string]*Instance, error) {
 	whole, err := NewFragment(fr.Schema, "", fr.Schema.Names())
 	if err != nil {

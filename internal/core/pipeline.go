@@ -379,7 +379,6 @@ func (r *pipeRun) runCombine(op *Op) (int, bool) {
 			op, ce.Frag.Name, pe.Frag.Name, pc.rec.ID, pc.rec.Parent))
 		return 0, false
 	}
-	j.finish()
 	p := j.parent
 	// The combine's planned output fragment is authoritative; the handoff
 	// keeps the incrementally built join index for downstream Combines.

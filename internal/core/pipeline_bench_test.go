@@ -18,14 +18,28 @@ import (
 )
 
 // chainFixture builds a schema root -> a1*..ak*, a fragmentation with one
-// fragment per element, and a document with reps records per child.
-func chainFixture(b *testing.B, k, reps int) (*Fragmentation, *xmltree.Node) {
+// fragment per element, and a document with reps records per child. With
+// spread, the children hang one each under reps repeated mid elements
+// instead (root -> mid* -> a1..ak), so every attach lands on a different
+// parent instance and a per-attach allocation cannot hide behind one big
+// amortised kid slice.
+func chainFixture(b *testing.B, k, reps int, spread bool) (*Fragmentation, *xmltree.Node) {
 	b.Helper()
 	root := schema.Elem("root")
+	hub, hubs := root, 1
 	parts := [][]string{{"root"}}
+	if spread {
+		hub, hubs = schema.Elem("mid"), reps
+		root.Children = append(root.Children, schema.Rep(hub))
+		parts[0] = append(parts[0], "mid")
+	}
 	for i := 1; i <= k; i++ {
 		name := fmt.Sprintf("a%d", i)
-		root.Children = append(root.Children, schema.Rep(schema.Elem(name)))
+		child := schema.Elem(name)
+		if !spread {
+			child = schema.Rep(child)
+		}
+		hub.Children = append(hub.Children, child)
 		parts = append(parts, []string{name})
 	}
 	sch := schema.MustNew(root)
@@ -34,17 +48,24 @@ func chainFixture(b *testing.B, k, reps int) (*Fragmentation, *xmltree.Node) {
 		b.Fatal(err)
 	}
 	doc := &xmltree.Node{Name: "root"}
-	for i := 1; i <= k; i++ {
-		for r := 0; r < reps; r++ {
-			doc.AddKid(&xmltree.Node{Name: fmt.Sprintf("a%d", i), Text: "x"})
+	for h := 0; h < hubs; h++ {
+		at := doc
+		if spread {
+			at = &xmltree.Node{Name: "mid"}
+			doc.AddKid(at)
+		}
+		for i := 1; i <= k; i++ {
+			for r := 0; r < reps/hubs; r++ {
+				at.AddKid(&xmltree.Node{Name: fmt.Sprintf("a%d", i), Text: "x"})
+			}
 		}
 	}
 	AssignIDs(doc)
 	return fr, doc
 }
 
-func benchChain(b *testing.B, k int, combine func(*schema.Schema, *Instance, *Instance) (*Instance, error)) {
-	fr, doc := chainFixture(b, k, 200)
+func benchChain(b *testing.B, k int, spread bool, combine func(*schema.Schema, *Instance, *Instance) (*Instance, error)) {
+	fr, doc := chainFixture(b, k, 200, spread)
 	sch := fr.Schema
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,12 +88,17 @@ func benchChain(b *testing.B, k int, combine func(*schema.Schema, *Instance, *In
 func BenchmarkChainedCombine(b *testing.B) {
 	for _, k := range []int{4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("incremental/k=%d", k), func(b *testing.B) {
-			benchChain(b, k, Combine)
+			benchChain(b, k, false, Combine)
 		})
 		b.Run(fmt.Sprintf("rewalk/k=%d", k), func(b *testing.B) {
-			benchChain(b, k, combineRewalk)
+			benchChain(b, k, false, combineRewalk)
 		})
 	}
+	// The row scripts/alloc_smoke.sh gates: 8 Combines of 200 one-to-one
+	// attaches each, every one under a parent of its own.
+	b.Run("spread/k=8", func(b *testing.B) {
+		benchChain(b, 8, true, Combine)
+	})
 }
 
 // combineRewalk is the pre-incremental-index Combine, kept verbatim as the

@@ -160,7 +160,7 @@ func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *c
 	d := wire.NewShipmentDecoderInto(sch, lookup, inbound)
 	d.CommitLock = &ts.mu
 	d.OnChunk = ts.ledger.AdmitChunk
-	d.KeepRecord = ts.ledger.KeepRecord
+	d.KeepRecords = ts.ledger.KeepRecords
 	d.ChunkDone = ts.ledger.ChunkDone
 	d.OnTombs = func(key string, seq int64, ids []string) error {
 		return ts.commitTombLocked(key, seq, ids)
@@ -198,7 +198,7 @@ func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *c
 // applied before checkpointed) holds per chunk.
 func (ts *targetSession) commitAsyncLocked(out map[string]*core.Instance, key string, frag *core.Fragment, seq int64, recs []*xmltree.Node) error {
 	unmark := func() {
-		// KeepRecord marked these seen before the commit; forget them
+		// KeepRecords marked these seen before the commit; forget them
 		// again or a retried chunk would dedup them away and lose data.
 		for _, rec := range recs {
 			ts.ledger.Unmark(key, rec.ID)
@@ -231,7 +231,7 @@ func (ts *targetSession) commitAsyncLocked(out map[string]*core.Instance, key st
 // discipline as record chunks: journaled before applied, applied before
 // checkpointed. Batch journals ride the pipelined-commit queue, sync
 // journals block, and the memory-only default applies immediately.
-// Tombstone IDs never pass KeepRecord, so there is nothing to unmark on
+// Tombstone IDs never pass KeepRecords, so there is nothing to unmark on
 // failure.
 func (ts *targetSession) commitTombLocked(key string, seq int64, ids []string) error {
 	if ts.j != nil && ts.j.Batched() {

@@ -2,8 +2,10 @@ package publish
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"xdx/internal/core"
 	"xdx/internal/relstore"
@@ -55,18 +57,29 @@ func TestPublishFromMFCostsMoreThanLF(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{TargetBytes: 200_000, Seed: 2})
 	mf := loadedStore(t, core.MostFragmented(sch), doc)
 	lf := loadedStore(t, core.LeastFragmented(sch), doc)
-	var sink bytes.Buffer
-	mfRes, err := Publish(mf, &sink)
-	if err != nil {
-		t.Fatal(err)
+	// Best of fifteen runs a side, not one: since Combine places children
+	// instead of sorting them and the store scans by column position, these
+	// 200 KB publish in about 1.0 ms from MF and 0.45 ms from LF (3.5 and
+	// 1.0 ms before), so the gap is 2x where it was 3.5x, and a garbage
+	// collection landing in one run costs as much as the run. One run a side
+	// got the order wrong one time in five after that change; neither a
+	// larger document nor alternating the sides helped (the note under
+	// Table 2 in EXPERIMENTS.md has the counts).
+	best := func(st *relstore.Store) time.Duration {
+		var min time.Duration
+		for i := 0; i < 15; i++ {
+			res, err := Publish(st, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 || res.QueryTime < min {
+				min = res.QueryTime
+			}
+		}
+		return min
 	}
-	sink.Reset()
-	lfRes, err := Publish(lf, &sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mfRes.QueryTime <= lfRes.QueryTime {
-		t.Errorf("publish from MF (%v) should cost more than from LF (%v)", mfRes.QueryTime, lfRes.QueryTime)
+	if mfTime, lfTime := best(mf), best(lf); mfTime <= lfTime {
+		t.Errorf("publish from MF (%v) should cost more than from LF (%v)", mfTime, lfTime)
 	}
 }
 

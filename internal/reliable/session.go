@@ -24,7 +24,7 @@ import (
 )
 
 // Ledger is the target-side idempotency state of one shipment session.
-// Its methods match the wire.ShipmentDecoder hooks (AdmitChunk/KeepRecord/
+// Its methods match the wire.ShipmentDecoder hooks (AdmitChunk/KeepRecords/
 // ChunkDone), so an endpoint plugs a ledger straight into the decoder.
 type Ledger struct {
 	mu      sync.Mutex
@@ -63,23 +63,28 @@ func (l *Ledger) ChunkDone(seq int64) {
 	}
 }
 
-// KeepRecord implements record-level idempotency: the first time an
-// (edge, ID) pair is committed it is remembered and kept; replays are
-// dropped and counted. Records without IDs pass through — the chunk
-// checkpoint already covers them.
-func (l *Ledger) KeepRecord(edge string, rec *xmltree.Node) bool {
-	if rec.ID == "" {
-		return true
-	}
+// KeepRecords implements record-level idempotency for one chunk: the first
+// time an (edge, ID) pair is committed it is remembered and kept; replays
+// are dropped and counted. Records without IDs pass through — the chunk
+// checkpoint already covers them. It filters recs in place and returns the
+// kept prefix, deciding the whole chunk under one lock and one lookup of
+// the edge's ID set (the caller holds the session's commit lock meanwhile).
+func (l *Ledger) KeepRecords(edge string, recs []*xmltree.Node) []*xmltree.Node {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ids := l.idsLocked(edge)
-	if _, dup := ids[rec.ID]; dup {
-		l.deduped++
-		return false
+	kept := recs[:0]
+	for _, rec := range recs {
+		if rec.ID != "" {
+			if _, dup := ids[rec.ID]; dup {
+				l.deduped++
+				continue
+			}
+			ids[rec.ID] = struct{}{}
+		}
+		kept = append(kept, rec)
 	}
-	ids[rec.ID] = struct{}{}
-	return true
+	return kept
 }
 
 // idsLocked returns the edge's committed-ID set, creating it on first
@@ -105,7 +110,7 @@ func (l *Ledger) Restore(next int64) {
 }
 
 // MarkSeen seeds one committed (edge, record ID) pair from recovered
-// durable state — unlike KeepRecord it neither filters nor counts a
+// durable state — unlike KeepRecords it neither filters nor counts a
 // dedup, it only remembers.
 func (l *Ledger) MarkSeen(edge, id string) {
 	if id == "" {
@@ -117,7 +122,7 @@ func (l *Ledger) MarkSeen(edge, id string) {
 }
 
 // Unmark forgets a committed (edge, record ID) pair. It is the rollback
-// for a commit whose durable journaling failed after KeepRecord already
+// for a commit whose durable journaling failed after KeepRecords already
 // marked its records: without it the retry of that chunk would dedup the
 // records away and lose them.
 func (l *Ledger) Unmark(edge, id string) {

@@ -39,21 +39,26 @@ func TestLedgerChunkCheckpoint(t *testing.T) {
 	}
 }
 
+// keepRecord asks the ledger about a chunk of one.
+func keepRecord(l *Ledger, edge string, rec *xmltree.Node) bool {
+	return len(l.KeepRecords(edge, []*xmltree.Node{rec})) == 1
+}
+
 func TestLedgerRecordDedup(t *testing.T) {
 	l := NewLedger()
 	r1 := &xmltree.Node{Name: "Customer", ID: "c1"}
 	r2 := &xmltree.Node{Name: "Customer", ID: "c2"}
 	anon := &xmltree.Node{Name: "Customer"}
-	if !l.KeepRecord("e1", r1) || !l.KeepRecord("e1", r2) {
+	if !keepRecord(l, "e1", r1) || !keepRecord(l, "e1", r2) {
 		t.Fatal("first sighting dropped")
 	}
-	if l.KeepRecord("e1", r1) {
+	if keepRecord(l, "e1", r1) {
 		t.Fatal("replayed record kept")
 	}
-	if !l.KeepRecord("e2", r1) {
+	if !keepRecord(l, "e2", r1) {
 		t.Fatal("same ID on a different edge must be distinct")
 	}
-	if !l.KeepRecord("e1", anon) || !l.KeepRecord("e1", anon) {
+	if !keepRecord(l, "e1", anon) || !keepRecord(l, "e1", anon) {
 		t.Fatal("ID-less records must always pass")
 	}
 	if l.Deduped() != 1 {
@@ -62,22 +67,22 @@ func TestLedgerRecordDedup(t *testing.T) {
 	// A failed journal append rolls its records back: Unmark forgets the
 	// pair on that edge only, and the retried chunk is admitted again.
 	l.Unmark("e1", "c1")
-	if l.KeepRecord("e2", r1) {
+	if keepRecord(l, "e2", r1) {
 		t.Fatal("Unmark on e1 forgot the same ID on e2")
 	}
-	if !l.KeepRecord("e1", r1) || l.KeepRecord("e1", r1) {
+	if !keepRecord(l, "e1", r1) || keepRecord(l, "e1", r1) {
 		t.Fatal("Unmark must re-admit the record exactly once")
 	}
 	l.Unmark("never-seen", "c1")
 	// Recovery seeds pairs without counting them as dedups.
 	before := l.Deduped()
 	l.MarkSeen("e3", "c2")
-	if l.Deduped() != before || l.KeepRecord("e3", r2) || !l.KeepRecord("e3", r1) {
+	if l.Deduped() != before || keepRecord(l, "e3", r2) || !keepRecord(l, "e3", r1) {
 		t.Fatal("MarkSeen must remember exactly the seeded pair")
 	}
 	// Edge and ID are separate keys, not one concatenation: pairs whose
 	// joined bytes coincide stay apart.
-	if !l.KeepRecord("a\x00b", &xmltree.Node{ID: "c"}) || !l.KeepRecord("a", &xmltree.Node{ID: "b\x00c"}) {
+	if !keepRecord(l, "a\x00b", &xmltree.Node{ID: "c"}) || !keepRecord(l, "a", &xmltree.Node{ID: "b\x00c"}) {
 		t.Fatal("(edge, ID) pairs aliased across the edge boundary")
 	}
 }
@@ -90,23 +95,19 @@ func TestLedgerSteadyStateAllocatesNothing(t *testing.T) {
 	recs := make([]*xmltree.Node, 512)
 	for i := range recs {
 		recs[i] = &xmltree.Node{Name: "item", ID: fmt.Sprintf("1.%d", i)}
-		l.KeepRecord("0:items", recs[i])
+		keepRecord(l, "0:items", recs[i])
 	}
 	replay := testing.AllocsPerRun(10, func() {
-		for _, r := range recs {
-			if l.KeepRecord("0:items", r) {
-				t.Fatal("replay kept")
-			}
+		if len(l.KeepRecords("0:items", recs)) != 0 {
+			t.Fatal("replay kept")
 		}
 	})
 	readmit := testing.AllocsPerRun(10, func() {
 		for _, r := range recs {
 			l.Unmark("0:items", r.ID)
 		}
-		for _, r := range recs {
-			if !l.KeepRecord("0:items", r) {
-				t.Fatal("unmarked record dropped")
-			}
+		if len(l.KeepRecords("0:items", recs)) != len(recs) {
+			t.Fatal("unmarked record dropped")
 		}
 	})
 	if replay != 0 || readmit != 0 {

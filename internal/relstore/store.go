@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"xdx/internal/core"
@@ -41,6 +42,26 @@ type tableDesc struct {
 	// flat); repElems its subtree within the fragment, in pre-order.
 	repRoot  string
 	repElems []string
+
+	// The column plan, compiled once by columns so that scanning and
+	// shredding index rows by position instead of looking "<elem>$id" up
+	// per cell: every member element's plan by name, and those of the
+	// fragment root and of repRoot (nil when the fragment is flat).
+	plan      map[string]*elemPlan
+	root, rep *elemPlan
+}
+
+// parentCol is the position of "$parent", the first column of every table.
+const parentCol = 0
+
+// elemPlan is where one member element lives in a row.
+type elemPlan struct {
+	name string
+	// idCol is the "<elem>$id" column; txtCol the "<elem>$txt" column, or
+	// -1 for an interior element.
+	idCol, txtCol int
+	// kids are the element's in-fragment children in schema order.
+	kids []*elemPlan
 }
 
 // NewStore creates an empty store laid out per fr.
@@ -109,18 +130,29 @@ func describeFragment(sch *schema.Schema, f *core.Fragment) (*tableDesc, error) 
 	return d, nil
 }
 
+// columns lays the table's columns out and compiles the column plan.
 func (d *tableDesc) columns(sch *schema.Schema) []string {
-	cols := []string{"$parent"}
-	add := func(elems []string) {
+	cols := []string{parentCol: "$parent"}
+	d.plan = make(map[string]*elemPlan, len(d.rootElems)+len(d.repElems))
+	for _, elems := range [][]string{d.rootElems, d.repElems} {
 		for _, e := range elems {
+			p := &elemPlan{name: e, idCol: len(cols), txtCol: -1}
 			cols = append(cols, e+"$id")
 			if sch.ByName(e).IsLeaf() {
+				p.txtCol = len(cols)
 				cols = append(cols, e+"$txt")
+			}
+			d.plan[e] = p
+		}
+	}
+	for e, p := range d.plan {
+		for _, c := range sch.AllChildren(e) {
+			if kp := d.plan[c]; kp != nil {
+				p.kids = append(p.kids, kp)
 			}
 		}
 	}
-	add(d.rootElems)
-	add(d.repElems)
+	d.root, d.rep = d.plan[d.frag.Root], d.plan[d.repRoot]
 	return cols
 }
 
@@ -152,7 +184,7 @@ func (s *Store) Load(in *core.Instance) error {
 	defer s.mu.Unlock()
 	t := s.tables[name]
 	d := s.descs[name]
-	sh := &shredder{t: t, d: d, slab: rowSlab{width: len(t.Cols)}, base: make([]string, len(t.Cols))}
+	sh := &shredder{d: d, slab: rowSlab{width: len(t.Cols)}, base: make([]string, len(t.Cols))}
 	rows := make([][]string, 0, len(in.Records))
 	var err error
 	for _, rec := range in.Records {
@@ -200,7 +232,6 @@ func (sl *rowSlab) row() []string {
 // records, and finished rows come from the shared slab, so the per-record
 // allocation count is (amortized) zero.
 type shredder struct {
-	t    *Table
 	d    *tableDesc
 	slab rowSlab
 	base []string // scratch for the non-repeated part, cleared per record
@@ -214,7 +245,7 @@ func (sh *shredder) record(rec *xmltree.Node, rows [][]string) ([][]string, erro
 	}
 	clear(sh.base)
 	sh.reps = sh.reps[:0]
-	sh.base[sh.t.ColIndex("$parent")] = rec.Parent
+	sh.base[parentCol] = rec.Parent
 	if err := sh.walkBase(rec); err != nil {
 		return nil, err
 	}
@@ -235,20 +266,20 @@ func (sh *shredder) record(rec *xmltree.Node, rows [][]string) ([][]string, erro
 }
 
 func (sh *shredder) fill(row []string, n *xmltree.Node) error {
-	ci := sh.t.ColIndex(n.Name + "$id")
-	if ci < 0 {
+	p := sh.d.plan[n.Name]
+	if p == nil {
 		return fmt.Errorf("relstore: record for %q contains unexpected element %q", sh.d.frag.Name, n.Name)
 	}
-	if row[ci] != "" {
+	if row[p.idCol] != "" {
 		return fmt.Errorf("relstore: record for %q repeats element %q", sh.d.frag.Name, n.Name)
 	}
 	id := n.ID
 	if id == "" {
 		id = "-"
 	}
-	row[ci] = id
-	if ti := sh.t.ColIndex(n.Name + "$txt"); ti >= 0 {
-		row[ti] = n.Text
+	row[p.idCol] = id
+	if p.txtCol >= 0 {
+		row[p.txtCol] = n.Text
 	}
 	return nil
 }
@@ -296,121 +327,79 @@ func (s *Store) ScanFragment(fragName string) (*core.Instance, error) {
 	}
 	t := s.tables[fragName]
 	d := s.descs[fragName]
-	sch := s.Layout.Schema
 	inst := &core.Instance{Frag: f, Records: make([]*xmltree.Node, 0, t.Len())}
-	// The attachment point of repeated subtrees is a fixed element per
-	// fragment; resolve it once instead of building a name→node map per row.
-	attachElem := ""
-	if d.repRoot != "" {
-		attachElem = sch.ParentOf(d.repRoot)
-	}
 	// All records of one scan share an arena: the instance is the decode
-	// unit, so its nodes live and die together.
-	var arena xmltree.Arena
-	var curRoot *xmltree.Node
-	var curRootID string
-	var attach *xmltree.Node   // the current root's attachment-point node
-	var fixups []*xmltree.Node // nodes whose kid order needs restoring
+	// unit, so its nodes live and die together. The row count bounds what
+	// it will hold, so a ten-row table does not cut minimum-size slabs.
+	sc := fragScan{rep: d.rep}
+	sc.arena.Reserve(t.Len()*len(d.plan), 0)
+	curRootID := ""
 	err := t.Scan(func(row []string) error {
-		rootID := row[t.ColIndex(f.Root+"$id")]
-		if curRoot == nil || rootID != curRootID {
-			rec, at, err := buildPart(sch, d, t, row, f.Root, row[t.ColIndex("$parent")], false, attachElem, &arena)
-			if err != nil {
-				return err
+		if rootID := row[d.root.idCol]; rootID != curRootID || len(inst.Records) == 0 {
+			if rootID == "" {
+				return fmt.Errorf("relstore: row has empty identifier for %q", f.Root)
 			}
-			curRoot, curRootID, attach = rec, rootID, at
-			inst.Records = append(inst.Records, rec)
+			curRootID, sc.attach = rootID, nil
+			inst.Records = append(inst.Records, sc.build(d.root, row, row[parentCol]))
 		}
-		if d.repRoot == "" {
-			return nil
+		if d.rep == nil || row[d.rep.idCol] == "" {
+			return nil // flat fragment, or a root instance without repeated children
 		}
-		repID := row[t.ColIndex(d.repRoot+"$id")]
-		if repID == "" {
-			return nil // root instance without repeated children
+		if sc.attach == nil {
+			return fmt.Errorf("relstore: fragment %q: no attachment point %q for %q", f.Name, s.Layout.Schema.ParentOf(d.repRoot), d.repRoot)
 		}
-		if attach == nil {
-			return fmt.Errorf("relstore: fragment %q: no attachment point %q for %q", f.Name, attachElem, d.repRoot)
-		}
-		rep, _, err := buildPart(sch, d, t, row, d.repRoot, attach.ID, true, "", &arena)
-		if err != nil {
-			return err
-		}
-		if len(attach.Kids) == 0 || attach.Kids[len(attach.Kids)-1].Name != d.repRoot {
-			fixups = append(fixups, attach)
-		}
-		attach.AddKid(rep)
+		sc.attach.Kids = slices.Insert(sc.attach.Kids, sc.repAt, sc.build(d.rep, row, sc.attach.ID))
+		sc.repAt++
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range fixups {
-		core.SortKids(sch, n)
-	}
 	return inst, nil
 }
 
-// buildPart reconstructs either the base part (fromRep=false, stopping at
-// the repeated subtree) or the repeated part of one row. It returns the
-// subtree root and, when wantNode names an element, that element's node
-// (the repeated subtree's attachment point — recording one pointer replaced
-// a per-row name→node map).
-func buildPart(sch *schema.Schema, d *tableDesc, t *Table, row []string, elem, parentID string, fromRep bool, wantNode string, arena *xmltree.Arena) (*xmltree.Node, *xmltree.Node, error) {
-	var want *xmltree.Node
-	var build func(elem, parentID string) (*xmltree.Node, error)
-	build = func(elem, parentID string) (*xmltree.Node, error) {
-		if !fromRep && elem == d.repRoot {
-			return nil, nil // attached per-row later
-		}
-		id := row[t.ColIndex(elem+"$id")]
-		if id == "" {
-			return nil, nil // optional element absent
-		}
-		if id == "-" {
-			id = ""
-		}
-		n := arena.New()
-		n.Name, n.ID, n.Parent = elem, id, parentID
-		if elem == wantNode {
-			want = n
-		}
-		if ti := t.ColIndex(elem + "$txt"); ti >= 0 {
-			n.Text = row[ti]
-		}
-		for _, c := range sch.AllChildren(elem) {
-			if !d.frag.Elems[c] {
-				continue
-			}
-			if fromRep && !inElems(d.repElems, c) {
-				continue
-			}
-			k, err := build(c, id)
-			if err != nil {
-				return nil, err
-			}
-			if k != nil {
-				n.AddKid(k)
-			}
-		}
-		return n, nil
-	}
-	root, err := build(elem, parentID)
-	if err != nil {
-		return nil, nil, err
-	}
-	if root == nil {
-		return nil, nil, fmt.Errorf("relstore: row has empty identifier for %q", elem)
-	}
-	return root, want, nil
+// fragScan rebuilds record trees from the rows of one fragment's table.
+type fragScan struct {
+	rep   *elemPlan // the repeated subtree's plan, nil for a flat fragment
+	arena xmltree.Arena
+	// attach is the current record's attachment point for repeated
+	// subtrees (nil until build meets it) and repAt the position among its
+	// kids where the next one goes: the slot the schema gives repRoot,
+	// after the repeats already placed there.
+	attach *xmltree.Node
+	repAt  int
 }
 
-func inElems(list []string, e string) bool {
-	for _, x := range list {
-		if x == e {
-			return true
+// build reconstructs p's subtree from row by the compiled column plan, or
+// returns nil when the (optional) element is absent. Building the base part
+// stops at the repeated subtree, whose instances the scan attaches per row,
+// and records where they go.
+func (sc *fragScan) build(p *elemPlan, row []string, parentID string) *xmltree.Node {
+	id := row[p.idCol]
+	if id == "" {
+		return nil
+	}
+	if id == "-" {
+		id = ""
+	}
+	n := sc.arena.New()
+	n.Name, n.ID, n.Parent = p.name, id, parentID
+	if p.txtCol >= 0 {
+		n.Text = row[p.txtCol]
+	}
+	if len(p.kids) > 0 {
+		n.Kids = sc.arena.Kids(len(p.kids))
+	}
+	for _, kp := range p.kids {
+		if kp == sc.rep {
+			sc.attach, sc.repAt = n, len(n.Kids)
+			continue
+		}
+		if k := sc.build(kp, row, id); k != nil {
+			n.Kids = append(n.Kids, k)
 		}
 	}
-	return false
+	return n
 }
 
 // ScanFragmentWhere is ScanFragment restricted to records whose leaf
@@ -518,11 +507,10 @@ func (s *Store) Stats() (card, bytes map[string]float64) {
 		for e := range f.Elems {
 			n := 0
 			var sz float64
-			idCol := t.ColIndex(e + "$id")
-			txtCol := t.ColIndex(e + "$txt")
+			idCol, txtCol := d.plan[e].idCol, d.plan[e].txtCol
 			lastRoot := ""
-			rootCol := t.ColIndex(f.Root + "$id")
-			inRep := inElems(d.repElems, e)
+			rootCol := d.root.idCol
+			inRep := slices.Contains(d.repElems, e)
 			for i := 0; i < t.Len(); i++ {
 				row := t.Row(i)
 				if row[idCol] == "" {

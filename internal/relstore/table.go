@@ -102,12 +102,14 @@ func (t *Table) ByteSize() int64 {
 	return n
 }
 
-// Index is a hash index over one column.
+// Index is a hash index over one column: key → a dense key number, key
+// number → the positions of the rows holding the key, in row order.
 type Index struct {
 	Col string
 
-	col int
-	m   map[string][]int
+	col  int
+	keys map[string]int
+	post [][]int
 }
 
 // CreateIndex builds (or rebuilds) a hash index over col. The build walks
@@ -117,9 +119,33 @@ func (t *Table) CreateIndex(col string) (*Index, error) {
 	if ci < 0 {
 		return nil, fmt.Errorf("relstore: table %q: no column %q", t.Name, col)
 	}
-	idx := &Index{Col: col, col: ci, m: make(map[string][]int, len(t.rows))}
+	// Postings share one backing array instead of costing one small slice
+	// per distinct key: number the keys and count their rows in one pass
+	// over the map, cut each key exactly its room, then fill in row order
+	// without touching the map again. The three-index cut keeps a later
+	// Insert's append out of a neighbour's room.
+	idx := &Index{Col: col, col: ci, keys: make(map[string]int, len(t.rows))}
+	rowKey := make([]int, len(t.rows))
+	var counts []int
 	for i, r := range t.rows {
-		idx.m[r[ci]] = append(idx.m[r[ci]], i)
+		k, ok := idx.keys[r[ci]]
+		if !ok {
+			k = len(counts)
+			idx.keys[r[ci]] = k
+			counts = append(counts, 0)
+		}
+		counts[k]++
+		rowKey[i] = k
+	}
+	backing := make([]int, len(t.rows))
+	idx.post = make([][]int, len(counts))
+	off := 0
+	for k, n := range counts {
+		idx.post[k] = backing[off : off : off+n]
+		off += n
+	}
+	for i, k := range rowKey {
+		idx.post[k] = append(idx.post[k], i)
 	}
 	t.indexes[col] = idx
 	return idx, nil
@@ -143,14 +169,22 @@ func (t *Table) Lookup(col, key string) ([][]string, error) {
 		return nil, fmt.Errorf("relstore: table %q: column %q not indexed", t.Name, col)
 	}
 	var out [][]string
-	for _, i := range idx.m[key] {
-		out = append(out, t.rows[i])
+	if k, ok := idx.keys[key]; ok {
+		for _, i := range idx.post[k] {
+			out = append(out, t.rows[i])
+		}
 	}
 	return out, nil
 }
 
 func (idx *Index) add(row []string, at int) {
-	idx.m[row[idx.col]] = append(idx.m[row[idx.col]], at)
+	k, ok := idx.keys[row[idx.col]]
+	if !ok {
+		k = len(idx.post)
+		idx.keys[row[idx.col]] = k
+		idx.post = append(idx.post, nil)
+	}
+	idx.post[k] = append(idx.post[k], at)
 }
 
 // HashJoin joins left and right on left.leftCol = right.rightCol and

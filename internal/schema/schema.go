@@ -206,10 +206,10 @@ func (s *Schema) ChildOrder(parent, child string) int {
 }
 
 // ChildOrderMap returns a map from child element name to its position among
-// name's possible children (AllChildren order), cached per element — Combine
-// consults it for every parent instance that receives children, and
-// rebuilding the map per touched parent dominated chained merges. The
-// returned map is shared across callers and must not be mutated.
+// name's possible children (AllChildren order), cached per element — a
+// Combine resolves it once per join element and ranks kids by it when a
+// child has to be placed before its parent's last kid. The returned map is
+// shared across callers and must not be mutated.
 func (s *Schema) ChildOrderMap(name string) map[string]int {
 	s.orderMu.RLock()
 	m := s.orderCache[name]

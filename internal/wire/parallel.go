@@ -19,7 +19,7 @@ package wire
 // bounded worker pool while the scanner races ahead; parsed chunks COMMIT
 // strictly in stream order on the scanner's goroutine, so every decoder
 // semantic is preserved exactly — OnChunk admission and its under-lock
-// recheck, KeepRecord filtering, ChunkDone checkpointing, CommitLock
+// recheck, KeepRecords filtering, ChunkDone checkpointing, CommitLock
 // serialization against concurrent delivery attempts, and chunk-atomic
 // staging (a torn chunk dies in its worker's parse; committed chunks are
 // a prefix of the stream). Tagged-XML chunks build their trees on the

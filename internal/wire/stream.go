@@ -452,15 +452,17 @@ type ShipmentDecoder struct {
 	// the whole chunk — the resume path of a shipment session declines
 	// chunks below the target's checkpoint without parsing their records.
 	OnChunk func(seq int64) bool
-	// KeepRecord, when set, filters each staged record at commit time; the
-	// reliable ledger plugs in here to drop replayed records by (edge, ID).
-	KeepRecord func(edge string, rec *xmltree.Node) bool
+	// KeepRecords, when set, filters each chunk's records at commit time,
+	// in place: it returns the prefix of recs that holds the records to
+	// keep, in order. The reliable ledger plugs in here to drop replayed
+	// records by (edge, ID), once per chunk rather than once per record.
+	KeepRecords func(edge string, recs []*xmltree.Node) []*xmltree.Node
 	// ChunkDone, when set, fires after a chunk commits — the moment it is
 	// safe to checkpoint its seq.
 	ChunkDone func(seq int64)
 	// OnCommit, when set, fires inside each chunk commit with the
 	// post-dedup records about to enter the instance map — after
-	// KeepRecord filtered replays, before ChunkDone advances the
+	// KeepRecords filtered replays, before ChunkDone advances the
 	// checkpoint. A durable endpoint journals the chunk here: the write-
 	// ahead invariant is exactly this ordering (logged before
 	// checkpointable). An error aborts the commit — nothing reaches the
@@ -475,7 +477,7 @@ type ShipmentDecoder struct {
 	// it submits the journal frame and returns immediately, so the
 	// scanner parses the next chunk while the previous one's fsync is in
 	// flight, and only the *ack* (checkpoint + response) waits. OnChunk
-	// admission, KeepRecord dedup, and CommitLock still apply exactly as
+	// admission, KeepRecords dedup, and CommitLock still apply exactly as
 	// in the synchronous path. An error aborts the commit and fails the
 	// delivery attempt.
 	CommitAsync func(key string, frag *core.Fragment, seq int64, recs []*xmltree.Node) error
@@ -823,7 +825,7 @@ func parseRawChunk(text []byte, format, enc string, frag *core.Fragment, sch *sc
 }
 
 // commitRecs moves one parsed chunk's records into the shared instance
-// map, under CommitLock when set; KeepRecord filters replays, and
+// map, under CommitLock when set; KeepRecords filters replays, and
 // ChunkDone marks the seq checkpointable.
 func (d *ShipmentDecoder) commitRecs(key string, frag *core.Fragment, seq int64, recs []*xmltree.Node) error {
 	if d.CommitLock != nil {
@@ -836,13 +838,8 @@ func (d *ShipmentDecoder) commitRecs(key string, frag *core.Fragment, seq int64,
 		return nil
 	}
 	kept := recs
-	if d.KeepRecord != nil {
-		kept = make([]*xmltree.Node, 0, len(recs))
-		for _, rec := range recs {
-			if d.KeepRecord(key, rec) {
-				kept = append(kept, rec)
-			}
-		}
+	if d.KeepRecords != nil {
+		kept = d.KeepRecords(key, recs)
 	}
 	if d.CommitAsync != nil {
 		// The async consumer owns the map append and the ChunkDone

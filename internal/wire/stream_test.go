@@ -484,10 +484,10 @@ func TestDecoderOnChunkSkips(t *testing.T) {
 	}
 }
 
-// TestDecoderKeepRecordDedup checks record-level idempotency: decoding the
+// TestDecoderKeepRecordsDedup checks record-level idempotency: decoding the
 // same delivery twice into one shared map keeps each record once when
-// KeepRecord filters by (edge, ID), the ledger's key.
-func TestDecoderKeepRecordDedup(t *testing.T) {
+// KeepRecords filters by (edge, ID), the ledger's key.
+func TestDecoderKeepRecordsDedup(t *testing.T) {
 	sch, f, rec := chunkFixture(t)
 	var buf bytes.Buffer
 	sw := NewShipmentWriter(&buf, sch, false)
@@ -499,17 +499,19 @@ func TestDecoderKeepRecordDedup(t *testing.T) {
 
 	out := map[string]*core.Instance{}
 	seen := map[string]bool{}
-	keep := func(edge string, r *xmltree.Node) bool {
-		k := edge + "\x00" + r.ID
-		if seen[k] {
-			return false
+	keep := func(edge string, recs []*xmltree.Node) []*xmltree.Node {
+		kept := recs[:0]
+		for _, r := range recs {
+			if k := edge + "\x00" + r.ID; !seen[k] {
+				seen[k] = true
+				kept = append(kept, r)
+			}
 		}
-		seen[k] = true
-		return true
+		return kept
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		d := NewShipmentDecoderInto(sch, func(string) *core.Fragment { return f }, out)
-		d.KeepRecord = keep
+		d.KeepRecords = keep
 		if err := xmltree.ScanAttrs(bytes.NewReader(wireBytes), d); err != nil {
 			t.Fatal(err)
 		}
@@ -607,7 +609,7 @@ func (y yieldReader) Read(p []byte) (int, error) {
 // client retry racing a straggler whose torn connection is still draining.
 // CommitLock serializes the commits (this test is the -race coverage for
 // that), and the commit-time admission re-check keeps every chunk exactly
-// once. The records here carry no IDs on purpose: KeepRecord passes ID-less
+// once. The records here carry no IDs on purpose: KeepRecords passes ID-less
 // records through, so the re-check under the lock is the only thing
 // standing between an overlapping attempt and duplicated records.
 func TestDecoderConcurrentAttemptsExactlyOnce(t *testing.T) {
@@ -644,7 +646,7 @@ func TestDecoderConcurrentAttemptsExactlyOnce(t *testing.T) {
 			d := NewShipmentDecoderInto(sch, func(string) *core.Fragment { return f }, out)
 			d.CommitLock = &commit
 			d.OnChunk = led.AdmitChunk
-			d.KeepRecord = led.KeepRecord
+			d.KeepRecords = led.KeepRecords
 			d.ChunkDone = led.ChunkDone
 			// The start gate plus yield-per-byte reads keep all eight
 			// attempts mid-shipment at once; a plain reader (on a small

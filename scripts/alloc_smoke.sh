@@ -1,16 +1,20 @@
 #!/bin/sh
 # Allocation-regression smoke: short runs of BenchmarkFigure9_EndToEnd,
-# BenchmarkShipmentCodecParallel/w1 and
-# BenchmarkReliableExchangeDurable/batch, compared against the committed
+# BenchmarkShipmentCodecParallel/w1,
+# BenchmarkReliableExchangeDurable/batch and
+# BenchmarkChainedCombine/spread/k=8, compared against the committed
 # benchmark snapshot. The first is the in-process end-to-end path — row
 # slabs, splitter and shredder arenas, pooled codec state; the second is
 # the bin shipment decoder, whose nodes, child slices and strings all come
 # out of per-chunk slabs (Figure 9 never decodes a shipment, so it cannot
 # see that); the third is the only snapshot benchmark that crosses the
 # agency, so the only one that sees what its chunk relay allocates per
-# chunk. A >25% allocs/op regression on any of them means someone
-# reintroduced a per-record allocation, and the gate should say so before
-# a slow benchmark run does. Wall-clock is deliberately not checked —
+# chunk; the fourth is 1,600 attaches each under a parent of its own, whose
+# kid slices grow out of the joiner's arena (the k-Combines-into-one-root
+# rows amortise a per-attach allocation away and would not see it). A >25%
+# allocs/op regression on any of them means someone reintroduced a
+# per-record allocation, and the gate should say so before a slow benchmark
+# run does. Wall-clock is deliberately not checked —
 # allocs/op is load-independent, time on a busy CI box is not.
 set -eu
 
@@ -40,3 +44,4 @@ check() {
 check Figure9_EndToEnd .
 check ShipmentCodecParallel/w1 ./internal/wire/
 check ReliableExchangeDurable/batch ./internal/registry/
+check ChainedCombine/spread/k=8 ./internal/core/

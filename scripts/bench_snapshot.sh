@@ -2,6 +2,8 @@
 # Snapshot the benchmark set into BENCH_$BENCH_N.json: the four
 # shipment-format ablations (XML, feed, bin, bin+flate on the MF and LF
 # layouts) with their wire sizes, the end-to-end Figure 9 run, the
+# chained-Combine rows (k Combines into one parent, and the one-to-one
+# "spread" shape whose allocs/op alloc_smoke.sh gates), the
 # streaming codec's allocation budget, the chunk-parallel codec's worker
 # sweep, the durability set (WAL append cost per fsync policy, recovery
 # time vs log length, and the journaled reliable-exchange round trip),
@@ -24,7 +26,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH_N="${BENCH_N:-12}"
+BENCH_N="${BENCH_N:-13}"
 OUT="BENCH_${BENCH_N}.json"
 BENCHTIME=50x
 LOAD_ARGS="-tenants 4 -concurrency 32 -ops 256 -check -min-speedup 3"
@@ -54,6 +56,7 @@ go run ./cmd/xdxload $LOAD_ARGS -quiet -out "$LOAD"
 
 go test -run '^$' -bench 'BenchmarkAblation_ShipFormat' -benchmem -benchtime "$BENCHTIME" . >>"$RAW"
 go test -run '^$' -bench 'BenchmarkFigure9_EndToEnd$' -benchmem -benchtime "$BENCHTIME" . >>"$RAW"
+go test -run '^$' -bench 'BenchmarkChainedCombine/(incremental|spread)' -benchmem -benchtime "$BENCHTIME" ./internal/core/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkShipmentCodecStream$' -benchmem -benchtime "$BENCHTIME" ./internal/wire/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkShipmentCodecParallel' -benchmem -benchtime "$BENCHTIME" ./internal/wire/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkWALAppend|BenchmarkWALRecovery|BenchmarkJournalChunk' -benchmem -benchtime "$BENCHTIME" ./internal/durable/ >>"$RAW"
