@@ -17,7 +17,8 @@ test:
 	$(GO) test ./...
 
 # The merge gate: vet, build, and the full suite under the race detector
-# (the streaming executor is concurrency-heavy). CI runs the same script.
+# (codec pools, WAL batcher and scheduler are concurrent). CI runs the same
+# script.
 check:
 	./scripts/check.sh
 

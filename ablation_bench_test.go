@@ -1,8 +1,7 @@
 package xdx
 
 // Ablation benchmarks for the design choices DESIGN.md calls out:
-//   - sequential vs parallel program execution (§5.2's unexploited
-//     opportunity);
+//   - program execution (the one batch executor);
 //   - combine-ordering strategy (canonical vs greedy vs exhaustive);
 //   - shipment format (tagged XML with join keys vs sorted feeds);
 //   - placement algorithm (greedy vs exhaustive) at growing fragment
@@ -58,23 +57,6 @@ func BenchmarkAblation_ExecuteSequential(b *testing.B) {
 		src := freshSources(b, m, 3)
 		b.StartTimer()
 		if _, err := core.Execute(g, m.Source.Schema, src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_ExecuteParallel(b *testing.B) {
-	m, _ := ablationSetup(b)
-	g, err := core.CanonicalProgram(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		src := freshSources(b, m, 3)
-		b.StartTimer()
-		if _, err := core.ExecuteParallel(g, m.Source.Schema, src); err != nil {
 			b.Fatal(err)
 		}
 	}

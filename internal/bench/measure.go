@@ -81,6 +81,13 @@ type Results struct {
 	// LoadTime and IndexTime per target layout and size (Table 4).
 	LoadTime  map[key]time.Duration
 	IndexTime map[key]time.Duration
+	// Step1OpRows (rows out of Step 1's Combines and Splits), PublishJoins
+	// (child rows publishing joined) and LoadRows (rows loaded into the
+	// target) are the work behind the Table 1, 2 and 4 times. They repeat
+	// exactly where the times do not, so the shape checks assert them.
+	Step1OpRows  map[key]int
+	PublishJoins map[key]int
+	LoadRows     map[key]int
 }
 
 // CommDE returns the modeled communication time for the optimized exchange
@@ -102,15 +109,18 @@ func (r *Results) CommPM(size int64) time.Duration {
 func Measure(opts Options) (*Results, error) {
 	opts = opts.withDefaults()
 	res := &Results{
-		Options:     opts,
-		Step1:       map[key]time.Duration{},
-		PublishTime: map[key]time.Duration{},
-		ShredTime:   map[key]time.Duration{},
-		ParseTime:   map[key]time.Duration{},
-		ShipBytesDE: map[key]int64{},
-		DocBytes:    map[key]int64{},
-		LoadTime:    map[key]time.Duration{},
-		IndexTime:   map[key]time.Duration{},
+		Options:      opts,
+		Step1:        map[key]time.Duration{},
+		PublishTime:  map[key]time.Duration{},
+		ShredTime:    map[key]time.Duration{},
+		ParseTime:    map[key]time.Duration{},
+		ShipBytesDE:  map[key]int64{},
+		DocBytes:     map[key]int64{},
+		LoadTime:     map[key]time.Duration{},
+		IndexTime:    map[key]time.Duration{},
+		Step1OpRows:  map[key]int{},
+		PublishJoins: map[key]int{},
+		LoadRows:     map[key]int{},
 	}
 	sch := xmark.Schema()
 	layouts := map[string]*core.Fragmentation{
@@ -153,10 +163,11 @@ func Measure(opts Options) (*Results, error) {
 			}
 			a := allAtSource(g)
 			var outbound map[string]*core.Instance
+			var traces []core.OpTrace
 			var step1 time.Duration
 			for r := 0; r < opts.Repeat; r++ {
 				start := time.Now()
-				outbound, _, err = core.ExecuteSlice(g, sch, a, core.LocSource, core.SliceIO{
+				outbound, traces, err = core.ExecuteSlice(g, sch, a, core.LocSource, core.SliceIO{
 					Scan: func(f *core.Fragment) (*core.Instance, error) {
 						return scanByElems(stores[srcName], f)
 					},
@@ -169,6 +180,11 @@ func Measure(opts Options) (*Results, error) {
 				}
 			}
 			res.Step1[key{scen, size}] = step1
+			for _, tr := range traces {
+				if tr.Op.Kind == core.OpCombine || tr.Op.Kind == core.OpSplit {
+					res.Step1OpRows[key{scen, size}] += tr.OutRows
+				}
+			}
 			// Shipped bytes depend only on the target layout; record once
 			// per target. Fragments travel as sorted feeds ([5, 6]), which
 			// is what Table 3 measures.
@@ -192,6 +208,7 @@ func Measure(opts Options) (*Results, error) {
 					pubTime = d
 				}
 				res.DocBytes[key{"doc", size}] = pres.Bytes
+				res.PublishJoins[key{srcName, size}] = pres.JoinedRows
 			}
 			res.PublishTime[key{srcName, size}] = pubTime
 		}
@@ -242,6 +259,7 @@ func Measure(opts Options) (*Results, error) {
 				if d := time.Since(iStart); r == 0 || d < indexTime {
 					indexTime = d
 				}
+				res.LoadRows[key{tgtName, size}] = tgtStore.Rows()
 			}
 			res.ShredTime[key{tgtName, size}] = shredTime
 			res.LoadTime[key{tgtName, size}] = loadTime

@@ -215,10 +215,10 @@ func TestCombinePlacementMatchesSortReference(t *testing.T) {
 	}
 }
 
-// Both executors, over programs generated for random fragmentation pairs,
-// write exactly what splitting the document by the target fragmentation
-// yields — an oracle that never runs a Combine — record for record,
-// child order included.
+// Execute, over programs generated for random fragmentation pairs, writes
+// exactly what splitting the document by the target fragmentation yields —
+// an oracle that never runs a Combine — record for record, child order
+// included.
 func TestExecutorsPlaceChildrenInSchemaOrder(t *testing.T) {
 	byID := func(in *Instance) map[string]*xmltree.Node {
 		m := make(map[string]*xmltree.Node, len(in.Records))
@@ -226,9 +226,6 @@ func TestExecutorsPlaceChildrenInSchemaOrder(t *testing.T) {
 			m[r.ID] = r
 		}
 		return m
-	}
-	executors := map[string]func(*Graph, *schema.Schema, map[string]*Instance) (*ExecResult, error){
-		"batch": Execute, "pipelined": ExecutePipelined,
 	}
 	for name, sch := range placementCases() {
 		for seed := int64(0); seed < 6; seed++ {
@@ -249,25 +246,23 @@ func TestExecutorsPlaceChildrenInSchemaOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			for pi, g := range progs {
-				for ename, exec := range executors {
-					srcs, err := FromDocument(src, doc)
-					if err != nil {
-						t.Fatal(err)
+				srcs, err := FromDocument(src, doc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Execute(g, sch, srcs)
+				if err != nil {
+					t.Fatalf("%s seed %d program %d: %v", name, seed, pi, err)
+				}
+				for _, f := range tgt.Fragments {
+					got := res.Written[f.Name]
+					if got == nil || got.Rows() != want[f.Name].Rows() {
+						t.Fatalf("%s seed %d program %d: fragment %q: wrote %v, want %d records", name, seed, pi, f.Name, got, want[f.Name].Rows())
 					}
-					res, err := exec(g, sch, srcs)
-					if err != nil {
-						t.Fatalf("%s seed %d program %d %s: %v", name, seed, pi, ename, err)
-					}
-					for _, f := range tgt.Fragments {
-						got := res.Written[f.Name]
-						if got == nil || got.Rows() != want[f.Name].Rows() {
-							t.Fatalf("%s seed %d program %d %s: fragment %q: wrote %v, want %d records", name, seed, pi, ename, f.Name, got, want[f.Name].Rows())
-						}
-						gotByID := byID(got)
-						for _, w := range want[f.Name].Records {
-							if !xmltree.Equal(gotByID[w.ID], w) {
-								t.Fatalf("%s seed %d program %d %s: fragment %q record %s differs from the split document", name, seed, pi, ename, f.Name, w.ID)
-							}
+					gotByID := byID(got)
+					for _, w := range want[f.Name].Records {
+						if !xmltree.Equal(gotByID[w.ID], w) {
+							t.Fatalf("%s seed %d program %d: fragment %q record %s differs from the split document", name, seed, pi, f.Name, w.ID)
 						}
 					}
 				}

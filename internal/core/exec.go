@@ -28,97 +28,56 @@ type ExecResult struct {
 	Traces []OpTrace
 }
 
-// Execute runs a data-transfer program over in-memory instances: Scans pull
-// from sources (keyed by fragment name), Combines and Splits transform, and
-// Writes collect their inputs. Placement is ignored — this is the reference
-// single-process executor; the endpoint runtime executes per-system slices
-// of a program and ships cross-edge fragments.
+// Execute runs a data-transfer program over in-memory instances in one
+// process: Scans pull from sources (keyed by fragment name), Combines and
+// Splits transform, and Writes collect their inputs. It is ExecuteSlice with
+// every operation at one location, so placement is ignored; the endpoint
+// runtime executes the two halves of a placed program and ships the
+// cross-edge fragments between them.
 func Execute(g *Graph, sch *schema.Schema, sources map[string]*Instance) (*ExecResult, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
+	a := make(Assignment, len(g.Ops))
+	for i := range a {
+		a[i] = LocSource
 	}
 	res := &ExecResult{Written: make(map[string]*Instance)}
-	// outputs[opID][fragName] holds produced instances.
-	outputs := make([]map[string]*Instance, len(g.Ops))
-	counts := consumerCounts(g)
-	input := func(op *Op, e *Edge) (*Instance, error) {
-		m := outputs[e.From.ID]
-		if m == nil {
-			return nil, fmt.Errorf("core: exec: op %s consumed before %s produced", op, e.From)
-		}
-		in := m[e.Frag.Name]
-		if in == nil {
-			return nil, fmt.Errorf("core: exec: producer %s has no output %q", e.From, e.Frag.Name)
-		}
-		// Combine mutates its first input; hand out a copy-on-write view
-		// when the producer output has more than one consumer.
-		if counts[e.From.ID][e.Frag] > 1 {
-			in = in.Share()
-		}
-		return in, nil
-	}
-	for _, op := range g.Topo() {
-		start := time.Now()
-		out := make(map[string]*Instance, 1)
-		rows := 0
-		switch op.Kind {
-		case OpScan:
-			src := sources[op.Out.Name]
+	_, traces, err := ExecuteSlice(g, sch, a, LocSource, SliceIO{
+		Scan: func(f *Fragment) (*Instance, error) {
+			src := sources[f.Name]
 			if src == nil {
-				return nil, fmt.Errorf("core: exec: no source instance for %q", op.Out.Name)
+				return nil, fmt.Errorf("core: exec: no source instance for %q", f.Name)
 			}
-			inst := &Instance{Frag: op.Out, Records: src.Records}
-			out[op.Out.Name] = inst
-			rows = inst.Rows()
-		case OpCombine:
-			ins := g.In(op)
-			a, err := input(op, ins[0])
-			if err != nil {
-				return nil, err
-			}
-			b, err := input(op, ins[1])
-			if err != nil {
-				return nil, err
-			}
-			// Edge order is parent-first by construction; decide the
-			// direction structurally before mutating anything.
-			if !combinableFrags(sch, a.Frag, b.Frag) {
-				a, b = b, a
-			}
-			merged, err := Combine(sch, a, b)
-			if err != nil {
-				return nil, fmt.Errorf("core: exec: %s: %w", op, err)
-			}
-			// The combine's planned output fragment is authoritative.
-			merged.Frag = op.Out
-			out[op.Out.Name] = merged
-			rows = merged.Rows()
-		case OpSplit:
-			in, err := input(op, g.In(op)[0])
-			if err != nil {
-				return nil, err
-			}
-			parts, err := Split(sch, in, op.Parts)
-			if err != nil {
-				return nil, fmt.Errorf("core: exec: %s: %w", op, err)
-			}
-			for _, p := range parts {
-				out[p.Frag.Name] = p
-				rows += p.Rows()
-			}
-		case OpWrite:
-			in, err := input(op, g.In(op)[0])
-			if err != nil {
-				return nil, err
-			}
-			inst := &Instance{Frag: op.Out, Records: in.Records}
-			res.Written[op.Out.Name] = inst
-			rows = inst.Rows()
-		}
-		outputs[op.ID] = out
-		res.Traces = append(res.Traces, OpTrace{Op: op, Duration: time.Since(start), OutRows: rows})
+			return src, nil
+		},
+		Write: func(in *Instance) error {
+			res.Written[in.Frag.Name] = in
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Traces = traces
 	return res, nil
+}
+
+// EqualWritten reports whether two execution results wrote the same
+// fragment instances (same rows per fragment, shape-equal records).
+func EqualWritten(a, b *ExecResult) bool {
+	if len(a.Written) != len(b.Written) {
+		return false
+	}
+	for name, ia := range a.Written {
+		ib := b.Written[name]
+		if ib == nil || ia.Rows() != ib.Rows() {
+			return false
+		}
+		for i := range ia.Records {
+			if !xmltree.EqualShape(ia.Records[i], ib.Records[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // SummarizeTraces renders per-operation execution times as an aligned
@@ -153,15 +112,6 @@ type SliceIO struct {
 	// Inbound holds instances received from the other system, keyed by
 	// EdgeKey of their cross-edge.
 	Inbound map[string]*Instance
-	// Emit, when set, receives outbound cross-edge records as their
-	// producers finish batches, instead of accumulating them in the
-	// executor's returned map — the hook the streaming wire path plugs a
-	// shipment writer into. Records flow in several calls per key (one per
-	// batch); a key that produced nothing is flushed once with nil records
-	// at the end of the run, so the receiver still learns of the empty
-	// instance. Calls are serialized by the executor. Only the pipelined
-	// slice executor honors Emit; ExecuteSlice ignores it.
-	Emit func(key string, frag *Fragment, recs []*xmltree.Node) error
 }
 
 // EdgeKey identifies a cross-edge shipment: the producing op and the
@@ -317,8 +267,8 @@ func combinableFrags(sch *schema.Schema, a, b *Fragment) bool {
 }
 
 // consumerCounts precomputes, for every op, how many edges consume each of
-// its output fragments. Executors consult it per input instead of rescanning
-// the producer's out-edges per consumption. Edge fragments are the
+// its output fragments. ExecuteSlice consults it per input instead of
+// rescanning the producer's out-edges per consumption. Edge fragments are the
 // producer's own Fragment pointers (Graph.Validate enforces identity), so
 // the map is keyed by pointer.
 func consumerCounts(g *Graph) []map[*Fragment]int {

@@ -177,64 +177,6 @@ func TestFromCutsMatchesRandom(t *testing.T) {
 	}
 }
 
-func TestExecuteParallelMatchesSequential(t *testing.T) {
-	sch := customerSchema()
-	src := sFragmentation(t, sch)
-	tgt := tFragmentation(t, sch)
-	m, _ := NewMapping(src, tgt)
-	g, err := CanonicalProgram(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqSrc, _ := FromDocument(src, customerDoc())
-	seq, err := Execute(g, sch, seqSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSrc, _ := FromDocument(src, customerDoc())
-	par, err := ExecuteParallel(g, sch, parSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualWritten(seq, par) {
-		t.Error("parallel execution produced different results")
-	}
-	if len(par.Traces) != len(g.Ops) {
-		t.Errorf("parallel traced %d ops, want %d", len(par.Traces), len(g.Ops))
-	}
-}
-
-func TestExecuteParallelRandomPrograms(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		sch := schema.Balanced(2, 3)
-		src := Random(sch, rng, rng.Intn(6)+1)
-		tgt := Random(sch, rng, rng.Intn(6)+1)
-		m, err := NewMapping(src, tgt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := CanonicalProgram(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc := randomDoc(sch, rng, 3)
-		s1, _ := FromDocument(src, doc)
-		seq, err := Execute(g, sch, s1)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		s2, _ := FromDocument(src, doc)
-		par, err := ExecuteParallel(g, sch, s2)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !EqualWritten(seq, par) {
-			t.Errorf("seed %d: results differ", seed)
-		}
-	}
-}
-
 func TestSummarizeTraces(t *testing.T) {
 	sch := customerSchema()
 	m, _ := NewMapping(sFragmentation(t, sch), tFragmentation(t, sch))
@@ -255,11 +197,11 @@ func TestSummarizeTraces(t *testing.T) {
 	}
 }
 
-func TestExecuteParallelErrors(t *testing.T) {
+func TestExecuteErrors(t *testing.T) {
 	sch := customerSchema()
 	m, _ := NewMapping(sFragmentation(t, sch), tFragmentation(t, sch))
 	g, _ := CanonicalProgram(m)
-	_, err := ExecuteParallel(g, sch, map[string]*Instance{})
+	_, err := Execute(g, sch, map[string]*Instance{})
 	if err == nil {
 		t.Fatal("missing sources must fail")
 	}

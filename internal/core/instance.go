@@ -95,27 +95,6 @@ func (in *Instance) indexTree(n *xmltree.Node, rec int) {
 	}
 }
 
-// appendRecords appends streamed records, keeping the shared flags and the
-// join index (when built) consistent. shared may be nil (all owned) or
-// aligned with recs.
-func (in *Instance) appendRecords(recs []*xmltree.Node, shared []bool) {
-	base := len(in.Records)
-	in.Records = append(in.Records, recs...)
-	if in.shared != nil || shared != nil {
-		for len(in.shared) < base {
-			in.shared = append(in.shared, false)
-		}
-		for i := range recs {
-			in.shared = append(in.shared, shared != nil && shared[i])
-		}
-	}
-	if in.idx != nil {
-		for i, r := range recs {
-			in.indexTree(r, base+i)
-		}
-	}
-}
-
 // ownRec makes record i safe to mutate: a shared record is deep-cloned into
 // arena, its index entries are repointed at the clone, and the record is
 // marked owned.
@@ -218,12 +197,10 @@ func Combine(sch *schema.Schema, parent, child *Instance) (*Instance, error) {
 }
 
 // joiner incrementally attaches child records into a parent instance: the
-// hash-join core shared by Combine and the pipelined executor's Combine
-// stages. It reuses (and maintains) the parent instance's persistent join
-// index, so probing and indexing cost is proportional to the new data, not
-// to the accumulated merged instance.
+// hash-join core of Combine. It reuses (and maintains) the parent
+// instance's persistent join index, so probing and indexing cost is
+// proportional to the new data, not to the accumulated merged instance.
 type joiner struct {
-	sch       *schema.Schema
 	parent    *Instance
 	joinElems []joinElem
 	// arena batches the copy-on-write clones and the kid slices attach
@@ -265,24 +242,7 @@ func newJoiner(sch *schema.Schema, parent *Instance, childFrag *Fragment) (*join
 		joinElems[i] = joinElem{name: p, order: order, rank: order[childFrag.Root]}
 	}
 	parent.ensureIndex(sch)
-	return &joiner{sch: sch, parent: parent, joinElems: joinElems}, nil
-}
-
-// adopt replaces an empty parent with inst wholesale, inheriting inst's
-// join index so a chained Combine never re-indexes upstream work; a
-// non-empty parent appends inst's records instead.
-func (j *joiner) adopt(inst *Instance) {
-	if len(j.parent.Records) == 0 {
-		inst.ensureIndex(j.sch)
-		j.parent = inst
-		return
-	}
-	j.appendParent(inst.Records, inst.shared)
-}
-
-// appendParent adds streamed parent-side records (pipelined execution).
-func (j *joiner) appendParent(recs []*xmltree.Node, shared []bool) {
-	j.parent.appendRecords(recs, shared)
+	return &joiner{parent: parent, joinElems: joinElems}, nil
 }
 
 // attach joins one child record under the parent element instance whose ID
@@ -290,8 +250,7 @@ func (j *joiner) appendParent(recs []*xmltree.Node, shared []bool) {
 // shared parent record is cloned before mutation, and a shared child record
 // is cloned before it is embedded in the parent tree (its origin may still
 // be read by another consumer). It reports false when no parent instance
-// matches — the caller decides whether that means "buffer and retry"
-// (streaming) or "orphan" (batch).
+// matches, which Combine reports as an orphan.
 func (j *joiner) attach(rec *xmltree.Node, shared bool) bool {
 	var e idxEntry
 	var key nodeKey
@@ -377,9 +336,8 @@ func Split(sch *schema.Schema, in *Instance, parts []*Fragment) ([]*Instance, er
 }
 
 // splitter projects records into disjoint fragments: the projection core
-// shared by Split and the pipelined executor's Split stages. Partition
-// validation happens once at construction; extract then handles records one
-// at a time as they stream in.
+// of Split. Partition validation happens once at construction; extract then
+// handles records one at a time.
 type splitter struct {
 	inFrag *Fragment
 	parts  []*Fragment
@@ -387,8 +345,8 @@ type splitter struct {
 	rootOf map[string]*Fragment
 	// arena batches the projected copies: a split touches every node of
 	// every record, so per-node heap allocation dominated the stage. The
-	// splitter is single-goroutine (one per pipeline op), which is what an
-	// arena requires.
+	// splitter is single-goroutine (one per Split), which is what an arena
+	// requires.
 	arena xmltree.Arena
 }
 

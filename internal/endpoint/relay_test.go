@@ -1,6 +1,8 @@
 package endpoint
 
 import (
+	"compress/flate"
+	"encoding/base64"
 	"errors"
 	"io"
 	"strconv"
@@ -50,34 +52,31 @@ func TestExecuteSourceCutsAndNumbersChunks(t *testing.T) {
 	c, done := startEndpoint(t, &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true})
 	defer done()
 	g, progXML := copyProgram(t, fr)
-	for _, pipelined := range []string{"0", "1"} {
-		req := &xmltree.Node{Name: "ExecuteSource"}
-		req.SetAttr("chunk", "1")
-		req.SetAttr("pipelined", pipelined)
-		req.AddKid(progXML)
-		resp, err := c.Call("ExecuteSource", req)
-		if err != nil {
-			t.Fatal(err)
+	req := &xmltree.Node{Name: "ExecuteSource"}
+	req.SetAttr("chunk", "1")
+	req.AddKid(progXML)
+	resp, err := c.Call("ExecuteSource", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipment, timing := resp.Kids[0], resp.Kids[1]
+	seen := make([]bool, len(shipment.Kids))
+	for _, in := range shipment.Kids {
+		v, _ := in.Attr("seq")
+		seq, err := strconv.Atoi(v)
+		if err != nil || seq >= len(seen) || seen[seq] || len(in.Kids) > 1 {
+			t.Fatalf("chunk seq %q with %d records among %d chunks", v, len(in.Kids), len(seen))
 		}
-		shipment, timing := resp.Kids[0], resp.Kids[1]
-		seen := make([]bool, len(shipment.Kids))
-		for _, in := range shipment.Kids {
-			v, _ := in.Attr("seq")
-			seq, err := strconv.Atoi(v)
-			if err != nil || seq >= len(seen) || seen[seq] || len(in.Kids) > 1 {
-				t.Fatalf("pipelined=%s: chunk seq %q with %d records among %d chunks", pipelined, v, len(in.Kids), len(seen))
-			}
-			seen[seq] = true
-		}
-		frags := g.FragmentsByName()
-		decoded, err := wire.ReadShipment(strings.NewReader(xmltree.Marshal(shipment, xmltree.WriteOptions{EmitAllIDs: true})),
-			fr.Schema, func(name string) *core.Fragment { return frags[name] })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := timing.Attr("payloadBytes"); v != strconv.FormatInt(wire.ShipmentBytes(decoded), 10) {
-			t.Errorf("pipelined=%s: payloadBytes = %q, shipment is %d", pipelined, v, wire.ShipmentBytes(decoded))
-		}
+		seen[seq] = true
+	}
+	frags := g.FragmentsByName()
+	decoded, err := wire.ReadShipment(strings.NewReader(xmltree.Marshal(shipment, xmltree.WriteOptions{EmitAllIDs: true})),
+		fr.Schema, func(name string) *core.Fragment { return frags[name] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := timing.Attr("payloadBytes"); v != strconv.FormatInt(wire.ShipmentBytes(decoded), 10) {
+		t.Errorf("payloadBytes = %q, shipment is %d", v, wire.ShipmentBytes(decoded))
 	}
 	for _, bad := range []string{"0", "-3", "many"} {
 		req := &xmltree.Node{Name: "ExecuteSource"}
@@ -91,29 +90,52 @@ func TestExecuteSourceCutsAndNumbersChunks(t *testing.T) {
 }
 
 // TestExecuteTargetOversizedChunkIsClientFault: the target refuses a chunk
-// past wire.MaxChunkBytes as the sender's fault, which no driver retries.
+// past wire.MaxChunkBytes as the sender's fault, which no driver retries —
+// whether its wire text is too long, or a few KiB of bin+flate text inflate
+// past the limit, and whether the chunk parses in-line (one codec worker)
+// or in the decode pool, where the refusal surfaces only as the shipment
+// closes.
 func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 	fr := tFrag(t, schema.CustomerInfo())
-	st, err := relstore.NewStore(fr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, done := startEndpoint(t, &RelBackend{Store: st, Speed: 1, CanCombine: true})
-	defer done()
-	_, progXML := copyProgram(t, fr)
-	err = c.CallStream("ExecuteTarget", func(w io.Writer) error {
-		io.WriteString(w, `<ExecuteTarget session="big">`)
-		xmltree.Write(w, progXML, xmltree.WriteOptions{EmitAllIDs: true})
-		io.WriteString(w, `<shipment><instance edge="0:`+fr.Fragments[0].Name+`" frag="`+fr.Fragments[0].Name+`" seq="0" format="bin">`)
-		io.WriteString(w, strings.Repeat("A", wire.MaxChunkBytes+1))
-		_, err := io.WriteString(w, `</instance></shipment></ExecuteTarget>`)
-		return err
-	}, nil)
-	var f *soap.Fault
-	if !errors.As(err, &f) || f.Code != "soap:Client" || !strings.Contains(f.String, wire.ErrChunkTooLarge.Error()) {
-		t.Fatalf("err = %v, want a soap:Client fault naming the chunk limit", err)
-	}
-	if st.Rows() != 0 {
-		t.Errorf("refused delivery loaded %d rows", st.Rows())
+	var zeros strings.Builder
+	b64 := base64.NewEncoder(base64.StdEncoding, &zeros)
+	fw, _ := flate.NewWriter(b64, flate.BestSpeed)
+	fw.Write(make([]byte, wire.MaxChunkBytes+1))
+	fw.Close()
+	b64.Close()
+	for _, c := range []struct {
+		name, enc, text string
+		workers         int
+	}{
+		{"wire-text", "", strings.Repeat("A", wire.MaxChunkBytes+1), 1},
+		{"inflated/w1", "flate", zeros.String(), 1},
+		{"inflated/w4", "flate", zeros.String(), 4},
+	} {
+		st, err := relstore.NewStore(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, done := startEndpoint(t, &RelBackend{Store: st, Speed: 1, CanCombine: true},
+			func(e *Endpoint) { e.SetCodecWorkers(c.workers) })
+		_, progXML := copyProgram(t, fr)
+		err = cl.CallStream("ExecuteTarget", func(w io.Writer) error {
+			io.WriteString(w, `<ExecuteTarget session="big">`)
+			xmltree.Write(w, progXML, xmltree.WriteOptions{EmitAllIDs: true})
+			io.WriteString(w, `<shipment><instance edge="0:`+fr.Fragments[0].Name+`" frag="`+fr.Fragments[0].Name+`" seq="0" format="bin"`)
+			if c.enc != "" {
+				io.WriteString(w, ` enc="`+c.enc+`"`)
+			}
+			io.WriteString(w, ">"+c.text)
+			_, err := io.WriteString(w, `</instance></shipment></ExecuteTarget>`)
+			return err
+		}, nil)
+		done()
+		var f *soap.Fault
+		if !errors.As(err, &f) || f.Code != "soap:Client" || !strings.Contains(f.String, wire.ErrChunkTooLarge.Error()) {
+			t.Fatalf("%s: err = %v, want a soap:Client fault naming the chunk limit", c.name, err)
+		}
+		if st.Rows() != 0 {
+			t.Errorf("%s: refused delivery loaded %d rows", c.name, st.Rows())
+		}
 	}
 }

@@ -54,7 +54,7 @@ type targetSession struct {
 	// instances need (guarded by mu).
 	recovered []durable.SessionChunk
 
-	// pending (guarded by mu) is the pipelined-commit queue used when the
+	// pending (guarded by mu) is the group-commit queue used when the
 	// journal runs group commit: chunks whose journal frame is submitted
 	// but not yet fsynced. Each entry's records enter the instance map
 	// and its seq checkpoints (ChunkDone) only when its durability ticket
@@ -88,7 +88,7 @@ type pendingCommit struct {
 	ids []string
 }
 
-// maxPendingCommits bounds the pipelined-commit window: past this many
+// maxPendingCommits bounds the group-commit window: past this many
 // in-flight chunks the decoder blocks on the oldest ticket, so a slow
 // disk applies backpressure to the wire instead of growing the queue.
 const maxPendingCommits = 256
@@ -154,7 +154,7 @@ func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *c
 	ts.mu.Unlock()
 	if inbound == nil {
 		// Late retry after the execute released the map: decode into a
-		// throwaway so the pipelined apply below has a concrete target.
+		// throwaway so the deferred apply below has a concrete target.
 		inbound = map[string]*core.Instance{}
 	}
 	d := wire.NewShipmentDecoderInto(sch, lookup, inbound)
@@ -166,7 +166,7 @@ func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *c
 		return ts.commitTombLocked(key, seq, ids)
 	}
 	if ts.j != nil && ts.j.Batched() {
-		// Pipelined group commit: submit the journal frame, queue the
+		// Group commit: submit the journal frame, queue the
 		// apply, keep parsing. The map append and checkpoint advance
 		// happen in commitAsyncLocked/resolve once the frame's group
 		// fsyncs.
@@ -190,7 +190,7 @@ func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *c
 	return d
 }
 
-// commitAsyncLocked is the pipelined chunk commit (CommitAsync hook; runs
+// commitAsyncLocked is the group-commit chunk commit (CommitAsync hook; runs
 // under ts.mu via CommitLock). It journals the chunk asynchronously and
 // queues the apply behind the durability ticket, first settling whatever
 // older commits have already synced — so the queue drains as fast as the
@@ -229,7 +229,7 @@ func (ts *targetSession) commitAsyncLocked(out map[string]*core.Instance, key st
 // commitTombLocked commits one tombstone chunk (the decoder's OnTombs
 // hook; runs under ts.mu via CommitLock) with the same write-ahead
 // discipline as record chunks: journaled before applied, applied before
-// checkpointed. Batch journals ride the pipelined-commit queue, sync
+// checkpointed. Batch journals ride the group-commit queue, sync
 // journals block, and the memory-only default applies immediately.
 // Tombstone IDs never pass KeepRecords, so there is nothing to unmark on
 // failure.
@@ -319,7 +319,7 @@ func (ts *targetSession) resolveHeadLocked() error {
 	return nil
 }
 
-// drainPendingLocked settles the whole pipelined-commit queue: hurry the
+// drainPendingLocked settles the whole group-commit queue: hurry the
 // journal's commit group out, then apply every queued chunk in order.
 // The session ack — checkpoint stamp, execute, HTTP response — runs
 // behind this barrier, which is what makes batch-mode acks exactly as
@@ -404,7 +404,7 @@ func (t *targetScan) respondSession(w io.Writer) error {
 		t.e.met.Counter("endpoint.session.replays").Inc()
 		return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
 	}
-	// Settle the pipelined commits before acking anything: the checkpoint
+	// Settle the group commits before acking anything: the checkpoint
 	// stamped below and the execute's view of the instance map must only
 	// cover chunks whose journal frames are on stable storage.
 	if err := ts.drainPendingLocked(); err != nil {
@@ -432,7 +432,7 @@ func (t *targetScan) respondSession(w io.Writer) error {
 		exec = shareInstances(run)
 	}
 	ts.setRunning(true)
-	resp, err := t.e.runTarget(t.g, t.a, exec, t.pipelined)
+	resp, err := t.e.runTarget(t.g, t.a, exec)
 	ts.setRunning(false)
 	if err != nil {
 		return err

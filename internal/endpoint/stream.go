@@ -3,10 +3,9 @@ package endpoint
 // Execution handlers. Both execute operations dispatch through the SOAP
 // server's streaming path, so the endpoint never materializes an envelope:
 //
-//   - ExecuteSource consumes the (small) request tree and serializes the
-//     outbound shipment directly onto the HTTP response as the slice
-//     executes — with the pipelined engine records hit the wire while
-//     upstream operators still produce.
+//   - ExecuteSource consumes the (small) request tree, runs the source
+//     slice, and serializes the outbound shipment directly onto the HTTP
+//     response, chunk by chunk, without building a response tree.
 //   - ExecuteTarget scans its (large) request as SAX events: the program
 //     subtree is materialized, the shipment subtree flows straight into
 //     the session's shipment decoder (see session.go), and the envelope
@@ -93,18 +92,9 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	sw.SetWorkers(e.codecWorkers)
 	sw.SetObs(e.met)
 	sw.SetChunk(chunk)
-	if v, ok := req.Attr("pipelined"); ok && attrTrue(v) {
-		// Producers emit straight onto the wire as they finish batches.
-		_, _, err = core.ExecuteSlicePipelined(g, sch, a, core.LocSource, core.SliceIO{
-			Scan: scan,
-			Emit: sw.Emit,
-		})
-	} else {
-		var outbound map[string]*core.Instance
-		outbound, _, err = core.ExecuteSlice(g, sch, a, core.LocSource, core.SliceIO{Scan: scan})
-		if err == nil {
-			err = wire.EmitShipment(sw, outbound)
-		}
+	outbound, _, err := core.ExecuteSlice(g, sch, a, core.LocSource, core.SliceIO{Scan: scan})
+	if err == nil {
+		err = wire.EmitShipment(sw, outbound)
 	}
 	if err != nil {
 		sw.Close()
@@ -151,7 +141,6 @@ type targetScan struct {
 	subDepth int
 	subProg  bool
 
-	pipelined   bool
 	stream      string
 	epoch       string
 	delta       bool
@@ -176,7 +165,6 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 	t.depth++
 	switch t.depth {
 	case 1:
-		t.pipelined = attrTrue(findAttr(attrs, "pipelined"))
 		t.stream = findAttr(attrs, "stream")
 		t.epoch = findAttr(attrs, "epoch")
 		t.delta = attrTrue(findAttr(attrs, "delta"))
@@ -253,8 +241,10 @@ func (t *targetScan) EndElement(name string) error {
 			t.sub = nil
 			t.depth--
 		}
+		// A chunk parses as its element closes (or, pooled, as a later
+		// one does), so an inflated chunk's size fault surfaces here.
 		if err := sub.EndElement(name); err != nil {
-			return err
+			return chunkFault(err)
 		}
 		if t.sub == nil && t.subProg {
 			return t.programDone()
@@ -284,14 +274,10 @@ func (t *targetScan) programDone() error {
 
 // runTarget executes the target slice over decoded inbound instances and
 // reports the timing split the agency's cost model is validated against.
-func (e *Endpoint) runTarget(g *core.Graph, a core.Assignment, inbound map[string]*core.Instance, pipelined bool) (*xmltree.Node, error) {
-	exec := core.ExecuteSlice
-	if pipelined {
-		exec = core.ExecuteSlicePipelined
-	}
+func (e *Endpoint) runTarget(g *core.Graph, a core.Assignment, inbound map[string]*core.Instance) (*xmltree.Node, error) {
 	var writeTime time.Duration
 	start := time.Now()
-	_, _, err := exec(g, e.backend.Layout().Schema, a, core.LocTarget, core.SliceIO{
+	_, _, err := core.ExecuteSlice(g, e.backend.Layout().Schema, a, core.LocTarget, core.SliceIO{
 		Inbound: inbound,
 		Write: func(in *core.Instance) error {
 			ws := time.Now()

@@ -2,10 +2,8 @@ package publish
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"xdx/internal/core"
 	"xdx/internal/relstore"
@@ -52,35 +50,29 @@ func TestPublishReproducesDocument(t *testing.T) {
 }
 
 func TestPublishFromMFCostsMoreThanLF(t *testing.T) {
-	// Table 2's publish asymmetry: the MF source runs many more combines.
+	// Table 2's publish asymmetry, by its cause: the MF source runs many
+	// more Combines and joins many more child rows than the LF source to
+	// publish the same document. These counts repeat exactly; the time
+	// ratio they cause is measured by xdxbench (EXPERIMENTS.md, Table 2).
 	sch := xmark.Schema()
 	doc := xmark.Generate(xmark.Config{TargetBytes: 200_000, Seed: 2})
-	mf := loadedStore(t, core.MostFragmented(sch), doc)
-	lf := loadedStore(t, core.LeastFragmented(sch), doc)
-	// Best of fifteen runs a side, not one: since Combine places children
-	// instead of sorting them and the store scans by column position, these
-	// 200 KB publish in about 1.0 ms from MF and 0.45 ms from LF (3.5 and
-	// 1.0 ms before), so the gap is 2x where it was 3.5x, and a garbage
-	// collection landing in one run costs as much as the run. One run a side
-	// got the order wrong one time in five after that change; neither a
-	// larger document nor alternating the sides helped (the note under
-	// Table 2 in EXPERIMENTS.md has the counts).
-	best := func(st *relstore.Store) time.Duration {
-		var min time.Duration
-		for i := 0; i < 15; i++ {
-			res, err := Publish(st, io.Discard)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 || res.QueryTime < min {
-				min = res.QueryTime
-			}
-		}
-		return min
+	var mfDoc, lfDoc bytes.Buffer
+	mf, err := Publish(loadedStore(t, core.MostFragmented(sch), doc), &mfDoc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mfTime, lfTime := best(mf), best(lf); mfTime <= lfTime {
-		t.Errorf("publish from MF (%v) should cost more than from LF (%v)", mfTime, lfTime)
+	lf, err := Publish(loadedStore(t, core.LeastFragmented(sch), doc), &lfDoc)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if mfDoc.String() != lfDoc.String() {
+		t.Fatal("MF and LF published different documents")
+	}
+	if mf.Combines <= lf.Combines || mf.JoinedRows <= lf.JoinedRows {
+		t.Errorf("publish from MF ran %d Combines joining %d rows; from LF %d joining %d — MF should do more of both",
+			mf.Combines, mf.JoinedRows, lf.Combines, lf.JoinedRows)
+	}
+	t.Logf("MF: %d Combines, %d rows joined; LF: %d Combines, %d rows joined", mf.Combines, mf.JoinedRows, lf.Combines, lf.JoinedRows)
 }
 
 func TestTree(t *testing.T) {

@@ -609,10 +609,6 @@ type ExecOptions struct {
 	// back to a full re-ship whenever either side's state is cold or the
 	// fragmentation epoch changed.
 	Delta bool
-	// Pipelined asks both endpoints to run their program slices on the
-	// streaming executor (stages connected by channels) instead of the
-	// batch one. Semantics are identical; scheduling overlaps.
-	Pipelined bool
 	// Reliability is the exchange's retry policy: retried source execution
 	// with backoff and circuit breaking, and resume-from-checkpoint for the
 	// target delivery. Nil is a single attempt per call with private

@@ -249,35 +249,6 @@ func TestEndToEndExchangeGreedy(t *testing.T) {
 	}
 }
 
-func TestEndToEndExchangePipelined(t *testing.T) {
-	// The same exchange with both endpoints running the streaming slice
-	// executor; target contents must be identical to the batch run.
-	ag, plan, tgtStore, done := startExchange(t, AlgGreedy)
-	defer done()
-	report, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{Link: netsim.Loopback(), Pipelined: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.WireBytes <= 0 {
-		t.Errorf("no bytes shipped")
-	}
-	insts := map[string]*core.Instance{}
-	for _, f := range tgtStore.Layout.Fragments {
-		in, err := tgtStore.ScanFragment(f.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts[f.Name] = in
-	}
-	back, err := core.Document(tgtStore.Layout, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !xmltree.EqualShape(customerDoc(t), back) {
-		t.Errorf("document changed in pipelined transit:\n%s", xmltree.Marshal(back, xmltree.WriteOptions{}))
-	}
-}
-
 func TestEndToEndExchangeOptimal(t *testing.T) {
 	ag, plan, tgtStore, done := startExchange(t, AlgOptimal)
 	defer done()

@@ -127,75 +127,71 @@ func retrying(chunk, attempts int) *reliable.Config {
 	}
 }
 
-// TestRelayForwardsSourceBytes is the relay's contract: for every codec,
-// codec worker count and source executor, the shipment on the target-bound
-// request is the shipment the source wrote, byte for byte; from a slice
-// executor that is also what the agency used to render itself
-// (ChunkShipment + EmitChunk over the decoded shipment); and the report's
-// sizes are the source's tree-codec size and the bytes that travelled.
+// TestRelayForwardsSourceBytes is the relay's contract: for every codec and
+// codec worker count, the shipment on the target-bound request is the
+// shipment the source wrote, byte for byte; that is also what the agency
+// used to render itself (ChunkShipment + EmitChunk over the decoded
+// shipment); and the report's sizes are the source's tree-codec size and
+// the bytes that travelled.
 func TestRelayForwardsSourceBytes(t *testing.T) {
 	const chunk = 8
 	for _, name := range wire.Codecs() {
 		want := relayWant(t, name)
 		codec, _ := wire.ParseCodec(name)
 		for _, workers := range []int{1, 4} {
-			for _, pipelined := range []bool{false, true} {
-				label := fmt.Sprintf("%s/w%d/pipelined=%v", name, workers, pipelined)
-				w := startRelayWorld(t, nil)
-				w.src.SetCodecWorkers(workers)
-				w.tgt.SetCodecWorkers(workers)
-				rep, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{
-					Link: netsim.Loopback(), Codec: name, Pipelined: pipelined,
-					ParallelChunks: workers, Reliability: retrying(chunk, 1),
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				_, srcResps := w.srcTap.calls("ExecuteSource")
-				tgtReqs, _ := w.tgtTap.calls("ExecuteTarget")
-				if len(srcResps) != 1 || len(tgtReqs) != 1 {
-					t.Fatalf("%s: %d source calls, %d deliveries", label, len(srcResps), len(tgtReqs))
-				}
-				wrote, sent := shipmentOf(t, srcResps[0]), shipmentOf(t, tgtReqs[0])
-				if !bytes.Equal(wrote, sent) {
-					t.Errorf("%s: target-bound shipment (%d bytes) is not the source's (%d bytes)", label, len(sent), len(wrote))
-				}
-				if rep.Codec != name || rep.WireBytes != int64(len(sent)) {
-					t.Errorf("%s: report says codec %q, %d wire bytes; %d travelled", label, rep.Codec, rep.WireBytes, len(sent))
-				}
-				sch := xmark.Schema()
-				dec := wire.NewShipmentDecoder(sch, w.lookup)
-				dec.OnCommit = func(key string, _ *core.Fragment, seq int64, recs []*xmltree.Node) error {
-					if len(recs) > chunk {
-						t.Errorf("%s: chunk %d of %s carries %d records, limit %d", label, seq, key, len(recs), chunk)
-					}
-					return nil
-				}
-				if err := xmltree.ScanAttrs(bytes.NewReader(wrote), dec); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				decoded, _ := dec.Result()
-				if got := wire.ShipmentBytes(decoded); rep.PayloadBytes != got {
-					t.Errorf("%s: PayloadBytes = %d, ShipmentBytes of the shipment = %d", label, rep.PayloadBytes, got)
-				}
-				if !pipelined {
-					var parent bytes.Buffer
-					sw := wire.NewShipmentWriterCodec(&parent, sch, codec)
-					for _, c := range reliable.ChunkShipment(decoded, chunk) {
-						if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
-							t.Fatal(err)
-						}
-					}
-					sw.Close()
-					if !bytes.Equal(sent, parent.Bytes()) {
-						t.Errorf("%s: target-bound shipment differs from ChunkShipment+EmitChunk over the decoded shipment", label)
-					}
-				}
-				if !xmltree.Equal(want, assembleTarget(t, w.tgtStore)) {
-					t.Errorf("%s: target holds a different document", label)
-				}
-				w.close()
+			label := fmt.Sprintf("%s/w%d", name, workers)
+			w := startRelayWorld(t, nil)
+			w.src.SetCodecWorkers(workers)
+			w.tgt.SetCodecWorkers(workers)
+			rep, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{
+				Link: netsim.Loopback(), Codec: name,
+				ParallelChunks: workers, Reliability: retrying(chunk, 1),
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			_, srcResps := w.srcTap.calls("ExecuteSource")
+			tgtReqs, _ := w.tgtTap.calls("ExecuteTarget")
+			if len(srcResps) != 1 || len(tgtReqs) != 1 {
+				t.Fatalf("%s: %d source calls, %d deliveries", label, len(srcResps), len(tgtReqs))
+			}
+			wrote, sent := shipmentOf(t, srcResps[0]), shipmentOf(t, tgtReqs[0])
+			if !bytes.Equal(wrote, sent) {
+				t.Errorf("%s: target-bound shipment (%d bytes) is not the source's (%d bytes)", label, len(sent), len(wrote))
+			}
+			if rep.Codec != name || rep.WireBytes != int64(len(sent)) {
+				t.Errorf("%s: report says codec %q, %d wire bytes; %d travelled", label, rep.Codec, rep.WireBytes, len(sent))
+			}
+			sch := xmark.Schema()
+			dec := wire.NewShipmentDecoder(sch, w.lookup)
+			dec.OnCommit = func(key string, _ *core.Fragment, seq int64, recs []*xmltree.Node) error {
+				if len(recs) > chunk {
+					t.Errorf("%s: chunk %d of %s carries %d records, limit %d", label, seq, key, len(recs), chunk)
+				}
+				return nil
+			}
+			if err := xmltree.ScanAttrs(bytes.NewReader(wrote), dec); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			decoded, _ := dec.Result()
+			if got := wire.ShipmentBytes(decoded); rep.PayloadBytes != got {
+				t.Errorf("%s: PayloadBytes = %d, ShipmentBytes of the shipment = %d", label, rep.PayloadBytes, got)
+			}
+			var parent bytes.Buffer
+			sw := wire.NewShipmentWriterCodec(&parent, sch, codec)
+			for _, c := range reliable.ChunkShipment(decoded, chunk) {
+				if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sw.Close()
+			if !bytes.Equal(sent, parent.Bytes()) {
+				t.Errorf("%s: target-bound shipment differs from ChunkShipment+EmitChunk over the decoded shipment", label)
+			}
+			if !xmltree.Equal(want, assembleTarget(t, w.tgtStore)) {
+				t.Errorf("%s: target holds a different document", label)
+			}
+			w.close()
 		}
 	}
 }

@@ -95,9 +95,6 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	if opts.Filter != "" {
 		reqS.SetAttr("filter", opts.Filter)
 	}
-	if opts.Pipelined {
-		reqS.SetAttr("pipelined", "1")
-	}
 	chunk := ex.ChunkSize()
 	if opts.Delta {
 		chunk *= deltaSourceChunks
@@ -166,9 +163,6 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	// delta and full re-ship paths share it.
 	deliver := func(sessionID string, ship *wire.Relay, delta bool) (*xmltree.Node, error) {
 		open := `<ExecuteTarget session="` + sessionID + `"`
-		if opts.Pipelined {
-			open += ` pipelined="1"`
-		}
 		if opts.Delta {
 			// Every sessioned delivery of a delta-enabled exchange names its
 			// stream and epoch, so the target retains the applied snapshot

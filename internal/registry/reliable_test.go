@@ -162,7 +162,11 @@ func soakConfig(seed int64) *reliable.Config {
 // completes with target contents byte-identical to a fault-free run and
 // reports retries; the same seeds without reliability kill the exchange.
 // The matrix runs over the shipment codecs so torn-chunk recovery is
-// exercised on the binary (and compressed) encodings too.
+// exercised on the binary (and compressed) encodings too. Whether a seed's
+// torn delivery committed a prefix to resume from is up to timing, so
+// resume-from-checkpoint is asserted deterministically elsewhere:
+// TestRelayResumesFromCheckpoint, TestDurableEndpointRestartResumes and
+// TestKillRestartChildEndpoint.
 func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 	// Fault-free baseline: what the target must hold afterwards.
 	agA, planA, tgtA, _, doneA := startAuctionExchange(t)
@@ -189,7 +193,6 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 			baseWireBytes := repR.WireBytes
 			doneR()
 
-			totalResumes := 0
 			for _, seed := range soakSeeds(t) {
 				seed := seed
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -236,15 +239,11 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 						t.Errorf("WireBytes = %d under faults, below the clean floor %d — torn attempts went unmetered",
 							rep.WireBytes, baseWireBytes)
 					}
-					totalResumes += rep.Resumes
 					got := assembleTarget(t, tgtB)
 					if !xmltree.Equal(want, got) {
 						t.Error("faulted run's target differs from the fault-free run")
 					}
 				})
-			}
-			if totalResumes == 0 {
-				t.Error("no delivery across the seed matrix resumed from a checkpoint")
 			}
 		})
 	}

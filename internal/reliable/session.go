@@ -1,9 +1,9 @@
 package reliable
 
 // Resumable shipment sessions. A cross-edge shipment travels as a sequence
-// of <instance> chunks (chunk boundaries ride on the batches
-// core.SliceIO.Emit already produces, or on ChunkShipment's re-batching of
-// a materialized map). Each exchange transfer gets a session ID; the
+// of <instance> chunks (cut by the source's ShipmentWriter.SetChunk, or by
+// ChunkShipment's re-batching of a materialized map). Each exchange
+// transfer gets a session ID; the
 // target keeps a Ledger per session that (a) checkpoints the highest
 // contiguously received chunk — the ack a reconnecting source resumes
 // from — and (b) remembers every (edge, record ID) pair it committed, so

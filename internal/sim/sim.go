@@ -201,6 +201,10 @@ type GreedyEval struct {
 	// OptimalTime and GreedyTime are the average per-run optimizer
 	// runtimes.
 	OptimalTime, GreedyTime time.Duration
+	// OptimalPrograms is the average number of programs the exhaustive
+	// search placed per run, where greedy builds and places one: the count
+	// behind the runtime gap.
+	OptimalPrograms float64
 	// Runs is the number of random setups averaged.
 	Runs int
 }
@@ -214,7 +218,7 @@ type GreedyEval struct {
 func EvaluateGreedy(base Config, runs int) (GreedyEval, error) {
 	base = base.withDefaults()
 	ev := GreedyEval{SpeedRatio: fmt.Sprintf("%g/%g", base.SourceSpeed, base.TargetSpeed)}
-	var sumWorst, sumGreedy float64
+	var sumWorst, sumGreedy, sumPrograms float64
 	var sumOptTime, sumGreedyTime time.Duration
 	for seed := int64(0); ev.Runs < runs && seed < int64(runs*10); seed++ {
 		cfg := base
@@ -245,6 +249,7 @@ func EvaluateGreedy(base Config, runs int) (GreedyEval, error) {
 		}
 		sumWorst += worst.Cost / opt.Cost
 		sumGreedy += gr.Cost / opt.Cost
+		sumPrograms += float64(opt.Considered)
 		sumOptTime += optTime
 		sumGreedyTime += greedyTime
 		ev.Runs++
@@ -255,6 +260,7 @@ func EvaluateGreedy(base Config, runs int) (GreedyEval, error) {
 	n := float64(ev.Runs)
 	ev.WorstOverOptimal = sumWorst / n
 	ev.GreedyOverOptimal = sumGreedy / n
+	ev.OptimalPrograms = sumPrograms / n
 	ev.OptimalTime = sumOptTime / time.Duration(ev.Runs)
 	ev.GreedyTime = sumGreedyTime / time.Duration(ev.Runs)
 	return ev, nil

@@ -141,7 +141,7 @@ func BenchmarkShipmentCodecParallel(b *testing.B) {
 }
 
 // BenchmarkShipmentEncodeTree / Stream isolate the send half, which is the
-// hot path for a source endpoint under pipelined execution.
+// hot path for a source endpoint.
 func BenchmarkShipmentEncodeTree(b *testing.B) {
 	sch, out, _ := auctionShipment(b)
 	b.ReportAllocs()

@@ -271,7 +271,9 @@ func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compre
 
 // readBinChunk decodes a bin chunk's accumulated wire text back into
 // records. Any failure — torn base64, a truncated flate stream, a short
-// payload — rejects the chunk whole; nothing partial escapes.
+// payload — rejects the chunk whole; nothing partial escapes. A flate
+// payload inflates to at most MaxChunkBytes: past that the chunk is refused
+// as ErrChunkTooLarge, so a small chunk cannot inflate without bound.
 func readBinChunk(text []byte, sch *schema.Schema, enc string) ([]*xmltree.Node, error) {
 	text = bytes.TrimSpace(text)
 	b64buf := bufpool.Buffer()
@@ -291,13 +293,16 @@ func readBinChunk(text []byte, sch *schema.Schema, enc string) ([]*xmltree.Node,
 		fr := bufpool.FlateReader(bytes.NewReader(raw))
 		buf := bufpool.Buffer()
 		defer bufpool.PutBuffer(buf)
-		_, err := buf.ReadFrom(fr)
+		_, err := buf.ReadFrom(io.LimitReader(fr, MaxChunkBytes+1))
 		if cerr := fr.Close(); err == nil {
 			err = cerr
 		}
 		bufpool.PutFlateReader(fr)
 		if err != nil {
 			return nil, fmt.Errorf("wire: bin: flate: %v", err)
+		}
+		if buf.Len() > MaxChunkBytes {
+			return nil, fmt.Errorf("wire: bin: flate: inflated payload: %w", ErrChunkTooLarge)
 		}
 		return decodeBinRecords(buf.Bytes(), sch)
 	}

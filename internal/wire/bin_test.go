@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -237,6 +239,55 @@ func TestReadBinChunkRejects(t *testing.T) {
 	recs, err := readBinChunk([]byte("AQA="), sch, "")
 	if err != nil || len(recs) != 0 {
 		t.Errorf("empty chunk: recs=%v err=%v", recs, err)
+	}
+}
+
+// zeroFlateChunk is the wire text of a bin+flate chunk whose payload
+// inflates to exactly n bytes: one record whose text is a zero-filled run.
+// The text itself stays a few KiB whatever n is.
+func zeroFlateChunk(n int) []byte {
+	const head = 9 // version, count, tag, flags, 4-byte text length, kid count
+	payload := binary.AppendUvarint([]byte{binVersion, 1, 1, binFlagText}, uint64(n-head))
+	payload = append(payload, make([]byte, n-head+1)...) // the text, then no kids
+	var text bytes.Buffer
+	b64 := base64.NewEncoder(base64.StdEncoding, &text)
+	fw, _ := flate.NewWriter(b64, flate.BestSpeed)
+	fw.Write(payload)
+	fw.Close()
+	b64.Close()
+	return text.Bytes()
+}
+
+// TestBinFlateInflationCapped: a bin+flate chunk inflates to at most
+// MaxChunkBytes. One byte past, it is refused as ErrChunkTooLarge — by
+// readBinChunk, and by the decoder both in-line and in its parse pool,
+// where the refusal surfaces at commit — and nothing of it commits; a chunk
+// at the limit decodes.
+func TestBinFlateInflationCapped(t *testing.T) {
+	sch, f, _ := chunkFixture(t)
+	for _, n := range []int{MaxChunkBytes, MaxChunkBytes + 1} {
+		over := n > MaxChunkBytes
+		text := zeroFlateChunk(n)
+		recs, err := readBinChunk(text, sch, "flate")
+		if over && !errors.Is(err, ErrChunkTooLarge) {
+			t.Errorf("%d-byte payload: err = %v, want ErrChunkTooLarge", n, err)
+		}
+		if !over && (err != nil || len(recs) != 1 || len(recs[0].Text) != n-9) {
+			t.Errorf("%d-byte payload: err = %v, %d records", n, err, len(recs))
+		}
+		shipment := `<shipment><instance edge="0:feat" frag="feat" seq="0" format="bin" enc="flate">` + string(text) + `</instance></shipment>`
+		for _, workers := range []int{1, 4} {
+			out := map[string]*core.Instance{}
+			d := NewShipmentDecoderInto(sch, func(string) *core.Fragment { return f }, out)
+			d.Workers = workers
+			err := xmltree.ScanAttrs(strings.NewReader(shipment), d)
+			if over != errors.Is(err, ErrChunkTooLarge) || !over && err != nil {
+				t.Errorf("%d-byte payload, %d workers: decode err = %v", n, workers, err)
+			}
+			if got := out["0:feat"]; over && got != nil || !over && (got == nil || got.Rows() != 1) {
+				t.Errorf("%d-byte payload, %d workers: committed %v", n, workers, got)
+			}
+		}
 	}
 }
 

@@ -72,6 +72,8 @@ func FuzzBinShipment(f *testing.F) {
 	f.Add(strings.Repeat("9", binMaxKeyLen+1), "p", "s", "t", "0:ord", false, uint16(60000))
 	// A chunk past MaxChunkBytes: refused typed before its payload parses.
 	f.Add("o1", "c1", "s1", strings.Repeat("t", MaxChunkBytes), "0:ord", false, uint16(7))
+	// A few KiB of flate text inflating past MaxChunkBytes: refused typed.
+	f.Add("o1", "c1", "s1", strings.Repeat("\x00", MaxChunkBytes), "0:ord", true, uint16(7))
 	sch := schema.CustomerInfo()
 	frag, err := core.NewFragment(sch, "ord", []string{"Order", "Service", "ServiceName"})
 	if err != nil {
@@ -97,8 +99,10 @@ func FuzzBinShipment(f *testing.F) {
 			}
 			gotDec, serr := ReadShipment(bytes.NewReader(buf.Bytes()), sch, lookup)
 			if errors.Is(serr, ErrChunkTooLarge) {
-				if buf.Len() <= MaxChunkBytes {
-					t.Fatalf("a %d-byte shipment was refused as an oversized chunk", buf.Len())
+				var payload bytes.Buffer
+				appendBinRecords(&payload, out[key].Records, sch)
+				if buf.Len() <= MaxChunkBytes && payload.Len() <= MaxChunkBytes {
+					t.Fatalf("a %d-byte shipment of a %d-byte payload was refused as an oversized chunk", buf.Len(), payload.Len())
 				}
 				return
 			}

@@ -6,7 +6,7 @@ package wire
 // on the receiving end — parses the whole shipment back into a tree before
 // instances are rebuilt. The paper's own argument (§4.1, Table 3) is that
 // communication dominates an exchange, so the wire layer must not
-// re-materialize what the pipelined executor streams: the encoder here
+// re-materialize the instances a program slice hands it: the encoder here
 // serializes instances directly to a writer with pooled buffers and no
 // intermediate copies, and the decoder builds core.Instance records
 // straight from SAX events, restoring interior PARENT links from nesting on
@@ -34,9 +34,9 @@ import (
 )
 
 // ShipmentWriter streams a shipment onto a writer as a sequence of
-// <instance> chunks inside one <shipment> element. Emit may be called
-// concurrently by pipeline stages as producers finish batches; chunks
-// sharing an edge key are merged back into one instance by the decoders.
+// <instance> chunks inside one <shipment> element. Emit is safe for
+// concurrent use; chunks sharing an edge key are merged back into one
+// instance by the decoders.
 //
 // Chunks are rendered by a bounded worker pool (parallel.go) and spliced
 // onto the writer in emit order; SetWorkers(1) selects the serial in-line
@@ -115,9 +115,8 @@ func NewShipmentWriterCodec(w io.Writer, sch *schema.Schema, codec Codec) *Shipm
 	return &ShipmentWriter{bw: bufpool.Writer(w), sch: sch, codec: codec}
 }
 
-// Emit writes one instance chunk carrying recs for the cross-edge key. It
-// is the sink ExecuteSlicePipelined's SliceIO.Emit plugs into, so records
-// flow onto the wire as stages produce them.
+// Emit writes one instance chunk carrying recs for the cross-edge key (cut
+// into several, when SetChunk asked for it).
 func (sw *ShipmentWriter) Emit(key string, frag *core.Fragment, recs []*xmltree.Node) error {
 	return sw.emit(key, frag, recs, -1)
 }
@@ -473,8 +472,8 @@ type ShipmentDecoder struct {
 	// apply: it receives each chunk's post-dedup records at commit time
 	// and takes ownership of appending them to the instance map and
 	// firing the checkpoint advance (ChunkDone) once the commit is
-	// actually durable. The pipelined durable endpoint plugs in here —
-	// it submits the journal frame and returns immediately, so the
+	// actually durable. A group-committing durable endpoint plugs in
+	// here — it submits the journal frame and returns immediately, so the
 	// scanner parses the next chunk while the previous one's fsync is in
 	// flight, and only the *ack* (checkpoint + response) waits. OnChunk
 	// admission, KeepRecords dedup, and CommitLock still apply exactly as

@@ -163,9 +163,9 @@ func TestStreamShipmentEmpty(t *testing.T) {
 }
 
 // TestShipmentWriterMergesChunks checks the chunked-emission contract: a
-// producer may emit several instance chunks for one edge key (the
-// pipelined executor does, one per batch), and decoders merge them back
-// into a single instance.
+// producer may emit several instance chunks for one edge key (a chunked
+// writer does, one per SetChunk cut), and decoders merge them back into a
+// single instance.
 func TestShipmentWriterMergesChunks(t *testing.T) {
 	sch := schema.CustomerInfo()
 	f, err := core.NewFragment(sch, "feat", []string{"Feature", "FeatureID"})

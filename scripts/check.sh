@@ -1,8 +1,8 @@
 #!/bin/sh
 # Merge gate: vet, build, and the full test suite under the race detector.
-# The pipelined executor runs every program operation as a goroutine stage,
-# so race coverage is mandatory, not optional. Run via `make check` or
-# directly from CI.
+# The chunk codec pools, the WAL's group-commit batcher and the exchange
+# scheduler all share state across goroutines, so race coverage is
+# mandatory, not optional. Run via `make check` or directly from CI.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -29,11 +29,6 @@ make bench-smoke
 # 25% of the committed snapshot's allocs/op — the arena/slab teardown is a
 # merge-gated property, not a one-off number.
 ./scripts/alloc_smoke.sh
-
-# Benchmark drift report between the two most recent committed snapshots.
-# Informational only — snapshots are taken deliberately, not per merge —
-# so its status never gates.
-./scripts/bench_delta.sh || true
 
 # Fault-injection soak: the reliable-exchange e2e over the widened seed
 # matrix, under the race detector. Deterministic, so a failure here is a

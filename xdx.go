@@ -255,21 +255,6 @@ func PaperInternet() Link { return netsim.PaperInternet() }
 // Loopback returns an unconstrained link.
 func Loopback() Link { return netsim.Loopback() }
 
-// ExecuteParallel runs a program with independent operation chains
-// executing concurrently (§5.2's parallelism opportunity).
-func ExecuteParallel(g *Graph, s *Schema, sources map[string]*Instance) (*core.ExecResult, error) {
-	return core.ExecuteParallel(g, s, sources)
-}
-
-// ExecutePipelined runs a program as a streaming pipeline: every operation
-// is a stage connected to its consumers by bounded channels, Combines probe
-// an incrementally maintained join index while upstream stages still
-// produce, and multi-consumer outputs flow as copy-on-write views.
-// Semantics are identical to Execute.
-func ExecutePipelined(g *Graph, s *Schema, sources map[string]*Instance) (*core.ExecResult, error) {
-	return core.ExecutePipelined(g, s, sources)
-}
-
 // FilterSources restricts source instances to the records reachable from
 // accepted root records (§3.2's service arguments).
 func FilterSources(fr *Fragmentation, sources map[string]*Instance, keep func(*Node) bool) (map[string]*Instance, error) {

@@ -105,21 +105,6 @@ func TestFacadeOptimalExchange(t *testing.T) {
 	}
 }
 
-func TestFacadeParallelExecution(t *testing.T) {
-	sch, src, tgt, model := facadeSetup(t)
-	m, _ := xdx.NewMapping(src, tgt)
-	gr, err := xdx.Greedy(m, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, _ := xdx.ParseDocument(strings.NewReader(facadeDoc))
-	xdx.AssignIDs(doc)
-	sources, _ := xdx.FromDocument(src, doc)
-	if _, err := xdx.ExecuteParallel(gr.Program, sch, sources); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeFilterAndRecommend(t *testing.T) {
 	_, src, _, model := facadeSetup(t)
 	doc, _ := xdx.ParseDocument(strings.NewReader(facadeDoc))
