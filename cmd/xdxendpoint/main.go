@@ -43,14 +43,14 @@ func main() {
 	faultStall := flag.Float64("fault-stall", 0, "probability a response stalls once before continuing")
 	fault5xx := flag.Float64("fault-5xx", 0, "probability a request is answered with a plain 503")
 	faultMaxTruncate := flag.Int("fault-max-truncate", 0, "max bytes before a truncation cut (0 = default 4096)")
-	codecWorkers := flag.Int("codec-workers", 0, "chunk codec pool size per shipment (0 = one per CPU, 1 = serial)")
+	codecWorkers := flag.Int("codec-workers", 0, "chunk codec parallelism per shipment on the shared codec pool (0 = one per CPU, 1 = serial)")
 	noDelta := flag.Bool("no-delta", false, "retain no delta bases: DeltaStatus always answers cold, so agencies ship full snapshots")
 	walDir := flag.String("wal-dir", "", "directory for the session write-ahead log; on start, journaled sessions are recovered so interrupted exchanges resume (empty = memory-only)")
-	fsyncPolicy := flag.String("fsync", "always", "WAL sync policy: always (sync per commit), batch (group commit: coalesced syncs, always-equivalent acks), interval (background), or off")
+	fsyncPolicy := flag.String("fsync", "always", "WAL sync policy: always (sync per commit), batch (group commit: coalesced syncs, always-equivalent acks), or off")
 	snapshotEvery := flag.Int("snapshot-every", 256, "WAL appends after a compaction before the next is considered; it runs once ended sessions hold at least as many WAL bytes as live ones (0 = never compact)")
 	batchBytes := flag.Int("batch-bytes", 0, "fsync=batch: max coalesced bytes per commit group (0 = 1MiB)")
 	batchFrames := flag.Int("batch-frames", 0, "fsync=batch: max frames per commit group (0 = 256)")
-	batchHold := flag.Duration("batch-hold", 0, "fsync=batch: max time a lone appender waits for a group (0 = fsync interval/10)")
+	batchHold := flag.Duration("batch-hold", 0, "fsync=batch: max time a lone appender waits for a group (0 = 5ms)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty = off)")
 	verbose := flag.Bool("v", false, "log request and execution activity to stderr")
 	flag.Parse()
@@ -142,7 +142,10 @@ func main() {
 			log.Fatal("xdxendpoint: ", err)
 		}
 		defer journal.Close()
-		restored := ep.SetJournal(journal)
+		restored, err := ep.SetJournal(journal)
+		if err != nil {
+			log.Fatal("xdxendpoint: ", err)
+		}
 		st := journal.RecoveryStats()
 		log.Printf("xdxendpoint: wal %s (fsync=%s): recovered %d sessions, %d records in %s",
 			*walDir, policy, restored, st.Records, st.Elapsed.Round(time.Microsecond))

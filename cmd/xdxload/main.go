@@ -62,7 +62,7 @@ func main() {
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate per second (0 = unlimited)")
 	codec := flag.String("codec", "", "shipment codec for exchanges (xml, feed, bin, bin+flate)")
 	delta := flag.Bool("delta", false, "drive repeat exchanges in delta mode")
-	fsync := flag.String("fsync", "", "make every exchange a durable retried session: journal each tenant target under this WAL fsync policy (always, batch, interval, off; empty = memory-only sessions, one attempt per call)")
+	fsync := flag.String("fsync", "", "make every exchange a durable retried session: journal each tenant target under this WAL fsync policy (always, batch, off; empty = memory-only sessions, one attempt per call)")
 	mode := flag.String("mode", "both", "serial, concurrent, or both")
 	out := flag.String("out", "", "write the JSON report here instead of stdout")
 	check := flag.Bool("check", false, "exit nonzero unless every driven mode had nonzero throughput and zero failures")
@@ -294,7 +294,9 @@ func newWorld(tenants, customers int, latency time.Duration, codec, fsync string
 			if err != nil {
 				log.Fatal("xdxload: ", err)
 			}
-			tgtEP.SetJournal(j)
+			if _, err := tgtEP.SetJournal(j); err != nil {
+				log.Fatal("xdxload: ", err)
+			}
 			w.stops = append(w.stops, func() {
 				j.Close()
 				os.RemoveAll(walDir)

@@ -2,18 +2,19 @@ package durable
 
 // Group commit (FsyncBatch): concurrent appenders enqueue framed records
 // and park on a ticket; a leader goroutine coalesces everything queued into
-// one write + one fsync and resolves the whole group at once. The cost of
-// a sync is amortized over every frame that arrived while the previous one
-// was in flight — the classic group-commit self-clocking loop — which is
-// what closes the ~6× gap between FsyncAlways and the FsyncInterval floor
-// without giving up ack-after-sync: a ticket resolves successfully only
-// after its frame is on stable storage, exactly like FsyncAlways.
+// one write + one fsync and resolves the whole group at once — every frame
+// of a group shares the group's one ticket. The cost of a sync is
+// amortized over every frame that arrived while the previous one was in
+// flight — the classic group-commit self-clocking loop — without giving up
+// ack-after-sync: a ticket resolves successfully only after its frames are
+// on stable storage, exactly like FsyncAlways.
 //
 // Batch cut rules, in order:
 //
 //   - the group reaches MaxBatchBytes or MaxBatchFrames (an appender kicks
 //     the leader immediately);
-//   - Flush is called (the endpoint's pre-ack drain hurries the tail);
+//   - Flush is called, or someone waits on the group's ticket (Err): the
+//     hold only exists to gather frames while nobody is waiting;
 //   - MaxBatchHold elapses — the bound on how long a lone appender waits
 //     for company (wal.batch.stalls counts these expiries);
 //   - a previous group's sync completes while frames are queued: the next
@@ -25,21 +26,30 @@ import (
 	"time"
 )
 
-// Pending is the ticket for one asynchronous append. It resolves — Done()
+// Pending is the ticket of an asynchronous append. It resolves — Done()
 // closes, Err() returns — when the frame's commit group has been written
-// and fsynced (or failed). Every ticket in a group gets the group's error.
+// and fsynced (or failed). Every frame of a group holds the group's one
+// ticket.
 type Pending struct {
 	done chan struct{}
 	err  error
+	b    *batcher // to hurry the group along when someone waits on it
 }
 
 // Done returns a channel closed when the append's group has committed.
 func (p *Pending) Done() <-chan struct{} { return p.done }
 
 // Err blocks until the group commits and returns its outcome: nil means
-// the frame is on stable storage.
+// the frame is on stable storage. Waiting cuts the group's hold short.
 func (p *Pending) Err() error {
-	<-p.done
+	select {
+	case <-p.done:
+	default:
+		if p.b != nil {
+			p.b.hurryUp()
+		}
+		<-p.done
+	}
 	return p.err
 }
 
@@ -49,9 +59,14 @@ var closedPending = func() chan struct{} {
 	return ch
 }()
 
+var durablePending = &Pending{done: closedPending}
+
 // resolvedPending wraps an already-known outcome (the synchronous append
 // policies) in the same ticket shape the batch path returns.
 func resolvedPending(err error) *Pending {
+	if err == nil {
+		return durablePending
+	}
 	return &Pending{done: closedPending, err: err}
 }
 
@@ -64,11 +79,15 @@ type batcher struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // flush completions, for drain
 	buf    []byte     // framed bytes of the pending group, append order
-	spare  []byte     // recycled buffer for the next group
-	group  []*Pending // tickets of the pending group
+	ticket *Pending   // the pending group's ticket; nil when none is pending
+	frames int        // frames in the pending group
 	leader bool       // a leader goroutine is running
 	hurry  bool       // Flush requested: cut the hold short
 	kick   chan struct{}
+	// free recycles group buffers. At most two are in use at once — the
+	// group being synced and the one filling behind it — so keeping both
+	// lets a steady stream of groups stop allocating once they have grown.
+	free [][]byte
 
 	// testHookPreSync, when set, runs after the group's write and before
 	// its sync — the crash window the durability tests freeze.
@@ -76,35 +95,37 @@ type batcher struct {
 }
 
 func newBatcher(w *WAL) *batcher {
-	b := &batcher{w: w, kick: make(chan struct{}, 1)}
+	b := &batcher{w: w, kick: make(chan struct{}, 1), free: make([][]byte, 0, 2)}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// enqueue frames payload into the pending group and returns its ticket,
-// spawning a leader for the group if none is running. Called with neither
-// lock held.
-func (b *batcher) enqueue(payload []byte) *Pending {
+// enqueue frames head+body into the pending group and returns the group's
+// ticket, spawning a leader for the group if none is running. Called with
+// neither lock held.
+func (b *batcher) enqueue(head, body []byte) *Pending {
 	var hdr [frameHeader]byte
-	frameInto(hdr[:], payload)
-	p := &Pending{done: make(chan struct{})}
+	frameInto(hdr[:], head, body)
 	b.mu.Lock()
-	if b.buf == nil && b.spare != nil {
-		b.buf, b.spare = b.spare[:0], nil
+	if n := len(b.free); b.buf == nil && n > 0 {
+		b.buf, b.free = b.free[n-1][:0], b.free[:n-1]
 	}
 	b.buf = append(b.buf, hdr[:]...)
-	b.buf = append(b.buf, payload...)
-	b.group = append(b.group, p)
-	full := len(b.buf) >= b.w.opts.MaxBatchBytes || len(b.group) >= b.w.opts.MaxBatchFrames
+	b.buf = append(b.buf, head...)
+	b.buf = append(b.buf, body...)
+	if b.ticket == nil {
+		b.ticket = &Pending{done: make(chan struct{}), b: b}
+	}
+	p := b.ticket
+	b.frames++
+	full := len(b.buf) >= b.w.opts.MaxBatchBytes || b.frames >= b.w.opts.MaxBatchFrames
 	spawn := !b.leader
 	if spawn {
 		b.leader = true
 	}
 	b.mu.Unlock()
-	if b.w.met != nil {
-		b.w.met.Counter("wal.appends").Inc()
-		b.w.met.Counter("wal.append.bytes").Add(int64(frameHeader + len(payload)))
-	}
+	b.w.mAppends.Inc()
+	b.w.mAppendBytes.Add(int64(frameHeader + len(head) + len(body)))
 	if spawn {
 		go b.lead()
 	} else if full {
@@ -126,7 +147,7 @@ func (b *batcher) kickLeader() {
 // waiting out the hold. No-op when nothing is pending.
 func (b *batcher) hurryUp() {
 	b.mu.Lock()
-	pending := len(b.group) > 0
+	pending := b.frames > 0
 	if pending {
 		b.hurry = true
 	}
@@ -145,7 +166,7 @@ func (b *batcher) lead() {
 		if holdNext {
 			b.mu.Lock()
 			ready := len(b.buf) >= b.w.opts.MaxBatchBytes ||
-				len(b.group) >= b.w.opts.MaxBatchFrames || b.hurry
+				b.frames >= b.w.opts.MaxBatchFrames || b.hurry
 			b.mu.Unlock()
 			if !ready {
 				t := time.NewTimer(b.w.opts.MaxBatchHold)
@@ -160,8 +181,8 @@ func (b *batcher) lead() {
 			}
 		}
 		b.mu.Lock()
-		buf, group := b.buf, b.group
-		b.buf, b.group = nil, nil
+		buf, p, frames := b.buf, b.ticket, b.frames
+		b.buf, b.ticket, b.frames = nil, nil, 0
 		b.hurry = false
 		// Taking the group satisfies any queued kick; dropping the token
 		// keeps a stale one from cutting a future group's hold short.
@@ -171,15 +192,14 @@ func (b *batcher) lead() {
 		}
 		b.mu.Unlock()
 
-		err := b.commit(buf, len(group))
-		for _, p := range group {
-			p.err = err
-			close(p.done)
-		}
+		p.err = b.commit(buf, frames)
+		close(p.done)
 
 		b.mu.Lock()
-		b.spare = buf
-		more := len(b.group) > 0
+		if len(b.free) < cap(b.free) {
+			b.free = append(b.free, buf)
+		}
+		more := b.frames > 0
 		if !more {
 			b.leader = false
 		}
@@ -199,13 +219,12 @@ func (b *batcher) commit(buf []byte, frames int) error {
 	w := b.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.closed.Load() {
 		return fmt.Errorf("durable: Append on closed WAL")
 	}
 	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("durable: append: %w", err)
 	}
-	w.dirty = true
 	if b.testHookPreSync != nil {
 		b.testHookPreSync()
 	}
@@ -225,7 +244,7 @@ func (b *batcher) commit(buf []byte, frames int) error {
 func (b *batcher) drain() {
 	for {
 		b.mu.Lock()
-		if !b.leader && len(b.group) == 0 {
+		if !b.leader && b.frames == 0 {
 			b.mu.Unlock()
 			return
 		}
@@ -233,7 +252,7 @@ func (b *batcher) drain() {
 		b.mu.Unlock()
 		b.kickLeader()
 		b.mu.Lock()
-		if b.leader || len(b.group) > 0 {
+		if b.leader || b.frames > 0 {
 			b.cond.Wait()
 		}
 		b.mu.Unlock()

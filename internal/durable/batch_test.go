@@ -213,7 +213,7 @@ func TestBatchCrashBetweenWriteAndSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := rec.Sessions()
+	ss := sessionsOf(t, rec)
 	var next int64
 	if len(ss) > 0 {
 		next = ss[0].Next
@@ -224,11 +224,11 @@ func TestBatchCrashBetweenWriteAndSync(t *testing.T) {
 	// Resume: re-ship every chunk at or past the recovered checkpoint —
 	// exactly what the source's resume protocol does.
 	for i := next; i < chunks; i++ {
-		if err := rec.Chunk("sess", "k", "frag", i, recs); err != nil {
+		if err := commitChunk(rec, "sess", "k", "frag", i, recs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := rec.Sessions()
+	got := sessionsOf(t, rec)
 	if len(got) != 1 {
 		t.Fatalf("after resume: %d sessions, want 1", len(got))
 	}
@@ -249,7 +249,7 @@ func TestBatchCloseResolvesPending(t *testing.T) {
 	})
 	var tickets []*Pending
 	for i := 0; i < 5; i++ {
-		tickets = append(tickets, w.AppendAsync([]byte(fmt.Sprintf("p%d", i))))
+		tickets = append(tickets, w.appendParts([]byte(fmt.Sprintf("p%d", i)), nil))
 	}
 	done := make(chan error, 1)
 	go func() { done <- w.Close() }()
@@ -278,17 +278,13 @@ func TestBatchCloseResolvesPending(t *testing.T) {
 	}
 }
 
-// TestCloseSyncsDirtyIntervalTail is the close-hardening regression: a
-// clean shutdown under FsyncInterval must fsync the tail appended since
-// the last tick instead of abandoning it to the page cache.
-func TestCloseSyncsDirtyIntervalTail(t *testing.T) {
+// TestCloseSyncsUnsyncedTail is the close-hardening regression: a clean
+// shutdown under FsyncOff must fsync the tail appended since the last sync
+// instead of abandoning it to the page cache.
+func TestCloseSyncsUnsyncedTail(t *testing.T) {
 	met := obs.NewRegistry()
 	dir := t.TempDir()
-	w, _, _ := openRecovered(t, dir, Options{
-		Fsync:         FsyncInterval,
-		FsyncInterval: time.Hour, // the ticker never fires in this test
-		Met:           met,
-	})
+	w, _, _ := openRecovered(t, dir, Options{Fsync: FsyncOff, Met: met})
 	if err := w.Append([]byte("tail-window")); err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +305,9 @@ func TestCloseSyncsDirtyIntervalTail(t *testing.T) {
 }
 
 // TestBatchLoneAppenderHold bounds the lone appender's wait: with nobody
-// to share a group, the hold timer cuts the batch (one stall, one frame)
-// rather than parking the caller indefinitely.
+// to share a group and nobody waiting on its ticket, the hold timer cuts
+// the batch (one stall, one frame) rather than leaving it queued
+// indefinitely.
 func TestBatchLoneAppenderHold(t *testing.T) {
 	met := obs.NewRegistry()
 	dir := t.TempDir()
@@ -320,11 +317,10 @@ func TestBatchLoneAppenderHold(t *testing.T) {
 		Met:          met,
 	})
 	defer w.Close()
-	done := make(chan error, 1)
-	go func() { done <- w.Append([]byte("alone")) }()
+	p := w.appendParts([]byte("alone"), nil)
 	select {
-	case err := <-done:
-		if err != nil {
+	case <-p.Done():
+		if err := p.Err(); err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
@@ -338,6 +334,29 @@ func TestBatchLoneAppenderHold(t *testing.T) {
 	}
 }
 
+// TestBatchWaiterHurriesAndSharesTicket: frames queued together share
+// their group's one ticket, and waiting on it commits the group at once —
+// the hold only gathers frames while nobody is waiting.
+func TestBatchWaiterHurriesAndSharesTicket(t *testing.T) {
+	dir := t.TempDir()
+	w, _, _ := openRecovered(t, dir, Options{Fsync: FsyncBatch, MaxBatchHold: time.Hour})
+	defer w.Close()
+	p1, p2 := w.appendParts([]byte("one"), nil), w.appendParts([]byte("two"), nil)
+	if p1 != p2 {
+		t.Fatal("frames of one group hold different tickets")
+	}
+	done := make(chan error, 1)
+	go func() { done <- p1.Err() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiting on the ticket did not cut the hour-long hold")
+	}
+}
+
 // TestBatchFlushHurries checks Flush cuts the hold short: with an
 // effectively infinite hold, only Flush can commit the group.
 func TestBatchFlushHurries(t *testing.T) {
@@ -347,7 +366,7 @@ func TestBatchFlushHurries(t *testing.T) {
 		MaxBatchHold: time.Hour,
 	})
 	defer w.Close()
-	p := w.AppendAsync([]byte("hurried"))
+	p := w.appendParts([]byte("hurried"), nil)
 	select {
 	case <-p.Done():
 		t.Fatal("ticket resolved before Flush under an hour-long hold")
@@ -445,7 +464,7 @@ func TestBatchJournalEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				tickets = append(tickets, p)
-			} else if err := j.Chunk(op.id, "k", "frag", op.seq, recs); err != nil {
+			} else if err := commitChunk(j, op.id, "k", "frag", op.seq, recs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -473,7 +492,7 @@ func TestBatchJournalEquivalence(t *testing.T) {
 	}
 	defer ja.Close()
 	defer jb.Close()
-	a, b := ja.Sessions(), jb.Sessions()
+	a, b := sessionsOf(t, ja), sessionsOf(t, jb)
 	if len(a) != len(b) {
 		t.Fatalf("session counts differ: always=%d batch=%d", len(a), len(b))
 	}
@@ -486,7 +505,7 @@ func TestBatchJournalEquivalence(t *testing.T) {
 		}
 		for c := range a[i].Chunks {
 			ca, cb := a[i].Chunks[c], b[i].Chunks[c]
-			if ca.Key != cb.Key || ca.Frag != cb.Frag || ca.Seq != cb.Seq || len(ca.Recs) != len(cb.Recs) {
+			if ca.Key != cb.Key || ca.Frag != cb.Frag || ca.Seq != cb.Seq || ca.Format != cb.Format || !bytes.Equal(ca.Bytes, cb.Bytes) {
 				t.Fatalf("session %s chunk %d differs", a[i].ID, c)
 			}
 		}

@@ -1,66 +1,92 @@
 package durable
 
 // Journal is the session-level client of the WAL: it logs the endpoint's
-// resumable-session lifecycle (mint, chunk commit, end) as one XML payload
-// per frame, keeps a shadow copy of the live state, and compacts the log
-// into a snapshot of that shadow once the bytes of ended sessions outweigh
-// the live ones (maybeCompactLocked). After a crash, OpenJournal rebuilds
-// the shadow from snapshot+log; the endpoint re-seeds its session store
-// from Sessions() — ledger checkpoint, seen record IDs, and the committed
-// chunk contents a resumed delivery's execute needs.
+// resumable-session lifecycle — mint, chunk commit, tombstone commit, end —
+// one frame per event, keeps a shadow of the live state, and compacts the
+// log into a snapshot once the bytes of ended sessions outweigh the live
+// ones (maybeCompactLocked). A chunk frame carries the chunk's wire
+// payload as it arrived — a bin or feed chunk's staged text byte for byte,
+// the xml codec's body for a tagged-XML chunk, the <tombstones> body for a
+// deletion chunk — behind a small binary header, so the WAL writes what
+// the wire carried, once, in the format the wire decoder already reads.
+// The journal never decodes a payload: Sessions hands the payloads of the
+// live sessions back, and the endpoint replays them through the wire
+// decoder, whose ledger dedup runs on replay exactly as on receipt.
 //
-// Record formats (one tree per frame):
+// Frame payload layout (inside the WAL's length+CRC framing):
 //
-//	<s id="SID"/>                                   session minted
-//	<c id="SID" key="K" frag="F" seq="N">recs</c>   chunk committed
-//	<c id="SID" key="K" seq="N" del="1">ids</c>     tombstone chunk committed
-//	<e id="SID"/>                                   session ended
+//	byte     format version (walFormat)
+//	byte     kind: 's' mint, 'c' chunk, 't' tombstone chunk, 'e' end
+//	string   session id
+//	chunk and tombstone frames continue with:
+//	string   edge key
+//	string   fragment name (empty for tombstones)
+//	varint   seq (zigzag; -1 is unsequenced)
+//	string   payload format (codec name or "tombstones"), then bin enc
+//	bytes    the chunk's payload, to the end of the frame
 //
-// Chunk records carry the post-dedup records with their instance IDs
-// (EmitAllIDs), so replay reconstructs both the instance map and the
-// idempotency ledger exactly; tombstone chunks (delta exchanges) carry
-// the deleted record IDs as empty <d ID=…/> kids. All ops are idempotent
-// under replay — re-minting is a no-op, a chunk with a seq below the
-// rebuilt checkpoint is skipped, ending an unknown session is fine — which
-// is what makes the snapshot/truncate crash window of WAL.Snapshot safe.
+// where a string is a uvarint length and that many bytes.
 //
-// Decoding is strict: a log frame whose CRC holds but whose payload is
-// missing its id or carries an unparsable seq is reported to the WAL as
-// ErrMalformedFrame, which stops replay there and truncates the rest as a
-// torn tail — a half-decoded chunk must never silently restore a zeroed
-// checkpoint. A malformed snapshot is a hard recovery error (snapshots are
-// written atomically; damage there is real corruption, not a torn append).
+// The shadow keeps no payload: per live chunk only where its frame lies
+// (snapshot or log, offset, length). A compaction writes the snapshot as
+// the same frames back to back behind one format-version byte — each live
+// session's mint frame, then its chunk frames copied byte for byte from
+// the log or the old snapshot.
+//
+// All ops are idempotent under replay — re-minting is a no-op, a chunk
+// with a seq below the rebuilt checkpoint is skipped, ending an unknown
+// session is fine — which is what makes the snapshot/truncate crash window
+// of WAL.Snapshot safe.
+//
+// Decoding is strict: a log frame whose CRC holds but whose header is
+// truncated, names no session, or has an unknown kind is reported to the
+// WAL as ErrMalformedFrame, which stops replay there and truncates the
+// rest as a torn tail — a half-decoded chunk must never silently restore a
+// zeroed checkpoint. A malformed snapshot is a hard recovery error
+// (snapshots are written atomically; damage there is real corruption, not
+// a torn append). A frame or snapshot of another format version — the XML
+// frames of version 1 among them — refuses the directory with ErrWALFormat.
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"xdx/internal/bufpool"
 	"xdx/internal/obs"
+	"xdx/internal/wire"
 	"xdx/internal/xmltree"
 )
 
-// SessionChunk is one committed chunk recovered from (or headed to) the
-// journal: the cross-edge instance key, the fragment name to resolve
-// against the resumed program, the chunk sequence, and the committed
-// records.
+// walFormat is the journal format version this build reads and writes.
+// Version 1 journaled each frame as an XML element (first byte '<').
+const walFormat = 2
+
+// Frame kinds.
+const (
+	kindMint  = 's'
+	kindChunk = 'c'
+	kindTomb  = 't'
+	kindEnd   = 'e'
+)
+
+// SessionChunk is one committed chunk as the journal hands it back: the
+// cross-edge key, the fragment name to resolve against the resumed
+// program, the chunk sequence, and the payload as it was journaled.
 type SessionChunk struct {
 	Key  string
 	Frag string
 	Seq  int64
-	Recs []*xmltree.Node
-	// Del marks a tombstone chunk of a delta exchange: Recs are empty
-	// <d ID=…/> markers naming the deleted record IDs, not records to
-	// hydrate into the instance map.
-	Del bool
+	wire.Payload
 }
 
-// JSession is the recovered durable state of one session.
+// JSession is the durable state of one session.
 type JSession struct {
 	// ID names the session on the wire.
 	ID string
@@ -68,8 +94,21 @@ type JSession struct {
 	Next int64
 	// Chunks are the committed chunks in commit order.
 	Chunks []SessionChunk
+}
 
-	// bytes is what the session occupies on disk: its element in the
+// frameLoc is where one frame lies: in the snapshot file or the log, at
+// off (its WAL frame header), n bytes long including that header.
+type frameLoc struct {
+	snap bool
+	off  int64
+	n    int64
+}
+
+// shadowSession is the journal's memory of one live session.
+type shadowSession struct {
+	next   int64
+	chunks []frameLoc
+	// bytes is what the session occupies on disk: its frames in the
 	// snapshot plus its mint and applied chunk frames in the log.
 	bytes int64
 }
@@ -79,14 +118,16 @@ type Journal struct {
 	wal *WAL
 
 	mu       sync.Mutex
-	sessions map[string]*JSession
-	appends  int // since last snapshot
+	sessions map[string]*shadowSession
+	head     []byte // frame header scratch, under mu
+	appends  int    // since last snapshot
 	every    int
 	// total is the snapshot file plus every log frame; live is the part
 	// of it the live sessions own (the sum of their bytes). The rest —
 	// frames of ended sessions, end frames, replayed duplicates — is
 	// garbage a compaction would reclaim.
 	total, live int64
+	logEnd      int64 // where the next frame lands in the log
 
 	mLive, mGarbage        *obs.Gauge
 	mSkipped, mCompactErrs *obs.Counter
@@ -94,20 +135,24 @@ type Journal struct {
 	stats RecoveryStats
 }
 
-// OpenJournal opens the WAL in dir and recovers the journaled sessions.
+// OpenJournal opens the WAL in dir and recovers the journaled sessions. A
+// directory written in another journal format fails with ErrWALFormat.
 func OpenJournal(dir string, o Options) (*Journal, error) {
 	w, err := Open(dir, o)
 	if err != nil {
 		return nil, err
 	}
 	j := &Journal{
-		wal: w, sessions: map[string]*JSession{}, every: o.SnapshotEvery,
+		wal: w, sessions: map[string]*shadowSession{}, every: o.SnapshotEvery,
 		mLive: o.Met.Gauge("wal.live.bytes"), mGarbage: o.Met.Gauge("wal.garbage.bytes"),
 		mSkipped: o.Met.Counter("wal.compactions.skipped"), mCompactErrs: o.Met.Counter("wal.compact.errors"),
 	}
 	st, err := w.Recover(j.replaySnapshot, j.replayRecord)
 	if err != nil {
 		w.Close()
+		if errors.Is(err, ErrWALFormat) {
+			return nil, fmt.Errorf("%w: %s holds a journal this build (format version %d) cannot read; drain it with the build that wrote it, or delete it", ErrWALFormat, dir, walFormat)
+		}
 		return nil, err
 	}
 	j.stats = st
@@ -118,18 +163,43 @@ func OpenJournal(dir string, o Options) (*Journal, error) {
 // RecoveryStats reports what recovery found when the journal was opened.
 func (j *Journal) RecoveryStats() RecoveryStats { return j.stats }
 
-// Sessions returns the recovered (or current) durable sessions, sorted by
-// ID. Chunk record trees are shared with the shadow state and must be
-// treated as immutable.
-func (j *Journal) Sessions() []*JSession {
+// Sessions returns the live sessions, sorted by ID, with every committed
+// chunk's payload read back from the log and snapshot.
+func (j *Journal) Sessions() ([]*JSession, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]*JSession, 0, len(j.sessions))
-	for _, s := range j.sessions {
-		out = append(out, s)
+	if j.wal.bat != nil {
+		j.wal.bat.drain() // every queued frame is in the log file
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
+	fr := frameReader{dir: j.wal.dir, log: j.wal.f}
+	defer fr.close()
+	out := make([]*JSession, 0, len(j.sessions))
+	for _, id := range j.sortedIDsLocked() {
+		s := j.sessions[id]
+		js := &JSession{ID: id, Next: s.next, Chunks: make([]SessionChunk, len(s.chunks))}
+		for k, loc := range s.chunks {
+			frame, err := fr.read(nil, loc)
+			if err != nil {
+				return nil, fmt.Errorf("durable: sessions: %w", err)
+			}
+			r, err := decodeRecord(frame[frameHeader:])
+			if err != nil {
+				return nil, fmt.Errorf("durable: sessions: %w", err)
+			}
+			js.Chunks[k] = r.SessionChunk
+		}
+		out = append(out, js)
+	}
+	return out, nil
+}
+
+func (j *Journal) sortedIDsLocked() []string {
+	ids := make([]string, 0, len(j.sessions))
+	for id := range j.sessions {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // Len reports the live journaled session count.
@@ -138,10 +208,6 @@ func (j *Journal) Len() int {
 	defer j.mu.Unlock()
 	return len(j.sessions)
 }
-
-// Batched reports whether the underlying WAL runs group commit
-// (FsyncBatch) — the mode where ChunkAsync pipelines and Flush matters.
-func (j *Journal) Batched() bool { return j.wal.bat != nil }
 
 // Flush hurries the WAL's pending commit group out (FsyncBatch only):
 // call it before parking on tickets so a quiet session never waits out
@@ -154,88 +220,79 @@ func (j *Journal) Flush() { j.wal.Flush() }
 // implies a durable mint — and a lost mint alone is harmless, since chunk
 // replay creates unknown sessions.
 func (j *Journal) Mint(id string) error {
-	frame := bufpool.Buffer()
-	defer bufpool.PutBuffer(frame)
-	if err := encodeFrame(frame, "s", id); err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.sessions[id] != nil {
 		return nil
 	}
-	p, size := j.appendLocked(frame.Bytes())
-	if !j.Batched() {
+	j.head = appendFrameHead(j.head[:0], kindMint, id)
+	p, loc := j.appendLocked(j.head, nil)
+	if j.wal.bat == nil {
 		if err := p.Err(); err != nil {
 			return err
 		}
 	}
-	j.sessions[id] = &JSession{ID: id, bytes: size}
-	j.live += size
+	j.sessions[id] = &shadowSession{bytes: loc.n}
+	j.live += loc.n
 	j.maybeCompactLocked()
 	return nil
 }
 
-// Chunk journals one committed chunk: it must be called before the chunk's
-// checkpoint is allowed to advance, so a crash after this call replays the
-// commit and a crash before it re-ships the chunk. The records are the
-// post-dedup set actually committed.
-func (j *Journal) Chunk(id, key, frag string, seq int64, recs []*xmltree.Node) error {
-	p, err := j.ChunkAsync(id, key, frag, seq, recs)
-	if err != nil {
-		return err
+// Commit journals one chunk a shipment decoder committed, as its payload:
+// the staged bytes of a raw chunk as they are, the wire body of a
+// tagged-XML chunk's records or a tombstone chunk's IDs. It must be
+// called before the chunk's checkpoint may advance; the returned ticket
+// resolves when the frame is durable (already, under non-batch policies),
+// and the caller must not advance the checkpoint — or acknowledge anything
+// downstream of it — before it resolves successfully. That deferred ack is
+// what lets the decoder parse the next chunk while this one's fsync is in
+// flight. The payload is copied before Commit returns.
+func (j *Journal) Commit(id string, c *wire.Chunk) *Pending {
+	frag := ""
+	if c.Frag != nil {
+		frag = c.Frag.Name
 	}
-	return p.Err()
+	return j.commit(id, c.Key, frag, c.Seq, c.Payload, c.Recs, c.IDs)
 }
 
-// ChunkAsync journals one committed chunk without waiting for durability:
-// the returned ticket resolves when the frame's commit group has synced
-// (immediately under non-batch policies). The caller must not advance the
-// chunk's checkpoint — or acknowledge anything downstream of it — before
-// the ticket resolves successfully; that deferred ack is what lets the
-// decoder keep parsing the next chunk while this one's fsync is in
-// flight. An error return (encode failure) means nothing was appended.
+// ChunkAsync journals one committed chunk of tagged-XML records — the
+// xml codec's entry point into Commit.
 func (j *Journal) ChunkAsync(id, key, frag string, seq int64, recs []*xmltree.Node) (*Pending, error) {
-	return j.chunkAsync(id, SessionChunk{Key: key, Frag: frag, Seq: seq, Recs: recs})
+	return j.commit(id, key, frag, seq, wire.Payload{Format: wire.CodecXML}, recs, nil), nil
 }
 
-// Tomb journals one committed tombstone chunk (the deletions of a delta
-// exchange) synchronously; see TombAsync.
-func (j *Journal) Tomb(id, key string, seq int64, ids []string) error {
-	p, err := j.TombAsync(id, key, seq, ids)
-	if err != nil {
-		return err
-	}
-	return p.Err()
-}
-
-// TombAsync journals one committed tombstone chunk without waiting for
-// durability — the delta-exchange counterpart of ChunkAsync. The deleted
-// record IDs travel as empty <d ID=…/> kids and replay into a Del chunk,
-// so recovery re-applies the deletions instead of hydrating phantom
-// records.
+// TombAsync journals one committed tombstone chunk (the deletions of a
+// delta exchange) — the tombstone entry point into Commit.
 func (j *Journal) TombAsync(id, key string, seq int64, ids []string) (*Pending, error) {
-	recs := make([]*xmltree.Node, 0, len(ids))
-	for _, rid := range ids {
-		recs = append(recs, &xmltree.Node{Name: "d", ID: rid})
-	}
-	return j.chunkAsync(id, SessionChunk{Key: key, Seq: seq, Recs: recs, Del: true})
+	return j.commit(id, key, "", seq, wire.Payload{Format: wire.FormatTombstones}, nil, ids), nil
 }
 
-func (j *Journal) chunkAsync(id string, c SessionChunk) (*Pending, error) {
-	// Rendering the records is the expensive part of a commit; it happens
-	// before the lock so concurrent sessions serialize only on the append.
-	frame := bufpool.Buffer()
-	defer bufpool.PutBuffer(frame)
-	if err := xmltree.Write(frame, chunkNode(id, c), frameOpts); err != nil {
-		return nil, err
+// commit appends one chunk frame. A tagged-XML or tombstone body is
+// rendered before the lock, so concurrent sessions serialize only on the
+// append.
+func (j *Journal) commit(id, key, frag string, seq int64, p wire.Payload, recs []*xmltree.Node, ids []string) *Pending {
+	kind, body := byte(kindChunk), p.Bytes
+	if p.Format == wire.CodecXML || p.Format == wire.FormatTombstones {
+		buf := bufpool.Buffer()
+		defer bufpool.PutBuffer(buf)
+		bw := bufpool.Writer(buf)
+		if p.Format == wire.CodecXML {
+			wire.WriteRecords(bw, recs)
+		} else {
+			kind = kindTomb
+			wire.WriteTombstoneIDs(bw, ids)
+		}
+		bw.Flush() // into a bytes.Buffer: cannot fail
+		bufpool.PutWriter(bw)
+		body = buf.Bytes()
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	p, size := j.appendLocked(frame.Bytes())
-	j.applyChunkLocked(id, c, size)
+	j.head = appendChunkHead(j.head[:0], kind, id, key, frag, seq, p.Format, p.Enc)
+	ticket, loc := j.appendLocked(j.head, body)
+	j.applyChunkLocked(id, seq, loc)
 	j.maybeCompactLocked()
-	return p, nil
+	return ticket
 }
 
 // End journals the release of sessions (EndSession, sweeps) and drops them
@@ -244,30 +301,17 @@ func (j *Journal) chunkAsync(id string, c SessionChunk) (*Pending, error) {
 // on: a lost end merely leaves a session to be swept again, and the shadow
 // deletion reaches the next snapshot regardless.
 func (j *Journal) End(ids ...string) error {
-	// The end frames sit back to back in one buffer; ends[i] is where
-	// ids[i]'s frame stops.
-	frames := bufpool.Buffer()
-	defer bufpool.PutBuffer(frames)
-	ends := make([]int, len(ids))
-	for i, id := range ids {
-		if err := encodeFrame(frames, "e", id); err != nil {
-			return err
-		}
-		ends[i] = frames.Len()
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var firstErr error
-	start := 0
-	for i, id := range ids {
-		payload := frames.Bytes()[start:ends[i]]
-		start = ends[i]
+	for _, id := range ids {
 		s := j.sessions[id]
 		if s == nil {
 			continue
 		}
-		p, _ := j.appendLocked(payload)
-		if !j.Batched() {
+		j.head = appendFrameHead(j.head[:0], kindEnd, id)
+		p, _ := j.appendLocked(j.head, nil)
+		if j.wal.bat == nil {
 			if err := p.Err(); err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -295,40 +339,14 @@ func (j *Journal) Compact() error {
 // Close syncs and releases the underlying WAL.
 func (j *Journal) Close() error { return j.wal.Close() }
 
-// chunkNode builds a chunk's <c> element: a log frame names its session in
-// id, a snapshot nests the element under the session and passes "".
-func chunkNode(id string, c SessionChunk) *xmltree.Node {
-	n := &xmltree.Node{Name: "c", Kids: c.Recs}
-	if id != "" {
-		n.SetAttr("id", id)
-	}
-	n.SetAttr("key", c.Key)
-	if c.Frag != "" {
-		n.SetAttr("frag", c.Frag)
-	}
-	n.SetAttr("seq", strconv.FormatInt(c.Seq, 10))
-	if c.Del {
-		n.SetAttr("del", "1")
-	}
-	return n
-}
-
-var frameOpts = xmltree.WriteOptions{EmitAllIDs: true}
-
-// encodeFrame renders a mint ("s") or end ("e") record for session id.
-func encodeFrame(b *bytes.Buffer, name, id string) error {
-	n := &xmltree.Node{Name: name}
-	n.SetAttr("id", id)
-	return xmltree.Write(b, n, frameOpts)
-}
-
-// appendLocked hands one encoded record to the WAL, which copies it, and
-// returns the durability ticket with the frame's size on disk.
-func (j *Journal) appendLocked(payload []byte) (*Pending, int64) {
-	size := int64(frameHeader + len(payload))
+// appendLocked hands one frame to the WAL, which copies it, and returns
+// the durability ticket with the frame's place in the log.
+func (j *Journal) appendLocked(head, body []byte) (*Pending, frameLoc) {
+	loc := frameLoc{off: j.logEnd, n: int64(frameHeader + len(head) + len(body))}
+	j.logEnd += loc.n
 	j.appends++
-	j.total += size
-	return j.wal.AppendAsync(payload), size
+	j.total += loc.n
+	return j.wal.appendParts(head, body), loc
 }
 
 // maybeCompactLocked is the compaction rule. Once SnapshotEvery frames
@@ -360,191 +378,260 @@ func (j *Journal) publishBytesLocked() {
 	j.mGarbage.Set(j.total - j.live)
 }
 
-// countWriter counts what passes through, to size each session's element.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return c.w.Write(p)
-}
-
-// compactLocked streams the shadow state as <journal><s…><c…/></s></journal>
-// into WAL.Snapshot, and on success resets the byte tallies to what the
-// snapshot holds.
+// compactLocked streams the live sessions into WAL.Snapshot — per session
+// a fresh mint frame, then its chunk frames copied from where they lie,
+// each checked against its CRC on the way — and on success points the
+// shadow at the frames' new places and resets the byte tallies to what
+// the snapshot holds. One frame's bytes are in memory at a time.
 func (j *Journal) compactLocked() error {
-	ids := make([]string, 0, len(j.sessions))
-	for id := range j.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := j.sortedIDsLocked()
+	moved := make([][]frameLoc, len(ids))
 	sizes := make([]int64, len(ids))
-	cw := &countWriter{}
+	var n int64 // snapshot payload bytes written, to place each frame
 	err := j.wal.Snapshot(func(w io.Writer) error {
-		cw.w = w
-		if _, err := io.WriteString(cw, "<journal>"); err != nil {
+		fr := frameReader{dir: j.wal.dir, log: j.wal.f}
+		defer fr.close()
+		var frame []byte
+		if _, err := w.Write([]byte{walFormat}); err != nil {
 			return err
 		}
+		n = 1
 		for i, id := range ids {
 			s := j.sessions[id]
-			sn := &xmltree.Node{Name: "s", Kids: make([]*xmltree.Node, len(s.Chunks))}
-			sn.SetAttr("id", s.ID)
-			sn.SetAttr("next", strconv.FormatInt(s.Next, 10))
-			for k, c := range s.Chunks {
-				sn.Kids[k] = chunkNode("", c)
-			}
-			before := cw.n
-			if err := xmltree.Write(cw, sn, frameOpts); err != nil {
+			start := n
+			j.head = appendFrameHead(j.head[:0], kindMint, id)
+			frame = append(append(frame[:0], make([]byte, frameHeader)...), j.head...)
+			frameInto(frame, j.head, nil)
+			if _, err := w.Write(frame); err != nil {
 				return err
 			}
-			sizes[i] = cw.n - before
+			n += int64(len(frame))
+			locs := make([]frameLoc, len(s.chunks))
+			for k, loc := range s.chunks {
+				var err error
+				if frame, err = fr.read(frame, loc); err != nil {
+					return err
+				}
+				locs[k] = frameLoc{snap: true, off: frameHeader + n, n: loc.n}
+				if _, err := w.Write(frame); err != nil {
+					return err
+				}
+				n += loc.n
+			}
+			moved[i], sizes[i] = locs, n-start
 		}
-		_, err := io.WriteString(cw, "</journal>")
-		return err
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	j.appends, j.total, j.live = 0, frameHeader+cw.n, 0
+	j.appends, j.total, j.live, j.logEnd = 0, frameHeader+n, 0, 0
 	for i, id := range ids {
-		j.sessions[id].bytes = sizes[i]
+		s := j.sessions[id]
+		s.chunks, s.bytes = moved[i], sizes[i]
 		j.live += sizes[i]
 	}
 	j.publishBytesLocked()
 	return nil
 }
 
-// applyChunkLocked folds one chunk commit, whose frame takes size bytes of
-// the log, into the shadow state, with the ledger's checkpoint rule
-// (seq >= next advances next to seq+1; seqless chunks leave it alone).
-// Replayed duplicates — a stale log record applied over a newer snapshot —
-// are skipped by the same rule, and their bytes stay garbage.
-func (j *Journal) applyChunkLocked(id string, c SessionChunk, size int64) {
-	s := j.sessions[id]
-	if s == nil {
-		s = &JSession{ID: id}
-		j.sessions[id] = s
-	}
-	if c.Seq >= 0 && c.Seq < s.Next {
-		return // already compacted into the snapshot; idempotent replay
-	}
-	s.Chunks = append(s.Chunks, c)
-	if c.Seq >= s.Next {
-		s.Next = c.Seq + 1
-	}
-	s.bytes += size
-	j.live += size
+// frameReader reads journaled frames back from the log or the snapshot,
+// opening the snapshot on first use.
+type frameReader struct {
+	dir  string
+	log  *os.File
+	snap *os.File
 }
 
-// replaySnapshot rebuilds the shadow state from a compacted snapshot.
-func (j *Journal) replaySnapshot(payload []byte) error {
-	root, err := xmltree.Parse(strings.NewReader(string(payload)))
-	if err != nil {
-		return err
-	}
-	if root.Name != "journal" {
-		return fmt.Errorf("unexpected snapshot root %q", root.Name)
-	}
-	for _, sn := range root.Kids {
-		if sn.Name != "s" {
-			continue
-		}
-		id, _ := sn.Attr("id")
-		if id == "" {
-			return fmt.Errorf("snapshot session without id")
-		}
-		// Parse drops nothing Write emits except whitespace around text, so
-		// re-measuring the element gives back the size compaction counted.
-		s := &JSession{ID: id, bytes: xmltree.SizeWith(sn, frameOpts)}
-		// The compactor always stamps next; a session element without it, or
-		// with an unparsable value, is corruption — restoring checkpoint 0
-		// here would rewind the ledger and mis-dedup resumed chunks.
-		v, ok := sn.Attr("next")
-		if !ok {
-			return fmt.Errorf("snapshot session %q without next checkpoint", id)
-		}
-		next, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || next < 0 {
-			return fmt.Errorf("snapshot session %q: bad next checkpoint %q", id, v)
-		}
-		s.Next = next
-		for _, cn := range sn.Kids {
-			if cn.Name != "c" {
-				continue
-			}
-			c, err := parseChunk(cn)
+// read reads the frame at loc into dst's array (growing it as needed) and
+// checks it: a frame whose bytes no longer match their CRC is never
+// handed back or copied forward.
+func (fr *frameReader) read(dst []byte, loc frameLoc) ([]byte, error) {
+	f := fr.log
+	if loc.snap {
+		if fr.snap == nil {
+			s, err := os.Open(filepath.Join(fr.dir, snapFile))
 			if err != nil {
-				return fmt.Errorf("snapshot session %q: %v", id, err)
+				return nil, err
 			}
-			s.Chunks = append(s.Chunks, c)
+			fr.snap = s
 		}
+		f = fr.snap
+	}
+	frame := slices.Grow(dst[:0], int(loc.n))[:loc.n]
+	if _, err := f.ReadAt(frame, loc.off); err != nil {
+		return nil, fmt.Errorf("read frame at %d of %s: %w", loc.off, f.Name(), err)
+	}
+	if _, n, ok := parseFrame(frame); !ok || int64(n) != loc.n {
+		return nil, fmt.Errorf("frame at %d of %s fails its checksum", loc.off, f.Name())
+	}
+	return frame, nil
+}
+
+func (fr *frameReader) close() {
+	if fr.snap != nil {
+		fr.snap.Close()
+	}
+}
+
+// applyChunkLocked folds one chunk commit, whose frame lies at loc, into
+// the shadow state, with the ledger's checkpoint rule (seq >= next
+// advances next to seq+1; seqless chunks leave it alone). Replayed
+// duplicates — a stale log record applied over a newer snapshot, a chunk
+// re-shipped after its ticket failed — are skipped by the same rule, and
+// their bytes stay garbage.
+func (j *Journal) applyChunkLocked(id string, seq int64, loc frameLoc) {
+	s := j.sessions[id]
+	if s == nil {
+		s = &shadowSession{}
 		j.sessions[id] = s
-		j.live += s.bytes
+	}
+	if seq >= 0 && seq < s.next {
+		return
+	}
+	s.chunks = append(s.chunks, loc)
+	if seq >= s.next {
+		s.next = seq + 1
+	}
+	s.bytes += loc.n
+	j.live += loc.n
+}
+
+// applyLocked folds one decoded frame, lying at loc, into the shadow.
+func (j *Journal) applyLocked(r record, loc frameLoc) {
+	switch r.kind {
+	case kindMint:
+		if j.sessions[r.id] == nil {
+			j.sessions[r.id] = &shadowSession{bytes: loc.n}
+			j.live += loc.n
+		}
+	case kindChunk, kindTomb:
+		j.applyChunkLocked(r.id, r.Seq, loc)
+	case kindEnd:
+		if s := j.sessions[r.id]; s != nil {
+			j.live -= s.bytes
+			delete(j.sessions, r.id)
+		}
+	}
+}
+
+// replaySnapshot rebuilds the shadow state from a compacted snapshot: the
+// format-version byte, then frames back to back.
+func (j *Journal) replaySnapshot(payload []byte) error {
+	if len(payload) == 0 {
+		return fmt.Errorf("snapshot without a format version")
+	}
+	if payload[0] != walFormat {
+		return fmt.Errorf("%w: snapshot format version %d", ErrWALFormat, payload[0])
+	}
+	for off := 1; off < len(payload); {
+		p, n, ok := parseFrame(payload[off:])
+		if !ok {
+			return fmt.Errorf("corrupt frame at snapshot offset %d", off)
+		}
+		r, err := decodeRecord(p)
+		if err != nil {
+			return err
+		}
+		j.applyLocked(r, frameLoc{snap: true, off: int64(frameHeader + off), n: int64(n)})
+		off += n
 	}
 	j.total = int64(frameHeader + len(payload))
 	return nil
 }
 
 // replayRecord folds one log frame into the shadow state. Any decode
-// failure — unparsable XML, a missing id, a mangled seq — is reported as
-// ErrMalformedFrame so the WAL stops replay there and truncates the rest
-// as a torn tail, instead of restoring a half-decoded (zeroed) record.
+// failure is reported as ErrMalformedFrame (or ErrWALFormat), so the WAL
+// stops replay there instead of restoring a half-decoded record.
 func (j *Journal) replayRecord(payload []byte) error {
-	n, err := xmltree.Parse(strings.NewReader(string(payload)))
+	r, err := decodeRecord(payload)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformedFrame, err)
+		return err
 	}
-	id, _ := n.Attr("id")
-	if id == "" {
-		return fmt.Errorf("%w: %s record without id", ErrMalformedFrame, n.Name)
-	}
-	size := int64(frameHeader + len(payload))
-	switch n.Name {
-	case "s":
-		if j.sessions[id] == nil {
-			j.sessions[id] = &JSession{ID: id, bytes: size}
-			j.live += size
-		}
-	case "c":
-		c, err := parseChunk(n)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrMalformedFrame, err)
-		}
-		j.applyChunkLocked(id, c, size)
-	case "e":
-		if s := j.sessions[id]; s != nil {
-			j.live -= s.bytes
-			delete(j.sessions, id)
-		}
-	default:
-		return fmt.Errorf("%w: unknown journal record %q", ErrMalformedFrame, n.Name)
-	}
+	loc := frameLoc{off: j.logEnd, n: int64(frameHeader + len(payload))}
+	j.logEnd += loc.n
+	j.applyLocked(r, loc)
 	j.appends++
-	j.total += size
+	j.total += loc.n
 	return nil
 }
 
-// parseChunk decodes one <c> element strictly: the seq attribute must be
-// present and parse, because defaulting it would rewind the rebuilt
-// checkpoint (applyChunkLocked derives next from it).
-func parseChunk(n *xmltree.Node) (SessionChunk, error) {
-	var c SessionChunk
-	c.Key, _ = n.Attr("key")
-	c.Frag, _ = n.Attr("frag")
-	v, ok := n.Attr("seq")
-	if !ok {
-		return c, fmt.Errorf("chunk record without seq")
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendFrameHead appends the header every frame starts with — all of a
+// mint or end frame.
+func appendFrameHead(b []byte, kind byte, id string) []byte {
+	return appendString(append(b, walFormat, kind), id)
+}
+
+// appendChunkHead appends a chunk or tombstone frame's header; the payload
+// follows it.
+func appendChunkHead(b []byte, kind byte, id, key, frag string, seq int64, format, enc string) []byte {
+	b = appendString(appendString(appendFrameHead(b, kind, id), key), frag)
+	return appendString(appendString(binary.AppendVarint(b, seq), format), enc)
+}
+
+// record is one decoded frame.
+type record struct {
+	kind byte
+	id   string
+	SessionChunk
+}
+
+// headReader decodes header fields, remembering the first failure.
+type headReader struct {
+	b   []byte
+	bad bool
+}
+
+func (h *headReader) str() string {
+	n, k := binary.Uvarint(h.b)
+	if k <= 0 || n > uint64(len(h.b)-k) {
+		h.bad = true
+		return ""
 	}
-	seq, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return c, fmt.Errorf("chunk record with bad seq %q", v)
+	s := string(h.b[k : k+int(n)])
+	h.b = h.b[k+int(n):]
+	return s
+}
+
+func (h *headReader) varint() int64 {
+	v, k := binary.Varint(h.b)
+	if k <= 0 {
+		h.bad = true
+		return 0
 	}
-	c.Seq = seq
-	if v, _ := n.Attr("del"); v == "1" {
-		c.Del = true
+	h.b = h.b[k:]
+	return v
+}
+
+// decodeRecord decodes one frame payload strictly (see the file comment).
+func decodeRecord(p []byte) (record, error) {
+	var r record
+	if len(p) < 2 {
+		return r, fmt.Errorf("%w: %d-byte frame", ErrMalformedFrame, len(p))
 	}
-	c.Recs = n.Kids
-	return c, nil
+	if p[0] != walFormat {
+		return r, fmt.Errorf("%w: frame format version %d", ErrWALFormat, p[0])
+	}
+	r.kind = p[1]
+	h := headReader{b: p[2:]}
+	r.id = h.str()
+	switch r.kind {
+	case kindMint, kindEnd:
+	case kindChunk, kindTomb:
+		r.Key, r.Frag, r.Seq = h.str(), h.str(), h.varint()
+		r.Format, r.Enc, r.Bytes = h.str(), h.str(), h.b
+	default:
+		return r, fmt.Errorf("%w: unknown record kind %q", ErrMalformedFrame, r.kind)
+	}
+	if h.bad {
+		return r, fmt.Errorf("%w: truncated %q record header", ErrMalformedFrame, r.kind)
+	}
+	if r.id == "" {
+		return r, fmt.Errorf("%w: %q record without session id", ErrMalformedFrame, r.kind)
+	}
+	return r, nil
 }

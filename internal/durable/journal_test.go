@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"xdx/internal/obs"
+	"xdx/internal/wire"
 	"xdx/internal/xmltree"
 )
 
@@ -25,6 +29,54 @@ func chunkRecs(prefix string, n int) []*xmltree.Node {
 		}
 	}
 	return recs
+}
+
+// commitChunk journals one tagged-XML chunk and waits until it is durable.
+func commitChunk(j *Journal, id, key, frag string, seq int64, recs []*xmltree.Node) error {
+	p, err := j.ChunkAsync(id, key, frag, seq, recs)
+	if err != nil {
+		return err
+	}
+	return p.Err()
+}
+
+// commitTomb journals one tombstone chunk and waits until it is durable.
+func commitTomb(j *Journal, id, key string, seq int64, ids []string) error {
+	p, err := j.TombAsync(id, key, seq, ids)
+	if err != nil {
+		return err
+	}
+	return p.Err()
+}
+
+// sessionsOf reads a journal's sessions back, failing the test on error.
+func sessionsOf(t testing.TB, j *Journal) []*JSession {
+	t.Helper()
+	ss, err := j.Sessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
+// render captures what a wire body writer produces.
+func render(write func(*bufio.Writer)) []byte {
+	var b bytes.Buffer
+	bw := bufio.NewWriter(&b)
+	write(bw)
+	bw.Flush()
+	return b.Bytes()
+}
+
+// xmlBody is the xml codec's chunk body for recs: what the journal stores
+// for a tagged-XML chunk.
+func xmlBody(recs []*xmltree.Node) []byte {
+	return render(func(bw *bufio.Writer) { wire.WriteRecords(bw, recs) })
+}
+
+// tombBody is the wire body of a tombstone chunk.
+func tombBody(ids []string) []byte {
+	return render(func(bw *bufio.Writer) { wire.WriteTombstoneIDs(bw, ids) })
 }
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -41,10 +93,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	r0 := chunkRecs("x", 3)
 	r1 := chunkRecs("y", 2)
-	if err := j.Chunk("sess-1", "F1->F2", "F2", 0, r0); err != nil {
+	if err := commitChunk(j, "sess-1", "F1->F2", "F2", 0, r0); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Chunk("sess-1", "F1->F2", "F2", 1, r1); err != nil {
+	if err := commitChunk(j, "sess-1", "F1->F2", "F2", 1, r1); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Mint("sess-2"); err != nil {
@@ -57,7 +109,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	sessions := back.Sessions()
+	sessions := sessionsOf(t, back)
 	if len(sessions) != 2 {
 		t.Fatalf("recovered %d sessions, want 2", len(sessions))
 	}
@@ -66,15 +118,11 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("sess-1 recovered as %+v", s)
 	}
 	c := s.Chunks[0]
-	if c.Key != "F1->F2" || c.Frag != "F2" || c.Seq != 0 || len(c.Recs) != 3 {
+	if c.Key != "F1->F2" || c.Frag != "F2" || c.Seq != 0 || c.Format != wire.CodecXML {
 		t.Fatalf("chunk 0 recovered as %+v", c)
 	}
-	for i, rec := range c.Recs {
-		if !xmltree.Equal(rec, r0[i]) {
-			t.Fatalf("chunk 0 record %d mismatch:\n got %s\nwant %s",
-				i, xmltree.Marshal(rec, xmltree.WriteOptions{EmitAllIDs: true}),
-				xmltree.Marshal(r0[i], xmltree.WriteOptions{EmitAllIDs: true}))
-		}
+	if want := xmlBody(r0); !bytes.Equal(c.Bytes, want) {
+		t.Fatalf("chunk 0 payload mismatch:\n got %s\nwant %s", c.Bytes, want)
 	}
 	if sessions[1].ID != "sess-2" || sessions[1].Next != 0 || len(sessions[1].Chunks) != 0 {
 		t.Fatalf("sess-2 recovered as %+v", sessions[1])
@@ -88,7 +136,7 @@ func TestJournalEndReleasesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Mint("a")
-	j.Chunk("a", "k", "f", 0, chunkRecs("a", 1))
+	commitChunk(j, "a", "k", "f", 0, chunkRecs("a", 1))
 	j.Mint("b")
 	if err := j.End("a", "never-seen"); err != nil {
 		t.Fatal(err)
@@ -99,7 +147,7 @@ func TestJournalEndReleasesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	sessions := back.Sessions()
+	sessions := sessionsOf(t, back)
 	if len(sessions) != 1 || sessions[0].ID != "b" {
 		t.Fatalf("after End, recovered %+v", sessions)
 	}
@@ -116,19 +164,19 @@ func TestJournalCompactPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Mint("s")
-	j.Chunk("s", "k", "f", 0, chunkRecs("p", 2))
-	j.Chunk("s", "k", "f", 1, chunkRecs("q", 2))
+	commitChunk(j, "s", "k", "f", 0, chunkRecs("p", 2))
+	commitChunk(j, "s", "k", "f", 1, chunkRecs("q", 2))
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	j.Chunk("s", "k", "f", 2, chunkRecs("r", 1))
+	commitChunk(j, "s", "k", "f", 2, chunkRecs("r", 1))
 	j.Close()
 
 	back, err := OpenJournal(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessions := back.Sessions()
+	sessions := sessionsOf(t, back)
 	if len(sessions) != 1 {
 		t.Fatalf("recovered %d sessions", len(sessions))
 	}
@@ -145,8 +193,8 @@ func TestJournalCompactPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale.mu.Lock()
-	stale.applyChunkLocked("s", SessionChunk{Key: "k", Frag: "f", Seq: 1, Recs: chunkRecs("q", 2)}, 64)
-	n := len(stale.sessions["s"].Chunks)
+	stale.applyChunkLocked("s", 1, frameLoc{n: 64})
+	n := len(stale.sessions["s"].chunks)
 	stale.mu.Unlock()
 	stale.Close()
 	if n != 3 {
@@ -167,7 +215,7 @@ func TestJournalSnapshotEveryAutoCompacts(t *testing.T) {
 	defer j.Close()
 	j.Mint("s")
 	for i := int64(0); i < 4096; i++ {
-		if err := j.Chunk("s", "k", "f", i, chunkRecs("z", 1)); err != nil {
+		if err := commitChunk(j, "s", "k", "f", i, chunkRecs("z", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,21 +245,30 @@ func TestJournalSnapshotEveryAutoCompacts(t *testing.T) {
 	}
 }
 
+// chunkState names one chunk for the state comparisons: seq, payload
+// format, and a checksum of the payload bytes.
+func chunkState(seq int64, format string, payload []byte) string {
+	return fmt.Sprintf("%d/%s/%08x", seq, format, crc32.ChecksumIEEE(payload))
+}
+
 // journalState renders what recovery must reproduce: every session's
-// checkpoint and chunks (seq, Del, record count, in commit order), and the
+// checkpoint and chunks (seq, format, payload, in commit order), and the
 // tallies the compaction rule runs on.
-func journalState(j *Journal) (sessions, tallies string) {
+func journalState(t *testing.T, j *Journal) (sessions, tallies string) {
+	t.Helper()
 	var sb, tb strings.Builder
-	for _, s := range j.Sessions() {
+	for _, s := range sessionsOf(t, j) {
 		fmt.Fprintf(&sb, "%s next=%d:", s.ID, s.Next)
 		for _, c := range s.Chunks {
-			fmt.Fprintf(&sb, " %d/%v/%d", c.Seq, c.Del, len(c.Recs))
+			sb.WriteString(" " + chunkState(c.Seq, c.Format, c.Bytes))
 		}
 		sb.WriteByte('\n')
-		fmt.Fprintf(&tb, "%s=%d ", s.ID, s.bytes)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	for _, id := range j.sortedIDsLocked() {
+		fmt.Fprintf(&tb, "%s=%d ", id, j.sessions[id].bytes)
+	}
 	fmt.Fprintf(&tb, "total=%d live=%d appends=%d", j.total, j.live, j.appends)
 	return sb.String(), tb.String()
 }
@@ -249,7 +306,7 @@ func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 		}
 		return b.String()
 	}
-	commit := func(id string, seq int64, del bool, n int) {
+	commit := func(id string, seq int64, format string, payload []byte) {
 		m := model[id]
 		if m == nil {
 			m = &modelSession{}
@@ -258,7 +315,7 @@ func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 		if seq < m.next {
 			return
 		}
-		m.chunks = append(m.chunks, fmt.Sprintf("%d/%v/%d", seq, del, n))
+		m.chunks = append(m.chunks, chunkState(seq, format, payload))
 		m.next = seq + 1
 	}
 	reopen := func(logSize int64, want string) {
@@ -270,7 +327,7 @@ func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer back.Close()
-		sessions, tallies := journalState(back)
+		sessions, tallies := journalState(t, back)
 		if got := sessions + tallies; got != want {
 			t.Fatalf("log cut at %d recovered\n%s\nwant\n%s", logSize, got, want)
 		}
@@ -298,19 +355,20 @@ func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 				model[id] = &modelSession{}
 			}
 		case r < 24:
-			err = j.Tomb(id, "k", next, []string{"x", "y"})
-			commit(id, next, true, 2)
+			ids := []string{"x", fmt.Sprint(step)}
+			err = commitTomb(j, id, "k", next, ids)
+			commit(id, next, wire.FormatTombstones, tombBody(ids))
 		case r < 28 && next > 0: // a duplicate the checkpoint rule drops
-			err = j.Chunk(id, "k", "f", next-1, chunkRecs(id, 1))
+			err = commitChunk(j, id, "k", "f", next-1, chunkRecs(id, 1))
 		default:
-			n := 1 + rng.Intn(4)
-			err = j.Chunk(id, "k", "f", next, chunkRecs(id, n))
-			commit(id, next, false, n)
+			recs := chunkRecs(fmt.Sprint(id, step), 1+rng.Intn(4))
+			err = commitChunk(j, id, "k", "f", next, recs)
+			commit(id, next, wire.CodecXML, xmlBody(recs))
 		}
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		sessions, tallies := journalState(j)
+		sessions, tallies := journalState(t, j)
 		if sessions != modelState() {
 			t.Fatalf("step %d: journal holds\n%s\nmodel\n%s", step, sessions, modelState())
 		}
@@ -358,8 +416,8 @@ func TestJournalCompactionFailureKeepsChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Mint("a")
-	j.Chunk("a", "k", "f", 0, chunkRecs("p", 3))
-	j.Chunk("a", "k", "f", 1, chunkRecs("q", 3))
+	commitChunk(j, "a", "k", "f", 0, chunkRecs("p", 3))
+	commitChunk(j, "a", "k", "f", 1, chunkRecs("q", 3))
 	// A non-empty directory where the snapshot's temp file goes makes every
 	// WAL.Snapshot fail before it touches the old snapshot or the log.
 	tmp := filepath.Join(dir, snapFile+".tmp")
@@ -383,7 +441,7 @@ func TestJournalCompactionFailureKeepsChunk(t *testing.T) {
 	if err := os.RemoveAll(tmp); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Chunk("b", "k", "f", 1, chunkRecs("s", 1)); err != nil {
+	if err := commitChunk(j, "b", "k", "f", 1, chunkRecs("s", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if n := met.Counter("wal.snapshots").Value(); n != 1 {
@@ -395,7 +453,7 @@ func TestJournalCompactionFailureKeepsChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if s := back.Sessions(); len(s) != 1 || s[0].ID != "b" || s[0].Next != 2 || len(s[0].Chunks) != 2 {
+	if s := sessionsOf(t, back); len(s) != 1 || s[0].ID != "b" || s[0].Next != 2 || len(s[0].Chunks) != 2 {
 		t.Fatalf("recovered %+v", s)
 	}
 }
@@ -403,7 +461,7 @@ func TestJournalCompactionFailureKeepsChunk(t *testing.T) {
 // Sessions commit from their own goroutines: frames are rendered into
 // pooled buffers outside the journal lock, and compactions triggered by one
 // session's End run while the others keep appending. Run under -race by the
-// merge gate; the survivor's records must come back byte for byte.
+// merge gate; the survivor's payloads must come back byte for byte.
 func TestJournalConcurrentSessionsCompact(t *testing.T) {
 	dir := t.TempDir()
 	met := obs.NewRegistry()
@@ -465,16 +523,13 @@ func TestJournalConcurrentSessionsCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	got := back.Sessions()
+	got := sessionsOf(t, back)
 	if len(got) != 1 || got[0].ID != "keep" || got[0].Next != 60 || len(got[0].Chunks) != 60 {
 		t.Fatalf("recovered %d sessions, first %+v", len(got), got)
 	}
 	for i, c := range got[0].Chunks {
-		want := chunkRecs(fmt.Sprintf("keep-%d-", i), 3)
-		for k := range want {
-			if len(c.Recs) != len(want) || !xmltree.Equal(c.Recs[k], want[k]) {
-				t.Fatalf("chunk %d record %d came back changed", i, k)
-			}
+		if want := xmlBody(chunkRecs(fmt.Sprintf("keep-%d-", i), 3)); !bytes.Equal(c.Bytes, want) {
+			t.Fatalf("chunk %d came back changed", i)
 		}
 	}
 }
@@ -488,8 +543,8 @@ func TestJournalTornLogRecoversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Mint("s")
-	j.Chunk("s", "k", "f", 0, chunkRecs("a", 2))
-	j.Chunk("s", "k", "f", 1, chunkRecs("b", 2))
+	commitChunk(j, "s", "k", "f", 0, chunkRecs("a", 2))
+	commitChunk(j, "s", "k", "f", 1, chunkRecs("b", 2))
 	j.Close()
 	logPath := filepath.Join(dir, logFile)
 	info, err := os.Stat(logPath)
@@ -504,7 +559,7 @@ func TestJournalTornLogRecoversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	s := back.Sessions()
+	s := sessionsOf(t, back)
 	if len(s) != 1 || s[0].Next != 1 || len(s[0].Chunks) != 1 {
 		t.Fatalf("torn journal recovered %+v", s)
 	}

@@ -1,10 +1,13 @@
 package durable
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"xdx/internal/wire"
 )
 
 // appendRawFrame appends one CRC-valid frame with an arbitrary payload to
@@ -18,7 +21,7 @@ func appendRawFrame(t *testing.T, dir string, payload string) {
 	}
 	defer f.Close()
 	var hdr [frameHeader]byte
-	frameInto(hdr[:], []byte(payload))
+	frameInto(hdr[:], []byte(payload), nil)
 	if _, err := f.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +40,25 @@ func seedJournal(t *testing.T) string {
 		t.Fatal(err)
 	}
 	j.Mint("s")
-	if err := j.Chunk("s", "k", "f", 0, chunkRecs("a", 2)); err != nil {
+	if err := commitChunk(j, "s", "k", "f", 0, chunkRecs("a", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Chunk("s", "k", "f", 1, chunkRecs("b", 2)); err != nil {
+	if err := commitChunk(j, "s", "k", "f", 1, chunkRecs("b", 2)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
 	return dir
+}
+
+// chunkFrame is a well-formed chunk frame payload for session "s".
+func chunkFrame(seq int64) string {
+	return string(appendChunkHead(nil, kindChunk, "s", "k", "f", seq, wire.CodecXML, "")) + `<item ID="w"/>`
+}
+
+// chunkHeadTo is a chunk frame header cut after its fragment name — the
+// point where the seq should follow.
+func chunkHeadTo(id string) string {
+	return string(appendString(appendString(appendFrameHead(nil, kindChunk, id), "k"), "f"))
 }
 
 // checkMalformedStop reopens a seeded journal whose log tail carries one
@@ -65,7 +79,7 @@ func checkMalformedStop(t *testing.T, dir string) {
 	if st.TornBytes == 0 {
 		t.Fatalf("malformed tail not counted as torn")
 	}
-	s := back.Sessions()
+	s := sessionsOf(t, back)
 	if len(s) != 1 || s[0].ID != "s" {
 		t.Fatalf("recovered sessions %+v", s)
 	}
@@ -83,54 +97,65 @@ func checkMalformedStop(t *testing.T, dir string) {
 	if st := again.RecoveryStats(); st.MalformedFrames != 0 || st.TornBytes != 0 {
 		t.Fatalf("second recovery not clean: %+v", st)
 	}
-	if s := again.Sessions(); len(s) != 1 || s[0].Next != 2 {
+	if s := sessionsOf(t, again); len(s) != 1 || s[0].Next != 2 {
 		t.Fatalf("second recovery lost state: %+v", s)
 	}
 }
 
 func TestJournalMalformedSeqStopsReplay(t *testing.T) {
 	dir := seedJournal(t)
-	// An attr-mangled chunk frame (seq is not a number), followed by a
-	// perfectly good frame that must be discarded with the tail — replay
-	// after a malformed frame cannot be trusted.
-	appendRawFrame(t, dir, `<c id="s" key="k" frag="f" seq="notanumber"><item ID="z"/></c>`)
-	appendRawFrame(t, dir, `<c id="s" key="k" frag="f" seq="7"><item ID="w"/></c>`)
+	// A chunk frame whose seq is not a varint, followed by a perfectly
+	// good frame that must be discarded with the tail — replay after a
+	// malformed frame cannot be trusted.
+	appendRawFrame(t, dir, chunkHeadTo("s")+"\xff")
+	appendRawFrame(t, dir, chunkFrame(7))
 	checkMalformedStop(t, dir)
 }
 
 func TestJournalMissingSeqStopsReplay(t *testing.T) {
 	dir := seedJournal(t)
-	appendRawFrame(t, dir, `<c id="s" key="k" frag="f"><item ID="z"/></c>`)
+	appendRawFrame(t, dir, chunkHeadTo("s"))
 	checkMalformedStop(t, dir)
 }
 
 func TestJournalMissingIDStopsReplay(t *testing.T) {
 	dir := seedJournal(t)
-	appendRawFrame(t, dir, `<c key="k" frag="f" seq="5"><item ID="z"/></c>`)
+	appendRawFrame(t, dir, string(appendChunkHead(nil, kindChunk, "", "k", "f", 5, wire.CodecXML, ""))+`<item ID="z"/>`)
 	checkMalformedStop(t, dir)
 }
 
 func TestJournalUnparsableFrameStopsReplay(t *testing.T) {
 	dir := seedJournal(t)
-	appendRawFrame(t, dir, `<c id="s" key="k`)
+	// The session id's length runs past the end of the frame.
+	appendRawFrame(t, dir, string([]byte{walFormat, kindChunk, 9, 's'}))
 	checkMalformedStop(t, dir)
 }
 
 func TestJournalUnknownRecordStopsReplay(t *testing.T) {
 	dir := seedJournal(t)
-	appendRawFrame(t, dir, `<zz id="s"/>`)
+	appendRawFrame(t, dir, string(appendFrameHead(nil, 'z', "s")))
 	checkMalformedStop(t, dir)
 }
 
+// frameOf is payload inside its WAL length+CRC frame.
+func frameOf(payload string) string {
+	var hdr [frameHeader]byte
+	frameInto(hdr[:], []byte(payload), nil)
+	return string(hdr[:]) + payload
+}
+
 // A corrupt snapshot is a hard error, not a silent zero: the snapshot is
-// written atomically, so a session element missing its next checkpoint
-// (or carrying garbage there) means real corruption.
+// written atomically, so a frame in it that fails its checksum or decodes
+// to a half record means real corruption.
 func TestJournalCorruptSnapshotFails(t *testing.T) {
+	v := string([]byte{walFormat})
+	good := frameOf(string(appendFrameHead(nil, kindMint, "x")))
 	for _, snap := range []string{
-		`<journal><s id="x"><c key="k" seq="0"/></s></journal>`,          // missing next
-		`<journal><s id="x" next="NaN"><c key="k" seq="0"/></s></journal>`, // bad next
-		`<journal><s id="x" next="3"><c key="k"/></s></journal>`,          // chunk without seq
-		`<journal><s next="3"/></journal>`,                                // session without id
+		"",                                   // no format version
+		v + good[:len(good)-1] + "y",         // frame failing its CRC
+		v + good + frameOf(chunkHeadTo("x")), // chunk without seq
+		v + frameOf(string(appendFrameHead(nil, kindMint, ""))), // session without id
+		v + good[:len(good)-2], // truncated frame
 	} {
 		dir := t.TempDir()
 		w, err := Open(dir, Options{})
@@ -152,9 +177,8 @@ func TestJournalCorruptSnapshotFails(t *testing.T) {
 	}
 }
 
-// Tombstone chunks (delta exchanges) journal, recover, and compact with
-// their Del marking intact, so recovery never hydrates deletions as
-// records.
+// Tombstone chunks (delta exchanges) journal, recover, and compact as
+// tombstone payloads, so recovery never hydrates deletions as records.
 func TestJournalTombstoneRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir, Options{})
@@ -162,10 +186,10 @@ func TestJournalTombstoneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Mint("s")
-	if err := j.Chunk("s", "k", "f", 0, chunkRecs("a", 2)); err != nil {
+	if err := commitChunk(j, "s", "k", "f", 0, chunkRecs("a", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Tomb("s", "k", 1, []string{"a1", "a2"}); err != nil {
+	if err := commitTomb(j, "s", "k", 1, []string{"a1", "a2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Compact(); err != nil {
@@ -177,18 +201,18 @@ func TestJournalTombstoneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	s := back.Sessions()
+	s := sessionsOf(t, back)
 	if len(s) != 1 || s[0].Next != 2 || len(s[0].Chunks) != 2 {
 		t.Fatalf("recovered %+v", s)
 	}
 	tomb := s[0].Chunks[1]
-	if !tomb.Del || tomb.Key != "k" || tomb.Seq != 1 {
+	if tomb.Format != wire.FormatTombstones || tomb.Key != "k" || tomb.Seq != 1 {
 		t.Fatalf("tombstone chunk recovered as %+v", tomb)
 	}
-	if len(tomb.Recs) != 2 || tomb.Recs[0].ID != "a1" || tomb.Recs[1].ID != "a2" {
-		t.Fatalf("tombstone ids recovered as %+v", tomb.Recs)
+	if want := tombBody([]string{"a1", "a2"}); !bytes.Equal(tomb.Bytes, want) {
+		t.Fatalf("tombstone payload recovered as %q, want %q", tomb.Bytes, want)
 	}
-	if s[0].Chunks[0].Del {
-		t.Fatalf("record chunk marked Del")
+	if s[0].Chunks[0].Format != wire.CodecXML {
+		t.Fatalf("record chunk recovered as %q", s[0].Chunks[0].Format)
 	}
 }

@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"testing"
 
+	"xdx/internal/wire"
 	"xdx/internal/xmltree"
 )
 
@@ -15,7 +17,7 @@ func tombRec(id string) *xmltree.Node {
 // chunk through the group-commit pipeline (TombAsync + Flush), reopens the
 // WAL, and checks recovery rebuilds both in commit order with the
 // checkpoint advanced past the deletion — the batched path must order and
-// persist Del frames exactly like the serial Tomb path does.
+// persist tombstone frames exactly like the serial path does.
 func TestJournalTombBatchPipeline(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir, Options{Fsync: FsyncBatch})
@@ -49,7 +51,7 @@ func TestJournalTombBatchPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	ss := j2.Sessions()
+	ss := sessionsOf(t, j2)
 	if len(ss) != 1 {
 		t.Fatalf("recovered %d sessions, want 1", len(ss))
 	}
@@ -60,23 +62,15 @@ func TestJournalTombBatchPipeline(t *testing.T) {
 	if len(s.Chunks) != 2 {
 		t.Fatalf("recovered %d chunks, want 2", len(s.Chunks))
 	}
-	if s.Chunks[0].Del || len(s.Chunks[0].Recs) != 2 {
-		t.Errorf("chunk 0 = {Del:%v recs:%d}, want record chunk with 2 records",
-			s.Chunks[0].Del, len(s.Chunks[0].Recs))
+	if c := s.Chunks[0]; c.Format != wire.CodecXML || !bytes.Equal(c.Bytes, xmlBody([]*xmltree.Node{tombRec("4"), tombRec("9")})) {
+		t.Errorf("chunk 0 = %q %q, want the record chunk's xml body", c.Format, c.Bytes)
 	}
 	tc := s.Chunks[1]
-	if !tc.Del || tc.Seq != 1 || tc.Key != "k1" {
-		t.Fatalf("chunk 1 = {Del:%v Seq:%d Key:%q}, want Del chunk seq 1 key k1", tc.Del, tc.Seq, tc.Key)
+	if tc.Format != wire.FormatTombstones || tc.Seq != 1 || tc.Key != "k1" {
+		t.Fatalf("chunk 1 = {Format:%q Seq:%d Key:%q}, want tombstone chunk seq 1 key k1", tc.Format, tc.Seq, tc.Key)
 	}
-	var ids []string
-	for _, r := range tc.Recs {
-		if r.Name != "d" || len(r.Kids) != 0 {
-			t.Errorf("tombstone marker %q has kids or wrong name — it would hydrate as a record", r.Name)
-		}
-		ids = append(ids, r.ID)
-	}
-	if len(ids) != 2 || ids[0] != "4" || ids[1] != "17" {
-		t.Errorf("recovered tombstone IDs = %v, want [4 17]", ids)
+	if want := tombBody([]string{"4", "17"}); !bytes.Equal(tc.Bytes, want) {
+		t.Errorf("recovered tombstone payload = %q, want %q", tc.Bytes, want)
 	}
 }
 
@@ -93,10 +87,10 @@ func TestJournalTombReplayIsIdempotent(t *testing.T) {
 	if err := j.Mint("sess-1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Tomb("sess-1", "k1", 0, []string{"3"}); err != nil {
+	if err := commitTomb(j, "sess-1", "k1", 0, []string{"3"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Tomb("sess-1", "k1", 0, []string{"3"}); err != nil {
+	if err := commitTomb(j, "sess-1", "k1", 0, []string{"3"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -107,7 +101,7 @@ func TestJournalTombReplayIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	ss := j2.Sessions()
+	ss := sessionsOf(t, j2)
 	if len(ss) != 1 {
 		t.Fatalf("recovered %d sessions, want 1", len(ss))
 	}

@@ -1,8 +1,8 @@
 // Package durable is the crash-safety subsystem of the exchange
-// architecture (ROADMAP item 2): an append-only write-ahead log with
-// CRC32-framed, length-prefixed records, a configurable fsync policy,
-// snapshot+compact cycles, and recovery that truncates a torn tail and
-// replays the longest valid prefix. The reliability layer (PR 3) promises
+// architecture: an append-only write-ahead log with CRC32-framed,
+// length-prefixed records, a configurable fsync policy, snapshot+compact
+// cycles, and recovery that truncates a torn tail and replays the longest
+// valid prefix. The reliability layer (internal/reliable) promises
 // exactly-once resumable exchanges; this package makes the state backing
 // that promise — session checkpoints, idempotency ledgers, committed
 // chunks — survive a SIGKILL, so a restarted endpoint resumes from its
@@ -11,7 +11,9 @@
 // On-disk layout of a WAL directory:
 //
 //	wal.log       frames appended since the last snapshot
-//	snapshot.xdx  one frame holding the compacted state (atomic rename)
+//	snapshot.xdx  one frame holding the compacted state (atomic rename);
+//	              the session Journal fills it with its own frames, back
+//	              to back (journal.go)
 //
 // Frame format (all integers little-endian):
 //
@@ -35,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xdx/internal/bufpool"
@@ -50,6 +53,11 @@ import (
 // the resume protocol re-ship.
 var ErrMalformedFrame = errors.New("durable: malformed frame")
 
+// ErrWALFormat refuses a WAL directory written in another journal format
+// version. Recovery never guesses at a format it was not built for: the
+// directory must be drained by the version that wrote it, or deleted.
+var ErrWALFormat = errors.New("durable: unsupported WAL format")
+
 // FsyncPolicy dials how eagerly the WAL forces appended frames to stable
 // storage — the classic durability/throughput trade measured in
 // EXPERIMENTS.md.
@@ -59,9 +67,6 @@ const (
 	// FsyncAlways syncs after every append: nothing acknowledged is ever
 	// lost, at one fsync per committed chunk.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs on a background ticker: a crash loses at most
-	// the last interval's appends (which the resume protocol re-ships).
-	FsyncInterval
 	// FsyncOff never syncs explicitly: durability is whatever the OS page
 	// cache survives. A process kill (the fault the crash smoke injects)
 	// still loses nothing — the data is in the kernel — but a power cut
@@ -75,19 +80,17 @@ const (
 	FsyncBatch
 )
 
-// ParseFsync parses a -fsync flag value: always, batch, interval, or off.
+// ParseFsync parses a -fsync flag value: always, batch, or off.
 func ParseFsync(s string) (FsyncPolicy, error) {
 	switch s {
 	case "always", "":
 		return FsyncAlways, nil
 	case "batch":
 		return FsyncBatch, nil
-	case "interval":
-		return FsyncInterval, nil
 	case "off":
 		return FsyncOff, nil
 	}
-	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, batch, interval, or off)", s)
+	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, batch, or off)", s)
 }
 
 // String implements fmt.Stringer.
@@ -95,8 +98,6 @@ func (p FsyncPolicy) String() string {
 	switch p {
 	case FsyncBatch:
 		return "batch"
-	case FsyncInterval:
-		return "interval"
 	case FsyncOff:
 		return "off"
 	}
@@ -107,9 +108,6 @@ func (p FsyncPolicy) String() string {
 type Options struct {
 	// Fsync is the sync policy. Default FsyncAlways.
 	Fsync FsyncPolicy
-	// FsyncInterval is the background sync period under FsyncInterval.
-	// Default 50ms.
-	FsyncInterval time.Duration
 	// MaxBatchBytes caps a FsyncBatch commit group's coalesced frame
 	// bytes; a group at the cap commits without waiting out the hold.
 	// Default 1MiB.
@@ -119,7 +117,7 @@ type Options struct {
 	MaxBatchFrames int
 	// MaxBatchHold bounds how long a FsyncBatch leader waits for more
 	// frames before committing a non-full group — the worst-case extra
-	// latency a lone appender pays. Default FsyncInterval/10 (5ms).
+	// latency a lone appender pays. Default 5ms.
 	MaxBatchHold time.Duration
 	// SnapshotEvery, when > 0, is consumed by layers above (the session
 	// Journal) as the number of appends since the last compaction after
@@ -165,16 +163,17 @@ type WAL struct {
 	log  obs.Logger
 	met  *obs.Registry
 
-	mu        sync.Mutex
-	f         *os.File
-	recovered bool
-	dirty     bool // appended since last sync (interval policy)
-	closed    bool
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	hdr       [frameHeader]byte
+	mu  sync.Mutex
+	f   *os.File
+	hdr [frameHeader]byte
+	// recovered and closed gate appends. They change under mu, but the
+	// group-commit path reads them without it: an appender must not queue
+	// behind a group's fsync, which runs under mu.
+	recovered, closed atomic.Bool
 
 	bat *batcher // group-commit state; non-nil only under FsyncBatch
+
+	mAppends, mAppendBytes, mFsyncs *obs.Counter
 }
 
 // Open opens (creating if needed) the WAL in dir. Recover must be called
@@ -183,9 +182,6 @@ func Open(dir string, o Options) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: open: %w", err)
 	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 50 * time.Millisecond
-	}
 	if o.MaxBatchBytes <= 0 {
 		o.MaxBatchBytes = 1 << 20
 	}
@@ -193,40 +189,19 @@ func Open(dir string, o Options) (*WAL, error) {
 		o.MaxBatchFrames = 256
 	}
 	if o.MaxBatchHold <= 0 {
-		o.MaxBatchHold = o.FsyncInterval / 10
+		o.MaxBatchHold = 5 * time.Millisecond
 	}
 	f, err := os.OpenFile(filepath.Join(dir, logFile), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open: %w", err)
 	}
-	w := &WAL{dir: dir, opts: o, log: obs.OrNop(o.Log), met: o.Met, f: f, stop: make(chan struct{})}
-	if o.Fsync == FsyncInterval {
-		w.wg.Add(1)
-		go w.syncLoop()
-	}
+	w := &WAL{dir: dir, opts: o, log: obs.OrNop(o.Log), met: o.Met, f: f,
+		mAppends: o.Met.Counter("wal.appends"), mAppendBytes: o.Met.Counter("wal.append.bytes"),
+		mFsyncs: o.Met.Counter("wal.fsyncs")}
 	if o.Fsync == FsyncBatch {
 		w.bat = newBatcher(w)
 	}
 	return w, nil
-}
-
-// syncLoop is the FsyncInterval background syncer.
-func (w *WAL) syncLoop() {
-	defer w.wg.Done()
-	t := time.NewTicker(w.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C:
-			w.mu.Lock()
-			if w.dirty && !w.closed {
-				w.syncLocked()
-			}
-			w.mu.Unlock()
-		}
-	}
 }
 
 // Recover replays the snapshot (snap callback, skipped when no snapshot
@@ -238,7 +213,7 @@ func (w *WAL) Recover(snap func(payload []byte) error, rec func(payload []byte) 
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var st RecoveryStats
-	if w.recovered {
+	if w.recovered.Load() {
 		return st, fmt.Errorf("durable: Recover called twice")
 	}
 
@@ -299,7 +274,7 @@ func (w *WAL) Recover(snap func(payload []byte) error, rec func(payload []byte) 
 	if _, err := w.f.Seek(int64(off), 0); err != nil {
 		return st, fmt.Errorf("durable: recover: %w", err)
 	}
-	w.recovered = true
+	w.recovered.Store(true)
 	st.Elapsed = time.Since(start)
 	if w.met != nil {
 		w.met.Counter("wal.recovery.records").Add(int64(st.Records))
@@ -330,68 +305,63 @@ func parseFrame(data []byte) (payload []byte, n int, ok bool) {
 	return payload, frameHeader + int(length), true
 }
 
-// frameInto encodes the length+CRC frame header for payload into hdr
-// (frameHeader bytes).
-func frameInto(hdr, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+// frameInto encodes into hdr (frameHeader bytes) the length+CRC frame
+// header of the payload head followed by body.
+func frameInto(hdr, head, body []byte) {
+	binary.LittleEndian.PutUint32(hdr, uint32(len(head)+len(body)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body))
 }
 
 // Append writes one frame. Under FsyncAlways it returns only after the
 // frame is on stable storage; under FsyncBatch it parks on the frame's
 // commit group — same durability guarantee, shared fsync.
 func (w *WAL) Append(payload []byte) error {
-	return w.AppendAsync(payload).Err()
+	return w.appendParts(payload, nil).Err()
 }
 
-// AppendAsync writes one frame without waiting for durability. Under
+// appendParts writes one frame whose payload is head followed by body,
+// without joining them first, and does not wait for durability. Under
 // FsyncBatch the frame joins the pending commit group and the returned
-// ticket resolves when the group's single write+fsync completes; under
-// every other policy the append happens synchronously (with that policy's
-// durability) and the ticket is already resolved. The payload is copied
-// before AppendAsync returns; callers may reuse it.
-func (w *WAL) AppendAsync(payload []byte) *Pending {
-	w.mu.Lock()
-	if err := w.appendableLocked(); err != nil {
-		w.mu.Unlock()
+// ticket — the group's — resolves when the group's single write+fsync
+// completes; under every other policy the append happens synchronously
+// (with that policy's durability) and the ticket is already resolved.
+// Both parts are copied before appendParts returns.
+func (w *WAL) appendParts(head, body []byte) *Pending {
+	if err := w.appendable(); err != nil {
 		return resolvedPending(err)
 	}
-	if w.bat == nil {
-		defer w.mu.Unlock()
-		return resolvedPending(w.appendLocked(payload))
+	if w.bat != nil {
+		return w.bat.enqueue(head, body)
 	}
-	w.mu.Unlock()
-	return w.bat.enqueue(payload)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return resolvedPending(w.appendLocked(head, body))
 }
 
-// appendableLocked checks the Recover-before-Append and not-closed
+// appendable checks the Recover-before-Append and not-closed
 // preconditions shared by both append paths.
-func (w *WAL) appendableLocked() error {
-	if !w.recovered {
+func (w *WAL) appendable() error {
+	if !w.recovered.Load() {
 		return fmt.Errorf("durable: Append before Recover")
 	}
-	if w.closed {
+	if w.closed.Load() {
 		return fmt.Errorf("durable: Append on closed WAL")
 	}
 	return nil
 }
 
-func (w *WAL) appendLocked(payload []byte) error {
-	if err := w.appendableLocked(); err != nil {
+func (w *WAL) appendLocked(head, body []byte) error {
+	if err := w.appendable(); err != nil {
 		return err
 	}
-	frameInto(w.hdr[:], payload)
-	if _, err := w.f.Write(w.hdr[:]); err != nil {
-		return fmt.Errorf("durable: append: %w", err)
+	frameInto(w.hdr[:], head, body)
+	for _, b := range [][]byte{w.hdr[:], head, body} {
+		if _, err := w.f.Write(b); err != nil {
+			return fmt.Errorf("durable: append: %w", err)
+		}
 	}
-	if _, err := w.f.Write(payload); err != nil {
-		return fmt.Errorf("durable: append: %w", err)
-	}
-	w.dirty = true
-	if w.met != nil {
-		w.met.Counter("wal.appends").Inc()
-		w.met.Counter("wal.append.bytes").Add(int64(frameHeader + len(payload)))
-	}
+	w.mAppends.Inc()
+	w.mAppendBytes.Add(int64(frameHeader + len(head) + len(body)))
 	if w.opts.Fsync == FsyncAlways {
 		return w.syncLocked()
 	}
@@ -407,7 +377,7 @@ func (w *WAL) Sync() error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.closed.Load() {
 		return nil
 	}
 	return w.syncLocked()
@@ -427,10 +397,7 @@ func (w *WAL) syncLocked() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("durable: sync: %w", err)
 	}
-	w.dirty = false
-	if w.met != nil {
-		w.met.Counter("wal.fsyncs").Inc()
-	}
+	w.mFsyncs.Inc()
 	return nil
 }
 
@@ -452,10 +419,10 @@ func (w *WAL) Snapshot(write func(io.Writer) error) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.recovered {
+	if !w.recovered.Load() {
 		return fmt.Errorf("durable: Snapshot before Recover")
 	}
-	if w.closed {
+	if w.closed.Load() {
 		return fmt.Errorf("durable: Snapshot on closed WAL")
 	}
 	tmp := filepath.Join(w.dir, snapFile+".tmp")
@@ -553,18 +520,15 @@ func (w *WAL) Close() error {
 		w.bat.drain()
 	}
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if w.closed.Load() {
 		return nil
 	}
 	var err error
-	if w.recovered && w.dirty {
+	if w.recovered.Load() {
 		err = w.syncLocked()
 	}
-	w.closed = true
-	w.mu.Unlock()
-	close(w.stop)
-	w.wg.Wait()
+	w.closed.Store(true)
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

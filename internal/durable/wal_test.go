@@ -2,12 +2,15 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
+
+	"xdx/internal/wire"
 )
 
 // openRecovered opens a WAL and replays it, returning the recovered
@@ -154,17 +157,14 @@ func TestWALSnapshotCompacts(t *testing.T) {
 }
 
 func TestWALFsyncPolicies(t *testing.T) {
-	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
+	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncOff} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			w, _, _ := openRecovered(t, dir, Options{Fsync: pol, FsyncInterval: time.Millisecond})
+			w, _, _ := openRecovered(t, dir, Options{Fsync: pol})
 			for i := 0; i < 5; i++ {
 				if err := w.Append([]byte{byte(i)}); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if pol == FsyncInterval {
-				time.Sleep(5 * time.Millisecond) // let the background syncer run
 			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
@@ -179,14 +179,18 @@ func TestWALFsyncPolicies(t *testing.T) {
 }
 
 func TestParseFsync(t *testing.T) {
-	for s, want := range map[string]FsyncPolicy{"always": FsyncAlways, "": FsyncAlways, "interval": FsyncInterval, "off": FsyncOff} {
+	for s, want := range map[string]FsyncPolicy{"always": FsyncAlways, "": FsyncAlways, "batch": FsyncBatch, "off": FsyncOff} {
 		got, err := ParseFsync(s)
 		if err != nil || got != want {
 			t.Errorf("ParseFsync(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseFsync("sometimes"); err == nil {
-		t.Error("bad policy must fail")
+	// interval was dropped: as fast as batch with a weaker guarantee. The
+	// refusal names what is left.
+	for _, s := range []string{"sometimes", "interval"} {
+		if _, err := ParseFsync(s); err == nil || !strings.Contains(err.Error(), "always, batch, or off") {
+			t.Errorf("ParseFsync(%q) err = %v, want a refusal listing always, batch, or off", s, err)
+		}
 	}
 }
 
@@ -321,30 +325,44 @@ func TestWALRecoveryTruncatesThenAppends(t *testing.T) {
 	}
 }
 
+// journalLog returns the log a journal writes for a small session history
+// in the current frame format: mints, an xml chunk, a raw bin payload, a
+// tombstone chunk, a duplicate, an end.
+func journalLog(t testing.TB) []byte {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, Options{Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Mint("a")
+	j.Mint("b")
+	commitChunk(j, "a", "0:k", "f", 0, chunkRecs("a", 2))
+	j.Commit("a", &wire.Chunk{Key: "0:k", Seq: 1, Payload: wire.Payload{Format: wire.CodecBin, Enc: "flate", Bytes: []byte("AAEC")}})
+	commitTomb(j, "a", "0:k", 2, []string{"a1"})
+	commitChunk(j, "a", "0:k", "f", 1, chunkRecs("dup", 1))
+	commitChunk(j, "b", "0:k", "f", 0, chunkRecs("b", 1))
+	j.End("b")
+	j.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, logFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // FuzzWALRecovery feeds arbitrary bytes as a log file: recovery must never
-// panic or error, and recovering its own truncation must be stable.
+// panic or error, and recovering its own truncation must be stable. On top
+// of the WAL, the journal must recover the same bytes without panicking —
+// refusing only a frame of another format version — and the sessions it
+// rebuilds must survive a reopen unchanged.
 func FuzzWALRecovery(f *testing.F) {
-	recs := testRecords(4)
-	var seedDir = f.TempDir()
-	raw, _ := func() ([]byte, []int) {
-		w, err := Open(seedDir, Options{Fsync: FsyncOff})
-		if err != nil {
-			f.Fatal(err)
-		}
-		if _, err := w.Recover(nil, nil); err != nil {
-			f.Fatal(err)
-		}
-		for _, p := range recs {
-			w.Append(p)
-		}
-		w.Close()
-		b, _ := os.ReadFile(filepath.Join(seedDir, logFile))
-		return b, nil
-	}()
+	raw := journalLog(f)
 	f.Add(raw)
 	f.Add(raw[:len(raw)-5])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3})
+	// A CRC-valid frame whose header is cut short, after the good ones.
+	f.Add(append(raw, frameOf(chunkHeadTo("a"))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, logFile), data, 0o644); err != nil {
@@ -367,12 +385,12 @@ func FuzzWALRecovery(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer w2.Close()
 		var second [][]byte
 		st, err := w2.Recover(nil, func(p []byte) error {
 			second = append(second, append([]byte(nil), p...))
 			return nil
 		})
+		w2.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,6 +404,22 @@ func FuzzWALRecovery(f *testing.F) {
 			if !bytes.Equal(first[i], second[i]) {
 				t.Fatalf("record %d differs across recoveries", i)
 			}
+		}
+
+		state := func() string {
+			j, err := OpenJournal(dir, Options{})
+			if errors.Is(err, ErrWALFormat) {
+				return "refused"
+			}
+			if err != nil {
+				t.Fatalf("journal recovery errored: %v", err)
+			}
+			defer j.Close()
+			sessions, _ := journalState(t, j)
+			return sessions
+		}
+		if a, b := state(), state(); a != b {
+			t.Fatalf("journal recovery not stable:\n%s\nthen\n%s", a, b)
 		}
 	})
 }

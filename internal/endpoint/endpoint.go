@@ -263,40 +263,34 @@ func (e *Endpoint) Sessions() *reliable.SessionStore { return e.sessions }
 
 // SetJournal makes the endpoint's resumable sessions durable: every chunk
 // commit is journaled before its checkpoint advances, and the sessions the
-// journal recovered are re-seeded into the store — ledger checkpoint, seen
-// record IDs, and the committed chunk contents, which hydrate into the
-// instance map when the resumed delivery arrives with its program. Session
-// evictions (EndSession, idle sweeps) release the journaled state so
-// compaction can shrink the log. Call once, after SetObs and before
-// serving traffic; it returns how many sessions were restored.
-func (e *Endpoint) SetJournal(j *durable.Journal) int {
+// journal recovered are re-seeded into the store — the ledger checkpoint,
+// and the committed chunks' payloads, which the resumed delivery replays
+// through its shipment decoder (record dedup included) once it arrives
+// with its program. Session evictions (EndSession, idle sweeps) release
+// the journaled state so compaction can shrink the log. Call once, after
+// SetObs and before serving traffic; it returns how many sessions were
+// restored.
+func (e *Endpoint) SetJournal(j *durable.Journal) (int, error) {
+	sessions, err := j.Sessions()
+	if err != nil {
+		return 0, err
+	}
 	e.journal = j
-	restored := 0
-	for _, js := range j.Sessions() {
+	for _, js := range sessions {
 		s := e.sessions.GetOrCreate(js.ID)
 		s.Ledger.Restore(js.Next)
-		for _, c := range js.Chunks {
-			if c.Del {
-				// Tombstone chunks carry deletion IDs, not record
-				// arrivals; marking them seen would dedup away a real
-				// record shipped later under the same ID.
-				continue
-			}
-			for _, rec := range c.Recs {
-				s.Ledger.MarkSeen(c.Key, rec.ID)
-			}
-		}
 		s.Mu.Lock()
 		s.Data = &targetSession{
 			ledger:    s.Ledger,
 			inbound:   map[string]*core.Instance{},
+			tombs:     map[string][]string{},
 			j:         j,
 			id:        js.ID,
 			recovered: js.Chunks,
 		}
 		s.Mu.Unlock()
-		restored++
 	}
+	restored := len(sessions)
 	log := e.log
 	e.sessions.OnEvict = func(ids []string) {
 		if err := j.End(ids...); err != nil {
@@ -309,7 +303,7 @@ func (e *Endpoint) SetJournal(j *durable.Journal) int {
 	if restored > 0 {
 		e.log.Log(obs.LevelInfo, "sessions recovered from journal", "endpoint", e.Name, "sessions", restored)
 	}
-	return restored
+	return restored, nil
 }
 
 // SetObs attaches observability to the endpoint: the SOAP server's

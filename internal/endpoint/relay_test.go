@@ -91,10 +91,10 @@ func TestExecuteSourceCutsAndNumbersChunks(t *testing.T) {
 
 // TestExecuteTargetOversizedChunkIsClientFault: the target refuses a chunk
 // past wire.MaxChunkBytes as the sender's fault, which no driver retries —
-// whether its wire text is too long, or a few KiB of bin+flate text inflate
-// past the limit, and whether the chunk parses in-line (one codec worker)
-// or in the decode pool, where the refusal surfaces only as the shipment
-// closes.
+// whether its wire text is too long, a few KiB of bin+flate text inflate
+// past the limit, or tagged-XML records stage more than the limit, and
+// whether the chunk parses in-line (one codec worker) or in the decode
+// pool, where the refusal surfaces only as the shipment closes.
 func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 	fr := tFrag(t, schema.CustomerInfo())
 	var zeros strings.Builder
@@ -103,13 +103,15 @@ func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 	fw.Write(make([]byte, wire.MaxChunkBytes+1))
 	fw.Close()
 	b64.Close()
+	half := strings.Repeat("v", wire.MaxChunkBytes/2)
 	for _, c := range []struct {
-		name, enc, text string
-		workers         int
+		name, format, enc, text string
+		workers                 int
 	}{
-		{"wire-text", "", strings.Repeat("A", wire.MaxChunkBytes+1), 1},
-		{"inflated/w1", "flate", zeros.String(), 1},
-		{"inflated/w4", "flate", zeros.String(), 4},
+		{"wire-text", "bin", "", strings.Repeat("A", wire.MaxChunkBytes+1), 1},
+		{"inflated/w1", "bin", "flate", zeros.String(), 1},
+		{"inflated/w4", "bin", "flate", zeros.String(), 4},
+		{"tagged-xml", "", "", "<r>" + half + "</r><r>" + half + "</r>", 1},
 	} {
 		st, err := relstore.NewStore(fr)
 		if err != nil {
@@ -121,7 +123,10 @@ func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 		err = cl.CallStream("ExecuteTarget", func(w io.Writer) error {
 			io.WriteString(w, `<ExecuteTarget session="big">`)
 			xmltree.Write(w, progXML, xmltree.WriteOptions{EmitAllIDs: true})
-			io.WriteString(w, `<shipment><instance edge="0:`+fr.Fragments[0].Name+`" frag="`+fr.Fragments[0].Name+`" seq="0" format="bin"`)
+			io.WriteString(w, `<shipment><instance edge="0:`+fr.Fragments[0].Name+`" frag="`+fr.Fragments[0].Name+`" seq="0"`)
+			if c.format != "" {
+				io.WriteString(w, ` format="`+c.format+`"`)
+			}
 			if c.enc != "" {
 				io.WriteString(w, ` enc="`+c.enc+`"`)
 			}

@@ -14,6 +14,7 @@ package endpoint
 //     source resumes emission from.
 
 import (
+	"fmt"
 	"io"
 	"strconv"
 	"sync"
@@ -48,19 +49,14 @@ type targetSession struct {
 	// durable (SetJournal); nil j is the memory-only default.
 	j  *durable.Journal
 	id string
-	// recovered holds chunks replayed from the journal on boot, waiting
-	// for the first delivery attempt to hydrate them into inbound — the
-	// resumed request carries the program whose fragment dictionary the
-	// instances need (guarded by mu).
-	recovered []durable.SessionChunk
-
-	// pending (guarded by mu) is the group-commit queue used when the
-	// journal runs group commit: chunks whose journal frame is submitted
-	// but not yet fsynced. Each entry's records enter the instance map
-	// and its seq checkpoints (ChunkDone) only when its durability ticket
-	// resolves, in submission order — so the ack-after-sync invariant of
-	// the synchronous path holds while parsing overlaps the sync.
-	pending []pendingCommit
+	// recovered holds the payloads of chunks journaled before a restart,
+	// waiting for the first delivery attempt to replay them into inbound —
+	// the resumed request carries the program whose schema and fragment
+	// dictionary decode them (guarded by mu). A replay failure sticks in
+	// hydrateErr: the checkpoint already covers those chunks, so the
+	// session can never complete without them.
+	recovered  []durable.SessionChunk
+	hydrateErr error
 
 	// stateMu guards the execute-once outcome and the in-flight latch. It
 	// is never held across backend execution or response writing, so
@@ -72,26 +68,6 @@ type targetSession struct {
 	done    bool
 	resp    *xmltree.Node
 }
-
-// pendingCommit is one journaled-but-not-yet-durable chunk: the ticket to
-// park on, and everything needed to apply the chunk once it resolves.
-type pendingCommit struct {
-	p    *durable.Pending
-	out  map[string]*core.Instance // the attempt's decode target
-	key  string
-	frag *core.Fragment
-	seq  int64
-	recs []*xmltree.Node
-	// del marks a tombstone chunk: ids join the session's tombstone set
-	// instead of recs entering the instance map.
-	del bool
-	ids []string
-}
-
-// maxPendingCommits bounds the group-commit window: past this many
-// in-flight chunks the decoder blocks on the oldest ticket, so a slow
-// disk applies backpressure to the wire instead of growing the queue.
-const maxPendingCommits = 256
 
 // replay returns the stored (immutable) response when the session already
 // executed, else nil.
@@ -128,7 +104,7 @@ func (e *Endpoint) targetSessionFor(id string) *targetSession {
 	defer s.Mu.Unlock()
 	ts, ok := s.Data.(*targetSession)
 	if !ok {
-		ts = &targetSession{ledger: s.Ledger, inbound: map[string]*core.Instance{}}
+		ts = &targetSession{ledger: s.Ledger, inbound: map[string]*core.Instance{}, tombs: map[string][]string{}}
 		if e.journal != nil {
 			ts.j, ts.id = e.journal, id
 			if err := e.journal.Mint(id); err != nil {
@@ -141,17 +117,23 @@ func (e *Endpoint) targetSessionFor(id string) *targetSession {
 }
 
 // decoder builds this delivery attempt's shipment decoder over the
-// session's accumulating instance map, with the ledger plugged into the
-// chunk-admission, record-dedup, and checkpoint hooks. Delivery attempts
-// for one session can overlap (a client that timed out retries while the
-// server is still draining the torn request), so the decoder commits
-// chunks under the session mutex and re-checks admission there; without
-// the lock a straggler's map writes would race the retry's.
-func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *core.Fragment) *wire.ShipmentDecoder {
+// session's accumulating instance map and tombstone set, with the ledger
+// plugged into the chunk-admission, record-dedup, and checkpoint hooks and,
+// on a durable endpoint, the journal as the Commit hook: a chunk applies
+// and checkpoints only once its frame's ticket resolves, so parsing
+// overlaps a group commit's fsync while the ack waits for it. Delivery
+// attempts for one session can overlap (a client that timed out retries
+// while the server is still draining the torn request), so the decoder
+// commits chunks under the session mutex and re-checks admission there;
+// without the lock a straggler's map writes would race the retry's.
+func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *core.Fragment) (*wire.ShipmentDecoder, error) {
 	ts.mu.Lock()
-	ts.hydrateLocked(lookup)
+	err := ts.hydrateLocked(sch, lookup)
 	inbound := ts.inbound
 	ts.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	if inbound == nil {
 		// Late retry after the execute released the map: decode into a
 		// throwaway so the deferred apply below has a concrete target.
@@ -162,217 +144,34 @@ func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *c
 	d.OnChunk = ts.ledger.AdmitChunk
 	d.KeepRecords = ts.ledger.KeepRecords
 	d.ChunkDone = ts.ledger.ChunkDone
-	d.OnTombs = func(key string, seq int64, ids []string) error {
-		return ts.commitTombLocked(key, seq, ids)
-	}
-	if ts.j != nil && ts.j.Batched() {
-		// Group commit: submit the journal frame, queue the
-		// apply, keep parsing. The map append and checkpoint advance
-		// happen in commitAsyncLocked/resolve once the frame's group
-		// fsyncs.
-		d.CommitAsync = func(key string, frag *core.Fragment, seq int64, recs []*xmltree.Node) error {
-			return ts.commitAsyncLocked(inbound, key, frag, seq, recs)
-		}
-	} else if ts.j != nil {
-		d.OnCommit = func(key string, frag *core.Fragment, seq int64, recs []*xmltree.Node) error {
-			if err := ts.j.Chunk(ts.id, key, frag.Name, seq, recs); err != nil {
-				// The ledger marked these records seen before the journal
-				// write; forget them again or the retried chunk would dedup
-				// them away and lose data.
-				for _, rec := range recs {
-					ts.ledger.Unmark(key, rec.ID)
-				}
-				return err
-			}
-			return nil
-		}
-	}
-	return d
-}
-
-// commitAsyncLocked is the group-commit chunk commit (CommitAsync hook; runs
-// under ts.mu via CommitLock). It journals the chunk asynchronously and
-// queues the apply behind the durability ticket, first settling whatever
-// older commits have already synced — so the queue drains as fast as the
-// disk does, and the write-ahead ordering (journaled before applied,
-// applied before checkpointed) holds per chunk.
-func (ts *targetSession) commitAsyncLocked(out map[string]*core.Instance, key string, frag *core.Fragment, seq int64, recs []*xmltree.Node) error {
-	unmark := func() {
-		// KeepRecords marked these seen before the commit; forget them
-		// again or a retried chunk would dedup them away and lose data.
-		for _, rec := range recs {
-			ts.ledger.Unmark(key, rec.ID)
-		}
-	}
-	if err := ts.resolveReadyLocked(); err != nil {
-		unmark()
-		return err
-	}
-	for len(ts.pending) >= maxPendingCommits {
-		// Window full: the wire waits for the disk. Hurry the group out
-		// and park on the oldest ticket.
-		ts.j.Flush()
-		if err := ts.resolveHeadLocked(); err != nil {
-			unmark()
-			return err
-		}
-	}
-	p, err := ts.j.ChunkAsync(ts.id, key, frag.Name, seq, recs)
-	if err != nil {
-		unmark()
-		return err
-	}
-	ts.pending = append(ts.pending, pendingCommit{p: p, out: out, key: key, frag: frag, seq: seq, recs: recs})
-	return nil
-}
-
-// commitTombLocked commits one tombstone chunk (the decoder's OnTombs
-// hook; runs under ts.mu via CommitLock) with the same write-ahead
-// discipline as record chunks: journaled before applied, applied before
-// checkpointed. Batch journals ride the group-commit queue, sync
-// journals block, and the memory-only default applies immediately.
-// Tombstone IDs never pass KeepRecords, so there is nothing to unmark on
-// failure.
-func (ts *targetSession) commitTombLocked(key string, seq int64, ids []string) error {
-	if ts.j != nil && ts.j.Batched() {
-		if err := ts.resolveReadyLocked(); err != nil {
-			return err
-		}
-		for len(ts.pending) >= maxPendingCommits {
-			ts.j.Flush()
-			if err := ts.resolveHeadLocked(); err != nil {
-				return err
-			}
-		}
-		p, err := ts.j.TombAsync(ts.id, key, seq, ids)
-		if err != nil {
-			return err
-		}
-		ts.pending = append(ts.pending, pendingCommit{p: p, key: key, seq: seq, del: true, ids: ids})
-		return nil
-	}
+	d.Tombs = ts.tombs
 	if ts.j != nil {
-		if err := ts.j.Tomb(ts.id, key, seq, ids); err != nil {
-			return err
-		}
+		d.Commit = func(c *wire.Chunk) (wire.Ticket, error) { return ts.j.Commit(ts.id, c), nil }
 	}
-	ts.applyTombLocked(key, ids)
-	ts.ledger.ChunkDone(seq)
-	return nil
+	return d, nil
 }
 
-// applyTombLocked adds tombstoned record IDs to the session's deletion
-// set, which the delta apply subtracts from the retained base.
-func (ts *targetSession) applyTombLocked(key string, ids []string) {
-	if ts.tombs == nil {
-		ts.tombs = map[string][]string{}
-	}
-	ts.tombs[key] = append(ts.tombs[key], ids...)
-}
-
-// resolveReadyLocked applies, in order, every queued commit whose ticket
-// has already resolved, without blocking.
-func (ts *targetSession) resolveReadyLocked() error {
-	for len(ts.pending) > 0 {
-		select {
-		case <-ts.pending[0].p.Done():
-		default:
-			return nil
-		}
-		if err := ts.resolveHeadLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// resolveHeadLocked waits for the oldest queued commit's ticket and
-// applies it: records enter the instance map and the seq checkpoints. A
-// failed ticket rolls back the whole queue — every queued chunk's records
-// are unmarked so a retry re-ships them — and fails the attempt.
-func (ts *targetSession) resolveHeadLocked() error {
-	pc := ts.pending[0]
-	if err := pc.p.Err(); err != nil {
-		for _, q := range ts.pending {
-			for _, rec := range q.recs {
-				ts.ledger.Unmark(q.key, rec.ID)
-			}
-		}
-		ts.pending = nil
-		return err
-	}
-	if pc.del {
-		ts.applyTombLocked(pc.key, pc.ids)
-	} else {
-		in := pc.out[pc.key]
-		if in == nil {
-			in = &core.Instance{Frag: pc.frag}
-			pc.out[pc.key] = in
-		}
-		in.Records = append(in.Records, pc.recs...)
-	}
-	ts.ledger.ChunkDone(pc.seq)
-	ts.pending = ts.pending[1:]
-	if len(ts.pending) == 0 {
-		ts.pending = nil
-	}
-	return nil
-}
-
-// drainPendingLocked settles the whole group-commit queue: hurry the
-// journal's commit group out, then apply every queued chunk in order.
-// The session ack — checkpoint stamp, execute, HTTP response — runs
-// behind this barrier, which is what makes batch-mode acks exactly as
-// durable as FsyncAlways ones.
-func (ts *targetSession) drainPendingLocked() error {
-	if len(ts.pending) == 0 {
-		return nil
-	}
-	ts.j.Flush()
-	for len(ts.pending) > 0 {
-		if err := ts.resolveHeadLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// hydrateLocked materializes chunks recovered from the journal into the
-// session's instance map, resolving fragment names through the resumed
-// request's program dictionary — the same lookup live commits use, so a
-// recovered instance is indistinguishable from one that never crashed.
+// hydrateLocked replays the chunks recovered from the journal into the
+// session's instance map and tombstone set through the wire package's one
+// chunk decoder, with the resumed request's schema and fragment
+// dictionary — the decode and the ledger dedup a received chunk gets, so
+// a recovered instance is indistinguishable from one that never crashed.
 // Runs once, under ts.mu, on the first delivery attempt after a restart.
-func (ts *targetSession) hydrateLocked(lookup func(name string) *core.Fragment) {
+func (ts *targetSession) hydrateLocked(sch *schema.Schema, lookup func(name string) *core.Fragment) error {
 	if len(ts.recovered) == 0 || ts.inbound == nil {
-		return
+		return ts.hydrateErr
 	}
+	d := wire.NewShipmentDecoderInto(sch, lookup, ts.inbound)
+	d.KeepRecords = ts.ledger.KeepRecords
+	d.Tombs = ts.tombs
 	for _, c := range ts.recovered {
-		if c.Del {
-			// A journaled tombstone chunk: the IDs rejoin the deletion
-			// set; there are no records to materialize.
-			ids := make([]string, 0, len(c.Recs))
-			for _, rec := range c.Recs {
-				ids = append(ids, rec.ID)
-			}
-			ts.applyTombLocked(c.Key, ids)
-			continue
+		if err := d.Replay(c.Key, c.Frag, c.Seq, c.Payload); err != nil {
+			ts.hydrateErr = fmt.Errorf("session %s: replay journaled chunk %d: %w", ts.id, c.Seq, err)
+			break
 		}
-		f := lookup(c.Frag)
-		if f == nil {
-			// The resumed program does not know this fragment; without a
-			// definition the records cannot feed an execute. Should not
-			// happen — resumes re-send the same program — but skipping
-			// beats poisoning the whole session.
-			continue
-		}
-		in := ts.inbound[c.Key]
-		if in == nil {
-			in = &core.Instance{Frag: f}
-			ts.inbound[c.Key] = in
-		}
-		in.Records = append(in.Records, c.Recs...)
 	}
 	ts.recovered = nil
+	return ts.hydrateErr
 }
 
 // respondSession runs once the request is fully consumed: execute once,
@@ -403,12 +202,6 @@ func (t *targetScan) respondSession(w io.Writer) error {
 	if resp := ts.replay(); resp != nil {
 		t.e.met.Counter("endpoint.session.replays").Inc()
 		return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
-	}
-	// Settle the group commits before acking anything: the checkpoint
-	// stamped below and the execute's view of the instance map must only
-	// cover chunks whose journal frames are on stable storage.
-	if err := ts.drainPendingLocked(); err != nil {
-		return err
 	}
 	run := ts.inbound
 	if t.delta {

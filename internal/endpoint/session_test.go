@@ -70,16 +70,12 @@ type sessionFixture struct {
 	chunks  int
 }
 
-// newSessionFixture produces the shipment through a real source endpoint,
-// then stands up an empty target to deliver it to.
-func newSessionFixture(t *testing.T) (*sessionFixture, func()) {
+// sourceOutbound runs the Scan->Write program's source half on a real
+// endpoint over srcStore and decodes the shipment it answers with.
+func sourceOutbound(t *testing.T, fr *core.Fragmentation, srcStore *relstore.Store) (map[string]*core.Instance, *xmltree.Node) {
 	t.Helper()
-	sch := schema.CustomerInfo()
-	fr := tFrag(t, sch)
-	srcStore := loadedStore(t, fr)
 	srcClient, srcDone := startEndpoint(t, &RelBackend{Store: srcStore, Speed: 1, CanCombine: true})
 	defer srcDone()
-
 	g, _, progXML := scanWriteProgram(t, fr)
 	reqS := &xmltree.Node{Name: "ExecuteSource"}
 	reqS.AddKid(progXML)
@@ -98,10 +94,21 @@ func newSessionFixture(t *testing.T) (*sessionFixture, func()) {
 	}
 	outbound, err := wire.ReadShipment(
 		strings.NewReader(xmltree.Marshal(shipment, xmltree.WriteOptions{EmitAllIDs: true})),
-		sch, fragDict(g))
+		fr.Schema, fragDict(g))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return outbound, progXML
+}
+
+// newSessionFixture produces the shipment through a real source endpoint,
+// then stands up an empty target to deliver it to.
+func newSessionFixture(t *testing.T) (*sessionFixture, func()) {
+	t.Helper()
+	sch := schema.CustomerInfo()
+	fr := tFrag(t, sch)
+	srcStore := loadedStore(t, fr)
+	outbound, progXML := sourceOutbound(t, fr, srcStore)
 	chunks := reliable.ChunkShipment(outbound, 1)
 	if len(chunks) < 3 {
 		t.Fatalf("fixture too small: %d chunks", len(chunks))

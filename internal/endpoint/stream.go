@@ -266,7 +266,10 @@ func (t *targetScan) programDone() error {
 	frags := g.FragmentsByName()
 	// Decode into the session's accumulating map, with the ledger guarding
 	// chunk admission and record dedup.
-	t.dec = t.ts.decoder(t.e.backend.Layout().Schema, func(name string) *core.Fragment { return frags[name] })
+	t.dec, err = t.ts.decoder(t.e.backend.Layout().Schema, func(name string) *core.Fragment { return frags[name] })
+	if err != nil {
+		return err
+	}
 	t.dec.Workers = t.e.codecWorkers
 	t.dec.Met = t.e.met
 	return nil

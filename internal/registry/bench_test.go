@@ -58,7 +58,9 @@ func BenchmarkReliableExchangeDurable(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer j.Close()
-			tgtEP.SetJournal(j)
+			if _, err := tgtEP.SetJournal(j); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -70,7 +72,6 @@ func BenchmarkReliableExchangeDurable(b *testing.B) {
 	}
 	b.Run("none", func(b *testing.B) { run(b, false, durable.FsyncOff) })
 	b.Run("off", func(b *testing.B) { run(b, true, durable.FsyncOff) })
-	b.Run("interval", func(b *testing.B) { run(b, true, durable.FsyncInterval) })
 	b.Run("always", func(b *testing.B) { run(b, true, durable.FsyncAlways) })
 	// batch is group commit: always-equivalent durability (every acked
 	// chunk fsynced) with the syncs coalesced and overlapped with parse.
@@ -199,7 +200,9 @@ func BenchmarkDurableMultiSession(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer j.Close()
-			tgtEP.SetJournal(j)
+			if _, err := tgtEP.SetJournal(j); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

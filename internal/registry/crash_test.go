@@ -8,6 +8,8 @@ package registry
 // re-shipped committed chunks.
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,6 +20,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -165,7 +168,10 @@ func testDurableEndpointRestartResumes(t *testing.T, pol durable.FsyncPolicy) {
 			t.Fatal(err)
 		}
 		ep := endpoint.New("T", &endpoint.RelBackend{Store: st, Speed: 1, CanCombine: true}, nil)
-		restored := ep.SetJournal(j)
+		restored, err := ep.SetJournal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return ep, st, j, restored
 	}
 
@@ -198,7 +204,11 @@ func testDurableEndpointRestartResumes(t *testing.T, pol durable.FsyncPolicy) {
 		jA.Close()
 		epB, stB, jB, _ := openTarget()
 		tgtStoreB = stB
-		for _, js := range jB.Sessions() {
+		sessions, err := jB.Sessions()
+		if err != nil {
+			t.Error(err)
+		}
+		for _, js := range sessions {
 			recoveredSessions++
 			recoveredNext = js.Next
 		}
@@ -244,6 +254,50 @@ func buildEndpointBinary(t *testing.T) string {
 		t.Fatalf("go build ./cmd/xdxendpoint: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// TestEndpointBinaryRefusesOldWAL: xdxendpoint pointed at a WAL directory
+// written in an older journal format (the committed sample under
+// internal/durable/testdata) exits non-zero with durable.ErrWALFormat's
+// message, naming the directory and the way out, and leaves the
+// directory as it found it.
+func TestEndpointBinaryRefusesOldWAL(t *testing.T) {
+	if testing.Short() {
+		t.Skip("child-process e2e; skipped in -short")
+	}
+	bin := buildEndpointBinary(t)
+	dir := t.TempDir()
+	src := filepath.Join("..", "durable", "testdata", "wal-format-1")
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before [][]byte
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(src, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, data)
+	}
+	cmd := exec.Command(bin, "-listen", fmt.Sprintf("127.0.0.1:%d", freePort(t)), "-layout", "LF", "-wal-dir", dir)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("xdxendpoint on an old-format WAL: err = %v, want a non-zero exit\n%s", err, out)
+	}
+	if msg := string(out); !strings.Contains(msg, durable.ErrWALFormat.Error()) || !strings.Contains(msg, dir) ||
+		!strings.Contains(msg, "drain") || !strings.Contains(msg, "delete") {
+		t.Fatalf("exit message does not name the format refusal, the directory and the way out:\n%s", out)
+	}
+	for i, f := range files {
+		if after, _ := os.ReadFile(filepath.Join(dir, f.Name())); !bytes.Equal(before[i], after) {
+			t.Errorf("refusal changed %s", f.Name())
+		}
+	}
 }
 
 // freePort reserves a free TCP port and releases it for the child to bind.

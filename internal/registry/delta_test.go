@@ -307,7 +307,9 @@ func TestDeltaExchangeCrashRestartFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		ep := endpoint.New("T", &endpoint.RelBackend{Store: st, Speed: 1, CanCombine: true}, nil)
-		ep.SetJournal(j)
+		if _, err := ep.SetJournal(j); err != nil {
+			t.Fatal(err)
+		}
 		return ep, st, j
 	}
 	epA, _, jA := openTarget()

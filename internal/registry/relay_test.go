@@ -164,11 +164,11 @@ func TestRelayForwardsSourceBytes(t *testing.T) {
 			}
 			sch := xmark.Schema()
 			dec := wire.NewShipmentDecoder(sch, w.lookup)
-			dec.OnCommit = func(key string, _ *core.Fragment, seq int64, recs []*xmltree.Node) error {
-				if len(recs) > chunk {
-					t.Errorf("%s: chunk %d of %s carries %d records, limit %d", label, seq, key, len(recs), chunk)
+			dec.Commit = func(c *wire.Chunk) (wire.Ticket, error) {
+				if len(c.Recs) > chunk {
+					t.Errorf("%s: chunk %d of %s carries %d records, limit %d", label, c.Seq, c.Key, len(c.Recs), chunk)
 				}
-				return nil
+				return nil, nil
 			}
 			if err := xmltree.ScanAttrs(bytes.NewReader(wrote), dec); err != nil {
 				t.Fatalf("%s: %v", label, err)

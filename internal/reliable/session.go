@@ -72,7 +72,11 @@ func (l *Ledger) ChunkDone(seq int64) {
 func (l *Ledger) KeepRecords(edge string, recs []*xmltree.Node) []*xmltree.Node {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ids := l.idsLocked(edge)
+	ids := l.seen[edge]
+	if ids == nil {
+		ids = make(map[string]struct{})
+		l.seen[edge] = ids
+	}
 	kept := recs[:0]
 	for _, rec := range recs {
 		if rec.ID != "" {
@@ -87,17 +91,6 @@ func (l *Ledger) KeepRecords(edge string, recs []*xmltree.Node) []*xmltree.Node 
 	return kept
 }
 
-// idsLocked returns the edge's committed-ID set, creating it on first
-// sight. Caller holds l.mu.
-func (l *Ledger) idsLocked(edge string) map[string]struct{} {
-	ids := l.seen[edge]
-	if ids == nil {
-		ids = make(map[string]struct{})
-		l.seen[edge] = ids
-	}
-	return ids
-}
-
 // Restore seeds the chunk checkpoint from recovered durable state. It is
 // for rebuilding a ledger on boot, before the session sees traffic; it
 // never moves the checkpoint backwards.
@@ -107,31 +100,6 @@ func (l *Ledger) Restore(next int64) {
 	if next > l.next {
 		l.next = next
 	}
-}
-
-// MarkSeen seeds one committed (edge, record ID) pair from recovered
-// durable state — unlike KeepRecords it neither filters nor counts a
-// dedup, it only remembers.
-func (l *Ledger) MarkSeen(edge, id string) {
-	if id == "" {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.idsLocked(edge)[id] = struct{}{}
-}
-
-// Unmark forgets a committed (edge, record ID) pair. It is the rollback
-// for a commit whose durable journaling failed after KeepRecords already
-// marked its records: without it the retry of that chunk would dedup the
-// records away and lose them.
-func (l *Ledger) Unmark(edge, id string) {
-	if id == "" {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.seen[edge], id)
 }
 
 // Checkpoint returns the next chunk seq the session expects — the ack a

@@ -64,22 +64,6 @@ func TestLedgerRecordDedup(t *testing.T) {
 	if l.Deduped() != 1 {
 		t.Fatalf("Deduped = %d, want 1", l.Deduped())
 	}
-	// A failed journal append rolls its records back: Unmark forgets the
-	// pair on that edge only, and the retried chunk is admitted again.
-	l.Unmark("e1", "c1")
-	if keepRecord(l, "e2", r1) {
-		t.Fatal("Unmark on e1 forgot the same ID on e2")
-	}
-	if !keepRecord(l, "e1", r1) || keepRecord(l, "e1", r1) {
-		t.Fatal("Unmark must re-admit the record exactly once")
-	}
-	l.Unmark("never-seen", "c1")
-	// Recovery seeds pairs without counting them as dedups.
-	before := l.Deduped()
-	l.MarkSeen("e3", "c2")
-	if l.Deduped() != before || keepRecord(l, "e3", r2) || !keepRecord(l, "e3", r1) {
-		t.Fatal("MarkSeen must remember exactly the seeded pair")
-	}
 	// Edge and ID are separate keys, not one concatenation: pairs whose
 	// joined bytes coincide stay apart.
 	if !keepRecord(l, "a\x00b", &xmltree.Node{ID: "c"}) || !keepRecord(l, "a", &xmltree.Node{ID: "b\x00c"}) {
@@ -104,14 +88,14 @@ func TestLedgerSteadyStateAllocatesNothing(t *testing.T) {
 	})
 	readmit := testing.AllocsPerRun(10, func() {
 		for _, r := range recs {
-			l.Unmark("0:items", r.ID)
+			delete(l.seen["0:items"], r.ID)
 		}
 		if len(l.KeepRecords("0:items", recs)) != len(recs) {
-			t.Fatal("unmarked record dropped")
+			t.Fatal("forgotten record dropped")
 		}
 	})
 	if replay != 0 || readmit != 0 {
-		t.Errorf("allocations per 512 records: replay %.0f, unmark+keep %.0f; want 0 and 0", replay, readmit)
+		t.Errorf("allocations per 512 records: replay %.0f, forget+keep %.0f; want 0 and 0", replay, readmit)
 	}
 }
 

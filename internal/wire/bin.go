@@ -252,10 +252,12 @@ func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compre
 	scratch := bufpool.Buffer()
 	defer bufpool.PutBuffer(scratch)
 	appendBinRecords(scratch, recs, sch)
-	b64 := base64.NewEncoder(base64.StdEncoding, w)
+	payload := scratch.Bytes()
 	if compress {
-		fw := bufpool.FlateWriter(b64)
-		_, err := fw.Write(scratch.Bytes())
+		z := bufpool.Buffer()
+		defer bufpool.PutBuffer(z)
+		fw := bufpool.FlateWriter(z)
+		_, err := fw.Write(payload)
 		if cerr := fw.Close(); err == nil {
 			err = cerr
 		}
@@ -263,10 +265,15 @@ func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compre
 		if err != nil {
 			return err
 		}
-	} else if _, err := b64.Write(scratch.Bytes()); err != nil {
-		return err
+		payload = z.Bytes()
 	}
-	return b64.Close()
+	// Encode into the scratch buffer's spare room: one pooled buffer, no
+	// encoder per chunk. (A Grow that moves the buffer leaves payload on
+	// the old array, still intact.)
+	scratch.Grow(base64.StdEncoding.EncodedLen(len(payload)))
+	text := base64.StdEncoding.AppendEncode(scratch.AvailableBuffer(), payload)
+	_, err := w.Write(text)
+	return err
 }
 
 // readBinChunk decodes a bin chunk's accumulated wire text back into

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -72,17 +73,52 @@ func TestDeltaParallelWriterMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestDeltaTombstonesOnTombsHook(t *testing.T) {
+// testTicket is a durability ticket the test resolves by hand.
+type testTicket struct {
+	done chan struct{}
+	err  error
+}
+
+func newTestTicket() *testTicket { return &testTicket{done: make(chan struct{})} }
+
+func (t *testTicket) Done() <-chan struct{} { return t.done }
+
+func (t *testTicket) Err() error {
+	<-t.done
+	return t.err
+}
+
+// The one Commit hook sees every chunk — records and tombstones, with
+// their payload format — and nothing applies or checkpoints before its
+// ticket resolves: here chunk 0's ticket stays open until the tombstone
+// chunk commits, so neither may apply earlier, and the tombstones land in
+// the Tombs map the caller shares across decoders.
+func TestDeltaTombstonesCommitHook(t *testing.T) {
 	buf, newDec := deltaShipment(t, 1)
 	d := newDec()
+	shared := map[string][]string{}
+	d.Tombs = shared
 	var seqs []int64
 	d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
-	var hookKey string
+	first := newTestTicket()
+	var formats []string
 	var hookIDs []string
-	d.OnTombs = func(key string, seq int64, ids []string) error {
-		hookKey, hookIDs = key, ids
-		d.ChunkDone(seq)
-		return nil
+	d.Commit = func(c *Chunk) (Ticket, error) {
+		formats = append(formats, c.Format)
+		switch c.Seq {
+		case 0:
+			if len(c.Recs) != 1 {
+				t.Errorf("chunk 0 handed %d records", len(c.Recs))
+			}
+			return first, nil
+		case 2:
+			if len(seqs) != 0 {
+				t.Errorf("chunks applied before chunk 0's ticket resolved: %v", seqs)
+			}
+			hookIDs = c.IDs
+			close(first.done)
+		}
+		return nil, nil
 	}
 	if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d); err != nil {
 		t.Fatal(err)
@@ -90,14 +126,37 @@ func TestDeltaTombstonesOnTombsHook(t *testing.T) {
 	if _, err := d.Result(); err != nil {
 		t.Fatal(err)
 	}
-	if hookKey != "0:feat" || len(hookIDs) != 2 {
-		t.Fatalf("OnTombs got (%q, %v)", hookKey, hookIDs)
+	if strings.Join(formats, ",") != "xml,xml,tombstones" || len(hookIDs) != 2 {
+		t.Fatalf("Commit saw formats %v, tombstone IDs %v", formats, hookIDs)
 	}
-	if d.Tombs != nil {
-		t.Fatal("Tombs accumulated despite OnTombs hook")
+	if ids := shared["0:feat"]; len(ids) != 2 || ids[1] != "f9" {
+		t.Fatalf("tombstones did not reach the shared map: %v", shared)
 	}
-	if len(seqs) != 3 {
+	if len(seqs) != 3 || seqs[0] != 0 || seqs[2] != 2 {
 		t.Fatalf("seqs = %v", seqs)
+	}
+}
+
+// A failed ticket fails the shipment, and neither its chunk nor any
+// queued behind it applies: a retry re-ships them all.
+func TestDecoderFailedTicketAppliesNothing(t *testing.T) {
+	buf, newDec := deltaShipment(t, 1)
+	d := newDec()
+	var seqs []int64
+	d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
+	failed := newTestTicket()
+	failed.err = errors.New("disk full")
+	d.Commit = func(c *Chunk) (Ticket, error) {
+		if c.Seq == 2 {
+			close(failed.done)
+		}
+		return failed, nil
+	}
+	if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("scan err = %v, want the ticket's failure", err)
+	}
+	if len(seqs) != 0 || len(d.Tombs) != 0 {
+		t.Fatalf("failed commits applied: seqs %v tombs %v", seqs, d.Tombs)
 	}
 }
 

@@ -4,36 +4,36 @@ package wire
 // self-contained <instance> chunks — each one an independent compression
 // frame with its own delta state (bin.go) — so chunks can be rendered and
 // parsed concurrently as long as they enter and leave the stream in order.
-// That is exactly what this file does, on both sides of the wire:
+// Both sides of the wire share one process-wide pool of long-lived
+// workers:
 //
-// Encode: Emit hands each chunk to a bounded worker pool that renders it
-// (serialization, binary encoding, DEFLATE, base64) into a pooled buffer
-// off the caller's goroutine; rendered chunks are spliced onto the output
-// writer strictly in emit order. There is no dedicated flusher goroutine —
-// Emit and Close splice ready chunks themselves under the writer lock — so
-// an abandoned writer leaks nothing. The emitted byte stream is identical
-// to the serial codec's for every worker count (the equivalence tests in
-// parallel_test.go hold it to that).
+// Encode: Emit hands each chunk to the pool, which renders it into a
+// pooled buffer; Emit and Close splice finished chunks onto the output in
+// emit order under the writer lock, so there is no flusher goroutine and
+// an abandoned writer leaks nothing. The bytes equal the serial codec's
+// for every worker count (parallel_test.go).
 //
-// Decode: raw-payload chunks (feed and bin formats) are parsed by a
-// bounded worker pool while the scanner races ahead; parsed chunks COMMIT
-// strictly in stream order on the scanner's goroutine, so every decoder
-// semantic is preserved exactly — OnChunk admission and its under-lock
-// recheck, KeepRecords filtering, ChunkDone checkpointing, CommitLock
-// serialization against concurrent delivery attempts, and chunk-atomic
-// staging (a torn chunk dies in its worker's parse; committed chunks are
-// a prefix of the stream). Tagged-XML chunks build their trees on the
-// scanner goroutine as before; they drain the worker queue before
-// committing so ordering holds across mixed-format shipments.
+// Decode: the pool parses raw-payload chunks (feed and bin) while the
+// scanner races ahead; parsed chunks commit strictly in stream order on
+// the scanner's goroutine, so every decoder hook — OnChunk and its
+// under-lock recheck, Commit and its tickets, KeepRecords, ChunkDone,
+// CommitLock — and chunk-atomic staging behave exactly as when parsing
+// in-line. Tagged-XML chunks build their trees on the scanner goroutine
+// and drain the parse queue before committing.
 //
-// Worker counts: 0 means one worker per CPU (the default — the pipelines
-// are on unless a caller dials them down), negative or 1 means serial.
+// A chunk in flight is a slot — an encJob or parseJob from a sync.Pool,
+// with a one-token channel it keeps for life — so a chunk costs no
+// goroutine, job or channel of its own, and a one-chunk shipment pays one
+// pooled slot rather than a pool. The pool grows to the largest worker
+// count any caller asked for (0 = one per CPU, 1 or less = serial) and
+// never shrinks; idle workers park on the job channel.
 
 import (
-	"runtime"
-	"time"
-
 	"bytes"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"xdx/internal/bufpool"
 	"xdx/internal/core"
@@ -53,14 +53,62 @@ func effectiveWorkers(n int) int {
 	return n
 }
 
-// encJob is one chunk travelling through the encode pool: the worker
-// fills buf/err and closes done; the splicer (whoever holds sw.mu) writes
-// completed head jobs to the output in FIFO order.
+// codecJob is one chunk's render or parse, run by a pool worker.
+type codecJob interface{ run() }
+
+var (
+	poolJobs    = make(chan codecJob, 64)
+	poolMu      sync.Mutex
+	poolWorkers atomic.Int32
+)
+
+// submit hands job to the shared pool, first growing it to at least want
+// workers. A job never blocks on another, so a full pool only delays.
+func submit(job codecJob, want int) {
+	if int(poolWorkers.Load()) < want {
+		poolMu.Lock()
+		for int(poolWorkers.Load()) < want {
+			poolWorkers.Add(1)
+			go func() {
+				for j := range poolJobs {
+					j.run()
+				}
+			}()
+		}
+		poolMu.Unlock()
+	}
+	poolJobs <- job
+}
+
+// encJob is one chunk travelling through the render pool: the worker
+// fills buf/payload/err and posts done; the splicer (whoever holds sw.mu)
+// writes completed head jobs to the output in FIFO order.
 type encJob struct {
+	sw      *ShipmentWriter
+	key     string
+	frag    *core.Fragment
+	recs    []*xmltree.Node
+	seq     int64
 	buf     *bytes.Buffer
 	payload int64 // RecordBytes of the chunk
 	err     error
 	done    chan struct{}
+}
+
+var encJobs = sync.Pool{New: func() any { return &encJob{done: make(chan struct{}, 1)} }}
+
+func (j *encJob) run() {
+	start := time.Now()
+	j.buf = bufpool.Buffer()
+	bw := bufpool.Writer(j.buf)
+	j.err = renderChunk(bw, j.sw.sch, j.sw.codec, j.key, j.frag, j.recs, j.seq)
+	if ferr := bw.Flush(); j.err == nil {
+		j.err = ferr
+	}
+	bufpool.PutWriter(bw)
+	j.payload = RecordBytes(j.recs)
+	j.sw.renderMS.ObserveSince(start)
+	j.done <- struct{}{}
 }
 
 // encQueueSlack bounds how far rendering may run ahead of splicing, in
@@ -68,16 +116,15 @@ type encJob struct {
 // applying backpressure instead of buffering the whole shipment.
 const encQueueSlack = 4
 
-// SetWorkers dials the writer's chunk-render pool: 0 (the default) is one
-// worker per CPU, 1 or less is the serial in-line path. It must be called
-// before the first Emit.
+// SetWorkers dials the writer's chunk-render parallelism: 0 (the default)
+// is one worker per CPU, 1 or less is the serial in-line path. It must be
+// called before the first Emit.
 func (sw *ShipmentWriter) SetWorkers(n int) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if !sw.opened {
 		sw.reqWorkers = n
 		sw.workers = 0
-		sw.sem = nil
 	}
 }
 
@@ -89,13 +136,12 @@ func (sw *ShipmentWriter) SetObs(met *obs.Registry) {
 	sw.met = met
 }
 
-// encodeWorkers resolves the pool lazily, under sw.mu.
+// encodeWorkers resolves the parallelism lazily, under sw.mu.
 func (sw *ShipmentWriter) encodeWorkers() int {
 	if sw.workers == 0 {
 		sw.workers = effectiveWorkers(sw.reqWorkers)
-		if sw.workers > 1 {
-			sw.sem = make(chan struct{}, sw.workers)
-		}
+		sw.renderMS = sw.met.Histogram("wire.encode.render_ms")
+		sw.queue = sw.met.Gauge("wire.encode.queue")
 		sw.met.Gauge("wire.encode.workers").Set(int64(sw.workers))
 	}
 	return sw.workers
@@ -104,32 +150,12 @@ func (sw *ShipmentWriter) encodeWorkers() int {
 // emitParallel submits one chunk to the render pool and splices whatever
 // is ready. Caller holds sw.mu.
 func (sw *ShipmentWriter) emitParallel(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
-	// The caller may reuse its batch slice after Emit returns (the serial
-	// path has consumed it by then); the worker needs a private header.
-	recs = append(make([]*xmltree.Node, 0, len(recs)), recs...)
-	job := &encJob{done: make(chan struct{})}
+	job := encJobs.Get().(*encJob)
+	job.sw, job.key, job.frag, job.recs, job.seq = sw, key, frag, recs, seq
 	sw.fifo = append(sw.fifo, job)
-	sw.met.Gauge("wire.encode.queue").Set(int64(len(sw.fifo)))
-	go sw.renderAsync(job, key, frag, recs, seq)
+	sw.queue.Set(int64(len(sw.fifo)))
+	submit(job, sw.workers)
 	return sw.spliceLocked(encQueueSlack * sw.workers)
-}
-
-// renderAsync is the worker body: render the chunk into a pooled buffer,
-// publish, release the slot.
-func (sw *ShipmentWriter) renderAsync(job *encJob, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) {
-	sw.sem <- struct{}{}
-	defer func() { <-sw.sem }()
-	start := time.Now()
-	buf := bufpool.Buffer()
-	bw := bufpool.Writer(buf)
-	err := renderChunk(bw, sw.sch, sw.codec, key, frag, recs, seq)
-	if ferr := bw.Flush(); err == nil {
-		err = ferr
-	}
-	bufpool.PutWriter(bw)
-	job.buf, job.payload, job.err = buf, RecordBytes(recs), err
-	sw.met.Histogram("wire.encode.render_ms").ObserveSince(start)
-	close(job.done)
 }
 
 // spliceLocked writes completed head jobs to the output in FIFO order,
@@ -137,19 +163,11 @@ func (sw *ShipmentWriter) renderAsync(job *encJob, key string, frag *core.Fragme
 // Caller holds sw.mu. After the first failed chunk the stream is corrupt,
 // so later chunks are consumed but not written; the first error sticks.
 func (sw *ShipmentWriter) spliceLocked(max int) error {
-	for len(sw.fifo) > 0 {
-		job := sw.fifo[0]
-		if len(sw.fifo) > max {
-			<-job.done
-		} else {
-			select {
-			case <-job.done:
-			default:
-				sw.met.Gauge("wire.encode.queue").Set(int64(len(sw.fifo)))
-				return sw.firstErr
-			}
+	for {
+		job, ok := popDone(&sw.fifo, max)
+		if !ok {
+			break
 		}
-		sw.fifo = sw.fifo[1:]
 		if job.err != nil && sw.firstErr == nil {
 			sw.firstErr = job.err
 		}
@@ -158,78 +176,107 @@ func (sw *ShipmentWriter) spliceLocked(max int) error {
 			sw.payload += job.payload
 		}
 		bufpool.PutBuffer(job.buf)
+		*job = encJob{done: job.done}
+		encJobs.Put(job)
 	}
-	sw.met.Gauge("wire.encode.queue").Set(0)
+	sw.queue.Set(int64(len(sw.fifo)))
 	return sw.firstErr
 }
 
-// parseJob is one raw-payload chunk travelling through the decode pool:
-// the worker fills recs/err and closes done; the scanner goroutine
-// commits head jobs in stream order.
-type parseJob struct {
-	key         string
-	frag        *core.Fragment
-	seq         int64
-	format, enc string
-	buf         *bytes.Buffer // staged raw text; pooled, owned by the job until parsed
-	recs        []*xmltree.Node
-	err         error
-	done        chan struct{}
+// popDone pops the head job of q once it has finished, waiting for it
+// while more than max jobs are queued; ok is false when q is empty or its
+// head is still running.
+func popDone[J interface{ doneCh() chan struct{} }](q *[]J, max int) (job J, ok bool) {
+	if len(*q) == 0 {
+		return job, false
+	}
+	job = (*q)[0]
+	if len(*q) > max {
+		<-job.doneCh()
+	} else {
+		select {
+		case <-job.doneCh():
+		default:
+			return job, false
+		}
+	}
+	n := copy(*q, (*q)[1:])
+	var zero J
+	(*q)[n] = zero
+	*q = (*q)[:n]
+	return job, true
 }
 
-// decQueueSlack mirrors encQueueSlack for the decode pool.
+func (j *encJob) doneCh() chan struct{}   { return j.done }
+func (j *parseJob) doneCh() chan struct{} { return j.done }
+
+// parseJob is one raw-payload chunk travelling through the parse pool:
+// the worker fills c.Recs/err and posts done; the scanner goroutine
+// commits head jobs in stream order, handing the staged text to the
+// Commit hook as the chunk's payload before it returns to bufpool.
+type parseJob struct {
+	d    *ShipmentDecoder
+	c    Chunk
+	buf  *bytes.Buffer // staged raw text; pooled, owned by the job until committed
+	err  error
+	done chan struct{}
+}
+
+var parseJobs = sync.Pool{New: func() any { return &parseJob{done: make(chan struct{}, 1)} }}
+
+// run parses the raw payload into records (each bin chunk decodes into an
+// arena of its own).
+func (j *parseJob) run() {
+	start := time.Now()
+	j.c.Recs, j.err = parseRawChunk(j.buf.Bytes(), j.c.Format, j.c.Enc, j.c.Frag, j.d.sch)
+	j.d.parseMS.ObserveSince(start)
+	j.done <- struct{}{}
+}
+
+// decQueueSlack mirrors encQueueSlack for the parse queue.
 const decQueueSlack = 4
 
-// decodeWorkers resolves the decoder's pool lazily from the Workers knob.
+// decodeWorkers resolves the decoder's parallelism lazily from the Workers
+// knob.
 func (d *ShipmentDecoder) decodeWorkers() int {
 	if d.workers == 0 {
 		d.workers = effectiveWorkers(d.Workers)
-		if d.workers > 1 {
-			d.sem = make(chan struct{}, d.workers)
-		}
+		d.parseMS = d.Met.Histogram("wire.decode.parse_ms")
+		d.queue = d.Met.Gauge("wire.decode.queue")
 		d.Met.Gauge("wire.decode.workers").Set(int64(d.workers))
 	}
 	return d.workers
 }
 
-// parseAsync is the decode worker body: parse the raw payload into
-// records (each bin chunk decodes into an arena of its own), publish,
-// release.
-func (d *ShipmentDecoder) parseAsync(job *parseJob) {
-	d.sem <- struct{}{}
-	defer func() { <-d.sem }()
-	start := time.Now()
-	job.recs, job.err = parseRawChunk(job.buf.Bytes(), job.format, job.enc, job.frag, d.sch)
-	bufpool.PutBuffer(job.buf)
-	job.buf = nil
-	d.Met.Histogram("wire.decode.parse_ms").ObserveSince(start)
-	close(job.done)
+// submitParse queues one staged raw chunk for the parse pool.
+func (d *ShipmentDecoder) submitParse(c *Chunk, raw *bytes.Buffer) {
+	job := parseJobs.Get().(*parseJob)
+	job.d, job.c, job.buf = d, *c, raw
+	d.jobs = append(d.jobs, job)
+	d.queue.Set(int64(len(d.jobs)))
+	submit(job, d.workers)
 }
 
 // drainJobs commits completed head jobs in stream order, blocking while
 // more than max jobs are queued (max 0 drains fully). Runs on the scanner
 // goroutine only — commits never happen anywhere else.
 func (d *ShipmentDecoder) drainJobs(max int) error {
-	for len(d.jobs) > 0 {
-		job := d.jobs[0]
-		if len(d.jobs) > max {
-			<-job.done
-		} else {
-			select {
-			case <-job.done:
-			default:
-				d.Met.Gauge("wire.decode.queue").Set(int64(len(d.jobs)))
-				return nil
-			}
+	defer func() { d.queue.Set(int64(len(d.jobs))) }()
+	for {
+		job, ok := popDone(&d.jobs, max)
+		if !ok {
+			return nil
 		}
-		d.jobs = d.jobs[1:]
-		if job.err != nil {
-			return job.err
+		err := job.err
+		if err == nil {
+			job.c.Bytes = job.buf.Bytes()
+			err = d.commit(&job.c)
 		}
-		if err := d.commitRecs(job.key, job.frag, job.seq, job.recs); err != nil {
+		bufpool.PutBuffer(job.buf)
+		*job = parseJob{done: job.done}
+		parseJobs.Put(job)
+		if err != nil {
 			return err
 		}
 	}
-	d.Met.Gauge("wire.decode.queue").Set(0)
-	return nil
 }

@@ -38,7 +38,7 @@ import (
 // concurrent use; chunks sharing an edge key are merged back into one
 // instance by the decoders.
 //
-// Chunks are rendered by a bounded worker pool (parallel.go) and spliced
+// Chunks are rendered by the shared codec pool (parallel.go) and spliced
 // onto the writer in emit order; SetWorkers(1) selects the serial in-line
 // path. In the parallel mode a chunk's render error may surface on a later
 // Emit or at Close rather than on the Emit that submitted it.
@@ -50,12 +50,13 @@ type ShipmentWriter struct {
 	opened bool
 	closed bool
 
-	reqWorkers int           // SetWorkers knob; resolved on first emit
-	workers    int           // resolved pool size; 1 = serial
-	sem        chan struct{} // render-pool slots (parallel mode)
-	fifo       []*encJob     // submitted chunks awaiting in-order splice
-	firstErr   error         // first failed chunk; sticky
+	reqWorkers int       // SetWorkers knob; resolved on first emit
+	workers    int       // resolved parallelism; 1 = serial
+	fifo       []*encJob // submitted chunks awaiting in-order splice
+	firstErr   error     // first failed chunk; sticky
 	met        *obs.Registry
+	renderMS   *obs.Histogram
+	queue      *obs.Gauge
 	delta      bool
 
 	chunk   int   // SetChunk: records per self-numbered chunk, 0 = off
@@ -116,7 +117,8 @@ func NewShipmentWriterCodec(w io.Writer, sch *schema.Schema, codec Codec) *Shipm
 }
 
 // Emit writes one instance chunk carrying recs for the cross-edge key (cut
-// into several, when SetChunk asked for it).
+// into several, when SetChunk asked for it). The parallel writer renders
+// after Emit returns, so recs must stay unmodified until Close.
 func (sw *ShipmentWriter) Emit(key string, frag *core.Fragment, recs []*xmltree.Node) error {
 	return sw.emit(key, frag, recs, -1)
 }
@@ -149,25 +151,29 @@ func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs []*xmltree.
 // emitLocked renders one chunk, in-line or through the pool. Caller holds
 // sw.mu.
 func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
-	if sw.closed {
-		return fmt.Errorf("wire: emit on closed shipment writer")
+	if err := sw.openLocked(); err != nil {
+		return err
 	}
-	if sw.firstErr != nil {
-		return sw.firstErr
-	}
-	workers := sw.encodeWorkers()
-	sw.openLocked()
-	if workers > 1 {
+	if sw.workers > 1 {
 		return sw.emitParallel(key, frag, recs, seq)
 	}
 	sw.payload += RecordBytes(recs)
 	return renderChunk(sw.bw, sw.sch, sw.codec, key, frag, recs, seq)
 }
 
-// openLocked writes the shipment open tag once. Caller holds sw.mu.
-func (sw *ShipmentWriter) openLocked() {
+// openLocked readies the writer for one more chunk — refusing it after
+// Close or a failed chunk — and writes the shipment open tag once. Caller
+// holds sw.mu.
+func (sw *ShipmentWriter) openLocked() error {
+	if sw.closed {
+		return fmt.Errorf("wire: emit on closed shipment writer")
+	}
+	if sw.firstErr != nil {
+		return sw.firstErr
+	}
+	sw.encodeWorkers()
 	if sw.opened {
-		return
+		return nil
 	}
 	sw.opened = true
 	if sw.delta {
@@ -175,6 +181,7 @@ func (sw *ShipmentWriter) openLocked() {
 	} else {
 		sw.bw.WriteString("<shipment>")
 	}
+	return nil
 }
 
 // EmitTombstones writes one sequenced tombstone chunk: the record IDs the
@@ -187,14 +194,9 @@ func (sw *ShipmentWriter) openLocked() {
 func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.closed {
-		return fmt.Errorf("wire: emit on closed shipment writer")
+	if err := sw.openLocked(); err != nil {
+		return err
 	}
-	if sw.firstErr != nil {
-		return sw.firstErr
-	}
-	sw.encodeWorkers()
-	sw.openLocked()
 	if err := sw.spliceLocked(0); err != nil {
 		return err
 	}
@@ -202,11 +204,7 @@ func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) er
 	xmltree.Escape(sw.bw, key)
 	writeSeqAttr(sw.bw, seq)
 	sw.bw.WriteString(`">`)
-	for _, id := range ids {
-		sw.bw.WriteString(`<d ID="`)
-		xmltree.Escape(sw.bw, id)
-		sw.bw.WriteString(`"/>`)
-	}
+	WriteTombstoneIDs(sw.bw, ids)
 	sw.bw.WriteString("</tombstones>")
 	return nil
 }
@@ -232,11 +230,27 @@ func renderChunk(bw *bufio.Writer, sch *schema.Schema, codec Codec, key string, 
 		return nil
 	}
 	bw.WriteString(`">`)
+	WriteRecords(bw, recs)
+	bw.WriteString("</instance>")
+	return nil
+}
+
+// WriteRecords writes recs as the xml codec's chunk body: the content of a
+// tagged-XML <instance> element, which a ShipmentDecoder reads back through
+// Replay as well as inside a shipment.
+func WriteRecords(bw *bufio.Writer, recs []*xmltree.Node) {
 	for _, rec := range recs {
 		streamRecord(bw, rec, true)
 	}
-	bw.WriteString("</instance>")
-	return nil
+}
+
+// WriteTombstoneIDs writes ids as the body of a <tombstones> chunk.
+func WriteTombstoneIDs(bw *bufio.Writer, ids []string) {
+	for _, id := range ids {
+		bw.WriteString(`<d ID="`)
+		xmltree.Escape(bw, id)
+		bw.WriteString(`"/>`)
+	}
 }
 
 // writeSeqAttr appends the seq attribute (continuing an open attribute
@@ -433,6 +447,53 @@ func sortedKeys(out map[string]*core.Instance) []string {
 	return keys
 }
 
+// FormatTombstones is the Payload format of a tombstone chunk; record
+// chunks carry their codec's name (CodecXML, CodecFeed, CodecBin).
+const FormatTombstones = "tombstones"
+
+// Payload is a chunk's body as it travels inside its chunk element: the
+// format, the bin encoding ("" or "flate"), and the bytes. Feed and bin
+// chunks stage their text and commit it as it arrived; tagged-XML and
+// tombstone chunks decode as they stream, so at commit their Bytes are nil
+// and their body is the rendering of the chunk's records (WriteRecords) or
+// IDs (WriteTombstoneIDs). Replay reads any of them back.
+type Payload struct {
+	Format, Enc string
+	Bytes       []byte
+}
+
+// Chunk is one chunk at its commit: the cross-edge key, the fragment (nil
+// for tombstones), the seq (-1 when unsequenced), the decoded records as
+// they arrived, before KeepRecords dedup — or a tombstone chunk's deleted
+// record IDs — and the payload.
+type Chunk struct {
+	Key  string
+	Frag *core.Fragment
+	Seq  int64
+	Recs []*xmltree.Node
+	IDs  []string
+	Payload
+}
+
+// Ticket is a commit's durability outcome: Done closes once it is known,
+// Err waits for it.
+type Ticket interface {
+	Done() <-chan struct{}
+	Err() error
+}
+
+// maxQueuedCommits bounds how many committed chunks may wait on their
+// tickets: past it the decoder blocks on the oldest, so a slow disk applies
+// backpressure to the wire instead of growing the queue.
+const maxQueuedCommits = 256
+
+// queuedCommit is a chunk handed to the Commit hook and waiting for its
+// ticket before it applies.
+type queuedCommit struct {
+	t Ticket
+	c Chunk
+}
+
 // ShipmentDecoder is a SAX handler that rebuilds the inbound instance map
 // directly from shipment parse events: record nodes are constructed as
 // their tags open, interior PARENT links are restored from nesting on the
@@ -446,59 +507,45 @@ type ShipmentDecoder struct {
 	sch    *schema.Schema
 	lookup func(name string) *core.Fragment
 
-	// OnChunk, when set, is consulted as each <instance> chunk opens with
-	// the chunk's seq attribute (-1 when unsequenced). Returning false skips
-	// the whole chunk — the resume path of a shipment session declines
-	// chunks below the target's checkpoint without parsing their records.
+	// OnChunk, when set, is consulted as each chunk opens with the chunk's
+	// seq attribute (-1 when unsequenced). Returning false skips the whole
+	// chunk — the resume path of a shipment session declines chunks below
+	// the target's checkpoint without parsing their records.
 	OnChunk func(seq int64) bool
-	// KeepRecords, when set, filters each chunk's records at commit time,
+	// KeepRecords, when set, filters each chunk's records as it applies,
 	// in place: it returns the prefix of recs that holds the records to
 	// keep, in order. The reliable ledger plugs in here to drop replayed
 	// records by (edge, ID), once per chunk rather than once per record.
 	KeepRecords func(edge string, recs []*xmltree.Node) []*xmltree.Node
-	// ChunkDone, when set, fires after a chunk commits — the moment it is
+	// ChunkDone, when set, fires after a chunk applies — the moment it is
 	// safe to checkpoint its seq.
 	ChunkDone func(seq int64)
-	// OnCommit, when set, fires inside each chunk commit with the
-	// post-dedup records about to enter the instance map — after
-	// KeepRecords filtered replays, before ChunkDone advances the
-	// checkpoint. A durable endpoint journals the chunk here: the write-
-	// ahead invariant is exactly this ordering (logged before
-	// checkpointable). An error aborts the commit — nothing reaches the
-	// map, the checkpoint stays — failing the delivery attempt so the
-	// driver retries or resumes.
-	OnCommit func(key string, frag *core.Fragment, seq int64, recs []*xmltree.Node) error
-	// CommitAsync, when set, replaces OnCommit AND the decoder's own
-	// apply: it receives each chunk's post-dedup records at commit time
-	// and takes ownership of appending them to the instance map and
-	// firing the checkpoint advance (ChunkDone) once the commit is
-	// actually durable. A group-committing durable endpoint plugs in
-	// here — it submits the journal frame and returns immediately, so the
-	// scanner parses the next chunk while the previous one's fsync is in
-	// flight, and only the *ack* (checkpoint + response) waits. OnChunk
-	// admission, KeepRecords dedup, and CommitLock still apply exactly as
-	// in the synchronous path. An error aborts the commit and fails the
-	// delivery attempt.
-	CommitAsync func(key string, frag *core.Fragment, seq int64, recs []*xmltree.Node) error
-	// CommitLock, when set, is held across each chunk commit. A resumable
-	// session decodes concurrent delivery attempts into one shared
-	// instance map — a retried delivery can race a straggler whose torn
-	// connection is still draining — so the endpoint passes the session
-	// mutex here, serializing map writes and record appends against each
-	// other and against the executing target. Under the lock the chunk's
-	// admission is re-checked via OnChunk: a chunk another attempt
-	// committed while this one was parsing it is dropped wholesale, which
-	// keeps records exactly-once even when they carry no IDs.
+	// Commit, when set, makes each chunk durable before it applies: it gets
+	// the chunk — records or tombstone IDs, and the payload as it arrived —
+	// and returns its durability ticket (nil, or already resolved, when
+	// the commit is durable on return). The chunk applies — KeepRecords,
+	// records into the instance map or IDs into Tombs, ChunkDone — once the
+	// ticket resolves, in commit order, so the scanner parses on while a
+	// group commit's fsync is in flight and the checkpoint only ever covers
+	// durable chunks. The shipment reads complete only when every ticket
+	// has resolved. An error, returned or carried by a ticket, fails the
+	// delivery; chunks still queued never apply, so a retry re-ships them.
+	// Payload.Bytes is valid only during the call.
+	Commit func(c *Chunk) (Ticket, error)
+	// CommitLock, when set, is held across each chunk commit and apply. A
+	// resumable session decodes concurrent delivery attempts into one
+	// shared instance map — a retried delivery can race a straggler whose
+	// torn connection is still draining — so the endpoint passes the
+	// session mutex here, serializing map writes and record appends against
+	// each other and against the executing target. Under the lock the
+	// chunk's admission is re-checked via OnChunk, at commit and again at
+	// apply: a chunk another attempt applied meanwhile is dropped
+	// wholesale, which keeps records exactly-once even when they carry no
+	// IDs.
 	CommitLock sync.Locker
-	// OnTombs, when set, owns each tombstone chunk: it receives the edge
-	// key, the chunk seq, and the deleted record IDs at commit time, and is
-	// responsible for applying the deletion and firing the checkpoint
-	// advance once durable — mirroring CommitAsync for record chunks.
-	// Without it, tombstones accumulate in Tombs and ChunkDone fires
-	// directly. OnChunk admission and CommitLock apply either way.
-	OnTombs func(key string, seq int64, ids []string) error
 	// Tombs collects, per edge key, the tombstoned record IDs of a delta
-	// shipment when no OnTombs hook is set.
+	// shipment. Set it to share one map across decoders (a session's
+	// delivery attempts); nil makes one on the first tombstone.
 	Tombs map[string][]string
 	// Workers dials the raw-chunk parse pool (parallel.go): 0 (the
 	// default) is one worker per CPU, 1 or less parses in-line. Set it
@@ -516,25 +563,30 @@ type ShipmentDecoder struct {
 	skip    int
 
 	workers int           // resolved pool size; 1 = serial
-	sem     chan struct{} // parse-pool slots (parallel mode)
 	jobs    []*parseJob   // submitted chunks awaiting in-order commit
 	arena   xmltree.Arena // tagged-XML chunks' nodes and text; lives for the shipment
+	parseMS *obs.Histogram
+	queue   *obs.Gauge
+
+	queued []queuedCommit // committed chunks waiting on their tickets, from qhead
+	qhead  int
+	cc     Chunk // the in-line commit's chunk, reused
 
 	// Chunk staging: records of the open <instance> accumulate here and
 	// commit to the shared map only at its close tag, so a connection torn
 	// mid-chunk never leaves a half-parsed record behind — the unit of
 	// atomicity the resumable sessions replay on.
-	stageKey  string
-	stageFrag *core.Fragment
-	stageSeq  int64
-	stageRecs []*xmltree.Node
-	stageTomb bool
+	stageKey   string
+	stageFrag  *core.Fragment
+	stageSeq   int64
+	stageRecs  []*xmltree.Node
+	stageTomb  bool
+	stageBytes int // names, attribute values and text staged from tagged XML
 
 	// raw accumulates the character data of feed- and bin-format chunks;
 	// both parse at commit time, so they share the chunk-atomic guarantee.
-	// The buffer is pooled: it returns to bufpool after the chunk parses
-	// (in-line or in its pool worker), so staging costs no steady-state
-	// allocation per chunk.
+	// The buffer is pooled: it returns to bufpool once the chunk committed,
+	// so staging costs no steady-state allocation per chunk.
 	raw       *bytes.Buffer
 	rawFormat string
 	rawEnc    string
@@ -558,6 +610,19 @@ func NewShipmentDecoderInto(sch *schema.Schema, lookup func(name string) *core.F
 	return &ShipmentDecoder{sch: sch, lookup: lookup, out: out, stageSeq: -1}
 }
 
+// errStagedTooLarge refuses a tagged-XML chunk whose staged names,
+// attribute values and text pass MaxChunkBytes.
+var errStagedTooLarge = fmt.Errorf("wire: tagged-XML chunk stages over %d bytes: %w", MaxChunkBytes, ErrChunkTooLarge)
+
+// stage counts n more staged bytes of the open tagged-XML chunk.
+func (d *ShipmentDecoder) stage(n int) error {
+	d.stageBytes += n
+	if d.stageBytes > MaxChunkBytes {
+		return errStagedTooLarge
+	}
+	return nil
+}
+
 // StartElement implements xmltree.AttrHandler.
 func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error {
 	if d.skip > 0 {
@@ -578,28 +643,8 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 		d.started = true
 		return nil
 	case 2:
-		if name == "tombstones" {
-			var key string
-			seq := int64(-1)
-			for _, a := range attrs {
-				switch a.Name {
-				case "edge":
-					key = a.Value
-				case "seq":
-					if v, err := strconv.ParseInt(a.Value, 10, 64); err == nil {
-						seq = v
-					}
-				}
-			}
-			if d.OnChunk != nil && !d.OnChunk(seq) {
-				d.depth--
-				d.skip = 1
-				return nil
-			}
-			d.stageKey, d.stageSeq, d.stageTomb = key, seq, true
-			return nil
-		}
-		if name != "instance" {
+		tomb := name == "tombstones"
+		if !tomb && name != "instance" {
 			// Foreign elements inside a shipment are skipped, as the tree
 			// decoder ignores what it does not recognize.
 			d.depth--
@@ -631,12 +676,16 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 			d.skip = 1
 			return nil
 		}
+		if tomb {
+			d.stageKey, d.stageSeq, d.stageTomb = key, seq, true
+			return nil
+		}
 		f := d.lookup(fragName)
 		if f == nil {
 			return fmt.Errorf("wire: shipment references unknown fragment %q", fragName)
 		}
 		d.stageKey, d.stageFrag, d.stageSeq = key, f, seq
-		if format == "feed" || format == "bin" {
+		if format == CodecFeed || format == CodecBin {
 			d.raw = bufpool.Buffer()
 			d.rawFormat, d.rawEnc = format, enc
 		}
@@ -651,7 +700,9 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 	}
 	n := d.arena.New()
 	n.Name = name
+	staged := len(name)
 	for _, a := range attrs {
+		staged += len(a.Name) + len(a.Value)
 		switch a.Name {
 		case "ID":
 			n.ID = a.Value
@@ -660,6 +711,9 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 		default:
 			n.Attrs = append(n.Attrs, a)
 		}
+	}
+	if err := d.stage(staged); err != nil {
+		return err
 	}
 	if len(d.stack) > 0 && n.Parent == "" {
 		// Interior PARENTs are stripped on the wire; nesting is the parent
@@ -686,21 +740,9 @@ func (d *ShipmentDecoder) instanceFor(key string, f *core.Fragment) *core.Instan
 	return in
 }
 
-// Text implements xmltree.AttrHandler.
-func (d *ShipmentDecoder) Text(data string) error {
-	switch {
-	case d.skip > 0:
-	case d.raw != nil:
-		if d.raw.Len()+len(data) > MaxChunkBytes {
-			return ErrChunkTooLarge
-		}
-		d.raw.WriteString(data)
-	case len(d.stack) > 0:
-		top := d.stack[len(d.stack)-1]
-		top.Text += data
-	}
-	return nil
-}
+// Text implements xmltree.AttrHandler. Scanners deliver text through
+// TextBytes; this string path shares it.
+func (d *ShipmentDecoder) Text(data string) error { return d.TextBytes([]byte(data)) }
 
 // TextBytes implements xmltree.TextBytesHandler: base64 chunk bodies
 // accumulate without an intermediate string per event, and leaf values
@@ -715,6 +757,9 @@ func (d *ShipmentDecoder) TextBytes(data []byte) error {
 		}
 		d.raw.Write(data)
 	case len(d.stack) > 0:
+		if err := d.stage(len(data)); err != nil {
+			return err
+		}
 		top := d.stack[len(d.stack)-1]
 		if top.Text == "" {
 			top.Text = d.arena.Bytes(data)
@@ -741,9 +786,12 @@ func (d *ShipmentDecoder) EndElement(string) error {
 			return err
 		}
 	case d.depth == 1:
-		// Every chunk the stream carried must be committed before the
-		// shipment reads as complete.
+		// Every chunk the stream carried must be committed and applied
+		// before the shipment reads as complete.
 		if err := d.drainJobs(0); err != nil {
+			return err
+		}
+		if err := d.settleAll(); err != nil {
 			return err
 		}
 		d.done = true
@@ -753,66 +801,61 @@ func (d *ShipmentDecoder) EndElement(string) error {
 }
 
 // commitChunk routes the staged chunk toward the shared instance map as
-// its </instance> closes. Feed rows and bin payloads parse first — in a
-// pool worker when the decoder is parallel, in-line otherwise — so those
+// its element closes. Feed rows and bin payloads parse first — in a pool
+// worker when the decoder is parallel, in-line otherwise — so those
 // chunks are all-or-nothing: a torn chunk's base64/flate/binary parse
 // fails before anything reaches the map. Commits always happen in stream
-// order on the scanner goroutine (drainJobs); tagged-XML chunks drain the
-// pool before committing so mixed-format shipments keep their order.
+// order on the scanner goroutine (drainJobs); tagged-XML and tombstone
+// chunks drain the pool before committing so mixed-format shipments keep
+// their order.
 func (d *ShipmentDecoder) commitChunk() error {
-	if d.stageTomb {
-		key, seq, recs := d.stageKey, d.stageSeq, d.stageRecs
-		d.resetStage()
-		// Tombstones commit in stream order like every chunk: drain the
-		// parse pool before applying the deletion.
-		if err := d.drainJobs(0); err != nil {
-			return err
-		}
-		ids := make([]string, 0, len(recs))
-		for _, r := range recs {
+	c := &d.cc
+	*c = Chunk{Key: d.stageKey, Frag: d.stageFrag, Seq: d.stageSeq}
+	switch {
+	case d.stageTomb:
+		c.Format = FormatTombstones
+		c.IDs = make([]string, 0, len(d.stageRecs))
+		for _, r := range d.stageRecs {
 			if r.ID != "" {
-				ids = append(ids, r.ID)
+				c.IDs = append(c.IDs, r.ID)
 			}
 		}
-		return d.commitTombs(key, seq, ids)
-	}
-	if d.raw != nil {
-		key, frag, seq := d.stageKey, d.stageFrag, d.stageSeq
-		format, enc, raw := d.rawFormat, d.rawEnc, d.raw
+	case d.raw != nil:
+		raw := d.raw
 		d.raw = nil // ownership moves to the parse below
+		c.Format, c.Enc = d.rawFormat, d.rawEnc
 		d.resetStage()
 		if w := d.decodeWorkers(); w > 1 {
-			job := &parseJob{key: key, frag: frag, seq: seq, format: format, enc: enc, buf: raw, done: make(chan struct{})}
-			d.jobs = append(d.jobs, job)
-			d.Met.Gauge("wire.decode.queue").Set(int64(len(d.jobs)))
-			go d.parseAsync(job)
+			d.submitParse(c, raw)
 			return d.drainJobs(decQueueSlack * w)
 		}
-		recs, err := parseRawChunk(raw.Bytes(), format, enc, frag, d.sch)
-		bufpool.PutBuffer(raw)
-		if err != nil {
-			return err
+		recs, err := parseRawChunk(raw.Bytes(), c.Format, c.Enc, c.Frag, d.sch)
+		if err == nil {
+			c.Recs, c.Bytes = recs, raw.Bytes()
+			err = d.commit(c)
 		}
-		return d.commitRecs(key, frag, seq, recs)
+		bufpool.PutBuffer(raw)
+		return err
+	default:
+		c.Format, c.Recs = CodecXML, d.stageRecs
 	}
-	key, frag, seq, recs := d.stageKey, d.stageFrag, d.stageSeq, d.stageRecs
 	d.resetStage()
 	if err := d.drainJobs(0); err != nil {
 		return err
 	}
-	return d.commitRecs(key, frag, seq, recs)
+	return d.commit(c)
 }
 
 // parseRawChunk turns one raw chunk payload into records.
 func parseRawChunk(text []byte, format, enc string, frag *core.Fragment, sch *schema.Schema) ([]*xmltree.Node, error) {
 	switch format {
-	case "feed":
+	case CodecFeed:
 		in, err := ReadFeed(bytes.NewReader(text), frag, sch)
 		if err != nil {
 			return nil, err
 		}
 		return in.Records, nil
-	case "bin":
+	case CodecBin:
 		// A self-closed bin instance announces an empty chunk; there is
 		// no payload to parse.
 		if len(text) == 0 {
@@ -823,63 +866,132 @@ func parseRawChunk(text []byte, format, enc string, frag *core.Fragment, sch *sc
 	return nil, fmt.Errorf("wire: unknown chunk format %q", format)
 }
 
-// commitRecs moves one parsed chunk's records into the shared instance
-// map, under CommitLock when set; KeepRecords filters replays, and
-// ChunkDone marks the seq checkpointable.
-func (d *ShipmentDecoder) commitRecs(key string, frag *core.Fragment, seq int64, recs []*xmltree.Node) error {
+// admit re-checks a chunk's admission under CommitLock: a concurrent
+// delivery attempt may have applied it since it opened.
+func (d *ShipmentDecoder) admit(seq int64) bool {
+	return seq < 0 || d.OnChunk == nil || d.OnChunk(seq)
+}
+
+// commit takes one parsed chunk under CommitLock: applied on the spot, or
+// — with a Commit hook — handed to it and queued behind its ticket.
+func (d *ShipmentDecoder) commit(c *Chunk) error {
 	if d.CommitLock != nil {
 		d.CommitLock.Lock()
 		defer d.CommitLock.Unlock()
 	}
-	if seq >= 0 && d.OnChunk != nil && !d.OnChunk(seq) {
-		// Admission lapsed between the chunk's open tag and its commit: a
-		// concurrent delivery attempt committed it first.
+	if !d.admit(c.Seq) {
 		return nil
 	}
-	kept := recs
-	if d.KeepRecords != nil {
-		kept = d.KeepRecords(key, recs)
+	if d.Commit == nil {
+		d.apply(c)
+		return nil
 	}
-	if d.CommitAsync != nil {
-		// The async consumer owns the map append and the ChunkDone
-		// checkpoint from here; the decoder's job for this chunk is done
-		// the moment the commit is submitted.
-		return d.CommitAsync(key, frag, seq, kept)
+	t, err := d.Commit(c)
+	if err != nil {
+		return err
 	}
-	if d.OnCommit != nil {
-		if err := d.OnCommit(key, frag, seq, kept); err != nil {
-			return err
+	d.queued = append(d.queued, queuedCommit{t: t, c: *c})
+	d.queued[len(d.queued)-1].c.Bytes = nil
+	return d.settle(maxQueuedCommits)
+}
+
+// settle applies queued chunks in commit order: every one whose ticket has
+// resolved, then — blocking on the oldest — as many more as it takes to
+// leave at most max queued. Caller holds CommitLock.
+func (d *ShipmentDecoder) settle(max int) error {
+	for d.qhead < len(d.queued) {
+		q := &d.queued[d.qhead]
+		if q.t != nil {
+			if len(d.queued)-d.qhead <= max {
+				select {
+				case <-q.t.Done():
+				default:
+					return nil
+				}
+			}
+			if err := q.t.Err(); err != nil {
+				return err
+			}
+		}
+		c := q.c
+		*q = queuedCommit{}
+		d.qhead++
+		if d.admit(c.Seq) {
+			d.apply(&c)
 		}
 	}
-	in := d.instanceFor(key, frag)
-	in.Records = append(in.Records, kept...)
-	if d.ChunkDone != nil {
-		d.ChunkDone(seq)
-	}
+	d.queued, d.qhead = d.queued[:0], 0
 	return nil
 }
 
-// commitTombs applies one tombstone chunk under the same admission,
-// locking, and checkpoint discipline as commitRecs.
-func (d *ShipmentDecoder) commitTombs(key string, seq int64, ids []string) error {
+// settleAll waits for and applies every queued chunk.
+func (d *ShipmentDecoder) settleAll() error {
+	if d.qhead == len(d.queued) {
+		return nil
+	}
 	if d.CommitLock != nil {
 		d.CommitLock.Lock()
 		defer d.CommitLock.Unlock()
 	}
-	if seq >= 0 && d.OnChunk != nil && !d.OnChunk(seq) {
-		return nil
+	return d.settle(0)
+}
+
+// apply moves one chunk into the decoder's state: KeepRecords filters
+// replays and the kept records join their instance, or the tombstoned IDs
+// join Tombs; ChunkDone marks the seq checkpointable.
+func (d *ShipmentDecoder) apply(c *Chunk) {
+	if c.Format == FormatTombstones {
+		if d.Tombs == nil {
+			d.Tombs = make(map[string][]string)
+		}
+		d.Tombs[c.Key] = append(d.Tombs[c.Key], c.IDs...)
+	} else {
+		recs := c.Recs
+		if d.KeepRecords != nil {
+			recs = d.KeepRecords(c.Key, recs)
+		}
+		in := d.instanceFor(c.Key, c.Frag)
+		in.Records = append(in.Records, recs...)
 	}
-	if d.OnTombs != nil {
-		return d.OnTombs(key, seq, ids)
-	}
-	if d.Tombs == nil {
-		d.Tombs = make(map[string][]string)
-	}
-	d.Tombs[key] = append(d.Tombs[key], ids...)
 	if d.ChunkDone != nil {
-		d.ChunkDone(seq)
+		d.ChunkDone(c.Seq)
 	}
-	return nil
+}
+
+// Replay commits one chunk from its payload at rest — a journaled chunk
+// restored after a restart — down the path a received chunk takes: the
+// same codecs, the same staging limits, admission, KeepRecords and hooks.
+// frag names the chunk's fragment in the decoder's lookup (tombstone
+// chunks have none).
+func (d *ShipmentDecoder) Replay(key, frag string, seq int64, p Payload) error {
+	tomb := p.Format == FormatTombstones
+	var f *core.Fragment
+	if !tomb {
+		if f = d.lookup(frag); f == nil {
+			return fmt.Errorf("wire: replayed chunk references unknown fragment %q", frag)
+		}
+	}
+	if !tomb && p.Format != CodecXML {
+		recs, err := parseRawChunk(p.Bytes, p.Format, p.Enc, f, d.sch) // refuses unknown formats
+		if err != nil {
+			return err
+		}
+		d.cc = Chunk{Key: key, Frag: f, Seq: seq, Recs: recs, Payload: p}
+		return d.commit(&d.cc)
+	}
+	// A tagged-XML or tombstone body scans as the content of an open chunk.
+	d.depth, d.stack = 2, d.stack[:0]
+	d.stageKey, d.stageFrag, d.stageSeq, d.stageTomb = key, f, seq, tomb
+	err := xmltree.ScanAttrs(bytes.NewReader(p.Bytes), d)
+	if err == nil && d.depth != 2 {
+		err = fmt.Errorf("wire: replayed chunk body is not well-formed")
+	}
+	if err == nil {
+		err = d.commitChunk()
+	}
+	d.depth = 0
+	d.resetStage()
+	return err
 }
 
 // Delta reports whether the shipment announced itself as a delta
@@ -893,7 +1005,7 @@ func (d *ShipmentDecoder) resetStage() {
 	}
 	d.raw, d.rawFormat, d.rawEnc = nil, "", ""
 	d.stageKey, d.stageFrag, d.stageSeq, d.stageRecs = "", nil, -1, nil
-	d.stageTomb = false
+	d.stageTomb, d.stageBytes = false, 0
 }
 
 // Result returns the decoded instance map once the shipment element has

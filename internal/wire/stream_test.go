@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -296,8 +297,10 @@ func FuzzStreamShipment(f *testing.F) {
 	f.Add("o1", "c1", "s1", "local", "0:ord", false)
 	f.Add(`o"<>&`, "", "", "a|b\\n", `k<&>"`, true)
 	f.Add("", "p", "s", "", "k", false)
-	// A chunk past MaxChunkBytes: the relay refuses it, typed.
+	// A chunk past MaxChunkBytes: the relay and the decoder refuse it, typed.
 	f.Add("o1", "c1", "s1", strings.Repeat("t", MaxChunkBytes), "0:ord", true)
+	// Just under the decoder's staging cap: it decodes.
+	f.Add("o1", "c1", "s1", strings.Repeat("t", MaxChunkBytes-256), "0:ord", false)
 	sch := schema.CustomerInfo()
 	frag, err := core.NewFragment(sch, "ord", []string{"Order", "Service", "ServiceName"})
 	if err != nil {
@@ -353,6 +356,15 @@ func FuzzStreamShipment(f *testing.F) {
 		// bytes, invalid UTF-8); both decoders must then fail alike.
 		parsed, perr := xmltree.Parse(strings.NewReader(want))
 		gotDec, serr := ReadShipment(bytes.NewReader(buf.Bytes()), sch, lookup)
+		if errors.Is(serr, ErrChunkTooLarge) {
+			// What a tagged-XML chunk stages (names, attribute values,
+			// text) never exceeds its rendering, so only a chunk rendered
+			// past the cap may be refused.
+			if RecordBytes(in.Records) <= MaxChunkBytes {
+				t.Fatalf("a chunk of %d record bytes was refused as oversized", RecordBytes(in.Records))
+			}
+			return
+		}
 		if perr != nil {
 			if serr == nil {
 				t.Fatalf("tree decode failed (%v) but stream decode succeeded", perr)
@@ -481,6 +493,99 @@ func TestDecoderOnChunkSkips(t *testing.T) {
 	}
 	if len(seqs) != 1 || seqs[0] != 1 {
 		t.Fatalf("ChunkDone fired for a skipped chunk: %v", seqs)
+	}
+}
+
+// A tagged-XML chunk stages its records in memory until it closes, so the
+// decoder counts what it stages — element names, attribute values, text —
+// and refuses a chunk past MaxChunkBytes, typed, however the bytes are
+// spread: many records, or one value grown by split character data. A
+// chunk just under the cap decodes.
+func TestDecoderRefusesOversizedTaggedXMLChunk(t *testing.T) {
+	sch, f, _ := chunkFixture(t)
+	lookup := func(string) *core.Fragment { return f }
+	half := strings.Repeat("v", MaxChunkBytes/2)
+	for _, c := range []struct {
+		name, body string
+		refuse     bool
+	}{
+		{"two-records", `<Feature ID="a"><FeatureID>` + half + `</FeatureID></Feature><Feature ID="b"><FeatureID>` + half + `</FeatureID></Feature>`, true},
+		{"split-text", `<Feature ID="a"><FeatureID>` + half + `<![CDATA[` + half + `]]></FeatureID></Feature>`, true},
+		{"under", `<Feature ID="a"><FeatureID>` + half + `</FeatureID></Feature>`, false},
+	} {
+		ship := `<shipment><instance edge="0:feat" frag="feat" seq="0">` + c.body + `</instance></shipment>`
+		_, err := ReadShipment(strings.NewReader(ship), sch, lookup)
+		if c.refuse != errors.Is(err, ErrChunkTooLarge) || (!c.refuse && err != nil) {
+			t.Errorf("%s: err = %v, want refused=%v", c.name, err, c.refuse)
+		}
+	}
+}
+
+// Replay reads a chunk back from its payload at rest through the receive
+// path: every format decodes to the records a live shipment delivers, the
+// ledger-shaped KeepRecords dedups across replayed chunks, and tombstone
+// bodies land in Tombs.
+func TestDecoderReplayPayloads(t *testing.T) {
+	sch, f, rec := chunkFixture(t)
+	recs := []*xmltree.Node{rec("f1", "i1", "callerID"), rec("f2", "i2", "voicemail")}
+	lookup := func(string) *core.Fragment { return f }
+	body := func(write func(*bufio.Writer)) []byte {
+		var b bytes.Buffer
+		bw := bufio.NewWriter(&b)
+		write(bw)
+		bw.Flush()
+		return b.Bytes()
+	}
+	var binText bytes.Buffer
+	if err := writeBinChunk(&binText, recs, sch, true); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	dups := 0
+	d := NewShipmentDecoder(sch, lookup)
+	d.KeepRecords = func(_ string, in []*xmltree.Node) []*xmltree.Node {
+		kept := in[:0]
+		for _, r := range in {
+			if seen[r.ID] {
+				dups++
+				continue
+			}
+			seen[r.ID] = true
+			kept = append(kept, r)
+		}
+		return kept
+	}
+	if err := d.Replay("0:feat", "feat", 0, Payload{Format: CodecXML, Bytes: body(func(bw *bufio.Writer) { WriteRecords(bw, recs) })}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Replay("0:feat", "feat", 1, Payload{Format: CodecBin, Enc: "flate", Bytes: binText.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Replay("0:feat", "", 2, Payload{Format: FormatTombstones, Bytes: body(func(bw *bufio.Writer) { WriteTombstoneIDs(bw, []string{"f1"}) })}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Replay("0:feat", "nope", 3, Payload{Format: "yaml"}); err == nil {
+		t.Fatal("unknown format replayed")
+	}
+	in := d.out["0:feat"]
+	if in == nil || len(in.Records) != 2 || dups != 2 {
+		t.Fatalf("replayed %v records with %d dedups, want 2 and 2", in, dups)
+	}
+	var ship bytes.Buffer
+	if err := StreamShipment(&ship, map[string]*core.Instance{"0:feat": {Frag: f, Records: recs}}, sch, false); err != nil {
+		t.Fatal(err)
+	}
+	live, err := ReadShipment(&ship, sch, lookup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range live["0:feat"].Records {
+		if !xmltree.Equal(in.Records[i], want) {
+			t.Fatalf("record %d replays differently from a live shipment", i)
+		}
+	}
+	if ids := d.Tombs["0:feat"]; len(ids) != 1 || ids[0] != "f1" {
+		t.Fatalf("tombstones replayed as %v", d.Tombs)
 	}
 }
 

@@ -25,8 +25,8 @@ make bench-smoke
 # instead of the next `make bench-json`.
 ./scripts/bench_snapshot.sh -smoke
 
-# Allocation-regression smoke: the end-to-end benchmark must stay within
-# 25% of the committed snapshot's allocs/op — the arena/slab teardown is a
+# Allocation-regression smoke: four benchmarks must stay within 25% of the
+# allocs/op baselines recorded in the script — the arena/slab teardown is a
 # merge-gated property, not a one-off number.
 ./scripts/alloc_smoke.sh
 
