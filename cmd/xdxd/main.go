@@ -37,7 +37,6 @@ func main() {
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures before an endpoint's circuit opens (0 = default 5)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open circuit fails fast (0 = default 1s)")
 	retrySeed := flag.Int64("retry-seed", 0, "seed for backoff jitter and session IDs (reproducible runs)")
-	codecWorkers := flag.Int("codec-workers", 0, "chunk codec parallelism for a -delta exchange's decode and diff render (0 = one per CPU, 1 = serial)")
 	exchangeWorkers := flag.Int("exchange-workers", 0, "concurrent exchange pool size (0 = 8 per GOMAXPROCS, negative = no pool: serial legacy driving)")
 	exchangeQueue := flag.Int("exchange-queue", 0, "bounded exchange FIFO depth; submissions beyond it are shed with a 503 fault (0 = 2x workers)")
 	tenantInflight := flag.Int("tenant-inflight", 0, "max queued+running exchanges per tenant before shedding (0 = unlimited)")
@@ -63,7 +62,6 @@ func main() {
 	}
 	agency.SetPlanCache(*planCache)
 	svc := registry.NewService(agency, link)
-	svc.ParallelChunks = *codecWorkers
 	if *exchangeWorkers >= 0 {
 		sched := registry.NewScheduler(registry.SchedulerConfig{
 			Workers:        *exchangeWorkers,

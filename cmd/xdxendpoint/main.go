@@ -43,7 +43,6 @@ func main() {
 	faultStall := flag.Float64("fault-stall", 0, "probability a response stalls once before continuing")
 	fault5xx := flag.Float64("fault-5xx", 0, "probability a request is answered with a plain 503")
 	faultMaxTruncate := flag.Int("fault-max-truncate", 0, "max bytes before a truncation cut (0 = default 4096)")
-	codecWorkers := flag.Int("codec-workers", 0, "chunk codec parallelism per shipment on the shared codec pool (0 = one per CPU, 1 = serial)")
 	noDelta := flag.Bool("no-delta", false, "retain no delta bases: DeltaStatus always answers cold, so agencies ship full snapshots")
 	walDir := flag.String("wal-dir", "", "directory for the session write-ahead log; on start, journaled sessions are recovered so interrupted exchanges resume (empty = memory-only)")
 	fsyncPolicy := flag.String("fsync", "always", "WAL sync policy: always (sync per commit), batch (group commit: coalesced syncs, always-equivalent acks), or off")
@@ -95,7 +94,6 @@ func main() {
 		Fragmentations:  []*core.Fragmentation{layout},
 	}
 	ep := endpoint.New(*name, &endpoint.RelBackend{Store: store, Speed: *speed, CanCombine: !*dumb}, defs)
-	ep.SetCodecWorkers(*codecWorkers)
 	if *noDelta {
 		ep.SetDeltaRetention(false)
 	}

@@ -202,11 +202,6 @@ type Endpoint struct {
 	// speaks.
 	codecs []string
 
-	// codecWorkers dials the chunk codec pools of every shipment this
-	// endpoint writes or decodes: 0 (default) is one worker per CPU, 1 or
-	// less runs the codecs in-line. See SetCodecWorkers.
-	codecWorkers int
-
 	calMu    sync.Mutex
 	calCache map[string]*shipCalibration
 
@@ -326,13 +321,6 @@ func (e *Endpoint) SetObs(l obs.Logger, m *obs.Registry) {
 		}
 	}
 }
-
-// SetCodecWorkers dials the parallel chunk pipelines of the endpoint's
-// shipment codecs: source responses render chunks and target requests
-// parse raw chunks on a pool of n workers (0 — the default — sizes the
-// pool to the CPU count, 1 or less is the serial path). The wire format
-// is byte-identical for every setting. Call before serving traffic.
-func (e *Endpoint) SetCodecWorkers(n int) { e.codecWorkers = n }
 
 // SetSupportedCodecs restricts (and orders) the shipment codecs this
 // endpoint answers in. Unknown names are rejected. An empty call is a

@@ -51,7 +51,7 @@ func loadedStore(t *testing.T, fr *core.Fragmentation) *relstore.Store {
 	return st
 }
 
-func startEndpoint(t *testing.T, be Backend, opts ...func(*Endpoint)) (*soap.Client, func()) {
+func startEndpoint(t *testing.T, be Backend) (*soap.Client, func()) {
 	t.Helper()
 	sch := be.Layout().Schema
 	defs := &wsdlx.Definitions{
@@ -60,9 +60,6 @@ func startEndpoint(t *testing.T, be Backend, opts ...func(*Endpoint)) (*soap.Cli
 		Fragmentations: []*core.Fragmentation{be.Layout()},
 	}
 	ep := New("test", be, defs)
-	for _, o := range opts {
-		o(ep)
-	}
 	srv := httptest.NewServer(ep.Handler())
 	return &soap.Client{URL: srv.URL}, srv.Close
 }

@@ -66,7 +66,6 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 			// Chunk 1 repeats chunk 0's records on the same edge.
 			var ship bytes.Buffer
 			sw := wire.NewShipmentWriterCodec(&ship, sch, codec)
-			sw.SetWorkers(1)
 			emit := append([]reliable.Chunk{chunks[0]}, chunks...)
 			for seq, c := range emit {
 				if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, int64(seq)); err != nil {
@@ -102,8 +101,6 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 					PortName: "p", Address: "http://x", Schema: sch,
 					Fragmentations: []*core.Fragmentation{fr},
 				})
-				// In-line parse: a torn stream commits every whole chunk.
-				ep.SetCodecWorkers(1)
 				if j != nil {
 					if _, err := ep.SetJournal(j); err != nil {
 						t.Fatal(err)
@@ -124,8 +121,11 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 				t.Fatalf("uninterrupted run deduped %q records, want %d", v, dups)
 			}
 
-			// Attempt 1 tears after chunk 1, with both chunks journaled and
-			// applied (FsyncAlways resolves each ticket as it commits).
+			// Attempt 1 carries a shipment of chunks 0 and 1 and tears
+			// before the request closes. The shipment's close commits and
+			// applies both chunks (FsyncAlways resolves each ticket as it
+			// commits), so both are journaled whatever the parse pool's
+			// timing.
 			dir := t.TempDir()
 			j, err := durable.OpenJournal(dir, durable.Options{Fsync: durable.FsyncAlways})
 			if err != nil {
@@ -134,8 +134,9 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 			_, cl, stop = target(j)
 			end := []byte("</instance>")
 			cut := bytes.Index(shipment, end) + len(end)
-			cut += bytes.Index(shipment[cut:], end) + len(end) + 10
-			if _, err := deliver(cl, "torn", shipment[:cut], false); err == nil {
+			cut += bytes.Index(shipment[cut:], end) + len(end)
+			torn := append(shipment[:cut:cut], "</shipment>"...)
+			if _, err := deliver(cl, "torn", torn, false); err == nil {
 				t.Fatal("torn delivery reported success")
 			}
 			status := &xmltree.Node{Name: "SessionStatus"}

@@ -92,9 +92,8 @@ func TestExecuteSourceCutsAndNumbersChunks(t *testing.T) {
 // TestExecuteTargetOversizedChunkIsClientFault: the target refuses a chunk
 // past wire.MaxChunkBytes as the sender's fault, which no driver retries —
 // whether its wire text is too long, a few KiB of bin+flate text inflate
-// past the limit, or tagged-XML records stage more than the limit, and
-// whether the chunk parses in-line (one codec worker) or in the decode
-// pool, where the refusal surfaces only as the shipment closes.
+// past the limit in the decode pool, where the refusal may surface only as
+// the shipment closes, or tagged-XML records stage more than the limit.
 func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 	fr := tFrag(t, schema.CustomerInfo())
 	var zeros strings.Builder
@@ -106,19 +105,16 @@ func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 	half := strings.Repeat("v", wire.MaxChunkBytes/2)
 	for _, c := range []struct {
 		name, format, enc, text string
-		workers                 int
 	}{
-		{"wire-text", "bin", "", strings.Repeat("A", wire.MaxChunkBytes+1), 1},
-		{"inflated/w1", "bin", "flate", zeros.String(), 1},
-		{"inflated/w4", "bin", "flate", zeros.String(), 4},
-		{"tagged-xml", "", "", "<r>" + half + "</r><r>" + half + "</r>", 1},
+		{"wire-text", "bin", "", strings.Repeat("A", wire.MaxChunkBytes+1)},
+		{"inflated", "bin", "flate", zeros.String()},
+		{"tagged-xml", "", "", "<r>" + half + "</r><r>" + half + "</r>"},
 	} {
 		st, err := relstore.NewStore(fr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, done := startEndpoint(t, &RelBackend{Store: st, Speed: 1, CanCombine: true},
-			func(e *Endpoint) { e.SetCodecWorkers(c.workers) })
+		cl, done := startEndpoint(t, &RelBackend{Store: st, Speed: 1, CanCombine: true})
 		_, progXML := copyProgram(t, fr)
 		err = cl.CallStream("ExecuteTarget", func(w io.Writer) error {
 			io.WriteString(w, `<ExecuteTarget session="big">`)

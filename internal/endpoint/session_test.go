@@ -114,7 +114,7 @@ func newSessionFixture(t *testing.T) (*sessionFixture, func()) {
 		t.Fatalf("fixture too small: %d chunks", len(chunks))
 	}
 	var ship bytes.Buffer
-	sw := wire.NewShipmentWriter(&ship, sch, false)
+	sw := wire.NewShipmentWriterCodec(&ship, sch, wire.Codec{})
 	for _, c := range chunks {
 		if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
 			t.Fatal(err)
@@ -276,6 +276,40 @@ func TestExecuteTargetSessionResume(t *testing.T) {
 	}
 	if v, _ := st.Attr("done"); v != "1" {
 		t.Error("status probe does not report done")
+	}
+}
+
+// TestExecuteTargetRefusesSeqGap: a delivery whose chunks skip a seq is
+// the sender's fault. Checkpointing past the gap would let a resume skip
+// the chunk that never arrived, so the target refuses the shipment with a
+// soap:Client fault, the checkpoint stays at or below the chunk before the
+// gap, and nothing loads.
+func TestExecuteTargetRefusesSeqGap(t *testing.T) {
+	fx, done := newSessionFixture(t)
+	defer done()
+	gapped := bytes.Replace(fx.wire, []byte(` seq="1"`), []byte(` seq="2"`), 1)
+	err := fx.client.CallStream("ExecuteTarget", func(w io.Writer) error {
+		io.WriteString(w, `<ExecuteTarget session="gap">`)
+		io.WriteString(w, fx.prog)
+		w.Write(gapped)
+		_, werr := io.WriteString(w, "</ExecuteTarget>")
+		return werr
+	}, &xmltree.TreeBuilder{})
+	var f *soap.Fault
+	if !errors.As(err, &f) || f.Code != "soap:Client" || !strings.Contains(f.String, wire.ErrChunkOrder.Error()) {
+		t.Fatalf("gapped delivery: err = %v, want a soap:Client fault naming the chunk order", err)
+	}
+	status := &xmltree.Node{Name: "SessionStatus"}
+	status.SetAttr("session", "gap")
+	st, err := fx.client.Call("SessionStatus", status)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := st.Attr("next"); v != "0" && v != "1" {
+		t.Errorf("checkpoint = %q after a gap after chunk 0, want at most 1", v)
+	}
+	if fx.store.Rows() != 0 {
+		t.Errorf("gapped delivery loaded %d rows", fx.store.Rows())
 	}
 }
 

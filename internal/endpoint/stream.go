@@ -89,7 +89,6 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 		return err
 	}
 	sw := wire.NewShipmentWriterCodec(w, sch, codec)
-	sw.SetWorkers(e.codecWorkers)
 	sw.SetObs(e.met)
 	sw.SetChunk(chunk)
 	outbound, _, err := core.ExecuteSlice(g, sch, a, core.LocSource, core.SliceIO{Scan: scan})
@@ -160,7 +159,7 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 	}
 	if t.sub != nil {
 		t.subDepth++
-		return t.sub.StartElement(name, attrs)
+		return chunkFault(t.sub.StartElement(name, attrs))
 	}
 	t.depth++
 	switch t.depth {
@@ -189,7 +188,7 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 			}
 			t.sawShipment = true
 			t.sub, t.subDepth, t.subProg = t.dec, 1, false
-			return t.dec.StartElement(name, attrs)
+			return chunkFault(t.dec.StartElement(name, attrs))
 		default:
 			t.depth--
 			t.skip = 1
@@ -198,10 +197,10 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 	return nil
 }
 
-// chunkFault makes the decoder's refusal of an oversized chunk the
-// sender's fault: a soap:Client fault, which no driver retries.
+// chunkFault makes the decoder's refusal of an oversized or out-of-sequence
+// chunk the sender's fault: a soap:Client fault, which no driver retries.
 func chunkFault(err error) error {
-	if errors.Is(err, wire.ErrChunkTooLarge) {
+	if errors.Is(err, wire.ErrChunkTooLarge) || errors.Is(err, wire.ErrChunkOrder) {
 		return &soap.Fault{Code: "soap:Client", String: err.Error()}
 	}
 	return err
@@ -270,7 +269,6 @@ func (t *targetScan) programDone() error {
 	if err != nil {
 		return err
 	}
-	t.dec.Workers = t.e.codecWorkers
 	t.dec.Met = t.e.met
 	return nil
 }

@@ -42,8 +42,7 @@ func TestObservedReliableExchange(t *testing.T) {
 
 	rep, err := ag.ExecuteOpts("Auction", plan, ExecOptions{
 		Link:        netsim.Loopback(),
-		Transport:   fl.RoundTripper(nil),
-		Reliability: soakConfig(seed),
+		Reliability: overLink(soakConfig(seed), fl),
 		Logger:      logger,
 		Metrics:     met,
 	})
@@ -164,9 +163,9 @@ func TestObservedExchangeFailure(t *testing.T) {
 	fl := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(1))
 	met := obs.NewRegistry()
 	rep, err := ag.ExecuteOpts("Auction", plan, ExecOptions{
-		Link:      netsim.Loopback(),
-		Transport: fl.RoundTripper(nil),
-		Metrics:   met,
+		Link:        netsim.Loopback(),
+		Reliability: overLink(nil, fl),
+		Metrics:     met,
 	})
 	if err == nil {
 		t.Fatal("unreliable exchange survived the fault seed")

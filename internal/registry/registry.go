@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -612,24 +611,15 @@ type ExecOptions struct {
 	// Reliability is the exchange's retry policy: retried source execution
 	// with backoff and circuit breaking, and resume-from-checkpoint for the
 	// target delivery. Nil is a single attempt per call with private
-	// breakers — the same drive, just with no second try.
+	// breakers — the same drive, just with no second try. Its Transport is
+	// the hook a fault-injecting netsim.FaultyLink plugs into.
 	Reliability *reliable.Config
-	// Transport, when set, is installed into the SOAP clients driving the
-	// exchange — the hook a fault-injecting netsim.FaultyLink plugs into.
-	// A Reliability config carrying its own transport wins.
-	Transport http.RoundTripper
 	// Logger, when set, narrates the exchange: attempts, retries, breaker
 	// transitions, and the final outcome. Nil is silent.
 	Logger obs.Logger
 	// Metrics, when set, receives exchange.* counters and latency
 	// histograms from the drive. Nil records nothing.
 	Metrics *obs.Registry
-	// ParallelChunks dials the agency-side chunk codec pools — the decode
-	// and diff render of a Delta exchange; a full shipment is relayed as
-	// the source's bytes and touches no codec here: 0 — the default — is
-	// one worker per CPU, 1 or less runs the codecs in-line. The wire
-	// bytes and the decoded instances are identical for every setting.
-	ParallelChunks int
 	// Scheduler, when set, routes the drive through the admission-
 	// controlled exchange pool: the exchange waits for a worker under
 	// Tenant's budgets and runs there, or is shed immediately with a
@@ -681,14 +671,9 @@ func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Rep
 	log := obs.OrNop(opts.Logger)
 	met.Counter("exchange.total").Inc()
 
-	cfg := reliable.Config{Policy: reliable.Policy{MaxAttempts: 1}}
-	if opts.Reliability != nil {
-		cfg = *opts.Reliability
+	if opts.Reliability == nil {
+		opts.Reliability = &reliable.Config{Policy: reliable.Policy{MaxAttempts: 1}}
 	}
-	if cfg.Transport == nil {
-		cfg.Transport = opts.Transport
-	}
-	opts.Reliability = &cfg
 	report, err := a.drive(service, plan, opts)
 
 	met.Histogram("exchange.millis").ObserveSince(start)

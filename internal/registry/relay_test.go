@@ -127,72 +127,65 @@ func retrying(chunk, attempts int) *reliable.Config {
 	}
 }
 
-// TestRelayForwardsSourceBytes is the relay's contract: for every codec and
-// codec worker count, the shipment on the target-bound request is the
-// shipment the source wrote, byte for byte; that is also what the agency
-// used to render itself (ChunkShipment + EmitChunk over the decoded
-// shipment); and the report's sizes are the source's tree-codec size and
-// the bytes that travelled.
+// TestRelayForwardsSourceBytes is the relay's contract: for every codec, the
+// shipment on the target-bound request is the shipment the source wrote,
+// byte for byte; that is also what the agency used to render itself
+// (ChunkShipment + EmitChunk over the decoded shipment); and the report's
+// sizes are the source's tree-codec size and the bytes that travelled.
 func TestRelayForwardsSourceBytes(t *testing.T) {
 	const chunk = 8
 	for _, name := range wire.Codecs() {
 		want := relayWant(t, name)
 		codec, _ := wire.ParseCodec(name)
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("%s/w%d", name, workers)
-			w := startRelayWorld(t, nil)
-			w.src.SetCodecWorkers(workers)
-			w.tgt.SetCodecWorkers(workers)
-			rep, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{
-				Link: netsim.Loopback(), Codec: name,
-				ParallelChunks: workers, Reliability: retrying(chunk, 1),
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			_, srcResps := w.srcTap.calls("ExecuteSource")
-			tgtReqs, _ := w.tgtTap.calls("ExecuteTarget")
-			if len(srcResps) != 1 || len(tgtReqs) != 1 {
-				t.Fatalf("%s: %d source calls, %d deliveries", label, len(srcResps), len(tgtReqs))
-			}
-			wrote, sent := shipmentOf(t, srcResps[0]), shipmentOf(t, tgtReqs[0])
-			if !bytes.Equal(wrote, sent) {
-				t.Errorf("%s: target-bound shipment (%d bytes) is not the source's (%d bytes)", label, len(sent), len(wrote))
-			}
-			if rep.Codec != name || rep.WireBytes != int64(len(sent)) {
-				t.Errorf("%s: report says codec %q, %d wire bytes; %d travelled", label, rep.Codec, rep.WireBytes, len(sent))
-			}
-			sch := xmark.Schema()
-			dec := wire.NewShipmentDecoder(sch, w.lookup)
-			dec.Commit = func(c *wire.Chunk) (wire.Ticket, error) {
-				if len(c.Recs) > chunk {
-					t.Errorf("%s: chunk %d of %s carries %d records, limit %d", label, c.Seq, c.Key, len(c.Recs), chunk)
-				}
-				return nil, nil
-			}
-			if err := xmltree.ScanAttrs(bytes.NewReader(wrote), dec); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			decoded, _ := dec.Result()
-			if got := wire.ShipmentBytes(decoded); rep.PayloadBytes != got {
-				t.Errorf("%s: PayloadBytes = %d, ShipmentBytes of the shipment = %d", label, rep.PayloadBytes, got)
-			}
-			var parent bytes.Buffer
-			sw := wire.NewShipmentWriterCodec(&parent, sch, codec)
-			for _, c := range reliable.ChunkShipment(decoded, chunk) {
-				if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sw.Close()
-			if !bytes.Equal(sent, parent.Bytes()) {
-				t.Errorf("%s: target-bound shipment differs from ChunkShipment+EmitChunk over the decoded shipment", label)
-			}
-			if !xmltree.Equal(want, assembleTarget(t, w.tgtStore)) {
-				t.Errorf("%s: target holds a different document", label)
-			}
-			w.close()
+		w := startRelayWorld(t, nil)
+		rep, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{
+			Link: netsim.Loopback(), Codec: name, Reliability: retrying(chunk, 1),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		_, srcResps := w.srcTap.calls("ExecuteSource")
+		tgtReqs, _ := w.tgtTap.calls("ExecuteTarget")
+		if len(srcResps) != 1 || len(tgtReqs) != 1 {
+			t.Fatalf("%s: %d source calls, %d deliveries", name, len(srcResps), len(tgtReqs))
+		}
+		wrote, sent := shipmentOf(t, srcResps[0]), shipmentOf(t, tgtReqs[0])
+		if !bytes.Equal(wrote, sent) {
+			t.Errorf("%s: target-bound shipment (%d bytes) is not the source's (%d bytes)", name, len(sent), len(wrote))
+		}
+		if rep.Codec != name || rep.WireBytes != int64(len(sent)) {
+			t.Errorf("%s: report says codec %q, %d wire bytes; %d travelled", name, rep.Codec, rep.WireBytes, len(sent))
+		}
+		sch := xmark.Schema()
+		dec := wire.NewShipmentDecoder(sch, w.lookup)
+		dec.Commit = func(c *wire.Chunk) (wire.Ticket, error) {
+			if len(c.Recs) > chunk {
+				t.Errorf("%s: chunk %d of %s carries %d records, limit %d", name, c.Seq, c.Key, len(c.Recs), chunk)
+			}
+			return nil, nil
+		}
+		if err := xmltree.ScanAttrs(bytes.NewReader(wrote), dec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		decoded, _ := dec.Result()
+		if got := wire.ShipmentBytes(decoded); rep.PayloadBytes != got {
+			t.Errorf("%s: PayloadBytes = %d, ShipmentBytes of the shipment = %d", name, rep.PayloadBytes, got)
+		}
+		var parent bytes.Buffer
+		sw := wire.NewShipmentWriterCodec(&parent, sch, codec)
+		for _, c := range reliable.ChunkShipment(decoded, chunk) {
+			if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sw.Close()
+		if !bytes.Equal(sent, parent.Bytes()) {
+			t.Errorf("%s: target-bound shipment differs from ChunkShipment+EmitChunk over the decoded shipment", name)
+		}
+		if !xmltree.Equal(want, assembleTarget(t, w.tgtStore)) {
+			t.Errorf("%s: target holds a different document", name)
+		}
+		w.close()
 	}
 }
 

@@ -134,7 +134,6 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	var inbound map[string]*core.Instance
 	if err == nil && opts.Delta {
 		dec := wire.NewShipmentDecoder(sch, lookup)
-		dec.Workers = opts.ParallelChunks
 		dec.Met = opts.Metrics
 		inbound, err = ship.Decode(dec)
 	}
@@ -275,7 +274,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		} else {
 			d := reliable.DiffShipment(inbound, base)
 			var diff *wire.Relay
-			if diff, err = renderDelta(d, sch, codec, ex.ChunkSize(), opts); err != nil {
+			if diff, err = renderDelta(d, sch, codec, ex.ChunkSize(), opts.Metrics); err != nil {
 				return report, fmt.Errorf("registry: delta: %w", err)
 			}
 			defer diff.Release()
@@ -333,12 +332,11 @@ const deltaSourceChunks = 16
 // chunk per edge in sorted-key order, sequenced together so the session
 // ledger checkpoints deletions like any chunk — and captures the result the
 // way a source response is captured.
-func renderDelta(d *reliable.Delta, sch *schema.Schema, codec wire.Codec, chunkSize int, opts ExecOptions) (*wire.Relay, error) {
+func renderDelta(d *reliable.Delta, sch *schema.Schema, codec wire.Codec, chunkSize int, met *obs.Registry) (*wire.Relay, error) {
 	buf := bufpool.Buffer()
 	defer bufpool.PutBuffer(buf)
 	sw := wire.NewShipmentWriterCodec(buf, sch, codec)
-	sw.SetWorkers(opts.ParallelChunks)
-	sw.SetObs(opts.Metrics)
+	sw.SetObs(met)
 	emit := func() error {
 		chunks := reliable.ChunkShipment(d.Ship, chunkSize)
 		for _, c := range chunks {

@@ -139,6 +139,16 @@ func soakFaults(seed int64) netsim.Faults {
 	}
 }
 
+// overLink sends cfg's SOAP calls through fl's client-side faults; a nil
+// cfg is the single-attempt drive of a nil ExecOptions.Reliability.
+func overLink(cfg *reliable.Config, fl *netsim.FaultyLink) *reliable.Config {
+	if cfg == nil {
+		cfg = &reliable.Config{Policy: reliable.Policy{MaxAttempts: 1}}
+	}
+	cfg.Transport = fl.RoundTripper(nil)
+	return cfg
+}
+
 // soakConfig is the reliability config of the e2e: fast backoff so the
 // test stays quick, generous attempts/budget so the fixed seeds converge,
 // and a breaker tuned not to give up on a deliberately lossy link.
@@ -205,7 +215,7 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 						defer doneC()
 						flC := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(seed))
 						if _, err := agC.ExecuteOpts("Auction", planC, ExecOptions{
-							Link: netsim.Loopback(), Transport: flC.RoundTripper(nil),
+							Link: netsim.Loopback(), Reliability: overLink(nil, flC),
 						}); err == nil {
 							t.Fatal("unreliable exchange survived the fault seed")
 						}
@@ -221,13 +231,8 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 					flB := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(seed))
 					rep, err := agB.ExecuteOpts("Auction", planB, ExecOptions{
 						Link:        netsim.Loopback(),
-						Transport:   flB.RoundTripper(nil),
-						Reliability: soakConfig(seed),
+						Reliability: overLink(soakConfig(seed), flB),
 						Codec:       codec,
-						// Faulted runs drive the parallel chunk pipelines so
-						// torn-prefix recovery, the idempotency ledger, and
-						// resumes are soaked with concurrent renders/parses.
-						ParallelChunks: 4,
 					})
 					if err != nil {
 						t.Fatalf("reliable exchange failed: %v (injected %+v)", err, flB.Counts())
@@ -358,8 +363,7 @@ func TestFaultSweepExperiment(t *testing.T) {
 			start := time.Now()
 			rep, err := ag.ExecuteOpts("Auction", plan, ExecOptions{
 				Link:        netsim.Loopback(),
-				Transport:   fl.RoundTripper(nil),
-				Reliability: soakConfig(seed),
+				Reliability: overLink(soakConfig(seed), fl),
 			})
 			wall += time.Since(start)
 			done()

@@ -30,10 +30,6 @@ type Service struct {
 	// attempt per call. Set Reliability.Breakers to share breaker state
 	// across exchanges.
 	Reliability *reliable.Config
-	// ParallelChunks dials the chunk codec pools of every exchange the
-	// service drives (ExecOptions.ParallelChunks): 0 is one worker per
-	// CPU, 1 or less runs the codecs in-line.
-	ParallelChunks int
 	// Delta drives repeat exchanges in delta mode by default; a delta
 	// attribute on the Exchange request overrides it per call.
 	Delta bool
@@ -287,14 +283,13 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 		return nil, err
 	}
 	report, err := s.Agency.ExecuteOpts(service, plan, ExecOptions{
-		Link:           s.Link,
-		Codec:          codec,
-		Reliability:    s.Reliability,
-		Logger:         s.log,
-		Metrics:        s.met,
-		ParallelChunks: s.ParallelChunks,
-		Delta:          delta,
-		Filter:         filter,
+		Link:        s.Link,
+		Codec:       codec,
+		Reliability: s.Reliability,
+		Logger:      s.log,
+		Metrics:     s.met,
+		Delta:       delta,
+		Filter:      filter,
 	})
 	if err != nil {
 		return nil, err

@@ -2,8 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -45,7 +43,7 @@ func BenchmarkShipmentCodecTree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x, err := EncodeShipmentAuto(out, sch, false)
+		x, err := EncodeShipmentCodec(out, sch, Codec{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +75,7 @@ func BenchmarkShipmentCodecStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := StreamShipment(&buf, out, sch, false); err != nil {
+		if err := StreamShipmentCodec(&buf, out, sch, Codec{}); err != nil {
 			b.Fatal(err)
 		}
 		wireLen = buf.Len()
@@ -92,52 +90,32 @@ func BenchmarkShipmentCodecStream(b *testing.B) {
 	b.SetBytes(int64(wireLen))
 }
 
-// BenchmarkShipmentCodecParallel sweeps the chunk-worker pool over the
-// compute-heaviest codec (bin+flate: binary packing plus per-chunk DEFLATE)
-// so the GOMAXPROCS scaling of the parallel pipeline is visible in one
-// table: w1 is the serial floor, w2/wN show how far concurrent chunk
-// rendering and parsing amortize the compression cost.
+// BenchmarkShipmentCodecParallel runs the compute-heaviest codec
+// (bin+flate: binary packing plus per-chunk DEFLATE) both ways through the
+// chunk codec pool, which renders and parses one chunk per CPU at a time;
+// run it under -cpu to see how far the pool amortizes the compression cost.
 func BenchmarkShipmentCodecParallel(b *testing.B) {
 	sch, out, lookup := auctionShipment(b)
 	codec := Codec{Kind: CodecBin, Flate: true}
-	widths := []int{1, 2}
-	if n := runtime.GOMAXPROCS(0); n > 2 {
-		widths = append(widths, n)
+	var buf bytes.Buffer
+	var wireLen int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := StreamShipmentCodec(&buf, out, sch, codec); err != nil {
+			b.Fatal(err)
+		}
+		wireLen = buf.Len()
+		in, err := ReadShipment(bytes.NewReader(buf.Bytes()), sch, lookup)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(in) != len(out) {
+			b.Fatalf("decoded %d instances, want %d", len(in), len(out))
+		}
 	}
-	for _, w := range widths {
-		w := w
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			var buf bytes.Buffer
-			var wireLen int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				sw := NewShipmentWriterCodec(&buf, sch, codec)
-				sw.SetWorkers(w)
-				if err := EmitShipment(sw, out); err != nil {
-					b.Fatal(err)
-				}
-				if err := sw.Close(); err != nil {
-					b.Fatal(err)
-				}
-				wireLen = buf.Len()
-				d := NewShipmentDecoder(sch, lookup)
-				d.Workers = w
-				if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d); err != nil {
-					b.Fatal(err)
-				}
-				in, err := d.Result()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(in) != len(out) {
-					b.Fatalf("decoded %d instances, want %d", len(in), len(out))
-				}
-			}
-			b.SetBytes(int64(wireLen))
-		})
-	}
+	b.SetBytes(int64(wireLen))
 }
 
 // BenchmarkShipmentEncodeTree / Stream isolate the send half, which is the
@@ -147,7 +125,7 @@ func BenchmarkShipmentEncodeTree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x, err := EncodeShipmentAuto(out, sch, false)
+		x, err := EncodeShipmentCodec(out, sch, Codec{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +141,7 @@ func BenchmarkShipmentEncodeStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := StreamShipment(&buf, out, sch, false); err != nil {
+		if err := StreamShipmentCodec(&buf, out, sch, Codec{}); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf.Len()))

@@ -50,7 +50,7 @@ func TestParseCodec(t *testing.T) {
 func TestBinShipmentRoundTrip(t *testing.T) {
 	sch, out, lookup := outboundFixture(t)
 	var xml bytes.Buffer
-	if err := StreamShipment(&xml, out, sch, false); err != nil {
+	if err := StreamShipmentCodec(&xml, out, sch, Codec{}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := ReadShipment(bytes.NewReader(xml.Bytes()), sch, lookup)
@@ -260,9 +260,9 @@ func zeroFlateChunk(n int) []byte {
 
 // TestBinFlateInflationCapped: a bin+flate chunk inflates to at most
 // MaxChunkBytes. One byte past, it is refused as ErrChunkTooLarge — by
-// readBinChunk, and by the decoder both in-line and in its parse pool,
-// where the refusal surfaces at commit — and nothing of it commits; a chunk
-// at the limit decodes.
+// readBinChunk, and by the decoder's parse pool, where the refusal
+// surfaces at commit — and nothing of it commits; a chunk at the limit
+// decodes.
 func TestBinFlateInflationCapped(t *testing.T) {
 	sch, f, _ := chunkFixture(t)
 	for _, n := range []int{MaxChunkBytes, MaxChunkBytes + 1} {
@@ -276,17 +276,14 @@ func TestBinFlateInflationCapped(t *testing.T) {
 			t.Errorf("%d-byte payload: err = %v, %d records", n, err, len(recs))
 		}
 		shipment := `<shipment><instance edge="0:feat" frag="feat" seq="0" format="bin" enc="flate">` + string(text) + `</instance></shipment>`
-		for _, workers := range []int{1, 4} {
-			out := map[string]*core.Instance{}
-			d := NewShipmentDecoderInto(sch, func(string) *core.Fragment { return f }, out)
-			d.Workers = workers
-			err := xmltree.ScanAttrs(strings.NewReader(shipment), d)
-			if over != errors.Is(err, ErrChunkTooLarge) || !over && err != nil {
-				t.Errorf("%d-byte payload, %d workers: decode err = %v", n, workers, err)
-			}
-			if got := out["0:feat"]; over && got != nil || !over && (got == nil || got.Rows() != 1) {
-				t.Errorf("%d-byte payload, %d workers: committed %v", n, workers, got)
-			}
+		out := map[string]*core.Instance{}
+		d := NewShipmentDecoderInto(sch, func(string) *core.Fragment { return f }, out)
+		err = xmltree.ScanAttrs(strings.NewReader(shipment), d)
+		if over != errors.Is(err, ErrChunkTooLarge) || !over && err != nil {
+			t.Errorf("%d-byte payload: decode err = %v", n, err)
+		}
+		if got := out["0:feat"]; over && got != nil || !over && (got == nil || got.Rows() != 1) {
+			t.Errorf("%d-byte payload: committed %v", n, got)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"strings"
@@ -12,12 +13,11 @@ import (
 
 // deltaShipment builds one delta wire stream: a record chunk, an empty
 // announce chunk, and a tombstone chunk.
-func deltaShipment(t *testing.T, workers int) (*bytes.Buffer, func() *ShipmentDecoder) {
+func deltaShipment(t *testing.T) (*bytes.Buffer, func() *ShipmentDecoder) {
 	t.Helper()
 	sch, f, rec := chunkFixture(t)
 	var buf bytes.Buffer
-	sw := NewShipmentWriter(&buf, sch, false)
-	sw.SetWorkers(workers)
+	sw := NewShipmentWriterCodec(&buf, sch, Codec{})
 	sw.SetDelta(true)
 	if err := sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, 0); err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func deltaShipment(t *testing.T, workers int) (*bytes.Buffer, func() *ShipmentDe
 }
 
 func TestDeltaShipmentRoundTrip(t *testing.T) {
-	buf, newDec := deltaShipment(t, 1)
+	buf, newDec := deltaShipment(t)
 	if !strings.HasPrefix(buf.String(), `<shipment delta="1">`) {
 		t.Fatalf("delta attr missing: %s", buf.String())
 	}
@@ -65,11 +65,19 @@ func TestDeltaShipmentRoundTrip(t *testing.T) {
 	}
 }
 
+// The pooled writer's delta stream is the serial render: record chunks by
+// renderChunk, then the tombstones after every one of them.
 func TestDeltaParallelWriterMatchesSerial(t *testing.T) {
-	serial, _ := deltaShipment(t, 1)
-	par, _ := deltaShipment(t, 4)
-	if serial.String() != par.String() {
-		t.Fatalf("parallel delta stream diverged:\n%s\nvs\n%s", serial.String(), par.String())
+	sch, f, rec := chunkFixture(t)
+	var want bytes.Buffer
+	bw := bufio.NewWriter(&want)
+	bw.WriteString(`<shipment delta="1">`)
+	renderChunk(bw, sch, Codec{}, "0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, 0)
+	renderChunk(bw, sch, Codec{}, "1:feat", f, nil, 1)
+	bw.WriteString(`<tombstones edge="0:feat" seq="2"><d ID="f7"/><d ID="f9"/></tombstones></shipment>`)
+	bw.Flush()
+	if got, _ := deltaShipment(t); got.String() != want.String() {
+		t.Fatalf("pooled delta stream diverged:\n%s\nvs\n%s", got.String(), want.String())
 	}
 }
 
@@ -94,7 +102,7 @@ func (t *testTicket) Err() error {
 // chunk commits, so neither may apply earlier, and the tombstones land in
 // the Tombs map the caller shares across decoders.
 func TestDeltaTombstonesCommitHook(t *testing.T) {
-	buf, newDec := deltaShipment(t, 1)
+	buf, newDec := deltaShipment(t)
 	d := newDec()
 	shared := map[string][]string{}
 	d.Tombs = shared
@@ -140,7 +148,7 @@ func TestDeltaTombstonesCommitHook(t *testing.T) {
 // A failed ticket fails the shipment, and neither its chunk nor any
 // queued behind it applies: a retry re-ships them all.
 func TestDecoderFailedTicketAppliesNothing(t *testing.T) {
-	buf, newDec := deltaShipment(t, 1)
+	buf, newDec := deltaShipment(t)
 	d := newDec()
 	var seqs []int64
 	d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
@@ -161,7 +169,7 @@ func TestDecoderFailedTicketAppliesNothing(t *testing.T) {
 }
 
 func TestDeltaTombstonesAdmission(t *testing.T) {
-	buf, newDec := deltaShipment(t, 1)
+	buf, newDec := deltaShipment(t)
 	d := newDec()
 	// Checkpoint already past every chunk: nothing may commit.
 	d.OnChunk = func(seq int64) bool { return seq >= 3 }
@@ -181,7 +189,7 @@ func TestDeltaTombstonesAdmission(t *testing.T) {
 func TestDeltaEmptyShipmentKeepsFlag(t *testing.T) {
 	sch, f, _ := chunkFixture(t)
 	var buf bytes.Buffer
-	sw := NewShipmentWriter(&buf, sch, false)
+	sw := NewShipmentWriterCodec(&buf, sch, Codec{})
 	sw.SetDelta(true)
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
@@ -217,7 +225,6 @@ func TestDeltaTombstoneOrderWithParallelDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
-	d.Workers = 4
 	var seqs []int64
 	d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
 	if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d); err != nil {

@@ -238,23 +238,12 @@ func readFeedNode(elem, parentID string, next func() (string, error), sch *schem
 	return n, nil
 }
 
-// EncodeShipmentAuto serializes cross-edge instances preferring the feed
-// format: flat fragments travel as feed text (format="feed"), anything
-// else falls back to the XML tree encoding. This is the negotiation the
-// paper sketches in §4.1 — fragments may be shipped "in XML format" or "in
-// the form of sorted feeds".
-func EncodeShipmentAuto(out map[string]*core.Instance, sch *schema.Schema, preferFeed bool) (*xmltree.Node, error) {
-	c := Codec{Kind: CodecXML}
-	if preferFeed {
-		c.Kind = CodecFeed
-	}
-	return EncodeShipmentCodec(out, sch, c)
-}
-
-// EncodeShipmentCodec serializes cross-edge instances under an explicit
-// codec, producing the same wire bytes as the streaming encoder for the
-// same shipment. Feed falls back to the XML tree encoding for non-flat
-// fragments; bin carries any fragment as base64 chunk text.
+// EncodeShipmentCodec serializes cross-edge instances as a shipment tree
+// in codec, producing the same wire bytes as the streaming encoder for the
+// same shipment. This is the negotiation the paper sketches in §4.1 —
+// fragments may be shipped "in XML format" or "in the form of sorted
+// feeds": feed falls back to the XML tree encoding for non-flat fragments;
+// bin carries any fragment as base64 chunk text.
 func EncodeShipmentCodec(out map[string]*core.Instance, sch *schema.Schema, codec Codec) (*xmltree.Node, error) {
 	root := &xmltree.Node{Name: "shipment"}
 	for _, key := range sortedKeys(out) {

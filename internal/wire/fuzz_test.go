@@ -120,7 +120,11 @@ func FuzzBinShipment(f *testing.F) {
 			if serr != nil {
 				return
 			}
-			wantDec, derr := DecodeShipment(EncodeShipment(out), lookup)
+			x, err := EncodeShipmentCodec(out, sch, Codec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantDec, derr := DecodeShipmentAuto(x, sch, lookup)
 			if derr != nil {
 				t.Fatal(derr)
 			}

@@ -5,28 +5,28 @@ package wire
 // frame with its own delta state (bin.go) — so chunks can be rendered and
 // parsed concurrently as long as they enter and leave the stream in order.
 // Both sides of the wire share one process-wide pool of long-lived
-// workers:
+// workers, and it is the only way a chunk is rendered or received:
 //
 // Encode: Emit hands each chunk to the pool, which renders it into a
 // pooled buffer; Emit and Close splice finished chunks onto the output in
 // emit order under the writer lock, so there is no flusher goroutine and
-// an abandoned writer leaks nothing. The bytes equal the serial codec's
-// for every worker count (parallel_test.go).
+// an abandoned writer leaks nothing. The bytes equal renderChunk's, run
+// chunk by chunk onto one writer (parallel_test.go).
 //
 // Decode: the pool parses raw-payload chunks (feed and bin) while the
 // scanner races ahead; parsed chunks commit strictly in stream order on
 // the scanner's goroutine, so every decoder hook — OnChunk and its
 // under-lock recheck, Commit and its tickets, KeepRecords, ChunkDone,
-// CommitLock — and chunk-atomic staging behave exactly as when parsing
-// in-line. Tagged-XML chunks build their trees on the scanner goroutine
-// and drain the parse queue before committing.
+// CommitLock — and chunk-atomic staging see chunks one at a time, in
+// order. Tagged-XML chunks build their trees on the scanner goroutine and
+// drain the parse queue before committing.
 //
 // A chunk in flight is a slot — an encJob or parseJob from a sync.Pool,
 // with a one-token channel it keeps for life — so a chunk costs no
 // goroutine, job or channel of its own, and a one-chunk shipment pays one
-// pooled slot rather than a pool. The pool grows to the largest worker
-// count any caller asked for (0 = one per CPU, 1 or less = serial) and
-// never shrinks; idle workers park on the job channel.
+// pooled slot rather than a pool. The pool grows to one worker per CPU
+// (runtime.GOMAXPROCS) and never shrinks; idle workers park on the job
+// channel.
 
 import (
 	"bytes"
@@ -41,18 +41,6 @@ import (
 	"xdx/internal/xmltree"
 )
 
-// effectiveWorkers resolves a ParallelChunks-style knob: 0 picks one
-// worker per CPU, anything below 1 is the serial path.
-func effectiveWorkers(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
 // codecJob is one chunk's render or parse, run by a pool worker.
 type codecJob interface{ run() }
 
@@ -62,10 +50,19 @@ var (
 	poolWorkers atomic.Int32
 )
 
-// submit hands job to the shared pool, first growing it to at least want
-// workers. A job never blocks on another, so a full pool only delays.
-func submit(job codecJob, want int) {
-	if int(poolWorkers.Load()) < want {
+// queueSlack bounds how far rendering may run ahead of splicing, and
+// parsing ahead of committing, in multiples of the CPU count: past it, the
+// writer or decoder blocks on its head job, applying backpressure instead
+// of buffering the whole shipment.
+const queueSlack = 4
+
+// queueMax is how many chunks one writer or decoder may have in flight.
+func queueMax() int { return queueSlack * runtime.GOMAXPROCS(0) }
+
+// submit hands job to the shared pool, first growing it to one worker per
+// CPU. A job never blocks on another, so a full pool only delays.
+func submit(job codecJob) {
+	if want := runtime.GOMAXPROCS(0); int(poolWorkers.Load()) < want {
 		poolMu.Lock()
 		for int(poolWorkers.Load()) < want {
 			poolWorkers.Add(1)
@@ -111,51 +108,30 @@ func (j *encJob) run() {
 	j.done <- struct{}{}
 }
 
-// encQueueSlack bounds how far rendering may run ahead of splicing, in
-// multiples of the worker count: above it, Emit blocks on the head job,
-// applying backpressure instead of buffering the whole shipment.
-const encQueueSlack = 4
-
-// SetWorkers dials the writer's chunk-render parallelism: 0 (the default)
-// is one worker per CPU, 1 or less is the serial in-line path. It must be
-// called before the first Emit.
-func (sw *ShipmentWriter) SetWorkers(n int) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if !sw.opened {
-		sw.reqWorkers = n
-		sw.workers = 0
-	}
-}
-
-// SetObs points the writer at a metric registry (nil is fine): queue
-// depth, worker count, and per-chunk render latency become visible.
+// SetObs points the writer at a metric registry (nil is fine): queue depth
+// and per-chunk render latency become visible. It must be called before
+// the first Emit.
 func (sw *ShipmentWriter) SetObs(met *obs.Registry) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.met = met
-}
-
-// encodeWorkers resolves the parallelism lazily, under sw.mu.
-func (sw *ShipmentWriter) encodeWorkers() int {
-	if sw.workers == 0 {
-		sw.workers = effectiveWorkers(sw.reqWorkers)
-		sw.renderMS = sw.met.Histogram("wire.encode.render_ms")
-		sw.queue = sw.met.Gauge("wire.encode.queue")
-		sw.met.Gauge("wire.encode.workers").Set(int64(sw.workers))
+	if !sw.opened {
+		sw.renderMS = met.Histogram("wire.encode.render_ms")
+		sw.queue = met.Gauge("wire.encode.queue")
 	}
-	return sw.workers
 }
 
-// emitParallel submits one chunk to the render pool and splices whatever
-// is ready. Caller holds sw.mu.
-func (sw *ShipmentWriter) emitParallel(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
+// emitLocked submits one chunk to the render pool and splices whatever is
+// ready. Caller holds sw.mu.
+func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
+	if err := sw.openLocked(); err != nil {
+		return err
+	}
 	job := encJobs.Get().(*encJob)
 	job.sw, job.key, job.frag, job.recs, job.seq = sw, key, frag, recs, seq
 	sw.fifo = append(sw.fifo, job)
 	sw.queue.Set(int64(len(sw.fifo)))
-	submit(job, sw.workers)
-	return sw.spliceLocked(encQueueSlack * sw.workers)
+	submit(job)
+	return sw.spliceLocked(queueMax())
 }
 
 // spliceLocked writes completed head jobs to the output in FIFO order,
@@ -233,28 +209,19 @@ func (j *parseJob) run() {
 	j.done <- struct{}{}
 }
 
-// decQueueSlack mirrors encQueueSlack for the parse queue.
-const decQueueSlack = 4
-
-// decodeWorkers resolves the decoder's parallelism lazily from the Workers
-// knob.
-func (d *ShipmentDecoder) decodeWorkers() int {
-	if d.workers == 0 {
-		d.workers = effectiveWorkers(d.Workers)
+// submitParse queues one staged raw chunk for the parse pool and commits
+// whatever is ready.
+func (d *ShipmentDecoder) submitParse(c *Chunk, raw *bytes.Buffer) error {
+	if d.queue == nil && d.Met != nil {
 		d.parseMS = d.Met.Histogram("wire.decode.parse_ms")
 		d.queue = d.Met.Gauge("wire.decode.queue")
-		d.Met.Gauge("wire.decode.workers").Set(int64(d.workers))
 	}
-	return d.workers
-}
-
-// submitParse queues one staged raw chunk for the parse pool.
-func (d *ShipmentDecoder) submitParse(c *Chunk, raw *bytes.Buffer) {
 	job := parseJobs.Get().(*parseJob)
 	job.d, job.c, job.buf = d, *c, raw
 	d.jobs = append(d.jobs, job)
 	d.queue.Set(int64(len(d.jobs)))
-	submit(job, d.workers)
+	submit(job)
+	return d.drainJobs(queueMax())
 }
 
 // drainJobs commits completed head jobs in stream order, blocking while

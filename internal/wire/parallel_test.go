@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -39,26 +40,70 @@ func parallelFixture(t testing.TB) (*schema.Schema, *core.Fragment, [][]*xmltree
 	return sch, f, chunks
 }
 
-func encodeChunks(t testing.TB, sch *schema.Schema, f *core.Fragment, chunks [][]*xmltree.Node, codec Codec, workers int) []byte {
+func encodeChunks(t testing.TB, sch *schema.Schema, f *core.Fragment, chunks [][]*xmltree.Node, codec Codec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw := NewShipmentWriterCodec(&buf, sch, codec)
-	sw.SetWorkers(workers)
 	sw.SetObs(obs.NewRegistry())
 	for seq, recs := range chunks {
 		if err := sw.EmitChunk(fmt.Sprintf("%d:feat", seq%3), f, recs, int64(seq)); err != nil {
-			t.Fatalf("workers=%d: emit %d: %v", workers, seq, err)
+			t.Fatalf("emit %d: %v", seq, err)
 		}
 	}
 	if err := sw.Close(); err != nil {
-		t.Fatalf("workers=%d: close: %v", workers, err)
+		t.Fatalf("close: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// TestParallelEncodeByteIdentical is the tentpole property on the encode
-// side: for every codec, the parallel renderer's byte stream is identical
-// to the serial codec's for every worker count.
+// referenceRender is encodeChunks without the pool: renderChunk run chunk
+// by chunk onto one writer, the bytes the pool's in-order splice must
+// reproduce.
+func referenceRender(t testing.TB, sch *schema.Schema, f *core.Fragment, chunks [][]*xmltree.Node, codec Codec) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.WriteString("<shipment>")
+	for seq, recs := range chunks {
+		if err := renderChunk(bw, sch, codec, fmt.Sprintf("%d:feat", seq%3), f, recs, int64(seq)); err != nil {
+			t.Fatalf("render %d: %v", seq, err)
+		}
+	}
+	bw.WriteString("</shipment>")
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// treeDecode is the tree codec's reading of a shipment: xmltree.Parse,
+// then DecodeShipmentAuto one chunk at a time, appending chunks that share
+// an edge key to one instance as the streaming decoder does.
+func treeDecode(wire []byte, sch *schema.Schema, lookup func(string) *core.Fragment) (map[string]*core.Instance, error) {
+	x, err := xmltree.Parse(bytes.NewReader(wire))
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]*core.Instance{}
+	for _, ix := range x.Kids {
+		chunk, err := DecodeShipmentAuto(&xmltree.Node{Name: "shipment", Kids: []*xmltree.Node{ix}}, sch, lookup)
+		if err != nil {
+			return nil, err
+		}
+		for key, in := range chunk {
+			if out[key] == nil {
+				out[key] = in
+			} else {
+				out[key].Records = append(out[key].Records, in.Records...)
+			}
+		}
+	}
+	return out, nil
+}
+
+// TestParallelEncodeByteIdentical is the pool's property on the encode
+// side: for every codec, the pooled renderer's byte stream is identical to
+// renderChunk's, run serially chunk by chunk.
 func TestParallelEncodeByteIdentical(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	for _, name := range Codecs() {
@@ -66,19 +111,16 @@ func TestParallelEncodeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := encodeChunks(t, sch, f, chunks, codec, 1)
-		for _, workers := range []int{0, 2, 8} {
-			got := encodeChunks(t, sch, f, chunks, codec, workers)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: workers=%d bytes differ from serial (len %d vs %d)", name, workers, len(got), len(want))
-			}
+		got, want := encodeChunks(t, sch, f, chunks, codec), referenceRender(t, sch, f, chunks, codec)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: pooled bytes differ from the serial render (len %d vs %d)", name, len(got), len(want))
 		}
 	}
 }
 
-// TestParallelDecodeMatchesSerial holds the parallel decoder to the serial
-// decoder's instances AND its hook discipline: chunks commit in stream
-// order whatever the worker count, so ChunkDone sees ascending seqs.
+// TestParallelDecodeMatchesSerial holds the pooled decoder to the tree
+// codec's instances AND to its hook discipline: chunks commit in stream
+// order whatever the pool's timing, so ChunkDone sees ascending seqs.
 func TestParallelDecodeMatchesSerial(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	lookup := func(string) *core.Fragment { return f }
@@ -87,35 +129,31 @@ func TestParallelDecodeMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire := encodeChunks(t, sch, f, chunks, codec, 4)
-		decode := func(workers int) (map[string]*core.Instance, []int64) {
-			d := NewShipmentDecoder(sch, lookup)
-			d.Workers = workers
-			d.Met = obs.NewRegistry()
-			var seqs []int64
-			d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
-			if err := xmltree.ScanAttrs(bytes.NewReader(wire), d); err != nil {
-				t.Fatalf("%s: workers=%d: scan: %v", name, workers, err)
-			}
-			out, err := d.Result()
-			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", name, workers, err)
-			}
-			return out, seqs
+		wire := encodeChunks(t, sch, f, chunks, codec)
+		want, err := treeDecode(wire, sch, lookup)
+		if err != nil {
+			t.Fatalf("%s: tree decode: %v", name, err)
 		}
-		want, wantSeqs := decode(1)
-		for _, workers := range []int{0, 2, 8} {
-			got, seqs := decode(workers)
-			if err := shipmentsEqual(want, got); err != nil {
-				t.Errorf("%s: workers=%d: %v", name, workers, err)
-			}
-			if len(seqs) != len(wantSeqs) {
-				t.Fatalf("%s: workers=%d: %d ChunkDone calls, want %d", name, workers, len(seqs), len(wantSeqs))
-			}
-			for i := range seqs {
-				if seqs[i] != wantSeqs[i] {
-					t.Fatalf("%s: workers=%d: ChunkDone order %v, want %v", name, workers, seqs, wantSeqs)
-				}
+		d := NewShipmentDecoder(sch, lookup)
+		d.Met = obs.NewRegistry()
+		var seqs []int64
+		d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
+		if err := xmltree.ScanAttrs(bytes.NewReader(wire), d); err != nil {
+			t.Fatalf("%s: scan: %v", name, err)
+		}
+		got, err := d.Result()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := shipmentsEqual(want, got); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if len(seqs) != len(chunks) {
+			t.Fatalf("%s: %d ChunkDone calls, want %d", name, len(seqs), len(chunks))
+		}
+		for i, s := range seqs {
+			if s != int64(i) {
+				t.Fatalf("%s: ChunkDone order %v, want ascending from 0", name, seqs)
 			}
 		}
 	}
@@ -156,8 +194,7 @@ func TestParallelDecodeSlabStringsIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := NewShipmentDecoder(sch, lookup)
-		d.Workers = 4
-		if err := xmltree.ScanAttrs(bytes.NewReader(encodeChunks(t, sch, f, chunks, codec, 4)), d); err != nil {
+		if err := xmltree.ScanAttrs(bytes.NewReader(encodeChunks(t, sch, f, chunks, codec)), d); err != nil {
 			t.Fatalf("%s: scan: %v", name, err)
 		}
 		got, err := d.Result()
@@ -207,10 +244,9 @@ func TestParallelDecodeTornAndStalled(t *testing.T) {
 	lookup := func(string) *core.Fragment { return f }
 	for _, name := range []string{CodecXML, CodecBinFlate} {
 		codec, _ := ParseCodec(name)
-		wire := encodeChunks(t, sch, f, chunks, codec, 4)
+		wire := encodeChunks(t, sch, f, chunks, codec)
 		for _, cut := range []int{len(wire) / 7, len(wire) / 3, len(wire) / 2, len(wire) - 20, len(wire)} {
 			d := NewShipmentDecoder(sch, lookup)
-			d.Workers = 8
 			var seqs []int64
 			d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
 			scanErr := xmltree.ScanAttrs(&stallReader{data: wire[:cut]}, d)
@@ -232,8 +268,9 @@ func TestParallelDecodeTornAndStalled(t *testing.T) {
 }
 
 // FuzzParallelCodecEquivalence fuzzes record content through every codec
-// and asserts the tentpole contract both ways: parallel encode emits the
-// serial byte stream, and parallel decode returns the serial instances.
+// and holds the pool to its references both ways: pooled encode emits the
+// serial render's byte stream, and pooled decode returns the tree codec's
+// instances.
 func FuzzParallelCodecEquivalence(f *testing.F) {
 	f.Add("f1", "tone&", "l<>1", uint8(3))
 	f.Add("", "", "", uint8(0))
@@ -254,27 +291,18 @@ func FuzzParallelCodecEquivalence(f *testing.F) {
 		}
 		for _, name := range Codecs() {
 			codec, _ := ParseCodec(name)
-			want := encodeChunks(t, sch, frag, chunks, codec, 1)
-			got := encodeChunks(t, sch, frag, chunks, codec, 8)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: parallel bytes diverge from serial", name)
+			wire := encodeChunks(t, sch, frag, chunks, codec)
+			if !bytes.Equal(wire, referenceRender(t, sch, frag, chunks, codec)) {
+				t.Fatalf("%s: pooled bytes diverge from the serial render", name)
 			}
-			decode := func(workers int) (map[string]*core.Instance, error) {
-				d := NewShipmentDecoder(sch, lookup)
-				d.Workers = workers
-				if err := xmltree.ScanAttrs(bytes.NewReader(want), d); err != nil {
-					return nil, err
-				}
-				return d.Result()
+			// Fuzzed strings may contain characters XML cannot carry; the
+			// tree codec and the pool must then fail alike.
+			wantDec, terr := treeDecode(wire, sch, lookup)
+			gotDec, perr := ReadShipment(bytes.NewReader(wire), sch, lookup)
+			if (terr == nil) != (perr == nil) {
+				t.Fatalf("%s: tree err=%v, pooled err=%v", name, terr, perr)
 			}
-			// Fuzzed strings may contain characters XML cannot carry;
-			// serial and parallel must then fail alike.
-			wantDec, serr := decode(1)
-			gotDec, perr := decode(8)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("%s: serial err=%v, parallel err=%v", name, serr, perr)
-			}
-			if serr != nil {
+			if terr != nil {
 				continue
 			}
 			if err := shipmentsEqual(wantDec, gotDec); err != nil {
@@ -290,7 +318,6 @@ func FuzzParallelCodecEquivalence(f *testing.F) {
 func TestParallelWriterErrorSurfaces(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	sw := NewShipmentWriterCodec(&failAfter{n: 10}, sch, Codec{Kind: CodecXML})
-	sw.SetWorkers(4)
 	var firstErr error
 	for seq, recs := range chunks {
 		if err := sw.EmitChunk("0:feat", f, recs, int64(seq)); err != nil {
@@ -342,7 +369,6 @@ func TestParallelCodecUnderFaultyLink(t *testing.T) {
 			})
 			var buf bytes.Buffer
 			sw := NewShipmentWriterCodec(fl.Writer(&buf), sch, codec)
-			sw.SetWorkers(8)
 			var encErr error
 			for seq, recs := range chunks {
 				if encErr = sw.EmitChunk(fmt.Sprintf("%d:feat", seq%3), f, recs, int64(seq)); encErr != nil {
@@ -357,7 +383,6 @@ func TestParallelCodecUnderFaultyLink(t *testing.T) {
 				t.Fatalf("%s: seed %d: clean link, encode failed: %v", name, seed, encErr)
 			}
 			d := NewShipmentDecoder(sch, lookup)
-			d.Workers = 8
 			var seqs []int64
 			d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
 			scanErr := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d)
@@ -387,7 +412,6 @@ func TestParallelEmitAfterCloseRejected(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	var buf bytes.Buffer
 	sw := NewShipmentWriterCodec(&buf, sch, Codec{Kind: CodecBin, Flate: true})
-	sw.SetWorkers(4)
 	if err := sw.Emit("0:feat", f, chunks[0]); err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,10 @@ const MaxChunkBytes = 16 << 20
 var ErrChunkTooLarge = errors.New("wire: shipment chunk exceeds the chunk size limit")
 
 // ErrChunkOrder reports a shipment whose chunks are not sequenced densely
-// from 0 in stream order, which a resumable delivery depends on.
-var ErrChunkOrder = errors.New("wire: shipment chunks are not sequenced densely from 0")
+// in stream order, which a resumable delivery depends on: a Relay wants
+// seqs from 0, and a ShipmentDecoder wants every chunk after a sequenced
+// one to carry the next seq.
+var ErrChunkOrder = errors.New("wire: shipment chunks are not sequenced densely")
 
 // relaySegment is the fill at which a Relay starts its next buffer. Chunks
 // are never split across buffers, and buffers this size go back to bufpool

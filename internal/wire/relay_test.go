@@ -79,9 +79,9 @@ func parentRender(t testing.TB, sch *schema.Schema, out map[string]*core.Instanc
 }
 
 // TestSetChunkMatchesChunkShipment: a writer that cuts and numbers its own
-// chunks over a sorted-key emit renders, for every codec and worker count,
-// byte for byte what ChunkShipment + EmitChunk render for the same
-// shipment, and accounts its tree-codec size on the way.
+// chunks over a sorted-key emit renders, for every codec, byte for byte
+// what ChunkShipment + EmitChunk render for the same shipment, and accounts
+// its tree-codec size on the way.
 func TestSetChunkMatchesChunkShipment(t *testing.T) {
 	sch, out, _ := chunkedFixture(t)
 	for _, name := range Codecs() {
@@ -91,23 +91,20 @@ func TestSetChunkMatchesChunkShipment(t *testing.T) {
 		}
 		for _, size := range []int{1, 7, 64} {
 			want := parentRender(t, sch, out, codec, size, 0)
-			for _, workers := range []int{1, 4} {
-				var buf bytes.Buffer
-				sw := NewShipmentWriterCodec(&buf, sch, codec)
-				sw.SetWorkers(workers)
-				sw.SetChunk(size)
-				if err := EmitShipment(sw, out); err != nil {
-					t.Fatal(err)
-				}
-				if err := sw.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Errorf("%s size=%d workers=%d: self-chunked bytes differ from ChunkShipment+EmitChunk", name, size, workers)
-				}
-				if got := sw.PayloadBytes(); got != ShipmentBytes(out) {
-					t.Errorf("%s size=%d workers=%d: PayloadBytes = %d, want %d", name, size, workers, got, ShipmentBytes(out))
-				}
+			var buf bytes.Buffer
+			sw := NewShipmentWriterCodec(&buf, sch, codec)
+			sw.SetChunk(size)
+			if err := EmitShipment(sw, out); err != nil {
+				t.Fatal(err)
+			}
+			if err := sw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%s size=%d: self-chunked bytes differ from ChunkShipment+EmitChunk", name, size)
+			}
+			if got := sw.PayloadBytes(); got != ShipmentBytes(out) {
+				t.Errorf("%s size=%d: PayloadBytes = %d, want %d", name, size, got, ShipmentBytes(out))
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 package wire
 
 // This file implements the zero-materialization streaming wire path for
-// fragment shipments. The tree codec (EncodeShipment/DecodeShipment) clones
-// every record to strip identifiers, builds a full envelope xmltree, and —
-// on the receiving end — parses the whole shipment back into a tree before
-// instances are rebuilt. The paper's own argument (§4.1, Table 3) is that
+// fragment shipments. The tree codec (EncodeShipmentCodec and
+// DecodeShipmentAuto) clones every record to strip identifiers, builds a
+// full envelope xmltree, and — on the receiving end — parses the whole
+// shipment back into a tree before instances are rebuilt. The paper's own argument (§4.1, Table 3) is that
 // communication dominates an exchange, so the wire layer must not
 // re-materialize the instances a program slice hands it: the encoder here
 // serializes instances directly to a writer with pooled buffers and no
@@ -39,9 +39,8 @@ import (
 // instance by the decoders.
 //
 // Chunks are rendered by the shared codec pool (parallel.go) and spliced
-// onto the writer in emit order; SetWorkers(1) selects the serial in-line
-// path. In the parallel mode a chunk's render error may surface on a later
-// Emit or at Close rather than on the Emit that submitted it.
+// onto the writer in emit order, so a chunk's render error may surface on
+// a later Emit or at Close rather than on the Emit that submitted it.
 type ShipmentWriter struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer
@@ -50,14 +49,11 @@ type ShipmentWriter struct {
 	opened bool
 	closed bool
 
-	reqWorkers int       // SetWorkers knob; resolved on first emit
-	workers    int       // resolved parallelism; 1 = serial
-	fifo       []*encJob // submitted chunks awaiting in-order splice
-	firstErr   error     // first failed chunk; sticky
-	met        *obs.Registry
-	renderMS   *obs.Histogram
-	queue      *obs.Gauge
-	delta      bool
+	fifo     []*encJob // submitted chunks awaiting in-order splice
+	firstErr error     // first failed chunk; sticky
+	renderMS *obs.Histogram
+	queue    *obs.Gauge
+	delta    bool
 
 	chunk   int   // SetChunk: records per self-numbered chunk, 0 = off
 	nextSeq int64 // seq of the next self-numbered chunk
@@ -96,18 +92,6 @@ func (sw *ShipmentWriter) SetDelta(on bool) {
 	}
 }
 
-// NewShipmentWriter starts a shipment onto w. When preferFeed is set, flat
-// fragments travel as sorted-feed chunks (format="feed"); anything else is
-// keyed XML. Close must be called to complete the shipment and release the
-// pooled buffer.
-func NewShipmentWriter(w io.Writer, sch *schema.Schema, preferFeed bool) *ShipmentWriter {
-	c := Codec{Kind: CodecXML}
-	if preferFeed {
-		c.Kind = CodecFeed
-	}
-	return NewShipmentWriterCodec(w, sch, c)
-}
-
 // NewShipmentWriterCodec starts a shipment onto w in the given codec. Feed
 // chunks fall back to keyed XML for non-flat fragments; bin carries any
 // fragment. Close must be called to complete the shipment and release the
@@ -117,8 +101,8 @@ func NewShipmentWriterCodec(w io.Writer, sch *schema.Schema, codec Codec) *Shipm
 }
 
 // Emit writes one instance chunk carrying recs for the cross-edge key (cut
-// into several, when SetChunk asked for it). The parallel writer renders
-// after Emit returns, so recs must stay unmodified until Close.
+// into several, when SetChunk asked for it). The pool may render after
+// Emit returns, so recs must stay unmodified until Close.
 func (sw *ShipmentWriter) Emit(key string, frag *core.Fragment, recs []*xmltree.Node) error {
 	return sw.emit(key, frag, recs, -1)
 }
@@ -148,19 +132,6 @@ func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs []*xmltree.
 	}
 }
 
-// emitLocked renders one chunk, in-line or through the pool. Caller holds
-// sw.mu.
-func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
-	if err := sw.openLocked(); err != nil {
-		return err
-	}
-	if sw.workers > 1 {
-		return sw.emitParallel(key, frag, recs, seq)
-	}
-	sw.payload += RecordBytes(recs)
-	return renderChunk(sw.bw, sw.sch, sw.codec, key, frag, recs, seq)
-}
-
 // openLocked readies the writer for one more chunk — refusing it after
 // Close or a failed chunk — and writes the shipment open tag once. Caller
 // holds sw.mu.
@@ -171,7 +142,6 @@ func (sw *ShipmentWriter) openLocked() error {
 	if sw.firstErr != nil {
 		return sw.firstErr
 	}
-	sw.encodeWorkers()
 	if sw.opened {
 		return nil
 	}
@@ -187,10 +157,8 @@ func (sw *ShipmentWriter) openLocked() error {
 // EmitTombstones writes one sequenced tombstone chunk: the record IDs the
 // delta's source no longer has for this edge. Tombstones are always tagged
 // XML regardless of codec — they are tiny — and always sequenced, so the
-// session ledger checkpoints them like any chunk. In parallel mode the
-// render pool is drained first: the agency emits tombstones after every
-// record chunk, so the drain keeps the byte stream identical to the serial
-// writer's.
+// session ledger checkpoints them like any chunk. The render pool is
+// drained first, so the tombstones follow every chunk emitted before them.
 func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -210,9 +178,8 @@ func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) er
 }
 
 // renderChunk writes the complete wire bytes of one instance chunk. It is
-// the single chunk serializer — the serial path points it at the shipment
-// writer, the parallel workers at private pooled buffers — which is what
-// makes the two paths byte-identical by construction.
+// the single chunk serializer; the pool workers point it at private pooled
+// buffers, which the writer splices in emit order.
 func renderChunk(bw *bufio.Writer, sch *schema.Schema, codec Codec, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
 	switch {
 	case codec.Kind == CodecBin:
@@ -402,20 +369,10 @@ func recordSize(n *xmltree.Node, isRoot bool) int64 {
 	return total
 }
 
-// StreamShipment encodes cross-edge instances directly to w — no record
-// clones, no intermediate xmltree — in deterministic (sorted-key) order.
-// With preferFeed, flat fragments travel as sorted feeds, mirroring
-// EncodeShipmentAuto. It produces byte-for-byte the serialization of the
-// tree codec for the same shipment.
-func StreamShipment(w io.Writer, out map[string]*core.Instance, sch *schema.Schema, preferFeed bool) error {
-	c := Codec{Kind: CodecXML}
-	if preferFeed {
-		c.Kind = CodecFeed
-	}
-	return StreamShipmentCodec(w, out, sch, c)
-}
-
-// StreamShipmentCodec is StreamShipment under an explicit codec.
+// StreamShipmentCodec encodes cross-edge instances in codec directly to w
+// — no record clones, no intermediate xmltree — in deterministic
+// (sorted-key) order. It produces byte-for-byte EncodeShipmentCodec's
+// serialization of the same shipment.
 func StreamShipmentCodec(w io.Writer, out map[string]*core.Instance, sch *schema.Schema, codec Codec) error {
 	sw := NewShipmentWriterCodec(w, sch, codec)
 	if err := EmitShipment(sw, out); err != nil {
@@ -547,11 +504,6 @@ type ShipmentDecoder struct {
 	// shipment. Set it to share one map across decoders (a session's
 	// delivery attempts); nil makes one on the first tombstone.
 	Tombs map[string][]string
-	// Workers dials the raw-chunk parse pool (parallel.go): 0 (the
-	// default) is one worker per CPU, 1 or less parses in-line. Set it
-	// before scanning. Whatever the count, chunks commit in stream order
-	// on the scanner goroutine, so the hooks above behave identically.
-	Workers int
 	// Met, when set, exposes the parse pool's queue depth and latencies.
 	Met *obs.Registry
 
@@ -561,8 +513,8 @@ type ShipmentDecoder struct {
 	delta   bool
 	depth   int
 	skip    int
+	nextSeq int64 // seq the next chunk must carry; -1 until one carried a seq
 
-	workers int           // resolved pool size; 1 = serial
 	jobs    []*parseJob   // submitted chunks awaiting in-order commit
 	arena   xmltree.Arena // tagged-XML chunks' nodes and text; lives for the shipment
 	parseMS *obs.Histogram
@@ -570,7 +522,7 @@ type ShipmentDecoder struct {
 
 	queued []queuedCommit // committed chunks waiting on their tickets, from qhead
 	qhead  int
-	cc     Chunk // the in-line commit's chunk, reused
+	cc     Chunk // the scanner goroutine's commit chunk, reused
 
 	// Chunk staging: records of the open <instance> accumulate here and
 	// commit to the shared map only at its close tag, so a connection torn
@@ -607,7 +559,7 @@ func NewShipmentDecoderInto(sch *schema.Schema, lookup func(name string) *core.F
 	if out == nil {
 		out = map[string]*core.Instance{}
 	}
-	return &ShipmentDecoder{sch: sch, lookup: lookup, out: out, stageSeq: -1}
+	return &ShipmentDecoder{sch: sch, lookup: lookup, out: out, stageSeq: -1, nextSeq: -1}
 }
 
 // errStagedTooLarge refuses a tagged-XML chunk whose staged names,
@@ -664,10 +616,22 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 			case "enc":
 				enc = a.Value
 			case "seq":
-				if v, err := strconv.ParseInt(a.Value, 10, 64); err == nil {
-					seq = v
+				v, err := strconv.ParseInt(a.Value, 10, 64)
+				if err != nil || v < 0 {
+					return ErrChunkOrder
 				}
+				seq = v
 			}
+		}
+		// Once a chunk carried a seq, every later one — declined or not —
+		// must carry the next: a gap would let the checkpoint skip a chunk
+		// that never arrived. The first may start anywhere, as a resumed
+		// delivery starts at the checkpoint.
+		if d.nextSeq >= 0 && seq != d.nextSeq {
+			return ErrChunkOrder
+		}
+		if seq >= 0 {
+			d.nextSeq = seq + 1
 		}
 		if d.OnChunk != nil && !d.OnChunk(seq) {
 			// Chunk declined (already checkpointed on a prior attempt):
@@ -801,13 +765,12 @@ func (d *ShipmentDecoder) EndElement(string) error {
 }
 
 // commitChunk routes the staged chunk toward the shared instance map as
-// its element closes. Feed rows and bin payloads parse first — in a pool
-// worker when the decoder is parallel, in-line otherwise — so those
-// chunks are all-or-nothing: a torn chunk's base64/flate/binary parse
-// fails before anything reaches the map. Commits always happen in stream
-// order on the scanner goroutine (drainJobs); tagged-XML and tombstone
-// chunks drain the pool before committing so mixed-format shipments keep
-// their order.
+// its element closes. Feed rows and bin payloads parse first, in a pool
+// worker, so those chunks are all-or-nothing: a torn chunk's
+// base64/flate/binary parse fails before anything reaches the map. Commits
+// always happen in stream order on the scanner goroutine (drainJobs);
+// tagged-XML and tombstone chunks drain the pool before committing so
+// mixed-format shipments keep their order.
 func (d *ShipmentDecoder) commitChunk() error {
 	c := &d.cc
 	*c = Chunk{Key: d.stageKey, Frag: d.stageFrag, Seq: d.stageSeq}
@@ -822,20 +785,10 @@ func (d *ShipmentDecoder) commitChunk() error {
 		}
 	case d.raw != nil:
 		raw := d.raw
-		d.raw = nil // ownership moves to the parse below
+		d.raw = nil // ownership moves to the parse job
 		c.Format, c.Enc = d.rawFormat, d.rawEnc
 		d.resetStage()
-		if w := d.decodeWorkers(); w > 1 {
-			d.submitParse(c, raw)
-			return d.drainJobs(decQueueSlack * w)
-		}
-		recs, err := parseRawChunk(raw.Bytes(), c.Format, c.Enc, c.Frag, d.sch)
-		if err == nil {
-			c.Recs, c.Bytes = recs, raw.Bytes()
-			err = d.commit(c)
-		}
-		bufpool.PutBuffer(raw)
-		return err
+		return d.submitParse(c, raw)
 	default:
 		c.Format, c.Recs = CodecXML, d.stageRecs
 	}

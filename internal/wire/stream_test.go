@@ -87,34 +87,38 @@ func shipmentsEqual(a, b map[string]*core.Instance) error {
 	return nil
 }
 
+// treeShipment is the tree codec's tagged-XML serialization of out.
+func treeShipment(t testing.TB, out map[string]*core.Instance, sch *schema.Schema) string {
+	t.Helper()
+	x, err := EncodeShipmentCodec(out, sch, Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xmltree.Marshal(x, xmltree.WriteOptions{EmitAllIDs: true})
+}
+
+// textCodecs are the codecs whose chunks carry their records as XML-safe
+// text: tagged XML, and sorted feeds for flat fragments.
+var textCodecs = []Codec{{Kind: CodecXML}, {Kind: CodecFeed}}
+
 // TestStreamShipmentMatchesTreeBytes holds the streaming encoder to the
-// tree codec's exact serialization, for both wire formats: streaming and
+// tree codec's exact serialization, for both text formats: streaming and
 // buffered peers must interoperate byte for byte.
 func TestStreamShipmentMatchesTreeBytes(t *testing.T) {
 	sch, out, _ := outboundFixture(t)
-	for _, preferFeed := range []bool{false, true} {
-		x, err := EncodeShipmentAuto(out, sch, preferFeed)
+	for _, codec := range textCodecs {
+		x, err := EncodeShipmentCodec(out, sch, codec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := xmltree.Marshal(x, xmltree.WriteOptions{EmitAllIDs: true})
 		var buf bytes.Buffer
-		if err := StreamShipment(&buf, out, sch, preferFeed); err != nil {
+		if err := StreamShipmentCodec(&buf, out, sch, codec); err != nil {
 			t.Fatal(err)
 		}
 		if got := buf.String(); got != want {
-			t.Errorf("preferFeed=%v: stream bytes differ from tree codec:\n%s\nvs\n%s", preferFeed, got, want)
+			t.Errorf("%s: stream bytes differ from tree codec:\n%s\nvs\n%s", codec, got, want)
 		}
-	}
-	// Plain EncodeShipment (no feed negotiation) must match the non-feed
-	// streaming output too.
-	want := xmltree.Marshal(EncodeShipment(out), xmltree.WriteOptions{EmitAllIDs: true})
-	var buf bytes.Buffer
-	if err := StreamShipment(&buf, out, sch, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != want {
-		t.Errorf("stream bytes differ from EncodeShipment:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -122,9 +126,9 @@ func TestStreamShipmentMatchesTreeBytes(t *testing.T) {
 // decoder's results on the same bytes.
 func TestReadShipmentMatchesDecode(t *testing.T) {
 	sch, out, lookup := outboundFixture(t)
-	for _, preferFeed := range []bool{false, true} {
+	for _, codec := range textCodecs {
 		var buf bytes.Buffer
-		if err := StreamShipment(&buf, out, sch, preferFeed); err != nil {
+		if err := StreamShipmentCodec(&buf, out, sch, codec); err != nil {
 			t.Fatal(err)
 		}
 		parsed, err := xmltree.Parse(bytes.NewReader(buf.Bytes()))
@@ -140,7 +144,7 @@ func TestReadShipmentMatchesDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := shipmentsEqual(want, got); err != nil {
-			t.Errorf("preferFeed=%v: %v", preferFeed, err)
+			t.Errorf("%s: %v", codec, err)
 		}
 	}
 }
@@ -148,7 +152,7 @@ func TestReadShipmentMatchesDecode(t *testing.T) {
 func TestStreamShipmentEmpty(t *testing.T) {
 	sch := schema.CustomerInfo()
 	var buf bytes.Buffer
-	if err := StreamShipment(&buf, nil, sch, true); err != nil {
+	if err := StreamShipmentCodec(&buf, nil, sch, Codec{Kind: CodecFeed}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "<shipment/>" {
@@ -178,9 +182,9 @@ func TestShipmentWriterMergesChunks(t *testing.T) {
 			{Name: "FeatureID", ID: fid, Parent: id, Text: txt},
 		}}
 	}
-	for _, preferFeed := range []bool{false, true} {
+	for _, codec := range textCodecs {
 		var buf bytes.Buffer
-		sw := NewShipmentWriter(&buf, sch, preferFeed)
+		sw := NewShipmentWriterCodec(&buf, sch, codec)
 		if err := sw.Emit("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}); err != nil {
 			t.Fatal(err)
 		}
@@ -196,10 +200,10 @@ func TestShipmentWriterMergesChunks(t *testing.T) {
 		}
 		in := got["0:feat"]
 		if in == nil || len(in.Records) != 2 {
-			t.Fatalf("preferFeed=%v: chunks not merged: %+v", preferFeed, got)
+			t.Fatalf("%s: chunks not merged: %+v", codec, got)
 		}
 		if in.Records[1].Kids[0].Text != "voicemail" {
-			t.Errorf("preferFeed=%v: second chunk lost: %q", preferFeed, in.Records[1].Kids[0].Text)
+			t.Errorf("%s: second chunk lost: %q", codec, in.Records[1].Kids[0].Text)
 		}
 	}
 }
@@ -263,10 +267,9 @@ func TestStreamShipmentRandomized(t *testing.T) {
 		for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 			out[fmt.Sprintf(`%d:or"d<%d>`, i, rng.Intn(10))] = randomInstance(rng, f)
 		}
-		x := EncodeShipment(out)
-		want := xmltree.Marshal(x, xmltree.WriteOptions{EmitAllIDs: true})
+		want := treeShipment(t, out, sch)
 		var buf bytes.Buffer
-		if err := StreamShipment(&buf, out, sch, false); err != nil {
+		if err := StreamShipmentCodec(&buf, out, sch, Codec{}); err != nil {
 			t.Fatal(err)
 		}
 		if buf.String() != want {
@@ -276,7 +279,7 @@ func TestStreamShipmentRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		wantDec, err := DecodeShipment(parsed, func(string) *core.Fragment { return f })
+		wantDec, err := DecodeShipmentAuto(parsed, sch, func(string) *core.Fragment { return f })
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -319,9 +322,9 @@ func FuzzStreamShipment(f *testing.F) {
 		}
 		out := map[string]*core.Instance{key: in}
 
-		want := xmltree.Marshal(EncodeShipment(out), xmltree.WriteOptions{EmitAllIDs: true})
+		want := treeShipment(t, out, sch)
 		var buf bytes.Buffer
-		if err := StreamShipment(&buf, out, sch, false); err != nil {
+		if err := StreamShipmentCodec(&buf, out, sch, Codec{}); err != nil {
 			t.Fatal(err)
 		}
 		if buf.String() != want {
@@ -374,7 +377,7 @@ func FuzzStreamShipment(f *testing.F) {
 		if serr != nil {
 			t.Fatalf("stream decode failed: %v", serr)
 		}
-		wantDec, derr := DecodeShipment(parsed, lookup)
+		wantDec, derr := DecodeShipmentAuto(parsed, sch, lookup)
 		if derr != nil {
 			t.Fatalf("tree decode failed: %v", derr)
 		}
@@ -407,9 +410,9 @@ func chunkFixture(t *testing.T) (*schema.Schema, *core.Fragment, func(id, fid, t
 // unsequenced peers interoperate unchanged.
 func TestEmitChunkSeqRoundTrip(t *testing.T) {
 	sch, f, rec := chunkFixture(t)
-	for _, preferFeed := range []bool{false, true} {
+	for _, codec := range textCodecs {
 		var buf, plain bytes.Buffer
-		sw := NewShipmentWriter(&buf, sch, preferFeed)
+		sw := NewShipmentWriterCodec(&buf, sch, codec)
 		if err := sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +426,7 @@ func TestEmitChunkSeqRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !strings.Contains(buf.String(), ` seq="1"`) {
-			t.Fatalf("preferFeed=%v: seq attribute missing:\n%s", preferFeed, buf.String())
+			t.Fatalf("%s: seq attribute missing:\n%s", codec, buf.String())
 		}
 
 		d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
@@ -437,19 +440,19 @@ func TestEmitChunkSeqRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(seqs) != 3 || seqs[0] != 0 || seqs[1] != 1 || seqs[2] != 2 {
-			t.Fatalf("preferFeed=%v: ChunkDone seqs = %v", preferFeed, seqs)
+			t.Fatalf("%s: ChunkDone seqs = %v", codec, seqs)
 		}
 		if in := got["0:feat"]; in == nil || len(in.Records) != 2 {
-			t.Fatalf("preferFeed=%v: sequenced chunks not merged: %+v", preferFeed, got)
+			t.Fatalf("%s: sequenced chunks not merged: %+v", codec, got)
 		}
 		if in := got["1:feat"]; in == nil || len(in.Records) != 0 {
-			t.Fatalf("preferFeed=%v: empty sequenced chunk lost", preferFeed)
+			t.Fatalf("%s: empty sequenced chunk lost", codec)
 		}
 
 		// seq -1 must leave the wire bytes untouched.
-		sw2 := NewShipmentWriter(&plain, sch, preferFeed)
+		sw2 := NewShipmentWriterCodec(&plain, sch, codec)
 		var viaEmit bytes.Buffer
-		sw3 := NewShipmentWriter(&viaEmit, sch, preferFeed)
+		sw3 := NewShipmentWriterCodec(&viaEmit, sch, codec)
 		if err := sw2.EmitChunk("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, -1); err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +462,7 @@ func TestEmitChunkSeqRoundTrip(t *testing.T) {
 		}
 		sw3.Close()
 		if plain.String() != viaEmit.String() {
-			t.Fatalf("preferFeed=%v: EmitChunk(-1) diverged from Emit:\n%s\nvs\n%s", preferFeed, plain.String(), viaEmit.String())
+			t.Fatalf("%s: EmitChunk(-1) diverged from Emit:\n%s\nvs\n%s", codec, plain.String(), viaEmit.String())
 		}
 	}
 }
@@ -470,7 +473,7 @@ func TestEmitChunkSeqRoundTrip(t *testing.T) {
 func TestDecoderOnChunkSkips(t *testing.T) {
 	sch, f, rec := chunkFixture(t)
 	var buf bytes.Buffer
-	sw := NewShipmentWriter(&buf, sch, false)
+	sw := NewShipmentWriterCodec(&buf, sch, Codec{})
 	sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, 0)
 	sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f2", "i2", "voicemail")}, 1)
 	if err := sw.Close(); err != nil {
@@ -493,6 +496,57 @@ func TestDecoderOnChunkSkips(t *testing.T) {
 	}
 	if len(seqs) != 1 || seqs[0] != 1 {
 		t.Fatalf("ChunkDone fired for a skipped chunk: %v", seqs)
+	}
+}
+
+// TestDecoderRefusesSeqGap: once a shipment carried a seq, every later
+// chunk — declined, tombstone or not — must carry the next one, and a seq
+// must parse; the first may start anywhere, as a resume starts at the
+// checkpoint. A gap is refused before the chunk after it can advance the
+// checkpoint past the chunk that never arrived.
+func TestDecoderRefusesSeqGap(t *testing.T) {
+	sch, f, _ := chunkFixture(t)
+	chunk := func(seq string) string {
+		if seq == "" {
+			return `<instance edge="0:feat" frag="feat"/>`
+		}
+		return `<instance edge="0:feat" frag="feat" seq="` + seq + `"/>`
+	}
+	tomb := `<tombstones edge="0:feat" seq="1"><d ID="x"/></tombstones>`
+	for _, c := range []struct {
+		name, body string
+		refuse     bool
+	}{
+		{"dense", chunk("0") + chunk("1") + chunk("2"), false},
+		{"resumed", chunk("5") + chunk("6"), false},
+		{"unsequenced", chunk("") + chunk(""), false},
+		{"unsequenced-first", chunk("") + chunk("3") + chunk("4"), false},
+		{"tombstone-counts", chunk("0") + tomb + chunk("2"), false},
+		{"gap", chunk("0") + chunk("2"), true},
+		{"repeat", chunk("0") + chunk("0"), true},
+		{"tombstone-gap", chunk("0") + tomb + chunk("3"), true},
+		{"unsequenced-after", chunk("0") + chunk(""), true},
+		{"unparsable", chunk("0") + chunk("one"), true},
+		{"negative", chunk("-2"), true},
+	} {
+		d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
+		checkpoint := int64(0)
+		d.ChunkDone = func(s int64) { checkpoint = s + 1 }
+		err := xmltree.ScanAttrs(strings.NewReader(`<shipment>`+c.body+`</shipment>`), d)
+		if c.refuse != errors.Is(err, ErrChunkOrder) || !c.refuse && err != nil {
+			t.Errorf("%s: err = %v, want refused=%v", c.name, err, c.refuse)
+		}
+		if c.name == "gap" && checkpoint > 1 {
+			t.Errorf("gap: checkpoint %d passed the missing chunk 1", checkpoint)
+		}
+	}
+	// A declined chunk counts too: the resume path skips seq 0 and 1 and
+	// must still see 2 next.
+	d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
+	d.OnChunk = func(seq int64) bool { return seq >= 2 }
+	err := xmltree.ScanAttrs(strings.NewReader(`<shipment>`+chunk("0")+chunk("1")+chunk("3")+`</shipment>`), d)
+	if !errors.Is(err, ErrChunkOrder) {
+		t.Errorf("gap after declined chunks: err = %v, want ErrChunkOrder", err)
 	}
 }
 
@@ -572,7 +626,7 @@ func TestDecoderReplayPayloads(t *testing.T) {
 		t.Fatalf("replayed %v records with %d dedups, want 2 and 2", in, dups)
 	}
 	var ship bytes.Buffer
-	if err := StreamShipment(&ship, map[string]*core.Instance{"0:feat": {Frag: f, Records: recs}}, sch, false); err != nil {
+	if err := StreamShipmentCodec(&ship, map[string]*core.Instance{"0:feat": {Frag: f, Records: recs}}, sch, Codec{}); err != nil {
 		t.Fatal(err)
 	}
 	live, err := ReadShipment(&ship, sch, lookup)
@@ -595,7 +649,7 @@ func TestDecoderReplayPayloads(t *testing.T) {
 func TestDecoderKeepRecordsDedup(t *testing.T) {
 	sch, f, rec := chunkFixture(t)
 	var buf bytes.Buffer
-	sw := NewShipmentWriter(&buf, sch, false)
+	sw := NewShipmentWriterCodec(&buf, sch, Codec{})
 	sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID"), rec("f2", "i2", "voicemail")}, 0)
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
@@ -637,7 +691,7 @@ func TestDecoderKeepRecordsDedup(t *testing.T) {
 func TestDecoderTornChunkIsAtomic(t *testing.T) {
 	sch, f, rec := chunkFixture(t)
 	var buf bytes.Buffer
-	sw := NewShipmentWriter(&buf, sch, false)
+	sw := NewShipmentWriterCodec(&buf, sch, Codec{})
 	sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, 0)
 	sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f2", "i2", "voicemail")}, 1)
 	if err := sw.Close(); err != nil {
@@ -726,7 +780,7 @@ func TestDecoderConcurrentAttemptsExactlyOnce(t *testing.T) {
 		}}
 	}
 	var buf bytes.Buffer
-	sw := NewShipmentWriter(&buf, sch, false)
+	sw := NewShipmentWriterCodec(&buf, sch, Codec{})
 	for i := 0; i < chunks; i++ {
 		key := fmt.Sprintf("%d:feat", i%4)
 		if err := sw.EmitChunk(key, f, []*xmltree.Node{rec(fmt.Sprintf("feat-%d", i))}, int64(i)); err != nil {

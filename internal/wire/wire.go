@@ -185,20 +185,11 @@ func parseLoc(s string) core.Location {
 	return core.LocUnassigned
 }
 
-// EncodeShipment serializes cross-edge instances (keyed by core.EdgeKey)
-// ready to travel in a SOAP body. Identifiers are shipped compactly — the
-// paper notes XML-format shipping adds only small overhead: record roots
-// keep ID and PARENT (Definition 3.1), interior non-leaf nodes keep only
-// ID (their PARENT is recovered from nesting on receipt), and leaf values
-// travel bare.
-func EncodeShipment(out map[string]*core.Instance) *xmltree.Node {
-	root := &xmltree.Node{Name: "shipment"}
-	for _, key := range sortedKeys(out) {
-		root.AddKid(encodeInstance(key, out[key]))
-	}
-	return root
-}
-
+// encodeInstance is the tree codec's tagged-XML chunk for one cross-edge
+// instance. Identifiers are shipped compactly — the paper notes XML-format
+// shipping adds only small overhead: record roots keep ID and PARENT
+// (Definition 3.1), interior non-leaf nodes keep only ID (their PARENT is
+// recovered from nesting on receipt), and leaf values travel bare.
 func encodeInstance(key string, in *core.Instance) *xmltree.Node {
 	ix := &xmltree.Node{Name: "instance"}
 	ix.SetAttr("edge", key)
@@ -225,30 +216,6 @@ func stripIDs(n *xmltree.Node, isRoot bool) *xmltree.Node {
 		cp.Kids = append(cp.Kids, stripIDs(k, false))
 	}
 	return cp
-}
-
-// DecodeShipment rebuilds the inbound instance map. Fragment definitions
-// are resolved from the provided dictionary (typically the decoded
-// program's fragments, here supplied as a lookup function).
-func DecodeShipment(x *xmltree.Node, lookup func(name string) *core.Fragment) (map[string]*core.Instance, error) {
-	if x.Name != "shipment" {
-		return nil, fmt.Errorf("wire: expected shipment, got %q", x.Name)
-	}
-	out := make(map[string]*core.Instance, len(x.Kids))
-	for _, ix := range x.Kids {
-		key, _ := ix.Attr("edge")
-		fragName, _ := ix.Attr("frag")
-		f := lookup(fragName)
-		if f == nil {
-			return nil, fmt.Errorf("wire: shipment references unknown fragment %q", fragName)
-		}
-		for _, rec := range ix.Kids {
-			restoreParents(rec)
-		}
-		in := &core.Instance{Frag: f, Records: ix.Kids}
-		out[key] = in
-	}
-	return out, nil
 }
 
 // restoreParents fills interior PARENT links from nesting; they are

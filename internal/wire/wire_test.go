@@ -133,9 +133,7 @@ func TestShipmentRoundTrip(t *testing.T) {
 	if len(out) == 0 {
 		t.Fatal("no outbound shipment")
 	}
-	x := EncodeShipment(out)
-	text := xmltree.Marshal(x, xmltree.WriteOptions{EmitAllIDs: true})
-	parsed, err := xmltree.Parse(strings.NewReader(text))
+	parsed, err := xmltree.Parse(strings.NewReader(treeShipment(t, out, sch)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +141,7 @@ func TestShipmentRoundTrip(t *testing.T) {
 	for _, e := range g.Edges {
 		frags[e.Frag.Name] = e.Frag
 	}
-	back, err := DecodeShipment(parsed, func(name string) *core.Fragment { return frags[name] })
+	back, err := DecodeShipmentAuto(parsed, sch, func(name string) *core.Fragment { return frags[name] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +178,7 @@ func TestShipmentRestoresInteriorParents(t *testing.T) {
 		}},
 	}}
 	out := map[string]*core.Instance{"0:x": {Frag: f, Records: []*xmltree.Node{rec}}}
-	x := EncodeShipment(out)
-	text := xmltree.Marshal(x, xmltree.WriteOptions{EmitAllIDs: true})
+	text := treeShipment(t, out, sch)
 	// The leaf value travels bare.
 	if strings.Contains(text, `ServiceName ID=`) {
 		t.Errorf("leaf should not carry an ID on the wire:\n%s", text)
@@ -191,7 +188,7 @@ func TestShipmentRestoresInteriorParents(t *testing.T) {
 		t.Errorf("interior node should keep its join key:\n%s", text)
 	}
 	parsed, _ := xmltree.Parse(strings.NewReader(text))
-	back, err := DecodeShipment(parsed, func(string) *core.Fragment { return f })
+	back, err := DecodeShipmentAuto(parsed, sch, func(string) *core.Fragment { return f })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 #!/bin/sh
 # Allocation-regression smoke: short runs of BenchmarkFigure9_EndToEnd,
-# BenchmarkShipmentCodecParallel/w1,
+# BenchmarkShipmentCodecParallel,
 # BenchmarkReliableExchangeDurable/batch and
 # BenchmarkChainedCombine/spread/k=8, compared against the committed
 # baselines below. The first is the in-process end-to-end path — row
 # slabs, splitter and shredder arenas, pooled codec state; the second is
-# the bin shipment decoder, whose nodes, child slices and strings all come
-# out of per-chunk slabs (Figure 9 never decodes a shipment, so it cannot
-# see that); the third is the only snapshot benchmark that crosses the
+# the bin+flate shipment codec on the chunk codec pool, whose decoder takes
+# nodes, child slices and strings out of per-chunk slabs (Figure 9 never
+# decodes a shipment, so it cannot see that); the third is the only snapshot benchmark that crosses the
 # agency, so the only one that sees what its chunk relay allocates per
 # chunk; the fourth is 1,600 attaches each under a parent of its own, whose
 # kid slices grow out of the joiner's arena (the k-Combines-into-one-root
@@ -25,16 +25,19 @@ cd "$(dirname "$0")/.."
 # count re-baselines one line instead of re-taking a noisy ns/op snapshot.
 # "wal-payload" is the commit that follows 6a5c8f6 and journals chunks as
 # their wire payloads; its two re-baselined counts were 403 and 13344 at
-# 6a5c8f6 on the same machine.
+# 6a5c8f6 on the same machine. "one-codec-path" is the commit that follows
+# 0332f03 and makes the codec pool the only way a chunk renders or parses;
+# the gate used to read the deleted in-line path's w1 row (387 at
+# wal-payload), and the pool's single row reads 387-391 at 20x on 2 CPUs.
 FIGURE9_END_TO_END=54833              # 5ebdd14 (BENCH_13.json)
-SHIPMENT_CODEC_PARALLEL_W1=387        # wal-payload
+SHIPMENT_CODEC_PARALLEL=390           # one-codec-path, 20x
 RELIABLE_EXCHANGE_DURABLE_BATCH=11377 # wal-payload
 CHAINED_COMBINE_SPREAD_K8=217         # 5ebdd14 (BENCH_13.json)
 
-# check NAME PKG BASE: NAME is the benchmark name without the Benchmark
-# prefix.
+# check NAME PKG BASE [BENCHTIME]: NAME is the benchmark name without the
+# Benchmark prefix; BENCHTIME defaults to 3x.
 check() {
-	got="$(go test -run '^$' -bench "Benchmark$1\$" -benchmem -benchtime 3x "$2" |
+	got="$(go test -run '^$' -bench "Benchmark$1\$" -benchmem -benchtime "${4:-3x}" "$2" |
 		awk '/^Benchmark/ { for (i = 1; i < NF; i++) if ($(i + 1) == "allocs/op") print $i }')"
 	[ -n "$got" ] || { echo "alloc_smoke: Benchmark$1 did not report allocs/op" >&2; exit 1; }
 	limit=$(($3 + $3 / 4))
@@ -46,6 +49,9 @@ check() {
 }
 
 check Figure9_EndToEnd . "$FIGURE9_END_TO_END"
-check ShipmentCodecParallel/w1 ./internal/wire/ "$SHIPMENT_CODEC_PARALLEL_W1"
+# The codec pool fills its pooled job slots and chunk buffers over the
+# first iterations; at 3x that warm-up reads as 420-470 allocs/op, so this
+# row runs long enough to amortize it.
+check ShipmentCodecParallel ./internal/wire/ "$SHIPMENT_CODEC_PARALLEL" 20x
 check ReliableExchangeDurable/batch ./internal/registry/ "$RELIABLE_EXCHANGE_DURABLE_BATCH"
 check ChainedCombine/spread/k=8 ./internal/core/ "$CHAINED_COMBINE_SPREAD_K8"

@@ -4,8 +4,8 @@
 # layouts) with their wire sizes, the end-to-end Figure 9 run, the
 # chained-Combine rows (k Combines into one parent, and the one-to-one
 # "spread" shape whose allocs/op alloc_smoke.sh gates), the
-# streaming codec's allocation budget, the chunk-parallel codec's worker
-# sweep, the durability set (WAL append cost per fsync policy, recovery
+# streaming codec's allocation budget, the chunk codec pool's bin+flate
+# round trip, the durability set (WAL append cost per fsync policy, recovery
 # time vs log length, and the journaled reliable-exchange round trip),
 # a full xdxload traffic run (serial baseline vs the scheduled
 # concurrent control plane, with plan-cache hit rate) embedded as the
@@ -58,7 +58,7 @@ go test -run '^$' -bench 'BenchmarkAblation_ShipFormat' -benchmem -benchtime "$B
 go test -run '^$' -bench 'BenchmarkFigure9_EndToEnd$' -benchmem -benchtime "$BENCHTIME" . >>"$RAW"
 go test -run '^$' -bench 'BenchmarkChainedCombine/(incremental|spread)' -benchmem -benchtime "$BENCHTIME" ./internal/core/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkShipmentCodecStream$' -benchmem -benchtime "$BENCHTIME" ./internal/wire/ >>"$RAW"
-go test -run '^$' -bench 'BenchmarkShipmentCodecParallel' -benchmem -benchtime "$BENCHTIME" ./internal/wire/ >>"$RAW"
+go test -run '^$' -bench 'BenchmarkShipmentCodecParallel$' -benchmem -benchtime "$BENCHTIME" ./internal/wire/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkWALAppend|BenchmarkWALRecovery|BenchmarkJournalChunk' -benchmem -benchtime "$BENCHTIME" ./internal/durable/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkReliableExchangeDurable' -benchmem -benchtime "$BENCHTIME" ./internal/registry/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkDurableMultiSession' -benchmem -benchtime "$BENCHTIME" ./internal/registry/ >>"$RAW"
