@@ -84,7 +84,7 @@ func BenchmarkAblation_OrderingGreedy(b *testing.B) {
 }
 
 // benchShipCodec serializes the same auction shipment under one codec and
-// layout, reporting the wire size alongside throughput so the four codecs
+// layout, reporting the wire size alongside throughput so the three codecs
 // can be read as one size/speed table (EXPERIMENTS.md "wire formats").
 func benchShipCodec(b *testing.B, layout *core.Fragmentation, codec wire.Codec) {
 	b.Helper()
@@ -112,8 +112,7 @@ func benchShipCodec(b *testing.B, layout *core.Fragmentation, codec wire.Codec) 
 }
 
 // benchShipLayouts runs one codec over both reference layouts: MF (many
-// small flat fragments — the feed codec's home turf) and LF (few deep
-// fragments, where feeds fall back to XML and only bin keeps winning).
+// small flat fragments) and LF (few deep fragments).
 func benchShipLayouts(b *testing.B, codec wire.Codec) {
 	sch := xmark.Schema()
 	b.Run("MF", func(b *testing.B) { benchShipCodec(b, core.MostFragmented(sch), codec) })
@@ -122,10 +121,6 @@ func benchShipLayouts(b *testing.B, codec wire.Codec) {
 
 func BenchmarkAblation_ShipFormatXML(b *testing.B) {
 	benchShipLayouts(b, wire.Codec{Kind: wire.CodecXML})
-}
-
-func BenchmarkAblation_ShipFormatFeed(b *testing.B) {
-	benchShipLayouts(b, wire.Codec{Kind: wire.CodecFeed})
 }
 
 func BenchmarkAblation_ShipFormatBin(b *testing.B) {

@@ -28,7 +28,7 @@ func main() {
 	bandwidth := flag.Float64("bandwidth", 0, "modeled source->target bandwidth in bytes/sec (0 = unlimited)")
 	latency := flag.Duration("latency", 0, "modeled link latency")
 	state := flag.String("state", "", "directory for persisted registrations (survives restarts)")
-	codec := flag.String("codec", "", "default shipment codec: xml, feed, bin, or bin+flate")
+	codec := flag.String("codec", "", "default shipment codec: xml, bin, or bin+flate")
 	reliab := flag.Bool("reliable", false, "retry, resume, and circuit-break exchanges under the -retry-*/-chunk/-breaker-* policy (off = one attempt per call)")
 	retryAttempts := flag.Int("retry-attempts", 0, "max attempts per call (0 = default 4)")
 	retryBudget := flag.Int("retry-budget", 0, "total retries allowed per exchange (0 = default 16)")

@@ -36,7 +36,7 @@ func main() {
 	name := flag.String("name", "endpoint", "endpoint name")
 	speed := flag.Float64("speed", 1, "relative processing speed reported to cost probes")
 	dumb := flag.Bool("dumb", false, "refuse to run Combine (dumb client)")
-	codecs := flag.String("codecs", "", "comma-separated shipment codecs this endpoint answers in (empty = all: bin+flate,bin,feed,xml)")
+	codecs := flag.String("codecs", "", "comma-separated shipment codecs this endpoint answers in (empty = all: bin+flate,bin,xml)")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for injected faults (reproducible chaos runs)")
 	faultDrop := flag.Float64("fault-drop", 0, "probability a request is aborted before any response")
 	faultTruncate := flag.Float64("fault-truncate", 0, "probability a response is cut mid-stream")

@@ -46,6 +46,7 @@ import (
 	"xdx/internal/relstore"
 	"xdx/internal/soap"
 	"xdx/internal/telgen"
+	"xdx/internal/wire"
 	"xdx/internal/wsdlx"
 	"xdx/internal/xmltree"
 )
@@ -60,7 +61,7 @@ func main() {
 	queue := flag.Int("queue", 0, "scheduler queue depth (0 = 2x workers)")
 	tenantInflight := flag.Int("tenant-inflight", 0, "per-tenant in-flight budget (0 = unlimited)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate per second (0 = unlimited)")
-	codec := flag.String("codec", "", "shipment codec for exchanges (xml, feed, bin, bin+flate)")
+	codec := flag.String("codec", "", "shipment codec for exchanges (xml, bin, bin+flate)")
 	delta := flag.Bool("delta", false, "drive repeat exchanges in delta mode")
 	fsync := flag.String("fsync", "", "make every exchange a durable retried session: journal each tenant target under this WAL fsync policy (always, batch, off; empty = memory-only sessions, one attempt per call)")
 	mode := flag.String("mode", "both", "serial, concurrent, or both")
@@ -76,6 +77,9 @@ func main() {
 	}
 	if *mode != "both" && *mode != "serial" && *mode != "concurrent" {
 		log.Fatalf("xdxload: bad -mode %q", *mode)
+	}
+	if _, err := wire.ParseCodec(*codec); err != nil {
+		log.Fatal("xdxload: ", err)
 	}
 
 	w := newWorld(*tenants, *customers, *netLatency, *codec, *fsync, *delta, logf)

@@ -1,5 +1,5 @@
 // Package bufpool is the shared pooled-buffer layer of the wire path.
-// Every shipment — XML, feed, or binary — funnels through a buffered
+// Every shipment — XML or binary — funnels through a buffered
 // writer, every binary chunk through a scratch buffer and a DEFLATE
 // stream, and every streamed SOAP call through a request buffer; all of
 // those are steady-state hot-path allocations, so the pools live here,

@@ -148,7 +148,7 @@ type StatsProvider struct {
 	// "dumb client" (§4.1) cannot, making the cost infinite there.
 	TargetCombines bool
 	// ShipCodec names the shipment encoding the exchange will travel under
-	// ("", "xml", "feed", "bin", "bin+flate"). Communication cost is
+	// ("", "xml", "bin", "bin+flate"). Communication cost is
 	// charged on wire bytes, not tree bytes, so ShipBytes scales FragBytes
 	// by the codec's compression ratio.
 	ShipCodec string
@@ -200,8 +200,6 @@ func (p *StatsProvider) shipRatio(f *Fragment) float64 {
 // measured ratios always win.
 func DefaultShipRatio(codec string) float64 {
 	switch codec {
-	case "feed":
-		return 0.75
 	case "bin":
 		return 0.55
 	case "bin+flate":

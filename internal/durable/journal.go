@@ -5,7 +5,7 @@ package durable
 // one frame per event, keeps a shadow of the live state, and compacts the
 // log into a snapshot once the bytes of ended sessions outweigh the live
 // ones (maybeCompactLocked). A chunk frame carries the chunk's wire
-// payload as it arrived — a bin or feed chunk's staged text byte for byte,
+// payload as it arrived — a bin chunk's staged text byte for byte,
 // the xml codec's body for a tagged-XML chunk, the <tombstones> body for a
 // deletion chunk — behind a small binary header, so the WAL writes what
 // the wire carried, once, in the format the wire decoder already reads.
@@ -45,7 +45,10 @@ package durable
 // zeroed checkpoint. A malformed snapshot is a hard recovery error
 // (snapshots are written atomically; damage there is real corruption, not
 // a torn append). A frame or snapshot of another format version — the XML
-// frames of version 1 among them — refuses the directory with ErrWALFormat.
+// frames of version 1 among them — refuses the directory with ErrWALFormat,
+// and so does a chunk frame whose payload format this build cannot decode
+// (a codec another build spoke): hydration would otherwise fail on the
+// first resumed delivery instead of at open.
 
 import (
 	"encoding/binary"
@@ -633,5 +636,21 @@ func decodeRecord(p []byte) (record, error) {
 	if r.id == "" {
 		return r, fmt.Errorf("%w: %q record without session id", ErrMalformedFrame, r.kind)
 	}
+	if !knownPayload(r.kind, r.Format) {
+		return r, fmt.Errorf("%w: chunk payload format %q", ErrWALFormat, r.Format)
+	}
 	return r, nil
+}
+
+// knownPayload reports whether this build decodes a frame's payload: what
+// a shipment decoder commits — a tagged-XML or bin chunk, a tombstone
+// chunk — and nothing for mint and end frames.
+func knownPayload(kind byte, format string) bool {
+	switch kind {
+	case kindChunk:
+		return format == wire.CodecXML || format == wire.CodecBin
+	case kindTomb:
+		return format == wire.FormatTombstones
+	}
+	return true
 }

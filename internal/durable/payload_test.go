@@ -207,3 +207,43 @@ func TestJournalRefusesOldFormat(t *testing.T) {
 		t.Fatalf("future-format frame: err = %v", err)
 	}
 }
+
+// TestJournalRefusesUndecodablePayload: a chunk frame whose payload is in a
+// format this build cannot decode — a feed chunk, journaled by an earlier
+// build that spoke that codec — refuses the directory at open, whether the
+// frame lies in the log or in a snapshot, with the same way out as an old
+// frame layout and the directory left as it was. Opening it anyway would
+// fail the first resumed delivery at hydration instead.
+func TestJournalRefusesUndecodablePayload(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		dir := t.TempDir()
+		j, err := OpenJournal(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Mint("s"); err != nil {
+			t.Fatal(err)
+		}
+		if err := commitChunk(j, "s", "0:f", "f", 0, chunkRecs("a", 1)); err != nil {
+			t.Fatal(err)
+		}
+		feed := &wire.Chunk{Key: "0:f", Seq: 1, Payload: wire.Payload{Format: "feed", Bytes: []byte("p|a9|x|\n")}}
+		if err := j.Commit("s", feed).Err(); err != nil {
+			t.Fatal(err)
+		}
+		if compact {
+			if err := j.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		before, _ := os.ReadFile(filepath.Join(dir, logFile))
+		_, err = OpenJournal(dir, Options{})
+		if !errors.Is(err, ErrWALFormat) || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "drain") {
+			t.Fatalf("compacted=%t: err = %v, want ErrWALFormat naming %s and the way out", compact, err, dir)
+		}
+		if after, _ := os.ReadFile(filepath.Join(dir, logFile)); !bytes.Equal(before, after) {
+			t.Fatalf("compacted=%t: refusal changed the log", compact)
+		}
+	}
+}

@@ -441,7 +441,7 @@ func (e *Endpoint) calibrate(codec wire.Codec) (*shipCalibration, error) {
 		if len(recs) > calSampleRecords {
 			recs = recs[:calSampleRecords]
 		}
-		wb, err := wire.InstanceWireBytes(recs, f, sch, codec)
+		wb, err := wire.InstanceWireBytes(recs, sch, codec)
 		if err != nil {
 			return nil, err
 		}

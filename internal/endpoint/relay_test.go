@@ -5,11 +5,13 @@ import (
 	"encoding/base64"
 	"errors"
 	"io"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
 	"xdx/internal/core"
+	"xdx/internal/obs"
 	"xdx/internal/relstore"
 	"xdx/internal/schema"
 	"xdx/internal/soap"
@@ -89,11 +91,54 @@ func TestExecuteSourceCutsAndNumbersChunks(t *testing.T) {
 	}
 }
 
+// TestExecuteSourceNegotiatesPastRetiredCodec: a peer built when feed was
+// a codec may still advertise it. The source skips a name it does not speak
+// and answers in the next one it does, or — speaking none of them — in
+// tagged XML, counting the miss as endpoint.codec.picks.unsupported.
+func TestExecuteSourceNegotiatesPastRetiredCodec(t *testing.T) {
+	fr := tFrag(t, schema.CustomerInfo())
+	met := obs.NewRegistry()
+	ep := New("src", &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true}, nil)
+	ep.SetObs(nil, met)
+	srv := httptest.NewServer(ep.Handler())
+	defer srv.Close()
+	_, progXML := copyProgram(t, fr)
+	for _, c := range []struct {
+		advertised []string
+		counter    string
+	}{
+		{[]string{"feed", "xml"}, "endpoint.codec.picks.xml"},
+		{[]string{"feed"}, "endpoint.codec.picks.unsupported"},
+	} {
+		req := &xmltree.Node{Name: "ExecuteSource"}
+		req.AddKid(progXML)
+		before := met.Counter(c.counter).Value()
+		resp, err := (&soap.Client{URL: srv.URL, Codecs: c.advertised}).Call("ExecuteSource", req)
+		if err != nil {
+			t.Fatalf("codecs=%v: %v", c.advertised, err)
+		}
+		shipment := resp.Kids[0]
+		if len(shipment.Kids) == 0 {
+			t.Fatalf("codecs=%v: empty shipment", c.advertised)
+		}
+		for _, in := range shipment.Kids {
+			if format, ok := in.Attr("format"); ok {
+				t.Errorf("codecs=%v: chunk in format %q, want tagged XML", c.advertised, format)
+			}
+		}
+		if got := met.Counter(c.counter).Value() - before; got != 1 {
+			t.Errorf("codecs=%v: %s counted %d times, want 1", c.advertised, c.counter, got)
+		}
+	}
+}
+
 // TestExecuteTargetOversizedChunkIsClientFault: the target refuses a chunk
 // past wire.MaxChunkBytes as the sender's fault, which no driver retries —
 // whether its wire text is too long, a few KiB of bin+flate text inflate
 // past the limit in the decode pool, where the refusal may surface only as
-// the shipment closes, or tagged-XML records stage more than the limit.
+// the shipment closes, or tagged-XML records stage more than the limit. A
+// chunk in a format this build does not decode is refused the same way,
+// instead of committing empty.
 func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 	fr := tFrag(t, schema.CustomerInfo())
 	var zeros strings.Builder
@@ -105,10 +150,12 @@ func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 	half := strings.Repeat("v", wire.MaxChunkBytes/2)
 	for _, c := range []struct {
 		name, format, enc, text string
+		want                    error
 	}{
-		{"wire-text", "bin", "", strings.Repeat("A", wire.MaxChunkBytes+1)},
-		{"inflated", "bin", "flate", zeros.String()},
-		{"tagged-xml", "", "", "<r>" + half + "</r><r>" + half + "</r>"},
+		{"wire-text", "bin", "", strings.Repeat("A", wire.MaxChunkBytes+1), wire.ErrChunkTooLarge},
+		{"inflated", "bin", "flate", zeros.String(), wire.ErrChunkTooLarge},
+		{"tagged-xml", "", "", "<r>" + half + "</r><r>" + half + "</r>", wire.ErrChunkTooLarge},
+		{"unknown-format", "zstd", "", "AAAA", wire.ErrChunkFormat},
 	} {
 		st, err := relstore.NewStore(fr)
 		if err != nil {
@@ -130,13 +177,22 @@ func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 			_, err := io.WriteString(w, `</instance></shipment></ExecuteTarget>`)
 			return err
 		}, nil)
+		status := &xmltree.Node{Name: "SessionStatus"}
+		status.SetAttr("session", "big")
+		resp, serr := cl.Call("SessionStatus", status)
 		done()
 		var f *soap.Fault
-		if !errors.As(err, &f) || f.Code != "soap:Client" || !strings.Contains(f.String, wire.ErrChunkTooLarge.Error()) {
-			t.Fatalf("%s: err = %v, want a soap:Client fault naming the chunk limit", c.name, err)
+		if !errors.As(err, &f) || f.Code != "soap:Client" || !strings.Contains(f.String, c.want.Error()) {
+			t.Fatalf("%s: err = %v, want a soap:Client fault naming %q", c.name, err, c.want)
 		}
 		if st.Rows() != 0 {
 			t.Errorf("%s: refused delivery loaded %d rows", c.name, st.Rows())
+		}
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if next, _ := resp.Attr("next"); next != "0" {
+			t.Errorf("%s: refused chunk 0 checkpointed: next = %q", c.name, next)
 		}
 	}
 }

@@ -197,10 +197,11 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 	return nil
 }
 
-// chunkFault makes the decoder's refusal of an oversized or out-of-sequence
-// chunk the sender's fault: a soap:Client fault, which no driver retries.
+// chunkFault makes the decoder's refusal of an oversized, out-of-sequence
+// or unknown-format chunk the sender's fault: a soap:Client fault, which no
+// driver retries.
 func chunkFault(err error) error {
-	if errors.Is(err, wire.ErrChunkTooLarge) || errors.Is(err, wire.ErrChunkOrder) {
+	if errors.Is(err, wire.ErrChunkTooLarge) || errors.Is(err, wire.ErrChunkOrder) || errors.Is(err, wire.ErrChunkFormat) {
 		return &soap.Fault{Code: "soap:Client", String: err.Error()}
 	}
 	return err

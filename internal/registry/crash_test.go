@@ -9,6 +9,7 @@ package registry
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -260,7 +261,8 @@ func buildEndpointBinary(t *testing.T) string {
 // written in an older journal format (the committed sample under
 // internal/durable/testdata) exits non-zero with durable.ErrWALFormat's
 // message, naming the directory and the way out, and leaves the
-// directory as it found it.
+// directory as it found it. Asked for the retired feed codec, it exits at
+// startup too.
 func TestEndpointBinaryRefusesOldWAL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("child-process e2e; skipped in -short")
@@ -297,6 +299,14 @@ func TestEndpointBinaryRefusesOldWAL(t *testing.T) {
 		if after, _ := os.ReadFile(filepath.Join(dir, f.Name())); !bytes.Equal(before[i], after) {
 			t.Errorf("refusal changed %s", f.Name())
 		}
+	}
+	// A codec an earlier build spoke is refused at startup the same way; a
+	// build that accepted it would serve forever, so the run is bounded.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err = exec.CommandContext(ctx, bin, "-listen", fmt.Sprintf("127.0.0.1:%d", freePort(t)), "-codecs", "bin,feed").CombinedOutput()
+	if !errors.As(err, &exit) || !strings.Contains(string(out), `unknown codec "feed"`) {
+		t.Fatalf("xdxendpoint -codecs bin,feed: err = %v, want a non-zero exit naming the codec\n%s", err, out)
 	}
 }
 

@@ -591,8 +591,8 @@ func (r *Report) Total() time.Duration {
 type ExecOptions struct {
 	// Link models the source→target connection.
 	Link netsim.Link
-	// Codec names the shipment encoding for the exchange: "xml", "feed",
-	// "bin", or "bin+flate"; empty is "xml". The agency advertises it (plus
+	// Codec names the shipment encoding for the exchange: "xml", "bin", or
+	// "bin+flate"; empty is "xml". The agency advertises it (plus
 	// the universal "xml") on the request envelope and the source endpoint
 	// answers with its pick; the shipment itself stays self-describing
 	// either way.

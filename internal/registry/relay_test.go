@@ -106,8 +106,7 @@ func startRelayWorld(t testing.TB, front func(role Role, h http.Handler) http.Ha
 }
 
 // relayWant is what the target must hold after one default exchange under
-// the codec (feed does not carry what xml does, so the reference is per
-// codec).
+// the codec.
 func relayWant(t testing.TB, codec string) *xmltree.Node {
 	t.Helper()
 	w := startRelayWorld(t, nil)

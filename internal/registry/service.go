@@ -21,8 +21,8 @@ type Service struct {
 	Agency *Agency
 	// Link models the source→target connection used when executing.
 	Link netsim.Link
-	// Codec is the default shipment codec for exchanges ("xml", "feed",
-	// "bin", "bin+flate"); a codec attribute on the Plan/Exchange request
+	// Codec is the default shipment codec for exchanges ("xml", "bin",
+	// "bin+flate"); a codec attribute on the Plan/Exchange request
 	// overrides it.
 	Codec string
 	// Reliability is the retry policy of every exchange the service drives

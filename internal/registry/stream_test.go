@@ -22,6 +22,7 @@ func TestEndToEndExchangeNegotiatedBin(t *testing.T) {
 	want := assembleTarget(t, tgtA)
 	doneA()
 
+	wireBytes := map[string]int64{}
 	for _, codec := range []string{"bin", "bin+flate"} {
 		ag, plan, tgtStore, _, done := startAuctionExchange(t)
 		report, err := ag.ExecuteOpts("Auction", plan, ExecOptions{Link: netsim.Loopback(), Codec: codec})
@@ -42,6 +43,10 @@ func TestEndToEndExchangeNegotiatedBin(t *testing.T) {
 		if !xmltree.Equal(want, got) {
 			t.Errorf("%s: document changed in negotiated transit", codec)
 		}
+		wireBytes[codec] = report.WireBytes
 		done()
+	}
+	if wireBytes["bin+flate"] >= wireBytes["bin"] {
+		t.Errorf("bin+flate shipment (%d bytes) not smaller than bin (%d bytes)", wireBytes["bin+flate"], wireBytes["bin"])
 	}
 }

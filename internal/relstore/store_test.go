@@ -309,78 +309,6 @@ func TestStoreLoadMismatchedFragment(t *testing.T) {
 	}
 }
 
-func TestExportImportFeeds(t *testing.T) {
-	// The paper's shred-to-ASCII-files + LOAD pipeline: a store's contents
-	// travel as feed files into an empty store.
-	sch := schema.Auction()
-	lf := core.LeastFragmented(sch)
-	src, err := NewStore(lf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := auctionDoc(t)
-	if err := src.LoadDocument(doc); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := src.ExportFeeds(dir); err != nil {
-		t.Fatal(err)
-	}
-	dst, err := NewStore(lf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.ImportFeeds(dir); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Rows() != src.Rows() {
-		t.Fatalf("imported %d rows, want %d", dst.Rows(), src.Rows())
-	}
-	insts := map[string]*core.Instance{}
-	for _, f := range lf.Fragments {
-		in, err := dst.ScanFragment(f.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts[f.Name] = in
-	}
-	back, err := core.Document(lf, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !xmltree.EqualShape(doc, back) {
-		t.Error("feed files changed the document")
-	}
-	// Long LF fragment names truncate with a hash suffix.
-	for _, f := range lf.Fragments {
-		if len(feedFileName(f.Name)) > 110 {
-			t.Errorf("feed file name too long: %q", feedFileName(f.Name))
-		}
-	}
-	// Import from an empty dir fails.
-	if err := dst.ImportFeeds(t.TempDir()); err == nil {
-		t.Error("import without files must fail")
-	}
-}
-
-func auctionDoc(t *testing.T) *xmltree.Node {
-	t.Helper()
-	// A tiny auction document.
-	doc, err := xmltree.Parse(strings.NewReader(
-		`<site><regions><africa><item><location>x</location><quantity>1</quantity>` +
-			`<iname>i1</iname><payment>p</payment><idescription>d</idescription>` +
-			`<shipping>s</shipping><mailbox>m</mailbox></item></africa>` +
-			`<asia/><australia/><europe/><namerica/><samerica/></regions>` +
-			`<categories><category><cname>c</cname><cdescription>cd</cdescription></category></categories>` +
-			`<catgraph>g</catgraph><people>p</people><openauctions>o</openauctions>` +
-			`<closedauctions>ca</closedauctions></site>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.AssignIDs(doc)
-	return doc
-}
-
 func TestScanFragmentWhere(t *testing.T) {
 	sch := schema.CustomerInfo()
 	fr := tFrag(t, sch)

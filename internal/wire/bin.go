@@ -7,7 +7,7 @@ package wire
 // text content of an ordinary <instance> element (base64, so it embeds in
 // XML character data untouched), which keeps bin shipments riding the
 // exact same framing — and the same chunk-atomic, resumable decoding — as
-// the XML and feed formats.
+// the XML format.
 //
 // Chunk payload layout (before optional DEFLATE, before base64):
 //
@@ -45,7 +45,6 @@ import (
 	"sync"
 
 	"xdx/internal/bufpool"
-	"xdx/internal/core"
 	"xdx/internal/netsim"
 	"xdx/internal/schema"
 	"xdx/internal/xmltree"
@@ -54,7 +53,6 @@ import (
 // Codec names as they appear in negotiation, flags, and reports.
 const (
 	CodecXML      = "xml"
-	CodecFeed     = "feed"
 	CodecBin      = "bin"
 	CodecBinFlate = "bin+flate"
 )
@@ -62,7 +60,7 @@ const (
 // Codec selects a shipment encoding. The zero value is the tagged-XML
 // format every peer understands.
 type Codec struct {
-	// Kind is CodecXML, CodecFeed, or CodecBin. Empty means XML.
+	// Kind is CodecXML or CodecBin. Empty means XML.
 	Kind string
 	// Flate compresses each bin chunk with DEFLATE (bin only).
 	Flate bool
@@ -73,8 +71,6 @@ func ParseCodec(s string) (Codec, error) {
 	switch s {
 	case "", CodecXML:
 		return Codec{Kind: CodecXML}, nil
-	case CodecFeed:
-		return Codec{Kind: CodecFeed}, nil
 	case CodecBin:
 		return Codec{Kind: CodecBin}, nil
 	case CodecBinFlate:
@@ -97,7 +93,7 @@ func (c Codec) String() string {
 // Codecs lists every codec this build understands, leanest first — the
 // order an endpoint prefers when a client advertises several.
 func Codecs() []string {
-	return []string{CodecBinFlate, CodecBin, CodecFeed, CodecXML}
+	return []string{CodecBinFlate, CodecBin, CodecXML}
 }
 
 const binVersion = 0x01
@@ -119,7 +115,7 @@ const binMaxDepth = 4096
 // without a cap n such fields expand to n²/2 bytes; with it the decoded
 // size stays linear in the payload. Real keys (Dewey paths, LDAP DNs) are
 // tens of bytes. The encoder does not check: a longer key fails at the
-// receiver (the XML and feed formats carry any key).
+// receiver (the XML format carries any key).
 const binMaxKeyLen = 4096
 
 var errBinTruncated = fmt.Errorf("wire: bin: truncated chunk payload")
@@ -514,27 +510,14 @@ func decodeBinRecords(payload []byte, sch *schema.Schema) ([]*xmltree.Node, erro
 
 // InstanceWireBytes measures the on-the-wire payload of recs under codec —
 // the bytes inside the <instance> element, framing excluded. Stats
-// calibration uses it to turn tree sizes into true wire sizes. A feed
-// request on a non-flat fragment measures the XML fallback, which is what
-// such a fragment would actually travel as.
-func InstanceWireBytes(recs []*xmltree.Node, frag *core.Fragment, sch *schema.Schema, codec Codec) (int64, error) {
-	m := netsim.NewMeter(nil)
-	switch codec.Kind {
-	case CodecBin:
-		if err := writeBinChunk(m, recs, sch, codec.Flate); err != nil {
-			return 0, err
-		}
-	case CodecFeed:
-		if checkFlat(sch, frag) == nil {
-			err := WriteFeed(m, &core.Instance{Frag: frag, Records: recs}, sch)
-			if err != nil {
-				return 0, err
-			}
-			break
-		}
-		fallthrough
-	default:
+// calibration uses it to turn tree sizes into true wire sizes.
+func InstanceWireBytes(recs []*xmltree.Node, sch *schema.Schema, codec Codec) (int64, error) {
+	if codec.Kind != CodecBin {
 		return RecordBytes(recs), nil
+	}
+	m := netsim.NewMeter(nil)
+	if err := writeBinChunk(m, recs, sch, codec.Flate); err != nil {
+		return 0, err
 	}
 	return m.Bytes(), nil
 }

@@ -23,7 +23,6 @@ func TestParseCodec(t *testing.T) {
 	}{
 		{"", Codec{Kind: CodecXML}, "xml"},
 		{"xml", Codec{Kind: CodecXML}, "xml"},
-		{"feed", Codec{Kind: CodecFeed}, "feed"},
 		{"bin", Codec{Kind: CodecBin}, "bin"},
 		{"bin+flate", Codec{Kind: CodecBin, Flate: true}, "bin+flate"},
 	}
@@ -36,8 +35,15 @@ func TestParseCodec(t *testing.T) {
 			t.Errorf("ParseCodec(%q).String() = %q, want %q", c.in, got.String(), c.str)
 		}
 	}
-	if _, err := ParseCodec("gzip"); err == nil {
-		t.Error("ParseCodec accepted unknown codec")
+	// feed was a codec of earlier builds; a peer or flag still naming it
+	// must fail at parse time, not ship something else.
+	for _, bad := range []string{"gzip", "feed"} {
+		if _, err := ParseCodec(bad); err == nil {
+			t.Errorf("ParseCodec accepted unknown codec %q", bad)
+		}
+	}
+	if got := strings.Join(Codecs(), " "); got != "bin+flate bin xml" {
+		t.Errorf("Codecs() = %q, want bin+flate bin xml", got)
 	}
 	if (Codec{}).String() != "xml" {
 		t.Errorf("zero Codec renders as %q", Codec{}.String())

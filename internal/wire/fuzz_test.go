@@ -11,51 +11,6 @@ import (
 	"xdx/internal/xmltree"
 )
 
-// FuzzFeedValues checks that arbitrary leaf values survive the feed codec
-// byte-for-byte, including delimiter and XML-special characters.
-func FuzzFeedValues(f *testing.F) {
-	f.Add("plain", "id-1")
-	f.Add("pipe|and\\slash", "1.2")
-	f.Add("new\nline", "-")
-	f.Add(`<xml> & "quotes"`, "")
-	f.Add("  spaces  ", "k")
-	f.Fuzz(func(t *testing.T, text, id string) {
-		if strings.ContainsAny(id+text, "\x00") {
-			return // NUL never appears in parsed XML text
-		}
-		sch := schema.MustNew(schema.Elem("a", schema.Elem("b")))
-		frag, err := core.NewFragment(sch, "", []string{"a", "b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := &core.Instance{Frag: frag, Records: []*xmltree.Node{
-			{Name: "a", ID: id, Parent: "p", Kids: []*xmltree.Node{
-				{Name: "b", ID: "2", Parent: id, Text: text},
-			}},
-		}}
-		var buf bytes.Buffer
-		if err := WriteFeed(&buf, in, sch); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadFeed(&buf, frag, sch)
-		if err != nil {
-			t.Fatalf("read: %v (text %q id %q)", err, text, id)
-		}
-		got := back.Records[0]
-		if got.Kids[0].Text != text {
-			t.Fatalf("text changed: %q -> %q", text, got.Kids[0].Text)
-		}
-		wantID := id
-		if wantID == "-" {
-			// "-" is the present-with-empty-key sentinel.
-			wantID = "-"
-		}
-		if id != "" && got.ID != id && !(id == "-" && got.ID == "") {
-			t.Fatalf("id changed: %q -> %q", id, got.ID)
-		}
-	})
-}
-
 // FuzzBinShipment cross-checks the binary codec against the tree codec on
 // fuzzer-driven shipments: the bin stream (with and without flate) must
 // decode to exactly the instances the tree codec would deliver — record
@@ -169,18 +124,5 @@ func FuzzBinShipment(f *testing.F) {
 			t.Fatalf("cut %d: %d records committed across %d finished chunks — a torn chunk leaked",
 				len(torn), gotRecs, len(done))
 		}
-	})
-}
-
-// FuzzFeedReader checks the feed reader never panics on arbitrary input.
-func FuzzFeedReader(f *testing.F) {
-	f.Add("p|1|2|x|\n")
-	f.Add("p|1|\\")
-	f.Add("||||")
-	f.Add("\n\n\n")
-	f.Fuzz(func(t *testing.T, data string) {
-		sch := schema.MustNew(schema.Elem("a", schema.Elem("b")))
-		frag, _ := core.NewFragment(sch, "", []string{"a", "b"})
-		_, _ = ReadFeed(strings.NewReader(data), frag, sch)
 	})
 }

@@ -13,7 +13,7 @@ package wire
 // an abandoned writer leaks nothing. The bytes equal renderChunk's, run
 // chunk by chunk onto one writer (parallel_test.go).
 //
-// Decode: the pool parses raw-payload chunks (feed and bin) while the
+// Decode: the pool parses raw-payload (bin) chunks while the
 // scanner races ahead; parsed chunks commit strictly in stream order on
 // the scanner's goroutine, so every decoder hook — OnChunk and its
 // under-lock recheck, Commit and its tickets, KeepRecords, ChunkDone,
@@ -204,7 +204,7 @@ var parseJobs = sync.Pool{New: func() any { return &parseJob{done: make(chan str
 // arena of its own).
 func (j *parseJob) run() {
 	start := time.Now()
-	j.c.Recs, j.err = parseRawChunk(j.buf.Bytes(), j.c.Format, j.c.Enc, j.c.Frag, j.d.sch)
+	j.c.Recs, j.err = parseRawChunk(j.buf.Bytes(), j.c.Enc, j.d.sch)
 	j.d.parseMS.ObserveSince(start)
 	j.done <- struct{}{}
 }

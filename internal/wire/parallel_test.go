@@ -312,8 +312,7 @@ func FuzzParallelCodecEquivalence(f *testing.F) {
 	})
 }
 
-// TestParallelWriterErrorSurfaces: a chunk that fails to render (here: a
-// feed-incompatible record shape is fine — use a writer error instead)
+// TestParallelWriterErrorSurfaces: a failed chunk (here: a writer error)
 // must surface on a later Emit or at Close, and the writer must not hang.
 func TestParallelWriterErrorSurfaces(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)

@@ -33,6 +33,10 @@ var ErrChunkTooLarge = errors.New("wire: shipment chunk exceeds the chunk size l
 // one to carry the next seq.
 var ErrChunkOrder = errors.New("wire: shipment chunks are not sequenced densely")
 
+// ErrChunkFormat reports a chunk whose format attribute names no codec
+// this build decodes.
+var ErrChunkFormat = errors.New("wire: unknown shipment chunk format")
+
 // relaySegment is the fill at which a Relay starts its next buffer. Chunks
 // are never split across buffers, and buffers this size go back to bufpool
 // instead of being regrown for every large shipment.

@@ -92,10 +92,8 @@ func (sw *ShipmentWriter) SetDelta(on bool) {
 	}
 }
 
-// NewShipmentWriterCodec starts a shipment onto w in the given codec. Feed
-// chunks fall back to keyed XML for non-flat fragments; bin carries any
-// fragment. Close must be called to complete the shipment and release the
-// pooled buffer.
+// NewShipmentWriterCodec starts a shipment onto w in the given codec. Close
+// must be called to complete the shipment and release the pooled buffer.
 func NewShipmentWriterCodec(w io.Writer, sch *schema.Schema, codec Codec) *ShipmentWriter {
 	return &ShipmentWriter{bw: bufpool.Writer(w), sch: sch, codec: codec}
 }
@@ -181,11 +179,8 @@ func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) er
 // the single chunk serializer; the pool workers point it at private pooled
 // buffers, which the writer splices in emit order.
 func renderChunk(bw *bufio.Writer, sch *schema.Schema, codec Codec, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
-	switch {
-	case codec.Kind == CodecBin:
+	if codec.Kind == CodecBin {
 		return renderBinChunk(bw, sch, codec, key, frag, recs, seq)
-	case codec.Kind == CodecFeed && checkFlat(sch, frag) == nil:
-		return renderFeedChunk(bw, sch, key, frag, recs, seq)
 	}
 	bw.WriteString(`<instance edge="`)
 	xmltree.Escape(bw, key)
@@ -228,27 +223,6 @@ func writeSeqAttr(bw *bufio.Writer, seq int64) {
 	}
 	bw.WriteString(`" seq="`)
 	bw.WriteString(strconv.FormatInt(seq, 10))
-}
-
-// renderFeedChunk writes one feed-format instance chunk. Feed text escapes
-// the XML-special characters itself, so the rows embed verbatim.
-func renderFeedChunk(bw *bufio.Writer, sch *schema.Schema, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
-	bw.WriteString(`<instance edge="`)
-	xmltree.Escape(bw, key)
-	bw.WriteString(`" frag="`)
-	xmltree.Escape(bw, frag.Name)
-	writeSeqAttr(bw, seq)
-	bw.WriteString(`" format="feed`)
-	if len(recs) == 0 {
-		bw.WriteString(`"/>`)
-		return nil
-	}
-	bw.WriteString(`">`)
-	if err := writeFeedRecords(bw, &core.Instance{Frag: frag, Records: recs}, sch); err != nil {
-		return err
-	}
-	bw.WriteString("</instance>")
-	return nil
 }
 
 // renderBinChunk writes one binary-format instance chunk: the records'
@@ -405,12 +379,12 @@ func sortedKeys(out map[string]*core.Instance) []string {
 }
 
 // FormatTombstones is the Payload format of a tombstone chunk; record
-// chunks carry their codec's name (CodecXML, CodecFeed, CodecBin).
+// chunks carry their codec's name (CodecXML, CodecBin).
 const FormatTombstones = "tombstones"
 
 // Payload is a chunk's body as it travels inside its chunk element: the
-// format, the bin encoding ("" or "flate"), and the bytes. Feed and bin
-// chunks stage their text and commit it as it arrived; tagged-XML and
+// format, the bin encoding ("" or "flate"), and the bytes. Bin chunks
+// stage their text and commit it as it arrived; tagged-XML and
 // tombstone chunks decode as they stream, so at commit their Bytes are nil
 // and their body is the rendering of the chunk's records (WriteRecords) or
 // IDs (WriteTombstoneIDs). Replay reads any of them back.
@@ -456,8 +430,8 @@ type queuedCommit struct {
 // their tags open, interior PARENT links are restored from nesting on the
 // fly (an element inside a record whose PARENT did not travel must be the
 // child of the enclosing element instance — nesting is exactly the parent
-// relation the encoder erased), and feed-format instances are re-parsed
-// from their accumulated rows. The surrounding envelope tree is never
+// relation the encoder erased), and bin instances are parsed from their
+// accumulated payload. The surrounding envelope tree is never
 // built. Instance chunks sharing an edge key append to one instance, which
 // is what lets the streaming encoder emit batches as producers finish.
 type ShipmentDecoder struct {
@@ -535,14 +509,13 @@ type ShipmentDecoder struct {
 	stageTomb  bool
 	stageBytes int // names, attribute values and text staged from tagged XML
 
-	// raw accumulates the character data of feed- and bin-format chunks;
-	// both parse at commit time, so they share the chunk-atomic guarantee.
-	// The buffer is pooled: it returns to bufpool once the chunk committed,
-	// so staging costs no steady-state allocation per chunk.
-	raw       *bytes.Buffer
-	rawFormat string
-	rawEnc    string
-	stack     []*xmltree.Node
+	// raw accumulates the character data of a bin chunk, which parses at
+	// commit time and so keeps the chunk-atomic guarantee. The buffer is
+	// pooled: it returns to bufpool once the chunk committed, so staging
+	// costs no steady-state allocation per chunk.
+	raw    *bytes.Buffer
+	rawEnc string
+	stack  []*xmltree.Node
 }
 
 // NewShipmentDecoder prepares a decoder resolving fragments via lookup
@@ -633,6 +606,11 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 		if seq >= 0 {
 			d.nextSeq = seq + 1
 		}
+		// Read as tagged XML, a body in any other format would fall outside
+		// every record and the chunk would commit empty.
+		if format != "" && format != CodecXML && format != CodecBin {
+			return fmt.Errorf("%w %q", ErrChunkFormat, format)
+		}
 		if d.OnChunk != nil && !d.OnChunk(seq) {
 			// Chunk declined (already checkpointed on a prior attempt):
 			// skip its whole subtree without parsing records.
@@ -649,14 +627,14 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 			return fmt.Errorf("wire: shipment references unknown fragment %q", fragName)
 		}
 		d.stageKey, d.stageFrag, d.stageSeq = key, f, seq
-		if format == CodecFeed || format == CodecBin {
+		if format == CodecBin {
 			d.raw = bufpool.Buffer()
-			d.rawFormat, d.rawEnc = format, enc
+			d.rawEnc = enc
 		}
 		return nil
 	}
 	if d.raw != nil {
-		// The tree decoder ignores element content of feed instances; do the
+		// The tree decoder ignores element content of bin instances; do the
 		// same.
 		d.depth--
 		d.skip = 1
@@ -765,9 +743,9 @@ func (d *ShipmentDecoder) EndElement(string) error {
 }
 
 // commitChunk routes the staged chunk toward the shared instance map as
-// its element closes. Feed rows and bin payloads parse first, in a pool
-// worker, so those chunks are all-or-nothing: a torn chunk's
-// base64/flate/binary parse fails before anything reaches the map. Commits
+// its element closes. Bin payloads parse first, in a pool worker, so those
+// chunks are all-or-nothing: a torn chunk's base64/flate/binary parse
+// fails before anything reaches the map. Commits
 // always happen in stream order on the scanner goroutine (drainJobs);
 // tagged-XML and tombstone chunks drain the pool before committing so
 // mixed-format shipments keep their order.
@@ -786,7 +764,7 @@ func (d *ShipmentDecoder) commitChunk() error {
 	case d.raw != nil:
 		raw := d.raw
 		d.raw = nil // ownership moves to the parse job
-		c.Format, c.Enc = d.rawFormat, d.rawEnc
+		c.Format, c.Enc = CodecBin, d.rawEnc
 		d.resetStage()
 		return d.submitParse(c, raw)
 	default:
@@ -799,24 +777,14 @@ func (d *ShipmentDecoder) commitChunk() error {
 	return d.commit(c)
 }
 
-// parseRawChunk turns one raw chunk payload into records.
-func parseRawChunk(text []byte, format, enc string, frag *core.Fragment, sch *schema.Schema) ([]*xmltree.Node, error) {
-	switch format {
-	case CodecFeed:
-		in, err := ReadFeed(bytes.NewReader(text), frag, sch)
-		if err != nil {
-			return nil, err
-		}
-		return in.Records, nil
-	case CodecBin:
-		// A self-closed bin instance announces an empty chunk; there is
-		// no payload to parse.
-		if len(text) == 0 {
-			return nil, nil
-		}
-		return readBinChunk(text, sch, enc)
+// parseRawChunk turns one staged bin payload into records.
+func parseRawChunk(text []byte, enc string, sch *schema.Schema) ([]*xmltree.Node, error) {
+	// A self-closed bin instance announces an empty chunk; there is no
+	// payload to parse.
+	if len(text) == 0 {
+		return nil, nil
 	}
-	return nil, fmt.Errorf("wire: unknown chunk format %q", format)
+	return readBinChunk(text, sch, enc)
 }
 
 // admit re-checks a chunk's admission under CommitLock: a concurrent
@@ -924,13 +892,16 @@ func (d *ShipmentDecoder) Replay(key, frag string, seq int64, p Payload) error {
 			return fmt.Errorf("wire: replayed chunk references unknown fragment %q", frag)
 		}
 	}
-	if !tomb && p.Format != CodecXML {
-		recs, err := parseRawChunk(p.Bytes, p.Format, p.Enc, f, d.sch) // refuses unknown formats
+	switch {
+	case p.Format == CodecBin:
+		recs, err := parseRawChunk(p.Bytes, p.Enc, d.sch)
 		if err != nil {
 			return err
 		}
 		d.cc = Chunk{Key: key, Frag: f, Seq: seq, Recs: recs, Payload: p}
 		return d.commit(&d.cc)
+	case !tomb && p.Format != CodecXML:
+		return fmt.Errorf("%w %q", ErrChunkFormat, p.Format)
 	}
 	// A tagged-XML or tombstone body scans as the content of an open chunk.
 	d.depth, d.stack = 2, d.stack[:0]
@@ -956,7 +927,7 @@ func (d *ShipmentDecoder) resetStage() {
 	if d.raw != nil {
 		bufpool.PutBuffer(d.raw)
 	}
-	d.raw, d.rawFormat, d.rawEnc = nil, "", ""
+	d.raw, d.rawEnc = nil, ""
 	d.stageKey, d.stageFrag, d.stageSeq, d.stageRecs = "", nil, -1, nil
 	d.stageTomb, d.stageBytes = false, 0
 }

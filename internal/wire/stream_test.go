@@ -97,16 +97,15 @@ func treeShipment(t testing.TB, out map[string]*core.Instance, sch *schema.Schem
 	return xmltree.Marshal(x, xmltree.WriteOptions{EmitAllIDs: true})
 }
 
-// textCodecs are the codecs whose chunks carry their records as XML-safe
-// text: tagged XML, and sorted feeds for flat fragments.
-var textCodecs = []Codec{{Kind: CodecXML}, {Kind: CodecFeed}}
+// allCodecs is every codec this build speaks.
+var allCodecs = []Codec{{Kind: CodecXML}, {Kind: CodecBin}, {Kind: CodecBin, Flate: true}}
 
 // TestStreamShipmentMatchesTreeBytes holds the streaming encoder to the
-// tree codec's exact serialization, for both text formats: streaming and
+// tree codec's exact serialization, for every codec: streaming and
 // buffered peers must interoperate byte for byte.
 func TestStreamShipmentMatchesTreeBytes(t *testing.T) {
 	sch, out, _ := outboundFixture(t)
-	for _, codec := range textCodecs {
+	for _, codec := range allCodecs {
 		x, err := EncodeShipmentCodec(out, sch, codec)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +125,7 @@ func TestStreamShipmentMatchesTreeBytes(t *testing.T) {
 // decoder's results on the same bytes.
 func TestReadShipmentMatchesDecode(t *testing.T) {
 	sch, out, lookup := outboundFixture(t)
-	for _, codec := range textCodecs {
+	for _, codec := range allCodecs {
 		var buf bytes.Buffer
 		if err := StreamShipmentCodec(&buf, out, sch, codec); err != nil {
 			t.Fatal(err)
@@ -152,7 +151,7 @@ func TestReadShipmentMatchesDecode(t *testing.T) {
 func TestStreamShipmentEmpty(t *testing.T) {
 	sch := schema.CustomerInfo()
 	var buf bytes.Buffer
-	if err := StreamShipmentCodec(&buf, nil, sch, Codec{Kind: CodecFeed}); err != nil {
+	if err := StreamShipmentCodec(&buf, nil, sch, Codec{Kind: CodecBin}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "<shipment/>" {
@@ -182,7 +181,7 @@ func TestShipmentWriterMergesChunks(t *testing.T) {
 			{Name: "FeatureID", ID: fid, Parent: id, Text: txt},
 		}}
 	}
-	for _, codec := range textCodecs {
+	for _, codec := range allCodecs {
 		var buf bytes.Buffer
 		sw := NewShipmentWriterCodec(&buf, sch, codec)
 		if err := sw.Emit("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}); err != nil {
@@ -295,22 +294,47 @@ func TestStreamShipmentRandomized(t *testing.T) {
 
 // FuzzStreamShipment cross-checks the streaming codec against the tree
 // codec on fuzzer-driven shipments: identical bytes out, identical
-// instances (or identical failure) back.
+// instances (or identical failure) back. A non-empty format also stamps a
+// chunk carrying text with it, which must decode only in a known format.
 func FuzzStreamShipment(f *testing.F) {
-	f.Add("o1", "c1", "s1", "local", "0:ord", false)
-	f.Add(`o"<>&`, "", "", "a|b\\n", `k<&>"`, true)
-	f.Add("", "p", "s", "", "k", false)
+	f.Add("o1", "c1", "s1", "local", "0:ord", false, "")
+	f.Add(`o"<>&`, "", "", "a|b\\n", `k<&>"`, true, "")
+	f.Add("", "p", "s", "", "k", false, "")
 	// A chunk past MaxChunkBytes: the relay and the decoder refuse it, typed.
-	f.Add("o1", "c1", "s1", strings.Repeat("t", MaxChunkBytes), "0:ord", true)
+	f.Add("o1", "c1", "s1", strings.Repeat("t", MaxChunkBytes), "0:ord", true, "")
 	// Just under the decoder's staging cap: it decodes.
-	f.Add("o1", "c1", "s1", strings.Repeat("t", MaxChunkBytes-256), "0:ord", false)
+	f.Add("o1", "c1", "s1", strings.Repeat("t", MaxChunkBytes-256), "0:ord", false, "")
+	// Formats this build does not decode: refused typed, never committed
+	// empty.
+	f.Add("o1", "c1", "s1", "AAAA", "0:feat", false, "zstd")
+	f.Add("o1", "c1", "s1", "l1|f1|i1|callerID|", "0:ord", false, "feed")
 	sch := schema.CustomerInfo()
 	frag, err := core.NewFragment(sch, "ord", []string{"Order", "Service", "ServiceName"})
 	if err != nil {
 		f.Fatal(err)
 	}
 	lookup := func(string) *core.Fragment { return frag }
-	f.Fuzz(func(t *testing.T, id, parent, svcID, text, key string, twoRecords bool) {
+	f.Fuzz(func(t *testing.T, id, parent, svcID, text, key string, twoRecords bool, format string) {
+		if format != "" {
+			x := &xmltree.Node{Name: "shipment"}
+			ix := &xmltree.Node{Name: "instance", Text: text}
+			ix.SetAttr("edge", key)
+			ix.SetAttr("frag", "ord")
+			ix.SetAttr("format", format)
+			x.AddKid(ix)
+			stamped := xmltree.Marshal(x, xmltree.WriteOptions{})
+			_, ferr := ReadShipment(strings.NewReader(stamped), sch, lookup)
+			refused := errors.Is(ferr, ErrChunkFormat)
+			known := format == CodecXML || format == CodecBin
+			if known && refused {
+				t.Fatalf("known format %q refused: %v", format, ferr)
+			}
+			// An unknown format may fail otherwise only where XML cannot
+			// carry the stamped chunk at all.
+			if _, perr := xmltree.Parse(strings.NewReader(stamped)); !known && !refused && perr == nil {
+				t.Fatalf("format %q: err = %v, want ErrChunkFormat", format, ferr)
+			}
+		}
 		rec := &xmltree.Node{Name: "Order", ID: id, Parent: parent, Kids: []*xmltree.Node{
 			{Name: "Service", ID: svcID, Parent: id, Kids: []*xmltree.Node{
 				{Name: "ServiceName", Parent: svcID, Text: text},
@@ -410,7 +434,7 @@ func chunkFixture(t *testing.T) (*schema.Schema, *core.Fragment, func(id, fid, t
 // unsequenced peers interoperate unchanged.
 func TestEmitChunkSeqRoundTrip(t *testing.T) {
 	sch, f, rec := chunkFixture(t)
-	for _, codec := range textCodecs {
+	for _, codec := range allCodecs {
 		var buf, plain bytes.Buffer
 		sw := NewShipmentWriterCodec(&buf, sch, codec)
 		if err := sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, 0); err != nil {
@@ -547,6 +571,48 @@ func TestDecoderRefusesSeqGap(t *testing.T) {
 	err := xmltree.ScanAttrs(strings.NewReader(`<shipment>`+chunk("0")+chunk("1")+chunk("3")+`</shipment>`), d)
 	if !errors.Is(err, ErrChunkOrder) {
 		t.Errorf("gap after declined chunks: err = %v, want ErrChunkOrder", err)
+	}
+}
+
+// TestDecoderRefusesUnknownFormat: a chunk whose format names no codec this
+// build decodes — feed from an older build, or anything else — is refused
+// typed as it opens. Read as tagged XML, its body would fall outside every
+// record and the chunk would commit empty and advance the checkpoint. An
+// explicit format="xml" is the tagged-XML chunk it says it is.
+func TestDecoderRefusesUnknownFormat(t *testing.T) {
+	sch, f, _ := chunkFixture(t)
+	for _, c := range []struct {
+		format, body string
+		refuse       bool
+	}{
+		{"zstd", "AAAA", true},
+		{"feed", `l1|f1|i1|callerID|`, true},
+		{"XML", "", true},
+		{"xml", `<Feature ID="f1"><FeatureID ID="i1">callerID</FeatureID></Feature>`, false},
+	} {
+		d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
+		checkpoint := int64(0)
+		d.ChunkDone = func(s int64) { checkpoint = s + 1 }
+		err := xmltree.ScanAttrs(strings.NewReader(`<shipment><instance edge="0:feat" frag="feat" seq="0" format="`+
+			c.format+`">`+c.body+`</instance></shipment>`), d)
+		if c.refuse {
+			if !errors.Is(err, ErrChunkFormat) || !strings.Contains(err.Error(), c.format) {
+				t.Errorf("format %q: err = %v, want ErrChunkFormat naming it", c.format, err)
+			}
+			if checkpoint != 0 || len(d.out) != 0 {
+				t.Errorf("format %q: refused chunk committed (checkpoint %d, %d instances)", c.format, checkpoint, len(d.out))
+			}
+			continue
+		}
+		got, rerr := d.Result()
+		if err != nil || rerr != nil || checkpoint != 1 || len(got["0:feat"].Records) != 1 {
+			t.Errorf("format %q: err = %v/%v, checkpoint %d, result %+v", c.format, err, rerr, checkpoint, got)
+		}
+	}
+	// A journaled payload in an unknown format is refused on replay alike.
+	d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
+	if err := d.Replay("0:feat", "feat", 0, Payload{Format: "feed", Bytes: []byte("l1|f1|i1|x|\n")}); !errors.Is(err, ErrChunkFormat) {
+		t.Errorf("replayed feed payload: err = %v, want ErrChunkFormat", err)
 	}
 }
 

@@ -7,6 +7,7 @@ package wire
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"xdx/internal/core"
 	"xdx/internal/schema"
@@ -185,6 +186,71 @@ func parseLoc(s string) core.Location {
 	return core.LocUnassigned
 }
 
+// EncodeShipmentCodec serializes cross-edge instances as a shipment tree
+// in codec, producing the same wire bytes as the streaming encoder for the
+// same shipment: tagged XML, or bin's base64 chunk text.
+func EncodeShipmentCodec(out map[string]*core.Instance, sch *schema.Schema, codec Codec) (*xmltree.Node, error) {
+	root := &xmltree.Node{Name: "shipment"}
+	for _, key := range sortedKeys(out) {
+		in := out[key]
+		if codec.Kind != CodecBin {
+			root.AddKid(encodeInstance(key, in))
+			continue
+		}
+		ix := &xmltree.Node{Name: "instance"}
+		ix.SetAttr("edge", key)
+		ix.SetAttr("frag", in.Frag.Name)
+		ix.SetAttr("format", CodecBin)
+		if codec.Flate {
+			ix.SetAttr("enc", "flate")
+		}
+		if len(in.Records) > 0 {
+			var buf strings.Builder
+			if err := writeBinChunk(&buf, in.Records, sch, codec.Flate); err != nil {
+				return nil, err
+			}
+			ix.Text = buf.String()
+		}
+		root.AddKid(ix)
+	}
+	return root, nil
+}
+
+// DecodeShipmentAuto rebuilds the inbound instance map from a shipment
+// tree in either encoding.
+func DecodeShipmentAuto(x *xmltree.Node, sch *schema.Schema, lookup func(name string) *core.Fragment) (map[string]*core.Instance, error) {
+	if x.Name != "shipment" {
+		return nil, fmt.Errorf("wire: expected shipment, got %q", x.Name)
+	}
+	out := make(map[string]*core.Instance, len(x.Kids))
+	for _, ix := range x.Kids {
+		key, _ := ix.Attr("edge")
+		fragName, _ := ix.Attr("frag")
+		f := lookup(fragName)
+		if f == nil {
+			return nil, fmt.Errorf("wire: shipment references unknown fragment %q", fragName)
+		}
+		if format, _ := ix.Attr("format"); format == CodecBin {
+			in := &core.Instance{Frag: f}
+			if ix.Text != "" {
+				enc, _ := ix.Attr("enc")
+				recs, err := readBinChunk([]byte(ix.Text), sch, enc)
+				if err != nil {
+					return nil, err
+				}
+				in.Records = recs
+			}
+			out[key] = in
+			continue
+		}
+		for _, rec := range ix.Kids {
+			restoreParents(rec)
+		}
+		out[key] = &core.Instance{Frag: f, Records: ix.Kids}
+	}
+	return out, nil
+}
+
 // encodeInstance is the tree codec's tagged-XML chunk for one cross-edge
 // instance. Identifiers are shipped compactly — the paper notes XML-format
 // shipping adds only small overhead: record roots keep ID and PARENT
@@ -233,9 +299,9 @@ func restoreParents(n *xmltree.Node) {
 // the style of XPERANTO / Fernandez-Morishima-Suciu ([5, 6] in the paper):
 // one delimited row per record carrying the record's PARENT key and, per
 // member element in document order, its key and leaf value — no XML tags.
-// This is the shipment format behind the paper's Table 3 communication
-// numbers; it is what makes fragment shipping cheaper than shipping the
-// tagged document.
+// This is the size behind the paper's Table 3 communication numbers; it is
+// what makes fragment shipping cheaper than shipping the tagged document.
+// It is a size formula only: no codec renders feeds.
 func FeedBytes(in *core.Instance) int64 {
 	var n int64
 	for _, rec := range in.Records {

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Snapshot the benchmark set into BENCH_$BENCH_N.json: the four
-# shipment-format ablations (XML, feed, bin, bin+flate on the MF and LF
+# Snapshot the benchmark set into BENCH_$BENCH_N.json: the three
+# shipment-format ablations (XML, bin, bin+flate on the MF and LF
 # layouts) with their wire sizes, the end-to-end Figure 9 run, the
 # chained-Combine rows (k Combines into one parent, and the one-to-one
 # "spread" shape whose allocs/op alloc_smoke.sh gates), the

@@ -12,7 +12,7 @@ go build ./...
 go test -race ./...
 
 # Informational: the non-test Go line count outside benchmark/ (ROADMAP
-# item 2 tracks it going down; each PR's CHANGES.md entry records the
+# item 6 tracks it going down; each PR's CHANGES.md entry records the
 # before/after).
 echo "non-test Go lines outside benchmark/: $(./scripts/loc.sh)"
 

@@ -24,7 +24,9 @@ WORK="$(mktemp -d)"
 SRC_PID=""
 TGT_PID=""
 AGENCY_PID=""
-trap 'kill -9 "$SRC_PID" "$TGT_PID" "$AGENCY_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+# Kill each started PID on its own: dash's kill stops at an empty argument
+# ("Illegal number"), so one unset PID would spare every PID after it.
+trap 'for pid in $SRC_PID $TGT_PID $AGENCY_PID; do kill -9 "$pid" 2>/dev/null || true; done; rm -rf "$WORK"' EXIT
 
 go build -o "$WORK/xdxendpoint" ./cmd/xdxendpoint
 go build -o "$WORK/xdxd" ./cmd/xdxd

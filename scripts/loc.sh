@@ -1,5 +1,5 @@
 #!/bin/sh
-# Non-test Go line count outside benchmark/ — the number ROADMAP item 2
+# Non-test Go line count outside benchmark/ — the number ROADMAP item 6
 # tracks ("net non-test line count going down is a success metric").
 # Lines in _test.go files and under benchmark/ do not count.
 set -eu

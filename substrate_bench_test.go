@@ -2,7 +2,7 @@ package xdx
 
 // Substrate throughput benchmarks: the parser/serializer (the paper's
 // parse-time discussion in §5.3), the shredder, the relational store's
-// load/scan/join, and the feed codec.
+// load/scan/join.
 
 import (
 	"bytes"
@@ -11,7 +11,6 @@ import (
 	"xdx/internal/core"
 	"xdx/internal/relstore"
 	"xdx/internal/shred"
-	"xdx/internal/wire"
 	"xdx/internal/xmark"
 	"xdx/internal/xmltree"
 )
@@ -129,26 +128,5 @@ func BenchmarkSubstrate_HashJoin(b *testing.B) {
 		if _, err := relstore.HashJoin(left, right, "k", "k", "j"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkSubstrate_FeedEncode(b *testing.B) {
-	_, doc := benchDoc(b)
-	sch := xmark.Schema()
-	layout := core.LeastFragmented(sch)
-	insts, err := core.FromDocument(layout, doc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sink bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink.Reset()
-		for _, f := range layout.Fragments {
-			if err := wire.WriteFeed(&sink, insts[f.Name], sch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(sink.Len()))
 	}
 }
