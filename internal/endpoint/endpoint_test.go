@@ -53,15 +53,19 @@ func loadedStore(t *testing.T, fr *core.Fragmentation) *relstore.Store {
 
 func startEndpoint(t *testing.T, be Backend) (*soap.Client, func()) {
 	t.Helper()
-	sch := be.Layout().Schema
+	srv := httptest.NewServer(testEndpoint(be).Handler())
+	return &soap.Client{URL: srv.URL}, srv.Close
+}
+
+// testEndpoint is the endpoint startEndpoint serves, for tests that drive
+// its handler directly.
+func testEndpoint(be Backend) *Endpoint {
 	defs := &wsdlx.Definitions{
 		Name: "CustomerInfo", TargetNamespace: "ns", ServiceName: "svc",
-		PortName: "p", Address: "http://x", Schema: sch,
+		PortName: "p", Address: "http://x", Schema: be.Layout().Schema,
 		Fragmentations: []*core.Fragmentation{be.Layout()},
 	}
-	ep := New("test", be, defs)
-	srv := httptest.NewServer(ep.Handler())
-	return &soap.Client{URL: srv.URL}, srv.Close
+	return New("test", be, defs)
 }
 
 func TestGetWSDL(t *testing.T) {

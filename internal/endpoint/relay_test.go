@@ -196,3 +196,57 @@ func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 		}
 	}
 }
+
+// repeatByte reads as one byte repeated forever.
+type repeatByte byte
+
+func (c repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(c)
+	}
+	return len(p), nil
+}
+
+// countReader counts the bytes read through it.
+type countReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestExecuteTargetOversizedValueIsClientFault: a shipped record whose ID
+// runs to 64 MiB is refused by the target's scanner as soon as it passes
+// xmltree.MaxTokenBytes — a soap:Client fault, sent after reading at most
+// the cap plus one read buffer of the value — and nothing loads.
+func TestExecuteTargetOversizedValueIsClientFault(t *testing.T) {
+	fr := tFrag(t, schema.CustomerInfo())
+	st, err := relstore.NewStore(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, progXML := copyProgram(t, fr)
+	var head strings.Builder
+	head.WriteString(`<soap:Envelope xmlns:soap="` + soap.EnvelopeNS + `"><soap:Body><ExecuteTarget session="big">`)
+	xmltree.Write(&head, progXML, xmltree.WriteOptions{EmitAllIDs: true})
+	name := fr.Fragments[0].Name
+	head.WriteString(`<shipment><instance edge="0:` + name + `" frag="` + name + `" seq="0"><Customer ID="`)
+	value := &countReader{r: io.LimitReader(repeatByte('7'), 64<<20)}
+	body := io.MultiReader(strings.NewReader(head.String()), value,
+		strings.NewReader(`"/></instance></shipment></ExecuteTarget></soap:Body></soap:Envelope>`))
+	rec := httptest.NewRecorder()
+	testEndpoint(&RelBackend{Store: st, Speed: 1, CanCombine: true}).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/soap", body))
+	if resp := rec.Body.String(); rec.Code != 400 || !strings.Contains(resp, "soap:Client") || !strings.Contains(resp, xmltree.ErrTokenTooLarge.Error()) {
+		t.Errorf("status %d, response %.300s; want a soap:Client fault naming %q", rec.Code, resp, xmltree.ErrTokenTooLarge)
+	}
+	if limit := xmltree.MaxTokenBytes + 64<<10; value.n > limit {
+		t.Errorf("read %d bytes of the value before refusing it, want at most %d", value.n, limit)
+	}
+	if st.Rows() != 0 {
+		t.Errorf("refused delivery loaded %d rows", st.Rows())
+	}
+}

@@ -270,49 +270,61 @@ func TestLoadRejectsMalformedRecords(t *testing.T) {
 	}
 }
 
-// CreateIndex cuts every key's postings out of one backing array. Lookups
-// return rows in row order whatever the keys' interleaving, and an Insert
-// after the build appends to its key's postings without touching a
+// CreateIndex cuts every key's postings out of one backing array, whose
+// front also holds the per-key row counts while the postings are cut.
+// Lookups return rows in row order whatever the keys' interleaving — with
+// seven interleaved keys, a key per row, or one key for every row — and an
+// Insert after the build appends to its key's postings without touching a
 // neighbour's.
 func TestCreateIndexSharedPostings(t *testing.T) {
-	tb, _ := NewTable("t", []string{"k", "v"})
-	var rows [][]string
-	for i := 0; i < 60; i++ {
-		rows = append(rows, []string{fmt.Sprintf("k%d", i%7), fmt.Sprint(i)})
-	}
-	if err := tb.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.CreateIndex("k"); err != nil {
-		t.Fatal(err)
-	}
-	want := func(key string) [][]string {
-		var out [][]string
-		for i := 0; i < tb.Len(); i++ {
-			if tb.Row(i)[0] == key {
-				out = append(out, tb.Row(i))
-			}
+	for _, c := range []struct {
+		name string
+		key  func(i int) string
+	}{
+		{"interleaved", func(i int) string { return fmt.Sprintf("k%d", i%7) }},
+		{"unique", func(i int) string { return fmt.Sprintf("k%d", i) }},
+		{"single", func(int) string { return "k0" }},
+	} {
+		tb, _ := NewTable("t", []string{"k", "v"})
+		var rows [][]string
+		for i := 0; i < 60; i++ {
+			rows = append(rows, []string{c.key(i), fmt.Sprint(i)})
 		}
-		return out
-	}
-	check := func(when string) {
-		t.Helper()
-		for k := 0; k < 8; k++ {
-			key := fmt.Sprintf("k%d", k)
-			got, err := tb.Lookup("k", key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want(key)) {
-				t.Errorf("%s: Lookup(%s) = %v, want %v", when, key, got, want(key))
-			}
-		}
-	}
-	check("after the build")
-	for i := 60; i < 90; i++ {
-		if err := tb.Insert([]string{fmt.Sprintf("k%d", i%8), fmt.Sprint(i)}); err != nil {
+		if err := tb.BulkLoad(rows); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := tb.CreateIndex("k"); err != nil {
+			t.Fatal(err)
+		}
+		want := func(key string) [][]string {
+			var out [][]string
+			for i := 0; i < tb.Len(); i++ {
+				if tb.Row(i)[0] == key {
+					out = append(out, tb.Row(i))
+				}
+			}
+			return out
+		}
+		check := func(when string) {
+			t.Helper()
+			// Every key the table holds, and k90, which it never does.
+			for k := 0; k <= 90; k++ {
+				key := fmt.Sprintf("k%d", k)
+				got, err := tb.Lookup("k", key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want(key)) {
+					t.Errorf("%s, %s: Lookup(%s) = %v, want %v", c.name, when, key, got, want(key))
+				}
+			}
+		}
+		check("after the build")
+		for i := 60; i < 90; i++ {
+			if err := tb.Insert([]string{fmt.Sprintf("k%d", i%8), fmt.Sprint(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("after inserts into built postings")
 	}
-	check("after inserts into built postings")
 }

@@ -123,10 +123,13 @@ func (t *Table) CreateIndex(col string) (*Index, error) {
 	// per distinct key: number the keys and count their rows in one pass
 	// over the map, cut each key exactly its room, then fill in row order
 	// without touching the map again. The three-index cut keeps a later
-	// Insert's append out of a neighbour's room.
+	// Insert's append out of a neighbour's room. The counts live at the
+	// front of the backing array itself (there are never more keys than
+	// rows): the cut only reads them, and the fill overwrites them after.
 	idx := &Index{Col: col, col: ci, keys: make(map[string]int, len(t.rows))}
 	rowKey := make([]int, len(t.rows))
-	var counts []int
+	backing := make([]int, len(t.rows))
+	counts := backing[:0]
 	for i, r := range t.rows {
 		k, ok := idx.keys[r[ci]]
 		if !ok {
@@ -137,7 +140,6 @@ func (t *Table) CreateIndex(col string) (*Index, error) {
 		counts[k]++
 		rowKey[i] = k
 	}
-	backing := make([]int, len(t.rows))
 	idx.post = make([][]int, len(counts))
 	off := 0
 	for k, n := range counts {

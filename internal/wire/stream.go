@@ -490,7 +490,7 @@ type ShipmentDecoder struct {
 	nextSeq int64 // seq the next chunk must carry; -1 until one carried a seq
 
 	jobs    []*parseJob   // submitted chunks awaiting in-order commit
-	arena   xmltree.Arena // tagged-XML chunks' nodes and text; lives for the shipment
+	arena   xmltree.Arena // tagged-XML chunks' nodes, text and staging slices; lives for the shipment
 	parseMS *obs.Histogram
 	queue   *obs.Gauge
 
@@ -501,11 +501,15 @@ type ShipmentDecoder struct {
 	// Chunk staging: records of the open <instance> accumulate here and
 	// commit to the shared map only at its close tag, so a connection torn
 	// mid-chunk never leaves a half-parsed record behind — the unit of
-	// atomicity the resumable sessions replay on.
+	// atomicity the resumable sessions replay on. A tagged-XML chunk's
+	// staging slice is carved from the arena with room for as many records
+	// as the previous one committed (stageCap), so a steady stream of
+	// equal chunks stages without growing a slice per chunk.
 	stageKey   string
 	stageFrag  *core.Fragment
 	stageSeq   int64
 	stageRecs  []*xmltree.Node
+	stageCap   int
 	stageTomb  bool
 	stageBytes int // names, attribute values and text staged from tagged XML
 
@@ -630,6 +634,8 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 		if format == CodecBin {
 			d.raw = bufpool.Buffer()
 			d.rawEnc = enc
+		} else {
+			d.stageRecs = d.arena.Kids(d.stageCap)
 		}
 		return nil
 	}
@@ -665,7 +671,12 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 	if len(d.stack) == 0 {
 		d.stageRecs = append(d.stageRecs, n)
 	} else {
-		d.stack[len(d.stack)-1].AddKid(n)
+		// Kid slices grow by doubling inside the arena, like the joiner's.
+		top := d.stack[len(d.stack)-1]
+		if len(top.Kids) == cap(top.Kids) {
+			top.Kids = append(d.arena.Kids(max(2*len(top.Kids), 1)), top.Kids...)
+		}
+		top.AddKid(n)
 	}
 	d.stack = append(d.stack, n)
 	return nil
@@ -769,6 +780,7 @@ func (d *ShipmentDecoder) commitChunk() error {
 		return d.submitParse(c, raw)
 	default:
 		c.Format, c.Recs = CodecXML, d.stageRecs
+		d.stageCap = len(d.stageRecs)
 	}
 	d.resetStage()
 	if err := d.drainJobs(0); err != nil {
@@ -906,6 +918,7 @@ func (d *ShipmentDecoder) Replay(key, frag string, seq int64, p Payload) error {
 	// A tagged-XML or tombstone body scans as the content of an open chunk.
 	d.depth, d.stack = 2, d.stack[:0]
 	d.stageKey, d.stageFrag, d.stageSeq, d.stageTomb = key, f, seq, tomb
+	d.stageRecs = d.arena.Kids(d.stageCap)
 	err := xmltree.ScanAttrs(bytes.NewReader(p.Bytes), d)
 	if err == nil && d.depth != 2 {
 		err = fmt.Errorf("wire: replayed chunk body is not well-formed")

@@ -641,6 +641,100 @@ func TestDecoderRefusesOversizedTaggedXMLChunk(t *testing.T) {
 	}
 }
 
+// repeatByte reads as one byte repeated forever.
+type repeatByte byte
+
+func (c repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(c)
+	}
+	return len(p), nil
+}
+
+// countReader counts the bytes read through it.
+type countReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReadShipmentRefusesOversizedValue: a tagged record whose ID runs to
+// 64 MiB is refused by the scanner, typed, once the value passes
+// xmltree.MaxTokenBytes — having read at most that plus one read buffer —
+// instead of being buffered whole before the chunk's staging limit sees it.
+func TestReadShipmentRefusesOversizedValue(t *testing.T) {
+	sch, f, _ := chunkFixture(t)
+	value := &countReader{r: io.LimitReader(repeatByte('7'), 64<<20)}
+	ship := io.MultiReader(
+		strings.NewReader(`<shipment><instance edge="0:feat" frag="feat" seq="0"><Feature ID="`),
+		value,
+		strings.NewReader(`"/></instance></shipment>`))
+	_, err := ReadShipment(ship, sch, func(string) *core.Fragment { return f })
+	if !errors.Is(err, xmltree.ErrTokenTooLarge) {
+		t.Errorf("err = %v, want xmltree.ErrTokenTooLarge", err)
+	}
+	if limit := xmltree.MaxTokenBytes + 64<<10; value.n > limit {
+		t.Errorf("read %d bytes of the value before refusing it, want at most %d", value.n, limit)
+	}
+}
+
+// TestTokenCapAdmitsChunkLimit pins the scanner's per-token cap above
+// MaxChunkBytes: a bin chunk's base64 text at the chunk limit, or one byte
+// past it, is one text run, and must reach the decoder so that this
+// package — not the scanner — accepts it or refuses it as ErrChunkTooLarge.
+func TestTokenCapAdmitsChunkLimit(t *testing.T) {
+	if xmltree.MaxTokenBytes <= MaxChunkBytes {
+		t.Fatalf("xmltree.MaxTokenBytes = %d, want more than MaxChunkBytes = %d", xmltree.MaxTokenBytes, MaxChunkBytes)
+	}
+}
+
+// TestDecodeTaggedAllocatesPerChunk: a tagged-XML shipment decodes in a
+// constant number of allocations per chunk — nodes, kid slices, the
+// staging slice and every ID, PARENT and text come out of slabs — where it
+// used to cost several per record.
+func TestDecodeTaggedAllocatesPerChunk(t *testing.T) {
+	sch, f, _ := chunkFixture(t)
+	lookup := func(string) *core.Fragment { return f }
+	for _, n := range []int{64, 1024} {
+		recs := make([]*xmltree.Node, n)
+		for i := range recs {
+			id := fmt.Sprintf("1.%d.%d", i/7, i)
+			recs[i] = &xmltree.Node{Name: "Feature", ID: id, Parent: fmt.Sprintf("1.%d", i/7), Kids: []*xmltree.Node{
+				{Name: "FeatureID", Parent: id, Text: fmt.Sprintf("feature %d", i)}, // leaf IDs do not travel
+			}}
+		}
+		var buf bytes.Buffer
+		sw := NewShipmentWriterCodec(&buf, sch, Codec{})
+		sw.SetChunk(64)
+		if err := sw.Emit("0:feat", f, recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]*core.Instance
+		allocs := testing.AllocsPerRun(10, func() {
+			var err error
+			if got, err = ReadShipment(bytes.NewReader(buf.Bytes()), sch, lookup); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for i, r := range got["0:feat"].Records {
+			if !xmltree.Equal(recs[i], r) {
+				t.Fatalf("n=%d: record %d differs after decode", n, i)
+			}
+		}
+		if chunks := n / 64; allocs > float64(48+4*chunks) {
+			t.Errorf("n=%d records in %d chunks: %.0f allocations, want a constant handful per chunk", n, chunks, allocs)
+		}
+	}
+}
+
 // Replay reads a chunk back from its payload at rest through the receive
 // path: every format decodes to the records a live shipment delivers, the
 // ledger-shaped KeepRecords dedups across replayed chunks, and tombstone

@@ -54,7 +54,10 @@ func (a idParentAdapter) EndElement(name string) error { return a.h.EndElement(n
 type AttrHandler interface {
 	// StartElement is called for each open tag. attrs holds every generic
 	// attribute in document order; namespace declarations are dropped. The
-	// slice is reused between calls — copy it to retain it.
+	// slice is reused between calls — copy it to retain it. The values may
+	// be retained: they are immutable strings carved from a string slab the
+	// scan owns, so a retained value keeps its slab block (at most 16 KiB)
+	// alive, and one over 4 KiB is a heap string of its own.
 	StartElement(name string, attrs []Attr) error
 	// Text is called with trimmed, non-empty character data of the current
 	// element.

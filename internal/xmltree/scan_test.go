@@ -1,0 +1,150 @@
+package xmltree
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// retainer keeps every attribute it is handed, as a handler that builds
+// records from a scan does.
+type retainer struct{ attrs []Attr }
+
+func (r *retainer) StartElement(_ string, attrs []Attr) error {
+	r.attrs = append(r.attrs, attrs...)
+	return nil
+}
+func (r *retainer) Text(string) error       { return nil }
+func (r *retainer) EndElement(string) error { return nil }
+
+// slabDoc is a document whose attribute values total well over one 16 KiB
+// slab block, with one value past the slab's 4 KiB per-value limit, one
+// that needs entity decoding and two namespace declarations the scanner
+// drops. It returns the attributes a scan must deliver, in order.
+func slabDoc(tag string) (string, []Attr) {
+	var doc strings.Builder
+	var want []Attr
+	doc.WriteString(`<r xmlns="urn:r" xmlns:p="urn:p">`)
+	for i := 0; i < 800; i++ {
+		v := fmt.Sprintf("%s-%d-%s", tag, i, strings.Repeat("v", i%40))
+		fmt.Fprintf(&doc, `<e ID="%s" p:k="%d"/>`, v, i)
+		want = append(want, Attr{Name: "ID", Value: v}, Attr{Name: "k", Value: fmt.Sprint(i)})
+		if i == 300 {
+			big := tag + strings.Repeat("B", 5000)
+			fmt.Fprintf(&doc, `<big v="%s"/>`, big)
+			want = append(want, Attr{Name: "v", Value: big})
+		}
+		if i == 500 {
+			doc.WriteString(`<ent v="` + tag + `&amp;&lt;&#x41;&#66;&quot;"/>`)
+			want = append(want, Attr{Name: "v", Value: tag + `&<AB"`})
+		}
+	}
+	doc.WriteString(`</r>`)
+	return doc.String(), want
+}
+
+// TestScanAttrValuesOutliveTheScan: attribute values come from the scan's
+// string slab, and a handler may keep them — every retained value reads
+// back unchanged after the scan returns and after another scan has run,
+// whether it sat in a slab block, got a heap string of its own, or was
+// entity-decoded; namespace declarations never reach the handler.
+func TestScanAttrValuesOutliveTheScan(t *testing.T) {
+	check := func(when string, got, want []Attr) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d attributes retained, want %d", when, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: attribute %d = %q=%.40q, want %q=%.40q", when, i, got[i].Name, got[i].Value, want[i].Name, want[i].Value)
+			}
+		}
+	}
+	docA, wantA := slabDoc("a")
+	docB, wantB := slabDoc("b")
+	var a, b retainer
+	if err := ScanAttrs(strings.NewReader(docA), &a); err != nil {
+		t.Fatal(err)
+	}
+	check("after the scan", a.attrs, wantA)
+	if err := ScanAttrs(strings.NewReader(docB), &b); err != nil {
+		t.Fatal(err)
+	}
+	check("after a second scan", a.attrs, wantA)
+	check("the second scan", b.attrs, wantB)
+}
+
+// nopAttrs is an AttrHandler that keeps nothing.
+type nopAttrs struct{}
+
+func (nopAttrs) StartElement(string, []Attr) error { return nil }
+func (nopAttrs) Text(string) error                 { return nil }
+func (nopAttrs) EndElement(string) error           { return nil }
+
+// TestScanAttrsAllocatesPerSlab: a scan's allocations grow with the string
+// slab's blocks, not with the elements whose values fill them — 64 times
+// the IDs cost a few more blocks, not 4,032 more strings.
+func TestScanAttrsAllocatesPerSlab(t *testing.T) {
+	allocs := func(n int) float64 {
+		var doc bytes.Buffer
+		doc.WriteString("<r>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&doc, `<e ID="1.%d.%d"/>`, i/7, i)
+		}
+		doc.WriteString("</r>")
+		return testing.AllocsPerRun(5, func() {
+			if err := ScanAttrs(bytes.NewReader(doc.Bytes()), nopAttrs{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(4096)
+	if large-small > 12 {
+		t.Errorf("64 elements: %.0f allocations, 4096: %.0f; want the difference to be a few slab blocks", small, large)
+	}
+}
+
+// endless reads as prefix followed by c repeated forever, counting the
+// bytes it hands out.
+type endless struct {
+	prefix string
+	c      byte
+	n      int
+}
+
+func (e *endless) Read(p []byte) (int, error) {
+	k := copy(p, e.prefix)
+	e.prefix = e.prefix[k:]
+	for i := k; i < len(p); i++ {
+		p[i] = e.c
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+// TestScanRefusesOversizedToken: a name, attribute value, text run or
+// CDATA section that never ends is refused with ErrTokenTooLarge once it
+// passes MaxTokenBytes, after reading at most that much plus one read
+// buffer — not buffered until memory runs out.
+func TestScanRefusesOversizedToken(t *testing.T) {
+	for _, c := range []struct {
+		what, prefix string
+		c            byte
+	}{
+		{"name", "<r><", 'n'},
+		{"attribute value", `<r><e v="`, 'v'},
+		{"text run", "<r>", 't'},
+		{"CDATA section", "<r><![CDATA[", 'c'},
+	} {
+		in := &endless{prefix: c.prefix, c: c.c}
+		err := ScanAttrs(in, nopAttrs{})
+		if !errors.Is(err, ErrTokenTooLarge) {
+			t.Errorf("endless %s: err = %v, want ErrTokenTooLarge", c.what, err)
+		}
+		if limit := MaxTokenBytes + 64<<10; in.n > limit {
+			t.Errorf("endless %s: read %d bytes before refusing, want at most %d", c.what, in.n, limit)
+		}
+	}
+}

@@ -14,8 +14,10 @@ import (
 // name on each event; at shipment sizes that tokenizer dominated the
 // streaming decoder's allocation profile. This scanner interns names (the
 // vocabulary of any document is small), reuses one attribute slice and one
-// scratch buffer, and allocates only the strings the handler actually
-// keeps: text chunks and attribute values.
+// scratch buffer, and copies attribute values into a string slab it owns
+// for the one scan, so a scan allocates per slab block, not per attribute.
+// Text reaches a TextBytesHandler without a copy; only a plain Text
+// handler gets a string per text event.
 type attrScanner struct {
 	br    *bufio.Reader
 	h     AttrHandler
@@ -23,10 +25,23 @@ type attrScanner struct {
 	raw   RawHandler       // h's optional verbatim-element path, nil otherwise
 	names map[string]string
 	attrs []Attr
+	vals  Arena  // attribute values' string slab; lives for the scan
 	text  []byte // raw accumulation of the pending character data
 	dec   []byte // entity-decoding scratch
 	depth int
 }
+
+// MaxTokenBytes caps one name, attribute value or text run (a CDATA
+// section included). It sits 1 MiB above the wire layer's 16 MiB chunk
+// limit, so a chunk body at that limit — or just past it, which the wire
+// layer refuses with its own typed error — always reaches the handler,
+// while an endless token is refused after at most this many bytes instead
+// of being buffered whole.
+const MaxTokenBytes = 17 << 20
+
+// ErrTokenTooLarge reports a name, attribute value or text run longer than
+// MaxTokenBytes.
+var ErrTokenTooLarge = fmt.Errorf("xmltree: scan: token exceeds %d bytes", MaxTokenBytes)
 
 var errUnterminated = fmt.Errorf("xmltree: scan: unterminated document")
 
@@ -84,10 +99,14 @@ func (s *attrScanner) scanText() error {
 			if len(s.text) == 0 {
 				return s.emitText(body)
 			}
-			s.text = append(s.text, body...)
+			if err := s.buffer(body); err != nil {
+				return err
+			}
 			return s.emitText(s.text)
 		}
-		s.text = append(s.text, chunk...)
+		if err := s.buffer(chunk); err != nil {
+			return err
+		}
 		if err == bufio.ErrBufferFull {
 			continue
 		}
@@ -99,6 +118,16 @@ func (s *attrScanner) scanText() error {
 		}
 		return fmt.Errorf("xmltree: scan: %w", err)
 	}
+}
+
+// buffer appends run to the pending token in s.text, refusing a token
+// that would grow past MaxTokenBytes.
+func (s *attrScanner) buffer(run []byte) error {
+	if len(s.text)+len(run) > MaxTokenBytes {
+		return ErrTokenTooLarge
+	}
+	s.text = append(s.text, run...)
+	return nil
 }
 
 // emitText decodes entities, trims, and delivers a text event. Character
@@ -273,6 +302,9 @@ func (s *attrScanner) readName() ([]byte, error) {
 		}
 		if c == '<' {
 			return nil, fmt.Errorf("xmltree: scan: '<' in tag")
+		}
+		if len(s.dec) == MaxTokenBytes {
+			return nil, ErrTokenTooLarge
 		}
 		s.dec = append(s.dec, c)
 	}
@@ -468,10 +500,14 @@ func (s *attrScanner) scanAttr() error {
 	for {
 		chunk, err := s.br.ReadSlice(quote)
 		if err == nil {
-			s.text = append(s.text, chunk[:len(chunk)-1]...)
+			if err := s.buffer(chunk[:len(chunk)-1]); err != nil {
+				return err
+			}
 			break
 		}
-		s.text = append(s.text, chunk...)
+		if err := s.buffer(chunk); err != nil {
+			return err
+		}
 		if err == bufio.ErrBufferFull {
 			continue
 		}
@@ -485,7 +521,7 @@ func (s *attrScanner) scanAttr() error {
 		if err := checkChars(s.text); err != nil {
 			return err
 		}
-		value = string(s.text)
+		value = s.vals.Bytes(s.text)
 	} else {
 		dec, err := decodeEntities(s.dec[:0], s.text)
 		s.dec = dec[:0]
@@ -495,7 +531,7 @@ func (s *attrScanner) scanAttr() error {
 		if err := checkChars(dec); err != nil {
 			return err
 		}
-		value = string(dec)
+		value = s.vals.Bytes(dec)
 	}
 	s.attrs = append(s.attrs, Attr{Name: name, Value: value})
 	return nil
@@ -566,6 +602,9 @@ func (s *attrScanner) scanCDATA() error {
 	s.text = s.text[:0]
 	match := 0
 	for {
+		if len(s.text) > MaxTokenBytes {
+			return ErrTokenTooLarge
+		}
 		c, err := s.br.ReadByte()
 		if err != nil {
 			return errUnterminated

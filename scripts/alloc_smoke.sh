@@ -1,15 +1,19 @@
 #!/bin/sh
 # Allocation-regression smoke: short runs of BenchmarkFigure9_EndToEnd,
-# BenchmarkShipmentCodecParallel,
+# BenchmarkShipmentCodecParallel, BenchmarkShipmentCodecStream,
 # BenchmarkReliableExchangeDurable/batch and
 # BenchmarkChainedCombine/spread/k=8, compared against the committed
 # baselines below. The first is the in-process end-to-end path — row
 # slabs, splitter and shredder arenas, pooled codec state; the second is
 # the bin+flate shipment codec on the chunk codec pool, whose decoder takes
 # nodes, child slices and strings out of per-chunk slabs (Figure 9 never
-# decodes a shipment, so it cannot see that); the third is the only snapshot benchmark that crosses the
+# decodes a shipment, so it cannot see that); the third is the tagged-XML
+# (xml) codec both ways, the only row on the path every negotiation falls
+# back to, whose scanner takes attribute values out of a per-scan string
+# slab and whose decoder stages each chunk in an arena-carved slice; the
+# fourth is the only snapshot benchmark that crosses the
 # agency, so the only one that sees what its chunk relay allocates per
-# chunk; the fourth is 1,600 attaches each under a parent of its own, whose
+# chunk; the fifth is 1,600 attaches each under a parent of its own, whose
 # kid slices grow out of the joiner's arena (the k-Combines-into-one-root
 # rows amortise a per-attach allocation away and would not see it). A >25%
 # allocs/op regression on any of them means someone reintroduced a
@@ -29,10 +33,16 @@ cd "$(dirname "$0")/.."
 # 0332f03 and makes the codec pool the only way a chunk renders or parses;
 # the gate used to read the deleted in-line path's w1 row (387 at
 # wal-payload), and the pool's single row reads 387-391 at 20x on 2 CPUs.
-FIGURE9_END_TO_END=54833              # 5ebdd14 (BENCH_13.json)
-SHIPMENT_CODEC_PARALLEL=390           # one-codec-path, 20x
-RELIABLE_EXCHANGE_DURABLE_BATCH=11377 # wal-payload
-CHAINED_COMBINE_SPREAD_K8=217         # 5ebdd14 (BENCH_13.json)
+# "slab-scan" is the commit that follows 7337e3f and gives the tokenizer a
+# per-scan string slab for attribute values. On 2 CPUs the xml codec row
+# read 10437 at 7337e3f and reads 210-213 at 20x; the slab also took the
+# bin+flate row from 387 to 286-296 and the durable row from 11397 to
+# 6625-6635.
+FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
+SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
+SHIPMENT_CODEC_STREAM=212            # slab-scan, 20x
+RELIABLE_EXCHANGE_DURABLE_BATCH=6635 # slab-scan
+CHAINED_COMBINE_SPREAD_K8=217        # 5ebdd14 (BENCH_13.json)
 
 # check NAME PKG BASE [BENCHTIME]: NAME is the benchmark name without the
 # Benchmark prefix; BENCHTIME defaults to 3x.
@@ -53,5 +63,6 @@ check Figure9_EndToEnd . "$FIGURE9_END_TO_END"
 # first iterations; at 3x that warm-up reads as 420-470 allocs/op, so this
 # row runs long enough to amortize it.
 check ShipmentCodecParallel ./internal/wire/ "$SHIPMENT_CODEC_PARALLEL" 20x
+check ShipmentCodecStream ./internal/wire/ "$SHIPMENT_CODEC_STREAM" 20x
 check ReliableExchangeDurable/batch ./internal/registry/ "$RELIABLE_EXCHANGE_DURABLE_BATCH"
 check ChainedCombine/spread/k=8 ./internal/core/ "$CHAINED_COMBINE_SPREAD_K8"
