@@ -1,7 +1,8 @@
 // Package bufpool is the shared pooled-buffer layer of the wire path.
 // Every shipment — XML or binary — funnels through a buffered
-// writer, every binary chunk through a scratch buffer and a DEFLATE
-// stream, and every streamed SOAP call through a request buffer; all of
+// writer, every XML read through a buffered reader, every binary chunk
+// through a scratch buffer and a DEFLATE stream, and every streamed SOAP
+// call through a request buffer; all of
 // those are steady-state hot-path allocations, so the pools live here,
 // once, instead of being re-grown per package.
 package bufpool
@@ -14,9 +15,10 @@ import (
 	"sync"
 )
 
-// writerSize is the buffered-writer capacity. 32 KiB comfortably holds a
-// shipment chunk's framing plus several records between flushes.
-const writerSize = 32 << 10
+// bufSize is the buffered-writer and buffered-reader capacity. 32 KiB
+// comfortably holds a shipment chunk's framing plus several records between
+// flushes, and lets the XML tokenizer read most names and values in place.
+const bufSize = 32 << 10
 
 // maxRetainedBuffer caps the scratch buffers the pool keeps. A pathological
 // chunk can grow a buffer to many megabytes; returning that to the pool
@@ -24,7 +26,7 @@ const writerSize = 32 << 10
 const maxRetainedBuffer = 1 << 20
 
 var writers = sync.Pool{
-	New: func() any { return bufio.NewWriterSize(io.Discard, writerSize) },
+	New: func() any { return bufio.NewWriterSize(io.Discard, bufSize) },
 }
 
 // Writer returns a pooled buffered writer reset onto w.
@@ -40,6 +42,25 @@ func Writer(w io.Writer) *bufio.Writer {
 func PutWriter(bw *bufio.Writer) {
 	bw.Reset(io.Discard)
 	writers.Put(bw)
+}
+
+var readers = sync.Pool{
+	New: func() any { return bufio.NewReaderSize(emptySource, bufSize) },
+}
+
+// Reader returns a pooled buffered reader reset onto r.
+func Reader(r io.Reader) *bufio.Reader {
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// PutReader returns a buffered reader to the pool, detached from its source
+// so the pool never retains a reference into a finished request. The caller
+// must not use bytes it read through the reader's buffer afterwards.
+func PutReader(br *bufio.Reader) {
+	br.Reset(emptySource)
+	readers.Put(br)
 }
 
 var buffers = sync.Pool{
@@ -93,8 +114,8 @@ var flateReaders = sync.Pool{
 	New: func() any { return flate.NewReader(bytes.NewReader(nil)) },
 }
 
-// emptySource is the parking source for pooled flate readers; it is never
-// read from (Reset replaces it before any Read), only referenced.
+// emptySource is the parking source for pooled buffered and flate readers;
+// it is never read from (Reset replaces it before any Read), only referenced.
 var emptySource = bytes.NewReader(nil)
 
 // FlateReader returns a pooled DEFLATE reader reset onto r.

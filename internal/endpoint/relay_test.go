@@ -250,3 +250,30 @@ func TestExecuteTargetOversizedValueIsClientFault(t *testing.T) {
 		t.Errorf("refused delivery loaded %d rows", st.Rows())
 	}
 }
+
+// TestExecuteTargetMismatchedCloseTagIsClientFault: a tagged-XML record
+// that closes an element with another element's name is malformed XML. The
+// target refuses it as the sender's fault, and nothing loads.
+func TestExecuteTargetMismatchedCloseTagIsClientFault(t *testing.T) {
+	fr := tFrag(t, schema.CustomerInfo())
+	st, err := relstore.NewStore(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, progXML := copyProgram(t, fr)
+	var req strings.Builder
+	req.WriteString(`<soap:Envelope xmlns:soap="` + soap.EnvelopeNS + `"><soap:Body><ExecuteTarget session="tags">`)
+	xmltree.Write(&req, progXML, xmltree.WriteOptions{EmitAllIDs: true})
+	name := fr.Fragments[0].Name
+	req.WriteString(`<shipment><instance edge="0:` + name + `" frag="` + name + `" seq="0">` +
+		`<Customer ID="1" PARENT=""><CustName>x</Customer></CustName></instance></shipment>` +
+		`</ExecuteTarget></soap:Body></soap:Envelope>`)
+	rec := httptest.NewRecorder()
+	testEndpoint(&RelBackend{Store: st, Speed: 1, CanCombine: true}).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/soap", strings.NewReader(req.String())))
+	if resp := rec.Body.String(); rec.Code != 400 || !strings.Contains(resp, "soap:Client") {
+		t.Errorf("status %d, response %.300s; want a soap:Client fault", rec.Code, resp)
+	}
+	if st.Rows() != 0 {
+		t.Errorf("refused delivery loaded %d rows", st.Rows())
+	}
+}

@@ -36,7 +36,7 @@ func To(r io.Reader, layout *core.Fragmentation, sink Sink) error {
 	var stack []entry
 	var arena xmltree.Arena
 	h := xmltree.FuncHandler{
-		Start: func(name, _, _ string) error {
+		Start: func(name string, _ []xmltree.Attr) error {
 			frag := layout.FragmentOf(name)
 			if frag == nil {
 				return fmt.Errorf("shred: element %q not covered by layout %q", name, layout.Name)
@@ -82,7 +82,7 @@ func To(r io.Reader, layout *core.Fragmentation, sink Sink) error {
 			return nil
 		},
 	}
-	return xmltree.Scan(r, h)
+	return xmltree.ScanAttrs(r, h)
 }
 
 // Loader accepts fragment instances; relstore.Store and ldapstore.Store

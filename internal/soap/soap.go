@@ -1,7 +1,7 @@
 // Package soap implements the SOAP 1.1 over HTTP binding the paper's WSDL
-// services deploy on (§1.1): envelope construction and parsing, fault
-// handling, a client, and an http.Handler server that dispatches on the
-// body's root element.
+// services deploy on (§1.1): envelope construction, one envelope walker
+// that reads requests and responses alike, fault handling, a client, and
+// an http.Handler server that dispatches on the body's root element.
 package soap
 
 import (
@@ -116,44 +116,11 @@ func EnvelopeWithHeader(headers []*xmltree.Node, body *xmltree.Node) *xmltree.No
 	return env
 }
 
-// Headers returns the header entries of a parsed envelope (possibly nil).
-// Entries marked mustUnderstand="1" that the caller does not recognize
-// should produce a soap:MustUnderstand fault, per SOAP 1.1 §4.2.3 —
-// MustUnderstandFault implements the check.
-func Headers(env *xmltree.Node) []*xmltree.Node {
-	if env == nil {
-		return nil
-	}
-	for _, k := range env.Kids {
-		if k.Name == "Header" || k.Name == "soap:Header" {
-			return k.Kids
-		}
-	}
-	return nil
-}
-
-// headerEntries unwraps a collected soap:Header tree into its entry list
-// (nil tree or empty header reads nil).
-func headerEntries(root *xmltree.Node) []*xmltree.Node {
-	if root == nil {
-		return nil
-	}
-	return root.Kids
-}
-
-// localName strips a namespace prefix from an element name.
-func localName(name string) string {
-	if i := strings.LastIndexByte(name, ':'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
-}
-
-// mustUnderstand reads a header entry's mustUnderstand flag (prefixed or
-// not; SOAP 1.1 uses "1"/"0").
+// mustUnderstand reads a header entry's mustUnderstand flag (SOAP 1.1 uses
+// "1"/"0"; the scanner has already stripped any prefix).
 func mustUnderstand(e *xmltree.Node) bool {
 	for _, a := range e.Attrs {
-		if localName(a.Name) == "mustUnderstand" && a.Value == "1" {
+		if a.Name == "mustUnderstand" && a.Value == "1" {
 			return true
 		}
 	}
@@ -161,16 +128,16 @@ func mustUnderstand(e *xmltree.Node) bool {
 }
 
 // MustUnderstandFault enforces SOAP 1.1 §4.2.3 over parsed header
-// entries: any entry marked mustUnderstand="1" whose local name recognize
-// does not accept yields a soap:MustUnderstand fault; nil means every
-// mandatory entry was understood. recognize may be nil (nothing is
-// understood).
+// entries, whose names are local: any entry marked mustUnderstand="1" whose
+// name recognize does not accept yields a soap:MustUnderstand fault; nil
+// means every mandatory entry was understood. recognize may be nil
+// (nothing is understood).
 func MustUnderstandFault(entries []*xmltree.Node, recognize func(local string) bool) *Fault {
 	for _, e := range entries {
 		if !mustUnderstand(e) {
 			continue
 		}
-		if recognize != nil && recognize(localName(e.Name)) {
+		if recognize != nil && recognize(e.Name) {
 			continue
 		}
 		return &Fault{
@@ -195,49 +162,6 @@ func FaultEnvelope(f *Fault) *xmltree.Node {
 		n.AddKid(&xmltree.Node{Name: "detail", Text: f.Detail})
 	}
 	return Envelope(n)
-}
-
-// OpenEnvelope extracts the body payload from a parsed envelope; a fault
-// body is returned as a *Fault error.
-func OpenEnvelope(env *xmltree.Node) (*xmltree.Node, error) {
-	if env == nil || env.Name != "Envelope" && env.Name != "soap:Envelope" {
-		return nil, fmt.Errorf("soap: not an envelope: %v", nodeName(env))
-	}
-	var body *xmltree.Node
-	for _, k := range env.Kids {
-		if k.Name == "Body" || k.Name == "soap:Body" {
-			body = k
-		}
-	}
-	if body == nil {
-		return nil, fmt.Errorf("soap: envelope has no body")
-	}
-	if len(body.Kids) == 0 {
-		return nil, nil
-	}
-	payload := body.Kids[0]
-	if payload.Name == "Fault" || payload.Name == "soap:Fault" {
-		f := &Fault{}
-		for _, k := range payload.Kids {
-			switch k.Name {
-			case "faultcode":
-				f.Code = k.Text
-			case "faultstring":
-				f.String = k.Text
-			case "detail":
-				f.Detail = k.Text
-			}
-		}
-		return nil, f
-	}
-	return payload, nil
-}
-
-func nodeName(n *xmltree.Node) string {
-	if n == nil {
-		return "<nil>"
-	}
-	return n.Name
 }
 
 // Client calls a SOAP endpoint.
@@ -301,9 +225,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // Call posts the payload as a SOAP request with the given SOAPAction and
-// returns the response payload. The request is buffered, so it travels
-// with an explicit Content-Length. SOAP faults come back as *Fault errors
-// carrying the HTTP status.
+// returns the response payload, nil for an empty body. The request is
+// buffered, so it travels with an explicit Content-Length. SOAP faults come
+// back as *Fault errors carrying the HTTP status.
 func (c *Client) Call(action string, payload *xmltree.Node) (*xmltree.Node, error) {
 	start := time.Now()
 	env := Envelope(payload)
@@ -314,14 +238,31 @@ func (c *Client) Call(action string, payload *xmltree.Node) (*xmltree.Node, erro
 	if err := xmltree.Write(&buf, env, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
 		return nil, fmt.Errorf("soap: marshal request: %w", err)
 	}
-	ctx, cancel := c.callContext()
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL, &buf)
-	if err != nil {
+	sent := int64(buf.Len())
+	var resp xmltree.TreeBuilder
+	if err := c.post(action, start, &buf, &sent, nil, &resp); err != nil {
 		return nil, err
 	}
-	reqBytes := int64(buf.Len())
-	req.ContentLength = reqBytes
+	return resp.Root(), nil
+}
+
+// post sends one request envelope read from body and scans the response
+// envelope's payload into h (nil discards it). It is what Call and
+// CallStream share: the status→fault mapping, the response's mandatory
+// header entries, the request writer's error and observe. stop, when
+// non-nil, ends the request body's producer with the given cause and
+// returns the producer's own error; *sent is read only after stop returns.
+func (c *Client) post(action string, start time.Time, body io.Reader, sent *int64, stop func(cause error) error, h xmltree.AttrHandler) error {
+	if stop == nil {
+		stop = func(error) error { return nil }
+	}
+	ctx, cancel := c.callContext()
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL, body)
+	if err != nil {
+		stop(err)
+		return err
+	}
 	req.Header.Set("Content-Type", `text/xml; charset="utf-8"`)
 	req.Header.Set("SOAPAction", `"`+action+`"`)
 	hc := c.HTTPClient
@@ -330,8 +271,11 @@ func (c *Client) Call(action string, payload *xmltree.Node) (*xmltree.Node, erro
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		c.observe(action, start, reqBytes, 0, err)
-		return nil, err
+		if werr := stop(err); werr != nil {
+			err = fmt.Errorf("soap: write request: %w", werr)
+		}
+		c.observe(action, start, *sent, 0, err)
+		return err
 	}
 	defer func() {
 		// Drain (bounded) before close so the keep-alive connection stays
@@ -340,35 +284,34 @@ func (c *Client) Call(action string, payload *xmltree.Node) (*xmltree.Node, erro
 		resp.Body.Close()
 	}()
 	cr := &countingReader{r: resp.Body}
-	env, err = xmltree.Parse(cr)
-	if err != nil {
-		err = httpStatusError(resp.StatusCode, err)
-		c.observe(action, start, reqBytes, cr.n, err)
-		return nil, err
-	}
-	payload, err = OpenEnvelope(env)
-	if f, ok := err.(*Fault); ok {
-		f.HTTPStatus = resp.StatusCode
-	}
-	if err == nil {
-		if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-			// A non-2xx status is a failed call even when the body parses as
-			// a non-fault envelope (a proxy substituting an error page, a
-			// half-written response behind a broken gateway). Surface it as
-			// a fault carrying the status so retry policies can classify it.
-			payload, err = nil, &Fault{
-				Code:       "soap:HTTP",
-				String:     fmt.Sprintf("HTTP %s with non-fault body", http.StatusText(resp.StatusCode)),
-				HTTPStatus: resp.StatusCode,
-			}
-		} else if f := MustUnderstandFault(Headers(env), nil); f != nil {
-			// This client recognizes no header vocabulary, so any mandatory
-			// response header entry is a protocol breach (SOAP 1.1 §4.2.3).
-			payload, err = nil, f
+	fault, err := ScanEnvelope(cr, h)
+	werr := stop(io.ErrClosedPipe)
+	switch {
+	case fault != nil:
+		fault.HTTPStatus = resp.StatusCode
+		err = fault
+	case err != nil:
+		if f, ok := err.(*Fault); ok {
+			// The walk itself faulted (an un-understood mandatory header
+			// entry); carry the status like a wire fault.
+			f.HTTPStatus = resp.StatusCode
+		} else {
+			err = httpStatusError(resp.StatusCode, err)
 		}
+	case resp.StatusCode < 200 || resp.StatusCode >= 300:
+		// The body scanned as a non-fault envelope, but the status says the
+		// call failed (proxy substitution, broken gateway). Surface it as a
+		// fault carrying the status so retry policies can classify it.
+		err = &Fault{
+			Code:       "soap:HTTP",
+			String:     fmt.Sprintf("HTTP %s with non-fault body", http.StatusText(resp.StatusCode)),
+			HTTPStatus: resp.StatusCode,
+		}
+	case werr != nil:
+		err = fmt.Errorf("soap: write request: %w", werr)
 	}
-	c.observe(action, start, reqBytes, cr.n, err)
-	return payload, err
+	c.observe(action, start, *sent, cr.n, err)
+	return err
 }
 
 // maxDrain bounds how much of an unconsumed response body Call reads
@@ -433,6 +376,16 @@ func (s *Server) SetObs(l obs.Logger, m *obs.Registry) {
 	s.metrics = m
 }
 
+// fail answers a request with a handler's error: a *Fault under its own
+// status, any other error as a soap:Server fault.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	f, ok := err.(*Fault)
+	if !ok {
+		f = &Fault{Code: "soap:Server", String: err.Error()}
+	}
+	s.fault(w, faultStatus(f), f)
+}
+
 func (s *Server) fault(w http.ResponseWriter, status int, f *Fault) {
 	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
 	w.WriteHeader(status)
@@ -442,18 +395,4 @@ func (s *Server) fault(w http.ResponseWriter, status int, f *Fault) {
 func (s *Server) reply(w http.ResponseWriter, env *xmltree.Node) {
 	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
 	xmltree.Write(w, env, xmltree.WriteOptions{EmitAllIDs: true})
-}
-
-// WritePayload streams an already-serialized payload body as a complete
-// envelope; used for large fragment shipments where building a tree first
-// would double memory.
-func WritePayload(w io.Writer, inner []byte) error {
-	if _, err := io.WriteString(w, envPrefix); err != nil {
-		return err
-	}
-	if _, err := w.Write(inner); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, envSuffix)
-	return err
 }

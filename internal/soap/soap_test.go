@@ -14,36 +14,34 @@ import (
 )
 
 func TestEnvelopeRoundTrip(t *testing.T) {
-	payload := &xmltree.Node{Name: "Ping", Text: "hello"}
-	env := Envelope(payload)
 	var buf bytes.Buffer
-	if err := xmltree.Write(&buf, env, xmltree.WriteOptions{}); err != nil {
+	if err := xmltree.Write(&buf, Envelope(&xmltree.Node{Name: "Ping", Text: "hello"}), xmltree.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := xmltree.Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var payload xmltree.TreeBuilder
+	if f, err := ScanEnvelope(&buf, &payload); f != nil || err != nil {
+		t.Fatalf("ScanEnvelope = %v, %v", f, err)
 	}
-	got, err := OpenEnvelope(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "Ping" || got.Text != "hello" {
+	if got := payload.Root(); got == nil || got.Name != "Ping" || got.Text != "hello" {
 		t.Errorf("payload = %+v", got)
 	}
 }
 
-func TestOpenEnvelopeFault(t *testing.T) {
-	env := FaultEnvelope(&Fault{Code: "soap:Server", String: "boom", Detail: "stack"})
-	var buf bytes.Buffer
-	xmltree.Write(&buf, env, xmltree.WriteOptions{})
-	parsed, _ := xmltree.Parse(&buf)
-	_, err := OpenEnvelope(parsed)
-	f, ok := err.(*Fault)
-	if !ok {
+// TestCallFault: a fault envelope comes back from Call as a *Fault carrying
+// its code, string and detail and the HTTP status it arrived with.
+func TestCallFault(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusInternalServerError)
+		xmltree.Write(w, FaultEnvelope(&Fault{Code: "soap:Server", String: "boom", Detail: "stack"}), xmltree.WriteOptions{})
+	}))
+	defer srv.Close()
+	_, err := (&Client{URL: srv.URL}).Call("Op", &xmltree.Node{Name: "Op"})
+	var f *Fault
+	if !errors.As(err, &f) {
 		t.Fatalf("want *Fault, got %v", err)
 	}
-	if f.Code != "soap:Server" || f.String != "boom" || f.Detail != "stack" {
+	if f.Code != "soap:Server" || f.String != "boom" || f.Detail != "stack" || f.HTTPStatus != http.StatusInternalServerError {
 		t.Errorf("fault = %+v", f)
 	}
 	if !strings.Contains(f.Error(), "boom") {
@@ -51,46 +49,58 @@ func TestOpenEnvelopeFault(t *testing.T) {
 	}
 }
 
+// TestEnvelopeWithHeader: header entries render ahead of the body with
+// their attributes, reach a stream handler as Header.Entries, and leave the
+// body reachable; a headerless envelope has no entries.
 func TestEnvelopeWithHeader(t *testing.T) {
+	var entries []*xmltree.Node
+	var body *xmltree.Node
+	srv := NewServer()
+	srv.HandleStream("Ping", func(env Header, _ []xmltree.Attr) (xmltree.AttrHandler, RespondFunc, error) {
+		entries = env.Entries
+		tb := &xmltree.TreeBuilder{}
+		return tb, func(io.Writer) error { body = tb.Root(); return nil }, nil
+	})
+	post := func(env *xmltree.Node) {
+		t.Helper()
+		entries, body = nil, nil
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/soap", strings.NewReader(xmltree.Marshal(env, xmltree.WriteOptions{}))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
 	hdr := &xmltree.Node{Name: "TxID", Text: "tx-42"}
-	hdr.SetAttr("mustUnderstand", "1")
-	env := EnvelopeWithHeader([]*xmltree.Node{hdr}, &xmltree.Node{Name: "Ping"})
-	var buf bytes.Buffer
-	xmltree.Write(&buf, env, xmltree.WriteOptions{})
-	parsed, err := xmltree.Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
+	hdr.SetAttr("mustUnderstand", "0")
+	post(EnvelopeWithHeader([]*xmltree.Node{hdr}, &xmltree.Node{Name: "Ping"}))
+	if len(entries) != 1 || entries[0].Name != "TxID" || entries[0].Text != "tx-42" {
+		t.Fatalf("headers = %+v", entries)
 	}
-	hs := Headers(parsed)
-	if len(hs) != 1 || hs[0].Name != "TxID" || hs[0].Text != "tx-42" {
-		t.Fatalf("headers = %+v", hs)
-	}
-	if v, _ := hs[0].Attr("mustUnderstand"); v != "1" {
+	if v, _ := entries[0].Attr("mustUnderstand"); v != "0" {
 		t.Errorf("mustUnderstand lost")
 	}
-	// The body is still reachable.
-	body, err := OpenEnvelope(parsed)
-	if err != nil || body.Name != "Ping" {
-		t.Errorf("body = %v, %v", body, err)
+	if body == nil || body.Name != "Ping" {
+		t.Errorf("body = %v", body)
 	}
-	// No headers cases.
-	if Headers(Envelope(&xmltree.Node{Name: "x"})) != nil {
-		t.Error("headerless envelope should report nil")
-	}
-	if Headers(nil) != nil {
-		t.Error("nil envelope should report nil")
+	post(Envelope(&xmltree.Node{Name: "Ping"}))
+	if entries != nil {
+		t.Errorf("headerless envelope reported entries %+v", entries)
 	}
 }
 
-func TestOpenEnvelopeErrors(t *testing.T) {
-	if _, err := OpenEnvelope(nil); err == nil {
-		t.Error("nil envelope must fail")
-	}
-	if _, err := OpenEnvelope(&xmltree.Node{Name: "NotAnEnvelope"}); err == nil {
-		t.Error("wrong root must fail")
-	}
-	if _, err := OpenEnvelope(&xmltree.Node{Name: "Envelope"}); err == nil {
-		t.Error("missing body must fail")
+// TestScanEnvelopeErrors: a body that is not a SOAP envelope, or an
+// envelope without a body, is refused.
+func TestScanEnvelopeErrors(t *testing.T) {
+	for _, doc := range []string{
+		"",
+		"service melting",
+		"<NotAnEnvelope/>",
+		`<soap:Envelope xmlns:soap="` + EnvelopeNS + `"/>`,
+		`<soap:Envelope xmlns:soap="` + EnvelopeNS + `"><soap:Header/></soap:Envelope>`,
+	} {
+		if _, err := ScanEnvelope(strings.NewReader(doc), nil); err == nil {
+			t.Errorf("ScanEnvelope(%q): want error", doc)
+		}
 	}
 }
 
@@ -157,21 +167,18 @@ func TestServerMalformedEnvelope(t *testing.T) {
 	}
 }
 
-func TestWritePayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePayload(&buf, []byte("<Data>42</Data>")); err != nil {
-		t.Fatal(err)
-	}
-	env, err := xmltree.Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := OpenEnvelope(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if payload.Name != "Data" || payload.Text != "42" {
-		t.Errorf("payload = %+v", payload)
+// TestCallEmptyBodyReturnsNilPayload: a response envelope whose body is
+// empty is a successful call without a payload.
+func TestCallEmptyBodyReturnsNilPayload(t *testing.T) {
+	srv := NewServer()
+	srv.HandleStream("Op", func(Header, []xmltree.Attr) (xmltree.AttrHandler, RespondFunc, error) {
+		return &xmltree.TreeBuilder{}, func(io.Writer) error { return nil }, nil
+	})
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	resp, err := (&Client{URL: hs.URL}).Call("Op", &xmltree.Node{Name: "Op"})
+	if err != nil || resp != nil {
+		t.Fatalf("Call = %+v, %v; want a nil payload and no error", resp, err)
 	}
 }
 

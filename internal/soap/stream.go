@@ -1,14 +1,14 @@
 package soap
 
-// Streaming SOAP binding. The tree binding in soap.go buffers whole
-// envelopes on both sides; for fragment shipments — the dominant payloads
-// of an exchange — that re-materializes data the wire codec already
-// streams. This file adds the zero-materialization path: requests flow
-// through an io.Pipe (chunked transfer, no full-request buffer), responses
-// are consumed by SAX handlers, and the server dispatches payloads to
-// stream handlers that read the body as events and write the reply
-// directly to the connection. Both bindings speak the same envelopes, so
-// buffered and streaming peers interoperate.
+// Streaming SOAP binding. Every envelope, request or response, is read in
+// one SAX pass by the envelope walker below; only the payload a tree
+// handler or Call asks for is materialized. For fragment shipments — the
+// dominant payloads of an exchange — nothing is: requests flow through an
+// io.Pipe (chunked transfer, no full-request buffer), responses are consumed
+// by SAX handlers, and the server dispatches payloads to stream handlers
+// that read the body as events and write the reply directly to the
+// connection. Buffered and streaming peers speak the same envelopes, so
+// they interoperate.
 
 import (
 	"context"
@@ -106,8 +106,6 @@ func (c *Client) callContext() (context.Context, context.CancelFunc) {
 // status.
 func (c *Client) CallStream(action string, writeBody func(io.Writer) error, h xmltree.AttrHandler) error {
 	start := time.Now()
-	ctx, cancel := c.callContext()
-	defer cancel()
 	pr, pw := io.Pipe()
 	var envAttrs []xmltree.Attr
 	if len(c.Codecs) > 0 {
@@ -134,65 +132,13 @@ func (c *Client) CallStream(action string, writeBody func(io.Writer) error, h xm
 		pw.CloseWithError(err)
 		errc <- err
 	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL, pr)
-	if err != nil {
-		pr.Close()
-		<-errc
-		return err
-	}
-	req.Header.Set("Content-Type", `text/xml; charset="utf-8"`)
-	req.Header.Set("SOAPAction", `"`+action+`"`)
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		pr.CloseWithError(err)
+	return c.post(action, start, pr, &reqCount.n, func(cause error) error {
+		pr.CloseWithError(cause)
 		if werr := <-errc; werr != nil && !errors.Is(werr, io.ErrClosedPipe) {
-			err = fmt.Errorf("soap: write request: %w", werr)
+			return werr
 		}
-		c.observe(action, start, reqCount.n, 0, err)
-		return err
-	}
-	defer func() {
-		drainBody(resp.Body)
-		resp.Body.Close()
-	}()
-	respCount := &countingReader{r: resp.Body}
-	fault, scanErr := ScanEnvelope(respCount, h)
-	pr.CloseWithError(io.ErrClosedPipe)
-	werr := <-errc
-	var callErr error
-	switch {
-	case fault != nil:
-		fault.HTTPStatus = resp.StatusCode
-		callErr = fault
-	case scanErr != nil:
-		var pe *PayloadError
-		var f *Fault
-		if !errors.As(scanErr, &pe) && errors.As(scanErr, &f) {
-			// The scanner itself faulted (an un-understood mandatory header
-			// entry); carry the status like a wire fault.
-			f.HTTPStatus = resp.StatusCode
-			callErr = f
-		} else {
-			callErr = httpStatusError(resp.StatusCode, scanErr)
-		}
-	case resp.StatusCode < 200 || resp.StatusCode >= 300:
-		// The body scanned as a non-fault envelope, but the status says the
-		// call failed (proxy substitution, broken gateway). Surface it as a
-		// fault carrying the status so retry policies can classify it.
-		callErr = &Fault{
-			Code:       "soap:HTTP",
-			String:     fmt.Sprintf("HTTP %s with non-fault body", http.StatusText(resp.StatusCode)),
-			HTTPStatus: resp.StatusCode,
-		}
-	case werr != nil && !errors.Is(werr, io.ErrClosedPipe):
-		callErr = fmt.Errorf("soap: write request: %w", werr)
-	}
-	c.observe(action, start, reqCount.n, respCount.n, callErr)
-	return callErr
+		return nil
+	}, h)
 }
 
 // countingWriter counts bytes written through it.
@@ -208,13 +154,14 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// PayloadError marks an error raised by the caller's payload handler
-// while a response envelope was being scanned: the envelope itself
-// arrived and parsed, so the failure is an application-level decode
-// rejecting the payload's contents — a permanent condition, unlike the
-// tokenizer errors a truncated stream raises. Retry policies use the
-// distinction to fail fast instead of re-requesting a payload that will
-// be rejected identically every time.
+// PayloadError marks an error raised by a payload handler while an
+// envelope was being scanned: the caller's response handler on the client,
+// the dispatched handler on the server. The envelope itself arrived and
+// parsed, so the failure is an application-level decode rejecting the
+// payload's contents — a permanent condition, unlike the tokenizer errors
+// a truncated stream raises. Retry policies use the distinction to fail
+// fast instead of re-requesting a payload that will be rejected
+// identically every time; the server answers it as the handler's fault.
 type PayloadError struct{ Err error }
 
 // Error implements error.
@@ -227,18 +174,22 @@ func (e *PayloadError) Unwrap() error { return e.Err }
 // delegating the payload element's events (including its own start/end) to
 // h. A soap:Fault payload is collected and returned instead of being
 // delegated. h may be nil to discard a non-fault payload. Errors raised by
-// h come back wrapped in *PayloadError; parse errors come back as-is.
+// h come back wrapped in *PayloadError, a mandatory header entry comes back
+// as a soap:MustUnderstand *Fault error, and parse errors come back as-is.
 func ScanEnvelope(r io.Reader, h xmltree.AttrHandler) (*Fault, error) {
-	v := &envelopeScanner{h: h}
-	if err := xmltree.ScanAttrs(r, v); err != nil {
-		return v.fault, err
+	var fault *faultReader
+	v := &envelopeWalker{pick: func(name string, _ []xmltree.Attr) (xmltree.AttrHandler, error) {
+		if name == "Fault" {
+			fault = &faultReader{}
+			return fault, nil
+		}
+		return h, nil
+	}}
+	err := v.scan(r)
+	if fault != nil {
+		return &fault.f, err
 	}
-	if !v.sawEnvelope {
-		// Plain-text bodies (proxy error pages) scan to EOF without ever
-		// opening an element; that is not a SOAP response.
-		return v.fault, fmt.Errorf("soap: response carried no envelope")
-	}
-	return v.fault, nil
+	return nil, err
 }
 
 // payloadErr wraps a delegated handler's error in *PayloadError.
@@ -249,109 +200,177 @@ func payloadErr(err error) error {
 	return &PayloadError{Err: err}
 }
 
-// envelopeScanner walks Envelope/Body framing around a delegated payload.
-type envelopeScanner struct {
-	h xmltree.AttrHandler
-
-	depth       int
-	skip        int
-	inPayload   int
-	payloadSeen bool
-	sawEnvelope bool
-	rawTo       io.Writer // the payload handler's sink for the element being copied verbatim
-
-	inHeader int
-	hdr      *xmltree.TreeBuilder
-
-	fault      *Fault
-	inFault    int
-	faultField string
+// faultReader collects a soap:Fault payload's code, string and detail.
+type faultReader struct {
+	f     Fault
+	depth int
+	field string // the name of the Fault child last opened
 }
 
 // StartElement implements xmltree.AttrHandler.
-func (v *envelopeScanner) StartElement(name string, attrs []xmltree.Attr) error {
-	if v.skip > 0 {
-		v.skip++
-		return nil
-	}
-	if v.inHeader > 0 {
-		v.inHeader++
-		return v.hdr.StartElement(name, attrs)
-	}
-	if v.inFault > 0 {
-		v.inFault++
-		if v.inFault == 2 {
-			v.faultField = name
-		}
-		return nil
-	}
-	if v.inPayload > 0 {
-		v.inPayload++
-		return payloadErr(v.h.StartElement(name, attrs))
-	}
-	v.depth++
-	switch v.depth {
-	case 1:
-		if name != "Envelope" {
-			return fmt.Errorf("soap: not an envelope: %s", name)
-		}
-		v.sawEnvelope = true
-		if o, ok := v.h.(EnvelopeObserver); ok {
-			o.ObserveEnvelope(attrs)
-		}
-	case 2:
-		if name != "Body" {
-			if name == "Header" {
-				// Collect header entries so mandatory ones can be enforced
-				// (SOAP 1.1 §4.2.3) instead of silently skipped.
-				v.depth--
-				v.inHeader = 1
-				v.hdr = &xmltree.TreeBuilder{}
-				return v.hdr.StartElement(name, attrs)
-			}
-			// Foreign envelope siblings are not the payload.
-			v.depth--
-			v.skip = 1
-		}
-	case 3:
-		if v.payloadSeen {
-			// Like the tree binding, only the first payload element counts.
-			v.depth--
-			v.skip = 1
-			return nil
-		}
-		v.payloadSeen = true
-		if name == "Fault" {
-			v.fault = &Fault{}
-			v.inFault = 1
-			return nil
-		}
-		if v.h == nil {
-			v.depth--
-			v.skip = 1
-			return nil
-		}
-		v.inPayload = 1
-		return payloadErr(v.h.StartElement(name, attrs))
+func (r *faultReader) StartElement(name string, _ []xmltree.Attr) error {
+	if r.depth++; r.depth == 2 {
+		r.field = name
 	}
 	return nil
 }
 
 // Text implements xmltree.AttrHandler.
-func (v *envelopeScanner) Text(data string) error {
+func (r *faultReader) Text(data string) error {
+	if r.depth < 2 {
+		return nil
+	}
+	switch r.field {
+	case "faultcode":
+		r.f.Code += data
+	case "faultstring":
+		r.f.String += data
+	case "detail":
+		r.f.Detail += data
+	}
+	return nil
+}
+
+// EndElement implements xmltree.AttrHandler.
+func (r *faultReader) EndElement(string) error {
+	r.depth--
+	return nil
+}
+
+// envelopeWalker reads one SOAP envelope in a single SAX pass, a response
+// on the client and a request on the server alike. It enforces the
+// Envelope/Body framing, collects the soap:Header entries and refuses a
+// mandatory one it does not understand (SOAP 1.1 §4.2.3), and routes the
+// first body element's subtree to the handler pick chooses for it, without
+// materializing the envelope. Other envelope children and any later body
+// elements are skipped.
+type envelopeWalker struct {
+	// pick chooses the payload's handler as the body's first element
+	// opens; a nil handler skips the payload. Its error, and any error the
+	// handler raises, comes back as a *PayloadError.
+	pick func(name string, attrs []xmltree.Attr) (xmltree.AttrHandler, error)
+	// understood accepts the header entries, by local name, this side
+	// understands; nil understands none.
+	understood func(local string) bool
+
+	env         Header         // the envelope's codecs and header entries
+	envAttrs    []xmltree.Attr // the Envelope element's own attributes
+	payload     string         // the payload's name, "" until it opens
+	sawEnvelope bool
+	sawBody     bool
+
+	depth     int // framing elements open: 1 in the Envelope, 2 in the Body
+	skip      int // depth inside a skipped element, 0 outside one
+	inHeader  int
+	hdr       *xmltree.TreeBuilder
+	inPayload int
+	h         xmltree.AttrHandler // the payload's handler
+	rawTo     io.Writer           // h's sink for the element being copied verbatim
+}
+
+// scan walks the envelope read from r.
+func (v *envelopeWalker) scan(r io.Reader) error {
+	if err := xmltree.ScanAttrs(r, v); err != nil {
+		return err
+	}
+	switch {
+	case !v.sawEnvelope:
+		// Plain-text bodies (proxy error pages) scan to EOF without ever
+		// opening an element; that is not a SOAP message.
+		return errors.New("soap: no envelope")
+	case !v.sawBody:
+		return errors.New("soap: envelope has no body")
+	}
+	return nil
+}
+
+// closeHeader runs once soap:Header closes: it enforces mustUnderstand,
+// keeps the entries for handlers, and honors a codecs entry as the
+// negotiation carrier when the envelope attribute did not already
+// negotiate.
+func (v *envelopeWalker) closeHeader() error {
+	v.env.Entries = v.hdr.Root().Kids
+	v.hdr = nil
+	if f := MustUnderstandFault(v.env.Entries, v.understood); f != nil {
+		return f
+	}
+	for _, e := range v.env.Entries {
+		if e.Name == "codecs" && len(v.env.Codecs) == 0 {
+			v.env.Codecs = strings.Fields(e.Text)
+		}
+	}
+	return nil
+}
+
+// StartElement implements xmltree.AttrHandler.
+func (v *envelopeWalker) StartElement(name string, attrs []xmltree.Attr) error {
+	switch {
+	case v.skip > 0:
+		v.skip++
+		return nil
+	case v.inHeader > 0:
+		v.inHeader++
+		return v.hdr.StartElement(name, attrs)
+	case v.inPayload > 0:
+		v.inPayload++
+		return payloadErr(v.h.StartElement(name, attrs))
+	}
+	switch v.depth {
+	case 0:
+		if name != "Envelope" {
+			return fmt.Errorf("soap: not an envelope: %s", name)
+		}
+		v.sawEnvelope = true
+		v.envAttrs = append(v.envAttrs[:0], attrs...)
+		for _, a := range attrs {
+			if a.Name == "codecs" {
+				v.env.Codecs = strings.Fields(a.Value)
+			}
+		}
+		v.depth++
+	case 1:
+		switch name {
+		case "Body":
+			v.sawBody = true
+			v.depth++
+		case "Header":
+			// Collect entries instead of silently skipping them, so
+			// mandatory ones are enforced and handlers can read the rest.
+			v.inHeader = 1
+			v.hdr = &xmltree.TreeBuilder{}
+			return v.hdr.StartElement(name, attrs)
+		default:
+			v.skip = 1
+		}
+	default:
+		if v.payload != "" {
+			v.skip = 1
+			return nil
+		}
+		v.payload = name
+		h, err := v.pick(name, attrs)
+		if err != nil {
+			return payloadErr(err)
+		}
+		if h == nil {
+			v.skip = 1
+			return nil
+		}
+		if o, ok := h.(EnvelopeObserver); ok {
+			o.ObserveEnvelope(v.envAttrs)
+		}
+		v.h, v.inPayload = h, 1
+		return payloadErr(h.StartElement(name, attrs))
+	}
+	return nil
+}
+
+// Text implements xmltree.AttrHandler.
+func (v *envelopeWalker) Text(data string) error {
 	switch {
 	case v.skip > 0:
 	case v.inHeader > 0:
 		return v.hdr.Text(data)
-	case v.inFault > 1:
-		switch v.faultField {
-		case "faultcode":
-			v.fault.Code += data
-		case "faultstring":
-			v.fault.String += data
-		case "detail":
-			v.fault.Detail += data
-		}
 	case v.inPayload > 0:
 		return payloadErr(v.h.Text(data))
 	}
@@ -359,9 +378,9 @@ func (v *envelopeScanner) Text(data string) error {
 }
 
 // TextBytes implements xmltree.TextBytesHandler so a payload handler with
-// a zero-copy text path (the shipment decoder) keeps it through the
-// envelope walk; header and fault text take the string path.
-func (v *envelopeScanner) TextBytes(data []byte) error {
+// a zero-copy text path (the shipment decoder, the endpoint's target scan)
+// keeps it through the envelope walk; header text takes the string path.
+func (v *envelopeWalker) TextBytes(data []byte) error {
 	switch {
 	case v.skip > 0:
 		return nil
@@ -375,7 +394,7 @@ func (v *envelopeScanner) TextBytes(data []byte) error {
 
 // StartRaw implements xmltree.RawHandler, forwarding the payload handler's
 // verbatim-element path the way TextBytes forwards its zero-copy text path.
-func (v *envelopeScanner) StartRaw(name string) io.Writer {
+func (v *envelopeWalker) StartRaw(name string) io.Writer {
 	if rh, ok := v.h.(xmltree.RawHandler); ok && v.skip == 0 && v.inPayload > 0 {
 		if v.rawTo = rh.StartRaw(name); v.rawTo != nil {
 			return v
@@ -385,18 +404,18 @@ func (v *envelopeScanner) StartRaw(name string) io.Writer {
 }
 
 // Write passes a claimed element's bytes to the payload handler's sink.
-func (v *envelopeScanner) Write(p []byte) (int, error) {
+func (v *envelopeWalker) Write(p []byte) (int, error) {
 	n, err := v.rawTo.Write(p)
 	return n, payloadErr(err)
 }
 
 // EndRaw implements xmltree.RawHandler.
-func (v *envelopeScanner) EndRaw(name string) error {
+func (v *envelopeWalker) EndRaw(name string) error {
 	return payloadErr(v.h.(xmltree.RawHandler).EndRaw(name))
 }
 
 // EndElement implements xmltree.AttrHandler.
-func (v *envelopeScanner) EndElement(name string) error {
+func (v *envelopeWalker) EndElement(name string) error {
 	switch {
 	case v.skip > 0:
 		v.skip--
@@ -406,27 +425,11 @@ func (v *envelopeScanner) EndElement(name string) error {
 			return err
 		}
 		if v.inHeader == 0 {
-			entries := headerEntries(v.hdr.Root())
-			v.hdr = nil
-			// This caller recognizes no response-header vocabulary, so any
-			// mandatory entry aborts the scan as a protocol breach.
-			if f := MustUnderstandFault(entries, nil); f != nil {
-				return f
-			}
-		}
-	case v.inFault > 0:
-		v.inFault--
-		if v.inFault == 0 {
-			v.depth--
+			return v.closeHeader()
 		}
 	case v.inPayload > 0:
 		v.inPayload--
-		if err := v.h.EndElement(name); err != nil {
-			return payloadErr(err)
-		}
-		if v.inPayload == 0 {
-			v.depth--
-		}
+		return payloadErr(v.h.EndElement(name))
 	default:
 		v.depth--
 	}
@@ -449,204 +452,6 @@ type StreamHandlerFunc func(env Header, attrs []xmltree.Attr) (xmltree.AttrHandl
 // is elem. Stream handlers take precedence over Handle handlers for the
 // same element.
 func (s *Server) HandleStream(elem string, h StreamHandlerFunc) { s.streams[elem] = h }
-
-// handlerError marks an error raised by application handler code during
-// the request scan, so dispatch can distinguish it from a malformed
-// envelope.
-type handlerError struct{ err error }
-
-func (e *handlerError) Error() string { return e.err.Error() }
-func (e *handlerError) Unwrap() error { return e.err }
-
-// reqFault aborts the request scan with a specific fault and HTTP status.
-type reqFault struct {
-	status int
-	f      *Fault
-}
-
-func (e *reqFault) Error() string { return e.f.String }
-
-// serverWalker is the server's request-side envelope scanner: it enforces
-// the Envelope/Body framing and routes the payload subtree to the
-// dispatched handler without materializing the envelope.
-type serverWalker struct {
-	s *Server
-
-	depth int
-	skip  int
-
-	env         Header
-	sawBody     bool
-	payloadName string
-	notFound    bool
-
-	inHeader int
-	hdr      *xmltree.TreeBuilder
-
-	inPayload int
-	delegate  xmltree.AttrHandler
-	respond   RespondFunc
-	legacy    HandlerFunc
-	tree      *xmltree.TreeBuilder
-}
-
-// closeHeader runs once the request's soap:Header closes: enforce
-// mustUnderstand (SOAP 1.1 §4.2.3), expose the entries to handlers, and
-// honor a codecs entry as the negotiation carrier when the envelope
-// attribute did not already negotiate.
-func (v *serverWalker) closeHeader() error {
-	entries := headerEntries(v.hdr.Root())
-	v.hdr = nil
-	v.env.Entries = entries
-	if f := MustUnderstandFault(entries, serverRecognizes); f != nil {
-		return &reqFault{status: http.StatusInternalServerError, f: f}
-	}
-	for _, e := range entries {
-		if localName(e.Name) == "codecs" && len(v.env.Codecs) == 0 {
-			v.env.Codecs = strings.Fields(e.Text)
-		}
-	}
-	return nil
-}
-
-// StartElement implements xmltree.AttrHandler.
-func (v *serverWalker) StartElement(name string, attrs []xmltree.Attr) error {
-	if v.skip > 0 {
-		v.skip++
-		return nil
-	}
-	if v.inHeader > 0 {
-		v.inHeader++
-		return v.hdr.StartElement(name, attrs)
-	}
-	if v.inPayload > 0 {
-		v.inPayload++
-		if err := v.delegate.StartElement(name, attrs); err != nil {
-			return &handlerError{err}
-		}
-		return nil
-	}
-	v.depth++
-	switch v.depth {
-	case 1:
-		if name != "Envelope" {
-			return &reqFault{status: http.StatusBadRequest,
-				f: &Fault{Code: "soap:Client", String: "soap: not an envelope: " + name}}
-		}
-		for _, a := range attrs {
-			if a.Name == "codecs" {
-				v.env.Codecs = strings.Fields(a.Value)
-			}
-		}
-	case 2:
-		if name == "Body" {
-			v.sawBody = true
-		} else if name == "Header" {
-			// Collect entries instead of silently skipping them, so
-			// mandatory ones are enforced and handlers can read the rest.
-			v.depth--
-			v.inHeader = 1
-			v.hdr = &xmltree.TreeBuilder{}
-			return v.hdr.StartElement(name, attrs)
-		} else {
-			v.depth--
-			v.skip = 1
-		}
-	case 3:
-		if v.payloadName != "" {
-			v.depth--
-			v.skip = 1
-			return nil
-		}
-		v.payloadName = name
-		switch {
-		case v.s.streams[name] != nil:
-			h, respond, err := v.s.streams[name](v.env, attrs)
-			if err != nil {
-				return &handlerError{err}
-			}
-			v.delegate, v.respond = h, respond
-		case v.s.handlers[name] != nil:
-			v.legacy = v.s.handlers[name]
-			v.tree = &xmltree.TreeBuilder{}
-			v.delegate = v.tree
-		default:
-			// Keep scanning so a malformed body still reports 400, like the
-			// tree dispatch which parsed before looking up handlers.
-			v.notFound = true
-			v.depth--
-			v.skip = 1
-			return nil
-		}
-		v.inPayload = 1
-		if err := v.delegate.StartElement(name, attrs); err != nil {
-			return &handlerError{err}
-		}
-	}
-	return nil
-}
-
-// Text implements xmltree.AttrHandler.
-func (v *serverWalker) Text(data string) error {
-	if v.skip > 0 {
-		return nil
-	}
-	if v.inHeader > 0 {
-		return v.hdr.Text(data)
-	}
-	if v.inPayload == 0 {
-		return nil
-	}
-	if err := v.delegate.Text(data); err != nil {
-		return &handlerError{err}
-	}
-	return nil
-}
-
-// TextBytes implements xmltree.TextBytesHandler: the server side of the
-// same fast path — a streaming request handler (the endpoint's target
-// scan) that accepts raw bytes gets them without a string per event.
-func (v *serverWalker) TextBytes(data []byte) error {
-	switch {
-	case v.skip > 0:
-		return nil
-	case v.inHeader == 0 && v.inPayload > 0:
-		if tb, ok := v.delegate.(xmltree.TextBytesHandler); ok {
-			if err := tb.TextBytes(data); err != nil {
-				return &handlerError{err}
-			}
-			return nil
-		}
-	}
-	return v.Text(string(data))
-}
-
-// EndElement implements xmltree.AttrHandler.
-func (v *serverWalker) EndElement(name string) error {
-	switch {
-	case v.skip > 0:
-		v.skip--
-	case v.inHeader > 0:
-		v.inHeader--
-		if err := v.hdr.EndElement(name); err != nil {
-			return err
-		}
-		if v.inHeader == 0 {
-			return v.closeHeader()
-		}
-	case v.inPayload > 0:
-		v.inPayload--
-		if err := v.delegate.EndElement(name); err != nil {
-			return &handlerError{err}
-		}
-		if v.inPayload == 0 {
-			v.depth--
-		}
-	default:
-		v.depth--
-	}
-	return nil
-}
 
 // envelopeWriter lazily opens the response envelope on first write, so a
 // responder that fails before producing output can still get a clean SOAP
@@ -748,7 +553,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "soap endpoint requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	walk := &serverWalker{s: s}
+	var (
+		respond RespondFunc
+		legacy  HandlerFunc
+		tree    *xmltree.TreeBuilder
+	)
+	walk := &envelopeWalker{understood: serverRecognizes}
+	walk.pick = func(name string, attrs []xmltree.Attr) (xmltree.AttrHandler, error) {
+		if sh := s.streams[name]; sh != nil {
+			h, rf, err := sh(walk.env, attrs)
+			respond = rf
+			return h, err
+		}
+		if legacy = s.handlers[name]; legacy == nil {
+			// Keep scanning so a malformed body still reports 400 rather
+			// than 404.
+			return nil, nil
+		}
+		tree = &xmltree.TreeBuilder{}
+		return tree, nil
+	}
 	body := io.Reader(r.Body)
 	if s.metrics != nil || s.logger != nil {
 		// Wrapping only when observability is on keeps the default path
@@ -772,64 +596,48 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			m.Histogram("soap.server.millis").ObserveSince(start)
 			if l := obs.OrNop(s.logger); l.Enabled(obs.LevelDebug) {
 				l.Log(obs.LevelDebug, "soap request",
-					"payload", walk.payloadName, "status", status,
+					"payload", walk.payload, "status", status,
 					"reqBytes", cr.n, "respBytes", cw.n)
 			}
 		}()
 	}
-	if err := xmltree.ScanAttrs(body, walk); err != nil {
-		var rf *reqFault
-		var he *handlerError
-		switch {
-		case errors.As(err, &rf):
-			s.fault(w, rf.status, rf.f)
-		case errors.As(err, &he):
-			if f, ok := he.err.(*Fault); ok {
-				s.fault(w, faultStatus(f), f)
-			} else {
-				s.fault(w, http.StatusInternalServerError, &Fault{Code: "soap:Server", String: he.err.Error()})
-			}
-		default:
+	if err := walk.scan(body); err != nil {
+		var pe *PayloadError
+		if errors.As(err, &pe) {
+			err = pe.Err
+		} else if _, ok := err.(*Fault); !ok {
 			s.fault(w, http.StatusBadRequest, &Fault{Code: "soap:Client", String: "malformed envelope", Detail: err.Error()})
+			return
 		}
+		s.fail(w, err)
 		return
 	}
 	switch {
-	case !walk.sawBody:
-		s.fault(w, http.StatusBadRequest, &Fault{Code: "soap:Client", String: "soap: envelope has no body"})
-	case walk.payloadName == "":
+	case walk.payload == "":
 		s.fault(w, http.StatusBadRequest, &Fault{Code: "soap:Client", String: "empty body"})
-	case walk.notFound:
-		s.fault(w, http.StatusNotFound, &Fault{Code: "soap:Client", String: "no handler for " + walk.payloadName})
-	case walk.respond != nil:
+	case respond != nil:
 		ew := &envelopeWriter{w: w}
-		if err := walk.respond(ew); err != nil {
+		if err := respond(ew); err != nil {
 			if !ew.started {
-				if f, ok := err.(*Fault); ok {
-					s.fault(w, faultStatus(f), f)
-				} else {
-					s.fault(w, http.StatusInternalServerError, &Fault{Code: "soap:Server", String: err.Error()})
-				}
+				s.fail(w, err)
 				return
 			}
 			// The envelope is already flowing; truncating it is the only way
 			// left to signal failure — the client's parser will report it.
-			s.truncated(walk.payloadName, err)
+			s.truncated(walk.payload, err)
 			return
 		}
 		if err := ew.finish(); err != nil {
-			s.truncated(walk.payloadName, err)
+			s.truncated(walk.payload, err)
 		}
-	default:
-		resp, err := walk.legacy(walk.tree.Root())
+	case legacy != nil:
+		resp, err := legacy(tree.Root())
 		if err != nil {
-			if f, ok := err.(*Fault); ok {
-				s.fault(w, faultStatus(f), f)
-				return
-			}
-			s.fault(w, http.StatusInternalServerError, &Fault{Code: "soap:Server", String: err.Error()})
+			s.fail(w, err)
 			return
 		}
 		s.reply(w, Envelope(resp))
+	default:
+		s.fault(w, http.StatusNotFound, &Fault{Code: "soap:Client", String: "no handler for " + walk.payload})
 	}
 }

@@ -114,8 +114,8 @@ func TestParseIgnoresCommentsAndPIs(t *testing.T) {
 func TestScanIgnoresCommentsAndPIs(t *testing.T) {
 	doc := `<?pi data?><a><!-- c --><b>x</b></a>`
 	events := 0
-	err := Scan(strings.NewReader(doc), FuncHandler{
-		Start: func(string, string, string) error { events++; return nil },
+	err := ScanAttrs(strings.NewReader(doc), FuncHandler{
+		Start: func(string, []Attr) error { events++; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,19 +5,21 @@ import (
 	"testing"
 )
 
+// parseSeeds start FuzzParse and FuzzParseMatchesEncodingXML.
+var parseSeeds = []string{
+	`<a/>`,
+	`<a><b>text</b><c x="1"/></a>`,
+	`<a ID="1" PARENT=""><b ID="1.1">x</b></a>`,
+	`<a>&lt;&amp;&gt;</a>`,
+	`<a><a><a/></a></a>`,
+	`<बहु भाषा="हाँ">पाठ</बहु>`,
+	`<a`, `<a></b>`, ``, `plain`, `<a>]]></a>`,
+}
+
 // FuzzParse checks the parser never panics and that anything it accepts
 // round-trips shape-stably through the serializer.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		`<a/>`,
-		`<a><b>text</b><c x="1"/></a>`,
-		`<a ID="1" PARENT=""><b ID="1.1">x</b></a>`,
-		`<a>&lt;&amp;&gt;</a>`,
-		`<a><a><a/></a></a>`,
-		`<बहु भाषा="हाँ">पाठ</बहु>`,
-		`<a`, `<a></b>`, ``, `plain`, `<a>]]></a>`,
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
@@ -36,21 +38,29 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzScan checks the SAX scanner never panics and balances events, and
-// that its raw-element path finds the same element boundaries.
+// FuzzScan checks the SAX scanner never panics, balances events and closes
+// every element it accepts with that element's own name, and that its
+// raw-element path finds the same element boundaries.
 func FuzzScan(f *testing.F) {
 	f.Add(`<a><b>x</b></a>`)
 	f.Add(`<a><b></a></b>`)
 	f.Add(`<?xml version="1.0"?><r/>`)
 	f.Add(`<r><c a='>'><!-- </c> --><c/><![CDATA[</c>]]></c><c/></r>`)
+	f.Add(`<r><!DOCTYPE x [<!ENTITY e "]>"><!-- > -->]><c/></r>`)
 	f.Fuzz(func(t *testing.T, doc string) {
-		depth := 0
+		var open []string
 		h := FuncHandler{
-			Start: func(string, string, string) error { depth++; return nil },
-			End:   func(string) error { depth--; return nil },
+			Start: func(name string, _ []Attr) error { open = append(open, name); return nil },
+			End: func(name string) error {
+				if len(open) == 0 || open[len(open)-1] != name {
+					t.Fatalf("</%s> delivered with %q open, for %q", name, open, doc)
+				}
+				open = open[:len(open)-1]
+				return nil
+			},
 		}
-		if err := Scan(strings.NewReader(doc), h); err == nil && depth != 0 {
-			t.Fatalf("unbalanced events accepted: depth %d for %q", depth, doc)
+		if err := ScanAttrs(strings.NewReader(doc), h); err == nil && len(open) != 0 {
+			t.Fatalf("unbalanced events accepted: %q left open for %q", open, doc)
 		}
 		checkRawAgreesWithScan(t, doc)
 	})

@@ -4,53 +4,9 @@ import (
 	"io"
 )
 
-// Handler receives streaming parse events, in the style of the SAX C API the
-// paper implemented over expat for shredding (§5.1).
-type Handler interface {
-	// StartElement is called for each open tag. attrs holds the ID and
-	// PARENT attribute values when present ("" otherwise).
-	StartElement(name, id, parent string) error
-	// Text is called with trimmed, non-empty character data of the current
-	// element.
-	Text(data string) error
-	// EndElement is called for each close tag.
-	EndElement(name string) error
-}
-
-// Scan streams XML from r into h. It is single-pass and keeps no tree in
-// memory, which is what lets the shredder discard state as soon as tuples
-// are flushed.
-func Scan(r io.Reader, h Handler) error {
-	return scanStream(r, idParentAdapter{h})
-}
-
-// idParentAdapter narrows AttrHandler events to the Handler interface,
-// extracting the ID/PARENT pair the shredder dispatches on.
-type idParentAdapter struct{ h Handler }
-
-// StartElement implements AttrHandler.
-func (a idParentAdapter) StartElement(name string, attrs []Attr) error {
-	var id, parent string
-	for _, at := range attrs {
-		switch at.Name {
-		case "ID":
-			id = at.Value
-		case "PARENT":
-			parent = at.Value
-		}
-	}
-	return a.h.StartElement(name, id, parent)
-}
-
-// Text implements AttrHandler.
-func (a idParentAdapter) Text(data string) error { return a.h.Text(data) }
-
-// EndElement implements AttrHandler.
-func (a idParentAdapter) EndElement(name string) error { return a.h.EndElement(name) }
-
-// AttrHandler receives streaming parse events carrying the full attribute
-// list of each element, for consumers that dispatch on attributes beyond
-// ID/PARENT (the wire shipment decoder, the SOAP envelope walker).
+// AttrHandler receives streaming parse events, in the style of the SAX C
+// API the paper implemented over expat for shredding (§5.1). Each start
+// event carries the element's full attribute list.
 type AttrHandler interface {
 	// StartElement is called for each open tag. attrs holds every generic
 	// attribute in document order; namespace declarations are dropped. The
@@ -93,28 +49,32 @@ type RawHandler interface {
 	EndRaw(name string) error
 }
 
-// ScanAttrs streams XML from r into h, like Scan but delivering the full
-// attribute list of every element. It is single-pass and keeps no tree in
-// memory; it is what the zero-materialization wire path parses shipments
-// with.
+// ScanAttrs streams XML from r into h. It is single-pass and keeps no tree
+// in memory, which is what lets the shredder discard state as soon as
+// tuples are flushed and the wire path parse shipments without
+// materializing them. Every XML read in the program goes through it; Parse
+// is ScanAttrs into a TreeBuilder.
 func ScanAttrs(r io.Reader, h AttrHandler) error {
 	return scanStream(r, h)
 }
 
-// TreeBuilder is an AttrHandler that materializes scanned elements into
-// Node trees with the same semantics as Parse: ID and PARENT attributes
-// become the Node's identifier fields, any other attribute is kept, and
-// trimmed character data accumulates on the innermost open element. It lets
-// a streaming consumer (the SOAP server) materialize only the small
+// TreeBuilder is an AttrHandler that materializes one scanned element into
+// a Node tree: ID and PARENT attributes become the Node's identifier fields,
+// any other attribute is kept, and trimmed character data accumulates on the
+// innermost open element. It is how Parse builds a document, and it lets a
+// streaming consumer (the SOAP envelope walker) materialize only the small
 // subtrees it needs while larger siblings flow through purpose-built
-// handlers.
+// handlers. A second root element is refused.
 type TreeBuilder struct {
-	roots []*Node
+	root  *Node
 	stack []*Node
 }
 
 // StartElement implements AttrHandler.
 func (b *TreeBuilder) StartElement(name string, attrs []Attr) error {
+	if len(b.stack) == 0 && b.root != nil {
+		return errMultipleRoots
+	}
 	n := &Node{Name: name}
 	for _, a := range attrs {
 		switch a.Name {
@@ -127,7 +87,7 @@ func (b *TreeBuilder) StartElement(name string, attrs []Attr) error {
 		}
 	}
 	if len(b.stack) == 0 {
-		b.roots = append(b.roots, n)
+		b.root = n
 	} else {
 		b.stack[len(b.stack)-1].AddKid(n)
 	}
@@ -151,30 +111,31 @@ func (b *TreeBuilder) EndElement(string) error {
 	return nil
 }
 
-// Root returns the first completed tree, or nil if no element finished.
+// Root returns the completed tree, or nil if no element finished.
 func (b *TreeBuilder) Root() *Node {
-	if len(b.roots) == 0 || len(b.stack) != 0 {
+	if len(b.stack) != 0 {
 		return nil
 	}
-	return b.roots[0]
+	return b.root
 }
 
-// FuncHandler adapts three closures into a Handler; nil funcs are no-ops.
+// FuncHandler adapts three closures into an AttrHandler; nil funcs are
+// no-ops.
 type FuncHandler struct {
-	Start func(name, id, parent string) error
+	Start func(name string, attrs []Attr) error
 	Data  func(text string) error
 	End   func(name string) error
 }
 
-// StartElement implements Handler.
-func (f FuncHandler) StartElement(name, id, parent string) error {
+// StartElement implements AttrHandler.
+func (f FuncHandler) StartElement(name string, attrs []Attr) error {
 	if f.Start == nil {
 		return nil
 	}
-	return f.Start(name, id, parent)
+	return f.Start(name, attrs)
 }
 
-// Text implements Handler.
+// Text implements AttrHandler.
 func (f FuncHandler) Text(data string) error {
 	if f.Data == nil {
 		return nil
@@ -182,7 +143,7 @@ func (f FuncHandler) Text(data string) error {
 	return f.Data(data)
 }
 
-// EndElement implements Handler.
+// EndElement implements AttrHandler.
 func (f FuncHandler) EndElement(name string) error {
 	if f.End == nil {
 		return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -146,5 +147,50 @@ func TestScanRefusesOversizedToken(t *testing.T) {
 		if limit := MaxTokenBytes + 64<<10; in.n > limit {
 			t.Errorf("endless %s: read %d bytes before refusing, want at most %d", c.what, in.n, limit)
 		}
+	}
+}
+
+// TestScanRefusesMismatchedEndTag: a close tag must repeat its open tag's
+// name, prefix included, and Parse refuses with the scanner's own error.
+func TestScanRefusesMismatchedEndTag(t *testing.T) {
+	for _, doc := range []string{`<a><b></a></b>`, `<a><b></b></c>`, `<p:a></q:a>`, `<p:a></a>`} {
+		serr := ScanAttrs(strings.NewReader(doc), FuncHandler{})
+		if serr == nil {
+			t.Errorf("ScanAttrs(%q) accepted it", doc)
+			continue
+		}
+		if _, perr := Parse(strings.NewReader(doc)); perr == nil || perr.Error() != serr.Error() {
+			t.Errorf("Parse(%q) = %v, want the scanner's %v", doc, perr, serr)
+		}
+	}
+}
+
+// TestScanReusesItsReadBuffer: the scanner's 32 KiB read buffer comes from
+// a pool, so scanning a SOAP envelope of about 500 bytes allocates a few
+// KiB, not a fresh buffer each time.
+func TestScanReusesItsReadBuffer(t *testing.T) {
+	if raceOn {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	env := `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/" codec="bin"><soap:Body>` +
+		`<ExecuteSourceResponse><shipment><instance edge="0:Customer" frag="Customer" seq="0" format="bin">` +
+		strings.Repeat("QUJDREVGR0hJSktMTU5PUFFSU1RVVldYWVo=", 7) +
+		`</instance></shipment><timing queryMillis="1.250" payloadBytes="252"/></ExecuteSourceResponse>` +
+		`</soap:Body></soap:Envelope>`
+	scan := func() {
+		if err := ScanAttrs(strings.NewReader(env), nopAttrs{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 8<<10 {
+		t.Errorf("scanning a %d-byte envelope allocates %d bytes, want under 8 KiB", len(env), per)
 	}
 }

@@ -6,18 +6,18 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"unicode/utf8"
+
+	"xdx/internal/bufpool"
 )
 
-// attrScanner is the byte-level SAX tokenizer behind Scan and ScanAttrs.
-// encoding/xml allocates the token struct plus every element and attribute
-// name on each event; at shipment sizes that tokenizer dominated the
-// streaming decoder's allocation profile. This scanner interns names (the
-// vocabulary of any document is small), reuses one attribute slice and one
-// scratch buffer, and copies attribute values into a string slab it owns
-// for the one scan, so a scan allocates per slab block, not per attribute.
-// Text reaches a TextBytesHandler without a copy; only a plain Text
-// handler gets a string per text event.
+// attrScanner is the package's one XML tokenizer, behind ScanAttrs and
+// Parse. It interns names (the vocabulary of any document is small), reuses
+// one attribute slice and one scratch buffer, and copies attribute values
+// into a string slab it owns for the one scan, so a scan allocates per slab
+// block, not per token. Text reaches a TextBytesHandler without a copy;
+// only a plain Text handler gets a string per text event.
 type attrScanner struct {
 	br    *bufio.Reader
 	h     AttrHandler
@@ -25,10 +25,10 @@ type attrScanner struct {
 	raw   RawHandler       // h's optional verbatim-element path, nil otherwise
 	names map[string]string
 	attrs []Attr
-	vals  Arena  // attribute values' string slab; lives for the scan
-	text  []byte // raw accumulation of the pending character data
-	dec   []byte // entity-decoding scratch
-	depth int
+	vals  Arena    // attribute values' string slab; lives for the scan
+	text  []byte   // raw accumulation of the pending character data
+	dec   []byte   // entity-decoding scratch
+	open  []string // qualified names of the open elements, innermost last
 }
 
 // MaxTokenBytes caps one name, attribute value or text run (a CDATA
@@ -47,10 +47,14 @@ var errUnterminated = fmt.Errorf("xmltree: scan: unterminated document")
 
 // scanStream drives the tokenizer over r, delivering events to h with the
 // same contract as ScanAttrs: local names, xmlns attributes dropped,
-// trimmed non-empty text, attribute slice reused between calls.
+// trimmed non-empty text, attribute slice reused between calls. Its 32 KiB
+// read buffer comes from the shared pool: a SOAP envelope of a few hundred
+// bytes would otherwise pay for a fresh one on every call.
 func scanStream(r io.Reader, h AttrHandler) error {
+	br := bufpool.Reader(r)
+	defer bufpool.PutReader(br)
 	s := &attrScanner{
-		br:    bufio.NewReaderSize(r, 32<<10),
+		br:    br,
 		h:     h,
 		names: make(map[string]string, 32),
 	}
@@ -59,7 +63,7 @@ func scanStream(r io.Reader, h AttrHandler) error {
 	for {
 		err := s.scanText()
 		if err == io.EOF {
-			if s.depth != 0 {
+			if len(s.open) != 0 {
 				return errUnterminated
 			}
 			return nil
@@ -131,10 +135,10 @@ func (s *attrScanner) buffer(run []byte) error {
 }
 
 // emitText decodes entities, trims, and delivers a text event. Character
-// data outside the root element is discarded, matching encoding/xml's
-// behaviour for the handlers this package feeds.
+// data outside the root element carries no content and is discarded
+// unchecked.
 func (s *attrScanner) emitText(raw []byte) error {
-	if s.depth == 0 {
+	if len(s.open) == 0 {
 		return nil
 	}
 	if bytes.IndexByte(raw, '&') < 0 && bytes.IndexByte(raw, '\r') < 0 {
@@ -171,10 +175,9 @@ func (s *attrScanner) deliverText(t []byte) error {
 	return s.h.Text(string(t))
 }
 
-// checkChars enforces the XML Char production the way encoding/xml does:
-// control codes outside tab/LF/CR, surrogate halves, U+FFFE/U+FFFF, and
-// invalid UTF-8 sequences are all rejected. The streaming and tree decode
-// paths must fail on exactly the same inputs.
+// checkChars enforces the XML 1.0 Char production on character data and
+// attribute values: control codes outside tab/LF/CR, surrogate halves,
+// U+FFFE/U+FFFF, and invalid UTF-8 sequences are all rejected.
 func checkChars(b []byte) error {
 	for i := 0; i < len(b); {
 		c := b[i]
@@ -221,7 +224,7 @@ func decodeEntities(dst, src []byte) ([]byte, error) {
 			}
 			dst = append(dst, '\n')
 		case '&':
-			semi := bytes.IndexByte(src[i:min(i+34, len(src))], ';')
+			semi := bytes.IndexByte(src[i:], ';')
 			if semi < 1 {
 				return dst, fmt.Errorf("xmltree: scan: malformed entity")
 			}
@@ -274,12 +277,14 @@ func (s *attrScanner) intern(b []byte) string {
 	return v
 }
 
-// localPart strips a single namespace prefix, mirroring xml.Name.Local.
-func localPart(b []byte) []byte {
-	if i := bytes.LastIndexByte(b, ':'); i >= 0 {
-		return b[i+1:]
+// localPart strips a namespace prefix: "p:name" reads as "name". A colon
+// with nothing on one side ("p:", ":name") marks no prefix, and the name
+// keeps it.
+func localPart(name string) string {
+	if i := strings.LastIndexByte(name, ':'); i > 0 && i < len(name)-1 {
+		return name[i+1:]
 	}
-	return b
+	return name
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
@@ -329,7 +334,8 @@ func (s *attrScanner) scanStartTag() error {
 	if err != nil {
 		return err
 	}
-	name := s.intern(localPart(nameB))
+	qname := s.intern(nameB)
+	name := localPart(qname)
 	if s.raw != nil {
 		if w := s.raw.StartRaw(name); w != nil {
 			if err := s.copyRaw(w, nameB); err != nil {
@@ -346,17 +352,15 @@ func (s *attrScanner) scanStartTag() error {
 		}
 		switch c {
 		case '>':
-			s.depth++
+			s.open = append(s.open, qname)
 			return s.h.StartElement(name, s.attrs)
 		case '/':
 			if c, err = s.br.ReadByte(); err != nil || c != '>' {
 				return errUnterminated
 			}
-			s.depth++
 			if err := s.h.StartElement(name, s.attrs); err != nil {
 				return err
 			}
-			s.depth--
 			return s.h.EndElement(name)
 		default:
 			s.br.UnreadByte()
@@ -397,10 +401,17 @@ func (s *attrScanner) copyRaw(w io.Writer, name []byte) error {
 		case string(next) == "![":
 			err = s.copyThrough(w, '>', "]]>")
 		case next[0] == '!':
-			bracket := 0
-			err = s.copyWhile(w, '>', func(chunk []byte) bool {
-				bracket += bytes.Count(chunk, []byte{'['}) - bytes.Count(chunk, []byte{']'})
-				return bracket > 0
+			var decl declEnd
+			skip := len("!x") // the '!' and the declaration's first byte
+			err = s.copyWhile(w, '>', func(run []byte) bool {
+				for _, c := range run {
+					if skip > 0 {
+						skip--
+					} else if decl.closes(c) {
+						return false
+					}
+				}
+				return true
 			})
 		default:
 			var open int
@@ -471,16 +482,10 @@ func (s *attrScanner) scanAttr() error {
 	}
 	// The name slice aliases s.dec, which readName and decodeEntities
 	// reuse; resolve drop/keep before touching the value.
-	drop := false
-	if i := bytes.LastIndexByte(nameB, ':'); i >= 0 {
-		drop = string(nameB[:i]) == "xmlns"
-		nameB = nameB[i+1:]
-	} else if string(nameB) == "xmlns" {
-		drop = true
-	}
+	drop := string(nameB) == "xmlns" || bytes.HasPrefix(nameB, []byte("xmlns:"))
 	var name string
 	if !drop {
-		name = s.intern(nameB)
+		name = localPart(s.intern(nameB))
 	}
 	c, err := s.skipSpace()
 	if err != nil {
@@ -537,25 +542,30 @@ func (s *attrScanner) scanAttr() error {
 	return nil
 }
 
-// scanEndTag parses a close tag; "</" is already consumed.
+// scanEndTag parses a close tag; "</" is already consumed. A close tag
+// must repeat its open tag's name exactly, prefix included.
 func (s *attrScanner) scanEndTag() error {
 	nameB, err := s.readName()
 	if err != nil {
 		return err
 	}
-	name := s.intern(localPart(nameB))
 	c, err := s.skipSpace()
 	if err != nil {
 		return err
 	}
 	if c != '>' {
-		return fmt.Errorf("xmltree: scan: malformed end tag </%s>", name)
+		return fmt.Errorf("xmltree: scan: malformed end tag </%s>", nameB)
 	}
-	s.depth--
-	if s.depth < 0 {
-		return fmt.Errorf("xmltree: scan: unexpected end tag </%s>", name)
+	top := len(s.open) - 1
+	if top < 0 {
+		return fmt.Errorf("xmltree: scan: unexpected end tag </%s>", nameB)
 	}
-	return s.h.EndElement(name)
+	qname := s.open[top]
+	if string(nameB) != qname {
+		return fmt.Errorf("xmltree: scan: element <%s> closed by </%s>", qname, nameB)
+	}
+	s.open = s.open[:top]
+	return s.h.EndElement(localPart(qname))
 }
 
 // scanBang handles "<!" constructs: comments, CDATA sections, and DOCTYPE
@@ -579,22 +589,73 @@ func (s *attrScanner) scanBang() error {
 		}
 		return s.scanCDATA()
 	default:
-		// DOCTYPE or similar: skip to the matching '>', tolerating an
-		// internal subset in brackets.
-		bracket := 0
+		// DOCTYPE or another declaration: skip it whole. Its first byte,
+		// just read, is never a quote or the closing '>'.
+		var decl declEnd
 		for {
-			if c == '[' {
-				bracket++
-			} else if c == ']' {
-				bracket--
-			} else if c == '>' && bracket <= 0 {
-				return nil
-			}
 			if c, err = s.br.ReadByte(); err != nil {
 				return errUnterminated
 			}
+			if decl.closes(c) {
+				return nil
+			}
 		}
 	}
+}
+
+// declEnd finds the '>' that closes a "<!" declaration, fed the bytes after
+// the declaration's first one at a time. A quoted literal hides '>', a
+// nested markup declaration ("<!ENTITY ...>" in a DOCTYPE's internal subset)
+// must close before its parent does, and a "<!--" comment inside is skipped
+// whole.
+type declEnd struct {
+	quote   byte // the open literal's quote, 0 outside one
+	depth   int  // nested declarations open
+	lt      int  // after a '<': 1 + the bytes of "!--" matched so far; 0 otherwise
+	comment bool
+	dashes  int // in a comment: the run of '-' just read
+}
+
+// closes consumes c and reports whether it ends the declaration.
+func (d *declEnd) closes(c byte) bool {
+	switch {
+	case d.comment:
+		if c == '>' && d.dashes >= 2 {
+			d.comment = false
+		}
+		if c == '-' {
+			d.dashes++
+		} else {
+			d.dashes = 0
+		}
+		return false
+	case d.lt > 0:
+		if c == "!--"[d.lt-1] {
+			if d.lt++; d.lt > len("!--") {
+				d.lt, d.comment, d.dashes = 0, true, 0
+			}
+			return false
+		}
+		// Not a comment: the '<' opened a nested declaration, and c is
+		// its first byte.
+		d.lt = 0
+		d.depth++
+	case c == '>' && d.quote == 0 && d.depth == 0:
+		return true
+	}
+	switch {
+	case d.quote != 0:
+		if c == d.quote {
+			d.quote = 0
+		}
+	case c == '"' || c == '\'':
+		d.quote = c
+	case c == '>':
+		d.depth--
+	case c == '<':
+		d.lt = 1
+	}
+	return false
 }
 
 // scanCDATA reads raw character data up to "]]>" and emits it trimmed.
@@ -618,11 +679,11 @@ func (s *attrScanner) scanCDATA() error {
 			}
 			continue
 		case c == '>' && match == 2:
-			if s.depth > 0 {
+			if len(s.open) > 0 {
 				if err := checkChars(s.text); err != nil {
 					return err
 				}
-				if t := bytes.TrimSpace(s.text); len(t) > 0 {
+				if t := bytes.TrimSpace(crlf(s.text)); len(t) > 0 {
 					return s.deliverText(t)
 				}
 			}
@@ -634,6 +695,22 @@ func (s *attrScanner) scanCDATA() error {
 			s.text = append(s.text, c)
 		}
 	}
+}
+
+// crlf rewrites each CR LF pair and each lone CR in b to one LF, in place:
+// XML reads every line end as LF, inside a CDATA section too.
+func crlf(b []byte) []byte {
+	out := b[:0]
+	for i, c := range b {
+		if c == '\r' {
+			if i+1 < len(b) && b[i+1] == '\n' {
+				continue
+			}
+			c = '\n'
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // skipUntil discards input through the first occurrence of pat.

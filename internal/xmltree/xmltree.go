@@ -1,12 +1,12 @@
 // Package xmltree provides the document data plane of the exchange
 // architecture: element instance trees, an XML serializer (the "tagger" of
-// §5.1), a tree parser, and a streaming SAX-style event scanner used by the
-// shredder. It replaces the expat C parser used in the paper.
+// §5.1), and one streaming SAX-style tokenizer, which the shredder, the
+// wire decoders, the SOAP binding and the tree parser all read through. It
+// replaces the expat C parser used in the paper.
 package xmltree
 
 import (
 	"bufio"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -265,68 +265,23 @@ type countWriter struct{ n int64 }
 
 func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
 
-// Parse reads one XML element tree from r. ID and PARENT attributes on the
-// outermost element are restored into the Node's ID/Parent fields; all other
-// attributes are ignored. Character data is attached to the innermost open
-// element.
+// Parse reads one XML element tree from r: ScanAttrs into a TreeBuilder.
+// ID and PARENT attributes restore into every Node's ID/Parent fields, other
+// attributes are kept except namespace declarations, and character data is
+// attached to the innermost open element. An input without an element, or
+// with more than one root, is refused.
 func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var root *Node
-	var stack []*Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := &Node{Name: t.Name.Local}
-			for _, a := range t.Attr {
-				switch a.Name.Local {
-				case "ID":
-					n.ID = a.Value
-				case "PARENT":
-					n.Parent = a.Value
-				case "xmlns":
-					// namespace declarations are not round-tripped
-				default:
-					n.Attrs = append(n.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
-				}
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmltree: multiple document roots")
-				}
-				root = n
-			} else {
-				stack[len(stack)-1].AddKid(n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %q", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) > 0 {
-				s := strings.TrimSpace(string(t))
-				if s != "" {
-					stack[len(stack)-1].Text += s
-				}
-			}
-		}
+	var b TreeBuilder
+	if err := ScanAttrs(r, &b); err != nil {
+		return nil, err
 	}
-	if root == nil {
+	if b.root == nil {
 		return nil, fmt.Errorf("xmltree: empty document")
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: unterminated document")
-	}
-	return root, nil
+	return b.root, nil
 }
+
+var errMultipleRoots = fmt.Errorf("xmltree: multiple document roots")
 
 // Equal reports deep equality of two subtrees including IDs; used by tests.
 func Equal(a, b *Node) bool {

@@ -130,14 +130,20 @@ func TestScanEvents(t *testing.T) {
 	doc := `<a ID="1" PARENT=""><b>hi</b><c/></a>`
 	var log []string
 	h := FuncHandler{
-		Start: func(name, id, parent string) error {
+		Start: func(name string, attrs []Attr) error {
+			id := ""
+			for _, a := range attrs {
+				if a.Name == "ID" {
+					id = a.Value
+				}
+			}
 			log = append(log, "S:"+name+":"+id)
 			return nil
 		},
 		Data: func(text string) error { log = append(log, "T:"+text); return nil },
 		End:  func(name string) error { log = append(log, "E:"+name); return nil },
 	}
-	if err := Scan(strings.NewReader(doc), h); err != nil {
+	if err := ScanAttrs(strings.NewReader(doc), h); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"S:a:1", "S:b:", "T:hi", "E:b", "S:c:", "E:c", "E:a"}
@@ -147,7 +153,7 @@ func TestScanEvents(t *testing.T) {
 }
 
 func TestScanUnterminated(t *testing.T) {
-	if err := Scan(strings.NewReader("<a><b></b>"), FuncHandler{}); err == nil {
+	if err := ScanAttrs(strings.NewReader("<a><b></b>"), FuncHandler{}); err == nil {
 		t.Error("want error for unterminated document")
 	}
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Allocation-regression smoke: short runs of BenchmarkFigure9_EndToEnd,
 # BenchmarkShipmentCodecParallel, BenchmarkShipmentCodecStream,
-# BenchmarkReliableExchangeDurable/batch and
-# BenchmarkChainedCombine/spread/k=8, compared against the committed
-# baselines below. The first is the in-process end-to-end path — row
+# BenchmarkReliableExchangeDurable/batch,
+# BenchmarkChainedCombine/spread/k=8 and BenchmarkSubstrate_Parse, compared
+# against the committed baselines below. The first is the in-process end-to-end path — row
 # slabs, splitter and shredder arenas, pooled codec state; the second is
 # the bin+flate shipment codec on the chunk codec pool, whose decoder takes
 # nodes, child slices and strings out of per-chunk slabs (Figure 9 never
@@ -15,7 +15,10 @@
 # agency, so the only one that sees what its chunk relay allocates per
 # chunk; the fifth is 1,600 attaches each under a parent of its own, whose
 # kid slices grow out of the joiner's arena (the k-Combines-into-one-root
-# rows amortise a per-attach allocation away and would not see it). A >25%
+# rows amortise a per-attach allocation away and would not see it); the
+# sixth is xmltree.Parse of a 500 KB XMark document, the tree reader behind
+# every WSDL registration, the agency index and every Client.Call response,
+# which runs on the one tokenizer with a pooled read buffer. A >25%
 # allocs/op regression on any of them means someone reintroduced a
 # per-record allocation, and the gate should say so before a slow benchmark
 # run does. Wall-clock is deliberately not checked —
@@ -37,12 +40,15 @@ cd "$(dirname "$0")/.."
 # per-scan string slab for attribute values. On 2 CPUs the xml codec row
 # read 10437 at 7337e3f and reads 210-213 at 20x; the slab also took the
 # bin+flate row from 387 to 286-296 and the durable row from 11397 to
-# 6625-6635.
+# 6625-6635. "one-reader" is the commit that follows dfba443 and makes the
+# hand-rolled scanner the only XML tokenizer: Substrate_Parse read 117018 at
+# dfba443, where Parse ran on encoding/xml, and reads 29086 at 20x.
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
 SHIPMENT_CODEC_STREAM=212            # slab-scan, 20x
 RELIABLE_EXCHANGE_DURABLE_BATCH=6635 # slab-scan
 CHAINED_COMBINE_SPREAD_K8=217        # 5ebdd14 (BENCH_13.json)
+SUBSTRATE_PARSE=29086                # one-reader, 20x
 
 # check NAME PKG BASE [BENCHTIME]: NAME is the benchmark name without the
 # Benchmark prefix; BENCHTIME defaults to 3x.
@@ -66,3 +72,4 @@ check ShipmentCodecParallel ./internal/wire/ "$SHIPMENT_CODEC_PARALLEL" 20x
 check ShipmentCodecStream ./internal/wire/ "$SHIPMENT_CODEC_STREAM" 20x
 check ReliableExchangeDurable/batch ./internal/registry/ "$RELIABLE_EXCHANGE_DURABLE_BATCH"
 check ChainedCombine/spread/k=8 ./internal/core/ "$CHAINED_COMBINE_SPREAD_K8"
+check Substrate_Parse . "$SUBSTRATE_PARSE" 20x

@@ -25,7 +25,7 @@ make bench-smoke
 # instead of the next `make bench-json`.
 ./scripts/bench_snapshot.sh -smoke
 
-# Allocation-regression smoke: five benchmarks must stay within 25% of the
+# Allocation-regression smoke: six benchmarks must stay within 25% of the
 # allocs/op baselines recorded in the script — the arena/slab teardown is a
 # merge-gated property, not a one-off number.
 ./scripts/alloc_smoke.sh

@@ -41,7 +41,7 @@ func BenchmarkSubstrate_SAXScan(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := xmltree.Scan(bytes.NewReader(data), xmltree.FuncHandler{}); err != nil {
+		if err := xmltree.ScanAttrs(bytes.NewReader(data), xmltree.FuncHandler{}); err != nil {
 			b.Fatal(err)
 		}
 	}
