@@ -26,6 +26,7 @@ import (
 // order. It mutates parent's records and embeds child's, so callers hand it
 // clones.
 func combineSortRef(sch *schema.Schema, parent, child *Instance) (*Instance, error) {
+	type nodeKey struct{ name, id string }
 	idx := make(map[nodeKey]*xmltree.Node)
 	var index func(n *xmltree.Node)
 	index = func(n *xmltree.Node) {

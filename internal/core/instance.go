@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"xdx/internal/hashtab"
 	"xdx/internal/schema"
 	"xdx/internal/xmltree"
 )
@@ -29,22 +30,30 @@ type Instance struct {
 	// of k Combines indexes each node once instead of re-walking the
 	// growing merged instance k times. Leaf elements can never be a join
 	// parent, so they are excluded via interior.
-	idx map[nodeKey]idxEntry
+	idx *joinIndex
 	// interior filters idx: the schema's interior-element set, captured
 	// when the index is first built.
 	interior map[string]bool
 }
 
-// nodeKey identifies an element instance in the join index. Keying by
-// element name as well as ID keeps unrelated elements whose stores assigned
-// colliding IDs apart.
-type nodeKey struct{ name, id string }
+// joinIndex files entries by their nodes' (name, ID): the name keeps apart
+// elements whose stores assigned colliding IDs. The hash covers the ID
+// alone, so attach hashes a PARENT once for every possible parent element.
+type joinIndex struct {
+	tab     hashtab.Table
+	entries []idxEntry
+}
 
 // idxEntry locates an indexed node and the record that holds it (the record
 // index is needed to resolve copy-on-write before mutating).
 type idxEntry struct {
 	n   *xmltree.Node
 	rec int
+}
+
+// find returns the position of (name, id)'s entry, h being id's hash, or -1.
+func (x *joinIndex) find(h uint64, name, id string) int {
+	return x.tab.Find(h, func(p int) bool { return x.entries[p].n.ID == id && x.entries[p].n.Name == name })
 }
 
 // Rows returns the number of records.
@@ -77,18 +86,24 @@ func (in *Instance) ensureIndex(sch *schema.Schema) {
 	if in.idx != nil {
 		return
 	}
-	in.idx = make(map[nodeKey]idxEntry)
+	in.idx = &joinIndex{}
 	in.interior = sch.InteriorElems()
 	for i, r := range in.Records {
 		in.indexTree(r, i)
 	}
 }
 
-// indexTree adds (or repoints) index entries for every interior node of the
-// subtree.
+// indexTree adds index entries for every interior node of the subtree, or
+// repoints in place those of nodes with the same name and ID (a clone's).
 func (in *Instance) indexTree(n *xmltree.Node, rec int) {
-	if in.interior[n.Name] {
-		in.idx[nodeKey{name: n.Name, id: n.ID}] = idxEntry{n: n, rec: rec}
+	if x := in.idx; in.interior[n.Name] {
+		h := hashtab.Hash(n.ID)
+		if p := x.find(h, n.Name, n.ID); p >= 0 {
+			x.entries[p] = idxEntry{n: n, rec: rec}
+		} else {
+			x.tab.Add(h, func(p int) uint64 { return hashtab.Hash(x.entries[p].n.ID) })
+			x.entries = hashtab.Append(x.entries, idxEntry{n: n, rec: rec})
+		}
 	}
 	for _, k := range n.Kids {
 		in.indexTree(k, rec)
@@ -252,22 +267,22 @@ func newJoiner(sch *schema.Schema, parent *Instance, childFrag *Fragment) (*join
 // be read by another consumer). It reports false when no parent instance
 // matches, which Combine reports as an orphan.
 func (j *joiner) attach(rec *xmltree.Node, shared bool) bool {
-	var e idxEntry
-	var key nodeKey
+	idx, h, p := j.parent.idx, hashtab.Hash(rec.Parent), -1
 	var je *joinElem
 	for i := range j.joinElems {
-		key = nodeKey{name: j.joinElems[i].name, id: rec.Parent}
-		if ent, ok := j.parent.idx[key]; ok {
-			e, je = ent, &j.joinElems[i]
+		if p = idx.find(h, j.joinElems[i].name, rec.Parent); p >= 0 {
+			je = &j.joinElems[i]
 			break
 		}
 	}
 	if je == nil {
 		return false
 	}
+	e := idx.entries[p]
 	if j.parent.sharedRec(e.rec) {
+		// The clone repoints every entry of the record in place.
 		j.parent.ownRec(e.rec, &j.arena)
-		e = j.parent.idx[key]
+		e = idx.entries[p]
 	}
 	child := rec
 	if shared {

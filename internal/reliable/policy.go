@@ -92,7 +92,8 @@ type Retrier struct {
 	OnRetry func(op string, try int, delay time.Duration, err error)
 
 	mu      sync.Mutex
-	rng     *rand.Rand
+	seed    int64
+	rng     *rand.Rand // seeded by the first backoff: a clean exchange draws none
 	start   time.Time
 	retries int
 
@@ -106,7 +107,7 @@ type Retrier struct {
 func NewRetrier(p Policy, seed int64) *Retrier {
 	r := &Retrier{
 		p:     p.withDefaults(),
-		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
 		sleep: time.Sleep,
 		now:   time.Now,
 	}
@@ -130,6 +131,9 @@ func (r *Retrier) backoff(n int) time.Duration {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.seed))
+	}
 	return time.Duration(r.rng.Int63n(int64(ceil) + 1))
 }
 

@@ -8,9 +8,9 @@ package reliable
 // contiguously received chunk — the ack a reconnecting source resumes
 // from — and (b) remembers every (edge, record ID) pair it committed, so
 // records replayed by an overlapping resume dedup instead of doubling.
-// The ID sets are keyed by the records' own ID strings: a session's ledger
-// lives exactly as long as the records it admitted, so it pins nothing the
-// session does not already hold.
+// Each edge's ID set files the records' own ID strings in a pointer-free
+// hash table: it pins those strings and never a node, so a session's
+// ledger holds nothing the session does not already hold.
 
 import (
 	"fmt"
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"xdx/internal/core"
+	"xdx/internal/hashtab"
 	"xdx/internal/xmltree"
 )
 
@@ -28,15 +29,21 @@ import (
 // ChunkDone), so an endpoint plugs a ledger straight into the decoder.
 type Ledger struct {
 	mu      sync.Mutex
-	next    int64                          // lowest chunk seq not yet fully received
-	seen    map[string]map[string]struct{} // edge -> record IDs committed
+	next    int64 // lowest chunk seq not yet fully received
+	edges   hashtab.Table
+	seen    []idSet // per edge, filed by edges
 	deduped int64
 }
 
-// NewLedger returns an empty ledger expecting chunk 0.
-func NewLedger() *Ledger {
-	return &Ledger{seen: make(map[string]map[string]struct{})}
+// idSet is the record IDs one edge committed, filed by tab.
+type idSet struct {
+	edge string
+	tab  hashtab.Table
+	ids  []string
 }
+
+// NewLedger returns an empty ledger expecting chunk 0.
+func NewLedger() *Ledger { return &Ledger{} }
 
 // AdmitChunk reports whether a chunk with this seq should be consumed:
 // chunks below the checkpoint were already committed and are skipped
@@ -72,19 +79,23 @@ func (l *Ledger) ChunkDone(seq int64) {
 func (l *Ledger) KeepRecords(edge string, recs []*xmltree.Node) []*xmltree.Node {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ids := l.seen[edge]
-	if ids == nil {
-		ids = make(map[string]struct{})
-		l.seen[edge] = ids
+	h := hashtab.Hash(edge)
+	e := l.edges.Find(h, func(p int) bool { return l.seen[p].edge == edge })
+	if e < 0 {
+		e = l.edges.Add(h, func(p int) uint64 { return hashtab.Hash(l.seen[p].edge) })
+		l.seen = hashtab.Append(l.seen, idSet{edge: edge})
 	}
+	s := &l.seen[e]
 	kept := recs[:0]
 	for _, rec := range recs {
 		if rec.ID != "" {
-			if _, dup := ids[rec.ID]; dup {
+			hid := hashtab.Hash(rec.ID)
+			if s.tab.Find(hid, func(p int) bool { return s.ids[p] == rec.ID }) >= 0 {
 				l.deduped++
 				continue
 			}
-			ids[rec.ID] = struct{}{}
+			s.tab.Add(hid, func(p int) uint64 { return hashtab.Hash(s.ids[p]) })
+			s.ids = hashtab.Append(s.ids, rec.ID)
 		}
 		kept = append(kept, rec)
 	}

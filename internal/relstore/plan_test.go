@@ -270,12 +270,11 @@ func TestLoadRejectsMalformedRecords(t *testing.T) {
 	}
 }
 
-// CreateIndex cuts every key's postings out of one backing array, whose
-// front also holds the per-key row counts while the postings are cut.
-// Lookups return rows in row order whatever the keys' interleaving — with
-// seven interleaved keys, a key per row, or one key for every row — and an
-// Insert after the build appends to its key's postings without touching a
-// neighbour's.
+// CreateIndex cuts its slots, per-key first and last rows and per-row
+// chain out of one array. Lookups return rows in row order whatever the
+// keys' interleaving — with seven interleaved keys, a key per row, or one
+// key for every row — and Inserts after the build grow the per-key and
+// per-row arrays past their cut without touching a neighbour's.
 func TestCreateIndexSharedPostings(t *testing.T) {
 	for _, c := range []struct {
 		name string

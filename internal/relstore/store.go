@@ -404,8 +404,8 @@ func (sc *fragScan) build(p *elemPlan, row []string, parentID string) *xmltree.N
 
 // ScanFragmentWhere is ScanFragment restricted to records whose leaf
 // element equals value — the store-side push-down of a service argument
-// (§3.2). When the column is indexed and matches the fragment root's
-// identifier semantics the index is used; otherwise the scan filters.
+// (§3.2). It always scans the whole fragment and filters the records; an
+// index on the column is not consulted.
 func (s *Store) ScanFragmentWhere(fragName, leafElem, value string) (*core.Instance, error) {
 	in, err := s.ScanFragment(fragName)
 	if err != nil {

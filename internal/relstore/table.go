@@ -12,6 +12,8 @@ package relstore
 import (
 	"fmt"
 	"sort"
+
+	"xdx/internal/hashtab"
 )
 
 // Table is an in-memory relation.
@@ -54,22 +56,26 @@ func (t *Table) Insert(row []string) error {
 	}
 	t.rows = append(t.rows, row)
 	for _, idx := range t.indexes {
-		idx.add(row, len(t.rows)-1)
+		idx.add(t.rows, len(t.rows)-1)
 	}
 	return nil
 }
 
 // BulkLoad appends rows without per-row index maintenance; indexes are
 // dropped and must be rebuilt, mirroring the paper's load-then-index steps
-// (Table 4).
+// (Table 4). An empty table takes rows itself rather than a copy, so the
+// caller hands the slice over and must not use it again.
 func (t *Table) BulkLoad(rows [][]string) error {
 	for _, r := range rows {
 		if len(r) != len(t.Cols) {
 			return fmt.Errorf("relstore: table %q: row has %d values, want %d", t.Name, len(r), len(t.Cols))
 		}
 	}
-	t.indexes = make(map[string]*Index)
-	t.rows = append(t.rows, rows...)
+	clear(t.indexes)
+	if len(t.rows) > 0 {
+		rows = append(t.rows, rows...)
+	}
+	t.rows = rows
 	return nil
 }
 
@@ -102,52 +108,31 @@ func (t *Table) ByteSize() int64 {
 	return n
 }
 
-// Index is a hash index over one column: key → a dense key number, key
-// number → the positions of the rows holding the key, in row order.
+// Index is a hash index over one column: tab files key numbers, first and last
+// hold each key's first and last row, and next each row's next with its key.
 type Index struct {
 	Col string
 
-	col  int
-	keys map[string]int
-	post [][]int
+	col               int
+	tab               hashtab.Table
+	first, last, next []int32
 }
 
 // CreateIndex builds (or rebuilds) a hash index over col. The build walks
 // every row, which is what makes index creation a distinct measurable step.
+// Its slots and arrays come from one allocation sized for a key per row,
+// cut so that a later Insert's growth stays out of a neighbour's room.
 func (t *Table) CreateIndex(col string) (*Index, error) {
 	ci := t.ColIndex(col)
 	if ci < 0 {
 		return nil, fmt.Errorf("relstore: table %q: no column %q", t.Name, col)
 	}
-	// Postings share one backing array instead of costing one small slice
-	// per distinct key: number the keys and count their rows in one pass
-	// over the map, cut each key exactly its room, then fill in row order
-	// without touching the map again. The three-index cut keeps a later
-	// Insert's append out of a neighbour's room. The counts live at the
-	// front of the backing array itself (there are never more keys than
-	// rows): the cut only reads them, and the fill overwrites them after.
-	idx := &Index{Col: col, col: ci, keys: make(map[string]int, len(t.rows))}
-	rowKey := make([]int, len(t.rows))
-	backing := make([]int, len(t.rows))
-	counts := backing[:0]
-	for i, r := range t.rows {
-		k, ok := idx.keys[r[ci]]
-		if !ok {
-			k = len(counts)
-			idx.keys[r[ci]] = k
-			counts = append(counts, 0)
-		}
-		counts[k]++
-		rowKey[i] = k
-	}
-	idx.post = make([][]int, len(counts))
-	off := 0
-	for k, n := range counts {
-		idx.post[k] = backing[off : off : off+n]
-		off += n
-	}
-	for i, k := range rowKey {
-		idx.post[k] = append(idx.post[k], i)
+	idx := &Index{Col: col, col: ci}
+	n := len(t.rows)
+	buf := idx.tab.Init(n, 3*n)
+	idx.first, idx.last, idx.next = buf[:0:n], buf[n:n:2*n], buf[2*n:2*n:3*n]
+	for i := range t.rows {
+		idx.add(t.rows, i)
 	}
 	t.indexes[col] = idx
 	return idx, nil
@@ -163,30 +148,40 @@ func (t *Table) Indexes() []string {
 	return out
 }
 
-// Lookup returns the rows whose indexed column equals key, using the index
-// on col; it returns an error if no such index exists.
+// Lookup returns the rows whose indexed column equals key, in row order,
+// using the index on col; it returns an error if no such index exists.
 func (t *Table) Lookup(col, key string) ([][]string, error) {
 	idx, ok := t.indexes[col]
 	if !ok {
 		return nil, fmt.Errorf("relstore: table %q: column %q not indexed", t.Name, col)
 	}
 	var out [][]string
-	if k, ok := idx.keys[key]; ok {
-		for _, i := range idx.post[k] {
-			out = append(out, t.rows[i])
+	if k := idx.find(t.rows, hashtab.Hash(key), key); k >= 0 {
+		for r := idx.first[k]; r >= 0; r = idx.next[r] {
+			out = append(out, t.rows[r])
 		}
 	}
 	return out, nil
 }
 
-func (idx *Index) add(row []string, at int) {
-	k, ok := idx.keys[row[idx.col]]
-	if !ok {
-		k = len(idx.post)
-		idx.keys[row[idx.col]] = k
-		idx.post = append(idx.post, nil)
+// find returns the number of key, whose hash is h, or -1.
+func (idx *Index) find(rows [][]string, h uint64, key string) int {
+	return idx.tab.Find(h, func(k int) bool { return rows[idx.first[k]][idx.col] == key })
+}
+
+// add indexes row at, every row before it being indexed already.
+func (idx *Index) add(rows [][]string, at int) {
+	key := rows[at][idx.col]
+	h := hashtab.Hash(key)
+	idx.next = hashtab.Append(idx.next, -1)
+	if k := idx.find(rows, h, key); k >= 0 {
+		idx.next[idx.last[k]] = int32(at)
+		idx.last[k] = int32(at)
+		return
 	}
-	idx.post[k] = append(idx.post[k], at)
+	idx.tab.Add(h, func(k int) uint64 { return hashtab.Hash(rows[idx.first[k]][idx.col]) })
+	idx.first = hashtab.Append(idx.first, int32(at))
+	idx.last = hashtab.Append(idx.last, int32(at))
 }
 
 // HashJoin joins left and right on left.leftCol = right.rightCol and

@@ -2,8 +2,9 @@
 # Allocation-regression smoke: short runs of BenchmarkFigure9_EndToEnd,
 # BenchmarkShipmentCodecParallel, BenchmarkShipmentCodecStream,
 # BenchmarkReliableExchangeDurable/batch,
-# BenchmarkChainedCombine/spread/k=8 and BenchmarkSubstrate_Parse, compared
-# against the committed baselines below. The first is the in-process end-to-end path — row
+# BenchmarkChainedCombine/spread/k=8, BenchmarkSubstrate_Parse and
+# BenchmarkTable4_LoadIndex_MF, compared against the committed baselines
+# below. The first is the in-process end-to-end path — row
 # slabs, splitter and shredder arenas, pooled codec state; the second is
 # the bin+flate shipment codec on the chunk codec pool, whose decoder takes
 # nodes, child slices and strings out of per-chunk slabs (Figure 9 never
@@ -18,10 +19,15 @@
 # rows amortise a per-attach allocation away and would not see it); the
 # sixth is xmltree.Parse of a 500 KB XMark document, the tree reader behind
 # every WSDL registration, the agency index and every Client.Call response,
-# which runs on the one tokenizer with a pooled read buffer. A >25%
-# allocs/op regression on any of them means someone reintroduced a
-# per-record allocation, and the gate should say so before a slow benchmark
-# run does. Wall-clock is deliberately not checked —
+# which runs on the one tokenizer with a pooled read buffer; the seventh is
+# Table 4's load-then-index step, the only row that builds the store's
+# indexes, whose slots and key and row arrays are one allocation per index
+# — its bytes are gated as well as its allocations, since an index that
+# grows its arrays the way append does costs bytes long before it costs
+# objects. A >25%
+# allocs/op (or, where gated, B/op) regression on any of them means someone
+# reintroduced a per-record allocation, and the gate should say so before a
+# slow benchmark run does. Wall-clock is deliberately not checked —
 # allocs/op is load-independent, time on a busy CI box is not.
 set -eu
 
@@ -43,25 +49,42 @@ cd "$(dirname "$0")/.."
 # 6625-6635. "one-reader" is the commit that follows dfba443 and makes the
 # hand-rolled scanner the only XML tokenizer: Substrate_Parse read 117018 at
 # dfba443, where Parse ran on encoding/xml, and reads 29086 at 20x.
+# "pointer-free-index" is the commit that follows b0f9c8b and files the
+# store's indexes in int32 hash tables: Table4_LoadIndex_MF read 930
+# allocs/op and 1941699 B/op at b0f9c8b, and reads 646 and 1129246-1129256
+# at 10x.
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
 SHIPMENT_CODEC_STREAM=212            # slab-scan, 20x
 RELIABLE_EXCHANGE_DURABLE_BATCH=6635 # slab-scan
 CHAINED_COMBINE_SPREAD_K8=217        # 5ebdd14 (BENCH_13.json)
 SUBSTRATE_PARSE=29086                # one-reader, 20x
+TABLE4_LOAD_INDEX_MF=646             # pointer-free-index, 10x
+TABLE4_LOAD_INDEX_MF_BYTES=1129256   # pointer-free-index, 10x
 
-# check NAME PKG BASE [BENCHTIME]: NAME is the benchmark name without the
-# Benchmark prefix; BENCHTIME defaults to 3x.
-check() {
-	got="$(go test -run '^$' -bench "Benchmark$1\$" -benchmem -benchtime "${4:-3x}" "$2" |
-		awk '/^Benchmark/ { for (i = 1; i < NF; i++) if ($(i + 1) == "allocs/op") print $i }')"
-	[ -n "$got" ] || { echo "alloc_smoke: Benchmark$1 did not report allocs/op" >&2; exit 1; }
+# gate NAME UNIT BASE OUTPUT: read UNIT off the benchmark OUTPUT and fail
+# when it exceeds BASE by more than 25%.
+gate() {
+	got="$(echo "$4" | awk -v u="$2" '/^Benchmark/ { for (i = 1; i < NF; i++) if ($(i + 1) == u) print $i }')"
+	[ -n "$got" ] || { echo "alloc_smoke: Benchmark$1 did not report $2" >&2; exit 1; }
 	limit=$(($3 + $3 / 4))
 	if [ "$got" -gt "$limit" ]; then
-		echo "alloc_smoke: Benchmark$1 allocs/op $got exceeds the baseline $3 by >25% (limit $limit)" >&2
+		echo "alloc_smoke: Benchmark$1 $2 $got exceeds the baseline $3 by >25% (limit $limit)" >&2
 		exit 1
 	fi
-	echo "alloc_smoke: $1 allocs/op $got within 25% of baseline $3 (limit $limit)"
+	echo "alloc_smoke: $1 $2 $got within 25% of baseline $3 (limit $limit)"
+}
+
+# check NAME PKG BASE [BENCHTIME [BYTES]]: NAME is the benchmark name
+# without the Benchmark prefix; BENCHTIME defaults to 3x. BASE is the
+# allocs/op baseline and BYTES, when given, the B/op one.
+check() {
+	out="$(go test -run '^$' -bench "Benchmark$1\$" -benchmem -benchtime "${4:-3x}" "$2" 2>&1)" ||
+		{ echo "$out" >&2; exit 1; }
+	gate "$1" allocs/op "$3" "$out"
+	if [ -n "${5:-}" ]; then
+		gate "$1" B/op "$5" "$out"
+	fi
 }
 
 check Figure9_EndToEnd . "$FIGURE9_END_TO_END"
@@ -73,3 +96,4 @@ check ShipmentCodecStream ./internal/wire/ "$SHIPMENT_CODEC_STREAM" 20x
 check ReliableExchangeDurable/batch ./internal/registry/ "$RELIABLE_EXCHANGE_DURABLE_BATCH"
 check ChainedCombine/spread/k=8 ./internal/core/ "$CHAINED_COMBINE_SPREAD_K8"
 check Substrate_Parse . "$SUBSTRATE_PARSE" 20x
+check Table4_LoadIndex_MF . "$TABLE4_LOAD_INDEX_MF" 10x "$TABLE4_LOAD_INDEX_MF_BYTES"

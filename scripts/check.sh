@@ -25,8 +25,9 @@ make bench-smoke
 # instead of the next `make bench-json`.
 ./scripts/bench_snapshot.sh -smoke
 
-# Allocation-regression smoke: six benchmarks must stay within 25% of the
-# allocs/op baselines recorded in the script — the arena/slab teardown is a
+# Allocation-regression smoke: seven benchmarks must stay within 25% of the
+# allocs/op baselines recorded in the script, and Table 4's load-then-index
+# row within 25% of its B/op baseline too — the arena/slab teardown is a
 # merge-gated property, not a one-off number.
 ./scripts/alloc_smoke.sh
 
