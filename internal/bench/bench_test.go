@@ -76,7 +76,14 @@ func TestEndToEndSavingBand(t *testing.T) {
 	res := measureOnce(t)
 	size := res.Options.Sizes[len(res.Options.Sizes)-1]
 	for _, scen := range Scenarios {
-		s := Saving(res, scen, size)
+		srcName, tgtName := scen[:2], scen[4:]
+		store := res.LoadTime[key{tgtName, size}] + res.IndexTime[key{tgtName, size}]
+		de := res.Step1[key{scen, size}] + res.CommDE(tgtName, size) + store
+		pm := res.PublishTime[key{srcName, size}] + res.CommPM(size) + res.ShredTime[key{tgtName, size}] + store
+		if pm <= 0 {
+			t.Fatalf("%s: publish&map took %v", scen, pm)
+		}
+		s := 1 - de.Seconds()/pm.Seconds()
 		if s <= 0 {
 			t.Errorf("%s: DE saving %.2f not positive", scen, s)
 		}

@@ -143,20 +143,6 @@ func sum(ds []time.Duration) time.Duration {
 	return s
 }
 
-// Saving computes the Figure 9 end-to-end DE saving for one scenario.
-func Saving(res *Results, scen string, size int64) float64 {
-	srcName, tgtName := scen[:2], scen[4:]
-	de := res.Step1[key{scen, size}] + res.CommDE(tgtName, size) +
-		res.LoadTime[key{tgtName, size}] + res.IndexTime[key{tgtName, size}]
-	pm := res.PublishTime[key{srcName, size}] + res.CommPM(size) +
-		res.ShredTime[key{tgtName, size}] +
-		res.LoadTime[key{tgtName, size}] + res.IndexTime[key{tgtName, size}]
-	if pm == 0 {
-		return 0
-	}
-	return 1 - de.Seconds()/pm.Seconds()
-}
-
 // Figure10 renders the §5.4.1 simulator comparison for equal systems.
 func Figure10(seeds int) (*Table, error) {
 	return figureSim("Figure 10. Optimized Data Exchange versus Publishing, similar source and target systems", sim.Config{}, seeds)

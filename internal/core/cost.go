@@ -236,17 +236,3 @@ func (p *StatsProvider) CompCost(kind OpKind, inputs []*Fragment, output *Fragme
 	}
 	return work / speed
 }
-
-// UniformStats builds flat statistics: every element has the given
-// cardinality scaled by 1 for non-repeated and fanout for repeated
-// elements would require schema knowledge, so this simply assigns card and
-// bytes uniformly. The simulator refines this per schema.
-func UniformStats(elems []string, card, bytes float64) (map[string]float64, map[string]float64) {
-	c := make(map[string]float64, len(elems))
-	b := make(map[string]float64, len(elems))
-	for _, e := range elems {
-		c[e] = card
-		b[e] = bytes
-	}
-	return c, b
-}

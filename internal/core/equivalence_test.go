@@ -289,3 +289,23 @@ func TestOptimalIsLowerBound(t *testing.T) {
 		}
 	}
 }
+
+// EqualWritten reports whether two execution results wrote the same
+// fragment instances (same rows per fragment, shape-equal records).
+func EqualWritten(a, b *ExecResult) bool {
+	if len(a.Written) != len(b.Written) {
+		return false
+	}
+	for name, ia := range a.Written {
+		ib := b.Written[name]
+		if ib == nil || ia.Rows() != ib.Rows() {
+			return false
+		}
+		for i := range ia.Records {
+			if !xmltree.EqualShape(ia.Records[i], ib.Records[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}

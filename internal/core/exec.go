@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"xdx/internal/schema"
-	"xdx/internal/xmltree"
 )
 
 // OpTrace records the execution of one operation, for the measurement
@@ -58,26 +57,6 @@ func Execute(g *Graph, sch *schema.Schema, sources map[string]*Instance) (*ExecR
 	}
 	res.Traces = traces
 	return res, nil
-}
-
-// EqualWritten reports whether two execution results wrote the same
-// fragment instances (same rows per fragment, shape-equal records).
-func EqualWritten(a, b *ExecResult) bool {
-	if len(a.Written) != len(b.Written) {
-		return false
-	}
-	for name, ia := range a.Written {
-		ib := b.Written[name]
-		if ib == nil || ia.Rows() != ib.Rows() {
-			return false
-		}
-		for i := range ia.Records {
-			if !xmltree.EqualShape(ia.Records[i], ib.Records[i]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // SummarizeTraces renders per-operation execution times as an aligned

@@ -97,20 +97,6 @@ func TestFilterSourcesMissingFragment(t *testing.T) {
 	}
 }
 
-func TestSelectivityAndScale(t *testing.T) {
-	if Selectivity(1, 4) != 0.25 || Selectivity(5, 4) != 1 || Selectivity(1, 0) != 1 {
-		t.Error("Selectivity wrong")
-	}
-	p := testProvider(customerSchema(), 1, 1)
-	scaled := p.Scale(0.5)
-	if scaled.Card["Customer"] != p.Card["Customer"]/2 {
-		t.Errorf("Scale wrong: %v vs %v", scaled.Card["Customer"], p.Card["Customer"])
-	}
-	if p.Card["Customer"] == scaled.Card["Customer"] {
-		t.Error("Scale mutated the original")
-	}
-}
-
 func TestRecommendTargetPrefersAlignedLayout(t *testing.T) {
 	// With the source fixed, a recommended target should cost no more than
 	// the canonical layouts, and an identical layout should be near the

@@ -61,32 +61,3 @@ func FilterSources(fr *Fragmentation, sources map[string]*Instance, keep func(re
 	}
 	return out, nil
 }
-
-// Selectivity estimates the fraction of records a filtered exchange ships,
-// given kept and total root-fragment record counts; it scales the cost
-// model's cardinalities, reflecting §4.1's note that the selectivity of
-// the combines affects the amount of data being shipped.
-func Selectivity(kept, total int) float64 {
-	if total <= 0 {
-		return 1
-	}
-	s := float64(kept) / float64(total)
-	if s < 0 {
-		return 0
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
-}
-
-// Scale returns a copy of the provider with all cardinalities multiplied
-// by the selectivity factor.
-func (p *StatsProvider) Scale(selectivity float64) *StatsProvider {
-	cp := *p
-	cp.Card = make(map[string]float64, len(p.Card))
-	for e, c := range p.Card {
-		cp.Card[e] = c * selectivity
-	}
-	return &cp
-}

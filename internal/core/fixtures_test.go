@@ -114,3 +114,17 @@ func testProvider(sch *schema.Schema, srcSpeed, tgtSpeed float64) *StatsProvider
 		TargetCombines: true,
 	}
 }
+
+// UniformStats builds flat statistics: every element has the given
+// cardinality scaled by 1 for non-repeated and fanout for repeated
+// elements would require schema knowledge, so this simply assigns card and
+// bytes uniformly. The simulator refines this per schema.
+func UniformStats(elems []string, card, bytes float64) (map[string]float64, map[string]float64) {
+	c := make(map[string]float64, len(elems))
+	b := make(map[string]float64, len(elems))
+	for _, e := range elems {
+		c[e] = card
+		b[e] = bytes
+	}
+	return c, b
+}

@@ -108,9 +108,6 @@ func DeriveName(sch *schema.Schema, set map[string]bool) string {
 	return strings.Join(parts, "_")
 }
 
-// Contains reports whether the fragment covers element e.
-func (f *Fragment) Contains(e string) bool { return f.Elems[e] }
-
 // Size returns the number of elements the fragment covers.
 func (f *Fragment) Size() int { return len(f.Elems) }
 

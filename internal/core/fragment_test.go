@@ -20,7 +20,7 @@ func TestNewFragmentValid(t *testing.T) {
 	if f.Name != "Order_Service_ServiceName" {
 		t.Errorf("derived name = %q", f.Name)
 	}
-	if !f.Contains("Service") || f.Contains("Line") {
+	if !f.Elems["Service"] || f.Elems["Line"] {
 		t.Errorf("Contains wrong")
 	}
 }
@@ -142,11 +142,11 @@ func TestLeastFragmentedAuction(t *testing.T) {
 	}
 	site := lf.FragmentOf("site")
 	for _, e := range []string{"regions", "africa", "samerica", "catgraph", "people", "openauctions", "closedauctions", "categories"} {
-		if !site.Contains(e) {
+		if !site.Elems[e] {
 			t.Errorf("site fragment should inline %q", e)
 		}
 	}
-	if site.Contains("item") || site.Contains("category") {
+	if site.Elems["item"] || site.Elems["category"] {
 		t.Errorf("site fragment must not contain repeated elements")
 	}
 }

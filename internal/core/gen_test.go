@@ -17,9 +17,6 @@ func TestMappingSToT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Identical() {
-		t.Error("S and T fragmentations are not identical")
-	}
 	// Target Order_Service draws from source ORDER and SERVICE.
 	var orderTarget *Fragment
 	for _, f := range tgt.Fragments {
@@ -40,9 +37,6 @@ func TestMappingIdentical(t *testing.T) {
 	m, err := NewMapping(a, b)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !m.Identical() {
-		t.Error("identical fragmentations not detected")
 	}
 	g, err := CanonicalProgram(m)
 	if err != nil {

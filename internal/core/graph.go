@@ -245,18 +245,6 @@ func (a Assignment) Complete() bool {
 	return true
 }
 
-// CrossEdges returns the edges whose endpoints are placed at different
-// systems under a.
-func (a Assignment) CrossEdges(g *Graph) []*Edge {
-	var out []*Edge
-	for _, e := range g.Edges {
-		if a[e.From.ID] == LocSource && a[e.To.ID] == LocTarget {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // String renders the program with one op per line, annotated with its
 // inputs, for debugging and golden tests.
 func (g *Graph) String() string {

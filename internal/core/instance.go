@@ -125,26 +125,6 @@ func (in *Instance) ownRec(i int, arena *xmltree.Arena) {
 	}
 }
 
-// Nodes returns the total number of element instances across all records.
-func (in *Instance) Nodes() int {
-	n := 0
-	for _, r := range in.Records {
-		n += r.Count()
-	}
-	return n
-}
-
-// SerializedSize returns the byte size of the instance when shipped in XML
-// format with root IDs, the size() function of the communication cost
-// (§4.1).
-func (in *Instance) SerializedSize() int64 {
-	var n int64
-	for _, r := range in.Records {
-		n += xmltree.SerializedSize(r, true)
-	}
-	return n
-}
-
 // AssignIDs walks a document tree assigning Dewey identifiers ("1",
 // "1.2", "1.2.1", ...) to ID fields and wiring PARENT fields, in the style
 // of the LDAP DN identifiers of §1.1. Existing IDs are overwritten.

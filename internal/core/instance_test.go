@@ -94,7 +94,7 @@ func TestCombinePaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Frag.Root != "Customer" || !merged.Frag.Contains("ServiceName") {
+	if merged.Frag.Root != "Customer" || !merged.Frag.Elems["ServiceName"] {
 		t.Errorf("merged fragment wrong: %v", merged.Frag)
 	}
 	if merged.Rows() != 1 {
@@ -211,10 +211,16 @@ func TestInstanceSizes(t *testing.T) {
 	fr := tFragmentation(t, sch)
 	insts, _ := FromDocument(fr, customerDoc())
 	for _, in := range insts {
-		if in.SerializedSize() <= 0 {
+		var size int64
+		nodes := 0
+		for _, r := range in.Records {
+			size += xmltree.SerializedSize(r, true)
+			nodes += r.Count()
+		}
+		if size <= 0 {
 			t.Errorf("fragment %q has non-positive serialized size", in.Frag.Name)
 		}
-		if in.Nodes() < in.Rows() {
+		if nodes < in.Rows() {
 			t.Errorf("fragment %q Nodes < Rows", in.Frag.Name)
 		}
 	}
@@ -257,7 +263,9 @@ func TestSplitConservesNodesProperty(t *testing.T) {
 		}
 		sum := 0
 		for _, in := range insts {
-			sum += in.Nodes()
+			for _, r := range in.Records {
+				sum += r.Count()
+			}
 		}
 		return sum == total
 	}

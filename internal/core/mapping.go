@@ -48,22 +48,6 @@ func overlaps(a, b *Fragment) bool {
 	return false
 }
 
-// Identical reports whether source and target fragmentations consist of
-// exactly the same fragments, in which case the data transfer degenerates
-// to Scan→Write chains (§5.2).
-func (m *Mapping) Identical() bool {
-	if m.Source.Len() != m.Target.Len() {
-		return false
-	}
-	for _, t := range m.Target.Fragments {
-		ss := m.Assoc[t.Name]
-		if len(ss) != 1 || !ss[0].SameElems(t) {
-			return false
-		}
-	}
-	return true
-}
-
 // Pieces returns, for a source fragment s, the intersections of s with each
 // target fragment it overlaps, as fragments (each intersection of two
 // connected tree regions is itself connected). The returned slice follows

@@ -64,11 +64,11 @@ func TestCompressionAwareShipBytesFlipsPlacement(t *testing.T) {
 	wire.ShipRatio = map[string]float64{}
 	for _, f := range src.Fragments {
 		switch {
-		case f.Contains("Customer"):
+		case f.Elems["Customer"]:
 			wire.ShipRatio[f.Name] = 0.1
-		case f.Contains("Order"):
+		case f.Elems["Order"]:
 			wire.ShipRatio[f.Name] = 0.1
-		case f.Contains("Line"):
+		case f.Elems["Line"]:
 			wire.ShipRatio[f.Name] = 1.0
 		}
 	}

@@ -329,7 +329,7 @@ func TestBatchLoneAppenderHold(t *testing.T) {
 	if n := met.Counter("wal.batch.stalls").Value(); n < 1 {
 		t.Fatalf("stalls counter = %d, want >= 1 (hold expiry)", n)
 	}
-	if n := met.Histogram("wal.batch.frames").Count(); n != 1 {
+	if n := met.Snapshot()["wal.batch.frames"].(map[string]any)["count"]; n != int64(1) {
 		t.Fatalf("batch.frames observations = %d, want 1", n)
 	}
 }

@@ -368,21 +368,6 @@ func (w *WAL) appendLocked(head, body []byte) error {
 	return nil
 }
 
-// Sync forces buffered appends to stable storage regardless of policy.
-// Under FsyncBatch it first drains the pending commit group, so every
-// ticket issued before the call has resolved when Sync returns.
-func (w *WAL) Sync() error {
-	if w.bat != nil {
-		w.bat.drain()
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed.Load() {
-		return nil
-	}
-	return w.syncLocked()
-}
-
 // Flush hurries the pending FsyncBatch commit group out without waiting
 // for it: the leader commits what is queued instead of holding for more.
 // No-op under other policies. The endpoint calls this before parking on

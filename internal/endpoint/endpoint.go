@@ -7,7 +7,6 @@ package endpoint
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -240,7 +239,6 @@ func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 		deltaBases: map[string]*deltaBase{}}
 	e.srv.Handle("GetWSDL", e.getWSDL)
 	e.srv.Handle("ProbeStats", e.probeStats)
-	e.srv.Handle("ProbeCost", e.probeCost)
 	e.srv.Handle("DeltaStatus", e.deltaStatus)
 	e.srv.Handle("SessionStatus", e.sessionStatus)
 	e.srv.Handle("EndSession", e.endSession)
@@ -465,60 +463,6 @@ func (e *Endpoint) calibrate(codec wire.Codec) (*shipCalibration, error) {
 		"ratio", strconv.FormatFloat(cal.def, 'f', 3, 64),
 		"millis", formatMillis(time.Since(calStart)))
 	return cal, nil
-}
-
-// probeCost answers a single comp_cost(OP, location) query (§4.1): the
-// request carries the op kind, the location, and inline fragment
-// definitions — first the output, then the inputs.
-func (e *Endpoint) probeCost(req *xmltree.Node) (*xmltree.Node, error) {
-	e.met.Counter("endpoint.probe_cost").Inc()
-	kindStr, _ := req.Attr("kind")
-	locStr, _ := req.Attr("loc")
-	var kind core.OpKind
-	switch kindStr {
-	case "Scan":
-		kind = core.OpScan
-	case "Combine":
-		kind = core.OpCombine
-	case "Split":
-		kind = core.OpSplit
-	case "Write":
-		kind = core.OpWrite
-	default:
-		return nil, &soap.Fault{Code: "soap:Client", String: "unknown op kind " + kindStr}
-	}
-	loc := core.LocSource
-	if locStr == "T" {
-		loc = core.LocTarget
-	}
-	sch := e.backend.Layout().Schema
-	var frags []*core.Fragment
-	for _, fx := range req.Kids {
-		if fx.Name != "fragment" {
-			continue
-		}
-		name, _ := fx.Attr("name")
-		var elems []string
-		for _, el := range fx.Kids {
-			elems = append(elems, el.Text)
-		}
-		f, err := core.NewFragment(sch, name, elems)
-		if err != nil {
-			return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
-		}
-		frags = append(frags, f)
-	}
-	if len(frags) == 0 {
-		return nil, &soap.Fault{Code: "soap:Client", String: "probe without fragments"}
-	}
-	cost := e.backend.Provider().CompCost(kind, frags[1:], frags[0], loc)
-	resp := &xmltree.Node{Name: "ProbeCostResponse"}
-	if math.IsInf(cost, 1) {
-		resp.SetAttr("cost", "Inf")
-	} else {
-		resp.SetAttr("cost", strconv.FormatFloat(cost, 'g', -1, 64))
-	}
-	return resp, nil
 }
 
 // deltaStatus answers a DeltaStatus probe: whether this endpoint holds a

@@ -3,7 +3,6 @@ package endpoint
 import (
 	"math"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -104,51 +103,6 @@ func TestProbeStats(t *testing.T) {
 	}
 	if p.Card["Feature"] != 1 {
 		t.Errorf("Feature card = %v, want 1", p.Card["Feature"])
-	}
-}
-
-func TestProbeCost(t *testing.T) {
-	sch := schema.CustomerInfo()
-	st := loadedStore(t, tFrag(t, sch))
-	c, done := startEndpoint(t, &RelBackend{Store: st, Speed: 1, CanCombine: false})
-	defer done()
-	req := &xmltree.Node{Name: "ProbeCost"}
-	req.SetAttr("kind", "Scan")
-	req.SetAttr("loc", "S")
-	fx := &xmltree.Node{Name: "fragment"}
-	fx.SetAttr("name", "f")
-	for _, e := range []string{"Customer", "CustName"} {
-		fx.AddKid(&xmltree.Node{Name: "e", Text: e})
-	}
-	req.AddKid(fx)
-	resp, err := c.Call("ProbeCost", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, _ := resp.Attr("cost")
-	v, err := strconv.ParseFloat(cs, 64)
-	if err != nil || v <= 0 {
-		t.Errorf("scan cost = %q", cs)
-	}
-	// A dumb client reports Inf for target-side combines.
-	req.SetAttr("kind", "Combine")
-	req.SetAttr("loc", "T")
-	resp, err = c.Call("ProbeCost", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs, _ := resp.Attr("cost"); cs != "Inf" {
-		t.Errorf("dumb client combine cost = %q, want Inf", cs)
-	}
-	// Errors.
-	req.SetAttr("kind", "Bogus")
-	if _, err := c.Call("ProbeCost", req); err == nil {
-		t.Error("bogus kind must fault")
-	}
-	bare := &xmltree.Node{Name: "ProbeCost"}
-	bare.SetAttr("kind", "Scan")
-	if _, err := c.Call("ProbeCost", bare); err == nil {
-		t.Error("probe without fragments must fault")
 	}
 }
 

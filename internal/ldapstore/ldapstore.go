@@ -115,13 +115,6 @@ func (d *Directory) Lookup(dn string) *Entry {
 	return d.entries[dn]
 }
 
-// Children returns the DNs of the entry's children, in insertion order.
-func (d *Directory) Children(dn string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]string(nil), d.children[dn]...)
-}
-
 // Search returns all entries of the given class in the subtree rooted at
 // base (""=whole directory), in depth-first order.
 func (d *Directory) Search(base, class string) []*Entry {
@@ -245,9 +238,6 @@ func collectLeaves(n *xmltree.Node, attrs map[string]string) {
 		collectLeaves(k, attrs)
 	}
 }
-
-// ClassFor returns the object class backing the named layout fragment.
-func (s *Store) ClassFor(fragName string) string { return s.classOf[fragName] }
 
 // Scan materializes the instance of a layout fragment from the directory
 // (the LDAP-side Scan of Definition 3.6), letting a directory also act as

@@ -24,7 +24,7 @@ func TestDirectoryBasics(t *testing.T) {
 	if d.Lookup("1").Attrs["C_NAME"] != "Ann" {
 		t.Errorf("lookup wrong")
 	}
-	if got := d.Children("1"); len(got) != 1 || got[0] != "1.1" {
+	if got := d.children["1"]; len(got) != 1 || got[0] != "1.1" {
 		t.Errorf("children = %v", got)
 	}
 	if got := d.Search("", "CUSTOMER_T"); len(got) != 2 {
@@ -165,15 +165,5 @@ func TestStoreScanRoundTrip(t *testing.T) {
 	}
 	if _, err := st.Scan("nope"); err == nil {
 		t.Error("unknown fragment must fail")
-	}
-}
-
-func TestClassFor(t *testing.T) {
-	fr, _ := telecomFixture(t)
-	st := NewStore(fr)
-	for _, f := range fr.Fragments {
-		if st.ClassFor(f.Name) == "" {
-			t.Errorf("no class for %q", f.Name)
-		}
 	}
 }

@@ -50,13 +50,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add moves the gauge. Nil-safe.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Value reads the gauge. Nil reads zero.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -118,16 +111,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	if h != nil {
 		h.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	}
-}
-
-// Count reads the observation count. Nil reads zero.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // snapshot renders the histogram as a JSON-friendly map. Buckets are

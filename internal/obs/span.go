@@ -90,21 +90,6 @@ func (s *Span) Duration() time.Duration {
 	return s.dur
 }
 
-// Attr reads an attribute back ("" when absent). Nil reads "".
-func (s *Span) Attr(key string) string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.attrs {
-		if a.k == key {
-			return a.v
-		}
-	}
-	return ""
-}
-
 // Kids returns a snapshot of the child spans. Nil reads nil.
 func (s *Span) Kids() []*Span {
 	if s == nil {

@@ -66,25 +66,6 @@ func Publish(st *relstore.Store, w io.Writer) (Result, error) {
 	return res, nil
 }
 
-// Tree builds the full document tree without serializing it, for callers
-// that ship structured data instead of text.
-func Tree(st *relstore.Store) (*xmltree.Node, time.Duration, error) {
-	start := time.Now()
-	insts := make(map[string]*core.Instance, st.Layout.Len())
-	for _, f := range st.Layout.Fragments {
-		in, err := st.ScanFragment(f.Name)
-		if err != nil {
-			return nil, 0, err
-		}
-		insts[f.Name] = in
-	}
-	doc, err := core.Document(st.Layout, insts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return doc, time.Since(start), nil
-}
-
 type countingWriter struct {
 	w io.Writer
 	n int64

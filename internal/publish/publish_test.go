@@ -75,22 +75,6 @@ func TestPublishFromMFCostsMoreThanLF(t *testing.T) {
 	t.Logf("MF: %d Combines, %d rows joined; LF: %d Combines, %d rows joined", mf.Combines, mf.JoinedRows, lf.Combines, lf.JoinedRows)
 }
 
-func TestTree(t *testing.T) {
-	sch := xmark.Schema()
-	doc := xmark.Generate(xmark.Config{TargetBytes: 15_000, Seed: 4})
-	st := loadedStore(t, core.LeastFragmented(sch), doc)
-	tree, d, err := Tree(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Error("no duration measured")
-	}
-	if !xmltree.EqualShape(doc, tree) {
-		t.Error("Tree differs from the stored document")
-	}
-}
-
 func TestPublishEmptyStore(t *testing.T) {
 	sch := xmark.Schema()
 	st, err := relstore.NewStore(core.LeastFragmented(sch))

@@ -35,8 +35,9 @@ func (a *Agency) Save(dir string) error {
 // saveLocked persists every registration, atomically: each WSDL and the
 // index are written to a temp file and renamed into place, so a crash
 // mid-save leaves the directory with either the old or the new version of
-// every file — never a torn index that fails LoadAgency. Stale WSDLs of
-// deregistered services are removed afterwards; a crash before the removal
+// every file — never a torn index that fails LoadAgency. WSDL files the new
+// index does not name, such as those of a directory saved under an older
+// file-naming scheme, are removed afterwards; a crash before the removal
 // leaves unreferenced files the loader ignores.
 func (a *Agency) saveLocked(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -79,8 +80,7 @@ func (a *Agency) saveLocked(dir string) error {
 	if err := writeFileAtomic(filepath.Join(dir, indexFile), []byte(b.String())); err != nil {
 		return fmt.Errorf("registry: save: %w", err)
 	}
-	// The new index is in place; WSDLs of deregistered services are now
-	// unreferenced and can go.
+	// The new index is in place; WSDLs it does not name can go.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("registry: save: %w", err)
@@ -160,13 +160,19 @@ func LoadAgency(dir string) (*Agency, error) {
 	return a, nil
 }
 
+// sanitize turns a service name into a file-name stem: bytes outside
+// [A-Za-z0-9.-], '_' included, become "_XX" in hex. The mapping is
+// injective, and no stem holds "__", so "<stem>__<role>.wsdl" names one
+// registration only.
 func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			return r
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '.':
+			b.WriteByte(c)
 		default:
-			return '_'
+			fmt.Fprintf(&b, "_%02X", c)
 		}
-	}, s)
+	}
+	return b.String()
 }

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -147,42 +148,107 @@ func TestAutoSave(t *testing.T) {
 	}
 }
 
-// Deregistered services must stay gone after a restart: autosave rewrites
-// the index without them and removes their now-unreferenced WSDL files.
-func TestAutoSaveDeregisterRoundTrip(t *testing.T) {
+// Two service names that differ only in bytes outside [A-Za-z0-9.-] must
+// persist to two WSDL files: "a/b" and "a_b" once both saved as
+// a_b__source.wsdl, and the second registration's WSDL overwrote the first.
+func TestSaveKeepsNearNamesApart(t *testing.T) {
 	sch := schema.CustomerInfo()
-	dir := t.TempDir()
 	ag := New()
-	ag.SetAutoSave(dir)
-	if err := ag.Register("keep", RoleSource, wsdlFor(t, sch, sFragmentation(t, sch), "http://k"), "http://k"); err != nil {
+	if err := ag.Register("a/b", RoleSource, wsdlFor(t, sch, sFragmentation(t, sch), "http://ab"), "http://ab"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ag.Register("drop", RoleSource, wsdlFor(t, sch, sFragmentation(t, sch), "http://d"), "http://d"); err != nil {
+	if err := ag.Register("a_b", RoleSource, wsdlFor(t, sch, tFragmentation(t, sch), "http://a_b"), "http://a_b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "drop__source.wsdl")); err != nil {
-		t.Fatalf("expected persisted WSDL before deregister: %v", err)
-	}
-	if !ag.Deregister("drop", RoleSource) {
-		t.Fatal("deregister reported nothing removed")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "drop__source.wsdl")); !os.IsNotExist(err) {
-		t.Errorf("deregistered WSDL file still on disk (err=%v)", err)
+	dir := t.TempDir()
+	if err := ag.Save(dir); err != nil {
+		t.Fatal(err)
 	}
 	back, err := LoadAgency(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Party("drop", RoleSource) != nil {
-		t.Error("deregistered service came back after load")
+	for service, want := range map[string]int{"a/b": 5, "a_b": 4} {
+		p := back.Party(service, RoleSource)
+		if p == nil {
+			t.Errorf("%s: registration lost", service)
+			continue
+		}
+		if got := p.Fragmentation.Len(); got != want {
+			t.Errorf("%s: restored %d fragments, want %d", service, got, want)
+		}
 	}
-	if back.Party("keep", RoleSource) == nil {
-		t.Error("surviving service lost")
+}
+
+// A directory saved under the older naming, which mapped every unsafe byte
+// to '_', still loads through its index; the next autosave rewrites the
+// WSDL under its escaped name and removes the file the index no longer
+// names.
+func TestAutoSaveReplacesLegacyWSDLFile(t *testing.T) {
+	sch := schema.CustomerInfo()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "x_y__source.wsdl"), wsdlFor(t, sch, sFragmentation(t, sch), "http://xy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	index := `<registry><registration service="x y" role="source" url="http://xy" file="x_y__source.wsdl"/></registry>`
+	if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(index), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ag, err := LoadAgency(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag.SetAutoSave(dir)
+	if err := ag.Register("z", RoleSource, wsdlFor(t, sch, tFragmentation(t, sch), "http://z"), "http://z"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "x_y__source.wsdl")); !os.IsNotExist(err) {
+		t.Errorf("legacy WSDL file still on disk (err=%v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "x_20y__source.wsdl")); err != nil {
+		t.Errorf("escaped WSDL file missing: %v", err)
+	}
+	back, err := LoadAgency(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for service, want := range map[string]int{"x y": 5, "z": 4} {
+		p := back.Party(service, RoleSource)
+		if p == nil {
+			t.Errorf("%s: registration lost", service)
+			continue
+		}
+		if got := p.Fragmentation.Len(); got != want {
+			t.Errorf("%s: restored %d fragments, want %d", service, got, want)
+		}
 	}
 }
 
 func TestSanitize(t *testing.T) {
-	if got := sanitize("a/b c:d"); got != "a_b_c_d" {
-		t.Errorf("sanitize = %q", got)
+	for in, want := range map[string]string{
+		"CustomerInfoService": "CustomerInfoService",
+		"v1.2-beta":           "v1.2-beta",
+		"a/b":                 "a_2Fb",
+		"a_b":                 "a_5Fb",
+		"a b":                 "a_20b",
+		"a_2Fb":               "a_5F2Fb",
+		"é":                   "_C3_A9",
+	} {
+		if got := sanitize(in); got != want {
+			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
+		}
+	}
+	// Names that differ must stay apart, service and role together.
+	names := []string{"a/b", "a_b", "a b", "a:b", "a__b", "a_", "a", "_", "__", "a_2Fb", "a__source", "é", "e"}
+	seen := map[string]string{}
+	for _, n := range names {
+		for _, role := range []Role{RoleSource, RoleTarget} {
+			file := sanitize(n) + "__" + string(role)
+			reg := fmt.Sprintf("%q/%s", n, role)
+			if prev, dup := seen[file]; dup {
+				t.Errorf("%s and %s both save as %s", prev, reg, file)
+			}
+			seen[file] = reg
+		}
 	}
 }

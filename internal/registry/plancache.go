@@ -9,8 +9,8 @@ package registry
 // service's registration mutates.
 //
 // Entries are grouped by service name because that is the invalidation
-// unit: Register/RegisterFromEndpoint/Deregister drop every entry of the
-// touched service. The inner key carries everything the derivation read —
+// unit: Register/RegisterFromEndpoint drop every entry of the touched
+// service. The inner key carries everything the derivation read —
 // fragment element sets, endpoint URLs, and the full PlanOptions — so a
 // re-registration that somehow survives invalidation still cannot alias a
 // stale entry (the key changes with the fragmentation).

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +52,7 @@ type Party struct {
 // Agency is the discovery agency. Registration state lives behind a
 // read-write lock: planning and executing only ever take read snapshots,
 // so they never serialize on each other or on concurrent registrations —
-// only Register/Deregister write. A *Party is immutable once published
+// only Register writes. A *Party is immutable once published
 // (re-registration installs a fresh Party), so a pointer copied out under
 // the read lock stays valid forever.
 type Agency struct {
@@ -62,7 +61,7 @@ type Agency struct {
 	autosaveDir string
 
 	// epoch counts registration mutations; the plan cache uses it to
-	// discard derivations that raced a Register/Deregister.
+	// discard derivations that raced a Register.
 	epoch atomic.Int64
 	plans planCache
 
@@ -89,10 +88,6 @@ func (a *Agency) SetMetrics(m *obs.Registry) {
 	a.met = m
 	a.plans.export(m)
 }
-
-// SetLogger wires the agency's own control-plane logger (autosave failures
-// and other background errors that have no caller to return to).
-func (a *Agency) SetLogger(l obs.Logger) { a.log = l }
 
 // PlanCacheStats reports the plan cache's lifetime counters and current
 // entry count — the hit-rate source for load harnesses and tests.
@@ -162,43 +157,6 @@ func (a *Agency) parties(service string) (src, tgt *Party) {
 	defer a.mu.RUnlock()
 	m := a.services[service]
 	return m[RoleSource], m[RoleTarget]
-}
-
-// Deregister removes a party's registration (both roles when role is "").
-// It reports whether anything was removed.
-func (a *Agency) Deregister(service string, role Role) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.services[service]
-	if m == nil {
-		return false
-	}
-	removed := false
-	if role == "" {
-		removed = len(m) > 0
-		delete(a.services, service)
-	} else if _, ok := m[role]; ok {
-		delete(m, role)
-		removed = true
-		if len(m) == 0 {
-			delete(a.services, service)
-		}
-	}
-	if removed {
-		a.epoch.Add(1)
-		a.plans.invalidate(service)
-		if a.autosaveDir != "" {
-			// Deregister has no error return its callers act on, but a
-			// failed autosave means the directory on disk still lists this
-			// service — silent persistence loss. Surface it.
-			if err := a.saveLocked(a.autosaveDir); err != nil {
-				a.met.Counter("registry.autosave.errors").Inc()
-				obs.OrNop(a.log).Log(obs.LevelWarn, "registry autosave failed",
-					"dir", a.autosaveDir, "service", service, "err", err.Error())
-			}
-		}
-	}
-	return removed
 }
 
 // Services lists registered service names.
@@ -291,7 +249,7 @@ type Plan struct {
 // tuple, so repeated plans over the same pair return the cached immutable
 // *Plan template without re-deriving or re-probing (Mahboubi & Darmont:
 // fragmentation-derived artifacts are reusable across queries). The cache
-// is invalidated whenever the service re-registers or deregisters. Callers
+// is invalidated whenever the service re-registers. Callers
 // must treat the returned Plan as read-only.
 func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
 	epoch := a.epoch.Load()
@@ -460,73 +418,6 @@ func (d *duplexProvider) CompCost(kind core.OpKind, in []*core.Fragment, out *co
 // ShipBytes implements core.CostProvider.
 func (d *duplexProvider) ShipBytes(f *core.Fragment) float64 { return d.src.ShipBytes(f) }
 
-// ProbedCost is the result of one comp_cost probe against a live endpoint.
-type ProbedCost struct {
-	Op   *core.Op
-	Loc  core.Location
-	Cost float64
-}
-
-// VerifyPlan probes the live endpoints for the actual comp_cost of every
-// placed operation of a plan (§4.1's per-operation probing, as opposed to
-// the bulk statistics probe used during search) and returns the per-op
-// answers together with their sum. It lets an operator check a plan's
-// estimate against the systems' own current numbers before executing.
-func (a *Agency) VerifyPlan(service string, plan *Plan) ([]ProbedCost, float64, error) {
-	src, tgt := a.parties(service)
-	if src == nil || tgt == nil {
-		return nil, 0, fmt.Errorf("registry: service %q not fully registered", service)
-	}
-	var out []ProbedCost
-	total := 0.0
-	for _, op := range plan.Program.Ops {
-		loc := plan.Assign[op.ID]
-		url := src.URL
-		if loc == core.LocTarget {
-			url = tgt.URL
-		}
-		cost, err := probeCost(url, plan.Program, op, loc)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, ProbedCost{Op: op, Loc: loc, Cost: cost})
-		total += cost
-	}
-	return out, total, nil
-}
-
-func probeCost(url string, g *core.Graph, op *core.Op, loc core.Location) (float64, error) {
-	req := &xmltree.Node{Name: "ProbeCost"}
-	req.SetAttr("kind", op.Kind.String())
-	req.SetAttr("loc", loc.String())
-	addFrag := func(f *core.Fragment) {
-		fx := &xmltree.Node{Name: "fragment"}
-		fx.SetAttr("name", f.Name)
-		for _, e := range f.ElemList() {
-			fx.AddKid(&xmltree.Node{Name: "e", Text: e})
-		}
-		req.AddKid(fx)
-	}
-	addFrag(op.Out)
-	for _, e := range g.In(op) {
-		addFrag(e.Frag)
-	}
-	c := &soap.Client{URL: url}
-	resp, err := c.Call("ProbeCost", req)
-	if err != nil {
-		return 0, err
-	}
-	v, _ := resp.Attr("cost")
-	if v == "Inf" {
-		return math.Inf(1), nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("registry: bad probed cost %q", v)
-	}
-	return f, nil
-}
-
 // Report aggregates the measurable steps of one executed exchange,
 // mirroring §5.2's step list.
 type Report struct {
@@ -580,11 +471,6 @@ type Report struct {
 	// probes, commit). Always populated by ExecuteOpts; End() has been
 	// called on the root by the time the report is returned.
 	Trace *obs.Span
-}
-
-// Total sums all steps.
-func (r *Report) Total() time.Duration {
-	return r.SourceTime + r.ShipTime + r.TargetTime + r.WriteTime + r.IndexTime
 }
 
 // ExecOptions tunes Execute.

@@ -271,9 +271,6 @@ func TestEndToEndExchangeOptimal(t *testing.T) {
 	if report.ShipTime <= 0 {
 		t.Errorf("paper link must model transfer time")
 	}
-	if report.Total() <= 0 {
-		t.Errorf("total time empty")
-	}
 	if tgtStore.Rows() == 0 {
 		t.Errorf("target store empty after exchange")
 	}
@@ -320,29 +317,6 @@ func TestExchangeToLDAPDumbClient(t *testing.T) {
 	}
 	if got := len(dir.Dir.Search("", "FEATURE_T")); got != 3 {
 		t.Errorf("features in directory = %d, want 3", got)
-	}
-}
-
-func TestVerifyPlanProbesEndpoints(t *testing.T) {
-	ag, plan, _, done := startExchange(t, AlgGreedy)
-	defer done()
-	probed, total, err := ag.VerifyPlan("CustomerInfoService", plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probed) != len(plan.Program.Ops) {
-		t.Fatalf("probed %d ops, want %d", len(probed), len(plan.Program.Ops))
-	}
-	if total <= 0 {
-		t.Errorf("total probed cost = %v", total)
-	}
-	for _, p := range probed {
-		if p.Cost < 0 {
-			t.Errorf("op %s probed negative cost", p.Op)
-		}
-		if p.Loc != plan.Assign[p.Op.ID] {
-			t.Errorf("op %s probed at wrong location", p.Op)
-		}
 	}
 }
 
@@ -403,32 +377,6 @@ func TestPlanRequiresBothParties(t *testing.T) {
 	ag := New()
 	if _, err := ag.Plan("missing", PlanOptions{}); err == nil {
 		t.Error("plan without registrations must fail")
-	}
-}
-
-func TestDeregister(t *testing.T) {
-	sch := schema.CustomerInfo()
-	ag := New()
-	data := wsdlFor(t, sch, sFragmentation(t, sch), "http://x")
-	ag.Register("svc", RoleSource, data, "http://x")
-	ag.Register("svc", RoleTarget, data, "http://x")
-	if !ag.Deregister("svc", RoleSource) {
-		t.Error("deregister source should report removal")
-	}
-	if ag.Party("svc", RoleSource) != nil {
-		t.Error("source still registered")
-	}
-	if ag.Party("svc", RoleTarget) == nil {
-		t.Error("target should remain")
-	}
-	if !ag.Deregister("svc", "") {
-		t.Error("deregister all should report removal")
-	}
-	if len(ag.Services()) != 0 {
-		t.Error("service should be gone")
-	}
-	if ag.Deregister("svc", RoleSource) || ag.Deregister("nope", "") {
-		t.Error("deregister of missing entries should report false")
 	}
 }
 

@@ -61,14 +61,6 @@ func (r *ReconIndex) Commit(stream, epoch string, edges map[string]EdgeHashes) {
 	r.streams[stream] = &reconStream{epoch: epoch, edges: edges}
 }
 
-// Invalidate drops a stream's index, forcing the next exchange to
-// full-reship.
-func (r *ReconIndex) Invalidate(stream string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.streams, stream)
-}
-
 // FNV-1a, 64 bit (hash/fnv's New64a, inlined so hashing a record neither
 // allocates a hasher nor stages the fields in a buffer).
 const (

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+
+	"xdx/internal/hashtab"
 )
 
 // lookupRef answers Lookup from a Go map built over the table's rows: each
@@ -134,4 +136,21 @@ func TestCreateIndexByteBudget(t *testing.T) {
 		t.Errorf("CreateIndex over %d rows: %.1f B/row and %.0f allocations, want <= 32 and <= 4", n, perRow, allocs)
 	}
 	t.Logf("CreateIndex over %d rows: %.1f B/row, %.0f allocations", n, perRow, allocs)
+}
+
+// Lookup returns the rows whose indexed column equals key, in row order,
+// using the index on col; it returns an error if no such index exists. No
+// exchange queries an index, so only the tests read one, through Lookup.
+func (t *Table) Lookup(col, key string) ([][]string, error) {
+	idx, ok := t.indexes[col]
+	if !ok {
+		return nil, fmt.Errorf("relstore: table %q: column %q not indexed", t.Name, col)
+	}
+	var out [][]string
+	if k := idx.find(t.rows, hashtab.Hash(key), key); k >= 0 {
+		for r := idx.first[k]; r >= 0; r = idx.next[r] {
+			out = append(out, t.rows[r])
+		}
+	}
+	return out, nil
 }

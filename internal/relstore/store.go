@@ -402,32 +402,6 @@ func (sc *fragScan) build(p *elemPlan, row []string, parentID string) *xmltree.N
 	return n
 }
 
-// ScanFragmentWhere is ScanFragment restricted to records whose leaf
-// element equals value — the store-side push-down of a service argument
-// (§3.2). It always scans the whole fragment and filters the records; an
-// index on the column is not consulted.
-func (s *Store) ScanFragmentWhere(fragName, leafElem, value string) (*core.Instance, error) {
-	in, err := s.ScanFragment(fragName)
-	if err != nil {
-		return nil, err
-	}
-	f := in.Frag
-	if !f.Elems[leafElem] {
-		return nil, fmt.Errorf("relstore: fragment %q has no element %q", fragName, leafElem)
-	}
-	if !s.Layout.Schema.ByName(leafElem).IsLeaf() {
-		return nil, fmt.Errorf("relstore: predicate element %q is not a leaf", leafElem)
-	}
-	kept := in.Records[:0:0]
-	for _, rec := range in.Records {
-		n := rec.Find(leafElem)
-		if n != nil && n.Text == value {
-			kept = append(kept, rec)
-		}
-	}
-	return &core.Instance{Frag: f, Records: kept}, nil
-}
-
 // BuildIndexes creates hash indexes on the root identifier and the parent
 // foreign key of every table — the paper's "update indexes at the target"
 // step (Table 4).
@@ -453,17 +427,6 @@ func (s *Store) Rows() int {
 	n := 0
 	for _, t := range s.tables {
 		n += t.Len()
-	}
-	return n
-}
-
-// ByteSize returns the total stored bytes across all tables.
-func (s *Store) ByteSize() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, t := range s.tables {
-		n += t.ByteSize()
 	}
 	return n
 }

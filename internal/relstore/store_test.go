@@ -86,42 +86,6 @@ func TestIndexAndLookup(t *testing.T) {
 	}
 }
 
-func TestHashJoin(t *testing.T) {
-	orders, _ := NewTable("orders", []string{"oid", "cid"})
-	orders.BulkLoad([][]string{{"o1", "c1"}, {"o2", "c1"}, {"o3", "c2"}})
-	custs, _ := NewTable("custs", []string{"cid", "name"})
-	custs.BulkLoad([][]string{{"c1", "Ann"}, {"c2", "Bob"}})
-	j, err := HashJoin(custs, orders, "cid", "cid", "j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != 3 {
-		t.Fatalf("join rows = %d, want 3", j.Len())
-	}
-	// Duplicate column renamed.
-	if j.ColIndex("orders.cid") < 0 {
-		t.Errorf("expected renamed column, cols = %v", j.Cols)
-	}
-	if _, err := HashJoin(custs, orders, "zz", "cid", "j"); err == nil {
-		t.Error("bad join column must fail")
-	}
-}
-
-func TestProject(t *testing.T) {
-	tb, _ := NewTable("t", []string{"a", "b", "c"})
-	tb.BulkLoad([][]string{{"1", "2", "3"}})
-	p, err := tb.Project("p", []string{"c", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Row(0)[0] != "3" || p.Row(0)[1] != "1" {
-		t.Errorf("projection wrong: %v", p.Row(0))
-	}
-	if _, err := tb.Project("p", []string{"zz"}); err == nil {
-		t.Error("bad projection column must fail")
-	}
-}
-
 func tFrag(t *testing.T, sch *schema.Schema) *core.Fragmentation {
 	t.Helper()
 	fr, err := core.FromPartition(sch, "T", [][]string{
@@ -277,9 +241,6 @@ func TestStoreIndexesAndClear(t *testing.T) {
 			t.Errorf("table %q has %d indexes, want 2", name, got)
 		}
 	}
-	if st.ByteSize() <= 0 {
-		t.Error("ByteSize should be positive")
-	}
 	st.Clear()
 	if st.Rows() != 0 {
 		t.Errorf("Clear left %d rows", st.Rows())
@@ -306,41 +267,6 @@ func TestStoreLoadMismatchedFragment(t *testing.T) {
 	err := st.Load(&core.Instance{Frag: f})
 	if err == nil {
 		t.Error("loading a non-layout fragment must fail")
-	}
-}
-
-func TestScanFragmentWhere(t *testing.T) {
-	sch := schema.CustomerInfo()
-	fr := tFrag(t, sch)
-	st, _ := NewStore(fr)
-	if err := st.LoadDocument(customerDoc()); err != nil {
-		t.Fatal(err)
-	}
-	lineFrag := fr.FragmentOf("TelNo")
-	in, err := st.ScanFragmentWhere(lineFrag.Name, "TelNo", "555-0002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Rows() != 1 {
-		t.Fatalf("filtered rows = %d, want 1", in.Rows())
-	}
-	if got := in.Records[0].Find("SwitchID").Text; got != "sw2" {
-		t.Errorf("wrong record selected: switch %q", got)
-	}
-	// No match.
-	in, err = st.ScanFragmentWhere(lineFrag.Name, "TelNo", "none")
-	if err != nil || in.Rows() != 0 {
-		t.Errorf("no-match filter: %v, %d rows", err, in.Rows())
-	}
-	// Errors.
-	if _, err := st.ScanFragmentWhere(lineFrag.Name, "CustName", "x"); err == nil {
-		t.Error("predicate on element outside the fragment must fail")
-	}
-	if _, err := st.ScanFragmentWhere(lineFrag.Name, "Switch", "x"); err == nil {
-		t.Error("predicate on non-leaf must fail")
-	}
-	if _, err := st.ScanFragmentWhere("nope", "TelNo", "x"); err == nil {
-		t.Error("unknown fragment must fail")
 	}
 }
 

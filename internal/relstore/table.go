@@ -95,19 +95,6 @@ func (t *Table) Scan(fn func(row []string) error) error {
 	return nil
 }
 
-// ByteSize estimates the stored size of the relation: the sum of value
-// lengths plus a small per-row overhead. It backs cost probing.
-func (t *Table) ByteSize() int64 {
-	var n int64
-	for _, r := range t.rows {
-		n += 8
-		for _, v := range r {
-			n += int64(len(v))
-		}
-	}
-	return n
-}
-
 // Index is a hash index over one column: tab files key numbers, first and last
 // hold each key's first and last row, and next each row's next with its key.
 type Index struct {
@@ -148,22 +135,6 @@ func (t *Table) Indexes() []string {
 	return out
 }
 
-// Lookup returns the rows whose indexed column equals key, in row order,
-// using the index on col; it returns an error if no such index exists.
-func (t *Table) Lookup(col, key string) ([][]string, error) {
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil, fmt.Errorf("relstore: table %q: column %q not indexed", t.Name, col)
-	}
-	var out [][]string
-	if k := idx.find(t.rows, hashtab.Hash(key), key); k >= 0 {
-		for r := idx.first[k]; r >= 0; r = idx.next[r] {
-			out = append(out, t.rows[r])
-		}
-	}
-	return out, nil
-}
-
 // find returns the number of key, whose hash is h, or -1.
 func (idx *Index) find(rows [][]string, h uint64, key string) int {
 	return idx.tab.Find(h, func(k int) bool { return rows[idx.first[k]][idx.col] == key })
@@ -182,82 +153,4 @@ func (idx *Index) add(rows [][]string, at int) {
 	idx.tab.Add(h, func(k int) uint64 { return hashtab.Hash(rows[idx.first[k]][idx.col]) })
 	idx.first = hashtab.Append(idx.first, int32(at))
 	idx.last = hashtab.Append(idx.last, int32(at))
-}
-
-// HashJoin joins left and right on left.leftCol = right.rightCol and
-// returns a new table whose columns are left's followed by right's
-// (right join column prefixed to stay unique). It builds a hash table on
-// the smaller input, probing with the larger — the combine workhorse.
-func HashJoin(left, right *Table, leftCol, rightCol, resultName string) (*Table, error) {
-	li, ri := left.ColIndex(leftCol), right.ColIndex(rightCol)
-	if li < 0 {
-		return nil, fmt.Errorf("relstore: join: no column %q in %q", leftCol, left.Name)
-	}
-	if ri < 0 {
-		return nil, fmt.Errorf("relstore: join: no column %q in %q", rightCol, right.Name)
-	}
-	cols := make([]string, 0, len(left.Cols)+len(right.Cols))
-	cols = append(cols, left.Cols...)
-	for _, c := range right.Cols {
-		name := c
-		if _, dup := left.colIdx[c]; dup {
-			name = right.Name + "." + c
-		}
-		cols = append(cols, name)
-	}
-	out, err := NewTable(resultName, cols)
-	if err != nil {
-		return nil, err
-	}
-	// Build on the smaller side.
-	build, probe := left, right
-	bi, pi := li, ri
-	buildIsLeft := true
-	if right.Len() < left.Len() {
-		build, probe, bi, pi = right, left, ri, li
-		buildIsLeft = false
-	}
-	ht := make(map[string][]int, build.Len())
-	for i, r := range build.rows {
-		ht[r[bi]] = append(ht[r[bi]], i)
-	}
-	for _, pr := range probe.rows {
-		for _, i := range ht[pr[pi]] {
-			br := build.rows[i]
-			lrow, rrow := br, pr
-			if !buildIsLeft {
-				lrow, rrow = pr, br
-			}
-			row := make([]string, 0, len(cols))
-			row = append(row, lrow...)
-			row = append(row, rrow...)
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out, nil
-}
-
-// Project returns a new table with only the named columns.
-func (t *Table) Project(resultName string, cols []string) (*Table, error) {
-	idxs := make([]int, len(cols))
-	for i, c := range cols {
-		ci := t.ColIndex(c)
-		if ci < 0 {
-			return nil, fmt.Errorf("relstore: project: no column %q in %q", c, t.Name)
-		}
-		idxs[i] = ci
-	}
-	out, err := NewTable(resultName, cols)
-	if err != nil {
-		return nil, err
-	}
-	out.rows = make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		row := make([]string, len(idxs))
-		for j, ci := range idxs {
-			row[j] = r[ci]
-		}
-		out.rows[i] = row
-	}
-	return out, nil
 }

@@ -10,7 +10,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -28,16 +27,11 @@ type Node struct {
 	Children []*Node
 
 	parent *Node
-	path   string
 	depth  int
 }
 
 // Parent returns the node's parent declaration, or nil for the root.
 func (n *Node) Parent() *Node { return n.parent }
-
-// Path returns the slash-separated path from the root, e.g.
-// "site/regions/africa/item".
-func (n *Node) Path() string { return n.path }
 
 // Depth returns the node's depth; the root has depth 0.
 func (n *Node) Depth() int { return n.depth }
@@ -82,11 +76,6 @@ func New(root *Node) (*Schema, error) {
 		}
 		n.parent = parent
 		n.depth = depth
-		if parent == nil {
-			n.path = n.Name
-		} else {
-			n.path = parent.path + "/" + n.Name
-		}
 		s.byName[n.Name] = n
 		s.names = append(s.names, n.Name)
 		for _, c := range n.Children {
@@ -290,25 +279,6 @@ func (s *Schema) IsAncestor(anc, name string) bool {
 	return false
 }
 
-// Subtree returns the names of all elements in the subtree rooted at name
-// (including name itself), in pre-order, or nil if name is unknown.
-func (s *Schema) Subtree(name string) []string {
-	n := s.byName[name]
-	if n == nil {
-		return nil
-	}
-	var out []string
-	var walk func(m *Node)
-	walk = func(m *Node) {
-		out = append(out, m.Name)
-		for _, c := range m.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return out
-}
-
 // String renders the schema as an indented tree, for debugging and golden
 // tests.
 func (s *Schema) String() string {
@@ -366,12 +336,4 @@ func Balanced(depth, fanout int) *Schema {
 		return n
 	}
 	return MustNew(build(depth))
-}
-
-// SortedNames returns all element names sorted lexicographically; useful for
-// deterministic iteration over element sets.
-func (s *Schema) SortedNames() []string {
-	out := s.Names()
-	sort.Strings(out)
-	return out
 }

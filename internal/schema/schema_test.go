@@ -11,8 +11,8 @@ func TestNewIndexesTree(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", s.Len())
 	}
-	if got := s.ByName("c").Path(); got != "a/b/c" {
-		t.Errorf("path of c = %q, want a/b/c", got)
+	if c := s.ByName("c"); c.Depth() != 2 || c.Parent().Name != "b" || c.Parent().Parent().Name != "a" {
+		t.Errorf("c should sit at a/b/c")
 	}
 	if got := s.ParentOf("d"); got != "a" {
 		t.Errorf("ParentOf(d) = %q, want a", got)
@@ -44,17 +44,6 @@ func TestNewRejectsNilAndEmpty(t *testing.T) {
 	}
 	if _, err := New(Elem("a", Elem(""))); err == nil {
 		t.Error("want error for empty child name")
-	}
-}
-
-func TestSubtree(t *testing.T) {
-	s := MustNew(Elem("a", Elem("b", Elem("c")), Elem("d")))
-	got := s.Subtree("b")
-	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Errorf("Subtree(b) = %v, want [b c]", got)
-	}
-	if s.Subtree("zzz") != nil {
-		t.Errorf("Subtree(unknown) should be nil")
 	}
 }
 
@@ -251,14 +240,6 @@ func TestAllChildrenAndChildOrder(t *testing.T) {
 	}
 }
 
-func TestSortedNames(t *testing.T) {
-	s := MustNew(Elem("b", Elem("a"), Elem("c")))
-	got := s.SortedNames()
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("SortedNames = %v", got)
-	}
-}
-
 func TestParseDTDEmptyAndAny(t *testing.T) {
 	s, err := ParseDTD(`<!ELEMENT r (a, b)> <!ELEMENT a EMPTY> <!ELEMENT b ANY>`)
 	if err != nil {
@@ -279,7 +260,7 @@ func TestBalancedPanicsOnBadArgs(t *testing.T) {
 }
 
 // Property: every non-root element's primary parent contains it among its
-// children, and paths are prefix-consistent.
+// children, one level above it.
 func TestParentChildConsistencyProperty(t *testing.T) {
 	check := func(depth, fanout uint8) bool {
 		d := int(depth%3) + 1
@@ -300,9 +281,6 @@ func TestParentChildConsistencyProperty(t *testing.T) {
 				}
 			}
 			if !found {
-				return false
-			}
-			if !strings.HasPrefix(n.Path(), n.Parent().Path()+"/") {
 				return false
 			}
 			if n.Depth() != n.Parent().Depth()+1 {

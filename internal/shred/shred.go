@@ -85,60 +85,6 @@ func To(r io.Reader, layout *core.Fragmentation, sink Sink) error {
 	return xmltree.ScanAttrs(r, h)
 }
 
-// Loader accepts fragment instances; relstore.Store and ldapstore.Store
-// satisfy it.
-type Loader interface {
-	Load(in *core.Instance) error
-}
-
-// Into streams the document in r straight into a store, flushing batches
-// of batchSize records per fragment as they complete — the bounded-memory
-// pipeline of §5.1 ("discarded the content of the stack as soon as tuples
-// were flushed"). batchSize <= 0 selects a default of 512. Records flush in
-// completion order (children before their parents), which suits relational
-// stores; order-sensitive stores like the LDAP directory should use Shred
-// and load fragment by fragment instead.
-func Into(r io.Reader, layout *core.Fragmentation, dst Loader, batchSize int) error {
-	if batchSize <= 0 {
-		batchSize = 512
-	}
-	pending := make(map[string]*core.Instance, layout.Len())
-	flush := func(in *core.Instance) error {
-		if in.Rows() == 0 {
-			return nil
-		}
-		if err := dst.Load(in); err != nil {
-			return err
-		}
-		in.Records = in.Records[:0]
-		return nil
-	}
-	err := To(r, layout, func(frag *core.Fragment, rec *xmltree.Node) error {
-		in := pending[frag.Name]
-		if in == nil {
-			in = &core.Instance{Frag: frag}
-			pending[frag.Name] = in
-		}
-		in.Records = append(in.Records, rec)
-		if in.Rows() >= batchSize {
-			return flush(in)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Flush remainders in layout order.
-	for _, f := range layout.Fragments {
-		if in := pending[f.Name]; in != nil {
-			if err := flush(in); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Shred consumes the document in r and returns one instance per layout
 // fragment (possibly empty).
 func Shred(r io.Reader, layout *core.Fragmentation) (map[string]*core.Instance, error) {

@@ -106,67 +106,6 @@ func TestShredIntoStore(t *testing.T) {
 	}
 }
 
-func TestShredIntoStreaming(t *testing.T) {
-	// Into must produce the same store contents as Shred+Load, with small
-	// batches forcing many flushes.
-	sch := xmark.Schema()
-	doc := xmark.Generate(xmark.Config{TargetBytes: 30_000, Seed: 13})
-	var buf bytes.Buffer
-	xmltree.Write(&buf, doc, xmltree.WriteOptions{})
-	layout := core.MostFragmented(sch)
-
-	streamed, err := relstore.NewStore(layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Into(bytes.NewReader(buf.Bytes()), layout, streamed, 7); err != nil {
-		t.Fatal(err)
-	}
-	batch, err := relstore.NewStore(layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts, err := Shred(bytes.NewReader(buf.Bytes()), layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range layout.Fragments {
-		if err := batch.Load(insts[f.Name]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if streamed.Rows() != batch.Rows() {
-		t.Errorf("streamed %d rows, batch %d", streamed.Rows(), batch.Rows())
-	}
-	for _, name := range layout.Fragments {
-		a, err := streamed.ScanFragment(name.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := batch.ScanFragment(name.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Rows() != b.Rows() {
-			t.Errorf("fragment %q: %d vs %d rows", name.Name, a.Rows(), b.Rows())
-		}
-	}
-}
-
-func TestShredIntoPropagatesLoadErrors(t *testing.T) {
-	sch := schema.CustomerInfo()
-	lf := core.LeastFragmented(sch)
-	// A store laid out differently rejects the instances.
-	other, err := relstore.NewStore(core.MostFragmented(sch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := `<Customer><CustName>A</CustName></Customer>`
-	if err := Into(strings.NewReader(doc), lf, other, 1); err == nil {
-		t.Error("mismatched store must surface the load error")
-	}
-}
-
 func TestShredErrors(t *testing.T) {
 	sch := schema.CustomerInfo()
 	lf := core.LeastFragmented(sch)

@@ -103,22 +103,3 @@ func prefixIDs(n *xmltree.Node, prefix string) {
 		prefixIDs(k, prefix)
 	}
 }
-
-// LoadAll splits every document per the layout and merges the per-fragment
-// instances — the bulk source data of a telecom exchange.
-func LoadAll(layout *core.Fragmentation, docs []*xmltree.Node) (map[string]*core.Instance, error) {
-	merged := make(map[string]*core.Instance, layout.Len())
-	for _, f := range layout.Fragments {
-		merged[f.Name] = &core.Instance{Frag: f}
-	}
-	for _, doc := range docs {
-		insts, err := core.FromDocument(layout, doc)
-		if err != nil {
-			return nil, err
-		}
-		for name, in := range insts {
-			merged[name].Records = append(merged[name].Records, in.Records...)
-		}
-	}
-	return merged, nil
-}

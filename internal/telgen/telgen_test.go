@@ -74,18 +74,13 @@ func TestLoadAllIntoStoresAndExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs := Customers(Config{Customers: 20, Seed: 5})
-	sources, err := LoadAll(sFr, docs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Through the relational store...
 	st, err := relstore.NewStore(sFr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range sFr.Fragments {
-		if err := st.Load(sources[f.Name]); err != nil {
+	for _, doc := range Customers(Config{Customers: 20, Seed: 5}) {
+		if err := st.LoadDocument(doc); err != nil {
 			t.Fatal(err)
 		}
 	}

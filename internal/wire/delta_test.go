@@ -51,7 +51,7 @@ func TestDeltaShipmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Delta() {
+	if !d.delta {
 		t.Fatal("decoder missed the delta flag")
 	}
 	if in := got["0:feat"]; in == nil || len(in.Records) != 1 {
@@ -201,7 +201,7 @@ func TestDeltaEmptyShipmentKeepsFlag(t *testing.T) {
 	if _, err := d.Result(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Delta() {
+	if !d.delta {
 		t.Fatalf("empty delta shipment lost its flag: %s", buf.String())
 	}
 }

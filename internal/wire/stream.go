@@ -1,10 +1,11 @@
 package wire
 
 // This file implements the zero-materialization streaming wire path for
-// fragment shipments. The tree codec (EncodeShipmentCodec and
-// DecodeShipmentAuto) clones every record to strip identifiers, builds a
-// full envelope xmltree, and — on the receiving end — parses the whole
-// shipment back into a tree before instances are rebuilt. The paper's own argument (§4.1, Table 3) is that
+// fragment shipments. A tree codec (EncodeShipmentCodec and
+// DecodeShipmentAuto, kept in treecodec_test.go as the tests' reference)
+// clones every record to strip identifiers, builds a full envelope
+// xmltree, and — on the receiving end — parses the whole shipment back
+// into a tree before instances are rebuilt. The paper's own argument (§4.1, Table 3) is that
 // communication dominates an exchange, so the wire layer must not
 // re-materialize the instances a program slice hands it: the encoder here
 // serializes instances directly to a writer with pooled buffers and no
@@ -12,9 +13,8 @@ package wire
 // straight from SAX events, restoring interior PARENT links from nesting on
 // the fly, without ever constructing the shipment tree.
 //
-// Both codecs produce and accept the same wire format, byte for byte (the
-// property tests in stream_test.go hold them to it), so streaming and
-// buffered peers interoperate freely.
+// Both codecs produce and accept the same wire format, byte for byte; the
+// property tests in stream_test.go hold them to it.
 
 import (
 	"bytes"
@@ -345,8 +345,8 @@ func recordSize(n *xmltree.Node, isRoot bool) int64 {
 
 // StreamShipmentCodec encodes cross-edge instances in codec directly to w
 // — no record clones, no intermediate xmltree — in deterministic
-// (sorted-key) order. It produces byte-for-byte EncodeShipmentCodec's
-// serialization of the same shipment.
+// (sorted-key) order, byte for byte the tree codec's serialization of the
+// same shipment.
 func StreamShipmentCodec(w io.Writer, out map[string]*core.Instance, sch *schema.Schema, codec Codec) error {
 	sw := NewShipmentWriterCodec(w, sch, codec)
 	if err := EmitShipment(sw, out); err != nil {
@@ -931,10 +931,6 @@ func (d *ShipmentDecoder) Replay(key, frag string, seq int64, p Payload) error {
 	return err
 }
 
-// Delta reports whether the shipment announced itself as a delta
-// (patch-previous-snapshot) shipment.
-func (d *ShipmentDecoder) Delta() bool { return d.delta }
-
 // resetStage clears the per-chunk staging state after a commit or drop.
 func (d *ShipmentDecoder) resetStage() {
 	if d.raw != nil {
@@ -955,7 +951,7 @@ func (d *ShipmentDecoder) Result() (map[string]*core.Instance, error) {
 }
 
 // ReadShipment rebuilds the inbound instance map by scanning r in one SAX
-// pass — the streaming counterpart of Parse + DecodeShipmentAuto.
+// pass — the streaming counterpart of the tree codec's Parse + decode.
 func ReadShipment(r io.Reader, sch *schema.Schema, lookup func(name string) *core.Fragment) (map[string]*core.Instance, error) {
 	d := NewShipmentDecoder(sch, lookup)
 	if err := xmltree.ScanAttrs(r, d); err != nil {

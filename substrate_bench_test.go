@@ -112,21 +112,3 @@ func BenchmarkSubstrate_StoreScan(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSubstrate_HashJoin(b *testing.B) {
-	left, _ := relstore.NewTable("l", []string{"k", "v"})
-	right, _ := relstore.NewTable("r", []string{"k", "w"})
-	for i := 0; i < 20_000; i++ {
-		k := string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26))
-		left.Insert([]string{k, "x"})
-		if i%2 == 0 {
-			right.Insert([]string{k, "y"})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := relstore.HashJoin(left, right, "k", "k", "j"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

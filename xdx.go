@@ -106,8 +106,6 @@ type (
 	VirtualBackend = endpoint.VirtualBackend
 	// ExecOptions tunes an agency-driven exchange (link, shipment format).
 	ExecOptions = registry.ExecOptions
-	// ProbedCost is a per-operation cost probed from a live endpoint.
-	ProbedCost = registry.ProbedCost
 	// SOAPClient calls SOAP endpoints.
 	SOAPClient = soap.Client
 	// Link models the network between the systems.
