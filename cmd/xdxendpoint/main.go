@@ -43,7 +43,7 @@ func main() {
 	faultStall := flag.Float64("fault-stall", 0, "probability a response stalls once before continuing")
 	fault5xx := flag.Float64("fault-5xx", 0, "probability a request is answered with a plain 503")
 	faultMaxTruncate := flag.Int("fault-max-truncate", 0, "max bytes before a truncation cut (0 = default 4096)")
-	noDelta := flag.Bool("no-delta", false, "retain no delta bases: DeltaStatus always answers cold, so agencies ship full snapshots")
+	noDelta := flag.Bool("no-delta", false, "retain no delta bases: DeltaStatus always answers cold, so sources ship full snapshots")
 	walDir := flag.String("wal-dir", "", "directory for the session write-ahead log; on start, journaled sessions are recovered so interrupted exchanges resume (empty = memory-only)")
 	fsyncPolicy := flag.String("fsync", "always", "WAL sync policy: always (sync per commit), batch (group commit: coalesced syncs, always-equivalent acks), or off")
 	snapshotEvery := flag.Int("snapshot-every", 256, "WAL appends after a compaction before the next is considered; it runs once ended sessions hold at least as many WAL bytes as live ones (0 = never compact)")

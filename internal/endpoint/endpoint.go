@@ -205,19 +205,24 @@ type Endpoint struct {
 	calCache map[string]*shipCalibration
 
 	// deltaMu guards deltaBases: the per-stream retained snapshots delta
-	// exchanges patch against. Memory-only by design — after a restart
-	// every stream is cold and the agency falls back to a full reship.
+	// exchanges patch against, on the target side. Memory-only by design —
+	// after a restart every stream is cold and the exchange falls back to
+	// a full reship.
 	deltaMu    sync.Mutex
 	deltaBases map[string]*deltaBase
 	deltaOff   bool
+
+	// recon is the source side of delta exchanges: per stream, the record
+	// hashes of the shipments this endpoint rendered, by delivery session.
+	recon *reliable.ReconIndex
 }
 
 // deltaBase is one stream's retained snapshot: the instance map of the
-// last successful stream-tagged exchange, valid only while the plan
-// epoch it was built under still matches.
+// last successful stream-tagged exchange and the session that delivered
+// it, valid only while the plan epoch it was built under still matches.
 type deltaBase struct {
-	epoch string
-	out   map[string]*core.Instance
+	epoch, session string
+	out            map[string]*core.Instance
 }
 
 // shipCalibration holds measured wire/tree size ratios for one codec:
@@ -236,7 +241,8 @@ func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 		codecs:     wire.Codecs(),
 		log:        obs.Nop,
 		calCache:   map[string]*shipCalibration{},
-		deltaBases: map[string]*deltaBase{}}
+		deltaBases: map[string]*deltaBase{},
+		recon:      reliable.NewReconIndex()}
 	e.srv.Handle("GetWSDL", e.getWSDL)
 	e.srv.Handle("ProbeStats", e.probeStats)
 	e.srv.Handle("DeltaStatus", e.deltaStatus)
@@ -465,10 +471,12 @@ func (e *Endpoint) calibrate(codec wire.Codec) (*shipCalibration, error) {
 	return cal, nil
 }
 
-// deltaStatus answers a DeltaStatus probe: whether this endpoint holds a
-// warm delta base for the stream at the given epoch. A cold answer tells
-// the agency to ship the full snapshot; delta deliveries that arrive cold
-// anyway (the probe raced a restart) fault with xdx:ColdDelta instead.
+// deltaStatus answers a DeltaStatus probe: when this endpoint holds a warm
+// delta base for the stream at the given epoch, the base attribute names
+// the session that delivered it — the snapshot a source diffs against. A
+// cold answer (no base) tells the source to ship the full snapshot; delta
+// deliveries that arrive cold anyway (the probe raced a restart) fault
+// with xdx:ColdDelta instead.
 func (e *Endpoint) deltaStatus(req *xmltree.Node) (*xmltree.Node, error) {
 	stream, _ := req.Attr("stream")
 	if stream == "" {
@@ -477,17 +485,17 @@ func (e *Endpoint) deltaStatus(req *xmltree.Node) (*xmltree.Node, error) {
 	epoch, _ := req.Attr("epoch")
 	resp := &xmltree.Node{Name: "DeltaStatusResponse"}
 	resp.SetAttr("stream", stream)
-	warm := "0"
-	if e.deltaWarm(stream, epoch) {
-		warm = "1"
+	e.deltaMu.Lock()
+	if b := e.deltaBases[stream]; b != nil && b.epoch == epoch {
+		resp.SetAttr("base", b.session)
 	}
-	resp.SetAttr("warm", warm)
+	e.deltaMu.Unlock()
 	return resp, nil
 }
 
 // SetDeltaRetention toggles delta-base retention. Off, the endpoint
-// answers every DeltaStatus probe cold and retains nothing, so agencies
-// always ship full snapshots — a memory knob for targets with many
+// answers every DeltaStatus probe cold and retains nothing, so sources
+// always ship full snapshots to it — a memory knob for targets with many
 // streams. On (the default) is required for delta exchanges to engage.
 func (e *Endpoint) SetDeltaRetention(on bool) {
 	e.deltaMu.Lock()
@@ -498,32 +506,23 @@ func (e *Endpoint) SetDeltaRetention(on bool) {
 	e.deltaMu.Unlock()
 }
 
-// deltaWarm reports whether a stream's retained base can absorb a delta
-// built against the given epoch.
-func (e *Endpoint) deltaWarm(stream, epoch string) bool {
+// deltaBaseFor returns a stream's retained snapshot when its epoch and
+// delivering session match, else nil.
+func (e *Endpoint) deltaBaseFor(stream, epoch, session string) map[string]*core.Instance {
 	e.deltaMu.Lock()
 	defer e.deltaMu.Unlock()
-	b := e.deltaBases[stream]
-	return b != nil && b.epoch == epoch
-}
-
-// deltaBaseFor returns a stream's retained snapshot when its epoch
-// matches, else nil.
-func (e *Endpoint) deltaBaseFor(stream, epoch string) map[string]*core.Instance {
-	e.deltaMu.Lock()
-	defer e.deltaMu.Unlock()
-	if b := e.deltaBases[stream]; b != nil && b.epoch == epoch {
+	if b := e.deltaBases[stream]; b != nil && b.epoch == epoch && b.session == session {
 		return b.out
 	}
 	return nil
 }
 
-// storeDeltaBase retains a stream's just-executed snapshot as the base
-// the next delta patches against.
-func (e *Endpoint) storeDeltaBase(stream, epoch string, out map[string]*core.Instance) {
+// storeDeltaBase retains a stream's just-executed snapshot, delivered by
+// session, as the base the next delta patches against.
+func (e *Endpoint) storeDeltaBase(stream, epoch, session string, out map[string]*core.Instance) {
 	e.deltaMu.Lock()
 	if !e.deltaOff {
-		e.deltaBases[stream] = &deltaBase{epoch: epoch, out: out}
+		e.deltaBases[stream] = &deltaBase{epoch: epoch, session: session, out: out}
 	}
 	e.deltaMu.Unlock()
 }

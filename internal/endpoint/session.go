@@ -205,12 +205,12 @@ func (t *targetScan) respondSession(w io.Writer) error {
 	}
 	run := ts.inbound
 	if t.delta {
-		base := t.e.deltaBaseFor(t.stream, t.epoch)
+		base := t.e.deltaBaseFor(t.stream, t.epoch, t.base)
 		if base == nil {
-			// The warm base vanished between delivery start and execute (a
-			// raced restart); the agency reacts with a full reship.
-			t.e.met.Counter("endpoint.delta.cold").Inc()
-			return soap.ColdDeltaFault("stream " + t.stream + " epoch " + t.epoch)
+			// The base was replaced or vanished between delivery start and
+			// execute (a raced exchange or restart); the agency reacts with
+			// a full reship.
+			return t.coldDelta()
 		}
 		run = patchDelta(base, ts.inbound, ts.tombs)
 		t.e.met.Counter("endpoint.delta.applies").Inc()
@@ -231,24 +231,25 @@ func (t *targetScan) respondSession(w io.Writer) error {
 		return err
 	}
 	if t.stream != "" {
-		t.e.storeDeltaBase(t.stream, t.epoch, run)
+		t.e.storeDeltaBase(t.stream, t.epoch, t.session, run)
 	}
 	resp.SetAttr("checkpoint", strconv.FormatInt(ts.ledger.Checkpoint(), 10))
 	resp.SetAttr("deduped", strconv.FormatInt(ts.ledger.Deduped(), 10))
 	t.e.met.Counter("endpoint.session.executes").Inc()
 	t.e.met.Counter("endpoint.session.deduped").Add(ts.ledger.Deduped())
-	// Write the winner's copy before stamping the replay marker, then
-	// freeze: every later reader sees replayed="1" on an immutable node.
-	werr := xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
-	resp.SetAttr("replayed", "1")
-	ts.finish(resp)
+	// Publish the outcome before the winner's copy goes out: a response
+	// torn mid-write must leave its retry a stored copy to replay, not a
+	// second execution. The stored copy carries replayed="1" and is frozen.
+	stored := resp.Clone()
+	stored.SetAttr("replayed", "1")
+	ts.finish(stored)
 	// The instances are loaded; replays only need the stored response, so
 	// release the decoded map instead of holding shipment-sized state for
 	// the rest of the session's lifetime. A late retry's decoder finds nil
 	// and decodes into a throwaway map — its chunks are all checkpointed
 	// anyway.
 	ts.inbound = nil
-	return werr
+	return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
 }
 
 // patchDelta overlays a delta shipment onto the retained base: per

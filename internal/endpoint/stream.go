@@ -15,11 +15,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"time"
 
 	"xdx/internal/core"
 	"xdx/internal/obs"
+	"xdx/internal/reliable"
 	"xdx/internal/soap"
 	"xdx/internal/wire"
 	"xdx/internal/xmltree"
@@ -92,8 +94,9 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	sw.SetObs(e.met)
 	sw.SetChunk(chunk)
 	outbound, _, err := core.ExecuteSlice(g, sch, a, core.LocSource, core.SliceIO{Scan: scan})
+	var reconciled string
 	if err == nil {
-		err = wire.EmitShipment(sw, outbound)
+		reconciled, err = e.emitOutbound(sw, req, outbound)
 	}
 	if err != nil {
 		sw.Close()
@@ -105,11 +108,54 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	elapsed := time.Since(start)
 	e.met.Counter("endpoint.source.executes").Inc()
 	e.met.Histogram("endpoint.source.millis").Observe(float64(elapsed) / float64(time.Millisecond))
-	if _, err := fmt.Fprintf(w, `<timing queryMillis="%s" payloadBytes="%d"/>`, formatMillis(elapsed), sw.PayloadBytes()); err != nil {
+	if _, err := fmt.Fprintf(w, `<timing queryMillis="%s" payloadBytes="%d"%s/>`, formatMillis(elapsed), sw.PayloadBytes(), reconciled); err != nil {
 		return err
 	}
 	_, err = io.WriteString(w, "</ExecuteSourceResponse>")
 	return err
+}
+
+// emitOutbound writes the slice's outbound shipment, or on a delta
+// exchange (a request naming a stream) what has changed of it. The source
+// hashes its outbound records and files the hashes under the delivery's
+// session, keeping the entry of the base the target holds in case this
+// delivery never lands (reliable.ReconIndex.Render). When its index holds
+// that base at this epoch it emits the diff: changed records, then each
+// edge's tombstones in sorted-key order, numbered after them so the
+// session ledger checkpoints deletions like any chunk. Otherwise the full
+// snapshot ships. The returned attributes tell the agency which it was,
+// on the trailing <timing>.
+func (e *Endpoint) emitOutbound(sw *wire.ShipmentWriter, req *xmltree.Node, out map[string]*core.Instance) (string, error) {
+	stream, _ := req.Attr("stream")
+	if stream == "" {
+		return "", wire.EmitShipment(sw, out)
+	}
+	epoch, _ := req.Attr("epoch")
+	session, _ := req.Attr("session")
+	base, _ := req.Attr("base")
+	hashes, keyed := reliable.HashShipment(out)
+	if !keyed {
+		// Records without IDs cannot be diffed or tombstoned.
+		return ` delta="unkeyed"`, wire.EmitShipment(sw, out)
+	}
+	prev, warm := e.recon.Render(stream, epoch, session, base, hashes)
+	if !warm {
+		return ` delta="cold"`, wire.EmitShipment(sw, out)
+	}
+	d := reliable.DiffShipment(out, prev)
+	sw.SetDelta(true)
+	err := wire.EmitShipment(sw, d.Ship)
+	keys := make([]string, 0, len(d.Tombs))
+	for k := range d.Tombs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if err == nil {
+			err = sw.EmitTombstones(key, d.Tombs[key], 0) // sw numbers it
+		}
+	}
+	return fmt.Sprintf(` delta="1" records="%d" tombstones="%d"`, d.Records, d.Tombstones), err
 }
 
 // executeTarget is the stream dispatch for ExecuteTarget: one SAX pass
@@ -122,7 +168,7 @@ func (e *Endpoint) executeTarget(env soap.Header, attrs []xmltree.Attr) (xmltree
 	if id == "" {
 		return nil, nil, &soap.Fault{Code: "soap:Client", String: "ExecuteTarget without session id"}
 	}
-	h := &targetScan{e: e, ts: e.targetSessionFor(id)}
+	h := &targetScan{e: e, session: id, ts: e.targetSessionFor(id)}
 	return h, h.respondSession, nil
 }
 
@@ -140,8 +186,10 @@ type targetScan struct {
 	subDepth int
 	subProg  bool
 
+	session     string
 	stream      string
 	epoch       string
+	base        string
 	delta       bool
 	ts          *targetSession
 	tb          *xmltree.TreeBuilder
@@ -166,15 +214,16 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 	case 1:
 		t.stream = findAttr(attrs, "stream")
 		t.epoch = findAttr(attrs, "epoch")
+		t.base = findAttr(attrs, "base")
 		t.delta = attrTrue(findAttr(attrs, "delta"))
-		if t.delta {
-			// Fail the delivery before any chunk flows: without a warm
-			// base the delta cannot be applied, and the agency's fallback
-			// is a full reship on a fresh session.
-			if !t.e.deltaWarm(t.stream, t.epoch) {
-				t.e.met.Counter("endpoint.delta.cold").Inc()
-				return soap.ColdDeltaFault("stream " + t.stream + " epoch " + t.epoch)
-			}
+		if t.delta && t.e.deltaBaseFor(t.stream, t.epoch, t.base) == nil && t.e.deltaBaseFor(t.stream, t.epoch, t.session) == nil {
+			// Fail the delivery before any chunk flows: a delta diffed
+			// against any snapshot but the one held here cannot be
+			// applied, and the agency's fallback is a full reship on a
+			// fresh session. A retry of a delivery that already ran (its
+			// response was lost) passes: the held base is then its own,
+			// and respondSession replays the stored response.
+			return t.coldDelta()
 		}
 	case 2:
 		switch name {
@@ -195,6 +244,13 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 		}
 	}
 	return nil
+}
+
+// coldDelta counts and returns the xdx:ColdDelta fault for a delta this
+// target holds no matching base for.
+func (t *targetScan) coldDelta() error {
+	t.e.met.Counter("endpoint.delta.cold").Inc()
+	return soap.ColdDeltaFault("stream " + t.stream + " epoch " + t.epoch + " base " + t.base)
 }
 
 // chunkFault makes the decoder's refusal of an oversized, out-of-sequence

@@ -7,13 +7,17 @@ package registry
 // full re-ship against the restarted, base-less endpoint.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"xdx/internal/core"
@@ -165,6 +169,8 @@ func TestDeltaExchangeChurnProperty(t *testing.T) {
 	}
 
 	srcEP := endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil)
+	srcMet := obs.NewRegistry()
+	srcEP.SetObs(nil, srcMet)
 	epD := endpoint.New("TD", &endpoint.RelBackend{Store: tgtD, Speed: 1, CanCombine: true}, nil)
 	epC := endpoint.New("TC", &endpoint.RelBackend{Store: tgtC, Speed: 1, CanCombine: true}, nil)
 	epC.SetDeltaRetention(false)
@@ -214,6 +220,10 @@ func TestDeltaExchangeChurnProperty(t *testing.T) {
 		return rep
 	}
 
+	// hop1 is what the source's ExecuteSource responses carried during one
+	// exchange: the only calls the source serves once planning is done.
+	hop1 := srcMet.Counter("soap.server.resp_bytes")
+	var hop1Full int64
 	rng := rand.New(rand.NewSource(11))
 	for round, frac := range []float64{0, 0.01, 0.10, 0.50} {
 		var dels, upds, adds int
@@ -224,7 +234,9 @@ func TestDeltaExchangeChurnProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		before := hop1.Value()
 		repD := exec("Churn", planD, int64(round+1))
+		hop1Bytes := hop1.Value() - before
 		repC := exec("ChurnCtl", planC, int64(round+100))
 
 		if repC.Delta {
@@ -234,7 +246,14 @@ func TestDeltaExchangeChurnProperty(t *testing.T) {
 			if repD.Delta {
 				t.Fatalf("round 0: first exchange claimed delta mode with a cold index")
 			}
+			hop1Full = hop1Bytes
 		} else {
+			// The source diffs before it writes, so hop 1 carries the
+			// change, not the snapshot.
+			if frac <= 0.10 && hop1Bytes*3 >= hop1Full {
+				t.Errorf("round %d (churn %.0f%%): the source's response carried %d bytes, want below a third of the full snapshot's %d",
+					round, frac*100, hop1Bytes, hop1Full)
+			}
 			if !repD.Delta {
 				t.Fatalf("round %d (churn %.0f%%): warm repeat exchange did not run as a delta", round, frac*100)
 			}
@@ -402,6 +421,152 @@ func TestDeltaExchangeCrashRestartFallsBack(t *testing.T) {
 	got := canonTree(assembleTarget(t, tgtB))
 	if !xmltree.Equal(want, got) {
 		t.Error("restarted target's contents differ from an uninterrupted full exchange")
+	}
+}
+
+// TestDeltaExchangeFailedDeliveryKeepsBase: the source renders round 1,
+// but every delivery of it fails — the target's ExecuteTarget is down for
+// the round while its DeltaStatus still answers. The next round must not
+// diff against the snapshot that never landed: it ships either a delta
+// against the base the target actually holds or a counted cold full ship,
+// and the target ends equal to the retention-off control. The reused case
+// hands the source, in round 1, the held base's own session id — what an
+// agency whose session counter restarted sends — so the undelivered render
+// and the held snapshot share a name.
+func TestDeltaExchangeFailedDeliveryKeepsBase(t *testing.T) {
+	for _, reuse := range []bool{false, true} {
+		name := "fresh-session"
+		if reuse {
+			name = "reused-base-session"
+		}
+		t.Run(name, func(t *testing.T) { failedDeliveryRounds(t, reuse) })
+	}
+}
+
+var (
+	sessionAttr = regexp.MustCompile(` session="[^"]*"`)
+	baseAttr    = regexp.MustCompile(` base="([^"]+)"`)
+)
+
+func failedDeliveryRounds(t *testing.T, reuse bool) {
+	sch := xmark.Schema()
+	doc := xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})
+	sFr := core.MostFragmented(sch)
+	tFr := core.LeastFragmented(sch)
+	srcStore, err := relstore.NewStore(sFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srcStore.LoadDocument(doc.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	tgtD, err := relstore.NewStore(tFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgtC, err := relstore.NewStore(tFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcEP := endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil)
+	epD := endpoint.New("TD", &endpoint.RelBackend{Store: tgtD, Speed: 1, CanCombine: true}, nil)
+	epC := endpoint.New("TC", &endpoint.RelBackend{Store: tgtC, Speed: 1, CanCombine: true}, nil)
+	epC.SetDeltaRetention(false)
+	var down atomic.Bool
+	srvD := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() && r.Header.Get("SOAPAction") == `"ExecuteTarget"` {
+			http.Error(w, "target down", http.StatusServiceUnavailable)
+			return
+		}
+		epD.Handler().ServeHTTP(w, r)
+	}))
+	defer srvD.Close()
+	srcSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() && reuse && r.Header.Get("SOAPAction") == `"ExecuteSource"` {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			if m := baseAttr.FindSubmatch(body); m != nil {
+				body = sessionAttr.ReplaceAllLiteral(body, []byte(` session="`+string(m[1])+`"`))
+			}
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+		}
+		srcEP.Handler().ServeHTTP(w, r)
+	}))
+	defer srcSrv.Close()
+	srvC := httptest.NewServer(epC.Handler())
+	defer srvC.Close()
+
+	ag := New()
+	for _, reg := range []struct {
+		svc, url string
+		fr       *core.Fragmentation
+		role     Role
+	}{
+		{"Churn", srcSrv.URL, sFr, RoleSource},
+		{"Churn", srvD.URL, tFr, RoleTarget},
+		{"ChurnCtl", srcSrv.URL, sFr, RoleSource},
+		{"ChurnCtl", srvC.URL, tFr, RoleTarget},
+	} {
+		if err := ag.Register(reg.svc, reg.role, wsdlFor(t, sch, reg.fr, reg.url), reg.url); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plans := map[string]*Plan{}
+	for _, svc := range []string{"Churn", "ChurnCtl"} {
+		if plans[svc], err = ag.Plan(svc, PlanOptions{Algorithm: AlgGreedy}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	met := obs.NewRegistry()
+	exec := func(svc string) (*Report, error) {
+		return ag.ExecuteOpts(svc, plans[svc], ExecOptions{
+			Link: netsim.Loopback(), Reliability: retrying(8, 2), Delta: true, Metrics: met,
+		})
+	}
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			churnAuction(doc, rng, 0.10, round)
+			srcStore.Clear()
+			if err := srcStore.LoadDocument(doc.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		down.Store(round == 1)
+		cold := met.Counter("exchange.delta.cold").Value()
+		rep, err := exec("Churn")
+		down.Store(false)
+		switch {
+		case round == 1:
+			if err == nil {
+				t.Fatal("round 1: exchange succeeded although every delivery failed")
+			}
+			if rep == nil {
+				t.Fatal("round 1: no report")
+			}
+			if !reuse && !rep.Delta {
+				t.Fatal("round 1: the source did not render a delta, so the failed delivery tests nothing")
+			}
+			if reuse && rep.Delta {
+				t.Error("round 1: the source diffed against the base that shares the delivery's session id")
+			}
+		case err != nil:
+			t.Fatalf("round %d: %v", round, err)
+		case round == 2 && !rep.Delta && met.Counter("exchange.delta.cold").Value() == cold:
+			t.Error("round 2: neither a delta nor a counted cold full ship")
+		}
+		if _, err := exec("ChurnCtl"); err != nil {
+			t.Fatalf("round %d control: %v", round, err)
+		}
+		if round == 1 {
+			continue
+		}
+		if !xmltree.Equal(canonTree(assembleTarget(t, tgtC)), canonTree(assembleTarget(t, tgtD))) {
+			t.Fatalf("round %d: target differs from the full re-ship control", round)
+		}
 	}
 }
 

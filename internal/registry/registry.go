@@ -65,18 +65,13 @@ type Agency struct {
 	epoch atomic.Int64
 	plans planCache
 
-	// recon remembers, per exchange stream, what the previous successful
-	// delivery shipped (record hashes), so repeat exchanges under
-	// ExecOptions.Delta ship only the difference.
-	recon *reliable.ReconIndex
-
 	log obs.Logger
 	met *obs.Registry
 }
 
 // New returns an empty agency.
 func New() *Agency {
-	a := &Agency{services: make(map[string]map[Role]*Party), recon: reliable.NewReconIndex()}
+	a := &Agency{services: make(map[string]map[Role]*Party)}
 	a.plans.init()
 	return a
 }
@@ -459,10 +454,11 @@ type Report struct {
 	// ledger dropped across resumed deliveries.
 	DedupedRecords int64
 	// Delta reports whether the delivery actually ran in delta mode (a
-	// requested delta falls back to a full re-ship when the reconciliation
-	// index or the target's base is cold, or the fragmentation epoch
-	// changed). DeltaRecords is how many added/changed records the delta
-	// shipped; TombstoneRecords how many deletions it announced.
+	// requested delta falls back to a full re-ship when the target's base
+	// or the source's reconciliation index is cold, or the fragmentation
+	// epoch changed). DeltaRecords is how many added/changed records the
+	// delta shipped; TombstoneRecords how many deletions it announced. The
+	// source reports all three on its response.
 	Delta            bool
 	DeltaRecords     int
 	TombstoneRecords int
@@ -488,11 +484,11 @@ type ExecOptions struct {
 	// evaluated source-side, so only matching root-fragment records (and
 	// their descendants) are exchanged.
 	Filter string
-	// Delta asks for an incremental delivery: the agency diffs the fresh
-	// shipment against its reconciliation index for this service and ships
+	// Delta asks for an incremental delivery: the source diffs its fresh
+	// shipment against the snapshot the target says it holds and ships
 	// only added/changed records plus tombstones for deletions, falling
 	// back to a full re-ship whenever either side's state is cold or the
-	// fragmentation epoch changed.
+	// fragmentation epoch changed. The agency only relays the result.
 	Delta bool
 	// Reliability is the exchange's retry policy: retried source execution
 	// with backoff and circuit breaking, and resume-from-checkpoint for the

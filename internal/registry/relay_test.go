@@ -16,6 +16,7 @@ import (
 
 	"xdx/internal/core"
 	"xdx/internal/netsim"
+	"xdx/internal/obs"
 	"xdx/internal/reliable"
 	"xdx/internal/soap"
 	"xdx/internal/wire"
@@ -188,6 +189,36 @@ func TestRelayForwardsSourceBytes(t *testing.T) {
 	}
 }
 
+// TestRelayForwardsDeltaBytes: a warm delta is relayed like any shipment —
+// the delta="1" shipment on the target-bound request is the one the
+// source wrote, byte for byte, in every codec.
+func TestRelayForwardsDeltaBytes(t *testing.T) {
+	for _, name := range wire.Codecs() {
+		w := startRelayWorld(t, nil)
+		for round := 0; round < 2; round++ {
+			rep, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{
+				Link: netsim.Loopback(), Codec: name, Delta: true,
+			})
+			if err != nil {
+				t.Fatalf("%s round %d: %v", name, round, err)
+			}
+			if rep.Delta != (round == 1) {
+				t.Fatalf("%s round %d: delta = %v", name, round, rep.Delta)
+			}
+		}
+		_, srcResps := w.srcTap.calls("ExecuteSource")
+		tgtReqs, _ := w.tgtTap.calls("ExecuteTarget")
+		if len(srcResps) != 2 || len(tgtReqs) != 2 {
+			t.Fatalf("%s: %d source calls, %d deliveries", name, len(srcResps), len(tgtReqs))
+		}
+		wrote, sent := shipmentOf(t, srcResps[1]), shipmentOf(t, tgtReqs[1])
+		if !bytes.HasPrefix(wrote, []byte(`<shipment delta="1">`)) || !bytes.Equal(wrote, sent) {
+			t.Errorf("%s: target-bound delta (%d bytes) is not the source's (%d bytes)", name, len(sent), len(wrote))
+		}
+		w.close()
+	}
+}
+
 // cutWriter severs the connection once limit response bytes went out.
 type cutWriter struct {
 	http.ResponseWriter
@@ -209,6 +240,63 @@ func (c *cutWriter) Write(p []byte) (int, error) {
 func (w *tapWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
+	}
+}
+
+// TestDeltaLostResponseReplays: a delta delivery that ran on the target
+// but whose response was lost is retried like any delivery. The target's
+// base is now the delivery's own snapshot, yet the retry still names the
+// old base; the target replays the stored response, so the exchange
+// neither falls back nor runs the source again.
+func TestDeltaLostResponseReplays(t *testing.T) {
+	var cut atomic.Bool
+	w := startRelayWorld(t, func(role Role, h http.Handler) http.Handler {
+		if role != RoleTarget {
+			return h
+		}
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("SOAPAction") == `"ExecuteTarget"` && cut.CompareAndSwap(true, false) {
+				rw = &cutWriter{ResponseWriter: rw, limit: 40}
+			}
+			h.ServeHTTP(rw, r)
+		})
+	})
+	defer w.close()
+	agMet, tgtMet := obs.NewRegistry(), obs.NewRegistry()
+	w.tgt.SetObs(nil, tgtMet)
+	opts := ExecOptions{Link: netsim.Loopback(), Delta: true, Reliability: retrying(8, 3), Metrics: agMet}
+	if _, err := w.ag.ExecuteOpts("Auction", w.plan, opts); err != nil {
+		t.Fatal(err)
+	}
+	want := assembleTarget(t, w.tgtStore)
+	cut.Store(true)
+	rep, err := w.ag.ExecuteOpts("Auction", w.plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.Load() {
+		t.Fatal("the response cut never fired")
+	}
+	if v := tgtMet.Counter("endpoint.session.replays").Value(); v < 1 {
+		t.Fatal("the retry did not replay the executed delivery's stored response")
+	}
+	if !rep.Delta {
+		t.Error("the exchange did not finish as a delta")
+	}
+	if srcReqs, _ := w.srcTap.calls("ExecuteSource"); len(srcReqs) != 2 {
+		t.Errorf("the source ran %d times over two exchanges, want 2", len(srcReqs))
+	}
+	if v := agMet.Counter("exchange.delta.fallbacks").Value(); v != 0 {
+		t.Errorf("exchange.delta.fallbacks = %d, want 0", v)
+	}
+	if v := tgtMet.Counter("endpoint.delta.cold").Value(); v != 0 {
+		t.Errorf("endpoint.delta.cold = %d, want 0", v)
+	}
+	if v := tgtMet.Counter("endpoint.target.executes").Value(); v != 2 {
+		t.Errorf("the target executed %d times over two exchanges, want 2", v)
+	}
+	if !xmltree.Equal(want, assembleTarget(t, w.tgtStore)) {
+		t.Error("target contents changed across an empty delta")
 	}
 }
 

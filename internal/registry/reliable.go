@@ -5,14 +5,18 @@ package registry
 //
 //   - the source call streams the shipment back and is retried wholesale
 //     under backoff — it is idempotent (the source recomputes its slice),
-//     so each attempt decodes into a fresh map;
+//     so each attempt restarts the relay's capture;
 //   - the target delivery is a resumable session: the shipment travels as
 //     seq-numbered chunks, a torn delivery is resumed from the chunk
 //     checkpoint the target acked via SessionStatus, and the target's
 //     ledger dedups any overlap, so the loaded instances are byte-identical
 //     to a fault-free run;
 //   - every attempt passes the endpoint's circuit breaker, and the whole
-//     exchange shares one retry budget and deadline.
+//     exchange shares one retry budget and deadline;
+//   - a delta exchange adds attributes, not a path: the target names the
+//     session whose snapshot it holds, the source diffs against exactly
+//     that snapshot or ships in full, and a target that lost its base
+//     answers xdx:ColdDelta, which re-runs the source without one.
 //
 // An exchange without ExecOptions.Reliability runs the same protocol under
 // a single-attempt policy: one source call, one sessioned delivery, and any
@@ -22,18 +26,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"xdx/internal/bufpool"
-	"xdx/internal/core"
 	"xdx/internal/endpoint"
 	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/reliable"
-	"xdx/internal/schema"
 	"xdx/internal/soap"
 	"xdx/internal/wire"
 	"xdx/internal/xmltree"
@@ -64,13 +64,14 @@ func wireExchangeObs(ex *reliable.Exchange, opts ExecOptions) {
 
 // drive runs an exchange end-to-end under opts.Reliability (ExecuteOpts
 // has resolved nil to the single-attempt config): retried source
-// execution, resumable chunked target delivery.
+// execution, resumable chunked target delivery. A delta exchange is the
+// same drive: the target names the snapshot it holds, the source diffs
+// against it, and the agency relays whatever the source wrote.
 func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, error) {
 	src, tgt := a.parties(service)
 	if src == nil || tgt == nil {
 		return nil, fmt.Errorf("registry: service %q not fully registered", service)
 	}
-	sch := src.Fragmentation.Schema
 	progXML, err := wire.EncodeProgram(plan.Program, plan.Assign)
 	if err != nil {
 		return nil, err
@@ -84,9 +85,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace}
 	ex := reliable.NewExchange(opts.Reliability)
 	wireExchangeObs(ex, opts)
-
-	frags := plan.Program.FragmentsByName()
-	lookup := func(name string) *core.Fragment { return frags[name] }
+	log := obs.OrNop(opts.Logger)
 
 	reqS := &xmltree.Node{Name: "ExecuteSource"}
 	if opts.Codec != "" {
@@ -95,11 +94,16 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	if opts.Filter != "" {
 		reqS.SetAttr("filter", opts.Filter)
 	}
-	chunk := ex.ChunkSize()
+	reqS.SetAttr("chunk", strconv.Itoa(ex.ChunkSize()))
+	ct := ex.Client(tgt.URL)
+	stream, epoch, base := service, deltaEpoch(src, tgt), ""
 	if opts.Delta {
-		chunk *= deltaSourceChunks
+		// The source reconciles against the snapshot the target holds, so
+		// it learns the stream, the epoch and that snapshot's session.
+		reqS.SetAttr("stream", stream)
+		reqS.SetAttr("epoch", epoch)
+		base = targetDeltaBase(ct, stream, epoch)
 	}
-	reqS.SetAttr("chunk", strconv.Itoa(chunk))
 	reqS.AddKid(progXML)
 
 	// Phase 1: source execution, retried wholesale. The source recomputes
@@ -110,57 +114,54 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	var scanS *sourceCapture
 	cs := ex.Client(src.URL)
 	advertise(cs, codec)
-	srcSpan := trace.Child("source")
-	err = ex.Do("ExecuteSource", src.URL, func(try int) error {
-		at := srcSpan.Child("attempt")
-		at.Set("try", strconv.Itoa(try))
-		defer at.End()
-		ship.Reset()
-		scanS = &sourceCapture{relay: ship}
-		if err := cs.CallStream("ExecuteSource", func(w io.Writer) error {
-			return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
-		}, scanS); err != nil {
-			at.Set("err", err.Error())
-			return err
+	execSource := func(session, base string) error {
+		if opts.Delta {
+			reqS.SetAttr("session", session)
+			reqS.SetAttr("base", base)
 		}
-		if !scanS.sawShipment {
-			at.Set("err", "no shipment")
-			return reliable.Permanent(fmt.Errorf("registry: source returned no shipment"))
+		srcSpan := trace.Child("source")
+		defer srcSpan.End()
+		err := ex.Do("ExecuteSource", src.URL, func(try int) error {
+			at := srcSpan.Child("attempt")
+			at.Set("try", strconv.Itoa(try))
+			defer at.End()
+			ship.Reset()
+			scanS = &sourceCapture{relay: ship}
+			if err := cs.CallStream("ExecuteSource", func(w io.Writer) error {
+				return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
+			}, scanS); err != nil {
+				at.Set("err", err.Error())
+				return err
+			}
+			if !scanS.sawShipment {
+				at.Set("err", "no shipment")
+				return reliable.Permanent(fmt.Errorf("registry: source returned no shipment"))
+			}
+			return nil
+		})
+		if err != nil {
+			report.Retries = ex.Retries()
+			return fmt.Errorf("registry: source execution: %w", err)
 		}
+		if scanS.codec != "" {
+			// What the source answered is what travels on both hops.
+			report.Codec = scanS.codec
+			if _, err = wire.ParseCodec(scanS.codec); err != nil {
+				return fmt.Errorf("registry: source execution: %w", err)
+			}
+		}
+		report.SourceTime = endpoint.ParseMillis(scanS.queryMillis)
+		report.PayloadBytes, _ = strconv.ParseInt(scanS.payloadBytes, 10, 64)
+		report.Delta = scanS.delta == "1"
+		report.DeltaRecords, _ = strconv.Atoi(scanS.deltaRecords)
+		report.TombstoneRecords, _ = strconv.Atoi(scanS.tombstones)
 		return nil
-	})
-	// A delta exchange is the one caller that compares records, so it is
-	// the one that decodes the captured chunks.
-	var inbound map[string]*core.Instance
-	if err == nil && opts.Delta {
-		dec := wire.NewShipmentDecoder(sch, lookup)
-		dec.Met = opts.Metrics
-		inbound, err = ship.Decode(dec)
 	}
-	srcSpan.End()
-	if err != nil {
-		report.Retries = ex.Retries()
-		return report, fmt.Errorf("registry: source execution: %w", err)
-	}
-	if scanS.codec != "" {
-		// What the source answered is what travels on both hops.
-		report.Codec = scanS.codec
-		if codec, err = wire.ParseCodec(scanS.codec); err != nil {
-			return report, fmt.Errorf("registry: source execution: %w", err)
-		}
-	}
-	report.SourceTime = endpoint.ParseMillis(scanS.queryMillis)
-	report.PayloadBytes, _ = strconv.ParseInt(scanS.payloadBytes, 10, 64)
 
 	// Phase 2: resumable target delivery. The chunks travel as the source
 	// wrote them; each redelivery first asks the target which chunk it
 	// acked last and resumes there.
-	ct := ex.Client(tgt.URL)
-	stream, epoch := service, deltaEpoch(src, tgt)
-
-	// deliver drives one resumable session carrying the relay's chunks; the
-	// delta and full re-ship paths share it.
-	deliver := func(sessionID string, ship *wire.Relay, delta bool) (*xmltree.Node, error) {
+	deliver := func(sessionID string) (*xmltree.Node, error) {
 		open := `<ExecuteTarget session="` + sessionID + `"`
 		if opts.Delta {
 			// Every sessioned delivery of a delta-enabled exchange names its
@@ -168,8 +169,8 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 			// as the base the next delta patches.
 			open += ` stream="` + attrEscape(stream) + `" epoch="` + epoch + `"`
 		}
-		if delta {
-			open += ` delta="1"`
+		if report.Delta {
+			open += ` delta="1" base="` + attrEscape(base) + `"`
 		}
 		open += `>`
 		var respT *xmltree.Node
@@ -177,7 +178,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		defer delSpan.End()
 		delSpan.Set("session", sessionID)
 		delSpan.Set("chunks", strconv.Itoa(ship.Len()))
-		if delta {
+		if report.Delta {
 			delSpan.Set("delta", "1")
 		}
 		next := int64(0)
@@ -208,7 +209,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 				// still spent its bytes on the wire, and WireBytes counts the
 				// retransmission cost across all attempts.
 				defer func() { report.WireBytes += m.Bytes() }()
-				if err := ship.WriteShipment(m, next, delta); err != nil {
+				if err := ship.WriteShipment(m, next, report.Delta); err != nil {
 					return err
 				}
 				_, err := io.WriteString(w, `</ExecuteTarget>`)
@@ -217,7 +218,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 				at.Set("err", err.Error())
 				if soap.IsColdDelta(err) {
 					// The target has no base to patch; no retry of this
-					// session can warm it. Surface to the fallback below.
+					// session can warm it. Surface to the re-run below.
 					return reliable.Permanent(err)
 				}
 				return err
@@ -245,65 +246,42 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		return respT, nil
 	}
 
-	var respT *xmltree.Node
-	var hashes map[string]reliable.EdgeHashes
-	hashesOK := false
-	log := obs.OrNop(opts.Logger)
-	if opts.Delta {
-		hashes, hashesOK = reliable.HashShipment(inbound)
+	session := ex.SessionID()
+	if err := execSource(session, base); err != nil {
+		return report, err
 	}
-	switch {
-	case !opts.Delta:
-		respT, err = deliver(ex.SessionID(), ship, false)
-	case !hashesOK:
+	switch scanS.delta {
+	case "cold":
+		opts.Metrics.Counter("exchange.delta.cold").Inc()
+	case "unkeyed":
 		// Records without IDs cannot be reconciled; this shipment shape is
-		// never delta-able, so don't bother warming the index either.
+		// never delta-able.
 		opts.Metrics.Counter("exchange.delta.unkeyed").Inc()
 		log.Log(obs.LevelInfo, "delta disabled: shipment carries records without IDs", "service", service)
-		respT, err = deliver(ex.SessionID(), ship, false)
-	default:
-		base, warm := a.recon.Snapshot(stream, epoch)
-		if warm {
-			warm = targetDeltaWarm(ct, stream, epoch)
+	}
+	respT, err := deliver(session)
+	if err != nil && soap.IsColdDelta(err) {
+		// The target lost its base between the probe and the delivery
+		// (sweep, restart or a raced exchange). Re-run the source without a base
+		// and ship the full snapshot on a fresh session — the dead
+		// session's ledger state must not skip chunks of a
+		// differently-numbered shipment.
+		opts.Metrics.Counter("exchange.delta.fallbacks").Inc()
+		log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "service", service)
+		session = ex.SessionID()
+		if err := execSource(session, ""); err != nil {
+			return report, err
 		}
-		if !warm {
-			// Cold on either side (first exchange, restart, or epoch
-			// change): full re-ship, then warm the index for next time.
-			opts.Metrics.Counter("exchange.delta.cold").Inc()
-			respT, err = deliver(ex.SessionID(), ship, false)
-		} else {
-			d := reliable.DiffShipment(inbound, base)
-			var diff *wire.Relay
-			if diff, err = renderDelta(d, sch, codec, ex.ChunkSize(), opts.Metrics); err != nil {
-				return report, fmt.Errorf("registry: delta: %w", err)
-			}
-			defer diff.Release()
-			report.Delta, report.DeltaRecords, report.TombstoneRecords = true, d.Records, d.Tombstones
-			respT, err = deliver(ex.SessionID(), diff, true)
-			if err != nil && soap.IsColdDelta(err) {
-				// The target lost its base between the warm probe and the
-				// delivery (sweep or restart mid-flight). Full re-ship on a
-				// fresh session — the dead session's ledger state must not
-				// skip chunks of a differently-numbered shipment.
-				opts.Metrics.Counter("exchange.delta.fallbacks").Inc()
-				log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "service", service)
-				report.Delta, report.DeltaRecords, report.TombstoneRecords = false, 0, 0
-				respT, err = deliver(ex.SessionID(), ship, false)
-			} else if err == nil {
-				opts.Metrics.Counter("exchange.delta.exchanges").Inc()
-				opts.Metrics.Counter("exchange.delta.records").Add(int64(d.Records))
-				opts.Metrics.Counter("exchange.delta.tombstones").Add(int64(d.Tombstones))
-			}
-		}
+		respT, err = deliver(session)
 	}
 	report.Retries = ex.Retries()
 	if err != nil {
 		return report, fmt.Errorf("registry: target execution: %w", err)
 	}
-	if opts.Delta && hashesOK {
-		// The delivery succeeded, so the target's snapshot now equals the
-		// fresh shipment: commit its hashes as the next exchange's base.
-		a.recon.Commit(stream, epoch, hashes)
+	if report.Delta {
+		opts.Metrics.Counter("exchange.delta.exchanges").Inc()
+		opts.Metrics.Counter("exchange.delta.records").Add(int64(report.DeltaRecords))
+		opts.Metrics.Counter("exchange.delta.tombstones").Add(int64(report.TombstoneRecords))
 	}
 	report.ShipTime = opts.Link.TransferTime(report.WireBytes)
 	if v, ok := respT.Attr("execMillis"); ok {
@@ -319,56 +297,6 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		report.DedupedRecords, _ = strconv.ParseInt(v, 10, 64)
 	}
 	return report, nil
-}
-
-// deltaSourceChunks is how many session chunks' worth of records a delta
-// exchange asks the source to put in one chunk. A delta decodes the source's
-// chunks on every exchange, at a fixed cost per chunk in the codec pools,
-// and forwards them only when it falls back to a full re-ship — the one
-// case that resumes at their granularity — so it trades that for the other.
-const deltaSourceChunks = 16
-
-// renderDelta renders a delta — its record chunks, then one tombstone
-// chunk per edge in sorted-key order, sequenced together so the session
-// ledger checkpoints deletions like any chunk — and captures the result the
-// way a source response is captured.
-func renderDelta(d *reliable.Delta, sch *schema.Schema, codec wire.Codec, chunkSize int, met *obs.Registry) (*wire.Relay, error) {
-	buf := bufpool.Buffer()
-	defer bufpool.PutBuffer(buf)
-	sw := wire.NewShipmentWriterCodec(buf, sch, codec)
-	sw.SetObs(met)
-	emit := func() error {
-		chunks := reliable.ChunkShipment(d.Ship, chunkSize)
-		for _, c := range chunks {
-			if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
-				return err
-			}
-		}
-		keys := make([]string, 0, len(d.Tombs))
-		for k := range d.Tombs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, key := range keys {
-			if err := sw.EmitTombstones(key, d.Tombs[key], int64(len(chunks)+i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := emit()
-	if cerr := sw.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	relay := wire.NewRelay()
-	if err := xmltree.ScanAttrs(buf, &sourceCapture{relay: relay}); err != nil {
-		relay.Release()
-		return nil, err
-	}
-	return relay, nil
 }
 
 // deltaEpoch fingerprints the fragmentation agreement a reconciliation
@@ -387,19 +315,19 @@ func deltaEpoch(src, tgt *Party) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// targetDeltaWarm asks the target whether it holds a base snapshot for the
-// stream at this epoch. Any failure reads as cold — the fallback is a full
-// re-ship, which is always correct.
-func targetDeltaWarm(ct *soap.Client, stream, epoch string) bool {
+// targetDeltaBase asks the target which delivery session's snapshot it
+// holds for the stream at this epoch. Any failure reads as cold (""): the
+// source then ships the full snapshot, which is always correct.
+func targetDeltaBase(ct *soap.Client, stream, epoch string) string {
 	req := &xmltree.Node{Name: "DeltaStatus"}
 	req.SetAttr("stream", stream)
 	req.SetAttr("epoch", epoch)
 	resp, err := ct.Call("DeltaStatus", req)
 	if err != nil || resp == nil {
-		return false
+		return ""
 	}
-	v, _ := resp.Attr("warm")
-	return v == "1"
+	v, _ := resp.Attr("base")
+	return v
 }
 
 // attrEscape escapes a string for embedding in a double-quoted XML

@@ -196,10 +196,9 @@ func (s *Service) register(req *xmltree.Node) (*xmltree.Node, error) {
 // the generated program with its placement and estimated cost.
 func (s *Service) plan(req *xmltree.Node) (*xmltree.Node, error) {
 	service, _ := req.Attr("service")
-	algStr, _ := req.Attr("algorithm")
-	alg := AlgGreedy
-	if algStr == string(AlgOptimal) {
-		alg = AlgOptimal
+	alg, err := parseAlgorithm(req)
+	if err != nil {
+		return nil, err
 	}
 	codec := s.reqCodec(req)
 	plan, err := s.Agency.Plan(service, PlanOptions{Algorithm: alg, Codec: codec})
@@ -216,6 +215,20 @@ func (s *Service) plan(req *xmltree.Node) (*xmltree.Node, error) {
 	resp.SetAttr("planMillis", fmt.Sprintf("%.3f", float64(plan.PlanTime.Microseconds())/1000))
 	resp.AddKid(progXML)
 	return resp, nil
+}
+
+// parseAlgorithm reads a Plan or Exchange request's algorithm attribute:
+// absent means greedy, and a value naming no algorithm is the caller's
+// fault rather than a silent greedy run.
+func parseAlgorithm(req *xmltree.Node) (Algorithm, error) {
+	v, _ := req.Attr("algorithm")
+	switch alg := Algorithm(v); alg {
+	case "":
+		return AlgGreedy, nil
+	case AlgGreedy, AlgOptimal:
+		return alg, nil
+	}
+	return "", &soap.Fault{Code: "soap:Client", String: fmt.Sprintf("unknown algorithm %q", v)}
 }
 
 // reqCodec resolves a request's shipment codec: its own codec attribute,
@@ -249,10 +262,9 @@ func (s *Service) exchange(req *xmltree.Node) (*xmltree.Node, error) {
 // exchangeNow plans and drives one exchange on the calling goroutine.
 func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	service, _ := req.Attr("service")
-	algStr, _ := req.Attr("algorithm")
-	alg := AlgGreedy
-	if algStr == string(AlgOptimal) {
-		alg = AlgOptimal
+	alg, err := parseAlgorithm(req)
+	if err != nil {
+		return nil, err
 	}
 	codec := s.reqCodec(req)
 	filter := s.Filter
@@ -272,7 +284,6 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 		plan, perr = s.Agency.Plan(service, PlanOptions{Algorithm: alg, Codec: codec, Filter: filter})
 		return perr
 	}
-	var err error
 	if s.Reliability != nil {
 		r := reliable.NewRetrier(s.Reliability.Policy, s.Reliability.Seed)
 		err = r.Do("Plan", nil, func(int) error { return planOnce() })

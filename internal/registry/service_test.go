@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"errors"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -108,6 +109,40 @@ func TestServicePlanAndExchange(t *testing.T) {
 	}
 	if tgtStore.Rows() == 0 {
 		t.Error("exchange did not populate the target")
+	}
+}
+
+// TestServiceRejectsUnknownAlgorithm: Plan and Exchange answer an
+// algorithm they do not know with a soap:Client fault instead of quietly
+// planning greedy, and no exchange runs; an absent attribute or "greedy"
+// still plans greedy.
+func TestServiceRejectsUnknownAlgorithm(t *testing.T) {
+	client, tgtStore, done := startService(t)
+	defer done()
+	for _, op := range []string{"Plan", "Exchange"} {
+		for _, alg := range []string{"Optimal", "optimall", "GREEDY", " greedy"} {
+			req := &xmltree.Node{Name: op}
+			req.SetAttr("service", "svc")
+			req.SetAttr("algorithm", alg)
+			_, err := client.Call(op, req)
+			var f *soap.Fault
+			if !errors.As(err, &f) || f.Code != "soap:Client" || !strings.Contains(f.String, "algorithm") {
+				t.Errorf("%s algorithm=%q: err = %v, want a soap:Client fault naming the algorithm", op, alg, err)
+			}
+		}
+	}
+	if tgtStore.Rows() != 0 {
+		t.Errorf("a refused Exchange loaded %d rows", tgtStore.Rows())
+	}
+	for _, alg := range []string{"", "greedy"} {
+		req := &xmltree.Node{Name: "Plan"}
+		req.SetAttr("service", "svc")
+		if alg != "" {
+			req.SetAttr("algorithm", alg)
+		}
+		if _, err := client.Call("Plan", req); err != nil {
+			t.Errorf("Plan algorithm=%q: %v", alg, err)
+		}
 	}
 }
 

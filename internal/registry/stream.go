@@ -2,8 +2,9 @@ package registry
 
 // The agency's side of the streaming wire path: the source response's
 // shipment is kept as the chunk bytes the source wrote (wire.Relay), so
-// neither an envelope tree nor the records are ever materialized for the
-// exchange's dominant payload.
+// neither an envelope tree nor the records are ever materialized. A delta
+// exchange reads no differently: the source reconciled before it wrote, and
+// what it decided rides on the trailing <timing> element.
 
 import (
 	"io"
@@ -24,9 +25,8 @@ func scanAttr(attrs []xmltree.Attr, name string) string {
 
 // sourceCapture consumes an ExecuteSourceResponse stream for the relay:
 // each chunk element of the shipment goes into the relay as the bytes the
-// source wrote, unread but for its seq; the timing rides on the trailing
-// <timing> element. A bare <shipment> document reads the same way, which is
-// how a rendered delta enters its relay.
+// source wrote, unread but for its seq; the timing, and a delta exchange's
+// reconciliation outcome, ride on the trailing <timing> element.
 type sourceCapture struct {
 	relay *wire.Relay
 
@@ -37,6 +37,12 @@ type sourceCapture struct {
 	payloadBytes string
 	sawShipment  bool
 	codec        string
+
+	// delta is the source's reconciliation outcome on a delta exchange:
+	// "1" when the shipment is a delta of deltaRecords records and
+	// tombstones deletions, "cold" or "unkeyed" when it is the full
+	// snapshot, "" when the exchange asked for no delta.
+	delta, deltaRecords, tombstones string
 }
 
 // ObserveEnvelope implements soap.EnvelopeObserver: the response
@@ -65,6 +71,7 @@ func (s *sourceCapture) StartElement(name string, attrs []xmltree.Attr) error {
 		s.shipAt, s.sawShipment = s.depth, true
 	case name == "timing":
 		s.queryMillis, s.payloadBytes = scanAttr(attrs, "queryMillis"), scanAttr(attrs, "payloadBytes")
+		s.delta, s.deltaRecords, s.tombstones = scanAttr(attrs, "delta"), scanAttr(attrs, "records"), scanAttr(attrs, "tombstones")
 	}
 	return nil
 }

@@ -1,14 +1,15 @@
 package reliable
 
-// Delta-exchange reconciliation. The agency keeps, per exchange stream, a
-// record-level index of what the previous successful session delivered:
-// for every cross-edge instance, a map from record ID (the same IDs the
-// target Ledger dedups on) to a content hash. A repeat exchange diffs the
-// freshly computed shipment against the index and ships only added or
-// changed records, plus tombstones for IDs that disappeared. The index is
-// guarded by a fragmentation epoch — when the plan's fragment signatures
-// change, the old per-edge keys are meaningless and the exchange falls
-// back to a full re-ship.
+// Delta-exchange reconciliation. A source endpoint keeps, per exchange
+// stream, a record-level index of the shipments it rendered: for every
+// cross-edge instance, a map from record ID (the same IDs the target Ledger
+// dedups on) to a content hash, filed under the session id of the delivery
+// that carried it. A repeat exchange names the session whose snapshot the
+// target holds; the source diffs its fresh shipment against exactly that
+// entry and ships only added or changed records, plus tombstones for IDs
+// that disappeared. The entry is also guarded by a fragmentation epoch —
+// when the plan's fragment signatures change, the old per-edge keys are
+// meaningless and the exchange falls back to a full re-ship.
 
 import (
 	"sort"
@@ -22,43 +23,52 @@ import (
 // EdgeHashes maps record ID to content hash for one cross-edge instance.
 type EdgeHashes map[string]uint64
 
-// ReconIndex is the agency-side reconciliation state, keyed by stream (one
-// per service/plan exchange pair).
+// ReconIndex is a source's reconciliation state, keyed by stream and epoch
+// (one service/plan exchange pair towards one target). A key holds at most
+// two entries: the base the target last said it holds, and the shipment
+// rendered since. A key no plan uses any more stays until restart.
 type ReconIndex struct {
 	mu      sync.Mutex
-	streams map[string]*reconStream
+	streams map[string][]reconEntry
 }
 
-type reconStream struct {
-	epoch string
-	edges map[string]EdgeHashes
+type reconEntry struct {
+	session string
+	edges   map[string]EdgeHashes
 }
 
 // NewReconIndex returns an empty (everywhere-cold) index.
 func NewReconIndex() *ReconIndex {
-	return &ReconIndex{streams: make(map[string]*reconStream)}
+	return &ReconIndex{streams: make(map[string][]reconEntry)}
 }
 
-// Snapshot returns the committed hashes for a stream if the index is warm
-// at this epoch. A cold stream or an epoch mismatch returns ok=false — the
-// caller must full-reship. The returned maps are shared; callers must not
-// mutate them.
-func (r *ReconIndex) Snapshot(stream, epoch string) (map[string]EdgeHashes, bool) {
+// Render files the hashes of the shipment rendered for delivery session id
+// and returns the entry of base — the session whose snapshot the target
+// holds — when one was filed under this stream and epoch; ok=false means
+// the caller ships the full snapshot. The base's entry stays diffable
+// until a delivery is known to have replaced it, so a delivery that fails
+// never becomes the next diff's base; every other entry goes. An id equal
+// to base (a reused session id, as from an agency whose counter restarted)
+// would file two snapshots under one name, so the key is emptied instead
+// and the next exchange ships cold too. The returned maps are shared;
+// callers must not mutate them.
+func (r *ReconIndex) Render(stream, epoch, id, base string, edges map[string]EdgeHashes) (map[string]EdgeHashes, bool) {
+	key := stream + "\x00" + epoch
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.streams[stream]
-	if s == nil || s.epoch != epoch {
+	if id == base {
+		delete(r.streams, key)
 		return nil, false
 	}
-	return s.edges, true
-}
-
-// Commit replaces a stream's index with the hashes of a successfully
-// delivered shipment at the given epoch.
-func (r *ReconIndex) Commit(stream, epoch string, edges map[string]EdgeHashes) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.streams[stream] = &reconStream{epoch: epoch, edges: edges}
+	next := []reconEntry{{session: id, edges: edges}}
+	for _, e := range r.streams[key] {
+		if base != "" && e.session == base {
+			r.streams[key] = append(next, e)
+			return e.edges, true
+		}
+	}
+	r.streams[key] = next
+	return nil, false
 }
 
 // FNV-1a, 64 bit (hash/fnv's New64a, inlined so hashing a record neither
@@ -128,7 +138,7 @@ func HashShipment(out map[string]*core.Instance) (map[string]EdgeHashes, bool) {
 }
 
 // Delta is the reconciled difference between a fresh shipment and the
-// previous session's index.
+// index entry of the base it is diffed against.
 type Delta struct {
 	// Ship carries, per edge key, only the added or changed records, in
 	// the fresh shipment's record order.

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 
 	"xdx/internal/core"
@@ -162,14 +163,90 @@ func TestDiffShipmentVanishedEdge(t *testing.T) {
 
 func TestReconIndexEpochGuard(t *testing.T) {
 	r := NewReconIndex()
-	if _, ok := r.Snapshot("s", "e1"); ok {
+	if _, ok := r.Render("s", "e1", "s0", "", map[string]EdgeHashes{"e": {"a": 1}}); ok {
 		t.Fatal("cold index reported warm")
 	}
-	r.Commit("s", "e1", map[string]EdgeHashes{"e": {"a": 1}})
-	if snap, ok := r.Snapshot("s", "e1"); !ok || snap["e"]["a"] != 1 {
-		t.Fatal("committed index not visible")
-	}
-	if _, ok := r.Snapshot("s", "e2"); ok {
+	if _, ok := r.Render("s", "e2", "s1", "s0", nil); ok {
 		t.Fatal("epoch mismatch reported warm")
 	}
+	if snap, ok := r.Render("s", "e1", "s1", "s0", nil); !ok || snap["e"]["a"] != 1 {
+		t.Fatal("recorded entry not visible")
+	}
+	if _, ok := r.Render("s", "e1", "s2", "", nil); ok {
+		t.Fatal("an empty base matched an entry")
+	}
+}
+
+// TestReconIndexKeepsHeldBase: a shipment rendered against base s0 keeps
+// s0 diffable, so when its delivery fails the next exchange still diffs
+// against what the target holds; once the target names the newer entry,
+// the older one goes.
+func TestReconIndexKeepsHeldBase(t *testing.T) {
+	r := NewReconIndex()
+	r.Render("s", "e", "s0", "", map[string]EdgeHashes{"e": {"a": 1}})
+	r.Render("s", "e", "s1", "s0", map[string]EdgeHashes{"e": {"a": 2}})
+	if snap, ok := r.Render("s", "e", "s2", "s0", map[string]EdgeHashes{"e": {"a": 3}}); !ok || snap["e"]["a"] != 1 {
+		t.Fatalf("held base s0 after a failed delivery: ok=%v hash %d, want 1", ok, snap["e"]["a"])
+	}
+	if snap, ok := r.Render("s", "e", "s3", "s2", map[string]EdgeHashes{"e": {"a": 4}}); !ok || snap["e"]["a"] != 3 {
+		t.Fatalf("delivered s2: ok=%v hash %d, want 3", ok, snap["e"]["a"])
+	}
+	for _, gone := range []string{"s0", "s1"} {
+		if _, ok := r.Render("s", "e", "s9", gone, nil); ok {
+			t.Errorf("entry %s, neither held nor newest, survived", gone)
+		}
+	}
+}
+
+// TestReconIndexReusedSessionGoesCold: a render whose session id is the
+// held base's (an agency that restarted its session counter) must neither
+// diff against that base nor overwrite it — were its delivery to fail, the
+// target would still hold the old snapshot under the same name. The key
+// goes cold until a fresh full ship lands.
+func TestReconIndexReusedSessionGoesCold(t *testing.T) {
+	r := NewReconIndex()
+	r.Render("s", "e", "s0", "", map[string]EdgeHashes{"e": {"a": 1}})
+	if _, ok := r.Render("s", "e", "s0", "s0", map[string]EdgeHashes{"e": {"a": 2}}); ok {
+		t.Fatal("a render under the held base's own id diffed against it")
+	}
+	if snap, ok := r.Render("s", "e", "s1", "s0", nil); ok {
+		t.Fatalf("the reused id's entry stayed diffable (hash %d)", snap["e"]["a"])
+	}
+}
+
+// TestReconIndexEpochsApart: one source feeding the same service name to
+// two targets (two epochs) keeps both targets' bases.
+func TestReconIndexEpochsApart(t *testing.T) {
+	r := NewReconIndex()
+	r.Render("s", "toA", "a0", "", map[string]EdgeHashes{"e": {"a": 1}})
+	r.Render("s", "toB", "b0", "", map[string]EdgeHashes{"e": {"a": 2}})
+	if snap, ok := r.Render("s", "toA", "a1", "a0", nil); !ok || snap["e"]["a"] != 1 {
+		t.Errorf("target A's base: ok=%v", ok)
+	}
+	if snap, ok := r.Render("s", "toB", "b1", "b0", nil); !ok || snap["e"]["a"] != 2 {
+		t.Errorf("target B's base: ok=%v", ok)
+	}
+}
+
+// TestReconIndexConcurrent: a source serves one stream's exchanges from
+// several goroutines at once; every render against the held base reads
+// the entry filed for it, whole.
+func TestReconIndexConcurrent(t *testing.T) {
+	r := NewReconIndex()
+	r.Render("s", "e", "s0", "", map[string]EdgeHashes{"e": {"a": 0}})
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := "s" + strconv.Itoa(g*1000+i)
+				if snap, ok := r.Render("s", "e", id, "s0", map[string]EdgeHashes{"e": {"a": uint64(g)}}); !ok || snap["e"]["a"] != 0 {
+					t.Errorf("goroutine %d: the kept base read ok=%v", g, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

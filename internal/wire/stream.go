@@ -64,7 +64,9 @@ type ShipmentWriter struct {
 // split into chunks of at most n records, sequenced densely from 0 in emit
 // order (an Emit without records still yields its one announcing chunk) —
 // for a sorted-key emitter exactly the chunks reliable.ChunkShipment cuts.
-// Must be called before the first Emit; n <= 0 leaves Emit unsequenced.
+// Tombstone chunks take the next seq too: EmitTombstones' seq argument is
+// for writers without SetChunk. Must be called before the first Emit;
+// n <= 0 leaves Emit unsequenced.
 func (sw *ShipmentWriter) SetChunk(n int) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -162,6 +164,10 @@ func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) er
 	defer sw.mu.Unlock()
 	if err := sw.openLocked(); err != nil {
 		return err
+	}
+	if sw.chunk > 0 {
+		seq = sw.nextSeq
+		sw.nextSeq++
 	}
 	if err := sw.spliceLocked(0); err != nil {
 		return err

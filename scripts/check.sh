@@ -47,10 +47,12 @@ make soak
 ./scripts/load_smoke.sh
 
 # Delta-correctness smoke: the churn property test (patched target equals
-# full re-ship record-for-record) plus the mid-delta crash/fallback arm,
+# full re-ship record-for-record), the mid-delta crash/fallback arm, the
+# failed-delivery arm (a delta that never landed is never diffed against)
+# and the lost-response arm (a delta that ran replays, never falls back),
 # re-run without the race detector as a fast standalone gate — a delta
 # that ships the wrong records must never reach a snapshot run.
-go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack' ./internal/registry/
+go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays' ./internal/registry/
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,
 # restart it over the same WAL directory, and the reliable exchange must
