@@ -212,8 +212,9 @@ type Endpoint struct {
 	deltaBases map[string]*deltaBase
 	deltaOff   bool
 
-	// recon is the source side of delta exchanges: per stream, the record
-	// hashes of the shipments this endpoint rendered, by delivery session.
+	// recon is the source side of delta exchanges: per stream and epoch,
+	// the per-edge record hashes of the shipments this endpoint rendered,
+	// by delivery session.
 	recon *reliable.ReconIndex
 }
 

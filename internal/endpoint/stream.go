@@ -117,13 +117,14 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 
 // emitOutbound writes the slice's outbound shipment, or on a delta
 // exchange (a request naming a stream) what has changed of it. The source
-// hashes its outbound records and files the hashes under the delivery's
-// session, keeping the entry of the base the target holds in case this
-// delivery never lands (reliable.ReconIndex.Render). When its index holds
-// that base at this epoch it emits the diff: changed records, then each
-// edge's tombstones in sorted-key order, numbered after them so the
-// session ledger checkpoints deletions like any chunk. Otherwise the full
-// snapshot ships. The returned attributes tell the agency which it was,
+// diffs its outbound records against the entry of the base the target
+// holds, hashing each record once (reliable.DiffShipment), and files the
+// fresh hashes under the delivery's session, keeping that base's entry in
+// case this delivery never lands (reliable.ReconIndex.Render). When its
+// index held that base at this epoch it emits the diff: changed records,
+// then each edge's tombstones in sorted-key order, numbered after them so
+// the session ledger checkpoints deletions like any chunk. Otherwise the
+// full snapshot ships. The returned attributes tell the agency which it was,
 // on the trailing <timing>.
 func (e *Endpoint) emitOutbound(sw *wire.ShipmentWriter, req *xmltree.Node, out map[string]*core.Instance) (string, error) {
 	stream, _ := req.Attr("stream")
@@ -133,16 +134,21 @@ func (e *Endpoint) emitOutbound(sw *wire.ShipmentWriter, req *xmltree.Node, out 
 	epoch, _ := req.Attr("epoch")
 	session, _ := req.Attr("session")
 	base, _ := req.Attr("base")
-	hashes, keyed := reliable.HashShipment(out)
-	if !keyed {
+	held := e.recon.Held(stream, epoch, base)
+	var prev map[string]reliable.EdgeHashes
+	if held != nil {
+		prev = held.Edges
+	}
+	d := reliable.DiffShipment(out, prev)
+	if d.Unkeyed {
 		// Records without IDs cannot be diffed or tombstoned.
 		return ` delta="unkeyed"`, wire.EmitShipment(sw, out)
 	}
-	prev, warm := e.recon.Render(stream, epoch, session, base, hashes)
-	if !warm {
+	// Between Held and Render another exchange may have replaced base's
+	// entry; the diff stands only if the entry kept is the one it read.
+	if kept := e.recon.Render(stream, epoch, session, base, d.Fresh); held == nil || kept != held {
 		return ` delta="cold"`, wire.EmitShipment(sw, out)
 	}
-	d := reliable.DiffShipment(out, prev)
 	sw.SetDelta(true)
 	err := wire.EmitShipment(sw, d.Ship)
 	keys := make([]string, 0, len(d.Tombs))

@@ -2,10 +2,11 @@
 # Allocation-regression smoke: short runs of BenchmarkFigure9_EndToEnd,
 # BenchmarkShipmentCodecParallel, BenchmarkShipmentCodecStream,
 # BenchmarkReliableExchangeDurable/batch,
-# BenchmarkChainedCombine/spread/k=8, BenchmarkSubstrate_Parse and
-# BenchmarkTable4_LoadIndex_MF, compared against the committed baselines
-# below. The first is the in-process end-to-end path — row
-# slabs, splitter and shredder arenas, pooled codec state; the second is
+# BenchmarkChainedCombine/spread/k=8, BenchmarkSubstrate_Parse,
+# BenchmarkTable4_LoadIndex_MF and BenchmarkDiffShipment, compared against
+# the committed baselines below. The first is the in-process end-to-end
+# path — row slabs, splitter and shredder arenas, pooled codec state; the
+# second is
 # the bin+flate shipment codec on the chunk codec pool, whose decoder takes
 # nodes, child slices and strings out of per-chunk slabs (Figure 9 never
 # decodes a shipment, so it cannot see that); the third is the tagged-XML
@@ -24,7 +25,11 @@
 # indexes, whose slots and key and row arrays are one allocation per index
 # — its bytes are gated as well as its allocations, since an index that
 # grows its arrays the way append does costs bytes long before it costs
-# objects. A >25%
+# objects; the eighth is a source's warm reconciliation of a 1 % churn
+# round over ≈ 64k MF records, one pass that hashes, diffs and files each
+# record into pointer-free per-edge columns — bytes gated too, since the
+# columns are sized per record and a per-record map would show in bytes
+# first. A >25%
 # allocs/op (or, where gated, B/op) regression on any of them means someone
 # reintroduced a per-record allocation, and the gate should say so before a
 # slow benchmark run does. Wall-clock is deliberately not checked —
@@ -52,7 +57,11 @@ cd "$(dirname "$0")/.."
 # "pointer-free-index" is the commit that follows b0f9c8b and files the
 # store's indexes in int32 hash tables: Table4_LoadIndex_MF read 930
 # allocs/op and 1941699 B/op at b0f9c8b, and reads 646 and 1129246-1129256
-# at 10x.
+# at 10x. "one-pass-recon" is the commit that follows 6e8b360 and makes
+# reconciliation one pass over per-edge columns: DiffShipment's loop body
+# run at 6e8b360 (HashShipment, then the map-based DiffShipment, as the
+# source ran them per exchange) read 740 allocs/op and 7095776-7095781
+# B/op at 3x, and reads 239 and 2231280-2231285.
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
 SHIPMENT_CODEC_STREAM=212            # slab-scan, 20x
@@ -61,6 +70,8 @@ CHAINED_COMBINE_SPREAD_K8=217        # 5ebdd14 (BENCH_13.json)
 SUBSTRATE_PARSE=29086                # one-reader, 20x
 TABLE4_LOAD_INDEX_MF=646             # pointer-free-index, 10x
 TABLE4_LOAD_INDEX_MF_BYTES=1129256   # pointer-free-index, 10x
+DIFF_SHIPMENT=239                    # one-pass-recon
+DIFF_SHIPMENT_BYTES=2231285          # one-pass-recon
 
 # gate NAME UNIT BASE OUTPUT: read UNIT off the benchmark OUTPUT and fail
 # when it exceeds BASE by more than 25%.
@@ -97,3 +108,4 @@ check ReliableExchangeDurable/batch ./internal/registry/ "$RELIABLE_EXCHANGE_DUR
 check ChainedCombine/spread/k=8 ./internal/core/ "$CHAINED_COMBINE_SPREAD_K8"
 check Substrate_Parse . "$SUBSTRATE_PARSE" 20x
 check Table4_LoadIndex_MF . "$TABLE4_LOAD_INDEX_MF" 10x "$TABLE4_LOAD_INDEX_MF_BYTES"
+check DiffShipment ./internal/reliable/ "$DIFF_SHIPMENT" 3x "$DIFF_SHIPMENT_BYTES"

@@ -25,10 +25,10 @@ make bench-smoke
 # instead of the next `make bench-json`.
 ./scripts/bench_snapshot.sh -smoke
 
-# Allocation-regression smoke: seven benchmarks must stay within 25% of the
+# Allocation-regression smoke: eight benchmarks must stay within 25% of the
 # allocs/op baselines recorded in the script, and Table 4's load-then-index
-# row within 25% of its B/op baseline too — the arena/slab teardown is a
-# merge-gated property, not a one-off number.
+# row and the reconciliation row within 25% of their B/op baselines too —
+# the arena/slab teardown is a merge-gated property, not a one-off number.
 ./scripts/alloc_smoke.sh
 
 # Fault-injection soak: the reliable-exchange e2e over the widened seed
@@ -48,11 +48,12 @@ make soak
 
 # Delta-correctness smoke: the churn property test (patched target equals
 # full re-ship record-for-record), the mid-delta crash/fallback arm, the
-# failed-delivery arm (a delta that never landed is never diffed against)
-# and the lost-response arm (a delta that ran replays, never falls back),
-# re-run without the race detector as a fast standalone gate — a delta
-# that ships the wrong records must never reach a snapshot run.
-go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays' ./internal/registry/
+# failed-delivery arm (a delta that never landed is never diffed against),
+# the lost-response arm (a delta that ran replays, never falls back) and
+# the one-pass reconciliation held to the map-based reference over seeded
+# shipments, re-run without the race detector as a fast standalone gate —
+# a delta that ships the wrong records must never reach a snapshot run.
+go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDiffShipmentMatchesReference' ./internal/registry/ ./internal/reliable/
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,
 # restart it over the same WAL directory, and the reliable exchange must
