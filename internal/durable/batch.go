@@ -1,13 +1,14 @@
 package durable
 
-// Group commit (FsyncBatch): concurrent appenders enqueue framed records
-// and park on a ticket; a leader goroutine coalesces everything queued into
-// one write + one fsync and resolves the whole group at once — every frame
-// of a group shares the group's one ticket. The cost of a sync is
-// amortized over every frame that arrived while the previous one was in
-// flight — the classic group-commit self-clocking loop — without giving up
-// ack-after-sync: a ticket resolves successfully only after its frames are
-// on stable storage, exactly like FsyncAlways.
+// Group commit, the WAL's one append path: concurrent appenders enqueue
+// framed records and park on a ticket; a leader goroutine coalesces
+// everything queued into one write + one fsync and resolves the whole group
+// at once — every frame of a group shares the group's one ticket. The cost
+// of a sync is amortized over every frame that arrived while the previous
+// one was in flight — the classic group-commit self-clocking loop —
+// without giving up ack-after-sync: under FsyncBatch a ticket resolves
+// successfully only after its frames are on stable storage. FsyncOff
+// commits the same groups and skips the fsync.
 //
 // Batch cut rules, in order:
 //
@@ -59,18 +60,12 @@ var closedPending = func() chan struct{} {
 	return ch
 }()
 
-var durablePending = &Pending{done: closedPending}
-
-// resolvedPending wraps an already-known outcome (the synchronous append
-// policies) in the same ticket shape the batch path returns.
-func resolvedPending(err error) *Pending {
-	if err == nil {
-		return durablePending
-	}
+// failedPending is the ticket of an append refused before it queued.
+func failedPending(err error) *Pending {
 	return &Pending{done: closedPending, err: err}
 }
 
-// batcher owns the pending group under FsyncBatch. It has its own mutex —
+// batcher owns the pending commit group. It has its own mutex —
 // never held while writing or syncing — so appenders keep queueing frames
 // for the next group while the leader holds w.mu for the current one.
 type batcher struct {
@@ -213,8 +208,8 @@ func (b *batcher) lead() {
 	}
 }
 
-// commit writes one coalesced group and syncs it, under the WAL mutex so
-// batch writes serialize with Snapshot's truncate.
+// commit writes one coalesced group and, under FsyncBatch, syncs it —
+// under the WAL mutex, so group writes serialize with Snapshot's truncate.
 func (b *batcher) commit(buf []byte, frames int) error {
 	w := b.w
 	w.mu.Lock()
@@ -228,8 +223,10 @@ func (b *batcher) commit(buf []byte, frames int) error {
 	if b.testHookPreSync != nil {
 		b.testHookPreSync()
 	}
-	if err := w.syncLocked(); err != nil {
-		return err
+	if w.opts.Fsync == FsyncBatch {
+		if err := w.syncLocked(); err != nil {
+			return err
+		}
 	}
 	if w.met != nil {
 		w.met.Histogram("wal.batch.size").Observe(float64(len(buf)))
@@ -239,8 +236,8 @@ func (b *batcher) commit(buf []byte, frames int) error {
 }
 
 // drain hurries the pending group out and blocks until the batcher is
-// idle: every ticket issued before the call has resolved. Sync, Snapshot,
-// and Close run behind this barrier.
+// idle: every ticket issued before the call has resolved. Snapshot, Close
+// and Journal.Sessions run behind this barrier.
 func (b *batcher) drain() {
 	for {
 		b.mu.Lock()

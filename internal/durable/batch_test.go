@@ -1,9 +1,9 @@
 package durable
 
-// Group-commit (FsyncBatch) coverage: ordering and byte-identity against
-// the serial FsyncAlways reference, ack-after-sync across the
-// write-vs-sync crash window, lone-appender hold bounds, close/drain
-// hardening, and a race-detector stress over one shared WAL.
+// Group-commit coverage: ordering and byte-identity against a serial
+// one-frame-per-group reference, ack-after-sync across the write-vs-sync
+// crash window, lone-appender hold bounds, close/drain hardening, FsyncOff
+// on the same path, and a race-detector stress over one shared WAL.
 
 import (
 	"bytes"
@@ -23,8 +23,10 @@ import (
 // whatever order concurrent batched appenders land in, recovery yields a
 // framing-valid log holding exactly the appended payloads, with every
 // per-goroutine subsequence in order — and re-appending the recovered
-// payloads serially through FsyncAlways reproduces a byte-identical log
-// file, so a batched log is indistinguishable from a serial one.
+// payloads serially, each waited on before the next, so every group holds
+// one frame and syncs it as the removed always policy did, reproduces a
+// byte-identical log file: a batched log is indistinguishable from a
+// serial one.
 func TestBatchRecoverMatchesSerialAlways(t *testing.T) {
 	const (
 		goroutines = 6
@@ -99,10 +101,10 @@ func TestBatchRecoverMatchesSerialAlways(t *testing.T) {
 			}
 		}
 
-		// Serial always-reference: appending the recovered sequence
-		// yields a byte-identical wal.log.
+		// Serial reference: appending the recovered sequence one frame
+		// at a time yields a byte-identical wal.log.
 		refDir := t.TempDir()
-		ref, _, _ := openRecovered(t, refDir, Options{Fsync: FsyncAlways})
+		ref, _, _ := openRecovered(t, refDir, Options{})
 		for _, p := range recovered {
 			if err := ref.Append(p); err != nil {
 				t.Fatal(err)
@@ -118,7 +120,7 @@ func TestBatchRecoverMatchesSerialAlways(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(batched, serial) {
-			t.Fatalf("round %d: batched log differs from serial always log (%d vs %d bytes)", round, len(batched), len(serial))
+			t.Fatalf("round %d: batched log differs from serial log (%d vs %d bytes)", round, len(batched), len(serial))
 		}
 	}
 }
@@ -304,6 +306,52 @@ func TestCloseSyncsUnsyncedTail(t *testing.T) {
 	}
 }
 
+// TestBatchOffSkipsFsync: FsyncOff appends go through the same commit
+// groups — every ticket resolves, every frame is counted in a group and
+// recovered — and no group pays an fsync.
+func TestBatchOffSkipsFsync(t *testing.T) {
+	const goroutines, perG = 4, 25
+	met := obs.NewRegistry()
+	dir := t.TempDir()
+	w, _, _ := openRecovered(t, dir, Options{Fsync: FsyncOff, MaxBatchFrames: 8, Met: met})
+	var wg sync.WaitGroup
+	tickets := make([]*Pending, goroutines*perG)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				tickets[g*perG+i] = w.appendParts([]byte(fmt.Sprintf("g%d-%d", g, i)), nil)
+			}
+		}(g)
+	}
+	wg.Wait()
+	w.Flush()
+	for i, p := range tickets {
+		select {
+		case <-p.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("ticket %d never resolved", i)
+		}
+		if err := p.Err(); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+	}
+	if n := met.Counter("wal.fsyncs").Value(); n != 0 {
+		t.Fatalf("wal.fsyncs = %d under FsyncOff, want 0", n)
+	}
+	frames, _ := met.Snapshot()["wal.batch.frames"].(map[string]any)
+	if n := frames["sum"]; n != float64(goroutines*perG) {
+		t.Fatalf("frames committed in groups = %v, want %d", n, goroutines*perG)
+	}
+	w.Close()
+	w2, got, _ := openRecovered(t, dir, Options{})
+	w2.Close()
+	if len(got) != goroutines*perG {
+		t.Fatalf("recovered %d records, want %d", len(got), goroutines*perG)
+	}
+}
+
 // TestBatchLoneAppenderHold bounds the lone appender's wait: with nobody
 // to share a group and nobody waiting on its ticket, the hold timer cuts
 // the batch (one stall, one frame) rather than leaving it queued
@@ -434,8 +482,9 @@ func TestBatchRaceStress(t *testing.T) {
 }
 
 // TestBatchJournalEquivalence runs the same session history through a
-// batch journal (async, flush-paced) and an always journal (serial) and
-// requires the recovered states to match exactly.
+// journal committing asynchronously in flush-paced groups and one waiting
+// on every chunk before the next (a group per frame), and requires the
+// recovered states to match exactly.
 func TestBatchJournalEquivalence(t *testing.T) {
 	type op struct {
 		id  string
@@ -479,7 +528,7 @@ func TestBatchJournalEquivalence(t *testing.T) {
 		}
 	}
 	dirA, dirB := t.TempDir(), t.TempDir()
-	run(dirA, Options{Fsync: FsyncAlways}, false)
+	run(dirA, Options{}, false)
 	run(dirB, Options{Fsync: FsyncBatch, MaxBatchFrames: 4, MaxBatchHold: time.Hour}, true)
 
 	ja, err := OpenJournal(dirA, Options{})
@@ -494,13 +543,13 @@ func TestBatchJournalEquivalence(t *testing.T) {
 	defer jb.Close()
 	a, b := sessionsOf(t, ja), sessionsOf(t, jb)
 	if len(a) != len(b) {
-		t.Fatalf("session counts differ: always=%d batch=%d", len(a), len(b))
+		t.Fatalf("session counts differ: serial=%d grouped=%d", len(a), len(b))
 	}
 	sort.Slice(a, func(i, k int) bool { return a[i].ID < a[k].ID })
 	sort.Slice(b, func(i, k int) bool { return b[i].ID < b[k].ID })
 	for i := range a {
 		if a[i].ID != b[i].ID || a[i].Next != b[i].Next || len(a[i].Chunks) != len(b[i].Chunks) {
-			t.Fatalf("session %d differs: always={%s %d %d} batch={%s %d %d}",
+			t.Fatalf("session %d differs: serial={%s %d %d} grouped={%s %d %d}",
 				i, a[i].ID, a[i].Next, len(a[i].Chunks), b[i].ID, b[i].Next, len(b[i].Chunks))
 		}
 		for c := range a[i].Chunks {

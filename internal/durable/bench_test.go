@@ -5,33 +5,32 @@ import (
 	"testing"
 )
 
-// BenchmarkWALAppend measures the per-record append cost under each fsync
-// policy — the durability overhead table of EXPERIMENTS.md. The payload is
-// a typical journaled chunk record (~256 bytes).
+// BenchmarkWALAppend measures the per-record cost of a lone appender's
+// commit group without its fsync — the durability overhead table of
+// EXPERIMENTS.md. The payload is a typical journaled chunk record (~256
+// bytes).
 func BenchmarkWALAppend(b *testing.B) {
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	for _, pol := range []FsyncPolicy{FsyncOff, FsyncAlways} {
-		b.Run(pol.String(), func(b *testing.B) {
-			w, err := Open(b.TempDir(), Options{Fsync: pol})
-			if err != nil {
+	b.Run("off", func(b *testing.B) {
+		w, err := Open(b.TempDir(), Options{Fsync: FsyncOff})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer w.Close()
+		if _, err := w.Recover(nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(payload)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := w.Append(payload); err != nil {
 				b.Fatal(err)
 			}
-			defer w.Close()
-			if _, err := w.Recover(nil, nil); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.Append(payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkWALRecovery measures replay time against WAL length — the
@@ -76,25 +75,23 @@ func BenchmarkWALRecovery(b *testing.B) {
 
 // BenchmarkJournalChunk measures the full journaling cost of one committed
 // tagged-XML chunk (render the xml codec's body + frame + append) at the
-// default endpoint chunk shape.
+// default endpoint chunk shape, without the fsync.
 func BenchmarkJournalChunk(b *testing.B) {
 	recs := chunkRecs("bench", 8)
-	for _, pol := range []FsyncPolicy{FsyncOff, FsyncAlways} {
-		b.Run(pol.String(), func(b *testing.B) {
-			j, err := OpenJournal(b.TempDir(), Options{Fsync: pol})
-			if err != nil {
+	b.Run("off", func(b *testing.B) {
+		j, err := OpenJournal(b.TempDir(), Options{Fsync: FsyncOff})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer j.Close()
+		if err := j.Mint("bench"); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := commitChunk(j, "bench", "k", "f", int64(i), recs); err != nil {
 				b.Fatal(err)
 			}
-			defer j.Close()
-			if err := j.Mint("bench"); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := commitChunk(j, "bench", "k", "f", int64(i), recs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -10,8 +10,8 @@ package durable
 // deletion chunk — behind a small binary header, so the WAL writes what
 // the wire carried, once, in the format the wire decoder already reads.
 // The journal never decodes a payload: Sessions hands the payloads of the
-// live sessions back, and the endpoint replays them through the wire
-// decoder, whose ledger dedup runs on replay exactly as on receipt.
+// live sessions back, each seq once, and the endpoint replays them through
+// the wire decoder exactly as on receipt.
 //
 // Frame payload layout (inside the WAL's length+CRC framing):
 //
@@ -171,9 +171,7 @@ func (j *Journal) RecoveryStats() RecoveryStats { return j.stats }
 func (j *Journal) Sessions() ([]*JSession, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.wal.bat != nil {
-		j.wal.bat.drain() // every queued frame is in the log file
-	}
+	j.wal.bat.drain() // every queued frame is in the log file
 	fr := frameReader{dir: j.wal.dir, log: j.wal.f}
 	defer fr.close()
 	out := make([]*JSession, 0, len(j.sessions))
@@ -212,16 +210,15 @@ func (j *Journal) Len() int {
 	return len(j.sessions)
 }
 
-// Flush hurries the WAL's pending commit group out (FsyncBatch only):
-// call it before parking on tickets so a quiet session never waits out
-// the batch hold.
+// Flush hurries the WAL's pending commit group out: call it before
+// parking on tickets so a quiet session never waits out the batch hold.
 func (j *Journal) Flush() { j.wal.Flush() }
 
 // Mint journals a new session. Re-minting a known session is a no-op.
-// Under group commit the mint frame is not waited on: it is ordered ahead
-// of the session's chunk frames in the same WAL, so any durable chunk
-// implies a durable mint — and a lost mint alone is harmless, since chunk
-// replay creates unknown sessions.
+// The mint frame is not waited on: it is ordered ahead of the session's
+// chunk frames in the same WAL, so any durable chunk implies a durable
+// mint — and a lost mint alone is harmless, since chunk replay creates
+// unknown sessions.
 func (j *Journal) Mint(id string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -229,12 +226,7 @@ func (j *Journal) Mint(id string) error {
 		return nil
 	}
 	j.head = appendFrameHead(j.head[:0], kindMint, id)
-	p, loc := j.appendLocked(j.head, nil)
-	if j.wal.bat == nil {
-		if err := p.Err(); err != nil {
-			return err
-		}
-	}
+	_, loc := j.appendLocked(j.head, nil)
 	j.sessions[id] = &shadowSession{bytes: loc.n}
 	j.live += loc.n
 	j.maybeCompactLocked()
@@ -245,8 +237,8 @@ func (j *Journal) Mint(id string) error {
 // the staged bytes of a raw chunk as they are, the wire body of a
 // tagged-XML chunk's records or a tombstone chunk's IDs. It must be
 // called before the chunk's checkpoint may advance; the returned ticket
-// resolves when the frame is durable (already, under non-batch policies),
-// and the caller must not advance the checkpoint — or acknowledge anything
+// resolves when the frame's commit group is written (and synced), and the
+// caller must not advance the checkpoint — or acknowledge anything
 // downstream of it — before it resolves successfully. That deferred ack is
 // what lets the decoder parse the next chunk while this one's fsync is in
 // flight. The payload is copied before Commit returns.
@@ -300,33 +292,21 @@ func (j *Journal) commit(id, key, frag string, seq int64, p wire.Payload, recs [
 
 // End journals the release of sessions (EndSession, sweeps) and drops them
 // from the shadow state, turning their bytes into garbage for the next
-// compaction to reclaim. Under group commit the end frames are not waited
-// on: a lost end merely leaves a session to be swept again, and the shadow
-// deletion reaches the next snapshot regardless.
+// compaction to reclaim. The end frames are not waited on: a lost end
+// merely leaves a session to be swept again, and the shadow deletion
+// reaches the next snapshot regardless.
 func (j *Journal) End(ids ...string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var firstErr error
 	for _, id := range ids {
 		s := j.sessions[id]
 		if s == nil {
 			continue
 		}
 		j.head = appendFrameHead(j.head[:0], kindEnd, id)
-		p, _ := j.appendLocked(j.head, nil)
-		if j.wal.bat == nil {
-			if err := p.Err(); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-		}
+		j.appendLocked(j.head, nil)
 		delete(j.sessions, id)
 		j.live -= s.bytes
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 	j.maybeCompactLocked()
 	return nil

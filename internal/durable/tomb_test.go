@@ -80,7 +80,7 @@ func TestJournalTombBatchPipeline(t *testing.T) {
 // record chunks must hold for deletion chunks too.
 func TestJournalTombReplayIsIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, Options{Fsync: FsyncAlways})
+	j, err := OpenJournal(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestJournalTombReplayIsIdempotent(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := OpenJournal(dir, Options{Fsync: FsyncAlways})
+	j2, err := OpenJournal(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 // Package durable is the crash-safety subsystem of the exchange
 // architecture: an append-only write-ahead log with CRC32-framed,
-// length-prefixed records, a configurable fsync policy, snapshot+compact
-// cycles, and recovery that truncates a torn tail and replays the longest
-// valid prefix. The reliability layer (internal/reliable) promises
-// exactly-once resumable exchanges; this package makes the state backing
-// that promise — session checkpoints, idempotency ledgers, committed
-// chunks — survive a SIGKILL, so a restarted endpoint resumes from its
-// last committed chunk instead of forgetting the transfer.
+// length-prefixed records, one group-commit append path (batch.go),
+// snapshot+compact cycles, and recovery that truncates a torn tail and
+// replays the longest valid prefix. The reliability layer
+// (internal/reliable) promises exactly-once resumable exchanges; this
+// package makes the state backing that promise — session checkpoints and
+// committed chunks — survive a SIGKILL, so a restarted endpoint resumes
+// from its last committed chunk instead of forgetting the transfer.
 //
 // On-disk layout of a WAL directory:
 //
@@ -58,66 +58,58 @@ var ErrMalformedFrame = errors.New("durable: malformed frame")
 // directory must be drained by the version that wrote it, or deleted.
 var ErrWALFormat = errors.New("durable: unsupported WAL format")
 
-// FsyncPolicy dials how eagerly the WAL forces appended frames to stable
-// storage — the classic durability/throughput trade measured in
-// EXPERIMENTS.md.
+// FsyncPolicy says whether the WAL forces each commit group to stable
+// storage — the durability/throughput trade measured in EXPERIMENTS.md.
+// Every frame goes through the group-commit batcher either way.
 type FsyncPolicy int
 
 const (
-	// FsyncAlways syncs after every append: nothing acknowledged is ever
-	// lost, at one fsync per committed chunk.
-	FsyncAlways FsyncPolicy = iota
-	// FsyncOff never syncs explicitly: durability is whatever the OS page
-	// cache survives. A process kill (the fault the crash smoke injects)
-	// still loses nothing — the data is in the kernel — but a power cut
-	// may.
+	// FsyncBatch is group commit, and the default: appenders enqueue
+	// frames and park on a ticket while a leader coalesces every queued
+	// frame into one write + one fsync (batch.go). A ticket resolves only
+	// after its group synced, so nothing acknowledged is ever lost.
+	FsyncBatch FsyncPolicy = iota
+	// FsyncOff commits the same groups and skips their fsync: durability
+	// is whatever the OS page cache survives. A process kill (the fault
+	// the crash smoke injects) still loses nothing — the data is in the
+	// kernel — but a power cut may.
 	FsyncOff
-	// FsyncBatch is group commit: appenders enqueue frames and park on a
-	// ticket while a leader coalesces every queued frame into one write +
-	// one fsync (batch.go). Acknowledged appends are as durable as
-	// FsyncAlways — a ticket resolves only after its group synced — at a
-	// fraction of the fsyncs under concurrency.
-	FsyncBatch
 )
 
-// ParseFsync parses a -fsync flag value: always, batch, or off.
+// ParseFsync parses a -fsync flag value: batch (the default when empty)
+// or off.
 func ParseFsync(s string) (FsyncPolicy, error) {
 	switch s {
-	case "always", "":
-		return FsyncAlways, nil
-	case "batch":
+	case "batch", "":
 		return FsyncBatch, nil
 	case "off":
 		return FsyncOff, nil
+	case "always":
+		return 0, fmt.Errorf(`durable: fsync policy "always" is gone; "batch" gives the same guarantee — an append is acknowledged only after its fsync`)
 	}
-	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, batch, or off)", s)
+	return 0, fmt.Errorf("durable: unknown fsync policy %q (want batch or off)", s)
 }
 
 // String implements fmt.Stringer.
 func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncBatch:
-		return "batch"
-	case FsyncOff:
+	if p == FsyncOff {
 		return "off"
 	}
-	return "always"
+	return "batch"
 }
 
 // Options configures a WAL.
 type Options struct {
-	// Fsync is the sync policy. Default FsyncAlways.
+	// Fsync is the sync policy. Default FsyncBatch.
 	Fsync FsyncPolicy
-	// MaxBatchBytes caps a FsyncBatch commit group's coalesced frame
-	// bytes; a group at the cap commits without waiting out the hold.
-	// Default 1MiB.
+	// MaxBatchBytes caps a commit group's coalesced frame bytes; a group
+	// at the cap commits without waiting out the hold. Default 1MiB.
 	MaxBatchBytes int
-	// MaxBatchFrames caps a FsyncBatch commit group's frame count.
-	// Default 256.
+	// MaxBatchFrames caps a commit group's frame count. Default 256.
 	MaxBatchFrames int
-	// MaxBatchHold bounds how long a FsyncBatch leader waits for more
-	// frames before committing a non-full group — the worst-case extra
-	// latency a lone appender pays. Default 5ms.
+	// MaxBatchHold bounds how long a leader waits for more frames before
+	// committing a non-full group — the worst-case extra latency a lone
+	// appender pays. Default 5ms.
 	MaxBatchHold time.Duration
 	// SnapshotEvery, when > 0, is consumed by layers above (the session
 	// Journal) as the number of appends since the last compaction after
@@ -163,15 +155,14 @@ type WAL struct {
 	log  obs.Logger
 	met  *obs.Registry
 
-	mu  sync.Mutex
-	f   *os.File
-	hdr [frameHeader]byte
+	mu sync.Mutex
+	f  *os.File
 	// recovered and closed gate appends. They change under mu, but the
-	// group-commit path reads them without it: an appender must not queue
+	// append path reads them without it: an appender must not queue
 	// behind a group's fsync, which runs under mu.
 	recovered, closed atomic.Bool
 
-	bat *batcher // group-commit state; non-nil only under FsyncBatch
+	bat *batcher // group-commit state
 
 	mAppends, mAppendBytes, mFsyncs *obs.Counter
 }
@@ -198,9 +189,7 @@ func Open(dir string, o Options) (*WAL, error) {
 	w := &WAL{dir: dir, opts: o, log: obs.OrNop(o.Log), met: o.Met, f: f,
 		mAppends: o.Met.Counter("wal.appends"), mAppendBytes: o.Met.Counter("wal.append.bytes"),
 		mFsyncs: o.Met.Counter("wal.fsyncs")}
-	if o.Fsync == FsyncBatch {
-		w.bat = newBatcher(w)
-	}
+	w.bat = newBatcher(w)
 	return w, nil
 }
 
@@ -312,71 +301,32 @@ func frameInto(hdr, head, body []byte) {
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body))
 }
 
-// Append writes one frame. Under FsyncAlways it returns only after the
-// frame is on stable storage; under FsyncBatch it parks on the frame's
-// commit group — same durability guarantee, shared fsync.
+// Append writes one frame and parks on its commit group: it returns once
+// the group is written and, under FsyncBatch, on stable storage.
 func (w *WAL) Append(payload []byte) error {
 	return w.appendParts(payload, nil).Err()
 }
 
 // appendParts writes one frame whose payload is head followed by body,
-// without joining them first, and does not wait for durability. Under
-// FsyncBatch the frame joins the pending commit group and the returned
-// ticket — the group's — resolves when the group's single write+fsync
-// completes; under every other policy the append happens synchronously
-// (with that policy's durability) and the ticket is already resolved.
-// Both parts are copied before appendParts returns.
+// without joining them first, and does not wait for durability: the frame
+// joins the pending commit group, and the returned ticket — the group's —
+// resolves when the group's single write (and fsync) completes. Both parts
+// are copied before appendParts returns.
 func (w *WAL) appendParts(head, body []byte) *Pending {
-	if err := w.appendable(); err != nil {
-		return resolvedPending(err)
-	}
-	if w.bat != nil {
-		return w.bat.enqueue(head, body)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return resolvedPending(w.appendLocked(head, body))
-}
-
-// appendable checks the Recover-before-Append and not-closed
-// preconditions shared by both append paths.
-func (w *WAL) appendable() error {
 	if !w.recovered.Load() {
-		return fmt.Errorf("durable: Append before Recover")
+		return failedPending(fmt.Errorf("durable: Append before Recover"))
 	}
 	if w.closed.Load() {
-		return fmt.Errorf("durable: Append on closed WAL")
+		return failedPending(fmt.Errorf("durable: Append on closed WAL"))
 	}
-	return nil
+	return w.bat.enqueue(head, body)
 }
 
-func (w *WAL) appendLocked(head, body []byte) error {
-	if err := w.appendable(); err != nil {
-		return err
-	}
-	frameInto(w.hdr[:], head, body)
-	for _, b := range [][]byte{w.hdr[:], head, body} {
-		if _, err := w.f.Write(b); err != nil {
-			return fmt.Errorf("durable: append: %w", err)
-		}
-	}
-	w.mAppends.Inc()
-	w.mAppendBytes.Add(int64(frameHeader + len(head) + len(body)))
-	if w.opts.Fsync == FsyncAlways {
-		return w.syncLocked()
-	}
-	return nil
-}
-
-// Flush hurries the pending FsyncBatch commit group out without waiting
-// for it: the leader commits what is queued instead of holding for more.
-// No-op under other policies. The endpoint calls this before parking on
-// the tail chunk's tickets, so a quiet session never waits out the hold.
-func (w *WAL) Flush() {
-	if w.bat != nil {
-		w.bat.hurryUp()
-	}
-}
+// Flush hurries the pending commit group out without waiting for it: the
+// leader commits what is queued instead of holding for more. The endpoint
+// calls this before parking on the tail chunk's tickets, so a quiet
+// session never waits out the hold.
+func (w *WAL) Flush() { w.bat.hurryUp() }
 
 func (w *WAL) syncLocked() error {
 	if err := w.f.Sync(); err != nil {
@@ -397,11 +347,9 @@ func (w *WAL) syncLocked() error {
 // failure before the rename leaves the previous snapshot and the log as
 // they were.
 func (w *WAL) Snapshot(write func(io.Writer) error) error {
-	if w.bat != nil {
-		// Settle the pending group first so the truncated log never holds
-		// frames whose tickets are still unresolved.
-		w.bat.drain()
-	}
+	// Settle the pending group first so the truncated log never holds
+	// frames whose tickets are still unresolved.
+	w.bat.drain()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.recovered.Load() {
@@ -498,12 +446,11 @@ func syncDir(dir string) {
 	}
 }
 
-// Close syncs outstanding appends (draining the FsyncBatch group, so
-// every ticket resolves) and releases the file. Further appends fail.
+// Close drains the pending commit group, so every ticket resolves, syncs
+// the log — under FsyncOff too, so a clean shutdown leaves nothing to the
+// page cache — and releases the file. Further appends fail.
 func (w *WAL) Close() error {
-	if w.bat != nil {
-		w.bat.drain()
-	}
+	w.bat.drain()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed.Load() {

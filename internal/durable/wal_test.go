@@ -157,7 +157,7 @@ func TestWALSnapshotCompacts(t *testing.T) {
 }
 
 func TestWALFsyncPolicies(t *testing.T) {
-	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncOff} {
+	for _, pol := range []FsyncPolicy{FsyncBatch, FsyncOff} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			w, _, _ := openRecovered(t, dir, Options{Fsync: pol})
@@ -179,7 +179,7 @@ func TestWALFsyncPolicies(t *testing.T) {
 }
 
 func TestParseFsync(t *testing.T) {
-	for s, want := range map[string]FsyncPolicy{"always": FsyncAlways, "": FsyncAlways, "batch": FsyncBatch, "off": FsyncOff} {
+	for s, want := range map[string]FsyncPolicy{"": FsyncBatch, "batch": FsyncBatch, "off": FsyncOff} {
 		got, err := ParseFsync(s)
 		if err != nil || got != want {
 			t.Errorf("ParseFsync(%q) = %v, %v", s, got, err)
@@ -188,9 +188,19 @@ func TestParseFsync(t *testing.T) {
 	// interval was dropped: as fast as batch with a weaker guarantee. The
 	// refusal names what is left.
 	for _, s := range []string{"sometimes", "interval"} {
-		if _, err := ParseFsync(s); err == nil || !strings.Contains(err.Error(), "always, batch, or off") {
-			t.Errorf("ParseFsync(%q) err = %v, want a refusal listing always, batch, or off", s, err)
+		if _, err := ParseFsync(s); err == nil || !strings.Contains(err.Error(), "batch or off") {
+			t.Errorf("ParseFsync(%q) err = %v, want a refusal listing batch or off", s, err)
 		}
+	}
+}
+
+// TestParseFsyncRefusesAlways: always was dropped too — batch acks an
+// append only after its fsync, as always did, at a fraction of the
+// fsyncs — and its refusal points at batch.
+func TestParseFsyncRefusesAlways(t *testing.T) {
+	_, err := ParseFsync("always")
+	if err == nil || !strings.Contains(err.Error(), `"batch"`) {
+		t.Fatalf(`ParseFsync("always") err = %v, want a refusal naming "batch"`, err)
 	}
 }
 

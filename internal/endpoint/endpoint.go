@@ -265,11 +265,10 @@ func (e *Endpoint) Sessions() *reliable.SessionStore { return e.sessions }
 // commit is journaled before its checkpoint advances, and the sessions the
 // journal recovered are re-seeded into the store — the ledger checkpoint,
 // and the committed chunks' payloads, which the resumed delivery replays
-// through its shipment decoder (record dedup included) once it arrives
-// with its program. Session evictions (EndSession, idle sweeps) release
-// the journaled state so compaction can shrink the log. Call once, after
-// SetObs and before serving traffic; it returns how many sessions were
-// restored.
+// through its shipment decoder once it arrives with its program. Session
+// evictions (EndSession, idle sweeps) release the journaled state so
+// compaction can shrink the log. Call once, after SetObs and before
+// serving traffic; it returns how many sessions were restored.
 func (e *Endpoint) SetJournal(j *durable.Journal) (int, error) {
 	sessions, err := j.Sessions()
 	if err != nil {
@@ -357,33 +356,25 @@ func (e *Endpoint) supportsCodec(name string) bool {
 // envelope's advertised codecs win — the server picks the first it
 // supports, the Content-Encoding-style half of negotiation — with the
 // universal tagged-XML format as the answer when nothing advertised is
-// spoken here. Requests that did not negotiate fall back to the payload's
-// explicit codec attribute. The second return reports whether negotiation
-// happened (and so whether the choice should be stamped on the response
-// envelope).
-func (e *Endpoint) pickCodec(env soap.Header, req *xmltree.Node) (wire.Codec, bool, error) {
-	if len(env.Codecs) > 0 {
-		for _, name := range env.Codecs {
-			if e.supportsCodec(name) {
-				c, err := wire.ParseCodec(name)
-				if err == nil {
-					e.met.Counter("endpoint.codec.picks." + name).Inc()
-					return c, true, nil
-				}
+// spoken here, or nothing was advertised. The second return reports
+// whether negotiation happened (and so whether the choice should be
+// stamped on the response envelope).
+func (e *Endpoint) pickCodec(env soap.Header) (wire.Codec, bool) {
+	if len(env.Codecs) == 0 {
+		return wire.Codec{}, false
+	}
+	for _, name := range env.Codecs {
+		if e.supportsCodec(name) {
+			c, err := wire.ParseCodec(name)
+			if err == nil {
+				e.met.Counter("endpoint.codec.picks." + name).Inc()
+				return c, true
 			}
 		}
-		// Nothing advertised is spoken here; answer in the universal format.
-		e.met.Counter("endpoint.codec.picks.unsupported").Inc()
-		return wire.Codec{}, true, nil
 	}
-	if v, ok := req.Attr("codec"); ok && v != "" {
-		c, err := wire.ParseCodec(v)
-		if err != nil {
-			return wire.Codec{}, false, &soap.Fault{Code: "soap:Client", String: err.Error()}
-		}
-		return c, false, nil
-	}
-	return wire.Codec{}, false, nil
+	// Nothing advertised is spoken here; answer in the universal format.
+	e.met.Counter("endpoint.codec.picks.unsupported").Inc()
+	return wire.Codec{}, true
 }
 
 func (e *Endpoint) getWSDL(req *xmltree.Node) (*xmltree.Node, error) {

@@ -140,7 +140,10 @@ func TestExecuteSourceAndTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A session delivery is sequenced: the source numbers its chunks when
+	// asked for a chunk size, here one chunk per instance.
 	reqS := &xmltree.Node{Name: "ExecuteSource"}
+	reqS.SetAttr("chunk", "1000")
 	reqS.AddKid(progXML)
 	respS, err := srcClient.Call("ExecuteSource", reqS)
 	if err != nil {

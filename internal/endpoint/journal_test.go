@@ -38,13 +38,13 @@ func storeDocument(t *testing.T, st *relstore.Store) *xmltree.Node {
 	return doc
 }
 
-// TestRestartReplaysJournaledDuplicatesThroughDedup: a session's second
-// chunk re-ships records its first chunk already committed. Both chunks
-// are journaled as they arrived, the delivery tears, and the endpoint
-// restarts on the same WAL directory. Hydration replays the payloads
-// through the shipment decoder, so the duplicates dedup there exactly as
-// they did on receipt: the resumed delivery reports the same deduped count
-// as an uninterrupted run and loads the same contents.
+// TestRestartReplaysJournaledDuplicatesThroughDedup: a session's first two
+// chunks are journaled as they arrive, the delivery tears, and the
+// endpoint restarts on the same WAL directory. Hydration replays their
+// payloads through the shipment decoder, and the resumed delivery re-sends
+// the whole shipment from chunk 0: the restored checkpoint declines the
+// duplicates of the journaled chunks, so the target loads exactly what an
+// uninterrupted run loads — the source's rows, once.
 func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 	sch := schema.CustomerInfo()
 	fr := tFrag(t, sch)
@@ -55,7 +55,6 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 	if len(chunks) < 2 {
 		t.Fatalf("fixture too small: %d chunks", len(chunks))
 	}
-	dups := len(chunks[0].Recs)
 
 	for _, codecName := range []string{"xml", "bin"} {
 		t.Run(codecName, func(t *testing.T) {
@@ -63,12 +62,10 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Chunk 1 repeats chunk 0's records on the same edge.
 			var ship bytes.Buffer
 			sw := wire.NewShipmentWriterCodec(&ship, sch, codec)
-			emit := append([]reliable.Chunk{chunks[0]}, chunks...)
-			for seq, c := range emit {
-				if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, int64(seq)); err != nil {
+			for _, c := range chunks {
+				if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -117,17 +114,16 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := resp.Attr("deduped"); v != strconv.Itoa(dups) {
-				t.Fatalf("uninterrupted run deduped %q records, want %d", v, dups)
+			if v, _ := resp.Attr("declined"); v != "0" {
+				t.Fatalf("uninterrupted run declined %q chunks, want 0", v)
 			}
 
 			// Attempt 1 carries a shipment of chunks 0 and 1 and tears
-			// before the request closes. The shipment's close commits and
-			// applies both chunks (FsyncAlways resolves each ticket as it
-			// commits), so both are journaled whatever the parse pool's
-			// timing.
+			// before the request closes. The shipment's close waits for
+			// both chunks' tickets and applies them, so both are journaled
+			// whatever the parse pool's timing.
 			dir := t.TempDir()
-			j, err := durable.OpenJournal(dir, durable.Options{Fsync: durable.FsyncAlways})
+			j, err := durable.OpenJournal(dir, durable.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +154,7 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 			}
 
 			// Restart: the session and its two chunks come back from the WAL.
-			j, err = durable.OpenJournal(dir, durable.Options{Fsync: durable.FsyncBatch})
+			j, err = durable.OpenJournal(dir, durable.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,11 +165,11 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := resp.Attr("deduped"); v != strconv.Itoa(dups) {
-				t.Errorf("resumed run deduped %q records, want %d (the duplicates dedup on hydration)", v, dups)
+			if v, _ := resp.Attr("declined"); v != "2" {
+				t.Errorf("resumed run declined %q chunks, want 2 (the journaled chunks, re-sent)", v)
 			}
-			if v, _ := resp.Attr("checkpoint"); v != strconv.Itoa(len(emit)) {
-				t.Errorf("checkpoint %q, want %d", v, len(emit))
+			if v, _ := resp.Attr("checkpoint"); v != strconv.Itoa(len(chunks)) {
+				t.Errorf("checkpoint %q, want %d", v, len(chunks))
 			}
 			if gotStore.Rows() != wantStore.Rows() || !xmltree.Equal(storeDocument(t, wantStore), storeDocument(t, gotStore)) {
 				t.Errorf("restarted target holds %d rows unlike the uninterrupted run's %d", gotStore.Rows(), wantStore.Rows())

@@ -4,9 +4,10 @@ package endpoint
 // endpoint side). Every ExecuteTarget names a session="id", which gives
 // the delivery at-most-once semantics across reconnects:
 //
-//   - the shipment decoder commits chunks into a per-session instance map,
-//     guarded by the session's idempotency ledger, so chunks that survived
-//     a torn connection are kept and replays are dropped;
+//   - the shipment is sequenced, and the decoder commits its chunks into a
+//     per-session instance map behind the session ledger's chunk
+//     checkpoint, so chunks that survived a torn connection are kept and
+//     replays below the checkpoint are declined;
 //   - the target slice executes once; if the response was lost on the way
 //     back, a retried request replays the stored response instead of
 //     loading the backend twice;
@@ -118,8 +119,8 @@ func (e *Endpoint) targetSessionFor(id string) *targetSession {
 
 // decoder builds this delivery attempt's shipment decoder over the
 // session's accumulating instance map and tombstone set, with the ledger
-// plugged into the chunk-admission, record-dedup, and checkpoint hooks and,
-// on a durable endpoint, the journal as the Commit hook: a chunk applies
+// plugged into the chunk-admission and checkpoint hooks and, on a durable
+// endpoint, the journal as the Commit hook: a chunk applies
 // and checkpoints only once its frame's ticket resolves, so parsing
 // overlaps a group commit's fsync while the ack waits for it. Delivery
 // attempts for one session can overlap (a client that timed out retries
@@ -141,8 +142,7 @@ func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *c
 	}
 	d := wire.NewShipmentDecoderInto(sch, lookup, inbound)
 	d.CommitLock = &ts.mu
-	d.OnChunk = ts.ledger.AdmitChunk
-	d.KeepRecords = ts.ledger.KeepRecords
+	d.OnChunk = ts.admit
 	d.ChunkDone = ts.ledger.ChunkDone
 	d.Tombs = ts.tombs
 	if ts.j != nil {
@@ -151,18 +151,38 @@ func (ts *targetSession) decoder(sch *schema.Schema, lookup func(name string) *c
 	return d, nil
 }
 
+// admit is the session's chunk admission (the decoder's OnChunk). A
+// session delivery is sequenced, and an attempt starts at or below the
+// checkpoint: chunks between the checkpoint and a later first chunk never
+// arrived — the session was lost after the source probed it — and
+// checkpointing past them would report a shipment with holes as loaded.
+// Later chunks follow the first densely (the decoder's own rule), and may
+// run ahead of the checkpoint while earlier ones wait on their journal
+// tickets. Below the checkpoint, the ledger declines.
+func (ts *targetSession) admit(seq int64, first bool) (bool, error) {
+	if seq < 0 {
+		return false, fmt.Errorf("%w: a session delivery's chunks carry seqs", wire.ErrChunkOrder)
+	}
+	if first {
+		if next := ts.ledger.Checkpoint(); seq > next {
+			return false, fmt.Errorf("%w: delivery starts at chunk %d, past the session's checkpoint %d", wire.ErrChunkOrder, seq, next)
+		}
+	}
+	return ts.ledger.AdmitChunk(seq), nil
+}
+
 // hydrateLocked replays the chunks recovered from the journal into the
 // session's instance map and tombstone set through the wire package's one
 // chunk decoder, with the resumed request's schema and fragment
-// dictionary — the decode and the ledger dedup a received chunk gets, so
-// a recovered instance is indistinguishable from one that never crashed.
+// dictionary — the decode a received chunk gets, so a recovered instance
+// is indistinguishable from one that never crashed. The journal hands back
+// each seq once, and the restored checkpoint declines their replays.
 // Runs once, under ts.mu, on the first delivery attempt after a restart.
 func (ts *targetSession) hydrateLocked(sch *schema.Schema, lookup func(name string) *core.Fragment) error {
 	if len(ts.recovered) == 0 || ts.inbound == nil {
 		return ts.hydrateErr
 	}
 	d := wire.NewShipmentDecoderInto(sch, lookup, ts.inbound)
-	d.KeepRecords = ts.ledger.KeepRecords
 	d.Tombs = ts.tombs
 	for _, c := range ts.recovered {
 		if err := d.Replay(c.Key, c.Frag, c.Seq, c.Payload); err != nil {
@@ -175,7 +195,7 @@ func (ts *targetSession) hydrateLocked(sch *schema.Schema, lookup func(name stri
 }
 
 // respondSession runs once the request is fully consumed: execute once,
-// stamp the ledger's checkpoint and dedup count onto the response, and
+// stamp the ledger's checkpoint and declined count onto the response, and
 // replay the stored response on retries of a completed execution. Runs
 // under the commit lock (mu) so duplicate requests wait and then replay,
 // but never under stateMu — SessionStatus probes answer throughout.
@@ -234,9 +254,9 @@ func (t *targetScan) respondSession(w io.Writer) error {
 		t.e.storeDeltaBase(t.stream, t.epoch, t.session, run)
 	}
 	resp.SetAttr("checkpoint", strconv.FormatInt(ts.ledger.Checkpoint(), 10))
-	resp.SetAttr("deduped", strconv.FormatInt(ts.ledger.Deduped(), 10))
+	resp.SetAttr("declined", strconv.FormatInt(ts.ledger.Declined(), 10))
 	t.e.met.Counter("endpoint.session.executes").Inc()
-	t.e.met.Counter("endpoint.session.deduped").Add(ts.ledger.Deduped())
+	t.e.met.Counter("endpoint.session.declined").Add(ts.ledger.Declined())
 	// Publish the outcome before the winner's copy goes out: a response
 	// torn mid-write must leave its retry a stored copy to replay, not a
 	// second execution. The stored copy carries replayed="1" and is frozen.
@@ -296,7 +316,7 @@ func shareInstances(in map[string]*core.Instance) map[string]*core.Instance {
 
 // sessionStatus answers a SessionStatus probe: the chunk checkpoint a
 // resuming source should skip to, whether the target already executed, and
-// how many replayed records were deduped. Unknown sessions answer
+// how many replayed chunks were declined. Unknown sessions answer
 // known="0" with a zero checkpoint — a source that never reached the
 // target resumes from the start.
 func (e *Endpoint) sessionStatus(req *xmltree.Node) (*xmltree.Node, error) {
@@ -337,7 +357,7 @@ func (e *Endpoint) sessionStatus(req *xmltree.Node) (*xmltree.Node, error) {
 	if running {
 		resp.SetAttr("running", "1")
 	}
-	resp.SetAttr("deduped", strconv.FormatInt(ts.ledger.Deduped(), 10))
+	resp.SetAttr("declined", strconv.FormatInt(ts.ledger.Declined(), 10))
 	return resp, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -288,28 +289,151 @@ func TestExecuteTargetRefusesSeqGap(t *testing.T) {
 	fx, done := newSessionFixture(t)
 	defer done()
 	gapped := bytes.Replace(fx.wire, []byte(` seq="1"`), []byte(` seq="2"`), 1)
-	err := fx.client.CallStream("ExecuteTarget", func(w io.Writer) error {
-		io.WriteString(w, `<ExecuteTarget session="gap">`)
-		io.WriteString(w, fx.prog)
-		w.Write(gapped)
-		_, werr := io.WriteString(w, "</ExecuteTarget>")
-		return werr
-	}, &xmltree.TreeBuilder{})
-	var f *soap.Fault
-	if !errors.As(err, &f) || f.Code != "soap:Client" || !strings.Contains(f.String, wire.ErrChunkOrder.Error()) {
-		t.Fatalf("gapped delivery: err = %v, want a soap:Client fault naming the chunk order", err)
-	}
-	status := &xmltree.Node{Name: "SessionStatus"}
-	status.SetAttr("session", "gap")
-	st, err := fx.client.Call("SessionStatus", status)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := st.Attr("next"); v != "0" && v != "1" {
+	_, err := fx.deliver("gap", gapped)
+	wantChunkOrderFault(t, "gapped delivery", err)
+	if v, _ := fx.status(t, "gap").Attr("next"); v != "0" && v != "1" {
 		t.Errorf("checkpoint = %q after a gap after chunk 0, want at most 1", v)
 	}
 	if fx.store.Rows() != 0 {
 		t.Errorf("gapped delivery loaded %d rows", fx.store.Rows())
+	}
+}
+
+// deliver sends one complete ExecuteTarget for session, with body as its
+// shipment.
+func (fx *sessionFixture) deliver(session string, body []byte) (*xmltree.Node, error) {
+	tb := &xmltree.TreeBuilder{}
+	err := fx.client.CallStream("ExecuteTarget", func(w io.Writer) error {
+		io.WriteString(w, `<ExecuteTarget session="`+session+`">`)
+		io.WriteString(w, fx.prog)
+		_, werr := w.Write(body)
+		io.WriteString(w, "</ExecuteTarget>")
+		return werr
+	}, tb)
+	return tb.Root(), err
+}
+
+// chunkStart is the offset of the chunk element carrying seq in the
+// fixture's shipment.
+func (fx *sessionFixture) chunkStart(t *testing.T, seq int) int {
+	t.Helper()
+	at := bytes.Index(fx.wire, []byte(` seq="`+strconv.Itoa(seq)+`"`))
+	if at < 0 {
+		t.Fatalf("fixture has no chunk %d", seq)
+	}
+	return bytes.LastIndex(fx.wire[:at], []byte("<instance"))
+}
+
+// status probes a session's SessionStatus.
+func (fx *sessionFixture) status(t *testing.T, session string) *xmltree.Node {
+	t.Helper()
+	req := &xmltree.Node{Name: "SessionStatus"}
+	req.SetAttr("session", session)
+	st, err := fx.client.Call("SessionStatus", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// wantChunkOrderFault checks err is the soap:Client fault a target answers
+// a delivery whose chunk sequence it cannot checkpoint with.
+func wantChunkOrderFault(t *testing.T, what string, err error) {
+	t.Helper()
+	var f *soap.Fault
+	if !errors.As(err, &f) || f.Code != "soap:Client" || !strings.Contains(f.String, wire.ErrChunkOrder.Error()) {
+		t.Fatalf("%s: err = %v, want a soap:Client fault naming the chunk order", what, err)
+	}
+}
+
+// TestExecuteTargetRefusesUnsequencedChunk: a session delivery is
+// sequenced — the checkpoint is its only idempotency key, and a chunk
+// without a seq could neither be checkpointed nor declined on a replay —
+// so a chunk without one is refused with a soap:Client fault before its
+// records decode, and nothing loads.
+func TestExecuteTargetRefusesUnsequencedChunk(t *testing.T) {
+	fx, done := newSessionFixture(t)
+	defer done()
+	bare := regexp.MustCompile(` seq="[0-9]+"`).ReplaceAll(fx.wire, nil)
+	_, err := fx.deliver("bare", bare)
+	wantChunkOrderFault(t, "unsequenced delivery", err)
+	if v, _ := fx.status(t, "bare").Attr("next"); v != "0" {
+		t.Errorf("checkpoint = %q after an unsequenced delivery, want 0", v)
+	}
+	if fx.store.Rows() != 0 {
+		t.Errorf("unsequenced delivery loaded %d rows", fx.store.Rows())
+	}
+}
+
+// TestExecuteTargetRefusesStartPastCheckpoint: a delivery whose first
+// chunk lies above the session's checkpoint — the agency probed the
+// session, then the target lost it to an idle sweep or a memory-only
+// restart — would checkpoint past chunks that never arrived and load a
+// shipment with holes. The target refuses it with a soap:Client fault, so
+// the exchange fails instead of reporting success; a delivery from the
+// checkpoint then loads the source's rows.
+func TestExecuteTargetRefusesStartPastCheckpoint(t *testing.T) {
+	fx, done := newSessionFixture(t)
+	defer done()
+	late := append([]byte("<shipment>"), fx.wire[fx.chunkStart(t, 2):]...)
+	_, err := fx.deliver("lost", late)
+	wantChunkOrderFault(t, "delivery from chunk 2 into a fresh session", err)
+	if v, _ := fx.status(t, "lost").Attr("next"); v != "0" {
+		t.Errorf("checkpoint = %q after the refused delivery, want 0", v)
+	}
+	if fx.store.Rows() != 0 {
+		t.Fatalf("refused delivery loaded %d rows", fx.store.Rows())
+	}
+	resp, err := fx.deliver("lost", fx.wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := resp.Attr("checkpoint"); v != strconv.Itoa(fx.chunks) {
+		t.Errorf("checkpoint = %q, want %d", v, fx.chunks)
+	}
+	if fx.store.Rows() != fx.srcRows {
+		t.Errorf("target rows = %d, want %d", fx.store.Rows(), fx.srcRows)
+	}
+}
+
+// TestExecuteTargetDeclinesResentChunks: a delivery re-sent from chunk 0
+// after the session checkpointed k chunks has its first k declined —
+// counted once each on the response and the status probe — and the store
+// holds the source's rows once.
+func TestExecuteTargetDeclinesResentChunks(t *testing.T) {
+	fx, done := newSessionFixture(t)
+	defer done()
+	const k = 2
+	cut := fx.chunkStart(t, k)
+	torn := append(fx.wire[:cut:cut], "</shipment>"...)
+	err := fx.client.CallStream("ExecuteTarget", func(w io.Writer) error {
+		io.WriteString(w, `<ExecuteTarget session="resent">`)
+		io.WriteString(w, fx.prog)
+		w.Write(torn)
+		return errors.New("injected drop")
+	}, nil)
+	if err == nil {
+		t.Fatal("torn delivery reported success")
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, _ := fx.status(t, "resent").Attr("next"); v == strconv.Itoa(k) {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("checkpoint %q after the torn delivery, want %d", v, k)
+		}
+	}
+	resp, err := fx.deliver("resent", fx.wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := resp.Attr("declined"); v != strconv.Itoa(k) {
+		t.Errorf("response declined = %q, want %d", v, k)
+	}
+	if v, _ := fx.status(t, "resent").Attr("declined"); v != strconv.Itoa(k) {
+		t.Errorf("status declined = %q, want %d", v, k)
+	}
+	if fx.store.Rows() != fx.srcRows {
+		t.Errorf("target rows = %d, want the source's %d once", fx.store.Rows(), fx.srcRows)
 	}
 }
 

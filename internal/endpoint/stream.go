@@ -66,10 +66,7 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	if err != nil {
 		return err
 	}
-	codec, negotiated, err := e.pickCodec(env, req)
-	if err != nil {
-		return err
-	}
+	codec, negotiated := e.pickCodec(env)
 	if negotiated {
 		stampCodec(w, codec)
 	}
@@ -327,7 +324,7 @@ func (t *targetScan) programDone() error {
 	t.g, t.a = g, a
 	frags := g.FragmentsByName()
 	// Decode into the session's accumulating map, with the ledger guarding
-	// chunk admission and record dedup.
+	// chunk admission.
 	t.dec, err = t.ts.decoder(t.e.backend.Layout().Schema, func(name string) *core.Fragment { return frags[name] })
 	if err != nil {
 		return err

@@ -36,8 +36,8 @@ func BenchmarkSoapRoundTrip(b *testing.B) {
 // BenchmarkReliableExchangeDurable measures the durability tax on a full
 // reliable (session + chunked) exchange: the same clean-link run with no
 // journal, then with the target journaling every chunk commit under each
-// fsync policy. The spread between "none" and "always" is the fsync
-// overhead row of EXPERIMENTS.md.
+// fsync policy. The spread between "off" and "batch" is the fsync overhead
+// row of EXPERIMENTS.md.
 func BenchmarkReliableExchangeDurable(b *testing.B) {
 	cfg := &reliable.Config{
 		Seed:      1,
@@ -72,9 +72,8 @@ func BenchmarkReliableExchangeDurable(b *testing.B) {
 	}
 	b.Run("none", func(b *testing.B) { run(b, false, durable.FsyncOff) })
 	b.Run("off", func(b *testing.B) { run(b, true, durable.FsyncOff) })
-	b.Run("always", func(b *testing.B) { run(b, true, durable.FsyncAlways) })
-	// batch is group commit: always-equivalent durability (every acked
-	// chunk fsynced) with the syncs coalesced and overlapped with parse.
+	// batch is group commit: every acked chunk fsynced, with the syncs
+	// coalesced and overlapped with parse.
 	b.Run("batch", func(b *testing.B) { run(b, true, durable.FsyncBatch) })
 }
 

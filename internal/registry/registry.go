@@ -450,9 +450,10 @@ type Report struct {
 	// Resumes counts target deliveries that resumed from a positive chunk
 	// checkpoint instead of restarting the shipment.
 	Resumes int
-	// DedupedRecords is how many replayed records the target's idempotency
-	// ledger dropped across resumed deliveries.
-	DedupedRecords int64
+	// DeclinedChunks is how many replayed chunks the target's session
+	// ledger skipped as already committed — zero unless a resumed delivery
+	// restarted below the target's checkpoint.
+	DeclinedChunks int64
 	// Delta reports whether the delivery actually ran in delta mode (a
 	// requested delta falls back to a full re-ship when the target's base
 	// or the source's reconciliation index is cold, or the fragmentation

@@ -392,8 +392,8 @@ func TestRelayResumesFromCheckpoint(t *testing.T) {
 	if !bytes.HasSuffix(full, resumed[len("<shipment>"):]) {
 		t.Error("resumed delivery is not the tail of the source's shipment")
 	}
-	if rep.DedupedRecords != 0 {
-		t.Errorf("%d records re-sent below the checkpoint", rep.DedupedRecords)
+	if rep.DeclinedChunks != 0 {
+		t.Errorf("%d chunks re-sent below the checkpoint", rep.DeclinedChunks)
 	}
 	if min, max := int64(len(resumed)), int64(len(full)+len(resumed)); rep.WireBytes <= min || rep.WireBytes > max {
 		t.Errorf("WireBytes = %d, want the torn attempt's bytes on top of %d (at most %d)", rep.WireBytes, min, max)

@@ -9,8 +9,8 @@ package registry
 //   - the target delivery is a resumable session: the shipment travels as
 //     seq-numbered chunks, a torn delivery is resumed from the chunk
 //     checkpoint the target acked via SessionStatus, and the target's
-//     ledger dedups any overlap, so the loaded instances are byte-identical
-//     to a fault-free run;
+//     ledger declines any chunk it already holds, so the loaded instances
+//     are byte-identical to a fault-free run;
 //   - every attempt passes the endpoint's circuit breaker, and the whole
 //     exchange shares one retry budget and deadline;
 //   - a delta exchange adds attributes, not a path: the target names the
@@ -88,9 +88,6 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	log := obs.OrNop(opts.Logger)
 
 	reqS := &xmltree.Node{Name: "ExecuteSource"}
-	if opts.Codec != "" {
-		reqS.SetAttr("codec", opts.Codec)
-	}
 	if opts.Filter != "" {
 		reqS.SetAttr("filter", opts.Filter)
 	}
@@ -293,8 +290,8 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	if v, ok := respT.Attr("indexMillis"); ok {
 		report.IndexTime = endpoint.ParseMillis(v)
 	}
-	if v, ok := respT.Attr("deduped"); ok {
-		report.DedupedRecords, _ = strconv.ParseInt(v, 10, 64)
+	if v, ok := respT.Attr("declined"); ok {
+		report.DeclinedChunks, _ = strconv.ParseInt(v, 10, 64)
 	}
 	return report, nil
 }
@@ -353,10 +350,10 @@ func endSessionReq(id string) *xmltree.Node {
 // even when it is lower than what a previous attempt acked: a target
 // that lost the session in between (idle sweep, endpoint restart)
 // answers known="0" with a zero checkpoint, and resending chunks it
-// already committed is safe (AdmitChunk and the record ledger dedup),
-// whereas skipping chunks a reset ledger never saw would silently drop
-// records while the exchange reports success. A failed or unparsable
-// probe resumes from zero for the same reason.
+// already committed is safe (its ledger declines them), whereas skipping
+// chunks a reset ledger never saw would drop records — which is why a
+// target refuses a delivery that starts past its checkpoint. A failed or
+// unparsable probe resumes from zero for the same reason.
 func resumePoint(st *xmltree.Node, err error) int64 {
 	if err != nil || st == nil {
 		return 0

@@ -273,9 +273,9 @@ func TestReliableExchangeFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Retries != 0 || rep.Resumes != 0 || rep.DedupedRecords != 0 {
-		t.Errorf("clean link produced retries=%d resumes=%d deduped=%d",
-			rep.Retries, rep.Resumes, rep.DedupedRecords)
+	if rep.Retries != 0 || rep.Resumes != 0 || rep.DeclinedChunks != 0 {
+		t.Errorf("clean link produced retries=%d resumes=%d declined=%d",
+			rep.Retries, rep.Resumes, rep.DeclinedChunks)
 	}
 	if rep.WireBytes <= 0 {
 		t.Error("no bytes metered")

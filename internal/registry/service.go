@@ -309,7 +309,7 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	resp.SetAttr("service", service)
 	resp.SetAttr("retries", strconv.Itoa(report.Retries))
 	resp.SetAttr("resumes", strconv.Itoa(report.Resumes))
-	resp.SetAttr("deduped", strconv.FormatInt(report.DedupedRecords, 10))
+	resp.SetAttr("declined", strconv.FormatInt(report.DeclinedChunks, 10))
 	if delta {
 		d := "0"
 		if report.Delta {

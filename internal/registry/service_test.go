@@ -102,7 +102,7 @@ func TestServicePlanAndExchange(t *testing.T) {
 		}
 	}
 	// The retry accounting is part of every response, not only retried ones.
-	for _, attr := range []string{"retries", "resumes", "deduped"} {
+	for _, attr := range []string{"retries", "resumes", "declined"} {
 		if v, _ := exResp.Attr(attr); v != "0" {
 			t.Errorf("%s = %q, want 0 on a clean single-attempt exchange", attr, v)
 		}

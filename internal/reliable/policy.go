@@ -11,9 +11,8 @@
 //   - per-endpoint circuit breakers (Breaker/BreakerSet) with the classic
 //     closed/open/half-open lifecycle;
 //   - resumable shipment sessions (Session/SessionStore/Ledger): the
-//     target acks per-chunk checkpoints and keeps an idempotency ledger
-//     keyed by (session, edge, record ID), so a reconnecting source
-//     resumes from the last acked chunk and replayed records dedup.
+//     target acks per-chunk checkpoints, so a reconnecting source resumes
+//     from the last acked chunk and a chunk replayed below it is declined.
 //
 // The soap, wire, endpoint, and registry layers wire these together; see
 // registry.ExecOptions.Reliability.

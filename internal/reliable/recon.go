@@ -2,9 +2,10 @@ package reliable
 
 // Delta-exchange reconciliation. A source endpoint keeps, per exchange
 // stream, a record-level index of the shipments it rendered: for every
-// cross-edge instance, the record IDs (the same IDs the target Ledger
-// dedups on) and their content hashes as columns in shipment order, filed
-// under the session id of the delivery that carried it. A repeat exchange
+// cross-edge instance, the record IDs (the IDs by which a delta's
+// tombstones and re-shipped records replace records at the target) and
+// their content hashes as columns in shipment order, filed under the
+// session id of the delivery that carried it. A repeat exchange
 // names the session whose snapshot the target holds; the source diffs its
 // fresh shipment against exactly that entry, in the same pass that hashes
 // it, and ships only added or changed records, plus tombstones for IDs

@@ -1,16 +1,13 @@
 package reliable
 
 // Resumable shipment sessions. A cross-edge shipment travels as a sequence
-// of <instance> chunks (cut by the source's ShipmentWriter.SetChunk, or by
-// ChunkShipment's re-batching of a materialized map). Each exchange
-// transfer gets a session ID; the
-// target keeps a Ledger per session that (a) checkpoints the highest
-// contiguously received chunk — the ack a reconnecting source resumes
-// from — and (b) remembers every (edge, record ID) pair it committed, so
-// records replayed by an overlapping resume dedup instead of doubling.
-// Each edge's ID set files the records' own ID strings in a pointer-free
-// hash table: it pins those strings and never a node, so a session's
-// ledger holds nothing the session does not already hold.
+// of seq-numbered <instance> chunks (cut by the source's
+// ShipmentWriter.SetChunk, or by ChunkShipment's re-batching of a
+// materialized map). Each exchange transfer gets a session ID; the target
+// keeps a Ledger per session that checkpoints the highest contiguously
+// received chunk — the ack a reconnecting source resumes from, and the
+// session's one idempotency key: a chunk below it was already committed,
+// so a replay of it is declined wholesale instead of doubling its records.
 
 import (
 	"fmt"
@@ -20,86 +17,40 @@ import (
 	"time"
 
 	"xdx/internal/core"
-	"xdx/internal/hashtab"
 	"xdx/internal/xmltree"
 )
 
-// Ledger is the target-side idempotency state of one shipment session.
-// Its methods match the wire.ShipmentDecoder hooks (AdmitChunk/KeepRecords/
-// ChunkDone), so an endpoint plugs a ledger straight into the decoder.
+// Ledger is the target-side idempotency state of one shipment session: the
+// chunk checkpoint and how many replayed chunks it declined.
 type Ledger struct {
-	mu      sync.Mutex
-	next    int64 // lowest chunk seq not yet fully received
-	edges   hashtab.Table
-	seen    []idSet // per edge, filed by edges
-	deduped int64
-}
-
-// idSet is the record IDs one edge committed, filed by tab.
-type idSet struct {
-	edge string
-	tab  hashtab.Table
-	ids  []string
+	mu       sync.Mutex
+	next     int64 // lowest chunk seq not yet fully received
+	declined int64
 }
 
 // NewLedger returns an empty ledger expecting chunk 0.
 func NewLedger() *Ledger { return &Ledger{} }
 
 // AdmitChunk reports whether a chunk with this seq should be consumed:
-// chunks below the checkpoint were already committed and are skipped
-// wholesale. Chunks without a seq (-1) are always admitted — they carry
-// their own record-level dedup.
+// chunks below the checkpoint were already committed, so they are skipped
+// wholesale and counted as declined.
 func (l *Ledger) AdmitChunk(seq int64) bool {
-	if seq < 0 {
-		return true
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return seq >= l.next
+	if seq < l.next {
+		l.declined++
+		return false
+	}
+	return true
 }
 
 // ChunkDone advances the checkpoint past a fully received chunk.
 func (l *Ledger) ChunkDone(seq int64) {
-	if seq < 0 {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if seq >= l.next {
 		l.next = seq + 1
 	}
-}
-
-// KeepRecords implements record-level idempotency for one chunk: the first
-// time an (edge, ID) pair is committed it is remembered and kept; replays
-// are dropped and counted. Records without IDs pass through — the chunk
-// checkpoint already covers them. It filters recs in place and returns the
-// kept prefix, deciding the whole chunk under one lock and one lookup of
-// the edge's ID set (the caller holds the session's commit lock meanwhile).
-func (l *Ledger) KeepRecords(edge string, recs []*xmltree.Node) []*xmltree.Node {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	h := hashtab.Hash(edge)
-	e := l.edges.Find(h, func(p int) bool { return l.seen[p].edge == edge })
-	if e < 0 {
-		e = l.edges.Add(h, func(p int) uint64 { return hashtab.Hash(l.seen[p].edge) })
-		l.seen = hashtab.Append(l.seen, idSet{edge: edge})
-	}
-	s := &l.seen[e]
-	kept := recs[:0]
-	for _, rec := range recs {
-		if rec.ID != "" {
-			hid := hashtab.Hash(rec.ID)
-			if s.tab.Find(hid, func(p int) bool { return s.ids[p] == rec.ID }) >= 0 {
-				l.deduped++
-				continue
-			}
-			s.tab.Add(hid, func(p int) uint64 { return hashtab.Hash(s.ids[p]) })
-			s.ids = hashtab.Append(s.ids, rec.ID)
-		}
-		kept = append(kept, rec)
-	}
-	return kept
 }
 
 // Restore seeds the chunk checkpoint from recovered durable state. It is
@@ -121,11 +72,11 @@ func (l *Ledger) Checkpoint() int64 {
 	return l.next
 }
 
-// Deduped returns how many replayed records the ledger dropped.
-func (l *Ledger) Deduped() int64 {
+// Declined returns how many replayed chunks the ledger skipped.
+func (l *Ledger) Declined() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.deduped
+	return l.declined
 }
 
 // Session is one resumable transfer tracked by a SessionStore. Owners

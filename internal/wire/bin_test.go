@@ -158,7 +158,7 @@ func TestBinChunkSeqAndResume(t *testing.T) {
 		}
 
 		d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
-		d.OnChunk = func(seq int64) bool { return seq != 0 }
+		d.OnChunk = func(seq int64, _ bool) (bool, error) { return seq != 0, nil }
 		var seqs []int64
 		d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
 		if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d); err != nil {

@@ -172,7 +172,7 @@ func TestDeltaTombstonesAdmission(t *testing.T) {
 	buf, newDec := deltaShipment(t)
 	d := newDec()
 	// Checkpoint already past every chunk: nothing may commit.
-	d.OnChunk = func(seq int64) bool { return seq >= 3 }
+	d.OnChunk = func(seq int64, _ bool) (bool, error) { return seq >= 3, nil }
 	d.ChunkDone = func(s int64) { t.Fatalf("ChunkDone(%d) for declined chunk", s) }
 	if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d); err != nil {
 		t.Fatal(err)

@@ -16,8 +16,8 @@ package wire
 // Decode: the pool parses raw-payload (bin) chunks while the
 // scanner races ahead; parsed chunks commit strictly in stream order on
 // the scanner's goroutine, so every decoder hook — OnChunk and its
-// under-lock recheck, Commit and its tickets, KeepRecords, ChunkDone,
-// CommitLock — and chunk-atomic staging see chunks one at a time, in
+// under-lock rechecks, Commit and its tickets, ChunkDone, CommitLock —
+// and chunk-atomic staging see chunks one at a time, in
 // order. Tagged-XML chunks build their trees on the scanner goroutine and
 // drain the parse queue before committing.
 //

@@ -27,8 +27,9 @@ var ErrChunkTooLarge = errors.New("wire: shipment chunk exceeds the chunk size l
 
 // ErrChunkOrder reports a shipment whose chunks are not sequenced densely
 // in stream order, which a resumable delivery depends on: a Relay wants
-// seqs from 0, and a ShipmentDecoder wants every chunk after a sequenced
-// one to carry the next seq.
+// seqs from 0, a ShipmentDecoder wants every chunk after a sequenced one
+// to carry the next seq, and a target session wants every chunk sequenced
+// from at most its checkpoint.
 var ErrChunkOrder = errors.New("wire: shipment chunks are not sequenced densely")
 
 // ErrChunkFormat reports a chunk whose format attribute names no codec

@@ -401,8 +401,8 @@ type Payload struct {
 
 // Chunk is one chunk at its commit: the cross-edge key, the fragment (nil
 // for tombstones), the seq (-1 when unsequenced), the decoded records as
-// they arrived, before KeepRecords dedup — or a tombstone chunk's deleted
-// record IDs — and the payload.
+// they arrived — or a tombstone chunk's deleted record IDs — and the
+// payload.
 type Chunk struct {
 	Key  string
 	Frag *core.Fragment
@@ -444,24 +444,23 @@ type ShipmentDecoder struct {
 	sch    *schema.Schema
 	lookup func(name string) *core.Fragment
 
-	// OnChunk, when set, is consulted as each chunk opens with the chunk's
-	// seq attribute (-1 when unsequenced). Returning false skips the whole
-	// chunk — the resume path of a shipment session declines chunks below
-	// the target's checkpoint without parsing their records.
-	OnChunk func(seq int64) bool
-	// KeepRecords, when set, filters each chunk's records as it applies,
-	// in place: it returns the prefix of recs that holds the records to
-	// keep, in order. The reliable ledger plugs in here to drop replayed
-	// records by (edge, ID), once per chunk rather than once per record.
-	KeepRecords func(edge string, recs []*xmltree.Node) []*xmltree.Node
+	// OnChunk, when set, admits each chunk by its seq attribute (-1 when
+	// unsequenced). It is consulted as the chunk opens, before any of its
+	// records decode — first is set until a chunk has carried a seq, so on
+	// a sequenced shipment for its first chunk only — and again under
+	// CommitLock at commit and at apply, with first unset. Returning false
+	// skips the whole chunk: the resume path of a shipment session declines
+	// chunks below the target's checkpoint without parsing their records.
+	// An error refuses the chunk and fails the shipment.
+	OnChunk func(seq int64, first bool) (bool, error)
 	// ChunkDone, when set, fires after a chunk applies — the moment it is
 	// safe to checkpoint its seq.
 	ChunkDone func(seq int64)
 	// Commit, when set, makes each chunk durable before it applies: it gets
 	// the chunk — records or tombstone IDs, and the payload as it arrived —
 	// and returns its durability ticket (nil, or already resolved, when
-	// the commit is durable on return). The chunk applies — KeepRecords,
-	// records into the instance map or IDs into Tombs, ChunkDone — once the
+	// the commit is durable on return). The chunk applies — records into
+	// the instance map or IDs into Tombs, then ChunkDone — once the
 	// ticket resolves, in commit order, so the scanner parses on while a
 	// group commit's fsync is in flight and the checkpoint only ever covers
 	// durable chunks. The shipment reads complete only when every ticket
@@ -477,7 +476,7 @@ type ShipmentDecoder struct {
 	// each other and against the executing target. Under the lock the
 	// chunk's admission is re-checked via OnChunk, at commit and again at
 	// apply: a chunk another attempt applied meanwhile is dropped
-	// wholesale, which keeps records exactly-once even when they carry no
+	// wholesale, which keeps records exactly-once whether or not they carry
 	// IDs.
 	CommitLock sync.Locker
 	// Tombs collects, per edge key, the tombstoned record IDs of a delta
@@ -608,9 +607,10 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 		}
 		// Once a chunk carried a seq, every later one — declined or not —
 		// must carry the next: a gap would let the checkpoint skip a chunk
-		// that never arrived. The first may start anywhere, as a resumed
-		// delivery starts at the checkpoint.
-		if d.nextSeq >= 0 && seq != d.nextSeq {
+		// that never arrived. Where the first may start is OnChunk's call,
+		// as a resumed delivery starts at the checkpoint.
+		first := d.nextSeq < 0
+		if !first && seq != d.nextSeq {
 			return ErrChunkOrder
 		}
 		if seq >= 0 {
@@ -621,12 +621,18 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 		if format != "" && format != CodecXML && format != CodecBin {
 			return fmt.Errorf("%w %q", ErrChunkFormat, format)
 		}
-		if d.OnChunk != nil && !d.OnChunk(seq) {
-			// Chunk declined (already checkpointed on a prior attempt):
-			// skip its whole subtree without parsing records.
-			d.depth--
-			d.skip = 1
-			return nil
+		if d.OnChunk != nil {
+			ok, err := d.OnChunk(seq, first)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				// Chunk declined (already checkpointed on a prior attempt):
+				// skip its whole subtree without parsing records.
+				d.depth--
+				d.skip = 1
+				return nil
+			}
 		}
 		if tomb {
 			d.stageKey, d.stageSeq, d.stageTomb = key, seq, true
@@ -807,8 +813,11 @@ func parseRawChunk(text []byte, enc string, sch *schema.Schema) ([]*xmltree.Node
 
 // admit re-checks a chunk's admission under CommitLock: a concurrent
 // delivery attempt may have applied it since it opened.
-func (d *ShipmentDecoder) admit(seq int64) bool {
-	return seq < 0 || d.OnChunk == nil || d.OnChunk(seq)
+func (d *ShipmentDecoder) admit(seq int64) (bool, error) {
+	if d.OnChunk == nil {
+		return true, nil
+	}
+	return d.OnChunk(seq, false)
 }
 
 // commit takes one parsed chunk under CommitLock: applied on the spot, or
@@ -818,8 +827,8 @@ func (d *ShipmentDecoder) commit(c *Chunk) error {
 		d.CommitLock.Lock()
 		defer d.CommitLock.Unlock()
 	}
-	if !d.admit(c.Seq) {
-		return nil
+	if ok, err := d.admit(c.Seq); !ok {
+		return err
 	}
 	if d.Commit == nil {
 		d.apply(c)
@@ -855,7 +864,11 @@ func (d *ShipmentDecoder) settle(max int) error {
 		c := q.c
 		*q = queuedCommit{}
 		d.qhead++
-		if d.admit(c.Seq) {
+		ok, err := d.admit(c.Seq)
+		if err != nil {
+			return err
+		}
+		if ok {
 			d.apply(&c)
 		}
 	}
@@ -875,9 +888,9 @@ func (d *ShipmentDecoder) settleAll() error {
 	return d.settle(0)
 }
 
-// apply moves one chunk into the decoder's state: KeepRecords filters
-// replays and the kept records join their instance, or the tombstoned IDs
-// join Tombs; ChunkDone marks the seq checkpointable.
+// apply moves one chunk into the decoder's state: its records join their
+// instance, or its tombstoned IDs join Tombs; ChunkDone marks the seq
+// checkpointable.
 func (d *ShipmentDecoder) apply(c *Chunk) {
 	if c.Format == FormatTombstones {
 		if d.Tombs == nil {
@@ -885,12 +898,8 @@ func (d *ShipmentDecoder) apply(c *Chunk) {
 		}
 		d.Tombs[c.Key] = append(d.Tombs[c.Key], c.IDs...)
 	} else {
-		recs := c.Recs
-		if d.KeepRecords != nil {
-			recs = d.KeepRecords(c.Key, recs)
-		}
 		in := d.instanceFor(c.Key, c.Frag)
-		in.Records = append(in.Records, recs...)
+		in.Records = append(in.Records, c.Recs...)
 	}
 	if d.ChunkDone != nil {
 		d.ChunkDone(c.Seq)
@@ -899,7 +908,7 @@ func (d *ShipmentDecoder) apply(c *Chunk) {
 
 // Replay commits one chunk from its payload at rest — a journaled chunk
 // restored after a restart — down the path a received chunk takes: the
-// same codecs, the same staging limits, admission, KeepRecords and hooks.
+// same codecs, the same staging limits, admission and hooks.
 // frag names the chunk's fragment in the decoder's lookup (tombstone
 // chunks have none).
 func (d *ShipmentDecoder) Replay(key, frag string, seq int64, p Payload) error {

@@ -504,7 +504,7 @@ func TestDecoderOnChunkSkips(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
-	d.OnChunk = func(seq int64) bool { return seq >= 1 }
+	d.OnChunk = func(seq int64, _ bool) (bool, error) { return seq >= 1, nil }
 	var seqs []int64
 	d.ChunkDone = func(s int64) { seqs = append(seqs, s) }
 	if err := xmltree.ScanAttrs(&buf, d); err != nil {
@@ -523,11 +523,48 @@ func TestDecoderOnChunkSkips(t *testing.T) {
 	}
 }
 
+// TestDecoderOnChunkFirstAndRefusal: OnChunk learns which chunk opens the
+// shipment — only the first, on its open and not on the re-check — and an
+// error it returns fails the shipment before that chunk's records decode.
+func TestDecoderOnChunkFirstAndRefusal(t *testing.T) {
+	sch, f, rec := chunkFixture(t)
+	var buf bytes.Buffer
+	sw := NewShipmentWriterCodec(&buf, sch, Codec{})
+	sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, 4)
+	sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f2", "i2", "voicemail")}, 5)
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var calls []string
+	d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
+	d.OnChunk = func(seq int64, first bool) (bool, error) {
+		calls = append(calls, fmt.Sprint(seq, first))
+		return true, nil
+	}
+	if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(calls, " "); got != "4 true 4 false 5 false 5 false" {
+		t.Fatalf("OnChunk calls %q: want each chunk's open and commit, first only on chunk 4's open", got)
+	}
+
+	refused := errors.New("refused")
+	d = NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
+	d.OnChunk = func(seq int64, first bool) (bool, error) { return false, refused }
+	if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d); !errors.Is(err, refused) {
+		t.Fatalf("err = %v, want the OnChunk refusal", err)
+	}
+	if len(d.out) != 0 {
+		t.Fatalf("refused chunk decoded: %+v", d.out)
+	}
+}
+
 // TestDecoderRefusesSeqGap: once a shipment carried a seq, every later
 // chunk — declined, tombstone or not — must carry the next one, and a seq
-// must parse; the first may start anywhere, as a resume starts at the
-// checkpoint. A gap is refused before the chunk after it can advance the
-// checkpoint past the chunk that never arrived.
+// must parse; where the first may start is OnChunk's call (none is set
+// here), as a resume starts at the checkpoint. A gap is refused before the
+// chunk after it can advance the checkpoint past the chunk that never
+// arrived.
 func TestDecoderRefusesSeqGap(t *testing.T) {
 	sch, f, _ := chunkFixture(t)
 	chunk := func(seq string) string {
@@ -567,7 +604,7 @@ func TestDecoderRefusesSeqGap(t *testing.T) {
 	// A declined chunk counts too: the resume path skips seq 0 and 1 and
 	// must still see 2 next.
 	d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
-	d.OnChunk = func(seq int64) bool { return seq >= 2 }
+	d.OnChunk = func(seq int64, _ bool) (bool, error) { return seq >= 2, nil }
 	err := xmltree.ScanAttrs(strings.NewReader(`<shipment>`+chunk("0")+chunk("1")+chunk("3")+`</shipment>`), d)
 	if !errors.Is(err, ErrChunkOrder) {
 		t.Errorf("gap after declined chunks: err = %v, want ErrChunkOrder", err)
@@ -736,9 +773,9 @@ func TestDecodeTaggedAllocatesPerChunk(t *testing.T) {
 }
 
 // Replay reads a chunk back from its payload at rest through the receive
-// path: every format decodes to the records a live shipment delivers, the
-// ledger-shaped KeepRecords dedups across replayed chunks, and tombstone
-// bodies land in Tombs.
+// path: every format decodes to the records a live shipment delivers, a
+// replay of a checkpointed seq is declined by chunk admission, and
+// tombstone bodies land in Tombs.
 func TestDecoderReplayPayloads(t *testing.T) {
 	sch, f, rec := chunkFixture(t)
 	recs := []*xmltree.Node{rec("f1", "i1", "callerID"), rec("f2", "i2", "voicemail")}
@@ -754,26 +791,28 @@ func TestDecoderReplayPayloads(t *testing.T) {
 	if err := writeBinChunk(&binText, recs, sch, true); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	dups := 0
+	next, declined := int64(0), 0
 	d := NewShipmentDecoder(sch, lookup)
-	d.KeepRecords = func(_ string, in []*xmltree.Node) []*xmltree.Node {
-		kept := in[:0]
-		for _, r := range in {
-			if seen[r.ID] {
-				dups++
-				continue
-			}
-			seen[r.ID] = true
-			kept = append(kept, r)
+	d.OnChunk = func(seq int64, _ bool) (bool, error) {
+		if seq < next {
+			declined++
+			return false, nil
 		}
-		return kept
+		return true, nil
 	}
-	if err := d.Replay("0:feat", "feat", 0, Payload{Format: CodecXML, Bytes: body(func(bw *bufio.Writer) { WriteRecords(bw, recs) })}); err != nil {
+	d.ChunkDone = func(seq int64) { next = seq + 1 }
+	xmlBody := Payload{Format: CodecXML, Bytes: body(func(bw *bufio.Writer) { WriteRecords(bw, recs) })}
+	binBody := Payload{Format: CodecBin, Enc: "flate", Bytes: binText.Bytes()}
+	if err := d.Replay("0:feat", "feat", 0, xmlBody); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Replay("0:feat", "feat", 1, Payload{Format: CodecBin, Enc: "flate", Bytes: binText.Bytes()}); err != nil {
+	if err := d.Replay("1:feat", "feat", 1, binBody); err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range []Payload{xmlBody, binBody} {
+		if err := d.Replay("0:feat", "feat", 0, p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := d.Replay("0:feat", "", 2, Payload{Format: FormatTombstones, Bytes: body(func(bw *bufio.Writer) { WriteTombstoneIDs(bw, []string{"f1"}) })}); err != nil {
 		t.Fatal(err)
@@ -781,9 +820,8 @@ func TestDecoderReplayPayloads(t *testing.T) {
 	if err := d.Replay("0:feat", "nope", 3, Payload{Format: "yaml"}); err == nil {
 		t.Fatal("unknown format replayed")
 	}
-	in := d.out["0:feat"]
-	if in == nil || len(in.Records) != 2 || dups != 2 {
-		t.Fatalf("replayed %v records with %d dedups, want 2 and 2", in, dups)
+	if declined != 2 || next != 3 {
+		t.Fatalf("replays of chunk 0: %d declined, checkpoint %d; want 2 and 3", declined, next)
 	}
 	var ship bytes.Buffer
 	if err := StreamShipmentCodec(&ship, map[string]*core.Instance{"0:feat": {Frag: f, Records: recs}}, sch, Codec{}); err != nil {
@@ -793,53 +831,19 @@ func TestDecoderReplayPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range live["0:feat"].Records {
-		if !xmltree.Equal(in.Records[i], want) {
-			t.Fatalf("record %d replays differently from a live shipment", i)
+	for _, key := range []string{"0:feat", "1:feat"} {
+		in := d.out[key]
+		if in == nil || len(in.Records) != len(recs) {
+			t.Fatalf("%s replayed as %v, want %d records", key, in, len(recs))
+		}
+		for i, want := range live["0:feat"].Records {
+			if !xmltree.Equal(in.Records[i], want) {
+				t.Fatalf("%s: record %d replays differently from a live shipment", key, i)
+			}
 		}
 	}
 	if ids := d.Tombs["0:feat"]; len(ids) != 1 || ids[0] != "f1" {
 		t.Fatalf("tombstones replayed as %v", d.Tombs)
-	}
-}
-
-// TestDecoderKeepRecordsDedup checks record-level idempotency: decoding the
-// same delivery twice into one shared map keeps each record once when
-// KeepRecords filters by (edge, ID), the ledger's key.
-func TestDecoderKeepRecordsDedup(t *testing.T) {
-	sch, f, rec := chunkFixture(t)
-	var buf bytes.Buffer
-	sw := NewShipmentWriterCodec(&buf, sch, Codec{})
-	sw.EmitChunk("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID"), rec("f2", "i2", "voicemail")}, 0)
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wireBytes := buf.Bytes()
-
-	out := map[string]*core.Instance{}
-	seen := map[string]bool{}
-	keep := func(edge string, recs []*xmltree.Node) []*xmltree.Node {
-		kept := recs[:0]
-		for _, r := range recs {
-			if k := edge + "\x00" + r.ID; !seen[k] {
-				seen[k] = true
-				kept = append(kept, r)
-			}
-		}
-		return kept
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		d := NewShipmentDecoderInto(sch, func(string) *core.Fragment { return f }, out)
-		d.KeepRecords = keep
-		if err := xmltree.ScanAttrs(bytes.NewReader(wireBytes), d); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Result(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if in := out["0:feat"]; in == nil || len(in.Records) != 2 {
-		t.Fatalf("replayed delivery duplicated records: %+v", out["0:feat"])
 	}
 }
 
@@ -869,7 +873,7 @@ func TestDecoderTornChunkIsAtomic(t *testing.T) {
 	out := map[string]*core.Instance{}
 	next := int64(0)
 	hooks := func(d *ShipmentDecoder) {
-		d.OnChunk = func(seq int64) bool { return seq < 0 || seq >= next }
+		d.OnChunk = func(seq int64, _ bool) (bool, error) { return seq >= next, nil }
 		d.ChunkDone = func(seq int64) {
 			if seq >= next {
 				next = seq + 1
@@ -928,9 +932,9 @@ func (y yieldReader) Read(p []byte) (int, error) {
 // client retry racing a straggler whose torn connection is still draining.
 // CommitLock serializes the commits (this test is the -race coverage for
 // that), and the commit-time admission re-check keeps every chunk exactly
-// once. The records here carry no IDs on purpose: KeepRecords passes ID-less
-// records through, so the re-check under the lock is the only thing
-// standing between an overlapping attempt and duplicated records.
+// once. The records carry no IDs, so nothing but the chunk checkpoint tells
+// an overlapping attempt's copy of a record from a new one; the ledger
+// counts every copy it declined, once.
 func TestDecoderConcurrentAttemptsExactlyOnce(t *testing.T) {
 	sch, f, _ := chunkFixture(t)
 	const chunks = 64
@@ -964,8 +968,7 @@ func TestDecoderConcurrentAttemptsExactlyOnce(t *testing.T) {
 			defer wg.Done()
 			d := NewShipmentDecoderInto(sch, func(string) *core.Fragment { return f }, out)
 			d.CommitLock = &commit
-			d.OnChunk = led.AdmitChunk
-			d.KeepRecords = led.KeepRecords
+			d.OnChunk = func(seq int64, _ bool) (bool, error) { return led.AdmitChunk(seq), nil }
 			d.ChunkDone = led.ChunkDone
 			// The start gate plus yield-per-byte reads keep all eight
 			// attempts mid-shipment at once; a plain reader (on a small
@@ -986,6 +989,9 @@ func TestDecoderConcurrentAttemptsExactlyOnce(t *testing.T) {
 
 	if got := led.Checkpoint(); got != chunks {
 		t.Fatalf("checkpoint = %d, want %d", got, chunks)
+	}
+	if got := led.Declined(); got != 7*chunks {
+		t.Fatalf("declined = %d, want %d: every attempt but one declines each chunk once", got, 7*chunks)
 	}
 	seen := map[string]bool{}
 	total := 0

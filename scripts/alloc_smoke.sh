@@ -15,7 +15,9 @@
 # slab and whose decoder stages each chunk in an arena-carved slice; the
 # fourth is the only snapshot benchmark that crosses the
 # agency, so the only one that sees what its chunk relay allocates per
-# chunk; the fifth is 1,600 attaches each under a parent of its own, whose
+# chunk, and the only one through a journaled target's commit path — its
+# bytes are gated too, so per-record idempotency state cannot creep back
+# into a chunk commit; the fifth is 1,600 attaches each under a parent of its own, whose
 # kid slices grow out of the joiner's arena (the k-Combines-into-one-root
 # rows amortise a per-attach allocation away and would not see it); the
 # sixth is xmltree.Parse of a 500 KB XMark document, the tree reader behind
@@ -61,11 +63,16 @@ cd "$(dirname "$0")/.."
 # reconciliation one pass over per-edge columns: DiffShipment's loop body
 # run at 6e8b360 (HashShipment, then the map-based DiffShipment, as the
 # source ran them per exchange) read 740 allocs/op and 7095776-7095781
-# B/op at 3x, and reads 239 and 2231280-2231285.
+# B/op at 3x, and reads 239 and 2231280-2231285. "one-commit" is the
+# commit that follows 553ed7d and makes the chunk checkpoint the target's
+# only idempotency key: ReliableExchangeDurable/batch read 6561-6591
+# allocs/op and 1998832-2159336 B/op at 553ed7d on 2 CPUs, and reads
+# 6430-6449 and 1899736-2125978.
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
 SHIPMENT_CODEC_STREAM=212            # slab-scan, 20x
 RELIABLE_EXCHANGE_DURABLE_BATCH=6635 # slab-scan
+RELIABLE_EXCHANGE_DURABLE_BATCH_BYTES=2125978 # one-commit
 CHAINED_COMBINE_SPREAD_K8=217        # 5ebdd14 (BENCH_13.json)
 SUBSTRATE_PARSE=29086                # one-reader, 20x
 TABLE4_LOAD_INDEX_MF=646             # pointer-free-index, 10x
@@ -104,7 +111,7 @@ check Figure9_EndToEnd . "$FIGURE9_END_TO_END"
 # row runs long enough to amortize it.
 check ShipmentCodecParallel ./internal/wire/ "$SHIPMENT_CODEC_PARALLEL" 20x
 check ShipmentCodecStream ./internal/wire/ "$SHIPMENT_CODEC_STREAM" 20x
-check ReliableExchangeDurable/batch ./internal/registry/ "$RELIABLE_EXCHANGE_DURABLE_BATCH"
+check ReliableExchangeDurable/batch ./internal/registry/ "$RELIABLE_EXCHANGE_DURABLE_BATCH" 3x "$RELIABLE_EXCHANGE_DURABLE_BATCH_BYTES"
 check ChainedCombine/spread/k=8 ./internal/core/ "$CHAINED_COMBINE_SPREAD_K8"
 check Substrate_Parse . "$SUBSTRATE_PARSE" 20x
 check Table4_LoadIndex_MF . "$TABLE4_LOAD_INDEX_MF" 10x "$TABLE4_LOAD_INDEX_MF_BYTES"

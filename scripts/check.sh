@@ -27,8 +27,9 @@ make bench-smoke
 
 # Allocation-regression smoke: eight benchmarks must stay within 25% of the
 # allocs/op baselines recorded in the script, and Table 4's load-then-index
-# row and the reconciliation row within 25% of their B/op baselines too —
-# the arena/slab teardown is a merge-gated property, not a one-off number.
+# row, the reconciliation row and the journaled exchange row within 25% of
+# their B/op baselines too — the arena/slab teardown is a merge-gated
+# property, not a one-off number.
 ./scripts/alloc_smoke.sh
 
 # Fault-injection soak: the reliable-exchange e2e over the widened seed

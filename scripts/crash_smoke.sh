@@ -3,15 +3,14 @@
 # the middle of a reliable exchange driven through xdxd, restarted over the
 # same WAL directory, and the exchange must still complete — resumed from
 # the journaled checkpoint (resumes >= 1) without re-shipping committed
-# records (deduped = 0). The shell twin of TestKillRestartChildEndpoint;
+# chunks (declined = 0). The shell twin of TestKillRestartChildEndpoint;
 # this one exercises the real binaries end to end.
 #
-# The dance runs once per fsync policy: "always" (sync per commit) and
-# "batch" (group commit). Under batch the kill additionally waits for
-# fsyncs >= 2, so a synced chunk prefix exists on disk — acked chunks are
-# exactly the fsynced ones, which is the always-equivalence the batch mode
-# promises. Ports are fixed but obscure; override with XDX_CRASH_*_PORT if
-# they clash locally.
+# The dance runs under the fsync policy whose acks claim crash safety:
+# "batch" (group commit). The kill waits for fsyncs >= 2 as well as a few
+# appends, so a synced chunk prefix exists on disk — acked chunks are
+# exactly the fsynced ones. Ports are fixed but obscure; override with
+# XDX_CRASH_*_PORT if they clash locally.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -95,9 +94,9 @@ run_arm() { # fsync-policy
     soap_call "<Discover service=\"Auction\" role=\"target\" url=\"http://127.0.0.1:$TGT_PORT/soap\"/>" >/dev/null
 
     # Drive the exchange in the background, then kill the target once its
-    # WAL has journaled a few chunk commits — mid-delivery by construction.
-    # Under batch, also wait for two fsyncs: the first commit group must
-    # be durably on disk, not just queued, or there is nothing to resume.
+    # WAL has journaled a few chunk commits — mid-delivery by construction —
+    # and synced twice: the first commit group must be durably on disk, not
+    # just queued, or there is nothing to resume.
     soap_call '<Exchange service="Auction"/>' >"$WORK/exchange.xml" 2>"$WORK/exchange.err" &
     EXCHANGE_PID=$!
 
@@ -106,12 +105,8 @@ run_arm() { # fsync-policy
         APPENDS="$(metric 'wal\.appends')"
         READY=0
         if [ -n "${APPENDS:-}" ] && [ "$APPENDS" -ge 3 ]; then
-            if [ "$FSYNC" = batch ]; then
-                FSYNCS="$(metric 'wal\.fsyncs')"
-                [ -n "${FSYNCS:-}" ] && [ "$FSYNCS" -ge 2 ] && READY=1
-            else
-                READY=1
-            fi
+            FSYNCS="$(metric 'wal\.fsyncs')"
+            [ -n "${FSYNCS:-}" ] && [ "$FSYNCS" -ge 2 ] && READY=1
         fi
         [ "$READY" = 1 ] && break
         if ! kill -0 "$EXCHANGE_PID" 2>/dev/null; then
@@ -150,25 +145,21 @@ run_arm() { # fsync-policy
         exit 1
     }
     RESUMES="$(echo "$RESP" | sed -n 's/.*resumes="\([0-9]*\)".*/\1/p')"
-    DEDUPED="$(echo "$RESP" | sed -n 's/.*deduped="\([0-9]*\)".*/\1/p')"
+    DECLINED="$(echo "$RESP" | sed -n 's/.*declined="\([0-9]*\)".*/\1/p')"
     [ -n "$RESUMES" ] && [ "$RESUMES" -ge 1 ] || {
         echo "crash_smoke[$FSYNC]: expected resumes >= 1, got '$RESUMES': $RESP" >&2
         exit 1
     }
-    [ "$DEDUPED" = "0" ] || {
-        echo "crash_smoke[$FSYNC]: expected deduped=0, got '$DEDUPED': $RESP" >&2
+    [ "$DECLINED" = "0" ] || {
+        echo "crash_smoke[$FSYNC]: expected declined=0, got '$DECLINED': $RESP" >&2
         exit 1
     }
-    echo "crash_smoke: $FSYNC ok (resumes=$RESUMES deduped=$DEDUPED)"
+    echo "crash_smoke: $FSYNC ok (resumes=$RESUMES declined=$DECLINED)"
 
-    # Tear the target down so the next arm starts from an empty store and
-    # a fresh WAL on the same ports.
     kill -9 "$TGT_PID"
     wait "$TGT_PID" 2>/dev/null || true
     TGT_PID=""
 }
 
-for policy in always batch; do
-    run_arm "$policy"
-done
+run_arm batch
 echo "crash_smoke: ok"
