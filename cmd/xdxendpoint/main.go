@@ -39,7 +39,7 @@ func main() {
 	codecs := flag.String("codecs", "", "comma-separated shipment codecs this endpoint answers in (empty = all: bin+flate,bin,xml)")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for injected faults (reproducible chaos runs)")
 	faultDrop := flag.Float64("fault-drop", 0, "probability a request is aborted before any response")
-	faultTruncate := flag.Float64("fault-truncate", 0, "probability a response is cut mid-stream")
+	faultTruncate := flag.Float64("fault-truncate", 0, "probability a request or response is torn mid-stream")
 	faultStall := flag.Float64("fault-stall", 0, "probability a response stalls once before continuing")
 	fault5xx := flag.Float64("fault-5xx", 0, "probability a request is answered with a plain 503")
 	faultMaxTruncate := flag.Int("fault-max-truncate", 0, "max bytes before a truncation cut (0 = default 4096)")

@@ -216,6 +216,12 @@ type Endpoint struct {
 	// the per-edge record hashes of the shipments this endpoint rendered,
 	// by delivery session.
 	recon *reliable.ReconIndex
+
+	// renders holds, by delivery session, the source render a delivery in
+	// progress or a failed one streams from (see respondSource). It is
+	// dropped when the delivery succeeds, on EndSession, or idle past the
+	// store's MaxAge, swept as new sessions arrive.
+	renders *reliable.SessionStore
 }
 
 // deltaBase is one stream's retained snapshot: the instance map of the
@@ -243,7 +249,8 @@ func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 		log:        obs.Nop,
 		calCache:   map[string]*shipCalibration{},
 		deltaBases: map[string]*deltaBase{},
-		recon:      reliable.NewReconIndex()}
+		recon:      reliable.NewReconIndex(),
+		renders:    reliable.NewSessionStore()}
 	e.srv.Handle("GetWSDL", e.getWSDL)
 	e.srv.Handle("ProbeStats", e.probeStats)
 	e.srv.Handle("DeltaStatus", e.deltaStatus)
@@ -593,13 +600,14 @@ func (e *Endpoint) filteredScan(keep func(*xmltree.Node) bool) (func(*core.Fragm
 	}, nil
 }
 
-func decodeProgramChild(req *xmltree.Node, layout *core.Fragmentation) (*core.Graph, core.Assignment, error) {
+// programChild returns a request's <program> child, nil when it has none.
+func programChild(req *xmltree.Node) *xmltree.Node {
 	for _, k := range req.Kids {
 		if k.Name == "program" {
-			return wire.DecodeProgram(k, layout.Schema)
+			return k
 		}
 	}
-	return nil, nil, &soap.Fault{Code: "soap:Client", String: "missing program"}
+	return nil
 }
 
 func formatMillis(d time.Duration) string {

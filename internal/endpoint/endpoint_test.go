@@ -140,44 +140,32 @@ func TestExecuteSourceAndTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A session delivery is sequenced: the source numbers its chunks when
-	// asked for a chunk size, here one chunk per instance.
+	// The source delivers straight to the target: a sequenced session
+	// delivery, one chunk per instance at this chunk size.
 	reqS := &xmltree.Node{Name: "ExecuteSource"}
 	reqS.SetAttr("chunk", "1000")
 	reqS.AddKid(progXML)
-	respS, err := srcClient.Call("ExecuteSource", reqS)
+	respS, err := callSource(srcClient, reqS, tgtClient.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shipment, timing *xmltree.Node
+	var timing, respT *xmltree.Node
 	for _, k := range respS.Kids {
 		switch k.Name {
-		case "shipment":
-			shipment = k
 		case "timing":
 			timing = k
+		case "ExecuteTargetResponse":
+			respT = k
 		}
 	}
-	if timing == nil {
-		t.Fatal("missing trailing <timing>")
+	if timing == nil || respT == nil {
+		t.Fatalf("answer lacks <timing> or the target's response: %v", respS.Kids)
 	}
 	if ms, ok := timing.Attr("queryMillis"); !ok || ms == "" {
 		t.Error("missing queryMillis")
 	}
-	if shipment == nil || len(shipment.Kids) != fr.Len() {
-		t.Fatalf("shipment has %d instances, want %d", len(shipment.Kids), fr.Len())
-	}
-	prog2, err := wire.EncodeProgram(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqT := &xmltree.Node{Name: "ExecuteTarget"}
-	reqT.AddKid(prog2)
-	reqT.AddKid(shipment)
-	reqT.SetAttr("session", "s1")
-	respT, err := tgtClient.Call("ExecuteTarget", reqT)
-	if err != nil {
-		t.Fatal(err)
+	if v, _ := timing.Attr("wireBytes"); v == "" || v == "0" {
+		t.Errorf("wireBytes = %q, want the delivered shipment's size", v)
 	}
 	if v, ok := respT.Attr("writeMillis"); !ok || ParseMillis(v) < 0 {
 		t.Errorf("writeMillis missing/negative: %v", v)
@@ -342,21 +330,16 @@ func TestExecuteSourceWithFilter(t *testing.T) {
 		}
 	}
 	progXML, _ := wire.EncodeProgram(g, a)
+	tgt := startSink(t)
 	req := &xmltree.Node{Name: "ExecuteSource"}
 	req.SetAttr("filter", "CustName = 'NoSuchCustomer'")
 	req.AddKid(progXML)
-	resp, err := c.Call("ExecuteSource", req)
-	if err != nil {
+	if _, err := callSource(c, req, tgt.srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range resp.Kids {
-		if k.Name != "shipment" {
-			continue
-		}
-		for _, ix := range k.Kids {
-			if len(ix.Kids) != 0 {
-				t.Errorf("filtered-out exchange still shipped records")
-			}
+	for _, ix := range tgt.shipment(t).Kids {
+		if len(ix.Kids) != 0 {
+			t.Errorf("filtered-out exchange still shipped records")
 		}
 	}
 }

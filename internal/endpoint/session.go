@@ -99,7 +99,7 @@ func (ts *targetSession) finish(resp *xmltree.Node) {
 
 // targetSessionFor returns the session's endpoint state, attaching it on
 // first sight.
-func (e *Endpoint) targetSessionFor(id string) *targetSession {
+func (e *Endpoint) targetSessionFor(id, exchange string) *targetSession {
 	s := e.sessions.GetOrCreate(id)
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
@@ -109,7 +109,7 @@ func (e *Endpoint) targetSessionFor(id string) *targetSession {
 		if e.journal != nil {
 			ts.j, ts.id = e.journal, id
 			if err := e.journal.Mint(id); err != nil {
-				e.log.Log(obs.LevelWarn, "journal mint failed", "session", id, "err", err.Error())
+				e.log.Log(obs.LevelWarn, "journal mint failed", "exchange", exchange, "session", id, "err", err.Error())
 			}
 		}
 		s.Data = ts
@@ -245,13 +245,16 @@ func (t *targetScan) respondSession(w io.Writer) error {
 		exec = shareInstances(run)
 	}
 	ts.setRunning(true)
-	resp, err := t.e.runTarget(t.g, t.a, exec)
+	resp, err := t.e.runTarget(t.exchange, t.g, t.a, exec)
 	ts.setRunning(false)
 	if err != nil {
 		return err
 	}
 	if t.stream != "" {
 		t.e.storeDeltaBase(t.stream, t.epoch, t.session, run)
+	}
+	if t.exchange != "" {
+		resp.SetAttr("exchange", t.exchange)
 	}
 	resp.SetAttr("checkpoint", strconv.FormatInt(ts.ledger.Checkpoint(), 10))
 	resp.SetAttr("declined", strconv.FormatInt(ts.ledger.Declined(), 10))
@@ -315,8 +318,9 @@ func shareInstances(in map[string]*core.Instance) map[string]*core.Instance {
 }
 
 // sessionStatus answers a SessionStatus probe: the chunk checkpoint a
-// resuming source should skip to, whether the target already executed, and
-// how many replayed chunks were declined. Unknown sessions answer
+// resuming source should skip to, whether the target already executed —
+// with its stored response when it did — and how many replayed chunks were
+// declined. Unknown sessions answer
 // known="0" with a zero checkpoint — a source that never reached the
 // target resumes from the start.
 func (e *Endpoint) sessionStatus(req *xmltree.Node) (*xmltree.Node, error) {
@@ -346,12 +350,15 @@ func (e *Endpoint) sessionStatus(req *xmltree.Node) (*xmltree.Node, error) {
 	// the commit/execute lock — so a probe answers immediately even while
 	// a slow backend execution is in flight for this session.
 	ts.stateMu.Lock()
-	done, running := ts.done, ts.running
+	done, running, stored := ts.done, ts.running, ts.resp
 	ts.stateMu.Unlock()
 	resp.SetAttr("next", strconv.FormatInt(ts.ledger.Checkpoint(), 10))
 	d := "0"
 	if done {
+		// The outcome rides along: an agency whose source answer was lost
+		// after the target executed completes from here.
 		d = "1"
+		resp.AddKid(stored)
 	}
 	resp.SetAttr("done", d)
 	if running {
@@ -361,16 +368,18 @@ func (e *Endpoint) sessionStatus(req *xmltree.Node) (*xmltree.Node, error) {
 	return resp, nil
 }
 
-// endSession releases a session's state once the source has the response
-// it needs — without it, a completed session (ledger, stored response)
-// would sit in memory for the store's full MaxAge. Ending an unknown
-// session is fine: it may already have been swept.
+// endSession releases a session's state once the agency has the response
+// it needs — without it, a completed session (ledger, stored response) or
+// a source render held for a resume would sit in memory for the store's
+// full MaxAge. Ending an unknown session is fine: it may already have been
+// swept.
 func (e *Endpoint) endSession(req *xmltree.Node) (*xmltree.Node, error) {
 	id, _ := req.Attr("session")
 	if id == "" {
 		return nil, &soap.Fault{Code: "soap:Client", String: "EndSession without session id"}
 	}
 	e.sessions.Delete(id)
+	e.renders.Delete(id)
 	resp := &xmltree.Node{Name: "EndSessionResponse"}
 	resp.SetAttr("session", id)
 	return resp, nil

@@ -72,27 +72,19 @@ type sessionFixture struct {
 }
 
 // sourceOutbound runs the Scan->Write program's source half on a real
-// endpoint over srcStore and decodes the shipment it answers with.
+// endpoint over srcStore and decodes the shipment it delivers.
 func sourceOutbound(t *testing.T, fr *core.Fragmentation, srcStore *relstore.Store) (map[string]*core.Instance, *xmltree.Node) {
 	t.Helper()
 	srcClient, srcDone := startEndpoint(t, &RelBackend{Store: srcStore, Speed: 1, CanCombine: true})
 	defer srcDone()
 	g, _, progXML := scanWriteProgram(t, fr)
+	tgt := startSink(t)
 	reqS := &xmltree.Node{Name: "ExecuteSource"}
 	reqS.AddKid(progXML)
-	respS, err := srcClient.Call("ExecuteSource", reqS)
-	if err != nil {
+	if _, err := callSource(srcClient, reqS, tgt.srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	var shipment *xmltree.Node
-	for _, k := range respS.Kids {
-		if k.Name == "shipment" {
-			shipment = k
-		}
-	}
-	if shipment == nil {
-		t.Fatal("source returned no shipment")
-	}
+	shipment := tgt.shipment(t)
 	outbound, err := wire.ReadShipment(
 		strings.NewReader(xmltree.Marshal(shipment, xmltree.WriteOptions{EmitAllIDs: true})),
 		fr.Schema, fragDict(g))

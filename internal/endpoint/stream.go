@@ -4,8 +4,10 @@ package endpoint
 // server's streaming path, so the endpoint never materializes an envelope:
 //
 //   - ExecuteSource consumes the (small) request tree, runs the source
-//     slice, and serializes the outbound shipment directly onto the HTTP
-//     response, chunk by chunk, without building a response tree.
+//     slice, and delivers the outbound shipment itself: it serializes it,
+//     chunk by chunk, straight onto an ExecuteTarget request to the target
+//     the agency named, and answers with the target's response — the
+//     agency coordinates and never carries the data.
 //   - ExecuteTarget scans its (large) request as SAX events: the program
 //     subtree is materialized, the shipment subtree flows straight into
 //     the session's shipment decoder (see session.go), and the envelope
@@ -15,11 +17,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"xdx/internal/core"
+	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/reliable"
 	"xdx/internal/soap"
@@ -41,7 +48,7 @@ func findAttr(attrs []xmltree.Attr, name string) string {
 }
 
 // executeSource is the stream dispatch for ExecuteSource: the request tree
-// is materialized, the response shipment streams.
+// is materialized, the shipment streams to the target.
 func (e *Endpoint) executeSource(env soap.Header, attrs []xmltree.Attr) (xmltree.AttrHandler, soap.RespondFunc, error) {
 	tb := &xmltree.TreeBuilder{}
 	return tb, func(w io.Writer) error { return e.respondSource(env, tb.Root(), w) }, nil
@@ -56,110 +63,292 @@ func stampCodec(w io.Writer, c wire.Codec) {
 	}
 }
 
+// delivery is what an ExecuteSource request asks of the source besides
+// running its slice: the target to deliver to, the delivery session the
+// agency minted there, the chunk size, and the chunk to start from — the
+// target's checkpoint on a resumed delivery. A delta exchange adds its
+// stream, epoch and the base the target holds.
+type delivery struct {
+	target, session     string
+	stream, epoch, base string
+	chunk               int
+	from                int64
+}
+
+// parseDelivery checks an ExecuteSource request's delivery contract before
+// anything is scanned: the target must be an absolute http or https URL —
+// a source dials nothing else — the session non-empty, the chunk size
+// positive and the first chunk non-negative. Anything else is the
+// caller's fault.
+func parseDelivery(req *xmltree.Node) (delivery, error) {
+	var d delivery
+	d.target, _ = req.Attr("target")
+	d.session, _ = req.Attr("session")
+	d.stream, _ = req.Attr("stream")
+	d.epoch, _ = req.Attr("epoch")
+	d.base, _ = req.Attr("base")
+	refuse := func(why string) (delivery, error) {
+		return d, &soap.Fault{Code: "soap:Client", String: why}
+	}
+	if u, err := url.Parse(d.target); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return refuse("target must be an absolute http or https URL")
+	}
+	if d.session == "" {
+		return refuse("ExecuteSource without session id")
+	}
+	v, _ := req.Attr("chunk")
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		return refuse("chunk must be a positive integer")
+	}
+	d.chunk = n
+	if v, ok := req.Attr("from"); ok {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || n < 0 {
+			return refuse("from must be a non-negative integer")
+		}
+		d.from = n
+	}
+	return d, nil
+}
+
+// sourceRender is what one execution of the source slice produced for a
+// delivery session: the outbound instances (a delta's changed records), a
+// delta's tombstones, and the reconciliation outcome the agency reads on
+// <timing>. Every attempt of the session ships its chunks from this one
+// render, so a resumed delivery completes exactly the shipment its first
+// attempt began.
+type sourceRender struct {
+	ship     map[string]*core.Instance
+	tombs    map[string][]string
+	tombKeys []string // tombs' keys, sorted: their chunks' order
+	delta    bool
+	outcome  string
+	query    time.Duration
+	wire     atomic.Int64 // shipment bytes written across every attempt
+}
+
 // respondSource executes the source slice — scans plus the operations
-// placed at this system — and streams the cross-edge shipment onto w as it
-// is produced. Since serialization overlaps execution, the query time
-// cannot ride on the response root's attributes; it follows the shipment
-// as a trailing <timing> element.
+// placed at this system — and delivers the cross-edge shipment straight
+// to the target: it opens ExecuteTarget there, streams its chunks into
+// that request, and answers with its <timing> and the target's response.
+// The render is held under the delivery session while attempts may
+// follow: a failed delivery keeps it for the agency's resume, which
+// re-emits the chunks from the target's checkpoint on; success, a
+// permanent failure, EndSession or the idle sweep drops it.
 func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer) error {
-	g, a, err := decodeProgramChild(req, e.backend.Layout())
+	d, err := parseDelivery(req)
+	if err != nil {
+		return err
+	}
+	prog := programChild(req)
+	if prog == nil {
+		return &soap.Fault{Code: "soap:Client", String: "missing program"}
+	}
+	g, a, err := wire.DecodeProgram(prog, e.backend.Layout().Schema)
 	if err != nil {
 		return err
 	}
 	codec, negotiated := e.pickCodec(env)
+	s := e.renders.GetOrCreate(d.session)
+	s.Mu.Lock()
+	r, _ := s.Data.(*sourceRender)
+	if r == nil && d.from > 0 {
+		err = soap.RenderGoneFault(fmt.Sprintf("session %s resumes at chunk %d", d.session, d.from))
+	} else if r == nil {
+		r, err = e.renderSource(req, g, a, d)
+		s.Data = r
+	}
+	s.Mu.Unlock()
+	if err != nil {
+		e.renders.Delete(d.session)
+		return err
+	}
+	resp, payload, err := e.deliver(env.Exchange, d, prog, r, codec)
+	if err != nil {
+		retry := reliable.Retryable(err)
+		if retry {
+			e.log.Log(obs.LevelWarn, "target delivery failed; render held for resume",
+				"exchange", env.Exchange, "session", d.session, "from", d.from, "err", err.Error())
+		} else {
+			e.renders.Delete(d.session)
+		}
+		return hopFault(err, retry)
+	}
+	e.renders.Delete(d.session)
+	if e.log.Enabled(obs.LevelDebug) {
+		e.log.Log(obs.LevelDebug, "source delivered", "exchange", env.Exchange, "endpoint", e.Name,
+			"session", d.session, "from", d.from, "wireBytes", r.wire.Load())
+	}
 	if negotiated {
 		stampCodec(w, codec)
 	}
-	scan, err := e.sourceScan(req)
-	if err != nil {
-		return err
+	b := make([]byte, 0, 512)
+	b = append(b, `<ExecuteSourceResponse><timing queryMillis="`...)
+	b = append(append(b, formatMillis(r.query)...), `" payloadBytes="`...)
+	b = append(strconv.AppendInt(b, payload, 10), `" wireBytes="`...)
+	b = append(strconv.AppendInt(b, r.wire.Load(), 10), '"')
+	if env.Exchange != "" {
+		b = append(append(append(b, ` exchange="`...), attrEscape(env.Exchange)...), '"')
 	}
-	chunk := 0
-	if v, ok := req.Attr("chunk"); ok {
-		// The caller relays the shipment chunk by chunk, so the chunks are
-		// cut and numbered here, at the one place they are rendered.
-		if chunk, err = strconv.Atoi(v); err != nil || chunk <= 0 {
-			return &soap.Fault{Code: "soap:Client", String: "chunk must be a positive integer"}
-		}
+	b = append(append(b, r.outcome...), `/><ExecuteTargetResponse`...)
+	for _, a := range resp {
+		b = append(append(append(append(append(b, ' '), a.Name...), `="`...), attrEscape(a.Value)...), '"')
 	}
-	sch := e.backend.Layout().Schema
-	start := time.Now()
-	if _, err := io.WriteString(w, "<ExecuteSourceResponse>"); err != nil {
-		return err
-	}
-	sw := wire.NewShipmentWriterCodec(w, sch, codec)
-	sw.SetObs(e.met)
-	sw.SetChunk(chunk)
-	outbound, _, err := core.ExecuteSlice(g, sch, a, core.LocSource, core.SliceIO{Scan: scan})
-	var reconciled string
-	if err == nil {
-		reconciled, err = e.emitOutbound(sw, req, outbound)
-	}
-	if err != nil {
-		sw.Close()
-		return err
-	}
-	if err := sw.Close(); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	e.met.Counter("endpoint.source.executes").Inc()
-	e.met.Histogram("endpoint.source.millis").Observe(float64(elapsed) / float64(time.Millisecond))
-	if _, err := fmt.Fprintf(w, `<timing queryMillis="%s" payloadBytes="%d"%s/>`, formatMillis(elapsed), sw.PayloadBytes(), reconciled); err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, "</ExecuteSourceResponse>")
+	b = append(b, `/></ExecuteSourceResponse>`...)
+	_, err = w.Write(b)
 	return err
 }
 
-// emitOutbound writes the slice's outbound shipment, or on a delta
-// exchange (a request naming a stream) what has changed of it. The source
-// diffs its outbound records against the entry of the base the target
+// targetReply keeps the attributes of the target's ExecuteTargetResponse,
+// which the source's answer carries on to the agency.
+type targetReply struct {
+	ok    bool
+	attrs []xmltree.Attr
+}
+
+// StartElement implements xmltree.AttrHandler.
+func (r *targetReply) StartElement(name string, attrs []xmltree.Attr) error {
+	if name == "ExecuteTargetResponse" {
+		r.ok, r.attrs = true, append(r.attrs[:0], attrs...)
+	}
+	return nil
+}
+
+// Text implements xmltree.AttrHandler.
+func (r *targetReply) Text(string) error { return nil }
+
+// EndElement implements xmltree.AttrHandler.
+func (r *targetReply) EndElement(string) error { return nil }
+
+// renderSource executes the source slice for a delivery session and, on a
+// delta exchange (a request naming a stream), reconciles its outbound
+// records. The source diffs them against the entry of the base the target
 // holds, hashing each record once (reliable.DiffShipment), and files the
 // fresh hashes under the delivery's session, keeping that base's entry in
 // case this delivery never lands (reliable.ReconIndex.Render). When its
-// index held that base at this epoch it emits the diff: changed records,
-// then each edge's tombstones in sorted-key order, numbered after them so
-// the session ledger checkpoints deletions like any chunk. Otherwise the
-// full snapshot ships. The returned attributes tell the agency which it was,
-// on the trailing <timing>.
-func (e *Endpoint) emitOutbound(sw *wire.ShipmentWriter, req *xmltree.Node, out map[string]*core.Instance) (string, error) {
-	stream, _ := req.Attr("stream")
-	if stream == "" {
-		return "", wire.EmitShipment(sw, out)
+// index held that base at this epoch the render is the diff: changed
+// records, then each edge's tombstones in sorted-key order, numbered after
+// them so the session ledger checkpoints deletions like any chunk.
+// Otherwise it is the full snapshot.
+func (e *Endpoint) renderSource(req *xmltree.Node, g *core.Graph, a core.Assignment, d delivery) (*sourceRender, error) {
+	scan, err := e.sourceScan(req)
+	if err != nil {
+		return nil, err
 	}
-	epoch, _ := req.Attr("epoch")
-	session, _ := req.Attr("session")
-	base, _ := req.Attr("base")
-	held := e.recon.Held(stream, epoch, base)
-	var prev map[string]reliable.EdgeHashes
-	if held != nil {
-		prev = held.Edges
+	start := time.Now()
+	out, _, err := core.ExecuteSlice(g, e.backend.Layout().Schema, a, core.LocSource, core.SliceIO{Scan: scan})
+	if err != nil {
+		return nil, err
 	}
-	d := reliable.DiffShipment(out, prev)
-	if d.Unkeyed {
-		// Records without IDs cannot be diffed or tombstoned.
-		return ` delta="unkeyed"`, wire.EmitShipment(sw, out)
-	}
-	// Between Held and Render another exchange may have replaced base's
-	// entry; the diff stands only if the entry kept is the one it read.
-	if kept := e.recon.Render(stream, epoch, session, base, d.Fresh); held == nil || kept != held {
-		return ` delta="cold"`, wire.EmitShipment(sw, out)
-	}
-	sw.SetDelta(true)
-	err := wire.EmitShipment(sw, d.Ship)
-	keys := make([]string, 0, len(d.Tombs))
-	for k := range d.Tombs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if err == nil {
-			err = sw.EmitTombstones(key, d.Tombs[key], 0) // sw numbers it
+	r := &sourceRender{ship: out}
+	if d.stream != "" {
+		held := e.recon.Held(d.stream, d.epoch, d.base)
+		var prev map[string]reliable.EdgeHashes
+		if held != nil {
+			prev = held.Edges
+		}
+		diff := reliable.DiffShipment(out, prev)
+		// Between Held and Render another exchange may have replaced base's
+		// entry; the diff stands only if the entry kept is the one it read.
+		switch {
+		case diff.Unkeyed:
+			// Records without IDs cannot be diffed or tombstoned.
+			r.outcome = ` delta="unkeyed"`
+		case e.recon.Render(d.stream, d.epoch, d.session, d.base, diff.Fresh) != held || held == nil:
+			r.outcome = ` delta="cold"`
+		default:
+			r.ship, r.tombs, r.delta = diff.Ship, diff.Tombs, true
+			for k := range diff.Tombs {
+				r.tombKeys = append(r.tombKeys, k)
+			}
+			sort.Strings(r.tombKeys)
+			r.outcome = fmt.Sprintf(` delta="1" records="%d" tombstones="%d"`, diff.Records, diff.Tombstones)
 		}
 	}
-	return fmt.Sprintf(` delta="1" records="%d" tombstones="%d"`, d.Records, d.Tombstones), err
+	r.query = time.Since(start)
+	e.met.Counter("endpoint.source.executes").Inc()
+	e.met.Histogram("endpoint.source.millis").Observe(float64(r.query) / float64(time.Millisecond))
+	return r, nil
 }
+
+// deliver opens ExecuteTarget on the delivery's target and streams the
+// render's chunks with seq >= from into it: the session, stream, epoch and
+// delta attributes, the program, then the shipment as the ShipmentWriter
+// cuts and numbers it. It returns the target's response attributes and the
+// shipment's tree-codec size, and adds the bytes inside <shipment> to the
+// render's wire count, torn attempts too.
+func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *sourceRender, codec wire.Codec) ([]xmltree.Attr, int64, error) {
+	open := `<ExecuteTarget session="` + attrEscape(d.session) + `"`
+	if d.stream != "" {
+		// Every delivery of a delta-enabled exchange names its stream and
+		// epoch, so the target retains the applied snapshot as the base
+		// the next delta patches.
+		open += ` stream="` + attrEscape(d.stream) + `" epoch="` + attrEscape(d.epoch) + `"`
+	}
+	if r.delta {
+		open += ` delta="1" base="` + attrEscape(d.base) + `"`
+	}
+	open += `>`
+	sch := e.backend.Layout().Schema
+	c := &soap.Client{URL: d.target, Logger: e.log, Metrics: e.met, Exchange: exchange}
+	var payload int64
+	reply := &targetReply{}
+	err := c.CallStream("ExecuteTarget", func(w io.Writer) error {
+		if _, err := io.WriteString(w, open); err != nil {
+			return err
+		}
+		if err := xmltree.Write(w, prog, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
+			return err
+		}
+		m := netsim.NewMeter(w)
+		defer func() { r.wire.Add(m.Bytes()) }()
+		sw := wire.NewShipmentWriterCodec(m, sch, codec)
+		sw.SetObs(e.met)
+		sw.SetChunk(d.chunk, d.from)
+		sw.SetDelta(r.delta)
+		err := wire.EmitShipment(sw, r.ship)
+		for _, key := range r.tombKeys {
+			if err == nil {
+				err = sw.EmitTombstones(key, r.tombs[key], 0) // sw numbers it
+			}
+		}
+		if cerr := sw.Close(); err == nil {
+			err = cerr
+		}
+		payload = sw.PayloadBytes()
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, `</ExecuteTarget>`)
+		return err
+	}, reply)
+	if err == nil && !reply.ok {
+		err = reliable.Permanent(fmt.Errorf("endpoint %s: target returned no response", e.Name))
+	}
+	return reply.attrs, payload, err
+}
+
+// hopFault answers the agency for a failed target hop. A fault the target
+// sent travels on unchanged — code, strings and HTTP status — so its
+// ColdDelta reaches the agency's fallback and its client faults stay
+// final; any other failure becomes a 502 when retry says the agency's
+// policy may resume it, a 500 when not.
+func hopFault(err error, retry bool) error {
+	var f *soap.Fault
+	if errors.As(err, &f) {
+		return &soap.Fault{Code: f.Code, String: f.String, Detail: f.Detail, HTTPStatus: f.HTTPStatus}
+	}
+	status := http.StatusInternalServerError
+	if retry {
+		status = http.StatusBadGateway
+	}
+	return &soap.Fault{Code: "soap:Server", String: "target delivery failed", Detail: err.Error(), HTTPStatus: status}
+}
+
+// attrEscape escapes a string for embedding in a double-quoted XML
+// attribute of a hand-built open tag.
+var attrEscape = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;").Replace
 
 // executeTarget is the stream dispatch for ExecuteTarget: one SAX pass
 // over the request, program tree materialized, shipment decoded
@@ -171,7 +360,7 @@ func (e *Endpoint) executeTarget(env soap.Header, attrs []xmltree.Attr) (xmltree
 	if id == "" {
 		return nil, nil, &soap.Fault{Code: "soap:Client", String: "ExecuteTarget without session id"}
 	}
-	h := &targetScan{e: e, session: id, ts: e.targetSessionFor(id)}
+	h := &targetScan{e: e, session: id, exchange: env.Exchange, ts: e.targetSessionFor(id, env.Exchange)}
 	return h, h.respondSession, nil
 }
 
@@ -190,6 +379,7 @@ type targetScan struct {
 	subProg  bool
 
 	session     string
+	exchange    string
 	stream      string
 	epoch       string
 	base        string
@@ -335,7 +525,7 @@ func (t *targetScan) programDone() error {
 
 // runTarget executes the target slice over decoded inbound instances and
 // reports the timing split the agency's cost model is validated against.
-func (e *Endpoint) runTarget(g *core.Graph, a core.Assignment, inbound map[string]*core.Instance) (*xmltree.Node, error) {
+func (e *Endpoint) runTarget(exchange string, g *core.Graph, a core.Assignment, inbound map[string]*core.Instance) (*xmltree.Node, error) {
 	var writeTime time.Duration
 	start := time.Now()
 	_, _, err := core.ExecuteSlice(g, e.backend.Layout().Schema, a, core.LocTarget, core.SliceIO{
@@ -359,7 +549,7 @@ func (e *Endpoint) runTarget(g *core.Graph, a core.Assignment, inbound map[strin
 	e.met.Counter("endpoint.target.executes").Inc()
 	e.met.Histogram("endpoint.target.millis").ObserveSince(start)
 	if e.log.Enabled(obs.LevelDebug) {
-		e.log.Log(obs.LevelDebug, "target slice executed",
+		e.log.Log(obs.LevelDebug, "target slice executed", "exchange", exchange,
 			"endpoint", e.Name, "execMillis", formatMillis(execTime),
 			"writeMillis", formatMillis(writeTime), "indexMillis", formatMillis(indexTime))
 	}

@@ -258,8 +258,11 @@ func (r *truncatedReadCloser) Read(b []byte) (int, error) {
 func (r *truncatedReadCloser) Close() error { return r.rc.Close() }
 
 // Middleware wraps an HTTP handler with server-side faults, for chaos
-// runs of the daemons: responses may be aborted before the handler runs,
-// answered 503, stalled, or cut after a random prefix.
+// runs of the daemons: requests may be aborted before the handler runs,
+// answered 503, stalled, or torn mid-stream — like the RoundTripper, a
+// truncation alternates between the request body (the handler reads a
+// random prefix, then the connection dies unanswered) and the response
+// (cut after a random prefix).
 func (f *FaultyLink) Middleware(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		p := f.roll(true)
@@ -272,6 +275,10 @@ func (f *FaultyLink) Middleware(h http.Handler) http.Handler {
 			panic(http.ErrAbortHandler)
 		case p.http5xx:
 			http.Error(w, "injected outage", http.StatusServiceUnavailable)
+		case p.truncate && p.onReq:
+			r.Body = &truncatedReadCloser{rc: r.Body, remain: p.cutAfter}
+			h.ServeHTTP(&truncatedResponseWriter{ResponseWriter: w}, r)
+			panic(http.ErrAbortHandler)
 		case p.truncate:
 			h.ServeHTTP(&truncatedResponseWriter{ResponseWriter: w, remain: p.cutAfter}, r)
 		default:

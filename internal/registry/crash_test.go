@@ -97,7 +97,7 @@ func (p *crashProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(rec, r2)
 	if !tr.torn {
 		// A small request (probe, WSDL fetch) finished under the budget;
-		// relay its recorded response untouched.
+		// pass its recorded response on untouched.
 		for k, vs := range rec.Header() {
 			for _, v := range vs {
 				w.Header().Add(k, v)

@@ -220,9 +220,9 @@ func TestDeltaExchangeChurnProperty(t *testing.T) {
 		return rep
 	}
 
-	// hop1 is what the source's ExecuteSource responses carried during one
-	// exchange: the only calls the source serves once planning is done.
-	hop1 := srcMet.Counter("soap.server.resp_bytes")
+	// hop is what the source sent the target during one exchange: its
+	// ExecuteTarget requests, the only calls it makes.
+	hop1 := srcMet.Counter("soap.client.req_bytes")
 	var hop1Full int64
 	rng := rand.New(rand.NewSource(11))
 	for round, frac := range []float64{0, 0.01, 0.10, 0.50} {
@@ -248,10 +248,10 @@ func TestDeltaExchangeChurnProperty(t *testing.T) {
 			}
 			hop1Full = hop1Bytes
 		} else {
-			// The source diffs before it writes, so hop 1 carries the
-			// change, not the snapshot.
+			// The source diffs before it writes, so its delivery carries
+			// the change, not the snapshot.
 			if frac <= 0.10 && hop1Bytes*3 >= hop1Full {
-				t.Errorf("round %d (churn %.0f%%): the source's response carried %d bytes, want below a third of the full snapshot's %d",
+				t.Errorf("round %d (churn %.0f%%): the source's delivery carried %d bytes, want below a third of the full snapshot's %d",
 					round, frac*100, hop1Bytes, hop1Full)
 			}
 			if !repD.Delta {
@@ -472,9 +472,16 @@ func failedDeliveryRounds(t *testing.T, reuse bool) {
 	epD := endpoint.New("TD", &endpoint.RelBackend{Store: tgtD, Speed: 1, CanCombine: true}, nil)
 	epC := endpoint.New("TC", &endpoint.RelBackend{Store: tgtC, Speed: 1, CanCombine: true}, nil)
 	epC.SetDeltaRetention(false)
-	var down atomic.Bool
+	// sentDelta records whether a delivery the target refused opened as a
+	// delta: what the source rendered for the failed round.
+	var down, sentDelta atomic.Bool
 	srvD := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if down.Load() && r.Header.Get("SOAPAction") == `"ExecuteTarget"` {
+			head := make([]byte, 1024)
+			n, _ := io.ReadFull(r.Body, head)
+			if bytes.Contains(head[:n], []byte(` delta="1"`)) {
+				sentDelta.Store(true)
+			}
 			http.Error(w, "target down", http.StatusServiceUnavailable)
 			return
 		}
@@ -547,10 +554,10 @@ func failedDeliveryRounds(t *testing.T, reuse bool) {
 			if rep == nil {
 				t.Fatal("round 1: no report")
 			}
-			if !reuse && !rep.Delta {
+			if !reuse && !sentDelta.Load() {
 				t.Fatal("round 1: the source did not render a delta, so the failed delivery tests nothing")
 			}
-			if reuse && rep.Delta {
+			if reuse && sentDelta.Load() {
 				t.Error("round 1: the source diffed against the base that shares the delivery's session id")
 			}
 		case err != nil:

@@ -9,10 +9,12 @@ package registry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"xdx/internal/netsim"
@@ -37,11 +39,10 @@ func spanLine(s *obs.Span) string {
 }
 
 func TestObservedReliableExchange(t *testing.T) {
-	ag, plan, tgtStore, _, done := startAuctionExchange(t)
-	defer done()
-
 	const seed = 1 // every seed in faultSeeds injects at least one fault
 	fl := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(seed))
+	ag, plan, tgtStore, done := startFaultedExchange(t, fl)
+	defer done()
 	met := obs.NewRegistry()
 	fl.OnFault = func(kind string) { met.Counter("netsim.faults." + kind).Inc() }
 	var logBuf bytes.Buffer
@@ -95,36 +96,38 @@ func TestObservedReliableExchange(t *testing.T) {
 		t.Error("log has no completion line")
 	}
 
-	// The trace covers the exchange: a root span with source and deliver
-	// phases, attempt children under each, and a commit for EndSession.
+	// The trace covers the exchange: a root span carrying the exchange id,
+	// a source phase — the source delivers, so there is no separate
+	// delivery phase — with an attempt per try and the resume probes under
+	// the retries, and a commit for EndSession.
 	tr := rep.Trace
 	if tr == nil || tr.Name != "exchange" {
 		t.Fatalf("report trace = %+v", tr)
 	}
-	if !strings.Contains(spanLine(tr), " service=Auction") {
-		t.Errorf("trace attrs: %s", spanLine(tr))
+	if !strings.Contains(spanLine(tr), " service=Auction") || !strings.Contains(spanLine(tr), " exchange="+rep.Exchange) {
+		t.Errorf("trace attrs: %s (exchange %q)", spanLine(tr), rep.Exchange)
 	}
 	if tr.Duration() <= 0 {
 		t.Error("trace has no duration")
 	}
-	src, del := kid(tr, "source"), kid(tr, "deliver")
-	if src == nil || del == nil || kid(tr, "commit") == nil {
-		t.Fatalf("trace missing phases; kids = %v", tr.Kids())
+	src := kid(tr, "source")
+	if src == nil || kid(tr, "commit") == nil || kid(tr, "deliver") != nil {
+		t.Fatalf("trace phases; kids = %v", tr.Kids())
 	}
-	if kid(src, "attempt") == nil {
-		t.Error("source span has no attempt children")
+	if !strings.Contains(spanLine(src), " session=") {
+		t.Error("source span missing session attr")
 	}
-	attempts := 0
-	for _, k := range del.Kids() {
+	attempts, probes := 0, 0
+	for _, k := range src.Kids() {
 		if k.Name == "attempt" {
 			attempts++
+			if kid(k, "probe") != nil {
+				probes++
+			}
 		}
 	}
-	if attempts == 0 {
-		t.Error("deliver span has no attempt children")
-	}
-	if !strings.Contains(spanLine(del), " chunks=") {
-		t.Error("deliver span missing chunks attr")
+	if attempts < 2 || probes != attempts-1 {
+		t.Errorf("source span has %d attempts and %d probes; want a probe before every retry", attempts, probes)
 	}
 	if tgtStore.Rows() == 0 {
 		t.Error("observed exchange delivered nothing")
@@ -164,10 +167,9 @@ func TestObservedReliableExchange(t *testing.T) {
 // fault seed without reliability kills the exchange, and the metrics and
 // trace still record the failed run.
 func TestObservedExchangeFailure(t *testing.T) {
-	ag, plan, _, _, done := startAuctionExchange(t)
-	defer done()
-
 	fl := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(1))
+	ag, plan, _, done := startFaultedExchange(t, fl)
+	defer done()
 	met := obs.NewRegistry()
 	rep, err := ag.ExecuteOpts("Auction", plan, ExecOptions{
 		Link:        netsim.Loopback(),
@@ -188,5 +190,59 @@ func TestObservedExchangeFailure(t *testing.T) {
 	}
 	if !strings.Contains(spanLine(rep.Trace), " service=Auction") {
 		t.Errorf("trace attrs: %s", spanLine(rep.Trace))
+	}
+}
+
+// lineLog is an obs.Logger that keeps its lines.
+type lineLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *lineLog) Enabled(obs.Level) bool { return true }
+
+func (l *lineLog) Log(level obs.Level, msg string, kv ...any) {
+	line := level.String() + " " + msg
+	for i := 0; i+1 < len(kv); i += 2 {
+		line += fmt.Sprintf(" %v=%v", kv[i], kv[i+1])
+	}
+	l.mu.Lock()
+	l.lines = append(l.lines, line)
+	l.mu.Unlock()
+}
+
+// TestExchangeIDOnEveryEndpointLogLine: one exchange under injected faults
+// on both hops leaves log lines on the source and the target — requests
+// served, the source's calls to the target, failed deliveries, executes —
+// and every one of them carries the exchange id the report names.
+func TestExchangeIDOnEveryEndpointLogLine(t *testing.T) {
+	fl := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(7))
+	var srcLog, tgtLog lineLog
+	w := startFaultedWorld(t, fl)
+	defer w.close()
+	w.src.SetObs(&srcLog, nil)
+	w.tgt.SetObs(&tgtLog, nil)
+	rep, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{
+		Link: netsim.Loopback(), Reliability: overLink(soakConfig(7), fl),
+	})
+	if err != nil {
+		t.Fatalf("exchange failed: %v (injected %+v)", err, fl.Counts())
+	}
+	if rep.Retries == 0 || rep.Exchange == "" {
+		t.Fatalf("retries = %d, exchange id %q; want a faulted exchange with an id", rep.Retries, rep.Exchange)
+	}
+	stamp := " exchange=" + rep.Exchange
+	for role, l := range map[string]*lineLog{"source": &srcLog, "target": &tgtLog} {
+		l.mu.Lock()
+		if len(l.lines) == 0 {
+			t.Errorf("the %s logged nothing", role)
+		}
+		for _, line := range l.lines {
+			if !strings.Contains(line+" ", stamp+" ") {
+				t.Errorf("%s log line without the exchange id %s: %s", role, rep.Exchange, line)
+			}
+		}
+		t.Logf("%s: %d lines, e.g. %q", role, len(l.lines), l.lines[0])
+		l.mu.Unlock()
 	}
 }

@@ -418,15 +418,20 @@ func (d *duplexProvider) ShipBytes(f *core.Fragment) float64 { return d.src.Ship
 type Report struct {
 	// Plan is the executed plan.
 	Plan *Plan
+	// Exchange is the exchange id: it rode on every call of the exchange,
+	// the source's delivery to the target included, and every agency,
+	// source and target log line of the exchange carries it.
+	Exchange string
 	// SourceTime is step 1: executing the program parts assigned to the
 	// source.
 	SourceTime time.Duration
 	// WireBytes is what crossed the link to the target: every byte of the
-	// shipment as serialized onto the ExecuteTarget request — framing, codec
-	// encoding, compression and transfer text included — summed over every
-	// delivery attempt, torn ones too (retransmission is a real
-	// communication cost). ShipTime is the modeled time for WireBytes over
-	// the configured link (step 2). PayloadBytes is the same shipment
+	// shipment as the source serialized it onto its ExecuteTarget request —
+	// framing, codec encoding, compression and transfer text included —
+	// summed over every delivery attempt of the session, torn ones too
+	// (retransmission is a real communication cost); the source meters it
+	// and reports it on its <timing>. ShipTime is the modeled time for
+	// WireBytes over the configured link (step 2). PayloadBytes is the same shipment
 	// measured once in the universal tagged-XML tree codec (the source
 	// reports it alongside its timing), so the two
 	// diverge exactly by what the negotiated codec saved and what retries
@@ -434,9 +439,9 @@ type Report struct {
 	WireBytes    int64
 	PayloadBytes int64
 	ShipTime     time.Duration
-	// Codec is the shipment codec the exchange actually traveled under,
-	// on both hops — the source's negotiation answer when one arrived,
-	// the requested codec otherwise.
+	// Codec is the shipment codec the exchange actually traveled under to
+	// the target — the source's negotiation answer when one arrived, the
+	// requested codec otherwise.
 	Codec string
 	// TargetTime is step 3: program parts executed at the target.
 	TargetTime time.Duration
@@ -489,7 +494,7 @@ type ExecOptions struct {
 	// shipment against the snapshot the target says it holds and ships
 	// only added/changed records plus tombstones for deletions, falling
 	// back to a full re-ship whenever either side's state is cold or the
-	// fragmentation epoch changed. The agency only relays the result.
+	// fragmentation epoch changed. The agency only reads the outcome.
 	Delta bool
 	// Reliability is the exchange's retry policy: retried source execution
 	// with backoff and circuit breaking, and resume-from-checkpoint for the
@@ -529,10 +534,10 @@ func (a *Agency) Execute(service string, plan *Plan, link netsim.Link) (*Report,
 }
 
 // ExecuteOpts drives an exchange end-to-end (§5.2's step list): the source
-// executes its slice and streams back the cross-edge shipment, which the
-// agency delivers to the target as one sessioned, chunked request together
-// with the target slice. Communication time is modeled over the link from
-// the actual wire bytes. Every drive carries a span tree (Report.Trace)
+// executes its slice and streams the cross-edge shipment straight to the
+// target as one sessioned, chunked request together with the target
+// slice; the agency coordinates and never carries the data. Communication
+// time is modeled over the link from the actual wire bytes. Every drive carries a span tree (Report.Trace)
 // and, when opts wires a Logger/Metrics, emits exchange.* observability.
 func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Report, error) {
 	if opts.Scheduler != nil {
@@ -565,13 +570,17 @@ func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Rep
 	}
 	if err != nil {
 		met.Counter("exchange.errors").Inc()
-		log.Log(obs.LevelWarn, "exchange failed", "service", service, "err", err.Error())
+		id := ""
+		if report != nil {
+			id = report.Exchange
+		}
+		log.Log(obs.LevelWarn, "exchange failed", "exchange", id, "service", service, "err", err.Error())
 		return report, err
 	}
 	met.Counter("exchange.wire_bytes").Add(report.WireBytes)
 	met.Counter("exchange.payload_bytes").Add(report.PayloadBytes)
 	if log.Enabled(obs.LevelInfo) {
-		log.Log(obs.LevelInfo, "exchange complete",
+		log.Log(obs.LevelInfo, "exchange complete", "exchange", report.Exchange,
 			"service", service, "codec", report.Codec,
 			"wireBytes", report.WireBytes, "retries", report.Retries,
 			"resumes", report.Resumes, "millis", time.Since(start).Milliseconds())

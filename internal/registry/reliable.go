@@ -1,22 +1,28 @@
 package registry
 
 // The exchange driver. There is one way to drive an exchange, and it goes
-// through internal/reliable whether or not the caller asked for retries:
+// through internal/reliable whether or not the caller asked for retries.
+// The agency coordinates; it never carries the data (Figure 2):
 //
-//   - the source call streams the shipment back and is retried wholesale
-//     under backoff — it is idempotent (the source recomputes its slice),
-//     so each attempt restarts the relay's capture;
-//   - the target delivery is a resumable session: the shipment travels as
-//     seq-numbered chunks, a torn delivery is resumed from the chunk
-//     checkpoint the target acked via SessionStatus, and the target's
-//     ledger declines any chunk it already holds, so the loaded instances
-//     are byte-identical to a fault-free run;
-//   - every attempt passes the endpoint's circuit breaker, and the whole
+//   - it mints the exchange id and the target's delivery session, and asks
+//     the source to run its slice and deliver the shipment straight to the
+//     target's registered URL as seq-numbered chunks;
+//   - a failed call is re-issued under backoff: the agency first probes the
+//     target's SessionStatus and re-issues from the chunk checkpoint the
+//     target acked, and the source re-emits the chunks from there out of
+//     the one render it holds for the session — the target's ledger
+//     declines any chunk it already holds, so the loaded instances are
+//     byte-identical to a fault-free run;
+//   - a source that no longer holds that render refuses the resume, and
+//     the agency starts over on a fresh session unless the target already
+//     executed (the probe then carries its stored response);
+//   - every attempt passes the source's circuit breaker, and the whole
 //     exchange shares one retry budget and deadline;
 //   - a delta exchange adds attributes, not a path: the target names the
 //     session whose snapshot it holds, the source diffs against exactly
 //     that snapshot or ships in full, and a target that lost its base
-//     answers xdx:ColdDelta, which re-runs the source without one.
+//     answers xdx:ColdDelta, which the source relays unchanged and the
+//     agency answers by re-running without one.
 //
 // An exchange without ExecOptions.Reliability runs the same protocol under
 // a single-attempt policy: one source call, one sessioned delivery, and any
@@ -31,7 +37,6 @@ import (
 	"time"
 
 	"xdx/internal/endpoint"
-	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/reliable"
 	"xdx/internal/soap"
@@ -50,7 +55,7 @@ func wireExchangeObs(ex *reliable.Exchange, opts ExecOptions) {
 	}
 	ex.Retrier().OnRetry = func(op string, try int, delay time.Duration, err error) {
 		met.Counter("exchange.retries").Inc()
-		log.Log(obs.LevelWarn, "retrying call",
+		log.Log(obs.LevelWarn, "retrying call", "exchange", ex.ID(),
 			"op", op, "try", try, "delayMillis", delay.Milliseconds(), "err", err.Error())
 	}
 	if !ex.SharedBreakers() {
@@ -63,10 +68,10 @@ func wireExchangeObs(ex *reliable.Exchange, opts ExecOptions) {
 }
 
 // drive runs an exchange end-to-end under opts.Reliability (ExecuteOpts
-// has resolved nil to the single-attempt config): retried source
-// execution, resumable chunked target delivery. A delta exchange is the
-// same drive: the target names the snapshot it holds, the source diffs
-// against it, and the agency relays whatever the source wrote.
+// has resolved nil to the single-attempt config): the source executes and
+// delivers, the agency probes and re-issues. A delta exchange is the same
+// drive: the target names the snapshot it holds, and the source diffs
+// against it.
 func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, error) {
 	src, tgt := a.parties(service)
 	if src == nil || tgt == nil {
@@ -80,10 +85,11 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	if err != nil {
 		return nil, err
 	}
+	ex := reliable.NewExchange(opts.Reliability)
 	trace := obs.NewSpan("exchange")
 	trace.Set("service", service)
-	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace}
-	ex := reliable.NewExchange(opts.Reliability)
+	trace.Set("exchange", ex.ID())
+	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace, Exchange: ex.ID()}
 	wireExchangeObs(ex, opts)
 	log := obs.OrNop(opts.Logger)
 
@@ -91,189 +97,136 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	if opts.Filter != "" {
 		reqS.SetAttr("filter", opts.Filter)
 	}
+	reqS.SetAttr("target", tgt.URL)
 	reqS.SetAttr("chunk", strconv.Itoa(ex.ChunkSize()))
 	ct := ex.Client(tgt.URL)
-	stream, epoch, base := service, deltaEpoch(src, tgt), ""
+	base := ""
 	if opts.Delta {
 		// The source reconciles against the snapshot the target holds, so
 		// it learns the stream, the epoch and that snapshot's session.
+		stream, epoch := service, deltaEpoch(src, tgt)
 		reqS.SetAttr("stream", stream)
 		reqS.SetAttr("epoch", epoch)
 		base = targetDeltaBase(ct, stream, epoch)
 	}
 	reqS.AddKid(progXML)
-
-	// Phase 1: source execution, retried wholesale. The source recomputes
-	// its slice on every attempt, so each try restarts the capture and a
-	// torn partial shipment never reaches the target.
-	ship := wire.NewRelay()
-	defer ship.Release()
-	var scanS *sourceCapture
 	cs := ex.Client(src.URL)
 	advertise(cs, codec)
-	execSource := func(session, base string) error {
+
+	// run drives one delivery session to its end: the source's answer, or
+	// the target's stored one when the source's was lost after the target
+	// executed.
+	run := func(session, base string) (*sourceReply, error) {
+		reqS.SetAttr("session", session)
 		if opts.Delta {
-			reqS.SetAttr("session", session)
 			reqS.SetAttr("base", base)
 		}
-		srcSpan := trace.Child("source")
-		defer srcSpan.End()
+		span := trace.Child("source")
+		defer span.End()
+		span.Set("session", session)
+		var reply *sourceReply
+		var stored *xmltree.Node
 		err := ex.Do("ExecuteSource", src.URL, func(try int) error {
-			at := srcSpan.Child("attempt")
+			at := span.Child("attempt")
 			at.Set("try", strconv.Itoa(try))
 			defer at.End()
-			ship.Reset()
-			scanS = &sourceCapture{relay: ship}
-			if err := cs.CallStream("ExecuteSource", func(w io.Writer) error {
-				return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
-			}, scanS); err != nil {
-				at.Set("err", err.Error())
-				return err
-			}
-			if !scanS.sawShipment {
-				at.Set("err", "no shipment")
-				return reliable.Permanent(fmt.Errorf("registry: source returned no shipment"))
-			}
-			return nil
-		})
-		if err != nil {
-			report.Retries = ex.Retries()
-			return fmt.Errorf("registry: source execution: %w", err)
-		}
-		if scanS.codec != "" {
-			// What the source answered is what travels on both hops.
-			report.Codec = scanS.codec
-			if _, err = wire.ParseCodec(scanS.codec); err != nil {
-				return fmt.Errorf("registry: source execution: %w", err)
-			}
-		}
-		report.SourceTime = endpoint.ParseMillis(scanS.queryMillis)
-		report.PayloadBytes, _ = strconv.ParseInt(scanS.payloadBytes, 10, 64)
-		report.Delta = scanS.delta == "1"
-		report.DeltaRecords, _ = strconv.Atoi(scanS.deltaRecords)
-		report.TombstoneRecords, _ = strconv.Atoi(scanS.tombstones)
-		return nil
-	}
-
-	// Phase 2: resumable target delivery. The chunks travel as the source
-	// wrote them; each redelivery first asks the target which chunk it
-	// acked last and resumes there.
-	deliver := func(sessionID string) (*xmltree.Node, error) {
-		open := `<ExecuteTarget session="` + sessionID + `"`
-		if opts.Delta {
-			// Every sessioned delivery of a delta-enabled exchange names its
-			// stream and epoch, so the target retains the applied snapshot
-			// as the base the next delta patches.
-			open += ` stream="` + attrEscape(stream) + `" epoch="` + epoch + `"`
-		}
-		if report.Delta {
-			open += ` delta="1" base="` + attrEscape(base) + `"`
-		}
-		open += `>`
-		var respT *xmltree.Node
-		delSpan := trace.Child("deliver")
-		defer delSpan.End()
-		delSpan.Set("session", sessionID)
-		delSpan.Set("chunks", strconv.Itoa(ship.Len()))
-		if report.Delta {
-			delSpan.Set("delta", "1")
-		}
-		next := int64(0)
-		err := ex.Do("ExecuteTarget", tgt.URL, func(try int) error {
-			at := delSpan.Child("attempt")
-			at.Set("try", strconv.Itoa(try))
-			defer at.End()
+			from := int64(0)
 			if try > 0 {
-				probe := at.Child("probe")
-				next = resumePoint(ct.Call("SessionStatus", sessionStatusReq(sessionID)))
-				probe.Set("next", strconv.FormatInt(next, 10))
-				probe.End()
-				if next > 0 {
+				// Never re-issue blind: a resume starts at the checkpoint
+				// the target acked, and a failed probe is a failed attempt.
+				st, err := probe(ct, at, session)
+				if err != nil {
+					at.Set("err", err.Error())
+					return err
+				}
+				from, stored = resumePoint(st), storedResponse(st)
+				if from > 0 {
 					report.Resumes++
 					opts.Metrics.Counter("exchange.resumes").Inc()
 				}
 			}
-			tb := &xmltree.TreeBuilder{}
-			if err := ct.CallStream("ExecuteTarget", func(w io.Writer) error {
-				if _, err := io.WriteString(w, open); err != nil {
-					return err
+			reqS.SetAttr("from", strconv.FormatInt(from, 10))
+			reply = &sourceReply{}
+			err := cs.CallStream("ExecuteSource", func(w io.Writer) error {
+				return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
+			}, reply)
+			if soap.IsRenderGone(err) {
+				// The source lost the render this session began. If the
+				// target executed it anyway (the source's answer was lost),
+				// the session is complete; otherwise it can never be.
+				if stored == nil {
+					st, _ := probe(ct, at, session)
+					stored = storedResponse(st)
 				}
-				if err := xmltree.Write(w, progXML, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
-					return err
+				if stored != nil {
+					reply = &sourceReply{target: stored.Attrs}
+					return nil
 				}
-				m := netsim.NewMeter(w)
-				// Accumulated on every exit path: an attempt torn mid-chunk
-				// still spent its bytes on the wire, and WireBytes counts the
-				// retransmission cost across all attempts.
-				defer func() { report.WireBytes += m.Bytes() }()
-				if err := ship.WriteShipment(m, next, report.Delta); err != nil {
-					return err
-				}
-				_, err := io.WriteString(w, `</ExecuteTarget>`)
-				return err
-			}, tb); err != nil {
+			}
+			if err != nil {
 				at.Set("err", err.Error())
-				if soap.IsColdDelta(err) {
-					// The target has no base to patch; no retry of this
-					// session can warm it. Surface to the re-run below.
+				if soap.IsColdDelta(err) || soap.IsRenderGone(err) {
+					// No retry of this session can warm the base or bring
+					// the render back; surface to the fresh session below.
 					return reliable.Permanent(err)
 				}
 				return err
 			}
-			if tb.Root() == nil || tb.Root().Name != "ExecuteTargetResponse" {
+			if !reply.ok {
 				at.Set("err", "no response")
-				return reliable.Permanent(fmt.Errorf("registry: target returned no response"))
+				return reliable.Permanent(fmt.Errorf("registry: source returned no response"))
 			}
-			respT = tb.Root()
 			return nil
 		})
-		if err != nil {
-			// Given up: release the half-filled session now rather than leave
-			// it to the target's idle sweeper.
-			ct.Call("EndSession", endSessionReq(sessionID))
-			return nil, err
+		if err != nil || ex.Retries() > 0 {
+			// Release what a failed attempt may have left: the target's
+			// half-filled session and the source's held render. A clean
+			// run holds neither, so the happy path adds no call.
+			cs.Call("EndSession", endSessionReq(session))
 		}
-		// The response is in hand, so the target's session state (ledger,
-		// stored replay response) has served its purpose; release it now
-		// rather than holding it for the store's full idle window. Best
-		// effort — the target's sweeper collects it if this call is lost.
-		commit := trace.Child("commit")
-		ct.Call("EndSession", endSessionReq(sessionID))
-		commit.End()
-		return respT, nil
+		if err != nil {
+			ct.Call("EndSession", endSessionReq(session))
+		}
+		return reply, err
 	}
 
 	session := ex.SessionID()
-	if err := execSource(session, base); err != nil {
-		return report, err
+	reply, err := run(session, base)
+	if err != nil && (soap.IsColdDelta(err) || soap.IsRenderGone(err)) {
+		if soap.IsColdDelta(err) {
+			// The target lost its base between the probe and the delivery
+			// (sweep, restart or a raced exchange): re-run the source
+			// without a base and ship the full snapshot.
+			opts.Metrics.Counter("exchange.delta.fallbacks").Inc()
+			log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "exchange", ex.ID(), "service", service)
+			base = ""
+		} else {
+			log.Log(obs.LevelWarn, "source lost the delivery's render: restarting on a fresh session", "exchange", ex.ID(), "service", service)
+		}
+		// A fresh session: the dead one's ledger state must not skip
+		// chunks of a differently-numbered shipment.
+		session = ex.SessionID()
+		reply, err = run(session, base)
 	}
-	switch scanS.delta {
+	report.Retries = ex.Retries()
+	if err != nil {
+		return report, fmt.Errorf("registry: exchange: %w", err)
+	}
+	// The response is in hand, so the target's session state (ledger,
+	// stored replay response) has served its purpose; release it now
+	// rather than holding it for the store's full idle window. Best
+	// effort — the target's sweeper collects it if this call is lost.
+	commit := trace.Child("commit")
+	ct.Call("EndSession", endSessionReq(session))
+	commit.End()
+	switch report.read(reply) {
 	case "cold":
 		opts.Metrics.Counter("exchange.delta.cold").Inc()
 	case "unkeyed":
 		// Records without IDs cannot be reconciled; this shipment shape is
 		// never delta-able.
 		opts.Metrics.Counter("exchange.delta.unkeyed").Inc()
-		log.Log(obs.LevelInfo, "delta disabled: shipment carries records without IDs", "service", service)
-	}
-	respT, err := deliver(session)
-	if err != nil && soap.IsColdDelta(err) {
-		// The target lost its base between the probe and the delivery
-		// (sweep, restart or a raced exchange). Re-run the source without a base
-		// and ship the full snapshot on a fresh session — the dead
-		// session's ledger state must not skip chunks of a
-		// differently-numbered shipment.
-		opts.Metrics.Counter("exchange.delta.fallbacks").Inc()
-		log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "service", service)
-		session = ex.SessionID()
-		if err := execSource(session, ""); err != nil {
-			return report, err
-		}
-		respT, err = deliver(session)
-	}
-	report.Retries = ex.Retries()
-	if err != nil {
-		return report, fmt.Errorf("registry: target execution: %w", err)
+		log.Log(obs.LevelInfo, "delta disabled: shipment carries records without IDs", "exchange", ex.ID(), "service", service)
 	}
 	if report.Delta {
 		opts.Metrics.Counter("exchange.delta.exchanges").Inc()
@@ -281,19 +234,88 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		opts.Metrics.Counter("exchange.delta.tombstones").Add(int64(report.TombstoneRecords))
 	}
 	report.ShipTime = opts.Link.TransferTime(report.WireBytes)
-	if v, ok := respT.Attr("execMillis"); ok {
-		report.TargetTime = endpoint.ParseMillis(v)
-	}
-	if v, ok := respT.Attr("writeMillis"); ok {
-		report.WriteTime = endpoint.ParseMillis(v)
-	}
-	if v, ok := respT.Attr("indexMillis"); ok {
-		report.IndexTime = endpoint.ParseMillis(v)
-	}
-	if v, ok := respT.Attr("declined"); ok {
-		report.DeclinedChunks, _ = strconv.ParseInt(v, 10, 64)
-	}
 	return report, nil
+}
+
+// sourceReply reads the source's answer: the response envelope's codec
+// attribute — the source's negotiation answer, so the codec its chunks
+// reached the target in — its <timing>, and the target's response inside.
+type sourceReply struct {
+	codec          string
+	ok             bool // the answer was an ExecuteSourceResponse
+	timing, target []xmltree.Attr
+}
+
+// ObserveEnvelope implements soap.EnvelopeObserver.
+func (r *sourceReply) ObserveEnvelope(attrs []xmltree.Attr) { r.codec = attrOf(attrs, "codec") }
+
+// StartElement implements xmltree.AttrHandler.
+func (r *sourceReply) StartElement(name string, attrs []xmltree.Attr) error {
+	switch name {
+	case "ExecuteSourceResponse":
+		r.ok = true
+	case "timing":
+		r.timing = append(r.timing[:0], attrs...)
+	case "ExecuteTargetResponse":
+		r.target = append(r.target[:0], attrs...)
+	}
+	return nil
+}
+
+// Text implements xmltree.AttrHandler.
+func (r *sourceReply) Text(string) error { return nil }
+
+// EndElement implements xmltree.AttrHandler.
+func (r *sourceReply) EndElement(string) error { return nil }
+
+// attrOf returns the named attribute of a list, "" when absent.
+func attrOf(attrs []xmltree.Attr, name string) string {
+	for _, a := range attrs {
+		if a.Name == name {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// read fills the report from the source's answer: its <timing> and the
+// target's response — or, when the source's answer was lost after the
+// target executed, the target's stored response alone. It returns the
+// source's reconciliation outcome on a delta exchange: "1" for a delta,
+// "cold" or "unkeyed" for a full snapshot.
+func (r *Report) read(reply *sourceReply) string {
+	timing, target := reply.timing, reply.target
+	r.SourceTime = endpoint.ParseMillis(attrOf(timing, "queryMillis"))
+	r.PayloadBytes, _ = strconv.ParseInt(attrOf(timing, "payloadBytes"), 10, 64)
+	r.WireBytes, _ = strconv.ParseInt(attrOf(timing, "wireBytes"), 10, 64)
+	outcome := attrOf(timing, "delta")
+	r.Delta = outcome == "1"
+	r.DeltaRecords, _ = strconv.Atoi(attrOf(timing, "records"))
+	r.TombstoneRecords, _ = strconv.Atoi(attrOf(timing, "tombstones"))
+	r.TargetTime = endpoint.ParseMillis(attrOf(target, "execMillis"))
+	r.WriteTime = endpoint.ParseMillis(attrOf(target, "writeMillis"))
+	r.IndexTime = endpoint.ParseMillis(attrOf(target, "indexMillis"))
+	r.DeclinedChunks, _ = strconv.ParseInt(attrOf(target, "declined"), 10, 64)
+	if reply.codec != "" {
+		r.Codec = reply.codec
+	}
+	return outcome
+}
+
+// probe asks the target where a delivery session stands.
+func probe(ct *soap.Client, at *obs.Span, session string) (*xmltree.Node, error) {
+	sp := at.Child("probe")
+	defer sp.End()
+	st, err := ct.Call("SessionStatus", sessionStatusReq(session))
+	if err == nil && st == nil {
+		err = fmt.Errorf("registry: empty SessionStatus answer")
+	}
+	if err != nil {
+		return nil, err
+	}
+	v, _ := st.Attr("next")
+	sp.Set("next", v)
+	return st, nil
 }
 
 // deltaEpoch fingerprints the fragmentation agreement a reconciliation
@@ -327,10 +349,6 @@ func targetDeltaBase(ct *soap.Client, stream, epoch string) string {
 	return v
 }
 
-// attrEscape escapes a string for embedding in a double-quoted XML
-// attribute of a hand-built open tag.
-var attrEscape = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;").Replace
-
 // sessionStatusReq builds a SessionStatus probe for a session.
 func sessionStatusReq(id string) *xmltree.Node {
 	req := &xmltree.Node{Name: "SessionStatus"}
@@ -352,10 +370,10 @@ func endSessionReq(id string) *xmltree.Node {
 // answers known="0" with a zero checkpoint, and resending chunks it
 // already committed is safe (its ledger declines them), whereas skipping
 // chunks a reset ledger never saw would drop records — which is why a
-// target refuses a delivery that starts past its checkpoint. A failed or
-// unparsable probe resumes from zero for the same reason.
-func resumePoint(st *xmltree.Node, err error) int64 {
-	if err != nil || st == nil {
+// target refuses a delivery that starts past its checkpoint. An
+// unparsable checkpoint resumes from zero for the same reason.
+func resumePoint(st *xmltree.Node) int64 {
+	if st == nil {
 		return 0
 	}
 	if v, _ := st.Attr("known"); v == "0" {
@@ -367,4 +385,21 @@ func resumePoint(st *xmltree.Node, err error) int64 {
 		return 0
 	}
 	return n
+}
+
+// storedResponse returns the target's stored ExecuteTargetResponse a
+// SessionStatus reply carries once the session executed, else nil.
+func storedResponse(st *xmltree.Node) *xmltree.Node {
+	if st == nil {
+		return nil
+	}
+	if v, _ := st.Attr("done"); v != "1" {
+		return nil
+	}
+	for _, k := range st.Kids {
+		if k.Name == "ExecuteTargetResponse" {
+			return k
+		}
+	}
+	return nil
 }

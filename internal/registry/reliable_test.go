@@ -49,11 +49,11 @@ func soakSeeds(t testing.TB) []int64 {
 // XMark-style) wired into a most-fragmented source and a least-fragmented
 // target, both registered, the exchange planned.
 type auctionWorld struct {
-	ag       *Agency
-	plan     *Plan
-	src, tgt *endpoint.Endpoint
-	tgtStore *relstore.Store
-	close    func()
+	ag                 *Agency
+	plan               *Plan
+	src, tgt           *endpoint.Endpoint
+	srcStore, tgtStore *relstore.Store
+	close              func()
 }
 
 // startAuctionWorld stands the auction exchange up; front, when set, wraps
@@ -77,7 +77,7 @@ func startAuctionWorld(t testing.TB, front func(role Role, h http.Handler) http.
 		t.Fatal(err)
 	}
 
-	w := &auctionWorld{ag: New(), tgtStore: tgtStore}
+	w := &auctionWorld{ag: New(), srcStore: srcStore, tgtStore: tgtStore}
 	w.src = endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil)
 	w.tgt = endpoint.New("T", &endpoint.RelBackend{Store: tgtStore, Speed: 1, CanCombine: true}, nil)
 	srcH, tgtH := w.src.Handler(), w.tgt.Handler()
@@ -107,6 +107,37 @@ func startAuctionExchange(t testing.TB) (*Agency, *Plan, *relstore.Store, *endpo
 	t.Helper()
 	w := startAuctionWorld(t, nil)
 	return w.ag, w.plan, w.tgtStore, w.tgt, w.close
+}
+
+// startFaultedWorld is startAuctionWorld with fl's server-side faults on
+// the target's handler once the exchange is planned: drops, truncations
+// and 5xx then hit the source → target stream that carries the shipment,
+// as well as the agency's probes.
+func startFaultedWorld(t testing.TB, fl *netsim.FaultyLink) *auctionWorld {
+	t.Helper()
+	var armed atomic.Bool
+	w := startAuctionWorld(t, func(role Role, h http.Handler) http.Handler {
+		if role != RoleTarget {
+			return h
+		}
+		faulty := fl.Middleware(h)
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if armed.Load() {
+				faulty.ServeHTTP(rw, r)
+				return
+			}
+			h.ServeHTTP(rw, r)
+		})
+	})
+	armed.Store(true)
+	return w
+}
+
+// startFaultedExchange is startAuctionExchange over startFaultedWorld.
+func startFaultedExchange(t testing.TB, fl *netsim.FaultyLink) (*Agency, *Plan, *relstore.Store, func()) {
+	t.Helper()
+	w := startFaultedWorld(t, fl)
+	return w.ag, w.plan, w.tgtStore, w.close
 }
 
 // assembleTarget reassembles the document a target store holds.
@@ -168,14 +199,17 @@ func soakConfig(seed int64) *reliable.Config {
 
 // TestReliableExchangeUnderInjectedFaults is the subsystem's acceptance
 // check: over a link that drops 20% of connections and tears streams
-// mid-flight (fixed seeds), a streamed auction exchange with reliability
+// mid-flight (fixed seeds) — the agency's calls through its transport, the
+// source's delivery and the agency's probes through faults on the target's
+// handler — a streamed auction exchange with reliability
 // completes with target contents byte-identical to a fault-free run and
 // reports retries; the same seeds without reliability kill the exchange.
 // The matrix runs over the shipment codecs so torn-chunk recovery is
 // exercised on the binary (and compressed) encodings too. Whether a seed's
 // torn delivery committed a prefix to resume from is up to timing, so
 // resume-from-checkpoint is asserted deterministically elsewhere:
-// TestRelayResumesFromCheckpoint, TestDurableEndpointRestartResumes and
+// TestRelayResumesFromCheckpoint, TestResumeKeepsOneRender,
+// TestDurableEndpointRestartResumes and
 // TestKillRestartChildEndpoint.
 func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 	// Fault-free baseline: what the target must hold afterwards.
@@ -211,9 +245,9 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 						// (Checked on the XML arm only: where a fault cuts
 						// depends on stream length, so a leaner codec could
 						// dodge the exact tear the seed injects.)
-						agC, planC, _, _, doneC := startAuctionExchange(t)
-						defer doneC()
 						flC := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(seed))
+						agC, planC, _, doneC := startFaultedExchange(t, flC)
+						defer doneC()
 						if _, err := agC.ExecuteOpts("Auction", planC, ExecOptions{
 							Link: netsim.Loopback(), Reliability: overLink(nil, flC),
 						}); err == nil {
@@ -226,9 +260,9 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 
 					// With reliability it completes, and the report shows the
 					// work.
-					agB, planB, tgtB, _, doneB := startAuctionExchange(t)
-					defer doneB()
 					flB := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(seed))
+					agB, planB, tgtB, doneB := startFaultedExchange(t, flB)
+					defer doneB()
 					rep, err := agB.ExecuteOpts("Auction", planB, ExecOptions{
 						Link:        netsim.Loopback(),
 						Reliability: overLink(soakConfig(seed), flB),
@@ -389,8 +423,9 @@ func TestFaultSweepExperiment(t *testing.T) {
 // is adopted unconditionally — in particular known="0" resets to zero even
 // if a prior attempt acked further, because a target that lost the session
 // (sweep, restart) has a reset ledger and skipping chunks it never saw
-// would silently drop records. Probe failures and garbage also resume
-// from zero; resending is always safe, skipping never is.
+// would silently drop records. Garbage also resumes from zero; resending
+// is always safe, skipping never is. (A probe that fails is a failed
+// attempt: the agency never re-issues without an answer.)
 func TestResumePoint(t *testing.T) {
 	status := func(known, next string) *xmltree.Node {
 		st := &xmltree.Node{Name: "SessionStatusResponse"}
@@ -405,20 +440,18 @@ func TestResumePoint(t *testing.T) {
 	cases := []struct {
 		name string
 		st   *xmltree.Node
-		err  error
 		want int64
 	}{
-		{"probe failed", nil, fmt.Errorf("boom"), 0},
-		{"nil response", nil, nil, 0},
-		{"session lost", status("0", "5"), nil, 0},
-		{"acked five", status("1", "5"), nil, 5},
-		{"fresh session", status("1", "0"), nil, 0},
-		{"garbage next", status("1", "many"), nil, 0},
-		{"negative next", status("1", "-3"), nil, 0},
-		{"missing next", status("1", ""), nil, 0},
+		{"nil response", nil, 0},
+		{"session lost", status("0", "5"), 0},
+		{"acked five", status("1", "5"), 5},
+		{"fresh session", status("1", "0"), 0},
+		{"garbage next", status("1", "many"), 0},
+		{"negative next", status("1", "-3"), 0},
+		{"missing next", status("1", ""), 0},
 	}
 	for _, c := range cases {
-		if got := resumePoint(c.st, c.err); got != c.want {
+		if got := resumePoint(c.st); got != c.want {
 			t.Errorf("%s: resumePoint = %d, want %d", c.name, got, c.want)
 		}
 	}

@@ -307,6 +307,7 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	}
 	resp := &xmltree.Node{Name: "ExchangeResponse"}
 	resp.SetAttr("service", service)
+	resp.SetAttr("exchange", report.Exchange)
 	resp.SetAttr("retries", strconv.Itoa(report.Retries))
 	resp.SetAttr("resumes", strconv.Itoa(report.Resumes))
 	resp.SetAttr("declined", strconv.FormatInt(report.DeclinedChunks, 10))

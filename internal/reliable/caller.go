@@ -39,6 +39,7 @@ type Exchange struct {
 	retrier  *Retrier
 	breakers *BreakerSet
 	hc       *http.Client
+	id       string
 }
 
 // NewExchange prepares the reliability state for one exchange.
@@ -59,13 +60,19 @@ func NewExchange(cfg *Config) *Exchange {
 		retrier:  NewRetrier(cfg.Policy, cfg.Seed),
 		breakers: breakers,
 		hc:       hc,
+		id:       mintID("e", cfg.Seed),
 	}
 }
 
+// ID is the exchange id: minted once per exchange, it rides on every call
+// the exchange makes and on the source's call to the target, so every log
+// line of the exchange on every process carries it.
+func (e *Exchange) ID() string { return e.id }
+
 // Client builds a SOAP client for url under this exchange's transport and
-// per-attempt timeout.
+// per-attempt timeout, carrying the exchange id on every call.
 func (e *Exchange) Client(url string) *soap.Client {
-	return &soap.Client{URL: url, HTTPClient: e.hc, Timeout: e.cfg.Policy.AttemptTimeout}
+	return &soap.Client{URL: url, HTTPClient: e.hc, Timeout: e.cfg.Policy.AttemptTimeout, Exchange: e.id}
 }
 
 // Do runs one logical call against the endpoint at url with retries and

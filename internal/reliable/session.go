@@ -10,8 +10,8 @@ package reliable
 // so a replay of it is declined wholesale instead of doubling its records.
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -249,11 +249,17 @@ func (s *SessionStore) Len() int {
 // sessionCounter disambiguates session IDs minted in the same process.
 var sessionCounter atomic.Int64
 
-// NewSessionID mints a wire-safe session identifier. The seed folds in the
-// exchange's reliability seed so ID sequences are reproducible per config;
-// the process-wide counter keeps concurrent exchanges distinct.
-func NewSessionID(seed int64) string {
-	return fmt.Sprintf("x%x-%d", uint64(seed)&0xffffff, sessionCounter.Add(1))
+// NewSessionID mints a wire-safe session identifier.
+func NewSessionID(seed int64) string { return mintID("x", seed) }
+
+// mintID mints a wire-safe session ("x") or exchange ("e") identifier.
+// The seed folds in the exchange's reliability seed so ID sequences are
+// reproducible per config; the process-wide counter keeps concurrent
+// exchanges distinct.
+func mintID(kind string, seed int64) string {
+	b := make([]byte, 0, 24)
+	b = strconv.AppendUint(append(b, kind...), uint64(seed)&0xffffff, 16)
+	return string(strconv.AppendInt(append(b, '-'), sessionCounter.Add(1), 10))
 }
 
 // Chunk is one resumable unit of a shipment: a batch of records of one

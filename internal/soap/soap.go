@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"xdx/internal/obs"
@@ -79,6 +78,25 @@ func ColdDeltaFault(detail string) *Fault {
 func IsColdDelta(err error) bool {
 	var f *Fault
 	return errors.As(err, &f) && f.Code == CodeColdDelta
+}
+
+// CodeRenderGone is the fault code a source answers a resumed delivery
+// (from > 0) with when it no longer holds the render the delivery session
+// started from (a restart, an idle sweep): chunks from a second execution
+// of the slice must never complete a session the first one began, so the
+// agency ends that session and starts a fresh one.
+const CodeRenderGone = "xdx:RenderGone"
+
+// RenderGoneFault builds the source's refusal of a resume it holds no
+// render for.
+func RenderGoneFault(detail string) *Fault {
+	return &Fault{Code: CodeRenderGone, String: "no render held for the delivery session", Detail: detail}
+}
+
+// IsRenderGone reports whether err is (or wraps) a render-gone fault.
+func IsRenderGone(err error) bool {
+	var f *Fault
+	return errors.As(err, &f) && f.Code == CodeRenderGone
 }
 
 // faultStatus picks the HTTP status a server-side fault is sent under: the
@@ -150,8 +168,17 @@ func MustUnderstandFault(entries []*xmltree.Node, recognize func(local string) b
 
 // serverRecognizes is the header-entry vocabulary this server's dispatch
 // understands: the codecs negotiation entry (an alternative carrier for
-// the envelope's codecs attribute).
-func serverRecognizes(local string) bool { return local == "codecs" }
+// the envelope's codecs attribute) and the exchange id entry.
+func serverRecognizes(local string) bool { return local == "codecs" || local == "exchange" }
+
+// withExchange prepends the exchange id to a log line's key/value pairs,
+// when there is one.
+func withExchange(id string, kv ...any) []any {
+	if id == "" {
+		return kv
+	}
+	return append([]any{"exchange", id}, kv...)
+}
 
 // FaultEnvelope wraps a fault in an envelope.
 func FaultEnvelope(f *Fault) *xmltree.Node {
@@ -188,6 +215,10 @@ type Client struct {
 	// request/response bytes) and a call-duration histogram under
 	// soap.client.*. Nil records nothing.
 	Metrics *obs.Registry
+	// Exchange, when set, is the id of the exchange the calls belong to:
+	// it travels on every request as a mandatory header entry (see
+	// envOpen) and is stamped on the client's log lines.
+	Exchange string
 }
 
 // observe records one finished call on the client's logger and metrics.
@@ -200,14 +231,14 @@ func (c *Client) observe(action string, start time.Time, reqBytes, respBytes int
 	if err != nil {
 		m.Counter("soap.client.errors").Inc()
 		obs.OrNop(c.Logger).Log(obs.LevelWarn, "soap call failed",
-			"action", action, "url", c.URL, "err", err)
+			withExchange(c.Exchange, "action", action, "url", c.URL, "err", err)...)
 		return
 	}
 	if l := obs.OrNop(c.Logger); l.Enabled(obs.LevelDebug) {
-		l.Log(obs.LevelDebug, "soap call",
+		l.Log(obs.LevelDebug, "soap call", withExchange(c.Exchange,
 			"action", action, "url", c.URL,
 			"reqBytes", reqBytes, "respBytes", respBytes,
-			"millis", fmt.Sprintf("%.3f", float64(time.Since(start))/float64(time.Millisecond)))
+			"millis", fmt.Sprintf("%.3f", float64(time.Since(start))/float64(time.Millisecond)))...)
 	}
 }
 
@@ -230,14 +261,14 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // back as *Fault errors carrying the HTTP status.
 func (c *Client) Call(action string, payload *xmltree.Node) (*xmltree.Node, error) {
 	start := time.Now()
-	env := Envelope(payload)
-	if len(c.Codecs) > 0 {
-		env.SetAttr("codecs", strings.Join(c.Codecs, " "))
-	}
 	var buf bytes.Buffer
-	if err := xmltree.Write(&buf, env, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
-		return nil, fmt.Errorf("soap: marshal request: %w", err)
+	buf.WriteString(c.envOpen())
+	if payload != nil {
+		if err := xmltree.Write(&buf, payload, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
+			return nil, fmt.Errorf("soap: marshal request: %w", err)
+		}
 	}
+	buf.WriteString(envSuffix)
 	sent := int64(buf.Len())
 	var resp xmltree.TreeBuilder
 	if err := c.post(action, start, &buf, &sent, nil, &resp); err != nil {

@@ -34,12 +34,16 @@ const (
 var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 
 // envOpen renders an envelope open (through <soap:Body>) carrying extra
-// envelope attributes — the channel content negotiation rides on.
-func envOpen(attrs []xmltree.Attr) string {
-	if len(attrs) == 0 {
+// envelope attributes — the channel content negotiation rides on — and,
+// when exchange is set, the exchange id header entry. That entry is
+// mandatory (mustUnderstand="1"): a peer that cannot stamp the id on its
+// log lines refuses the call rather than drop the thread.
+func envOpen(attrs []xmltree.Attr, exchange string) string {
+	if len(attrs) == 0 && exchange == "" {
 		return envPrefix
 	}
 	var b strings.Builder
+	b.Grow(256)
 	b.WriteString(`<soap:Envelope xmlns:soap="` + EnvelopeNS + `"`)
 	for _, a := range attrs {
 		b.WriteByte(' ')
@@ -48,7 +52,13 @@ func envOpen(attrs []xmltree.Attr) string {
 		attrEscaper.WriteString(&b, a.Value)
 		b.WriteByte('"')
 	}
-	b.WriteString(`><soap:Body>`)
+	b.WriteByte('>')
+	if exchange != "" {
+		b.WriteString(`<soap:Header><xdx:exchange xmlns:xdx="urn:xdx" soap:mustUnderstand="1">`)
+		attrEscaper.WriteString(&b, exchange)
+		b.WriteString(`</xdx:exchange></soap:Header>`)
+	}
+	b.WriteString(`<soap:Body>`)
 	return b.String()
 }
 
@@ -65,6 +75,10 @@ type Header struct {
 	// mustUnderstand="1" that dispatch does not recognize have already
 	// faulted by the time a handler runs.
 	Entries []*xmltree.Node
+	// Exchange is the exchange id the request's exchange header entry
+	// carried (see envOpen), "" when it carried none. The server reads
+	// that entry in place, so Entries omits it.
+	Exchange string
 }
 
 // EnvelopeAttrWriter is implemented by the response writer handed to
@@ -99,6 +113,16 @@ func (c *Client) callContext() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
 
+// envOpen renders the request envelope's open: the advertised codecs and
+// the exchange id ride on it.
+func (c *Client) envOpen() string {
+	var attrs []xmltree.Attr
+	if len(c.Codecs) > 0 {
+		attrs = []xmltree.Attr{{Name: "codecs", Value: strings.Join(c.Codecs, " ")}}
+	}
+	return envOpen(attrs, c.Exchange)
+}
+
 // CallStream posts a SOAP request whose body is produced by writeBody
 // directly onto the wire (chunked, never buffered whole) and feeds the
 // response payload's parse events to h. h may be nil to ignore a non-fault
@@ -107,10 +131,6 @@ func (c *Client) callContext() (context.Context, context.CancelFunc) {
 func (c *Client) CallStream(action string, writeBody func(io.Writer) error, h xmltree.AttrHandler) error {
 	start := time.Now()
 	pr, pw := io.Pipe()
-	var envAttrs []xmltree.Attr
-	if len(c.Codecs) > 0 {
-		envAttrs = []xmltree.Attr{{Name: "codecs", Value: strings.Join(c.Codecs, " ")}}
-	}
 	reqCount := &countingWriter{w: pw}
 	errc := make(chan error, 1)
 	go func() {
@@ -118,7 +138,7 @@ func (c *Client) CallStream(action string, writeBody func(io.Writer) error, h xm
 		// pipe-sized chunks; without it every framing fragment crosses the
 		// pipe (and the chunked transfer encoding) on its own.
 		bw := bufpool.Writer(reqCount)
-		_, err := bw.WriteString(envOpen(envAttrs))
+		_, err := bw.WriteString(c.envOpen())
 		if err == nil {
 			err = writeBody(bw)
 		}
@@ -259,13 +279,13 @@ type envelopeWalker struct {
 	sawEnvelope bool
 	sawBody     bool
 
-	depth     int // framing elements open: 1 in the Envelope, 2 in the Body
-	skip      int // depth inside a skipped element, 0 outside one
-	inHeader  int
-	hdr       *xmltree.TreeBuilder
+	depth     int                  // framing elements open: 1 in the Envelope, 2 in the Body
+	skip      int                  // depth inside a skipped element, 0 outside one
+	inHeader  int                  // depth inside soap:Header, 0 outside it
+	hdr       *xmltree.TreeBuilder // the header entries but the exchange id's
+	inID      bool                 // inside the exchange id entry
 	inPayload int
 	h         xmltree.AttrHandler // the payload's handler
-	rawTo     io.Writer           // h's sink for the element being copied verbatim
 }
 
 // scan walks the envelope read from r.
@@ -285,12 +305,14 @@ func (v *envelopeWalker) scan(r io.Reader) error {
 }
 
 // closeHeader runs once soap:Header closes: it enforces mustUnderstand,
-// keeps the entries for handlers, and honors a codecs entry as the
+// keeps the entries for handlers, honors a codecs entry as the
 // negotiation carrier when the envelope attribute did not already
-// negotiate.
+// negotiate, and reads the exchange id entry.
 func (v *envelopeWalker) closeHeader() error {
-	v.env.Entries = v.hdr.Root().Kids
-	v.hdr = nil
+	if v.hdr != nil {
+		v.env.Entries = v.hdr.Root().Kids
+		v.hdr = nil
+	}
 	if f := MustUnderstandFault(v.env.Entries, v.understood); f != nil {
 		return f
 	}
@@ -310,6 +332,18 @@ func (v *envelopeWalker) StartElement(name string, attrs []xmltree.Attr) error {
 		return nil
 	case v.inHeader > 0:
 		v.inHeader++
+		switch {
+		case v.inHeader == 2 && name == "exchange" && v.understood != nil && v.understood(name):
+			// The one entry on every call of an exchange is read in
+			// place, not built into a tree.
+			v.inID = true
+			return nil
+		case v.inID:
+			return nil
+		case v.hdr == nil:
+			v.hdr = &xmltree.TreeBuilder{}
+			v.hdr.StartElement("Header", nil)
+		}
 		return v.hdr.StartElement(name, attrs)
 	case v.inPayload > 0:
 		v.inPayload++
@@ -337,8 +371,6 @@ func (v *envelopeWalker) StartElement(name string, attrs []xmltree.Attr) error {
 			// Collect entries instead of silently skipping them, so
 			// mandatory ones are enforced and handlers can read the rest.
 			v.inHeader = 1
-			v.hdr = &xmltree.TreeBuilder{}
-			return v.hdr.StartElement(name, attrs)
 		default:
 			v.skip = 1
 		}
@@ -369,7 +401,9 @@ func (v *envelopeWalker) StartElement(name string, attrs []xmltree.Attr) error {
 func (v *envelopeWalker) Text(data string) error {
 	switch {
 	case v.skip > 0:
-	case v.inHeader > 0:
+	case v.inID:
+		v.env.Exchange += data
+	case v.hdr != nil:
 		return v.hdr.Text(data)
 	case v.inPayload > 0:
 		return payloadErr(v.h.Text(data))
@@ -392,28 +426,6 @@ func (v *envelopeWalker) TextBytes(data []byte) error {
 	return v.Text(string(data))
 }
 
-// StartRaw implements xmltree.RawHandler, forwarding the payload handler's
-// verbatim-element path the way TextBytes forwards its zero-copy text path.
-func (v *envelopeWalker) StartRaw(name string) io.Writer {
-	if rh, ok := v.h.(xmltree.RawHandler); ok && v.skip == 0 && v.inPayload > 0 {
-		if v.rawTo = rh.StartRaw(name); v.rawTo != nil {
-			return v
-		}
-	}
-	return nil
-}
-
-// Write passes a claimed element's bytes to the payload handler's sink.
-func (v *envelopeWalker) Write(p []byte) (int, error) {
-	n, err := v.rawTo.Write(p)
-	return n, payloadErr(err)
-}
-
-// EndRaw implements xmltree.RawHandler.
-func (v *envelopeWalker) EndRaw(name string) error {
-	return payloadErr(v.h.(xmltree.RawHandler).EndRaw(name))
-}
-
 // EndElement implements xmltree.AttrHandler.
 func (v *envelopeWalker) EndElement(name string) error {
 	switch {
@@ -421,8 +433,12 @@ func (v *envelopeWalker) EndElement(name string) error {
 		v.skip--
 	case v.inHeader > 0:
 		v.inHeader--
-		if err := v.hdr.EndElement(name); err != nil {
-			return err
+		if v.inID {
+			v.inID = v.inHeader > 1
+		} else if v.hdr != nil {
+			if err := v.hdr.EndElement(name); err != nil {
+				return err
+			}
 		}
 		if v.inHeader == 0 {
 			return v.closeHeader()
@@ -481,7 +497,7 @@ func (e *envelopeWriter) SetEnvelopeAttr(name, value string) error {
 func (e *envelopeWriter) open() error {
 	e.started = true
 	e.w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	_, err := io.WriteString(e.w, envOpen(e.attrs))
+	_, err := io.WriteString(e.w, envOpen(e.attrs, ""))
 	return err
 }
 
@@ -537,10 +553,10 @@ func (c *countingResponseWriter) Write(p []byte) (int, error) {
 // truncated records a response that was cut off after its envelope started
 // flowing — the only remaining failure signal once headers are gone, so it
 // must at least reach the metrics.
-func (s *Server) truncated(payload string, err error) {
+func (s *Server) truncated(payload, exchange string, err error) {
 	s.metrics.Counter("soap.server.truncated").Inc()
 	obs.OrNop(s.logger).Log(obs.LevelWarn, "soap response truncated",
-		"payload", payload, "err", err)
+		withExchange(exchange, "payload", payload, "err", err)...)
 }
 
 // ServeHTTP implements http.Handler. Requests are consumed in one SAX
@@ -595,12 +611,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			m.Histogram("soap.server.millis").ObserveSince(start)
 			if l := obs.OrNop(s.logger); l.Enabled(obs.LevelDebug) {
-				l.Log(obs.LevelDebug, "soap request",
+				l.Log(obs.LevelDebug, "soap request", withExchange(walk.env.Exchange,
 					"payload", walk.payload, "status", status,
-					"reqBytes", cr.n, "respBytes", cw.n)
+					"reqBytes", cr.n, "respBytes", cw.n)...)
 			}
 		}()
 	}
+	truncated := func(err error) { s.truncated(walk.payload, walk.env.Exchange, err) }
 	if err := walk.scan(body); err != nil {
 		var pe *PayloadError
 		if errors.As(err, &pe) {
@@ -624,11 +641,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			// The envelope is already flowing; truncating it is the only way
 			// left to signal failure — the client's parser will report it.
-			s.truncated(walk.payload, err)
+			truncated(err)
 			return
 		}
 		if err := ew.finish(); err != nil {
-			s.truncated(walk.payload, err)
+			truncated(err)
 		}
 	case legacy != nil:
 		resp, err := legacy(tree.Root())

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"xdx/internal/obs"
 	"xdx/internal/xmltree"
 )
 
@@ -246,48 +247,33 @@ func TestCallStreamPayloadError(t *testing.T) {
 	}
 }
 
-// rawPayload claims every <chunk> raw and counts the ordinary events.
-type rawPayload struct {
-	rejectHandler
-	raw            strings.Builder
-	writeErr, done error
-	ended          int
-}
-
-func (r *rawPayload) StartRaw(name string) io.Writer {
-	if name != "chunk" {
-		return nil
-	}
-	return r
-}
-func (r *rawPayload) Write(p []byte) (int, error) {
-	if r.writeErr != nil {
-		return 0, r.writeErr
-	}
-	return r.raw.Write(p)
-}
-func (r *rawPayload) EndRaw(string) error { r.ended++; return r.done }
-
-// TestScanEnvelopeForwardsRawElements: the envelope walk hands a payload
-// handler's raw-element path through — inside the payload only, never for
-// header entries — and its refusals come back as payload errors, which
-// retry policies treat as permanent.
-func TestScanEnvelopeForwardsRawElements(t *testing.T) {
-	const env = `<soap:Envelope xmlns:soap="` + EnvelopeNS + `"><soap:Header><chunk>h</chunk></soap:Header>` +
-		`<soap:Body><Resp><chunk a=">">x<chunk/></chunk><chunk seq='1'/></Resp></soap:Body></soap:Envelope>`
-	h := &rawPayload{}
-	if _, err := ScanEnvelope(strings.NewReader(env), h); err != nil {
+// TestExchangeEntryTravelsOnEveryCall: a client's exchange id reaches the
+// server's handlers on buffered and streamed calls alike, as a mandatory
+// header entry the server understands, and the server's request log line
+// carries it.
+func TestExchangeEntryTravelsOnEveryCall(t *testing.T) {
+	var got []string
+	s := NewServer()
+	s.Handle("Ping", func(*xmltree.Node) (*xmltree.Node, error) { return &xmltree.Node{Name: "Pong"}, nil })
+	s.HandleStream("Push", func(env Header, _ []xmltree.Attr) (xmltree.AttrHandler, RespondFunc, error) {
+		got = append(got, env.Exchange)
+		return &xmltree.TreeBuilder{}, func(w io.Writer) error { _, err := io.WriteString(w, "<Pushed/>"); return err }, nil
+	})
+	var logBuf strings.Builder
+	s.SetObs(obs.NewTextLogger(&logBuf, obs.LevelDebug), nil)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	c := &Client{URL: srv.URL, Exchange: "e1-7"}
+	if err := c.CallStream("Push", func(w io.Writer) error { _, err := io.WriteString(w, "<Push/>"); return err }, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := h.raw.String(), `<chunk a=">">x<chunk/></chunk><chunk seq='1'/>`; got != want || h.ended != 2 {
-		t.Errorf("payload handler was handed %q in %d elements, want %q in 2", got, h.ended, want)
+	if _, err := c.Call("Ping", &xmltree.Node{Name: "Ping"}); err != nil {
+		t.Fatal(err)
 	}
-	refused := errors.New("refused")
-	for _, h := range []*rawPayload{{writeErr: refused}, {done: refused}} {
-		_, err := ScanEnvelope(strings.NewReader(env), h)
-		var pe *PayloadError
-		if !errors.As(err, &pe) || !errors.Is(err, refused) {
-			t.Errorf("err = %v, want the handler's refusal as a PayloadError", err)
-		}
+	if len(got) != 1 || got[0] != "e1-7" {
+		t.Errorf("stream handler saw exchange ids %q, want [e1-7]", got)
+	}
+	if n := strings.Count(logBuf.String(), "exchange=e1-7"); n != 2 {
+		t.Errorf("%d of the server's request lines carry the id, want 2:\n%s", n, logBuf.String())
 	}
 }

@@ -18,6 +18,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -32,6 +33,26 @@ import (
 	"xdx/internal/schema"
 	"xdx/internal/xmltree"
 )
+
+// MaxChunkBytes caps the wire size of one chunk: what a ShipmentDecoder
+// stages of one raw payload, inflates one flate payload to, or stages of
+// one tagged-XML chunk's values. A 64-record chunk is a few KiB; the cap
+// only stops a peer from growing a buffer without limit.
+const MaxChunkBytes = 16 << 20
+
+// ErrChunkTooLarge reports a chunk beyond MaxChunkBytes.
+var ErrChunkTooLarge = errors.New("wire: shipment chunk exceeds the chunk size limit")
+
+// ErrChunkOrder reports a shipment whose chunks are not sequenced densely
+// in stream order, which a resumable delivery depends on: a
+// ShipmentDecoder wants every chunk after a sequenced one to carry the
+// next seq, and a target session wants every chunk sequenced from at most
+// its checkpoint.
+var ErrChunkOrder = errors.New("wire: shipment chunks are not sequenced densely")
+
+// ErrChunkFormat reports a chunk whose format attribute names no codec
+// this build decodes.
+var ErrChunkFormat = errors.New("wire: unknown shipment chunk format")
 
 // ShipmentWriter streams a shipment onto a writer as a sequence of
 // <instance> chunks inside one <shipment> element. Emit is safe for
@@ -56,6 +77,7 @@ type ShipmentWriter struct {
 	delta    bool
 
 	chunk   int   // SetChunk: records per self-numbered chunk, 0 = off
+	from    int64 // SetChunk: the first self-numbered chunk written
 	nextSeq int64 // seq of the next self-numbered chunk
 	payload int64 // RecordBytes of everything rendered so far
 }
@@ -65,13 +87,15 @@ type ShipmentWriter struct {
 // order (an Emit without records still yields its one announcing chunk) —
 // for a sorted-key emitter exactly the chunks reliable.ChunkShipment cuts.
 // Tombstone chunks take the next seq too: EmitTombstones' seq argument is
-// for writers without SetChunk. Must be called before the first Emit;
-// n <= 0 leaves Emit unsequenced.
-func (sw *ShipmentWriter) SetChunk(n int) {
+// for writers without SetChunk. Chunks numbered below from are counted
+// (their seq and their PayloadBytes) but not written, so a resumed
+// delivery re-emits exactly the tail of the shipment it started. Must be
+// called before the first Emit; n <= 0 leaves Emit unsequenced.
+func (sw *ShipmentWriter) SetChunk(n int, from int64) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if !sw.opened {
-		sw.chunk = n
+		sw.chunk, sw.from = n, from
 	}
 }
 
@@ -122,7 +146,9 @@ func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs []*xmltree.
 	}
 	for {
 		n := min(len(recs), sw.chunk)
-		if err := sw.emitLocked(key, frag, recs[:n], sw.nextSeq); err != nil {
+		if sw.nextSeq < sw.from {
+			sw.payload += RecordBytes(recs[:n])
+		} else if err := sw.emitLocked(key, frag, recs[:n], sw.nextSeq); err != nil {
 			return err
 		}
 		sw.nextSeq++
@@ -162,12 +188,15 @@ func (sw *ShipmentWriter) openLocked() error {
 func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if err := sw.openLocked(); err != nil {
-		return err
-	}
 	if sw.chunk > 0 {
 		seq = sw.nextSeq
 		sw.nextSeq++
+		if seq < sw.from {
+			return nil
+		}
+	}
+	if err := sw.openLocked(); err != nil {
+		return err
 	}
 	if err := sw.spliceLocked(0); err != nil {
 		return err

@@ -39,8 +39,7 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzScan checks the SAX scanner never panics, balances events and closes
-// every element it accepts with that element's own name, and that its
-// raw-element path finds the same element boundaries.
+// every element it accepts with that element's own name.
 func FuzzScan(f *testing.F) {
 	f.Add(`<a><b>x</b></a>`)
 	f.Add(`<a><b></a></b>`)
@@ -62,6 +61,5 @@ func FuzzScan(f *testing.F) {
 		if err := ScanAttrs(strings.NewReader(doc), h); err == nil && len(open) != 0 {
 			t.Fatalf("unbalanced events accepted: %q left open for %q", open, doc)
 		}
-		checkRawAgreesWithScan(t, doc)
 	})
 }

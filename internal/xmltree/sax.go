@@ -35,20 +35,6 @@ type TextBytesHandler interface {
 	TextBytes(data []byte) error
 }
 
-// RawHandler is an optional extension of AttrHandler for a consumer that
-// forwards an element instead of interpreting it. As soon as an open tag's
-// name is read — before its attributes are tokenised — the scanner asks
-// StartRaw; a non-nil writer claims the element: its bytes, open tag
-// through matching close tag exactly as they stand in the input, are
-// written there, EndRaw follows, and no other event is delivered for the
-// element or anything inside it. Only tag nesting is tracked while copying;
-// names, characters and entities are checked by whoever parses the bytes
-// next. A write error aborts the scan.
-type RawHandler interface {
-	StartRaw(name string) io.Writer
-	EndRaw(name string) error
-}
-
 // ScanAttrs streams XML from r into h. It is single-pass and keeps no tree
 // in memory, which is what lets the shredder discard state as soon as
 // tuples are flushed and the wire path parse shipments without

@@ -22,7 +22,6 @@ type attrScanner struct {
 	br    *bufio.Reader
 	h     AttrHandler
 	tb    TextBytesHandler // h's optional zero-copy text path, nil otherwise
-	raw   RawHandler       // h's optional verbatim-element path, nil otherwise
 	names map[string]string
 	attrs []Attr
 	vals  Arena    // attribute values' string slab; lives for the scan
@@ -59,7 +58,6 @@ func scanStream(r io.Reader, h AttrHandler) error {
 		names: make(map[string]string, 32),
 	}
 	s.tb, _ = h.(TextBytesHandler)
-	s.raw, _ = h.(RawHandler)
 	for {
 		err := s.scanText()
 		if err == io.EOF {
@@ -289,29 +287,42 @@ func localPart(name string) string {
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
+// nameStop marks the bytes that end a tag or attribute name: whitespace,
+// '>', '/' and '=' — and '<', which is an error inside a tag.
+var nameStop = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '>': true, '/': true, '=': true, '<': true}
+
 // readName consumes a tag or attribute name, stopping before the first
-// byte that cannot be part of one. The returned slice aliases s.dec.
+// byte that cannot be part of one. It scans the reader's buffered window a
+// run at a time rather than a byte per call. The returned slice aliases
+// s.dec.
 func (s *attrScanner) readName() ([]byte, error) {
 	s.dec = s.dec[:0]
 	for {
-		c, err := s.br.ReadByte()
-		if err != nil {
-			return nil, errUnterminated
-		}
-		if isSpace(c) || c == '>' || c == '/' || c == '=' {
-			s.br.UnreadByte()
-			if len(s.dec) == 0 {
-				return nil, fmt.Errorf("xmltree: scan: empty name")
+		if s.br.Buffered() == 0 {
+			if _, err := s.br.Peek(1); err != nil {
+				return nil, errUnterminated
 			}
-			return s.dec, nil
 		}
-		if c == '<' {
-			return nil, fmt.Errorf("xmltree: scan: '<' in tag")
+		win, _ := s.br.Peek(s.br.Buffered())
+		i := 0
+		for i < len(win) && !nameStop[win[i]] {
+			i++
 		}
-		if len(s.dec) == MaxTokenBytes {
+		if len(s.dec)+i > MaxTokenBytes {
 			return nil, ErrTokenTooLarge
 		}
-		s.dec = append(s.dec, c)
+		s.dec = append(s.dec, win[:i]...)
+		s.br.Discard(i)
+		if i == len(win) {
+			continue
+		}
+		switch {
+		case win[i] == '<':
+			return nil, fmt.Errorf("xmltree: scan: '<' in tag")
+		case len(s.dec) == 0:
+			return nil, fmt.Errorf("xmltree: scan: empty name")
+		}
+		return s.dec, nil
 	}
 }
 
@@ -336,14 +347,6 @@ func (s *attrScanner) scanStartTag() error {
 	}
 	qname := s.intern(nameB)
 	name := localPart(qname)
-	if s.raw != nil {
-		if w := s.raw.StartRaw(name); w != nil {
-			if err := s.copyRaw(w, nameB); err != nil {
-				return err
-			}
-			return s.raw.EndRaw(name)
-		}
-	}
 	s.attrs = s.attrs[:0]
 	for {
 		c, err := s.skipSpace()
@@ -369,109 +372,6 @@ func (s *attrScanner) scanStartTag() error {
 			}
 		}
 	}
-}
-
-// copyRaw copies the element whose open tag's name was just read — the
-// rest of that tag, the content, the close tag — to w byte for byte. It
-// follows tag nesting only, stepping over the places a '<' or '>' can hide
-// exactly as the tokenizer does: quoted attribute values, comments, CDATA
-// sections, processing instructions and declarations.
-func (s *attrScanner) copyRaw(w io.Writer, name []byte) error {
-	s.text = append(append(s.text[:0], '<'), name...)
-	if _, err := w.Write(s.text); err != nil {
-		return err
-	}
-	depth, err := s.copyTag(w)
-	for depth > 0 && err == nil {
-		if err = s.copyThrough(w, '<', ""); err != nil {
-			break
-		}
-		var next []byte
-		if next, err = s.br.Peek(2); err != nil {
-			return errUnterminated
-		}
-		switch {
-		case next[0] == '/':
-			depth--
-			_, err = s.copyTag(w)
-		case next[0] == '?':
-			err = s.copyThrough(w, '>', "?>")
-		case string(next) == "!-":
-			err = s.copyThrough(w, '>', "-->")
-		case string(next) == "![":
-			err = s.copyThrough(w, '>', "]]>")
-		case next[0] == '!':
-			var decl declEnd
-			skip := len("!x") // the '!' and the declaration's first byte
-			err = s.copyWhile(w, '>', func(run []byte) bool {
-				for _, c := range run {
-					if skip > 0 {
-						skip--
-					} else if decl.closes(c) {
-						return false
-					}
-				}
-				return true
-			})
-		default:
-			var open int
-			open, err = s.copyTag(w)
-			depth += open
-		}
-	}
-	return err
-}
-
-// copyWhile copies input to w in runs ending at delim, until a run does
-// end there and more — called on every run, in order — returns false.
-func (s *attrScanner) copyWhile(w io.Writer, delim byte, more func(run []byte) bool) error {
-	for {
-		run, rerr := s.br.ReadSlice(delim)
-		if rerr != nil && rerr != bufio.ErrBufferFull {
-			return errUnterminated
-		}
-		if _, err := w.Write(run); err != nil {
-			return err
-		}
-		if !more(run) && rerr == nil {
-			return nil
-		}
-	}
-}
-
-// copyTag copies the remainder of a tag through its closing '>' — one that
-// is not inside a quoted attribute value — and reports 1 when the tag
-// leaves an element open, 0 when it is self-closing.
-func (s *attrScanner) copyTag(w io.Writer) (int, error) {
-	var quote, prev, last byte
-	err := s.copyWhile(w, '>', func(run []byte) bool {
-		for _, c := range run {
-			if quote != 0 {
-				if c == quote {
-					quote = 0
-				}
-			} else if c == '"' || c == '\'' {
-				quote = c
-			}
-			prev, last = last, c
-		}
-		return quote != 0
-	})
-	if prev == '/' {
-		return 0, err
-	}
-	return 1, err
-}
-
-// copyThrough copies input to w through the next delim byte that completes
-// the terminator end ("" accepts the first delim).
-func (s *attrScanner) copyThrough(w io.Writer, delim byte, end string) error {
-	tail := s.dec[:0] // the last len(end) bytes copied
-	return s.copyWhile(w, delim, func(run []byte) bool {
-		tail = append(tail, run[max(0, len(run)-len(end)):]...)
-		tail = tail[max(0, len(tail)-len(end)):]
-		return string(tail) != end
-	})
 }
 
 // scanAttr parses one name="value" pair, dropping namespace declarations.

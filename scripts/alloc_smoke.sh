@@ -13,11 +13,12 @@
 # (xml) codec both ways, the only row on the path every negotiation falls
 # back to, whose scanner takes attribute values out of a per-scan string
 # slab and whose decoder stages each chunk in an arena-carved slice; the
-# fourth is the only snapshot benchmark that crosses the
-# agency, so the only one that sees what its chunk relay allocates per
-# chunk, and the only one through a journaled target's commit path — its
-# bytes are gated too, so per-record idempotency state cannot creep back
-# into a chunk commit; the fifth is 1,600 attaches each under a parent of its own, whose
+# fourth is the only snapshot benchmark of a whole reliable exchange over
+# real endpoints, so the only one that sees what direct delivery allocates
+# per chunk — the source rendering its chunks straight onto its request
+# to the target, with the agency off the data path — and the only one
+# through a journaled target's commit path; its bytes are gated too, so
+# per-record idempotency state cannot creep back into a chunk commit; the fifth is 1,600 attaches each under a parent of its own, whose
 # kid slices grow out of the joiner's arena (the k-Combines-into-one-root
 # rows amortise a per-attach allocation away and would not see it); the
 # sixth is xmltree.Parse of a 500 KB XMark document, the tree reader behind
@@ -67,12 +68,17 @@ cd "$(dirname "$0")/.."
 # commit that follows 553ed7d and makes the chunk checkpoint the target's
 # only idempotency key: ReliableExchangeDurable/batch read 6561-6591
 # allocs/op and 1998832-2159336 B/op at 553ed7d on 2 CPUs, and reads
-# 6430-6449 and 1899736-2125978.
+# 6430-6449 and 1899736-2125978. "direct-delivery" is the commit that
+# follows 622d3da and takes the agency out of the data path:
+# ReliableExchangeDurable/batch read 6415-6444 allocs/op and
+# 2018568-2142045 B/op at 622d3da on 2 CPUs, and reads 6389-6440 and
+# 1655912-1771850; Substrate_Parse reads 29087 at both, so its baseline
+# stays.
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
 SHIPMENT_CODEC_STREAM=212            # slab-scan, 20x
-RELIABLE_EXCHANGE_DURABLE_BATCH=6635 # slab-scan
-RELIABLE_EXCHANGE_DURABLE_BATCH_BYTES=2125978 # one-commit
+RELIABLE_EXCHANGE_DURABLE_BATCH=6440 # direct-delivery
+RELIABLE_EXCHANGE_DURABLE_BATCH_BYTES=1771850 # direct-delivery
 CHAINED_COMBINE_SPREAD_K8=217        # 5ebdd14 (BENCH_13.json)
 SUBSTRATE_PARSE=29086                # one-reader, 20x
 TABLE4_LOAD_INDEX_MF=646             # pointer-free-index, 10x

@@ -1,10 +1,13 @@
 #!/bin/sh
 # Process-kill smoke: a durable (-wal-dir) target endpoint is SIGKILLed in
-# the middle of a reliable exchange driven through xdxd, restarted over the
-# same WAL directory, and the exchange must still complete — resumed from
-# the journaled checkpoint (resumes >= 1) without re-shipping committed
-# chunks (declined = 0). The shell twin of TestKillRestartChildEndpoint;
-# this one exercises the real binaries end to end.
+# the middle of a reliable exchange driven through xdxd — while the source
+# streams its shipment straight into the target — restarted over the same
+# WAL directory, and the exchange must still complete: the source holds
+# its render, and the agency probes the restarted target and re-issues
+# from the journaled checkpoint (resumes >= 1) without re-shipping
+# committed chunks (declined = 0). The shell twin of
+# TestKillRestartChildEndpoint; this one exercises the real binaries end
+# to end.
 #
 # The dance runs under the fsync policy whose acks claim crash safety:
 # "batch" (group commit). The kill waits for fsyncs >= 2 as well as a few
