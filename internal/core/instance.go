@@ -199,10 +199,10 @@ type joiner struct {
 	parent    *Instance
 	joinElems []joinElem
 	// arena batches the copy-on-write clones and the kid slices attach
-	// grows: a Combine over a Share'd instance (every delta exchange runs
-	// over a shared base) clones each record it touches, every attach past a
-	// node's capacity needs a longer slice, and both live exactly as long as
-	// the merged instance they end up in. A joiner is single-goroutine,
+	// grows: a Combine over a Share'd instance (a multi-consumer edge's)
+	// clones each record it touches, every attach past a node's capacity
+	// needs a longer slice, and both live exactly as long as the merged
+	// instance they end up in. A joiner is single-goroutine,
 	// which is what an arena requires.
 	arena xmltree.Arena
 }
@@ -268,31 +268,39 @@ func (j *joiner) attach(rec *xmltree.Node, shared bool) bool {
 	if shared {
 		child = rec.CloneInto(&j.arena)
 	}
-	j.place(e.n, child, je)
+	placeKid(e.n, child, je.order, je.rank, &j.arena)
 	j.parent.indexTree(child, e.rec)
 	return true
 }
 
-// place inserts child among p's kids at the position the XML Schema
-// dictates (Definition 3.7): after every kid that ranks at or below it,
-// which is where appending and then stably sorting would leave it. It
-// rests on p's kids already being in schema order — every Scan, shipment
-// decoder, Split and earlier Combine hands records over that way. The
-// common case, a last kid that is a same-named sibling or ranks no higher,
-// is one string compare (and at most one rank lookup) and an append; only
-// a child that belongs before the last kid searches for its slot. A full
-// kid slice moves into the joiner's arena, first cut to the element's
-// schema fan-out, instead of regrowing on the heap once per attach.
-func (j *joiner) place(p, child *xmltree.Node, je *joinElem) {
+// placeKid inserts child among p's kids at the position the XML Schema
+// dictates (Definition 3.7): after every kid that ranks at or below rank in
+// order, p's child ranking, which is where appending and then stably
+// sorting would leave it. It rests on p's kids already being in schema
+// order — every Scan, shipment decoder, Split and earlier Combine hands
+// records over that way. The common case, a last kid that is a same-named
+// sibling or ranks no higher, is one string compare (and at most one rank
+// lookup) and an append; only a child that belongs before the last kid
+// searches for its slot. A full kid slice moves into the arena, first cut
+// to the element's schema fan-out, instead of regrowing on the heap once
+// per attach.
+func placeKid(p, child *xmltree.Node, order map[string]int, rank int, arena *xmltree.Arena) {
 	kids := p.Kids
 	at := len(kids)
-	if at > 0 && kids[at-1].Name != child.Name && je.order[kids[at-1].Name] > je.rank {
-		at = sort.Search(at-1, func(i int) bool { return je.order[kids[i].Name] > je.rank })
+	if at > 0 && kids[at-1].Name != child.Name && order[kids[at-1].Name] > rank {
+		at = sort.Search(at-1, func(i int) bool { return order[kids[i].Name] > rank })
 	}
 	if len(kids) == cap(kids) {
-		kids = append(j.arena.Kids(max(2*len(kids), len(je.order))), kids...)
+		kids = append(arena.Kids(max(2*len(kids), len(order))), kids...)
 	}
 	p.Kids = slices.Insert(kids, at, child)
+}
+
+// PlaceKid inserts child among p's kids where Combine attaches a record:
+// at its schema position, after every kid of its rank or below.
+func PlaceKid(sch *schema.Schema, p, child *xmltree.Node) {
+	order := sch.ChildOrderMap(p.Name)
+	placeKid(p, child, order, order[child.Name], nil)
 }
 
 // mergeFragments returns the fragment covering the union of a and b, rooted

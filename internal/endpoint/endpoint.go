@@ -175,9 +175,8 @@ func (b *VirtualBackend) Clear() {
 }
 
 // Clearer marks backends whose contents a stream-tagged exchange replaces:
-// each such exchange carries the full logical snapshot — shipped whole or
-// patched together from a delta — so prior rows are dropped before the
-// write and repeat exchanges converge instead of accumulating.
+// a full snapshot shipped on a stream drops the prior rows before the
+// write, so repeat exchanges converge instead of accumulating.
 type Clearer interface{ Clear() }
 
 // Endpoint serves a backend over SOAP.
@@ -204,10 +203,10 @@ type Endpoint struct {
 	calMu    sync.Mutex
 	calCache map[string]*shipCalibration
 
-	// deltaMu guards deltaBases: the per-stream retained snapshots delta
-	// exchanges patch against, on the target side. Memory-only by design —
-	// after a restart every stream is cold and the exchange falls back to
-	// a full reship.
+	// deltaMu guards deltaBases: per stream, which snapshot the backend's
+	// rows hold, on the target side — the base the next delta applies to.
+	// Memory-only by design — after a restart every stream is cold and the
+	// exchange falls back to a full reship.
 	deltaMu    sync.Mutex
 	deltaBases map[string]*deltaBase
 	deltaOff   bool
@@ -224,12 +223,14 @@ type Endpoint struct {
 	renders *reliable.SessionStore
 }
 
-// deltaBase is one stream's retained snapshot: the instance map of the
-// last successful stream-tagged exchange and the session that delivered
-// it, valid only while the plan epoch it was built under still matches.
+// deltaBase names the snapshot one stream's last successful exchange left
+// in the backend's rows: the session that delivered it, the plan epoch it
+// was built under, and the backend's generation after it landed. It holds
+// only while the epoch matches and no Clear or Load has bumped the
+// generation since.
 type deltaBase struct {
 	epoch, session string
-	out            map[string]*core.Instance
+	gen            uint64
 }
 
 // shipCalibration holds measured wire/tree size ratios for one codec:
@@ -484,18 +485,16 @@ func (e *Endpoint) deltaStatus(req *xmltree.Node) (*xmltree.Node, error) {
 	epoch, _ := req.Attr("epoch")
 	resp := &xmltree.Node{Name: "DeltaStatusResponse"}
 	resp.SetAttr("stream", stream)
-	e.deltaMu.Lock()
-	if b := e.deltaBases[stream]; b != nil && b.epoch == epoch {
+	if b := e.heldBase(stream, epoch); b != nil {
 		resp.SetAttr("base", b.session)
 	}
-	e.deltaMu.Unlock()
 	return resp, nil
 }
 
 // SetDeltaRetention toggles delta-base retention. Off, the endpoint
 // answers every DeltaStatus probe cold and retains nothing, so sources
-// always ship full snapshots to it — a memory knob for targets with many
-// streams. On (the default) is required for delta exchanges to engage.
+// always ship full snapshots to it. On (the default) is required for delta
+// exchanges to engage.
 func (e *Endpoint) SetDeltaRetention(on bool) {
 	e.deltaMu.Lock()
 	e.deltaOff = !on
@@ -505,23 +504,51 @@ func (e *Endpoint) SetDeltaRetention(on bool) {
 	e.deltaMu.Unlock()
 }
 
-// deltaBaseFor returns a stream's retained snapshot when its epoch and
-// delivering session match, else nil.
-func (e *Endpoint) deltaBaseFor(stream, epoch, session string) map[string]*core.Instance {
-	e.deltaMu.Lock()
-	defer e.deltaMu.Unlock()
-	if b := e.deltaBases[stream]; b != nil && b.epoch == epoch && b.session == session {
-		return b.out
+// rowStore returns the store the backend lands a delta on as row edits, or
+// nil when it cannot: only a relational backend retains a delta base, and
+// every other answers each DeltaStatus cold and takes full snapshots.
+func (e *Endpoint) rowStore() *relstore.Store {
+	if rb, ok := e.backend.(*RelBackend); ok {
+		return rb.Store
 	}
 	return nil
 }
 
-// storeDeltaBase retains a stream's just-executed snapshot, delivered by
-// session, as the base the next delta patches against.
-func (e *Endpoint) storeDeltaBase(stream, epoch, session string, out map[string]*core.Instance) {
+// heldBase returns the stream's base when it was taken at epoch and the
+// backend's rows are still the ones it left, else nil.
+func (e *Endpoint) heldBase(stream, epoch string) *deltaBase {
 	e.deltaMu.Lock()
-	if !e.deltaOff {
-		e.deltaBases[stream] = &deltaBase{epoch: epoch, session: session, out: out}
+	b := e.deltaBases[stream]
+	e.deltaMu.Unlock()
+	if st := e.rowStore(); st == nil || b == nil || b.epoch != epoch || b.gen != st.Generation() {
+		return nil
+	}
+	return b
+}
+
+// takeBase removes and returns the stream's base when a delta diffed
+// against session at epoch applies to it, else nil. The delta that takes
+// the base is the only one to land on it: an overlapping delta diffed
+// against the same snapshot finds none and faults ColdDelta. A successful
+// apply files the base anew; a failed one leaves none, and the next
+// exchange ships in full.
+func (e *Endpoint) takeBase(stream, epoch, session string) *deltaBase {
+	e.deltaMu.Lock()
+	defer e.deltaMu.Unlock()
+	b := e.deltaBases[stream]
+	if b == nil || b.epoch != epoch || b.session != session {
+		return nil
+	}
+	delete(e.deltaBases, stream)
+	return b
+}
+
+// setDeltaBase records that the rows hold session's snapshot of the
+// stream at store generation gen, unless the backend cannot edit rows.
+func (e *Endpoint) setDeltaBase(stream, epoch, session string, gen uint64) {
+	e.deltaMu.Lock()
+	if e.rowStore() != nil && !e.deltaOff {
+		e.deltaBases[stream] = &deltaBase{epoch: epoch, session: session, gen: gen}
 	}
 	e.deltaMu.Unlock()
 }

@@ -223,35 +223,31 @@ func (t *targetScan) respondSession(w io.Writer) error {
 		t.e.met.Counter("endpoint.session.replays").Inc()
 		return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
 	}
-	run := ts.inbound
-	if t.delta {
-		base := t.e.deltaBaseFor(t.stream, t.epoch, t.base)
-		if base == nil {
-			// The base was replaced or vanished between delivery start and
-			// execute (a raced exchange or restart); the agency reacts with
-			// a full reship.
-			return t.coldDelta()
-		}
-		run = patchDelta(base, ts.inbound, ts.tombs)
-		t.e.met.Counter("endpoint.delta.applies").Inc()
-	}
-	exec := run
-	if t.stream != "" {
-		// Stream-tagged exchanges carry (or patch up to) the full logical
-		// snapshot: replace the previous one instead of appending to it,
-		// and hand the executor copy-on-write views so the retained base
-		// never sees combine-time mutations.
-		t.e.clearBackend()
-		exec = shareInstances(run)
-	}
+	var resp *xmltree.Node
+	var gen uint64 // the store generation the rows hold the snapshot at
+	var err error
 	ts.setRunning(true)
-	resp, err := t.e.runTarget(t.exchange, t.g, t.a, exec)
+	if t.delta {
+		resp, gen, err = t.applyDelta()
+	} else {
+		if t.stream != "" {
+			// A stream's full snapshot replaces the previous one instead of
+			// appending to it.
+			t.e.clearBackend()
+		}
+		resp, err = t.e.runTarget(t.exchange, t.g, t.a, ts.inbound)
+		if st := t.e.rowStore(); st != nil {
+			gen = st.Generation()
+		}
+	}
 	ts.setRunning(false)
 	if err != nil {
 		return err
 	}
 	if t.stream != "" {
-		t.e.storeDeltaBase(t.stream, t.epoch, t.session, run)
+		// The rows now hold this session's snapshot: the base the stream's
+		// next delta applies to.
+		t.e.setDeltaBase(t.stream, t.epoch, t.session, gen)
 	}
 	if t.exchange != "" {
 		resp.SetAttr("exchange", t.exchange)
@@ -273,48 +269,6 @@ func (t *targetScan) respondSession(w io.Writer) error {
 	// anyway.
 	ts.inbound = nil
 	return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
-}
-
-// patchDelta overlays a delta shipment onto the retained base: per
-// shipped edge, tombstoned and re-shipped record IDs drop out of the base
-// and the inbound records append — the inverse of how the source derived
-// the delta, so the patched map equals the full shipment it stands in
-// for. Edges absent from the delta vanished from the source's output (all
-// their IDs are tombstoned) and are simply omitted.
-func patchDelta(base, delta map[string]*core.Instance, tombs map[string][]string) map[string]*core.Instance {
-	out := make(map[string]*core.Instance, len(delta))
-	for key, din := range delta {
-		drop := make(map[string]bool, len(tombs[key])+len(din.Records))
-		for _, id := range tombs[key] {
-			drop[id] = true
-		}
-		for _, rec := range din.Records {
-			drop[rec.ID] = true
-		}
-		var recs []*xmltree.Node
-		if bin := base[key]; bin != nil {
-			recs = make([]*xmltree.Node, 0, len(bin.Records)+len(din.Records))
-			for _, rec := range bin.Records {
-				if !drop[rec.ID] {
-					recs = append(recs, rec)
-				}
-			}
-		}
-		recs = append(recs, din.Records...)
-		out[key] = &core.Instance{Frag: din.Frag, Records: recs}
-	}
-	return out
-}
-
-// shareInstances wraps every instance in a copy-on-write view (see
-// core.Instance.Share), keeping the underlying records immutable while
-// the target slice executes over them.
-func shareInstances(in map[string]*core.Instance) map[string]*core.Instance {
-	out := make(map[string]*core.Instance, len(in))
-	for k, v := range in {
-		out[k] = v.Share()
-	}
-	return out
 }
 
 // sessionStatus answers a SessionStatus probe: the chunk checkpoint a

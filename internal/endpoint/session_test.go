@@ -729,3 +729,44 @@ func TestSessionStatusAnswersDuringSlowExecute(t *testing.T) {
 		t.Errorf("target rows = %d, want %d", tgtStore.Rows(), fx.srcRows)
 	}
 }
+
+// Deltas that overlap on a stream, each diffed against the base the rows
+// hold, take it once: the first lands on the rows and the others find no
+// base and fault ColdDelta, so no delta lands on rows another one already
+// edited. A base also stops holding once the rows are reloaded behind it,
+// and the store refuses an apply against the generation it left.
+func TestOverlappingDeltasTakeTheBaseOnce(t *testing.T) {
+	st := loadedStore(t, tFrag(t, schema.CustomerInfo()))
+	e := testEndpoint(&RelBackend{Store: st, Speed: 1, CanCombine: true})
+	e.setDeltaBase("s", "ep", "X", st.Generation())
+	var took atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if e.takeBase("s", "ep", "X") != nil {
+				took.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if took.Load() != 1 {
+		t.Fatalf("%d overlapping deltas took the base, want 1", took.Load())
+	}
+	if e.heldBase("s", "ep") != nil {
+		t.Error("DeltaStatus still answers a base a delta has taken")
+	}
+	gen := st.Generation()
+	e.setDeltaBase("s", "ep", "Y", gen)
+	if b := e.heldBase("s", "ep"); b == nil || b.session != "Y" {
+		t.Fatalf("held base %v, want session Y", b)
+	}
+	st.Clear()
+	if e.heldBase("s", "ep") != nil {
+		t.Error("a base is still held after its rows were cleared")
+	}
+	if _, err := st.ApplyDelta(gen, nil); !errors.Is(err, relstore.ErrStale) {
+		t.Errorf("an apply against the generation before the Clear: err = %v, want ErrStale", err)
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/reliable"
+	"xdx/internal/relstore"
 	"xdx/internal/soap"
 	"xdx/internal/wire"
 	"xdx/internal/xmltree"
@@ -282,8 +283,8 @@ func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *s
 	open := `<ExecuteTarget session="` + attrEscape(d.session) + `"`
 	if d.stream != "" {
 		// Every delivery of a delta-enabled exchange names its stream and
-		// epoch, so the target retains the applied snapshot as the base
-		// the next delta patches.
+		// epoch, so the target records its rows as the base the next delta
+		// applies to.
 		open += ` stream="` + attrEscape(d.stream) + `" epoch="` + attrEscape(d.epoch) + `"`
 	}
 	if r.delta {
@@ -409,7 +410,10 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 		t.epoch = findAttr(attrs, "epoch")
 		t.base = findAttr(attrs, "base")
 		t.delta = attrTrue(findAttr(attrs, "delta"))
-		if t.delta && t.e.deltaBaseFor(t.stream, t.epoch, t.base) == nil && t.e.deltaBaseFor(t.stream, t.epoch, t.session) == nil {
+		if !t.delta {
+			break
+		}
+		if b := t.e.heldBase(t.stream, t.epoch); b == nil || b.session != t.base && b.session != t.session {
 			// Fail the delivery before any chunk flows: a delta diffed
 			// against any snapshot but the one held here cannot be
 			// applied, and the agency's fallback is a full reship on a
@@ -545,7 +549,58 @@ func (e *Endpoint) runTarget(exchange string, g *core.Graph, a core.Assignment, 
 	if err := e.backend.BuildIndexes(); err != nil {
 		return nil, err
 	}
-	indexTime := time.Since(is)
+	return e.targetResponse(exchange, start, execTime, writeTime, time.Since(is)), nil
+}
+
+// applyDelta lands the session's delta shipment as row edits on the rows
+// of the base it was diffed against (see relstore.Store.ApplyDelta), which
+// it takes (see takeBase), and returns the store generation the rows then
+// hold the session's snapshot at: the edges' shipped records and
+// tombstones, with no target slice run. A base the rows no longer hold —
+// replaced, reloaded, taken by an overlapping delta or gone since the
+// delivery started — and a delta that does not fit them fault ColdDelta
+// before any row changes, and the agency reships in full. The whole apply
+// is the store write: there is no slice, and the index upkeep is part of
+// each row edit.
+func (t *targetScan) applyDelta() (*xmltree.Node, uint64, error) {
+	b := t.e.takeBase(t.stream, t.epoch, t.base)
+	if b == nil {
+		return nil, 0, t.coldDelta()
+	}
+	start := time.Now()
+	// An edit per shipped edge, whether it shipped records, tombstones or
+	// nothing; edges several ops consume ship once.
+	var edits []relstore.Edit
+	seen := map[string]bool{}
+	for _, op := range t.g.Ops {
+		for _, ce := range t.g.Out(op) {
+			if key := core.EdgeKey(ce); t.a[ce.From.ID] != t.a[ce.To.ID] && !seen[key] {
+				seen[key] = true
+				ed := relstore.Edit{Frag: ce.Frag, Tombs: t.ts.tombs[key]}
+				if in := t.ts.inbound[key]; in != nil {
+					ed.Records = in.Records
+				}
+				edits = append(edits, ed)
+			}
+		}
+	}
+	ws := time.Now()
+	rows, err := t.e.rowStore().ApplyDelta(b.gen, edits)
+	if errors.Is(err, relstore.ErrStale) {
+		t.e.log.Log(obs.LevelWarn, "delta does not fit the stored rows", "exchange", t.exchange, "stream", t.stream, "err", err.Error())
+		return nil, 0, t.coldDelta()
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	t.e.met.Counter("endpoint.delta.applies").Inc()
+	t.e.met.Counter("endpoint.delta.rows").Add(int64(rows))
+	return t.e.targetResponse(t.exchange, start, ws.Sub(start), time.Since(ws), 0), b.gen, nil
+}
+
+// targetResponse counts a target execution and reports its timing split,
+// the one the agency's cost model is validated against.
+func (e *Endpoint) targetResponse(exchange string, start time.Time, execTime, writeTime, indexTime time.Duration) *xmltree.Node {
 	e.met.Counter("endpoint.target.executes").Inc()
 	e.met.Histogram("endpoint.target.millis").ObserveSince(start)
 	if e.log.Enabled(obs.LevelDebug) {
@@ -557,5 +612,5 @@ func (e *Endpoint) runTarget(exchange string, g *core.Graph, a core.Assignment, 
 	resp.SetAttr("execMillis", formatMillis(execTime))
 	resp.SetAttr("writeMillis", formatMillis(writeTime))
 	resp.SetAttr("indexMillis", formatMillis(indexTime))
-	return resp, nil
+	return resp
 }

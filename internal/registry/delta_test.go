@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -26,6 +27,7 @@ import (
 	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/relstore"
+	"xdx/internal/telgen"
 	"xdx/internal/xmark"
 	"xdx/internal/xmltree"
 )
@@ -62,9 +64,11 @@ func cloneWithIDs(n *xmltree.Node, parent string, next *int) *xmltree.Node {
 // churnAuction mutates an xmark auction document in place: of the item
 // population, about frac/3 each are deleted, updated (idescription
 // rewritten), and freshly inserted (cloned with new IDs) — at least one of
-// each, so every round exercises records, updates, and tombstones. IDs of
-// surviving nodes are never reassigned; stability of keys across rounds is
-// what makes the reconciliation diff meaningful.
+// each, so every round exercises records, updates, and tombstones — and as
+// many pairs of surviving items swap their locations, which move under
+// their new item with their IDs. IDs of surviving nodes are never
+// reassigned; stability of keys across rounds is what makes the
+// reconciliation diff meaningful.
 func churnAuction(doc *xmltree.Node, rng *rand.Rand, frac float64, round int) (dels, upds, adds int) {
 	regions := doc.Find("regions")
 	type slot struct{ region, item *xmltree.Node }
@@ -108,6 +112,10 @@ func churnAuction(doc *xmltree.Node, rng *rand.Rand, frac float64, round int) (d
 			d.Text = fmt.Sprintf("churned round %d item %s", round, it.ID)
 		}
 	}
+	// Moves: per pairs of surviving items swap their locations.
+	for j := 0; j < per; j++ {
+		swapKid(slots[perm[per+2*j]].item, slots[perm[per+2*j+1]].item, "location")
+	}
 	// Adds: clone the next per surviving items under fresh IDs.
 	next := maxIntID(doc)
 	for _, i := range perm[2*per : 3*per] {
@@ -121,67 +129,62 @@ func churnAuction(doc *xmltree.Node, rng *rand.Rand, frac float64, round int) (d
 	return per, per, per
 }
 
-// canonTree sorts every node's kids by integer instance ID (stable, so
-// same-key siblings keep document order) and returns the tree. A delta
-// patch appends changed records after the retained base while a full
-// re-ship writes everything in shipment order; canonical order is what
-// "record-for-record equal" compares.
+// canonTree sorts every node's kids by instance ID — integer IDs in
+// numeric order, as shorter-first then lexical order gives, and any other
+// ID lexically among its length — stably, so ID-less siblings keep document
+// order, and returns the tree. A delta lands changed records after the
+// stored ones while a full re-ship writes everything in shipment order;
+// canonical order is what "record-for-record equal" compares.
 func canonTree(n *xmltree.Node) *xmltree.Node {
 	for _, k := range n.Kids {
 		canonTree(k)
 	}
 	sort.SliceStable(n.Kids, func(i, j int) bool {
-		a, _ := strconv.Atoi(n.Kids[i].ID)
-		b, _ := strconv.Atoi(n.Kids[j].ID)
-		return a < b
+		a, b := n.Kids[i].ID, n.Kids[j].ID
+		return len(a) < len(b) || len(a) == len(b) && a < b
 	})
 	return n
 }
 
-// TestDeltaExchangeChurnProperty is the tentpole's property test: across
-// seeded churn rounds, (previous snapshot + delta exchange) must equal
-// (full snapshot) record-for-record. Two services share one churning
-// source: "Churn" targets an endpoint that retains delta bases, "ChurnCtl"
-// targets one with retention disabled, so the same ExecOptions produce a
-// delta patch on one side and a cold full re-ship on the other — the
-// control is the ground truth the patched target is held to, and its
-// WireBytes are the full-ship cost the delta must undercut.
-func TestDeltaExchangeChurnProperty(t *testing.T) {
-	sch := xmark.Schema()
-	doc := xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})
-	sFr := core.MostFragmented(sch)
-	tFr := core.LeastFragmented(sch)
+// deltaRig is one churning source feeding two targets of one layout:
+// service "Churn" targets an endpoint that retains delta bases, "ChurnCtl"
+// one with retention off, so the same ExecOptions land a delta as row edits
+// on one side and a cold full re-ship on the other — the control is the
+// ground truth the delta target is held to, and its WireBytes are the
+// full-ship cost the delta must undercut.
+type deltaRig struct {
+	t                *testing.T
+	ag               *Agency
+	docs             []*xmltree.Node
+	src, tgtD, tgtC  *relstore.Store
+	plans            map[string]*Plan
+	met, srcMet, tgt *obs.Registry
+}
 
-	srcStore, err := relstore.NewStore(sFr)
-	if err != nil {
-		t.Fatal(err)
+// newDeltaRig loads docs into a source laid out by sFr, of relative speed
+// srcSpeed (a slow one leaves the target to split what it ships), and
+// plans both services greedily.
+func newDeltaRig(t *testing.T, sFr, tFr *core.Fragmentation, srcSpeed float64, docs []*xmltree.Node) *deltaRig {
+	r := &deltaRig{t: t, docs: docs, plans: map[string]*Plan{}, met: obs.NewRegistry(), srcMet: obs.NewRegistry(), tgt: obs.NewRegistry()}
+	newStore := func(fr *core.Fragmentation) *relstore.Store {
+		st, err := relstore.NewStore(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	if err := srcStore.LoadDocument(doc.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	tgtD, err := relstore.NewStore(tFr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgtC, err := relstore.NewStore(tFr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srcEP := endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil)
-	srcMet := obs.NewRegistry()
-	srcEP.SetObs(nil, srcMet)
-	epD := endpoint.New("TD", &endpoint.RelBackend{Store: tgtD, Speed: 1, CanCombine: true}, nil)
-	epC := endpoint.New("TC", &endpoint.RelBackend{Store: tgtC, Speed: 1, CanCombine: true}, nil)
+	r.src, r.tgtD, r.tgtC = newStore(sFr), newStore(tFr), newStore(tFr)
+	r.reload()
+	srcEP := endpoint.New("S", &endpoint.RelBackend{Store: r.src, Speed: srcSpeed, CanCombine: true}, nil)
+	srcEP.SetObs(nil, r.srcMet)
+	epD := endpoint.New("TD", &endpoint.RelBackend{Store: r.tgtD, Speed: 1, CanCombine: true}, nil)
+	epD.SetObs(nil, r.tgt)
+	epC := endpoint.New("TC", &endpoint.RelBackend{Store: r.tgtC, Speed: 1, CanCombine: true}, nil)
 	epC.SetDeltaRetention(false)
-	srcSrv := httptest.NewServer(srcEP.Handler())
-	defer srcSrv.Close()
-	srvD := httptest.NewServer(epD.Handler())
-	defer srvD.Close()
-	srvC := httptest.NewServer(epC.Handler())
-	defer srvC.Close()
-
-	ag := New()
+	srcSrv, srvD, srvC := httptest.NewServer(srcEP.Handler()), httptest.NewServer(epD.Handler()), httptest.NewServer(epC.Handler())
+	t.Cleanup(func() { srcSrv.Close(); srvD.Close(); srvC.Close() })
+	r.ag = New()
+	sch := sFr.Schema
 	for _, reg := range []struct {
 		svc, url string
 		fr       *core.Fragmentation
@@ -192,52 +195,156 @@ func TestDeltaExchangeChurnProperty(t *testing.T) {
 		{"ChurnCtl", srcSrv.URL, sFr, RoleSource},
 		{"ChurnCtl", srvC.URL, tFr, RoleTarget},
 	} {
-		if err := ag.Register(reg.svc, reg.role, wsdlFor(t, sch, reg.fr, reg.url), reg.url); err != nil {
+		if err := r.ag.Register(reg.svc, reg.role, wsdlFor(t, sch, reg.fr, reg.url), reg.url); err != nil {
 			t.Fatal(err)
 		}
 	}
-	planD, err := ag.Plan("Churn", PlanOptions{Algorithm: AlgGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	planC, err := ag.Plan("ChurnCtl", PlanOptions{Algorithm: AlgGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	met := obs.NewRegistry()
-	exec := func(svc string, plan *Plan, seed int64) *Report {
-		t.Helper()
-		rep, err := ag.ExecuteOpts(svc, plan, ExecOptions{
-			Link:        netsim.Loopback(),
-			Reliability: soakConfig(seed),
-			Delta:       true,
-			Metrics:     met,
-		})
-		if err != nil {
-			t.Fatalf("%s exchange failed: %v", svc, err)
+	for _, svc := range []string{"Churn", "ChurnCtl"} {
+		var err error
+		if r.plans[svc], err = r.ag.Plan(svc, PlanOptions{Algorithm: AlgGreedy}); err != nil {
+			t.Fatal(err)
 		}
-		return rep
 	}
+	return r
+}
 
-	// hop is what the source sent the target during one exchange: its
-	// ExecuteTarget requests, the only calls it makes.
-	hop1 := srcMet.Counter("soap.client.req_bytes")
-	var hop1Full int64
-	rng := rand.New(rand.NewSource(11))
-	for round, frac := range []float64{0, 0.01, 0.10, 0.50} {
-		var dels, upds, adds int
-		if round > 0 {
-			dels, upds, adds = churnAuction(doc, rng, frac, round)
-			srcStore.Clear()
-			if err := srcStore.LoadDocument(doc.Clone()); err != nil {
+// reload replaces the source's rows with the current documents.
+func (r *deltaRig) reload() {
+	r.src.Clear()
+	for _, doc := range r.docs {
+		if err := r.src.LoadDocument(doc.Clone()); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+}
+
+// exec runs one delta-enabled exchange of svc.
+func (r *deltaRig) exec(svc string, seed int64) *Report {
+	r.t.Helper()
+	rep, err := r.ag.ExecuteOpts(svc, r.plans[svc], ExecOptions{
+		Link:        netsim.Loopback(),
+		Reliability: soakConfig(seed),
+		Delta:       true,
+		Metrics:     r.met,
+	})
+	if err != nil {
+		r.t.Fatalf("%s exchange failed: %v", svc, err)
+	}
+	return rep
+}
+
+// sameTargets reports whether the delta target holds what the control
+// does: both reassembled into documents whose kids are sorted stably by
+// ID (see canonTree), so ID-less siblings keep their order.
+func (r *deltaRig) sameTargets() bool {
+	r.t.Helper()
+	return xmltree.Equal(canonTree(assembleDocs(r.t, r.tgtC)), canonTree(assembleDocs(r.t, r.tgtD)))
+}
+
+// assembleDocs is assembleTarget for a store that may hold several
+// documents: it combines every fragment into the root one, each once all
+// parents of its root are in, as core.Document does, and returns the
+// documents as the kids of one unnamed node.
+func assembleDocs(t testing.TB, st *relstore.Store) *xmltree.Node {
+	t.Helper()
+	fr := st.Layout
+	scan := func(f *core.Fragment) *core.Instance {
+		in, err := st.ScanFragment(f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	cur := scan(fr.Fragments[0])
+	done := map[string]bool{fr.Fragments[0].Name: true}
+	for len(done) < len(fr.Fragments) {
+		n := len(done)
+		for _, f := range fr.Fragments {
+			if done[f.Name] || slices.ContainsFunc(fr.Schema.Parents(f.Root), func(p string) bool { return !cur.Frag.Elems[p] }) {
+				continue
+			}
+			var err error
+			if cur, err = core.Combine(fr.Schema, cur, scan(f)); err != nil {
 				t.Fatal(err)
 			}
+			done[f.Name] = true
 		}
-		before := hop1.Value()
-		repD := exec("Churn", planD, int64(round+1))
-		hop1Bytes := hop1.Value() - before
-		repC := exec("ChurnCtl", planC, int64(round+100))
+		if len(done) == n {
+			t.Fatalf("fragments of %d cannot be merged", len(fr.Fragments))
+		}
+	}
+	return &xmltree.Node{Kids: cur.Records}
+}
+
+// churnArm is one layout pair of the churn property: documents, the
+// layouts, the source's speed, and the seeded churn that mutates the
+// documents in place and reports how many records it deleted.
+type churnArm struct {
+	name     string
+	docs     func() []*xmltree.Node
+	sFr, tFr *core.Fragmentation
+	srcSpeed float64
+	churn    func(docs []*xmltree.Node, rng *rand.Rand, frac float64, round int) (dels int)
+}
+
+// TestDeltaExchangeChurnProperty: across seeded churn rounds of 0, 1, 10
+// and 50 %, (previous snapshot + delta exchange) must equal (full
+// snapshot) record for record, on three layout pairs: XMark MF→LF, where
+// several edges' records gather into one target record; XMark LF→MF behind
+// a slow source, where the target splits each shipped record across
+// several tables and its text leaves arrive without IDs; and telgen's S→T,
+// whose Order_Service records each hold an order's service. The delta's
+// cost is counted, not timed: endpoint.delta.rows, the rows the apply
+// deleted plus those it inserted, stays under 5 % of the target's rows at
+// 1 % churn and grows with the churn.
+func TestDeltaExchangeChurnProperty(t *testing.T) {
+	xsch, tsch := xmark.Schema(), telgen.Schema()
+	paperS, err := core.PaperSFragmentation(tsch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paperT, err := core.PaperTFragmentation(tsch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auction := func() []*xmltree.Node {
+		return []*xmltree.Node{xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})}
+	}
+	auctionChurn := func(docs []*xmltree.Node, rng *rand.Rand, frac float64, round int) int {
+		dels, _, _ := churnAuction(docs[0], rng, frac, round)
+		return dels
+	}
+	for _, arm := range []churnArm{
+		{"xmark MF to LF", auction, core.MostFragmented(xsch), core.LeastFragmented(xsch), 1, auctionChurn},
+		{"xmark LF to MF", auction, core.LeastFragmented(xsch), core.MostFragmented(xsch), 0.01, auctionChurn},
+		{"telgen S to T", func() []*xmltree.Node { return telgen.Customers(telgen.Config{Customers: 100, Seed: 7}) },
+			paperS, paperT, 1, churnTelecom},
+	} {
+		t.Run(arm.name, func(t *testing.T) { churnRounds(t, arm) })
+	}
+}
+
+func churnRounds(t *testing.T, arm churnArm) {
+	r := newDeltaRig(t, arm.sFr, arm.tFr, arm.srcSpeed, arm.docs())
+	if arm.srcSpeed < 1 && !splitsAtTarget(r.plans["Churn"]) {
+		t.Fatal("no shipped edge spans several target tables: the arm tests nothing it claims")
+	}
+	// hop is what the source sent the target during one exchange: its
+	// ExecuteTarget requests, the only calls it makes.
+	hop1 := r.srcMet.Counter("soap.client.req_bytes")
+	rowsEdited := r.tgt.Counter("endpoint.delta.rows")
+	var hop1Full, prevRows int64
+	rng := rand.New(rand.NewSource(11))
+	for round, frac := range []float64{0, 0.01, 0.10, 0.50} {
+		dels := 0
+		if round > 0 {
+			dels = arm.churn(r.docs, rng, frac, round)
+			r.reload()
+		}
+		before, rows := hop1.Value(), rowsEdited.Value()
+		repD := r.exec("Churn", int64(round+1))
+		hop1Bytes, rows := hop1.Value()-before, rowsEdited.Value()-rows
+		repC := r.exec("ChurnCtl", int64(round+100))
 
 		if repC.Delta {
 			t.Fatalf("round %d: control exchange ran in delta mode despite retention off", round)
@@ -258,8 +365,7 @@ func TestDeltaExchangeChurnProperty(t *testing.T) {
 				t.Fatalf("round %d (churn %.0f%%): warm repeat exchange did not run as a delta", round, frac*100)
 			}
 			if repD.DeltaRecords <= 0 {
-				t.Errorf("round %d: delta shipped %d records, want > 0 (%d updates + %d adds churned)",
-					round, repD.DeltaRecords, upds, adds)
+				t.Errorf("round %d: delta shipped %d records, want > 0", round, repD.DeltaRecords)
 			}
 			if repD.TombstoneRecords < dels {
 				t.Errorf("round %d: delta shipped %d tombstones, want >= %d deletions",
@@ -273,22 +379,244 @@ func TestDeltaExchangeChurnProperty(t *testing.T) {
 				t.Errorf("round %d: 1%%-churn delta shipped %d wire bytes vs %d full — far too little savings",
 					round, repD.WireBytes, repC.WireBytes)
 			}
+			if frac <= 0.01 && rows*20 >= int64(r.tgtD.Rows()) {
+				t.Errorf("round %d: the 1%% delta edited %d of the target's %d rows, want under 5%%", round, rows, r.tgtD.Rows())
+			}
+			if rows <= prevRows {
+				t.Errorf("round %d (churn %.0f%%): the delta edited %d rows, want more than the %d of the churn before", round, frac*100, rows, prevRows)
+			}
+			prevRows = rows
 		}
-
-		got := canonTree(assembleTarget(t, tgtD))
-		want := canonTree(assembleTarget(t, tgtC))
-		if !xmltree.Equal(want, got) {
-			t.Fatalf("round %d (churn %.0f%%): delta-patched target differs from full re-ship", round, frac*100)
+		if !r.sameTargets() {
+			t.Fatalf("round %d (churn %.0f%%): delta-edited target differs from full re-ship", round, frac*100)
 		}
 	}
-	if v := met.Counter("exchange.delta.exchanges").Value(); v < 3 {
+	if v := r.met.Counter("exchange.delta.exchanges").Value(); v < 3 {
 		t.Errorf("exchange.delta.exchanges = %d, want >= 3 (one per warm churn round)", v)
 	}
-	if v := met.Counter("exchange.delta.cold").Value(); v < 1 {
+	if v := r.met.Counter("exchange.delta.cold").Value(); v < 1 {
 		t.Errorf("exchange.delta.cold = %d, want >= 1 (round 0 starts cold)", v)
 	}
-	if v := met.Counter("exchange.delta.tombstones").Value(); v < 3 {
+	if v := r.met.Counter("exchange.delta.tombstones").Value(); v < 3 {
 		t.Errorf("exchange.delta.tombstones = %d, want >= 3", v)
+	}
+	if v := r.met.Counter("exchange.delta.fallbacks").Value(); v != 0 {
+		t.Errorf("exchange.delta.fallbacks = %d, want 0", v)
+	}
+}
+
+// TestDeltaBaseFollowsStoreGeneration: the target's rows are its delta
+// base, so anything else that reloads them ends the base. After a warm
+// delta round, the target store is cleared directly (as the benchmark's
+// bulk prepare does) or a second stream full-loads into it; either way
+// DeltaStatus must answer cold, the next exchange ship the full snapshot,
+// and the target match the retention-off control.
+func TestDeltaBaseFollowsStoreGeneration(t *testing.T) {
+	sch := xmark.Schema()
+	sFr, tFr := core.MostFragmented(sch), core.LeastFragmented(sch)
+	for _, reload := range []string{"cleared", "second stream"} {
+		t.Run(reload, func(t *testing.T) {
+			r := newDeltaRig(t, sFr, tFr, 1, []*xmltree.Node{xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})})
+			rng := rand.New(rand.NewSource(3))
+			for round := 0; round < 2; round++ {
+				if round > 0 {
+					churnAuction(r.docs[0], rng, 0.05, round)
+					r.reload()
+				}
+				if rep := r.exec("Churn", int64(round+1)); rep.Delta != (round > 0) {
+					t.Fatalf("round %d: delta=%v", round, rep.Delta)
+				}
+			}
+			switch reload {
+			case "cleared":
+				r.tgtD.Clear()
+			default:
+				// The same source's data under another stream name: a full
+				// load into the target that is not Churn's.
+				src, tgt := r.ag.parties("Churn")
+				for _, p := range []struct {
+					*Party
+					fr *core.Fragmentation
+				}{{src, sFr}, {tgt, tFr}} {
+					if err := r.ag.Register("Other", p.Role, wsdlFor(t, sch, p.fr, p.URL), p.URL); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plan, err := r.ag.Plan("Other", PlanOptions{Algorithm: AlgGreedy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.plans["Other"] = plan
+				churnAuction(r.docs[0], rng, 0.05, 2)
+				r.reload()
+				if rep := r.exec("Other", 9); rep.Delta {
+					t.Fatal("the second stream's first exchange ran as a delta")
+				}
+			}
+			churnAuction(r.docs[0], rng, 0.05, 3)
+			r.reload()
+			fallbacks := r.met.Counter("exchange.delta.fallbacks").Value()
+			if rep := r.exec("Churn", 10); rep.Delta {
+				t.Fatal("the exchange after the reload ran as a delta against rows that are not its base")
+			}
+			if r.met.Counter("exchange.delta.fallbacks").Value() != fallbacks {
+				t.Error("the reload was found by a ColdDelta fallback, not by DeltaStatus answering cold")
+			}
+			r.exec("ChurnCtl", 11)
+			if !r.sameTargets() {
+				t.Fatal("the target differs from the full re-ship control")
+			}
+			// The full ship is the new base: the next round is a delta again.
+			churnAuction(r.docs[0], rng, 0.05, 4)
+			r.reload()
+			if rep := r.exec("Churn", 12); !rep.Delta {
+				t.Error("the round after the cold re-ship did not run as a delta")
+			}
+			r.exec("ChurnCtl", 13)
+			if !r.sameTargets() {
+				t.Fatal("the next delta's target differs from the full re-ship control")
+			}
+		})
+	}
+}
+
+// TestDeltaThatDoesNotFitFallsBack: a row deleted behind the endpoint's
+// back — through the store's own row edits, which leave the generation as
+// it is — makes the next delta, which tombstones or rewrites that record,
+// not fit the rows. The target faults ColdDelta before any row changes,
+// the agency's fallback re-ships in full, and the target ends equal to the
+// retention-off control.
+func TestDeltaThatDoesNotFitFallsBack(t *testing.T) {
+	sch := xmark.Schema()
+	sFr, tFr := core.MostFragmented(sch), core.LeastFragmented(sch)
+	for _, change := range []string{"tombstoned", "rewritten"} {
+		t.Run(change, func(t *testing.T) {
+			r := newDeltaRig(t, sFr, tFr, 1, []*xmltree.Node{xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})})
+			r.exec("Churn", 1)
+			region := r.docs[0].Find("regions").Kids[0]
+			item := region.Kids[0]
+			rows := r.tgtD.Rows()
+			if _, err := r.tgtD.ApplyDelta(r.tgtD.Generation(), []relstore.Edit{{Frag: tFr.FragmentOf("item"), Tombs: []string{item.ID}}}); err != nil {
+				t.Fatal(err)
+			}
+			if r.tgtD.Rows() != rows-1 {
+				t.Fatalf("deleting item %s behind the endpoint's back left %d of %d rows", item.ID, r.tgtD.Rows(), rows)
+			}
+			if change == "tombstoned" {
+				region.Kids = region.Kids[1:]
+			} else {
+				item.Find("idescription").Text = "rewritten behind a deleted row"
+			}
+			r.reload()
+			rep := r.exec("Churn", 2)
+			if rep.Delta {
+				t.Error("the delta that does not fit the rows was reported as applied")
+			}
+			if v := r.met.Counter("exchange.delta.fallbacks").Value(); v != 1 {
+				t.Errorf("exchange.delta.fallbacks = %d, want 1", v)
+			}
+			if v := r.tgt.Counter("endpoint.delta.cold").Value(); v != 1 {
+				t.Errorf("endpoint.delta.cold = %d, want 1", v)
+			}
+			r.exec("ChurnCtl", 3)
+			if !r.sameTargets() {
+				t.Fatal("the target differs from the full re-ship control")
+			}
+		})
+	}
+}
+
+// splitsAtTarget reports whether some edge the plan ships carries
+// elements of several target tables.
+func splitsAtTarget(p *Plan) bool {
+	tFr := p.Mapping.Target
+	for _, op := range p.Program.Ops {
+		for _, e := range p.Program.Out(op) {
+			if p.Assign[e.From.ID] != p.Assign[e.To.ID] {
+				for el := range e.Frag.Elems {
+					if tFr.FragmentOf(el) != tFr.FragmentOf(e.Frag.Root) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// churnTelecom mutates CustomerInfo documents in place: of the orders
+// (each holding its service), the lines and the features, about frac/3
+// each are deleted, rewritten (service name, telephone number, feature id)
+// and cloned under fresh IDs beside their originals; and as many pairs of
+// orders swap their services, which move with their IDs, lines and
+// features. It returns how many records it deleted.
+func churnTelecom(docs []*xmltree.Node, rng *rand.Rand, frac float64, round int) int {
+	type slot struct{ parent, n *xmltree.Node }
+	kinds := map[string][]slot{}
+	var walk func(p, n *xmltree.Node)
+	walk = func(p, n *xmltree.Node) {
+		switch n.Name {
+		case "Order", "Line", "Feature":
+			kinds[n.Name] = append(kinds[n.Name], slot{p, n})
+		}
+		for _, k := range n.Kids {
+			walk(n, k)
+		}
+	}
+	for _, doc := range docs {
+		walk(nil, doc)
+	}
+	next, dels := 0, 0
+	var fresh func(n *xmltree.Node, parent string) *xmltree.Node
+	fresh = func(n *xmltree.Node, parent string) *xmltree.Node {
+		next++
+		c := &xmltree.Node{Name: n.Name, Text: n.Text, ID: fmt.Sprintf("r%d.%d", round, next), Parent: parent}
+		for _, k := range n.Kids {
+			c.AddKid(fresh(k, c.ID))
+		}
+		return c
+	}
+	for _, kind := range []string{"Order", "Line", "Feature"} {
+		slots := kinds[kind]
+		per := max(1, int(frac*float64(len(slots))/3))
+		perm := rng.Perm(len(slots))
+		for _, i := range perm[:per] {
+			s := slots[i]
+			s.parent.Kids = slices.DeleteFunc(s.parent.Kids, func(k *xmltree.Node) bool { return k == s.n })
+			dels++
+		}
+		for _, i := range perm[per : 2*per] {
+			leaf := slots[i].n
+			for len(leaf.Kids) > 0 && leaf.Kids[0].Text == "" {
+				leaf = leaf.Kids[0]
+			}
+			if len(leaf.Kids) > 0 {
+				leaf = leaf.Kids[0]
+			}
+			leaf.Text = fmt.Sprintf("churned round %d", round)
+		}
+		for _, i := range perm[2*per : 3*per] {
+			s := slots[i]
+			at := slices.Index(s.parent.Kids, s.n) + 1
+			s.parent.Kids = slices.Insert(s.parent.Kids, at, fresh(s.n, s.parent.ID))
+		}
+	}
+	orders := kinds["Order"]
+	perm := rng.Perm(len(orders))
+	for j := 0; j < max(1, int(frac*float64(len(orders))/3)); j++ {
+		swapKid(orders[perm[2*j]].n, orders[perm[2*j+1]].n, "Service")
+	}
+	return dels
+}
+
+// swapKid swaps the kids named name of a and b, which keep their IDs and
+// take their new parent's.
+func swapKid(a, b *xmltree.Node, name string) {
+	ia := slices.IndexFunc(a.Kids, func(k *xmltree.Node) bool { return k.Name == name })
+	ib := slices.IndexFunc(b.Kids, func(k *xmltree.Node) bool { return k.Name == name })
+	if ia >= 0 && ib >= 0 {
+		a.Kids[ia], b.Kids[ib] = b.Kids[ib], a.Kids[ia]
+		a.Kids[ia].Parent, b.Kids[ib].Parent = a.ID, b.ID
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
-
-	"xdx/internal/hashtab"
 )
 
 // lookupRef answers Lookup from a Go map built over the table's rows: each
@@ -16,7 +14,7 @@ import (
 func lookupRef(tb *Table, col int) map[string][][]string {
 	ref := make(map[string][][]string)
 	for i := 0; i < tb.Len(); i++ {
-		r := tb.Row(i)
+		r := tb.rows[i]
 		ref[r[col]] = append(ref[r[col]], r)
 	}
 	return ref
@@ -139,18 +137,15 @@ func TestCreateIndexByteBudget(t *testing.T) {
 }
 
 // Lookup returns the rows whose indexed column equals key, in row order,
-// using the index on col; it returns an error if no such index exists. No
-// exchange queries an index, so only the tests read one, through Lookup.
+// through rowsWith; it returns an error if no index on col exists, where
+// rowsWith would build one.
 func (t *Table) Lookup(col, key string) ([][]string, error) {
-	idx, ok := t.indexes[col]
-	if !ok {
+	if t.indexes[col] == nil {
 		return nil, fmt.Errorf("relstore: table %q: column %q not indexed", t.Name, col)
 	}
 	var out [][]string
-	if k := idx.find(t.rows, hashtab.Hash(key), key); k >= 0 {
-		for r := idx.first[k]; r >= 0; r = idx.next[r] {
-			out = append(out, t.rows[r])
-		}
+	for _, r := range t.rowsWith(col, key) {
+		out = append(out, t.rows[r])
 	}
 	return out, nil
 }

@@ -50,11 +50,11 @@ func scanFragmentRef(s *Store, fragName string) ([]*xmltree.Node, error) {
 	var recs []*xmltree.Node
 	curRootID := ""
 	var attach *xmltree.Node
-	err := t.Scan(func(row []string) error {
+	for _, row := range t.rows {
 		if rootID := row[t.ColIndex(f.Root+"$id")]; len(recs) == 0 || rootID != curRootID {
 			rec := build(row, f.Root, row[t.ColIndex("$parent")], false)
 			if rec == nil {
-				return fmt.Errorf("reference scan: empty root identifier")
+				return nil, fmt.Errorf("reference scan: empty root identifier")
 			}
 			recs, curRootID = append(recs, rec), rootID
 			attach = nil
@@ -63,14 +63,13 @@ func scanFragmentRef(s *Store, fragName string) ([]*xmltree.Node, error) {
 			}
 		}
 		if d.repRoot == "" || row[t.ColIndex(d.repRoot+"$id")] == "" {
-			return nil
+			continue
 		}
 		attach.AddKid(build(row, d.repRoot, attach.ID, true))
 		order := sch.ChildOrderMap(attach.Name)
 		sort.SliceStable(attach.Kids, func(i, j int) bool { return order[attach.Kids[i].Name] < order[attach.Kids[j].Name] })
-		return nil
-	})
-	return recs, err
+	}
+	return recs, nil
 }
 
 // shredRef is the reference shredder: one row per repeated-subtree instance
@@ -189,7 +188,7 @@ func TestScanLoadRoundTripMatchesReference(t *testing.T) {
 			tb := st.Table(f.Name)
 			var rows [][]string
 			for i := 0; i < tb.Len(); i++ {
-				rows = append(rows, tb.Row(i))
+				rows = append(rows, tb.rows[i])
 			}
 			if want := shredRef(st, in); !reflect.DeepEqual(rows, want) {
 				t.Errorf("%s: fragment %q shredded to\n%v\nreference:\n%v", name, f.Name, rows, want)
@@ -298,8 +297,8 @@ func TestCreateIndexSharedPostings(t *testing.T) {
 		want := func(key string) [][]string {
 			var out [][]string
 			for i := 0; i < tb.Len(); i++ {
-				if tb.Row(i)[0] == key {
-					out = append(out, tb.Row(i))
+				if tb.rows[i][0] == key {
+					out = append(out, tb.rows[i])
 				}
 			}
 			return out

@@ -30,6 +30,9 @@ type Store struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	descs  map[string]*tableDesc
+	// gen counts the bulk changes to the rows — every Clear and Load —
+	// which a delta's row edits do not bump.
+	gen uint64
 }
 
 // tableDesc records how a fragment maps onto its table.
@@ -182,9 +185,10 @@ func (s *Store) Load(in *core.Instance) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
 	t := s.tables[name]
 	d := s.descs[name]
-	sh := &shredder{d: d, slab: rowSlab{width: len(t.Cols)}, base: make([]string, len(t.Cols))}
+	sh := d.shredder(len(t.Cols), rowSlabRows)
 	rows := make([][]string, 0, len(in.Records))
 	var err error
 	for _, rec := range in.Records {
@@ -214,17 +218,23 @@ const rowSlabRows = 256
 // table, so sharing backing slabs leaks nothing, and shredding stops
 // paying one allocation per row.
 type rowSlab struct {
-	buf   []string
-	width int
+	buf         []string
+	width, rows int // a row's columns, a slab's rows
 }
 
 func (sl *rowSlab) row() []string {
 	if len(sl.buf) < sl.width {
-		sl.buf = make([]string, sl.width*rowSlabRows)
+		sl.buf = make([]string, sl.width*sl.rows)
 	}
 	r := sl.buf[:sl.width:sl.width]
 	sl.buf = sl.buf[sl.width:]
 	return r
+}
+
+// shredder returns a shredder for rows of width columns, carved rows at a
+// time out of shared slabs.
+func (d *tableDesc) shredder(width, rows int) *shredder {
+	return &shredder{d: d, slab: rowSlab{width: width, rows: rows}, base: make([]string, width)}
 }
 
 // shredder flattens record trees into table rows. One shredder serves a
@@ -331,31 +341,43 @@ func (s *Store) ScanFragment(fragName string) (*core.Instance, error) {
 	// All records of one scan share an arena: the instance is the decode
 	// unit, so its nodes live and die together. The row count bounds what
 	// it will hold, so a ten-row table does not cut minimum-size slabs.
-	sc := fragScan{rep: d.rep}
+	var sc fragScan
 	sc.arena.Reserve(t.Len()*len(d.plan), 0)
-	curRootID := ""
-	err := t.Scan(func(row []string) error {
-		if rootID := row[d.root.idCol]; rootID != curRootID || len(inst.Records) == 0 {
-			if rootID == "" {
-				return fmt.Errorf("relstore: row has empty identifier for %q", f.Root)
-			}
-			curRootID, sc.attach = rootID, nil
-			inst.Records = append(inst.Records, sc.build(d.root, row, row[parentCol]))
+	for i := 0; i < len(t.rows); {
+		if t.isGone(i) {
+			i++
+			continue
 		}
-		if d.rep == nil || row[d.rep.idCol] == "" {
-			return nil // flat fragment, or a root instance without repeated children
+		_, end := d.span(t, i)
+		rec, err := sc.record(d, t.rows[i:end])
+		if err != nil {
+			return nil, err
 		}
-		if sc.attach == nil {
-			return fmt.Errorf("relstore: fragment %q: no attachment point %q for %q", f.Name, s.Layout.Schema.ParentOf(d.repRoot), d.repRoot)
-		}
-		sc.attach.Kids = slices.Insert(sc.attach.Kids, sc.repAt, sc.build(d.rep, row, sc.attach.ID))
-		sc.repAt++
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		inst.Records = append(inst.Records, rec)
+		i = end
 	}
 	return inst, nil
+}
+
+// span returns the row slots [start, end) of the record that row i belongs
+// to: the row alone in a flat fragment — whose roots may all be ID-less
+// leaves — and the live rows around it sharing its root identifier in a
+// denormalized one, which Load and the delta apply store contiguously.
+func (d *tableDesc) span(t *Table, i int) (start, end int) {
+	start, end = i, i+1
+	if d.rep == nil {
+		return start, end
+	}
+	same := func(j int) bool {
+		return j >= 0 && j < len(t.rows) && !t.isGone(j) && t.rows[j][d.root.idCol] == t.rows[i][d.root.idCol]
+	}
+	for same(start - 1) {
+		start--
+	}
+	for same(end) {
+		end++
+	}
+	return start, end
 }
 
 // fragScan rebuilds record trees from the rows of one fragment's table.
@@ -368,6 +390,27 @@ type fragScan struct {
 	// after the repeats already placed there.
 	attach *xmltree.Node
 	repAt  int
+}
+
+// record rebuilds one record from its rows: the base part from the first,
+// and one instance of the repeated subtree from each row that has one.
+func (sc *fragScan) record(d *tableDesc, rows [][]string) (*xmltree.Node, error) {
+	if rows[0][d.root.idCol] == "" {
+		return nil, fmt.Errorf("relstore: row has empty identifier for %q", d.frag.Root)
+	}
+	sc.rep, sc.attach = d.rep, nil
+	rec := sc.build(d.root, rows[0], rows[0][parentCol])
+	for _, row := range rows {
+		if d.rep == nil || row[d.rep.idCol] == "" {
+			continue // flat fragment, or a root instance without repeated children
+		}
+		if sc.attach == nil {
+			return nil, fmt.Errorf("relstore: fragment %q: no attachment point for %q", d.frag.Name, d.repRoot)
+		}
+		sc.attach.Kids = slices.Insert(sc.attach.Kids, sc.repAt, sc.build(d.rep, row, sc.attach.ID))
+		sc.repAt++
+	}
+	return rec, nil
 }
 
 // build reconstructs p's subtree from row by the compiled column plan, or
@@ -420,6 +463,15 @@ func (s *Store) BuildIndexes() error {
 	return nil
 }
 
+// Generation counts the store's bulk changes, Clear and Load; a delta's
+// row edits leave it be. A holder of a snapshot of the rows can tell by it
+// that someone else reloaded them.
+func (s *Store) Generation() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.gen
+}
+
 // Rows returns the total number of rows across all tables.
 func (s *Store) Rows() int {
 	s.mu.RLock()
@@ -436,6 +488,7 @@ func (s *Store) Rows() int {
 func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
 	for name, t := range s.tables {
 		nt, _ := NewTable(t.Name, t.Cols)
 		s.tables[name] = nt
@@ -474,9 +527,8 @@ func (s *Store) Stats() (card, bytes map[string]float64) {
 			lastRoot := ""
 			rootCol := d.root.idCol
 			inRep := slices.Contains(d.repElems, e)
-			for i := 0; i < t.Len(); i++ {
-				row := t.Row(i)
-				if row[idCol] == "" {
+			for i, row := range t.rows {
+				if row[idCol] == "" || t.isGone(i) {
 					continue
 				}
 				// Base-part values repeat across denormalized rows; count

@@ -43,7 +43,7 @@ func TestTableBasics(t *testing.T) {
 	if err := tb.Insert([]string{"1"}); err == nil {
 		t.Error("short row must fail")
 	}
-	if tb.Len() != 1 || tb.Row(0)[1] != "x" {
+	if tb.Len() != 1 || tb.rows[0][1] != "x" {
 		t.Errorf("table contents wrong")
 	}
 	if _, err := NewTable("t", []string{"a", "a"}); err == nil {

@@ -26,6 +26,12 @@ type Table struct {
 	colIdx  map[string]int
 	rows    [][]string
 	indexes map[string]*Index
+	// gone marks deleted rows (nil until the first delete) and ngone counts
+	// them. A deleted row keeps its slot and values, so the index chains
+	// through it hold, until compact drops the slots of a table that is
+	// more than half gone.
+	gone  []bool
+	ngone int
 }
 
 // NewTable creates an empty table with the given columns.
@@ -49,7 +55,8 @@ func (t *Table) ColIndex(col string) int {
 	return i
 }
 
-// Insert appends one row; the row length must match the column count.
+// Insert appends one row, adding it to every index; the row length must
+// match the column count.
 func (t *Table) Insert(row []string) error {
 	if len(row) != len(t.Cols) {
 		return fmt.Errorf("relstore: table %q: row has %d values, want %d", t.Name, len(row), len(t.Cols))
@@ -79,20 +86,56 @@ func (t *Table) BulkLoad(rows [][]string) error {
 	return nil
 }
 
-// Len returns the number of rows.
-func (t *Table) Len() int { return len(t.rows) }
+// Len returns the number of live rows.
+func (t *Table) Len() int { return len(t.rows) - t.ngone }
 
-// Row returns the i-th row (shared storage; callers must not mutate).
-func (t *Table) Row(i int) []string { return t.rows[i] }
+// isGone reports whether row slot i holds a deleted row.
+func (t *Table) isGone(i int) bool { return i < len(t.gone) && t.gone[i] }
 
-// Scan calls fn for every row, stopping on error.
-func (t *Table) Scan(fn func(row []string) error) error {
-	for _, r := range t.rows {
-		if err := fn(r); err != nil {
-			return err
+// delete marks row slot i deleted.
+func (t *Table) delete(i int) {
+	if len(t.gone) < len(t.rows) {
+		t.gone = append(t.gone, make([]bool, len(t.rows)-len(t.gone))...)
+	}
+	t.gone[i] = true
+	t.ngone++
+}
+
+// compact drops the slots of deleted rows once they outnumber the live
+// ones, and rebuilds every index over what is left: its cost is linear in
+// the table, so each delete pays for it once, however long the table lives.
+func (t *Table) compact() {
+	if 2*t.ngone <= len(t.rows) {
+		return
+	}
+	live := make([][]string, 0, t.Len())
+	for i, r := range t.rows {
+		if !t.isGone(i) {
+			live = append(live, r)
 		}
 	}
-	return nil
+	t.rows, t.gone, t.ngone = live, nil, 0
+	for col := range t.indexes {
+		t.CreateIndex(col)
+	}
+}
+
+// rowsWith returns the live rows whose column col holds key, in row order,
+// through col's index, which it builds on first use.
+func (t *Table) rowsWith(col, key string) []int {
+	idx := t.indexes[col]
+	if idx == nil {
+		idx, _ = t.CreateIndex(col)
+	}
+	var out []int
+	if k := idx.find(t.rows, hashtab.Hash(key), key); k >= 0 {
+		for r := idx.first[k]; r >= 0; r = idx.next[r] {
+			if !t.isGone(int(r)) {
+				out = append(out, int(r))
+			}
+		}
+	}
+	return out
 }
 
 // Index is a hash index over one column: tab files key numbers, first and last

@@ -23,7 +23,6 @@ var reachAllow = map[string]string{
 	"core.Model.Explain":             "caller to come: xdxd -explain (ROADMAP item 7)",
 	"core.CostBasedOptim":            "the paper's Algorithm 1; tests check MinMaxPlacement against it",
 	"core.key":                       "CostBasedOptim's memo key",
-	"relstore.Table.Insert":          "row-level apply to come (ROADMAP item 3), and a test fixture",
 	"relstore.Store.Table":           "endpoint tests read a store's tables through it",
 	"relstore.Table.Indexes":         "endpoint tests read a table's indexes through it",
 	"netsim.FaultyLink.Writer":       "fault-injection harness for other packages' tests",

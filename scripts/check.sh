@@ -25,11 +25,12 @@ make bench-smoke
 # instead of the next `make bench-json`.
 ./scripts/bench_snapshot.sh -smoke
 
-# Allocation-regression smoke: eight benchmarks must stay within 25% of the
+# Allocation-regression smoke: nine benchmarks must stay within 25% of the
 # allocs/op baselines recorded in the script, and Table 4's load-then-index
-# row, the reconciliation row and the journaled exchange row within 25% of
-# their B/op baselines too — the arena/slab teardown is a merge-gated
-# property, not a one-off number.
+# row, the reconciliation row, the journaled exchange row and the delta
+# apply row within 25% of their B/op baselines too — the arena/slab
+# teardown and an apply that costs the churn, not the store, are
+# merge-gated properties, not one-off numbers.
 ./scripts/alloc_smoke.sh
 
 # Fault-injection soak: the reliable-exchange e2e over the widened seed
@@ -47,14 +48,19 @@ make soak
 # scheduled drive mode — the control plane's end-to-end gate.
 ./scripts/load_smoke.sh
 
-# Delta-correctness smoke: the churn property test (patched target equals
-# full re-ship record-for-record), the mid-delta crash/fallback arm, the
-# failed-delivery arm (a delta that never landed is never diffed against),
-# the lost-response arm (a delta that ran replays, never falls back) and
-# the one-pass reconciliation held to the map-based reference over seeded
-# shipments, re-run without the race detector as a fast standalone gate —
-# a delta that ships the wrong records must never reach a snapshot run.
-go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDiffShipmentMatchesReference' ./internal/registry/ ./internal/reliable/
+# Delta-correctness smoke: the churn property test (the target a delta
+# edits row by row equals a full re-ship record-for-record, on XMark MF→LF,
+# XMark LF→MF and telgen S→T, with the rows it edits counted), the
+# mid-delta crash/fallback arm, the failed-delivery arm (a delta that never
+# landed is never diffed against), the lost-response arm (a delta that ran
+# replays, never falls back), the generation arm (rows reloaded behind the
+# base ship cold), the stale-delta arm (a delta that does not fit the rows
+# falls back before any row changes), the store's row-edit apply held to a
+# reload, overlapping deltas taking the base once, and the one-pass
+# reconciliation held to the map-based reference over seeded shipments,
+# re-run without the race detector as a fast standalone gate — a delta
+# that ships the wrong records must never reach a snapshot run.
+go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,
 # restart it over the same WAL directory, and the reliable exchange must
