@@ -1,8 +1,7 @@
 // Package bufpool is the shared pooled-buffer layer of the wire path.
-// Every shipment — XML or binary — funnels through a buffered
-// writer, every XML read through a buffered reader, every binary chunk
-// through a scratch buffer and a DEFLATE stream, and every streamed SOAP
-// call through a request buffer; all of
+// Every shipment — XML or binary — funnels through a buffered writer, every
+// binary chunk through a scratch buffer and a DEFLATE stream, and every
+// streamed SOAP call through a request buffer; all of
 // those are steady-state hot-path allocations, so the pools live here,
 // once, instead of being re-grown per package.
 package bufpool
@@ -15,9 +14,8 @@ import (
 	"sync"
 )
 
-// bufSize is the buffered-writer and buffered-reader capacity. 32 KiB
-// comfortably holds a shipment chunk's framing plus several records between
-// flushes, and lets the XML tokenizer read most names and values in place.
+// bufSize is the buffered-writer capacity. 32 KiB comfortably holds a
+// shipment chunk's framing plus several records between flushes.
 const bufSize = 32 << 10
 
 // maxRetainedBuffer caps the scratch buffers the pool keeps. A pathological
@@ -42,25 +40,6 @@ func Writer(w io.Writer) *bufio.Writer {
 func PutWriter(bw *bufio.Writer) {
 	bw.Reset(io.Discard)
 	writers.Put(bw)
-}
-
-var readers = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(emptySource, bufSize) },
-}
-
-// Reader returns a pooled buffered reader reset onto r.
-func Reader(r io.Reader) *bufio.Reader {
-	br := readers.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
-}
-
-// PutReader returns a buffered reader to the pool, detached from its source
-// so the pool never retains a reference into a finished request. The caller
-// must not use bytes it read through the reader's buffer afterwards.
-func PutReader(br *bufio.Reader) {
-	br.Reset(emptySource)
-	readers.Put(br)
 }
 
 var buffers = sync.Pool{
@@ -114,7 +93,7 @@ var flateReaders = sync.Pool{
 	New: func() any { return flate.NewReader(bytes.NewReader(nil)) },
 }
 
-// emptySource is the parking source for pooled buffered and flate readers;
+// emptySource is the parking source for pooled flate readers;
 // it is never read from (Reset replaces it before any Read), only referenced.
 var emptySource = bytes.NewReader(nil)
 

@@ -32,7 +32,8 @@ type ExecResult struct {
 // Splits transform, and Writes collect their inputs. It is ExecuteSlice with
 // every operation at one location, so placement is ignored; the endpoint
 // runtime executes the two halves of a placed program and ships the
-// cross-edge fragments between them.
+// cross-edge fragments between them. Scans serve Share views of sources,
+// which therefore read the same after any number of runs.
 func Execute(g *Graph, sch *schema.Schema, sources map[string]*Instance) (*ExecResult, error) {
 	a := make(Assignment, len(g.Ops))
 	for i := range a {
@@ -45,7 +46,7 @@ func Execute(g *Graph, sch *schema.Schema, sources map[string]*Instance) (*ExecR
 			if src == nil {
 				return nil, fmt.Errorf("core: exec: no source instance for %q", f.Name)
 			}
-			return src, nil
+			return src.Share(), nil
 		},
 		Write: func(in *Instance) error {
 			res.Written[in.Frag.Name] = in
@@ -83,7 +84,9 @@ func SummarizeTraces(traces []OpTrace) string {
 // SliceIO connects a per-system program slice to its environment.
 type SliceIO struct {
 	// Scan supplies the instance of a fragment for Scan operations (source
-	// side only; Scans are pinned to the source).
+	// side only; Scans are pinned to the source). The slice owns what Scan
+	// returns — Combine attaches children into its records and Split cuts
+	// them — so Scan hands out records no one else holds, or a Share view.
 	Scan func(f *Fragment) (*Instance, error)
 	// Write consumes the instance delivered to a Write operation (target
 	// side only).
@@ -166,7 +169,7 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 			if err != nil {
 				return nil, nil, err
 			}
-			inst = &Instance{Frag: op.Out, Records: inst.Records}
+			inst = &Instance{Frag: op.Out, Records: inst.Records, shared: inst.shared}
 			out[op.Out.Name] = inst
 			rows = inst.Rows()
 		case OpCombine:
@@ -210,7 +213,7 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 			if io.Write == nil {
 				return nil, nil, fmt.Errorf("core: slice: Write %s with no write function", op)
 			}
-			if err := io.Write(&Instance{Frag: op.Out, Records: in.Records}); err != nil {
+			if err := io.Write(&Instance{Frag: op.Out, Records: in.Records, shared: in.shared}); err != nil {
 				return nil, nil, err
 			}
 			rows = len(in.Records)

@@ -320,16 +320,29 @@ func mergeFragments(sch *schema.Schema, a, b *Fragment) (*Fragment, error) {
 // given disjoint fragments, which must partition the input fragment's
 // elements. Each projected record keeps the ID/PARENT pair of its root so
 // that parent/child relationships dictated by the XML Schema are preserved.
+//
+// Split consumes its input: it cuts each owned record in place, detaching
+// every subtree rooted in another part from its parent's kids, so the
+// projected records are the input's own nodes. A shared (copy-on-write)
+// record is cloned first and the clone is cut; its origin is left as it
+// was.
 func Split(sch *schema.Schema, in *Instance, parts []*Fragment) ([]*Instance, error) {
 	sp, err := newSplitter(in.Frag, parts)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[*Fragment][]*xmltree.Node, len(parts))
-	for _, rec := range in.Records {
-		if err := sp.extract(rec, out); err != nil {
-			return nil, err
+	var arena xmltree.Arena // the clones of shared records
+	for i, rec := range in.Records {
+		p := sp.rootOf[rec.Name]
+		if p == nil {
+			return nil, fmt.Errorf("core: split of %q: record root %q is not a part root", in.Frag.Name, rec.Name)
 		}
+		if in.sharedRec(i) {
+			rec = rec.CloneInto(&arena)
+		}
+		sp.cut(rec, out)
+		out[p] = append(out[p], rec)
 	}
 	res := make([]*Instance, len(parts))
 	for i, p := range parts {
@@ -338,19 +351,12 @@ func Split(sch *schema.Schema, in *Instance, parts []*Fragment) ([]*Instance, er
 	return res, nil
 }
 
-// splitter projects records into disjoint fragments: the projection core
-// of Split. Partition validation happens once at construction; extract then
+// splitter cuts records into disjoint fragments: the projection core of
+// Split. Partition validation happens once at construction; cut then
 // handles records one at a time.
 type splitter struct {
-	inFrag *Fragment
-	parts  []*Fragment
 	partOf map[string]*Fragment
 	rootOf map[string]*Fragment
-	// arena batches the projected copies: a split touches every node of
-	// every record, so per-node heap allocation dominated the stage. The
-	// splitter is single-goroutine (one per Split), which is what an arena
-	// requires.
-	arena xmltree.Arena
 }
 
 // newSplitter verifies that parts partition the input fragment's elements.
@@ -371,8 +377,6 @@ func newSplitter(inFrag *Fragment, parts []*Fragment) (*splitter, error) {
 		return nil, fmt.Errorf("core: split of %q: parts cover %d of %d elements", inFrag.Name, len(seen), len(inFrag.Elems))
 	}
 	sp := &splitter{
-		inFrag: inFrag,
-		parts:  parts,
 		partOf: make(map[string]*Fragment),
 		rootOf: make(map[string]*Fragment),
 	}
@@ -385,36 +389,27 @@ func newSplitter(inFrag *Fragment, parts []*Fragment) (*splitter, error) {
 	return sp, nil
 }
 
-// extract projects one input record, appending the projected copies to out
-// (keyed by part). Nested subtrees rooted in other parts are emitted before
-// the record's own pruned copy, preserving the record order Split has always
-// produced. The input record is only read, never mutated, so shared
-// (copy-on-write) records need no cloning here — every emitted node is
-// fresh.
-func (sp *splitter) extract(rec *xmltree.Node, out map[*Fragment][]*xmltree.Node) error {
-	var walk func(n *xmltree.Node) *xmltree.Node
-	walk = func(n *xmltree.Node) *xmltree.Node {
-		cp := sp.arena.New()
-		cp.Name, cp.ID, cp.Parent, cp.Text = n.Name, n.ID, n.Parent, n.Text
-		myPart := sp.partOf[n.Name]
-		for _, k := range n.Kids {
-			kc := walk(k)
-			if sp.partOf[k.Name] == myPart {
-				cp.AddKid(kc)
-			} else {
-				p := sp.rootOf[k.Name]
-				out[p] = append(out[p], kc)
-			}
+// cut detaches from n's subtree, in place, every kid rooted in a part
+// other than its parent's, appending each detached subtree to out (keyed by
+// part) once its own subtree is cut. Nested subtrees thus come out before
+// the subtree that held them, and the caller appends the record itself
+// last: the record order Split has always produced.
+func (sp *splitter) cut(n *xmltree.Node, out map[*Fragment][]*xmltree.Node) {
+	myPart := sp.partOf[n.Name]
+	kept := n.Kids[:0]
+	for _, k := range n.Kids {
+		if len(k.Kids) > 0 {
+			sp.cut(k, out)
 		}
-		return cp
+		if sp.partOf[k.Name] == myPart {
+			kept = append(kept, k)
+		} else {
+			p := sp.rootOf[k.Name]
+			out[p] = append(out[p], k)
+		}
 	}
-	cp := walk(rec)
-	p := sp.rootOf[rec.Name]
-	if p == nil {
-		return fmt.Errorf("core: split of %q: record root %q is not a part root", sp.inFrag.Name, rec.Name)
-	}
-	out[p] = append(out[p], cp)
-	return nil
+	clear(n.Kids[len(kept):])
+	n.Kids = kept
 }
 
 // FromDocument extracts the instance of every fragment of fr from a full
@@ -445,7 +440,10 @@ func FromDocument(fr *Fragmentation, doc *xmltree.Node) (map[string]*Instance, e
 // Document reassembles a full document from per-fragment instances by
 // combining every fragment into the root fragment, in schema pre-order.
 // It is the inverse of FromDocument and the reference implementation of
-// publishing.
+// publishing. Like Combine it consumes what it is given: the records of
+// insts become the document. Callers that read the same instances again
+// pass Share views (xdx.Document does); publishing and the oracle pass
+// fresh store scans.
 func Document(fr *Fragmentation, insts map[string]*Instance) (*xmltree.Node, error) {
 	if len(fr.Fragments) == 0 {
 		return nil, fmt.Errorf("core: empty fragmentation")
@@ -454,7 +452,7 @@ func Document(fr *Fragmentation, insts map[string]*Instance) (*xmltree.Node, err
 	if cur == nil {
 		return nil, fmt.Errorf("core: missing instance for root fragment %q", fr.Fragments[0].Name)
 	}
-	cur = &Instance{Frag: fr.Fragments[0], Records: cur.Records}
+	cur = &Instance{Frag: fr.Fragments[0], Records: cur.Records, shared: cur.shared}
 	// Merge fragments in dependency order: a fragment may be combined only
 	// once every possible parent element of its root is present (a
 	// multi-parent fragment like XMark's item must wait for all regions).

@@ -30,7 +30,9 @@ import (
 type Backend interface {
 	// Layout is the fragmentation the system produces/consumes natively.
 	Layout() *core.Fragmentation
-	// Scan materializes a layout fragment's instance (Definition 3.6).
+	// Scan materializes a layout fragment's instance (Definition 3.6). The
+	// exchange consumes it — Combine and Split rebuild its records in
+	// place — so Scan returns records no one else holds.
 	Scan(f *core.Fragment) (*core.Instance, error)
 	// Write stores a fragment instance (Definition 3.9).
 	Write(in *core.Instance) error
@@ -135,7 +137,9 @@ func (b *LDAPBackend) Provider() *core.StatsProvider {
 type VirtualBackend struct {
 	// Base handles everything not overridden.
 	Base Backend
-	// Virtual maps fragment names (of Base's layout) to producers.
+	// Virtual maps fragment names (of Base's layout) to producers. An
+	// exchange consumes what a producer returns, as it does a Scan's
+	// instance, so a producer that keeps its records hands out a Share view.
 	Virtual map[string]func() (*core.Instance, error)
 }
 
@@ -602,7 +606,9 @@ func (e *Endpoint) sourceScan(req *xmltree.Node) (func(*core.Fragment) (*core.In
 
 // filteredScan materializes the whole layout once, trims it consistently
 // to the root records keep accepts, and serves program Scans from the
-// trimmed instances.
+// trimmed instances. The slice consumes each instance it is served, so a
+// program that scans one fragment twice gets a fresh materialization the
+// second time.
 func (e *Endpoint) filteredScan(keep func(*xmltree.Node) bool) (func(*core.Fragment) (*core.Instance, error), error) {
 	layout := e.backend.Layout()
 	sources := make(map[string]*core.Instance, layout.Len())
@@ -617,11 +623,21 @@ func (e *Endpoint) filteredScan(keep func(*xmltree.Node) bool) (func(*core.Fragm
 	if err != nil {
 		return nil, err
 	}
+	served := make(map[string]bool, len(kept))
 	return func(f *core.Fragment) (*core.Instance, error) {
-		for _, in := range kept {
-			if in.Frag.SameElems(f) {
-				return &core.Instance{Frag: f, Records: in.Records}, nil
+		for name, in := range kept {
+			if !in.Frag.SameElems(f) {
+				continue
 			}
+			if served[name] {
+				again, err := e.filteredScan(keep)
+				if err != nil {
+					return nil, err
+				}
+				return again(f)
+			}
+			served[name] = true
+			return &core.Instance{Frag: f, Records: in.Records}, nil
 		}
 		return nil, fmt.Errorf("endpoint %s: no layout fragment matching %q", e.Name, f.Name)
 	}, nil

@@ -361,3 +361,71 @@ func TestParseMillis(t *testing.T) {
 		t.Errorf("ParseMillis(junk) = %v", got)
 	}
 }
+
+// TestFilteredScanServesEachScanFresh: the slice consumes what a Scan
+// serves — Split cuts the records it is given in place — so a filtered
+// program that scans one fragment twice must get the pristine filtered
+// records both times, not the records the first Split already cut.
+func TestFilteredScanServesEachScanFresh(t *testing.T) {
+	sch := schema.CustomerInfo()
+	fr := tFrag(t, sch)
+	c, done := startEndpoint(t, &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true})
+	defer done()
+	order := fr.Fragments[1]
+	top, err := core.NewFragment(sch, "OrderOnly", []string{"Order"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := core.NewFragment(sch, "ServiceOnly", []string{"Service", "ServiceName"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.NewGraph()
+	var splits []*core.Op
+	for range 2 {
+		scan := g.AddOp(core.OpScan, order)
+		split := g.AddOp(core.OpSplit, order, top, svc)
+		g.Connect(scan, split, order)
+		for _, p := range split.Parts {
+			g.Connect(split, g.AddOp(core.OpWrite, p), p)
+		}
+		splits = append(splits, split)
+	}
+	a := core.NewAssignment(g)
+	for _, op := range g.Ops {
+		a[op.ID] = core.LocSource
+		if op.Kind == core.OpWrite {
+			a[op.ID] = core.LocTarget
+		}
+	}
+	progXML, err := wire.EncodeProgram(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := startSink(t)
+	req := &xmltree.Node{Name: "ExecuteSource"}
+	req.SetAttr("filter", "CustName = 'Ann'")
+	req.AddKid(progXML)
+	if _, err := callSource(c, req, tgt.srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	frags := g.FragmentsByName()
+	got, err := wire.ReadShipment(strings.NewReader(xmltree.Marshal(tgt.shipment(t), xmltree.WriteOptions{EmitAllIDs: true})),
+		sch, func(name string) *core.Fragment { return frags[name] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*core.Fragment{top, svc} {
+		var recs []string
+		for _, split := range splits {
+			in := got[core.EdgeKey(&core.Edge{From: split, Frag: p})]
+			if in == nil || len(in.Records) != 1 {
+				t.Fatalf("Split %d shipped no single %s record, want the one the filter keeps", split.ID, p.Name)
+			}
+			recs = append(recs, xmltree.Marshal(in.Records[0], xmltree.WriteOptions{EmitAllIDs: true}))
+		}
+		if recs[0] != recs[1] {
+			t.Errorf("%s: the second Scan's Split shipped %s, the first %s", p.Name, recs[1], recs[0])
+		}
+	}
+}

@@ -147,3 +147,35 @@ func BenchmarkShipmentEncodeStream(b *testing.B) {
 		b.SetBytes(int64(buf.Len()))
 	}
 }
+
+// BenchmarkTokenizeShipment is the XML tokenizer alone over the shipment
+// an LF→MF exchange of the 2.5 MB XMark document ships in the xml codec:
+// the MF instances, streamed, scanned with a handler that keeps nothing
+// and takes text as bytes, as the shipment decoder does.
+// It is the target's single-goroutine parse of its request, with record
+// building and loading left out; MB/s is the tokenizer's throughput.
+func BenchmarkTokenizeShipment(b *testing.B) {
+	sch := xmark.Schema()
+	doc := xmark.Generate(xmark.Config{TargetBytes: 2_500_000, Seed: 1})
+	out, err := core.FromDocument(core.MostFragmented(sch), doc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := StreamShipmentCodec(&buf, out, sch, Codec{}); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), nopScan{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// nopScan is an xmltree.AttrHandler that keeps nothing, text bytes included.
+type nopScan struct{ xmltree.FuncHandler }
+
+func (nopScan) TextBytes([]byte) error { return nil }

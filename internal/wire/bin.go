@@ -154,6 +154,7 @@ type binEncoder struct {
 	dict               *binDict
 	prevID, prevParent string
 	tmp                [binary.MaxVarintLen64]byte
+	size               int64 // the records' tree-codec size, counted as they are encoded
 }
 
 var binEncoders = sync.Pool{New: func() any { return new(binEncoder) }}
@@ -183,6 +184,7 @@ func (e *binEncoder) delta(s string, prev *string) {
 }
 
 func (e *binEncoder) node(n *xmltree.Node, isRoot bool) {
+	e.size += nodeSize(n, isRoot)
 	if ix, ok := e.dict.idx[n.Name]; ok {
 		e.uvarint(ix)
 	} else {
@@ -229,25 +231,28 @@ func (e *binEncoder) node(n *xmltree.Node, isRoot bool) {
 }
 
 // appendBinRecords serializes recs into buf as one self-contained chunk
-// payload.
-func appendBinRecords(buf *bytes.Buffer, recs []*xmltree.Node, sch *schema.Schema) {
+// payload and returns their RecordBytes, counted on the way.
+func appendBinRecords(buf *bytes.Buffer, recs []*xmltree.Node, sch *schema.Schema) int64 {
 	e := binEncoders.Get().(*binEncoder)
-	e.buf, e.dict, e.prevID, e.prevParent = buf, dictFor(sch), "", ""
+	e.buf, e.dict, e.prevID, e.prevParent, e.size = buf, dictFor(sch), "", "", 0
 	buf.WriteByte(binVersion)
 	e.uvarint(uint64(len(recs)))
 	for _, r := range recs {
 		e.node(r, true)
 	}
+	size := e.size
 	e.buf, e.dict = nil, nil
 	binEncoders.Put(e)
+	return size
 }
 
 // writeBinChunk writes the wire text of one bin chunk — the binary
-// payload, DEFLATE-compressed when asked, wrapped in base64 — onto w.
-func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compress bool) error {
+// payload, DEFLATE-compressed when asked, wrapped in base64 — onto w, and
+// returns the records' RecordBytes.
+func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compress bool) (int64, error) {
 	scratch := bufpool.Buffer()
 	defer bufpool.PutBuffer(scratch)
-	appendBinRecords(scratch, recs, sch)
+	size := appendBinRecords(scratch, recs, sch)
 	payload := scratch.Bytes()
 	if compress {
 		z := bufpool.Buffer()
@@ -259,7 +264,7 @@ func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compre
 		}
 		bufpool.PutFlateWriter(fw)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		payload = z.Bytes()
 	}
@@ -269,7 +274,7 @@ func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compre
 	scratch.Grow(base64.StdEncoding.EncodedLen(len(payload)))
 	text := base64.StdEncoding.AppendEncode(scratch.AvailableBuffer(), payload)
 	_, err := w.Write(text)
-	return err
+	return size, err
 }
 
 // readBinChunk decodes a bin chunk's accumulated wire text back into
@@ -516,7 +521,7 @@ func InstanceWireBytes(recs []*xmltree.Node, sch *schema.Schema, codec Codec) (i
 		return RecordBytes(recs), nil
 	}
 	m := netsim.NewMeter(nil)
-	if err := writeBinChunk(m, recs, sch, codec.Flate); err != nil {
+	if _, err := writeBinChunk(m, recs, sch, codec.Flate); err != nil {
 		return 0, err
 	}
 	return m.Bytes(), nil

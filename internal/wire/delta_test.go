@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"strings"
@@ -70,12 +69,10 @@ func TestDeltaShipmentRoundTrip(t *testing.T) {
 func TestDeltaParallelWriterMatchesSerial(t *testing.T) {
 	sch, f, rec := chunkFixture(t)
 	var want bytes.Buffer
-	bw := bufio.NewWriter(&want)
-	bw.WriteString(`<shipment delta="1">`)
-	renderChunk(bw, sch, Codec{}, "0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, 0)
-	renderChunk(bw, sch, Codec{}, "1:feat", f, nil, 1)
-	bw.WriteString(`<tombstones edge="0:feat" seq="2"><d ID="f7"/><d ID="f9"/></tombstones></shipment>`)
-	bw.Flush()
+	want.WriteString(`<shipment delta="1">`)
+	renderChunk(&want, sch, Codec{}, "0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}, 0)
+	renderChunk(&want, sch, Codec{}, "1:feat", f, nil, 1)
+	want.WriteString(`<tombstones edge="0:feat" seq="2"><d ID="f7"/><d ID="f9"/></tombstones></shipment>`)
 	if got, _ := deltaShipment(t); got.String() != want.String() {
 		t.Fatalf("pooled delta stream diverged:\n%s\nvs\n%s", got.String(), want.String())
 	}

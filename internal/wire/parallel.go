@@ -97,13 +97,7 @@ var encJobs = sync.Pool{New: func() any { return &encJob{done: make(chan struct{
 func (j *encJob) run() {
 	start := time.Now()
 	j.buf = bufpool.Buffer()
-	bw := bufpool.Writer(j.buf)
-	j.err = renderChunk(bw, j.sw.sch, j.sw.codec, j.key, j.frag, j.recs, j.seq)
-	if ferr := bw.Flush(); j.err == nil {
-		j.err = ferr
-	}
-	bufpool.PutWriter(bw)
-	j.payload = RecordBytes(j.recs)
+	j.payload, j.err = renderChunk(j.buf, j.sw.sch, j.sw.codec, j.key, j.frag, j.recs, j.seq)
 	j.sw.renderMS.ObserveSince(start)
 	j.done <- struct{}{}
 }

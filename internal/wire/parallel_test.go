@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -62,17 +61,13 @@ func encodeChunks(t testing.TB, sch *schema.Schema, f *core.Fragment, chunks [][
 func referenceRender(t testing.TB, sch *schema.Schema, f *core.Fragment, chunks [][]*xmltree.Node, codec Codec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	bw.WriteString("<shipment>")
+	buf.WriteString("<shipment>")
 	for seq, recs := range chunks {
-		if err := renderChunk(bw, sch, codec, fmt.Sprintf("%d:feat", seq%3), f, recs, int64(seq)); err != nil {
+		if _, err := renderChunk(&buf, sch, codec, fmt.Sprintf("%d:feat", seq%3), f, recs, int64(seq)); err != nil {
 			t.Fatalf("render %d: %v", seq, err)
 		}
 	}
-	bw.WriteString("</shipment>")
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf.WriteString("</shipment>")
 	return buf.Bytes()
 }
 

@@ -210,26 +210,46 @@ func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) er
 	return nil
 }
 
-// renderChunk writes the complete wire bytes of one instance chunk. It is
-// the single chunk serializer; the pool workers point it at private pooled
-// buffers, which the writer splices in emit order.
-func renderChunk(bw *bufio.Writer, sch *schema.Schema, codec Codec, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
-	if codec.Kind == CodecBin {
-		return renderBinChunk(bw, sch, codec, key, frag, recs, seq)
-	}
+// renderChunk appends the complete wire bytes of one instance chunk to buf
+// and returns the chunk's payload size: the records' tree-codec size, which
+// is the body's own length in the xml codec and is counted as the bin
+// encoder walks the records. It is the single chunk serializer; the pool
+// workers point it at private pooled buffers, which the writer splices in
+// emit order. A bin chunk's records travel as their compact binary
+// encoding (optionally DEFLATE-compressed), base64-wrapped as the
+// element's character data; each chunk is a self-contained compression
+// frame, so resumable sessions keep their chunk-granular recovery.
+func renderChunk(buf *bytes.Buffer, sch *schema.Schema, codec Codec, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) (payload int64, err error) {
+	bw := bufpool.Writer(buf)
+	defer bufpool.PutWriter(bw)
 	bw.WriteString(`<instance edge="`)
 	xmltree.Escape(bw, key)
 	bw.WriteString(`" frag="`)
 	xmltree.Escape(bw, frag.Name)
 	writeSeqAttr(bw, seq)
+	if codec.Kind == CodecBin {
+		bw.WriteString(`" format="bin`)
+		if codec.Flate {
+			bw.WriteString(`" enc="flate`)
+		}
+	}
 	if len(recs) == 0 {
 		bw.WriteString(`"/>`)
-		return nil
+		return 0, bw.Flush()
 	}
 	bw.WriteString(`">`)
-	WriteRecords(bw, recs)
+	if codec.Kind == CodecBin {
+		if payload, err = writeBinChunk(bw, recs, sch, codec.Flate); err != nil {
+			return 0, err
+		}
+	} else {
+		// bw writes only into buf, so the two together count every byte.
+		start := buf.Len() + bw.Buffered()
+		WriteRecords(bw, recs)
+		payload = int64(buf.Len() + bw.Buffered() - start)
+	}
 	bw.WriteString("</instance>")
-	return nil
+	return payload, bw.Flush()
 }
 
 // WriteRecords writes recs as the xml codec's chunk body: the content of a
@@ -258,33 +278,6 @@ func writeSeqAttr(bw *bufio.Writer, seq int64) {
 	}
 	bw.WriteString(`" seq="`)
 	bw.WriteString(strconv.FormatInt(seq, 10))
-}
-
-// renderBinChunk writes one binary-format instance chunk: the records'
-// compact binary encoding (optionally DEFLATE-compressed) travels
-// base64-wrapped as the element's character data. Each chunk is a
-// self-contained compression frame, so resumable sessions keep their
-// chunk-granular recovery.
-func renderBinChunk(bw *bufio.Writer, sch *schema.Schema, codec Codec, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
-	bw.WriteString(`<instance edge="`)
-	xmltree.Escape(bw, key)
-	bw.WriteString(`" frag="`)
-	xmltree.Escape(bw, frag.Name)
-	writeSeqAttr(bw, seq)
-	bw.WriteString(`" format="bin`)
-	if codec.Flate {
-		bw.WriteString(`" enc="flate`)
-	}
-	if len(recs) == 0 {
-		bw.WriteString(`"/>`)
-		return nil
-	}
-	bw.WriteString(`">`)
-	if err := writeBinChunk(bw, recs, sch, codec.Flate); err != nil {
-		return err
-	}
-	bw.WriteString("</instance>")
-	return nil
 }
 
 // Close completes the shipment, flushes, and returns the buffer to the
@@ -357,6 +350,16 @@ func streamRecord(w *bufio.Writer, n *xmltree.Node, isRoot bool) {
 
 // recordSize is the number of bytes streamRecord writes for the record.
 func recordSize(n *xmltree.Node, isRoot bool) int64 {
+	total := nodeSize(n, isRoot)
+	for _, k := range n.Kids {
+		total += recordSize(k, false)
+	}
+	return total
+}
+
+// nodeSize is the number of bytes streamRecord writes for n itself: its
+// tags, attributes and text, its kids left out.
+func nodeSize(n *xmltree.Node, isRoot bool) int64 {
 	size := 1 + len(n.Name)
 	interior := len(n.Kids) > 0 || n.Text == ""
 	if (isRoot || interior) && n.ID != "" {
@@ -371,11 +374,7 @@ func recordSize(n *xmltree.Node, isRoot bool) int64 {
 	if len(n.Kids) == 0 && n.Text == "" {
 		return int64(size + len("/>"))
 	}
-	total := int64(size + len("></>") + xmltree.EscapedLen(n.Text) + len(n.Name))
-	for _, k := range n.Kids {
-		total += recordSize(k, false)
-	}
-	return total
+	return int64(size + len("></>") + xmltree.EscapedLen(n.Text) + len(n.Name))
 }
 
 // StreamShipmentCodec encodes cross-edge instances in codec directly to w

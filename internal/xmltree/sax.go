@@ -1,9 +1,5 @@
 package xmltree
 
-import (
-	"io"
-)
-
 // AttrHandler receives streaming parse events, in the style of the SAX C
 // API the paper implemented over expat for shredding (§5.1). Each start
 // event carries the element's full attribute list.
@@ -33,15 +29,6 @@ type AttrHandler interface {
 // identical.
 type TextBytesHandler interface {
 	TextBytes(data []byte) error
-}
-
-// ScanAttrs streams XML from r into h. It is single-pass and keeps no tree
-// in memory, which is what lets the shredder discard state as soon as
-// tuples are flushed and the wire path parse shipments without
-// materializing them. Every XML read in the program goes through it; Parse
-// is ScanAttrs into a TreeBuilder.
-func ScanAttrs(r io.Reader, h AttrHandler) error {
-	return scanStream(r, h)
 }
 
 // TreeBuilder is an AttrHandler that materializes one scanned element into

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -192,5 +193,61 @@ func TestScanReusesItsReadBuffer(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 8<<10 {
 		t.Errorf("scanning a %d-byte envelope allocates %d bytes, want under 8 KiB", len(env), per)
+	}
+}
+
+// failAfter hands out its bytes together with err in one read, then reads
+// as the end of input.
+type failAfter struct {
+	data string
+	err  error
+}
+
+func (f *failAfter) Read(p []byte) (int, error) {
+	if f.data == "" {
+		return 0, io.EOF
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, f.err
+}
+
+// TestScanKeepsAReadError: an error a read returns along with its last
+// bytes reaches the caller once those bytes are scanned, even when the
+// reader reads as the end of input after it.
+func TestScanKeepsAReadError(t *testing.T) {
+	boom := errors.New("boom")
+	err := ScanAttrs(&failAfter{data: "<r>abc", err: boom}, nopAttrs{})
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want the read error %v", err, boom)
+	}
+}
+
+// TestScanDropsALargeVocabulary: a scan that interned more name bytes than
+// a pooled scanner may keep leaves none of them to the pool — a request
+// with a 1 MiB element name must not pin that name for every later scan —
+// while a small vocabulary stays interned for the next scan.
+func TestScanDropsALargeVocabulary(t *testing.T) {
+	s := scanners.New().(*attrScanner)
+	if err := s.scan(strings.NewReader(`<r a="1"><b/></r>`), nopAttrs{}); err != nil {
+		t.Fatal(err)
+	}
+	s.reset()
+	if len(s.names) != 3 {
+		t.Errorf("after a small scan the intern table holds %d names, want 3", len(s.names))
+	}
+
+	long := strings.Repeat("n", 1<<20)
+	if err := s.scan(strings.NewReader("<r><"+long+"/></r>"), nopAttrs{}); err != nil {
+		t.Fatal(err)
+	}
+	s.reset()
+	if _, ok := s.names[long]; ok {
+		t.Error("the pooled intern table still holds the 1 MiB name")
+	}
+	for _, slot := range s.cache {
+		if slot.q == long {
+			t.Fatal("the pooled name cache still holds the 1 MiB name")
+		}
 	}
 }

@@ -1,34 +1,48 @@
 package xmltree
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
-
-	"xdx/internal/bufpool"
 )
 
 // attrScanner is the package's one XML tokenizer, behind ScanAttrs and
-// Parse. It interns names (the vocabulary of any document is small), reuses
-// one attribute slice and one scratch buffer, and copies attribute values
-// into a string slab it owns for the one scan, so a scan allocates per slab
-// block, not per token. Text reaches a TextBytesHandler without a copy;
-// only a plain Text handler gets a string per text event.
+// Parse. It lexes every tag, attribute, end tag and text run as a slice of
+// its read window: a name is interned (the vocabulary of any document is
+// small, and a direct-mapped cache answers most lookups before the map), an
+// end tag is compared in place with the open element's name, an attribute
+// value is copied once, from the window into a string slab the scan owns,
+// and text reaches a TextBytesHandler without a copy; only a plain Text
+// handler gets a string per text event. The whole state — window, intern
+// table, cache, attribute slice, scratch — is pooled, so a scan allocates
+// per slab block, not per token.
 type attrScanner struct {
-	br    *bufio.Reader
-	h     AttrHandler
-	tb    TextBytesHandler // h's optional zero-copy text path, nil otherwise
-	names map[string]string
-	attrs []Attr
-	vals  Arena    // attribute values' string slab; lives for the scan
-	text  []byte   // raw accumulation of the pending character data
-	dec   []byte   // entity-decoding scratch
-	open  []string // qualified names of the open elements, innermost last
+	r   io.Reader
+	err error // sticky read error: io.EOF at the end of input
+
+	// buf[pos:end] is the window's unread input. A lexer that runs off its
+	// end calls fill, which keeps everything from pos on, so a construct's
+	// bytes stay in the window until the lexer consumes them.
+	buf      []byte
+	pos, end int
+
+	h         AttrHandler
+	tb        TextBytesHandler // h's optional zero-copy text path, nil otherwise
+	names     map[string]string
+	nameBytes int       // the bytes of the names in names
+	cache     [256]name // recently interned names, by a hash of their bytes
+	attrs     []Attr
+	vals      Arena  // attribute values' string slab; lives for the scan
+	dec       []byte // entity-decoding scratch
+	open      []name // the open elements, innermost last
 }
+
+// name is an interned qualified name and its local part.
+type name struct{ q, local string }
 
 // MaxTokenBytes caps one name, attribute value or text run (a CDATA
 // section included). It sits 1 MiB above the wire layer's 16 MiB chunk
@@ -38,25 +52,49 @@ type attrScanner struct {
 // of being buffered whole.
 const MaxTokenBytes = 17 << 20
 
+const (
+	// windowBytes is the read window a scan starts with. A token longer
+	// than the window grows it, up to maxWindow: room for a token of
+	// MaxTokenBytes and its delimiter, so the window never refuses a token
+	// the limit admits.
+	windowBytes = 32 << 10
+	maxWindow   = MaxTokenBytes + windowBytes
+
+	// A pooled scanner keeps at most this much window and scratch, and an
+	// intern table of at most this many names holding at most this many
+	// bytes: a scan of one huge token, or of a document with an endless
+	// vocabulary, must not pin what it grew in the pool for every scan
+	// after it.
+	maxRetainedBytes = 1 << 20
+	maxRetainedNames = 4096
+)
+
 // ErrTokenTooLarge reports a name, attribute value or text run longer than
 // MaxTokenBytes.
 var ErrTokenTooLarge = fmt.Errorf("xmltree: scan: token exceeds %d bytes", MaxTokenBytes)
 
 var errUnterminated = fmt.Errorf("xmltree: scan: unterminated document")
 
-// scanStream drives the tokenizer over r, delivering events to h with the
-// same contract as ScanAttrs: local names, xmlns attributes dropped,
-// trimmed non-empty text, attribute slice reused between calls. Its 32 KiB
-// read buffer comes from the shared pool: a SOAP envelope of a few hundred
-// bytes would otherwise pay for a fresh one on every call.
-func scanStream(r io.Reader, h AttrHandler) error {
-	br := bufpool.Reader(r)
-	defer bufpool.PutReader(br)
-	s := &attrScanner{
-		br:    br,
-		h:     h,
-		names: make(map[string]string, 32),
-	}
+var scanners = sync.Pool{New: func() any {
+	return &attrScanner{buf: make([]byte, windowBytes), names: make(map[string]string, 32)}
+}}
+
+// ScanAttrs streams XML from r into h: local names, xmlns attributes
+// dropped, trimmed non-empty text, the attribute slice reused between
+// calls. It is single-pass and keeps no tree in memory, which is what lets
+// the shredder discard state as soon as tuples are flushed and the wire
+// path parse shipments without materializing them. Every XML read in the
+// program goes through it; Parse is ScanAttrs into a TreeBuilder. The
+// scanner comes from a pool: a SOAP envelope of a few hundred bytes would
+// otherwise pay for a fresh window and intern table on every call.
+func ScanAttrs(r io.Reader, h AttrHandler) error {
+	s := scanners.Get().(*attrScanner)
+	defer s.release()
+	return s.scan(r, h)
+}
+
+func (s *attrScanner) scan(r io.Reader, h AttrHandler) error {
+	s.r, s.h = r, h
 	s.tb, _ = h.(TextBytesHandler)
 	for {
 		err := s.scanText()
@@ -69,8 +107,8 @@ func scanStream(r io.Reader, h AttrHandler) error {
 		if err != nil {
 			return err
 		}
-		c, err := s.br.ReadByte()
-		if err != nil {
+		c, ok := s.readByte()
+		if !ok {
 			return errUnterminated
 		}
 		switch c {
@@ -79,9 +117,9 @@ func scanStream(r io.Reader, h AttrHandler) error {
 		case '!':
 			err = s.scanBang()
 		case '?':
-			err = s.skipUntil("?>")
+			err = s.skipPast("?>")
 		default:
-			s.br.UnreadByte()
+			s.pos--
 			err = s.scanStartTag()
 		}
 		if err != nil {
@@ -90,46 +128,130 @@ func scanStream(r io.Reader, h AttrHandler) error {
 	}
 }
 
-// scanText consumes character data up to the next '<' (which it also
-// consumes) and emits it trimmed. Returns io.EOF at end of input.
-func (s *attrScanner) scanText() error {
-	s.text = s.text[:0]
-	for {
-		chunk, err := s.br.ReadSlice('<')
-		if err == nil {
-			body := chunk[:len(chunk)-1]
-			if len(s.text) == 0 {
-				return s.emitText(body)
-			}
-			if err := s.buffer(body); err != nil {
-				return err
-			}
-			return s.emitText(s.text)
-		}
-		if err := s.buffer(chunk); err != nil {
-			return err
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err == io.EOF {
-			if e := s.emitText(s.text); e != nil {
-				return e
-			}
-			return io.EOF
-		}
-		return fmt.Errorf("xmltree: scan: %w", err)
+// release returns the scanner to the pool.
+func (s *attrScanner) release() {
+	s.reset()
+	scanners.Put(s)
+}
+
+// reset detaches the scanner from the finished scan: no reader, handler or
+// attribute value stays reachable, and state one scan grew past its bound
+// is dropped rather than kept.
+func (s *attrScanner) reset() {
+	s.r, s.err, s.h, s.tb = nil, nil, nil, nil
+	s.pos, s.end = 0, 0
+	s.vals = Arena{}
+	clear(s.attrs[:cap(s.attrs)])
+	s.attrs, s.open = s.attrs[:0], s.open[:0]
+	if cap(s.buf) > maxRetainedBytes {
+		s.buf = make([]byte, windowBytes)
+	}
+	if cap(s.dec) > maxRetainedBytes {
+		s.dec = nil
+	}
+	if len(s.names) > maxRetainedNames || s.nameBytes > maxRetainedBytes {
+		s.names, s.nameBytes, s.cache = make(map[string]string, 32), 0, [len(s.cache)]name{}
 	}
 }
 
-// buffer appends run to the pending token in s.text, refusing a token
-// that would grow past MaxTokenBytes.
-func (s *attrScanner) buffer(run []byte) error {
-	if len(s.text)+len(run) > MaxTokenBytes {
-		return ErrTokenTooLarge
+// fill reads more input into the window, keeping the unread bytes from
+// pos on: it moves them to the window's front, grows the window when they
+// already fill it, and reads at least one byte. It returns io.EOF at the
+// end of input, the reader's error on a failed read, and ErrTokenTooLarge
+// when the unread bytes fill a window of maxWindow.
+func (s *attrScanner) fill() error {
+	if s.err != nil {
+		return s.err
 	}
-	s.text = append(s.text, run...)
-	return nil
+	if s.pos > 0 {
+		s.end = copy(s.buf, s.buf[s.pos:s.end])
+		s.pos = 0
+	}
+	if s.end == len(s.buf) {
+		if len(s.buf) >= maxWindow {
+			return ErrTokenTooLarge
+		}
+		grown := make([]byte, min(2*len(s.buf), maxWindow))
+		copy(grown, s.buf[:s.end])
+		s.buf = grown
+	}
+	// A read that returns bytes and an error leaves the error for the next
+	// fill, once the bytes are lexed; a reader that keeps returning nothing
+	// is given up on as bufio gives up on it.
+	for range 100 {
+		n, err := s.r.Read(s.buf[s.end:])
+		s.end, s.err = s.end+n, err
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	s.err = io.ErrNoProgress
+	return s.err
+}
+
+// tokenErr is what a token cut short by err reports: ErrTokenTooLarge
+// when the token outgrew the window, an unterminated document otherwise.
+func tokenErr(err error) error {
+	if err == ErrTokenTooLarge {
+		return err
+	}
+	return errUnterminated
+}
+
+// readByte consumes one byte; ok is false at the end of input.
+func (s *attrScanner) readByte() (byte, bool) {
+	if s.pos == s.end && s.fill() != nil {
+		return 0, false
+	}
+	s.pos++
+	return s.buf[s.pos-1], true
+}
+
+// until lexes a token running from the read position up to delim, leaving
+// both unconsumed: n is the token's length, the bytes up to the end of
+// input when err is io.EOF. A token longer than MaxTokenBytes is refused
+// as soon as it is known to be, whatever follows it.
+func (s *attrScanner) until(delim []byte) (n int, err error) {
+	from := 0
+	for {
+		w := s.buf[s.pos:s.end]
+		if i := bytes.Index(w[from:], delim); i >= 0 {
+			n = from + i
+			if n > MaxTokenBytes {
+				return n, ErrTokenTooLarge
+			}
+			return n, nil
+		}
+		if from = max(0, len(w)-len(delim)+1); from > MaxTokenBytes {
+			return len(w), ErrTokenTooLarge
+		}
+		if err := s.fill(); err != nil {
+			return s.end - s.pos, err
+		}
+	}
+}
+
+// scanText lexes character data up to the next '<' (which it consumes)
+// and emits it trimmed. It returns io.EOF at the end of input.
+func (s *attrScanner) scanText() error {
+	n, err := s.until([]byte("<"))
+	switch err {
+	case nil:
+		s.pos += n + 1
+		return s.emitText(s.buf[s.pos-n-1 : s.pos-1])
+	case io.EOF:
+		s.pos += n
+		if err := s.emitText(s.buf[s.pos-n : s.pos]); err != nil {
+			return err
+		}
+		return io.EOF
+	case ErrTokenTooLarge:
+		return err
+	}
+	return fmt.Errorf("xmltree: scan: %w", err)
 }
 
 // emitText decodes entities, trims, and delivers a text event. Character
@@ -139,28 +261,51 @@ func (s *attrScanner) emitText(raw []byte) error {
 	if len(s.open) == 0 {
 		return nil
 	}
-	if bytes.IndexByte(raw, '&') < 0 && bytes.IndexByte(raw, '\r') < 0 {
-		if err := checkChars(raw); err != nil {
-			return err
-		}
-		if t := bytes.TrimSpace(raw); len(t) > 0 {
-			return s.deliverText(t)
-		}
-		return nil
-	}
-	dec, err := decodeEntities(s.dec[:0], raw)
-	s.dec = dec[:0]
+	raw, err := s.decode(raw)
 	if err != nil {
 		return err
 	}
-	if err := checkChars(dec); err != nil {
-		return err
-	}
-	if t := bytes.TrimSpace(dec); len(t) > 0 {
+	if t := bytes.TrimSpace(raw); len(t) > 0 {
 		return s.deliverText(t)
 	}
 	return nil
 }
+
+// decode resolves entities, character references and line ends in raw
+// and enforces the Char production on the result, which aliases raw or
+// the decoding scratch. Plain text passes through as it is.
+func (s *attrScanner) decode(raw []byte) ([]byte, error) {
+	if plainText(raw) {
+		return raw, nil
+	}
+	dec, err := decodeEntities(s.dec[:0], raw)
+	s.dec = dec[:0]
+	if err != nil {
+		return nil, err
+	}
+	return dec, checkChars(dec)
+}
+
+// plainText reports whether b is printable ASCII, tabs, line feeds and
+// spaces only: text that needs no entity decoding, no line-end
+// normalization and no Char check.
+func plainText(b []byte) bool {
+	for _, c := range b {
+		if !plainByte[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// plainByte marks the bytes plain text may hold.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < 0x80; c++ {
+		t[c] = c != '&'
+	}
+	t['\t'], t['\n'] = true, true
+	return t
+}()
 
 // deliverText hands trimmed character data to the handler, through the
 // zero-copy byte path when the handler supports it. t aliases the
@@ -264,15 +409,26 @@ func decodeEntities(dst, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// intern returns a shared string for a name, allocating only the first
-// time each distinct name is seen.
-func (s *attrScanner) intern(b []byte) string {
-	if v, ok := s.names[string(b)]; ok {
-		return v
+// intern returns the shared name for b, allocating only the first time
+// each distinct name is seen. The cache slot b hashes to answers first;
+// the intern table answers a miss and takes over the slot.
+func (s *attrScanner) intern(b []byte) name {
+	h := uint32(len(b))
+	for _, c := range b {
+		h = h*31 + uint32(c)
 	}
-	v := string(b)
-	s.names[v] = v
-	return v
+	slot := &s.cache[h%uint32(len(s.cache))]
+	if slot.q == string(b) {
+		return *slot
+	}
+	q, ok := s.names[string(b)]
+	if !ok {
+		q = string(b)
+		s.names[q] = q
+		s.nameBytes += len(q)
+	}
+	*slot = name{q: q, local: localPart(q)}
+	return *slot
 }
 
 // localPart strips a namespace prefix: "p:name" reads as "name". A colon
@@ -291,49 +447,44 @@ func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\
 // '>', '/' and '=' — and '<', which is an error inside a tag.
 var nameStop = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '>': true, '/': true, '=': true, '<': true}
 
-// readName consumes a tag or attribute name, stopping before the first
-// byte that cannot be part of one. It scans the reader's buffered window a
-// run at a time rather than a byte per call. The returned slice aliases
-// s.dec.
-func (s *attrScanner) readName() ([]byte, error) {
-	s.dec = s.dec[:0]
+// lexName lexes and consumes the tag or attribute name at the read
+// position, up to the first byte that cannot be part of one. The slice
+// aliases the window: it is valid until the next read.
+func (s *attrScanner) lexName() ([]byte, error) {
+	i := 0
 	for {
-		if s.br.Buffered() == 0 {
-			if _, err := s.br.Peek(1); err != nil {
-				return nil, errUnterminated
-			}
-		}
-		win, _ := s.br.Peek(s.br.Buffered())
-		i := 0
-		for i < len(win) && !nameStop[win[i]] {
+		w := s.buf[s.pos:s.end]
+		for i < len(w) && !nameStop[w[i]] {
 			i++
 		}
-		if len(s.dec)+i > MaxTokenBytes {
-			return nil, ErrTokenTooLarge
-		}
-		s.dec = append(s.dec, win[:i]...)
-		s.br.Discard(i)
-		if i == len(win) {
-			continue
-		}
 		switch {
-		case win[i] == '<':
+		case i > MaxTokenBytes:
+			return nil, ErrTokenTooLarge
+		case i == len(w):
+			if err := s.fill(); err != nil {
+				return nil, tokenErr(err)
+			}
+			continue
+		case w[i] == '<':
 			return nil, fmt.Errorf("xmltree: scan: '<' in tag")
-		case len(s.dec) == 0:
+		case i == 0:
 			return nil, fmt.Errorf("xmltree: scan: empty name")
 		}
-		return s.dec, nil
+		s.pos += i
+		return w[:i], nil
 	}
 }
 
+// skipSpace skips whitespace and returns the byte after it, unconsumed.
 func (s *attrScanner) skipSpace() (byte, error) {
 	for {
-		c, err := s.br.ReadByte()
-		if err != nil {
-			return 0, errUnterminated
+		for ; s.pos < s.end; s.pos++ {
+			if c := s.buf[s.pos]; !isSpace(c) {
+				return c, nil
+			}
 		}
-		if !isSpace(c) {
-			return c, nil
+		if s.fill() != nil {
+			return 0, errUnterminated
 		}
 	}
 }
@@ -341,12 +492,11 @@ func (s *attrScanner) skipSpace() (byte, error) {
 // scanStartTag parses an open (or self-closing) tag; the leading '<' is
 // already consumed.
 func (s *attrScanner) scanStartTag() error {
-	nameB, err := s.readName()
+	b, err := s.lexName()
 	if err != nil {
 		return err
 	}
-	qname := s.intern(nameB)
-	name := localPart(qname)
+	el := s.intern(b)
 	s.attrs = s.attrs[:0]
 	for {
 		c, err := s.skipSpace()
@@ -355,18 +505,19 @@ func (s *attrScanner) scanStartTag() error {
 		}
 		switch c {
 		case '>':
-			s.open = append(s.open, qname)
-			return s.h.StartElement(name, s.attrs)
+			s.pos++
+			s.open = append(s.open, el)
+			return s.h.StartElement(el.local, s.attrs)
 		case '/':
-			if c, err = s.br.ReadByte(); err != nil || c != '>' {
+			s.pos++
+			if c, ok := s.readByte(); !ok || c != '>' {
 				return errUnterminated
 			}
-			if err := s.h.StartElement(name, s.attrs); err != nil {
+			if err := s.h.StartElement(el.local, s.attrs); err != nil {
 				return err
 			}
-			return s.h.EndElement(name)
+			return s.h.EndElement(el.local)
 		default:
-			s.br.UnreadByte()
 			if err := s.scanAttr(); err != nil {
 				return err
 			}
@@ -376,24 +527,23 @@ func (s *attrScanner) scanStartTag() error {
 
 // scanAttr parses one name="value" pair, dropping namespace declarations.
 func (s *attrScanner) scanAttr() error {
-	nameB, err := s.readName()
+	b, err := s.lexName()
 	if err != nil {
 		return err
 	}
-	// The name slice aliases s.dec, which readName and decodeEntities
-	// reuse; resolve drop/keep before touching the value.
-	drop := string(nameB) == "xmlns" || bytes.HasPrefix(nameB, []byte("xmlns:"))
-	var name string
+	drop := string(b) == "xmlns" || bytes.HasPrefix(b, []byte("xmlns:"))
+	var local string
 	if !drop {
-		name = localPart(s.intern(nameB))
+		local = s.intern(b).local
 	}
 	c, err := s.skipSpace()
 	if err != nil {
 		return err
 	}
 	if c != '=' {
-		return fmt.Errorf("xmltree: scan: attribute %q without value", name)
+		return fmt.Errorf("xmltree: scan: attribute %q without value", local)
 	}
+	s.pos++
 	quote, err := s.skipSpace()
 	if err != nil {
 		return err
@@ -401,89 +551,73 @@ func (s *attrScanner) scanAttr() error {
 	if quote != '"' && quote != '\'' {
 		return fmt.Errorf("xmltree: scan: unquoted attribute value")
 	}
-	s.text = s.text[:0]
-	for {
-		chunk, err := s.br.ReadSlice(quote)
-		if err == nil {
-			if err := s.buffer(chunk[:len(chunk)-1]); err != nil {
-				return err
-			}
-			break
-		}
-		if err := s.buffer(chunk); err != nil {
-			return err
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		return errUnterminated
+	s.pos++
+	n, err := s.until([]byte{quote})
+	if err != nil {
+		return tokenErr(err)
 	}
+	raw := s.buf[s.pos : s.pos+n]
+	s.pos += n + 1
 	if drop {
 		return nil
 	}
-	var value string
-	if bytes.IndexByte(s.text, '&') < 0 && bytes.IndexByte(s.text, '\r') < 0 {
-		if err := checkChars(s.text); err != nil {
-			return err
-		}
-		value = s.vals.Bytes(s.text)
-	} else {
-		dec, err := decodeEntities(s.dec[:0], s.text)
-		s.dec = dec[:0]
-		if err != nil {
-			return err
-		}
-		if err := checkChars(dec); err != nil {
-			return err
-		}
-		value = s.vals.Bytes(dec)
+	value, err := s.decode(raw)
+	if err != nil {
+		return err
 	}
-	s.attrs = append(s.attrs, Attr{Name: name, Value: value})
+	s.attrs = append(s.attrs, Attr{Name: local, Value: s.vals.Bytes(value)})
 	return nil
 }
 
 // scanEndTag parses a close tag; "</" is already consumed. A close tag
-// must repeat its open tag's name exactly, prefix included.
+// must repeat its open tag's name exactly, prefix included; the name is
+// compared where it lies in the window and copied only into an error.
 func (s *attrScanner) scanEndTag() error {
-	nameB, err := s.readName()
+	b, err := s.lexName()
 	if err != nil {
 		return err
+	}
+	top := len(s.open) - 1
+	var el name
+	if top >= 0 && s.open[top].q == string(b) {
+		el = s.open[top]
+	} else {
+		top, el.q = -1, string(b)
 	}
 	c, err := s.skipSpace()
 	if err != nil {
 		return err
 	}
 	if c != '>' {
-		return fmt.Errorf("xmltree: scan: malformed end tag </%s>", nameB)
+		return fmt.Errorf("xmltree: scan: malformed end tag </%s>", el.q)
 	}
-	top := len(s.open) - 1
-	if top < 0 {
-		return fmt.Errorf("xmltree: scan: unexpected end tag </%s>", nameB)
-	}
-	qname := s.open[top]
-	if string(nameB) != qname {
-		return fmt.Errorf("xmltree: scan: element <%s> closed by </%s>", qname, nameB)
+	s.pos++
+	switch {
+	case len(s.open) == 0:
+		return fmt.Errorf("xmltree: scan: unexpected end tag </%s>", el.q)
+	case top < 0:
+		return fmt.Errorf("xmltree: scan: element <%s> closed by </%s>", s.open[len(s.open)-1].q, el.q)
 	}
 	s.open = s.open[:top]
-	return s.h.EndElement(localPart(qname))
+	return s.h.EndElement(el.local)
 }
 
 // scanBang handles "<!" constructs: comments, CDATA sections, and DOCTYPE
 // declarations (the latter skipped wholesale).
 func (s *attrScanner) scanBang() error {
-	c, err := s.br.ReadByte()
-	if err != nil {
+	c, ok := s.readByte()
+	if !ok {
 		return errUnterminated
 	}
 	switch c {
 	case '-':
-		if c, err = s.br.ReadByte(); err != nil || c != '-' {
+		if c, ok = s.readByte(); !ok || c != '-' {
 			return fmt.Errorf("xmltree: scan: malformed comment")
 		}
-		return s.skipUntil("-->")
+		return s.skipPast("-->")
 	case '[':
 		for _, want := range []byte("CDATA[") {
-			if c, err = s.br.ReadByte(); err != nil || c != want {
+			if c, ok = s.readByte(); !ok || c != want {
 				return fmt.Errorf("xmltree: scan: malformed CDATA section")
 			}
 		}
@@ -493,11 +627,14 @@ func (s *attrScanner) scanBang() error {
 		// just read, is never a quote or the closing '>'.
 		var decl declEnd
 		for {
-			if c, err = s.br.ReadByte(); err != nil {
-				return errUnterminated
+			for s.pos < s.end {
+				s.pos++
+				if decl.closes(s.buf[s.pos-1]) {
+					return nil
+				}
 			}
-			if decl.closes(c) {
-				return nil
+			if s.fill() != nil {
+				return errUnterminated
 			}
 		}
 	}
@@ -558,43 +695,24 @@ func (d *declEnd) closes(c byte) bool {
 	return false
 }
 
-// scanCDATA reads raw character data up to "]]>" and emits it trimmed.
+// scanCDATA lexes raw character data up to "]]>" and emits it trimmed.
 func (s *attrScanner) scanCDATA() error {
-	s.text = s.text[:0]
-	match := 0
-	for {
-		if len(s.text) > MaxTokenBytes {
-			return ErrTokenTooLarge
-		}
-		c, err := s.br.ReadByte()
-		if err != nil {
-			return errUnterminated
-		}
-		switch {
-		case c == ']':
-			if match == 2 {
-				s.text = append(s.text, ']') // "]]]" keeps one literal ']'
-			} else {
-				match++
-			}
-			continue
-		case c == '>' && match == 2:
-			if len(s.open) > 0 {
-				if err := checkChars(s.text); err != nil {
-					return err
-				}
-				if t := bytes.TrimSpace(crlf(s.text)); len(t) > 0 {
-					return s.deliverText(t)
-				}
-			}
-			return nil
-		default:
-			for ; match > 0; match-- {
-				s.text = append(s.text, ']')
-			}
-			s.text = append(s.text, c)
-		}
+	n, err := s.until([]byte("]]>"))
+	if err != nil {
+		return tokenErr(err)
 	}
+	raw := s.buf[s.pos : s.pos+n]
+	s.pos += n + len("]]>")
+	if len(s.open) == 0 {
+		return nil
+	}
+	if err := checkChars(raw); err != nil {
+		return err
+	}
+	if t := bytes.TrimSpace(crlf(raw)); len(t) > 0 {
+		return s.deliverText(t)
+	}
+	return nil
 }
 
 // crlf rewrites each CR LF pair and each lone CR in b to one LF, in place:
@@ -613,23 +731,26 @@ func crlf(b []byte) []byte {
 	return out
 }
 
-// skipUntil discards input through the first occurrence of pat.
-func (s *attrScanner) skipUntil(pat string) error {
+// skipPast discards input through the first occurrence of pat.
+func (s *attrScanner) skipPast(pat string) error {
 	match := 0
 	for {
-		c, err := s.br.ReadByte()
-		if err != nil {
-			return errUnterminated
-		}
-		if c == pat[match] {
-			match++
-			if match == len(pat) {
-				return nil
+		for s.pos < s.end {
+			c := s.buf[s.pos]
+			s.pos++
+			switch {
+			case c == pat[match]:
+				if match++; match == len(pat) {
+					return nil
+				}
+			case c == pat[0]:
+				match = 1
+			default:
+				match = 0
 			}
-		} else if c == pat[0] {
-			match = 1
-		} else {
-			match = 0
+		}
+		if s.fill() != nil {
+			return errUnterminated
 		}
 	}
 }

@@ -234,10 +234,19 @@ func escapeTo(w *bufio.Writer, s string) {
 // Node tree first.
 func Escape(w *bufio.Writer, s string) { escapeTo(w, s) }
 
-// EscapedLen is the number of bytes Escape writes for s.
+// EscapedLen is the number of bytes Escape writes for s, counted in one
+// pass.
 func EscapedLen(s string) int {
-	return len(s) + (len("&lt;")-1)*(strings.Count(s, "<")+strings.Count(s, ">")) +
-		(len("&amp;")-1)*strings.Count(s, "&") + (len("&quot;")-1)*strings.Count(s, `"`)
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		n += escapeGrowth[s[i]]
+	}
+	return n
+}
+
+// escapeGrowth is how many bytes Escape adds for each byte it escapes.
+var escapeGrowth = [256]int{
+	'<': len("&lt;") - 1, '>': len("&gt;") - 1, '&': len("&amp;") - 1, '"': len("&quot;") - 1,
 }
 
 // Marshal serializes the subtree to a string, for tests and small payloads.

@@ -24,7 +24,7 @@
 # rows amortise a per-attach allocation away and would not see it); the
 # sixth is xmltree.Parse of a 500 KB XMark document, the tree reader behind
 # every WSDL registration, the agency index and every Client.Call response,
-# which runs on the one tokenizer with a pooled read buffer; the seventh is
+# which runs on the one tokenizer with a pooled read window; the seventh is
 # Table 4's load-then-index step, the only row that builds the store's
 # indexes, whose slots and key and row arrays are one allocation per index
 # — its bytes are gated as well as its allocations, since an index that
@@ -81,14 +81,18 @@ cd "$(dirname "$0")/.."
 # delta as row edits on the target's store; BenchmarkApplyDelta is new
 # there and reads 1100 allocs/op and 624680 B/op at 3x on 2 CPUs, over a
 # churn that deletes, inserts, moves and swaps instances and rewrites
-# leaves (551 and 181909 without the moves and swaps).
+# leaves (551 and 181909 without the moves and swaps). "window-lexer" is
+# the commit that follows 27d18e0 and lexes every XML construct out of the
+# tokenizer's pooled read window: on 2 CPUs at 20x ShipmentCodecStream read
+# 213 allocs/op at 27d18e0 and reads 177-188, and Substrate_Parse read 29087
+# and reads 29054.
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
-SHIPMENT_CODEC_STREAM=212            # slab-scan, 20x
+SHIPMENT_CODEC_STREAM=188            # window-lexer, 20x
 RELIABLE_EXCHANGE_DURABLE_BATCH=6440 # direct-delivery
 RELIABLE_EXCHANGE_DURABLE_BATCH_BYTES=1771850 # direct-delivery
 CHAINED_COMBINE_SPREAD_K8=217        # 5ebdd14 (BENCH_13.json)
-SUBSTRATE_PARSE=29086                # one-reader, 20x
+SUBSTRATE_PARSE=29054                # window-lexer, 20x
 TABLE4_LOAD_INDEX_MF=646             # pointer-free-index, 10x
 TABLE4_LOAD_INDEX_MF_BYTES=1129256   # pointer-free-index, 10x
 DIFF_SHIPMENT=239                    # one-pass-recon

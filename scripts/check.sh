@@ -11,6 +11,12 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# Fixed-budget fuzzing of the one XML tokenizer: 3000 generated inputs
+# each for the encoding/xml differential and for the scanner's event
+# balance, beyond the seed corpora the test run above already replays.
+go test -run '^$' -fuzz '^FuzzParseMatchesEncodingXML$' -fuzztime 3000x ./internal/xmltree/
+go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 3000x ./internal/xmltree/
+
 # Informational: the non-test Go line count outside benchmark/ (ROADMAP
 # item 6 tracks it going down; each PR's CHANGES.md entry records the
 # before/after).

@@ -236,9 +236,14 @@ func FromDocument(fr *Fragmentation, doc *Node) (map[string]*Instance, error) {
 	return core.FromDocument(fr, doc)
 }
 
-// Document reassembles a document from per-fragment instances.
+// Document reassembles a document from per-fragment instances, which it
+// leaves as they were.
 func Document(fr *Fragmentation, insts map[string]*Instance) (*Node, error) {
-	return core.Document(fr, insts)
+	views := make(map[string]*Instance, len(insts))
+	for name, in := range insts {
+		views[name] = in.Share()
+	}
+	return core.Document(fr, views)
 }
 
 // Execute runs a data-transfer program over in-memory instances.

@@ -5,12 +5,15 @@ package xdx_test
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"xdx"
+	"xdx/internal/core"
 	"xdx/internal/endpoint"
+	"xdx/internal/xmark"
 )
 
 const facadeDTD = `
@@ -217,5 +220,69 @@ func TestFacadeAgencyOverHTTP(t *testing.T) {
 	}
 	if report.WireBytes <= 0 || dir.Dir.Len() == 0 {
 		t.Errorf("exchange produced nothing: %d bytes, %d entries", report.WireBytes, dir.Dir.Len())
+	}
+}
+
+// Execute and Document leave what they are given as it was: run twice over
+// one source map (or one instance map), each returns the document the first
+// call did — the source document itself — in both directions between MF
+// and LF, Combine-heavy and Split-heavy alike.
+func TestExecuteAndDocumentLeaveTheirInputs(t *testing.T) {
+	sch := xdx.AuctionSchema()
+	doc := xmark.Generate(xmark.Config{TargetBytes: 50_000, Seed: 1})
+	var want bytes.Buffer
+	if err := xdx.WriteDocument(&want, doc); err != nil {
+		t.Fatal(err)
+	}
+	reassemble := func(what string, fr *xdx.Fragmentation, insts map[string]*xdx.Instance) string {
+		t.Helper()
+		n, err := xdx.Document(fr, insts)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var b bytes.Buffer
+		if err := xdx.WriteDocument(&b, n); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	mf, lf := xdx.MostFragmented(sch), xdx.LeastFragmented(sch)
+	for _, dir := range []struct {
+		name     string
+		src, tgt *xdx.Fragmentation
+	}{{"MF→LF", mf, lf}, {"LF→MF", lf, mf}} {
+		sources, err := xdx.FromDocument(dir.src, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := xdx.NewMapping(dir.src, dir.tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := xdx.CanonicalProgram(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			name string
+			exec func(*xdx.Graph, *xdx.Schema, map[string]*xdx.Instance) (*core.ExecResult, error)
+		}{{"core.Execute", core.Execute}, {"xdx.Execute", xdx.Execute}} {
+			for call := 1; call <= 2; call++ {
+				what := fmt.Sprintf("%s %s, call %d", dir.name, run.name, call)
+				res, err := run.exec(g, sch, sources)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if got := reassemble(what, dir.tgt, res.Written); got != want.String() {
+					t.Fatalf("%s: reassembled %d bytes, want the source's %d", what, len(got), want.Len())
+				}
+			}
+		}
+		for call := 1; call <= 2; call++ {
+			what := fmt.Sprintf("%s xdx.Document, call %d", dir.name, call)
+			if got := reassemble(what, dir.src, sources); got != want.String() {
+				t.Fatalf("%s: reassembled %d bytes, want the source's %d", what, len(got), want.Len())
+			}
+		}
 	}
 }
