@@ -41,9 +41,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=100x ./...
 
 # Snapshot the benchmark set (shipment-format ablations, Figure 9 end to
-# end, streaming-codec allocations, parallel-codec worker sweep, xdxload
-# traffic run) into BENCH_$(BENCH_N).json; `BENCH_N=7 make bench-json`
-# starts the next snapshot.
+# end, streaming-codec allocations, parallel-codec worker sweep, durability
+# and delta sweeps) into BENCH_$(BENCH_N).json; `BENCH_N=14 make
+# bench-json` starts the next snapshot.
 bench-json:
 	./scripts/bench_snapshot.sh
 

@@ -37,17 +37,19 @@ func main() {
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures before an endpoint's circuit opens (0 = default 5)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open circuit fails fast (0 = default 1s)")
 	retrySeed := flag.Int64("retry-seed", 0, "seed for backoff jitter and session IDs (reproducible runs)")
-	exchangeWorkers := flag.Int("exchange-workers", 0, "concurrent exchange pool size (0 = 8 per GOMAXPROCS, negative = no pool: serial legacy driving)")
+	exchangeWorkers := flag.Int("exchange-workers", 0, "concurrent exchange pool size (0 = 8 per GOMAXPROCS)")
 	exchangeQueue := flag.Int("exchange-queue", 0, "bounded exchange FIFO depth; submissions beyond it are shed with a 503 fault (0 = 2x workers)")
 	tenantInflight := flag.Int("tenant-inflight", 0, "max queued+running exchanges per tenant before shedding (0 = unlimited)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant exchange admission rate per second, token-bucket (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant token-bucket burst capacity (0 = ceil(rate))")
-	planCache := flag.Bool("plan-cache", true, "cache derived plan templates per fragmentation pair, invalidated on re-registration")
 	delta := flag.Bool("delta", false, "ship repeat exchanges as deltas against the target's retained base")
 	filter := flag.String("filter", "", "source-side pushdown filter, e.g. '/Customer/CustName=\"Ann\"' (per-request filter attr overrides)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty = off)")
 	verbose := flag.Bool("v", false, "log exchange activity (retries, breaker transitions, outcomes) to stderr")
 	flag.Parse()
+	if *exchangeWorkers < 0 {
+		log.Fatal("xdxd: -exchange-workers is negative; the serial (no pool) mode is gone, every exchange runs on the scheduler's pool (0 = 8 per GOMAXPROCS)")
+	}
 
 	link := netsim.Link{BytesPerSecond: *bandwidth, Latency: *latency}
 	agency := registry.New()
@@ -60,19 +62,15 @@ func main() {
 		agency.SetAutoSave(*state)
 		log.Printf("xdxd: restored %d services from %s", len(agency.Services()), *state)
 	}
-	agency.SetPlanCache(*planCache)
 	svc := registry.NewService(agency, link)
-	if *exchangeWorkers >= 0 {
-		sched := registry.NewScheduler(registry.SchedulerConfig{
-			Workers:        *exchangeWorkers,
-			QueueDepth:     *exchangeQueue,
-			TenantInFlight: *tenantInflight,
-			TenantRate:     *tenantRate,
-			TenantBurst:    *tenantBurst,
-		})
-		svc.Sched = sched
-		log.Printf("xdxd: exchange pool %d workers, queue %d", sched.Workers(), sched.QueueDepth())
-	}
+	svc.Sched = registry.NewScheduler(registry.SchedulerConfig{
+		Workers:        *exchangeWorkers,
+		QueueDepth:     *exchangeQueue,
+		TenantInFlight: *tenantInflight,
+		TenantRate:     *tenantRate,
+		TenantBurst:    *tenantBurst,
+	})
+	log.Printf("xdxd: exchange pool %d workers, queue %d", svc.Sched.Workers(), svc.Sched.QueueDepth())
 	if *codec != "" {
 		if _, err := wire.ParseCodec(*codec); err != nil {
 			log.Fatal("xdxd: ", err)

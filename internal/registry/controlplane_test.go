@@ -1,17 +1,21 @@
 package registry
 
 // Control-plane coverage: the plan-derivation cache (hit path skips the
-// endpoint probes, re-registration invalidates, cached plans execute
-// identically to fresh ones), the admission-controlled exchange scheduler
-// (FIFO, queue-full and per-tenant shedding), the shed fault's isolation
-// between tenants over live SOAP, and the paginated service listing.
+// endpoint probes, re-registration invalidates, the per-service bound
+// evicts, cached plans execute identically to fresh ones), the
+// admission-controlled exchange scheduler (FIFO, queue-full and per-tenant
+// shedding), concurrent exchanges and the shed fault's isolation between
+// tenants over live SOAP, and the paginated service listing.
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +24,7 @@ import (
 	"xdx/internal/core"
 	"xdx/internal/endpoint"
 	"xdx/internal/netsim"
+	"xdx/internal/obs"
 	"xdx/internal/relstore"
 	"xdx/internal/schema"
 	"xdx/internal/soap"
@@ -120,6 +125,38 @@ func TestPlanCacheKeyedOnOptions(t *testing.T) {
 	}
 }
 
+// One service holds at most maxPlansPerService plans however many distinct
+// filters its requests name: each derivation past the cap evicts one entry,
+// and the newest plan stays served.
+func TestPlanCacheBoundedPerService(t *testing.T) {
+	sch := schema.CustomerInfo()
+	ag := New()
+	_, stop := startTenant(t, ag, "svc", sch, sFragmentation(t, sch), tFragmentation(t, sch), 0, nil)
+	defer stop()
+
+	const k = 3
+	filter := func(i int) string { return fmt.Sprintf(`CustName = "c%d"`, i) }
+	for i := 0; i < maxPlansPerService+k; i++ {
+		if _, err := ag.Plan("svc", PlanOptions{Filter: filter(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, size := ag.PlanCacheStats(); size > maxPlansPerService {
+			t.Fatalf("after %d filters the cache holds %d plans, cap %d", i+1, size, maxPlansPerService)
+		}
+	}
+	hits, misses, evictions, size := ag.PlanCacheStats()
+	if hits != 0 || misses != maxPlansPerService+k || evictions != k || size != maxPlansPerService {
+		t.Errorf("stats = %d hits / %d misses / %d evictions / size %d, want 0/%d/%d/%d",
+			hits, misses, evictions, size, maxPlansPerService+k, k, maxPlansPerService)
+	}
+	if _, err := ag.Plan("svc", PlanOptions{Filter: filter(maxPlansPerService + k - 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, _, _, _ := ag.PlanCacheStats(); hits != 1 {
+		t.Errorf("the newest filter's plan was not served from the cache (%d hits)", hits)
+	}
+}
+
 // Re-registering a party with a different fragmentation must evict the
 // service's cached plans, and the next Plan must reflect the new layout.
 func TestPlanCacheInvalidatedByReRegister(t *testing.T) {
@@ -162,7 +199,8 @@ func TestPlanCacheInvalidatedByReRegister(t *testing.T) {
 
 // Property check over a seeded family of source fragmentations: a plan
 // served from the cache must move the document exactly like the freshly
-// derived plan — same reassembled target tree.
+// derived plan — same reassembled target tree. The fresh plan is the first
+// Plan call (a miss), the cached one the second (a hit).
 func TestCachedPlanMatchesFresh(t *testing.T) {
 	sch := schema.CustomerInfo()
 	base := [][]string{
@@ -229,20 +267,24 @@ func TestCachedPlanMatchesFresh(t *testing.T) {
 			return back
 		}
 
-		ag.SetPlanCache(false)
 		fresh, err := ag.Plan("svc", PlanOptions{})
 		if err != nil {
 			t.Fatalf("variant %d: %v", vi, err)
 		}
+		if hits, misses, _, _ := ag.PlanCacheStats(); hits != 0 || misses != 1 {
+			t.Fatalf("variant %d: first Plan read %d hits / %d misses, want a miss", vi, hits, misses)
+		}
 		freshDoc := run(fresh)
 
-		ag.SetPlanCache(true)
-		if _, err := ag.Plan("svc", PlanOptions{}); err != nil {
-			t.Fatalf("variant %d: %v", vi, err)
-		}
 		cached, err := ag.Plan("svc", PlanOptions{})
 		if err != nil {
 			t.Fatalf("variant %d: %v", vi, err)
+		}
+		if hits, misses, _, _ := ag.PlanCacheStats(); hits != 1 || misses != 1 {
+			t.Fatalf("variant %d: second Plan read %d hits / %d misses, want a hit", vi, hits, misses)
+		}
+		if cached != fresh {
+			t.Fatalf("variant %d: the cache served a different template than it stored", vi)
 		}
 		cachedDoc := run(cached)
 
@@ -452,6 +494,103 @@ func TestExchangeShedIsolatesTenants(t *testing.T) {
 	}
 	if _, _, _, shed := sched.Stats(); shed != aShed.Load() {
 		t.Errorf("scheduler counted %d shed, clients saw %d", shed, aShed.Load())
+	}
+}
+
+// The control plane's end-to-end gate: concurrent SOAP clients drive
+// exchanges for several tenants through the agency's Service and Scheduler
+// over loopback HTTP. Every exchange lands, the pool admits and completes
+// each one and sheds none, and the plan cache derives once per tenant —
+// single-flight coalescing makes the hit count exact.
+func TestConcurrentExchangesOverSOAP(t *testing.T) {
+	const tenants, clients, ops = 3, 8, 48
+	sch := schema.CustomerInfo()
+	sFr, tFr := sFragmentation(t, sch), tFragmentation(t, sch)
+	ag := New()
+	for i := 0; i < tenants; i++ {
+		_, stop := startTenant(t, ag, "svc-"+strconv.Itoa(i), sch, sFr, tFr, 2*time.Millisecond, nil)
+		defer stop()
+	}
+	sched := NewScheduler(SchedulerConfig{Workers: 4})
+	defer sched.Close()
+	svc := NewService(ag, netsim.Loopback())
+	svc.Sched = sched
+	agSrv := httptest.NewServer(svc.Handler())
+	defer agSrv.Close()
+
+	var next atomic.Int64
+	errs := make(chan error, ops)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := &soap.Client{URL: agSrv.URL}
+			for i := next.Add(1) - 1; i < ops; i = next.Add(1) - 1 {
+				req := &xmltree.Node{Name: "Exchange"}
+				req.SetAttr("service", "svc-"+strconv.Itoa(int(i%tenants)))
+				resp, err := client.Call("Exchange", req)
+				if err == nil {
+					if id, _ := resp.Attr("exchange"); id == "" {
+						err = errors.New("ExchangeResponse carries no exchange id")
+					}
+				}
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+
+	for err := range errs {
+		if err != nil {
+			t.Errorf("exchange failed: %v", err)
+		}
+	}
+	if accepted, completed, failed, shed := sched.Stats(); accepted != ops || completed != ops || failed != 0 || shed != 0 {
+		t.Errorf("scheduler stats = %d accepted / %d completed / %d failed / %d shed, want %d/%d/0/0",
+			accepted, completed, failed, shed, ops, ops)
+	}
+	if hits, misses, _, _ := ag.PlanCacheStats(); misses != tenants || hits != ops-tenants {
+		t.Errorf("plan cache = %d hits / %d misses, want %d/%d", hits, misses, ops-tenants, tenants)
+	}
+}
+
+// An Exchange naming a service without both registrations is the client's
+// fault and is refused before the scheduler: nothing is admitted, and no
+// per-tenant metric is minted under a name the client chose.
+func TestExchangeRefusesUnregisteredService(t *testing.T) {
+	sch := schema.CustomerInfo()
+	ag := New()
+	if err := ag.Register("half", RoleSource, wsdlFor(t, sch, sFragmentation(t, sch), "http://src"), "http://src"); err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler(SchedulerConfig{Workers: 1})
+	defer sched.Close()
+	svc := NewService(ag, netsim.Loopback())
+	svc.Sched = sched
+	met := obs.NewRegistry()
+	svc.SetObs(nil, met)
+	agSrv := httptest.NewServer(svc.Handler())
+	defer agSrv.Close()
+
+	client := &soap.Client{URL: agSrv.URL}
+	for _, name := range []string{"nobody", "half", "", "svc-1", "svc-2"} {
+		req := &xmltree.Node{Name: "Exchange"}
+		req.SetAttr("service", name)
+		_, err := client.Call("Exchange", req)
+		var f *soap.Fault
+		if !errors.As(err, &f) || f.Code != "soap:Client" {
+			t.Errorf("Exchange of %q = %v, want a soap:Client fault", name, err)
+		}
+	}
+	if accepted, _, _, shed := sched.Stats(); accepted != 0 || shed != 0 {
+		t.Errorf("scheduler saw %d accepted / %d shed for unregistered services, want none", accepted, shed)
+	}
+	for name := range met.Snapshot() {
+		if strings.HasPrefix(name, "exchange.tenant.") || strings.HasPrefix(name, "sched.shed.") {
+			t.Errorf("unregistered services minted metric %s", name)
+		}
 	}
 }
 

@@ -31,7 +31,6 @@ type planCache struct {
 	mu      sync.RWMutex
 	entries map[string]map[string]*Plan
 	flights map[string]*planFlight
-	off     bool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -54,31 +53,12 @@ func (c *planCache) init() {
 	c.flights = make(map[string]*planFlight)
 }
 
-// setEnabled toggles caching; disabling drops every entry.
-func (c *planCache) setEnabled(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.off = !on
-	if c.off {
-		for service, m := range c.entries {
-			c.evictions.Add(int64(len(m)))
-			c.size.Add(int64(-len(m)))
-			delete(c.entries, service)
-		}
-	}
-}
-
 // join is the single-flight entry point. A cache hit returns the template.
 // Otherwise the first caller for a key becomes the leader (counting the
 // miss) and must derive then finish; later callers for the same key get the
-// leader's flight back and wait on its done channel. A disabled cache
-// coalesces nothing: every caller is a leader with a nil flight.
+// leader's flight back and wait on its done channel.
 func (c *planCache) join(service, key string) (p *Plan, f *planFlight, leader bool) {
 	c.mu.Lock()
-	if c.off {
-		c.mu.Unlock()
-		return nil, nil, true
-	}
 	if p := c.entries[service][key]; p != nil {
 		c.mu.Unlock()
 		c.hits.Add(1)
@@ -105,18 +85,18 @@ func (c *planCache) finish(service, key string, f *planFlight, p *Plan, err erro
 	close(f.done)
 }
 
-// coalescedHit counts a waiter served by another caller's derivation; hits
-// count every plan handed out without performing a fresh derivation.
-func (c *planCache) coalescedHit() {
-	c.hits.Add(1)
-}
+// maxPlansPerService bounds one service's entries. The key carries the
+// request's filter expression, so a client naming a new filter per call
+// would otherwise grow the cache without end.
+const maxPlansPerService = 32
 
-// put stores a freshly derived template unless the cache is off or valid
-// reports that the derivation raced a registration change.
+// put stores a freshly derived template unless valid reports that the
+// derivation raced a registration change. A new key on a full service
+// evicts one of the service's entries first, whichever the map yields.
 func (c *planCache) put(service, key string, p *Plan, valid func() bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.off || (valid != nil && !valid()) {
+	if !valid() {
 		return
 	}
 	m := c.entries[service]
@@ -125,7 +105,15 @@ func (c *planCache) put(service, key string, p *Plan, valid func() bool) {
 		c.entries[service] = m
 	}
 	if _, exists := m[key]; !exists {
-		c.size.Add(1)
+		if len(m) >= maxPlansPerService {
+			for k := range m {
+				delete(m, k)
+				break
+			}
+			c.evictions.Add(1)
+		} else {
+			c.size.Add(1)
+		}
 	}
 	m[key] = p
 }

@@ -85,15 +85,10 @@ func (a *Agency) SetMetrics(m *obs.Registry) {
 }
 
 // PlanCacheStats reports the plan cache's lifetime counters and current
-// entry count — the hit-rate source for load harnesses and tests.
+// entry count — the hit-rate source for the benchmark and tests.
 func (a *Agency) PlanCacheStats() (hits, misses, evictions int64, size int) {
 	return a.plans.stats()
 }
-
-// SetPlanCache enables or disables plan-template caching (on by default).
-// Disabling re-derives the mapping and program on every Plan call — the
-// pre-cache control-plane behavior, kept reachable as a load-test baseline.
-func (a *Agency) SetPlanCache(enabled bool) { a.plans.setEnabled(enabled) }
 
 // Register stores a party's WSDL document under a service name (step 1 of
 // Figure 2). A missing fragmentation defaults to the whole XML Schema.
@@ -264,13 +259,12 @@ func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
 		if flight.err != nil {
 			return nil, flight.err
 		}
-		a.plans.coalescedHit()
+		// Hits count every plan handed out without a derivation of its own.
+		a.plans.hits.Add(1)
 		return flight.p, nil
 	}
 	p, err := a.derivePlan(service, src, tgt, opts)
-	if flight != nil {
-		defer func() { a.plans.finish(service, key, flight, p, err) }()
-	}
+	defer func() { a.plans.finish(service, key, flight, p, err) }()
 	if err != nil {
 		return nil, err
 	}

@@ -244,10 +244,15 @@ func (s *Service) reqCodec(req *xmltree.Node) string {
 // plan and run. With a scheduler installed the whole unit — plan
 // derivation (cache-served after the first exchange of a pair) plus the
 // drive — runs on a pool worker under the service's tenant budgets; the
-// SOAP goroutine just waits for the answer or the shed fault.
+// SOAP goroutine just waits for the answer or the shed fault. A service
+// without both registrations is refused before it reaches the scheduler,
+// whose per-tenant metrics are named after the service.
 func (s *Service) exchange(req *xmltree.Node) (*xmltree.Node, error) {
+	service, _ := req.Attr("service")
+	if src, tgt := s.Agency.parties(service); src == nil || tgt == nil {
+		return nil, &soap.Fault{Code: "soap:Client", String: fmt.Sprintf("service %q needs both a source and a target registration", service)}
+	}
 	if s.Sched != nil {
-		service, _ := req.Attr("service")
 		var resp *xmltree.Node
 		err := s.Sched.Submit(service, func() error {
 			var e error

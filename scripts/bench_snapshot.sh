@@ -7,20 +7,17 @@
 # streaming codec's allocation budget, the chunk codec pool's bin+flate
 # round trip, the durability set (WAL append cost per fsync policy, recovery
 # time vs log length, and the journaled reliable-exchange round trip),
-# a full xdxload traffic run (serial baseline vs the scheduled
-# concurrent control plane, with plan-cache hit rate) embedded as the
-# "load" section, and the delta-exchange churn sweep (wire bytes per
-# repeat exchange at 1%/10%/50% churn, delta vs full re-ship — the
-# full/churn=1pct : delta/churn=1pct wire-bytes ratio is the delta
-# protocol's headline saving). GOMAXPROCS and the CPU count are recorded so a snapshot
-# is never compared across core counts by accident. Fixed iteration counts
-# keep the run reproducible: `make bench-json` regenerates the current
-# snapshot, and `BENCH_N=7 make bench-json` starts the next one.
+# and the delta-exchange churn sweep (wire bytes per repeat exchange at
+# 1%/10%/50% churn, delta vs full re-ship — the full/churn=1pct :
+# delta/churn=1pct wire-bytes ratio is the delta protocol's headline
+# saving). GOMAXPROCS and the CPU count are recorded so a snapshot is never
+# compared across core counts by accident. Fixed iteration counts keep the
+# run reproducible: `make bench-json` regenerates the current snapshot, and
+# `BENCH_N=14 make bench-json` starts the next one.
 #
-#   -smoke     3 iterations and a scaled-down load run into a throwaway
-#              file — validates that every snapshot benchmark still runs
-#              and the JSON still parses; part of the merge gate
-#              (scripts/check.sh).
+#   -smoke     3 iterations into a throwaway file — validates that every
+#              snapshot benchmark still runs and the JSON still parses;
+#              part of the merge gate (scripts/check.sh).
 #   -out=FILE  write somewhere other than BENCH_$BENCH_N.json.
 set -eu
 
@@ -29,13 +26,11 @@ cd "$(dirname "$0")/.."
 BENCH_N="${BENCH_N:-13}"
 OUT="BENCH_${BENCH_N}.json"
 BENCHTIME=50x
-LOAD_ARGS="-tenants 4 -concurrency 32 -ops 256 -check -min-speedup 3"
 for arg in "$@"; do
 	case "$arg" in
 	-smoke)
 		BENCHTIME=3x
 		OUT="${TMPDIR:-/tmp}/bench_smoke_$$.json"
-		LOAD_ARGS="-tenants 2 -concurrency 8 -ops 24 -net-latency 2ms -check"
 		;;
 	-out=*) OUT="${arg#-out=}" ;;
 	*)
@@ -46,13 +41,7 @@ for arg in "$@"; do
 done
 
 RAW="$(mktemp)"
-LOAD="$(mktemp)"
-trap 'rm -f "$RAW" "$LOAD"' EXIT
-
-# The traffic run first: it fails loudly (-check) if the control plane
-# regressed, before any benchmark time is spent.
-# shellcheck disable=SC2086
-go run ./cmd/xdxload $LOAD_ARGS -quiet -out "$LOAD"
+trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'BenchmarkAblation_ShipFormat' -benchmem -benchtime "$BENCHTIME" . >>"$RAW"
 go test -run '^$' -bench 'BenchmarkFigure9_EndToEnd$' -benchmem -benchtime "$BENCHTIME" . >>"$RAW"
@@ -103,12 +92,10 @@ END {
 }
 ' "$RAW" >"$OUT"
 
-# Close the snapshot with the machine shape and the embedded load report.
+# Close the snapshot with the machine shape.
 {
 	printf '  "gomaxprocs": %s,\n' "${GOMAXPROCS:-$(nproc)}"
-	printf '  "num_cpu": %s,\n' "$(nproc)"
-	printf '  "load": '
-	cat "$LOAD"
+	printf '  "num_cpu": %s\n' "$(nproc)"
 	printf '}\n'
 } >>"$OUT"
 

@@ -49,11 +49,6 @@ make soak
 # tests cannot see (flag parsing, the separate ops listener).
 ./scripts/obs_smoke.sh
 
-# Load-harness smoke: a small xdxload run over real loopback HTTP must show
-# nonzero throughput with zero failed exchanges in both the serial and the
-# scheduled drive mode — the control plane's end-to-end gate.
-./scripts/load_smoke.sh
-
 # Delta-correctness smoke: the churn property test (the target a delta
 # edits row by row equals a full re-ship record-for-record, on XMark MF→LF,
 # XMark LF→MF and telgen S→T, with the rows it edits counted), the
