@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check soak bench bench-smoke bench-json experiments experiments-quick examples clean
+.PHONY: all build test vet check soak bench bench-smoke experiments experiments-quick examples clean
 
 all: build vet test
 
@@ -39,13 +39,6 @@ bench:
 # the merge gate; not for performance numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=100x ./...
-
-# Snapshot the benchmark set (shipment-format ablations, Figure 9 end to
-# end, streaming-codec allocations, parallel-codec worker sweep, durability
-# and delta sweeps) into BENCH_$(BENCH_N).json; `BENCH_N=14 make
-# bench-json` starts the next snapshot.
-bench-json:
-	./scripts/bench_snapshot.sh
 
 # Regenerate every table and figure at the paper's document sizes.
 experiments:

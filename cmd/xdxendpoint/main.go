@@ -15,7 +15,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"xdx/internal/core"
@@ -36,7 +35,6 @@ func main() {
 	name := flag.String("name", "endpoint", "endpoint name")
 	speed := flag.Float64("speed", 1, "relative processing speed reported to cost probes")
 	dumb := flag.Bool("dumb", false, "refuse to run Combine (dumb client)")
-	codecs := flag.String("codecs", "", "comma-separated shipment codecs this endpoint answers in (empty = all: bin+flate,bin,xml)")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for injected faults (reproducible chaos runs)")
 	faultDrop := flag.Float64("fault-drop", 0, "probability a request is aborted before any response")
 	faultTruncate := flag.Float64("fault-truncate", 0, "probability a request or response is torn mid-stream")
@@ -100,16 +98,6 @@ func main() {
 	ep := endpoint.New(*name, &endpoint.RelBackend{Store: store, Speed: *speed, CanCombine: !*dumb}, defs)
 	if *noDelta {
 		ep.SetDeltaRetention(false)
-	}
-	if *codecs != "" {
-		names := strings.Split(*codecs, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		if err := ep.SetSupportedCodecs(names...); err != nil {
-			log.Fatal("xdxendpoint: ", err)
-		}
-		log.Printf("xdxendpoint: answering in codecs %v", names)
 	}
 	var logger obs.Logger
 	if *verbose {

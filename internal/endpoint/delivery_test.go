@@ -205,11 +205,11 @@ func TestExecuteSourceCutsAndNumbersChunks(t *testing.T) {
 	}
 }
 
-// TestExecuteSourceNegotiatesPastRetiredCodec: a peer built when feed was
-// a codec may still advertise it. The source skips a name it does not speak
-// and answers in the next one it does, or — speaking none of them — in
-// tagged XML, counting the miss as endpoint.codec.picks.unsupported.
-func TestExecuteSourceNegotiatesPastRetiredCodec(t *testing.T) {
+// TestExecuteSourceRefusesUnknownCodec: the codec is named on
+// ExecuteSource, and a name wire.ParseCodec refuses — the retired feed, a
+// misspelling — is the caller's fault, raised before the source scans
+// anything or dials the target.
+func TestExecuteSourceRefusesUnknownCodec(t *testing.T) {
 	fr := tFrag(t, schema.CustomerInfo())
 	met := obs.NewRegistry()
 	ep := New("src", &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true}, nil)
@@ -218,31 +218,20 @@ func TestExecuteSourceNegotiatesPastRetiredCodec(t *testing.T) {
 	defer srv.Close()
 	_, progXML := copyProgram(t, fr)
 	tgt := startSink(t)
-	for _, c := range []struct {
-		advertised []string
-		counter    string
-	}{
-		{[]string{"feed", "xml"}, "endpoint.codec.picks.xml"},
-		{[]string{"feed"}, "endpoint.codec.picks.unsupported"},
-	} {
+	for _, name := range []string{"feed", "XML", "bin+zstd"} {
 		req := &xmltree.Node{Name: "ExecuteSource"}
+		req.SetAttr("codec", name)
 		req.AddKid(progXML)
-		before := met.Counter(c.counter).Value()
-		if _, err := callSource(&soap.Client{URL: srv.URL, Codecs: c.advertised}, req, tgt.srv.URL); err != nil {
-			t.Fatalf("codecs=%v: %v", c.advertised, err)
+		var f *soap.Fault
+		if _, err := callSource(&soap.Client{URL: srv.URL}, req, tgt.srv.URL); !errors.As(err, &f) || f.Code != "soap:Client" {
+			t.Errorf("codec=%q: err = %v, want a soap:Client fault", name, err)
 		}
-		shipment := tgt.shipment(t)
-		if len(shipment.Kids) == 0 {
-			t.Fatalf("codecs=%v: empty shipment", c.advertised)
-		}
-		for _, in := range shipment.Kids {
-			if format, ok := in.Attr("format"); ok {
-				t.Errorf("codecs=%v: chunk in format %q, want tagged XML", c.advertised, format)
-			}
-		}
-		if got := met.Counter(c.counter).Value() - before; got != 1 {
-			t.Errorf("codecs=%v: %s counted %d times, want 1", c.advertised, c.counter, got)
-		}
+	}
+	if n := met.Counter("endpoint.source.executes").Value(); n != 0 {
+		t.Errorf("the source ran its slice %d times for refused codecs", n)
+	}
+	if len(tgt.bodies) != 0 {
+		t.Errorf("the source delivered %d times for refused codecs", len(tgt.bodies))
 	}
 }
 

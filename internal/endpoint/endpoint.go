@@ -198,12 +198,6 @@ type Endpoint struct {
 	log      obs.Logger
 	met      *obs.Registry
 
-	// codecs is the shipment codecs this endpoint will answer in, in the
-	// order it prefers them; negotiation picks the client's first advertised
-	// codec that appears here. Defaults to everything the wire package
-	// speaks.
-	codecs []string
-
 	calMu    sync.Mutex
 	calCache map[string]*shipCalibration
 
@@ -250,7 +244,6 @@ type shipCalibration struct {
 func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 	e := &Endpoint{Name: name, WSDL: defs, backend: be, srv: soap.NewServer(),
 		sessions:   reliable.NewSessionStore(),
-		codecs:     wire.Codecs(),
 		log:        obs.Nop,
 		calCache:   map[string]*shipCalibration{},
 		deltaBases: map[string]*deltaBase{},
@@ -319,7 +312,7 @@ func (e *Endpoint) SetJournal(j *durable.Journal) (int, error) {
 
 // SetObs attaches observability to the endpoint: the SOAP server's
 // soap.server.* request metrics, an endpoint.* family (probes, execute
-// timings, codec picks, session lifecycle), and a live-session gauge fed
+// timings, session lifecycle), and a live-session gauge fed
 // by the store's change hook. Either argument may be nil ("off"). Call
 // before serving traffic — hooks are installed without locks.
 func (e *Endpoint) SetObs(l obs.Logger, m *obs.Registry) {
@@ -336,57 +329,6 @@ func (e *Endpoint) SetObs(l obs.Logger, m *obs.Registry) {
 			}
 		}
 	}
-}
-
-// SetSupportedCodecs restricts (and orders) the shipment codecs this
-// endpoint answers in. Unknown names are rejected. An empty call is a
-// no-op, leaving the default of everything the wire package speaks.
-func (e *Endpoint) SetSupportedCodecs(names ...string) error {
-	if len(names) == 0 {
-		return nil
-	}
-	for _, n := range names {
-		if _, err := wire.ParseCodec(n); err != nil {
-			return err
-		}
-	}
-	e.codecs = append([]string(nil), names...)
-	return nil
-}
-
-// supportsCodec reports whether the endpoint will answer in codec name.
-func (e *Endpoint) supportsCodec(name string) bool {
-	for _, c := range e.codecs {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
-
-// pickCodec resolves the shipment codec for an ExecuteSource reply. The
-// envelope's advertised codecs win — the server picks the first it
-// supports, the Content-Encoding-style half of negotiation — with the
-// universal tagged-XML format as the answer when nothing advertised is
-// spoken here, or nothing was advertised. The second return reports
-// whether negotiation happened (and so whether the choice should be
-// stamped on the response envelope).
-func (e *Endpoint) pickCodec(env soap.Header) (wire.Codec, bool) {
-	if len(env.Codecs) == 0 {
-		return wire.Codec{}, false
-	}
-	for _, name := range env.Codecs {
-		if e.supportsCodec(name) {
-			c, err := wire.ParseCodec(name)
-			if err == nil {
-				e.met.Counter("endpoint.codec.picks." + name).Inc()
-				return c, true
-			}
-		}
-	}
-	// Nothing advertised is spoken here; answer in the universal format.
-	e.met.Counter("endpoint.codec.picks.unsupported").Inc()
-	return wire.Codec{}, true
 }
 
 func (e *Endpoint) getWSDL(req *xmltree.Node) (*xmltree.Node, error) {

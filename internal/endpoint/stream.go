@@ -55,32 +55,24 @@ func (e *Endpoint) executeSource(env soap.Header, attrs []xmltree.Attr) (xmltree
 	return tb, func(w io.Writer) error { return e.respondSource(env, tb.Root(), w) }, nil
 }
 
-// stampCodec records the negotiated codec on the response envelope, when
-// the transport exposes one (the streaming SOAP server does; a bare
-// io.Writer in tests may not).
-func stampCodec(w io.Writer, c wire.Codec) {
-	if aw, ok := w.(soap.EnvelopeAttrWriter); ok {
-		aw.SetEnvelopeAttr("codec", c.String())
-	}
-}
-
 // delivery is what an ExecuteSource request asks of the source besides
 // running its slice: the target to deliver to, the delivery session the
-// agency minted there, the chunk size, and the chunk to start from — the
-// target's checkpoint on a resumed delivery. A delta exchange adds its
-// stream, epoch and the base the target holds.
+// agency minted there, the codec to ship in, the chunk size, and the chunk
+// to start from — the target's checkpoint on a resumed delivery. A delta
+// exchange adds its stream, epoch and the base the target holds.
 type delivery struct {
 	target, session     string
 	stream, epoch, base string
+	codec               wire.Codec
 	chunk               int
 	from                int64
 }
 
 // parseDelivery checks an ExecuteSource request's delivery contract before
 // anything is scanned: the target must be an absolute http or https URL —
-// a source dials nothing else — the session non-empty, the chunk size
-// positive and the first chunk non-negative. Anything else is the
-// caller's fault.
+// a source dials nothing else — the session non-empty, the codec one
+// wire.ParseCodec names (absent is xml), the chunk size positive and the
+// first chunk non-negative. Anything else is the caller's fault.
 func parseDelivery(req *xmltree.Node) (delivery, error) {
 	var d delivery
 	d.target, _ = req.Attr("target")
@@ -97,7 +89,13 @@ func parseDelivery(req *xmltree.Node) (delivery, error) {
 	if d.session == "" {
 		return refuse("ExecuteSource without session id")
 	}
-	v, _ := req.Attr("chunk")
+	v, _ := req.Attr("codec")
+	codec, err := wire.ParseCodec(v)
+	if err != nil {
+		return refuse(err.Error())
+	}
+	d.codec = codec
+	v, _ = req.Attr("chunk")
 	n, err := strconv.Atoi(v)
 	if err != nil || n <= 0 {
 		return refuse("chunk must be a positive integer")
@@ -150,7 +148,6 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	if err != nil {
 		return err
 	}
-	codec, negotiated := e.pickCodec(env)
 	s := e.renders.GetOrCreate(d.session)
 	s.Mu.Lock()
 	r, _ := s.Data.(*sourceRender)
@@ -165,7 +162,7 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 		e.renders.Delete(d.session)
 		return err
 	}
-	resp, payload, err := e.deliver(env.Exchange, d, prog, r, codec)
+	resp, payload, err := e.deliver(env.Exchange, d, prog, r)
 	if err != nil {
 		retry := reliable.Retryable(err)
 		if retry {
@@ -180,9 +177,6 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	if e.log.Enabled(obs.LevelDebug) {
 		e.log.Log(obs.LevelDebug, "source delivered", "exchange", env.Exchange, "endpoint", e.Name,
 			"session", d.session, "from", d.from, "wireBytes", r.wire.Load())
-	}
-	if negotiated {
-		stampCodec(w, codec)
 	}
 	b := make([]byte, 0, 512)
 	b = append(b, `<ExecuteSourceResponse><timing queryMillis="`...)
@@ -279,7 +273,7 @@ func (e *Endpoint) renderSource(req *xmltree.Node, g *core.Graph, a core.Assignm
 // cuts and numbers it. It returns the target's response attributes and the
 // shipment's tree-codec size, and adds the bytes inside <shipment> to the
 // render's wire count, torn attempts too.
-func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *sourceRender, codec wire.Codec) ([]xmltree.Attr, int64, error) {
+func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *sourceRender) ([]xmltree.Attr, int64, error) {
 	open := `<ExecuteTarget session="` + attrEscape(d.session) + `"`
 	if d.stream != "" {
 		// Every delivery of a delta-enabled exchange names its stream and
@@ -304,7 +298,7 @@ func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *s
 		}
 		m := netsim.NewMeter(w)
 		defer func() { r.wire.Add(m.Bytes()) }()
-		sw := wire.NewShipmentWriterCodec(m, sch, codec)
+		sw := wire.NewShipmentWriterCodec(m, sch, d.codec)
 		sw.SetObs(e.met)
 		sw.SetChunk(d.chunk, d.from)
 		sw.SetDelta(r.delta)

@@ -258,7 +258,7 @@ func buildEndpointBinary(t *testing.T) string {
 // written in an older journal format (the committed sample under
 // internal/durable/testdata) exits non-zero with durable.ErrWALFormat's
 // message, naming the directory and the way out, and leaves the
-// directory as it found it. Asked for the retired feed codec, it exits at
+// directory as it found it. Given the retired -codecs flag, it exits at
 // startup too.
 func TestEndpointBinaryRefusesOldWAL(t *testing.T) {
 	if testing.Short() {
@@ -297,13 +297,14 @@ func TestEndpointBinaryRefusesOldWAL(t *testing.T) {
 			t.Errorf("refusal changed %s", f.Name())
 		}
 	}
-	// A codec an earlier build spoke is refused at startup the same way; a
-	// build that accepted it would serve forever, so the run is bounded.
+	// An endpoint names no codec at startup: it ships in whichever codec
+	// each ExecuteSource names, so -codecs is no flag. A build that still
+	// took it would serve forever, so the run is bounded.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	out, err = exec.CommandContext(ctx, bin, "-listen", fmt.Sprintf("127.0.0.1:%d", freePort(t)), "-codecs", "bin,feed").CombinedOutput()
-	if !errors.As(err, &exit) || !strings.Contains(string(out), `unknown codec "feed"`) {
-		t.Fatalf("xdxendpoint -codecs bin,feed: err = %v, want a non-zero exit naming the codec\n%s", err, out)
+	if !errors.As(err, &exit) || !strings.Contains(string(out), "flag provided but not defined: -codecs") {
+		t.Fatalf("xdxendpoint -codecs bin,feed: err = %v, want a non-zero exit refusing the flag\n%s", err, out)
 	}
 }
 

@@ -173,7 +173,8 @@ func noShipmentThroughAgency(t testing.TB, w *deliveryWorld) {
 }
 
 // TestRelayForwardsSourceBytes is direct delivery's contract: the source
-// relays its rendering to the target itself, so for every codec the target
+// relays its rendering to the target itself, so for every codec the agency
+// names on ExecuteSource (no envelope negotiates it) the target
 // receives exactly the bytes the source's ShipmentWriter renders for the
 // slice, cut into the exchange's chunk size and numbered from 0, behind
 // the session's open tag and the agency's program; the agency's hop
@@ -197,6 +198,10 @@ func TestRelayForwardsSourceBytes(t *testing.T) {
 			t.Fatalf("%s: %d source calls, %d deliveries", name, len(srcReqs), len(tgtReqs))
 		}
 		noShipmentThroughAgency(t, w)
+		if !bytes.Contains(srcReqs[0], []byte(`<ExecuteSource `)) || !bytes.Contains(srcReqs[0], []byte(` codec="`+name+`"`)) ||
+			bytes.Contains(srcReqs[0], []byte(`codecs=`)) {
+			t.Errorf("%s: ExecuteSource does not name the codec, or its envelope negotiates", name)
+		}
 		progXML, err := wire.EncodeProgram(w.plan.Program, w.plan.Assign)
 		if err != nil {
 			t.Fatal(err)
@@ -510,35 +515,5 @@ func TestResumeKeepsOneRender(t *testing.T) {
 	}
 	if !xmltree.Equal(want, assembleTarget(t, w.tgtStore)) {
 		t.Error("the target does not hold the snapshot the delivery session began with")
-	}
-}
-
-// TestRelayNegotiationDowngrade: a source that only speaks xml
-// answers a bin request in xml, and that is then what reaches the target
-// and what the report names.
-func TestRelayNegotiationDowngrade(t *testing.T) {
-	want := deliveredWant(t, "xml")
-	w := startDeliveryWorld(t, nil)
-	defer w.close()
-	if err := w.src.SetSupportedCodecs("xml"); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{Link: netsim.Loopback(), Codec: "bin"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgtReqs, _ := w.tgtTap.calls("ExecuteTarget")
-	sent := shipmentOf(t, tgtReqs[0])
-	if rep.Codec != "xml" || bytes.Contains(sent, []byte(`format="bin"`)) {
-		t.Errorf("report names codec %q; bin reached the target: %v", rep.Codec, bytes.Contains(sent, []byte(`format="bin"`)))
-	}
-	if rep.WireBytes != int64(len(sent)) {
-		t.Errorf("WireBytes = %d, %d travelled", rep.WireBytes, len(sent))
-	}
-	if got := assembleTarget(t, w.tgtStore); !xmltree.Equal(want, got) {
-		t.Error("target holds a different document")
-	}
-	if w.tgtStore.Rows() == 0 {
-		t.Error("target loaded nothing")
 	}
 }

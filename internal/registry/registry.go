@@ -245,7 +245,7 @@ func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
 	epoch := a.epoch.Load()
 	src, tgt := a.parties(service)
 	if src == nil || tgt == nil {
-		return nil, fmt.Errorf("registry: service %q needs both a source and a target registration", service)
+		return nil, unregistered(service)
 	}
 	key := planKey(src, tgt, opts)
 	p, flight, leader := a.plans.join(service, key)
@@ -275,6 +275,18 @@ func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
 	return p, nil
 }
 
+// clientFault is a caller's mistake as the agency answers it: a
+// soap:Client fault, which the SOAP service sends on as is and no retry
+// policy repeats.
+func clientFault(why string) *soap.Fault {
+	return &soap.Fault{Code: "soap:Client", String: why}
+}
+
+// unregistered refuses a service without both registrations.
+func unregistered(service string) *soap.Fault {
+	return clientFault(fmt.Sprintf("registry: service %q needs both a source and a target registration", service))
+}
+
 // derivePlan is the uncached step 2/3 work: mapping derivation, stats
 // probes against both live endpoints, and optimizer search.
 func (a *Agency) derivePlan(service string, src, tgt *Party, opts PlanOptions) (*Plan, error) {
@@ -294,11 +306,11 @@ func (a *Agency) derivePlan(service string, src, tgt *Party, opts PlanOptions) (
 		// parties agreed on — including paths outside the source's root
 		// fragment, which could only ever filter out every record.
 		f, err := core.CompileFilter(opts.Filter, src.Fragmentation.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("registry: %w", err)
+		if err == nil {
+			err = f.CheckRoot(src.Fragmentation)
 		}
-		if err := f.CheckRoot(src.Fragmentation); err != nil {
-			return nil, fmt.Errorf("registry: %w", err)
+		if err != nil {
+			return nil, clientFault("registry: " + err.Error())
 		}
 	}
 	model, err := a.probe(src, tgt, opts)
@@ -428,14 +440,12 @@ type Report struct {
 	// WireBytes over the configured link (step 2). PayloadBytes is the same shipment
 	// measured once in the universal tagged-XML tree codec (the source
 	// reports it alongside its timing), so the two
-	// diverge exactly by what the negotiated codec saved and what retries
-	// re-sent.
+	// diverge exactly by what the codec saved and what retries re-sent.
 	WireBytes    int64
 	PayloadBytes int64
 	ShipTime     time.Duration
-	// Codec is the shipment codec the exchange actually traveled under to
-	// the target — the source's negotiation answer when one arrived, the
-	// requested codec otherwise.
+	// Codec is the shipment codec the agency named on ExecuteSource, which
+	// the source ships in.
 	Codec string
 	// TargetTime is step 3: program parts executed at the target.
 	TargetTime time.Duration
@@ -474,10 +484,9 @@ type ExecOptions struct {
 	// Link models the source→target connection.
 	Link netsim.Link
 	// Codec names the shipment encoding for the exchange: "xml", "bin", or
-	// "bin+flate"; empty is "xml". The agency advertises it (plus
-	// the universal "xml") on the request envelope and the source endpoint
-	// answers with its pick; the shipment itself stays self-describing
-	// either way.
+	// "bin+flate"; empty is "xml". The agency names it on ExecuteSource and
+	// the source ships exactly that; the shipment itself stays
+	// self-describing.
 	Codec string
 	// Filter passes a service argument (§3.2) to the source: a
 	// core.CompileFilter expression (child steps + leaf comparison)
@@ -510,15 +519,6 @@ type ExecOptions struct {
 	// Tenant names the admission-control bucket the exchange charges
 	// against; empty defaults to the service name.
 	Tenant string
-}
-
-// advertise configures c to negotiate for codec: the client offers its
-// preference plus the universal tagged-XML fallback.
-func advertise(c *soap.Client, codec wire.Codec) {
-	if codec.String() == wire.CodecXML {
-		return
-	}
-	c.Codecs = []string{codec.String(), wire.CodecXML}
 }
 
 // Execute drives an exchange end-to-end (step 4 of Figure 2) with default

@@ -98,6 +98,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		reqS.SetAttr("filter", opts.Filter)
 	}
 	reqS.SetAttr("target", tgt.URL)
+	reqS.SetAttr("codec", report.Codec)
 	reqS.SetAttr("chunk", strconv.Itoa(ex.ChunkSize()))
 	ct := ex.Client(tgt.URL)
 	base := ""
@@ -111,7 +112,6 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	}
 	reqS.AddKid(progXML)
 	cs := ex.Client(src.URL)
-	advertise(cs, codec)
 
 	// run drives one delivery session to its end: the source's answer, or
 	// the target's stored one when the source's was lost after the target
@@ -237,17 +237,12 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	return report, nil
 }
 
-// sourceReply reads the source's answer: the response envelope's codec
-// attribute — the source's negotiation answer, so the codec its chunks
-// reached the target in — its <timing>, and the target's response inside.
+// sourceReply reads the source's answer: its <timing> and the target's
+// response inside.
 type sourceReply struct {
-	codec          string
 	ok             bool // the answer was an ExecuteSourceResponse
 	timing, target []xmltree.Attr
 }
-
-// ObserveEnvelope implements soap.EnvelopeObserver.
-func (r *sourceReply) ObserveEnvelope(attrs []xmltree.Attr) { r.codec = attrOf(attrs, "codec") }
 
 // StartElement implements xmltree.AttrHandler.
 func (r *sourceReply) StartElement(name string, attrs []xmltree.Attr) error {
@@ -296,9 +291,6 @@ func (r *Report) read(reply *sourceReply) string {
 	r.WriteTime = endpoint.ParseMillis(attrOf(target, "writeMillis"))
 	r.IndexTime = endpoint.ParseMillis(attrOf(target, "indexMillis"))
 	r.DeclinedChunks, _ = strconv.ParseInt(attrOf(target, "declined"), 10, 64)
-	if reply.codec != "" {
-		r.Codec = reply.codec
-	}
 	return outcome
 }
 

@@ -200,7 +200,10 @@ func (s *Service) plan(req *xmltree.Node) (*xmltree.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec := s.reqCodec(req)
+	codec, err := s.reqCodec(req)
+	if err != nil {
+		return nil, err
+	}
 	plan, err := s.Agency.Plan(service, PlanOptions{Algorithm: alg, Codec: codec})
 	if err != nil {
 		return nil, err
@@ -232,12 +235,17 @@ func parseAlgorithm(req *xmltree.Node) (Algorithm, error) {
 }
 
 // reqCodec resolves a request's shipment codec: its own codec attribute,
-// falling back to the service-wide default.
-func (s *Service) reqCodec(req *xmltree.Node) string {
-	if v, ok := req.Attr("codec"); ok && v != "" {
-		return v
+// falling back to the service-wide default. A name wire.ParseCodec refuses
+// is the caller's fault.
+func (s *Service) reqCodec(req *xmltree.Node) (string, error) {
+	v, _ := req.Attr("codec")
+	if v == "" {
+		return s.Codec, nil
 	}
-	return s.Codec
+	if _, err := wire.ParseCodec(v); err != nil {
+		return "", clientFault(err.Error())
+	}
+	return v, nil
 }
 
 // exchange handles <Exchange service=".." algorithm=".." codec=".."/>:
@@ -250,7 +258,7 @@ func (s *Service) reqCodec(req *xmltree.Node) string {
 func (s *Service) exchange(req *xmltree.Node) (*xmltree.Node, error) {
 	service, _ := req.Attr("service")
 	if src, tgt := s.Agency.parties(service); src == nil || tgt == nil {
-		return nil, &soap.Fault{Code: "soap:Client", String: fmt.Sprintf("service %q needs both a source and a target registration", service)}
+		return nil, unregistered(service)
 	}
 	if s.Sched != nil {
 		var resp *xmltree.Node
@@ -271,7 +279,10 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec := s.reqCodec(req)
+	codec, err := s.reqCodec(req)
+	if err != nil {
+		return nil, err
+	}
 	filter := s.Filter
 	if v, ok := req.Attr("filter"); ok {
 		filter = v

@@ -213,10 +213,51 @@ func TestServicePlanUnknownService(t *testing.T) {
 	agSrv := httptest.NewServer(NewService(New(), netsim.Loopback()).Handler())
 	defer agSrv.Close()
 	client := &soap.Client{URL: agSrv.URL}
-	req := &xmltree.Node{Name: "Plan"}
-	req.SetAttr("service", "missing")
-	if _, err := client.Call("Plan", req); err == nil {
-		t.Error("plan for unknown service must fault")
+	for _, name := range []string{"missing", "ghost"} {
+		req := &xmltree.Node{Name: "Plan"}
+		req.SetAttr("service", name)
+		var f *soap.Fault
+		if _, err := client.Call("Plan", req); !errors.As(err, &f) || f.Code != "soap:Client" {
+			t.Errorf("Plan of %q = %v, want a soap:Client fault", name, err)
+		}
+	}
+}
+
+// TestServiceClientMistakesAreNotRetried: a filter that does not compile
+// and a codec no build speaks are the caller's mistakes. Under a retrying
+// Service they come back as soap:Client faults after one derivation — the
+// planning retrier does not re-derive a plan that fails the same way every
+// time — and nothing is shipped.
+func TestServiceClientMistakesAreNotRetried(t *testing.T) {
+	sch := schema.CustomerInfo()
+	ag := New()
+	tgtStore, done := startTenant(t, ag, "svc", sch, sFragmentation(t, sch), tFragmentation(t, sch), 0, nil)
+	defer done()
+	svc := NewService(ag, netsim.Loopback())
+	svc.Reliability = retrying(8, 4)
+	agSrv := httptest.NewServer(svc.Handler())
+	defer agSrv.Close()
+	client := &soap.Client{URL: agSrv.URL}
+	for _, c := range []struct{ op, attr, value string }{
+		{"Exchange", "filter", "/Nope=1"},
+		{"Exchange", "filter", "Nope = 1"},
+		{"Exchange", "codec", "feed"},
+		{"Plan", "codec", "feed"},
+	} {
+		_, before, _, _ := ag.PlanCacheStats()
+		req := &xmltree.Node{Name: c.op}
+		req.SetAttr("service", "svc")
+		req.SetAttr(c.attr, c.value)
+		var f *soap.Fault
+		if _, err := client.Call(c.op, req); !errors.As(err, &f) || f.Code != "soap:Client" {
+			t.Errorf("%s %s=%q: err = %v, want a soap:Client fault", c.op, c.attr, c.value, err)
+		}
+		if _, misses, _, _ := ag.PlanCacheStats(); c.attr == "filter" && misses-before != 1 {
+			t.Errorf("%s %s=%q: %d derivations, want 1", c.op, c.attr, c.value, misses-before)
+		}
+	}
+	if tgtStore.Rows() != 0 {
+		t.Errorf("refused requests loaded %d target rows", tgtStore.Rows())
 	}
 }
 

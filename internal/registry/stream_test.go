@@ -8,9 +8,8 @@ import (
 )
 
 func TestEndToEndExchangeNegotiatedBin(t *testing.T) {
-	// Binary shipments negotiated per call: the
-	// agency advertises the codec on the request envelope, the source
-	// stamps its pick on the response envelope, and the report separates
+	// Binary shipments named per call: the agency names the codec on
+	// ExecuteSource, the source ships in it, and the report separates
 	// what crossed the link from the tree-codec payload size. Run on the
 	// auction workload — on a realistically sized shipment the dictionary
 	// and delta coding must beat the tree codec despite the base64
@@ -30,7 +29,7 @@ func TestEndToEndExchangeNegotiatedBin(t *testing.T) {
 			t.Fatal(err)
 		}
 		if report.Codec != codec {
-			t.Errorf("negotiation answered %q, want %q", report.Codec, codec)
+			t.Errorf("report names codec %q, want %q", report.Codec, codec)
 		}
 		if report.WireBytes <= 0 || report.PayloadBytes <= 0 {
 			t.Fatalf("%s: wire=%d payload=%d; both must be metered", codec, report.WireBytes, report.PayloadBytes)
@@ -41,7 +40,7 @@ func TestEndToEndExchangeNegotiatedBin(t *testing.T) {
 		}
 		got := assembleTarget(t, tgtStore)
 		if !xmltree.Equal(want, got) {
-			t.Errorf("%s: document changed in negotiated transit", codec)
+			t.Errorf("%s: document changed in transit", codec)
 		}
 		wireBytes[codec] = report.WireBytes
 		done()

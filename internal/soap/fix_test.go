@@ -2,11 +2,9 @@ package soap
 
 // Regression tests for the status/header correctness fixes: non-2xx
 // responses with parseable non-fault bodies, mustUnderstand enforcement
-// (SOAP 1.1 §4.2.3) on both sides, header-entry exposure, and truncated
-// response accounting.
+// (SOAP 1.1 §4.2.3) on both sides, and truncated response accounting.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -20,13 +18,9 @@ import (
 )
 
 // envelopeWith renders an envelope with the given header entries and body.
-func envelopeWith(t *testing.T, headers []*xmltree.Node, body *xmltree.Node) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := xmltree.Write(&buf, EnvelopeWithHeader(headers, body), xmltree.WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+func envelopeWith(headers, body string) string {
+	return `<soap:Envelope xmlns:soap="` + EnvelopeNS + `"><soap:Header>` + headers +
+		`</soap:Header><soap:Body>` + body + envSuffix
 }
 
 func TestCallNon2xxWithParseableNonFaultBody(t *testing.T) {
@@ -74,9 +68,7 @@ func TestServerFaultsOnUnrecognizedMustUnderstandHeader(t *testing.T) {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
-	hdr := &xmltree.Node{Name: "Transaction", Text: "tx-1"}
-	hdr.SetAttr("mustUnderstand", "1")
-	body := envelopeWith(t, []*xmltree.Node{hdr}, &xmltree.Node{Name: "Echo"})
+	body := envelopeWith(`<Transaction mustUnderstand="1">tx-1</Transaction>`, `<Echo/>`)
 	resp, err := http.Post(hs.URL, "text/xml", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +86,7 @@ func TestServerFaultsOnUnrecognizedMustUnderstandHeader(t *testing.T) {
 	}
 
 	// The same entry without the flag is informational and must not fault.
-	hdr2 := &xmltree.Node{Name: "Transaction", Text: "tx-2"}
-	body = envelopeWith(t, []*xmltree.Node{hdr2}, &xmltree.Node{Name: "Echo"})
+	body = envelopeWith(`<Transaction>tx-2</Transaction>`, `<Echo/>`)
 	resp2, err := http.Post(hs.URL, "text/xml", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -106,16 +97,15 @@ func TestServerFaultsOnUnrecognizedMustUnderstandHeader(t *testing.T) {
 	}
 }
 
-func TestServerHonorsCodecsHeaderEntry(t *testing.T) {
-	// The codecs entry is part of the server's vocabulary: mandatory or
-	// not, it negotiates instead of faulting — an alternative carrier for
-	// the envelope's codecs attribute.
+// TestServerRefusesMandatoryCodecsEntry: the server understands no codecs
+// entry (a codec is named on the request payload), so a mandatory one
+// faults soap:MustUnderstand like any unknown entry, before the handler
+// sees the request.
+func TestServerRefusesMandatoryCodecsEntry(t *testing.T) {
 	srv := NewServer()
-	var got []string
-	var entries []*xmltree.Node
-	srv.HandleStream("Op", func(env Header, attrs []xmltree.Attr) (xmltree.AttrHandler, RespondFunc, error) {
-		got = env.Codecs
-		entries = env.Entries
+	ran := false
+	srv.HandleStream("Op", func(Header, []xmltree.Attr) (xmltree.AttrHandler, RespondFunc, error) {
+		ran = true
 		return &xmltree.TreeBuilder{}, func(w io.Writer) error {
 			_, err := io.WriteString(w, "<OpResponse/>")
 			return err
@@ -124,22 +114,21 @@ func TestServerHonorsCodecsHeaderEntry(t *testing.T) {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
-	hdr := &xmltree.Node{Name: "codecs", Text: "bin xml"}
-	hdr.SetAttr("mustUnderstand", "1")
-	body := envelopeWith(t, []*xmltree.Node{hdr}, &xmltree.Node{Name: "Op"})
+	body := envelopeWith(`<xdx:codecs xmlns:xdx="urn:xdx" soap:mustUnderstand="1">bin xml</xdx:codecs>`, `<Op/>`)
 	resp, err := http.Post(hs.URL, "text/xml", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (codecs entry is understood)", resp.StatusCode)
+	f, err := ScanEnvelope(resp.Body, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != "bin" || got[1] != "xml" {
-		t.Errorf("negotiated codecs = %v", got)
+	if resp.StatusCode != http.StatusInternalServerError || f == nil || f.Code != "soap:MustUnderstand" {
+		t.Fatalf("status %d, fault %+v; want a soap:MustUnderstand fault under 500", resp.StatusCode, f)
 	}
-	if len(entries) != 1 || entries[0].Name != "codecs" || entries[0].Text != "bin xml" {
-		t.Errorf("handler saw entries = %+v", entries)
+	if ran {
+		t.Error("the handler ran for a request carrying an unknown mandatory entry")
 	}
 }
 
@@ -147,13 +136,7 @@ func TestClientFaultsOnMustUnderstandResponseHeader(t *testing.T) {
 	// A response header entry the client cannot understand but must is a
 	// protocol breach; before the fix both bindings skipped headers
 	// silently.
-	respEnv := envelopeWith(t,
-		[]*xmltree.Node{func() *xmltree.Node {
-			h := &xmltree.Node{Name: "Expires", Text: "soon"}
-			h.SetAttr("soap:mustUnderstand", "1")
-			return h
-		}()},
-		&xmltree.Node{Name: "OpResponse"})
+	respEnv := envelopeWith(`<Expires soap:mustUnderstand="1">soon</Expires>`, `<OpResponse/>`)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "text/xml")

@@ -109,67 +109,16 @@ func faultStatus(f *Fault) int {
 	return http.StatusInternalServerError
 }
 
-// Envelope wraps a body payload in a SOAP envelope.
-func Envelope(body *xmltree.Node) *xmltree.Node {
-	return EnvelopeWithHeader(nil, body)
-}
-
-// EnvelopeWithHeader wraps a body payload, preceded by header entries when
-// any are given.
-func EnvelopeWithHeader(headers []*xmltree.Node, body *xmltree.Node) *xmltree.Node {
-	env := &xmltree.Node{Name: "soap:Envelope"}
-	env.SetAttr("xmlns:soap", EnvelopeNS)
-	if len(headers) > 0 {
-		h := &xmltree.Node{Name: "soap:Header"}
-		for _, e := range headers {
-			h.AddKid(e)
-		}
-		env.AddKid(h)
-	}
-	b := &xmltree.Node{Name: "soap:Body"}
-	if body != nil {
-		b.AddKid(body)
-	}
-	env.AddKid(b)
-	return env
-}
-
 // mustUnderstand reads a header entry's mustUnderstand flag (SOAP 1.1 uses
 // "1"/"0"; the scanner has already stripped any prefix).
-func mustUnderstand(e *xmltree.Node) bool {
-	for _, a := range e.Attrs {
+func mustUnderstand(attrs []xmltree.Attr) bool {
+	for _, a := range attrs {
 		if a.Name == "mustUnderstand" && a.Value == "1" {
 			return true
 		}
 	}
 	return false
 }
-
-// MustUnderstandFault enforces SOAP 1.1 §4.2.3 over parsed header
-// entries, whose names are local: any entry marked mustUnderstand="1" whose
-// name recognize does not accept yields a soap:MustUnderstand fault; nil
-// means every mandatory entry was understood. recognize may be nil
-// (nothing is understood).
-func MustUnderstandFault(entries []*xmltree.Node, recognize func(local string) bool) *Fault {
-	for _, e := range entries {
-		if !mustUnderstand(e) {
-			continue
-		}
-		if recognize != nil && recognize(e.Name) {
-			continue
-		}
-		return &Fault{
-			Code:   "soap:MustUnderstand",
-			String: "soap: mandatory header entry not understood: " + e.Name,
-		}
-	}
-	return nil
-}
-
-// serverRecognizes is the header-entry vocabulary this server's dispatch
-// understands: the codecs negotiation entry (an alternative carrier for
-// the envelope's codecs attribute) and the exchange id entry.
-func serverRecognizes(local string) bool { return local == "codecs" || local == "exchange" }
 
 // withExchange prepends the exchange id to a log line's key/value pairs,
 // when there is one.
@@ -180,15 +129,22 @@ func withExchange(id string, kv ...any) []any {
 	return append([]any{"exchange", id}, kv...)
 }
 
-// FaultEnvelope wraps a fault in an envelope.
-func FaultEnvelope(f *Fault) *xmltree.Node {
+// writeFault writes a fault envelope.
+func writeFault(w io.Writer, f *Fault) error {
 	n := &xmltree.Node{Name: "soap:Fault"}
 	n.AddKid(&xmltree.Node{Name: "faultcode", Text: f.Code})
 	n.AddKid(&xmltree.Node{Name: "faultstring", Text: f.String})
 	if f.Detail != "" {
 		n.AddKid(&xmltree.Node{Name: "detail", Text: f.Detail})
 	}
-	return Envelope(n)
+	if _, err := io.WriteString(w, envPrefix); err != nil {
+		return err
+	}
+	if err := xmltree.Write(w, n, xmltree.WriteOptions{}); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, envSuffix)
+	return err
 }
 
 // Client calls a SOAP endpoint.
@@ -201,13 +157,6 @@ type Client struct {
 	// Timeout bounds one call, body included. Zero means DefaultTimeout;
 	// negative disables the bound.
 	Timeout time.Duration
-	// Codecs advertises the shipment codecs this caller accepts, in
-	// preference order, as a codecs attribute on the request envelope —
-	// the Content-Encoding-style half of content negotiation. The server
-	// picks the first it supports and stamps its choice on the response
-	// envelope. Empty means no negotiation (the peer answers in the
-	// universal tagged-XML format unless told otherwise in the payload).
-	Codecs []string
 	// Logger, when set, narrates calls at debug level and failures at
 	// warn. Nil is silent.
 	Logger obs.Logger
@@ -262,7 +211,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 func (c *Client) Call(action string, payload *xmltree.Node) (*xmltree.Node, error) {
 	start := time.Now()
 	var buf bytes.Buffer
-	buf.WriteString(c.envOpen())
+	buf.WriteString(envOpen(c.Exchange))
 	if payload != nil {
 		if err := xmltree.Write(&buf, payload, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
 			return nil, fmt.Errorf("soap: marshal request: %w", err)
@@ -376,28 +325,36 @@ func httpStatusError(status int, err error) error {
 type HandlerFunc func(req *xmltree.Node) (*xmltree.Node, error)
 
 // Server dispatches SOAP requests to handlers by the body's root element
-// name. Handlers come in two flavors: tree handlers (Handle), which get
-// the materialized payload, and stream handlers (HandleStream), which
-// consume the payload as parse events and write the response directly to
-// the connection. Dispatch itself is streaming either way — see
-// ServeHTTP in stream.go.
+// name. Every handler is a stream handler (HandleStream), which consumes
+// the payload as parse events and writes the response directly to the
+// connection; Handle adapts a handler over the materialized payload onto
+// that dispatch — see ServeHTTP in stream.go.
 type Server struct {
-	handlers map[string]HandlerFunc
-	streams  map[string]StreamHandlerFunc
-	logger   obs.Logger
-	metrics  *obs.Registry
+	streams map[string]StreamHandlerFunc
+	logger  obs.Logger
+	metrics *obs.Registry
 }
 
 // NewServer returns an empty server.
 func NewServer() *Server {
-	return &Server{
-		handlers: make(map[string]HandlerFunc),
-		streams:  make(map[string]StreamHandlerFunc),
-	}
+	return &Server{streams: make(map[string]StreamHandlerFunc)}
 }
 
-// Handle registers a handler for requests whose body root is elem.
-func (s *Server) Handle(elem string, h HandlerFunc) { s.handlers[elem] = h }
+// Handle registers a handler for requests whose body root is elem: the
+// payload is built into a tree, and the handler's answer is written as the
+// response payload (a nil answer is an empty body).
+func (s *Server) Handle(elem string, h HandlerFunc) {
+	s.HandleStream(elem, func(Header, []xmltree.Attr) (xmltree.AttrHandler, RespondFunc, error) {
+		req := &xmltree.TreeBuilder{}
+		return req, func(w io.Writer) error {
+			resp, err := h(req.Root())
+			if err != nil || resp == nil {
+				return err
+			}
+			return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
+		}, nil
+	})
+}
 
 // SetObs attaches a logger and metric registry to the server; requests are
 // counted and timed under soap.server.*. Either may be nil ("off"). Call
@@ -420,10 +377,5 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 func (s *Server) fault(w http.ResponseWriter, status int, f *Fault) {
 	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
 	w.WriteHeader(status)
-	xmltree.Write(w, FaultEnvelope(f), xmltree.WriteOptions{})
-}
-
-func (s *Server) reply(w http.ResponseWriter, env *xmltree.Node) {
-	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	xmltree.Write(w, env, xmltree.WriteOptions{EmitAllIDs: true})
+	writeFault(w, f)
 }

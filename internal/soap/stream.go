@@ -33,68 +33,29 @@ const (
 // attribute value.
 var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 
-// envOpen renders an envelope open (through <soap:Body>) carrying extra
-// envelope attributes — the channel content negotiation rides on — and,
-// when exchange is set, the exchange id header entry. That entry is
+// envOpen renders a request envelope's open (through <soap:Body>),
+// carrying the exchange id header entry when exchange is set. That entry is
 // mandatory (mustUnderstand="1"): a peer that cannot stamp the id on its
 // log lines refuses the call rather than drop the thread.
-func envOpen(attrs []xmltree.Attr, exchange string) string {
-	if len(attrs) == 0 && exchange == "" {
+func envOpen(exchange string) string {
+	if exchange == "" {
 		return envPrefix
 	}
 	var b strings.Builder
 	b.Grow(256)
-	b.WriteString(`<soap:Envelope xmlns:soap="` + EnvelopeNS + `"`)
-	for _, a := range attrs {
-		b.WriteByte(' ')
-		b.WriteString(a.Name)
-		b.WriteString(`="`)
-		attrEscaper.WriteString(&b, a.Value)
-		b.WriteByte('"')
-	}
-	b.WriteByte('>')
-	if exchange != "" {
-		b.WriteString(`<soap:Header><xdx:exchange xmlns:xdx="urn:xdx" soap:mustUnderstand="1">`)
-		attrEscaper.WriteString(&b, exchange)
-		b.WriteString(`</xdx:exchange></soap:Header>`)
-	}
-	b.WriteString(`<soap:Body>`)
+	b.WriteString(`<soap:Envelope xmlns:soap="` + EnvelopeNS + `">`)
+	b.WriteString(`<soap:Header><xdx:exchange xmlns:xdx="urn:xdx" soap:mustUnderstand="1">`)
+	attrEscaper.WriteString(&b, exchange)
+	b.WriteString(`</xdx:exchange></soap:Header><soap:Body>`)
 	return b.String()
 }
 
 // Header is the envelope-level request context a stream handler may
-// consult — the codec half of content negotiation plus any SOAP Header
-// entries the request carried.
+// consult: what the request's soap:Header entries carried.
 type Header struct {
-	// Codecs is the client's advertised shipment codecs, in preference
-	// order; empty when the request did not negotiate. It may arrive as an
-	// envelope attribute or as a codecs header entry.
-	Codecs []string
-	// Entries holds the request's parsed soap:Header entries in document
-	// order (nil when the request carried none). Entries marked
-	// mustUnderstand="1" that dispatch does not recognize have already
-	// faulted by the time a handler runs.
-	Entries []*xmltree.Node
 	// Exchange is the exchange id the request's exchange header entry
-	// carried (see envOpen), "" when it carried none. The server reads
-	// that entry in place, so Entries omits it.
+	// carried (see envOpen), "" when it carried none.
 	Exchange string
-}
-
-// EnvelopeAttrWriter is implemented by the response writer handed to
-// stream responders: attributes set before the first body write travel on
-// the response envelope — the server's half of content negotiation.
-type EnvelopeAttrWriter interface {
-	// SetEnvelopeAttr stamps an attribute onto the response envelope. It
-	// fails once the envelope has started flowing.
-	SetEnvelopeAttr(name, value string) error
-}
-
-// EnvelopeObserver may additionally be implemented by a CallStream
-// response handler to see the response envelope's own attributes (the
-// server's negotiation answer) before any payload events arrive.
-type EnvelopeObserver interface {
-	ObserveEnvelope(attrs []xmltree.Attr)
 }
 
 // DefaultTimeout bounds a Client call when Client.Timeout is zero.
@@ -113,16 +74,6 @@ func (c *Client) callContext() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
 
-// envOpen renders the request envelope's open: the advertised codecs and
-// the exchange id ride on it.
-func (c *Client) envOpen() string {
-	var attrs []xmltree.Attr
-	if len(c.Codecs) > 0 {
-		attrs = []xmltree.Attr{{Name: "codecs", Value: strings.Join(c.Codecs, " ")}}
-	}
-	return envOpen(attrs, c.Exchange)
-}
-
 // CallStream posts a SOAP request whose body is produced by writeBody
 // directly onto the wire (chunked, never buffered whole) and feeds the
 // response payload's parse events to h. h may be nil to ignore a non-fault
@@ -138,7 +89,7 @@ func (c *Client) CallStream(action string, writeBody func(io.Writer) error, h xm
 		// pipe-sized chunks; without it every framing fragment crosses the
 		// pipe (and the chunked transfer encoding) on its own.
 		bw := bufpool.Writer(reqCount)
-		_, err := bw.WriteString(c.envOpen())
+		_, err := bw.WriteString(envOpen(c.Exchange))
 		if err == nil {
 			err = writeBody(bw)
 		}
@@ -259,9 +210,10 @@ func (r *faultReader) EndElement(string) error {
 
 // envelopeWalker reads one SOAP envelope in a single SAX pass, a response
 // on the client and a request on the server alike. It enforces the
-// Envelope/Body framing, collects the soap:Header entries and refuses a
-// mandatory one it does not understand (SOAP 1.1 §4.2.3), and routes the
-// first body element's subtree to the handler pick chooses for it, without
+// Envelope/Body framing, checks each soap:Header entry as it opens —
+// reading the exchange id in place, refusing any other mandatory entry
+// (SOAP 1.1 §4.2.3) and skipping the rest — and routes the first body
+// element's subtree to the handler pick chooses for it, without
 // materializing the envelope. Other envelope children and any later body
 // elements are skipped.
 type envelopeWalker struct {
@@ -269,21 +221,16 @@ type envelopeWalker struct {
 	// opens; a nil handler skips the payload. Its error, and any error the
 	// handler raises, comes back as a *PayloadError.
 	pick func(name string, attrs []xmltree.Attr) (xmltree.AttrHandler, error)
-	// understood accepts the header entries, by local name, this side
-	// understands; nil understands none.
-	understood func(local string) bool
 
-	env         Header         // the envelope's codecs and header entries
-	envAttrs    []xmltree.Attr // the Envelope element's own attributes
-	payload     string         // the payload's name, "" until it opens
+	env         Header // what the header entries carried
+	payload     string // the payload's name, "" until it opens
 	sawEnvelope bool
 	sawBody     bool
 
-	depth     int                  // framing elements open: 1 in the Envelope, 2 in the Body
-	skip      int                  // depth inside a skipped element, 0 outside one
-	inHeader  int                  // depth inside soap:Header, 0 outside it
-	hdr       *xmltree.TreeBuilder // the header entries but the exchange id's
-	inID      bool                 // inside the exchange id entry
+	depth     int  // framing elements open: 1 in the Envelope, 2 in the Body
+	skip      int  // depth inside a skipped element, 0 outside one
+	inHeader  bool // inside soap:Header, outside its entries
+	inID      bool // inside the exchange id entry, which skip counts
 	inPayload int
 	h         xmltree.AttrHandler // the payload's handler
 }
@@ -304,50 +251,28 @@ func (v *envelopeWalker) scan(r io.Reader) error {
 	return nil
 }
 
-// closeHeader runs once soap:Header closes: it enforces mustUnderstand,
-// keeps the entries for handlers, honors a codecs entry as the
-// negotiation carrier when the envelope attribute did not already
-// negotiate, and reads the exchange id entry.
-func (v *envelopeWalker) closeHeader() error {
-	if v.hdr != nil {
-		v.env.Entries = v.hdr.Root().Kids
-		v.hdr = nil
-	}
-	if f := MustUnderstandFault(v.env.Entries, v.understood); f != nil {
-		return f
-	}
-	for _, e := range v.env.Entries {
-		if e.Name == "codecs" && len(v.env.Codecs) == 0 {
-			v.env.Codecs = strings.Fields(e.Text)
-		}
-	}
-	return nil
-}
-
 // StartElement implements xmltree.AttrHandler.
 func (v *envelopeWalker) StartElement(name string, attrs []xmltree.Attr) error {
 	switch {
 	case v.skip > 0:
 		v.skip++
 		return nil
-	case v.inHeader > 0:
-		v.inHeader++
-		switch {
-		case v.inHeader == 2 && name == "exchange" && v.understood != nil && v.understood(name):
-			// The one entry on every call of an exchange is read in
-			// place, not built into a tree.
-			v.inID = true
-			return nil
-		case v.inID:
-			return nil
-		case v.hdr == nil:
-			v.hdr = &xmltree.TreeBuilder{}
-			v.hdr.StartElement("Header", nil)
-		}
-		return v.hdr.StartElement(name, attrs)
 	case v.inPayload > 0:
 		v.inPayload++
 		return payloadErr(v.h.StartElement(name, attrs))
+	case v.inHeader:
+		// A header entry opens. The exchange id is the one entry this side
+		// understands; it is read in place, never built into a tree.
+		if name == "exchange" {
+			v.inID = true
+		} else if mustUnderstand(attrs) {
+			return &Fault{
+				Code:   "soap:MustUnderstand",
+				String: "soap: mandatory header entry not understood: " + name,
+			}
+		}
+		v.skip = 1
+		return nil
 	}
 	switch v.depth {
 	case 0:
@@ -355,12 +280,6 @@ func (v *envelopeWalker) StartElement(name string, attrs []xmltree.Attr) error {
 			return fmt.Errorf("soap: not an envelope: %s", name)
 		}
 		v.sawEnvelope = true
-		v.envAttrs = append(v.envAttrs[:0], attrs...)
-		for _, a := range attrs {
-			if a.Name == "codecs" {
-				v.env.Codecs = strings.Fields(a.Value)
-			}
-		}
 		v.depth++
 	case 1:
 		switch name {
@@ -368,9 +287,7 @@ func (v *envelopeWalker) StartElement(name string, attrs []xmltree.Attr) error {
 			v.sawBody = true
 			v.depth++
 		case "Header":
-			// Collect entries instead of silently skipping them, so
-			// mandatory ones are enforced and handlers can read the rest.
-			v.inHeader = 1
+			v.inHeader = true
 		default:
 			v.skip = 1
 		}
@@ -388,9 +305,6 @@ func (v *envelopeWalker) StartElement(name string, attrs []xmltree.Attr) error {
 			v.skip = 1
 			return nil
 		}
-		if o, ok := h.(EnvelopeObserver); ok {
-			o.ObserveEnvelope(v.envAttrs)
-		}
 		v.h, v.inPayload = h, 1
 		return payloadErr(h.StartElement(name, attrs))
 	}
@@ -400,11 +314,8 @@ func (v *envelopeWalker) StartElement(name string, attrs []xmltree.Attr) error {
 // Text implements xmltree.AttrHandler.
 func (v *envelopeWalker) Text(data string) error {
 	switch {
-	case v.skip > 0:
 	case v.inID:
 		v.env.Exchange += data
-	case v.hdr != nil:
-		return v.hdr.Text(data)
 	case v.inPayload > 0:
 		return payloadErr(v.h.Text(data))
 	}
@@ -416,12 +327,12 @@ func (v *envelopeWalker) Text(data string) error {
 // keeps it through the envelope walk; header text takes the string path.
 func (v *envelopeWalker) TextBytes(data []byte) error {
 	switch {
-	case v.skip > 0:
-		return nil
 	case v.inPayload > 0:
 		if tb, ok := v.h.(xmltree.TextBytesHandler); ok {
 			return payloadErr(tb.TextBytes(data))
 		}
+	case !v.inID:
+		return nil
 	}
 	return v.Text(string(data))
 }
@@ -430,22 +341,14 @@ func (v *envelopeWalker) TextBytes(data []byte) error {
 func (v *envelopeWalker) EndElement(name string) error {
 	switch {
 	case v.skip > 0:
-		v.skip--
-	case v.inHeader > 0:
-		v.inHeader--
-		if v.inID {
-			v.inID = v.inHeader > 1
-		} else if v.hdr != nil {
-			if err := v.hdr.EndElement(name); err != nil {
-				return err
-			}
-		}
-		if v.inHeader == 0 {
-			return v.closeHeader()
+		if v.skip--; v.skip == 0 {
+			v.inID = false
 		}
 	case v.inPayload > 0:
 		v.inPayload--
 		return payloadErr(v.h.EndElement(name))
+	case v.inHeader:
+		v.inHeader = false
 	default:
 		v.depth--
 	}
@@ -457,7 +360,7 @@ func (v *envelopeWalker) EndElement(name string) error {
 type RespondFunc func(w io.Writer) error
 
 // StreamHandlerFunc accepts one request payload as a stream. It receives
-// the envelope-level header (content negotiation) and the payload root's
+// the envelope-level header (the exchange id) and the payload root's
 // attributes, and returns a handler for the payload's parse events (the
 // root's own start/end included) plus the responder that runs once the
 // request is fully consumed. Returning an error — here or from the event
@@ -465,39 +368,21 @@ type RespondFunc func(w io.Writer) error
 type StreamHandlerFunc func(env Header, attrs []xmltree.Attr) (xmltree.AttrHandler, RespondFunc, error)
 
 // HandleStream registers a streaming handler for requests whose body root
-// is elem. Stream handlers take precedence over Handle handlers for the
-// same element.
+// is elem, replacing any handler registered for it before.
 func (s *Server) HandleStream(elem string, h StreamHandlerFunc) { s.streams[elem] = h }
 
 // envelopeWriter lazily opens the response envelope on first write, so a
 // responder that fails before producing output can still get a clean SOAP
-// fault instead of a half-written envelope — and so envelope attributes
-// (the negotiation answer) can still be stamped before anything flows.
+// fault instead of a half-written envelope.
 type envelopeWriter struct {
 	w       http.ResponseWriter
-	attrs   []xmltree.Attr
 	started bool
-}
-
-// SetEnvelopeAttr implements EnvelopeAttrWriter.
-func (e *envelopeWriter) SetEnvelopeAttr(name, value string) error {
-	if e.started {
-		return fmt.Errorf("soap: envelope already started, cannot set %s", name)
-	}
-	for i, a := range e.attrs {
-		if a.Name == name {
-			e.attrs[i].Value = value
-			return nil
-		}
-	}
-	e.attrs = append(e.attrs, xmltree.Attr{Name: name, Value: value})
-	return nil
 }
 
 func (e *envelopeWriter) open() error {
 	e.started = true
 	e.w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	_, err := io.WriteString(e.w, envOpen(e.attrs, ""))
+	_, err := io.WriteString(e.w, envPrefix)
 	return err
 }
 
@@ -560,34 +445,25 @@ func (s *Server) truncated(payload, exchange string, err error) {
 }
 
 // ServeHTTP implements http.Handler. Requests are consumed in one SAX
-// pass: payloads with a registered stream handler flow through it
-// event-by-event and the response is written directly to the connection;
-// payloads with a tree handler are materialized (payload only — never the
-// envelope) and dispatched as before.
+// pass: the payload flows through its handler event by event, and the
+// response is written directly to the connection.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "soap endpoint requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	var (
-		respond RespondFunc
-		legacy  HandlerFunc
-		tree    *xmltree.TreeBuilder
-	)
-	walk := &envelopeWalker{understood: serverRecognizes}
+	var respond RespondFunc
+	walk := &envelopeWalker{}
 	walk.pick = func(name string, attrs []xmltree.Attr) (xmltree.AttrHandler, error) {
-		if sh := s.streams[name]; sh != nil {
-			h, rf, err := sh(walk.env, attrs)
-			respond = rf
-			return h, err
-		}
-		if legacy = s.handlers[name]; legacy == nil {
+		sh := s.streams[name]
+		if sh == nil {
 			// Keep scanning so a malformed body still reports 400 rather
 			// than 404.
 			return nil, nil
 		}
-		tree = &xmltree.TreeBuilder{}
-		return tree, nil
+		h, rf, err := sh(walk.env, attrs)
+		respond = rf
+		return h, err
 	}
 	body := io.Reader(r.Body)
 	if s.metrics != nil || s.logger != nil {
@@ -647,13 +523,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err := ew.finish(); err != nil {
 			truncated(err)
 		}
-	case legacy != nil:
-		resp, err := legacy(tree.Root())
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		s.reply(w, Envelope(resp))
 	default:
 		s.fault(w, http.StatusNotFound, &Fault{Code: "soap:Client", String: "no handler for " + walk.payload})
 	}

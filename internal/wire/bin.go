@@ -50,7 +50,7 @@ import (
 	"xdx/internal/xmltree"
 )
 
-// Codec names as they appear in negotiation, flags, and reports.
+// Codec names as they appear on requests, flags, and reports.
 const (
 	CodecXML      = "xml"
 	CodecBin      = "bin"
@@ -76,10 +76,10 @@ func ParseCodec(s string) (Codec, error) {
 	case CodecBinFlate:
 		return Codec{Kind: CodecBin, Flate: true}, nil
 	}
-	return Codec{}, fmt.Errorf("wire: unknown codec %q", s)
+	return Codec{}, fmt.Errorf("wire: unknown codec %q (known: %s)", s, Codecs())
 }
 
-// String returns the codec's negotiation name.
+// String returns the codec's name.
 func (c Codec) String() string {
 	switch {
 	case c.Kind == CodecBin && c.Flate:
@@ -90,8 +90,8 @@ func (c Codec) String() string {
 	return c.Kind
 }
 
-// Codecs lists every codec this build understands, leanest first — the
-// order an endpoint prefers when a client advertises several.
+// Codecs lists every codec this build understands, leanest first. Every
+// build speaks all of them, so a peer never has to ask which.
 func Codecs() []string {
 	return []string{CodecBinFlate, CodecBin, CodecXML}
 }

@@ -26,11 +26,6 @@ echo "non-test Go lines outside benchmark/: $(./scripts/loc.sh)"
 # without turning it into a performance run.
 make bench-smoke
 
-# Benchmark snapshot smoke: a 3-iteration pass through the BENCH_N.json
-# pipeline, so a benchmark rename or output-format drift breaks the gate
-# instead of the next `make bench-json`.
-./scripts/bench_snapshot.sh -smoke
-
 # Allocation-regression smoke: nine benchmarks must stay within 25% of the
 # allocs/op baselines recorded in the script, and Table 4's load-then-index
 # row, the reconciliation row, the journaled exchange row and the delta
