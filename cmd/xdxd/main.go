@@ -20,6 +20,7 @@ import (
 	"xdx/internal/obs"
 	"xdx/internal/registry"
 	"xdx/internal/reliable"
+	"xdx/internal/soap"
 	"xdx/internal/wire"
 )
 
@@ -129,5 +130,9 @@ func main() {
 	})
 	srv := &http.Server{Addr: *listen, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	log.Printf("xdxd: discovery agency listening on %s (SOAP at /soap, %s)", *listen, link)
-	log.Fatal(srv.ListenAndServe())
+	if err := soap.ListenAndServe(srv); err != nil {
+		log.Fatal("xdxd: ", err)
+	}
+	svc.Sched.Close()
+	log.Printf("xdxd: stopped")
 }

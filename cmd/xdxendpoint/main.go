@@ -23,6 +23,7 @@ import (
 	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/relstore"
+	"xdx/internal/soap"
 	"xdx/internal/wsdlx"
 	"xdx/internal/xmark"
 	"xdx/internal/xmltree"
@@ -178,5 +179,8 @@ func main() {
 	})
 	srv := &http.Server{Addr: *listen, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	log.Printf("xdxendpoint: %s serving layout %s on %s (SOAP at /soap, WSDL at /wsdl)", *name, layout.Name, *listen)
-	log.Fatal(srv.ListenAndServe())
+	if err := soap.ListenAndServe(srv); err != nil {
+		log.Fatal("xdxendpoint: ", err)
+	}
+	log.Printf("xdxendpoint: %s stopped", *name)
 }

@@ -508,42 +508,87 @@ func (e *Endpoint) clearBackend() {
 	}
 }
 
-// scanByElems resolves a plan fragment to this system's layout fragment by
+// layoutFrag resolves a plan fragment to this system's layout fragment by
 // element set, so plans need not share pointers with the store.
-func (e *Endpoint) scanByElems(f *core.Fragment) (*core.Instance, error) {
+func (e *Endpoint) layoutFrag(f *core.Fragment) (*core.Fragment, error) {
 	for _, lf := range e.backend.Layout().Fragments {
 		if lf.SameElems(f) {
-			in, err := e.backend.Scan(lf)
-			if err != nil {
-				return nil, err
-			}
-			return &core.Instance{Frag: f, Records: in.Records}, nil
+			return lf, nil
 		}
 	}
 	return nil, fmt.Errorf("endpoint %s: no layout fragment matching %q", e.Name, f.Name)
 }
 
-// sourceScan resolves the scan an ExecuteSource request's slice runs
+// scanByElems scans the layout fragment a plan fragment names.
+func (e *Endpoint) scanByElems(f *core.Fragment) (*core.Instance, error) {
+	lf, err := e.layoutFrag(f)
+	if err != nil {
+		return nil, err
+	}
+	in, err := e.backend.Scan(lf)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Instance{Frag: f, Records: in.Records}, nil
+}
+
+// sourceScan resolves the scans an ExecuteSource request's slice runs
 // over: a compiled pushdown filter (the filter attribute, §3.2's service
 // arguments generalized to comparisons) when the request carries one —
 // the system "filters the data accordingly and provides the relevant
-// pieces" — plain layout scans otherwise.
-func (e *Endpoint) sourceScan(req *xmltree.Node) (func(*core.Fragment) (*core.Instance, error), error) {
+// pieces" — plain layout scans otherwise. Over a relational store, a Scan
+// whose fragment only ships (see shipOnly) takes a Snapshot of its rows
+// instead of building trees: it hands the slice an empty instance and
+// files the snapshot under the fragment, for the render to ship.
+func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignment) (func(*core.Fragment) (*core.Instance, error), map[*core.Fragment]*relstore.Rows, error) {
 	if expr, ok := req.Attr("filter"); ok && expr != "" {
 		f, err := core.CompileFilter(expr, e.backend.Layout().Schema)
 		if err != nil {
-			return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
+			return nil, nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 		}
 		// A filter whose path lies outside this layout's root fragment can
 		// never match a root record; fault loudly rather than serve an
 		// exchange that silently shipped nothing.
 		if err := f.CheckRoot(e.backend.Layout()); err != nil {
-			return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
+			return nil, nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 		}
 		e.met.Counter("endpoint.source.filtered").Inc()
-		return e.filteredScan(f.Predicate())
+		scan, err := e.filteredScan(f.Predicate())
+		return scan, nil, err
 	}
-	return e.scanByElems, nil
+	st := e.rowStore()
+	if st == nil {
+		return e.scanByElems, nil, nil
+	}
+	only := shipOnly(g, a)
+	rows := map[*core.Fragment]*relstore.Rows{}
+	return func(f *core.Fragment) (*core.Instance, error) {
+		if !only[f] {
+			return e.scanByElems(f)
+		}
+		lf, err := e.layoutFrag(f)
+		if err != nil {
+			return nil, err
+		}
+		if rows[f], err = st.Snapshot(lf.Name); err != nil {
+			return nil, err
+		}
+		return &core.Instance{Frag: f}, nil
+	}, rows, nil
+}
+
+// shipOnly reports, by fragment, whether every source Scan of it feeds
+// only cross-edges: no source op reads its records.
+func shipOnly(g *core.Graph, a core.Assignment) map[*core.Fragment]bool {
+	only := map[*core.Fragment]bool{}
+	for _, e := range g.Edges {
+		if op := e.From; op.Kind == core.OpScan && a[op.ID] == core.LocSource {
+			if prev, seen := only[op.Out]; !seen || prev {
+				only[op.Out] = a[e.To.ID] != core.LocSource
+			}
+		}
+	}
+	return only
 }
 
 // filteredScan materializes the whole layout once, trims it consistently

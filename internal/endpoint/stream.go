@@ -112,13 +112,15 @@ func parseDelivery(req *xmltree.Node) (delivery, error) {
 }
 
 // sourceRender is what one execution of the source slice produced for a
-// delivery session: the outbound instances (a delta's changed records), a
+// delivery session: the outbound records (a delta's changed records), a
 // delta's tombstones, and the reconciliation outcome the agency reads on
 // <timing>. Every attempt of the session ships its chunks from this one
 // render, so a resumed delivery completes exactly the shipment its first
-// attempt began.
+// attempt began. A Scan that only ships its fragment is held as a snapshot
+// of the store's rows, not as trees: each chunk's records are built as the
+// chunk is encoded, and the rows a snapshot holds never change.
 type sourceRender struct {
-	ship     map[string]*core.Instance
+	ship     map[string]core.Outbound
 	tombs    map[string][]string
 	tombKeys []string // tombs' keys, sorted: their chunks' order
 	delta    bool
@@ -227,7 +229,7 @@ func (r *targetReply) EndElement(string) error { return nil }
 // them so the session ledger checkpoints deletions like any chunk.
 // Otherwise it is the full snapshot.
 func (e *Endpoint) renderSource(req *xmltree.Node, g *core.Graph, a core.Assignment, d delivery) (*sourceRender, error) {
-	scan, err := e.sourceScan(req)
+	scan, rows, err := e.sourceScan(req, g, a)
 	if err != nil {
 		return nil, err
 	}
@@ -236,14 +238,24 @@ func (e *Endpoint) renderSource(req *xmltree.Node, g *core.Graph, a core.Assignm
 	if err != nil {
 		return nil, err
 	}
-	r := &sourceRender{ship: out}
+	r := &sourceRender{ship: make(map[string]core.Outbound, len(out))}
+	for key, in := range out {
+		o := core.Outbound{Frag: in.Frag, Recs: in}
+		if snap := rows[in.Frag]; snap != nil {
+			o.Recs = snap
+		}
+		r.ship[key] = o
+	}
 	if d.stream != "" {
 		held := e.recon.Held(d.stream, d.epoch, d.base)
 		var prev map[string]reliable.EdgeHashes
 		if held != nil {
 			prev = held.Edges
 		}
-		diff := reliable.DiffShipment(out, prev)
+		diff, err := reliable.DiffRecords(r.ship, prev)
+		if err != nil {
+			return nil, err
+		}
 		// Between Held and Render another exchange may have replaced base's
 		// entry; the diff stands only if the entry kept is the one it read.
 		switch {
@@ -253,7 +265,7 @@ func (e *Endpoint) renderSource(req *xmltree.Node, g *core.Graph, a core.Assignm
 		case e.recon.Render(d.stream, d.epoch, d.session, d.base, diff.Fresh) != held || held == nil:
 			r.outcome = ` delta="cold"`
 		default:
-			r.ship, r.tombs, r.delta = diff.Ship, diff.Tombs, true
+			r.ship, r.tombs, r.delta = diff.Out, diff.Tombs, true
 			for k := range diff.Tombs {
 				r.tombKeys = append(r.tombKeys, k)
 			}

@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -550,4 +551,96 @@ func readBack(t *testing.T, svc string, sch *schema.Schema, tFr *core.Fragmentat
 		t.Fatal(err)
 	}
 	return assembleTarget(t, st)
+}
+
+// TestSigtermDrainsChildEndpoint: SIGTERM stops a durable xdxendpoint
+// cleanly. Sent while the target takes in a delivery, it lets the delivery
+// finish, so the agency's one attempt succeeds; then the process exits 0
+// through its journal's Close, and the WAL reopens without a torn tail.
+func TestSigtermDrainsChildEndpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("child-process e2e; skipped in -short")
+	}
+	bin := buildEndpointBinary(t)
+	sch := xmark.Schema()
+	sFr, tFr := core.MostFragmented(sch), core.LeastFragmented(sch)
+	src, err := relstore.NewStore(sFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.LoadDocument(xmark.Generate(xmark.Config{TargetBytes: 200_000, Seed: 42})); err != nil {
+		t.Fatal(err)
+	}
+	srcSrv := httptest.NewServer(endpoint.New("S", &endpoint.RelBackend{Store: src, Speed: 1, CanCombine: true}, nil).Handler())
+	defer srcSrv.Close()
+
+	walDir := t.TempDir()
+	soapAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	metricsURL := fmt.Sprintf("http://127.0.0.1:%d/metrics", freePort(t))
+	tgtURL := "http://" + soapAddr + "/soap"
+	child := exec.Command(bin, "-listen", soapAddr, "-layout", "LF", "-name", "T",
+		"-wal-dir", walDir, "-fsync", "batch", "-snapshot-every", "0", "-batch-frames", "4",
+		"-metrics-addr", strings.TrimSuffix(strings.TrimPrefix(metricsURL, "http://"), "/metrics"))
+	child.Stdout, child.Stderr = os.Stderr, os.Stderr
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if child.ProcessState == nil {
+			child.Process.Kill()
+			child.Wait()
+		}
+	}()
+	waitHTTP(t, "http://"+soapAddr+"/", 10*time.Second)
+
+	ag := New()
+	if err := ag.Register("Auction", RoleSource, wsdlFor(t, sch, sFr, srcSrv.URL), srcSrv.URL); err != nil {
+		t.Fatal(err)
+	}
+	if err := ag.Register("Auction", RoleTarget, wsdlFor(t, sch, tFr, tgtURL), tgtURL); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ag.Plan("Auction", PlanOptions{Algorithm: AlgGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		rep *Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := ag.ExecuteOpts("Auction", plan, ExecOptions{Link: netsim.Loopback(), Reliability: retrying(4, 1)})
+		done <- result{rep, err}
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for walCounter(metricsURL, "appends") < 3 {
+		select {
+		case res := <-done:
+			t.Fatalf("exchange finished before the signal (rep=%+v err=%v)", res.rep, res.err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the child never journaled a chunk")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := child.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	res := <-done
+	if res.err != nil || res.rep.Retries != 0 {
+		t.Fatalf("the delivery under SIGTERM: err = %v, retries = %d; want it drained to success", res.err, res.rep.Retries)
+	}
+	if err := child.Wait(); err != nil {
+		t.Fatalf("xdxendpoint after SIGTERM: %v, want exit 0", err)
+	}
+	j, err := durable.OpenJournal(walDir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if st := j.RecoveryStats(); st.TornBytes != 0 || st.MalformedFrames != 0 || st.Records == 0 {
+		t.Errorf("WAL after SIGTERM: %d frames, %d torn bytes, %d malformed; want a clean log", st.Records, st.TornBytes, st.MalformedFrames)
+	}
 }

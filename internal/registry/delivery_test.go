@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -142,7 +143,11 @@ func writerRender(t testing.TB, w *auctionWorld, codec wire.Codec, size int) []b
 	var buf bytes.Buffer
 	sw := wire.NewShipmentWriterCodec(&buf, sch, codec)
 	sw.SetChunk(size, 0)
-	if err := wire.EmitShipment(sw, out); err != nil {
+	ship := map[string]core.Outbound{}
+	for key, in := range out {
+		ship[key] = core.Outbound{Frag: in.Frag, Recs: in}
+	}
+	if err := wire.EmitShipment(sw, ship); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
@@ -515,5 +520,127 @@ func TestResumeKeepsOneRender(t *testing.T) {
 	}
 	if !xmltree.Equal(want, assembleTarget(t, w.tgtStore)) {
 		t.Error("the target does not hold the snapshot the delivery session began with")
+	}
+}
+
+// rowEdits is the delta from before to after as a source with layout's
+// tables diffs it (reliable.DiffShipment): the row edits that take a store
+// holding before to one holding after.
+func rowEdits(t testing.TB, layout *core.Fragmentation, before, after *xmltree.Node) []relstore.Edit {
+	t.Helper()
+	b, err := core.FromDocument(layout, before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.FromDocument(layout, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, _ := reliable.HashShipment(b)
+	d := reliable.DiffShipment(a, prev)
+	var edits []relstore.Edit
+	for _, f := range layout.Fragments {
+		ed := relstore.Edit{Frag: f, Tombs: d.Tombs[f.Name]}
+		if in := d.Ship[f.Name]; in != nil {
+			ed.Records = in.Records
+		}
+		edits = append(edits, ed)
+	}
+	return edits
+}
+
+// TestHeldRenderIsASnapshot: a torn delivery's held render is a snapshot
+// of the source's rows, not a view of its tables. A netsim fault tears the
+// first delivery after some chunks; before the agency resumes, the source
+// store is cleared, reloaded with a churned document and row-edited by a
+// delta, and while the resume re-emits the held chunks the store keeps
+// loading more rows. The resume completes, and the target holds what
+// publish&map makes of the original document: the same document, keyed as
+// an untorn delivery keys it.
+func TestHeldRenderIsASnapshot(t *testing.T) {
+	sch := xmark.Schema()
+	orig := xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42}) // the world's document
+	ref, err := relstore.NewStore(core.LeastFragmented(sch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.LoadDocument(orig.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	want := assembleTarget(t, ref)
+	rng := rand.New(rand.NewSource(5))
+	churned := orig.Clone()
+	churnAuction(churned, rng, 0.2, 1)
+	edited := churned.Clone()
+	churnAuction(edited, rng, 0.2, 2)
+
+	var src atomic.Pointer[relstore.Store]
+	var armed atomic.Bool
+	var loads sync.WaitGroup
+	stop := make(chan struct{})
+	churnSource := func() {
+		st := src.Load()
+		st.Clear()
+		if err := st.LoadDocument(churned.Clone()); err != nil {
+			panic(err)
+		}
+		if _, err := st.ApplyDelta(st.Generation(), rowEdits(t, st.Layout, churned, edited)); err != nil {
+			panic(err)
+		}
+		more, err := core.FromDocument(st.Layout, orig)
+		if err != nil {
+			panic(err)
+		}
+		loads.Add(1)
+		go func() { // loads on while the resume renders
+			defer loads.Done()
+			for i := 0; i < 200; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := st.Load(more["item"]); err != nil {
+					panic(err)
+				}
+			}
+		}()
+	}
+	fl := netsim.NewFaultyLink(netsim.Loopback(), netsim.Faults{Seed: 12, TruncateProb: 1, MaxTruncate: 48 << 10})
+	w := startDeliveryWorld(t, func(role Role, h http.Handler) http.Handler {
+		if role != RoleTarget {
+			return h
+		}
+		torn := fl.Middleware(h)
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("SOAPAction") != `"ExecuteTarget"` || !armed.CompareAndSwap(true, false) {
+				h.ServeHTTP(rw, r)
+				return
+			}
+			defer churnSource() // as the torn request unwinds, before the source hears of it
+			torn.ServeHTTP(rw, r)
+		})
+	})
+	defer w.close()
+	src.Store(w.srcStore)
+	armed.Store(true)
+	rep, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{Link: netsim.Loopback(), Codec: "bin", Reliability: retrying(8, 3)})
+	close(stop)
+	loads.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgtReqs, _ := w.tgtTap.calls("ExecuteTarget")
+	if armed.Load() || rep.Resumes != 1 || len(tgtReqs) != 2 {
+		t.Fatalf("resumes = %d over %d deliveries; want one torn delivery resumed once", rep.Resumes, len(tgtReqs))
+	}
+	resumed := shipmentOf(t, tgtReqs[1])
+	at := bytes.Index(resumed, []byte(` seq="`)) + len(` seq="`)
+	if first, _ := strconv.Atoi(string(resumed[at : at+bytes.IndexByte(resumed[at:], '"')])); first == 0 {
+		t.Fatal("the torn delivery committed no chunk")
+	}
+	got := assembleTarget(t, w.tgtStore)
+	if !xmltree.EqualShape(want, got) || !xmltree.Equal(deliveredWant(t, "bin"), got) {
+		t.Error("the target does not hold the original document's publish&map")
 	}
 }

@@ -172,9 +172,11 @@ func HashShipment(out map[string]*core.Instance) (map[string]EdgeHashes, bool) {
 // Delta is the reconciled difference between a fresh shipment and the
 // index entry of the base it is diffed against.
 type Delta struct {
-	// Ship carries, per edge key, only the added or changed records, in
-	// the fresh shipment's record order. An edge the base lacks ships its
-	// fresh instance itself.
+	// Out carries, per edge key, only the added or changed records, in the
+	// fresh shipment's record order: a pick of the fresh records by
+	// position. An edge the base lacks ships its fresh records whole.
+	Out map[string]core.Outbound
+	// Ship is Out as instances (DiffShipment only).
 	Ship map[string]*core.Instance
 	// Tombs carries, per edge key, the sorted record IDs present in the
 	// index but absent from the fresh shipment.
@@ -189,34 +191,89 @@ type Delta struct {
 	Unkeyed bool
 }
 
-// DiffShipment reconciles a fresh shipment against a base index in one
-// pass per edge: each record is hashed once, looked up in the base edge
-// (marking the base position seen) and filed in the fresh columns. Every
-// edge of the fresh shipment appears in Ship (possibly with zero records —
-// the edge still has to announce itself so the target patches it); base
-// positions never seen, and every ID of an edge that vanished from the
-// shipment, become tombstones.
+// DiffShipment is DiffRecords over a materialized shipment, with the
+// shipped records as instances in Ship. An edge the base lacks ships its
+// fresh instance itself.
 func DiffShipment(out map[string]*core.Instance, base map[string]EdgeHashes) *Delta {
-	d := &Delta{
-		Ship:  make(map[string]*core.Instance, len(out)),
-		Tombs: make(map[string][]string),
-		Fresh: make(map[string]EdgeHashes, len(out)),
-	}
+	d := newDelta(len(out))
+	d.Ship = make(map[string]*core.Instance, len(out))
+	var sc scratch
 	for key, in := range out {
 		prev, warm := base[key]
 		ship := in
 		if warm {
 			ship = &core.Instance{Frag: in.Frag}
 		}
-		n := len(in.Records)
-		fresh := EdgeHashes{IDs: make([]string, 0, n), Hashes: make([]uint64, 0, n)}
-		fresh.tab.Init(n, 0)
-		seen := make([]bool, len(prev.IDs))
-		for _, rec := range in.Records {
+		d.edge(key, in, prev, warm, &sc, func(i int) { ship.Records = append(ship.Records, in.Records[i]) }) // trees build without error
+		d.Ship[key] = ship
+		d.Records += len(ship.Records)
+	}
+	d.vanished(base)
+	return d
+}
+
+// DiffRecords reconciles a fresh shipment against a base index in one pass
+// per edge: each record is built (a batch at a time, into a scratch the
+// diff reuses, when the edge holds rows), hashed once, looked up in the base
+// edge (marking the base position seen) and filed in the fresh columns.
+// Every edge of the fresh shipment appears in Out (possibly with zero
+// records — the edge still has to announce itself so the target patches
+// it); base positions never seen, and every ID of an edge that vanished
+// from the shipment, become tombstones.
+func DiffRecords(out map[string]core.Outbound, base map[string]EdgeHashes) (*Delta, error) {
+	d := newDelta(len(out))
+	d.Out = make(map[string]core.Outbound, len(out))
+	var sc scratch
+	for key, o := range out {
+		prev, warm := base[key]
+		var keep []int
+		if err := d.edge(key, o.Recs, prev, warm, &sc, func(i int) { keep = append(keep, i) }); err != nil {
+			return nil, err
+		}
+		if warm {
+			o.Recs = core.Pick(o.Recs, keep)
+		}
+		d.Out[key] = o
+		d.Records += o.Recs.Len()
+	}
+	d.vanished(base)
+	return d, nil
+}
+
+func newDelta(edges int) *Delta {
+	return &Delta{Tombs: make(map[string][]string), Fresh: make(map[string]EdgeHashes, edges)}
+}
+
+// diffBatch is how many records edge builds into its scratch at a time.
+const diffBatch = 256
+
+// scratch is where a diff builds records a batch at a time: the batch,
+// and the arena the records built from rows live in until the next.
+type scratch struct {
+	arena xmltree.Arena
+	batch []*xmltree.Node
+}
+
+// edge diffs one edge's fresh records against its base entry prev: it
+// files their hashes as the edge's fresh columns, calls ship with the
+// position of each record a warm edge ships — added, changed or without an
+// ID — and tombstones the IDs of prev that no record carries. Records are
+// built a batch at a time into sc.
+func (d *Delta) edge(key string, recs core.Records, prev EdgeHashes, warm bool, sc *scratch, ship func(i int)) error {
+	n := recs.Len()
+	fresh := EdgeHashes{IDs: make([]string, 0, n), Hashes: make([]uint64, 0, n)}
+	fresh.tab.Init(n, 0)
+	seen := make([]bool, len(prev.IDs))
+	for lo := 0; lo < n; lo += diffBatch {
+		var err error
+		if sc.batch, err = recs.Build(sc.batch[:0], lo, min(n, lo+diffBatch), &sc.arena); err != nil {
+			return err
+		}
+		for k, rec := range sc.batch {
 			if rec.ID == "" {
 				d.Unkeyed = true
 				if warm {
-					ship.Records = append(ship.Records, rec)
+					ship(lo + k)
 				}
 				continue
 			}
@@ -226,27 +283,30 @@ func DiffShipment(out map[string]*core.Instance, base map[string]EdgeHashes) *De
 				seen[p] = true
 			}
 			if warm && (p < 0 || prev.Hashes[p] != h) {
-				ship.Records = append(ship.Records, rec)
+				ship(lo + k)
 			}
 			fresh.file(hid, rec.ID, h)
 		}
-		d.Ship[key] = ship
-		d.Fresh[key] = fresh
-		d.Records += len(ship.Records)
-		var dead []string
-		for p, id := range prev.IDs {
-			if !seen[p] {
-				dead = append(dead, id)
-			}
-		}
-		d.tomb(key, dead)
+		sc.arena.Reset()
 	}
+	d.Fresh[key] = fresh
+	var dead []string
+	for p, id := range prev.IDs {
+		if !seen[p] {
+			dead = append(dead, id)
+		}
+	}
+	d.tomb(key, dead)
+	return nil
+}
+
+// vanished tombstones every ID of the base edges the fresh shipment lacks.
+func (d *Delta) vanished(base map[string]EdgeHashes) {
 	for key, prev := range base {
-		if _, live := out[key]; !live {
+		if _, live := d.Fresh[key]; !live {
 			d.tomb(key, slices.Clone(prev.IDs))
 		}
 	}
-	return d
 }
 
 // tomb files an edge's dead IDs, sorted, unless there are none.

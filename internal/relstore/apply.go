@@ -47,7 +47,7 @@ func (s *Store) ApplyDelta(gen uint64, edits []Edit) (int, error) {
 	if s.gen != gen {
 		return 0, fmt.Errorf("%w: the rows are at generation %d, the delta's base at %d", ErrStale, s.gen, gen)
 	}
-	ap := &applier{s: s, loaded: map[slotKey]*workRec{}, nodes: map[nodeKey]nodeAt{}}
+	ap := &applier{s: s, scan: fragScan{arena: &xmltree.Arena{}}, loaded: map[slotKey]*workRec{}, nodes: map[nodeKey]nodeAt{}}
 	// Parents first, so a record finds a parent shipped beside it; all
 	// tombstones before any record, so a record that moved away from a
 	// tombstoned parent is still found by its ID.

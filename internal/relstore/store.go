@@ -325,38 +325,102 @@ func (sh *shredder) walkRep(row []string, n *xmltree.Node) error {
 }
 
 // ScanFragment materializes the instance of the named layout fragment from
-// its table (the store-side Scan of Definition 3.6). Rows of a denormalized
-// fragment are regrouped by their root identifier (rows of one root are
-// stored contiguously by Load).
+// its table (the store-side Scan of Definition 3.6): a Snapshot of its
+// rows, every record built.
 func (s *Store) ScanFragment(fragName string) (*core.Instance, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	f := s.Layout.ByName(fragName)
 	if f == nil {
 		return nil, fmt.Errorf("relstore: unknown fragment %q", fragName)
 	}
-	t := s.tables[fragName]
-	d := s.descs[fragName]
-	inst := &core.Instance{Frag: f, Records: make([]*xmltree.Node, 0, t.Len())}
+	r, err := s.Snapshot(fragName)
+	if err != nil {
+		return nil, err
+	}
 	// All records of one scan share an arena: the instance is the decode
 	// unit, so its nodes live and die together. The row count bounds what
 	// it will hold, so a ten-row table does not cut minimum-size slabs.
-	var sc fragScan
-	sc.arena.Reserve(t.Len()*len(d.plan), 0)
+	a := &xmltree.Arena{}
+	a.Reserve(len(r.rows)*len(r.d.plan), 0)
+	recs, err := r.Build(make([]*xmltree.Node, 0, r.Len()), 0, r.Len(), a)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Instance{Frag: f, Records: recs}, nil
+}
+
+// Rows is a snapshot of one layout fragment's stored records: the live
+// rows as they stood, which stay as they are however the table changes
+// after (see Table), and for a denormalized fragment where each record's
+// rows start. It builds records on demand, exactly as ScanFragment's, and
+// is safe for concurrent use. It implements core.Records.
+type Rows struct {
+	d    *tableDesc
+	rows [][]string
+	at   []int32 // record k spans rows[at[k]:at[k+1]]; nil when flat
+}
+
+// Snapshot takes a snapshot of the named layout fragment's rows. A table
+// without deleted slots shares its row slice, and record bounds are
+// offsets, so the snapshot holds no pointer of its own.
+func (s *Store) Snapshot(fragName string) (*Rows, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, d := s.tables[fragName], s.descs[fragName]
+	if t == nil {
+		return nil, fmt.Errorf("relstore: unknown fragment %q", fragName)
+	}
+	r := &Rows{d: d}
+	if t.ngone == 0 {
+		r.rows = t.rows[:len(t.rows):len(t.rows)]
+		if d.rep == nil {
+			return r, nil
+		}
+	}
+	if d.rep != nil {
+		r.at = []int32{0}
+	}
+	n := int32(0)
 	for i := 0; i < len(t.rows); {
 		if t.isGone(i) {
 			i++
 			continue
 		}
 		_, end := d.span(t, i)
-		rec, err := sc.record(d, t.rows[i:end])
-		if err != nil {
-			return nil, err
+		if t.ngone > 0 {
+			r.rows = append(r.rows, t.rows[i:end]...)
 		}
-		inst.Records = append(inst.Records, rec)
+		if n += int32(end - i); d.rep != nil {
+			r.at = append(r.at, n)
+		}
 		i = end
 	}
-	return inst, nil
+	return r, nil
+}
+
+// Len implements core.Records.
+func (r *Rows) Len() int {
+	if r.at != nil {
+		return len(r.at) - 1
+	}
+	return len(r.rows)
+}
+
+// Build implements core.Records: it rebuilds records [i, j) from their
+// rows into a.
+func (r *Rows) Build(dst []*xmltree.Node, i, j int, a *xmltree.Arena) ([]*xmltree.Node, error) {
+	sc := fragScan{arena: a}
+	for k := i; k < j; k++ {
+		start, end := k, k+1
+		if r.at != nil {
+			start, end = int(r.at[k]), int(r.at[k+1])
+		}
+		rec, err := sc.record(r.d, r.rows[start:end])
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, rec)
+	}
+	return dst, nil
 }
 
 // span returns the row slots [start, end) of the record that row i belongs
@@ -382,8 +446,8 @@ func (d *tableDesc) span(t *Table, i int) (start, end int) {
 
 // fragScan rebuilds record trees from the rows of one fragment's table.
 type fragScan struct {
-	rep   *elemPlan // the repeated subtree's plan, nil for a flat fragment
-	arena xmltree.Arena
+	rep   *elemPlan      // the repeated subtree's plan, nil for a flat fragment
+	arena *xmltree.Arena // where the trees are built; nil builds on the heap
 	// attach is the current record's attachment point for repeated
 	// subtrees (nil until build meets it) and repAt the position among its
 	// kids where the next one goes: the slot the schema gives repRoot,

@@ -16,7 +16,11 @@ import (
 	"xdx/internal/hashtab"
 )
 
-// Table is an in-memory relation.
+// Table is an in-memory relation. A row, once stored, is never written
+// again: Insert and BulkLoad append, a delete only flags the row's slot,
+// and compact copies the live rows into a new slice. So a Snapshot that
+// holds the row slice as it stood sees the same rows for as long as it
+// lives, whatever is loaded, edited or cleared after.
 type Table struct {
 	// Name is the table name.
 	Name string

@@ -6,10 +6,15 @@ package soap
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"xdx/internal/obs"
@@ -378,4 +383,32 @@ func (s *Server) fault(w http.ResponseWriter, status int, f *Fault) {
 	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
 	w.WriteHeader(status)
 	writeFault(w, f)
+}
+
+// ShutdownDrain bounds how long a daemon told to stop lets the requests in
+// flight — a delivery streaming its chunks, an exchange — finish.
+const ShutdownDrain = 30 * time.Second
+
+// ListenAndServe serves srv until the process gets SIGTERM or SIGINT, then
+// stops accepting, drains the requests in flight for at most
+// ShutdownDrain, cuts any still open and returns nil, so that the caller
+// returns through its defers. An error means srv could not serve.
+func ListenAndServe(srv *http.Server) error {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	stop() // a second signal kills
+	drain, cancel := context.WithTimeout(context.Background(), ShutdownDrain)
+	defer cancel()
+	if err := srv.Shutdown(drain); err != nil {
+		log.Printf("drain cut after %s: %v", ShutdownDrain, err)
+		srv.Close()
+	}
+	return nil
 }

@@ -66,7 +66,7 @@ func TestSetChunkMatchesChunkShipment(t *testing.T) {
 				var buf bytes.Buffer
 				sw := NewShipmentWriterCodec(&buf, sch, codec)
 				sw.SetChunk(size, from)
-				if err := EmitShipment(sw, out); err != nil {
+				if err := EmitShipment(sw, outbound(out)); err != nil {
 					t.Fatal(err)
 				}
 				if err := sw.Close(); err != nil {
@@ -142,7 +142,7 @@ func TestSetChunkNumbersTombstones(t *testing.T) {
 				sw = NewShipmentWriterCodec(&got, sch, codec)
 				sw.SetDelta(true)
 				sw.SetChunk(size, from)
-				if err := EmitShipment(sw, out); err != nil {
+				if err := EmitShipment(sw, outbound(out)); err != nil {
 					t.Fatal(err)
 				}
 				for _, tb := range tombs {
@@ -159,4 +159,13 @@ func TestSetChunkNumbersTombstones(t *testing.T) {
 			}
 		}
 	}
+}
+
+// outbound is an instance map as the outbound records EmitShipment takes.
+func outbound(out map[string]*core.Instance) map[string]core.Outbound {
+	ship := make(map[string]core.Outbound, len(out))
+	for key, in := range out {
+		ship[key] = core.Outbound{Frag: in.Frag, Recs: in}
+	}
+	return ship
 }

@@ -81,11 +81,16 @@ func submit(job codecJob) {
 // fills buf/payload/err and posts done; the splicer (whoever holds sw.mu)
 // writes completed head jobs to the output in FIFO order.
 type encJob struct {
-	sw      *ShipmentWriter
-	key     string
-	frag    *core.Fragment
-	recs    []*xmltree.Node
-	seq     int64
+	sw     *ShipmentWriter
+	key    string
+	frag   *core.Fragment
+	recs   core.Records
+	lo, hi int // the chunk is records [lo, hi) of recs
+	seq    int64
+	// arena and built are the job's scratch, pooled with it: built holds
+	// the chunk's records, and those built from rows live in arena.
+	arena   xmltree.Arena
+	built   []*xmltree.Node
 	buf     *bytes.Buffer
 	payload int64 // RecordBytes of the chunk
 	err     error
@@ -94,10 +99,21 @@ type encJob struct {
 
 var encJobs = sync.Pool{New: func() any { return &encJob{done: make(chan struct{}, 1)} }}
 
+// maxPooledChunk bounds the records of a chunk whose job is pooled again.
+// The job's arena bounds itself: Reset keeps one slab of each kind.
+const maxPooledChunk = 4096
+
+// run builds the chunk's records into the job's scratch, renders them and
+// drops them: records built from rows live for one chunk's render.
 func (j *encJob) run() {
 	start := time.Now()
 	j.buf = bufpool.Buffer()
-	j.payload, j.err = renderChunk(j.buf, j.sw.sch, j.sw.codec, j.key, j.frag, j.recs, j.seq)
+	j.built, j.err = j.recs.Build(j.built[:0], j.lo, j.hi, &j.arena)
+	if j.err == nil {
+		j.payload, j.err = renderChunk(j.buf, j.sw.sch, j.sw.codec, j.key, j.frag, j.built, j.seq)
+	}
+	clear(j.built)
+	j.arena.Reset()
 	j.sw.renderMS.ObserveSince(start)
 	j.done <- struct{}{}
 }
@@ -114,14 +130,14 @@ func (sw *ShipmentWriter) SetObs(met *obs.Registry) {
 	}
 }
 
-// emitLocked submits one chunk to the render pool and splices whatever is
-// ready. Caller holds sw.mu.
-func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
+// emitLocked submits the chunk of records [lo, hi) of recs to the render
+// pool and splices whatever is ready. Caller holds sw.mu.
+func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs core.Records, lo, hi int, seq int64) error {
 	if err := sw.openLocked(); err != nil {
 		return err
 	}
 	job := encJobs.Get().(*encJob)
-	job.sw, job.key, job.frag, job.recs, job.seq = sw, key, frag, recs, seq
+	job.sw, job.key, job.frag, job.recs, job.lo, job.hi, job.seq = sw, key, frag, recs, lo, hi, seq
 	sw.fifo = append(sw.fifo, job)
 	sw.queue.Set(int64(len(sw.fifo)))
 	submit(job)
@@ -146,8 +162,10 @@ func (sw *ShipmentWriter) spliceLocked(max int) error {
 			sw.payload += job.payload
 		}
 		bufpool.PutBuffer(job.buf)
-		*job = encJob{done: job.done}
-		encJobs.Put(job)
+		job.sw, job.key, job.frag, job.recs, job.buf, job.err = nil, "", nil, nil, nil, nil
+		if cap(job.built) <= maxPooledChunk { // a larger scratch is dropped
+			encJobs.Put(job)
+		}
 	}
 	sw.queue.Set(int64(len(sw.fifo)))
 	return sw.firstErr

@@ -406,13 +406,13 @@ func TestParallelEmitAfterCloseRejected(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	var buf bytes.Buffer
 	sw := NewShipmentWriterCodec(&buf, sch, Codec{Kind: CodecBin, Flate: true})
-	if err := sw.Emit("0:feat", f, chunks[0]); err != nil {
+	if err := sw.Emit("0:feat", f, &core.Instance{Records: chunks[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Emit("0:feat", f, chunks[1]); err == nil || !strings.Contains(err.Error(), "closed") {
+	if err := sw.Emit("0:feat", f, &core.Instance{Records: chunks[1]}); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("emit after close: %v", err)
 	}
 }

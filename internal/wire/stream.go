@@ -125,9 +125,11 @@ func NewShipmentWriterCodec(w io.Writer, sch *schema.Schema, codec Codec) *Shipm
 }
 
 // Emit writes one instance chunk carrying recs for the cross-edge key (cut
-// into several, when SetChunk asked for it). The pool may render after
-// Emit returns, so recs must stay unmodified until Close.
-func (sw *ShipmentWriter) Emit(key string, frag *core.Fragment, recs []*xmltree.Node) error {
+// into several, when SetChunk asked for it). Records held as trees must
+// stay unmodified until Close, as the pool may render after Emit returns;
+// records built on demand are built by each chunk's render job, and by
+// the sizing of a chunk below SetChunk's from.
+func (sw *ShipmentWriter) Emit(key string, frag *core.Fragment, recs core.Records) error {
 	return sw.emit(key, frag, recs, -1)
 }
 
@@ -135,27 +137,39 @@ func (sw *ShipmentWriter) Emit(key string, frag *core.Fragment, recs []*xmltree.
 // shipment session. The seq attribute rides on the chunk so the target's
 // idempotency ledger can checkpoint and skip replays (internal/reliable).
 func (sw *ShipmentWriter) EmitChunk(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
-	return sw.emit(key, frag, recs, seq)
+	return sw.emit(key, frag, &core.Instance{Records: recs}, seq)
 }
 
-func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
+func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs core.Records, seq int64) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	n := recs.Len()
 	if seq >= 0 || sw.chunk <= 0 {
-		return sw.emitLocked(key, frag, recs, seq)
+		return sw.emitLocked(key, frag, recs, 0, n, seq)
 	}
-	for {
-		n := min(len(recs), sw.chunk)
+	for lo := 0; ; {
+		hi := min(n, lo+sw.chunk)
 		if sw.nextSeq < sw.from {
-			sw.payload += RecordBytes(recs[:n])
-		} else if err := sw.emitLocked(key, frag, recs[:n], sw.nextSeq); err != nil {
+			size, err := recordBytes(recs, lo, hi)
+			if err != nil {
+				return err
+			}
+			sw.payload += size
+		} else if err := sw.emitLocked(key, frag, recs, lo, hi, sw.nextSeq); err != nil {
 			return err
 		}
 		sw.nextSeq++
-		if recs = recs[n:]; len(recs) == 0 {
+		if lo = hi; lo == n {
 			return nil
 		}
 	}
+}
+
+// recordBytes is the RecordBytes of records [lo, hi) of recs.
+func recordBytes(recs core.Records, lo, hi int) (int64, error) {
+	var a xmltree.Arena
+	built, err := recs.Build(nil, lo, hi, &a)
+	return RecordBytes(built), err
 }
 
 // openLocked readies the writer for one more chunk — refusing it after
@@ -382,28 +396,31 @@ func nodeSize(n *xmltree.Node, isRoot bool) int64 {
 // (sorted-key) order, byte for byte the tree codec's serialization of the
 // same shipment.
 func StreamShipmentCodec(w io.Writer, out map[string]*core.Instance, sch *schema.Schema, codec Codec) error {
-	sw := NewShipmentWriterCodec(w, sch, codec)
-	if err := EmitShipment(sw, out); err != nil {
-		sw.Close()
-		return err
+	ship := make(map[string]core.Outbound, len(out))
+	for key, in := range out {
+		ship[key] = core.Outbound{Frag: in.Frag, Recs: in}
 	}
-	return sw.Close()
+	sw := NewShipmentWriterCodec(w, sch, codec)
+	err := EmitShipment(sw, ship)
+	if cerr := sw.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// EmitShipment emits a whole instance map through an open shipment writer
-// in deterministic (sorted-key) order, one chunk per instance. The caller
-// closes the writer.
-func EmitShipment(sw *ShipmentWriter, out map[string]*core.Instance) error {
+// EmitShipment emits a source's outbound records, held as trees or built
+// on demand, through an open shipment writer in deterministic (sorted-key)
+// order, one Emit per edge. The caller closes the writer.
+func EmitShipment(sw *ShipmentWriter, out map[string]core.Outbound) error {
 	for _, key := range sortedKeys(out) {
-		in := out[key]
-		if err := sw.Emit(key, in.Frag, in.Records); err != nil {
+		if err := sw.Emit(key, out[key].Frag, out[key].Recs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func sortedKeys(out map[string]*core.Instance) []string {
+func sortedKeys[V any](out map[string]V) []string {
 	keys := make([]string, 0, len(out))
 	for k := range out {
 		keys = append(keys, k)

@@ -184,10 +184,10 @@ func TestShipmentWriterMergesChunks(t *testing.T) {
 	for _, codec := range allCodecs {
 		var buf bytes.Buffer
 		sw := NewShipmentWriterCodec(&buf, sch, codec)
-		if err := sw.Emit("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}); err != nil {
+		if err := sw.Emit("0:feat", f, &core.Instance{Records: []*xmltree.Node{rec("f1", "i1", "callerID")}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.Emit("0:feat", f, []*xmltree.Node{rec("f2", "i2", "voicemail")}); err != nil {
+		if err := sw.Emit("0:feat", f, &core.Instance{Records: []*xmltree.Node{rec("f2", "i2", "voicemail")}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := sw.Close(); err != nil {
@@ -457,7 +457,7 @@ func TestEmitChunkSeqRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		sw2.Close()
-		if err := sw3.Emit("0:feat", f, []*xmltree.Node{rec("f1", "i1", "callerID")}); err != nil {
+		if err := sw3.Emit("0:feat", f, &core.Instance{Records: []*xmltree.Node{rec("f1", "i1", "callerID")}}); err != nil {
 			t.Fatal(err)
 		}
 		sw3.Close()
@@ -724,7 +724,7 @@ func TestDecodeTaggedAllocatesPerChunk(t *testing.T) {
 		var buf bytes.Buffer
 		sw := NewShipmentWriterCodec(&buf, sch, Codec{})
 		sw.SetChunk(64, 0)
-		if err := sw.Emit("0:feat", f, recs); err != nil {
+		if err := sw.Emit("0:feat", f, &core.Instance{Records: recs}); err != nil {
 			t.Fatal(err)
 		}
 		if err := sw.Close(); err != nil {

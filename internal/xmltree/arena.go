@@ -11,8 +11,11 @@ import "strings"
 // node or string allocated from it is. The intended lifetime is therefore
 // one decode unit (a shipment chunk, a fragment scan, a shredded document):
 // allocate everything the unit produces from one arena, let the whole unit
-// go at once. Never use one long-lived arena to build short-lived trees —
-// the slabs would pin them all.
+// go at once. A long-lived arena may build short-lived trees only by
+// reuse: its owner drops every tree built from it, then calls Reset, which
+// zeroes the nodes and carves them again (a pooled scratch arena that
+// builds one chunk's records at a time). Without Reset, the slabs would
+// pin every tree the arena ever built.
 //
 // An Arena is not safe for concurrent use; parallel decoders build one per
 // job. The zero value and the nil pointer are both ready to use — a nil
@@ -36,13 +39,15 @@ const (
 
 // Arena allocates Nodes and their strings in slabs.
 type Arena struct {
-	slab     []Node
-	nextSlab int // size of the next node slab; 0 means arenaMinSlab
+	// slab is the unused tail of nodeSlab, the current node slab.
+	slab, nodeSlab []Node
+	nextSlab       int // size of the next node slab; 0 means arenaMinSlab
 
-	// kids is the unused tail of the current child-pointer slab, grown on
-	// the node slabs' schedule (a tree has one fewer kid than nodes).
-	kids     []*Node
-	nextKids int
+	// kids is the unused tail of kidSlab, the current child-pointer slab,
+	// grown on the node slabs' schedule (a tree has one fewer kid than
+	// nodes).
+	kids, kidSlab []*Node
+	nextKids      int
 
 	// text is the current string block. Blocks are append-only and never
 	// regrown — a write that does not fit starts a fresh block — so every
@@ -87,6 +92,7 @@ func (a *Arena) New() *Node {
 	}
 	if len(a.slab) == 0 {
 		a.slab = make([]Node, grow(&a.nextSlab, arenaMinSlab, arenaMaxSlab, 1))
+		a.nodeSlab = a.slab
 	}
 	n := &a.slab[0]
 	a.slab = a.slab[1:]
@@ -102,10 +108,25 @@ func (a *Arena) Kids(n int) []*Node {
 	}
 	if len(a.kids) < n {
 		a.kids = make([]*Node, grow(&a.nextKids, arenaMinSlab, arenaMaxSlab, n))
+		a.kidSlab = a.kids
 	}
 	k := a.kids[:0:n]
 	a.kids = a.kids[n:]
 	return k
+}
+
+// Reset readies the arena to build anew, reusing its current node and kid
+// slabs: the nodes and kid slices carved from them are zeroed and carved
+// again, earlier slabs are let go, and so is the string block (strings
+// stay immutable, so they outlive Reset). The caller must hold nothing
+// built from the arena but its strings. Slabs double as a unit outgrows
+// them, so after a few Resets an arena building equal units of up to
+// arenaMaxSlab nodes builds each without allocating, and it never keeps
+// more than one slab of each kind.
+func (a *Arena) Reset() {
+	clear(a.nodeSlab[:len(a.nodeSlab)-len(a.slab)])
+	clear(a.kidSlab[:len(a.kidSlab)-len(a.kids)])
+	a.slab, a.kids, a.text = a.nodeSlab, a.kidSlab, strings.Builder{}
 }
 
 // Bytes returns b as a string stored in the arena's string slab: one copy,

@@ -99,3 +99,40 @@ func TestArenaKidsDoNotOverlap(t *testing.T) {
 		t.Fatalf("grown kids wrong: %v", first.Kids)
 	}
 }
+
+// TestArenaResetReuses is the reuse contract: once its slabs have grown to
+// a unit, a reset arena builds each further unit without allocating,
+// carving zeroed nodes out of the slabs it holds, and the strings it
+// handed out outlive Reset.
+func TestArenaResetReuses(t *testing.T) {
+	var a Arena
+	build := func() *Node {
+		root := a.New()
+		root.Name, root.Kids = "r", a.Kids(100)
+		for i := 0; i < 100; i++ {
+			k := a.New()
+			k.Name, k.Text = "k", "v"
+			root.Kids = append(root.Kids, k)
+		}
+		return root
+	}
+	for i := 0; i < 4; i++ {
+		build()
+		a.Reset()
+	}
+	kept := a.Bytes([]byte("kept"))
+	if allocs := testing.AllocsPerRun(20, func() { build(); a.Reset() }); allocs != 0 {
+		t.Errorf("a reset arena built a unit in %.0f allocations, want 0", allocs)
+	}
+	if kept != "kept" {
+		t.Errorf("a string from before Reset reads %q", kept)
+	}
+	build()
+	a.Reset()
+	if n := a.New(); n.Name != "" || n.Text != "" || n.Kids != nil {
+		t.Errorf("a node carved after Reset is not zero: %+v", n)
+	}
+	if k := a.Kids(3); len(k) != 0 || cap(k) != 3 || k[:3][0] != nil {
+		t.Errorf("a kid slice carved after Reset is not empty and zeroed")
+	}
+}

@@ -3,8 +3,8 @@
 # BenchmarkShipmentCodecParallel, BenchmarkShipmentCodecStream,
 # BenchmarkReliableExchangeDurable/batch,
 # BenchmarkChainedCombine/spread/k=8, BenchmarkSubstrate_Parse,
-# BenchmarkTable4_LoadIndex_MF, BenchmarkDiffShipment and
-# BenchmarkApplyDelta, compared against
+# BenchmarkTable4_LoadIndex_MF, BenchmarkDiffShipment, BenchmarkApplyDelta
+# and BenchmarkSourceRender, compared against
 # the committed baselines below. The first is the in-process end-to-end
 # path — row slabs, splitter and shredder arenas, pooled codec state; the
 # second is
@@ -36,7 +36,11 @@
 # first; the ninth is a target landing a warm 1 % churn delta on the 2.5 MB
 # XMark document's LF store as row edits — bytes gated too, since an apply
 # that rebuilt, reloaded or re-indexed the store would cost its size, not
-# the churn's. A >25%
+# the churn's; the tenth is a source's render and encode of an XMark MF→LF
+# shipment, whose ship-only Scans build each chunk's records from a row
+# snapshot into a pooled scratch — bytes gated too, since a render that
+# held a tree per shipped record again would cost the document's size in
+# bytes while its slab-carved nodes barely move the allocation count. A >25%
 # allocs/op (or, where gated, B/op) regression on any of them means someone
 # reintroduced a per-record allocation, and the gate should say so before a
 # slow benchmark run does. Wall-clock is deliberately not checked —
@@ -85,12 +89,19 @@ cd "$(dirname "$0")/.."
 # the commit that follows 27d18e0 and lexes every XML construct out of the
 # tokenizer's pooled read window: on 2 CPUs at 20x ShipmentCodecStream read
 # 213 allocs/op at 27d18e0 and reads 177-188, and Substrate_Parse read 29087
-# and reads 29054.
+# and reads 29054. "row-render" is the commit that follows 6349adc and
+# builds ship-only Scans' chunks from row snapshots: on 2 CPUs at 3x
+# ReliableExchangeDurable/batch read 1605088-1694978 B/op over nine runs at
+# 6349adc and reads 1448453-1706549 over ten, so its byte baseline is
+# re-taken from 1771850 (direct-delivery) at the top of that range;
+# SourceRender is new there and reads 767-794 allocs/op and
+# 1636522-1675981 B/op over seven runs (the same loop over ScanFragment's
+# trees read 751-784 and 4482448-4578514 at 6349adc).
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
 SHIPMENT_CODEC_STREAM=188            # window-lexer, 20x
 RELIABLE_EXCHANGE_DURABLE_BATCH=6440 # direct-delivery
-RELIABLE_EXCHANGE_DURABLE_BATCH_BYTES=1771850 # direct-delivery
+RELIABLE_EXCHANGE_DURABLE_BATCH_BYTES=1706549 # row-render
 CHAINED_COMBINE_SPREAD_K8=217        # 5ebdd14 (BENCH_13.json)
 SUBSTRATE_PARSE=29054                # window-lexer, 20x
 TABLE4_LOAD_INDEX_MF=646             # pointer-free-index, 10x
@@ -99,6 +110,8 @@ DIFF_SHIPMENT=239                    # one-pass-recon
 DIFF_SHIPMENT_BYTES=2231285          # one-pass-recon
 APPLY_DELTA=1100                     # row-edit-delta, 3x
 APPLY_DELTA_BYTES=624680             # row-edit-delta, 3x
+SOURCE_RENDER=794                    # row-render, 3x
+SOURCE_RENDER_BYTES=1675981          # row-render, 3x
 
 # gate NAME UNIT BASE OUTPUT: read UNIT off the benchmark OUTPUT and fail
 # when it exceeds BASE by more than 25%.
@@ -137,3 +150,4 @@ check Substrate_Parse . "$SUBSTRATE_PARSE" 20x
 check Table4_LoadIndex_MF . "$TABLE4_LOAD_INDEX_MF" 10x "$TABLE4_LOAD_INDEX_MF_BYTES"
 check DiffShipment ./internal/reliable/ "$DIFF_SHIPMENT" 3x "$DIFF_SHIPMENT_BYTES"
 check ApplyDelta ./internal/relstore/ "$APPLY_DELTA" 3x "$APPLY_DELTA_BYTES"
+check SourceRender ./internal/endpoint/ "$SOURCE_RENDER" 3x "$SOURCE_RENDER_BYTES"
