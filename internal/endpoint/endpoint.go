@@ -383,13 +383,9 @@ func (e *Endpoint) calibrate(codec wire.Codec) (*shipCalibration, error) {
 	cal := &shipCalibration{ratios: map[string]float64{}}
 	var wireSum, treeSum float64
 	for _, f := range e.backend.Layout().Fragments {
-		in, err := e.backend.Scan(f)
+		recs, err := e.calSample(f)
 		if err != nil {
 			return nil, err
-		}
-		recs := in.Records
-		if len(recs) > calSampleRecords {
-			recs = recs[:calSampleRecords]
 		}
 		wb, err := wire.InstanceWireBytes(recs, sch, codec)
 		if err != nil {
@@ -415,6 +411,24 @@ func (e *Endpoint) calibrate(codec wire.Codec) (*shipCalibration, error) {
 		"ratio", strconv.FormatFloat(cal.def, 'f', 3, 64),
 		"millis", formatMillis(time.Since(calStart)))
 	return cal, nil
+}
+
+// calSample returns the first calSampleRecords records of layout fragment
+// f. Over a relational store it builds only those, from a snapshot of the
+// rows; any other backend scans the whole instance.
+func (e *Endpoint) calSample(f *core.Fragment) ([]*xmltree.Node, error) {
+	if st := e.rowStore(); st != nil {
+		rows, err := st.Snapshot(f.Name)
+		if err != nil {
+			return nil, err
+		}
+		return rows.Build(nil, 0, min(rows.Len(), calSampleRecords), &xmltree.Arena{})
+	}
+	in, err := e.backend.Scan(f)
+	if err != nil {
+		return nil, err
+	}
+	return in.Records[:min(len(in.Records), calSampleRecords)], nil
 }
 
 // deltaStatus answers a DeltaStatus probe: when this endpoint holds a warm

@@ -3,6 +3,8 @@ package endpoint
 import (
 	"math"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,8 +13,10 @@ import (
 	"xdx/internal/relstore"
 	"xdx/internal/schema"
 	"xdx/internal/soap"
+	"xdx/internal/telgen"
 	"xdx/internal/wire"
 	"xdx/internal/wsdlx"
+	"xdx/internal/xmark"
 	"xdx/internal/xmltree"
 )
 
@@ -426,6 +430,99 @@ func TestFilteredScanServesEachScanFresh(t *testing.T) {
 		}
 		if recs[0] != recs[1] {
 			t.Errorf("%s: the second Scan's Split shipped %s, the first %s", p.Name, recs[1], recs[0])
+		}
+	}
+}
+
+// treeBackend hides a relational backend's store from the endpoint, so
+// every layout scan builds the fragment's whole instance as trees.
+type treeBackend struct{ *RelBackend }
+
+// calBytes is what one calibration in codec allocates, averaged over runs
+// with the endpoint's cache emptied before each.
+func calBytes(t *testing.T, e *Endpoint, codec wire.Codec) uint64 {
+	t.Helper()
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		e.calCache = map[string]*shipCalibration{}
+		if _, err := e.calibrate(codec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// Over a relational store, calibration builds only its sample records
+// from a row snapshot: on XMark MF and LF and on telgen S, in every codec,
+// its ratios equal those of the scan that builds each whole instance as
+// trees, and what it allocates is set by the sample, not the store — an
+// XMark store four times larger costs it about the same, a small share of
+// what the tree scan costs.
+func TestCalibrateSamplesRows(t *testing.T) {
+	xsch, tsch := xmark.Schema(), telgen.Schema()
+	paperS, err := core.PaperSFragmentation(tsch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var codecs []wire.Codec
+	for _, name := range []string{"xml", "bin", "bin+flate"} {
+		c, err := wire.ParseCodec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codecs = append(codecs, c)
+	}
+	load := func(layout *core.Fragmentation, docs ...*xmltree.Node) *RelBackend {
+		st, err := relstore.NewStore(layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range docs {
+			if err := st.LoadDocument(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return &RelBackend{Store: st, Speed: 1}
+	}
+	auction := func(size int64) *xmltree.Node { return xmark.Generate(xmark.Config{TargetBytes: size, Seed: 3}) }
+	for _, c := range []struct {
+		name string
+		be   *RelBackend
+	}{
+		{"xmark MF", load(core.MostFragmented(xsch), auction(200_000))},
+		{"xmark LF", load(core.LeastFragmented(xsch), auction(200_000))},
+		{"telgen S", load(paperS, telgen.Customers(telgen.Config{Customers: 200, Seed: 3})...)},
+	} {
+		rows, trees := New("rows", c.be, nil), New("trees", treeBackend{c.be}, nil)
+		if rows.rowStore() == nil || trees.rowStore() != nil {
+			t.Fatalf("%s: the row and tree paths are not apart", c.name)
+		}
+		for _, codec := range codecs {
+			got, err := rows.calibrate(codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := trees.calibrate(codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s: rows calibrate %v, trees %v", c.name, codec, got, want)
+			}
+		}
+	}
+	codec := codecs[1]
+	for _, layout := range []*core.Fragmentation{core.MostFragmented(xsch), core.LeastFragmented(xsch)} {
+		small, large := load(layout, auction(250_000)), load(layout, auction(1_000_000))
+		s, l := calBytes(t, New("s", small, nil), codec), calBytes(t, New("l", large, nil), codec)
+		tree := calBytes(t, New("t", treeBackend{large}, nil), codec)
+		t.Logf("%s: %d bytes over the small store, %d over the large, %d from trees", layout.Name, s, l, tree)
+		if l > s+s/2 || l > tree/4 {
+			t.Errorf("%s: calibration allocates %d bytes over a store 4x the size of one it allocates %d over (trees: %d)",
+				layout.Name, l, s, tree)
 		}
 	}
 }

@@ -14,10 +14,11 @@ package reliable
 // meaningless and the exchange falls back to a full re-ship.
 
 import (
+	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"xdx/internal/core"
 	"xdx/internal/hashtab"
@@ -116,49 +117,35 @@ func (r *ReconIndex) Render(stream, epoch, id, base string, edges map[string]Edg
 	return kept
 }
 
-// FNV-1a, 64 bit (hash/fnv's New64a, inlined so hashing a record neither
-// allocates a hasher nor stages the fields in a buffer).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// HashRecord computes a content hash over a record subtree: names, IDs,
+// attributes, text, and child order all contribute, so any visible change
+// to the record changes its hash. Fields are hashed with hashtab.Hash,
+// whose seed is drawn per process; a ReconIndex lives only in memory, so
+// every hash it compares came from this process.
+func HashRecord(rec *xmltree.Node) uint64 { return hashNode(0, rec) }
 
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-// HashRecord computes an FNV-1a content hash over a record subtree: names,
-// IDs, attributes, text, and child order all contribute, so any visible
-// change to the record changes its hash.
-func HashRecord(rec *xmltree.Node) uint64 { return hashNode(fnvOffset64, rec) }
-
-// hashNode folds one node, then its kids in order, into h: NUL-terminated
-// name, ID, PARENT and text, name=value NUL per attribute, the decimal kid
-// count, 0x01. The terminators keep field boundaries in the hash, so
-// moving bytes between adjacent fields changes it.
+// hashNode folds one node, then its kids in order, into h: name, ID,
+// PARENT, text, each attribute's name and value, then the kid count, each
+// field as its own word, so bytes moved between fields change the hash.
 func hashNode(h uint64, n *xmltree.Node) uint64 {
-	h = fnvByte(fnvString(h, n.Name), 0)
-	h = fnvByte(fnvString(h, n.ID), 0)
-	h = fnvByte(fnvString(h, n.Parent), 0)
-	h = fnvByte(fnvString(h, n.Text), 0)
+	h = mix(h, hashtab.Hash(n.Name))
+	h = mix(h, hashtab.Hash(n.ID))
+	h = mix(h, hashtab.Hash(n.Parent))
+	h = mix(h, hashtab.Hash(n.Text))
 	for _, a := range n.Attrs {
-		h = fnvByte(fnvString(h, a.Name), '=')
-		h = fnvByte(fnvString(h, a.Value), 0)
+		h = mix(mix(h, hashtab.Hash(a.Name)), hashtab.Hash(a.Value))
 	}
-	var dec [20]byte
-	for _, c := range strconv.AppendInt(dec[:0], int64(len(n.Kids)), 10) {
-		h = fnvByte(h, c)
-	}
-	h = fnvByte(h, 1)
+	h = mix(h, uint64(len(n.Kids)))
 	for _, k := range n.Kids {
 		h = hashNode(h, k)
 	}
 	return h
+}
+
+// mix folds word v into h by a multiply–xorshift step, which is ordered.
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // HashShipment hashes every record of a materialized shipment: the diff
@@ -195,20 +182,23 @@ type Delta struct {
 // shipped records as instances in Ship. An edge the base lacks ships its
 // fresh instance itself.
 func DiffShipment(out map[string]*core.Instance, base map[string]EdgeHashes) *Delta {
-	d := newDelta(len(out))
-	d.Ship = make(map[string]*core.Instance, len(out))
-	var sc scratch
+	edges := make([]edgeDiff, 0, len(out))
 	for key, in := range out {
-		prev, warm := base[key]
-		ship := in
-		if warm {
-			ship = &core.Instance{Frag: in.Frag}
-		}
-		d.edge(key, in, prev, warm, &sc, func(i int) { ship.Records = append(ship.Records, in.Records[i]) }) // trees build without error
-		d.Ship[key] = ship
-		d.Records += len(ship.Records)
+		edges = append(edges, edgeDiff{key: key, o: core.Outbound{Frag: in.Frag, Recs: in}})
 	}
-	d.vanished(base)
+	d := &Delta{Ship: make(map[string]*core.Instance, len(out))}
+	_ = d.diff(edges, base, func(e *edgeDiff, warm bool) { // trees build without error
+		ship := out[e.key]
+		if warm {
+			recs := make([]*xmltree.Node, len(e.keep))
+			for k, i := range e.keep {
+				recs[k] = ship.Records[i]
+			}
+			ship = &core.Instance{Frag: ship.Frag, Records: recs}
+		}
+		d.Ship[e.key] = ship
+		d.Records += len(ship.Records)
+	})
 	return d
 }
 
@@ -221,30 +211,64 @@ func DiffShipment(out map[string]*core.Instance, base map[string]EdgeHashes) *De
 // it); base positions never seen, and every ID of an edge that vanished
 // from the shipment, become tombstones.
 func DiffRecords(out map[string]core.Outbound, base map[string]EdgeHashes) (*Delta, error) {
-	d := newDelta(len(out))
-	d.Out = make(map[string]core.Outbound, len(out))
-	var sc scratch
+	edges := make([]edgeDiff, 0, len(out))
 	for key, o := range out {
-		prev, warm := base[key]
-		var keep []int
-		if err := d.edge(key, o.Recs, prev, warm, &sc, func(i int) { keep = append(keep, i) }); err != nil {
-			return nil, err
-		}
-		if warm {
-			o.Recs = core.Pick(o.Recs, keep)
-		}
-		d.Out[key] = o
-		d.Records += o.Recs.Len()
+		edges = append(edges, edgeDiff{key: key, o: o})
 	}
-	d.vanished(base)
+	d := &Delta{Out: make(map[string]core.Outbound, len(out))}
+	if err := d.diff(edges, base, func(e *edgeDiff, warm bool) {
+		if warm {
+			e.o.Recs = core.Pick(e.o.Recs, e.keep)
+		}
+		d.Out[e.key] = e.o
+		d.Records += e.o.Recs.Len()
+	}); err != nil {
+		return nil, err
+	}
 	return d, nil
 }
 
-func newDelta(edges int) *Delta {
-	return &Delta{Tombs: make(map[string][]string), Fresh: make(map[string]EdgeHashes, edges)}
+// diff diffs the edges in parallel, largest first, on up to GOMAXPROCS
+// goroutines, each with its own scratch and each edge into its own slot,
+// then merges the slots into d in one serial pass — handing each to ship
+// to file its shipped records — so d is what a serial pass builds.
+func (d *Delta) diff(edges []edgeDiff, base map[string]EdgeHashes, ship func(e *edgeDiff, warm bool)) error {
+	slices.SortFunc(edges, func(a, b edgeDiff) int { return b.o.Recs.Len() - a.o.Recs.Len() })
+	var next atomic.Int64
+	work := func() {
+		var sc scratch
+		for i := int(next.Add(1) - 1); i < len(edges); i = int(next.Add(1) - 1) {
+			edges[i].err = edges[i].diff(base, &sc)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(edges)) - 1 {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
+	d.Tombs, d.Fresh = make(map[string][]string), make(map[string]EdgeHashes, len(edges))
+	for i := range edges {
+		e := &edges[i]
+		if e.err != nil {
+			return e.err
+		}
+		_, warm := base[e.key]
+		ship(e, warm)
+		d.Fresh[e.key] = e.fresh
+		d.tomb(e.key, e.dead)
+		d.Unkeyed = d.Unkeyed || e.unkeyed
+	}
+	for key, prev := range base {
+		if _, live := d.Fresh[key]; !live {
+			d.tomb(key, slices.Clone(prev.IDs))
+		}
+	}
+	return nil
 }
 
-// diffBatch is how many records edge builds into its scratch at a time.
+// diffBatch is how many records a diff builds into its scratch at a time.
 const diffBatch = 256
 
 // scratch is where a diff builds records a batch at a time: the batch,
@@ -254,59 +278,61 @@ type scratch struct {
 	batch []*xmltree.Node
 }
 
-// edge diffs one edge's fresh records against its base entry prev: it
-// files their hashes as the edge's fresh columns, calls ship with the
-// position of each record a warm edge ships — added, changed or without an
-// ID — and tombstones the IDs of prev that no record carries. Records are
-// built a batch at a time into sc.
-func (d *Delta) edge(key string, recs core.Records, prev EdgeHashes, warm bool, sc *scratch, ship func(i int)) error {
-	n := recs.Len()
-	fresh := EdgeHashes{IDs: make([]string, 0, n), Hashes: make([]uint64, 0, n)}
-	fresh.tab.Init(n, 0)
-	seen := make([]bool, len(prev.IDs))
+// edgeDiff is one edge's slot in a diff: its fresh records, and what
+// diffing them against the base edge found.
+type edgeDiff struct {
+	key     string
+	o       core.Outbound
+	fresh   EdgeHashes // the fresh records' hashes
+	keep    []int      // positions a warm edge ships: added, changed or without an ID
+	dead    []string   // IDs of the base edge no fresh record carries
+	unkeyed bool       // a fresh record has no ID
+	err     error
+}
+
+// diff diffs the edge's fresh records, built a batch at a time into sc,
+// against its entry in base.
+func (e *edgeDiff) diff(base map[string]EdgeHashes, sc *scratch) error {
+	prev, warm := base[e.key]
+	n := e.o.Recs.Len()
+	e.fresh = EdgeHashes{IDs: make([]string, 0, n), Hashes: make([]uint64, 0, n)}
+	e.fresh.tab.Init(n, 0)
+	seen, nseen := make([]bool, len(prev.IDs)), 0
 	for lo := 0; lo < n; lo += diffBatch {
 		var err error
-		if sc.batch, err = recs.Build(sc.batch[:0], lo, min(n, lo+diffBatch), &sc.arena); err != nil {
+		if sc.batch, err = e.o.Recs.Build(sc.batch[:0], lo, min(n, lo+diffBatch), &sc.arena); err != nil {
 			return err
 		}
 		for k, rec := range sc.batch {
 			if rec.ID == "" {
-				d.Unkeyed = true
+				e.unkeyed = true
 				if warm {
-					ship(lo + k)
+					e.keep = hashtab.Append(e.keep, lo+k)
 				}
 				continue
 			}
 			hid, h := hashtab.Hash(rec.ID), HashRecord(rec)
 			p := prev.find(hid, rec.ID)
-			if p >= 0 {
+			if p >= 0 && !seen[p] {
 				seen[p] = true
+				nseen++
 			}
 			if warm && (p < 0 || prev.Hashes[p] != h) {
-				ship(lo + k)
+				e.keep = hashtab.Append(e.keep, lo+k)
 			}
-			fresh.file(hid, rec.ID, h)
+			e.fresh.file(hid, rec.ID, h)
 		}
 		sc.arena.Reset()
 	}
-	d.Fresh[key] = fresh
-	var dead []string
-	for p, id := range prev.IDs {
-		if !seen[p] {
-			dead = append(dead, id)
+	if nseen < len(prev.IDs) {
+		e.dead = make([]string, 0, len(prev.IDs)-nseen)
+		for p, id := range prev.IDs {
+			if !seen[p] {
+				e.dead = append(e.dead, id)
+			}
 		}
 	}
-	d.tomb(key, dead)
 	return nil
-}
-
-// vanished tombstones every ID of the base edges the fresh shipment lacks.
-func (d *Delta) vanished(base map[string]EdgeHashes) {
-	for key, prev := range base {
-		if _, live := d.Fresh[key]; !live {
-			d.tomb(key, slices.Clone(prev.IDs))
-		}
-	}
 }
 
 // tomb files an edge's dead IDs, sorted, unless there are none.

@@ -1,7 +1,6 @@
 package reliable
 
 import (
-	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -51,54 +50,66 @@ func TestHashRecordSensitivity(t *testing.T) {
 	}
 }
 
-// refHashRecord is the hash/fnv formulation HashRecord was first written
-// as; the inlined FNV-1a must stay bit-identical to it.
-func refHashRecord(rec *xmltree.Node) uint64 {
-	h := fnv.New64a()
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		for _, f := range []string{n.Name, n.ID, n.Parent, n.Text} {
-			h.Write([]byte(f))
-			h.Write([]byte{0})
-		}
-		for _, a := range n.Attrs {
-			h.Write([]byte(a.Name + "=" + a.Value))
-			h.Write([]byte{0})
-		}
-		h.Write([]byte(strconv.Itoa(len(n.Kids))))
-		h.Write([]byte{1})
-		for _, k := range n.Kids {
-			walk(k)
-		}
-	}
-	walk(rec)
-	return h.Sum64()
-}
-
-func TestHashRecordMatchesFNVReference(t *testing.T) {
+// Every field is hashed on its own and folded in order, so over seeded
+// random records each of these changes the hash: bytes moved between
+// adjacent fields (name and ID, ID and PARENT, an attribute's name and
+// value), an attribute added or two swapped, two kids swapped, text moved
+// into a kid, and a kid count changed over the same bytes (a node's second
+// kid moved under its first).
+func TestHashRecordFoldsEachField(t *testing.T) {
 	rng := rand.New(rand.NewSource(20040330))
 	str := func() string {
-		b := make([]byte, rng.Intn(12))
+		b := make([]byte, 1+rng.Intn(8))
 		rng.Read(b)
 		return string(b)
 	}
 	var gen func(depth int) *xmltree.Node
 	gen = func(depth int) *xmltree.Node {
 		n := &xmltree.Node{Name: str(), ID: str(), Parent: str(), Text: str()}
-		for i := rng.Intn(3); i > 0; i-- {
+		for i := 2 + rng.Intn(2); i > 0; i-- {
 			n.Attrs = append(n.Attrs, xmltree.Attr{Name: str(), Value: str()})
 		}
-		if depth < 4 {
-			for i := rng.Intn(13); i > 0; i-- { // two-digit kid counts included
+		if depth < 3 {
+			for i := 2 + rng.Intn(3); i > 0; i-- {
 				n.Kids = append(n.Kids, gen(depth+1))
 			}
 		}
 		return n
 	}
-	for i := 0; i < 200; i++ {
-		rec := gen(0)
-		if got, want := HashRecord(rec), refHashRecord(rec); got != want {
-			t.Fatalf("record %d: HashRecord %#x, hash/fnv reference %#x", i, got, want)
+	shift := func(a, b *string) { *a, *b = *a+(*b)[:1], (*b)[1:] } // one byte from b's head to a's tail
+	for _, c := range []struct {
+		name string
+		mut  func(n *xmltree.Node)
+	}{
+		{"byte moved from ID to name", func(n *xmltree.Node) { shift(&n.Name, &n.ID) }},
+		{"byte moved from PARENT to ID", func(n *xmltree.Node) { shift(&n.ID, &n.Parent) }},
+		{"byte moved from attribute value to name", func(n *xmltree.Node) { shift(&n.Attrs[0].Name, &n.Attrs[0].Value) }},
+		{"attribute added", func(n *xmltree.Node) { n.Attrs = append(n.Attrs, xmltree.Attr{Name: "x", Value: ""}) }},
+		{"attributes swapped", func(n *xmltree.Node) { n.Attrs[0], n.Attrs[1] = n.Attrs[1], n.Attrs[0] }},
+		{"kids swapped", func(n *xmltree.Node) { n.Kids[0], n.Kids[1] = n.Kids[1], n.Kids[0] }},
+		{"text moved into a kid", func(n *xmltree.Node) {
+			n.Kids[0].Text = n.Text + n.Kids[0].Text
+			n.Text = ""
+		}},
+		{"kid count changed over the same bytes", func(n *xmltree.Node) {
+			last := n.Kids[0]
+			for len(last.Kids) > 0 {
+				last = last.Kids[len(last.Kids)-1]
+			}
+			last.Kids = append(last.Kids, n.Kids[1])
+			n.Kids = append(n.Kids[:1], n.Kids[2:]...)
+		}},
+	} {
+		for i := 0; i < 200; i++ {
+			rec := gen(0)
+			want := HashRecord(rec)
+			if HashRecord(rec) != want {
+				t.Fatalf("record %d: hash not deterministic", i)
+			}
+			c.mut(rec)
+			if HashRecord(rec) == want {
+				t.Fatalf("record %d: %s left the hash at %#x", i, c.name, want)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"xdx/internal/core"
@@ -204,4 +205,110 @@ func TestRowsEmitMatchesTrees(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The parallel diff is the serial one: DiffRecords with GOMAXPROCS at 4
+// files exactly what it files at 1 — each edge's shipped positions, the
+// tombstones, the fresh IDs and hashes in shipment order, the counts and
+// the unkeyed flag. The shipment is every table of an XMark MF and a
+// telgen S store, half as row snapshots and half as trees, plus a tree
+// edge that repeats IDs and, in its last round, holds a record without
+// one; it is diffed cold, then warm against the last round's hashes, to
+// which an edge the shipment lacks is added, over two churn rounds.
+func TestDiffRecordsParallelMatchesSerial(t *testing.T) {
+	xsch, tsch := xmark.Schema(), telgen.Schema()
+	paperS, err := core.PaperSFragmentation(tsch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paperT, err := core.PaperTFragmentation(tsch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		sch           *schema.Schema
+		edges, layout *core.Fragmentation
+		docs          []*xmltree.Node
+	}{
+		{"xmark MF", xsch, core.LeastFragmented(xsch), core.MostFragmented(xsch),
+			[]*xmltree.Node{xmark.Generate(xmark.Config{TargetBytes: 40_000, Seed: 7})}},
+		{"telgen S", tsch, paperT, paperS, telgen.Customers(telgen.Config{Customers: 20, Seed: 7})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			docs := cloneDocs(c.docs)
+			for _, d := range docs {
+				stripLeafIDs(c.edges, d)
+			}
+			st := loadDocs(t, c.layout, docs)
+			rng := rand.New(rand.NewSource(1))
+			var base map[string]reliable.EdgeHashes
+			for round := 0; round < 3; round++ {
+				if round > 0 {
+					before := cloneDocs(docs)
+					churnDocs(c.sch, docs, rng, 0.1, round)
+					for _, d := range docs {
+						stripLeafIDs(c.edges, d)
+					}
+					if _, err := st.ApplyDelta(st.Generation(), deltaEdits(t, c.edges, before, docs)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				trees, rows := storeShipment(t, st)
+				ship := map[string]core.Outbound{}
+				var odd []*xmltree.Node
+				for i, name := range st.Tables() {
+					ship[name] = rows[name]
+					if i%2 == 1 {
+						ship[name] = core.Outbound{Frag: trees[name].Frag, Recs: trees[name]}
+					}
+					for _, rec := range trees[name].Records[:min(3, len(trees[name].Records))] {
+						again := rec.Clone()
+						again.Text += "again"
+						odd = append(odd, rec, again)
+					}
+				}
+				if round == 2 {
+					odd = append(odd, &xmltree.Node{Name: "anon", Text: "no id"})
+				}
+				ship["odd"] = core.Outbound{Recs: &core.Instance{Records: odd}}
+
+				serial, parallel := diffAt(t, 1, ship, base), diffAt(t, 4, ship, base)
+				if !reflect.DeepEqual(serial.Out, parallel.Out) {
+					t.Fatalf("round %d: the edges ship different positions", round)
+				}
+				if !reflect.DeepEqual(serial.Tombs, parallel.Tombs) {
+					t.Fatalf("round %d: tombstones %v serial, %v parallel", round, serial.Tombs, parallel.Tombs)
+				}
+				if !reflect.DeepEqual(serial.Fresh, parallel.Fresh) {
+					t.Fatalf("round %d: the fresh hashes differ", round)
+				}
+				if serial.Records != parallel.Records || serial.Tombstones != parallel.Tombstones || serial.Unkeyed != parallel.Unkeyed {
+					t.Fatalf("round %d: %d records %d tombstones unkeyed %v serial, %d %d %v parallel", round,
+						serial.Records, serial.Tombstones, serial.Unkeyed, parallel.Records, parallel.Tombstones, parallel.Unkeyed)
+				}
+				if round == 2 && !serial.Unkeyed {
+					t.Fatal("a record without an ID left the shipment keyed")
+				}
+				if round > 0 && (serial.Tombs["vanished"] == nil || serial.Records == 0) {
+					t.Fatalf("round %d: a warm diff shipped %d records and tombstoned %v of the vanished edge",
+						round, serial.Records, serial.Tombs["vanished"])
+				}
+				base = serial.Fresh
+				gone, _ := reliable.HashShipment(map[string]*core.Instance{"vanished": {Records: odd[:4]}})
+				base["vanished"] = gone["vanished"]
+			}
+		})
+	}
+}
+
+// diffAt runs DiffRecords with GOMAXPROCS at procs.
+func diffAt(t *testing.T, procs int, ship map[string]core.Outbound, base map[string]reliable.EdgeHashes) *reliable.Delta {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	d, err := reliable.DiffRecords(ship, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -3,8 +3,8 @@
 # BenchmarkShipmentCodecParallel, BenchmarkShipmentCodecStream,
 # BenchmarkReliableExchangeDurable/batch,
 # BenchmarkChainedCombine/spread/k=8, BenchmarkSubstrate_Parse,
-# BenchmarkTable4_LoadIndex_MF, BenchmarkDiffShipment, BenchmarkApplyDelta
-# and BenchmarkSourceRender, compared against
+# BenchmarkTable4_LoadIndex_MF, BenchmarkDiffShipment, BenchmarkApplyDelta,
+# BenchmarkSourceRender and BenchmarkDeltaRender, compared against
 # the committed baselines below. The first is the in-process end-to-end
 # path — row slabs, splitter and shredder arenas, pooled codec state; the
 # second is
@@ -40,7 +40,12 @@
 # shipment, whose ship-only Scans build each chunk's records from a row
 # snapshot into a pooled scratch — bytes gated too, since a render that
 # held a tree per shipped record again would cost the document's size in
-# bytes while its slab-carved nodes barely move the allocation count. A >25%
+# bytes while its slab-carved nodes barely move the allocation count; the
+# eleventh is a source's warm 1 % churn delta render of the 2.5 MB XMark
+# MF store, the live path's reconciliation — row snapshots diffed edge by
+# edge on every core — which the eighth row, over trees only, cannot see;
+# bytes gated too, since each diffing goroutine's scratch and every
+# edge's slot must cost per edge and per worker, not per record. A >25%
 # allocs/op (or, where gated, B/op) regression on any of them means someone
 # reintroduced a per-record allocation, and the gate should say so before a
 # slow benchmark run does. Wall-clock is deliberately not checked —
@@ -96,7 +101,11 @@ cd "$(dirname "$0")/.."
 # re-taken from 1771850 (direct-delivery) at the top of that range;
 # SourceRender is new there and reads 767-794 allocs/op and
 # 1636522-1675981 B/op over seven runs (the same loop over ScanFragment's
-# trees read 751-784 and 4482448-4578514 at 6349adc).
+# trees read 751-784 and 4482448-4578514 at 6349adc). "parallel-diff" is
+# the commit that follows 48b9be0 and diffs a shipment's edges in parallel
+# with a field-at-a-time record hash: DeltaRender is new there and reads
+# 645-650 allocs/op and 5098786-5119104 B/op over six runs at 3x on 2 CPUs
+# (the same loop read 701-702 and 5074272-5074387 at 48b9be0).
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
 SHIPMENT_CODEC_STREAM=188            # window-lexer, 20x
@@ -112,6 +121,8 @@ APPLY_DELTA=1100                     # row-edit-delta, 3x
 APPLY_DELTA_BYTES=624680             # row-edit-delta, 3x
 SOURCE_RENDER=794                    # row-render, 3x
 SOURCE_RENDER_BYTES=1675981          # row-render, 3x
+DELTA_RENDER=650                     # parallel-diff, 3x
+DELTA_RENDER_BYTES=5119104           # parallel-diff, 3x
 
 # gate NAME UNIT BASE OUTPUT: read UNIT off the benchmark OUTPUT and fail
 # when it exceeds BASE by more than 25%.
@@ -151,3 +162,4 @@ check Table4_LoadIndex_MF . "$TABLE4_LOAD_INDEX_MF" 10x "$TABLE4_LOAD_INDEX_MF_B
 check DiffShipment ./internal/reliable/ "$DIFF_SHIPMENT" 3x "$DIFF_SHIPMENT_BYTES"
 check ApplyDelta ./internal/relstore/ "$APPLY_DELTA" 3x "$APPLY_DELTA_BYTES"
 check SourceRender ./internal/endpoint/ "$SOURCE_RENDER" 3x "$SOURCE_RENDER_BYTES"
+check DeltaRender ./internal/endpoint/ "$DELTA_RENDER" 3x "$DELTA_RENDER_BYTES"

@@ -26,10 +26,10 @@ echo "non-test Go lines outside benchmark/: $(./scripts/loc.sh)"
 # without turning it into a performance run.
 make bench-smoke
 
-# Allocation-regression smoke: ten benchmarks must stay within 25% of the
+# Allocation-regression smoke: eleven benchmarks must stay within 25% of the
 # allocs/op baselines recorded in the script, and Table 4's load-then-index
 # row, the reconciliation row, the journaled exchange row, the delta apply
-# row and the source render row within 25% of their B/op baselines too — the arena/slab
+# row and the two source render rows within 25% of their B/op baselines too — the arena/slab
 # teardown and an apply that costs the churn, not the store, are
 # merge-gated properties, not one-off numbers.
 ./scripts/alloc_smoke.sh
@@ -53,12 +53,12 @@ make soak
 # base ship cold), the stale-delta arm (a delta that does not fit the rows
 # falls back before any row changes), the store's row-edit apply held to a
 # reload, overlapping deltas taking the base once, the one-pass
-# reconciliation held to the map-based reference over seeded shipments, and
+# reconciliation held to the map-based reference over seeded shipments,
 # chunks and diffs built from row snapshots held byte for byte to the trees
-# ScanFragment builds, re-run without the race detector as a fast
+# ScanFragment builds, and the parallel diff held to the serial one, re-run without the race detector as a fast
 # standalone gate — a delta that ships the wrong records must never reach a
 # snapshot run.
-go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference|TestRowsEmitMatchesTrees' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
+go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference|TestRowsEmitMatchesTrees|TestDiffRecordsParallelMatchesSerial' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,
 # restart it over the same WAL directory, and the reliable exchange must
