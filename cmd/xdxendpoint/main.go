@@ -20,7 +20,6 @@ import (
 	"xdx/internal/core"
 	"xdx/internal/durable"
 	"xdx/internal/endpoint"
-	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/relstore"
 	"xdx/internal/soap"
@@ -36,12 +35,6 @@ func main() {
 	name := flag.String("name", "endpoint", "endpoint name")
 	speed := flag.Float64("speed", 1, "relative processing speed reported to cost probes")
 	dumb := flag.Bool("dumb", false, "refuse to run Combine (dumb client)")
-	faultSeed := flag.Int64("fault-seed", 0, "seed for injected faults (reproducible chaos runs)")
-	faultDrop := flag.Float64("fault-drop", 0, "probability a request is aborted before any response")
-	faultTruncate := flag.Float64("fault-truncate", 0, "probability a request or response is torn mid-stream")
-	faultStall := flag.Float64("fault-stall", 0, "probability a response stalls once before continuing")
-	fault5xx := flag.Float64("fault-5xx", 0, "probability a request is answered with a plain 503")
-	faultMaxTruncate := flag.Int("fault-max-truncate", 0, "max bytes before a truncation cut (0 = default 4096)")
 	noDelta := flag.Bool("no-delta", false, "retain no delta bases: DeltaStatus always answers cold, so sources ship full snapshots")
 	walDir := flag.String("wal-dir", "", "directory for the session write-ahead log; on start, journaled sessions are recovered so interrupted exchanges resume (empty = memory-only)")
 	fsyncPolicy := flag.String("fsync", "batch", "WAL sync policy: batch (group commit: a chunk is acked only after its group's fsync) or off (the same groups, no fsync)")
@@ -144,26 +137,8 @@ func main() {
 	stopSweep := ep.Sessions().StartSweeper(0)
 	defer stopSweep()
 
-	soapH := http.Handler(ep.Handler())
-	faults := netsim.Faults{
-		Seed:         *faultSeed,
-		DropProb:     *faultDrop,
-		TruncateProb: *faultTruncate,
-		StallProb:    *faultStall,
-		HTTP5xxProb:  *fault5xx,
-		MaxTruncate:  *faultMaxTruncate,
-	}
-	if faults.DropProb > 0 || faults.TruncateProb > 0 || faults.StallProb > 0 || faults.HTTP5xxProb > 0 {
-		fl := netsim.NewFaultyLink(netsim.Loopback(), faults)
-		if metrics != nil {
-			fl.OnFault = func(kind string) { metrics.Counter("netsim.faults." + kind).Inc() }
-		}
-		soapH = fl.Middleware(soapH)
-		log.Printf("xdxendpoint: injecting %s", faults)
-	}
-
 	mux := http.NewServeMux()
-	mux.Handle("/soap", soapH)
+	mux.Handle("/soap", ep.Handler())
 	mux.HandleFunc("/wsdl", func(w http.ResponseWriter, r *http.Request) {
 		data, err := defs.Marshal()
 		if err != nil {

@@ -34,10 +34,16 @@ func TestFilterSourcesByCustomer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, in := range kept {
-		if in.Rows() != srcA[name].Rows() {
-			t.Errorf("fragment %q kept %d rows, want %d", name, in.Rows(), srcA[name].Rows())
+	trees := map[string]*Instance{}
+	for name, recs := range kept {
+		if recs.Len() != srcA[name].Rows() {
+			t.Errorf("fragment %q kept %d records, want %d", name, recs.Len(), srcA[name].Rows())
 		}
+		held, err := recs.Build(nil, 0, recs.Len(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[name] = &Instance{Frag: merged[name].Frag, Records: held}
 	}
 	// The filtered sources still execute and reassemble to Ann's document.
 	m, _ := NewMapping(fr, tFragmentation(t, sch))
@@ -45,7 +51,7 @@ func TestFilterSourcesByCustomer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(g, sch, kept)
+	res, err := Execute(g, sch, trees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +88,9 @@ func TestFilterSourcesNilPredicateKeepsAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, in := range kept {
-		if in.Rows() != src[name].Rows() {
-			t.Errorf("fragment %q lost rows with nil predicate", name)
+	for name, recs := range kept {
+		if recs != Records(src[name]) {
+			t.Errorf("fragment %q lost records with nil predicate", name)
 		}
 	}
 }

@@ -101,7 +101,13 @@ func TestCombinePaperExample(t *testing.T) {
 		t.Errorf("merged rows = %d, want 1", merged.Rows())
 	}
 	rec := merged.Records[0]
-	if got := len(rec.FindAll("Order", nil)); got != 2 {
+	orders := 0
+	for _, k := range rec.Kids {
+		if k.Name == "Order" {
+			orders++
+		}
+	}
+	if got := orders; got != 2 {
 		t.Errorf("combined customer has %d orders, want 2", got)
 	}
 	// Schema order: CustName before Order.

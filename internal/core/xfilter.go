@@ -131,13 +131,17 @@ func parseFilterLiteral(s string) (string, error) {
 	return s, nil
 }
 
-// Match evaluates the filter against one record tree.
+// Match evaluates the filter against one record tree: its first step
+// anywhere in the record, the rest below it.
 func (f *Filter) Match(rec *xmltree.Node) bool {
 	if rec == nil {
 		return false
 	}
-	for _, a := range rec.FindAll(f.steps[0], nil) {
-		if f.matchFrom(a, f.steps[1:]) {
+	if rec.Name == f.steps[0] && f.matchFrom(rec, f.steps[1:]) {
+		return true
+	}
+	for _, k := range rec.Kids {
+		if f.Match(k) {
 			return true
 		}
 	}

@@ -138,9 +138,9 @@ func TestFilterSourcesWithCompiledFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, in := range kept {
-		if in.Rows() != 0 {
-			t.Errorf("fragment %q kept %d rows for a non-matching filter", name, in.Rows())
+	for name, recs := range kept {
+		if recs.Len() != 0 {
+			t.Errorf("fragment %q kept %d records for a non-matching filter", name, recs.Len())
 		}
 	}
 }

@@ -533,62 +533,88 @@ func (e *Endpoint) layoutFrag(f *core.Fragment) (*core.Fragment, error) {
 	return nil, fmt.Errorf("endpoint %s: no layout fragment matching %q", e.Name, f.Name)
 }
 
-// scanByElems scans the layout fragment a plan fragment names.
-func (e *Endpoint) scanByElems(f *core.Fragment) (*core.Instance, error) {
-	lf, err := e.layoutFrag(f)
-	if err != nil {
-		return nil, err
-	}
-	in, err := e.backend.Scan(lf)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Instance{Frag: f, Records: in.Records}, nil
-}
-
 // sourceScan resolves the scans an ExecuteSource request's slice runs
-// over: a compiled pushdown filter (the filter attribute, §3.2's service
-// arguments generalized to comparisons) when the request carries one —
-// the system "filters the data accordingly and provides the relevant
-// pieces" — plain layout scans otherwise. Over a relational store, a Scan
-// whose fragment only ships (see shipOnly) takes a Snapshot of its rows
-// instead of building trees: it hands the slice an empty instance and
-// files the snapshot under the fragment, for the render to ship.
-func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignment) (func(*core.Fragment) (*core.Instance, error), map[*core.Fragment]*relstore.Rows, error) {
+// over. Each layout fragment's records are taken once: a Snapshot of its
+// rows over a relational store, the backend's Scan otherwise. A request
+// naming a filter (the filter attribute, §3.2's service arguments
+// generalized to comparisons: the system "filters the data accordingly and
+// provides the relevant pieces") has them trimmed to the records its root
+// records reach (core.FilterSources). A Scan whose fragment only ships
+// (see shipOnly) hands the slice an empty instance and files the records
+// under the fragment, for the render to ship; any other Scan gets trees of
+// its own (see trees).
+func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignment) (func(*core.Fragment) (*core.Instance, error), map[*core.Fragment]core.Records, error) {
+	layout := e.backend.Layout()
+	take := func(lf *core.Fragment) (core.Records, error) {
+		if st := e.rowStore(); st != nil {
+			return st.Snapshot(lf.Name)
+		}
+		return e.backend.Scan(lf)
+	}
+	taken := map[*core.Fragment]core.Records{}
 	if expr, ok := req.Attr("filter"); ok && expr != "" {
-		f, err := core.CompileFilter(expr, e.backend.Layout().Schema)
+		f, err := core.CompileFilter(expr, layout.Schema)
+		if err == nil {
+			// A filter whose path lies outside this layout's root fragment
+			// can never match a root record; fault loudly rather than
+			// serve an exchange that silently shipped nothing.
+			err = f.CheckRoot(layout)
+		}
 		if err != nil {
 			return nil, nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 		}
-		// A filter whose path lies outside this layout's root fragment can
-		// never match a root record; fault loudly rather than serve an
-		// exchange that silently shipped nothing.
-		if err := f.CheckRoot(e.backend.Layout()); err != nil {
-			return nil, nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
-		}
 		e.met.Counter("endpoint.source.filtered").Inc()
-		scan, err := e.filteredScan(f.Predicate())
-		return scan, nil, err
-	}
-	st := e.rowStore()
-	if st == nil {
-		return e.scanByElems, nil, nil
+		all := make(map[string]core.Records, layout.Len())
+		for _, lf := range layout.Fragments {
+			if all[lf.Name], err = take(lf); err != nil {
+				return nil, nil, err
+			}
+		}
+		kept, err := core.FilterSources(layout, all, f.Predicate())
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, lf := range layout.Fragments {
+			taken[lf] = kept[lf.Name]
+		}
 	}
 	only := shipOnly(g, a)
-	rows := map[*core.Fragment]*relstore.Rows{}
+	ship := map[*core.Fragment]core.Records{}
 	return func(f *core.Fragment) (*core.Instance, error) {
-		if !only[f] {
-			return e.scanByElems(f)
-		}
 		lf, err := e.layoutFrag(f)
 		if err != nil {
 			return nil, err
 		}
-		if rows[f], err = st.Snapshot(lf.Name); err != nil {
-			return nil, err
+		recs := taken[lf]
+		if recs == nil {
+			if recs, err = take(lf); err != nil {
+				return nil, err
+			}
+			taken[lf] = recs
 		}
-		return &core.Instance{Frag: f}, nil
-	}, rows, nil
+		if only[f] {
+			ship[f] = recs
+			return &core.Instance{Frag: f}, nil
+		}
+		return e.trees(f, recs)
+	}, ship, nil
+}
+
+// trees returns a Scan's records as an instance of f for the slice, which
+// consumes what it is served (Combine attaches into its records and Split
+// cuts them): built from rows — a whole snapshot into one arena sized by
+// its rows, as ScanFragment builds it — or a Share view of records held
+// as trees, so every Scan of a fragment reads them pristine.
+func (e *Endpoint) trees(f *core.Fragment, recs core.Records) (*core.Instance, error) {
+	if e.rowStore() == nil {
+		held, err := recs.Build(make([]*xmltree.Node, 0, recs.Len()), 0, recs.Len(), nil)
+		return (&core.Instance{Frag: f, Records: held}).Share(), err
+	}
+	if rows, ok := recs.(*relstore.Rows); ok {
+		return rows.Instance(f)
+	}
+	built, err := recs.Build(make([]*xmltree.Node, 0, recs.Len()), 0, recs.Len(), &xmltree.Arena{})
+	return &core.Instance{Frag: f, Records: built}, err
 }
 
 // shipOnly reports, by fragment, whether every source Scan of it feeds
@@ -603,45 +629,6 @@ func shipOnly(g *core.Graph, a core.Assignment) map[*core.Fragment]bool {
 		}
 	}
 	return only
-}
-
-// filteredScan materializes the whole layout once, trims it consistently
-// to the root records keep accepts, and serves program Scans from the
-// trimmed instances. The slice consumes each instance it is served, so a
-// program that scans one fragment twice gets a fresh materialization the
-// second time.
-func (e *Endpoint) filteredScan(keep func(*xmltree.Node) bool) (func(*core.Fragment) (*core.Instance, error), error) {
-	layout := e.backend.Layout()
-	sources := make(map[string]*core.Instance, layout.Len())
-	for _, f := range layout.Fragments {
-		in, err := e.backend.Scan(f)
-		if err != nil {
-			return nil, err
-		}
-		sources[f.Name] = in
-	}
-	kept, err := core.FilterSources(layout, sources, keep)
-	if err != nil {
-		return nil, err
-	}
-	served := make(map[string]bool, len(kept))
-	return func(f *core.Fragment) (*core.Instance, error) {
-		for name, in := range kept {
-			if !in.Frag.SameElems(f) {
-				continue
-			}
-			if served[name] {
-				again, err := e.filteredScan(keep)
-				if err != nil {
-					return nil, err
-				}
-				return again(f)
-			}
-			served[name] = true
-			return &core.Instance{Frag: f, Records: in.Records}, nil
-		}
-		return nil, fmt.Errorf("endpoint %s: no layout fragment matching %q", e.Name, f.Name)
-	}, nil
 }
 
 // programChild returns a request's <program> child, nil when it has none.

@@ -1,10 +1,12 @@
 package endpoint
 
 import (
+	"bytes"
 	"math"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -369,11 +371,21 @@ func TestParseMillis(t *testing.T) {
 // TestFilteredScanServesEachScanFresh: the slice consumes what a Scan
 // serves — Split cuts the records it is given in place — so a filtered
 // program that scans one fragment twice must get the pristine filtered
-// records both times, not the records the first Split already cut.
+// records both times, not the records the first Split already cut: built
+// anew from rows over a relational store, a Share view of the trees any
+// other backend holds.
 func TestFilteredScanServesEachScanFresh(t *testing.T) {
 	sch := schema.CustomerInfo()
 	fr := tFrag(t, sch)
-	c, done := startEndpoint(t, &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true})
+	rel := &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true}
+	t.Run("rows", func(t *testing.T) { filteredScanServesEachScanFresh(t, rel) })
+	t.Run("trees", func(t *testing.T) { filteredScanServesEachScanFresh(t, treeBackend{rel}) })
+}
+
+func filteredScanServesEachScanFresh(t *testing.T, be Backend) {
+	sch := be.Layout().Schema
+	fr := be.Layout()
+	c, done := startEndpoint(t, be)
 	defer done()
 	order := fr.Fragments[1]
 	top, err := core.NewFragment(sch, "OrderOnly", []string{"Order"})
@@ -523,6 +535,140 @@ func TestCalibrateSamplesRows(t *testing.T) {
 		if l > s+s/2 || l > tree/4 {
 			t.Errorf("%s: calibration allocates %d bytes over a store 4x the size of one it allocates %d over (trees: %d)",
 				layout.Name, l, s, tree)
+		}
+	}
+}
+
+// A filtered render over rows ships what the tree path ships. On telgen S
+// (filters keeping no customer, one, and every one) and XMark MF (whose
+// one root record the existence filter "site" keeps), with Scans that only
+// ship and with Scans that feed source ops (Splits and Combines of
+// telgen S→T, Combines of XMark MF→LF), in xml and bin, the shipment's
+// bytes and PayloadBytes over a relational store equal those over
+// treeBackend, whose every scan builds trees; a filter keeping every root
+// ships what no filter does, and one keeping none ships no record.
+func TestFilteredScanMatchesTreePath(t *testing.T) {
+	tsch, xsch := telgen.Schema(), xmark.Schema()
+	paperS, err := core.PaperSFragmentation(tsch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paperT, err := core.PaperTFragmentation(tsch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	customers := telgen.Customers(telgen.Config{Customers: 12, Seed: 9})
+	for i, d := range customers {
+		d.Find("CustName").Text = "c" + strconv.Itoa(i)
+	}
+	load := func(layout *core.Fragmentation, docs ...*xmltree.Node) *RelBackend {
+		st, err := relstore.NewStore(layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range docs {
+			if err := st.LoadDocument(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return &RelBackend{Store: st, Speed: 1, CanCombine: true}
+	}
+	var codecs []wire.Codec
+	for _, name := range []string{"xml", "bin"} {
+		c, err := wire.ParseCodec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codecs = append(codecs, c)
+	}
+	for _, c := range []struct {
+		name           string
+		be             *RelBackend
+		target         *core.Fragmentation
+		none, one, all string
+	}{
+		{"telgen S", load(paperS, customers...), paperT, `CustName = "nobody"`, `CustName = "c7"`, `CustName != "nobody"`},
+		{"xmark MF", load(core.MostFragmented(xsch), xmark.Generate(xmark.Config{TargetBytes: 40_000, Seed: 9})), core.LeastFragmented(xsch), "", "site", "site"},
+	} {
+		rows, trees := New("rows", c.be, nil), New("trees", treeBackend{c.be}, nil)
+		if rows.rowStore() == nil || trees.rowStore() != nil {
+			t.Fatalf("%s: the row and tree paths are not apart", c.name)
+		}
+		m, err := core.NewMapping(c.be.Layout(), c.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := core.CanonicalProgram(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, placement := range []string{"ship-only", "op-read"} {
+			a := core.NewAssignment(g)
+			for _, op := range g.Ops {
+				a[op.ID] = core.LocTarget
+				if op.Kind == core.OpScan || placement == "op-read" && op.Kind != core.OpWrite {
+					a[op.ID] = core.LocSource
+				}
+			}
+			read := 0
+			for _, ship := range shipOnly(g, a) {
+				if !ship {
+					read++
+				}
+			}
+			if (read == 0) != (placement == "ship-only") {
+				t.Fatalf("%s, %s: %d Scans feed a source op", c.name, placement, read)
+			}
+			for _, codec := range codecs {
+				ship := func(e *Endpoint, filter string) ([]byte, int64, int) {
+					t.Helper()
+					req := &xmltree.Node{Name: "ExecuteSource"}
+					if filter != "" {
+						req.SetAttr("filter", filter)
+					}
+					r, err := e.renderSource(req, g, a, delivery{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := 0
+					for _, o := range r.ship {
+						n += o.Recs.Len()
+					}
+					var buf bytes.Buffer
+					sw := wire.NewShipmentWriterCodec(&buf, c.be.Layout().Schema, codec)
+					sw.SetChunk(16, 0)
+					if err := wire.EmitShipment(sw, r.ship); err != nil {
+						t.Fatal(err)
+					}
+					if err := sw.Close(); err != nil {
+						t.Fatal(err)
+					}
+					return buf.Bytes(), sw.PayloadBytes(), n
+				}
+				unfiltered, _, _ := ship(rows, "")
+				for _, f := range []string{c.none, c.one, c.all} {
+					if f == "" {
+						continue
+					}
+					gotB, gotP, n := ship(rows, f)
+					wantB, wantP, _ := ship(trees, f)
+					if !bytes.Equal(gotB, wantB) || gotP != wantP {
+						t.Errorf("%s, %s, %s, filter %q: rows shipped %d bytes (payload %d), trees %d (payload %d)",
+							c.name, placement, codec, f, len(gotB), gotP, len(wantB), wantP)
+					}
+					if f == c.all && !bytes.Equal(gotB, unfiltered) {
+						t.Errorf("%s, %s, %s: filter %q keeps every root but shipped %d bytes, no filter %d",
+							c.name, placement, codec, f, len(gotB), len(unfiltered))
+					}
+					if f == c.none && n != 0 {
+						t.Errorf("%s, %s, %s: filter %q keeps no root but shipped %d records", c.name, placement, codec, f, n)
+					}
+					if f == c.one && f != c.all && (n == 0 || len(gotB) >= len(unfiltered)) {
+						t.Errorf("%s, %s, %s: filter %q shipped %d records in %d bytes, no filter %d bytes",
+							c.name, placement, codec, f, n, len(gotB), len(unfiltered))
+					}
+				}
+			}
 		}
 	}
 }

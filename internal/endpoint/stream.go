@@ -116,9 +116,10 @@ func parseDelivery(req *xmltree.Node) (delivery, error) {
 // delta's tombstones, and the reconciliation outcome the agency reads on
 // <timing>. Every attempt of the session ships its chunks from this one
 // render, so a resumed delivery completes exactly the shipment its first
-// attempt began. A Scan that only ships its fragment is held as a snapshot
-// of the store's rows, not as trees: each chunk's records are built as the
-// chunk is encoded, and the rows a snapshot holds never change.
+// attempt began. A Scan that only ships its fragment is held as the
+// records it took — over a relational store a snapshot of the rows, or a
+// filter's Pick of them — not as trees: each chunk's records are built as
+// the chunk is encoded, and the rows a snapshot holds never change.
 type sourceRender struct {
 	ship     map[string]core.Outbound
 	tombs    map[string][]string
@@ -229,7 +230,7 @@ func (r *targetReply) EndElement(string) error { return nil }
 // them so the session ledger checkpoints deletions like any chunk.
 // Otherwise it is the full snapshot.
 func (e *Endpoint) renderSource(req *xmltree.Node, g *core.Graph, a core.Assignment, d delivery) (*sourceRender, error) {
-	scan, rows, err := e.sourceScan(req, g, a)
+	scan, ship, err := e.sourceScan(req, g, a)
 	if err != nil {
 		return nil, err
 	}
@@ -241,8 +242,8 @@ func (e *Endpoint) renderSource(req *xmltree.Node, g *core.Graph, a core.Assignm
 	r := &sourceRender{ship: make(map[string]core.Outbound, len(out))}
 	for key, in := range out {
 		o := core.Outbound{Frag: in.Frag, Recs: in}
-		if snap := rows[in.Frag]; snap != nil {
-			o.Recs = snap
+		if recs := ship[in.Frag]; recs != nil {
+			o.Recs = recs
 		}
 		r.ship[key] = o
 	}

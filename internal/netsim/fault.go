@@ -306,9 +306,3 @@ func (t *truncatedResponseWriter) Write(b []byte) (int, error) {
 	t.remain -= len(b)
 	return t.ResponseWriter.Write(b)
 }
-
-// String renders the fault mix for logs.
-func (f Faults) String() string {
-	return fmt.Sprintf("faults(seed=%d drop=%.2f trunc=%.2f stall=%.2f 5xx=%.2f)",
-		f.Seed, f.DropProb, f.TruncateProb, f.StallProb, f.HTTP5xxProb)
-}

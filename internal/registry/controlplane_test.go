@@ -1,8 +1,8 @@
 package registry
 
 // Control-plane coverage: the plan-derivation cache (hit path skips the
-// endpoint probes, re-registration invalidates, the per-service bound
-// evicts, cached plans execute identically to fresh ones), the
+// endpoint probes, re-registration invalidates, an exchange's filter
+// shares its plan, cached plans execute identically to fresh ones), the
 // admission-controlled exchange scheduler (FIFO, queue-full and per-tenant
 // shedding), concurrent exchanges and the shed fault's isolation between
 // tenants over live SOAP, and the paginated service listing.
@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,6 +29,7 @@ import (
 	"xdx/internal/relstore"
 	"xdx/internal/schema"
 	"xdx/internal/soap"
+	"xdx/internal/telgen"
 	"xdx/internal/xmltree"
 )
 
@@ -125,35 +127,126 @@ func TestPlanCacheKeyedOnOptions(t *testing.T) {
 	}
 }
 
-// One service holds at most maxPlansPerService plans however many distinct
-// filters its requests name: each derivation past the cap evicts one entry,
-// and the newest plan stays served.
-func TestPlanCacheBoundedPerService(t *testing.T) {
+// An exchange's filter is not part of its plan: 40 SOAP Exchange requests,
+// each naming a filter of its own — keeping no customer, one, or many —
+// derive one plan and take it from the cache 39 times, and each exchange
+// loads exactly the rows its filter keeps.
+func TestDistinctFiltersShareOnePlan(t *testing.T) {
+	sch := schema.CustomerInfo()
+	sFr, tFr := sFragmentation(t, sch), tFragmentation(t, sch)
+	docs := telgen.Customers(telgen.Config{Customers: 40, MaxOrders: 2, MaxLines: 2, Seed: 5})
+	for i, d := range docs {
+		d.Find("CustName").Text = fmt.Sprintf("c%02d", i)
+	}
+	srcStore, err := relstore.NewStore(sFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		if err := srcStore.LoadDocument(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tgtStore, err := relstore.NewStore(tFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcSrv := httptest.NewServer(endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil).Handler())
+	defer srcSrv.Close()
+	tgtSrv := httptest.NewServer(endpoint.New("T", &endpoint.RelBackend{Store: tgtStore, Speed: 1, CanCombine: true}, nil).Handler())
+	defer tgtSrv.Close()
+	ag := New()
+	if err := ag.Register("svc", RoleSource, wsdlFor(t, sch, sFr, srcSrv.URL), srcSrv.URL); err != nil {
+		t.Fatal(err)
+	}
+	if err := ag.Register("svc", RoleTarget, wsdlFor(t, sch, tFr, tgtSrv.URL), tgtSrv.URL); err != nil {
+		t.Fatal(err)
+	}
+	agSrv := httptest.NewServer(NewService(ag, netsim.Loopback()).Handler())
+	defer agSrv.Close()
+	client := &soap.Client{URL: agSrv.URL}
+
+	for i := range docs {
+		// Filter 0 keeps no customer, odd filters keep customer i alone,
+		// even ones every customer before i.
+		expr, keep := `CustName = "nobody"`, docs[:0]
+		switch {
+		case i%2 == 1:
+			expr, keep = fmt.Sprintf(`CustName = "c%02d"`, i), docs[i:i+1]
+		case i > 0:
+			expr, keep = fmt.Sprintf(`CustName < 'c%02d'`, i), docs[:i]
+		}
+		want, err := relstore.NewStore(tFr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range keep {
+			if err := want.LoadDocument(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tgtStore.Clear()
+		req := &xmltree.Node{Name: "Exchange"}
+		req.SetAttr("service", "svc")
+		req.SetAttr("filter", expr)
+		if _, err := client.Call("Exchange", req); err != nil {
+			t.Fatalf("filter %q: %v", expr, err)
+		}
+		if got, w := storeRecords(t, tgtStore), storeRecords(t, want); !slices.Equal(got, w) {
+			t.Errorf("filter %q loaded %d records, want the %d of its %d customers", expr, len(got), len(w), len(keep))
+		}
+	}
+	if hits, misses, evictions, size := ag.PlanCacheStats(); hits != 39 || misses != 1 || evictions != 0 || size != 1 {
+		t.Errorf("stats = %d hits / %d misses / %d evictions / size %d, want 39/1/0/1", hits, misses, evictions, size)
+	}
+}
+
+// storeRecords is every record a store holds, marshaled with its root's
+// ID and PARENT (an exchange need not carry a leaf's ID), sorted.
+func storeRecords(t *testing.T, st *relstore.Store) []string {
+	t.Helper()
+	var recs []string
+	for _, f := range st.Layout.Fragments {
+		in, err := st.ScanFragment(f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range in.Records {
+			recs = append(recs, xmltree.Marshal(r, xmltree.WriteOptions{EmitIDs: true}))
+		}
+	}
+	sort.Strings(recs)
+	return recs
+}
+
+// Agency.Plan refuses an algorithm it does not know as the caller's
+// mistake, deriving nothing, and files the empty algorithm and greedy
+// under one entry.
+func TestPlanRefusesUnknownAlgorithm(t *testing.T) {
 	sch := schema.CustomerInfo()
 	ag := New()
 	_, stop := startTenant(t, ag, "svc", sch, sFragmentation(t, sch), tFragmentation(t, sch), 0, nil)
 	defer stop()
 
-	const k = 3
-	filter := func(i int) string { return fmt.Sprintf(`CustName = "c%d"`, i) }
-	for i := 0; i < maxPlansPerService+k; i++ {
-		if _, err := ag.Plan("svc", PlanOptions{Filter: filter(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, size := ag.PlanCacheStats(); size > maxPlansPerService {
-			t.Fatalf("after %d filters the cache holds %d plans, cap %d", i+1, size, maxPlansPerService)
+	for _, alg := range []Algorithm{"Greedy", "exhaustive", " optimal"} {
+		var f *soap.Fault
+		if _, err := ag.Plan("svc", PlanOptions{Algorithm: alg}); !errors.As(err, &f) || f.Code != "soap:Client" {
+			t.Errorf("Plan algorithm=%q: err = %v, want a soap:Client fault", alg, err)
 		}
 	}
-	hits, misses, evictions, size := ag.PlanCacheStats()
-	if hits != 0 || misses != maxPlansPerService+k || evictions != k || size != maxPlansPerService {
-		t.Errorf("stats = %d hits / %d misses / %d evictions / size %d, want 0/%d/%d/%d",
-			hits, misses, evictions, size, maxPlansPerService+k, k, maxPlansPerService)
+	if _, misses, _, _ := ag.PlanCacheStats(); misses != 0 {
+		t.Errorf("refused algorithms derived %d plans", misses)
 	}
-	if _, err := ag.Plan("svc", PlanOptions{Filter: filter(maxPlansPerService + k - 1)}); err != nil {
+	pe, err := ag.Plan("svc", PlanOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _, _, _ := ag.PlanCacheStats(); hits != 1 {
-		t.Errorf("the newest filter's plan was not served from the cache (%d hits)", hits)
+	pg, err := ag.Plan("svc", PlanOptions{Algorithm: AlgGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses, _, size := ag.PlanCacheStats(); pe != pg || hits != 1 || misses != 1 || size != 1 {
+		t.Errorf("the empty algorithm and greedy: same plan %v, %d hits / %d misses / size %d, want one entry", pe == pg, hits, misses, size)
 	}
 }
 

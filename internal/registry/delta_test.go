@@ -8,6 +8,7 @@ package registry
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -27,6 +28,8 @@ import (
 	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/relstore"
+	"xdx/internal/schema"
+	"xdx/internal/soap"
 	"xdx/internal/telgen"
 	"xdx/internal/xmark"
 	"xdx/internal/xmltree"
@@ -937,13 +940,20 @@ func TestDeltaExchangeDefaultOptions(t *testing.T) {
 
 // TestPushdownFilterExchange drives the compiled-filter path end to end:
 // a comparison filter ships only matching root records, a non-matching
-// filter ships nothing, and a filter that fails schema checking fails at
-// plan time, before any endpoint is probed with it.
+// filter ships nothing, and a filter that fails schema checking fails the
+// drive with a soap:Client fault before any endpoint is called.
 func TestPushdownFilterExchange(t *testing.T) {
-	ag, plan, tgtStore, done := startExchange(t, AlgGreedy)
+	sch := schema.CustomerInfo()
+	ag := New()
+	var reqs atomic.Int64
+	tgtStore, done := startTenant(t, ag, "svc", sch, sFragmentation(t, sch), tFragmentation(t, sch), 0, &reqs)
 	defer done()
+	plan, err := ag.Plan("svc", PlanOptions{Algorithm: AlgGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if _, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{
+	if _, err := ag.ExecuteOpts("svc", plan, ExecOptions{
 		Link: netsim.Loopback(), Filter: `CustName = "Nobody"`,
 	}); err != nil {
 		t.Fatal(err)
@@ -951,8 +961,7 @@ func TestPushdownFilterExchange(t *testing.T) {
 	if tgtStore.Rows() != 0 {
 		t.Errorf("non-matching pushdown filter delivered %d rows", tgtStore.Rows())
 	}
-	tgtStore.Clear()
-	rep, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{
+	rep, err := ag.ExecuteOpts("svc", plan, ExecOptions{
 		Link: netsim.Loopback(), Filter: `CustName = "Ann"`,
 	})
 	if err != nil {
@@ -961,15 +970,24 @@ func TestPushdownFilterExchange(t *testing.T) {
 	if tgtStore.Rows() == 0 || rep.WireBytes == 0 {
 		t.Error("matching pushdown filter delivered nothing")
 	}
+	tgtStore.Clear()
 
-	if _, err := ag.Plan("CustomerInfoService", PlanOptions{Algorithm: AlgGreedy, Filter: "NoSuchElem = 3"}); err == nil {
-		t.Error("plan accepted a filter naming an element outside the schema")
+	// NoSuchElem is outside the schema. ServiceName is in the schema but
+	// not in the source's root fragment: such a filter can never match a
+	// root record, so it would silently ship nothing — the drive must
+	// refuse it loudly.
+	for _, expr := range []string{"NoSuchElem = 3", "ServiceName = 'x'"} {
+		before := reqs.Load()
+		var f *soap.Fault
+		if _, err := ag.ExecuteOpts("svc", plan, ExecOptions{Link: netsim.Loopback(), Filter: expr}); !errors.As(err, &f) || f.Code != "soap:Client" {
+			t.Errorf("filter %q: err = %v, want a soap:Client fault", expr, err)
+		}
+		if n := reqs.Load() - before; n != 0 {
+			t.Errorf("filter %q: the refused drive called the endpoints %d times", expr, n)
+		}
 	}
-	// ServiceName is in the schema but not in the source's root fragment:
-	// such a filter can never match a root record, so it would silently
-	// ship nothing — Plan must refuse it loudly.
-	if _, err := ag.Plan("CustomerInfoService", PlanOptions{Algorithm: AlgGreedy, Filter: "ServiceName = 'x'"}); err == nil {
-		t.Error("plan accepted a filter outside the source root fragment")
+	if tgtStore.Rows() != 0 {
+		t.Errorf("refused filters loaded %d rows", tgtStore.Rows())
 	}
 }
 

@@ -11,12 +11,11 @@ package registry
 // Entries are grouped by service name because that is the invalidation
 // unit: Register/RegisterFromEndpoint drop every entry of the touched
 // service. The inner key carries everything the derivation read —
-// fragment element sets, endpoint URLs, and the full PlanOptions — so a
+// fragment element sets, endpoint URLs, algorithm and codec — so a
 // re-registration that somehow survives invalidation still cannot alias a
 // stale entry (the key changes with the fragmentation).
 
 import (
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,14 +84,9 @@ func (c *planCache) finish(service, key string, f *planFlight, p *Plan, err erro
 	close(f.done)
 }
 
-// maxPlansPerService bounds one service's entries. The key carries the
-// request's filter expression, so a client naming a new filter per call
-// would otherwise grow the cache without end.
-const maxPlansPerService = 32
-
 // put stores a freshly derived template unless valid reports that the
-// derivation raced a registration change. A new key on a full service
-// evicts one of the service's entries first, whichever the map yields.
+// derivation raced a registration change. A service's keys vary only in
+// algorithm and codec, so it holds at most 2 × 4 templates: no cap.
 func (c *planCache) put(service, key string, p *Plan, valid func() bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -105,15 +99,7 @@ func (c *planCache) put(service, key string, p *Plan, valid func() bool) {
 		c.entries[service] = m
 	}
 	if _, exists := m[key]; !exists {
-		if len(m) >= maxPlansPerService {
-			for k := range m {
-				delete(m, k)
-				break
-			}
-			c.evictions.Add(1)
-		} else {
-			c.size.Add(1)
-		}
+		c.size.Add(1)
 	}
 	m[key] = p
 }
@@ -149,8 +135,9 @@ func (c *planCache) export(m *obs.Registry) {
 // planKey renders everything a derivation reads into a string key: both
 // parties' fragment element sets (names alone could alias two different
 // layouts), both endpoint URLs (the stats probes answer per endpoint), and
-// the full PlanOptions including the codec (compression-aware ShipBytes
-// changes placements).
+// the full PlanOptions: the algorithm, and the codec (compression-aware
+// ShipBytes changes placements). An exchange's filter is not in it: the
+// plan prices the exchange unfiltered, so every filter shares one plan.
 func planKey(src, tgt *Party, opts PlanOptions) string {
 	var b strings.Builder
 	writeFragSig(&b, src)
@@ -159,17 +146,7 @@ func planKey(src, tgt *Party, opts PlanOptions) string {
 	b.WriteByte('\x1f')
 	b.WriteString(string(opts.Algorithm))
 	b.WriteByte('|')
-	b.WriteString(strconv.FormatFloat(opts.WComp, 'g', -1, 64))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatFloat(opts.WComm, 'g', -1, 64))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(opts.Gen.MaxTreesPerTarget))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(opts.Gen.MaxPrograms))
-	b.WriteByte('|')
 	b.WriteString(opts.Codec)
-	b.WriteByte('|')
-	b.WriteString(opts.Filter)
 	return b.String()
 }
 

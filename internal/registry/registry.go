@@ -197,24 +197,14 @@ const (
 
 // PlanOptions tune step 2/3.
 type PlanOptions struct {
-	// Algorithm defaults to AlgGreedy.
+	// Algorithm is AlgGreedy (also when empty) or AlgOptimal; any other
+	// value is refused.
 	Algorithm Algorithm
-	// WComp and WComm weight the cost model; zero values default to 1.
-	WComp, WComm float64
-	// Gen bounds exhaustive enumeration.
-	Gen core.GenOptions
 	// Codec names the shipment encoding the exchange will travel under.
 	// When set, the stats probes ask the endpoints for compression-
 	// calibrated statistics, so the optimizer's comm term reflects true
 	// wire bytes — a lean codec can flip placements toward shipping.
 	Codec string
-	// Filter is a pushdown predicate (§3.2 service arguments) in the small
-	// XPath subset of core.CompileFilter: child steps plus a leaf value
-	// comparison, e.g. "Account/AcctNum >= 100" or "CustName = 'Ann'". It
-	// is compiled and schema-checked at plan time — a filter that does not
-	// compile fails the plan — and evaluated source-side, so endpoints scan
-	// and ship only matching root records and their descendants.
-	Filter string
 }
 
 // Plan is the outcome of steps 2 and 3: a data-transfer program with its
@@ -240,8 +230,16 @@ type Plan struct {
 // *Plan template without re-deriving or re-probing (Mahboubi & Darmont:
 // fragmentation-derived artifacts are reusable across queries). The cache
 // is invalidated whenever the service re-registers. Callers
-// must treat the returned Plan as read-only.
+// must treat the returned Plan as read-only. An algorithm other than
+// greedy and optimal is the caller's mistake: a soap:Client fault.
 func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
+	switch opts.Algorithm {
+	case "":
+		opts.Algorithm = AlgGreedy
+	case AlgGreedy, AlgOptimal:
+	default:
+		return nil, clientFault(fmt.Sprintf("registry: unknown algorithm %q", opts.Algorithm))
+	}
 	epoch := a.epoch.Load()
 	src, tgt := a.parties(service)
 	if src == nil || tgt == nil {
@@ -300,29 +298,15 @@ func (a *Agency) derivePlan(service string, src, tgt *Party, opts PlanOptions) (
 	if err != nil {
 		return nil, err
 	}
-	if opts.Filter != "" {
-		// The filter travels to the source at execute time; compiling it
-		// here fails bad expressions at plan time, against the schema both
-		// parties agreed on — including paths outside the source's root
-		// fragment, which could only ever filter out every record.
-		f, err := core.CompileFilter(opts.Filter, src.Fragmentation.Schema)
-		if err == nil {
-			err = f.CheckRoot(src.Fragmentation)
-		}
-		if err != nil {
-			return nil, clientFault("registry: " + err.Error())
-		}
-	}
-	model, err := a.probe(src, tgt, opts)
+	model, err := a.probe(src, tgt, opts.Codec)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	var res core.OptimalResult
-	switch opts.Algorithm {
-	case AlgOptimal:
-		res, err = core.Optimal(m, model, opts.Gen)
-	default:
+	if opts.Algorithm == AlgOptimal {
+		res, err = core.Optimal(m, model, core.GenOptions{})
+	} else {
 		res, err = core.Greedy(m, model)
 	}
 	if err != nil {
@@ -360,23 +344,16 @@ func realign(fr, ref *core.Fragmentation) (*core.Fragmentation, error) {
 
 // probe queries both endpoints' ProbeStats interfaces and builds the
 // two-system cost model (step 3 of Figure 2).
-func (a *Agency) probe(src, tgt *Party, opts PlanOptions) (*core.Model, error) {
-	sp, err := probeStats(src.URL, opts.Codec)
+func (a *Agency) probe(src, tgt *Party, codec string) (*core.Model, error) {
+	sp, err := probeStats(src.URL, codec)
 	if err != nil {
 		return nil, fmt.Errorf("registry: probing source: %w", err)
 	}
-	tp, err := probeStats(tgt.URL, opts.Codec)
+	tp, err := probeStats(tgt.URL, codec)
 	if err != nil {
 		return nil, fmt.Errorf("registry: probing target: %w", err)
 	}
-	model := core.NewModel(&duplexProvider{src: sp, tgt: tp})
-	if opts.WComp > 0 {
-		model.WComp = opts.WComp
-	}
-	if opts.WComm > 0 {
-		model.WComm = opts.WComm
-	}
-	return model, nil
+	return core.NewModel(&duplexProvider{src: sp, tgt: tp}), nil
 }
 
 func probeStats(url, codec string) (*core.StatsProvider, error) {
@@ -489,9 +466,13 @@ type ExecOptions struct {
 	// self-describing.
 	Codec string
 	// Filter passes a service argument (§3.2) to the source: a
-	// core.CompileFilter expression (child steps + leaf comparison)
-	// evaluated source-side, so only matching root-fragment records (and
-	// their descendants) are exchanged.
+	// core.CompileFilter expression (child steps + leaf comparison), e.g.
+	// "CustName = 'Ann'", evaluated source-side, so only matching
+	// root-fragment records (and their descendants) are exchanged. It
+	// belongs to this exchange, not to the plan: the drive compiles it
+	// against the source's fragmentation before any call, and one that
+	// does not compile, or names an element outside the source's root
+	// fragment, is a soap:Client fault.
 	Filter string
 	// Delta asks for an incremental delivery: the source diffs its fresh
 	// shipment against the snapshot the target says it holds and ships

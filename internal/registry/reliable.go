@@ -36,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"xdx/internal/core"
 	"xdx/internal/endpoint"
 	"xdx/internal/obs"
 	"xdx/internal/reliable"
@@ -84,6 +85,20 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	codec, err := wire.ParseCodec(opts.Codec)
 	if err != nil {
 		return nil, err
+	}
+	if opts.Filter != "" {
+		// The filter is this exchange's, not the plan's: it fails here,
+		// against the schema both parties agreed on, before any call —
+		// including a path outside the source's root fragment, which could
+		// only ever filter out every record. The source checks it again,
+		// since its input arrives off the wire.
+		f, err := core.CompileFilter(opts.Filter, src.Fragmentation.Schema)
+		if err == nil {
+			err = f.CheckRoot(src.Fragmentation)
+		}
+		if err != nil {
+			return nil, clientFault("registry: " + err.Error())
+		}
 	}
 	ex := reliable.NewExchange(opts.Reliability)
 	trace := obs.NewSpan("exchange")

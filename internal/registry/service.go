@@ -196,15 +196,12 @@ func (s *Service) register(req *xmltree.Node) (*xmltree.Node, error) {
 // the generated program with its placement and estimated cost.
 func (s *Service) plan(req *xmltree.Node) (*xmltree.Node, error) {
 	service, _ := req.Attr("service")
-	alg, err := parseAlgorithm(req)
-	if err != nil {
-		return nil, err
-	}
+	alg, _ := req.Attr("algorithm")
 	codec, err := s.reqCodec(req)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.Agency.Plan(service, PlanOptions{Algorithm: alg, Codec: codec})
+	plan, err := s.Agency.Plan(service, PlanOptions{Algorithm: Algorithm(alg), Codec: codec})
 	if err != nil {
 		return nil, err
 	}
@@ -218,20 +215,6 @@ func (s *Service) plan(req *xmltree.Node) (*xmltree.Node, error) {
 	resp.SetAttr("planMillis", fmt.Sprintf("%.3f", float64(plan.PlanTime.Microseconds())/1000))
 	resp.AddKid(progXML)
 	return resp, nil
-}
-
-// parseAlgorithm reads a Plan or Exchange request's algorithm attribute:
-// absent means greedy, and a value naming no algorithm is the caller's
-// fault rather than a silent greedy run.
-func parseAlgorithm(req *xmltree.Node) (Algorithm, error) {
-	v, _ := req.Attr("algorithm")
-	switch alg := Algorithm(v); alg {
-	case "":
-		return AlgGreedy, nil
-	case AlgGreedy, AlgOptimal:
-		return alg, nil
-	}
-	return "", &soap.Fault{Code: "soap:Client", String: fmt.Sprintf("unknown algorithm %q", v)}
 }
 
 // reqCodec resolves a request's shipment codec: its own codec attribute,
@@ -275,10 +258,7 @@ func (s *Service) exchange(req *xmltree.Node) (*xmltree.Node, error) {
 // exchangeNow plans and drives one exchange on the calling goroutine.
 func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	service, _ := req.Attr("service")
-	alg, err := parseAlgorithm(req)
-	if err != nil {
-		return nil, err
-	}
+	alg, _ := req.Attr("algorithm")
 	codec, err := s.reqCodec(req)
 	if err != nil {
 		return nil, err
@@ -297,7 +277,7 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	var plan *Plan
 	planOnce := func() error {
 		var perr error
-		plan, perr = s.Agency.Plan(service, PlanOptions{Algorithm: alg, Codec: codec, Filter: filter})
+		plan, perr = s.Agency.Plan(service, PlanOptions{Algorithm: Algorithm(alg), Codec: codec})
 		return perr
 	}
 	if s.Reliability != nil {

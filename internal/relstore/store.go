@@ -336,9 +336,14 @@ func (s *Store) ScanFragment(fragName string) (*core.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	// All records of one scan share an arena: the instance is the decode
-	// unit, so its nodes live and die together. The row count bounds what
-	// it will hold, so a ten-row table does not cut minimum-size slabs.
+	return r.Instance(f)
+}
+
+// Instance builds every record of the snapshot as an instance of f. All
+// records share an arena: the instance is the decode unit, so its nodes
+// live and die together. The row count bounds what it will hold, so a
+// ten-row table does not cut minimum-size slabs.
+func (r *Rows) Instance(f *core.Fragment) (*core.Instance, error) {
 	a := &xmltree.Arena{}
 	a.Reserve(len(r.rows)*len(r.d.plan), 0)
 	recs, err := r.Build(make([]*xmltree.Node, 0, r.Len()), 0, r.Len(), a)

@@ -94,18 +94,6 @@ func (n *Node) Find(name string) *Node {
 	return nil
 }
 
-// FindAll appends to dst every descendant (including n) with the given
-// element name, in document order, and returns the extended slice.
-func (n *Node) FindAll(name string, dst []*Node) []*Node {
-	if n.Name == name {
-		dst = append(dst, n)
-	}
-	for _, k := range n.Kids {
-		dst = k.FindAll(name, dst)
-	}
-	return dst
-}
-
 // WriteOptions controls serialization.
 type WriteOptions struct {
 	// EmitIDs serializes the root node's ID and PARENT as attributes

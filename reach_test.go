@@ -28,6 +28,8 @@ var reachAllow = map[string]string{
 	"netsim.FaultyLink.Writer":       "fault-injection harness for other packages' tests",
 	"netsim.FaultyLink.RoundTripper": "fault-injection harness for other packages' tests",
 	"netsim.FaultyLink.Counts":       "fault-injection harness for other packages' tests",
+	"netsim.FaultyLink.Middleware":   "fault-injection harness for other packages' tests",
+	"netsim.NewFaultyLink":           "fault-injection harness for other packages' tests",
 	"netsim.Link.Throttle":           "bandwidth sweep to come (ROADMAP item 1)",
 	"wire.StreamShipmentCodec":       "shipment harness for endpoint, registry and root tests",
 	"wire.ReadShipment":              "shipment harness for endpoint, registry and root tests",

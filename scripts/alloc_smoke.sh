@@ -4,7 +4,8 @@
 # BenchmarkReliableExchangeDurable/batch,
 # BenchmarkChainedCombine/spread/k=8, BenchmarkSubstrate_Parse,
 # BenchmarkTable4_LoadIndex_MF, BenchmarkDiffShipment, BenchmarkApplyDelta,
-# BenchmarkSourceRender and BenchmarkDeltaRender, compared against
+# BenchmarkSourceRender, BenchmarkDeltaRender and
+# BenchmarkFilteredSourceRender, compared against
 # the committed baselines below. The first is the in-process end-to-end
 # path — row slabs, splitter and shredder arenas, pooled codec state; the
 # second is
@@ -45,7 +46,12 @@
 # MF store, the live path's reconciliation — row snapshots diffed edge by
 # edge on every core — which the eighth row, over trees only, cannot see;
 # bytes gated too, since each diffing goroutine's scratch and every
-# edge's slot must cost per edge and per worker, not per record. A >25%
+# edge's slot must cost per edge and per worker, not per record; the
+# twelfth is a source's render of a filter keeping one customer of a
+# 2,000-customer telgen S store, which builds every record it reads from
+# row snapshots a batch at a time into one scratch arena — bytes gated
+# too, since a filter that held the store's records as trees again would
+# cost the store's size in bytes. A >25%
 # allocs/op (or, where gated, B/op) regression on any of them means someone
 # reintroduced a per-record allocation, and the gate should say so before a
 # slow benchmark run does. Wall-clock is deliberately not checked —
@@ -105,7 +111,12 @@ cd "$(dirname "$0")/.."
 # the commit that follows 48b9be0 and diffs a shipment's edges in parallel
 # with a field-at-a-time record hash: DeltaRender is new there and reads
 # 645-650 allocs/op and 5098786-5119104 B/op over six runs at 3x on 2 CPUs
-# (the same loop read 701-702 and 5074272-5074387 at 48b9be0).
+# (the same loop read 701-702 and 5074272-5074387 at 48b9be0). "one-filter"
+# is the commit that follows bf88b09 and runs a filter on the one source
+# scan path: FilteredSourceRender is new there and reads 1844-1850
+# allocs/op and 546312-557733 B/op over five runs at 3x on 2 CPUs (the same
+# loop read 3854-3855 and 7685232-7685573 over three at bf88b09, where the
+# filter built the whole layout as trees).
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
 SHIPMENT_CODEC_STREAM=188            # window-lexer, 20x
@@ -123,6 +134,8 @@ SOURCE_RENDER=794                    # row-render, 3x
 SOURCE_RENDER_BYTES=1675981          # row-render, 3x
 DELTA_RENDER=650                     # parallel-diff, 3x
 DELTA_RENDER_BYTES=5119104           # parallel-diff, 3x
+FILTERED_SOURCE_RENDER=1850          # one-filter, 3x
+FILTERED_SOURCE_RENDER_BYTES=557733  # one-filter, 3x
 
 # gate NAME UNIT BASE OUTPUT: read UNIT off the benchmark OUTPUT and fail
 # when it exceeds BASE by more than 25%.
@@ -163,3 +176,4 @@ check DiffShipment ./internal/reliable/ "$DIFF_SHIPMENT" 3x "$DIFF_SHIPMENT_BYTE
 check ApplyDelta ./internal/relstore/ "$APPLY_DELTA" 3x "$APPLY_DELTA_BYTES"
 check SourceRender ./internal/endpoint/ "$SOURCE_RENDER" 3x "$SOURCE_RENDER_BYTES"
 check DeltaRender ./internal/endpoint/ "$DELTA_RENDER" 3x "$DELTA_RENDER_BYTES"
+check FilteredSourceRender ./internal/endpoint/ "$FILTERED_SOURCE_RENDER" 3x "$FILTERED_SOURCE_RENDER_BYTES"

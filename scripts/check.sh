@@ -26,10 +26,10 @@ echo "non-test Go lines outside benchmark/: $(./scripts/loc.sh)"
 # without turning it into a performance run.
 make bench-smoke
 
-# Allocation-regression smoke: eleven benchmarks must stay within 25% of the
+# Allocation-regression smoke: twelve benchmarks must stay within 25% of the
 # allocs/op baselines recorded in the script, and Table 4's load-then-index
 # row, the reconciliation row, the journaled exchange row, the delta apply
-# row and the two source render rows within 25% of their B/op baselines too — the arena/slab
+# row and the three source render rows within 25% of their B/op baselines too — the arena/slab
 # teardown and an apply that costs the churn, not the store, are
 # merge-gated properties, not one-off numbers.
 ./scripts/alloc_smoke.sh
@@ -55,10 +55,12 @@ make soak
 # reload, overlapping deltas taking the base once, the one-pass
 # reconciliation held to the map-based reference over seeded shipments,
 # chunks and diffs built from row snapshots held byte for byte to the trees
-# ScanFragment builds, and the parallel diff held to the serial one, re-run without the race detector as a fast
-# standalone gate — a delta that ships the wrong records must never reach a
-# snapshot run.
-go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference|TestRowsEmitMatchesTrees|TestDiffRecordsParallelMatchesSerial' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
+# ScanFragment builds, the parallel diff held to the serial one, and
+# filtered renders from rows held byte for byte to the tree path (and
+# served fresh to every Scan on both), re-run without the race detector as a fast
+# standalone gate — a delta or a filter that ships the wrong records must
+# never reach a snapshot run.
+go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference|TestRowsEmitMatchesTrees|TestDiffRecordsParallelMatchesSerial|TestFilteredScanMatchesTreePath|TestFilteredScanServesEachScanFresh' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,
 # restart it over the same WAL directory, and the reliable exchange must

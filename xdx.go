@@ -259,9 +259,22 @@ func PaperInternet() Link { return netsim.PaperInternet() }
 func Loopback() Link { return netsim.Loopback() }
 
 // FilterSources restricts source instances to the records reachable from
-// accepted root records (§3.2's service arguments).
+// accepted root records (§3.2's service arguments). The instances it
+// returns share the kept records with sources.
 func FilterSources(fr *Fragmentation, sources map[string]*Instance, keep func(*Node) bool) (map[string]*Instance, error) {
-	return core.FilterSources(fr, sources, keep)
+	kept, err := core.FilterSources(fr, sources, keep)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*Instance, len(kept))
+	for name, recs := range kept {
+		trees, err := recs.Build(nil, 0, recs.Len(), nil)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = &Instance{Frag: sources[name].Frag, Records: trees}
+	}
+	return out, nil
 }
 
 // RecommendOptions tunes fragmentation recommendation.
