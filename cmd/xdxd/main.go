@@ -44,7 +44,6 @@ func main() {
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant exchange admission rate per second, token-bucket (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant token-bucket burst capacity (0 = ceil(rate))")
 	delta := flag.Bool("delta", false, "ship repeat exchanges as deltas against the target's retained base")
-	filter := flag.String("filter", "", "source-side pushdown filter, e.g. '/Customer/CustName=\"Ann\"' (per-request filter attr overrides)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty = off)")
 	verbose := flag.Bool("v", false, "log exchange activity (retries, breaker transitions, outcomes) to stderr")
 	flag.Parse()
@@ -102,10 +101,6 @@ func main() {
 	if *delta {
 		svc.Delta = true
 		log.Printf("xdxd: delta exchanges on")
-	}
-	if *filter != "" {
-		svc.Filter = *filter
-		log.Printf("xdxd: pushdown filter %s", *filter)
 	}
 
 	var logger obs.Logger

@@ -209,7 +209,7 @@ func (b *batcher) lead() {
 }
 
 // commit writes one coalesced group and, under FsyncBatch, syncs it —
-// under the WAL mutex, so group writes serialize with Snapshot's truncate.
+// under the WAL mutex, so group writes serialize with Rewrite's file swap.
 func (b *batcher) commit(buf []byte, frames int) error {
 	w := b.w
 	w.mu.Lock()
@@ -236,7 +236,7 @@ func (b *batcher) commit(buf []byte, frames int) error {
 }
 
 // drain hurries the pending group out and blocks until the batcher is
-// idle: every ticket issued before the call has resolved. Snapshot, Close
+// idle: every ticket issued before the call has resolved. Rewrite, Close
 // and Journal.Sessions run behind this barrier.
 func (b *batcher) drain() {
 	for {

@@ -326,7 +326,7 @@ func TestBatchOffSkipsFsync(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	w.Flush()
+	w.bat.hurryUp()
 	for i, p := range tickets {
 		select {
 		case <-p.Done():
@@ -420,7 +420,7 @@ func TestBatchFlushHurries(t *testing.T) {
 		t.Fatal("ticket resolved before Flush under an hour-long hold")
 	case <-time.After(20 * time.Millisecond):
 	}
-	w.Flush()
+	w.bat.hurryUp()
 	select {
 	case <-p.Done():
 		if err := p.Err(); err != nil {

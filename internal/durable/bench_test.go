@@ -20,7 +20,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer w.Close()
-		if _, err := w.Recover(nil, nil); err != nil {
+		if _, err := w.Recover(nil); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(payload)))
@@ -44,7 +44,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := w.Recover(nil, nil); err != nil {
+			if _, err := w.Recover(nil); err != nil {
 				b.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
@@ -60,7 +60,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 					b.Fatal(err)
 				}
 				recs := 0
-				st, err := r.Recover(nil, func([]byte) error { recs++; return nil })
+				st, err := r.Recover(func(int64, []byte) error { recs++; return nil })
 				if err != nil {
 					b.Fatal(err)
 				}

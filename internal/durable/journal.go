@@ -3,8 +3,8 @@ package durable
 // Journal is the session-level client of the WAL: it logs the endpoint's
 // resumable-session lifecycle — mint, chunk commit, tombstone commit, end —
 // one frame per event, keeps a shadow of the live state, and compacts the
-// log into a snapshot once the bytes of ended sessions outweigh the live
-// ones (maybeCompactLocked). A chunk frame carries the chunk's wire
+// log once the bytes of ended sessions outweigh the live ones
+// (maybeCompactLocked). A chunk frame carries the chunk's wire
 // payload as it arrived — a bin chunk's staged text byte for byte,
 // the xml codec's body for a tagged-XML chunk, the <tombstones> body for a
 // deletion chunk — behind a small binary header, so the WAL writes what
@@ -27,25 +27,21 @@ package durable
 //
 // where a string is a uvarint length and that many bytes.
 //
-// The shadow keeps no payload: per live chunk only where its frame lies
-// (snapshot or log, offset, length). A compaction writes the snapshot as
-// the same frames back to back behind one format-version byte — each live
-// session's mint frame, then its chunk frames copied byte for byte from
-// the log or the old snapshot.
-//
-// All ops are idempotent under replay — re-minting is a no-op, a chunk
-// with a seq below the rebuilt checkpoint is skipped, ending an unknown
-// session is fine — which is what makes the snapshot/truncate crash window
-// of WAL.Snapshot safe.
+// The shadow keeps no payload: per live chunk only where its frame lies in
+// the log (offset, length). A compaction rewrites the log (WAL.Rewrite) as
+// each live session's mint frame, then its chunk frames copied byte for
+// byte from the old log.
 //
 // Decoding is strict: a log frame whose CRC holds but whose header is
 // truncated, names no session, or has an unknown kind is reported to the
 // WAL as ErrMalformedFrame, which stops replay there and truncates the
 // rest as a torn tail — a half-decoded chunk must never silently restore a
-// zeroed checkpoint. A malformed snapshot is a hard recovery error
-// (snapshots are written atomically; damage there is real corruption, not
-// a torn append). A frame or snapshot of another format version — the XML
-// frames of version 1 among them — refuses the directory with ErrWALFormat,
+// zeroed checkpoint. Inside a compacted prefix the same frame is a hard
+// recovery error (the prefix is synced whole before it replaces the log;
+// damage there is real corruption, not a torn append). A frame of another
+// format version — the XML frames of version 1 among them — or a
+// directory holding the snapshot file of the two-file layout that came
+// before refuses the directory with ErrWALFormat,
 // and so does a chunk frame whose payload format this build cannot decode
 // (a codec another build spoke): hydration would otherwise fail on the
 // first resumed delivery instead of at open.
@@ -56,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -99,20 +94,18 @@ type JSession struct {
 	Chunks []SessionChunk
 }
 
-// frameLoc is where one frame lies: in the snapshot file or the log, at
-// off (its WAL frame header), n bytes long including that header.
+// frameLoc is where one frame lies in the log: at off (its WAL frame
+// header), n bytes long including that header.
 type frameLoc struct {
-	snap bool
-	off  int64
-	n    int64
+	off, n int64
 }
 
 // shadowSession is the journal's memory of one live session.
 type shadowSession struct {
 	next   int64
 	chunks []frameLoc
-	// bytes is what the session occupies on disk: its frames in the
-	// snapshot plus its mint and applied chunk frames in the log.
+	// bytes is what the session occupies in the log: its mint and
+	// applied chunk frames.
 	bytes int64
 }
 
@@ -123,14 +116,13 @@ type Journal struct {
 	mu       sync.Mutex
 	sessions map[string]*shadowSession
 	head     []byte // frame header scratch, under mu
-	appends  int    // since last snapshot
+	appends  int    // since last compaction
 	every    int
-	// total is the snapshot file plus every log frame; live is the part
-	// of it the live sessions own (the sum of their bytes). The rest —
-	// frames of ended sessions, end frames, replayed duplicates — is
-	// garbage a compaction would reclaim.
+	// total is the log's size, where the next frame lands; live is the
+	// part of it the live sessions own (the sum of their bytes). The rest
+	// — frames of ended sessions, end frames, duplicates, the prefix
+	// frame — is garbage a compaction would reclaim.
 	total, live int64
-	logEnd      int64 // where the next frame lands in the log
 
 	mLive, mGarbage        *obs.Gauge
 	mSkipped, mCompactErrs *obs.Counter
@@ -150,7 +142,7 @@ func OpenJournal(dir string, o Options) (*Journal, error) {
 		mLive: o.Met.Gauge("wal.live.bytes"), mGarbage: o.Met.Gauge("wal.garbage.bytes"),
 		mSkipped: o.Met.Counter("wal.compactions.skipped"), mCompactErrs: o.Met.Counter("wal.compact.errors"),
 	}
-	st, err := w.Recover(j.replaySnapshot, j.replayRecord)
+	st, err := w.Recover(j.replayRecord)
 	if err != nil {
 		w.Close()
 		if errors.Is(err, ErrWALFormat) {
@@ -158,7 +150,7 @@ func OpenJournal(dir string, o Options) (*Journal, error) {
 		}
 		return nil, err
 	}
-	j.stats = st
+	j.stats, j.appends = st, st.Records-st.Compacted
 	j.publishBytesLocked()
 	return j, nil
 }
@@ -167,19 +159,17 @@ func OpenJournal(dir string, o Options) (*Journal, error) {
 func (j *Journal) RecoveryStats() RecoveryStats { return j.stats }
 
 // Sessions returns the live sessions, sorted by ID, with every committed
-// chunk's payload read back from the log and snapshot.
+// chunk's payload read back from the log.
 func (j *Journal) Sessions() ([]*JSession, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.wal.bat.drain() // every queued frame is in the log file
-	fr := frameReader{dir: j.wal.dir, log: j.wal.f}
-	defer fr.close()
 	out := make([]*JSession, 0, len(j.sessions))
 	for _, id := range j.sortedIDsLocked() {
 		s := j.sessions[id]
 		js := &JSession{ID: id, Next: s.next, Chunks: make([]SessionChunk, len(s.chunks))}
 		for k, loc := range s.chunks {
-			frame, err := fr.read(nil, loc)
+			frame, err := readFrame(j.wal.f, nil, loc)
 			if err != nil {
 				return nil, fmt.Errorf("durable: sessions: %w", err)
 			}
@@ -203,16 +193,9 @@ func (j *Journal) sortedIDsLocked() []string {
 	return ids
 }
 
-// Len reports the live journaled session count.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.sessions)
-}
-
 // Flush hurries the WAL's pending commit group out: call it before
 // parking on tickets so a quiet session never waits out the batch hold.
-func (j *Journal) Flush() { j.wal.Flush() }
+func (j *Journal) Flush() { j.wal.bat.hurryUp() }
 
 // Mint journals a new session. Re-minting a known session is a no-op.
 // The mint frame is not waited on: it is ordered ahead of the session's
@@ -294,7 +277,7 @@ func (j *Journal) commit(id, key, frag string, seq int64, p wire.Payload, recs [
 // from the shadow state, turning their bytes into garbage for the next
 // compaction to reclaim. The end frames are not waited on: a lost end
 // merely leaves a session to be swept again, and the shadow deletion
-// reaches the next snapshot regardless.
+// reaches the next compaction regardless.
 func (j *Journal) End(ids ...string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -312,7 +295,7 @@ func (j *Journal) End(ids ...string) error {
 	return nil
 }
 
-// Compact snapshots the shadow state and truncates the log.
+// Compact rewrites the log to hold the live sessions only.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -325,8 +308,7 @@ func (j *Journal) Close() error { return j.wal.Close() }
 // appendLocked hands one frame to the WAL, which copies it, and returns
 // the durability ticket with the frame's place in the log.
 func (j *Journal) appendLocked(head, body []byte) (*Pending, frameLoc) {
-	loc := frameLoc{off: j.logEnd, n: int64(frameHeader + len(head) + len(body))}
-	j.logEnd += loc.n
+	loc := frameLoc{off: j.total, n: int64(frameHeader + len(head) + len(body))}
 	j.appends++
 	j.total += loc.n
 	return j.wal.appendParts(head, body), loc
@@ -335,10 +317,11 @@ func (j *Journal) appendLocked(head, body []byte) (*Pending, frameLoc) {
 // maybeCompactLocked is the compaction rule. Once SnapshotEvery frames
 // have been appended since the last compaction, it compacts as soon as
 // the garbage is at least as large as the live state, so every byte a
-// snapshot writes is paid for by a byte it reclaims: snapshot traffic
+// compaction writes is paid for by a byte it reclaims: rewrite traffic
 // never exceeds append traffic, a lone live session is never copied, and
-// snapshot+log — what recovery reads — stays under twice the live bytes
-// plus SnapshotEvery frames. Compaction is housekeeping: a failure is
+// the log — what recovery reads — stays under twice the live bytes, except
+// within SnapshotEvery frames of a compaction, when it is at most that
+// compaction's rewrite plus those frames. Compaction is housekeeping: a failure is
 // counted and logged, the frame that triggered it stays journaled, and the
 // next append checks again.
 func (j *Journal) maybeCompactLocked() {
@@ -361,24 +344,18 @@ func (j *Journal) publishBytesLocked() {
 	j.mGarbage.Set(j.total - j.live)
 }
 
-// compactLocked streams the live sessions into WAL.Snapshot — per session
-// a fresh mint frame, then its chunk frames copied from where they lie,
-// each checked against its CRC on the way — and on success points the
-// shadow at the frames' new places and resets the byte tallies to what
-// the snapshot holds. One frame's bytes are in memory at a time.
+// compactLocked streams the live sessions into WAL.Rewrite — per session
+// a fresh mint frame, then its chunk frames copied from the log, each
+// checked against its CRC on the way — and on success points the shadow
+// at the frames' new places and resets the byte tallies to what the new
+// log holds. One frame's bytes are in memory at a time.
 func (j *Journal) compactLocked() error {
 	ids := j.sortedIDsLocked()
 	moved := make([][]frameLoc, len(ids))
 	sizes := make([]int64, len(ids))
-	var n int64 // snapshot payload bytes written, to place each frame
-	err := j.wal.Snapshot(func(w io.Writer) error {
-		fr := frameReader{dir: j.wal.dir, log: j.wal.f}
-		defer fr.close()
+	size, err := j.wal.Rewrite(func(w io.Writer) error {
 		var frame []byte
-		if _, err := w.Write([]byte{walFormat}); err != nil {
-			return err
-		}
-		n = 1
+		n := int64(prefixFrameLen) // where the next frame lands
 		for i, id := range ids {
 			s := j.sessions[id]
 			start := n
@@ -392,13 +369,13 @@ func (j *Journal) compactLocked() error {
 			locs := make([]frameLoc, len(s.chunks))
 			for k, loc := range s.chunks {
 				var err error
-				if frame, err = fr.read(frame, loc); err != nil {
+				if frame, err = readFrame(j.wal.f, frame, loc); err != nil {
 					return err
 				}
-				locs[k] = frameLoc{snap: true, off: frameHeader + n, n: loc.n}
 				if _, err := w.Write(frame); err != nil {
 					return err
 				}
+				locs[k] = frameLoc{off: n, n: loc.n}
 				n += loc.n
 			}
 			moved[i], sizes[i] = locs, n-start
@@ -408,7 +385,7 @@ func (j *Journal) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	j.appends, j.total, j.live, j.logEnd = 0, frameHeader+n, 0, 0
+	j.appends, j.total, j.live = 0, size, 0
 	for i, id := range ids {
 		s := j.sessions[id]
 		s.chunks, s.bytes = moved[i], sizes[i]
@@ -418,29 +395,10 @@ func (j *Journal) compactLocked() error {
 	return nil
 }
 
-// frameReader reads journaled frames back from the log or the snapshot,
-// opening the snapshot on first use.
-type frameReader struct {
-	dir  string
-	log  *os.File
-	snap *os.File
-}
-
-// read reads the frame at loc into dst's array (growing it as needed) and
-// checks it: a frame whose bytes no longer match their CRC is never
-// handed back or copied forward.
-func (fr *frameReader) read(dst []byte, loc frameLoc) ([]byte, error) {
-	f := fr.log
-	if loc.snap {
-		if fr.snap == nil {
-			s, err := os.Open(filepath.Join(fr.dir, snapFile))
-			if err != nil {
-				return nil, err
-			}
-			fr.snap = s
-		}
-		f = fr.snap
-	}
+// readFrame reads the frame at loc in the log f into dst's array (growing
+// it as needed) and checks it: a frame whose bytes no longer match their
+// CRC is never handed back or copied forward.
+func readFrame(f *os.File, dst []byte, loc frameLoc) ([]byte, error) {
 	frame := slices.Grow(dst[:0], int(loc.n))[:loc.n]
 	if _, err := f.ReadAt(frame, loc.off); err != nil {
 		return nil, fmt.Errorf("read frame at %d of %s: %w", loc.off, f.Name(), err)
@@ -451,18 +409,11 @@ func (fr *frameReader) read(dst []byte, loc frameLoc) ([]byte, error) {
 	return frame, nil
 }
 
-func (fr *frameReader) close() {
-	if fr.snap != nil {
-		fr.snap.Close()
-	}
-}
-
 // applyChunkLocked folds one chunk commit, whose frame lies at loc, into
 // the shadow state, with the ledger's checkpoint rule (seq >= next
-// advances next to seq+1; seqless chunks leave it alone). Replayed
-// duplicates — a stale log record applied over a newer snapshot, a chunk
-// re-shipped after its ticket failed — are skipped by the same rule, and
-// their bytes stay garbage.
+// advances next to seq+1; seqless chunks leave it alone). Duplicates — a
+// chunk re-shipped after its ticket failed — are skipped by the same rule,
+// and their bytes stay garbage.
 func (j *Journal) applyChunkLocked(id string, seq int64, loc frameLoc) {
 	s := j.sessions[id]
 	if s == nil {
@@ -498,44 +449,17 @@ func (j *Journal) applyLocked(r record, loc frameLoc) {
 	}
 }
 
-// replaySnapshot rebuilds the shadow state from a compacted snapshot: the
-// format-version byte, then frames back to back.
-func (j *Journal) replaySnapshot(payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("snapshot without a format version")
-	}
-	if payload[0] != walFormat {
-		return fmt.Errorf("%w: snapshot format version %d", ErrWALFormat, payload[0])
-	}
-	for off := 1; off < len(payload); {
-		p, n, ok := parseFrame(payload[off:])
-		if !ok {
-			return fmt.Errorf("corrupt frame at snapshot offset %d", off)
-		}
-		r, err := decodeRecord(p)
-		if err != nil {
-			return err
-		}
-		j.applyLocked(r, frameLoc{snap: true, off: int64(frameHeader + off), n: int64(n)})
-		off += n
-	}
-	j.total = int64(frameHeader + len(payload))
-	return nil
-}
-
-// replayRecord folds one log frame into the shadow state. Any decode
-// failure is reported as ErrMalformedFrame (or ErrWALFormat), so the WAL
-// stops replay there instead of restoring a half-decoded record.
-func (j *Journal) replayRecord(payload []byte) error {
+// replayRecord folds the log frame at off into the shadow state. Any
+// decode failure is reported as ErrMalformedFrame (or ErrWALFormat), so
+// the WAL stops replay there instead of restoring a half-decoded record.
+func (j *Journal) replayRecord(off int64, payload []byte) error {
 	r, err := decodeRecord(payload)
 	if err != nil {
 		return err
 	}
-	loc := frameLoc{off: j.logEnd, n: int64(frameHeader + len(payload))}
-	j.logEnd += loc.n
+	loc := frameLoc{off: off, n: int64(frameHeader + len(payload))}
 	j.applyLocked(r, loc)
-	j.appends++
-	j.total += loc.n
+	j.total = off + loc.n
 	return nil
 }
 

@@ -3,8 +3,10 @@ package durable
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -154,9 +156,8 @@ func TestJournalEndReleasesSession(t *testing.T) {
 }
 
 // Compaction must preserve the recoverable state exactly while shrinking
-// the log, and stale pre-snapshot log records replayed over a newer
-// snapshot (the crash window between snapshot rename and log truncate)
-// must be idempotent.
+// the log, and a duplicate chunk appended behind the compacted prefix
+// must replay as the no-op it was when it was journaled.
 func TestJournalCompactPreservesState(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir, Options{})
@@ -170,41 +171,30 @@ func TestJournalCompactPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitChunk(j, "s", "k", "f", 2, chunkRecs("r", 1))
+	commitChunk(j, "s", "k", "f", 1, chunkRecs("dup", 1)) // a re-shipped duplicate
+	want, _ := journalState(t, j)
 	j.Close()
 
 	back, err := OpenJournal(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	sessions := sessionsOf(t, back)
 	if len(sessions) != 1 {
 		t.Fatalf("recovered %d sessions", len(sessions))
 	}
-	s := sessions[0]
-	if s.Next != 3 || len(s.Chunks) != 3 {
+	if s := sessions[0]; s.Next != 3 || len(s.Chunks) != 3 {
 		t.Fatalf("recovered next=%d chunks=%d, want 3/3", s.Next, len(s.Chunks))
 	}
-	back.Close()
-
-	// Crash window: stale records (seqs 0..1) replayed over the snapshot
-	// that already contains them must not duplicate chunks.
-	stale, err := OpenJournal(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale.mu.Lock()
-	stale.applyChunkLocked("s", 1, frameLoc{n: 64})
-	n := len(stale.sessions["s"].chunks)
-	stale.mu.Unlock()
-	stale.Close()
-	if n != 3 {
-		t.Fatalf("stale replay duplicated chunks: %d", n)
+	if got, _ := journalState(t, back); got != want {
+		t.Fatalf("recovered\n%s\nwant\n%s", got, want)
 	}
 }
 
 // A lone live session is never copied: no amount of appends makes a
-// snapshot of it worth writing, and the End that turns it all into garbage
-// truncates the log behind a snapshot of nothing.
+// compaction of it worth running, and the End that turns it all into
+// garbage rewrites the log to nothing.
 func TestJournalSnapshotEveryAutoCompacts(t *testing.T) {
 	dir := t.TempDir()
 	met := obs.NewRegistry()
@@ -234,8 +224,8 @@ func TestJournalSnapshotEveryAutoCompacts(t *testing.T) {
 	if n := met.Counter("wal.snapshots").Value(); n != 1 {
 		t.Fatalf("%d snapshots after End, want 1", n)
 	}
-	if n := met.Counter("wal.snapshot.bytes.total").Value(); n > 64 {
-		t.Errorf("snapshot of no sessions is %d bytes", n)
+	if n := met.Counter("wal.snapshot.bytes.total").Value(); n != 0 {
+		t.Errorf("compaction of no sessions wrote %d bytes", n)
 	}
 	if log, err := os.Stat(filepath.Join(dir, logFile)); err != nil || log.Size() != 0 {
 		t.Errorf("log after the last session ended: %v bytes, err %v; want 0", log.Size(), err)
@@ -274,11 +264,14 @@ func journalState(t *testing.T, j *Journal) (sessions, tallies string) {
 }
 
 // The linearity gate. Over a random interleaving of eight sessions'
-// lifecycles: snapshots never write more than was appended, the log never
-// outgrows twice the live state plus SnapshotEvery frames, and a journal
-// reopened on a copy of the directory — at any compaction, or with the log
-// cut anywhere — holds the sessions of the matching prefix and the same
-// byte tallies, so it goes on compacting exactly as this one would have.
+// lifecycles: compactions never write more than was appended, the log
+// never outgrows twice the live state once SnapshotEvery frames follow
+// the last compaction, nor that compaction plus those frames before, and a
+// journal reopened on a copy of the directory — at any compaction, or with
+// the log cut anywhere past the compacted prefix — holds the sessions of
+// the matching prefix and the same byte tallies, so it goes on compacting
+// exactly as this one would have. A cut inside the compacted prefix fails
+// recovery.
 func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 	const every = 16
 	dir := t.TempDir()
@@ -323,6 +316,12 @@ func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 		cp := t.TempDir()
 		copyDirTruncated(t, dir, cp, logSize)
 		back, err := OpenJournal(cp, Options{SnapshotEvery: every})
+		if want == "" {
+			if !errors.Is(err, errCorruptPrefix) {
+				t.Fatalf("log cut at %d inside the compacted prefix: err = %v", logSize, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +333,7 @@ func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 	}
 
 	// prefix[i] is the state once the log held offs[i] bytes; both restart
-	// at every compaction, whose snapshot is the new offset 0.
+	// at every compaction, whose rewritten log is the new offs[0].
 	offs, prefix := []int64{0}, []string{"total=0 live=0 appends=0"}
 	var maxFrame, snapshots int64
 	rng := rand.New(rand.NewSource(14))
@@ -376,15 +375,18 @@ func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 		if frame := appendedNow - appended; frame > maxFrame {
 			maxFrame = frame
 		}
-		if snap := met.Counter("wal.snapshot.bytes.total").Value(); snap > appendedNow {
-			t.Fatalf("step %d: %d snapshot bytes written for %d appended", step, snap, appendedNow)
+		if rewritten := met.Counter("wal.snapshot.bytes.total").Value(); rewritten > appendedNow {
+			t.Fatalf("step %d: %d bytes rewritten for %d appended", step, rewritten, appendedNow)
 		}
 		info, err := os.Stat(filepath.Join(dir, logFile))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if live := met.Gauge("wal.live.bytes").Value(); info.Size() > 2*live+every*maxFrame {
-			t.Fatalf("step %d: log is %d bytes over %d live", step, info.Size(), live)
+		// Within SnapshotEvery frames of the last compaction the log is its
+		// rewrite plus those frames; past them, under twice the live bytes
+		// (the prefix frame is garbage too).
+		if live := met.Gauge("wal.live.bytes").Value(); info.Size() > 2*live+prefixFrameLen && info.Size() > offs[0]+every*maxFrame {
+			t.Fatalf("step %d: log is %d bytes over %d live, %d at the last compaction", step, info.Size(), live, offs[0])
 		}
 		if n := met.Counter("wal.snapshots").Value(); n != snapshots {
 			snapshots = n
@@ -395,9 +397,12 @@ func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 			offs, prefix = append(offs, info.Size()), append(prefix, sessions+tallies)
 		}
 		if step%50 == 0 {
-			cut := rng.Int63n(info.Size() + 1)
+			cut := offs[0] + rng.Int63n(info.Size()-offs[0]+1)
 			i := sort.Search(len(offs), func(i int) bool { return offs[i] > cut }) - 1
 			reopen(cut, prefix[i])
+			if offs[0] > frameHeader+1 {
+				reopen(frameHeader+1+rng.Int63n(offs[0]-frameHeader-1), "")
+			}
 		}
 	}
 	if snapshots < 5 || met.Counter("wal.compactions.skipped").Value() == 0 {
@@ -405,9 +410,9 @@ func TestJournalCompactionLinearAndRecoverable(t *testing.T) {
 	}
 }
 
-// Compaction is housekeeping: when the snapshot cannot be written, the
-// frame that triggered the attempt is journaled all the same, its ticket
-// resolves, and the next append tries again.
+// Compaction is housekeeping: when the rewritten log cannot be written,
+// the frame that triggered the attempt is journaled all the same, its
+// ticket resolves, and the next append tries again.
 func TestJournalCompactionFailureKeepsChunk(t *testing.T) {
 	dir := t.TempDir()
 	met := obs.NewRegistry()
@@ -418,9 +423,9 @@ func TestJournalCompactionFailureKeepsChunk(t *testing.T) {
 	j.Mint("a")
 	commitChunk(j, "a", "k", "f", 0, chunkRecs("p", 3))
 	commitChunk(j, "a", "k", "f", 1, chunkRecs("q", 3))
-	// A non-empty directory where the snapshot's temp file goes makes every
-	// WAL.Snapshot fail before it touches the old snapshot or the log.
-	tmp := filepath.Join(dir, snapFile+".tmp")
+	// A non-empty directory where the rewrite's temp file goes makes every
+	// WAL.Rewrite fail before it touches the log.
+	tmp := filepath.Join(dir, logFile+".tmp")
 	if err := os.MkdirAll(filepath.Join(tmp, "blocker"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +450,7 @@ func TestJournalCompactionFailureKeepsChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := met.Counter("wal.snapshots").Value(); n != 1 {
-		t.Fatalf("%d snapshots once the path was writable again, want 1", n)
+		t.Fatalf("%d compactions once the path was writable again, want 1", n)
 	}
 	j.Close()
 	back, err := OpenJournal(dir, Options{})
@@ -455,6 +460,101 @@ func TestJournalCompactionFailureKeepsChunk(t *testing.T) {
 	defer back.Close()
 	if s := sessionsOf(t, back); len(s) != 1 || s[0].ID != "b" || s[0].Next != 2 || len(s[0].Chunks) != 2 {
 		t.Fatalf("recovered %+v", s)
+	}
+}
+
+// A compaction replaces the log by rename, so a crash at any step of it —
+// the temp file written, synced, renamed — leaves the old log or the new
+// one whole, and a journal reopened on the directory as the crash left it
+// recovers exactly the live sessions: from the old log before the rename,
+// from the compacted one after, and it compacts again from there. A
+// rewrite that fails at a step (its temp file gone before the rename)
+// leaves the old log in use, and the journal goes on appending to it.
+func TestJournalRewriteCrashAtEachStep(t *testing.T) {
+	for _, step := range []string{"written", "synced", "renamed"} {
+		for _, fail := range []bool{false, true} {
+			if fail && step == "renamed" {
+				continue // past the rename nothing can fail
+			}
+			dir, crash := t.TempDir(), t.TempDir()
+			j, err := OpenJournal(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Mint("a")
+			j.Mint("b")
+			commitChunk(j, "a", "k", "f", 0, chunkRecs("a", 2))
+			commitTomb(j, "a", "k", 1, []string{"x"})
+			commitChunk(j, "b", "k", "f", 0, chunkRecs("b", 3))
+			j.End("b")
+			want, _ := journalState(t, j)
+			logSize := func(dir string) int64 {
+				info, err := os.Stat(filepath.Join(dir, logFile))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return info.Size()
+			}
+			oldSize := logSize(dir)
+			j.wal.testHookRewrite = func(at string) {
+				if at != step {
+					return
+				}
+				if fail {
+					os.Remove(filepath.Join(dir, logFile+".tmp"))
+				} else {
+					copyDirTruncated(t, dir, crash, math.MaxInt64)
+				}
+			}
+			err = j.Compact()
+			j.wal.testHookRewrite = func(string) {}
+			if fail {
+				if err == nil {
+					t.Fatalf("%s: rewrite whose temp file vanished succeeded", step)
+				}
+				if err := commitChunk(j, "a", "k", "f", 2, chunkRecs("c", 1)); err != nil {
+					t.Fatal(err)
+				}
+				want, _ = journalState(t, j)
+				j.Close()
+				if size := logSize(dir); size <= oldSize {
+					t.Fatalf("%s: failed rewrite, then a chunk: log %d bytes, was %d", step, size, oldSize)
+				}
+				crash = dir
+			} else {
+				if err != nil {
+					t.Fatal(err)
+				}
+				newSize := logSize(dir)
+				j.Close()
+				wantSize := oldSize
+				if step == "renamed" {
+					wantSize = newSize
+				}
+				if size := logSize(crash); size != wantSize || newSize >= oldSize {
+					t.Fatalf("crash once %s: log %d bytes; old %d, compacted %d", step, size, oldSize, newSize)
+				}
+			}
+			back, err := OpenJournal(crash, Options{})
+			if err != nil {
+				t.Fatalf("%s (fail=%t): %v", step, fail, err)
+			}
+			if got, _ := journalState(t, back); got != want {
+				t.Fatalf("%s (fail=%t): recovered\n%s\nwant\n%s", step, fail, got, want)
+			}
+			if err := back.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			back.Close()
+			again, err := OpenJournal(crash, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := journalState(t, again); got != want {
+				t.Fatalf("%s (fail=%t): compacted again, recovered\n%s\nwant\n%s", step, fail, got, want)
+			}
+			again.Close()
+		}
 	}
 }
 

@@ -2,9 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"xdx/internal/wire"
@@ -144,36 +145,76 @@ func frameOf(payload string) string {
 	return string(hdr[:]) + payload
 }
 
-// A corrupt snapshot is a hard error, not a silent zero: the snapshot is
-// written atomically, so a frame in it that fails its checksum or decodes
-// to a half record means real corruption.
-func TestJournalCorruptSnapshotFails(t *testing.T) {
-	v := string([]byte{walFormat})
+// A corrupt compacted prefix is a hard error, not a silent zero or a torn
+// tail: a rewrite syncs the prefix whole before it replaces the log, so a
+// frame in it that fails its checksum, decodes to a half record or is cut
+// short means real corruption.
+func TestJournalCorruptPrefixFails(t *testing.T) {
 	good := frameOf(string(appendFrameHead(nil, kindMint, "x")))
-	for _, snap := range []string{
-		"",                                   // no format version
-		v + good[:len(good)-1] + "y",         // frame failing its CRC
-		v + good + frameOf(chunkHeadTo("x")), // chunk without seq
-		v + frameOf(string(appendFrameHead(nil, kindMint, ""))), // session without id
-		v + good[:len(good)-2], // truncated frame
+	for _, prefix := range []string{
+		good[:len(good)-1] + "y",                            // frame failing its CRC
+		good + frameOf(chunkHeadTo("x")),                    // chunk without seq
+		frameOf(string(appendFrameHead(nil, kindMint, ""))), // session without id
+		good[:len(good)-2],                                  // truncated frame
 	} {
 		dir := t.TempDir()
 		w, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Recover(nil, nil); err != nil {
+		if _, err := w.Recover(nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Snapshot(writeBytes([]byte(snap))); err != nil {
+		if _, err := w.Rewrite(writeBytes([]byte(prefix))); err != nil {
 			t.Fatal(err)
 		}
 		w.Close()
-		if _, err := OpenJournal(dir, Options{}); err == nil {
-			t.Fatalf("corrupt snapshot %q recovered without error", snap)
-		} else if !strings.Contains(err.Error(), "snapshot") {
-			t.Fatalf("unexpected error for %q: %v", snap, err)
+		before, _ := os.ReadFile(filepath.Join(dir, logFile))
+		if _, err := OpenJournal(dir, Options{}); !errors.Is(err, errCorruptPrefix) {
+			t.Fatalf("corrupt prefix %q: err = %v, want errCorruptPrefix", prefix, err)
 		}
+		if after, _ := os.ReadFile(filepath.Join(dir, logFile)); !bytes.Equal(before, after) {
+			t.Fatalf("corrupt prefix %q: the failed recovery changed the log", prefix)
+		}
+	}
+
+	// A prefix frame that ends the prefix where it ends itself, or past
+	// the log, is never written: corrupt too.
+	for _, end := range []uint64{prefixFrameLen, 1 << 20} {
+		p := binary.LittleEndian.AppendUint64([]byte{prefixMark}, end)
+		raw := frameOf(string(p)) + frameOf(string(appendFrameHead(nil, kindMint, "x")))
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logFile), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenJournal(dir, Options{}); !errors.Is(err, errCorruptPrefix) {
+			t.Fatalf("prefix frame ending at %d: err = %v, want errCorruptPrefix", end, err)
+		}
+	}
+
+	// A compacted log cut anywhere inside its prefix — past the prefix
+	// frame's mark — fails the same way; cut past the prefix, it recovers.
+	raw := compactedJournalLog(t)
+	end := int(binary.LittleEndian.Uint64(raw[frameHeader+1:]))
+	for cut := frameHeader + 1; cut <= len(raw); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logFile), raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(dir, Options{})
+		if cut < end {
+			if !errors.Is(err, errCorruptPrefix) {
+				t.Fatalf("cut at %d inside a %d-byte prefix: err = %v", cut, end, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("cut at %d past a %d-byte prefix: %v", cut, end, err)
+		}
+		if s := sessionsOf(t, j); len(s) != 1 || s[0].ID != "a" || s[0].Next < 3 {
+			t.Fatalf("cut at %d past the prefix recovered %+v", cut, s)
+		}
+		j.Close()
 	}
 }
 

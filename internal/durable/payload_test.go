@@ -35,7 +35,7 @@ func binShipment(t *testing.T, sch *schema.Schema, f *core.Fragment, recs []*xml
 
 // A committed bin chunk is journaled as the payload it arrived as: the
 // frame behind the header is the decoder's staged text, byte for byte, in
-// the log, in Sessions, and — copied — in the snapshot.
+// the log, in Sessions, and — copied — in the rewritten log.
 func TestJournalFrameIsWirePayload(t *testing.T) {
 	sch := schema.CustomerInfo()
 	f, err := core.NewFragment(sch, "ord", []string{"Order", "Service", "ServiceName"})
@@ -91,17 +91,21 @@ func TestJournalFrameIsWirePayload(t *testing.T) {
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, snapFile))
+	log, err = os.ReadFile(filepath.Join(dir, logFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot frame: format byte, the session's mint frame, its chunk.
-	mint, n, ok := parseFrame(snap[frameHeader+1:])
-	if !ok || mint[1] != kindMint {
-		t.Fatal("snapshot does not open with the session's mint frame")
+	// Rewritten log: the prefix frame, the session's mint frame, its chunk.
+	start, end, err := compactedPrefix(log)
+	if err != nil || start != prefixFrameLen || end != len(log) {
+		t.Fatalf("rewritten log of %d bytes: prefix frame %d..%d, err %v", len(log), start, end, err)
 	}
-	if body := frameBody(snap[frameHeader+1+n:]); !bytes.Equal(body, staged) {
-		t.Fatal("snapshot frame body differs from the staged payload")
+	mint, n, ok := parseFrame(log[start:])
+	if !ok || mint[1] != kindMint {
+		t.Fatal("rewritten log does not open with the session's mint frame")
+	}
+	if body := frameBody(log[start+n:]); !bytes.Equal(body, staged) {
+		t.Fatal("rewritten frame body differs from the staged payload")
 	}
 }
 
@@ -146,9 +150,16 @@ func TestCompactionCopiesLiveFramesWithoutRetaining(t *testing.T) {
 	if grew := int64(heap()) - int64(before); grew > chunks*size/8 {
 		t.Fatalf("heap grew %d bytes across a compaction", grew)
 	}
-	if info, err := os.Stat(filepath.Join(dir, logFile)); err != nil || info.Size() != 0 {
-		t.Fatalf("log not truncated behind the snapshot: %v", err)
+	// The rewritten log is its prefix: the kept session's mint and chunk
+	// frames, the ended session's gone.
+	log, err := os.ReadFile(filepath.Join(dir, logFile))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, end, err := compactedPrefix(log); err != nil || end != len(log) || len(log) > chunks*(size+128) {
+		t.Fatalf("rewritten log of %d bytes, prefix to %d (err %v); want one session's %d chunks", len(log), end, err, chunks)
+	}
+	log = nil
 	check := func(j *Journal) {
 		t.Helper()
 		ss := sessionsOf(t, j)
@@ -173,13 +184,20 @@ func TestCompactionCopiesLiveFramesWithoutRetaining(t *testing.T) {
 
 // A directory written by the XML-frame journal (format version 1,
 // testdata/wal-format-1) is refused whole, with an error naming the
-// directory and what to do — whether recovery meets the old snapshot or
-// an old log frame first — and is left exactly as it was.
+// directory and what to do — whether recovery meets its snapshot file or
+// an old log frame first — and is left exactly as it was. So is a
+// directory of the current frame format that holds the snapshot file of
+// the two-file layout (testdata/wal-format-2-snapshot), while its log
+// alone opens.
 func TestJournalRefusesOldFormat(t *testing.T) {
-	for _, files := range [][]string{{snapFile, logFile}, {logFile}} {
+	for _, files := range [][]string{
+		{"wal-format-1", oldSnapFile, logFile},
+		{"wal-format-1", logFile},
+		{"wal-format-2-snapshot", oldSnapFile, logFile},
+	} {
 		dir := t.TempDir()
-		for _, name := range files {
-			data, err := os.ReadFile(filepath.Join("testdata", "wal-format-1", name))
+		for _, name := range files[1:] {
+			data, err := os.ReadFile(filepath.Join("testdata", files[0], name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,8 +215,21 @@ func TestJournalRefusesOldFormat(t *testing.T) {
 			t.Fatalf("%v: refusal changed the log", files)
 		}
 	}
-	// A frame of a future version is refused the same way.
 	dir := t.TempDir()
+	data, err := os.ReadFile(filepath.Join("testdata", "wal-format-2-snapshot", logFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, logFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir, Options{})
+	if err != nil {
+		t.Fatalf("a format-2 log without a snapshot file: %v", err)
+	}
+	j.Close()
+	// A frame of a future version is refused the same way.
+	dir = t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, logFile), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +242,7 @@ func TestJournalRefusesOldFormat(t *testing.T) {
 // TestJournalRefusesUndecodablePayload: a chunk frame whose payload is in a
 // format this build cannot decode — a feed chunk, journaled by an earlier
 // build that spoke that codec — refuses the directory at open, whether the
-// frame lies in the log or in a snapshot, with the same way out as an old
+// frame lies past the compacted prefix or in it, with the same way out as an old
 // frame layout and the directory left as it was. Opening it anyway would
 // fail the first resumed delivery at hydration instead.
 func TestJournalRefusesUndecodablePayload(t *testing.T) {

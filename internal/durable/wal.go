@@ -1,34 +1,33 @@
 // Package durable is the crash-safety subsystem of the exchange
 // architecture: an append-only write-ahead log with CRC32-framed,
 // length-prefixed records, one group-commit append path (batch.go),
-// snapshot+compact cycles, and recovery that truncates a torn tail and
-// replays the longest valid prefix. The reliability layer
+// compaction by rewriting the log, and recovery that truncates a torn tail
+// and replays the longest valid prefix. The reliability layer
 // (internal/reliable) promises exactly-once resumable exchanges; this
 // package makes the state backing that promise — session checkpoints and
 // committed chunks — survive a SIGKILL, so a restarted endpoint resumes
 // from its last committed chunk instead of forgetting the transfer.
 //
-// On-disk layout of a WAL directory:
-//
-//	wal.log       frames appended since the last snapshot
-//	snapshot.xdx  one frame holding the compacted state (atomic rename);
-//	              the session Journal fills it with its own frames, back
-//	              to back (journal.go)
+// A WAL directory holds one file, wal.log: the frames appended since it
+// was created or last rewritten, behind — after a rewrite — the compacted
+// prefix the rewrite wrote.
 //
 // Frame format (all integers little-endian):
 //
 //	uint32 length | uint32 CRC32(payload) | payload
 //
-// Recovery replays the snapshot first, then every log frame whose length
-// is plausible and whose checksum matches; the first bad frame ends the
-// replay and the file is truncated there (the torn tail a crash mid-append
-// leaves behind). Replay handlers must therefore be idempotent against the
-// snapshot/truncate race: a crash between the snapshot rename and the log
-// truncation replays pre-snapshot records on top of the snapshot state.
+// Rewrite writes the new log into wal.log.tmp — a prefix frame recording
+// where the compacted prefix ends, then the caller's frames — fsyncs it
+// and renames it over wal.log, so at every instant the log is either the
+// old file or the new one, never a mix. Recovery replays every frame
+// whose length is plausible and whose checksum matches. Inside the
+// compacted prefix, which was synced whole before the rename, a bad frame
+// is corruption and fails recovery; past it, the first bad frame ends the
+// replay and the file is truncated there (the torn tail a crash
+// mid-append leaves behind).
 package durable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,6 +56,11 @@ var ErrMalformedFrame = errors.New("durable: malformed frame")
 // version. Recovery never guesses at a format it was not built for: the
 // directory must be drained by the version that wrote it, or deleted.
 var ErrWALFormat = errors.New("durable: unsupported WAL format")
+
+// errCorruptPrefix fails recovery of a log whose compacted prefix does not
+// read back whole: a rewrite syncs the prefix before the rename, so damage
+// there is corruption, not a torn append.
+var errCorruptPrefix = errors.New("durable: corrupt compacted log prefix")
 
 // FsyncPolicy says whether the WAL forces each commit group to stable
 // storage — the durability/throughput trade measured in EXPERIMENTS.md.
@@ -116,7 +120,7 @@ type Options struct {
 	// which it starts checking whether one would pay for itself; 0 never
 	// compacts.
 	SnapshotEvery int
-	// Log receives recovery and snapshot events. Nil is off.
+	// Log receives recovery and compaction events. Nil is off.
 	Log obs.Logger
 	// Met receives the wal.* metric family. Nil is off.
 	Met *obs.Registry
@@ -124,11 +128,10 @@ type Options struct {
 
 // RecoveryStats reports what Recover found.
 type RecoveryStats struct {
-	// SnapshotBytes is the size of the replayed snapshot payload (0 when
-	// no snapshot exists).
-	SnapshotBytes int64
 	// Records is how many valid log frames were replayed.
 	Records int
+	// Compacted is how many of Records lay in the compacted prefix.
+	Compacted int
 	// TornBytes is how many trailing bytes were discarded as a torn or
 	// corrupt tail.
 	TornBytes int64
@@ -142,12 +145,21 @@ type RecoveryStats struct {
 
 const (
 	logFile      = "wal.log"
-	snapFile     = "snapshot.xdx"
 	frameHeader  = 8
 	maxFrameSize = 1 << 30 // length sanity bound: longer is a torn header
+
+	// oldSnapFile is the second file of the two-file layout this build
+	// replaced; a directory holding one is refused with ErrWALFormat.
+	oldSnapFile = "snapshot.xdx"
+
+	// The prefix frame opens a rewritten log: prefixMark, then the uint64
+	// offset where the compacted prefix ends. No appended payload may
+	// start with prefixMark, so the frame never reads as a record.
+	prefixMark     = 0xff
+	prefixFrameLen = frameHeader + 1 + 8
 )
 
-// WAL is an append-only log with CRC framing and snapshot+compact cycles.
+// WAL is an append-only log with CRC framing and compaction by rewrite.
 // It is safe for concurrent use.
 type WAL struct {
 	dir  string
@@ -163,6 +175,10 @@ type WAL struct {
 	recovered, closed atomic.Bool
 
 	bat *batcher // group-commit state
+
+	// testHookRewrite runs after each step of a rewrite — "written",
+	// "synced", "renamed" — the crash points the tests freeze.
+	testHookRewrite func(step string)
 
 	mAppends, mAppendBytes, mFsyncs *obs.Counter
 }
@@ -186,18 +202,18 @@ func Open(dir string, o Options) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: open: %w", err)
 	}
-	w := &WAL{dir: dir, opts: o, log: obs.OrNop(o.Log), met: o.Met, f: f,
+	w := &WAL{dir: dir, opts: o, log: obs.OrNop(o.Log), met: o.Met, f: f, testHookRewrite: func(string) {},
 		mAppends: o.Met.Counter("wal.appends"), mAppendBytes: o.Met.Counter("wal.append.bytes"),
 		mFsyncs: o.Met.Counter("wal.fsyncs")}
 	w.bat = newBatcher(w)
 	return w, nil
 }
 
-// Recover replays the snapshot (snap callback, skipped when no snapshot
-// exists) and then the longest valid prefix of the log (rec callback, one
-// call per frame), truncating any torn tail so the file ends on a frame
-// boundary. It must be called exactly once, before the first Append.
-func (w *WAL) Recover(snap func(payload []byte) error, rec func(payload []byte) error) (RecoveryStats, error) {
+// Recover replays the longest valid prefix of the log (rec, one call per
+// frame with the offset of its header), truncating any torn tail so the
+// file ends on a frame boundary. It must be called exactly once, before
+// the first Append.
+func (w *WAL) Recover(rec func(off int64, payload []byte) error) (RecoveryStats, error) {
 	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -205,34 +221,32 @@ func (w *WAL) Recover(snap func(payload []byte) error, rec func(payload []byte) 
 	if w.recovered.Load() {
 		return st, fmt.Errorf("durable: Recover called twice")
 	}
-
-	if data, err := os.ReadFile(filepath.Join(w.dir, snapFile)); err == nil {
-		payload, _, ok := parseFrame(data)
-		if !ok || len(data) != frameHeader+len(payload) {
-			return st, fmt.Errorf("durable: corrupt snapshot %s", filepath.Join(w.dir, snapFile))
-		}
-		if snap != nil {
-			if err := snap(payload); err != nil {
-				return st, fmt.Errorf("durable: replay snapshot: %w", err)
-			}
-		}
-		st.SnapshotBytes = int64(len(payload))
-	} else if !os.IsNotExist(err) {
-		return st, fmt.Errorf("durable: recover: %w", err)
+	if _, err := os.Stat(filepath.Join(w.dir, oldSnapFile)); err == nil {
+		return st, fmt.Errorf("%w: %s belongs to the two-file layout", ErrWALFormat, oldSnapFile)
 	}
 
 	data, err := os.ReadFile(filepath.Join(w.dir, logFile))
 	if err != nil {
 		return st, fmt.Errorf("durable: recover: %w", err)
 	}
-	off := 0
+	off, prefix, err := compactedPrefix(data)
+	if err != nil {
+		return st, err
+	}
 	for {
 		payload, n, ok := parseFrame(data[off:])
+		inPrefix := off < prefix
+		if inPrefix && (!ok || off+n > prefix) {
+			return st, fmt.Errorf("%w: no whole frame at offset %d", errCorruptPrefix, off)
+		}
 		if !ok {
 			break
 		}
 		if rec != nil {
-			if err := rec(payload); err != nil {
+			if err := rec(int64(off), payload); err != nil {
+				if inPrefix {
+					return st, fmt.Errorf("%w: record %d: %w", errCorruptPrefix, st.Records, err)
+				}
 				if errors.Is(err, ErrMalformedFrame) {
 					// The frame's bytes are intact (CRC matched) but the
 					// payload does not decode into a record. Replaying a
@@ -248,6 +262,9 @@ func (w *WAL) Recover(snap func(payload []byte) error, rec func(payload []byte) 
 			}
 		}
 		st.Records++
+		if inPrefix {
+			st.Compacted++
+		}
 		off += n
 	}
 	if torn := len(data) - off; torn > 0 {
@@ -265,14 +282,29 @@ func (w *WAL) Recover(snap func(payload []byte) error, rec func(payload []byte) 
 	}
 	w.recovered.Store(true)
 	st.Elapsed = time.Since(start)
-	if w.met != nil {
-		w.met.Counter("wal.recovery.records").Add(int64(st.Records))
-		w.met.Counter("wal.recovery.torn_bytes").Add(st.TornBytes)
-		w.met.Counter("wal.recovery.malformed").Add(int64(st.MalformedFrames))
-		w.met.Histogram("wal.recovery.millis").Observe(float64(st.Elapsed) / float64(time.Millisecond))
-		w.met.Gauge("wal.snapshot.bytes").Set(st.SnapshotBytes)
-	}
+	w.met.Counter("wal.recovery.records").Add(int64(st.Records))
+	w.met.Counter("wal.recovery.torn_bytes").Add(st.TornBytes)
+	w.met.Counter("wal.recovery.malformed").Add(int64(st.MalformedFrames))
+	w.met.Histogram("wal.recovery.millis").Observe(float64(st.Elapsed) / float64(time.Millisecond))
+	w.met.Gauge("wal.snapshot.bytes").Set(int64(prefix))
 	return st, nil
+}
+
+// compactedPrefix reads the prefix frame a rewritten log opens with and
+// returns where the frames behind it start and where the compacted prefix
+// ends; a log that opens with anything else has none (0, 0).
+func compactedPrefix(data []byte) (start, end int, err error) {
+	if len(data) <= frameHeader || data[frameHeader] != prefixMark {
+		return 0, 0, nil
+	}
+	var e uint64 // where the prefix ends, past at least one frame; 0 when unreadable
+	if p, n, ok := parseFrame(data); ok && n == prefixFrameLen {
+		e = binary.LittleEndian.Uint64(p[1:])
+	}
+	if e <= prefixFrameLen || e > uint64(len(data)) {
+		return 0, 0, fmt.Errorf("%w: prefix frame gives end %d in a %d-byte log", errCorruptPrefix, e, len(data))
+	}
+	return prefixFrameLen, int(e), nil
 }
 
 // parseFrame decodes one frame from the head of data, returning the
@@ -319,14 +351,15 @@ func (w *WAL) appendParts(head, body []byte) *Pending {
 	if w.closed.Load() {
 		return failedPending(fmt.Errorf("durable: Append on closed WAL"))
 	}
+	lead := head
+	if len(lead) == 0 {
+		lead = body
+	}
+	if len(lead) > 0 && lead[0] == prefixMark {
+		return failedPending(fmt.Errorf("durable: a payload may not start with byte %#x", prefixMark))
+	}
 	return w.bat.enqueue(head, body)
 }
-
-// Flush hurries the pending commit group out without waiting for it: the
-// leader commits what is queued instead of holding for more. The endpoint
-// calls this before parking on the tail chunk's tickets, so a quiet
-// session never waits out the hold.
-func (w *WAL) Flush() { w.bat.hurryUp() }
 
 func (w *WAL) syncLocked() error {
 	if err := w.f.Sync(); err != nil {
@@ -336,114 +369,90 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// Snapshot atomically replaces the snapshot with what write produces and
-// compacts the log to empty. The state streams through a pooled buffered
-// writer straight into the temp file — it is never materialised in memory — and
-// the length+CRC frame header is patched in once the length is known.
-// Ordering makes a crash at any point safe: the new snapshot is fully
-// durable (temp file + fsync + rename + directory fsync) before the log is
-// truncated, and a crash in between merely replays old log records over
-// the new snapshot — which replay handlers must treat idempotently. A
-// failure before the rename leaves the previous snapshot and the log as
-// they were.
-func (w *WAL) Snapshot(write func(io.Writer) error) error {
-	// Settle the pending group first so the truncated log never holds
-	// frames whose tickets are still unresolved.
+// Rewrite replaces the log with a compacted one: a prefix frame, then what
+// write produces — whole frames, streamed through a pooled buffered writer
+// into wal.log.tmp, never materialised in memory — synced under either
+// fsync policy and renamed over wal.log; appends go on behind it. A write
+// that produces nothing leaves an empty log. A failure before the rename
+// leaves the log as it was; once it is renamed, nothing can fail. It
+// returns the new log's size.
+func (w *WAL) Rewrite(write func(io.Writer) error) (int64, error) {
+	// Settle the pending group first so the old log holds every frame
+	// whose ticket was issued before the rewrite.
 	w.bat.drain()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.recovered.Load() {
-		return fmt.Errorf("durable: Snapshot before Recover")
+		return 0, fmt.Errorf("durable: Rewrite before Recover")
 	}
 	if w.closed.Load() {
-		return fmt.Errorf("durable: Snapshot on closed WAL")
+		return 0, fmt.Errorf("durable: Rewrite on closed WAL")
 	}
-	tmp := filepath.Join(w.dir, snapFile+".tmp")
-	size, err := writeSnapshotFile(tmp, write)
+	tmp := filepath.Join(w.dir, logFile+".tmp")
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
+		return 0, fmt.Errorf("durable: rewrite: %w", err)
+	}
+	size, err := fillLog(f, write)
+	if err == nil {
+		w.testHookRewrite("written")
+		err = f.Sync()
+	}
+	if err == nil {
+		w.mFsyncs.Inc()
+		w.testHookRewrite("synced")
+		err = os.Rename(tmp, filepath.Join(w.dir, logFile))
+	}
+	if err != nil {
+		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot: %w", err)
+		return 0, fmt.Errorf("durable: rewrite: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, snapFile)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot: %w", err)
+	w.testHookRewrite("renamed")
+	if d, err := os.Open(w.dir); err == nil { // make the rename durable
+		d.Sync() // some filesystems refuse a directory fsync
+		d.Close()
 	}
-	syncDir(w.dir)
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("durable: compact: %w", err)
-	}
-	if _, err := w.f.Seek(0, 0); err != nil {
-		return fmt.Errorf("durable: compact: %w", err)
-	}
-	if err := w.syncLocked(); err != nil {
-		return err
-	}
-	if w.met != nil {
-		w.met.Counter("wal.snapshots").Inc()
-		w.met.Gauge("wal.snapshot.bytes").Set(size)
-		w.met.Counter("wal.snapshot.bytes.total").Add(size)
-	}
-	w.log.Log(obs.LevelDebug, "wal snapshot", "dir", w.dir, "bytes", size)
-	return nil
+	w.f.Close()
+	w.f = f
+	w.met.Counter("wal.snapshots").Inc()
+	w.met.Gauge("wal.snapshot.bytes").Set(size)
+	w.met.Counter("wal.snapshot.bytes.total").Add(size)
+	w.log.Log(obs.LevelDebug, "wal rewrite", "dir", w.dir, "bytes", size)
+	return size, nil
 }
 
-// frameWriter accumulates the length and CRC of a frame payload streamed
-// through it.
-type frameWriter struct {
-	w   *bufio.Writer
-	n   int64
-	crc uint32
-}
-
-func (fw *frameWriter) Write(p []byte) (int, error) {
-	fw.n += int64(len(p))
-	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, p)
-	return fw.w.Write(p)
-}
-
-// writeSnapshotFile writes one durable frame to path — header placeholder,
-// the payload write streams, header patched in place, fsync — and returns
-// the payload length.
-func writeSnapshotFile(path string, write func(io.Writer) error) (int64, error) {
-	f, err := os.Create(path)
+// fillLog writes a placeholder prefix frame and what write produces into
+// the empty file f, then patches the frame with where the prefix ends —
+// or, when write produced nothing, empties f again. It returns the size.
+func fillLog(f *os.File, write func(io.Writer) error) (int64, error) {
+	bw := bufpool.Writer(f)
+	defer bufpool.PutWriter(bw)
+	var frame [prefixFrameLen]byte
+	bw.Write(frame[:])
+	if err := write(bw); err != nil {
+		return 0, err
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, err
+	}
+	size, err := f.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return 0, err
 	}
-	var hdr [frameHeader]byte
-	fw := &frameWriter{w: bufpool.Writer(f)}
-	defer bufpool.PutWriter(fw.w)
-	_, err = fw.w.Write(hdr[:])
-	if err == nil {
-		err = write(fw)
+	if size == prefixFrameLen { // no frames: an empty log
+		if err := f.Truncate(0); err != nil {
+			return 0, err
+		}
+		_, err = f.Seek(0, io.SeekStart)
+		return 0, err
 	}
-	if err == nil {
-		err = fw.w.Flush()
-	}
-	if err == nil && fw.n > maxFrameSize {
-		err = fmt.Errorf("state of %d bytes exceeds the %d-byte frame limit", fw.n, maxFrameSize)
-	}
-	if err == nil {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(fw.n))
-		binary.LittleEndian.PutUint32(hdr[4:], fw.crc)
-		_, err = f.WriteAt(hdr[:], 0)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return fw.n, err
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable. Errors are
-// ignored: some filesystems refuse directory fsync, and the rename itself
-// already happened.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	p := frame[frameHeader:]
+	p[0] = prefixMark
+	binary.LittleEndian.PutUint64(p[1:], uint64(size))
+	frameInto(frame[:], p, nil)
+	_, err = f.WriteAt(frame[:], 0)
+	return size, err
 }
 
 // Close drains the pending commit group, so every ticket resolves, syncs

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"xdx/internal/obs"
 	"xdx/internal/wire"
 )
 
@@ -22,7 +23,7 @@ func openRecovered(t *testing.T, dir string, o Options) (*WAL, [][]byte, Recover
 		t.Fatal(err)
 	}
 	var got [][]byte
-	st, err := w.Recover(nil, func(p []byte) error {
+	st, err := w.Recover(func(_ int64, p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
@@ -99,7 +100,7 @@ func TestWALAppendBeforeRecover(t *testing.T) {
 	}
 }
 
-// writeBytes is the Snapshot callback for a state already in memory.
+// writeBytes is the Rewrite callback for a state already in memory.
 func writeBytes(state []byte) func(io.Writer) error {
 	return func(w io.Writer) error {
 		_, err := w.Write(state)
@@ -107,16 +108,25 @@ func writeBytes(state []byte) func(io.Writer) error {
 	}
 }
 
-func TestWALSnapshotCompacts(t *testing.T) {
+// A rewrite replaces the log with a prefix frame and the frames it is
+// given; appends go on behind them, and recovery replays both, counting
+// the rewritten ones as compacted.
+func TestWALRewriteCompacts(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _ := openRecovered(t, dir, Options{})
+	met := obs.NewRegistry()
+	w, _, _ := openRecovered(t, dir, Options{Met: met})
 	for i := 0; i < 10; i++ {
 		if err := w.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Snapshot(writeBytes([]byte("state-v1"))); err != nil {
+	state := frameOf("state-a") + frameOf("state-b")
+	size, err := w.Rewrite(writeBytes([]byte(state)))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want := int64(prefixFrameLen + len(state)); size != want || met.Gauge("wal.snapshot.bytes").Value() != want {
+		t.Errorf("rewrite size %d, gauge %d; want %d", size, met.Gauge("wal.snapshot.bytes").Value(), want)
 	}
 	if err := w.Append([]byte("after")); err != nil {
 		t.Fatal(err)
@@ -127,32 +137,48 @@ func TestWALSnapshotCompacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(frameHeader + len("after")); info.Size() != want {
+	if want := size + int64(frameHeader+len("after")); info.Size() != want {
 		t.Errorf("compacted log is %d bytes, want %d", info.Size(), want)
 	}
+	if _, err := os.Stat(filepath.Join(dir, logFile+".tmp")); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind: %v", err)
+	}
+	w2, got, st := openRecovered(t, dir, Options{})
+	if len(got) != 3 || string(got[0]) != "state-a" || string(got[1]) != "state-b" || string(got[2]) != "after" {
+		t.Errorf("rewritten log replays %q", got)
+	}
+	if st.Records != 3 || st.Compacted != 2 || st.TornBytes != 0 {
+		t.Errorf("recovery stats %+v, want 3 records, 2 compacted", st)
+	}
 
-	w2, err := Open(dir, Options{})
-	if err != nil {
+	// Rewriting to nothing empties the log, and appends start at 0.
+	if size, err := w2.Rewrite(writeBytes(nil)); err != nil || size != 0 {
+		t.Fatalf("empty rewrite: size %d, err %v", size, err)
+	}
+	if err := w2.Append([]byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
-	var snap []byte
-	var logRecs [][]byte
-	st, err := w2.Recover(
-		func(p []byte) error { snap = append([]byte(nil), p...); return nil },
-		func(p []byte) error { logRecs = append(logRecs, append([]byte(nil), p...)); return nil },
-	)
-	if err != nil {
-		t.Fatal(err)
+	w2.Close()
+	if info, err := os.Stat(filepath.Join(dir, logFile)); err != nil || info.Size() != int64(frameHeader+len("fresh")) {
+		t.Fatalf("log after an empty rewrite and one append: %v, %v", info.Size(), err)
 	}
-	if string(snap) != "state-v1" {
-		t.Errorf("snapshot payload = %q", snap)
+	w3, got, _ := openRecovered(t, dir, Options{})
+	defer w3.Close()
+	if len(got) != 1 || string(got[0]) != "fresh" {
+		t.Fatalf("after an empty rewrite, replays %q", got)
 	}
-	if st.SnapshotBytes != int64(len("state-v1")) {
-		t.Errorf("SnapshotBytes = %d", st.SnapshotBytes)
+}
+
+// A payload that opens with the prefix frame's mark would read back as a
+// compacted prefix, so Append refuses it.
+func TestWALRefusesPrefixMark(t *testing.T) {
+	w, _, _ := openRecovered(t, t.TempDir(), Options{})
+	defer w.Close()
+	if err := w.Append([]byte{prefixMark, 1}); err == nil {
+		t.Fatal("Append accepted a payload opening with the prefix mark")
 	}
-	if len(logRecs) != 1 || string(logRecs[0]) != "after" {
-		t.Errorf("post-snapshot log = %q", logRecs)
+	if err := w.appendParts(nil, []byte{prefixMark}).Err(); err == nil {
+		t.Fatal("appendParts accepted a body opening with the prefix mark")
 	}
 }
 
@@ -360,11 +386,36 @@ func journalLog(t testing.TB) []byte {
 	return raw
 }
 
+// compactedJournalLog is journalLog's history compacted, with one more
+// chunk appended behind the prefix.
+func compactedJournalLog(t testing.TB) []byte {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, logFile), journalLog(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir, Options{Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	commitChunk(j, "a", "0:k", "f", 3, chunkRecs("c", 1))
+	j.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, logFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // FuzzWALRecovery feeds arbitrary bytes as a log file: recovery must never
-// panic or error, and recovering its own truncation must be stable. On top
-// of the WAL, the journal must recover the same bytes without panicking —
-// refusing only a frame of another format version — and the sessions it
-// rebuilds must survive a reopen unchanged.
+// panic, nor error unless the bytes open with a prefix frame's mark and
+// the compacted prefix does not read back whole, and recovering its own
+// truncation must be stable. On top of the WAL, the journal must recover
+// the same bytes without panicking — refusing only a frame of another
+// format version or a corrupt prefix — and the sessions it rebuilds must
+// survive a reopen unchanged.
 func FuzzWALRecovery(f *testing.F) {
 	raw := journalLog(f)
 	f.Add(raw)
@@ -373,6 +424,10 @@ func FuzzWALRecovery(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3})
 	// A CRC-valid frame whose header is cut short, after the good ones.
 	f.Add(append(raw, frameOf(chunkHeadTo("a"))...))
+	// A compacted log, whole and cut inside its prefix.
+	compacted := compactedJournalLog(f)
+	f.Add(compacted)
+	f.Add(compacted[:len(compacted)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, logFile), data, 0o644); err != nil {
@@ -383,20 +438,27 @@ func FuzzWALRecovery(f *testing.F) {
 			t.Fatal(err)
 		}
 		var first [][]byte
-		if _, err := w.Recover(nil, func(p []byte) error {
+		_, err = w.Recover(func(_ int64, p []byte) error {
 			first = append(first, append([]byte(nil), p...))
 			return nil
-		}); err != nil {
+		})
+		w.Close()
+		if errors.Is(err, errCorruptPrefix) && data[frameHeader] == prefixMark {
+			if _, err := OpenJournal(dir, Options{}); !errors.Is(err, errCorruptPrefix) {
+				t.Fatalf("journal opened a corrupt prefix: %v", err)
+			}
+			return
+		}
+		if err != nil {
 			t.Fatalf("recovery errored on arbitrary input: %v", err)
 		}
-		w.Close()
 		// Idempotence: recovering the truncated file replays the same prefix.
 		w2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var second [][]byte
-		st, err := w2.Recover(nil, func(p []byte) error {
+		st, err := w2.Recover(func(_ int64, p []byte) error {
 			second = append(second, append([]byte(nil), p...))
 			return nil
 		})
@@ -418,7 +480,7 @@ func FuzzWALRecovery(f *testing.F) {
 
 		state := func() string {
 			j, err := OpenJournal(dir, Options{})
-			if errors.Is(err, ErrWALFormat) {
+			if errors.Is(err, ErrWALFormat) || errors.Is(err, errCorruptPrefix) {
 				return "refused"
 			}
 			if err != nil {

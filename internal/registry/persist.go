@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -94,16 +95,29 @@ func (a *Agency) saveLocked(dir string) error {
 	return nil
 }
 
-// writeFileAtomic writes data to path via a temp file + rename, so readers
-// and crash recovery only ever see a complete file.
+// writeFileAtomic writes data to path via a temp file, synced before it is
+// renamed over path, and syncs the directory after, so readers and crash
+// recovery — after a power cut too — only ever see a complete file.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err = errors.Join(err, f.Close()); err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
+	}
+	if d, err := os.Open(filepath.Dir(path)); err == nil { // make the rename durable
+		d.Sync() // some filesystems refuse a directory fsync
+		d.Close()
 	}
 	return nil
 }

@@ -33,10 +33,6 @@ type Service struct {
 	// Delta drives repeat exchanges in delta mode by default; a delta
 	// attribute on the Exchange request overrides it per call.
 	Delta bool
-	// Filter is the service-wide pushdown filter expression applied
-	// source-side to every exchange; a filter attribute on the request
-	// overrides it per call.
-	Filter string
 	// Sched, when set, drives every Exchange request through the
 	// admission-controlled worker pool: plan derivation and the drive both
 	// run on a pool worker under the requesting service's tenant budgets,
@@ -263,10 +259,7 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	filter := s.Filter
-	if v, ok := req.Attr("filter"); ok {
-		filter = v
-	}
+	filter, _ := req.Attr("filter")
 	delta := s.Delta
 	if v, ok := req.Attr("delta"); ok {
 		delta = v == "1" || v == "true"

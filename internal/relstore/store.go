@@ -469,6 +469,9 @@ func (sc *fragScan) record(d *tableDesc, rows [][]string) (*xmltree.Node, error)
 	}
 	sc.rep, sc.attach = d.rep, nil
 	rec := sc.build(d.root, rows[0], rows[0][parentCol])
+	if sc.attach != nil { // room for each row's repeated instance
+		sc.attach.Kids = append(sc.arena.Kids(len(sc.attach.Kids)+len(rows)), sc.attach.Kids...)
+	}
 	for _, row := range rows {
 		if d.rep == nil || row[d.rep.idCol] == "" {
 			continue // flat fragment, or a root instance without repeated children

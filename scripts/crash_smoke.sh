@@ -12,8 +12,14 @@
 # The dance runs under the fsync policy whose acks claim crash safety:
 # "batch" (group commit). The kill waits for fsyncs >= 2 as well as a few
 # appends, so a synced chunk prefix exists on disk — acked chunks are
-# exactly the fsynced ones. Ports are fixed but obscure; override with
-# XDX_CRASH_*_PORT if they clash locally.
+# exactly the fsynced ones. It runs twice: the "batch" arm never compacts
+# (-snapshot-every 0); the "compact" arm first runs one exchange to
+# completion, so the WAL holds an ended session's frames as garbage, then
+# restarts the target with -snapshot-every 8 — its first append compacts
+# the log — and kills it only once a compaction has rewritten the log
+# (wal.snapshots >= 1), so the restart recovers from a rewritten log.
+# Ports are fixed but obscure; override with XDX_CRASH_*_PORT if they
+# clash locally.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -60,13 +66,13 @@ metric() { # name -> value (empty if unreadable)
     -data "$WORK/doc.xml" >/dev/null 2>&1 &
 SRC_PID=$!
 
-start_target() { # fsync-policy wal-dir
+start_target() { # fsync-policy wal-dir snapshot-every
     # -batch-frames 8 keeps the group commit real (8-frame groups) while
     # pacing the delivery with a sync per group, so the kill window stays
     # wide; the default 256-frame groups let the whole exchange coalesce
     # into a couple of syncs and finish before the poll loop samples it.
     "$WORK/xdxendpoint" -listen "127.0.0.1:$TGT_PORT" -layout LF -name tgt \
-        -wal-dir "$2" -fsync "$1" -snapshot-every 0 -batch-frames 8 \
+        -wal-dir "$2" -fsync "$1" -snapshot-every "$3" -batch-frames 8 \
         -metrics-addr "127.0.0.1:$TGT_OPS_PORT" >/dev/null 2>&1 &
     TGT_PID=$!
     wait_http "http://127.0.0.1:$TGT_OPS_PORT/healthz" "target endpoint"
@@ -90,16 +96,33 @@ soap_call() { # body
 
 soap_call "<Discover service=\"Auction\" role=\"source\" url=\"http://127.0.0.1:$SRC_PORT/soap\"/>" >/dev/null
 
-run_arm() { # fsync-policy
-    FSYNC="$1"
-    WAL="$WORK/wal-$FSYNC"
-    start_target "$FSYNC" "$WAL"
+run_arm() { # name snapshot-every
+    ARM="$1"
+    EVERY="$2"
+    FSYNC=batch
+    WAL="$WORK/wal-$ARM"
+    MIN_SNAPSHOTS=0
+    if [ "$EVERY" -gt 0 ]; then
+        # One exchange to completion leaves its ended session in the WAL
+        # as garbage; the restart below turns compaction on.
+        start_target "$FSYNC" "$WAL" 0
+        soap_call "<Discover service=\"Auction\" role=\"target\" url=\"http://127.0.0.1:$TGT_PORT/soap\"/>" >/dev/null
+        soap_call '<Exchange service="Auction"/>' >/dev/null || {
+            echo "crash_smoke[$ARM]: warm-up exchange failed" >&2
+            exit 1
+        }
+        kill "$TGT_PID"
+        wait "$TGT_PID" 2>/dev/null || true
+        MIN_SNAPSHOTS=1
+    fi
+    start_target "$FSYNC" "$WAL" "$EVERY"
     soap_call "<Discover service=\"Auction\" role=\"target\" url=\"http://127.0.0.1:$TGT_PORT/soap\"/>" >/dev/null
 
     # Drive the exchange in the background, then kill the target once its
     # WAL has journaled a few chunk commits — mid-delivery by construction —
     # and synced twice: the first commit group must be durably on disk, not
-    # just queued, or there is nothing to resume.
+    # just queued, or there is nothing to resume. The compact arm also
+    # waits for a compaction.
     soap_call '<Exchange service="Auction"/>' >"$WORK/exchange.xml" 2>"$WORK/exchange.err" &
     EXCHANGE_PID=$!
 
@@ -109,17 +132,19 @@ run_arm() { # fsync-policy
         READY=0
         if [ -n "${APPENDS:-}" ] && [ "$APPENDS" -ge 3 ]; then
             FSYNCS="$(metric 'wal\.fsyncs')"
-            [ -n "${FSYNCS:-}" ] && [ "$FSYNCS" -ge 2 ] && READY=1
+            SNAPSHOTS="$(metric 'wal\.snapshots')"
+            [ -n "${FSYNCS:-}" ] && [ "$FSYNCS" -ge 2 ] &&
+                [ "${SNAPSHOTS:-0}" -ge "$MIN_SNAPSHOTS" ] && READY=1
         fi
         [ "$READY" = 1 ] && break
         if ! kill -0 "$EXCHANGE_PID" 2>/dev/null; then
-            echo "crash_smoke[$FSYNC]: exchange finished before the kill — widen the window" >&2
+            echo "crash_smoke[$ARM]: exchange finished before the kill — widen the window" >&2
             cat "$WORK/exchange.err" >&2 || true
             exit 1
         fi
         i=$((i + 1))
         if [ "$i" -gt 1500 ]; then
-            echo "crash_smoke[$FSYNC]: target never journaled enough appends" >&2
+            echo "crash_smoke[$ARM]: target never journaled enough appends" >&2
             exit 1
         fi
         sleep 0.02
@@ -128,41 +153,42 @@ run_arm() { # fsync-policy
     # The kill is only meaningful mid-delivery; a response that completed
     # in the sampling gap would pass `wait` below with resumes=0.
     if ! kill -0 "$EXCHANGE_PID" 2>/dev/null; then
-        echo "crash_smoke[$FSYNC]: exchange finished before the kill — widen the window" >&2
+        echo "crash_smoke[$ARM]: exchange finished before the kill — widen the window" >&2
         exit 1
     fi
 
     kill -9 "$TGT_PID"
     wait "$TGT_PID" 2>/dev/null || true
-    start_target "$FSYNC" "$WAL"
+    start_target "$FSYNC" "$WAL" "$EVERY"
 
     if ! wait "$EXCHANGE_PID"; then
-        echo "crash_smoke[$FSYNC]: exchange did not survive the kill+restart" >&2
+        echo "crash_smoke[$ARM]: exchange did not survive the kill+restart" >&2
         cat "$WORK/exchange.err" >&2 || true
         exit 1
     fi
 
     RESP="$(cat "$WORK/exchange.xml")"
     echo "$RESP" | grep -q 'ExchangeResponse' || {
-        echo "crash_smoke[$FSYNC]: no ExchangeResponse: $RESP" >&2
+        echo "crash_smoke[$ARM]: no ExchangeResponse: $RESP" >&2
         exit 1
     }
     RESUMES="$(echo "$RESP" | sed -n 's/.*resumes="\([0-9]*\)".*/\1/p')"
     DECLINED="$(echo "$RESP" | sed -n 's/.*declined="\([0-9]*\)".*/\1/p')"
     [ -n "$RESUMES" ] && [ "$RESUMES" -ge 1 ] || {
-        echo "crash_smoke[$FSYNC]: expected resumes >= 1, got '$RESUMES': $RESP" >&2
+        echo "crash_smoke[$ARM]: expected resumes >= 1, got '$RESUMES': $RESP" >&2
         exit 1
     }
     [ "$DECLINED" = "0" ] || {
-        echo "crash_smoke[$FSYNC]: expected declined=0, got '$DECLINED': $RESP" >&2
+        echo "crash_smoke[$ARM]: expected declined=0, got '$DECLINED': $RESP" >&2
         exit 1
     }
-    echo "crash_smoke: $FSYNC ok (resumes=$RESUMES declined=$DECLINED)"
+    echo "crash_smoke: $ARM ok (resumes=$RESUMES declined=$DECLINED)"
 
     kill -9 "$TGT_PID"
     wait "$TGT_PID" 2>/dev/null || true
     TGT_PID=""
 }
 
-run_arm batch
+run_arm batch 0
+run_arm compact 8
 echo "crash_smoke: ok"
