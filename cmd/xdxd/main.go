@@ -5,7 +5,9 @@
 //
 // Usage:
 //
-//	xdxd -listen :8080 [-bandwidth 160000] [-reliable [-chunk 64]]
+//	xdxd -listen :8080 [-bandwidth 160000] [-chunk 64]
+//
+// Every exchange retries under the -retry-*/-chunk policy and -breaker-*.
 package main
 
 import (
@@ -30,7 +32,6 @@ func main() {
 	latency := flag.Duration("latency", 0, "modeled link latency")
 	state := flag.String("state", "", "directory for persisted registrations (survives restarts)")
 	codec := flag.String("codec", "", "default shipment codec: xml, bin, or bin+flate")
-	reliab := flag.Bool("reliable", false, "retry, resume, and circuit-break exchanges under the -retry-*/-chunk/-breaker-* policy (off = one attempt per call)")
 	retryAttempts := flag.Int("retry-attempts", 0, "max attempts per call (0 = default 4)")
 	retryBudget := flag.Int("retry-budget", 0, "total retries allowed per exchange (0 = default 16)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "per-attempt SOAP call timeout (0 = client default)")
@@ -78,25 +79,20 @@ func main() {
 		svc.Codec = *codec
 		log.Printf("xdxd: default shipment codec %s", *codec)
 	}
-	if *reliab {
-		cfg := &reliable.Config{
-			Policy: reliable.Policy{
-				MaxAttempts:    *retryAttempts,
-				Budget:         *retryBudget,
-				AttemptTimeout: *attemptTimeout,
-			},
-			Breaker: reliable.BreakerConfig{
-				FailureThreshold: *breakerFailures,
-				Cooldown:         *breakerCooldown,
-			},
-			ChunkSize: *chunkSize,
-			Seed:      *retrySeed,
-		}
+	svc.Reliability = &reliable.Config{
+		Policy: reliable.Policy{
+			MaxAttempts:    *retryAttempts,
+			Budget:         *retryBudget,
+			AttemptTimeout: *attemptTimeout,
+		},
 		// One breaker set for the daemon's lifetime, so endpoint health
 		// carries across exchanges instead of resetting per request.
-		cfg.Breakers = reliable.NewBreakerSet(cfg.Breaker)
-		svc.Reliability = cfg
-		log.Printf("xdxd: reliable exchanges on (chunk=%d)", cfg.ChunkSize)
+		Breakers: reliable.NewBreakerSet(reliable.BreakerConfig{
+			FailureThreshold: *breakerFailures,
+			Cooldown:         *breakerCooldown,
+		}),
+		ChunkSize: *chunkSize,
+		Seed:      *retrySeed,
 	}
 	if *delta {
 		svc.Delta = true

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xdx/internal/core"
 	"xdx/internal/obs"
@@ -202,6 +203,92 @@ func TestExecuteSourceCutsAndNumbersChunks(t *testing.T) {
 		if _, err := callSource(c, req, tgt.srv.URL); !errors.As(err, &f) || f.Code != "soap:Client" {
 			t.Errorf("chunk=%q: err = %v, want a soap:Client fault", bad, err)
 		}
+	}
+}
+
+// TestSweepFreesHeldRender: the render a failed delivery holds for a
+// resume is an entry of the endpoint's one session table, so the sweep
+// that collects idle target sessions collects it too, and a resume from it
+// afterwards is answered xdx:RenderGone.
+func TestSweepFreesHeldRender(t *testing.T) {
+	fr := tFrag(t, schema.CustomerInfo())
+	ep := New("src", &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true}, nil)
+	srv := httptest.NewServer(ep.Handler())
+	defer srv.Close()
+	c := &soap.Client{URL: srv.URL}
+	_, progXML := copyProgram(t, fr)
+	// A target that is down: every delivery fails with a 503, after which
+	// the source holds its render for the agency's resume.
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	defer down.Close()
+	deliver := func(from string) error {
+		req := &xmltree.Node{Name: "ExecuteSource"}
+		req.SetAttr("chunk", "1")
+		req.SetAttr("from", from)
+		req.AddKid(progXML)
+		_, err := callSource(c, req, down.URL)
+		return err
+	}
+	if err := deliver("0"); err == nil || soap.IsRenderGone(err) {
+		t.Fatalf("delivery to a down target: err = %v, want a retryable hop fault", err)
+	}
+	if n := ep.Sessions().Len(); n != 1 {
+		t.Fatalf("sessions = %d with a render held, want 1", n)
+	}
+	ep.Sessions().MaxAge = time.Millisecond
+	time.Sleep(5 * time.Millisecond)
+	if n := ep.Sessions().Sweep(); n != 1 {
+		t.Fatalf("Sweep collected %d sessions, want the held render", n)
+	}
+	if err := deliver("1"); !soap.IsRenderGone(err) {
+		t.Fatalf("resume after the sweep: err = %v, want xdx:RenderGone", err)
+	}
+	if n := ep.Sessions().Len(); n != 0 {
+		t.Errorf("sessions = %d after the refused resume, want 0", n)
+	}
+}
+
+// TestSelfDeliveryKeepsTargetState: an endpoint that is both parties to a
+// delivery keeps one entry for the session, and dropping the render once
+// the delivery succeeds leaves the target's half — the stored response an
+// agency whose source answer was lost completes from — until EndSession.
+func TestSelfDeliveryKeepsTargetState(t *testing.T) {
+	fr := tFrag(t, schema.CustomerInfo())
+	ep := New("both", &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true}, nil)
+	srv := httptest.NewServer(ep.Handler())
+	defer srv.Close()
+	c := &soap.Client{URL: srv.URL}
+	_, progXML := copyProgram(t, fr)
+	req := &xmltree.Node{Name: "ExecuteSource"}
+	req.AddKid(progXML)
+	if _, err := callSource(c, req, srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	if n := ep.Sessions().Len(); n != 1 {
+		t.Fatalf("sessions = %d after a delivery to itself, want its one entry", n)
+	}
+	status := &xmltree.Node{Name: "SessionStatus"}
+	status.SetAttr("session", "s1")
+	st, err := c.Call("SessionStatus", status)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if known, _ := st.Attr("known"); known != "1" {
+		t.Fatal("dropping the render took the target's session with it")
+	}
+	if done, _ := st.Attr("done"); done != "1" {
+		t.Error("the target's session lost its stored response")
+	}
+	end := &xmltree.Node{Name: "EndSession"}
+	end.SetAttr("session", "s1")
+	if _, err := c.Call("EndSession", end); err != nil {
+		t.Fatal(err)
+	}
+	if n := ep.Sessions().Len(); n != 0 {
+		t.Errorf("sessions = %d after EndSession, want 0", n)
 	}
 }
 

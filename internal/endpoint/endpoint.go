@@ -191,9 +191,14 @@ type Endpoint struct {
 	// the endpoint publishes.
 	WSDL *wsdlx.Definitions
 
-	backend  Backend
-	srv      *soap.Server
-	sessions *reliable.SessionStore
+	backend Backend
+	srv     *soap.Server
+	// sessions is the endpoint's one session table: by delivery session,
+	// the source render a delivery in progress or a failed one streams
+	// from (see respondSource) and the target state receiving it. A render
+	// is dropped when its delivery succeeds or fails for good; an entry on
+	// EndSession, or idle past the table's MaxAge.
+	sessions *reliable.SessionStore[session]
 	journal  *durable.Journal
 	log      obs.Logger
 	met      *obs.Registry
@@ -213,12 +218,6 @@ type Endpoint struct {
 	// the per-edge record hashes of the shipments this endpoint rendered,
 	// by delivery session.
 	recon *reliable.ReconIndex
-
-	// renders holds, by delivery session, the source render a delivery in
-	// progress or a failed one streams from (see respondSource). It is
-	// dropped when the delivery succeeds, on EndSession, or idle past the
-	// store's MaxAge, swept as new sessions arrive.
-	renders *reliable.SessionStore
 }
 
 // deltaBase names the snapshot one stream's last successful exchange left
@@ -243,12 +242,11 @@ type shipCalibration struct {
 // New wires a backend into a SOAP endpoint.
 func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 	e := &Endpoint{Name: name, WSDL: defs, backend: be, srv: soap.NewServer(),
-		sessions:   reliable.NewSessionStore(),
+		sessions:   reliable.NewSessionStore[session](),
 		log:        obs.Nop,
 		calCache:   map[string]*shipCalibration{},
 		deltaBases: map[string]*deltaBase{},
-		recon:      reliable.NewReconIndex(),
-		renders:    reliable.NewSessionStore()}
+		recon:      reliable.NewReconIndex()}
 	e.srv.Handle("GetWSDL", e.getWSDL)
 	e.srv.Handle("ProbeStats", e.probeStats)
 	e.srv.Handle("DeltaStatus", e.deltaStatus)
@@ -262,9 +260,10 @@ func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 // Handler returns the endpoint's HTTP handler.
 func (e *Endpoint) Handler() http.Handler { return e.srv }
 
-// Sessions exposes the endpoint's resumable-session store, so daemons can
-// run its background sweeper and tests can observe session lifecycle.
-func (e *Endpoint) Sessions() *reliable.SessionStore { return e.sessions }
+// Sessions exposes the endpoint's session table — held source renders and
+// target sessions alike — so daemons can run its background sweeper and
+// tests can observe session lifecycle.
+func (e *Endpoint) Sessions() *reliable.SessionStore[session] { return e.sessions }
 
 // SetJournal makes the endpoint's resumable sessions durable: every chunk
 // commit is journaled before its checkpoint advances, and the sessions the
@@ -281,18 +280,15 @@ func (e *Endpoint) SetJournal(j *durable.Journal) (int, error) {
 	}
 	e.journal = j
 	for _, js := range sessions {
-		s := e.sessions.GetOrCreate(js.ID)
-		s.Ledger.Restore(js.Next)
-		s.Mu.Lock()
-		s.Data = &targetSession{
-			ledger:    s.Ledger,
+		ts := &targetSession{
 			inbound:   map[string]*core.Instance{},
 			tombs:     map[string][]string{},
 			j:         j,
 			id:        js.ID,
 			recovered: js.Chunks,
 		}
-		s.Mu.Unlock()
+		ts.ledger.Restore(js.Next)
+		e.sessions.GetOrCreate(js.ID).target = ts
 	}
 	restored := len(sessions)
 	log := e.log

@@ -30,17 +30,33 @@ import (
 	"xdx/internal/xmltree"
 )
 
+// session is one entry of the endpoint's session table, by delivery
+// session id: the source render the session's attempts stream from, held
+// while a resume may follow, and the target state receiving them. An
+// endpoint that is both parties to an exchange keeps both halves under the
+// one id. Each half has its own lock, so a probe of the target half never
+// waits on a render.
+type session struct {
+	// renderMu is held across the render, so overlapping attempts of one
+	// session render once.
+	renderMu sync.Mutex
+	render   *sourceRender
+
+	targetMu sync.Mutex
+	target   *targetSession
+}
+
 // targetSession is the endpoint's protocol state for one resumable
-// ExecuteTarget transfer: the instance map delivery attempts accumulate
-// into, the execute-once latch, and the stored response replayed when a
-// completed execution's reply was lost in transit.
+// ExecuteTarget transfer: the ledger, the instance map delivery attempts
+// accumulate into, the execute-once latch, and the stored response
+// replayed when a completed execution's reply was lost in transit.
 type targetSession struct {
 	// mu serializes shipment commits (it is wire.ShipmentDecoder.CommitLock
 	// for every delivery attempt of the session) and the target execution
 	// they feed, so a straggling attempt's chunk commits never interleave
 	// with the execute reading the instance map.
 	mu      sync.Mutex
-	ledger  *reliable.Ledger
+	ledger  reliable.Ledger
 	inbound map[string]*core.Instance
 	// tombs accumulates, per edge key, the record IDs a delta shipment
 	// tombstones (guarded by mu, alongside inbound).
@@ -101,20 +117,32 @@ func (ts *targetSession) finish(resp *xmltree.Node) {
 // first sight.
 func (e *Endpoint) targetSessionFor(id, exchange string) *targetSession {
 	s := e.sessions.GetOrCreate(id)
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	ts, ok := s.Data.(*targetSession)
-	if !ok {
-		ts = &targetSession{ledger: s.Ledger, inbound: map[string]*core.Instance{}, tombs: map[string][]string{}}
+	s.targetMu.Lock()
+	defer s.targetMu.Unlock()
+	if s.target == nil {
+		s.target = &targetSession{inbound: map[string]*core.Instance{}, tombs: map[string][]string{}}
 		if e.journal != nil {
-			ts.j, ts.id = e.journal, id
+			s.target.j, s.target.id = e.journal, id
 			if err := e.journal.Mint(id); err != nil {
 				e.log.Log(obs.LevelWarn, "journal mint failed", "exchange", exchange, "session", id, "err", err.Error())
 			}
 		}
-		s.Data = ts
 	}
-	return ts
+	return s.target
+}
+
+// dropRender releases a session's held render, and its entry with it
+// unless this endpoint is also the session's target, whose stored response
+// must outlive the render until EndSession or the sweep.
+func (e *Endpoint) dropRender(id string, s *session) {
+	s.renderMu.Lock()
+	s.render = nil
+	s.renderMu.Unlock()
+	e.sessions.DeleteIf(id, func(s *session) bool {
+		s.targetMu.Lock()
+		defer s.targetMu.Unlock()
+		return s.target == nil
+	})
 }
 
 // decoder builds this delivery attempt's shipment decoder over the
@@ -274,9 +302,9 @@ func (t *targetScan) respondSession(w io.Writer) error {
 // sessionStatus answers a SessionStatus probe: the chunk checkpoint a
 // resuming source should skip to, whether the target already executed —
 // with its stored response when it did — and how many replayed chunks were
-// declined. Unknown sessions answer
-// known="0" with a zero checkpoint — a source that never reached the
-// target resumes from the start.
+// declined. A session without target state here answers known="0" with a
+// zero checkpoint — a source that never reached the target resumes from
+// the start.
 func (e *Endpoint) sessionStatus(req *xmltree.Node) (*xmltree.Node, error) {
 	id, _ := req.Attr("session")
 	if id == "" {
@@ -284,22 +312,19 @@ func (e *Endpoint) sessionStatus(req *xmltree.Node) (*xmltree.Node, error) {
 	}
 	resp := &xmltree.Node{Name: "SessionStatusResponse"}
 	resp.SetAttr("session", id)
-	s := e.sessions.Get(id)
-	if s == nil {
+	var ts *targetSession
+	if s := e.sessions.Get(id); s != nil {
+		s.targetMu.Lock()
+		ts = s.target
+		s.targetMu.Unlock()
+	}
+	if ts == nil {
 		resp.SetAttr("known", "0")
 		resp.SetAttr("next", "0")
 		resp.SetAttr("done", "0")
 		return resp, nil
 	}
-	s.Mu.Lock()
-	ts, _ := s.Data.(*targetSession)
-	s.Mu.Unlock()
 	resp.SetAttr("known", "1")
-	if ts == nil {
-		resp.SetAttr("next", "0")
-		resp.SetAttr("done", "0")
-		return resp, nil
-	}
 	// Probe state lives behind stateMu and the ledger's own lock — never
 	// the commit/execute lock — so a probe answers immediately even while
 	// a slow backend execution is in flight for this session.
@@ -333,7 +358,6 @@ func (e *Endpoint) endSession(req *xmltree.Node) (*xmltree.Node, error) {
 		return nil, &soap.Fault{Code: "soap:Client", String: "EndSession without session id"}
 	}
 	e.sessions.Delete(id)
-	e.renders.Delete(id)
 	resp := &xmltree.Node{Name: "EndSessionResponse"}
 	resp.SetAttr("session", id)
 	return resp, nil

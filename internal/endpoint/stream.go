@@ -151,18 +151,18 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	if err != nil {
 		return err
 	}
-	s := e.renders.GetOrCreate(d.session)
-	s.Mu.Lock()
-	r, _ := s.Data.(*sourceRender)
+	s := e.sessions.GetOrCreate(d.session)
+	s.renderMu.Lock()
+	r := s.render
 	if r == nil && d.from > 0 {
 		err = soap.RenderGoneFault(fmt.Sprintf("session %s resumes at chunk %d", d.session, d.from))
 	} else if r == nil {
 		r, err = e.renderSource(req, g, a, d)
-		s.Data = r
+		s.render = r
 	}
-	s.Mu.Unlock()
+	s.renderMu.Unlock()
 	if err != nil {
-		e.renders.Delete(d.session)
+		e.dropRender(d.session, s)
 		return err
 	}
 	resp, payload, err := e.deliver(env.Exchange, d, prog, r)
@@ -172,11 +172,11 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 			e.log.Log(obs.LevelWarn, "target delivery failed; render held for resume",
 				"exchange", env.Exchange, "session", d.session, "from", d.from, "err", err.Error())
 		} else {
-			e.renders.Delete(d.session)
+			e.dropRender(d.session, s)
 		}
 		return hopFault(err, retry)
 	}
-	e.renders.Delete(d.session)
+	e.dropRender(d.session, s)
 	if e.log.Enabled(obs.LevelDebug) {
 		e.log.Log(obs.LevelDebug, "source delivered", "exchange", env.Exchange, "endpoint", e.Name,
 			"session", d.session, "from", d.from, "wireBytes", r.wire.Load())

@@ -468,7 +468,6 @@ func TestKillRestartChildEndpoint(t *testing.T) {
 					MaxDelay:    250 * time.Millisecond,
 					Budget:      64,
 				},
-				Breaker: reliable.BreakerConfig{FailureThreshold: 50, Cooldown: 20 * time.Millisecond},
 			},
 		})
 		done <- result{rep, err}

@@ -161,7 +161,6 @@ func retrying(chunk, attempts int) *reliable.Config {
 		Seed:      1,
 		ChunkSize: chunk,
 		Policy:    reliable.Policy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
-		Breaker:   reliable.BreakerConfig{FailureThreshold: 50, Cooldown: time.Millisecond},
 	}
 }
 

@@ -481,10 +481,11 @@ type ExecOptions struct {
 	// fragmentation epoch changed. The agency only reads the outcome.
 	Delta bool
 	// Reliability is the exchange's retry policy: retried source execution
-	// with backoff and circuit breaking, and resume-from-checkpoint for the
-	// target delivery. Nil is a single attempt per call with private
-	// breakers — the same drive, just with no second try. Its Transport is
-	// the hook a fault-injecting netsim.FaultyLink plugs into.
+	// with backoff, resume-from-checkpoint for the target delivery, and
+	// circuit breaking through its Breakers when the caller shares a set.
+	// Nil is a single attempt per call — the same drive, just with no
+	// second try. Its Transport is the hook a fault-injecting
+	// netsim.FaultyLink plugs into.
 	Reliability *reliable.Config
 	// Logger, when set, narrates the exchange: attempts, retries, breaker
 	// transitions, and the final outcome. Nil is silent.

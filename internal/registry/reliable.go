@@ -16,8 +16,9 @@ package registry
 //   - a source that no longer holds that render refuses the resume, and
 //     the agency starts over on a fresh session unless the target already
 //     executed (the probe then carries its stored response);
-//   - every attempt passes the source's circuit breaker, and the whole
-//     exchange shares one retry budget and deadline;
+//   - every attempt passes the source's circuit breaker when the caller
+//     shares a breaker set, and the whole exchange shares one retry
+//     budget and deadline;
 //   - a delta exchange adds attributes, not a path: the target names the
 //     session whose snapshot it holds, the source diffs against exactly
 //     that snapshot or ships in full, and a target that lost its base
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net/http"
 	"strconv"
 	"strings"
 	"time"
@@ -45,26 +47,15 @@ import (
 	"xdx/internal/xmltree"
 )
 
-// wireExchangeObs registers the retry and breaker hooks of one exchange
-// onto the options' observability sinks. A shared breaker set (one the
-// caller passed in via Config.Breakers) is left alone — its owner wires
-// it once, so per-exchange callbacks don't stack up.
-func wireExchangeObs(ex *reliable.Exchange, opts ExecOptions) {
+// wireExchangeObs registers the retry hook of one exchange onto the
+// options' observability sinks. Breakers are the caller's shared set, which
+// its owner wires once (Service.SetObs).
+func wireExchangeObs(r *reliable.Retrier, exchange string, opts ExecOptions) {
 	met, log := opts.Metrics, obs.OrNop(opts.Logger)
-	if met == nil && opts.Logger == nil {
-		return
-	}
-	ex.Retrier().OnRetry = func(op string, try int, delay time.Duration, err error) {
+	r.OnRetry = func(op string, try int, delay time.Duration, err error) {
 		met.Counter("exchange.retries").Inc()
-		log.Log(obs.LevelWarn, "retrying call", "exchange", ex.ID(),
+		log.Log(obs.LevelWarn, "retrying call", "exchange", exchange,
 			"op", op, "try", try, "delayMillis", delay.Milliseconds(), "err", err.Error())
-	}
-	if !ex.SharedBreakers() {
-		ex.Breakers().OnStateChange(func(url string, from, to reliable.BreakerState) {
-			met.Counter("exchange.breaker.transitions").Inc()
-			log.Log(obs.LevelInfo, "breaker state change",
-				"url", url, "from", from.String(), "to", to.String())
-		})
 	}
 }
 
@@ -100,12 +91,28 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 			return nil, clientFault("registry: " + err.Error())
 		}
 	}
-	ex := reliable.NewExchange(opts.Reliability)
+	// One retrier per exchange: its budget and deadline span every call.
+	// Only the caller's shared breakers gate an attempt; nil is none.
+	cfg := opts.Reliability
+	retrier := reliable.NewRetrier(cfg.Policy, cfg.Seed)
+	var breaker *reliable.Breaker
+	if cfg.Breakers != nil {
+		breaker = cfg.Breakers.For(src.URL)
+	}
+	hc := &http.Client{Transport: cfg.Transport} // nil is http.DefaultTransport
+	exchange := reliable.NewExchangeID(cfg.Seed)
+	client := func(url string) *soap.Client {
+		return &soap.Client{URL: url, HTTPClient: hc, Timeout: cfg.Policy.AttemptTimeout, Exchange: exchange}
+	}
+	chunk := cfg.ChunkSize
+	if chunk <= 0 {
+		chunk = 64
+	}
 	trace := obs.NewSpan("exchange")
 	trace.Set("service", service)
-	trace.Set("exchange", ex.ID())
-	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace, Exchange: ex.ID()}
-	wireExchangeObs(ex, opts)
+	trace.Set("exchange", exchange)
+	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace, Exchange: exchange}
+	wireExchangeObs(retrier, exchange, opts)
 	log := obs.OrNop(opts.Logger)
 
 	reqS := &xmltree.Node{Name: "ExecuteSource"}
@@ -114,8 +121,8 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	}
 	reqS.SetAttr("target", tgt.URL)
 	reqS.SetAttr("codec", report.Codec)
-	reqS.SetAttr("chunk", strconv.Itoa(ex.ChunkSize()))
-	ct := ex.Client(tgt.URL)
+	reqS.SetAttr("chunk", strconv.Itoa(chunk))
+	ct := client(tgt.URL)
 	base := ""
 	if opts.Delta {
 		// The source reconciles against the snapshot the target holds, so
@@ -126,7 +133,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		base = targetDeltaBase(ct, stream, epoch)
 	}
 	reqS.AddKid(progXML)
-	cs := ex.Client(src.URL)
+	cs := client(src.URL)
 
 	// run drives one delivery session to its end: the source's answer, or
 	// the target's stored one when the source's was lost after the target
@@ -141,7 +148,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		span.Set("session", session)
 		var reply *sourceReply
 		var stored *xmltree.Node
-		err := ex.Do("ExecuteSource", src.URL, func(try int) error {
+		err := retrier.Do("ExecuteSource", breaker, func(try int) error {
 			at := span.Child("attempt")
 			at.Set("try", strconv.Itoa(try))
 			defer at.End()
@@ -193,19 +200,19 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 			}
 			return nil
 		})
-		if err != nil || ex.Retries() > 0 {
+		if err != nil || retrier.Retries() > 0 {
 			// Release what a failed attempt may have left: the target's
 			// half-filled session and the source's held render. A clean
 			// run holds neither, so the happy path adds no call.
-			cs.Call("EndSession", endSessionReq(session))
+			cs.Call("EndSession", sessionReq("EndSession", session))
 		}
 		if err != nil {
-			ct.Call("EndSession", endSessionReq(session))
+			ct.Call("EndSession", sessionReq("EndSession", session))
 		}
 		return reply, err
 	}
 
-	session := ex.SessionID()
+	session := reliable.NewSessionID(cfg.Seed)
 	reply, err := run(session, base)
 	if err != nil && (soap.IsColdDelta(err) || soap.IsRenderGone(err)) {
 		if soap.IsColdDelta(err) {
@@ -213,17 +220,17 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 			// (sweep, restart or a raced exchange): re-run the source
 			// without a base and ship the full snapshot.
 			opts.Metrics.Counter("exchange.delta.fallbacks").Inc()
-			log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "exchange", ex.ID(), "service", service)
+			log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "exchange", exchange, "service", service)
 			base = ""
 		} else {
-			log.Log(obs.LevelWarn, "source lost the delivery's render: restarting on a fresh session", "exchange", ex.ID(), "service", service)
+			log.Log(obs.LevelWarn, "source lost the delivery's render: restarting on a fresh session", "exchange", exchange, "service", service)
 		}
 		// A fresh session: the dead one's ledger state must not skip
 		// chunks of a differently-numbered shipment.
-		session = ex.SessionID()
+		session = reliable.NewSessionID(cfg.Seed)
 		reply, err = run(session, base)
 	}
-	report.Retries = ex.Retries()
+	report.Retries = retrier.Retries()
 	if err != nil {
 		return report, fmt.Errorf("registry: exchange: %w", err)
 	}
@@ -232,7 +239,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 	// rather than holding it for the store's full idle window. Best
 	// effort — the target's sweeper collects it if this call is lost.
 	commit := trace.Child("commit")
-	ct.Call("EndSession", endSessionReq(session))
+	ct.Call("EndSession", sessionReq("EndSession", session))
 	commit.End()
 	switch report.read(reply) {
 	case "cold":
@@ -241,7 +248,7 @@ func (a *Agency) drive(service string, plan *Plan, opts ExecOptions) (*Report, e
 		// Records without IDs cannot be reconciled; this shipment shape is
 		// never delta-able.
 		opts.Metrics.Counter("exchange.delta.unkeyed").Inc()
-		log.Log(obs.LevelInfo, "delta disabled: shipment carries records without IDs", "exchange", ex.ID(), "service", service)
+		log.Log(obs.LevelInfo, "delta disabled: shipment carries records without IDs", "exchange", exchange, "service", service)
 	}
 	if report.Delta {
 		opts.Metrics.Counter("exchange.delta.exchanges").Inc()
@@ -313,7 +320,7 @@ func (r *Report) read(reply *sourceReply) string {
 func probe(ct *soap.Client, at *obs.Span, session string) (*xmltree.Node, error) {
 	sp := at.Child("probe")
 	defer sp.End()
-	st, err := ct.Call("SessionStatus", sessionStatusReq(session))
+	st, err := ct.Call("SessionStatus", sessionReq("SessionStatus", session))
 	if err == nil && st == nil {
 		err = fmt.Errorf("registry: empty SessionStatus answer")
 	}
@@ -356,16 +363,10 @@ func targetDeltaBase(ct *soap.Client, stream, epoch string) string {
 	return v
 }
 
-// sessionStatusReq builds a SessionStatus probe for a session.
-func sessionStatusReq(id string) *xmltree.Node {
-	req := &xmltree.Node{Name: "SessionStatus"}
-	req.SetAttr("session", id)
-	return req
-}
-
-// endSessionReq builds the EndSession release for a session.
-func endSessionReq(id string) *xmltree.Node {
-	req := &xmltree.Node{Name: "EndSession"}
+// sessionReq builds a SessionStatus probe or an EndSession release (op)
+// for a session.
+func sessionReq(op, id string) *xmltree.Node {
+	req := &xmltree.Node{Name: op}
 	req.SetAttr("session", id)
 	return req
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -181,8 +182,9 @@ func overLink(cfg *reliable.Config, fl *netsim.FaultyLink) *reliable.Config {
 }
 
 // soakConfig is the reliability config of the e2e: fast backoff so the
-// test stays quick, generous attempts/budget so the fixed seeds converge,
-// and a breaker tuned not to give up on a deliberately lossy link.
+// test stays quick, and generous attempts/budget so the fixed seeds
+// converge. It shares no breakers, so nothing but the policy caps the
+// retries on a deliberately lossy link.
 func soakConfig(seed int64) *reliable.Config {
 	return &reliable.Config{
 		Seed:      seed,
@@ -193,7 +195,6 @@ func soakConfig(seed int64) *reliable.Config {
 			MaxDelay:    4 * time.Millisecond,
 			Budget:      64,
 		},
-		Breaker: reliable.BreakerConfig{FailureThreshold: 50, Cooldown: time.Millisecond},
 	}
 }
 
@@ -416,6 +417,75 @@ func TestFaultSweepExperiment(t *testing.T) {
 		t.Logf("drop=%.2f completed=%d/%d retries=%.2f resumes=%.2f wall=%.1fms ship-overhead=%+.1f%%",
 			p, ok, runs, float64(retries)/runs, float64(resumes)/runs,
 			wall.Seconds()*1000/runs, inflation*100)
+	}
+}
+
+// TestRetriesNotCappedWithoutBreakers: without a shared breaker set an
+// exchange's policy is its only cap on attempts. Six dropped ExecuteSource
+// attempts, one more than a breaker's default threshold, do not stop an
+// exchange allowed twelve, and it loads what a fault-free one does.
+func TestRetriesNotCappedWithoutBreakers(t *testing.T) {
+	const drops = 6
+	fl := netsim.NewFaultyLink(netsim.Loopback(), netsim.Faults{Seed: 1, DropProb: 1})
+	var calls atomic.Int32
+	w := startDeliveryWorld(t, func(role Role, h http.Handler) http.Handler {
+		if role != RoleSource {
+			return h
+		}
+		dropped := fl.Middleware(h)
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("SOAPAction") == `"ExecuteSource"` && calls.Add(1) <= drops {
+				dropped.ServeHTTP(rw, r)
+				return
+			}
+			h.ServeHTTP(rw, r)
+		})
+	})
+	defer w.close()
+	cfg := &reliable.Config{Seed: 1, ChunkSize: 8, Policy: reliable.Policy{MaxAttempts: 12, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}}
+	rep, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{Link: netsim.Loopback(), Reliability: cfg})
+	if err != nil {
+		t.Fatalf("exchange with %d dropped attempts of 12: %v", drops, err)
+	}
+	if n := fl.Counts().Drops; n != drops || rep.Retries != drops {
+		t.Errorf("drops = %d, retries = %d; want %d each", n, rep.Retries, drops)
+	}
+	if !xmltree.Equal(deliveredWant(t, "xml"), assembleTarget(t, w.tgtStore)) {
+		t.Error("the target does not hold a fault-free exchange's load")
+	}
+}
+
+// TestDriveDefaults: a reliability config that names no chunk size cuts
+// the shipment into chunks of 64 records, and each exchange delivers on a
+// session of its own.
+func TestDriveDefaults(t *testing.T) {
+	w := startDeliveryWorld(t, nil)
+	defer w.close()
+	for i := 0; i < 2; i++ {
+		if _, err := w.ag.ExecuteOpts("Auction", w.plan, ExecOptions{Link: netsim.Loopback(), Reliability: &reliable.Config{}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs, _ := w.srcTap.calls("ExecuteSource")
+	if len(reqs) != 2 {
+		t.Fatalf("%d ExecuteSource calls, want 2", len(reqs))
+	}
+	attr := func(req []byte, name string) string {
+		m := regexp.MustCompile(`<ExecuteSource [^>]*\b` + name + `="([^"]*)"`).FindSubmatch(req)
+		if m == nil {
+			return ""
+		}
+		return string(m[1])
+	}
+	var sessions [2]string
+	for i, req := range reqs {
+		if v := attr(req, "chunk"); v != "64" {
+			t.Errorf("call %d: chunk = %q, want the default 64", i, v)
+		}
+		sessions[i] = attr(req, "session")
+	}
+	if sessions[0] == "" || sessions[0] == sessions[1] {
+		t.Errorf("sessions %q and %q: want two distinct ids", sessions[0], sessions[1])
 	}
 }
 

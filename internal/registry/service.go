@@ -26,9 +26,9 @@ type Service struct {
 	// overrides it.
 	Codec string
 	// Reliability is the retry policy of every exchange the service drives
-	// (backoff, resume-from-checkpoint, circuit breaking); nil is a single
-	// attempt per call. Set Reliability.Breakers to share breaker state
-	// across exchanges.
+	// (backoff, resume-from-checkpoint); nil is a single attempt per call.
+	// Set Reliability.Breakers to circuit-break on endpoint health shared
+	// across exchanges; nil breaks no circuit.
 	Reliability *reliable.Config
 	// Delta drives repeat exchanges in delta mode by default; a delta
 	// attribute on the Exchange request overrides it per call.
@@ -58,9 +58,9 @@ func NewService(a *Agency, link netsim.Link) *Service {
 }
 
 // SetObs attaches observability: the SOAP server counts requests, every
-// exchange the service drives carries the logger/metrics, and a shared
-// breaker set (Reliability.Breakers) is wired here exactly once — the
-// per-exchange wiring skips shared sets. Call before serving traffic.
+// exchange the service drives carries the logger/metrics, and the breaker
+// set (Reliability.Breakers) is wired here exactly once — an exchange
+// wires only its retry hook. Call before serving traffic.
 func (s *Service) SetObs(l obs.Logger, m *obs.Registry) {
 	s.log = l
 	s.met = m

@@ -9,10 +9,11 @@
 //     full jitter, per-attempt timeouts, a whole-exchange deadline, and a
 //     retry budget;
 //   - per-endpoint circuit breakers (Breaker/BreakerSet) with the classic
-//     closed/open/half-open lifecycle;
-//   - resumable shipment sessions (Session/SessionStore/Ledger): the
-//     target acks per-chunk checkpoints, so a reconnecting source resumes
-//     from the last acked chunk and a chunk replayed below it is declined.
+//     closed/open/half-open lifecycle, shared by the exchanges of one
+//     caller;
+//   - resumable shipment sessions (SessionStore/Ledger): the target acks
+//     per-chunk checkpoints, so a reconnecting source resumes from the
+//     last acked chunk and a chunk replayed below it is declined.
 //
 // The soap, wire, endpoint, and registry layers wire these together; see
 // registry.ExecOptions.Reliability.
@@ -23,11 +24,39 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"sync"
 	"time"
 
 	"xdx/internal/soap"
 )
+
+// Config is an exchange's reliability policy. The zero value of every
+// field selects a sane default, so &Config{} retries as-is.
+type Config struct {
+	// Policy is the retry/backoff/deadline policy; each exchange runs its
+	// calls on one Retrier built from it.
+	Policy Policy
+	// Breaker tunes the breakers of a set its owner builds with
+	// NewBreakerSet(cfg.Breaker). The drive never reads it: only
+	// Breakers is consulted.
+	Breaker BreakerConfig
+	// Breakers, when set, is the caller's per-endpoint circuit breakers,
+	// shared across its exchanges (e.g. one set per agency). Nil means no
+	// breaker: MaxAttempts, Budget and Deadline are the only caps.
+	Breakers *BreakerSet
+	// ChunkSize is the resume granularity: records per shipment chunk.
+	// Default 64.
+	ChunkSize int
+	// Seed drives backoff jitter and session ID minting; equal seeds give
+	// reproducible behaviour (fault-injection tests depend on it). Zero is
+	// a valid seed.
+	Seed int64
+	// Transport, when set, is installed into every SOAP client the
+	// exchange makes — the hook netsim.FaultyLink.RoundTripper plugs into,
+	// also usable for instrumentation or custom dialing.
+	Transport http.RoundTripper
+}
 
 // Policy tunes the retry engine. The zero value of each field selects the
 // documented default, so Policy{} is a usable production policy.

@@ -196,17 +196,3 @@ func TestRetryableClassification(t *testing.T) {
 		}
 	}
 }
-
-func TestExchangeDefaults(t *testing.T) {
-	e := NewExchange(nil)
-	if e.ChunkSize() != 64 {
-		t.Errorf("ChunkSize = %d", e.ChunkSize())
-	}
-	c := e.Client("http://x/soap")
-	if c.URL != "http://x/soap" || c.HTTPClient != nil {
-		t.Errorf("client = %+v", c)
-	}
-	if id1, id2 := e.SessionID(), e.SessionID(); id1 == id2 {
-		t.Errorf("session IDs collide: %s", id1)
-	}
-}

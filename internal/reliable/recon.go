@@ -229,17 +229,19 @@ func DiffRecords(out map[string]core.Outbound, base map[string]EdgeHashes) (*Del
 }
 
 // diff diffs the edges in parallel, largest first, on up to GOMAXPROCS
-// goroutines, each with its own scratch and each edge into its own slot,
-// then merges the slots into d in one serial pass — handing each to ship
-// to file its shipped records — so d is what a serial pass builds.
+// goroutines, each with a pooled scratch of its own and each edge into its
+// own slot, then merges the slots into d in one serial pass — handing each
+// to ship to file its shipped records — so d is what a serial pass builds.
 func (d *Delta) diff(edges []edgeDiff, base map[string]EdgeHashes, ship func(e *edgeDiff, warm bool)) error {
 	slices.SortFunc(edges, func(a, b edgeDiff) int { return b.o.Recs.Len() - a.o.Recs.Len() })
 	var next atomic.Int64
 	work := func() {
-		var sc scratch
+		sc := scratches.Get().(*scratch)
+		defer scratches.Put(sc)
 		for i := int(next.Add(1) - 1); i < len(edges); i = int(next.Add(1) - 1) {
-			edges[i].err = edges[i].diff(base, &sc)
+			edges[i].err = edges[i].diff(base, sc)
 		}
+		clear(sc.batch[:cap(sc.batch)]) // pooled, it must not pin slabs the arena let go
 	}
 	var wg sync.WaitGroup
 	for range min(runtime.GOMAXPROCS(0), len(edges)) - 1 {
@@ -270,6 +272,12 @@ func (d *Delta) diff(edges []edgeDiff, base map[string]EdgeHashes, ship func(e *
 
 // diffBatch is how many records a diff builds into its scratch at a time.
 const diffBatch = 256
+
+// scratches keeps diff scratches across renders. Reusing one is safe
+// because nothing built in it outlives its batch: the arena is reset after
+// every batch, and the IDs filed from it live in its string slabs, which a
+// reset never writes again.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // scratch is where a diff builds records a batch at a time: the batch,
 // and the arena the records built from rows live in until the next.

@@ -3,11 +3,12 @@ package reliable
 // Resumable shipment sessions. A cross-edge shipment travels as a sequence
 // of seq-numbered <instance> chunks (cut by the source's
 // ShipmentWriter.SetChunk, or by ChunkShipment's re-batching of a
-// materialized map). Each exchange transfer gets a session ID; the target
-// keeps a Ledger per session that checkpoints the highest contiguously
-// received chunk — the ack a reconnecting source resumes from, and the
-// session's one idempotency key: a chunk below it was already committed,
-// so a replay of it is declined wholesale instead of doubling its records.
+// materialized map). Each exchange transfer gets a session ID, which keys
+// one entry in each party's SessionStore; the target's entry keeps a
+// Ledger that checkpoints the highest contiguously received chunk — the
+// ack a reconnecting source resumes from, and the session's one
+// idempotency key: a chunk below it was already committed, so a replay of
+// it is declined wholesale instead of doubling its records.
 
 import (
 	"sort"
@@ -21,15 +22,13 @@ import (
 )
 
 // Ledger is the target-side idempotency state of one shipment session: the
-// chunk checkpoint and how many replayed chunks it declined.
+// chunk checkpoint and how many replayed chunks it declined. The zero
+// value is an empty ledger expecting chunk 0.
 type Ledger struct {
 	mu       sync.Mutex
 	next     int64 // lowest chunk seq not yet fully received
 	declined int64
 }
-
-// NewLedger returns an empty ledger expecting chunk 0.
-func NewLedger() *Ledger { return &Ledger{} }
 
 // AdmitChunk reports whether a chunk with this seq should be consumed:
 // chunks below the checkpoint were already committed, so they are skipped
@@ -79,30 +78,22 @@ func (l *Ledger) Declined() int64 {
 	return l.declined
 }
 
-// Session is one resumable transfer tracked by a SessionStore. Owners
-// (the endpoint) attach their protocol state to Data under Mu.
-type Session struct {
-	// ID names the session on the wire.
-	ID string
-	// Ledger is the session's idempotency state.
-	Ledger *Ledger
-	// Created is when the session first appeared.
-	Created time.Time
-	// touched is the last store access — the idleness clock Sweep runs
-	// on, so a session in active use is never collected mid-transfer.
-	// Guarded by the store's mutex.
+// session is one entry of a SessionStore: the owner's state of one
+// delivery session and its idleness clock.
+type session[T any] struct {
+	state T
+	// touched is the last store access — the clock Sweep runs on, so a
+	// session in active use is never collected mid-transfer. Guarded by
+	// the store's mutex.
 	touched time.Time
-
-	// Mu guards Data against a status probe racing a late request.
-	Mu sync.Mutex
-	// Data is owner-attached state (the endpoint keeps its decoded
-	// program, accumulating instances, and the execute-once response
-	// here).
-	Data any
 }
 
-// SessionStore tracks the live sessions of one endpoint.
-type SessionStore struct {
+// SessionStore is one endpoint's table of live delivery sessions, by
+// session id. Each entry holds the owner's state of the session as a T
+// (the endpoint keeps a source's held render and a target's ledger,
+// instances and stored response there), minted zero on first sight and
+// collected when ended or idle past MaxAge.
+type SessionStore[T any] struct {
 	// MaxAge is how long an idle session survives before Sweep collects
 	// it. Default 10 minutes.
 	MaxAge time.Duration
@@ -122,48 +113,48 @@ type SessionStore struct {
 	OnEvict func(ids []string)
 
 	mu  sync.Mutex
-	m   map[string]*Session
+	m   map[string]*session[T]
 	now func() time.Time
 }
 
 // NewSessionStore returns an empty store.
-func NewSessionStore() *SessionStore {
-	return &SessionStore{MaxAge: 10 * time.Minute, m: make(map[string]*Session), now: time.Now}
+func NewSessionStore[T any]() *SessionStore[T] {
+	return &SessionStore[T]{MaxAge: 10 * time.Minute, m: make(map[string]*session[T]), now: time.Now}
 }
 
-// Get returns the session, or nil when unknown. Access refreshes the
-// session's idleness clock.
-func (s *SessionStore) Get(id string) *Session {
+// Get returns the session's state, or nil when unknown. Access refreshes
+// the session's idleness clock.
+func (s *SessionStore[T]) Get(id string) *T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sess := s.m[id]; sess != nil {
 		sess.touched = s.now()
-		return sess
+		return &sess.state
 	}
 	return nil
 }
 
-// GetOrCreate returns the session, minting (and sweeping idle peers) on
-// first sight.
-func (s *SessionStore) GetOrCreate(id string) *Session {
+// GetOrCreate returns the session's state, minting a zero one (and
+// sweeping idle peers) on first sight.
+func (s *SessionStore[T]) GetOrCreate(id string) *T {
 	s.mu.Lock()
 	now := s.now()
 	if sess := s.m[id]; sess != nil {
 		sess.touched = now
 		s.mu.Unlock()
-		return sess
+		return &sess.state
 	}
 	gone := s.sweepLocked(now)
-	sess := &Session{ID: id, Ledger: NewLedger(), Created: now, touched: now}
+	sess := &session[T]{touched: now}
 	s.m[id] = sess
 	live := len(s.m)
 	s.mu.Unlock()
 	s.notify(live, gone)
-	return sess
+	return &sess.state
 }
 
 // notify fires OnChange and OnEvict outside the lock.
-func (s *SessionStore) notify(live int, gone []string) {
+func (s *SessionStore[T]) notify(live int, gone []string) {
 	if s.OnEvict != nil && len(gone) > 0 {
 		s.OnEvict(gone)
 	}
@@ -176,7 +167,7 @@ func (s *SessionStore) notify(live int, gone []string) {
 // GetOrCreate sweeps opportunistically as new sessions arrive; an endpoint
 // that stops receiving sessions should also run Sweep in the background
 // (StartSweeper) so completed state is not held indefinitely.
-func (s *SessionStore) Sweep() int {
+func (s *SessionStore[T]) Sweep() int {
 	s.mu.Lock()
 	gone := s.sweepLocked(s.now())
 	live := len(s.m)
@@ -187,7 +178,7 @@ func (s *SessionStore) Sweep() int {
 	return len(gone)
 }
 
-func (s *SessionStore) sweepLocked(now time.Time) []string {
+func (s *SessionStore[T]) sweepLocked(now time.Time) []string {
 	var gone []string
 	for k, v := range s.m {
 		if now.Sub(v.touched) > s.MaxAge {
@@ -200,7 +191,7 @@ func (s *SessionStore) sweepLocked(now time.Time) []string {
 
 // StartSweeper sweeps the store every interval (MaxAge/2 when zero) until
 // the returned stop function is called.
-func (s *SessionStore) StartSweeper(interval time.Duration) (stop func()) {
+func (s *SessionStore[T]) StartSweeper(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = s.MaxAge / 2
 	}
@@ -222,10 +213,19 @@ func (s *SessionStore) StartSweeper(interval time.Duration) (stop func()) {
 }
 
 // Delete drops a session.
-func (s *SessionStore) Delete(id string) {
+func (s *SessionStore[T]) Delete(id string) { s.DeleteIf(id, nil) }
+
+// DeleteIf drops a session when drop, called under the store's lock,
+// reports its state holds nothing more; a nil drop always drops. It is
+// how one party's half of a shared entry leaves without taking the
+// other's with it.
+func (s *SessionStore[T]) DeleteIf(id string, drop func(*T) bool) {
 	s.mu.Lock()
-	_, had := s.m[id]
-	delete(s.m, id)
+	sess, had := s.m[id]
+	had = had && (drop == nil || drop(&sess.state))
+	if had {
+		delete(s.m, id)
+	}
 	live := len(s.m)
 	s.mu.Unlock()
 	if had {
@@ -240,7 +240,7 @@ func (s *SessionStore) Delete(id string) {
 }
 
 // Len reports the live session count.
-func (s *SessionStore) Len() int {
+func (s *SessionStore[T]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
@@ -251,6 +251,10 @@ var sessionCounter atomic.Int64
 
 // NewSessionID mints a wire-safe session identifier.
 func NewSessionID(seed int64) string { return mintID("x", seed) }
+
+// NewExchangeID mints a wire-safe exchange identifier: the id every call
+// of one exchange, and the source's call to the target, carries.
+func NewExchangeID(seed int64) string { return mintID("e", seed) }
 
 // mintID mints a wire-safe session ("x") or exchange ("e") identifier.
 // The seed folds in the exchange's reliability seed so ID sequences are

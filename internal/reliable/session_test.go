@@ -12,7 +12,7 @@ import (
 )
 
 func TestLedgerChunkCheckpoint(t *testing.T) {
-	l := NewLedger()
+	l := &Ledger{}
 	if l.Checkpoint() != 0 {
 		t.Fatalf("fresh checkpoint = %d", l.Checkpoint())
 	}
@@ -40,7 +40,7 @@ func TestLedgerChunkCheckpoint(t *testing.T) {
 }
 
 func TestSessionStoreLifecycle(t *testing.T) {
-	s := NewSessionStore()
+	s := NewSessionStore[int]()
 	clock := time.Unix(0, 0)
 	s.now = func() time.Time { return clock }
 	if s.Get("a") != nil {
@@ -143,7 +143,7 @@ func TestChunkShipmentDefaultSize(t *testing.T) {
 // collected mid-flight, and GetOrCreate sweeps opportunistically as new
 // sessions arrive.
 func TestSessionStoreSweep(t *testing.T) {
-	s := NewSessionStore()
+	s := NewSessionStore[int]()
 	s.MaxAge = 10 * time.Minute
 	clock := time.Unix(0, 0)
 	s.now = func() time.Time { return clock }
@@ -179,7 +179,7 @@ func TestSessionStoreSweep(t *testing.T) {
 // TestSessionStoreSweeper checks the background sweeper: completed state is
 // collected without any further store traffic, and stop is idempotent.
 func TestSessionStoreSweeper(t *testing.T) {
-	s := NewSessionStore()
+	s := NewSessionStore[int]()
 	s.MaxAge = time.Millisecond
 	s.GetOrCreate("done")
 	stop := s.StartSweeper(time.Millisecond)

@@ -933,7 +933,7 @@ func TestDecoderConcurrentAttemptsExactlyOnce(t *testing.T) {
 	wireBytes := buf.Bytes()
 
 	out := map[string]*core.Instance{}
-	led := reliable.NewLedger()
+	led := &reliable.Ledger{}
 	var commit sync.Mutex
 	var wg sync.WaitGroup
 	start := make(chan struct{})

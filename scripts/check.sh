@@ -57,10 +57,13 @@ make soak
 # chunks and diffs built from row snapshots held byte for byte to the trees
 # ScanFragment builds, the parallel diff held to the serial one, and
 # filtered renders from rows held byte for byte to the tree path (and
-# served fresh to every Scan on both), re-run without the race detector as a fast
-# standalone gate — a delta or a filter that ships the wrong records must
-# never reach a snapshot run.
-go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference|TestRowsEmitMatchesTrees|TestDiffRecordsParallelMatchesSerial|TestFilteredScanMatchesTreePath|TestFilteredScanServesEachScanFresh' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
+# served fresh to every Scan on both), the held-render sweep (the sweeper
+# that frees idle target sessions frees a render a failed delivery holds,
+# and a resume from it is RenderGone) and the breaker-free retry arm (an
+# exchange without shared breakers is capped by its policy alone), re-run
+# without the race detector as a fast standalone gate — a delta or a filter
+# that ships the wrong records must never reach a snapshot run.
+go test -count=1 -run 'TestSweepFreesHeldRender|TestRetriesNotCappedWithoutBreakers|TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference|TestRowsEmitMatchesTrees|TestDiffRecordsParallelMatchesSerial|TestFilteredScanMatchesTreePath|TestFilteredScanServesEachScanFresh' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,
 # restart it over the same WAL directory, and the reliable exchange must

@@ -82,7 +82,7 @@ wait_http "http://127.0.0.1:$SRC_PORT/" "source endpoint"
 
 # A patient retry policy: the restart below takes a few hundred ms and the
 # driver must keep retrying across it.
-"$WORK/xdxd" -listen "127.0.0.1:$AGENCY_PORT" -reliable -chunk 8 \
+"$WORK/xdxd" -listen "127.0.0.1:$AGENCY_PORT" -chunk 8 \
     -retry-attempts 12 -retry-budget 64 -breaker-failures 50 \
     -breaker-cooldown 100ms >/dev/null 2>&1 &
 AGENCY_PID=$!

@@ -13,7 +13,7 @@ BIN="$(mktemp -d)"
 trap 'kill "$PID" 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 go build -o "$BIN/xdxd" ./cmd/xdxd
-"$BIN/xdxd" -listen "127.0.0.1:$PORT" -reliable -metrics-addr "127.0.0.1:$OPS_PORT" &
+"$BIN/xdxd" -listen "127.0.0.1:$PORT" -metrics-addr "127.0.0.1:$OPS_PORT" &
 PID=$!
 
 # Wait for the ops listener (the daemon starts it before serving SOAP).
