@@ -35,7 +35,6 @@ func main() {
 	name := flag.String("name", "endpoint", "endpoint name")
 	speed := flag.Float64("speed", 1, "relative processing speed reported to cost probes")
 	dumb := flag.Bool("dumb", false, "refuse to run Combine (dumb client)")
-	noDelta := flag.Bool("no-delta", false, "retain no delta bases: DeltaStatus always answers cold, so sources ship full snapshots")
 	walDir := flag.String("wal-dir", "", "directory for the session write-ahead log; on start, journaled sessions are recovered so interrupted exchanges resume (empty = memory-only)")
 	fsyncPolicy := flag.String("fsync", "batch", "WAL sync policy: batch (group commit: a chunk is acked only after its group's fsync) or off (the same groups, no fsync)")
 	snapshotEvery := flag.Int("snapshot-every", 256, "WAL appends after a compaction before the next is considered; it runs once ended sessions hold at least as many WAL bytes as live ones (0 = never compact)")
@@ -90,9 +89,6 @@ func main() {
 		Fragmentations:  []*core.Fragmentation{layout},
 	}
 	ep := endpoint.New(*name, &endpoint.RelBackend{Store: store, Speed: *speed, CanCombine: !*dumb}, defs)
-	if *noDelta {
-		ep.SetDeltaRetention(false)
-	}
 	var logger obs.Logger
 	if *verbose {
 		logger = obs.NewTextLogger(os.Stderr, obs.LevelDebug)

@@ -147,19 +147,15 @@ type StatsProvider struct {
 	// TargetCombines reports whether the target can run Combine at all; a
 	// "dumb client" (§4.1) cannot, making the cost infinite there.
 	TargetCombines bool
-	// ShipCodec names the shipment encoding the exchange will travel under
-	// ("", "xml", "bin", "bin+flate"). Communication cost is
-	// charged on wire bytes, not tree bytes, so ShipBytes scales FragBytes
-	// by the codec's compression ratio.
-	ShipCodec string
 	// ShipRatio holds measured wire/tree size ratios per fragment name,
 	// calibrated by the endpoint encoding a sample of each layout fragment
-	// under ShipCodec during stats collection.
+	// under the exchange's shipment codec during stats collection.
+	// Communication cost is charged on wire bytes, not tree bytes, so
+	// ShipBytes scales FragBytes by them.
 	ShipRatio map[string]float64
 	// ShipRatioDefault is the ratio for fragments without a measurement —
 	// the derived fragments the optimizer invents (combine outputs, split
-	// parts), which calibration never saw. Zero falls back to the codec's
-	// nominal ratio.
+	// parts), which calibration never saw. Zero means unmeasured: ratio 1.
 	ShipRatioDefault float64
 }
 
@@ -177,9 +173,8 @@ func (p *StatsProvider) FragBytes(f *Fragment) float64 {
 // which stays the tree-size term computation cost is charged on — this is
 // the size() of comm_cost, so it reflects what actually crosses the link:
 // the measured per-fragment compression ratio when calibration saw the
-// fragment, the calibration-wide default otherwise, and the codec's
-// nominal ratio when no calibration ran at all. With no codec configured
-// the ratio is 1 and wire size equals tree size, the pre-codec behavior.
+// fragment, the calibration-wide default otherwise. Unmeasured, the ratio
+// is 1 and wire size equals tree size.
 func (p *StatsProvider) ShipBytes(f *Fragment) float64 {
 	return p.FragBytes(f) * p.shipRatio(f)
 }
@@ -190,20 +185,6 @@ func (p *StatsProvider) shipRatio(f *Fragment) float64 {
 	}
 	if p.ShipRatioDefault > 0 {
 		return p.ShipRatioDefault
-	}
-	return DefaultShipRatio(p.ShipCodec)
-}
-
-// DefaultShipRatio is the nominal wire/tree size ratio of a codec, used
-// when no measured calibration is available. The numbers are conservative
-// midpoints of what the ablation benchmarks measure on the XMark layouts;
-// measured ratios always win.
-func DefaultShipRatio(codec string) float64 {
-	switch codec {
-	case "bin":
-		return 0.55
-	case "bin+flate":
-		return 0.3
 	}
 	return 1
 }

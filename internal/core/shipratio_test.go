@@ -57,9 +57,8 @@ func TestCompressionAwareShipBytesFlipsPlacement(t *testing.T) {
 			TargetCombines: true,
 		}
 	}
-	tree := mk() // no codec: wire size == tree size, the pre-codec model
+	tree := mk() // unmeasured: wire size == tree size, the pre-codec model
 	wire := mk()
-	wire.ShipCodec = "bin+flate"
 	wire.ShipRatioDefault = 0.6
 	wire.ShipRatio = map[string]float64{}
 	for _, f := range src.Fragments {
@@ -76,7 +75,7 @@ func TestCompressionAwareShipBytesFlipsPlacement(t *testing.T) {
 	// ShipBytes now diverges from FragBytes under the calibrated codec…
 	for _, f := range src.Fragments {
 		if tree.ShipBytes(f) != tree.FragBytes(f) {
-			t.Fatalf("no codec: ShipBytes(%s)=%v must equal FragBytes=%v",
+			t.Fatalf("unmeasured: ShipBytes(%s)=%v must equal FragBytes=%v",
 				f.Name, tree.ShipBytes(f), tree.FragBytes(f))
 		}
 		want := tree.FragBytes(f) * wire.ShipRatio[f.Name]

@@ -206,28 +206,10 @@ type Endpoint struct {
 	calMu    sync.Mutex
 	calCache map[string]*shipCalibration
 
-	// deltaMu guards deltaBases: per stream, which snapshot the backend's
-	// rows hold, on the target side — the base the next delta applies to.
-	// Memory-only by design — after a restart every stream is cold and the
-	// exchange falls back to a full reship.
-	deltaMu    sync.Mutex
-	deltaBases map[string]*deltaBase
-	deltaOff   bool
-
 	// recon is the source side of delta exchanges: per stream and epoch,
 	// the per-edge record hashes of the shipments this endpoint rendered,
 	// by delivery session.
 	recon *reliable.ReconIndex
-}
-
-// deltaBase names the snapshot one stream's last successful exchange left
-// in the backend's rows: the session that delivered it, the plan epoch it
-// was built under, and the backend's generation after it landed. It holds
-// only while the epoch matches and no Clear or Load has bumped the
-// generation since.
-type deltaBase struct {
-	epoch, session string
-	gen            uint64
 }
 
 // shipCalibration holds measured wire/tree size ratios for one codec:
@@ -242,11 +224,10 @@ type shipCalibration struct {
 // New wires a backend into a SOAP endpoint.
 func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 	e := &Endpoint{Name: name, WSDL: defs, backend: be, srv: soap.NewServer(),
-		sessions:   reliable.NewSessionStore[session](),
-		log:        obs.Nop,
-		calCache:   map[string]*shipCalibration{},
-		deltaBases: map[string]*deltaBase{},
-		recon:      reliable.NewReconIndex()}
+		sessions: reliable.NewSessionStore[session](),
+		log:      obs.Nop,
+		calCache: map[string]*shipCalibration{},
+		recon:    reliable.NewReconIndex()}
 	e.srv.Handle("GetWSDL", e.getWSDL)
 	e.srv.Handle("ProbeStats", e.probeStats)
 	e.srv.Handle("DeltaStatus", e.deltaStatus)
@@ -349,7 +330,6 @@ func (e *Endpoint) probeStats(req *xmltree.Node) (*xmltree.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.ShipCodec = codec.String()
 		p.ShipRatio = cal.ratios
 		p.ShipRatioDefault = cal.def
 	}
@@ -395,11 +375,10 @@ func (e *Endpoint) calibrate(codec wire.Codec) (*shipCalibration, error) {
 		}
 	}
 	// Derived fragments (combine outputs, split parts) were never scanned;
-	// they default to the size-weighted mean of what was.
+	// they default to the size-weighted mean of what was. With nothing
+	// sampled the store weighs 0 bytes, and the ratio stays unmeasured.
 	if treeSum > 0 {
 		cal.def = wireSum / treeSum
-	} else {
-		cal.def = core.DefaultShipRatio(key)
 	}
 	e.calCache[key] = cal
 	e.log.Log(obs.LevelInfo, "codec calibrated",
@@ -441,23 +420,10 @@ func (e *Endpoint) deltaStatus(req *xmltree.Node) (*xmltree.Node, error) {
 	epoch, _ := req.Attr("epoch")
 	resp := &xmltree.Node{Name: "DeltaStatusResponse"}
 	resp.SetAttr("stream", stream)
-	if b := e.heldBase(stream, epoch); b != nil {
-		resp.SetAttr("base", b.session)
+	if b := e.base(stream, epoch); b != "" {
+		resp.SetAttr("base", b)
 	}
 	return resp, nil
-}
-
-// SetDeltaRetention toggles delta-base retention. Off, the endpoint
-// answers every DeltaStatus probe cold and retains nothing, so sources
-// always ship full snapshots to it. On (the default) is required for delta
-// exchanges to engage.
-func (e *Endpoint) SetDeltaRetention(on bool) {
-	e.deltaMu.Lock()
-	e.deltaOff = !on
-	if e.deltaOff {
-		e.deltaBases = map[string]*deltaBase{}
-	}
-	e.deltaMu.Unlock()
 }
 
 // rowStore returns the store the backend lands a delta on as row edits, or
@@ -470,43 +436,14 @@ func (e *Endpoint) rowStore() *relstore.Store {
 	return nil
 }
 
-// heldBase returns the stream's base when it was taken at epoch and the
-// backend's rows are still the ones it left, else nil.
-func (e *Endpoint) heldBase(stream, epoch string) *deltaBase {
-	e.deltaMu.Lock()
-	b := e.deltaBases[stream]
-	e.deltaMu.Unlock()
-	if st := e.rowStore(); st == nil || b == nil || b.epoch != epoch || b.gen != st.Generation() {
-		return nil
+// base returns the session whose snapshot of the stream at epoch the
+// backend's rows hold (see relstore.Store.Base), or "" when the stream is
+// cold.
+func (e *Endpoint) base(stream, epoch string) string {
+	if st := e.rowStore(); st != nil {
+		return st.Base(stream, epoch)
 	}
-	return b
-}
-
-// takeBase removes and returns the stream's base when a delta diffed
-// against session at epoch applies to it, else nil. The delta that takes
-// the base is the only one to land on it: an overlapping delta diffed
-// against the same snapshot finds none and faults ColdDelta. A successful
-// apply files the base anew; a failed one leaves none, and the next
-// exchange ships in full.
-func (e *Endpoint) takeBase(stream, epoch, session string) *deltaBase {
-	e.deltaMu.Lock()
-	defer e.deltaMu.Unlock()
-	b := e.deltaBases[stream]
-	if b == nil || b.epoch != epoch || b.session != session {
-		return nil
-	}
-	delete(e.deltaBases, stream)
-	return b
-}
-
-// setDeltaBase records that the rows hold session's snapshot of the
-// stream at store generation gen, unless the backend cannot edit rows.
-func (e *Endpoint) setDeltaBase(stream, epoch, session string, gen uint64) {
-	e.deltaMu.Lock()
-	if e.rowStore() != nil && !e.deltaOff {
-		e.deltaBases[stream] = &deltaBase{epoch: epoch, session: session, gen: gen}
-	}
-	e.deltaMu.Unlock()
+	return ""
 }
 
 // clearBackend drops the backend's stored rows before a stream-tagged

@@ -252,11 +252,10 @@ func (t *targetScan) respondSession(w io.Writer) error {
 		return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
 	}
 	var resp *xmltree.Node
-	var gen uint64 // the store generation the rows hold the snapshot at
 	var err error
 	ts.setRunning(true)
 	if t.delta {
-		resp, gen, err = t.applyDelta()
+		resp, err = t.applyDelta()
 	} else {
 		if t.stream != "" {
 			// A stream's full snapshot replaces the previous one instead of
@@ -264,18 +263,15 @@ func (t *targetScan) respondSession(w io.Writer) error {
 			t.e.clearBackend()
 		}
 		resp, err = t.e.runTarget(t.exchange, t.g, t.a, ts.inbound)
-		if st := t.e.rowStore(); st != nil {
-			gen = st.Generation()
+		if st := t.e.rowStore(); st != nil && t.stream != "" && err == nil {
+			// The rows now hold this session's snapshot: the base the
+			// stream's next delta applies to.
+			st.SetBase(t.stream, t.epoch, t.session)
 		}
 	}
 	ts.setRunning(false)
 	if err != nil {
 		return err
-	}
-	if t.stream != "" {
-		// The rows now hold this session's snapshot: the base the stream's
-		// next delta applies to.
-		t.e.setDeltaBase(t.stream, t.epoch, t.session, gen)
 	}
 	if t.exchange != "" {
 		resp.SetAttr("exchange", t.exchange)

@@ -734,19 +734,23 @@ func TestSessionStatusAnswersDuringSlowExecute(t *testing.T) {
 // hold, take it once: the first lands on the rows and the others find no
 // base and fault ColdDelta, so no delta lands on rows another one already
 // edited. A base also stops holding once the rows are reloaded behind it,
-// and the store refuses an apply against the generation it left.
+// and the store refuses an apply against the base the reload dropped.
 func TestOverlappingDeltasTakeTheBaseOnce(t *testing.T) {
 	st := loadedStore(t, tFrag(t, schema.CustomerInfo()))
 	e := testEndpoint(&RelBackend{Store: st, Speed: 1, CanCombine: true})
-	e.setDeltaBase("s", "ep", "X", st.Generation())
+	st.SetBase("s", "ep", "X")
 	var took atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if e.takeBase("s", "ep", "X") != nil {
+			_, err := st.ApplyDelta("s", "ep", "X", "Y"+strconv.Itoa(i), nil)
+			switch {
+			case err == nil:
 				took.Add(1)
+			case !errors.Is(err, relstore.ErrStale):
+				t.Errorf("overlapping delta: err = %v, want ErrStale", err)
 			}
 		}()
 	}
@@ -754,19 +758,15 @@ func TestOverlappingDeltasTakeTheBaseOnce(t *testing.T) {
 	if took.Load() != 1 {
 		t.Fatalf("%d overlapping deltas took the base, want 1", took.Load())
 	}
-	if e.heldBase("s", "ep") != nil {
-		t.Error("DeltaStatus still answers a base a delta has taken")
-	}
-	gen := st.Generation()
-	e.setDeltaBase("s", "ep", "Y", gen)
-	if b := e.heldBase("s", "ep"); b == nil || b.session != "Y" {
-		t.Fatalf("held base %v, want session Y", b)
+	held := e.base("s", "ep")
+	if !strings.HasPrefix(held, "Y") {
+		t.Fatalf("DeltaStatus answers base %q, want the snapshot the delta that landed left", held)
 	}
 	st.Clear()
-	if e.heldBase("s", "ep") != nil {
-		t.Error("a base is still held after its rows were cleared")
+	if b := e.base("s", "ep"); b != "" {
+		t.Errorf("base %q is still held after its rows were cleared", b)
 	}
-	if _, err := st.ApplyDelta(gen, nil); !errors.Is(err, relstore.ErrStale) {
-		t.Errorf("an apply against the generation before the Clear: err = %v, want ErrStale", err)
+	if _, err := st.ApplyDelta("s", "ep", held, "Z", nil); !errors.Is(err, relstore.ErrStale) {
+		t.Errorf("an apply against the base before the Clear: err = %v, want ErrStale", err)
 	}
 }

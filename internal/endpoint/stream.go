@@ -420,7 +420,7 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 		if !t.delta {
 			break
 		}
-		if b := t.e.heldBase(t.stream, t.epoch); b == nil || b.session != t.base && b.session != t.session {
+		if b := t.e.base(t.stream, t.epoch); b == "" || b != t.base && b != t.session {
 			// Fail the delivery before any chunk flows: a delta diffed
 			// against any snapshot but the one held here cannot be
 			// applied, and the agency's fallback is a full reship on a
@@ -560,20 +560,15 @@ func (e *Endpoint) runTarget(exchange string, g *core.Graph, a core.Assignment, 
 }
 
 // applyDelta lands the session's delta shipment as row edits on the rows
-// of the base it was diffed against (see relstore.Store.ApplyDelta), which
-// it takes (see takeBase), and returns the store generation the rows then
-// hold the session's snapshot at: the edges' shipped records and
+// of the base it was diffed against, which then hold the session's
+// snapshot (see relstore.Store.ApplyDelta): the edges' shipped records and
 // tombstones, with no target slice run. A base the rows no longer hold —
 // replaced, reloaded, taken by an overlapping delta or gone since the
 // delivery started — and a delta that does not fit them fault ColdDelta
 // before any row changes, and the agency reships in full. The whole apply
 // is the store write: there is no slice, and the index upkeep is part of
 // each row edit.
-func (t *targetScan) applyDelta() (*xmltree.Node, uint64, error) {
-	b := t.e.takeBase(t.stream, t.epoch, t.base)
-	if b == nil {
-		return nil, 0, t.coldDelta()
-	}
+func (t *targetScan) applyDelta() (*xmltree.Node, error) {
 	start := time.Now()
 	// An edit per shipped edge, whether it shipped records, tombstones or
 	// nothing; edges several ops consume ship once.
@@ -592,17 +587,17 @@ func (t *targetScan) applyDelta() (*xmltree.Node, uint64, error) {
 		}
 	}
 	ws := time.Now()
-	rows, err := t.e.rowStore().ApplyDelta(b.gen, edits)
+	rows, err := t.e.rowStore().ApplyDelta(t.stream, t.epoch, t.base, t.session, edits)
 	if errors.Is(err, relstore.ErrStale) {
 		t.e.log.Log(obs.LevelWarn, "delta does not fit the stored rows", "exchange", t.exchange, "stream", t.stream, "err", err.Error())
-		return nil, 0, t.coldDelta()
+		return nil, t.coldDelta()
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	t.e.met.Counter("endpoint.delta.applies").Inc()
 	t.e.met.Counter("endpoint.delta.rows").Add(int64(rows))
-	return t.e.targetResponse(t.exchange, start, ws.Sub(start), time.Since(ws), 0), b.gen, nil
+	return t.e.targetResponse(t.exchange, start, ws.Sub(start), time.Since(ws), 0), nil
 }
 
 // targetResponse counts a target execution and reports its timing split,

@@ -583,7 +583,8 @@ func TestHeldRenderIsASnapshot(t *testing.T) {
 		if err := st.LoadDocument(churned.Clone()); err != nil {
 			panic(err)
 		}
-		if _, err := st.ApplyDelta(st.Generation(), rowEdits(t, st.Layout, churned, edited)); err != nil {
+		st.SetBase("churn", "", "loaded")
+		if _, err := st.ApplyDelta("churn", "", "loaded", "edited", rowEdits(t, st.Layout, churned, edited)); err != nil {
 			panic(err)
 		}
 		more, err := core.FromDocument(st.Layout, orig)

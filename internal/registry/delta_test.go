@@ -150,11 +150,12 @@ func canonTree(n *xmltree.Node) *xmltree.Node {
 }
 
 // deltaRig is one churning source feeding two targets of one layout:
-// service "Churn" targets an endpoint that retains delta bases, "ChurnCtl"
-// one with retention off, so the same ExecOptions land a delta as row edits
-// on one side and a cold full re-ship on the other — the control is the
-// ground truth the delta target is held to, and its WireBytes are the
-// full-ship cost the delta must undercut.
+// service "Churn" targets an endpoint whose store keeps its delta base,
+// "ChurnCtl" one whose store exec clears before each exchange, dropping
+// its base, so the same ExecOptions land a delta as row edits on one side
+// and a cold full re-ship on the other — the control is the ground truth
+// the delta target is held to, and its WireBytes are the full-ship cost
+// the delta must undercut.
 type deltaRig struct {
 	t                *testing.T
 	ag               *Agency
@@ -183,7 +184,6 @@ func newDeltaRig(t *testing.T, sFr, tFr *core.Fragmentation, srcSpeed float64, d
 	epD := endpoint.New("TD", &endpoint.RelBackend{Store: r.tgtD, Speed: 1, CanCombine: true}, nil)
 	epD.SetObs(nil, r.tgt)
 	epC := endpoint.New("TC", &endpoint.RelBackend{Store: r.tgtC, Speed: 1, CanCombine: true}, nil)
-	epC.SetDeltaRetention(false)
 	srcSrv, srvD, srvC := httptest.NewServer(srcEP.Handler()), httptest.NewServer(epD.Handler()), httptest.NewServer(epC.Handler())
 	t.Cleanup(func() { srcSrv.Close(); srvD.Close(); srvC.Close() })
 	r.ag = New()
@@ -221,9 +221,12 @@ func (r *deltaRig) reload() {
 	}
 }
 
-// exec runs one delta-enabled exchange of svc.
+// exec runs one delta-enabled exchange of svc; the control's starts cold.
 func (r *deltaRig) exec(svc string, seed int64) *Report {
 	r.t.Helper()
+	if svc == "ChurnCtl" {
+		r.tgtC.Clear()
+	}
 	rep, err := r.ag.ExecuteOpts(svc, r.plans[svc], ExecOptions{
 		Link:        netsim.Loopback(),
 		Reliability: soakConfig(seed),
@@ -350,7 +353,7 @@ func churnRounds(t *testing.T, arm churnArm) {
 		repC := r.exec("ChurnCtl", int64(round+100))
 
 		if repC.Delta {
-			t.Fatalf("round %d: control exchange ran in delta mode despite retention off", round)
+			t.Fatalf("round %d: control exchange ran in delta mode from a cleared store", round)
 		}
 		if round == 0 {
 			if repD.Delta {
@@ -413,7 +416,7 @@ func churnRounds(t *testing.T, arm churnArm) {
 // delta round, the target store is cleared directly (as the benchmark's
 // bulk prepare does) or a second stream full-loads into it; either way
 // DeltaStatus must answer cold, the next exchange ship the full snapshot,
-// and the target match the retention-off control.
+// and the target match the full re-ship control.
 func TestDeltaBaseFollowsStoreGeneration(t *testing.T) {
 	sch := xmark.Schema()
 	sFr, tFr := core.MostFragmented(sch), core.LeastFragmented(sch)
@@ -484,11 +487,11 @@ func TestDeltaBaseFollowsStoreGeneration(t *testing.T) {
 }
 
 // TestDeltaThatDoesNotFitFallsBack: a row deleted behind the endpoint's
-// back — through the store's own row edits, which leave the generation as
-// it is — makes the next delta, which tombstones or rewrites that record,
-// not fit the rows. The target faults ColdDelta before any row changes,
-// the agency's fallback re-ships in full, and the target ends equal to the
-// retention-off control.
+// back — through the store's own row edits on another stream, which keep
+// Churn's base — makes the next delta, which tombstones or rewrites that
+// record, not fit the rows. The target faults ColdDelta before any row
+// changes, the agency's fallback re-ships in full, and the target ends
+// equal to the full re-ship control.
 func TestDeltaThatDoesNotFitFallsBack(t *testing.T) {
 	sch := xmark.Schema()
 	sFr, tFr := core.MostFragmented(sch), core.LeastFragmented(sch)
@@ -499,7 +502,8 @@ func TestDeltaThatDoesNotFitFallsBack(t *testing.T) {
 			region := r.docs[0].Find("regions").Kids[0]
 			item := region.Kids[0]
 			rows := r.tgtD.Rows()
-			if _, err := r.tgtD.ApplyDelta(r.tgtD.Generation(), []relstore.Edit{{Frag: tFr.FragmentOf("item"), Tombs: []string{item.ID}}}); err != nil {
+			r.tgtD.SetBase("behind", "", "b")
+			if _, err := r.tgtD.ApplyDelta("behind", "", "b", "c", []relstore.Edit{{Frag: tFr.FragmentOf("item"), Tombs: []string{item.ID}}}); err != nil {
 				t.Fatal(err)
 			}
 			if r.tgtD.Rows() != rows-1 {
@@ -760,7 +764,7 @@ func TestDeltaExchangeCrashRestartFallsBack(t *testing.T) {
 // the round while its DeltaStatus still answers. The next round must not
 // diff against the snapshot that never landed: it ships either a delta
 // against the base the target actually holds or a counted cold full ship,
-// and the target ends equal to the retention-off control. The reused case
+// and the target ends equal to the full re-ship control. The reused case
 // hands the source, in round 1, the held base's own session id — what an
 // agency whose session counter restarted sends — so the undelivered render
 // and the held snapshot share a name.
@@ -802,7 +806,6 @@ func failedDeliveryRounds(t *testing.T, reuse bool) {
 	srcEP := endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil)
 	epD := endpoint.New("TD", &endpoint.RelBackend{Store: tgtD, Speed: 1, CanCombine: true}, nil)
 	epC := endpoint.New("TC", &endpoint.RelBackend{Store: tgtC, Speed: 1, CanCombine: true}, nil)
-	epC.SetDeltaRetention(false)
 	// sentDelta records whether a delivery the target refused opened as a
 	// delta: what the source rendered for the failed round.
 	var down, sentDelta atomic.Bool
@@ -896,6 +899,7 @@ func failedDeliveryRounds(t *testing.T, reuse bool) {
 		case round == 2 && !rep.Delta && met.Counter("exchange.delta.cold").Value() == cold:
 			t.Error("round 2: neither a delta nor a counted cold full ship")
 		}
+		tgtC.Clear() // the control starts cold: a full re-ship
 		if _, err := exec("ChurnCtl"); err != nil {
 			t.Fatalf("round %d control: %v", round, err)
 		}

@@ -17,35 +17,38 @@ type Edit struct {
 	Tombs   []string
 }
 
-// ErrStale marks a delta that does not fit the stored rows: they were
-// reloaded since the generation it was diffed against, or it tombstones a
-// record the store lacks, ships one whose parent it lacks, or leaves a
-// stored record without its parent.
+// ErrStale marks a delta that does not fit the stored rows: they do not
+// hold the snapshot it was diffed against, or it tombstones a record the
+// store lacks, ships one whose parent it lacks, or leaves a stored record
+// without its parent.
 var ErrStale = errors.New("relstore: delta does not fit the stored rows")
 
-// ApplyDelta lands a delta, diffed against the rows of generation gen, as
-// row edits, and returns how many rows it deleted plus how many it
+// ApplyDelta lands a delta of stream, diffed against the snapshot session
+// base left under plan epoch, as row edits, files the rows as session
+// next's snapshot, and returns how many rows it deleted plus how many it
 // inserted. Each stored record (a layout fragment's instance) that the
 // delta touches is rebuilt from its rows, the edge's old part of it is cut
 // out, the shipped record, cut by the layout, is spliced in at its schema
 // position, and the tree is shredded back in place of the record's rows,
-// which the indexes follow row by row. The generation is checked and every
-// edit resolved under the store lock before a row changes, so a delta that
-// does not fit leaves the store as it was. The generation stays: the edits
-// continue the snapshot they were diffed against. The shipped records are
-// spliced in, not copied: the caller hands them over.
-func (s *Store) ApplyDelta(gen uint64, edits []Edit) (int, error) {
+// which the indexes follow row by row. The base is checked and taken and
+// every edit resolved under the store lock before a row changes, so a
+// delta that does not fit leaves the rows as they were. Any error leaves
+// the stream without the base it names: of two deltas against one base
+// only the first lands, and one that fails leaves the stream cold. The
+// shipped records are spliced in, not copied: the caller hands them over.
+func (s *Store) ApplyDelta(stream, epoch, base, next string, edits []Edit) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if held, ok := s.bases[stream]; !ok || held != (streamBase{epoch, base}) {
+		return 0, fmt.Errorf("%w: the rows do not hold stream %s's snapshot %s at epoch %s", ErrStale, stream, base, epoch)
+	}
+	delete(s.bases, stream)
 	for _, ed := range edits {
 		// The records come off the wire: each must be an instance of its
 		// edge's fragment before anything looks it up by element.
 		if err := core.ValidateInstance(s.Layout.Schema, &core.Instance{Frag: ed.Frag, Records: ed.Records}); err != nil {
 			return 0, err
 		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gen != gen {
-		return 0, fmt.Errorf("%w: the rows are at generation %d, the delta's base at %d", ErrStale, s.gen, gen)
 	}
 	ap := &applier{s: s, scan: fragScan{arena: &xmltree.Arena{}}, loaded: map[slotKey]*workRec{}, nodes: map[nodeKey]nodeAt{}}
 	// Parents first, so a record finds a parent shipped beside it; all
@@ -101,6 +104,7 @@ func (s *Store) ApplyDelta(gen uint64, edits []Edit) (int, error) {
 	for _, w := range ap.recs {
 		s.tables[w.table].compact()
 	}
+	s.bases[stream] = streamBase{epoch, next}
 	return n, nil
 }
 

@@ -245,6 +245,7 @@ func TestApplyDeltaMatchesReload(t *testing.T) {
 				stripLeafIDs(c.edges, d)
 			}
 			got := loadDocs(t, c.layout, docs)
+			got.SetBase("s", "e", "0")
 			rng := rand.New(rand.NewSource(1))
 			prevRows := 0
 			for round, frac := range []float64{0.01, 0.1, 0.5, 0.1} {
@@ -253,13 +254,13 @@ func TestApplyDeltaMatchesReload(t *testing.T) {
 				for _, d := range docs {
 					stripLeafIDs(c.edges, d)
 				}
-				gen := got.Generation()
-				n, err := got.ApplyDelta(gen, deltaEdits(t, c.edges, before, docs))
+				base, next := fmt.Sprint(round), fmt.Sprint(round+1)
+				n, err := got.ApplyDelta("s", "e", base, next, deltaEdits(t, c.edges, before, docs))
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
-				if got.Generation() != gen {
-					t.Errorf("round %d: the apply bumped the generation", round)
+				if b := got.Base("s", "e"); b != next {
+					t.Errorf("round %d: the rows hold base %q after the apply, want %q", round, b, next)
 				}
 				if want := canonStore(t, loadDocs(t, c.layout, docs)); canonStore(t, got) != want {
 					t.Fatalf("round %d (churn %.0f%%): the edited store differs from a reload", round, frac*100)
@@ -276,12 +277,13 @@ func TestApplyDeltaMatchesReload(t *testing.T) {
 	}
 }
 
-// A delta that does not fit the rows fails with ErrStale and leaves every
-// row, slot and index as it was: one diffed against rows reloaded since, a
-// tombstone for a record the store lacks, a record whose parent it lacks,
-// and a tombstone that leaves a record — of its own table or another —
-// without its parent. A record that is no instance of its edge's fragment
-// fails too, before anything looks it up.
+// A delta that does not fit the rows fails with ErrStale, leaves every
+// row, slot and index as it was, and leaves the stream without a base: one
+// diffed against a snapshot the rows do not hold, a tombstone for a record
+// the store lacks, a record whose parent it lacks, and a tombstone that
+// leaves a record — of its own table or another — without its parent. A
+// record that is no instance of its edge's fragment fails too, before
+// anything looks it up.
 func TestApplyDeltaRefusesStaleDelta(t *testing.T) {
 	sch := telgen.Schema()
 	paperS, _ := core.PaperSFragmentation(sch)
@@ -302,9 +304,9 @@ func TestApplyDeltaRefusesStaleDelta(t *testing.T) {
 		name      string
 		edits     []Edit
 		malformed bool
-		reloaded  bool
+		unheld    bool
 	}{
-		{"diffed against rows reloaded since", []Edit{{Frag: line, Records: []*xmltree.Node{lineRec(docs[0].Kids[1].Kids[0].ID)}}}, false, true},
+		{"diffed against a snapshot the rows do not hold", []Edit{{Frag: line, Records: []*xmltree.Node{lineRec(docs[0].Kids[1].Kids[0].ID)}}}, false, true},
 		{"tombstone of a missing record", []Edit{{Frag: line, Tombs: []string{"nope"}}}, false, false},
 		{"record under a missing parent", []Edit{{Frag: line, Records: []*xmltree.Node{lineRec("nope")}}}, false, false},
 		{"missing parent after a good record", []Edit{
@@ -315,13 +317,15 @@ func TestApplyDeltaRefusesStaleDelta(t *testing.T) {
 		{"element outside the schema", []Edit{{Frag: line, Records: []*xmltree.Node{{Name: "Line", ID: "x2", Parent: docs[0].Kids[1].Kids[0].ID,
 			Kids: []*xmltree.Node{{Name: "Bogus", Text: "x"}}}}}}, true, false},
 	} {
-		gen := st.Generation()
-		if c.reloaded {
-			gen--
+		if !c.unheld {
+			st.SetBase("s", "e", "held")
 		}
-		_, err := st.ApplyDelta(gen, c.edits)
+		_, err := st.ApplyDelta("s", "e", "held", "next", c.edits)
 		if err == nil || errors.Is(err, ErrStale) == c.malformed {
 			t.Errorf("%s: err = %v, want an error that is ErrStale: %v", c.name, err, !c.malformed)
+		}
+		if b := st.Base("s", "e"); b != "" {
+			t.Errorf("%s: the refused delta left base %q", c.name, b)
 		}
 		if canonStore(t, st) != want {
 			t.Errorf("%s: the refused delta changed the rows", c.name)
@@ -334,28 +338,49 @@ func TestApplyDeltaRefusesStaleDelta(t *testing.T) {
 	}
 }
 
-// Clear and Load bump the generation; reads do not.
-func TestGenerationCountsBulkChanges(t *testing.T) {
+// Load and Clear drop every stream's base; reads, Stats and BuildIndexes
+// keep them, and a delta on one stream keeps another stream's.
+func TestLoadAndClearDropEveryBase(t *testing.T) {
 	sch := telgen.Schema()
 	fr, _ := core.PaperTFragmentation(sch)
 	st, _ := NewStore(fr)
-	g0 := st.Generation()
-	if err := st.LoadDocument(telgen.Customers(telgen.Config{Customers: 1, Seed: 1})[0]); err != nil {
+	docs := telgen.Customers(telgen.Config{Customers: 2, Seed: 1})
+	hold := func() {
+		st.SetBase("a", "e", "A")
+		st.SetBase("b", "e", "B")
+	}
+	held := func(what, a, b string) {
+		t.Helper()
+		if ga, gb := st.Base("a", "e"), st.Base("b", "e"); ga != a || gb != b {
+			t.Errorf("after %s: bases %q and %q, want %q and %q", what, ga, gb, a, b)
+		}
+	}
+	hold()
+	if err := st.LoadDocument(docs[0]); err != nil {
 		t.Fatal(err)
 	}
-	g1 := st.Generation()
-	st.BuildIndexes()
+	held("a Load", "", "")
+	hold()
+	if err := st.BuildIndexes(); err != nil {
+		t.Fatal(err)
+	}
 	st.Stats()
 	if _, err := st.ScanFragment(fr.Fragments[0].Name); err != nil {
 		t.Fatal(err)
 	}
-	if st.Generation() != g1 {
-		t.Error("a read or an index build bumped the generation")
+	if _, err := st.Snapshot(fr.Fragments[0].Name); err != nil {
+		t.Fatal(err)
 	}
+	held("reads and an index build", "A", "B")
+	if st.Base("a", "other epoch") != "" {
+		t.Error("a base answers for an epoch it was not built under")
+	}
+	if _, err := st.ApplyDelta("a", "e", "A", "A2", nil); err != nil {
+		t.Fatal(err)
+	}
+	held("a delta on stream a", "A2", "B")
 	st.Clear()
-	if !(g0 < g1 && g1 < st.Generation()) {
-		t.Errorf("generations %d, %d, %d: want Load and Clear each to bump it", g0, g1, st.Generation())
-	}
+	held("a Clear", "", "")
 }
 
 // Deleted rows leave Scan, Len and the index lookups at once, and compact
@@ -411,8 +436,9 @@ func BenchmarkApplyDelta(b *testing.B) {
 				cp[i].Records = append(cp[i].Records, r.Clone())
 			}
 		}
+		st.SetBase("s", "e", "b")
 		b.StartTimer()
-		if _, err := st.ApplyDelta(st.Generation(), cp); err != nil {
+		if _, err := st.ApplyDelta("s", "e", "b", "n", cp); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

@@ -138,7 +138,8 @@ func TestRowsEmitMatchesTrees(t *testing.T) {
 					for _, d := range docs {
 						stripLeafIDs(c.edges, d)
 					}
-					if _, err := st.ApplyDelta(st.Generation(), deltaEdits(t, c.edges, before, docs)); err != nil {
+					st.SetBase("s", "e", "b")
+					if _, err := st.ApplyDelta("s", "e", "b", "n", deltaEdits(t, c.edges, before, docs)); err != nil {
 						t.Fatal(err)
 					}
 					gone := 0
@@ -250,7 +251,8 @@ func TestDiffRecordsParallelMatchesSerial(t *testing.T) {
 					for _, d := range docs {
 						stripLeafIDs(c.edges, d)
 					}
-					if _, err := st.ApplyDelta(st.Generation(), deltaEdits(t, c.edges, before, docs)); err != nil {
+					st.SetBase("s", "e", "b")
+					if _, err := st.ApplyDelta("s", "e", "b", "n", deltaEdits(t, c.edges, before, docs)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -30,10 +30,15 @@ type Store struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	descs  map[string]*tableDesc
-	// gen counts the bulk changes to the rows — every Clear and Load —
-	// which a delta's row edits do not bump.
-	gen uint64
+	// bases names, per stream, the snapshot the rows hold: the base the
+	// stream's next delta applies to. Every Clear and Load drops them all;
+	// a delta's row edits carry its stream's over to the next snapshot.
+	bases map[string]streamBase
 }
+
+// streamBase is one stream's snapshot: the plan epoch it was built under
+// and the delivery session that left it in the rows.
+type streamBase struct{ epoch, session string }
 
 // tableDesc records how a fragment maps onto its table.
 type tableDesc struct {
@@ -73,6 +78,7 @@ func NewStore(fr *core.Fragmentation) (*Store, error) {
 		Layout: fr,
 		tables: make(map[string]*Table, fr.Len()),
 		descs:  make(map[string]*tableDesc, fr.Len()),
+		bases:  map[string]streamBase{},
 	}
 	for _, f := range fr.Fragments {
 		desc, err := describeFragment(fr.Schema, f)
@@ -185,7 +191,7 @@ func (s *Store) Load(in *core.Instance) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.gen++
+	clear(s.bases)
 	t := s.tables[name]
 	d := s.descs[name]
 	sh := d.shredder(len(t.Cols), rowSlabRows)
@@ -535,13 +541,23 @@ func (s *Store) BuildIndexes() error {
 	return nil
 }
 
-// Generation counts the store's bulk changes, Clear and Load; a delta's
-// row edits leave it be. A holder of a snapshot of the rows can tell by it
-// that someone else reloaded them.
-func (s *Store) Generation() uint64 {
+// Base returns the delivery session whose snapshot of stream, built under
+// plan epoch, the rows hold, or "" when they hold none: the stream is cold.
+func (s *Store) Base(stream, epoch string) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.gen
+	if b := s.bases[stream]; b.epoch == epoch {
+		return b.session
+	}
+	return ""
+}
+
+// SetBase records that the rows hold session's snapshot of stream, built
+// under plan epoch, once a full snapshot has loaded.
+func (s *Store) SetBase(stream, epoch, session string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.bases[stream] = streamBase{epoch, session}
 }
 
 // Rows returns the total number of rows across all tables.
@@ -560,7 +576,7 @@ func (s *Store) Rows() int {
 func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.gen++
+	clear(s.bases)
 	for name, t := range s.tables {
 		nt, _ := NewTable(t.Name, t.Cols)
 		s.tables[name] = nt

@@ -233,9 +233,6 @@ func EncodeStats(p *core.StatsProvider) *xmltree.Node {
 	root.SetAttr("unitCombine", formatFloat(p.Unit.Combine))
 	root.SetAttr("unitSplit", formatFloat(p.Unit.Split))
 	root.SetAttr("unitWrite", formatFloat(p.Unit.Write))
-	if p.ShipCodec != "" {
-		root.SetAttr("shipCodec", p.ShipCodec)
-	}
 	if p.ShipRatioDefault > 0 {
 		root.SetAttr("shipRatioDefault", formatFloat(p.ShipRatioDefault))
 	}
@@ -272,7 +269,6 @@ func DecodeStats(x *xmltree.Node) (*core.StatsProvider, error) {
 		Split:   attrFloat(x, "unitSplit"),
 		Write:   attrFloat(x, "unitWrite"),
 	}
-	p.ShipCodec, _ = x.Attr("shipCodec")
 	p.ShipRatioDefault = attrFloat(x, "shipRatioDefault")
 	for _, ex := range x.Kids {
 		if ex.Name == "shipRatio" {

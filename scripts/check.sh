@@ -8,6 +8,8 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Formatting gate: gofmt must have nothing to rewrite.
+test -z "$(gofmt -l .)"
 go build ./...
 go test -race ./...
 
@@ -49,10 +51,11 @@ make soak
 # XMark LF→MF and telgen S→T, with the rows it edits counted), the
 # mid-delta crash/fallback arm, the failed-delivery arm (a delta that never
 # landed is never diffed against), the lost-response arm (a delta that ran
-# replays, never falls back), the generation arm (rows reloaded behind the
+# replays, never falls back), the reload arm (rows reloaded behind the
 # base ship cold), the stale-delta arm (a delta that does not fit the rows
 # falls back before any row changes), the store's row-edit apply held to a
-# reload, overlapping deltas taking the base once, the one-pass
+# reload, the store dropping every base on Clear and Load and keeping it
+# otherwise, overlapping deltas taking the base once, the one-pass
 # reconciliation held to the map-based reference over seeded shipments,
 # chunks and diffs built from row snapshots held byte for byte to the trees
 # ScanFragment builds, the parallel diff held to the serial one, and
@@ -63,7 +66,7 @@ make soak
 # exchange without shared breakers is capped by its policy alone), re-run
 # without the race detector as a fast standalone gate — a delta or a filter
 # that ships the wrong records must never reach a snapshot run.
-go test -count=1 -run 'TestSweepFreesHeldRender|TestRetriesNotCappedWithoutBreakers|TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference|TestRowsEmitMatchesTrees|TestDiffRecordsParallelMatchesSerial|TestFilteredScanMatchesTreePath|TestFilteredScanServesEachScanFresh' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
+go test -count=1 -run 'TestSweepFreesHeldRender|TestRetriesNotCappedWithoutBreakers|TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestLoadAndClearDropEveryBase|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference|TestRowsEmitMatchesTrees|TestDiffRecordsParallelMatchesSerial|TestFilteredScanMatchesTreePath|TestFilteredScanServesEachScanFresh' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,
 # restart it over the same WAL directory, and the reliable exchange must
