@@ -38,9 +38,7 @@ func main() {
 	walDir := flag.String("wal-dir", "", "directory for the session write-ahead log; on start, journaled sessions are recovered so interrupted exchanges resume (empty = memory-only)")
 	fsyncPolicy := flag.String("fsync", "batch", "WAL sync policy: batch (group commit: a chunk is acked only after its group's fsync) or off (the same groups, no fsync)")
 	snapshotEvery := flag.Int("snapshot-every", 256, "WAL appends after a compaction before the next is considered; it runs once ended sessions hold at least as many WAL bytes as live ones (0 = never compact)")
-	batchBytes := flag.Int("batch-bytes", 0, "max coalesced WAL bytes per commit group (0 = 1MiB)")
 	batchFrames := flag.Int("batch-frames", 0, "max WAL frames per commit group (0 = 256)")
-	batchHold := flag.Duration("batch-hold", 0, "max time a lone WAL appender waits for a commit group (0 = 5ms)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty = off)")
 	verbose := flag.Bool("v", false, "log request and execution activity to stderr")
 	flag.Parse()
@@ -108,9 +106,7 @@ func main() {
 		journal, err := durable.OpenJournal(*walDir, durable.Options{
 			Fsync:          policy,
 			SnapshotEvery:  *snapshotEvery,
-			MaxBatchBytes:  *batchBytes,
 			MaxBatchFrames: *batchFrames,
-			MaxBatchHold:   *batchHold,
 			Log:            logger,
 			Met:            metrics,
 		})

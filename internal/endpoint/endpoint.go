@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"xdx/internal/core"
@@ -30,10 +29,10 @@ import (
 type Backend interface {
 	// Layout is the fragmentation the system produces/consumes natively.
 	Layout() *core.Fragmentation
-	// Scan materializes a layout fragment's instance (Definition 3.6). The
-	// exchange consumes it — Combine and Split rebuild its records in
-	// place — so Scan returns records no one else holds.
-	Scan(f *core.Fragment) (*core.Instance, error)
+	// Scan returns a layout fragment's records (Definition 3.6): rows
+	// built on demand, or trees the backend holds. The endpoint builds or
+	// Shares them before an op consumes them (see Endpoint.trees).
+	Scan(f *core.Fragment) (core.Records, error)
 	// Write stores a fragment instance (Definition 3.9).
 	Write(in *core.Instance) error
 	// BuildIndexes finalizes storage after loading (Table 4's index step).
@@ -55,9 +54,9 @@ type RelBackend struct {
 // Layout implements Backend.
 func (b *RelBackend) Layout() *core.Fragmentation { return b.Store.Layout }
 
-// Scan implements Backend.
-func (b *RelBackend) Scan(f *core.Fragment) (*core.Instance, error) {
-	return b.Store.ScanFragment(f.Name)
+// Scan implements Backend with a snapshot of the fragment's rows.
+func (b *RelBackend) Scan(f *core.Fragment) (core.Records, error) {
+	return b.Store.Snapshot(f.Name)
 }
 
 // Write implements Backend.
@@ -99,7 +98,7 @@ type LDAPBackend struct {
 func (b *LDAPBackend) Layout() *core.Fragmentation { return b.Store.Layout }
 
 // Scan implements Backend.
-func (b *LDAPBackend) Scan(f *core.Fragment) (*core.Instance, error) {
+func (b *LDAPBackend) Scan(f *core.Fragment) (core.Records, error) {
 	return b.Store.Scan(f.Name)
 }
 
@@ -148,7 +147,7 @@ func (b *VirtualBackend) Layout() *core.Fragmentation { return b.Base.Layout() }
 
 // Scan implements Backend: virtual fragments are computed, the rest
 // delegate to the base backend.
-func (b *VirtualBackend) Scan(f *core.Fragment) (*core.Instance, error) {
+func (b *VirtualBackend) Scan(f *core.Fragment) (core.Records, error) {
 	if fn, ok := b.Virtual[f.Name]; ok {
 		in, err := fn()
 		if err != nil {
@@ -203,22 +202,10 @@ type Endpoint struct {
 	log      obs.Logger
 	met      *obs.Registry
 
-	calMu    sync.Mutex
-	calCache map[string]*shipCalibration
-
 	// recon is the source side of delta exchanges: per stream and epoch,
 	// the per-edge record hashes of the shipments this endpoint rendered,
 	// by delivery session.
 	recon *reliable.ReconIndex
-}
-
-// shipCalibration holds measured wire/tree size ratios for one codec:
-// per layout fragment, plus the size-weighted mean used for fragments the
-// optimizer derives (combine outputs, split parts) that calibration never
-// saw.
-type shipCalibration struct {
-	ratios map[string]float64
-	def    float64
 }
 
 // New wires a backend into a SOAP endpoint.
@@ -226,7 +213,6 @@ func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 	e := &Endpoint{Name: name, WSDL: defs, backend: be, srv: soap.NewServer(),
 		sessions: reliable.NewSessionStore[session](),
 		log:      obs.Nop,
-		calCache: map[string]*shipCalibration{},
 		recon:    reliable.NewReconIndex()}
 	e.srv.Handle("GetWSDL", e.getWSDL)
 	e.srv.Handle("ProbeStats", e.probeStats)
@@ -326,12 +312,9 @@ func (e *Endpoint) probeStats(req *xmltree.Node) (*xmltree.Node, error) {
 		if err != nil {
 			return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 		}
-		cal, err := e.calibrate(codec)
-		if err != nil {
+		if p.ShipRatio, p.ShipRatioDefault, err = e.calibrate(codec); err != nil {
 			return nil, err
 		}
-		p.ShipRatio = cal.ratios
-		p.ShipRatioDefault = cal.def
 	}
 	resp := &xmltree.Node{Name: "ProbeStatsResponse"}
 	resp.AddKid(wire.EncodeStats(p))
@@ -344,66 +327,51 @@ const calSampleRecords = 64
 
 // calibrate measures, per layout fragment, what fraction of the tree-codec
 // size the given codec actually puts on the wire, by encoding a bounded
-// sample of real records both ways. Results are cached per codec — the
-// data does not change under the endpoint, and probes repeat.
-func (e *Endpoint) calibrate(codec wire.Codec) (*shipCalibration, error) {
-	key := codec.String()
-	e.calMu.Lock()
-	defer e.calMu.Unlock()
-	if cal, ok := e.calCache[key]; ok {
-		return cal, nil
+// sample of the records the backend holds now both ways. It also returns
+// the size-weighted mean, for the fragments the optimizer derives (combine
+// outputs, split parts) that calibration never saw. Every probe naming a
+// codec runs it afresh, so a store loaded since the last probe is priced
+// as it stands. The xml codec's wire bytes are the tree bytes, so it
+// measures nothing: its ratios are the unmeasured 1.
+func (e *Endpoint) calibrate(codec wire.Codec) (map[string]float64, float64, error) {
+	if codec.Kind != wire.CodecBin {
+		return nil, 0, nil
 	}
 	calStart := time.Now()
 	e.met.Counter("endpoint.calibrations").Inc()
 	sch := e.backend.Layout().Schema
-	cal := &shipCalibration{ratios: map[string]float64{}}
+	ratios := map[string]float64{}
 	var wireSum, treeSum float64
 	for _, f := range e.backend.Layout().Fragments {
-		recs, err := e.calSample(f)
+		recs, err := e.backend.Scan(f)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		wb, err := wire.InstanceWireBytes(recs, sch, codec)
+		sample, err := recs.Build(nil, 0, min(recs.Len(), calSampleRecords), &xmltree.Arena{})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		tb := wire.RecordBytes(recs)
-		if tb > 0 {
-			cal.ratios[f.Name] = float64(wb) / float64(tb)
+		wb, err := wire.InstanceWireBytes(sample, sch, codec)
+		if err != nil {
+			return nil, 0, err
+		}
+		if tb := wire.RecordBytes(sample); tb > 0 {
+			ratios[f.Name] = float64(wb) / float64(tb)
 			wireSum += float64(wb)
 			treeSum += float64(tb)
 		}
 	}
-	// Derived fragments (combine outputs, split parts) were never scanned;
-	// they default to the size-weighted mean of what was. With nothing
-	// sampled the store weighs 0 bytes, and the ratio stays unmeasured.
+	// With nothing sampled the store weighs 0 bytes, and the default
+	// stays unmeasured.
+	var def float64
 	if treeSum > 0 {
-		cal.def = wireSum / treeSum
+		def = wireSum / treeSum
 	}
-	e.calCache[key] = cal
 	e.log.Log(obs.LevelInfo, "codec calibrated",
-		"endpoint", e.Name, "codec", key,
-		"ratio", strconv.FormatFloat(cal.def, 'f', 3, 64),
+		"endpoint", e.Name, "codec", codec.String(),
+		"ratio", strconv.FormatFloat(def, 'f', 3, 64),
 		"millis", formatMillis(time.Since(calStart)))
-	return cal, nil
-}
-
-// calSample returns the first calSampleRecords records of layout fragment
-// f. Over a relational store it builds only those, from a snapshot of the
-// rows; any other backend scans the whole instance.
-func (e *Endpoint) calSample(f *core.Fragment) ([]*xmltree.Node, error) {
-	if st := e.rowStore(); st != nil {
-		rows, err := st.Snapshot(f.Name)
-		if err != nil {
-			return nil, err
-		}
-		return rows.Build(nil, 0, min(rows.Len(), calSampleRecords), &xmltree.Arena{})
-	}
-	in, err := e.backend.Scan(f)
-	if err != nil {
-		return nil, err
-	}
-	return in.Records[:min(len(in.Records), calSampleRecords)], nil
+	return ratios, def, nil
 }
 
 // deltaStatus answers a DeltaStatus probe: when this endpoint holds a warm
@@ -467,23 +435,16 @@ func (e *Endpoint) layoutFrag(f *core.Fragment) (*core.Fragment, error) {
 }
 
 // sourceScan resolves the scans an ExecuteSource request's slice runs
-// over. Each layout fragment's records are taken once: a Snapshot of its
-// rows over a relational store, the backend's Scan otherwise. A request
-// naming a filter (the filter attribute, §3.2's service arguments
-// generalized to comparisons: the system "filters the data accordingly and
-// provides the relevant pieces") has them trimmed to the records its root
-// records reach (core.FilterSources). A Scan whose fragment only ships
+// over. Each layout fragment's records are taken once, by the backend's
+// Scan. A request naming a filter (the filter attribute, §3.2's service
+// arguments generalized to comparisons: the system "filters the data
+// accordingly and provides the relevant pieces") has them trimmed to the
+// records its root records reach (core.FilterSources). A Scan whose fragment only ships
 // (see shipOnly) hands the slice an empty instance and files the records
 // under the fragment, for the render to ship; any other Scan gets trees of
 // its own (see trees).
 func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignment) (func(*core.Fragment) (*core.Instance, error), map[*core.Fragment]core.Records, error) {
 	layout := e.backend.Layout()
-	take := func(lf *core.Fragment) (core.Records, error) {
-		if st := e.rowStore(); st != nil {
-			return st.Snapshot(lf.Name)
-		}
-		return e.backend.Scan(lf)
-	}
 	taken := map[*core.Fragment]core.Records{}
 	if expr, ok := req.Attr("filter"); ok && expr != "" {
 		f, err := core.CompileFilter(expr, layout.Schema)
@@ -499,7 +460,7 @@ func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignmen
 		e.met.Counter("endpoint.source.filtered").Inc()
 		all := make(map[string]core.Records, layout.Len())
 		for _, lf := range layout.Fragments {
-			if all[lf.Name], err = take(lf); err != nil {
+			if all[lf.Name], err = e.backend.Scan(lf); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -520,7 +481,7 @@ func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignmen
 		}
 		recs := taken[lf]
 		if recs == nil {
-			if recs, err = take(lf); err != nil {
+			if recs, err = e.backend.Scan(lf); err != nil {
 				return nil, err
 			}
 			taken[lf] = recs
@@ -536,15 +497,16 @@ func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignmen
 // trees returns a Scan's records as an instance of f for the slice, which
 // consumes what it is served (Combine attaches into its records and Split
 // cuts them): built from rows — a whole snapshot into one arena sized by
-// its rows, as ScanFragment builds it — or a Share view of records held
-// as trees, so every Scan of a fragment reads them pristine.
+// its rows, as ScanFragment builds it, whichever backend took it — or a
+// Share view of records a backend without a row store may hold as trees,
+// so every Scan of a fragment reads them pristine.
 func (e *Endpoint) trees(f *core.Fragment, recs core.Records) (*core.Instance, error) {
+	if rows, ok := recs.(*relstore.Rows); ok {
+		return rows.Instance(f)
+	}
 	if e.rowStore() == nil {
 		held, err := recs.Build(make([]*xmltree.Node, 0, recs.Len()), 0, recs.Len(), nil)
 		return (&core.Instance{Frag: f, Records: held}).Share(), err
-	}
-	if rows, ok := recs.(*relstore.Rows); ok {
-		return rows.Instance(f)
 	}
 	built, err := recs.Build(make([]*xmltree.Node, 0, recs.Len()), 0, recs.Len(), &xmltree.Arena{})
 	return &core.Instance{Frag: f, Records: built}, err

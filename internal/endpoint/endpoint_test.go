@@ -12,6 +12,7 @@ import (
 
 	"xdx/internal/core"
 	"xdx/internal/ldapstore"
+	"xdx/internal/obs"
 	"xdx/internal/relstore"
 	"xdx/internal/schema"
 	"xdx/internal/soap"
@@ -42,6 +43,13 @@ func loadedStore(t *testing.T, fr *core.Fragmentation) *relstore.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loadCustomer(t, st)
+	return st
+}
+
+// loadCustomer loads loadedStore's one customer into st.
+func loadCustomer(t *testing.T, st *relstore.Store) {
+	t.Helper()
 	doc, err := xmltree.Parse(strings.NewReader(
 		`<Customer><CustName>Ann</CustName><Order><Service><ServiceName>s</ServiceName>` +
 			`<Line><TelNo>1</TelNo><Switch><SwitchID>w</SwitchID></Switch>` +
@@ -53,7 +61,6 @@ func loadedStore(t *testing.T, fr *core.Fragmentation) *relstore.Store {
 	if err := st.LoadDocument(doc); err != nil {
 		t.Fatal(err)
 	}
-	return st
 }
 
 func startEndpoint(t *testing.T, be Backend) (*soap.Client, func()) {
@@ -91,12 +98,40 @@ func TestGetWSDL(t *testing.T) {
 	}
 }
 
+// TestProbeStats: a probe reports the backend's speed, combines and
+// cards. One naming xml, whose wire bytes are its tree bytes, measures no
+// ratio and calibrates nothing.
 func TestProbeStats(t *testing.T) {
 	sch := schema.CustomerInfo()
-	st := loadedStore(t, tFrag(t, sch))
-	c, done := startEndpoint(t, &RelBackend{Store: st, Speed: 2, CanCombine: true})
-	defer done()
-	resp, err := c.Call("ProbeStats", &xmltree.Node{Name: "ProbeStats"})
+	e := testEndpoint(&RelBackend{Store: loadedStore(t, tFrag(t, sch)), Speed: 2, CanCombine: true})
+	met := obs.NewRegistry()
+	e.SetObs(nil, met)
+	srv := httptest.NewServer(e.Handler())
+	defer srv.Close()
+	c := &soap.Client{URL: srv.URL}
+	p := probe(t, c, "")
+	if p.SourceSpeed != 2 || !p.TargetCombines {
+		t.Errorf("stats wrong: %+v", p)
+	}
+	if p.Card["Feature"] != 1 {
+		t.Errorf("Feature card = %v, want 1", p.Card["Feature"])
+	}
+	if p := probe(t, c, "xml"); p.ShipRatioDefault != 0 || len(p.ShipRatio) != 0 {
+		t.Errorf("xml probe answered default %v, ratios %v; want none", p.ShipRatioDefault, p.ShipRatio)
+	}
+	if n := met.Counter("endpoint.calibrations").Value(); n != 0 {
+		t.Errorf("endpoint.calibrations = %d after an xml probe, want 0", n)
+	}
+}
+
+// probe answers one ProbeStats call naming codec (none when empty).
+func probe(t *testing.T, c *soap.Client, codec string) *core.StatsProvider {
+	t.Helper()
+	req := &xmltree.Node{Name: "ProbeStats"}
+	if codec != "" {
+		req.SetAttr("codec", codec)
+	}
+	resp, err := c.Call("ProbeStats", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +139,34 @@ func TestProbeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.SourceSpeed != 2 || !p.TargetCombines {
-		t.Errorf("stats wrong: %+v", p)
+	return p
+}
+
+// TestProbeCalibratesCurrentRows: a store probed under bin while empty,
+// then loaded, answers its next probe with the ratios a fresh endpoint
+// over the same rows measures, not the unmeasured ones of the first probe.
+func TestProbeCalibratesCurrentRows(t *testing.T) {
+	sch := schema.CustomerInfo()
+	fr := tFrag(t, sch)
+	st, err := relstore.NewStore(fr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Card["Feature"] != 1 {
-		t.Errorf("Feature card = %v, want 1", p.Card["Feature"])
+	c, done := startEndpoint(t, &RelBackend{Store: st, Speed: 1, CanCombine: true})
+	defer done()
+	if p := probe(t, c, "bin"); p.ShipRatioDefault != 0 || len(p.ShipRatio) != 0 {
+		t.Fatalf("empty store: default %v, ratios %v; want unmeasured", p.ShipRatioDefault, p.ShipRatio)
+	}
+	loadCustomer(t, st)
+	fresh, freshDone := startEndpoint(t, &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true})
+	defer freshDone()
+	got, want := probe(t, c, "bin"), probe(t, fresh, "bin")
+	if want.ShipRatioDefault <= 0 || len(want.ShipRatio) != fr.Len() {
+		t.Fatalf("fresh endpoint measured default %v, ratios %v", want.ShipRatioDefault, want.ShipRatio)
+	}
+	if got.ShipRatioDefault != want.ShipRatioDefault || !reflect.DeepEqual(got.ShipRatio, want.ShipRatio) {
+		t.Errorf("after the load: default %v, ratios %v; a fresh endpoint over the same rows: %v, %v",
+			got.ShipRatioDefault, got.ShipRatio, want.ShipRatioDefault, want.ShipRatio)
 	}
 }
 
@@ -226,8 +284,8 @@ func TestLDAPBackendBehaviour(t *testing.T) {
 	sch := schema.CustomerInfo()
 	fr := tFrag(t, sch)
 	be := &LDAPBackend{Store: ldapstore.NewStore(fr), Speed: 3}
-	if in, err := be.Scan(fr.Fragments[0]); err != nil || in.Rows() != 0 {
-		t.Errorf("scan of empty directory: %v, %d rows", err, in.Rows())
+	if in, err := be.Scan(fr.Fragments[0]); err != nil || in.Len() != 0 {
+		t.Errorf("scan of empty directory: %v, %d records", err, in.Len())
 	}
 	p := be.Provider()
 	if p.TargetCombines {
@@ -267,8 +325,9 @@ func TestVirtualBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Records[0].Find("CustName").Text != "computed" {
-		t.Errorf("virtual fragment not served: %v", in.Records[0])
+	recs, err := in.Build(nil, 0, in.Len(), nil)
+	if err != nil || len(recs) != 1 || recs[0].Find("CustName").Text != "computed" {
+		t.Errorf("virtual fragment not served: %v, %v", recs, err)
 	}
 	// Non-virtual fragments still come from the store.
 	other := fr.FragmentOf("FeatureID")
@@ -276,8 +335,8 @@ func TestVirtualBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Rows() != 1 {
-		t.Errorf("base fragment rows = %d", in.Rows())
+	if in.Len() != 1 {
+		t.Errorf("base fragment records = %d", in.Len())
 	}
 	// A virtual producer returning garbage is rejected.
 	be.Virtual[other.Name] = func() (*core.Instance, error) {
@@ -307,9 +366,13 @@ func TestVirtualBackendPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs, err := in.Build(nil, 0, in.Len(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st2, _ := relstore.NewStore(fr)
 	be2 := &VirtualBackend{Base: &RelBackend{Store: st2, Speed: 1, CanCombine: true}}
-	if err := be2.Write(in); err != nil {
+	if err := be2.Write(&core.Instance{Frag: custFrag, Records: recs}); err != nil {
 		t.Errorf("Write passthrough: %v", err)
 	}
 	if st2.Rows() != 1 {
@@ -372,14 +435,15 @@ func TestParseMillis(t *testing.T) {
 // serves — Split cuts the records it is given in place — so a filtered
 // program that scans one fragment twice must get the pristine filtered
 // records both times, not the records the first Split already cut: built
-// anew from rows over a relational store, a Share view of the trees any
-// other backend holds.
+// anew from rows over a relational store (directly or behind a
+// VirtualBackend), a Share view of the trees any other backend holds.
 func TestFilteredScanServesEachScanFresh(t *testing.T) {
 	sch := schema.CustomerInfo()
 	fr := tFrag(t, sch)
 	rel := &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true}
 	t.Run("rows", func(t *testing.T) { filteredScanServesEachScanFresh(t, rel) })
 	t.Run("trees", func(t *testing.T) { filteredScanServesEachScanFresh(t, treeBackend{rel}) })
+	t.Run("virtual", func(t *testing.T) { filteredScanServesEachScanFresh(t, &VirtualBackend{Base: rel}) })
 }
 
 func filteredScanServesEachScanFresh(t *testing.T, be Backend) {
@@ -450,16 +514,19 @@ func filteredScanServesEachScanFresh(t *testing.T, be Backend) {
 // every layout scan builds the fragment's whole instance as trees.
 type treeBackend struct{ *RelBackend }
 
-// calBytes is what one calibration in codec allocates, averaged over runs
-// with the endpoint's cache emptied before each.
+// Scan implements Backend with the whole instance, built as trees.
+func (b treeBackend) Scan(f *core.Fragment) (core.Records, error) {
+	return b.Store.ScanFragment(f.Name)
+}
+
+// calBytes is what one calibration in codec allocates, averaged over runs.
 func calBytes(t *testing.T, e *Endpoint, codec wire.Codec) uint64 {
 	t.Helper()
 	const runs = 3
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		e.calCache = map[string]*shipCalibration{}
-		if _, err := e.calibrate(codec); err != nil {
+		if _, _, err := e.calibrate(codec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -513,16 +580,16 @@ func TestCalibrateSamplesRows(t *testing.T) {
 			t.Fatalf("%s: the row and tree paths are not apart", c.name)
 		}
 		for _, codec := range codecs {
-			got, err := rows.calibrate(codec)
+			got, gotDef, err := rows.calibrate(codec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := trees.calibrate(codec)
+			want, wantDef, err := trees.calibrate(codec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, %s: rows calibrate %v, trees %v", c.name, codec, got, want)
+			if !reflect.DeepEqual(got, want) || gotDef != wantDef {
+				t.Errorf("%s, %s: rows calibrate %v (default %v), trees %v (default %v)", c.name, codec, got, gotDef, want, wantDef)
 			}
 		}
 	}

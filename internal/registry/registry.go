@@ -10,7 +10,6 @@ package registry
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -343,17 +342,22 @@ func realign(fr, ref *core.Fragmentation) (*core.Fragmentation, error) {
 }
 
 // probe queries both endpoints' ProbeStats interfaces and builds the
-// two-system cost model (step 3 of Figure 2).
+// two-system cost model (step 3 of Figure 2): one provider, as the §5.4
+// simulator prices a plan. The source's reply sizes every operation and
+// cross-edge — the data flowing lives at the source — and the target
+// contributes only its speed and whether it can combine, so the target is
+// probed without a codec.
 func (a *Agency) probe(src, tgt *Party, codec string) (*core.Model, error) {
-	sp, err := probeStats(src.URL, codec)
+	p, err := probeStats(src.URL, codec)
 	if err != nil {
 		return nil, fmt.Errorf("registry: probing source: %w", err)
 	}
-	tp, err := probeStats(tgt.URL, codec)
+	tp, err := probeStats(tgt.URL, "")
 	if err != nil {
 		return nil, fmt.Errorf("registry: probing target: %w", err)
 	}
-	return core.NewModel(&duplexProvider{src: sp, tgt: tp}), nil
+	p.TargetSpeed, p.TargetCombines = tp.TargetSpeed, tp.TargetCombines
+	return core.NewModel(p), nil
 }
 
 func probeStats(url, codec string) (*core.StatsProvider, error) {
@@ -371,30 +375,6 @@ func probeStats(url, codec string) (*core.StatsProvider, error) {
 	}
 	return wire.DecodeStats(resp.Kids[0])
 }
-
-// duplexProvider routes cost queries to the owning system's estimates.
-type duplexProvider struct {
-	src, tgt *core.StatsProvider
-}
-
-// CompCost implements core.CostProvider.
-func (d *duplexProvider) CompCost(kind core.OpKind, in []*core.Fragment, out *core.Fragment, loc core.Location) float64 {
-	if loc == core.LocTarget {
-		if kind == core.OpCombine && !d.tgt.TargetCombines {
-			return math.Inf(1)
-		}
-		// Work is sized by the data flowing through the operation, which
-		// lives at the source; speed is the target's.
-		p := *d.src
-		p.TargetSpeed = d.tgt.TargetSpeed
-		p.TargetCombines = d.tgt.TargetCombines
-		return p.CompCost(kind, in, out, core.LocTarget)
-	}
-	return d.src.CompCost(kind, in, out, core.LocSource)
-}
-
-// ShipBytes implements core.CostProvider.
-func (d *duplexProvider) ShipBytes(f *core.Fragment) float64 { return d.src.ShipBytes(f) }
 
 // Report aggregates the measurable steps of one executed exchange,
 // mirroring §5.2's step list.

@@ -11,6 +11,7 @@ import (
 	"xdx/internal/endpoint"
 	"xdx/internal/ldapstore"
 	"xdx/internal/netsim"
+	"xdx/internal/obs"
 	"xdx/internal/publish"
 	"xdx/internal/relstore"
 	"xdx/internal/schema"
@@ -317,6 +318,50 @@ func TestExchangeToLDAPDumbClient(t *testing.T) {
 	}
 	if got := len(dir.Dir.Search("", "FEATURE_T")); got != 3 {
 		t.Errorf("features in directory = %d, want 3", got)
+	}
+}
+
+// TestPlanProbesTargetSpeedOnly: the model sizes every op and cross-edge
+// from the source's stats and reads only speed and combines from the
+// target, so planning under a codec calibrates the source and not the
+// target.
+func TestPlanProbesTargetSpeedOnly(t *testing.T) {
+	sch := schema.CustomerInfo()
+	sFr, tFr := sFragmentation(t, sch), tFragmentation(t, sch)
+	serve := func(name string, fr *core.Fragmentation, doc *xmltree.Node) (*obs.Registry, string) {
+		st, err := relstore.NewStore(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc != nil {
+			if err := st.LoadDocument(doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ep := endpoint.New(name, &endpoint.RelBackend{Store: st, Speed: 1, CanCombine: true}, nil)
+		met := obs.NewRegistry()
+		ep.SetObs(nil, met)
+		srv := httptest.NewServer(ep.Handler())
+		t.Cleanup(srv.Close)
+		return met, srv.URL
+	}
+	srcMet, srcURL := serve("S", sFr, customerDoc(t))
+	tgtMet, tgtURL := serve("T", tFr, nil)
+	ag := New()
+	if err := ag.Register("svc", RoleSource, wsdlFor(t, sch, sFr, srcURL), srcURL); err != nil {
+		t.Fatal(err)
+	}
+	if err := ag.Register("svc", RoleTarget, wsdlFor(t, sch, tFr, tgtURL), tgtURL); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ag.Plan("svc", PlanOptions{Codec: "bin"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := srcMet.Counter("endpoint.calibrations").Value(); n != 1 {
+		t.Errorf("source endpoint.calibrations = %d, want 1", n)
+	}
+	if n := tgtMet.Counter("endpoint.calibrations").Value(); n != 0 {
+		t.Errorf("target endpoint.calibrations = %d, want 0", n)
 	}
 }
 

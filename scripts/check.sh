@@ -65,8 +65,25 @@ make soak
 # and a resume from it is RenderGone) and the breaker-free retry arm (an
 # exchange without shared breakers is capped by its policy alone), re-run
 # without the race detector as a fast standalone gate — a delta or a filter
-# that ships the wrong records must never reach a snapshot run.
-go test -count=1 -run 'TestSweepFreesHeldRender|TestRetriesNotCappedWithoutBreakers|TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaExchangeFailedDeliveryKeepsBase|TestDeltaLostResponseReplays|TestDeltaBaseFollowsStoreGeneration|TestDeltaThatDoesNotFitFallsBack|TestApplyDeltaMatchesReload|TestApplyDeltaRefusesStaleDelta|TestLoadAndClearDropEveryBase|TestOverlappingDeltasTakeTheBaseOnce|TestDiffShipmentMatchesReference|TestRowsEmitMatchesTrees|TestDiffRecordsParallelMatchesSerial|TestFilteredScanMatchesTreePath|TestFilteredScanServesEachScanFresh' ./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/
+# that ships the wrong records must never reach a snapshot run. Every name
+# must be a test of these packages: a renamed test fails the gate here
+# instead of silently dropping out of it.
+fast_pkgs='./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/'
+fast_tests='TestSweepFreesHeldRender TestRetriesNotCappedWithoutBreakers
+TestDeltaExchangeChurnProperty TestDeltaExchangeCrashRestartFallsBack
+TestDeltaExchangeFailedDeliveryKeepsBase TestDeltaLostResponseReplays
+TestDeltaBaseFollowsStoreGeneration TestDeltaThatDoesNotFitFallsBack
+TestApplyDeltaMatchesReload TestApplyDeltaRefusesStaleDelta
+TestLoadAndClearDropEveryBase TestOverlappingDeltasTakeTheBaseOnce
+TestDiffShipmentMatchesReference TestRowsEmitMatchesTrees
+TestDiffRecordsParallelMatchesSerial TestFilteredScanMatchesTreePath
+TestFilteredScanServesEachScanFresh'
+missing=$(go test -list . $fast_pkgs | awk -v want="$(echo $fast_tests)" '
+    BEGIN { n = split(want, w); for (i = 1; i <= n; i++) need[w[i]] = 1 }
+    { delete need[$0] }
+    END { for (k in need) print k }')
+test -z "$missing" || { echo "check.sh: the fast gate names no test of $fast_pkgs:" $missing >&2; exit 1; }
+go test -count=1 -run "$(echo $fast_tests | tr ' ' '|')" $fast_pkgs
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,
 # restart it over the same WAL directory, and the reliable exchange must
