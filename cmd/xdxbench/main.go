@@ -145,12 +145,7 @@ func printPlan(w io.Writer, spec string, dot bool) error {
 	}
 	doc := xmark.Generate(xmark.Config{TargetBytes: 100_000, Seed: 1})
 	card, bytes := xmark.Stats(doc)
-	p := &core.StatsProvider{
-		Card: card, Bytes: bytes,
-		Unit:        core.DefaultUnitCosts(),
-		SourceSpeed: 1, TargetSpeed: 1, TargetCombines: true,
-	}
-	res, err := core.Greedy(m, core.NewModel(p))
+	res, err := core.Greedy(m, core.NewModel(core.NewStatsProvider(card, bytes, 1, true)))
 	if err != nil {
 		return err
 	}

@@ -220,12 +220,7 @@ func Recommend(seed int64) (*Table, error) {
 	sch := xmark.Schema()
 	doc := xmark.Generate(xmark.Config{TargetBytes: 200_000, Seed: seed})
 	card, bytes := xmark.Stats(doc)
-	p := &core.StatsProvider{
-		Card: card, Bytes: bytes,
-		Unit:        core.DefaultUnitCosts(),
-		SourceSpeed: 1, TargetSpeed: 1, TargetCombines: true,
-	}
-	model := core.NewModel(p)
+	model := core.NewModel(core.NewStatsProvider(card, bytes, 1, true))
 	src := core.MostFragmented(sch)
 	t := &Table{
 		Title:  "Extension (§7 future work): recommended target fragmentation for an MF source",

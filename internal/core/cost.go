@@ -6,21 +6,6 @@ import (
 	"strings"
 )
 
-// CostProvider supplies the two estimate functions of §4.1:
-// comp_cost(OP, location) and the size() function behind comm_cost. The
-// middle-ware obtains these by probing the systems involved in the
-// exchange; simulators and endpoints provide their own implementations.
-type CostProvider interface {
-	// CompCost estimates the cost of executing an operation of the given
-	// kind at loc, with the given input fragments producing output. A
-	// system that cannot (or will not) run an operation — e.g. a dumb
-	// client that cannot Combine — reports +Inf.
-	CompCost(kind OpKind, inputs []*Fragment, output *Fragment, loc Location) float64
-	// ShipBytes estimates the serialized size of an instance of f, the
-	// size(OP1.out) term of comm_cost.
-	ShipBytes(f *Fragment) float64
-}
-
 // Model is the execution-cost model of §4.1 (formula 1): the weighted sum
 // of per-operation computation costs and per-cross-edge communication
 // costs.
@@ -28,11 +13,11 @@ type Model struct {
 	// WComp and WComm weight computation and communication cost.
 	WComp, WComm float64
 	// Provider supplies the estimates.
-	Provider CostProvider
+	Provider *StatsProvider
 }
 
 // NewModel returns a model with unit weights.
-func NewModel(p CostProvider) *Model { return &Model{WComp: 1, WComm: 1, Provider: p} }
+func NewModel(p *StatsProvider) *Model { return &Model{WComp: 1, WComm: 1, Provider: p} }
 
 // OpCost returns the weighted computation cost of op at loc within g.
 func (m *Model) OpCost(g *Graph, op *Op, loc Location) float64 {
@@ -131,9 +116,11 @@ func DefaultUnitCosts() UnitCosts {
 	return UnitCosts{Scan: 1, Combine: 4, Split: 1.5, Write: 1}
 }
 
-// StatsProvider is a CostProvider driven by per-element cardinality and
-// size statistics plus per-system speed factors. It backs both the
-// simulator (§5.4) and the endpoint cost interfaces.
+// StatsProvider supplies the two estimate functions of §4.1 —
+// comp_cost(OP, location) and the size() behind comm_cost — from
+// per-element cardinality and size statistics plus per-system speed
+// factors. The agency gets one by probing the systems involved in the
+// exchange; the simulator (§5.4) builds its own.
 type StatsProvider struct {
 	// Card is the number of instances of each element; Bytes the average
 	// serialized size of one instance (tags plus text).
@@ -147,17 +134,27 @@ type StatsProvider struct {
 	// TargetCombines reports whether the target can run Combine at all; a
 	// "dumb client" (§4.1) cannot, making the cost infinite there.
 	TargetCombines bool
-	// ShipRatio holds measured wire/tree size ratios per fragment name,
-	// calibrated by the endpoint encoding a sample of each layout fragment
-	// under the exchange's shipment codec during stats collection.
-	// Communication cost is charged on wire bytes, not tree bytes, so
-	// ShipBytes scales FragBytes by them.
-	ShipRatio map[string]float64
-	// ShipRatioDefault is the ratio for fragments without a measurement —
-	// the derived fragments the optimizer invents (combine outputs, split
-	// parts), which calibration never saw. Zero means unmeasured: ratio 1.
-	ShipRatioDefault float64
+	// ShipScale and ShipRecord are the shipment codec's wire bytes per
+	// byte of element content and per record (its ID and PARENT framing),
+	// as the source endpoint calibrates them. Zero means unmeasured:
+	// scale 1, no per-record term.
+	ShipScale, ShipRecord float64
 }
+
+// NewStatsProvider prices with the default unit costs on systems that both
+// run at speed (0 is the baseline 1) over the given element statistics.
+func NewStatsProvider(card, bytes map[string]float64, speed float64, combines bool) *StatsProvider {
+	if speed <= 0 {
+		speed = 1
+	}
+	return &StatsProvider{Card: card, Bytes: bytes, Unit: DefaultUnitCosts(),
+		SourceSpeed: speed, TargetSpeed: speed, TargetCombines: combines}
+}
+
+// ElemBytes is the size one element instance adds to Bytes: its open and
+// close tags and its text. IDs and PARENTs are record framing, which
+// ShipRecord prices.
+func ElemBytes(name, text string) float64 { return float64(2*len(name) + 5 + len(text)) }
 
 // FragBytes estimates the serialized size of one full instance of f.
 func (p *StatsProvider) FragBytes(f *Fragment) float64 {
@@ -168,28 +165,22 @@ func (p *StatsProvider) FragBytes(f *Fragment) float64 {
 	return total
 }
 
-// ShipBytes implements CostProvider: the estimated wire size of one
-// instance of f under the exchange's shipment codec. Unlike FragBytes —
-// which stays the tree-size term computation cost is charged on — this is
-// the size() of comm_cost, so it reflects what actually crosses the link:
-// the measured per-fragment compression ratio when calibration saw the
-// fragment, the calibration-wide default otherwise. Unmeasured, the ratio
-// is 1 and wire size equals tree size.
+// ShipBytes estimates the wire size of one instance of f under the
+// exchange's codec, the size() of comm_cost; FragBytes stays the tree size
+// computation is charged on. A Split keeps FragBytes but multiplies
+// records: only the per-record term sees what it adds to a shipment.
 func (p *StatsProvider) ShipBytes(f *Fragment) float64 {
-	return p.FragBytes(f) * p.shipRatio(f)
+	scale := p.ShipScale
+	if scale <= 0 {
+		scale = 1
+	}
+	return scale*p.FragBytes(f) + p.ShipRecord*p.Card[f.Root]
 }
 
-func (p *StatsProvider) shipRatio(f *Fragment) float64 {
-	if r, ok := p.ShipRatio[f.Name]; ok && r > 0 {
-		return r
-	}
-	if p.ShipRatioDefault > 0 {
-		return p.ShipRatioDefault
-	}
-	return 1
-}
-
-// CompCost implements CostProvider.
+// CompCost estimates the cost of executing an operation of the given kind
+// at loc, with the given input fragments producing output. A system that
+// cannot run an operation — a dumb client (§4.1) cannot Combine — costs
+// +Inf.
 func (p *StatsProvider) CompCost(kind OpKind, inputs []*Fragment, output *Fragment, loc Location) float64 {
 	speed := p.SourceSpeed
 	if loc == LocTarget {

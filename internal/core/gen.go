@@ -368,7 +368,7 @@ func CanonicalProgram(m *Mapping) (*Graph, error) {
 
 // GreedyProgram builds one program by adding combines cheapest-first
 // (§4.3), costing each candidate as if executed at the source.
-func GreedyProgram(m *Mapping, provider CostProvider) (*Graph, error) {
+func GreedyProgram(m *Mapping, provider *StatsProvider) (*Graph, error) {
 	sk, err := buildSkeleton(m)
 	if err != nil {
 		return nil, err

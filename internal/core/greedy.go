@@ -78,16 +78,31 @@ func GreedyPlacement(g *Graph, model *Model) (PlacementResult, error) {
 			fix(g, a, bestEdge.To, LocTarget)
 			continue
 		}
-		// No eligible edge either (isolated unassigned op): default to the
-		// source, which never violates monotonicity for an op whose
-		// predecessors are all at the source.
-		fix(g, a, bestCand.op, LocSource)
+		// No eligible edge either (isolated unassigned op): its producers
+		// sit at the source and its consumers at the target, so run it
+		// where it ships less — its inputs if at the target, its outputs if
+		// at the source (a Split ships more records than it reads). A tie,
+		// up to FragBytes' map-order rounding, stays at the source.
+		loc := LocSource
+		if in, out := shipped(model, g.In(bestCand.op)), shipped(model, g.Out(bestCand.op)); in < out*(1-1e-9) {
+			loc = LocTarget
+		}
+		fix(g, a, bestCand.op, loc)
 	}
 	cost, err := model.Cost(g, a)
 	if err != nil {
 		return PlacementResult{}, fmt.Errorf("core: greedy produced invalid placement: %w", err)
 	}
 	return PlacementResult{Assign: a, Cost: cost}, nil
+}
+
+// shipped sums the shipped size of edges.
+func shipped(model *Model, edges []*Edge) float64 {
+	total := 0.0
+	for _, e := range edges {
+		total += model.Provider.ShipBytes(e.Frag)
+	}
+	return total
 }
 
 // applyForced assigns any unassigned op whose location is dictated by

@@ -5,16 +5,14 @@ import (
 	"testing"
 )
 
-// TestCompressionAwareShipBytesFlipsPlacement pins down why ShipBytes must
-// not alias FragBytes: tree size is additive, so on a tree-shaped program
-// every monotone placement ships the same total tree bytes and the
-// optimizer's choice degenerates to computation cost alone. Measured
-// per-fragment compression ratios break that invariance — the same graph,
-// under the same computation costs, places its combines differently once
-// comm cost is charged on wire bytes.
-func TestCompressionAwareShipBytesFlipsPlacement(t *testing.T) {
+// splitProgram is the LF→MF shape on CustomerInfo: one source fragment
+// holding the whole document, split into three target fragments, with
+// cardinalities that multiply down the tree (1 customer, 3 orders, 10
+// lines) and tree sizes Customer 400, Order 300·3, Line 200·10.
+func splitProgram(t *testing.T) (*Graph, func(tgtSpeed, perRecord float64) *StatsProvider) {
+	t.Helper()
 	sch := customerSchema()
-	src, err := FromPartition(sch, "MF3", [][]string{
+	tgt, err := FromPartition(sch, "MF3", [][]string{
 		{"Customer", "CustName"},
 		{"Order", "Service", "ServiceName"},
 		{"Line", "TelNo", "Switch", "SwitchID", "Feature", "FeatureID"},
@@ -22,7 +20,7 @@ func TestCompressionAwareShipBytesFlipsPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMapping(src, Trivial(sch))
+	m, err := NewMapping(Trivial(sch), tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,55 +28,67 @@ func TestCompressionAwareShipBytesFlipsPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Tree sizes: A = 400, B = 400, C = 200. Scans and the Write cost the
-	// same under every placement; only the two combines are free to move.
 	bytes := map[string]float64{
 		"Customer": 300, "CustName": 100,
-		"Order": 200, "Service": 100, "ServiceName": 100,
+		"Order": 100, "Service": 100, "ServiceName": 100,
 		"Line": 50, "TelNo": 30, "Switch": 40, "SwitchID": 30,
 		"Feature": 30, "FeatureID": 20,
 	}
-	card := make(map[string]float64, len(bytes))
-	for e := range bytes {
-		card[e] = 1
+	card := map[string]float64{"Customer": 1, "CustName": 1}
+	for _, e := range []string{"Order", "Service", "ServiceName"} {
+		card[e] = 3
 	}
-	// The target is barely slower than the source: moving a combine there
-	// costs a little computation, so with uniform shipping the optimizer
-	// keeps every combine at the source. The calibrated ratios below make
-	// the source fragments ship at 0.1 of tree size while combine outputs
-	// (never seen by calibration) get the 0.6 default — shipping early
-	// saves more than the slower target costs.
-	mk := func() *StatsProvider {
+	for _, e := range []string{"Line", "TelNo", "Switch", "SwitchID", "Feature", "FeatureID"} {
+		card[e] = 10
+	}
+	return g, func(tgtSpeed, perRecord float64) *StatsProvider {
 		return &StatsProvider{
 			Card: card, Bytes: bytes,
 			Unit:        DefaultUnitCosts(),
-			SourceSpeed: 1, TargetSpeed: 0.98,
+			SourceSpeed: 1, TargetSpeed: tgtSpeed,
 			TargetCombines: true,
+			ShipRecord:     perRecord,
 		}
 	}
-	tree := mk() // unmeasured: wire size == tree size, the pre-codec model
-	wire := mk()
-	wire.ShipRatioDefault = 0.6
-	wire.ShipRatio = map[string]float64{}
-	for _, f := range src.Fragments {
-		switch {
-		case f.Elems["Customer"]:
-			wire.ShipRatio[f.Name] = 0.1
-		case f.Elems["Order"]:
-			wire.ShipRatio[f.Name] = 0.1
-		case f.Elems["Line"]:
-			wire.ShipRatio[f.Name] = 1.0
-		}
-	}
+}
 
-	// ShipBytes now diverges from FragBytes under the calibrated codec…
-	for _, f := range src.Fragments {
-		if tree.ShipBytes(f) != tree.FragBytes(f) {
-			t.Fatalf("unmeasured: ShipBytes(%s)=%v must equal FragBytes=%v",
-				f.Name, tree.ShipBytes(f), tree.FragBytes(f))
+// splitAt returns where the program's one Split runs.
+func splitAt(t *testing.T, g *Graph, a Assignment) Location {
+	t.Helper()
+	for _, op := range g.Ops {
+		if op.Kind == OpSplit {
+			return a[op.ID]
 		}
-		want := tree.FragBytes(f) * wire.ShipRatio[f.Name]
+	}
+	t.Fatal("program has no Split")
+	return LocUnassigned
+}
+
+// TestCompressionAwareShipBytesFlipsPlacement pins down why ShipBytes
+// must price records, not only bytes: tree size is additive, so a Split —
+// which keeps FragBytes and multiplies records — ships the same bytes on
+// either side of it, and under a byte-only model the optimizer's choice
+// degenerates to computation cost alone. Charging each shipped record its
+// framing breaks that invariance: the same program, under the same
+// computation costs, runs its Split at the target once a record costs
+// bytes, since shipping the one whole record saves more than the slightly
+// slower target costs. (Greedy fixes an op with a computation-cost
+// difference by that difference alone; TestGreedyIsolatedOpShipsLess
+// covers the Split it reaches without one.)
+func TestCompressionAwareShipBytesFlipsPlacement(t *testing.T) {
+	g, mk := splitProgram(t)
+	tree := mk(0.98, 0) // unmeasured: wire size == tree size
+	wire := mk(0.98, 32)
+	wire.ShipScale = 0.5
+
+	// ShipBytes diverges from FragBytes under the calibrated codec by the
+	// scale and one framing per record…
+	for _, e := range g.Edges {
+		f := e.Frag
+		if tree.ShipBytes(f) != tree.FragBytes(f) {
+			t.Fatalf("unmeasured: ShipBytes(%s)=%v must equal FragBytes=%v", f.Name, tree.ShipBytes(f), tree.FragBytes(f))
+		}
+		want := 0.5*tree.FragBytes(f) + 32*tree.Card[f.Root]
 		if got := wire.ShipBytes(f); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("calibrated: ShipBytes(%s)=%v, want %v", f.Name, got, want)
 		}
@@ -88,10 +98,8 @@ func TestCompressionAwareShipBytesFlipsPlacement(t *testing.T) {
 	mTree, mWire := NewModel(tree), NewModel(wire)
 	for _, op := range g.Ops {
 		for _, loc := range []Location{LocSource, LocTarget} {
-			a, b := mTree.OpCost(g, op, loc), mWire.OpCost(g, op, loc)
-			if a != b && !(math.IsInf(a, 1) && math.IsInf(b, 1)) {
-				t.Fatalf("CompCost(%s@%s) differs between providers: %v vs %v",
-					op.String(), loc, a, b)
+			if a, b := mTree.OpCost(g, op, loc), mWire.OpCost(g, op, loc); a != b {
+				t.Fatalf("CompCost(%s@%s) differs between providers: %v vs %v", op.String(), loc, a, b)
 			}
 		}
 	}
@@ -104,23 +112,31 @@ func TestCompressionAwareShipBytesFlipsPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipped := false
-	for _, op := range g.Ops {
-		if op.Kind != OpCombine {
-			continue
-		}
-		if got := treeRes.Assign[op.ID]; got != LocSource {
-			t.Errorf("tree-size model: combine %s placed @%s, want @source", op.String(), got)
-		}
-		if wireRes.Assign[op.ID] != treeRes.Assign[op.ID] {
-			flipped = true
-		}
-		if got := wireRes.Assign[op.ID]; got != LocTarget {
-			t.Errorf("wire-size model: combine %s placed @%s, want @target", op.String(), got)
-		}
+	if got := splitAt(t, g, treeRes.Assign); got != LocSource {
+		t.Errorf("byte-only model: Split @%s, want @source", got)
 	}
-	if !flipped {
-		t.Fatalf("calibrated compression ratios changed no placement:\ntree:\n%v\nwire:\n%v",
-			treeRes.Assign, wireRes.Assign)
+	if got := splitAt(t, g, wireRes.Assign); got != LocTarget {
+		t.Errorf("per-record model: Split @%s, want @target:\n%v", got, wireRes.Assign)
+	}
+}
+
+// TestGreedyIsolatedOpShipsLess: a Split between a pinned Scan and pinned
+// Writes has no edge greedy's tie-break may cut, and with equal speeds no
+// cost difference either. It goes where it ships less — the target, once
+// each record costs framing — and a tie (a byte-only model, where it ships
+// the same bytes on both sides) stays at the source.
+func TestGreedyIsolatedOpShipsLess(t *testing.T) {
+	g, mk := splitProgram(t)
+	for _, c := range []struct {
+		perRecord float64
+		want      Location
+	}{{0, LocSource}, {1, LocTarget}} {
+		res, err := GreedyPlacement(g, NewModel(mk(1, c.perRecord)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := splitAt(t, g, res.Assign); got != c.want {
+			t.Errorf("per record %v: Split @%s, want @%s", c.perRecord, got, c.want)
+		}
 	}
 }

@@ -127,6 +127,30 @@ func TestPlanCacheKeyedOnOptions(t *testing.T) {
 	}
 }
 
+// "" and "xml" name one codec — the drive ships "" as xml — so they are
+// one plan: one derivation, one cache entry, the same placement.
+func TestPlanCodecSpellingsShareOnePlan(t *testing.T) {
+	sch := schema.CustomerInfo()
+	ag := New()
+	_, stop := startTenant(t, ag, "svc", sch, sFragmentation(t, sch), tFragmentation(t, sch), 0, nil)
+	defer stop()
+
+	pe, err := ag.Plan("svc", PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	px, err := ag.Plan("svc", PlanOptions{Codec: "xml"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if px != pe {
+		t.Errorf("codec \"\" planned %v, \"xml\" %v: want one cached plan", pe.Assign, px.Assign)
+	}
+	if hits, misses, _, size := ag.PlanCacheStats(); hits != 1 || misses != 1 || size != 1 {
+		t.Errorf("stats = %d hits / %d misses / size %d, want 1/1/1", hits, misses, size)
+	}
+}
+
 // An exchange's filter is not part of its plan: 40 SOAP Exchange requests,
 // each naming a filter of its own — keeping no customer, one, or many —
 // derive one plan and take it from the cache 39 times, and each exchange

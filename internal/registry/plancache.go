@@ -135,8 +135,9 @@ func (c *planCache) export(m *obs.Registry) {
 // planKey renders everything a derivation reads into a string key: both
 // parties' fragment element sets (names alone could alias two different
 // layouts), both endpoint URLs (the stats probes answer per endpoint), and
-// the full PlanOptions: the algorithm, and the codec (compression-aware
-// ShipBytes changes placements). An exchange's filter is not in it: the
+// the full PlanOptions: the algorithm, and the codec by its one name
+// (Plan resolves "" to xml), since the codec's calibrated ShipBytes
+// changes placements. An exchange's filter is not in it: the
 // plan prices the exchange unfiltered, so every filter shares one plan.
 func planKey(src, tgt *Party, opts PlanOptions) string {
 	var b strings.Builder

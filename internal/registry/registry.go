@@ -199,10 +199,10 @@ type PlanOptions struct {
 	// Algorithm is AlgGreedy (also when empty) or AlgOptimal; any other
 	// value is refused.
 	Algorithm Algorithm
-	// Codec names the shipment encoding the exchange will travel under.
-	// When set, the stats probes ask the endpoints for compression-
-	// calibrated statistics, so the optimizer's comm term reflects true
-	// wire bytes — a lean codec can flip placements toward shipping.
+	// Codec names the shipment encoding the exchange will travel under
+	// (empty is xml, as it ships). The source's probe calibrates the
+	// codec's wire bytes per byte of content and per record, so the
+	// optimizer's comm term prices what crosses the link.
 	Codec string
 }
 
@@ -230,7 +230,8 @@ type Plan struct {
 // fragmentation-derived artifacts are reusable across queries). The cache
 // is invalidated whenever the service re-registers. Callers
 // must treat the returned Plan as read-only. An algorithm other than
-// greedy and optimal is the caller's mistake: a soap:Client fault.
+// greedy and optimal, or a codec this build lacks, is the caller's
+// mistake: a soap:Client fault.
 func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
 	switch opts.Algorithm {
 	case "":
@@ -239,6 +240,12 @@ func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
 	default:
 		return nil, clientFault(fmt.Sprintf("registry: unknown algorithm %q", opts.Algorithm))
 	}
+	// "" ships as xml, so it is priced and cached as xml.
+	codec, err := wire.ParseCodec(opts.Codec)
+	if err != nil {
+		return nil, clientFault(err.Error())
+	}
+	opts.Codec = codec.String()
 	epoch := a.epoch.Load()
 	src, tgt := a.parties(service)
 	if src == nil || tgt == nil {
@@ -260,7 +267,7 @@ func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
 		a.plans.hits.Add(1)
 		return flight.p, nil
 	}
-	p, err := a.derivePlan(service, src, tgt, opts)
+	p, err = a.derivePlan(service, src, tgt, opts)
 	defer func() { a.plans.finish(service, key, flight, p, err) }()
 	if err != nil {
 		return nil, err

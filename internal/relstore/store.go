@@ -630,7 +630,7 @@ func (s *Store) Stats() (card, bytes map[string]float64) {
 					lastRoot = row[rootCol]
 				}
 				n++
-				sz += float64(2*len(e) + 5)
+				sz += core.ElemBytes(e, "")
 				if txtCol >= 0 {
 					sz += float64(len(row[txtCol]))
 				}
@@ -639,7 +639,7 @@ func (s *Store) Stats() (card, bytes map[string]float64) {
 			if n > 0 {
 				bytes[e] = sz / float64(n)
 			} else {
-				bytes[e] = float64(2*len(e) + 5)
+				bytes[e] = core.ElemBytes(e, "")
 			}
 		}
 	}

@@ -6,6 +6,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"xdx/internal/core"
@@ -233,9 +234,8 @@ func EncodeStats(p *core.StatsProvider) *xmltree.Node {
 	root.SetAttr("unitCombine", formatFloat(p.Unit.Combine))
 	root.SetAttr("unitSplit", formatFloat(p.Unit.Split))
 	root.SetAttr("unitWrite", formatFloat(p.Unit.Write))
-	if p.ShipRatioDefault > 0 {
-		root.SetAttr("shipRatioDefault", formatFloat(p.ShipRatioDefault))
-	}
+	root.SetAttr("shipScale", formatFloat(p.ShipScale))
+	root.SetAttr("shipRecord", formatFloat(p.ShipRecord))
 	for e, c := range p.Card {
 		ex := &xmltree.Node{Name: "elem"}
 		ex.SetAttr("name", e)
@@ -243,53 +243,52 @@ func EncodeStats(p *core.StatsProvider) *xmltree.Node {
 		ex.SetAttr("bytes", formatFloat(p.Bytes[e]))
 		root.AddKid(ex)
 	}
-	for f, r := range p.ShipRatio {
-		rx := &xmltree.Node{Name: "shipRatio"}
-		rx.SetAttr("frag", f)
-		rx.SetAttr("ratio", formatFloat(r))
-		root.AddKid(rx)
-	}
 	return root
 }
 
-// DecodeStats rebuilds a StatsProvider.
+// DecodeStats rebuilds a StatsProvider. The agency prices a plan on every
+// number in it, so one that is not finite and non-negative — NaN, an
+// infinity, a negative or an unparsable value — refuses the whole stats;
+// an absent one is 0.
 func DecodeStats(x *xmltree.Node) (*core.StatsProvider, error) {
 	if x.Name != "stats" {
 		return nil, fmt.Errorf("wire: expected stats, got %q", x.Name)
 	}
+	var err error
+	num := func(n *xmltree.Node, name string) float64 {
+		v, ok := n.Attr(name)
+		if !ok || err != nil {
+			return 0
+		}
+		f, perr := strconv.ParseFloat(v, 64)
+		if perr != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+			err = fmt.Errorf("wire: stats: %s=%q is not a finite non-negative number", name, v)
+		}
+		return f
+	}
 	p := &core.StatsProvider{Card: map[string]float64{}, Bytes: map[string]float64{}}
-	p.SourceSpeed = attrFloat(x, "sourceSpeed")
-	p.TargetSpeed = attrFloat(x, "targetSpeed")
+	p.SourceSpeed = num(x, "sourceSpeed")
+	p.TargetSpeed = num(x, "targetSpeed")
 	if v, _ := x.Attr("combines"); v == "true" {
 		p.TargetCombines = true
 	}
 	p.Unit = core.UnitCosts{
-		Scan:    attrFloat(x, "unitScan"),
-		Combine: attrFloat(x, "unitCombine"),
-		Split:   attrFloat(x, "unitSplit"),
-		Write:   attrFloat(x, "unitWrite"),
+		Scan:    num(x, "unitScan"),
+		Combine: num(x, "unitCombine"),
+		Split:   num(x, "unitSplit"),
+		Write:   num(x, "unitWrite"),
 	}
-	p.ShipRatioDefault = attrFloat(x, "shipRatioDefault")
+	p.ShipScale = num(x, "shipScale")
+	p.ShipRecord = num(x, "shipRecord")
 	for _, ex := range x.Kids {
-		if ex.Name == "shipRatio" {
-			f, _ := ex.Attr("frag")
-			if p.ShipRatio == nil {
-				p.ShipRatio = map[string]float64{}
-			}
-			p.ShipRatio[f] = attrFloat(ex, "ratio")
-			continue
-		}
 		name, _ := ex.Attr("name")
-		p.Card[name] = attrFloat(ex, "card")
-		p.Bytes[name] = attrFloat(ex, "bytes")
+		p.Card[name] = num(ex, "card")
+		p.Bytes[name] = num(ex, "bytes")
+	}
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-func attrFloat(n *xmltree.Node, name string) float64 {
-	v, _ := n.Attr(name)
-	f, _ := strconv.ParseFloat(v, 64)
-	return f
-}

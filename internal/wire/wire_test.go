@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -216,28 +217,67 @@ func TestFeedBytes(t *testing.T) {
 	}
 }
 
+// TestStatsRoundTrip: every field of a StatsProvider — the ship
+// coefficients included — survives EncodeStats, the XML text and
+// DecodeStats unchanged.
 func TestStatsRoundTrip(t *testing.T) {
 	p := &core.StatsProvider{
 		Card:        map[string]float64{"a": 10, "b": 20.5},
 		Bytes:       map[string]float64{"a": 3, "b": 4},
 		Unit:        core.UnitCosts{Scan: 1, Combine: 4, Split: 1.5, Write: 1},
 		SourceSpeed: 2, TargetSpeed: 3, TargetCombines: true,
+		ShipScale: 0.771, ShipRecord: 7.9,
 	}
-	x := EncodeStats(p)
-	text := xmltree.Marshal(x, xmltree.WriteOptions{})
-	parsed, err := xmltree.Parse(strings.NewReader(text))
+	back, err := statsThroughText(EncodeStats(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeStats(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Card["b"] != 20.5 || back.Bytes["a"] != 3 || !back.TargetCombines ||
-		back.SourceSpeed != 2 || back.TargetSpeed != 3 || back.Unit.Combine != 4 {
-		t.Errorf("stats changed: %+v", back)
+	if !reflect.DeepEqual(back, p) {
+		t.Errorf("stats changed:\n got %+v\nwant %+v", back, p)
 	}
 	if _, err := DecodeStats(&xmltree.Node{Name: "other"}); err == nil {
 		t.Error("wrong element must fail")
 	}
+}
+
+// TestDecodeStatsRefusesHostileNumbers: the agency prices a plan on every
+// number a probe answers, so a NaN, an infinity, a negative or an
+// unparsable value anywhere — an element's card or bytes, a speed, a unit
+// cost, a ship coefficient — refuses the stats instead of pricing on it.
+func TestDecodeStatsRefusesHostileNumbers(t *testing.T) {
+	good := &core.StatsProvider{
+		Card:        map[string]float64{"a": 10},
+		Bytes:       map[string]float64{"a": 3},
+		Unit:        core.DefaultUnitCosts(),
+		SourceSpeed: 1, TargetSpeed: 1,
+	}
+	attrs := []string{"sourceSpeed", "targetSpeed", "unitScan", "unitCombine", "unitSplit", "unitWrite", "shipScale", "shipRecord", "card", "bytes"}
+	for _, attr := range attrs {
+		for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "1e999", "-1", "-0.5", "abc", ""} {
+			x := EncodeStats(good)
+			at := x
+			if attr == "card" || attr == "bytes" {
+				at = x.Kids[0]
+			}
+			at.SetAttr(attr, v)
+			if p, err := statsThroughText(x); err == nil {
+				t.Errorf("%s=%q decoded to %+v, want an error", attr, v, p)
+			}
+		}
+	}
+	// Zero stays what it always meant: unmeasured, not refused.
+	x := EncodeStats(good)
+	x.SetAttr("shipScale", "0")
+	if _, err := statsThroughText(x); err != nil {
+		t.Errorf("shipScale=0: %v", err)
+	}
+}
+
+// statsThroughText marshals x, parses it back and decodes it.
+func statsThroughText(x *xmltree.Node) (*core.StatsProvider, error) {
+	parsed, err := xmltree.Parse(strings.NewReader(xmltree.Marshal(x, xmltree.WriteOptions{})))
+	if err != nil {
+		return nil, err
+	}
+	return DecodeStats(parsed)
 }

@@ -55,7 +55,10 @@ make soak
 # base ship cold), the stale-delta arm (a delta that does not fit the rows
 # falls back before any row changes), the store's row-edit apply held to a
 # reload, the store dropping every base on Clear and Load and keeping it
-# otherwise, overlapping deltas taking the base once, the one-pass
+# otherwise, overlapping deltas taking the base once, the placement arm
+# (XMark LF→MF planned through live endpoints splits at the target under
+# xml and bin, priced below splitting at the source, and MF→LF keeps its
+# pinned placement in every codec), the one-pass
 # reconciliation held to the map-based reference over seeded shipments,
 # chunks and diffs built from row snapshots held byte for byte to the trees
 # ScanFragment builds, the parallel diff held to the serial one, and
@@ -77,7 +80,7 @@ TestApplyDeltaMatchesReload TestApplyDeltaRefusesStaleDelta
 TestLoadAndClearDropEveryBase TestOverlappingDeltasTakeTheBaseOnce
 TestDiffShipmentMatchesReference TestRowsEmitMatchesTrees
 TestDiffRecordsParallelMatchesSerial TestFilteredScanMatchesTreePath
-TestFilteredScanServesEachScanFresh'
+TestFilteredScanServesEachScanFresh TestXMarkPlacementSplitsAtTarget'
 missing=$(go test -list . $fast_pkgs | awk -v want="$(echo $fast_tests)" '
     BEGIN { n = split(want, w); for (i = 1; i <= n; i++) need[w[i]] = 1 }
     { delete need[$0] }
