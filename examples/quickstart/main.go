@@ -55,16 +55,12 @@ func main() {
 	// 3. Derive the mapping and optimize a data-transfer program.
 	mapping, err := xdx.NewMapping(source, target)
 	check(err)
-	stats := &xdx.StatsProvider{
-		Card:  map[string]float64{},
-		Bytes: map[string]float64{},
-	}
+	card, bytes := map[string]float64{}, map[string]float64{}
 	for _, e := range sch.Names() {
-		stats.Card[e], stats.Bytes[e] = 10, 20
+		card[e], bytes[e] = 10, 20
 	}
-	stats.Unit.Scan, stats.Unit.Combine, stats.Unit.Split, stats.Unit.Write = 1, 4, 1.5, 1
-	stats.SourceSpeed, stats.TargetSpeed, stats.TargetCombines = 1, 1, true
-	result, err := xdx.Optimal(mapping, xdx.NewModel(stats), xdx.GenOptions{})
+	model := xdx.NewModel(xdx.NewStatsProvider(card, bytes, 1, true))
+	result, err := xdx.Optimal(mapping, model, xdx.GenOptions{})
 	check(err)
 
 	fmt.Println("Optimized data-transfer program (Figure 5 of the paper):")

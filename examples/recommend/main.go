@@ -21,12 +21,7 @@ func main() {
 	sch := xmark.Schema()
 	doc := xmark.Generate(xmark.Config{TargetBytes: 150_000, Seed: 11})
 	card, bytes := xmark.Stats(doc)
-	stats := &xdx.StatsProvider{
-		Card: card, Bytes: bytes,
-		SourceSpeed: 1, TargetSpeed: 1, TargetCombines: true,
-	}
-	stats.Unit.Scan, stats.Unit.Combine, stats.Unit.Split, stats.Unit.Write = 1, 4, 1.5, 1
-	model := xdx.NewModel(stats)
+	model := xdx.NewModel(xdx.NewStatsProvider(card, bytes, 1, true))
 
 	// The source is fixed: the paper's Most-Fragmented relational layout.
 	src := xdx.MostFragmented(sch)
