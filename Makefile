@@ -52,6 +52,7 @@ examples:
 	$(GO) run ./examples/telecom
 	$(GO) run ./examples/auction
 	$(GO) run ./examples/negotiation
+	$(GO) run ./examples/recommend
 
 # The artifacts requested for the reproduction record.
 test_output.txt:

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xdx/internal/schema"
@@ -188,10 +189,12 @@ func randomPlacement(g *Graph, rng *rand.Rand) Assignment {
 	return a
 }
 
-// Fan-out copy-on-write: a scanned fragment consumed by both a Write and a
-// Combine chain must reach the Write untouched, even though downstream
-// Combines attach grandchildren into (copies of) the very same records.
-func TestFanOutCopyOnWrite(t *testing.T) {
+// One reader per output: Validate refuses a program in which two edges
+// read the same output of one op — a Scan read twice, a Combine read
+// twice, a Split part carried twice — naming the op and the fragment, and
+// Execute runs none of it. It accepts a planned program without
+// allocating.
+func TestValidateRefusesFanOut(t *testing.T) {
 	sch := customerSchema()
 	fr, err := FromPartition(sch, "fanout", [][]string{
 		{"Customer", "CustName"},
@@ -210,49 +213,86 @@ func TestFanOutCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGraph()
-	s1 := g.AddOp(OpScan, fa)
-	s2 := g.AddOp(OpScan, fb)
-	s3 := g.AddOp(OpScan, fc)
-	w0 := g.AddOp(OpWrite, fb) // duplicate consumer of the Order fragment
-	c1 := g.AddOp(OpCombine, fab)
-	c2 := g.AddOp(OpCombine, fabc)
-	w1 := g.AddOp(OpWrite, fabc)
-	g.Connect(s2, w0, fb)
-	g.Connect(s1, c1, fa)
-	g.Connect(s2, c1, fb)
-	g.Connect(c1, c2, fab)
-	g.Connect(s3, c2, fc)
-	g.Connect(c2, w1, fabc)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
+	// scanTwice: the Order Scan feeds a Write and a Combine chain.
+	scanTwice := NewGraph()
+	s1 := scanTwice.AddOp(OpScan, fa)
+	s2 := scanTwice.AddOp(OpScan, fb)
+	s3 := scanTwice.AddOp(OpScan, fc)
+	w0 := scanTwice.AddOp(OpWrite, fb)
+	c1 := scanTwice.AddOp(OpCombine, fab)
+	c2 := scanTwice.AddOp(OpCombine, fabc)
+	w1 := scanTwice.AddOp(OpWrite, fabc)
+	scanTwice.Connect(s2, w0, fb)
+	scanTwice.Connect(s1, c1, fa)
+	scanTwice.Connect(s2, c1, fb)
+	scanTwice.Connect(c1, c2, fab)
+	scanTwice.Connect(s3, c2, fc)
+	scanTwice.Connect(c2, w1, fabc)
+	// combineTwice: a Combine's output feeds two Writes.
+	combineTwice := NewGraph()
+	s1 = combineTwice.AddOp(OpScan, fa)
+	s2 = combineTwice.AddOp(OpScan, fb)
+	c1 = combineTwice.AddOp(OpCombine, fab)
+	w0 = combineTwice.AddOp(OpWrite, fab)
+	w1 = combineTwice.AddOp(OpWrite, fab)
+	combineTwice.Connect(s1, c1, fa)
+	combineTwice.Connect(s2, c1, fb)
+	combineTwice.Connect(c1, w0, fab)
+	combineTwice.Connect(c1, w1, fab)
+	// partTwice: a Split carries its Order part on two edges.
+	partTwice := NewGraph()
+	s1 = partTwice.AddOp(OpScan, fabc)
+	sp := partTwice.AddOp(OpSplit, fabc, fa, fb, fc)
+	wa := partTwice.AddOp(OpWrite, fa)
+	wb := partTwice.AddOp(OpWrite, fb)
+	wb2 := partTwice.AddOp(OpWrite, fb)
+	wc := partTwice.AddOp(OpWrite, fc)
+	partTwice.Connect(s1, sp, fabc)
+	partTwice.Connect(sp, wa, fa)
+	partTwice.Connect(sp, wb, fb)
+	partTwice.Connect(sp, wb2, fb)
+	partTwice.Connect(sp, wc, fc)
 	srcs, err := FromDocument(fr, customerDoc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(g, sch, srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := FromDocument(fr, customerDoc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup := res.Written[fb.Name]
-	want := fresh[fb.Name]
-	if dup == nil || dup.Rows() != want.Rows() {
-		t.Fatalf("duplicate write has %v records, want %d", dup, want.Rows())
-	}
-	for i := range want.Records {
-		if !xmltree.EqualShape(dup.Records[i], want.Records[i]) {
-			t.Errorf("record %d of the duplicated fragment was mutated by the combine chain", i)
+	whole := map[string]*Instance{fabc.Name: {Frag: fabc, Records: []*xmltree.Node{customerDoc()}}}
+	for _, c := range []struct {
+		name     string
+		g        *Graph
+		op, frag string
+		srcs     map[string]*Instance
+	}{
+		{"scan read twice", scanTwice, "Scan(Order)", fb.Name, srcs},
+		{"combine read twice", combineTwice, "Combine(ab)", fab.Name, srcs},
+		{"split part carried twice", partTwice, "Split(abc -> ", fb.Name, whole},
+	} {
+		err := c.g.Validate()
+		if err == nil {
+			t.Fatalf("%s: Validate accepted the program:\n%s", c.name, c.g)
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.op) || !strings.Contains(msg, fmt.Sprintf("%q", c.frag)) {
+			t.Errorf("%s: error %q names neither %s nor %q", c.name, msg, c.op, c.frag)
+		}
+		if res, err := Execute(c.g, sch, c.srcs); err == nil {
+			t.Errorf("%s: Execute ran the program and wrote %d instances", c.name, len(res.Written))
 		}
 	}
-	whole := res.Written[fabc.Name]
-	if whole == nil || whole.Rows() != 1 || !xmltree.EqualShape(whole.Records[0], customerDoc()) {
-		t.Errorf("combined document does not match the original")
+
+	m, err := NewMapping(sFragmentation(t, sch), tFragmentation(t, sch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := GreedyProgram(m, testProvider(sch, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %v times per run, want 0", n)
 	}
 }
 

@@ -32,8 +32,8 @@ type ExecResult struct {
 // Splits transform, and Writes collect their inputs. It is ExecuteSlice with
 // every operation at one location, so placement is ignored; the endpoint
 // runtime executes the two halves of a placed program and ships the
-// cross-edge fragments between them. Scans serve Share views of sources,
-// which therefore read the same after any number of runs.
+// cross-edge fragments between them. Scans serve clones of sources, which
+// therefore read the same after any number of runs.
 func Execute(g *Graph, sch *schema.Schema, sources map[string]*Instance) (*ExecResult, error) {
 	a := make(Assignment, len(g.Ops))
 	for i := range a {
@@ -46,7 +46,7 @@ func Execute(g *Graph, sch *schema.Schema, sources map[string]*Instance) (*ExecR
 			if src == nil {
 				return nil, fmt.Errorf("core: exec: no source instance for %q", f.Name)
 			}
-			return src.Share(), nil
+			return src.Clone(), nil
 		},
 		Write: func(in *Instance) error {
 			res.Written[in.Frag.Name] = in
@@ -86,7 +86,7 @@ type SliceIO struct {
 	// Scan supplies the instance of a fragment for Scan operations (source
 	// side only; Scans are pinned to the source). The slice owns what Scan
 	// returns — Combine attaches children into its records and Split cuts
-	// them — so Scan hands out records no one else holds, or a Share view.
+	// them — so Scan hands out records no one else holds, or a Clone.
 	Scan func(f *Fragment) (*Instance, error)
 	// Write consumes the instance delivered to a Write operation (target
 	// side only).
@@ -97,7 +97,8 @@ type SliceIO struct {
 }
 
 // EdgeKey identifies a cross-edge shipment: the producing op and the
-// fragment flowing.
+// fragment flowing. Graph.Validate lets one edge carry each op output, so
+// the key names exactly one edge.
 func EdgeKey(e *Edge) string { return fmt.Sprintf("%d:%s", e.From.ID, e.Frag.Name) }
 
 // ExecuteSlice runs the operations of g assigned to loc under a, in
@@ -119,25 +120,13 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 	outputs := make([]map[string]*Instance, len(g.Ops))
 	outbound := make(map[string]*Instance)
 	var traces []OpTrace
-	counts := consumerCounts(g)
-	// Several local edges may share one inbound shipment (same producer and
-	// fragment); hand out copy-on-write views so the consumers stay isolated.
-	inboundCount := make(map[string]int)
-	for _, op := range g.Ops {
-		for _, e := range g.Out(op) {
-			if a[e.From.ID] != loc && a[e.To.ID] == loc {
-				inboundCount[EdgeKey(e)]++
-			}
-		}
-	}
+	// Each op output has one reader (Graph.Validate), so an input is handed
+	// over as is: its reader consumes it and no other edge sees it.
 	input := func(op *Op, e *Edge) (*Instance, error) {
 		if a[e.From.ID] != loc {
 			in := io.Inbound[EdgeKey(e)]
 			if in == nil {
 				return nil, fmt.Errorf("core: slice: op %s misses inbound %s", op, EdgeKey(e))
-			}
-			if inboundCount[EdgeKey(e)] > 1 {
-				in = in.Share()
 			}
 			return in, nil
 		}
@@ -145,13 +134,7 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 		if m == nil || m[e.Frag.Name] == nil {
 			return nil, fmt.Errorf("core: slice: op %s consumed before %s produced", op, e.From)
 		}
-		in := m[e.Frag.Name]
-		// The count includes cross edges, so an output that is also shipped
-		// is never mutated by a local consumer before serialization.
-		if counts[e.From.ID][e.Frag] > 1 {
-			in = in.Share()
-		}
-		return in, nil
+		return m[e.Frag.Name], nil
 	}
 	for _, op := range g.Topo() {
 		if a[op.ID] != loc {
@@ -169,7 +152,7 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 			if err != nil {
 				return nil, nil, err
 			}
-			inst = &Instance{Frag: op.Out, Records: inst.Records, shared: inst.shared}
+			inst = &Instance{Frag: op.Out, Records: inst.Records}
 			out[op.Out.Name] = inst
 			rows = inst.Rows()
 		case OpCombine:
@@ -213,7 +196,7 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 			if io.Write == nil {
 				return nil, nil, fmt.Errorf("core: slice: Write %s with no write function", op)
 			}
-			if err := io.Write(&Instance{Frag: op.Out, Records: in.Records, shared: in.shared}); err != nil {
+			if err := io.Write(&Instance{Frag: op.Out, Records: in.Records}); err != nil {
 				return nil, nil, err
 			}
 			rows = len(in.Records)
@@ -246,22 +229,4 @@ func combinableFrags(sch *schema.Schema, a, b *Fragment) bool {
 		}
 	}
 	return true
-}
-
-// consumerCounts precomputes, for every op, how many edges consume each of
-// its output fragments. ExecuteSlice consults it per input instead of
-// rescanning the producer's out-edges per consumption. Edge fragments are the
-// producer's own Fragment pointers (Graph.Validate enforces identity), so
-// the map is keyed by pointer.
-func consumerCounts(g *Graph) []map[*Fragment]int {
-	counts := make([]map[*Fragment]int, len(g.Ops))
-	for _, op := range g.Ops {
-		for _, e := range g.Out(op) {
-			if counts[op.ID] == nil {
-				counts[op.ID] = make(map[*Fragment]int)
-			}
-			counts[op.ID][e.Frag]++
-		}
-	}
-	return counts
 }

@@ -299,3 +299,40 @@ func TestExecuteRandomMappingsProperty(t *testing.T) {
 		}
 	}
 }
+
+// The planner never emits an output two edges read: over seeded random
+// mappings on Balanced(3,3) and Auction, every program GeneratePrograms,
+// CanonicalProgram and GreedyProgram build passes Validate, which refuses
+// fan-out. It is what lets every op consume its inputs in place.
+func TestPlannedProgramsReadEachOutputOnce(t *testing.T) {
+	programs := 0
+	for _, sch := range []*schema.Schema{schema.Balanced(3, 3), schema.Auction()} {
+		n := len(sch.Names())
+		for seed := int64(0); seed < 100; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m, err := NewMapping(Random(sch, rng, 1+rng.Intn(n)), Random(sch, rng, 1+rng.Intn(n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs, err := GeneratePrograms(m, GenOptions{MaxTreesPerTarget: 32, MaxPrograms: 32})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			canonical, err := CanonicalProgram(m)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			greedy, err := GreedyProgram(m, testProvider(sch, 1, 1))
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			for i, g := range append(progs, canonical, greedy) {
+				if err := g.Validate(); err != nil {
+					t.Fatalf("seed %d program %d: %v\n%s", seed, i, err, g)
+				}
+			}
+			programs += len(progs) + 2
+		}
+	}
+	t.Logf("%d programs validated", programs)
+}

@@ -154,7 +154,10 @@ func (g *Graph) Topo() []*Op {
 
 // Validate checks structural invariants: acyclicity via ID ordering
 // (producers must precede consumers), correct in/out degrees per op kind,
-// and edge fragments consistent with their producers.
+// edge fragments consistent with their producers, and one reader per
+// output: no two out-edges of an op carry the same fragment. Both
+// fragmentations partition the schema, so each piece of data flows along
+// one path, and the op reading an output may consume it in place.
 func (g *Graph) Validate() error {
 	for _, e := range g.Edges {
 		if e.From.ID >= e.To.ID {
@@ -180,7 +183,15 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, op := range g.Ops {
-		nin, nout := len(g.in[op.ID]), len(g.out[op.ID])
+		outs := g.out[op.ID]
+		for i, e := range outs {
+			for _, prev := range outs[:i] {
+				if prev.Frag == e.Frag {
+					return fmt.Errorf("core: %s feeds %q to more than one edge", op, e.Frag.Name)
+				}
+			}
+		}
+		nin, nout := len(g.in[op.ID]), len(outs)
 		switch op.Kind {
 		case OpScan:
 			if nin != 0 {

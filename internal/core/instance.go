@@ -20,10 +20,6 @@ type Instance struct {
 	// Records are the fragment's element trees in document order.
 	Records []*xmltree.Node
 
-	// shared marks records borrowed from another instance (copy-on-write):
-	// a shared record must be cloned before any mutation. nil means every
-	// record is owned. Maintained by Share and by Combine.
-	shared []bool
 	// idx is the persistent join index over the interior element instances
 	// of every record, keyed by (element name, ID). It is built lazily by
 	// Combine and updated incrementally as records are attached, so a chain
@@ -41,44 +37,28 @@ type Instance struct {
 // alone, so attach hashes a PARENT once for every possible parent element.
 type joinIndex struct {
 	tab     hashtab.Table
-	entries []idxEntry
-}
-
-// idxEntry locates an indexed node and the record that holds it (the record
-// index is needed to resolve copy-on-write before mutating).
-type idxEntry struct {
-	n   *xmltree.Node
-	rec int
+	entries []*xmltree.Node
 }
 
 // find returns the position of (name, id)'s entry, h being id's hash, or -1.
 func (x *joinIndex) find(h uint64, name, id string) int {
-	return x.tab.Find(h, func(p int) bool { return x.entries[p].n.ID == id && x.entries[p].n.Name == name })
+	return x.tab.Find(h, func(p int) bool { return x.entries[p].ID == id && x.entries[p].Name == name })
 }
 
 // Rows returns the number of records.
 func (in *Instance) Rows() int { return len(in.Records) }
 
-// Share returns a copy-on-write view of the instance: the view lists the
-// same records but marks each one shared, so a Combine running over the
-// view clones only the records it actually mutates. It replaces the
-// whole-instance deep copies previously taken on multi-consumer edges; a
-// view costs O(records), not O(nodes). The view carries no join index —
-// views diverge from their origin, so incremental index state cannot be
-// shared.
-func (in *Instance) Share() *Instance {
+// Clone returns a deep copy of the instance, every record copied into one
+// arena, for a caller that hands out records it keeps: Combine and Split
+// consume their inputs, so they may run over the copy while the origin
+// stays as it was. The copy carries no join index.
+func (in *Instance) Clone() *Instance {
+	var arena xmltree.Arena
 	recs := make([]*xmltree.Node, len(in.Records))
-	copy(recs, in.Records)
-	shared := make([]bool, len(recs))
-	for i := range shared {
-		shared[i] = true
+	for i, r := range in.Records {
+		recs[i] = r.CloneInto(&arena)
 	}
-	return &Instance{Frag: in.Frag, Records: recs, shared: shared}
-}
-
-// sharedRec reports whether record i is borrowed from another instance.
-func (in *Instance) sharedRec(i int) bool {
-	return i < len(in.shared) && in.shared[i]
+	return &Instance{Frag: in.Frag, Records: recs}
 }
 
 // ensureIndex builds the join index over all current records if absent.
@@ -88,40 +68,26 @@ func (in *Instance) ensureIndex(sch *schema.Schema) {
 	}
 	in.idx = &joinIndex{}
 	in.interior = sch.InteriorElems()
-	for i, r := range in.Records {
-		in.indexTree(r, i)
+	for _, r := range in.Records {
+		in.indexTree(r)
 	}
 }
 
-// indexTree adds index entries for every interior node of the subtree, or
-// repoints in place those of nodes with the same name and ID (a clone's).
-func (in *Instance) indexTree(n *xmltree.Node, rec int) {
+// indexTree adds index entries for every interior node of the subtree. A
+// node whose name and ID are already filed repoints that entry in place:
+// the node indexed last wins.
+func (in *Instance) indexTree(n *xmltree.Node) {
 	if x := in.idx; in.interior[n.Name] {
 		h := hashtab.Hash(n.ID)
 		if p := x.find(h, n.Name, n.ID); p >= 0 {
-			x.entries[p] = idxEntry{n: n, rec: rec}
+			x.entries[p] = n
 		} else {
-			x.tab.Add(h, func(p int) uint64 { return hashtab.Hash(x.entries[p].n.ID) })
-			x.entries = hashtab.Append(x.entries, idxEntry{n: n, rec: rec})
+			x.tab.Add(h, func(p int) uint64 { return hashtab.Hash(x.entries[p].ID) })
+			x.entries = hashtab.Append(x.entries, n)
 		}
 	}
 	for _, k := range n.Kids {
-		in.indexTree(k, rec)
-	}
-}
-
-// ownRec makes record i safe to mutate: a shared record is deep-cloned into
-// arena, its index entries are repointed at the clone, and the record is
-// marked owned.
-func (in *Instance) ownRec(i int, arena *xmltree.Arena) {
-	if !in.sharedRec(i) {
-		return
-	}
-	c := in.Records[i].CloneInto(arena)
-	in.Records[i] = c
-	in.shared[i] = false
-	if in.idx != nil {
-		in.indexTree(c, i)
+		in.indexTree(k)
 	}
 }
 
@@ -178,8 +144,8 @@ func Combine(sch *schema.Schema, parent, child *Instance) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, rec := range child.Records {
-		if !j.attach(rec, child.sharedRec(i)) {
+	for _, rec := range child.Records {
+		if !j.attach(rec) {
 			return nil, fmt.Errorf("core: combine %q into %q: orphan record %s (parent %s not found)",
 				child.Frag.Name, parent.Frag.Name, rec.ID, rec.Parent)
 		}
@@ -188,7 +154,7 @@ func Combine(sch *schema.Schema, parent, child *Instance) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{Frag: merged, Records: parent.Records, shared: parent.shared, idx: parent.idx, interior: parent.interior}, nil
+	return &Instance{Frag: merged, Records: parent.Records, idx: parent.idx, interior: parent.interior}, nil
 }
 
 // joiner incrementally attaches child records into a parent instance: the
@@ -198,11 +164,9 @@ func Combine(sch *schema.Schema, parent, child *Instance) (*Instance, error) {
 type joiner struct {
 	parent    *Instance
 	joinElems []joinElem
-	// arena batches the copy-on-write clones and the kid slices attach
-	// grows: a Combine over a Share'd instance (a multi-consumer edge's)
-	// clones each record it touches, every attach past a node's capacity
-	// needs a longer slice, and both live exactly as long as the merged
-	// instance they end up in. A joiner is single-goroutine,
+	// arena batches the kid slices attach grows: every attach past a
+	// node's capacity needs a longer slice, and each lives exactly as long
+	// as the merged instance it ends up in. A joiner is single-goroutine,
 	// which is what an arena requires.
 	arena xmltree.Arena
 }
@@ -241,12 +205,10 @@ func newJoiner(sch *schema.Schema, parent *Instance, childFrag *Fragment) (*join
 }
 
 // attach joins one child record under the parent element instance whose ID
-// matches the record's PARENT, resolving copy-on-write on both sides: a
-// shared parent record is cloned before mutation, and a shared child record
-// is cloned before it is embedded in the parent tree (its origin may still
-// be read by another consumer). It reports false when no parent instance
-// matches, which Combine reports as an orphan.
-func (j *joiner) attach(rec *xmltree.Node, shared bool) bool {
+// matches the record's PARENT, embedding the record itself in the parent
+// tree. It reports false when no parent instance matches, which Combine
+// reports as an orphan.
+func (j *joiner) attach(rec *xmltree.Node) bool {
 	idx, h, p := j.parent.idx, hashtab.Hash(rec.Parent), -1
 	var je *joinElem
 	for i := range j.joinElems {
@@ -258,18 +220,8 @@ func (j *joiner) attach(rec *xmltree.Node, shared bool) bool {
 	if je == nil {
 		return false
 	}
-	e := idx.entries[p]
-	if j.parent.sharedRec(e.rec) {
-		// The clone repoints every entry of the record in place.
-		j.parent.ownRec(e.rec, &j.arena)
-		e = idx.entries[p]
-	}
-	child := rec
-	if shared {
-		child = rec.CloneInto(&j.arena)
-	}
-	placeKid(e.n, child, je.order, je.rank, &j.arena)
-	j.parent.indexTree(child, e.rec)
+	placeKid(idx.entries[p], rec, je.order, je.rank, &j.arena)
+	j.parent.indexTree(rec)
 	return true
 }
 
@@ -321,25 +273,19 @@ func mergeFragments(sch *schema.Schema, a, b *Fragment) (*Fragment, error) {
 // elements. Each projected record keeps the ID/PARENT pair of its root so
 // that parent/child relationships dictated by the XML Schema are preserved.
 //
-// Split consumes its input: it cuts each owned record in place, detaching
-// every subtree rooted in another part from its parent's kids, so the
-// projected records are the input's own nodes. A shared (copy-on-write)
-// record is cloned first and the clone is cut; its origin is left as it
-// was.
+// Split consumes its input: it cuts each record in place, detaching every
+// subtree rooted in another part from its parent's kids, so the projected
+// records are the input's own nodes.
 func Split(sch *schema.Schema, in *Instance, parts []*Fragment) ([]*Instance, error) {
 	sp, err := newSplitter(in.Frag, parts)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[*Fragment][]*xmltree.Node, len(parts))
-	var arena xmltree.Arena // the clones of shared records
-	for i, rec := range in.Records {
+	for _, rec := range in.Records {
 		p := sp.rootOf[rec.Name]
 		if p == nil {
 			return nil, fmt.Errorf("core: split of %q: record root %q is not a part root", in.Frag.Name, rec.Name)
-		}
-		if in.sharedRec(i) {
-			rec = rec.CloneInto(&arena)
 		}
 		sp.cut(rec, out)
 		out[p] = append(out[p], rec)
@@ -442,8 +388,8 @@ func FromDocument(fr *Fragmentation, doc *xmltree.Node) (map[string]*Instance, e
 // It is the inverse of FromDocument and the reference implementation of
 // publishing. Like Combine it consumes what it is given: the records of
 // insts become the document. Callers that read the same instances again
-// pass Share views (xdx.Document does); publishing and the oracle pass
-// fresh store scans.
+// pass clones (xdx.Document does); publishing and the oracle pass fresh
+// store scans.
 func Document(fr *Fragmentation, insts map[string]*Instance) (*xmltree.Node, error) {
 	if len(fr.Fragments) == 0 {
 		return nil, fmt.Errorf("core: empty fragmentation")
@@ -452,7 +398,7 @@ func Document(fr *Fragmentation, insts map[string]*Instance) (*xmltree.Node, err
 	if cur == nil {
 		return nil, fmt.Errorf("core: missing instance for root fragment %q", fr.Fragments[0].Name)
 	}
-	cur = &Instance{Frag: fr.Fragments[0], Records: cur.Records, shared: cur.shared}
+	cur = &Instance{Frag: fr.Fragments[0], Records: cur.Records}
 	// Merge fragments in dependency order: a fragment may be combined only
 	// once every possible parent element of its root is present (a
 	// multi-parent fragment like XMark's item must wait for all regions).

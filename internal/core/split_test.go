@@ -142,11 +142,10 @@ func sameRecords(t *testing.T, what string, got []*core.Instance, want [][]*xmlt
 	}
 }
 
-// Split cuts the records it owns in place and clones the ones it shares:
-// over seeded XMark and balanced documents, a third of whose nodes carry a
-// generic attribute, its output equals the copying Split's record for
-// record, in the same order and attributes kept, and a Share view's origin
-// comes through unchanged.
+// Split cuts the records it is given in place: over seeded XMark and
+// balanced documents, a third of whose nodes carry a generic attribute, its
+// output equals the copying Split's record for record, in the same order
+// and attributes kept, and splitting a Clone leaves its origin unchanged.
 func TestSplitCutMatchesCopy(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -164,14 +163,14 @@ func TestSplitCutMatchesCopy(t *testing.T) {
 				for i, rec := range c.in.Records {
 					pristine[i] = rec.Clone()
 				}
-				got, err := core.Split(sch, c.in.Share(), c.parts)
+				got, err := core.Split(sch, c.in.Clone(), c.parts)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				sameRecords(t, what+" (shared)", got, want)
+				sameRecords(t, what+" (clone)", got, want)
 				for i, rec := range c.in.Records {
 					if !xmltree.Equal(rec, pristine[i]) {
-						t.Fatalf("%s: splitting a Share view changed its origin's record %d", what, i)
+						t.Fatalf("%s: splitting a Clone changed its origin's record %d", what, i)
 					}
 				}
 				got, err = core.Split(sch, c.in, c.parts)

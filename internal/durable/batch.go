@@ -12,7 +12,7 @@ package durable
 //
 // Batch cut rules, in order:
 //
-//   - the group reaches MaxBatchBytes or MaxBatchFrames (an appender kicks
+//   - the group reaches maxBatchBytes or MaxBatchFrames (an appender kicks
 //     the leader immediately);
 //   - Flush is called, or someone waits on the group's ticket (Err): the
 //     hold only exists to gather frames while nobody is waiting;
@@ -26,6 +26,10 @@ import (
 	"sync"
 	"time"
 )
+
+// maxBatchBytes caps a commit group's coalesced frame bytes: a group at
+// the cap commits without waiting out the hold.
+const maxBatchBytes = 1 << 20
 
 // Pending is the ticket of an asynchronous append. It resolves — Done()
 // closes, Err() returns — when the frame's commit group has been written
@@ -113,7 +117,7 @@ func (b *batcher) enqueue(head, body []byte) *Pending {
 	}
 	p := b.ticket
 	b.frames++
-	full := len(b.buf) >= b.w.opts.MaxBatchBytes || b.frames >= b.w.opts.MaxBatchFrames
+	full := len(b.buf) >= maxBatchBytes || b.frames >= b.w.opts.MaxBatchFrames
 	spawn := !b.leader
 	if spawn {
 		b.leader = true
@@ -160,7 +164,7 @@ func (b *batcher) lead() {
 	for {
 		if holdNext {
 			b.mu.Lock()
-			ready := len(b.buf) >= b.w.opts.MaxBatchBytes ||
+			ready := len(b.buf) >= maxBatchBytes ||
 				b.frames >= b.w.opts.MaxBatchFrames || b.hurry
 			b.mu.Unlock()
 			if !ready {

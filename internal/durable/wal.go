@@ -106,9 +106,6 @@ func (p FsyncPolicy) String() string {
 type Options struct {
 	// Fsync is the sync policy. Default FsyncBatch.
 	Fsync FsyncPolicy
-	// MaxBatchBytes caps a commit group's coalesced frame bytes; a group
-	// at the cap commits without waiting out the hold. Default 1MiB.
-	MaxBatchBytes int
 	// MaxBatchFrames caps a commit group's frame count. Default 256.
 	MaxBatchFrames int
 	// MaxBatchHold bounds how long a leader waits for more frames before
@@ -188,9 +185,6 @@ type WAL struct {
 func Open(dir string, o Options) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: open: %w", err)
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 1 << 20
 	}
 	if o.MaxBatchFrames <= 0 {
 		o.MaxBatchFrames = 256

@@ -322,6 +322,67 @@ func TestExecuteSourceRefusesUnknownCodec(t *testing.T) {
 	}
 }
 
+// TestMalformedProgramIsClientFault: a program that does not decode is the
+// caller's mistake on both ends — op ids that are not dense, an edge naming
+// a fragment the program does not define, and an op output read by two
+// edges (which Graph.Validate refuses). ExecuteSource answers soap:Client
+// before it scans or dials anything, and ExecuteTarget answers it before
+// any record loads.
+func TestMalformedProgramIsClientFault(t *testing.T) {
+	fr := tFrag(t, schema.CustomerInfo())
+	g, a, good := scanWriteProgram(t, fr)
+	sparse := good.Clone()
+	sparse.Kids[1].Kids[0].SetAttr("id", "7")
+	unknown := good.Clone()
+	unknown.Kids[2].Kids[0].SetAttr("frag", "Nowhere")
+	scan := g.Ops[0]
+	g.Connect(scan, g.AddOp(core.OpWrite, scan.Out), scan.Out)
+	fanOut, err := wire.EncodeProgram(g, append(a, core.LocTarget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := []struct {
+		name string
+		prog *xmltree.Node
+	}{{"sparse op ids", sparse}, {"unknown edge fragment", unknown}, {"fan-out", fanOut}}
+
+	met := obs.NewRegistry()
+	src := New("src", &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true}, nil)
+	src.SetObs(nil, met)
+	srv := httptest.NewServer(src.Handler())
+	defer srv.Close()
+	sunk := startSink(t)
+	fx, done := newSessionFixture(t)
+	defer done()
+	for _, p := range programs {
+		req := &xmltree.Node{Name: "ExecuteSource"}
+		req.AddKid(p.prog)
+		var f *soap.Fault
+		if _, err := callSource(&soap.Client{URL: srv.URL}, req, sunk.srv.URL); !errors.As(err, &f) || f.Code != "soap:Client" {
+			t.Errorf("ExecuteSource, %s: err = %v, want a soap:Client fault", p.name, err)
+		}
+		prog := xmltree.Marshal(p.prog, xmltree.WriteOptions{EmitAllIDs: true})
+		err := fx.client.CallStream("ExecuteTarget", func(w io.Writer) error {
+			io.WriteString(w, `<ExecuteTarget session="bad">`+prog)
+			_, werr := w.Write(fx.wire)
+			io.WriteString(w, "</ExecuteTarget>")
+			return werr
+		}, &xmltree.TreeBuilder{})
+		if !errors.As(err, &f) || f.Code != "soap:Client" {
+			t.Errorf("ExecuteTarget, %s: err = %v, want a soap:Client fault", p.name, err)
+		}
+	}
+	if n := met.Counter("endpoint.source.executes").Value(); n != 0 {
+		t.Errorf("the source ran its slice %d times for refused programs", n)
+	}
+	if len(sunk.bodies) != 0 {
+		t.Errorf("the source delivered %d times for refused programs", len(sunk.bodies))
+	}
+	if n := fx.store.Rows(); n != 0 {
+		t.Errorf("refused programs loaded %d rows at the target", n)
+	}
+}
+
 // TestExecuteTargetOversizedChunkIsClientFault: the target refuses a chunk
 // past wire.MaxChunkBytes as the sender's fault, which no driver retries —
 // whether its wire text is too long, a few KiB of bin+flate text inflate

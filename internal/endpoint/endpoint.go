@@ -31,7 +31,7 @@ type Backend interface {
 	Layout() *core.Fragmentation
 	// Scan returns a layout fragment's records (Definition 3.6): rows
 	// built on demand, or trees the backend holds. The endpoint builds or
-	// Shares them before an op consumes them (see Endpoint.trees).
+	// clones them before an op consumes them (see Endpoint.trees).
 	Scan(f *core.Fragment) (core.Records, error)
 	// Write stores a fragment instance (Definition 3.9).
 	Write(in *core.Instance) error
@@ -120,7 +120,7 @@ type VirtualBackend struct {
 	Base Backend
 	// Virtual maps fragment names (of Base's layout) to producers. An
 	// exchange consumes what a producer returns, as it does a Scan's
-	// instance, so a producer that keeps its records hands out a Share view.
+	// instance, so a producer that keeps its records hands out a Clone.
 	Virtual map[string]func() (*core.Instance, error)
 }
 
@@ -341,7 +341,7 @@ func (e *Endpoint) calibrate(codec wire.Codec) (scale, perRecord float64, err er
 		}
 		in := &core.Instance{Frag: f, Records: sample}
 		if _, built := rs.(*relstore.Rows); !built {
-			in = in.Share() // trees the backend holds: Split cuts clones
+			in = in.Clone() // trees the backend holds: Split cuts the copy
 		}
 		split, err := core.Split(sch, in, parts)
 		if err != nil {
@@ -499,15 +499,15 @@ func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignmen
 // consumes what it is served (Combine attaches into its records and Split
 // cuts them): built from rows — a whole snapshot into one arena sized by
 // its rows, as ScanFragment builds it, whichever backend took it — or a
-// Share view of records a backend without a row store may hold as trees,
-// so every Scan of a fragment reads them pristine.
+// Clone of records a backend without a row store may hold as trees, so
+// every Scan of a fragment reads them pristine.
 func (e *Endpoint) trees(f *core.Fragment, recs core.Records) (*core.Instance, error) {
 	if rows, ok := recs.(*relstore.Rows); ok {
 		return rows.Instance(f)
 	}
 	if e.rowStore() == nil {
 		held, err := recs.Build(make([]*xmltree.Node, 0, recs.Len()), 0, recs.Len(), nil)
-		return (&core.Instance{Frag: f, Records: held}).Share(), err
+		return (&core.Instance{Frag: f, Records: held}).Clone(), err
 	}
 	built, err := recs.Build(make([]*xmltree.Node, 0, recs.Len()), 0, recs.Len(), &xmltree.Arena{})
 	return &core.Instance{Frag: f, Records: built}, err

@@ -131,9 +131,9 @@ func TestProbeStats(t *testing.T) {
 
 // Calibration splits its sample, and Split cuts the records it is given.
 // A backend may hand out trees it holds (here a VirtualBackend whose
-// producers keep their instances and return Share views): an xml probe
-// still measures the per-record term, and every held record keeps the
-// children it had.
+// producers return the very records they keep): an xml probe splits a
+// Clone, so it still measures the per-record term and every held record
+// keeps the children it had.
 func TestCalibrateKeepsHeldTrees(t *testing.T) {
 	fr := tFrag(t, schema.CustomerInfo())
 	st := loadedStore(t, fr)
@@ -149,7 +149,7 @@ func TestCalibrateKeepsHeldTrees(t *testing.T) {
 		for _, r := range in.Records {
 			orig = append(orig, r.Clone())
 		}
-		be.Virtual[f.Name] = func() (*core.Instance, error) { return in.Share(), nil }
+		be.Virtual[f.Name] = func() (*core.Instance, error) { return in, nil }
 	}
 	srv := httptest.NewServer(testEndpoint(be).Handler())
 	defer srv.Close()
@@ -481,7 +481,7 @@ func TestParseMillis(t *testing.T) {
 // program that scans one fragment twice must get the pristine filtered
 // records both times, not the records the first Split already cut: built
 // anew from rows over a relational store (directly or behind a
-// VirtualBackend), a Share view of the trees any other backend holds.
+// VirtualBackend), a Clone of the trees any other backend holds.
 func TestFilteredScanServesEachScanFresh(t *testing.T) {
 	sch := schema.CustomerInfo()
 	fr := tFrag(t, sch)

@@ -148,8 +148,8 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 		return &soap.Fault{Code: "soap:Client", String: "missing program"}
 	}
 	g, a, err := wire.DecodeProgram(prog, e.backend.Layout().Schema)
-	if err != nil {
-		return err
+	if err != nil { // a program that does not decode is the caller's mistake
+		return &soap.Fault{Code: "soap:Client", String: err.Error()}
 	}
 	s := e.sessions.GetOrCreate(d.session)
 	s.renderMu.Lock()
@@ -516,11 +516,12 @@ func (t *targetScan) EndElement(name string) error {
 }
 
 // programDone decodes the completed program subtree and prepares the
-// shipment decoder with the program's fragment dictionary.
+// shipment decoder with the program's fragment dictionary. A program that
+// does not decode is the sender's mistake: a soap:Client fault.
 func (t *targetScan) programDone() error {
 	g, a, err := wire.DecodeProgram(t.tb.Root(), t.e.backend.Layout().Schema)
 	if err != nil {
-		return err
+		return &soap.Fault{Code: "soap:Client", String: err.Error()}
 	}
 	t.g, t.a = g, a
 	frags := g.FragmentsByName()
@@ -571,13 +572,11 @@ func (e *Endpoint) runTarget(exchange string, g *core.Graph, a core.Assignment, 
 func (t *targetScan) applyDelta() (*xmltree.Node, error) {
 	start := time.Now()
 	// An edit per shipped edge, whether it shipped records, tombstones or
-	// nothing; edges several ops consume ship once.
+	// nothing.
 	var edits []relstore.Edit
-	seen := map[string]bool{}
 	for _, op := range t.g.Ops {
 		for _, ce := range t.g.Out(op) {
-			if key := core.EdgeKey(ce); t.a[ce.From.ID] != t.a[ce.To.ID] && !seen[key] {
-				seen[key] = true
+			if key := core.EdgeKey(ce); t.a[ce.From.ID] != t.a[ce.To.ID] {
 				ed := relstore.Edit{Frag: ce.Frag, Tombs: t.ts.tombs[key]}
 				if in := t.ts.inbound[key]; in != nil {
 					ed.Records = in.Records

@@ -481,13 +481,10 @@ type ExecOptions struct {
 	// histograms from the drive. Nil records nothing.
 	Metrics *obs.Registry
 	// Scheduler, when set, routes the drive through the admission-
-	// controlled exchange pool: the exchange waits for a worker under
-	// Tenant's budgets and runs there, or is shed immediately with a
+	// controlled exchange pool: the exchange waits for a worker under its
+	// service's budgets and runs there, or is shed immediately with a
 	// soap.CodeOverloaded fault (see Scheduler.Submit).
 	Scheduler *Scheduler
-	// Tenant names the admission-control bucket the exchange charges
-	// against; empty defaults to the service name.
-	Tenant string
 }
 
 // Execute drives an exchange end-to-end (step 4 of Figure 2) with default
@@ -504,13 +501,10 @@ func (a *Agency) Execute(service string, plan *Plan, link netsim.Link) (*Report,
 // and, when opts wires a Logger/Metrics, emits exchange.* observability.
 func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Report, error) {
 	if opts.Scheduler != nil {
-		sched, tenant := opts.Scheduler, opts.Tenant
-		if tenant == "" {
-			tenant = service
-		}
+		sched := opts.Scheduler
 		opts.Scheduler = nil
 		var report *Report
-		err := sched.Submit(tenant, func() error {
+		err := sched.Submit(service, func() error {
 			var e error
 			report, e = a.ExecuteOpts(service, plan, opts)
 			return e

@@ -24,6 +24,10 @@ go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 3000x ./internal/xmltree/
 # before/after).
 echo "non-test Go lines outside benchmark/: $(./scripts/loc.sh)"
 
+# Examples: run each one end to end. They are the only callers of
+# xdx.Execute and xdx.Document outside the tests.
+make examples
+
 # Benchmark smoke: 100 fixed iterations so broken benchmarks fail the gate
 # without turning it into a performance run.
 make bench-smoke

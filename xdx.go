@@ -244,11 +244,11 @@ func FromDocument(fr *Fragmentation, doc *Node) (map[string]*Instance, error) {
 // Document reassembles a document from per-fragment instances, which it
 // leaves as they were.
 func Document(fr *Fragmentation, insts map[string]*Instance) (*Node, error) {
-	views := make(map[string]*Instance, len(insts))
+	clones := make(map[string]*Instance, len(insts))
 	for name, in := range insts {
-		views[name] = in.Share()
+		clones[name] = in.Clone()
 	}
-	return core.Document(fr, views)
+	return core.Document(fr, clones)
 }
 
 // Execute runs a data-transfer program over in-memory instances.
