@@ -17,7 +17,7 @@ test:
 	$(GO) test ./...
 
 # The merge gate: vet, build, and the full suite under the race detector
-# (codec pools, WAL batcher and scheduler are concurrent). CI runs the same
+# (WAL batcher, scheduler and session decoders are concurrent). CI runs the same
 # script.
 check:
 	./scripts/check.sh

@@ -23,32 +23,6 @@ import (
 	"xdx/internal/xmltree"
 )
 
-// copyProgram is the Scan->Write program between identical fragmentations,
-// scans placed at the source.
-func copyProgram(t *testing.T, fr *core.Fragmentation) (*core.Graph, *xmltree.Node) {
-	t.Helper()
-	m, err := core.NewMapping(fr, fr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := core.CanonicalProgram(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := core.NewAssignment(g)
-	for _, op := range g.Ops {
-		a[op.ID] = core.LocSource
-		if op.Kind == core.OpWrite {
-			a[op.ID] = core.LocTarget
-		}
-	}
-	progXML, err := wire.EncodeProgram(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, progXML
-}
-
 // sink stands in for a target: it answers every ExecuteTarget with an
 // empty response and keeps each request body it received.
 type sink struct {
@@ -118,7 +92,7 @@ func TestExecuteSourceRefusesBadDeliveries(t *testing.T) {
 	srv := httptest.NewServer(ep.Handler())
 	defer srv.Close()
 	c := &soap.Client{URL: srv.URL}
-	_, progXML := copyProgram(t, fr)
+	_, _, progXML := scanWriteProgram(t, fr)
 	dialed := startSink(t)
 	good := map[string]string{"target": dialed.srv.URL, "session": "s1", "chunk": "8", "from": "0"}
 	for _, bad := range []struct{ attr, value string }{
@@ -167,7 +141,7 @@ func TestExecuteSourceCutsAndNumbersChunks(t *testing.T) {
 	fr := tFrag(t, schema.CustomerInfo())
 	c, done := startEndpoint(t, &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true})
 	defer done()
-	g, progXML := copyProgram(t, fr)
+	g, _, progXML := scanWriteProgram(t, fr)
 	tgt := startSink(t)
 	req := &xmltree.Node{Name: "ExecuteSource"}
 	req.SetAttr("chunk", "1")
@@ -216,7 +190,7 @@ func TestSweepFreesHeldRender(t *testing.T) {
 	srv := httptest.NewServer(ep.Handler())
 	defer srv.Close()
 	c := &soap.Client{URL: srv.URL}
-	_, progXML := copyProgram(t, fr)
+	_, _, progXML := scanWriteProgram(t, fr)
 	// A target that is down: every delivery fails with a 503, after which
 	// the source holds its render for the agency's resume.
 	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -261,7 +235,7 @@ func TestSelfDeliveryKeepsTargetState(t *testing.T) {
 	srv := httptest.NewServer(ep.Handler())
 	defer srv.Close()
 	c := &soap.Client{URL: srv.URL}
-	_, progXML := copyProgram(t, fr)
+	_, _, progXML := scanWriteProgram(t, fr)
 	req := &xmltree.Node{Name: "ExecuteSource"}
 	req.AddKid(progXML)
 	if _, err := callSource(c, req, srv.URL); err != nil {
@@ -303,7 +277,7 @@ func TestExecuteSourceRefusesUnknownCodec(t *testing.T) {
 	ep.SetObs(nil, met)
 	srv := httptest.NewServer(ep.Handler())
 	defer srv.Close()
-	_, progXML := copyProgram(t, fr)
+	_, _, progXML := scanWriteProgram(t, fr)
 	tgt := startSink(t)
 	for _, name := range []string{"feed", "XML", "bin+zstd"} {
 		req := &xmltree.Node{Name: "ExecuteSource"}
@@ -325,9 +299,10 @@ func TestExecuteSourceRefusesUnknownCodec(t *testing.T) {
 // TestMalformedProgramIsClientFault: a program that does not decode is the
 // caller's mistake on both ends — op ids that are not dense, an edge naming
 // a fragment the program does not define, and an op output read by two
-// edges (which Graph.Validate refuses). ExecuteSource answers soap:Client
-// before it scans or dials anything, and ExecuteTarget answers it before
-// any record loads.
+// edges (which Graph.Validate refuses), an op placed at neither S nor T,
+// and a placement that ships data from target to source. ExecuteSource
+// answers soap:Client before it scans or dials anything, and ExecuteTarget
+// answers it before any record loads.
 func TestMalformedProgramIsClientFault(t *testing.T) {
 	fr := tFrag(t, schema.CustomerInfo())
 	g, a, good := scanWriteProgram(t, fr)
@@ -335,6 +310,17 @@ func TestMalformedProgramIsClientFault(t *testing.T) {
 	sparse.Kids[1].Kids[0].SetAttr("id", "7")
 	unknown := good.Clone()
 	unknown.Kids[2].Kids[0].SetAttr("frag", "Nowhere")
+	badLoc := good.Clone()
+	badLoc.Kids[1].Kids[0].SetAttr("loc", "Q")
+	// Every Scan at T and every other op at S: each edge ships T to S.
+	scansAtT := good.Clone()
+	for _, ox := range scansAtT.Kids[1].Kids {
+		if kind, _ := ox.Attr("kind"); kind == "Scan" {
+			ox.SetAttr("loc", "T")
+		} else {
+			ox.SetAttr("loc", "S")
+		}
+	}
 	scan := g.Ops[0]
 	g.Connect(scan, g.AddOp(core.OpWrite, scan.Out), scan.Out)
 	fanOut, err := wire.EncodeProgram(g, append(a, core.LocTarget))
@@ -344,7 +330,8 @@ func TestMalformedProgramIsClientFault(t *testing.T) {
 	programs := []struct {
 		name string
 		prog *xmltree.Node
-	}{{"sparse op ids", sparse}, {"unknown edge fragment", unknown}, {"fan-out", fanOut}}
+	}{{"sparse op ids", sparse}, {"unknown edge fragment", unknown}, {"fan-out", fanOut},
+		{"unknown location", badLoc}, {"target to source", scansAtT}}
 
 	met := obs.NewRegistry()
 	src := New("src", &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true}, nil)
@@ -386,8 +373,8 @@ func TestMalformedProgramIsClientFault(t *testing.T) {
 // TestExecuteTargetOversizedChunkIsClientFault: the target refuses a chunk
 // past wire.MaxChunkBytes as the sender's fault, which no driver retries —
 // whether its wire text is too long, a few KiB of bin+flate text inflate
-// past the limit in the decode pool, where the refusal may surface only as
-// the shipment closes, or tagged-XML records stage more than the limit. A
+// past the limit as the chunk parses at its close tag, or tagged-XML
+// records stage more than the limit. A
 // chunk in a format this build does not decode is refused the same way,
 // instead of committing empty.
 func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
@@ -413,7 +400,7 @@ func TestExecuteTargetOversizedChunkIsClientFault(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl, done := startEndpoint(t, &RelBackend{Store: st, Speed: 1, CanCombine: true})
-		_, progXML := copyProgram(t, fr)
+		_, _, progXML := scanWriteProgram(t, fr)
 		err = cl.CallStream("ExecuteTarget", func(w io.Writer) error {
 			io.WriteString(w, `<ExecuteTarget session="big">`)
 			xmltree.Write(w, progXML, xmltree.WriteOptions{EmitAllIDs: true})
@@ -480,7 +467,7 @@ func TestExecuteTargetOversizedValueIsClientFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, progXML := copyProgram(t, fr)
+	_, _, progXML := scanWriteProgram(t, fr)
 	var head strings.Builder
 	head.WriteString(`<soap:Envelope xmlns:soap="` + soap.EnvelopeNS + `"><soap:Body><ExecuteTarget session="big">`)
 	xmltree.Write(&head, progXML, xmltree.WriteOptions{EmitAllIDs: true})
@@ -511,7 +498,7 @@ func TestExecuteTargetMismatchedCloseTagIsClientFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, progXML := copyProgram(t, fr)
+	_, _, progXML := scanWriteProgram(t, fr)
 	var req strings.Builder
 	req.WriteString(`<soap:Envelope xmlns:soap="` + soap.EnvelopeNS + `"><soap:Body><ExecuteTarget session="tags">`)
 	xmltree.Write(&req, progXML, xmltree.WriteOptions{EmitAllIDs: true})

@@ -121,7 +121,7 @@ func TestRestartReplaysJournaledDuplicatesThroughDedup(t *testing.T) {
 			// Attempt 1 carries a shipment of chunks 0 and 1 and tears
 			// before the request closes. The shipment's close waits for
 			// both chunks' tickets and applies them, so both are journaled
-			// whatever the parse pool's timing.
+			// whatever the journal's timing.
 			dir := t.TempDir()
 			j, err := durable.OpenJournal(dir, durable.Options{})
 			if err != nil {

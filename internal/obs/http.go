@@ -15,8 +15,8 @@ import (
 
 // Mux returns the ops handler for a registry: GET /healthz answers
 // "ok\n", GET /metrics answers the JSON snapshot, and /debug/pprof/
-// serves the live CPU/heap/goroutine profiles (how the codec pools were
-// sized and the allocation teardown was measured). A nil registry serves
+// serves the live CPU/heap/goroutine profiles (how the allocation
+// teardown was measured). A nil registry serves
 // an empty snapshot — /healthz and the profiles keep working.
 func Mux(reg *Registry) http.Handler {
 	mux := http.NewServeMux()

@@ -91,9 +91,9 @@ func BenchmarkShipmentCodecStream(b *testing.B) {
 }
 
 // BenchmarkShipmentCodecParallel runs the compute-heaviest codec
-// (bin+flate: binary packing plus per-chunk DEFLATE) both ways through the
-// chunk codec pool, which renders and parses one chunk per CPU at a time;
-// run it under -cpu to see how far the pool amortizes the compression cost.
+// (bin+flate: binary packing plus per-chunk DEFLATE) both ways, each chunk
+// rendered by the emitting goroutine and parsed by the scanning one as its
+// close tag arrives. The name is the one scripts/alloc_smoke.sh gates.
 func BenchmarkShipmentCodecParallel(b *testing.B) {
 	sch, out, lookup := auctionShipment(b)
 	codec := Codec{Kind: CodecBin, Flate: true}

@@ -148,7 +148,7 @@ func dictFor(sch *schema.Schema) *binDict {
 
 // binEncoder appends the binary node encoding of one chunk to a scratch
 // buffer; the delta state lives for exactly one chunk, but the encoder
-// itself is pooled across chunks (and across the parallel render workers).
+// itself is pooled across chunks and writers.
 type binEncoder struct {
 	buf                *bytes.Buffer
 	dict               *binDict

@@ -266,9 +266,8 @@ func zeroFlateChunk(n int) []byte {
 
 // TestBinFlateInflationCapped: a bin+flate chunk inflates to at most
 // MaxChunkBytes. One byte past, it is refused as ErrChunkTooLarge — by
-// readBinChunk, and by the decoder's parse pool, where the refusal
-// surfaces at commit — and nothing of it commits; a chunk at the limit
-// decodes.
+// readBinChunk, and by the decoder, which parses the chunk as it closes —
+// and nothing of it commits; a chunk at the limit decodes.
 func TestBinFlateInflationCapped(t *testing.T) {
 	sch, f, _ := chunkFixture(t)
 	for _, n := range []int{MaxChunkBytes, MaxChunkBytes + 1} {

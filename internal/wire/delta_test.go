@@ -204,7 +204,7 @@ func TestDeltaEmptyShipmentKeepsFlag(t *testing.T) {
 }
 
 // Tombstones interleaved with bin-format chunks must still commit in
-// stream order when the parse pool runs ahead.
+// stream order.
 func TestDeltaTombstoneOrderWithParallelDecode(t *testing.T) {
 	sch, f, rec := chunkFixture(t)
 	var buf bytes.Buffer

@@ -16,8 +16,8 @@ import (
 )
 
 // parallelFixture builds a many-chunk shipment: chunks large enough that
-// rendering costs something, numerous enough that the pools actually
-// overlap work.
+// rendering costs something, numerous enough that commit order, torn
+// streams and stalls have chunk boundaries to land on.
 func parallelFixture(t testing.TB) (*schema.Schema, *core.Fragment, [][]*xmltree.Node) {
 	t.Helper()
 	sch := schema.CustomerInfo()
@@ -55,9 +55,8 @@ func encodeChunks(t testing.TB, sch *schema.Schema, f *core.Fragment, chunks [][
 	return buf.Bytes()
 }
 
-// referenceRender is encodeChunks without the pool: renderChunk run chunk
-// by chunk onto one writer, the bytes the pool's in-order splice must
-// reproduce.
+// referenceRender is encodeChunks without the writer: renderChunk run
+// chunk by chunk onto one buffer, the bytes the writer must reproduce.
 func referenceRender(t testing.TB, sch *schema.Schema, f *core.Fragment, chunks [][]*xmltree.Node, codec Codec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -96,9 +95,9 @@ func treeDecode(wire []byte, sch *schema.Schema, lookup func(string) *core.Fragm
 	return out, nil
 }
 
-// TestParallelEncodeByteIdentical is the pool's property on the encode
-// side: for every codec, the pooled renderer's byte stream is identical to
-// renderChunk's, run serially chunk by chunk.
+// TestParallelEncodeByteIdentical is the writer's property on the encode
+// side: for every codec, its byte stream is identical to renderChunk's,
+// run chunk by chunk.
 func TestParallelEncodeByteIdentical(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	for _, name := range Codecs() {
@@ -108,14 +107,14 @@ func TestParallelEncodeByteIdentical(t *testing.T) {
 		}
 		got, want := encodeChunks(t, sch, f, chunks, codec), referenceRender(t, sch, f, chunks, codec)
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: pooled bytes differ from the serial render (len %d vs %d)", name, len(got), len(want))
+			t.Errorf("%s: writer bytes differ from the serial render (len %d vs %d)", name, len(got), len(want))
 		}
 	}
 }
 
-// TestParallelDecodeMatchesSerial holds the pooled decoder to the tree
+// TestParallelDecodeMatchesSerial holds the streaming decoder to the tree
 // codec's instances AND to its hook discipline: chunks commit in stream
-// order whatever the pool's timing, so ChunkDone sees ascending seqs.
+// order, so ChunkDone sees ascending seqs.
 func TestParallelDecodeMatchesSerial(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	lookup := func(string) *core.Fragment { return f }
@@ -157,8 +156,7 @@ func TestParallelDecodeMatchesSerial(t *testing.T) {
 // TestParallelDecodeSlabStringsIntact holds the decoders' slab-backed
 // strings to the records that were shipped: every chunk here carries more
 // key and text bytes than one string block holds, so strings handed out
-// early in a chunk must survive the blocks that roll over behind them —
-// with four chunks decoding at once, under the race detector.
+// early in a chunk must survive the blocks that roll over behind them.
 func TestParallelDecodeSlabStringsIntact(t *testing.T) {
 	sch := schema.CustomerInfo()
 	f, err := core.NewFragment(sch, "feat", []string{"Feature", "FeatureID"})
@@ -203,7 +201,7 @@ func TestParallelDecodeSlabStringsIntact(t *testing.T) {
 }
 
 // stallReader yields the stream in tiny bursts with pauses — the shape of
-// a stalling fault link — so commits race parses under the race detector.
+// a stalling fault link — so chunks close across many reads.
 type stallReader struct {
 	data []byte
 	pos  int
@@ -230,14 +228,16 @@ func min(a, b int) int {
 
 // TestParallelDecodeTornAndStalled replays the fault matrix at the wire
 // layer: the shipment stream is cut at every chunk boundary region and
-// trickled in with stalls. Whatever the cut, the parallel decoder must
-// (a) fail the scan or report an incomplete shipment for torn streams,
-// (b) never commit a torn chunk, and (c) commit only a contiguous prefix
-// of the sequenced chunks — the invariant resumable sessions rest on.
+// trickled in with stalls. Whatever the cut, the decoder must (a) fail
+// the scan or report an incomplete shipment for torn streams, (b) never
+// commit a torn chunk, (c) commit only a contiguous prefix of the
+// sequenced chunks — the invariant resumable sessions rest on — and (d)
+// commit every chunk whose close tag lies before the cut, so a retry
+// re-ships only the tail.
 func TestParallelDecodeTornAndStalled(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	lookup := func(string) *core.Fragment { return f }
-	for _, name := range []string{CodecXML, CodecBinFlate} {
+	for _, name := range []string{CodecXML, CodecBin, CodecBinFlate} {
 		codec, _ := ParseCodec(name)
 		wire := encodeChunks(t, sch, f, chunks, codec)
 		for _, cut := range []int{len(wire) / 7, len(wire) / 3, len(wire) / 2, len(wire) - 20, len(wire)} {
@@ -258,14 +258,17 @@ func TestParallelDecodeTornAndStalled(t *testing.T) {
 					t.Fatalf("%s: cut=%d: committed seqs %v are not a contiguous prefix", name, cut, seqs)
 				}
 			}
+			if whole := bytes.Count(wire[:cut], []byte("</instance>")); len(seqs) != whole {
+				t.Fatalf("%s: cut=%d: committed %d chunks, want the %d whole before the cut", name, cut, len(seqs), whole)
+			}
 		}
 	}
 }
 
 // FuzzParallelCodecEquivalence fuzzes record content through every codec
-// and holds the pool to its references both ways: pooled encode emits the
-// serial render's byte stream, and pooled decode returns the tree codec's
-// instances.
+// and holds the streaming codec to its references both ways: the writer
+// emits the serial render's byte stream, and the decoder returns the tree
+// codec's instances.
 func FuzzParallelCodecEquivalence(f *testing.F) {
 	f.Add("f1", "tone&", "l<>1", uint8(3))
 	f.Add("", "", "", uint8(0))
@@ -288,14 +291,14 @@ func FuzzParallelCodecEquivalence(f *testing.F) {
 			codec, _ := ParseCodec(name)
 			wire := encodeChunks(t, sch, frag, chunks, codec)
 			if !bytes.Equal(wire, referenceRender(t, sch, frag, chunks, codec)) {
-				t.Fatalf("%s: pooled bytes diverge from the serial render", name)
+				t.Fatalf("%s: writer bytes diverge from the serial render", name)
 			}
 			// Fuzzed strings may contain characters XML cannot carry; the
-			// tree codec and the pool must then fail alike.
+			// tree codec and the streaming decoder must then fail alike.
 			wantDec, terr := treeDecode(wire, sch, lookup)
 			gotDec, perr := ReadShipment(bytes.NewReader(wire), sch, lookup)
 			if (terr == nil) != (perr == nil) {
-				t.Fatalf("%s: tree err=%v, pooled err=%v", name, terr, perr)
+				t.Fatalf("%s: tree err=%v, streaming err=%v", name, terr, perr)
 			}
 			if terr != nil {
 				continue
@@ -308,7 +311,7 @@ func FuzzParallelCodecEquivalence(f *testing.F) {
 }
 
 // TestParallelWriterErrorSurfaces: a failed chunk (here: a writer error)
-// must surface on a later Emit or at Close, and the writer must not hang.
+// must surface on an Emit or at Close, and the writer must not hang.
 func TestParallelWriterErrorSurfaces(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	sw := NewShipmentWriterCodec(&failAfter{n: 10}, sch, Codec{Kind: CodecXML})
@@ -338,13 +341,12 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestParallelCodecUnderFaultyLink runs both parallel pools against a
-// seeded netsim.FaultyLink: the encode workers race the splicer into a
-// writer that stalls and cuts mid-stream, and the decode workers race the
-// committer over whatever bytes survived. Run under -race (scripts/check.sh
-// does), this is the wire-layer slice of the fault matrix; whatever the
-// link injects, a torn stream must never decode as complete and committed
-// chunks must stay a contiguous prefix of the sequence.
+// TestParallelCodecUnderFaultyLink runs the writer and the decoder against
+// a seeded netsim.FaultyLink: the writer renders into a link that stalls
+// and cuts mid-stream, and the decoder reads whatever bytes survived. This
+// is the wire-layer slice of the fault matrix; whatever the link injects, a
+// torn stream must never decode as complete and committed chunks must stay
+// a contiguous prefix of the sequence.
 func TestParallelCodecUnderFaultyLink(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	lookup := func(string) *core.Fragment { return f }
@@ -400,8 +402,7 @@ func TestParallelCodecUnderFaultyLink(t *testing.T) {
 	}
 }
 
-// TestParallelEmitAfterCloseRejected keeps the closed-writer contract
-// under the parallel path.
+// TestParallelEmitAfterCloseRejected keeps the closed-writer contract.
 func TestParallelEmitAfterCloseRejected(t *testing.T) {
 	sch, f, chunks := parallelFixture(t)
 	var buf bytes.Buffer

@@ -17,6 +17,7 @@ package wire
 // property tests in stream_test.go hold them to it.
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -24,8 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-
-	"bufio"
+	"time"
 
 	"xdx/internal/bufpool"
 	"xdx/internal/core"
@@ -59,9 +59,10 @@ var ErrChunkFormat = errors.New("wire: unknown shipment chunk format")
 // concurrent use; chunks sharing an edge key are merged back into one
 // instance by the decoders.
 //
-// Chunks are rendered by the shared codec pool (parallel.go) and spliced
-// onto the writer in emit order, so a chunk's render error may surface on
-// a later Emit or at Close rather than on the Emit that submitted it.
+// Each chunk is built and rendered on the goroutine that emits it, into a
+// pooled buffer, and written whole under the writer lock: a chunk's render
+// error surfaces on the Emit that rendered it, and a failed chunk writes
+// nothing.
 type ShipmentWriter struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer
@@ -70,16 +71,25 @@ type ShipmentWriter struct {
 	opened bool
 	closed bool
 
-	fifo     []*encJob // submitted chunks awaiting in-order splice
-	firstErr error     // first failed chunk; sticky
+	firstErr error // first failed chunk; sticky
 	renderMS *obs.Histogram
-	queue    *obs.Gauge
 	delta    bool
 
 	chunk   int   // SetChunk: records per self-numbered chunk, 0 = off
 	from    int64 // SetChunk: the first self-numbered chunk written
 	nextSeq int64 // seq of the next self-numbered chunk
 	payload int64 // RecordBytes of everything rendered so far
+}
+
+// SetObs points the writer at a metric registry (nil is fine): per-chunk
+// render latency becomes visible as wire.encode.render_ms. It must be
+// called before the first Emit.
+func (sw *ShipmentWriter) SetObs(met *obs.Registry) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if !sw.opened {
+		sw.renderMS = met.Histogram("wire.encode.render_ms")
+	}
 }
 
 // SetChunk makes the writer cut and number its own chunks: every Emit is
@@ -125,10 +135,9 @@ func NewShipmentWriterCodec(w io.Writer, sch *schema.Schema, codec Codec) *Shipm
 }
 
 // Emit writes one instance chunk carrying recs for the cross-edge key (cut
-// into several, when SetChunk asked for it). Records held as trees must
-// stay unmodified until Close, as the pool may render after Emit returns;
-// records built on demand are built by each chunk's render job, and by
-// the sizing of a chunk below SetChunk's from.
+// into several, when SetChunk asked for it). Records built on demand are
+// built for each chunk's render, and for the sizing of a chunk below
+// SetChunk's from; every chunk is on the writer when Emit returns.
 func (sw *ShipmentWriter) Emit(key string, frag *core.Fragment, recs core.Records) error {
 	return sw.emit(key, frag, recs, -1)
 }
@@ -194,11 +203,55 @@ func (sw *ShipmentWriter) openLocked() error {
 	return nil
 }
 
+// chunkScratch is one chunk's build scratch, pooled across writers: built
+// holds the chunk's records, and those built from rows live in arena.
+type chunkScratch struct {
+	arena xmltree.Arena
+	built []*xmltree.Node
+}
+
+var chunkScratches = sync.Pool{New: func() any { return new(chunkScratch) }}
+
+// maxPooledChunk bounds the records of a chunk whose scratch is pooled
+// again. The arena bounds itself: Reset keeps one slab of each kind.
+const maxPooledChunk = 4096
+
+// emitLocked builds the chunk of records [lo, hi) of recs into pooled
+// scratch, renders it into a pooled buffer and writes it whole; records
+// built from rows live for one chunk's render. After the first failed
+// chunk the stream is corrupt, so the error sticks. Caller holds sw.mu.
+func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs core.Records, lo, hi int, seq int64) error {
+	if err := sw.openLocked(); err != nil {
+		return err
+	}
+	start := time.Now()
+	s := chunkScratches.Get().(*chunkScratch)
+	buf := bufpool.Buffer()
+	defer bufpool.PutBuffer(buf)
+	var payload int64
+	var err error
+	s.built, err = recs.Build(s.built[:0], lo, hi, &s.arena)
+	if err == nil {
+		payload, err = renderChunk(buf, sw.sch, sw.codec, key, frag, s.built, seq)
+	}
+	clear(s.built)
+	s.arena.Reset()
+	if cap(s.built) <= maxPooledChunk { // a larger scratch is dropped
+		chunkScratches.Put(s)
+	}
+	sw.renderMS.ObserveSince(start)
+	if err == nil {
+		_, err = sw.bw.Write(buf.Bytes())
+		sw.payload += payload
+	}
+	sw.firstErr = err
+	return err
+}
+
 // EmitTombstones writes one sequenced tombstone chunk: the record IDs the
 // delta's source no longer has for this edge. Tombstones are always tagged
 // XML regardless of codec — they are tiny — and always sequenced, so the
-// session ledger checkpoints them like any chunk. The render pool is
-// drained first, so the tombstones follow every chunk emitted before them.
+// session ledger checkpoints them like any chunk.
 func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -210,9 +263,6 @@ func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) er
 		}
 	}
 	if err := sw.openLocked(); err != nil {
-		return err
-	}
-	if err := sw.spliceLocked(0); err != nil {
 		return err
 	}
 	sw.bw.WriteString(`<tombstones edge="`)
@@ -227,9 +277,9 @@ func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) er
 // renderChunk appends the complete wire bytes of one instance chunk to buf
 // and returns the chunk's payload size: the records' tree-codec size, which
 // is the body's own length in the xml codec and is counted as the bin
-// encoder walks the records. It is the single chunk serializer; the pool
-// workers point it at private pooled buffers, which the writer splices in
-// emit order. A bin chunk's records travel as their compact binary
+// encoder walks the records. It is the single chunk serializer; the
+// writer points it at a pooled buffer and writes the chunk whole. A bin
+// chunk's records travel as their compact binary
 // encoding (optionally DEFLATE-compressed), base64-wrapped as the
 // element's character data; each chunk is a self-contained compression
 // frame, so resumable sessions keep their chunk-granular recovery.
@@ -303,7 +353,7 @@ func (sw *ShipmentWriter) Close() error {
 		return nil
 	}
 	sw.closed = true
-	err := sw.spliceLocked(0)
+	err := sw.firstErr
 	switch {
 	case sw.opened:
 		sw.bw.WriteString("</shipment>")
@@ -528,7 +578,8 @@ type ShipmentDecoder struct {
 	// shipment. Set it to share one map across decoders (a session's
 	// delivery attempts); nil makes one on the first tombstone.
 	Tombs map[string][]string
-	// Met, when set, exposes the parse pool's queue depth and latencies.
+	// Met, when set, records each bin chunk's parse latency as
+	// wire.decode.parse_ms.
 	Met *obs.Registry
 
 	out     map[string]*core.Instance
@@ -539,10 +590,8 @@ type ShipmentDecoder struct {
 	skip    int
 	nextSeq int64 // seq the next chunk must carry; -1 until one carried a seq
 
-	jobs    []*parseJob   // submitted chunks awaiting in-order commit
 	arena   xmltree.Arena // tagged-XML chunks' nodes, text and staging slices; lives for the shipment
 	parseMS *obs.Histogram
-	queue   *obs.Gauge
 
 	queued []queuedCommit // committed chunks waiting on their tickets, from qhead
 	qhead  int
@@ -796,11 +845,8 @@ func (d *ShipmentDecoder) EndElement(string) error {
 			return err
 		}
 	case d.depth == 1:
-		// Every chunk the stream carried must be committed and applied
-		// before the shipment reads as complete.
-		if err := d.drainJobs(0); err != nil {
-			return err
-		}
+		// Every chunk the stream carried must be applied before the
+		// shipment reads as complete.
 		if err := d.settleAll(); err != nil {
 			return err
 		}
@@ -810,16 +856,14 @@ func (d *ShipmentDecoder) EndElement(string) error {
 	return nil
 }
 
-// commitChunk routes the staged chunk toward the shared instance map as
-// its element closes. Bin payloads parse first, in a pool worker, so those
-// chunks are all-or-nothing: a torn chunk's base64/flate/binary parse
-// fails before anything reaches the map. Commits
-// always happen in stream order on the scanner goroutine (drainJobs);
-// tagged-XML and tombstone chunks drain the pool before committing so
-// mixed-format shipments keep their order.
+// commitChunk commits the staged chunk as its element closes, on the
+// scanner goroutine, so chunks commit in stream order. A bin payload
+// parses first, so those chunks are all-or-nothing: a torn chunk's
+// base64/flate/binary parse fails before anything reaches the map.
 func (d *ShipmentDecoder) commitChunk() error {
 	c := &d.cc
 	*c = Chunk{Key: d.stageKey, Frag: d.stageFrag, Seq: d.stageSeq}
+	var err error
 	switch {
 	case d.stageTomb:
 		c.Format = FormatTombstones
@@ -830,20 +874,24 @@ func (d *ShipmentDecoder) commitChunk() error {
 			}
 		}
 	case d.raw != nil:
-		raw := d.raw
-		d.raw = nil // ownership moves to the parse job
-		c.Format, c.Enc = CodecBin, d.rawEnc
-		d.resetStage()
-		return d.submitParse(c, raw)
+		if d.parseMS == nil && d.Met != nil {
+			d.parseMS = d.Met.Histogram("wire.decode.parse_ms")
+		}
+		start := time.Now()
+		c.Format, c.Enc, c.Bytes = CodecBin, d.rawEnc, d.raw.Bytes()
+		c.Recs, err = parseRawChunk(c.Bytes, c.Enc, d.sch)
+		d.parseMS.ObserveSince(start)
 	default:
 		c.Format, c.Recs = CodecXML, d.stageRecs
 		d.stageCap = len(d.stageRecs)
 	}
-	d.resetStage()
-	if err := d.drainJobs(0); err != nil {
-		return err
+	if err == nil {
+		err = d.commit(c)
 	}
-	return d.commit(c)
+	// The staged raw text returns to bufpool only now: the Commit hook
+	// reads it as the chunk's payload.
+	d.resetStage()
+	return err
 }
 
 // parseRawChunk turns one staged bin payload into records.

@@ -159,6 +159,12 @@ func DecodeProgram(x *xmltree.Node, sch *schema.Schema) (*core.Graph, core.Assig
 	if err := g.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("wire: %w", err)
 	}
+	if !a.Complete() {
+		return nil, nil, fmt.Errorf("wire: program places an op neither at S nor at T")
+	}
+	if !a.Monotone(g) {
+		return nil, nil, fmt.Errorf("wire: program ships data from target to source")
+	}
 	return g, a, nil
 }
 

@@ -9,7 +9,7 @@
 # the committed baselines below. The first is the in-process end-to-end
 # path — row slabs, splitter and shredder arenas, pooled codec state; the
 # second is
-# the bin+flate shipment codec on the chunk codec pool, whose decoder takes
+# the bin+flate shipment codec, rendered and parsed in line, whose decoder takes
 # nodes, child slices and strings out of per-chunk slabs (Figure 9 never
 # decodes a shipment, so it cannot see that); the third is the tagged-XML
 # (xml) codec both ways, the only row on the path every negotiation falls
@@ -121,8 +121,12 @@ cd "$(dirname "$0")/.."
 # kids with room for all its repeated instances: FilteredSourceRender read
 # 1844-1848 allocs/op and 546312-557610 B/op over three runs at 090b9e1
 # and reads 241-249 and 513416-525328 over nine, at 3x on 2 CPUs.
+# "in-line-codec" is the commit that follows 19f0d7c and renders and
+# parses each chunk in line instead of on the process-wide codec pool:
+# ShipmentCodecParallel read 284-286 allocs/op over three runs at 19f0d7c
+# and reads 261-274 over nine, at 20x on 2 CPUs.
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
-SHIPMENT_CODEC_PARALLEL=296          # slab-scan, 20x
+SHIPMENT_CODEC_PARALLEL=274          # in-line-codec, 20x
 SHIPMENT_CODEC_STREAM=188            # window-lexer, 20x
 RELIABLE_EXCHANGE_DURABLE_BATCH=6440 # direct-delivery
 RELIABLE_EXCHANGE_DURABLE_BATCH_BYTES=1706549 # row-render
@@ -167,9 +171,9 @@ check() {
 }
 
 check Figure9_EndToEnd . "$FIGURE9_END_TO_END"
-# The codec pool fills its pooled job slots and chunk buffers over the
-# first iterations; at 3x that warm-up reads as 420-470 allocs/op, so this
-# row runs long enough to amortize it.
+# The pooled chunk scratch, buffers and flate state fill over the first
+# iterations; at 3x that warm-up reads as 280-314 allocs/op, so this row
+# runs long enough to amortize it.
 check ShipmentCodecParallel ./internal/wire/ "$SHIPMENT_CODEC_PARALLEL" 20x
 check ShipmentCodecStream ./internal/wire/ "$SHIPMENT_CODEC_STREAM" 20x
 check ReliableExchangeDurable/batch ./internal/registry/ "$RELIABLE_EXCHANGE_DURABLE_BATCH" 3x "$RELIABLE_EXCHANGE_DURABLE_BATCH_BYTES"

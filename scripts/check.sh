@@ -1,8 +1,8 @@
 #!/bin/sh
 # Merge gate: vet, build, and the full test suite under the race detector.
-# The chunk codec pools, the WAL's group-commit batcher and the exchange
-# scheduler all share state across goroutines, so race coverage is
-# mandatory, not optional. Run via `make check` or directly from CI.
+# The WAL's group-commit batcher, the exchange scheduler and a session's
+# concurrent delivery attempts all share state across goroutines, so race
+# coverage is mandatory, not optional. Run via `make check` or directly from CI.
 set -eux
 
 cd "$(dirname "$0")/.."
