@@ -252,7 +252,7 @@ func BenchmarkTable5_OptimizerExhaustive(b *testing.B) {
 	m, model := table5Mapping(b, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimal(m, model, core.GenOptions{}); err != nil {
+		if _, _, err := core.Optimal(m, model); err != nil {
 			b.Fatal(err)
 		}
 	}

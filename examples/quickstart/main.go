@@ -60,7 +60,7 @@ func main() {
 		card[e], bytes[e] = 10, 20
 	}
 	model := xdx.NewModel(xdx.NewStatsProvider(card, bytes, 1, true))
-	result, err := xdx.Optimal(mapping, model, xdx.GenOptions{})
+	result, _, err := xdx.Optimal(mapping, model)
 	check(err)
 
 	fmt.Println("Optimized data-transfer program (Figure 5 of the paper):")

@@ -226,7 +226,7 @@ func TestExecutorsPlaceChildrenInSchemaOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			progs, err := GeneratePrograms(m, GenOptions{MaxPrograms: 4})
+			progs, err := generate(m, maxTreesPerTarget, 4)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}

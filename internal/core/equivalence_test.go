@@ -25,7 +25,7 @@ func TestEnumeratedProgramsAreEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		progs, err := GeneratePrograms(m, GenOptions{MaxPrograms: 8})
+		progs, err := generate(m, maxTreesPerTarget, 8)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -92,7 +92,7 @@ func TestSlicedExecutionMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		progs, err := GeneratePrograms(m, GenOptions{MaxPrograms: 4})
+		progs, err := generate(m, maxTreesPerTarget, 4)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -310,7 +310,7 @@ func mustSources(t *testing.T, fr *Fragmentation) map[string]*Instance {
 func TestOptimalIsLowerBound(t *testing.T) {
 	sch := customerSchema()
 	m, _ := NewMapping(sFragmentation(t, sch), tFragmentation(t, sch))
-	progs, err := GeneratePrograms(m, GenOptions{MaxPrograms: 4})
+	progs, err := generate(m, maxTreesPerTarget, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,40 +6,17 @@ import (
 	"strings"
 )
 
-// GenOptions bounds program enumeration (§4.2 notes exhaustive generation
-// is prohibitive for large schemas; these caps keep it usable while leaving
-// the enumeration exhaustive for the paper-scale inputs).
-type GenOptions struct {
-	// MaxTreesPerTarget caps the number of distinct combine orderings
-	// enumerated per target fragment. 0 means DefaultMaxTreesPerTarget.
-	MaxTreesPerTarget int
-	// MaxPrograms caps the number of full programs produced from the
-	// cartesian product across targets. 0 means DefaultMaxPrograms.
-	MaxPrograms int
-}
-
-// Enumeration defaults.
+// Enumeration caps: §4.2 notes exhaustive generation is prohibitive for
+// large schemas; these keep it usable while leaving the enumeration
+// exhaustive for the paper-scale inputs.
 const (
-	DefaultMaxTreesPerTarget = 2000
-	DefaultMaxPrograms       = 5000
+	maxTreesPerTarget = 2000 // combine orderings per target fragment
+	maxPrograms       = 5000 // programs from the product across targets
 )
 
-func (o GenOptions) treesCap() int {
-	if o.MaxTreesPerTarget <= 0 {
-		return DefaultMaxTreesPerTarget
-	}
-	return o.MaxTreesPerTarget
-}
-
-func (o GenOptions) programsCap() int {
-	if o.MaxPrograms <= 0 {
-		return DefaultMaxPrograms
-	}
-	return o.MaxPrograms
-}
-
 // skeleton is the intermediate graph G1 of §4.2 in symbolic form: scans,
-// splits and per-target contribution lists, before combine ordering.
+// splits and the fragments each target is built from, before combine
+// ordering.
 type skeleton struct {
 	m *Mapping
 	// sources lists the source fragments in order.
@@ -47,14 +24,9 @@ type skeleton struct {
 	// pieces[s.Name] are the split outputs of source fragment s (nil when s
 	// is consumed whole).
 	pieces map[string][]*Fragment
-	// contribs[t.Name] are the fragments contributed to target t, each
-	// tagged with the source fragment producing it.
-	contribs map[string][]contribution
-}
-
-type contribution struct {
-	source *Fragment // the scanned source fragment
-	frag   *Fragment // the contributed piece (== source when unsplit)
+	// contribs[t.Name] are the fragments contributed to target t: source
+	// fragments consumed whole and split pieces.
+	contribs map[string][]*Fragment
 }
 
 // buildSkeleton computes G0 plus the Split augmentation step of §4.2.
@@ -62,7 +34,7 @@ func buildSkeleton(m *Mapping) (*skeleton, error) {
 	sk := &skeleton{
 		m:        m,
 		pieces:   make(map[string][]*Fragment),
-		contribs: make(map[string][]contribution),
+		contribs: make(map[string][]*Fragment),
 	}
 	targetOf := func(f *Fragment) *Fragment {
 		// All elements of a piece lie in one target fragment by
@@ -76,12 +48,12 @@ func buildSkeleton(m *Mapping) (*skeleton, error) {
 		}
 		if len(ps) == 1 && ps[0] == s {
 			t := targetOf(s)
-			sk.contribs[t.Name] = append(sk.contribs[t.Name], contribution{source: s, frag: s})
+			sk.contribs[t.Name] = append(sk.contribs[t.Name], s)
 		} else {
 			sk.pieces[s.Name] = ps
 			for _, p := range ps {
 				t := targetOf(p)
-				sk.contribs[t.Name] = append(sk.contribs[t.Name], contribution{source: s, frag: p})
+				sk.contribs[t.Name] = append(sk.contribs[t.Name], p)
 			}
 		}
 		sk.sources = append(sk.sources, s)
@@ -89,11 +61,11 @@ func buildSkeleton(m *Mapping) (*skeleton, error) {
 	return sk, nil
 }
 
-// mergeTree is a binary combine ordering over a target's contributions.
-// A leaf holds a contribution index; an internal node is
+// mergeTree is a binary combine ordering over a target's contributed
+// fragments. A leaf holds an index into them; an internal node is
 // Combine(left, right) with right inlined into left.
 type mergeTree struct {
-	leaf        int // contribution index, -1 for internal nodes
+	leaf        int // contributed fragment index, -1 for internal nodes
 	left, right *mergeTree
 	frag        *Fragment // fragment produced by this subtree
 }
@@ -122,18 +94,14 @@ func (sk *skeleton) combinable(a, b *Fragment) bool {
 	return true
 }
 
-// enumerateTrees returns up to cap distinct combine orderings for the
-// contributions of one target. The first returned tree is the canonical
-// greedy-left ordering (combine in schema pre-order of piece roots), which
-// matches the shapes drawn in Figure 8.
-func (sk *skeleton) enumerateTrees(contribs []contribution, cap int) ([]*mergeTree, error) {
-	n := len(contribs)
-	leaves := make([]*mergeTree, n)
+// enumerateTrees returns up to cap distinct combine orderings for the two
+// or more fragments contributed to one target. The first returned tree is
+// the canonical greedy-left ordering (combine in schema pre-order of piece
+// roots), which matches the shapes drawn in Figure 8.
+func (sk *skeleton) enumerateTrees(contribs []*Fragment, cap int) ([]*mergeTree, error) {
+	leaves := make([]*mergeTree, len(contribs))
 	for i, c := range contribs {
-		leaves[i] = &mergeTree{leaf: i, frag: c.frag}
-	}
-	if n == 1 {
-		return leaves, nil
+		leaves[i] = &mergeTree{leaf: i, frag: c}
 	}
 	var out []*mergeTree
 	seenResult := make(map[string]bool)
@@ -198,22 +166,19 @@ func (sk *skeleton) enumerateTrees(contribs []contribution, cap int) ([]*mergeTr
 			}
 		}
 		if !merged {
-			return fmt.Errorf("core: contributions cannot be combined into one fragment (disconnected pieces)")
+			return fmt.Errorf("core: contributed fragments cannot be combined into one fragment (disconnected pieces)")
 		}
 		return nil
 	}
 	if err := rec(leaves); err != nil {
 		return nil, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: no combine ordering found")
-	}
 	return out, nil
 }
 
 // assemble builds a concrete program Graph from the skeleton and one chosen
 // combine ordering per target (keyed by target fragment name; targets with
-// a single contribution need no entry).
+// a single contributed fragment need no entry).
 func (sk *skeleton) assemble(trees map[string]*mergeTree) (*Graph, error) {
 	g := NewGraph()
 	scanOps := make(map[string]*Op, len(sk.sources))
@@ -237,7 +202,7 @@ func (sk *skeleton) assemble(trees map[string]*mergeTree) (*Graph, error) {
 		contribs := sk.contribs[t.Name]
 		var src producerRef
 		if len(contribs) == 1 {
-			src = producer[contribs[0].frag.Name]
+			src = producer[contribs[0].Name]
 		} else {
 			tree := trees[t.Name]
 			if tree == nil {
@@ -266,11 +231,11 @@ type producerRef struct {
 	frag *Fragment
 }
 
-func (sk *skeleton) emitTree(g *Graph, t *mergeTree, contribs []contribution, producer map[string]producerRef) (*Op, *Fragment, error) {
+func (sk *skeleton) emitTree(g *Graph, t *mergeTree, contribs []*Fragment, producer map[string]producerRef) (*Op, *Fragment, error) {
 	if t.leaf >= 0 {
-		ref, ok := producer[contribs[t.leaf].frag.Name]
+		ref, ok := producer[contribs[t.leaf].Name]
 		if !ok {
-			return nil, nil, fmt.Errorf("core: no producer for piece %q", contribs[t.leaf].frag.Name)
+			return nil, nil, fmt.Errorf("core: no producer for piece %q", contribs[t.leaf].Name)
 		}
 		return ref.op, ref.frag, nil
 	}
@@ -288,47 +253,67 @@ func (sk *skeleton) emitTree(g *Graph, t *mergeTree, contribs []contribution, pr
 	return c, t.frag, nil
 }
 
+// freeOps is the number of operations every program of the skeleton leaves
+// to placement: one Split per split source fragment and one Combine fewer
+// than each target's contributed fragments.
+func (sk *skeleton) freeOps() int {
+	n := len(sk.pieces)
+	for _, cs := range sk.contribs {
+		n += len(cs) - 1
+	}
+	return n
+}
+
 // GeneratePrograms enumerates data-transfer programs for the mapping, one
-// per combination of combine orderings (§4.2), bounded by opts. The first
-// program uses the canonical ordering for every target.
-func GeneratePrograms(m *Mapping, opts GenOptions) ([]*Graph, error) {
+// per combination of combine orderings (§4.2), up to the enumeration caps.
+// The first program uses the canonical ordering for every target.
+func GeneratePrograms(m *Mapping) ([]*Graph, error) {
+	return generate(m, maxTreesPerTarget, maxPrograms)
+}
+
+// generate enumerates up to progs programs with up to trees combine
+// orderings per target.
+func generate(m *Mapping, trees, progs int) ([]*Graph, error) {
 	sk, err := buildSkeleton(m)
 	if err != nil {
 		return nil, err
 	}
+	return sk.enumerate(trees, progs)
+}
+
+// enumerate is generate over a built skeleton: the product of each
+// target's combine orderings, in order, cut at progs programs.
+func (sk *skeleton) enumerate(trees, progs int) ([]*Graph, error) {
 	type targetTrees struct {
 		name  string
 		trees []*mergeTree
 	}
 	var multi []targetTrees
-	for _, t := range m.Target.Fragments {
+	for _, t := range sk.m.Target.Fragments {
 		contribs := sk.contribs[t.Name]
 		if len(contribs) <= 1 {
 			continue
 		}
-		trees, err := sk.enumerateTrees(contribs, opts.treesCap())
+		ts, err := sk.enumerateTrees(contribs, trees)
 		if err != nil {
 			return nil, fmt.Errorf("core: target %q: %w", t.Name, err)
 		}
-		multi = append(multi, targetTrees{name: t.Name, trees: trees})
+		multi = append(multi, targetTrees{name: t.Name, trees: ts})
 	}
 	choice := make(map[string]*mergeTree, len(multi))
-	var programs []*Graph
+	var out []*Graph
 	var product func(i int) error
 	product = func(i int) error {
-		if len(programs) >= opts.programsCap() {
-			return nil
-		}
 		if i == len(multi) {
 			g, err := sk.assemble(choice)
 			if err != nil {
 				return err
 			}
-			programs = append(programs, g)
+			out = append(out, g)
 			return nil
 		}
 		for _, tr := range multi[i].trees {
-			if len(programs) >= opts.programsCap() {
+			if len(out) >= progs {
 				return nil
 			}
 			choice[multi[i].name] = tr
@@ -341,29 +326,18 @@ func GeneratePrograms(m *Mapping, opts GenOptions) ([]*Graph, error) {
 	if err := product(0); err != nil {
 		return nil, err
 	}
-	return programs, nil
+	return out, nil
 }
 
-// CanonicalProgram builds the single program using the first (pre-order,
-// left-deep) combine ordering for every target — the shape of Figure 8.
+// CanonicalProgram builds the first program GeneratePrograms returns: the
+// first (pre-order, left-deep) combine ordering for every target — the
+// shape of Figure 8.
 func CanonicalProgram(m *Mapping) (*Graph, error) {
-	sk, err := buildSkeleton(m)
+	progs, err := generate(m, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	choice := make(map[string]*mergeTree)
-	for _, t := range m.Target.Fragments {
-		contribs := sk.contribs[t.Name]
-		if len(contribs) <= 1 {
-			continue
-		}
-		trees, err := sk.enumerateTrees(contribs, 1)
-		if err != nil {
-			return nil, fmt.Errorf("core: target %q: %w", t.Name, err)
-		}
-		choice[t.Name] = trees[0]
-	}
-	return sk.assemble(choice)
+	return progs[0], nil
 }
 
 // GreedyProgram builds one program by adding combines cheapest-first
@@ -381,7 +355,7 @@ func GreedyProgram(m *Mapping, provider *StatsProvider) (*Graph, error) {
 		}
 		cur := make([]*mergeTree, len(contribs))
 		for i, c := range contribs {
-			cur[i] = &mergeTree{leaf: i, frag: c.frag}
+			cur[i] = &mergeTree{leaf: i, frag: c}
 		}
 		for len(cur) > 1 {
 			bestI, bestJ := -1, -1
@@ -398,7 +372,7 @@ func GreedyProgram(m *Mapping, provider *StatsProvider) (*Graph, error) {
 				}
 			}
 			if bestI < 0 {
-				return nil, fmt.Errorf("core: greedy: target %q contributions cannot be combined", t.Name)
+				return nil, fmt.Errorf("core: greedy: target %q contributed fragments cannot be combined", t.Name)
 			}
 			mergedFrag, err := mergeFragments(m.Source.Schema, cur[bestI].frag, cur[bestJ].frag)
 			if err != nil {

@@ -144,12 +144,19 @@ func TestLoadingProgramFigure4(t *testing.T) {
 func TestGenerateProgramsEnumeratesOrderings(t *testing.T) {
 	sch := customerSchema()
 	m, _ := NewMapping(sFragmentation(t, sch), Trivial(sch))
-	progs, err := GeneratePrograms(m, GenOptions{})
+	progs, err := GeneratePrograms(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(progs) < 2 {
 		t.Fatalf("expected multiple combine orderings, got %d", len(progs))
+	}
+	canonical, err := CanonicalProgram(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonical.String() != progs[0].String() {
+		t.Errorf("CanonicalProgram\n%s\nis not the first program\n%s", canonical, progs[0])
 	}
 	// All programs must validate and have identical op mixes.
 	want := progs[0].OpStats()
@@ -174,7 +181,7 @@ func TestGenerateProgramsEnumeratesOrderings(t *testing.T) {
 func TestGenerateProgramsCap(t *testing.T) {
 	sch := customerSchema()
 	m, _ := NewMapping(sFragmentation(t, sch), Trivial(sch))
-	progs, err := GeneratePrograms(m, GenOptions{MaxPrograms: 3})
+	progs, err := generate(m, maxTreesPerTarget, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +215,7 @@ func TestExecutePrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs, err := GeneratePrograms(m, GenOptions{MaxPrograms: 10})
+	progs, err := generate(m, maxTreesPerTarget, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +310,8 @@ func TestExecuteRandomMappingsProperty(t *testing.T) {
 // The planner never emits an output two edges read: over seeded random
 // mappings on Balanced(3,3) and Auction, every program GeneratePrograms,
 // CanonicalProgram and GreedyProgram build passes Validate, which refuses
-// fan-out. It is what lets every op consume its inputs in place.
+// fan-out. It is what lets every op consume its inputs in place. The
+// canonical program is the first one enumerated.
 func TestPlannedProgramsReadEachOutputOnce(t *testing.T) {
 	programs := 0
 	for _, sch := range []*schema.Schema{schema.Balanced(3, 3), schema.Auction()} {
@@ -314,13 +322,18 @@ func TestPlannedProgramsReadEachOutputOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			progs, err := GeneratePrograms(m, GenOptions{MaxTreesPerTarget: 32, MaxPrograms: 32})
+			progs, err := generate(m, 32, 32)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			canonical, err := CanonicalProgram(m)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
+			}
+			// The caps only cut the enumeration short, so progs[0] is the
+			// first program GeneratePrograms returns.
+			if canonical.String() != progs[0].String() {
+				t.Fatalf("seed %d: CanonicalProgram\n%s\nis not the first enumerated program\n%s", seed, canonical, progs[0])
 			}
 			greedy, err := GreedyProgram(m, testProvider(sch, 1, 1))
 			if err != nil {

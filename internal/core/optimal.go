@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -18,19 +19,23 @@ type PlacementResult struct {
 // paper saw the same wall for schemas above 40 nodes, §4.3).
 const maxFreeOps = 26
 
+// ErrSearchTooLarge refuses an exhaustive search over more free operations
+// than maxFreeOps: the caller asked for a search that cannot run, and
+// asking again will not help. GreedyPlacement and Greedy have no limit.
+var ErrSearchTooLarge = errors.New("core: exhaustive search too large")
+
+// tooLarge refuses an exhaustive search over free operations.
+func tooLarge(free int) error {
+	return fmt.Errorf("%w: %d free operations exceed the limit %d; use the greedy optimizer", ErrSearchTooLarge, free, maxFreeOps)
+}
+
 // MinMaxPlacement enumerates every monotone placement of g (Scans pinned to
 // the source, Writes to the target, no target→source edge) and returns the
 // least and most expensive complete placements. The worst case is what
 // Table 5 compares optimal and greedy against.
 func MinMaxPlacement(g *Graph, model *Model) (best, worst PlacementResult, err error) {
-	free := 0
-	for _, op := range g.Ops {
-		if op.Kind != OpScan && op.Kind != OpWrite {
-			free++
-		}
-	}
-	if free > maxFreeOps {
-		return best, worst, fmt.Errorf("core: %d free operations exceed exhaustive placement limit %d; use GreedyPlacement", free, maxFreeOps)
+	if st := g.OpStats(); st.Combines+st.Splits > maxFreeOps {
+		return best, worst, tooLarge(st.Combines + st.Splits)
 	}
 	a := NewAssignment(g)
 	best.Cost = math.Inf(1)
@@ -170,52 +175,37 @@ type OptimalResult struct {
 	Considered int
 }
 
-// Optimal runs the full §4.2 search: enumerate combine orderings (bounded
-// by opts), run exhaustive placement on each, and return the cheapest
-// program overall.
-func Optimal(m *Mapping, model *Model, opts GenOptions) (OptimalResult, error) {
-	programs, err := GeneratePrograms(m, opts)
+// Optimal runs the full §4.2 search: enumerate combine orderings, run
+// exhaustive placement on each, and return the cheapest and the most
+// expensive program overall — the two ends of the space Table 5 compares
+// greedy against. A mapping whose programs leave more than maxFreeOps
+// operations to place is refused with ErrSearchTooLarge before anything is
+// enumerated.
+func Optimal(m *Mapping, model *Model) (best, worst OptimalResult, err error) {
+	sk, err := buildSkeleton(m)
 	if err != nil {
-		return OptimalResult{}, err
+		return best, worst, err
 	}
-	res := OptimalResult{PlacementResult: PlacementResult{Cost: math.Inf(1)}, Considered: len(programs)}
-	for _, g := range programs {
-		best, _, err := MinMaxPlacement(g, model)
-		if err != nil {
-			return OptimalResult{}, err
-		}
-		if best.Cost < res.Cost {
-			res.Program = g
-			res.PlacementResult = best
-		}
+	if free := sk.freeOps(); free > maxFreeOps {
+		return best, worst, tooLarge(free)
 	}
-	if res.Program == nil {
-		return res, fmt.Errorf("core: no program generated")
-	}
-	return res, nil
-}
-
-// WorstCase runs the same search as Optimal but returns the most expensive
-// program/placement in the space, used to size the optimization window in
-// Table 5.
-func WorstCase(m *Mapping, model *Model, opts GenOptions) (OptimalResult, error) {
-	programs, err := GeneratePrograms(m, opts)
+	programs, err := sk.enumerate(maxTreesPerTarget, maxPrograms)
 	if err != nil {
-		return OptimalResult{}, err
+		return best, worst, err
 	}
-	res := OptimalResult{PlacementResult: PlacementResult{Cost: math.Inf(-1)}, Considered: len(programs)}
+	best = OptimalResult{PlacementResult: PlacementResult{Cost: math.Inf(1)}, Considered: len(programs)}
+	worst = OptimalResult{PlacementResult: PlacementResult{Cost: math.Inf(-1)}, Considered: len(programs)}
 	for _, g := range programs {
-		_, worst, err := MinMaxPlacement(g, model)
+		lo, hi, err := MinMaxPlacement(g, model)
 		if err != nil {
-			return OptimalResult{}, err
+			return OptimalResult{}, OptimalResult{}, err
 		}
-		if worst.Cost > res.Cost {
-			res.Program = g
-			res.PlacementResult = worst
+		if lo.Cost < best.Cost {
+			best.Program, best.PlacementResult = g, lo
+		}
+		if hi.Cost > worst.Cost {
+			worst.Program, worst.PlacementResult = g, hi
 		}
 	}
-	if res.Program == nil {
-		return res, fmt.Errorf("core: no program generated")
-	}
-	return res, nil
+	return best, worst, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -233,7 +234,7 @@ func TestGreedyPlacementNearOptimal(t *testing.T) {
 	for _, speeds := range [][2]float64{{5, 1}, {2, 1}, {1, 1}, {1, 2}, {1, 5}} {
 		m, _ := NewMapping(sFragmentation(t, sch), tFragmentation(t, sch))
 		model := modelFor(sch, speeds[0], speeds[1])
-		opt, err := Optimal(m, model, GenOptions{})
+		opt, _, err := Optimal(m, model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,20 +251,82 @@ func TestGreedyPlacementNearOptimal(t *testing.T) {
 	}
 }
 
-func TestWorstCaseAtLeastOptimal(t *testing.T) {
+// Optimal's one pass over the program space finds what placing each
+// program on its own finds: its best is the first cheapest program and its
+// worst the first costliest, over the customer mapping and seeded random
+// mappings.
+func TestOptimalMatchesPerProgramMinMax(t *testing.T) {
+	type setup struct {
+		m     *Mapping
+		model *Model
+	}
 	sch := customerSchema()
-	m, _ := NewMapping(sFragmentation(t, sch), tFragmentation(t, sch))
-	model := modelFor(sch, 5, 1)
-	opt, err := Optimal(m, model, GenOptions{})
+	cm, _ := NewMapping(sFragmentation(t, sch), tFragmentation(t, sch))
+	setups := []setup{{cm, modelFor(sch, 5, 1)}}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sch := schema.Balanced(2, 3)
+		m, err := NewMapping(Random(sch, rng, rng.Intn(8)+1), Random(sch, rng, rng.Intn(8)+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		setups = append(setups, setup{m, modelFor(sch, float64(rng.Intn(5)+1), float64(rng.Intn(5)+1))})
+	}
+	for i, s := range setups {
+		best, worst, err := Optimal(s.m, s.model)
+		if err != nil {
+			t.Fatalf("setup %d: %v", i, err)
+		}
+		progs, err := GeneratePrograms(s.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lo, hi OptimalResult
+		for j, g := range progs {
+			b, w, err := MinMaxPlacement(g, s.model)
+			if err != nil {
+				t.Fatalf("setup %d program %d: %v", i, j, err)
+			}
+			if j == 0 || b.Cost < lo.Cost {
+				lo = OptimalResult{Program: g, PlacementResult: b}
+			}
+			if j == 0 || w.Cost > hi.Cost {
+				hi = OptimalResult{Program: g, PlacementResult: w}
+			}
+		}
+		if best.Considered != len(progs) || worst.Considered != len(progs) {
+			t.Errorf("setup %d: considered %d/%d programs, want %d", i, best.Considered, worst.Considered, len(progs))
+		}
+		if best.Cost != lo.Cost || best.Program.String() != lo.Program.String() {
+			t.Errorf("setup %d: best %v, per-program minimum %v", i, best.Cost, lo.Cost)
+		}
+		if worst.Cost != hi.Cost || worst.Program.String() != hi.Program.String() {
+			t.Errorf("setup %d: worst %v, per-program maximum %v", i, worst.Cost, hi.Cost)
+		}
+		if worst.Cost < best.Cost {
+			t.Errorf("setup %d: worst %v < optimal %v", i, worst.Cost, best.Cost)
+		}
+	}
+}
+
+// A search with more free operations than the exhaustive limit is refused
+// as ErrSearchTooLarge before anything is enumerated: 40 Scans combined
+// into one target leave 39 Combines to place.
+func TestOptimalRefusesTooLargeSearch(t *testing.T) {
+	sch := schema.Balanced(3, 3)
+	m, err := NewMapping(MostFragmented(sch), Trivial(sch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst, err := WorstCase(m, model, GenOptions{})
+	if _, _, err := Optimal(m, modelFor(sch, 1, 1)); !errors.Is(err, ErrSearchTooLarge) {
+		t.Fatalf("Optimal over 39 free operations: err = %v, want ErrSearchTooLarge", err)
+	}
+	g, err := CanonicalProgram(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if worst.Cost < opt.Cost {
-		t.Errorf("worst %v < optimal %v", worst.Cost, opt.Cost)
+	if _, _, err := MinMaxPlacement(g, modelFor(sch, 1, 1)); !errors.Is(err, ErrSearchTooLarge) {
+		t.Fatalf("MinMaxPlacement over 39 free operations: err = %v, want ErrSearchTooLarge", err)
 	}
 }
 

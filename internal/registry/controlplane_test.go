@@ -24,6 +24,7 @@ import (
 
 	"xdx/internal/core"
 	"xdx/internal/endpoint"
+	"xdx/internal/ldapstore"
 	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/relstore"
@@ -271,6 +272,50 @@ func TestPlanRefusesUnknownAlgorithm(t *testing.T) {
 	}
 	if hits, misses, _, size := ag.PlanCacheStats(); pe != pg || hits != 1 || misses != 1 || size != 1 {
 		t.Errorf("the empty algorithm and greedy: same plan %v, %d hits / %d misses / size %d, want one entry", pe == pg, hits, misses, size)
+	}
+}
+
+// An optimal search too large to run is the caller's mistake: over a
+// Balanced(3,3) MF relational source and a one-fragment LDAP target, every
+// program leaves 39 Combines to place. SOAP Plan and Exchange with
+// algorithm="optimal" each answer soap:Client after one derivation, and
+// the Exchange's planning retrier does not repeat it.
+func TestOptimalTooLargeIsClientFault(t *testing.T) {
+	sch := schema.Balanced(3, 3)
+	sFr, tFr := core.MostFragmented(sch), core.Trivial(sch)
+	srcStore, err := relstore.NewStore(sFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcSrv := httptest.NewServer(endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil).Handler())
+	defer srcSrv.Close()
+	tgtSrv := httptest.NewServer(endpoint.New("T", &endpoint.LDAPBackend{Store: ldapstore.NewStore(tFr), Speed: 1}, nil).Handler())
+	defer tgtSrv.Close()
+	ag := New()
+	if err := ag.Register("svc", RoleSource, wsdlFor(t, sch, sFr, srcSrv.URL), srcSrv.URL); err != nil {
+		t.Fatal(err)
+	}
+	if err := ag.Register("svc", RoleTarget, wsdlFor(t, sch, tFr, tgtSrv.URL), tgtSrv.URL); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(ag, netsim.Loopback())
+	svc.Reliability = retrying(4, 4)
+	agSrv := httptest.NewServer(svc.Handler())
+	defer agSrv.Close()
+
+	client := &soap.Client{URL: agSrv.URL}
+	for i, action := range []string{"Plan", "Exchange"} {
+		req := &xmltree.Node{Name: action}
+		req.SetAttr("service", "svc")
+		req.SetAttr("algorithm", string(AlgOptimal))
+		_, err := client.Call(action, req)
+		var f *soap.Fault
+		if !errors.As(err, &f) || f.Code != "soap:Client" {
+			t.Errorf("%s algorithm=optimal: err = %v, want a soap:Client fault", action, err)
+		}
+		if _, misses, _, _ := ag.PlanCacheStats(); misses != int64(i+1) {
+			t.Errorf("after %s: %d plan-cache misses, want %d (one derivation per call)", action, misses, i+1)
+		}
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -23,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -352,9 +355,76 @@ func walCounter(metricsURL, name string) int64 {
 	return v
 }
 
+// holdProxy forwards every call to a child endpoint and holds the first
+// ExecuteTarget body once ready reports that the child journaled enough to
+// be killed: from then on no byte of that body reaches the child. It also
+// never forwards the shipment's close tag before ready, so the delivery
+// cannot finish first, however fast it runs. held closes once the body is
+// held; after free the held body fails, and the proxy severs the caller's
+// connection without a status line, as the child's death would.
+type holdProxy struct {
+	rp       *httputil.ReverseProxy
+	ready    func() bool
+	held     chan struct{}
+	release  chan struct{}
+	freeOnce sync.Once
+	used     atomic.Bool // the first ExecuteTarget came
+}
+
+func newHoldProxy(childAddr string, ready func() bool) *holdProxy {
+	u := &url.URL{Scheme: "http", Host: childAddr}
+	p := &holdProxy{rp: httputil.NewSingleHostReverseProxy(u), ready: ready, held: make(chan struct{}), release: make(chan struct{})}
+	p.rp.ErrorHandler = func(http.ResponseWriter, *http.Request, error) { panic(http.ErrAbortHandler) }
+	return p
+}
+
+// free fails the held body. The proxy's transport waits for the body
+// before it gives up on a dead child, so the held call ends only here.
+func (p *holdProxy) free() { p.freeOnce.Do(func() { close(p.release) }) }
+
+func (p *holdProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("SOAPAction") == `"ExecuteTarget"` && p.used.CompareAndSwap(false, true) {
+		r.Body = &holdBody{r: r.Body, p: p}
+	}
+	p.rp.ServeHTTP(w, r)
+}
+
+// holdBody is the held request's body as the proxy forwards it.
+type holdBody struct {
+	r    io.ReadCloser
+	p    *holdProxy
+	tail []byte // the last bytes read, to find a close tag split across reads
+}
+
+var shipmentEnd = []byte("</shipment>")
+
+func (b *holdBody) Read(buf []byte) (int, error) {
+	n, err := b.r.Read(buf)
+	b.tail = append(b.tail, buf[:n]...)
+	if !bytes.Contains(b.tail, shipmentEnd) && !b.p.ready() {
+		if keep := len(shipmentEnd) - 1; len(b.tail) > keep {
+			b.tail = append(b.tail[:0], b.tail[len(b.tail)-keep:]...)
+		}
+		return n, err
+	}
+	for !b.p.ready() {
+		select {
+		case <-b.p.release:
+			return 0, errors.New("held body freed")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	close(b.p.held)
+	<-b.p.release
+	return 0, errors.New("held body freed")
+}
+
+func (b *holdBody) Close() error { return b.r.Close() }
+
 // TestKillRestartChildEndpoint is the real-process arm: a child
 // xdxendpoint serving the target is SIGKILLed mid-delivery (triggered by
-// its own wal.* metrics), restarted against the same -wal-dir, and
+// its own wal.* metrics while a proxy holds the rest of the delivery),
+// restarted against the same -wal-dir, and
 // the exchange completes with a resume, no duplicates, and contents
 // byte-identical to an uninterrupted in-process run. The shell twin of
 // this test is scripts/crash_smoke.sh.
@@ -430,6 +500,19 @@ func TestKillRestartChildEndpoint(t *testing.T) {
 		waitHTTP(t, "http://"+soapAddr+"/", 10*time.Second)
 		return cmd
 	}
+	// The agency and the source reach the child through a proxy that
+	// holds the delivery once the child journaled a few chunk commits and
+	// synced at least one group of them, so the kill lands mid-delivery by
+	// construction. Groups of four frames pace the delivery with a sync
+	// each.
+	proxy := newHoldProxy(soapAddr, func() bool {
+		return walCounter(metricsURL, "appends") >= 3 && walCounter(metricsURL, "fsyncs") >= 2
+	})
+	proxySrv := httptest.NewServer(proxy)
+	defer proxySrv.Close()
+	defer proxy.free()
+	proxyURL := proxySrv.URL + "/soap"
+
 	child := startChild()
 	defer func() {
 		if child.Process != nil {
@@ -443,7 +526,7 @@ func TestKillRestartChildEndpoint(t *testing.T) {
 	if err := ag.Register("Auction", RoleSource, wsdlFor(t, sch, sFr, srcSrv2.URL), srcSrv2.URL); err != nil {
 		t.Fatal(err)
 	}
-	if err := ag.Register("Auction", RoleTarget, wsdlFor(t, sch, tFr, tgtURL), tgtURL); err != nil {
+	if err := ag.Register("Auction", RoleTarget, wsdlFor(t, sch, tFr, proxyURL), proxyURL); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := ag.Plan("Auction", PlanOptions{Algorithm: AlgGreedy})
@@ -473,31 +556,18 @@ func TestKillRestartChildEndpoint(t *testing.T) {
 		done <- result{rep, err}
 	}()
 
-	// Kill once the child journaled a few chunk commits and synced at
-	// least one group of them — mid-delivery by construction (appends keep
-	// coming after the kill threshold). Groups of four frames pace the
-	// delivery with a sync each, which keeps the window wide.
-	killed := false
-	killDeadline := time.Now().Add(30 * time.Second)
-	for !killed {
-		select {
-		case res := <-done:
-			t.Fatalf("exchange finished before the kill (rep=%+v err=%v) — widen the kill window", res.rep, res.err)
-		default:
-		}
-		if time.Now().After(killDeadline) {
-			t.Fatal("child never journaled enough appends to trigger the kill")
-		}
-		if walCounter(metricsURL, "appends") >= 3 && walCounter(metricsURL, "fsyncs") >= 2 {
-			if err := child.Process.Kill(); err != nil {
-				t.Fatal(err)
-			}
-			child.Wait()
-			killed = true
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
+	select {
+	case <-proxy.held:
+	case res := <-done:
+		t.Fatalf("exchange finished before the kill (rep=%+v err=%v)", res.rep, res.err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("child never journaled enough appends to trigger the kill")
 	}
+	if err := child.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	child.Wait()
+	proxy.free()
 	child = startChild()
 
 	var res result

@@ -9,6 +9,7 @@ package registry
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -63,9 +64,6 @@ type Agency struct {
 	// discard derivations that raced a Register.
 	epoch atomic.Int64
 	plans planCache
-
-	log obs.Logger
-	met *obs.Registry
 }
 
 // New returns an empty agency.
@@ -75,11 +73,9 @@ func New() *Agency {
 	return a
 }
 
-// SetMetrics exports the agency's control-plane metrics (plan-cache hits,
-// misses, evictions, size) into m and makes m the sink for the agency's own
-// counters (autosave errors). Call before serving traffic.
+// SetMetrics exports the agency's plan-cache metrics (hits, misses,
+// evictions, size) into m. Call before serving traffic.
 func (a *Agency) SetMetrics(m *obs.Registry) {
-	a.met = m
 	a.plans.export(m)
 }
 
@@ -230,8 +226,9 @@ type Plan struct {
 // fragmentation-derived artifacts are reusable across queries). The cache
 // is invalidated whenever the service re-registers. Callers
 // must treat the returned Plan as read-only. An algorithm other than
-// greedy and optimal, or a codec this build lacks, is the caller's
-// mistake: a soap:Client fault.
+// greedy and optimal, a codec this build lacks, or an optimal search too
+// large to run (core.ErrSearchTooLarge) is the caller's mistake: a
+// soap:Client fault.
 func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
 	switch opts.Algorithm {
 	case "":
@@ -311,9 +308,12 @@ func (a *Agency) derivePlan(service string, src, tgt *Party, opts PlanOptions) (
 	start := time.Now()
 	var res core.OptimalResult
 	if opts.Algorithm == AlgOptimal {
-		res, err = core.Optimal(m, model, core.GenOptions{})
+		res, _, err = core.Optimal(m, model)
 	} else {
 		res, err = core.Greedy(m, model)
+	}
+	if errors.Is(err, core.ErrSearchTooLarge) {
+		return nil, clientFault("registry: " + err.Error())
 	}
 	if err != nil {
 		return nil, err

@@ -211,7 +211,8 @@ type GreedyEval struct {
 
 // EvaluateGreedy reproduces one Table 5 row: for the given speeds it
 // builds `runs` random DTD/fragmentation setups (varying the seed),
-// computes optimal, worst-case and greedy programs, and averages the cost
+// computes optimal, worst-case (one exhaustive search yields both) and
+// greedy programs, and averages the cost
 // ratios. Setups whose program space exceeds the exhaustive search's
 // limits are skipped (and not counted), mirroring the paper's restriction
 // of the exhaustive algorithm to small schemas.
@@ -229,14 +230,10 @@ func EvaluateGreedy(base Config, runs int) (GreedyEval, error) {
 			return ev, err
 		}
 		t0 := time.Now()
-		opt, err := core.Optimal(m, scn.Model, core.GenOptions{})
+		opt, worst, err := core.Optimal(m, scn.Model)
 		optTime := time.Since(t0)
 		if err != nil {
 			continue // program space too large for the exhaustive search
-		}
-		worst, err := core.WorstCase(m, scn.Model, core.GenOptions{})
-		if err != nil {
-			continue
 		}
 		t1 := time.Now()
 		gr, err := core.Greedy(m, scn.Model)

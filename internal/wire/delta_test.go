@@ -50,9 +50,6 @@ func TestDeltaShipmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.delta {
-		t.Fatal("decoder missed the delta flag")
-	}
 	if in := got["0:feat"]; in == nil || len(in.Records) != 1 {
 		t.Fatalf("delta records lost: %+v", got)
 	}
@@ -183,6 +180,7 @@ func TestDeltaTombstonesAdmission(t *testing.T) {
 	}
 }
 
+// An empty delta shipment still says it is one, and decodes to nothing.
 func TestDeltaEmptyShipmentKeepsFlag(t *testing.T) {
 	sch, f, _ := chunkFixture(t)
 	var buf bytes.Buffer
@@ -191,15 +189,15 @@ func TestDeltaEmptyShipmentKeepsFlag(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if got := buf.String(); got != `<shipment delta="1"/>` {
+		t.Fatalf("empty delta shipment = %s, want <shipment delta=\"1\"/>", got)
+	}
 	d := NewShipmentDecoder(sch, func(string) *core.Fragment { return f })
 	if err := xmltree.ScanAttrs(bytes.NewReader(buf.Bytes()), d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Result(); err != nil {
-		t.Fatal(err)
-	}
-	if !d.delta {
-		t.Fatalf("empty delta shipment lost its flag: %s", buf.String())
+	if got, err := d.Result(); err != nil || len(got) != 0 {
+		t.Fatalf("empty delta shipment decoded to %v, %v", got, err)
 	}
 }
 

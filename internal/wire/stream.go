@@ -117,9 +117,10 @@ func (sw *ShipmentWriter) PayloadBytes() int64 {
 	return sw.payload
 }
 
-// SetDelta marks the shipment as a delta: the open tag carries delta="1",
-// telling the target to patch its previous snapshot instead of replacing
-// it. Must be called before the first Emit.
+// SetDelta marks the shipment as a delta: the open tag carries delta="1".
+// The target learns that it patches its previous snapshot from its
+// ExecuteTarget request's delta attribute, not from this tag. Must be
+// called before the first Emit.
 func (sw *ShipmentWriter) SetDelta(on bool) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -585,7 +586,6 @@ type ShipmentDecoder struct {
 	out     map[string]*core.Instance
 	started bool
 	done    bool
-	delta   bool
 	depth   int
 	skip    int
 	nextSeq int64 // seq the next chunk must carry; -1 until one carried a seq
@@ -662,11 +662,6 @@ func (d *ShipmentDecoder) StartElement(name string, attrs []xmltree.Attr) error 
 	case 1:
 		if name != "shipment" {
 			return fmt.Errorf("wire: expected shipment, got %q", name)
-		}
-		for _, a := range attrs {
-			if a.Name == "delta" && (a.Value == "1" || a.Value == "true") {
-				d.delta = true
-			}
 		}
 		d.started = true
 		return nil

@@ -64,8 +64,6 @@ type (
 	Model = core.Model
 	// StatsProvider estimates costs from per-element statistics.
 	StatsProvider = core.StatsProvider
-	// GenOptions bounds exhaustive program enumeration.
-	GenOptions = core.GenOptions
 	// OptimalResult pairs a program with its placement and cost.
 	OptimalResult = core.OptimalResult
 )
@@ -180,10 +178,8 @@ func NewMapping(src, tgt *Fragmentation) (*Mapping, error) { return core.NewMapp
 func CanonicalProgram(m *Mapping) (*Graph, error) { return core.CanonicalProgram(m) }
 
 // GeneratePrograms enumerates data-transfer programs for the mapping, one
-// per combine-ordering combination, bounded by opts.
-func GeneratePrograms(m *Mapping, opts GenOptions) ([]*Graph, error) {
-	return core.GeneratePrograms(m, opts)
-}
+// per combine-ordering combination, up to fixed enumeration caps.
+func GeneratePrograms(m *Mapping) ([]*Graph, error) { return core.GeneratePrograms(m) }
 
 // ValidateInstance checks Definition 3.2 conformance of an instance.
 func ValidateInstance(s *Schema, in *Instance) error { return core.ValidateInstance(s, in) }
@@ -191,10 +187,11 @@ func ValidateInstance(s *Schema, in *Instance) error { return core.ValidateInsta
 // SummarizeTraces renders per-operation execution times as a text table.
 func SummarizeTraces(traces []core.OpTrace) string { return core.SummarizeTraces(traces) }
 
-// Optimal runs the exhaustive §4.2 search (Cost_Based_Optim over all
-// combine orderings).
-func Optimal(m *Mapping, model *Model, opts GenOptions) (OptimalResult, error) {
-	return core.Optimal(m, model, opts)
+// Optimal runs the exhaustive §4.2 search (every placement of every
+// combine ordering) and returns the cheapest and the most expensive
+// program.
+func Optimal(m *Mapping, model *Model) (best, worst OptimalResult, err error) {
+	return core.Optimal(m, model)
 }
 
 // Greedy runs the §4.3 greedy program generation and placement.

@@ -71,7 +71,7 @@ func TestFacadeOptimalExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := xdx.Optimal(m, model, xdx.GenOptions{})
+	opt, _, err := xdx.Optimal(m, model)
 	if err != nil {
 		t.Fatal(err)
 	}
