@@ -21,12 +21,13 @@ func NewModel(p *StatsProvider) *Model { return &Model{WComp: 1, WComm: 1, Provi
 
 // OpCost returns the weighted computation cost of op at loc within g.
 func (m *Model) OpCost(g *Graph, op *Op, loc Location) float64 {
-	ins := g.In(op)
-	inputs := make([]*Fragment, len(ins))
-	for i, e := range ins {
-		inputs[i] = e.Frag
+	in := 0.0
+	if op.Kind == OpCombine { // the one kind whose work is its inputs'
+		for _, e := range g.In(op) {
+			in += m.Provider.FragBytes(e.Frag)
+		}
 	}
-	return m.WComp * m.Provider.CompCost(op.Kind, inputs, op.Out, loc)
+	return m.WComp * m.Provider.CompCost(op.Kind, in, op.Out, loc)
 }
 
 // EdgeCost returns the weighted communication cost of e under a: the
@@ -178,10 +179,10 @@ func (p *StatsProvider) ShipBytes(f *Fragment) float64 {
 }
 
 // CompCost estimates the cost of executing an operation of the given kind
-// at loc, with the given input fragments producing output. A system that
-// cannot run an operation — a dumb client (§4.1) cannot Combine — costs
-// +Inf.
-func (p *StatsProvider) CompCost(kind OpKind, inputs []*Fragment, output *Fragment, loc Location) float64 {
+// at loc, reading inBytes (the FragBytes of its inputs, summed) and
+// producing output. A system that cannot run an operation — a dumb client
+// (§4.1) cannot Combine — costs +Inf.
+func (p *StatsProvider) CompCost(kind OpKind, inBytes float64, output *Fragment, loc Location) float64 {
 	speed := p.SourceSpeed
 	if loc == LocTarget {
 		speed = p.TargetSpeed
@@ -197,10 +198,7 @@ func (p *StatsProvider) CompCost(kind OpKind, inputs []*Fragment, output *Fragme
 	case OpScan:
 		work = p.Unit.Scan * p.FragBytes(output)
 	case OpCombine:
-		for _, in := range inputs {
-			work += p.FragBytes(in)
-		}
-		work *= p.Unit.Combine
+		work = p.Unit.Combine * inBytes
 	case OpSplit:
 		work = p.Unit.Split * p.FragBytes(output) // output == split input fragment
 	case OpWrite:

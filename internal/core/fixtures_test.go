@@ -45,6 +45,30 @@ func sFragmentation(t *testing.T, sch *schema.Schema) *Fragmentation {
 	return fr
 }
 
+// pairedFragmentation puts each element at an odd depth of sch in one
+// fragment with its first child and every other element in one of its own.
+func pairedFragmentation(t *testing.T, sch *schema.Schema) *Fragmentation {
+	t.Helper()
+	paired := make(map[string]bool)
+	var parts [][]string
+	for _, e := range sch.Names() {
+		if n := sch.ByName(e); n.Depth()%2 == 1 && !n.IsLeaf() {
+			parts = append(parts, []string{e, n.Children[0].Name})
+			paired[e], paired[n.Children[0].Name] = true, true
+		}
+	}
+	for _, e := range sch.Names() {
+		if !paired[e] {
+			parts = append(parts, []string{e})
+		}
+	}
+	fr, err := FromPartition(sch, "paired", parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr
+}
+
 // customerDoc builds a small CustomerInfo document with IDs assigned.
 func customerDoc() *xmltree.Node {
 	leaf := func(name, text string) *xmltree.Node { return &xmltree.Node{Name: name, Text: text} }

@@ -68,6 +68,7 @@ type mergeTree struct {
 	leaf        int // contributed fragment index, -1 for internal nodes
 	left, right *mergeTree
 	frag        *Fragment // fragment produced by this subtree
+	parents     []string  // every schema parent of frag's root, resolved per leaf
 }
 
 func (t *mergeTree) signature() string {
@@ -80,14 +81,13 @@ func (t *mergeTree) signature() string {
 // combinable reports whether Combine(a, b) is legal: every possible schema
 // parent of b's root lies inside a (the paper's parent/child join
 // condition, strengthened for multi-parent elements so no record can be
-// orphaned).
-func (sk *skeleton) combinable(a, b *Fragment) bool {
-	parents := sk.m.Source.Schema.Parents(b.Root)
-	if len(parents) == 0 {
+// orphaned). The merged fragment keeps a's root.
+func combinable(a, b *mergeTree) bool {
+	if len(b.parents) == 0 {
 		return false
 	}
-	for _, p := range parents {
-		if !a.Elems[p] {
+	for _, p := range b.parents {
+		if !a.frag.Elems[p] {
 			return false
 		}
 	}
@@ -101,7 +101,7 @@ func (sk *skeleton) combinable(a, b *Fragment) bool {
 func (sk *skeleton) enumerateTrees(contribs []*Fragment, cap int) ([]*mergeTree, error) {
 	leaves := make([]*mergeTree, len(contribs))
 	for i, c := range contribs {
-		leaves[i] = &mergeTree{leaf: i, frag: c}
+		leaves[i] = &mergeTree{leaf: i, frag: c, parents: sk.m.Source.Schema.Parents(c.Root)}
 	}
 	var out []*mergeTree
 	seenResult := make(map[string]bool)
@@ -136,14 +136,14 @@ func (sk *skeleton) enumerateTrees(contribs []*Fragment, cap int) ([]*mergeTree,
 					continue
 				}
 				a, b := cur[i], cur[j]
-				if !sk.combinable(a.frag, b.frag) {
+				if !combinable(a, b) {
 					continue
 				}
 				mergedFrag, err := mergeFragments(sk.m.Source.Schema, a.frag, b.frag)
 				if err != nil {
 					return err
 				}
-				node := &mergeTree{leaf: -1, left: a, right: b, frag: mergedFrag}
+				node := &mergeTree{leaf: -1, left: a, right: b, frag: mergedFrag, parents: a.parents}
 				next := make([]*mergeTree, 0, len(cur)-1)
 				for k, t := range cur {
 					if k != i && k != j {
@@ -253,17 +253,6 @@ func (sk *skeleton) emitTree(g *Graph, t *mergeTree, contribs []*Fragment, produ
 	return c, t.frag, nil
 }
 
-// freeOps is the number of operations every program of the skeleton leaves
-// to placement: one Split per split source fragment and one Combine fewer
-// than each target's contributed fragments.
-func (sk *skeleton) freeOps() int {
-	n := len(sk.pieces)
-	for _, cs := range sk.contribs {
-		n += len(cs) - 1
-	}
-	return n
-}
-
 // GeneratePrograms enumerates data-transfer programs for the mapping, one
 // per combination of combine orderings (§4.2), up to the enumeration caps.
 // The first program uses the canonical ordering for every target.
@@ -271,19 +260,13 @@ func GeneratePrograms(m *Mapping) ([]*Graph, error) {
 	return generate(m, maxTreesPerTarget, maxPrograms)
 }
 
-// generate enumerates up to progs programs with up to trees combine
-// orderings per target.
+// generate enumerates up to progs programs, the product of each target's
+// combine orderings in order, with up to trees orderings per target.
 func generate(m *Mapping, trees, progs int) ([]*Graph, error) {
 	sk, err := buildSkeleton(m)
 	if err != nil {
 		return nil, err
 	}
-	return sk.enumerate(trees, progs)
-}
-
-// enumerate is generate over a built skeleton: the product of each
-// target's combine orderings, in order, cut at progs programs.
-func (sk *skeleton) enumerate(trees, progs int) ([]*Graph, error) {
 	type targetTrees struct {
 		name  string
 		trees []*mergeTree
@@ -355,17 +338,17 @@ func GreedyProgram(m *Mapping, provider *StatsProvider) (*Graph, error) {
 		}
 		cur := make([]*mergeTree, len(contribs))
 		for i, c := range contribs {
-			cur[i] = &mergeTree{leaf: i, frag: c}
+			cur[i] = &mergeTree{leaf: i, frag: c, parents: m.Source.Schema.Parents(c.Root)}
 		}
 		for len(cur) > 1 {
 			bestI, bestJ := -1, -1
 			bestCost := 0.0
 			for i := range cur {
 				for j := range cur {
-					if i == j || !sk.combinable(cur[i].frag, cur[j].frag) {
+					if i == j || !combinable(cur[i], cur[j]) {
 						continue
 					}
-					c := provider.CompCost(OpCombine, []*Fragment{cur[i].frag, cur[j].frag}, nil, LocSource)
+					c := provider.CompCost(OpCombine, provider.FragBytes(cur[i].frag)+provider.FragBytes(cur[j].frag), nil, LocSource)
 					if bestI < 0 || c < bestCost {
 						bestI, bestJ, bestCost = i, j, c
 					}
@@ -378,7 +361,7 @@ func GreedyProgram(m *Mapping, provider *StatsProvider) (*Graph, error) {
 			if err != nil {
 				return nil, err
 			}
-			node := &mergeTree{leaf: -1, left: cur[bestI], right: cur[bestJ], frag: mergedFrag}
+			node := &mergeTree{leaf: -1, left: cur[bestI], right: cur[bestJ], frag: mergedFrag, parents: cur[bestI].parents}
 			next := cur[:0:0]
 			for k, tr := range cur {
 				if k != bestI && k != bestJ {

@@ -227,13 +227,6 @@ type Assignment []Location
 // NewAssignment returns an all-unassigned assignment for g.
 func NewAssignment(g *Graph) Assignment { return make(Assignment, len(g.Ops)) }
 
-// Clone copies the assignment.
-func (a Assignment) Clone() Assignment {
-	b := make(Assignment, len(a))
-	copy(b, a)
-	return b
-}
-
 // Monotone reports whether the assignment ships data one way only: no edge
 // runs from a target-placed op to a source-placed op (§4.1 considers
 // one-way data shipping).

@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"strings"
 )
 
 // PlacementResult is a complete placement together with its cost under the
@@ -14,135 +12,114 @@ type PlacementResult struct {
 	Cost   float64
 }
 
-// maxFreeOps bounds the exhaustive placement search; beyond this many
-// unconstrained operations the enumeration is declared infeasible (the
-// paper saw the same wall for schemas above 40 nodes, §4.3).
-const maxFreeOps = 26
-
-// ErrSearchTooLarge refuses an exhaustive search over more free operations
-// than maxFreeOps: the caller asked for a search that cannot run, and
-// asking again will not help. GreedyPlacement and Greedy have no limit.
-var ErrSearchTooLarge = errors.New("core: exhaustive search too large")
-
-// tooLarge refuses an exhaustive search over free operations.
-func tooLarge(free int) error {
-	return fmt.Errorf("%w: %d free operations exceed the limit %d; use the greedy optimizer", ErrSearchTooLarge, free, maxFreeOps)
+// MinMaxPlacement returns the least and the most expensive monotone
+// placement of g (Scans at the source, Writes at the target, no
+// target→source edge), exactly: formula (1) is linear in the set of ops at
+// the target, which the monotone rule closes under successors, so each end
+// is one minimum s–t cut (Picard 1976; Stone, IEEE TSE 1977).
+func MinMaxPlacement(g *Graph, model *Model) (best, worst PlacementResult, err error) {
+	return new(cut).minMax(g, model)
 }
 
-// MinMaxPlacement enumerates every monotone placement of g (Scans pinned to
-// the source, Writes to the target, no target→source edge) and returns the
-// least and most expensive complete placements. The worst case is what
-// Table 5 compares optimal and greedy against.
-func MinMaxPlacement(g *Graph, model *Model) (best, worst PlacementResult, err error) {
-	if st := g.OpStats(); st.Combines+st.Splits > maxFreeOps {
-		return best, worst, tooLarge(st.Combines + st.Splits)
+// cut is the flow network of MinMaxPlacement over the ops, the target (node
+// n) and the source (node n+1). Optimal reuses one across its programs.
+type cut struct {
+	w    []float64 // per op: its cost at the target minus at the source
+	res  []float64 // residual capacity of arc u→v at u*(n+2)+v
+	prev []int     // per node: the node the search reached it from, or -1
+	q    []int     // the search's queue
+}
+
+func (c *cut) minMax(g *Graph, model *Model) (best, worst PlacementResult, err error) {
+	n := len(g.Ops)
+	if len(c.w) != n {
+		*c = cut{w: make([]float64, n), res: make([]float64, (n+2)*(n+2)), prev: make([]int, n+2)}
 	}
-	a := NewAssignment(g)
-	best.Cost = math.Inf(1)
-	worst.Cost = math.Inf(-1)
-	var rec func(i int, acc float64)
-	rec = func(i int, acc float64) {
-		if i == len(g.Ops) {
-			if acc < best.Cost {
-				best.Cost, best.Assign = acc, a.Clone()
-			}
-			if acc > worst.Cost && !math.IsInf(acc, 1) {
-				worst.Cost, worst.Assign = acc, a.Clone()
-			}
-			return
-		}
-		op := g.Ops[i]
-		try := func(loc Location) {
-			// Monotonicity: an op may run at the source only if every
-			// producer feeding it runs at the source.
-			if loc == LocSource {
-				for _, e := range g.In(op) {
-					if a[e.From.ID] == LocTarget {
-						return
-					}
-				}
-			}
-			a[op.ID] = loc
-			delta := model.OpCost(g, op, loc)
-			for _, e := range g.In(op) {
-				delta += model.EdgeCost(e, a)
-			}
-			rec(i+1, acc+delta)
-			a[op.ID] = LocUnassigned
-		}
+	for _, op := range g.Ops {
+		cs, ct := model.OpCost(g, op, LocSource), model.OpCost(g, op, LocTarget)
 		switch op.Kind {
 		case OpScan:
-			try(LocSource)
+			ct = math.Inf(1)
 		case OpWrite:
-			try(LocTarget)
-		default:
-			try(LocSource)
-			try(LocTarget)
+			cs = math.Inf(1)
+		}
+		// ±Inf pins an op to the one side it can run at; NaN, to neither.
+		if c.w[op.ID] = ct - cs; math.IsNaN(c.w[op.ID]) {
+			return best, worst, errors.New("core: no feasible placement (an op can run at neither system)")
 		}
 	}
-	rec(0, 0)
-	if math.IsInf(best.Cost, 1) {
-		return best, worst, fmt.Errorf("core: no feasible placement (all placements have infinite cost)")
+	// A cross-edge u→v costs ship·(x_v − x_u), x being 1 at the target.
+	for _, e := range g.Edges {
+		ship := model.WComm * model.Provider.ShipBytes(e.Frag)
+		c.w[e.To.ID] += ship
+		c.w[e.From.ID] -= ship
+	}
+	for i, r := range [2]*PlacementResult{&best, &worst} {
+		if r.Assign, err = c.place(g, float64(1-2*i)); err == nil {
+			r.Cost, err = model.Cost(g, r.Assign)
+		}
+		if err != nil {
+			return best, worst, err
+		}
 	}
 	return best, worst, nil
 }
 
-// CostBasedOptim is the literal Algorithm 1 of §4.2: starting from a
-// program whose Writes are pinned to the target, repeatedly branch on an
-// unassigned operation OP, place it at the source, pull everything upstream
-// of OP to the source and push everything downstream of OP to the target,
-// and keep the cheapest completely assigned program seen. Duplicate partial
-// assignments are pruned with a seen-set, which plays the role of the
-// paper's footnote-1 marking.
-func CostBasedOptim(g *Graph, model *Model) (PlacementResult, error) {
-	type state struct{ a Assignment }
-	init := NewAssignment(g)
-	for _, op := range g.Ops {
-		if op.Kind == OpWrite {
-			init[op.ID] = LocTarget
+// place returns the placement of least total sign·w, the costliest for
+// sign −1, by Edmonds–Karp from the target to the source: an op of weight
+// w > 0 has an arc to the source, one of w < 0 an arc from the target, and
+// an edge u→v an infinite arc u→v, which keeps the placement monotone. The
+// ops the last search reaches run at the target, so a tie goes to the source.
+func (c *cut) place(g *Graph, sign float64) (Assignment, error) {
+	n := len(g.Ops)
+	N, tgt, src := n+2, n, n+1
+	clear(c.res)
+	for i, w := range c.w {
+		if !math.IsInf(w, 0) {
+			w *= sign
 		}
+		c.res[i*N+src], c.res[tgt*N+i] = max(w, 0), max(-w, 0)
 	}
-	best := PlacementResult{Cost: math.Inf(1)}
-	open := []state{{a: init}}
-	seen := map[string]bool{key(init): true}
-	for len(open) > 0 {
-		st := open[len(open)-1]
-		open = open[:len(open)-1]
-		for _, op := range g.Ops {
-			if st.a[op.ID] != LocUnassigned {
-				continue
-			}
-			a := st.a.Clone()
-			a[op.ID] = LocSource
-			assignUpstream(g, op, a)
-			assignDownstream(g, op, a)
-			if a.Complete() {
-				if !a.Monotone(g) {
-					continue
+	for _, e := range g.Edges {
+		c.res[e.From.ID*N+e.To.ID] = math.Inf(1)
+	}
+	for {
+		for i := range c.prev {
+			c.prev[i] = -1
+		}
+		c.q = append(c.q[:0], tgt)
+		for k := 0; k < len(c.q) && c.prev[src] < 0; k++ {
+			u := c.q[k]
+			for v, r := range c.res[u*N : u*N+N] {
+				if r > 0 && c.prev[v] < 0 {
+					c.prev[v] = u
+					c.q = append(c.q, v)
 				}
-				if c, err := model.Cost(g, a); err == nil && c < best.Cost {
-					best.Cost, best.Assign = c, a
-				}
-				continue
-			}
-			if k := key(a); !seen[k] {
-				seen[k] = true
-				open = append(open, state{a: a})
 			}
 		}
+		if c.prev[src] < 0 {
+			break
+		}
+		b := math.Inf(1)
+		for v := src; v != tgt; v = c.prev[v] {
+			b = min(b, c.res[c.prev[v]*N+v])
+		}
+		if math.IsInf(b, 1) {
+			return nil, errors.New("core: no feasible placement (an op pinned to the target feeds one pinned to the source)")
+		}
+		for v := src; v != tgt; v = c.prev[v] {
+			c.res[c.prev[v]*N+v] -= b
+			c.res[v*N+c.prev[v]] += b
+		}
 	}
-	if math.IsInf(best.Cost, 1) {
-		return best, fmt.Errorf("core: Cost_Based_Optim found no feasible program")
+	a := make(Assignment, n)
+	for i := range a {
+		a[i] = LocSource
+		if c.prev[i] >= 0 {
+			a[i] = LocTarget
+		}
 	}
-	return best, nil
-}
-
-func key(a Assignment) string {
-	var b strings.Builder
-	for _, l := range a {
-		b.WriteByte(byte('0' + int(l)))
-	}
-	return b.String()
+	return a, nil
 }
 
 // assignUpstream places every operation on a path from a Scan to op at the
@@ -175,28 +152,20 @@ type OptimalResult struct {
 	Considered int
 }
 
-// Optimal runs the full §4.2 search: enumerate combine orderings, run
-// exhaustive placement on each, and return the cheapest and the most
-// expensive program overall — the two ends of the space Table 5 compares
-// greedy against. A mapping whose programs leave more than maxFreeOps
-// operations to place is refused with ErrSearchTooLarge before anything is
-// enumerated.
+// Optimal runs the full §4.2 search: enumerate combine orderings, place
+// each program exactly, and return the cheapest and the most expensive
+// program — the two ends of the space Table 5 compares greedy against. The
+// one bound is on orderings, which GeneratePrograms caps.
 func Optimal(m *Mapping, model *Model) (best, worst OptimalResult, err error) {
-	sk, err := buildSkeleton(m)
-	if err != nil {
-		return best, worst, err
-	}
-	if free := sk.freeOps(); free > maxFreeOps {
-		return best, worst, tooLarge(free)
-	}
-	programs, err := sk.enumerate(maxTreesPerTarget, maxPrograms)
+	programs, err := GeneratePrograms(m)
 	if err != nil {
 		return best, worst, err
 	}
 	best = OptimalResult{PlacementResult: PlacementResult{Cost: math.Inf(1)}, Considered: len(programs)}
 	worst = OptimalResult{PlacementResult: PlacementResult{Cost: math.Inf(-1)}, Considered: len(programs)}
+	var c cut
 	for _, g := range programs {
-		lo, hi, err := MinMaxPlacement(g, model)
+		lo, hi, err := c.minMax(g, model)
 		if err != nil {
 			return OptimalResult{}, OptimalResult{}, err
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -163,7 +162,7 @@ func TestDumbClientForcesSourceCombines(t *testing.T) {
 
 func TestCostBasedOptimMatchesEnumeration(t *testing.T) {
 	// The literal Algorithm 1 must find the same optimal cost as the
-	// canonical monotone-cut enumeration.
+	// min-cut placement.
 	cases := []struct {
 		src, tgt func(*testing.T, *schema.Schema) *Fragmentation
 		ss, ts   float64
@@ -193,7 +192,7 @@ func TestCostBasedOptimMatchesEnumeration(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Abs(best.Cost-alg1.Cost) > 1e-6 {
-			t.Errorf("case %d: enumeration %v != Algorithm 1 %v", i, best.Cost, alg1.Cost)
+			t.Errorf("case %d: min cut %v != Algorithm 1 %v", i, best.Cost, alg1.Cost)
 		}
 	}
 }
@@ -222,7 +221,7 @@ func TestCostBasedOptimRandomGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Abs(best.Cost-alg1.Cost) > 1e-6 {
-			t.Errorf("seed %d: enumeration %v != Algorithm 1 %v\n%s", seed, best.Cost, alg1.Cost, g)
+			t.Errorf("seed %d: min cut %v != Algorithm 1 %v\n%s", seed, best.Cost, alg1.Cost, g)
 		}
 	}
 }
@@ -297,10 +296,10 @@ func TestOptimalMatchesPerProgramMinMax(t *testing.T) {
 		if best.Considered != len(progs) || worst.Considered != len(progs) {
 			t.Errorf("setup %d: considered %d/%d programs, want %d", i, best.Considered, worst.Considered, len(progs))
 		}
-		if best.Cost != lo.Cost || best.Program.String() != lo.Program.String() {
+		if !near(best.Cost, lo.Cost) || best.Program.String() != lo.Program.String() {
 			t.Errorf("setup %d: best %v, per-program minimum %v", i, best.Cost, lo.Cost)
 		}
-		if worst.Cost != hi.Cost || worst.Program.String() != hi.Program.String() {
+		if !near(worst.Cost, hi.Cost) || worst.Program.String() != hi.Program.String() {
 			t.Errorf("setup %d: worst %v, per-program maximum %v", i, worst.Cost, hi.Cost)
 		}
 		if worst.Cost < best.Cost {
@@ -309,24 +308,86 @@ func TestOptimalMatchesPerProgramMinMax(t *testing.T) {
 	}
 }
 
-// A search with more free operations than the exhaustive limit is refused
-// as ErrSearchTooLarge before anything is enumerated: 40 Scans combined
-// into one target leave 39 Combines to place.
-func TestOptimalRefusesTooLargeSearch(t *testing.T) {
-	sch := schema.Balanced(3, 3)
-	m, err := NewMapping(MostFragmented(sch), Trivial(sch))
+// near reports whether two costs agree to 1e-9 relative: the cut and the
+// enumeration sum formula (1) in different orders. An infinite cost is
+// near only itself.
+func near(a, b float64) bool {
+	return a == b || math.Abs(a-b) <= 1e-9*math.Min(math.Abs(a), math.Abs(b))
+}
+
+// The cut finds the brute-force enumeration's cheapest and costliest
+// placement on the first programs of 200 seeded random mappings, with a
+// dumb-client target on every third and a per-record shipping term on
+// every other.
+func TestMinMaxPlacementMatchesBruteForce(t *testing.T) {
+	programs := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sch := schema.Balanced(2, 3)
+		if seed%2 == 1 {
+			sch = schema.Balanced(3, 2)
+		}
+		m, err := NewMapping(Random(sch, rng, rng.Intn(8)+1), Random(sch, rng, rng.Intn(8)+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := testProvider(sch, float64(rng.Intn(5)+1), float64(rng.Intn(5)+1))
+		p.TargetCombines = seed%3 != 0
+		if seed%2 == 0 {
+			p.ShipScale, p.ShipRecord = 0.5+rng.Float64(), float64(rng.Intn(10)+1)
+		}
+		model := NewModel(p)
+		progs, err := generate(m, 3, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, g := range progs {
+			best, worst, err := MinMaxPlacement(g, model)
+			if err != nil {
+				t.Fatalf("seed %d program %d: %v", seed, j, err)
+			}
+			wantBest, wantWorst, err := bruteMinMax(g, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !near(best.Cost, wantBest.Cost) || !near(worst.Cost, wantWorst.Cost) {
+				t.Errorf("seed %d program %d: cut [%v, %v], enumeration [%v, %v]\n%s",
+					seed, j, best.Cost, worst.Cost, wantBest.Cost, wantWorst.Cost, g)
+			}
+			programs++
+		}
+	}
+	t.Logf("%d programs", programs)
+}
+
+// A mapping whose one program leaves 68 operations to place, far beyond
+// what enumerating 2^free placements can visit, is placed exactly: both
+// ends are monotone and bracket greedy's placement of the same program.
+func TestOptimalPlacesLargeMapping(t *testing.T) {
+	sch := schema.Balanced(4, 4)
+	m, err := NewMapping(MostFragmented(sch), pairedFragmentation(t, sch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Optimal(m, modelFor(sch, 1, 1)); !errors.Is(err, ErrSearchTooLarge) {
-		t.Fatalf("Optimal over 39 free operations: err = %v, want ErrSearchTooLarge", err)
-	}
-	g, err := CanonicalProgram(m)
+	model := modelFor(sch, 1, 3)
+	best, worst, err := Optimal(m, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := MinMaxPlacement(g, modelFor(sch, 1, 1)); !errors.Is(err, ErrSearchTooLarge) {
-		t.Fatalf("MinMaxPlacement over 39 free operations: err = %v, want ErrSearchTooLarge", err)
+	if st := best.Program.OpStats(); best.Considered != 1 || st.Combines+st.Splits != 68 {
+		t.Fatalf("%d programs, %+v; want one program with 68 free ops", best.Considered, st)
+	}
+	for _, r := range []OptimalResult{best, worst} {
+		if !r.Assign.Complete() || !r.Assign.Monotone(r.Program) {
+			t.Fatal("placement malformed")
+		}
+	}
+	gr, err := Greedy(m, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Cost < best.Cost-1e-9 || gr.Cost > worst.Cost+1e-9 || best.Cost >= worst.Cost {
+		t.Errorf("best %v, greedy %v, worst %v", best.Cost, gr.Cost, worst.Cost)
 	}
 }
 
@@ -355,39 +416,6 @@ func TestGreedyPlacementRandom(t *testing.T) {
 		if gr.Cost < best.Cost-1e-9 {
 			t.Errorf("seed %d: greedy %v below optimal %v for its own program", seed, gr.Cost, best.Cost)
 		}
-	}
-}
-
-func TestMinMaxPlacementRefusesHugeSearch(t *testing.T) {
-	// Beyond maxFreeOps the exhaustive search must refuse (the paper's
-	// ">40 nodes takes too long" wall) while greedy still succeeds.
-	rng := rand.New(rand.NewSource(1))
-	sch := schema.Balanced(3, 4) // 85 nodes
-	src := Random(sch, rng, 25)
-	tgt := Random(sch, rng, 25)
-	m, err := NewMapping(src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := CanonicalProgram(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := 0
-	for _, op := range g.Ops {
-		if op.Kind != OpScan && op.Kind != OpWrite {
-			free++
-		}
-	}
-	if free <= maxFreeOps {
-		t.Skipf("setup produced only %d free ops", free)
-	}
-	model := modelFor(sch, 1, 1)
-	if _, _, err := MinMaxPlacement(g, model); err == nil {
-		t.Error("exhaustive placement should refuse oversized programs")
-	}
-	if _, err := GreedyPlacement(g, model); err != nil {
-		t.Errorf("greedy should still handle it: %v", err)
 	}
 }
 
@@ -424,12 +452,12 @@ func TestUniformStats(t *testing.T) {
 func TestStatsProviderInfinities(t *testing.T) {
 	p := testProvider(customerSchema(), 0, 1)
 	f, _ := NewFragment(customerSchema(), "", []string{"Customer", "CustName"})
-	if !math.IsInf(p.CompCost(OpScan, nil, f, LocSource), 1) {
+	if !math.IsInf(p.CompCost(OpScan, 0, f, LocSource), 1) {
 		t.Error("zero speed must cost +Inf")
 	}
 	p2 := testProvider(customerSchema(), 1, 1)
 	p2.TargetCombines = false
-	if !math.IsInf(p2.CompCost(OpCombine, []*Fragment{f}, nil, LocTarget), 1) {
+	if !math.IsInf(p2.CompCost(OpCombine, p2.FragBytes(f), nil, LocTarget), 1) {
 		t.Error("dumb client combine must cost +Inf")
 	}
 }

@@ -339,7 +339,7 @@ func TestLDAPBackendBehaviour(t *testing.T) {
 	if p.TargetSpeed != 3 {
 		t.Errorf("speed = %v", p.TargetSpeed)
 	}
-	if !math.IsInf(p.CompCost(core.OpCombine, nil, fr.Fragments[0], core.LocTarget), 1) {
+	if !math.IsInf(p.CompCost(core.OpCombine, 0, fr.Fragments[0], core.LocTarget), 1) {
 		t.Error("combine at dumb client should cost +Inf")
 	}
 	if err := be.BuildIndexes(); err != nil {

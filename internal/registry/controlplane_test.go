@@ -275,21 +275,37 @@ func TestPlanRefusesUnknownAlgorithm(t *testing.T) {
 	}
 }
 
-// An optimal search too large to run is the caller's mistake: over a
-// Balanced(3,3) MF relational source and a one-fragment LDAP target, every
-// program leaves 39 Combines to place. SOAP Plan and Exchange with
-// algorithm="optimal" each answer soap:Client after one derivation, and
-// the Exchange's planning retrier does not repeat it.
-func TestOptimalTooLargeIsClientFault(t *testing.T) {
-	sch := schema.Balanced(3, 3)
-	sFr, tFr := core.MostFragmented(sch), core.Trivial(sch)
+// An optimal plan over a mapping whose one program leaves 68 Combines to
+// place (the target pairs each element at an odd depth with its first
+// child) is derived once and then served from the cache, and since the
+// LDAP target cannot Combine, every Combine runs at the source.
+func TestOptimalPlansLargeMapping(t *testing.T) {
+	sch := schema.Balanced(4, 4)
+	paired := make(map[string]bool)
+	var parts [][]string
+	for _, e := range sch.Names() {
+		if n := sch.ByName(e); n.Depth()%2 == 1 && !n.IsLeaf() {
+			parts = append(parts, []string{e, n.Children[0].Name})
+			paired[e], paired[n.Children[0].Name] = true, true
+		}
+	}
+	for _, e := range sch.Names() {
+		if !paired[e] {
+			parts = append(parts, []string{e})
+		}
+	}
+	tFr, err := core.FromPartition(sch, "paired", parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sFr := core.MostFragmented(sch)
 	srcStore, err := relstore.NewStore(sFr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srcSrv := httptest.NewServer(endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil).Handler())
 	defer srcSrv.Close()
-	tgtSrv := httptest.NewServer(endpoint.New("T", &endpoint.LDAPBackend{Store: ldapstore.NewStore(tFr), Speed: 1}, nil).Handler())
+	tgtSrv := httptest.NewServer(endpoint.New("T", &endpoint.LDAPBackend{Store: ldapstore.NewStore(tFr), Speed: 4}, nil).Handler())
 	defer tgtSrv.Close()
 	ag := New()
 	if err := ag.Register("svc", RoleSource, wsdlFor(t, sch, sFr, srcSrv.URL), srcSrv.URL); err != nil {
@@ -298,23 +314,25 @@ func TestOptimalTooLargeIsClientFault(t *testing.T) {
 	if err := ag.Register("svc", RoleTarget, wsdlFor(t, sch, tFr, tgtSrv.URL), tgtSrv.URL); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(ag, netsim.Loopback())
-	svc.Reliability = retrying(4, 4)
-	agSrv := httptest.NewServer(svc.Handler())
-	defer agSrv.Close()
-
-	client := &soap.Client{URL: agSrv.URL}
-	for i, action := range []string{"Plan", "Exchange"} {
-		req := &xmltree.Node{Name: action}
-		req.SetAttr("service", "svc")
-		req.SetAttr("algorithm", string(AlgOptimal))
-		_, err := client.Call(action, req)
-		var f *soap.Fault
-		if !errors.As(err, &f) || f.Code != "soap:Client" {
-			t.Errorf("%s algorithm=optimal: err = %v, want a soap:Client fault", action, err)
+	for i := int64(0); i < 2; i++ {
+		p, err := ag.Plan("svc", PlanOptions{Algorithm: AlgOptimal})
+		if err != nil {
+			t.Fatalf("plan %d: %v", i, err)
 		}
-		if _, misses, _, _ := ag.PlanCacheStats(); misses != int64(i+1) {
-			t.Errorf("after %s: %d plan-cache misses, want %d (one derivation per call)", action, misses, i+1)
+		combines := 0
+		for _, op := range p.Program.Ops {
+			if op.Kind == core.OpCombine {
+				combines++
+				if p.Assign[op.ID] != core.LocSource {
+					t.Errorf("%s @%s at a target that cannot Combine", op, p.Assign[op.ID])
+				}
+			}
+		}
+		if combines != 68 {
+			t.Errorf("plan %d: %d Combines, want 68", i, combines)
+		}
+		if hits, misses, _, _ := ag.PlanCacheStats(); hits != i || misses != 1 {
+			t.Errorf("plan %d: %d hits, %d misses; want %d and 1 (one derivation)", i, hits, misses, i)
 		}
 	}
 }

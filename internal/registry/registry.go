@@ -9,7 +9,6 @@ package registry
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -226,9 +225,8 @@ type Plan struct {
 // fragmentation-derived artifacts are reusable across queries). The cache
 // is invalidated whenever the service re-registers. Callers
 // must treat the returned Plan as read-only. An algorithm other than
-// greedy and optimal, a codec this build lacks, or an optimal search too
-// large to run (core.ErrSearchTooLarge) is the caller's mistake: a
-// soap:Client fault.
+// greedy and optimal, or a codec this build lacks, is the caller's
+// mistake: a soap:Client fault.
 func (a *Agency) Plan(service string, opts PlanOptions) (*Plan, error) {
 	switch opts.Algorithm {
 	case "":
@@ -311,9 +309,6 @@ func (a *Agency) derivePlan(service string, src, tgt *Party, opts PlanOptions) (
 		res, _, err = core.Optimal(m, model)
 	} else {
 		res, err = core.Greedy(m, model)
-	}
-	if errors.Is(err, core.ErrSearchTooLarge) {
-		return nil, clientFault("registry: " + err.Error())
 	}
 	if err != nil {
 		return nil, err

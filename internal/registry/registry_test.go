@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -425,7 +426,7 @@ func TestXMarkPlacementSplitsAtTarget(t *testing.T) {
 	ag, lf2mf := plan(sch, lf, mf, doc)
 	for _, codec := range []string{"xml", "bin"} {
 		p := lf2mf(codec)
-		atSource := p.Assign.Clone()
+		atSource := slices.Clone(p.Assign)
 		splits := 0
 		for _, op := range p.Program.Ops {
 			if op.Kind == core.OpSplit {

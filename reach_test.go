@@ -21,8 +21,7 @@ import (
 // behind netsim's fault writer.
 var reachAllow = map[string]string{
 	"core.Model.Explain":             "caller to come: xdxd -explain (ROADMAP item 7)",
-	"core.CostBasedOptim":            "the paper's Algorithm 1; tests check MinMaxPlacement against it",
-	"core.key":                       "CostBasedOptim's memo key",
+	"core.MinMaxPlacement":           "places one program, as the placement ablation bench does; Optimal shares its cut across programs",
 	"relstore.Store.Table":           "endpoint tests read a store's tables through it",
 	"relstore.Table.Indexes":         "endpoint tests read a table's indexes through it",
 	"netsim.FaultyLink.Writer":       "fault-injection harness for other packages' tests",

@@ -62,7 +62,10 @@ make soak
 # otherwise, overlapping deltas taking the base once, the placement arm
 # (XMark LF→MF planned through live endpoints splits at the target under
 # xml and bin, priced below splitting at the source, and MF→LF keeps its
-# pinned placement in every codec), the one-pass
+# pinned placement in every codec), the exact-placement arm (the min-cut
+# placement equals the brute-force enumeration's cheapest and costliest
+# on 200 seeded mappings, and the agency plans algorithm="optimal" over a
+# program with 68 operations to place), the one-pass
 # reconciliation held to the map-based reference over seeded shipments,
 # chunks and diffs built from row snapshots held byte for byte to the trees
 # ScanFragment builds, the parallel diff held to the serial one, and
@@ -75,7 +78,7 @@ make soak
 # that ships the wrong records must never reach a snapshot run. Every name
 # must be a test of these packages: a renamed test fails the gate here
 # instead of silently dropping out of it.
-fast_pkgs='./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/'
+fast_pkgs='./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/ ./internal/core/'
 fast_tests='TestSweepFreesHeldRender TestRetriesNotCappedWithoutBreakers
 TestDeltaExchangeChurnProperty TestDeltaExchangeCrashRestartFallsBack
 TestDeltaExchangeFailedDeliveryKeepsBase TestDeltaLostResponseReplays
@@ -84,7 +87,8 @@ TestApplyDeltaMatchesReload TestApplyDeltaRefusesStaleDelta
 TestLoadAndClearDropEveryBase TestOverlappingDeltasTakeTheBaseOnce
 TestDiffShipmentMatchesReference TestRowsEmitMatchesTrees
 TestDiffRecordsParallelMatchesSerial TestFilteredScanMatchesTreePath
-TestFilteredScanServesEachScanFresh TestXMarkPlacementSplitsAtTarget'
+TestFilteredScanServesEachScanFresh TestXMarkPlacementSplitsAtTarget
+TestMinMaxPlacementMatchesBruteForce TestOptimalPlansLargeMapping'
 missing=$(go test -list . $fast_pkgs | awk -v want="$(echo $fast_tests)" '
     BEGIN { n = split(want, w); for (i = 1; i <= n; i++) need[w[i]] = 1 }
     { delete need[$0] }

@@ -187,9 +187,9 @@ func ValidateInstance(s *Schema, in *Instance) error { return core.ValidateInsta
 // SummarizeTraces renders per-operation execution times as a text table.
 func SummarizeTraces(traces []core.OpTrace) string { return core.SummarizeTraces(traces) }
 
-// Optimal runs the exhaustive §4.2 search (every placement of every
-// combine ordering) and returns the cheapest and the most expensive
-// program.
+// Optimal runs the exhaustive §4.2 search (every combine ordering, up to
+// the enumeration caps, each placed exactly by one minimum cut) and
+// returns the cheapest and the most expensive program.
 func Optimal(m *Mapping, model *Model) (best, worst OptimalResult, err error) {
 	return core.Optimal(m, model)
 }
