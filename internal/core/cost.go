@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 )
 
 // Model is the execution-cost model of §4.1 (formula 1): the weighted sum
@@ -140,6 +141,10 @@ type StatsProvider struct {
 	// as the source endpoint calibrates them. Zero means unmeasured:
 	// scale 1, no per-record term.
 	ShipScale, ShipRecord float64
+
+	// frag caches FragBytes by fragment: Card and Bytes must not change
+	// once the provider has priced a fragment.
+	frag sync.Map
 }
 
 // NewStatsProvider prices with the default unit costs on systems that both
@@ -157,12 +162,18 @@ func NewStatsProvider(card, bytes map[string]float64, speed float64, combines bo
 // ShipRecord prices.
 func ElemBytes(name, text string) float64 { return float64(2*len(name) + 5 + len(text)) }
 
-// FragBytes estimates the serialized size of one full instance of f.
+// FragBytes estimates the serialized size of one full instance of f,
+// summed in ElemList order so that the same statistics always price the
+// same plan, and computed once per fragment.
 func (p *StatsProvider) FragBytes(f *Fragment) float64 {
+	if total, ok := p.frag.Load(f); ok {
+		return total.(float64)
+	}
 	total := 0.0
-	for e := range f.Elems {
+	for _, e := range f.ElemList() {
 		total += p.Card[e] * p.Bytes[e]
 	}
+	p.frag.Store(f, total)
 	return total
 }
 

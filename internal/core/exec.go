@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xdx/internal/schema"
+	"xdx/internal/xmltree"
 )
 
 // OpTrace records the execution of one operation, for the measurement
@@ -88,6 +89,11 @@ type SliceIO struct {
 	// returns — Combine attaches children into its records and Split cuts
 	// them — so Scan hands out records no one else holds, or a Clone.
 	Scan func(f *Fragment) (*Instance, error)
+	// Source, when set, supplies a Scan's records in Scan's place: an
+	// Instance the slice owns, as Scan's, or Records whose every Build
+	// builds fresh trees (Keyed ones, say), so one value may serve
+	// several Scans.
+	Source func(f *Fragment) (Records, error)
 	// Write consumes the instance delivered to a Write operation (target
 	// side only).
 	Write func(in *Instance) error
@@ -106,8 +112,30 @@ func EdgeKey(e *Edge) string { return fmt.Sprintf("%d:%s", e.From.ID, e.Frag.Nam
 // other system (outputs of cross-edges, keyed by EdgeKey) and per-op
 // traces. The same program can thus be executed half at the source and
 // half at the target, with the outbound map of the source becoming the
-// Inbound map of the target.
+// Inbound map of the target. It is RunSlice with every outbound output
+// built as trees.
 func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io SliceIO) (map[string]*Instance, []OpTrace, error) {
+	out, traces, err := RunSlice(g, sch, a, loc, io)
+	if err != nil {
+		return nil, nil, err
+	}
+	outbound := make(map[string]*Instance, len(out))
+	for key, o := range out {
+		if outbound[key], err = owned(o, nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	return outbound, traces, nil
+}
+
+// RunSlice is ExecuteSlice with each outbound output as the slice made it:
+// a Combine of two Keyed inputs is a view over them (CombineRecords), so a
+// source whose Scans are row snapshots builds no record until a chunk is
+// encoded or hashed. Only an op that consumes trees gets them: a Split's
+// input, a Write's, and both inputs of a Combine either of whose inputs is
+// an Instance — the in-place join of Combine, which covers every Combine
+// at the target — are built into one arena first (owned).
+func RunSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io SliceIO) (map[string]Outbound, []OpTrace, error) {
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -117,44 +145,50 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 	if !a.Monotone(g) {
 		return nil, nil, fmt.Errorf("core: slice: assignment ships data target to source")
 	}
-	outputs := make([]map[string]*Instance, len(g.Ops))
-	outbound := make(map[string]*Instance)
+	scan := io.Source
+	if scan == nil && io.Scan != nil {
+		scan = func(f *Fragment) (Records, error) { return io.Scan(f) }
+	}
+	outputs := make([]map[string]Outbound, len(g.Ops))
+	outbound := make(map[string]Outbound)
 	var traces []OpTrace
 	// Each op output has one reader (Graph.Validate), so an input is handed
 	// over as is: its reader consumes it and no other edge sees it.
-	input := func(op *Op, e *Edge) (*Instance, error) {
+	input := func(op *Op, e *Edge) (Outbound, error) {
 		if a[e.From.ID] != loc {
 			in := io.Inbound[EdgeKey(e)]
 			if in == nil {
-				return nil, fmt.Errorf("core: slice: op %s misses inbound %s", op, EdgeKey(e))
+				return Outbound{}, fmt.Errorf("core: slice: op %s misses inbound %s", op, EdgeKey(e))
 			}
-			return in, nil
+			return Outbound{Frag: in.Frag, Recs: in}, nil
 		}
-		m := outputs[e.From.ID]
-		if m == nil || m[e.Frag.Name] == nil {
-			return nil, fmt.Errorf("core: slice: op %s consumed before %s produced", op, e.From)
+		o, ok := outputs[e.From.ID][e.Frag.Name]
+		if !ok {
+			return Outbound{}, fmt.Errorf("core: slice: op %s consumed before %s produced", op, e.From)
 		}
-		return m[e.Frag.Name], nil
+		return o, nil
 	}
 	for _, op := range g.Topo() {
 		if a[op.ID] != loc {
 			continue
 		}
 		start := time.Now()
-		out := make(map[string]*Instance, 1)
+		out := make(map[string]Outbound, 1)
 		rows := 0
 		switch op.Kind {
 		case OpScan:
-			if io.Scan == nil {
+			if scan == nil {
 				return nil, nil, fmt.Errorf("core: slice: Scan %s with no scan function", op)
 			}
-			inst, err := io.Scan(op.Out)
+			recs, err := scan(op.Out)
 			if err != nil {
 				return nil, nil, err
 			}
-			inst = &Instance{Frag: op.Out, Records: inst.Records}
-			out[op.Out.Name] = inst
-			rows = inst.Rows()
+			if in, ok := recs.(*Instance); ok {
+				recs = &Instance{Frag: op.Out, Records: in.Records}
+			}
+			out[op.Out.Name] = Outbound{Frag: op.Out, Recs: recs}
+			rows = recs.Len()
 		case OpCombine:
 			ins := g.In(op)
 			x, err := input(op, ins[0])
@@ -168,15 +202,14 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 			if !combinableFrags(sch, x.Frag, y.Frag) {
 				x, y = y, x
 			}
-			merged, err := Combine(sch, x, y)
+			merged, err := combine(sch, x, y, op.Out)
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: slice: %s: %w", op, err)
 			}
-			merged.Frag = op.Out
-			out[op.Out.Name] = merged
-			rows = merged.Rows()
+			out[op.Out.Name] = Outbound{Frag: op.Out, Recs: merged}
+			rows = merged.Len()
 		case OpSplit:
-			in, err := input(op, g.In(op)[0])
+			in, err := owned(input(op, g.In(op)[0]))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -185,11 +218,11 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 				return nil, nil, fmt.Errorf("core: slice: %s: %w", op, err)
 			}
 			for _, p := range parts {
-				out[p.Frag.Name] = p
+				out[p.Frag.Name] = Outbound{Frag: p.Frag, Recs: p}
 				rows += p.Rows()
 			}
 		case OpWrite:
-			in, err := input(op, g.In(op)[0])
+			in, err := owned(input(op, g.In(op)[0]))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -206,14 +239,59 @@ func ExecuteSlice(g *Graph, sch *schema.Schema, a Assignment, loc Location, io S
 		// Publish cross-edge outputs.
 		for _, e := range g.Out(op) {
 			if a[e.To.ID] != loc {
-				inst := out[e.Frag.Name]
-				if inst != nil {
-					outbound[EdgeKey(e)] = inst
+				if o, ok := out[e.Frag.Name]; ok {
+					outbound[EdgeKey(e)] = o
 				}
 			}
 		}
 	}
 	return outbound, traces, nil
+}
+
+// combine joins child y into parent x as merged records of frag: a view
+// when both build their records on demand, and in place, by Combine,
+// otherwise.
+func combine(sch *schema.Schema, x, y Outbound, frag *Fragment) (Records, error) {
+	xk, xok := x.Recs.(Keyed)
+	yk, yok := y.Recs.(Keyed)
+	if xok && yok {
+		return CombineRecords(sch, x.Frag, xk, y.Frag, yk)
+	}
+	px, err := owned(x, nil)
+	if err != nil {
+		return nil, err
+	}
+	cy, err := owned(y, nil)
+	if err != nil {
+		return nil, err
+	}
+	merged, err := Combine(sch, px, cy)
+	if err != nil {
+		return nil, err
+	}
+	merged.Frag = frag
+	return merged, nil
+}
+
+// owned returns o's records as an instance of o.Frag that the slice may
+// consume: trees it was served or made, as they are, or records built on
+// demand, built into one arena — the instance is the unit their nodes live
+// and die with. It passes err, the error of what gave o, on.
+func owned(o Outbound, err error) (*Instance, error) {
+	if err != nil {
+		return nil, err
+	}
+	if in, ok := o.Recs.(*Instance); ok {
+		return in, nil
+	}
+	n := o.Recs.Len()
+	a := &xmltree.Arena{}
+	a.Reserve(n*len(o.Frag.Elems), 0)
+	recs, err := o.Recs.Build(make([]*xmltree.Node, 0, n), 0, n, a)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{Frag: o.Frag, Records: recs}, nil
 }
 
 // combinableFrags reports whether Combine(a, b) is structurally legal:

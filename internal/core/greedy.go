@@ -81,8 +81,8 @@ func GreedyPlacement(g *Graph, model *Model) (PlacementResult, error) {
 		// No eligible edge either (isolated unassigned op): its producers
 		// sit at the source and its consumers at the target, so run it
 		// where it ships less — its inputs if at the target, its outputs if
-		// at the source (a Split ships more records than it reads). A tie,
-		// up to FragBytes' map-order rounding, stays at the source.
+		// at the source (a Split ships more records than it reads). A tie
+		// (within a relative 1e-9) stays at the source.
 		loc := LocSource
 		if in, out := shipped(model, g.In(bestCand.op)), shipped(model, g.Out(bestCand.op)); in < out*(1-1e-9) {
 			loc = LocTarget

@@ -140,10 +140,12 @@ func AssignIntIDs(doc *xmltree.Node) {
 // FromDocument over a document not known to conform — needs ValidateInstance
 // first, or its out-of-order kids stay out of order.
 func Combine(sch *schema.Schema, parent, child *Instance) (*Instance, error) {
-	j, err := newJoiner(sch, parent, child.Frag)
+	joins, err := joinElems(sch, parent.Frag, child.Frag)
 	if err != nil {
 		return nil, err
 	}
+	parent.ensureIndex(sch)
+	j := &joiner{parent: parent, joinElems: joins}
 	for _, rec := range child.Records {
 		if !j.attach(rec) {
 			return nil, fmt.Errorf("core: combine %q into %q: orphan record %s (parent %s not found)",
@@ -182,26 +184,25 @@ type joinElem struct {
 	rank  int
 }
 
-// newJoiner validates the join (Definition 3.7's "specific join
-// conditions": every possible schema parent of the child's root must lie
-// inside the parent fragment — for multi-parent elements such as XMark's
-// item all six regions must be present or some records would be orphaned)
-// and indexes the parent's current records.
-func newJoiner(sch *schema.Schema, parent *Instance, childFrag *Fragment) (*joiner, error) {
+// joinElems validates and resolves the join of childFrag into parentFrag
+// (Definition 3.7's "specific join conditions"): every possible schema
+// parent of the child's root, in schema order, must lie inside the parent
+// fragment — for multi-parent elements such as XMark's item all six
+// regions must be present or some records would be orphaned.
+func joinElems(sch *schema.Schema, parentFrag, childFrag *Fragment) ([]joinElem, error) {
 	parents := sch.Parents(childFrag.Root)
 	if len(parents) == 0 {
-		return nil, fmt.Errorf("core: cannot combine %q into %q: %q is the schema root", childFrag.Name, parent.Frag.Name, childFrag.Root)
+		return nil, fmt.Errorf("core: cannot combine %q into %q: %q is the schema root", childFrag.Name, parentFrag.Name, childFrag.Root)
 	}
-	joinElems := make([]joinElem, len(parents))
+	joins := make([]joinElem, len(parents))
 	for i, p := range parents {
-		if !parent.Frag.Elems[p] {
-			return nil, fmt.Errorf("core: cannot combine %q into %q: parent element %q of %q missing", childFrag.Name, parent.Frag.Name, p, childFrag.Root)
+		if !parentFrag.Elems[p] {
+			return nil, fmt.Errorf("core: cannot combine %q into %q: parent element %q of %q missing", childFrag.Name, parentFrag.Name, p, childFrag.Root)
 		}
 		order := sch.ChildOrderMap(p)
-		joinElems[i] = joinElem{name: p, order: order, rank: order[childFrag.Root]}
+		joins[i] = joinElem{name: p, order: order, rank: order[childFrag.Root]}
 	}
-	parent.ensureIndex(sch)
-	return &joiner{parent: parent, joinElems: joinElems}, nil
+	return joins, nil
 }
 
 // attach joins one child record under the parent element instance whose ID

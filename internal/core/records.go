@@ -2,11 +2,12 @@ package core
 
 import "xdx/internal/xmltree"
 
-// Records is a cross-edge's outbound records, held as trees (an Instance)
-// or built on demand. A source Scan that only feeds cross-edges hands
-// communication a snapshot of its store's rows (§4.1: the Scan's tuples go
-// straight to the wire), and the records of each chunk are built from them
-// as the chunk is encoded or hashed, then dropped.
+// Records is an op output's records, held as trees (an Instance) or built
+// on demand (Keyed). A source Scan over a store is a snapshot of its rows,
+// and a source Combine of two such outputs a view over them (see
+// CombineRecords), so what the source ships goes to the wire straight from
+// rows (§4.1: the Scan's tuples go straight to the wire): the records of
+// each chunk are built as the chunk is encoded or hashed, then dropped.
 type Records interface {
 	// Len is the number of records.
 	Len() int
@@ -31,8 +32,14 @@ type Outbound struct {
 	Recs Records
 }
 
-// Pick returns the records of r at positions idx, in that order.
-func Pick(r Records, idx []int) Records { return picked{r, idx} }
+// Pick returns the records of r at positions idx, in that order: Keyed
+// when r is.
+func Pick(r Records, idx []int) Records {
+	if _, ok := r.(Keyed); ok {
+		return keyedPick{picked{r, idx}}
+	}
+	return picked{r, idx}
+}
 
 type picked struct {
 	r   Records
@@ -49,4 +56,13 @@ func (p picked) Build(dst []*xmltree.Node, i, j int, a *xmltree.Arena) ([]*xmltr
 		}
 	}
 	return dst, nil
+}
+
+type keyedPick struct{ picked }
+
+func (p keyedPick) ParentKey(k int) string { return p.r.(Keyed).ParentKey(p.idx[k]) }
+
+func (p keyedPick) IDs(elem string) func(dst []string, k int) []string {
+	read := p.r.(Keyed).IDs(elem)
+	return func(dst []string, k int) []string { return read(dst, p.idx[k]) }
 }

@@ -15,10 +15,10 @@ import (
 
 // BenchmarkSourceRender is a source's render and encode of an XMark MF→LF
 // shipment under the greedy plan: the source slice over a 1 MB document's
-// MF store, then every chunk in bin, 64 records a chunk. Most of the plan's
-// Scans only ship, so their records come from row snapshots one chunk at a
-// time; allocations and bytes here grow by the document if a per-record
-// tree comes back.
+// MF store, then every chunk in bin, 64 records a chunk. The plan's Scans
+// are row snapshots and its source Combines views over them, so every
+// record is built one chunk at a time; allocations and bytes here grow by
+// the document if a per-record tree comes back.
 func BenchmarkSourceRender(b *testing.B) {
 	sch := xmark.Schema()
 	sFr, tFr := core.MostFragmented(sch), core.LeastFragmented(sch)
@@ -38,14 +38,14 @@ func BenchmarkSourceRender(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	only := 0
-	for _, ship := range shipOnly(plan.Program, plan.Assign) {
-		if ship {
-			only++
+	combines := 0
+	for _, op := range plan.Program.Ops {
+		if op.Kind == core.OpCombine && plan.Assign[op.ID] == core.LocSource {
+			combines++
 		}
 	}
-	if only == 0 {
-		b.Fatal("the plan has no ship-only Scan")
+	if combines == 0 {
+		b.Fatal("the plan has no source Combine")
 	}
 	codec, err := wire.ParseCodec("bin")
 	if err != nil {
@@ -72,8 +72,8 @@ func BenchmarkSourceRender(b *testing.B) {
 
 // BenchmarkDeltaRender is a source's warm delta render of an XMark MF→LF
 // exchange under the greedy plan, on the live path: the source slice over
-// a 2.5 MB document's MF store, with its ship-only Scans taken as row
-// snapshots, then the reconciliation of every edge against the hashes of
+// a 2.5 MB document's MF store, its Scans row snapshots and its source
+// Combines views over them, then the reconciliation of every edge against the hashes of
 // the previous round (reliable.DiffRecords). The store was reloaded with
 // 1 % of its items churned since that round, a third each deleted,
 // rewritten and added, so the render ships about 1 % of the records.

@@ -30,8 +30,8 @@ type Backend interface {
 	// Layout is the fragmentation the system produces/consumes natively.
 	Layout() *core.Fragmentation
 	// Scan returns a layout fragment's records (Definition 3.6): rows
-	// built on demand, or trees the backend holds. The endpoint builds or
-	// clones them before an op consumes them (see Endpoint.trees).
+	// built on demand, or trees the backend holds, which the endpoint
+	// copies for each reader (see Endpoint.sourceScan).
 	Scan(f *core.Fragment) (core.Records, error)
 	// Write stores a fragment instance (Definition 3.9).
 	Write(in *core.Instance) error
@@ -440,11 +440,13 @@ func (e *Endpoint) layoutFrag(f *core.Fragment) (*core.Fragment, error) {
 // Scan. A request naming a filter (the filter attribute, §3.2's service
 // arguments generalized to comparisons: the system "filters the data
 // accordingly and provides the relevant pieces") has them trimmed to the
-// records its root records reach (core.FilterSources). A Scan whose fragment only ships
-// (see shipOnly) hands the slice an empty instance and files the records
-// under the fragment, for the render to ship; any other Scan gets trees of
-// its own (see trees).
-func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignment) (func(*core.Fragment) (*core.Instance, error), map[*core.Fragment]core.Records, error) {
+// records its root records reach (core.FilterSources). Records built on
+// demand — a snapshot of a store's rows, or a filter's Pick of one — are
+// served as they are, to every Scan of their fragment: each reader builds
+// its own. Trees a backend without a row store holds are served as copies
+// built into each reader's arena, since the slice consumes the trees it is
+// served.
+func (e *Endpoint) sourceScan(req *xmltree.Node) (func(*core.Fragment) (core.Records, error), error) {
 	layout := e.backend.Layout()
 	taken := map[*core.Fragment]core.Records{}
 	if expr, ok := req.Attr("filter"); ok && expr != "" {
@@ -456,26 +458,24 @@ func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignmen
 			err = f.CheckRoot(layout)
 		}
 		if err != nil {
-			return nil, nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
+			return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 		}
 		e.met.Counter("endpoint.source.filtered").Inc()
 		all := make(map[string]core.Records, layout.Len())
 		for _, lf := range layout.Fragments {
 			if all[lf.Name], err = e.backend.Scan(lf); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		kept, err := core.FilterSources(layout, all, f.Predicate())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, lf := range layout.Fragments {
 			taken[lf] = kept[lf.Name]
 		}
 	}
-	only := shipOnly(g, a)
-	ship := map[*core.Fragment]core.Records{}
-	return func(f *core.Fragment) (*core.Instance, error) {
+	return func(f *core.Fragment) (core.Records, error) {
 		lf, err := e.layoutFrag(f)
 		if err != nil {
 			return nil, err
@@ -487,44 +487,26 @@ func (e *Endpoint) sourceScan(req *xmltree.Node, g *core.Graph, a core.Assignmen
 			}
 			taken[lf] = recs
 		}
-		if only[f] {
-			ship[f] = recs
-			return &core.Instance{Frag: f}, nil
+		if _, built := recs.(core.Keyed); built {
+			return recs, nil
 		}
-		return e.trees(f, recs)
-	}, ship, nil
+		return copies{recs}, nil
+	}, nil
 }
 
-// trees returns a Scan's records as an instance of f for the slice, which
-// consumes what it is served (Combine attaches into its records and Split
-// cuts them): built from rows — a whole snapshot into one arena sized by
-// its rows, as ScanFragment builds it, whichever backend took it — or a
-// Clone of records a backend without a row store may hold as trees, so
-// every Scan of a fragment reads them pristine.
-func (e *Endpoint) trees(f *core.Fragment, recs core.Records) (*core.Instance, error) {
-	if rows, ok := recs.(*relstore.Rows); ok {
-		return rows.Instance(f)
-	}
-	if e.rowStore() == nil {
-		held, err := recs.Build(make([]*xmltree.Node, 0, recs.Len()), 0, recs.Len(), nil)
-		return (&core.Instance{Frag: f, Records: held}).Clone(), err
-	}
-	built, err := recs.Build(make([]*xmltree.Node, 0, recs.Len()), 0, recs.Len(), &xmltree.Arena{})
-	return &core.Instance{Frag: f, Records: built}, err
-}
+// copies serves the trees a backend without a row store holds: each Build
+// copies them into the reader's arena, so an op gets trees of its own and
+// a chunk's copies go with its scratch.
+type copies struct{ core.Records }
 
-// shipOnly reports, by fragment, whether every source Scan of it feeds
-// only cross-edges: no source op reads its records.
-func shipOnly(g *core.Graph, a core.Assignment) map[*core.Fragment]bool {
-	only := map[*core.Fragment]bool{}
-	for _, e := range g.Edges {
-		if op := e.From; op.Kind == core.OpScan && a[op.ID] == core.LocSource {
-			if prev, seen := only[op.Out]; !seen || prev {
-				only[op.Out] = a[e.To.ID] != core.LocSource
-			}
-		}
+// Build implements core.Records.
+func (c copies) Build(dst []*xmltree.Node, i, j int, a *xmltree.Arena) ([]*xmltree.Node, error) {
+	at := len(dst)
+	dst, err := c.Records.Build(dst, i, j, a)
+	for k := at; k < len(dst); k++ {
+		dst[k] = dst[k].CloneInto(a)
 	}
-	return only
+	return dst, err
 }
 
 // programChild returns a request's <program> child, nil when it has none.

@@ -732,8 +732,8 @@ func TestFilteredScanMatchesTreePath(t *testing.T) {
 				}
 			}
 			read := 0
-			for _, ship := range shipOnly(g, a) {
-				if !ship {
+			for _, e := range g.Edges {
+				if e.From.Kind == core.OpScan && a[e.To.ID] == core.LocSource {
 					read++
 				}
 			}

@@ -116,10 +116,14 @@ func parseDelivery(req *xmltree.Node) (delivery, error) {
 // delta's tombstones, and the reconciliation outcome the agency reads on
 // <timing>. Every attempt of the session ships its chunks from this one
 // render, so a resumed delivery completes exactly the shipment its first
-// attempt began. A Scan that only ships its fragment is held as the
-// records it took — over a relational store a snapshot of the rows, or a
-// filter's Pick of them — not as trees: each chunk's records are built as
-// the chunk is encoded, and the rows a snapshot holds never change.
+// attempt began. Over a relational store an edge's records are a view,
+// not trees: a snapshot of the rows, a filter's Pick of one, or a source
+// Combine over such views (core.CombineRecords). Each Build of a view
+// builds fresh records — each chunk's as the chunk is encoded or hashed,
+// into that chunk's scratch — and the rows a snapshot holds never change,
+// so two attempts may build the same chunk at once. Only the trees a
+// source Split cuts, and those a backend without a row store holds, are
+// held as trees.
 type sourceRender struct {
 	ship     map[string]core.Outbound
 	tombs    map[string][]string
@@ -230,23 +234,16 @@ func (r *targetReply) EndElement(string) error { return nil }
 // them so the session ledger checkpoints deletions like any chunk.
 // Otherwise it is the full snapshot.
 func (e *Endpoint) renderSource(req *xmltree.Node, g *core.Graph, a core.Assignment, d delivery) (*sourceRender, error) {
-	scan, ship, err := e.sourceScan(req, g, a)
+	scan, err := e.sourceScan(req)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	out, _, err := core.ExecuteSlice(g, e.backend.Layout().Schema, a, core.LocSource, core.SliceIO{Scan: scan})
+	out, _, err := core.RunSlice(g, e.backend.Layout().Schema, a, core.LocSource, core.SliceIO{Source: scan})
 	if err != nil {
 		return nil, err
 	}
-	r := &sourceRender{ship: make(map[string]core.Outbound, len(out))}
-	for key, in := range out {
-		o := core.Outbound{Frag: in.Frag, Recs: in}
-		if recs := ship[in.Frag]; recs != nil {
-			o.Recs = recs
-		}
-		r.ship[key] = o
-	}
+	r := &sourceRender{ship: out}
 	if d.stream != "" {
 		held := e.recon.Held(d.stream, d.epoch, d.base)
 		var prev map[string]reliable.EdgeHashes

@@ -332,7 +332,10 @@ func (sh *shredder) walkRep(row []string, n *xmltree.Node) error {
 
 // ScanFragment materializes the instance of the named layout fragment from
 // its table (the store-side Scan of Definition 3.6): a Snapshot of its
-// rows, every record built.
+// rows, every record built. All records share an arena: the instance is
+// the decode unit, so its nodes live and die together. The row count
+// bounds what it will hold, so a ten-row table does not cut minimum-size
+// slabs.
 func (s *Store) ScanFragment(fragName string) (*core.Instance, error) {
 	f := s.Layout.ByName(fragName)
 	if f == nil {
@@ -342,14 +345,6 @@ func (s *Store) ScanFragment(fragName string) (*core.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Instance(f)
-}
-
-// Instance builds every record of the snapshot as an instance of f. All
-// records share an arena: the instance is the decode unit, so its nodes
-// live and die together. The row count bounds what it will hold, so a
-// ten-row table does not cut minimum-size slabs.
-func (r *Rows) Instance(f *core.Fragment) (*core.Instance, error) {
 	a := &xmltree.Arena{}
 	a.Reserve(len(r.rows)*len(r.d.plan), 0)
 	recs, err := r.Build(make([]*xmltree.Node, 0, r.Len()), 0, r.Len(), a)
@@ -362,8 +357,9 @@ func (r *Rows) Instance(f *core.Fragment) (*core.Instance, error) {
 // Rows is a snapshot of one layout fragment's stored records: the live
 // rows as they stood, which stay as they are however the table changes
 // after (see Table), and for a denormalized fragment where each record's
-// rows start. It builds records on demand, exactly as ScanFragment's, and
-// is safe for concurrent use. It implements core.Records.
+// rows start. It builds records on demand, exactly as ScanFragment's,
+// reads their join keys off its ID and PARENT columns, and is safe for
+// concurrent use. It implements core.Keyed.
 type Rows struct {
 	d    *tableDesc
 	rows [][]string
@@ -416,16 +412,49 @@ func (r *Rows) Len() int {
 	return len(r.rows)
 }
 
+// rowsOf returns record k's rows.
+func (r *Rows) rowsOf(k int) [][]string {
+	if r.at != nil {
+		return r.rows[r.at[k]:r.at[k+1]]
+	}
+	return r.rows[k : k+1]
+}
+
+// ParentKey implements core.Keyed.
+func (r *Rows) ParentKey(k int) string { return r.rowsOf(k)[0][parentCol] }
+
+// IDs implements core.Keyed: elem's identifier column, off the record's
+// first row, or off each of its rows for an element of the repeated
+// subtree.
+func (r *Rows) IDs(elem string) func(dst []string, k int) []string {
+	p, rep := r.d.plan[elem], slices.Contains(r.d.repElems, elem)
+	return func(dst []string, k int) []string {
+		if p == nil {
+			return dst
+		}
+		rows := r.rowsOf(k)
+		if !rep {
+			rows = rows[:1]
+		}
+		for _, row := range rows {
+			switch id := row[p.idCol]; id {
+			case "":
+			case "-":
+				dst = append(dst, "")
+			default:
+				dst = append(dst, id)
+			}
+		}
+		return dst
+	}
+}
+
 // Build implements core.Records: it rebuilds records [i, j) from their
 // rows into a.
 func (r *Rows) Build(dst []*xmltree.Node, i, j int, a *xmltree.Arena) ([]*xmltree.Node, error) {
 	sc := fragScan{arena: a}
 	for k := i; k < j; k++ {
-		start, end := k, k+1
-		if r.at != nil {
-			start, end = int(r.at[k]), int(r.at[k+1])
-		}
-		rec, err := sc.record(r.d, r.rows[start:end])
+		rec, err := sc.record(r.d, r.rowsOf(k))
 		if err != nil {
 			return dst, err
 		}

@@ -38,8 +38,8 @@
 # XMark document's LF store as row edits — bytes gated too, since an apply
 # that rebuilt, reloaded or re-indexed the store would cost its size, not
 # the churn's; the tenth is a source's render and encode of an XMark MF→LF
-# shipment, whose ship-only Scans build each chunk's records from a row
-# snapshot into a pooled scratch — bytes gated too, since a render that
+# shipment, whose Scans and source Combines build each chunk's records
+# from row snapshots into a pooled scratch — bytes gated too, since a render that
 # held a tree per shipped record again would cost the document's size in
 # bytes while its slab-carved nodes barely move the allocation count; the
 # eleventh is a source's warm 1 % churn delta render of the 2.5 MB XMark
@@ -124,7 +124,12 @@ cd "$(dirname "$0")/.."
 # "in-line-codec" is the commit that follows 19f0d7c and renders and
 # parses each chunk in line instead of on the process-wide codec pool:
 # ShipmentCodecParallel read 284-286 allocs/op over three runs at 19f0d7c
-# and reads 261-274 over nine, at 20x on 2 CPUs.
+# and reads 261-274 over nine, at 20x on 2 CPUs. "row-combine" is the
+# commit that follows 5904098 and runs a source Combine over row snapshots
+# as a view built a chunk at a time: at 3x on 2 CPUs SourceRender read
+# 614-622 allocs/op and 1435253-1436080 B/op over four runs at 5904098 and
+# reads 461-477 and 242760-276989 over ten, and DeltaRender read 536-541
+# and 4845877-4886400 and reads 356-366 and 2394045-2416917.
 FIGURE9_END_TO_END=54833             # 5ebdd14 (BENCH_13.json)
 SHIPMENT_CODEC_PARALLEL=274          # in-line-codec, 20x
 SHIPMENT_CODEC_STREAM=188            # window-lexer, 20x
@@ -138,10 +143,10 @@ DIFF_SHIPMENT=239                    # one-pass-recon
 DIFF_SHIPMENT_BYTES=2231285          # one-pass-recon
 APPLY_DELTA=1100                     # row-edit-delta, 3x
 APPLY_DELTA_BYTES=624680             # row-edit-delta, 3x
-SOURCE_RENDER=794                    # row-render, 3x
-SOURCE_RENDER_BYTES=1675981          # row-render, 3x
-DELTA_RENDER=650                     # parallel-diff, 3x
-DELTA_RENDER_BYTES=5119104           # parallel-diff, 3x
+SOURCE_RENDER=477                    # row-combine, 3x
+SOURCE_RENDER_BYTES=276989           # row-combine, 3x
+DELTA_RENDER=366                     # row-combine, 3x
+DELTA_RENDER_BYTES=2416917           # row-combine, 3x
 FILTERED_SOURCE_RENDER=249           # attach-room, 3x
 FILTERED_SOURCE_RENDER_BYTES=525328  # attach-room, 3x
 

@@ -40,6 +40,12 @@ make bench-smoke
 # merge-gated properties, not one-off numbers.
 ./scripts/alloc_smoke.sh
 
+# Paired-verdict smoke: one pair of one-second control_small runs, HEAD
+# against the working tree, so the script that alternates benchmark/run.sh
+# and judges its JSON lines against BENCHMARK.json's bounds keeps working.
+# One pair decides nothing; a failed run or exchange fails the gate.
+./scripts/pair.sh HEAD 1 -workload control_small -seconds 1
+
 # Fault-injection soak: the reliable-exchange e2e over the widened seed
 # matrix, under the race detector. Deterministic, so a failure here is a
 # reliability regression, not flake.
@@ -70,7 +76,9 @@ make soak
 # chunks and diffs built from row snapshots held byte for byte to the trees
 # ScanFragment builds, the parallel diff held to the serial one, and
 # filtered renders from rows held byte for byte to the tree path (and
-# served fresh to every Scan on both), the held-render sweep (the sweeper
+# served fresh to every Scan on both), source Combines over rows (views)
+# held record for record and byte for byte to the in-place Combine over
+# trees, orphans included, the held-render sweep (the sweeper
 # that frees idle target sessions frees a render a failed delivery holds,
 # and a resume from it is RenderGone) and the breaker-free retry arm (an
 # exchange without shared breakers is capped by its policy alone), re-run
@@ -88,7 +96,8 @@ TestLoadAndClearDropEveryBase TestOverlappingDeltasTakeTheBaseOnce
 TestDiffShipmentMatchesReference TestRowsEmitMatchesTrees
 TestDiffRecordsParallelMatchesSerial TestFilteredScanMatchesTreePath
 TestFilteredScanServesEachScanFresh TestXMarkPlacementSplitsAtTarget
-TestMinMaxPlacementMatchesBruteForce TestOptimalPlansLargeMapping'
+TestMinMaxPlacementMatchesBruteForce TestOptimalPlansLargeMapping
+TestCombineViewMatchesTrees'
 missing=$(go test -list . $fast_pkgs | awk -v want="$(echo $fast_tests)" '
     BEGIN { n = split(want, w); for (i = 1; i <= n; i++) need[w[i]] = 1 }
     { delete need[$0] }
