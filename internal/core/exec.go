@@ -69,14 +69,14 @@ func SummarizeTraces(traces []OpTrace) string {
 	for _, tr := range traces {
 		total += tr.Duration
 	}
-	fmt.Fprintf(&b, "%-9s %-10s %8s %9s  %s\n", "location", "kind", "rows", "time", "fragment")
+	fmt.Fprintf(&b, "%-10s %8s %9s  %s\n", "kind", "rows", "time", "fragment")
 	for _, tr := range traces {
 		share := 0.0
 		if total > 0 {
 			share = float64(tr.Duration) / float64(total) * 100
 		}
-		fmt.Fprintf(&b, "%-9s %-10s %8d %8.2fms  %s (%.0f%%)\n",
-			"", tr.Op.Kind, tr.OutRows, float64(tr.Duration)/float64(time.Millisecond), tr.Op.Out.Name, share)
+		fmt.Fprintf(&b, "%-10s %8d %8.2fms  %s (%.0f%%)\n",
+			tr.Op.Kind, tr.OutRows, float64(tr.Duration)/float64(time.Millisecond), tr.Op.Out.Name, share)
 	}
 	fmt.Fprintf(&b, "total %.2fms over %d operations\n", float64(total)/float64(time.Millisecond), len(traces))
 	return b.String()

@@ -184,8 +184,14 @@ func TestSummarizeTraces(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
 	}
-	if got := strings.Count(out, "\n"); got != len(g.Ops)+2 {
-		t.Errorf("summary has %d lines, want %d", got, len(g.Ops)+2)
+	lines := strings.Split(out, "\n")
+	if len(lines) != len(g.Ops)+3 { // header, one row per op, total, the empty tail
+		t.Fatalf("summary has %d lines, want %d", len(lines)-1, len(g.Ops)+2)
+	}
+	for i, tr := range res.Traces {
+		if kind := tr.Op.Kind.String(); !strings.HasPrefix(lines[i+1], kind+" ") {
+			t.Errorf("row %d = %q, want it to begin with its kind %s", i, lines[i+1], kind)
+		}
 	}
 }
 

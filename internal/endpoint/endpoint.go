@@ -118,9 +118,9 @@ func (b *LDAPBackend) Provider() *core.StatsProvider {
 type VirtualBackend struct {
 	// Base handles everything not overridden.
 	Base Backend
-	// Virtual maps fragment names (of Base's layout) to producers. An
-	// exchange consumes what a producer returns, as it does a Scan's
-	// instance, so a producer that keeps its records hands out a Clone.
+	// Virtual maps fragment names (of Base's layout) to producers. A
+	// producer may return records it keeps: an exchange copies what it
+	// serves before an op or a calibration Split cuts them.
 	Virtual map[string]func() (*core.Instance, error)
 }
 

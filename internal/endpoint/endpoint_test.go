@@ -665,7 +665,7 @@ func TestCalibrateSamplesRows(t *testing.T) {
 // one root record the existence filter "site" keeps), with Scans that only
 // ship and with Scans that feed source ops (Splits and Combines of
 // telgen S→T, Combines of XMark MF→LF), in xml and bin, the shipment's
-// bytes and PayloadBytes over a relational store equal those over
+// bytes over a relational store equal those over
 // treeBackend, whose every scan builds trees; a filter keeping every root
 // ships what no filter does, and one keeping none ships no record.
 func TestFilteredScanMatchesTreePath(t *testing.T) {
@@ -741,7 +741,7 @@ func TestFilteredScanMatchesTreePath(t *testing.T) {
 				t.Fatalf("%s, %s: %d Scans feed a source op", c.name, placement, read)
 			}
 			for _, codec := range codecs {
-				ship := func(e *Endpoint, filter string) ([]byte, int64, int) {
+				ship := func(e *Endpoint, filter string) ([]byte, int) {
 					t.Helper()
 					req := &xmltree.Node{Name: "ExecuteSource"}
 					if filter != "" {
@@ -764,18 +764,18 @@ func TestFilteredScanMatchesTreePath(t *testing.T) {
 					if err := sw.Close(); err != nil {
 						t.Fatal(err)
 					}
-					return buf.Bytes(), sw.PayloadBytes(), n
+					return buf.Bytes(), n
 				}
-				unfiltered, _, _ := ship(rows, "")
+				unfiltered, _ := ship(rows, "")
 				for _, f := range []string{c.none, c.one, c.all} {
 					if f == "" {
 						continue
 					}
-					gotB, gotP, n := ship(rows, f)
-					wantB, wantP, _ := ship(trees, f)
-					if !bytes.Equal(gotB, wantB) || gotP != wantP {
-						t.Errorf("%s, %s, %s, filter %q: rows shipped %d bytes (payload %d), trees %d (payload %d)",
-							c.name, placement, codec, f, len(gotB), gotP, len(wantB), wantP)
+					gotB, n := ship(rows, f)
+					wantB, _ := ship(trees, f)
+					if !bytes.Equal(gotB, wantB) {
+						t.Errorf("%s, %s, %s, filter %q: rows shipped %d bytes, trees %d",
+							c.name, placement, codec, f, len(gotB), len(wantB))
 					}
 					if f == c.all && !bytes.Equal(gotB, unfiltered) {
 						t.Errorf("%s, %s, %s: filter %q keeps every root but shipped %d bytes, no filter %d",

@@ -169,7 +169,7 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 		e.dropRender(d.session, s)
 		return err
 	}
-	resp, payload, err := e.deliver(env.Exchange, d, prog, r)
+	resp, err := e.deliver(env.Exchange, d, prog, r)
 	if err != nil {
 		retry := reliable.Retryable(err)
 		if retry {
@@ -187,8 +187,7 @@ func (e *Endpoint) respondSource(env soap.Header, req *xmltree.Node, w io.Writer
 	}
 	b := make([]byte, 0, 512)
 	b = append(b, `<ExecuteSourceResponse><timing queryMillis="`...)
-	b = append(append(b, formatMillis(r.query)...), `" payloadBytes="`...)
-	b = append(strconv.AppendInt(b, payload, 10), `" wireBytes="`...)
+	b = append(append(b, formatMillis(r.query)...), `" wireBytes="`...)
 	b = append(strconv.AppendInt(b, r.wire.Load(), 10), '"')
 	if env.Exchange != "" {
 		b = append(append(append(b, ` exchange="`...), attrEscape(env.Exchange)...), '"')
@@ -280,10 +279,10 @@ func (e *Endpoint) renderSource(req *xmltree.Node, g *core.Graph, a core.Assignm
 // deliver opens ExecuteTarget on the delivery's target and streams the
 // render's chunks with seq >= from into it: the session, stream, epoch and
 // delta attributes, the program, then the shipment as the ShipmentWriter
-// cuts and numbers it. It returns the target's response attributes and the
-// shipment's tree-codec size, and adds the bytes inside <shipment> to the
-// render's wire count, torn attempts too.
-func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *sourceRender) ([]xmltree.Attr, int64, error) {
+// cuts and numbers it. It returns the target's response attributes, and
+// adds the bytes inside <shipment> to the render's wire count, torn
+// attempts too.
+func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *sourceRender) ([]xmltree.Attr, error) {
 	open := `<ExecuteTarget session="` + attrEscape(d.session) + `"`
 	if d.stream != "" {
 		// Every delivery of a delta-enabled exchange names its stream and
@@ -297,7 +296,6 @@ func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *s
 	open += `>`
 	sch := e.backend.Layout().Schema
 	c := &soap.Client{URL: d.target, Logger: e.log, Metrics: e.met, Exchange: exchange}
-	var payload int64
 	reply := &targetReply{}
 	err := c.CallStream("ExecuteTarget", func(w io.Writer) error {
 		if _, err := io.WriteString(w, open); err != nil {
@@ -321,7 +319,6 @@ func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *s
 		if cerr := sw.Close(); err == nil {
 			err = cerr
 		}
-		payload = sw.PayloadBytes()
 		if err != nil {
 			return err
 		}
@@ -331,7 +328,7 @@ func (e *Endpoint) deliver(exchange string, d delivery, prog *xmltree.Node, r *s
 	if err == nil && !reply.ok {
 		err = reliable.Permanent(fmt.Errorf("endpoint %s: target returned no response", e.Name))
 	}
-	return reply.attrs, payload, err
+	return reply.attrs, err
 }
 
 // hopFault answers the agency for a failed target hop. A fault the target

@@ -396,13 +396,9 @@ type Report struct {
 	// summed over every delivery attempt of the session, torn ones too
 	// (retransmission is a real communication cost); the source meters it
 	// and reports it on its <timing>. ShipTime is the modeled time for
-	// WireBytes over the configured link (step 2). PayloadBytes is the same shipment
-	// measured once in the universal tagged-XML tree codec (the source
-	// reports it alongside its timing), so the two
-	// diverge exactly by what the codec saved and what retries re-sent.
-	WireBytes    int64
-	PayloadBytes int64
-	ShipTime     time.Duration
+	// WireBytes over the configured link (step 2).
+	WireBytes int64
+	ShipTime  time.Duration
 	// Codec is the shipment codec the agency named on ExecuteSource, which
 	// the source ships in.
 	Codec string
@@ -530,7 +526,6 @@ func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Rep
 		return report, err
 	}
 	met.Counter("exchange.wire_bytes").Add(report.WireBytes)
-	met.Counter("exchange.payload_bytes").Add(report.PayloadBytes)
 	if log.Enabled(obs.LevelInfo) {
 		log.Log(obs.LevelInfo, "exchange complete", "exchange", report.Exchange,
 			"service", service, "codec", report.Codec,

@@ -303,7 +303,6 @@ func attrOf(attrs []xmltree.Attr, name string) string {
 func (r *Report) read(reply *sourceReply) string {
 	timing, target := reply.timing, reply.target
 	r.SourceTime = endpoint.ParseMillis(attrOf(timing, "queryMillis"))
-	r.PayloadBytes, _ = strconv.ParseInt(attrOf(timing, "payloadBytes"), 10, 64)
 	r.WireBytes, _ = strconv.ParseInt(attrOf(timing, "wireBytes"), 10, 64)
 	outcome := attrOf(timing, "delta")
 	r.Delta = outcome == "1"

@@ -311,7 +311,6 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	}
 	resp.SetAttr("codec", report.Codec)
 	resp.SetAttr("wireBytes", strconv.FormatInt(report.WireBytes, 10))
-	resp.SetAttr("payloadBytes", strconv.FormatInt(report.PayloadBytes, 10))
 	resp.SetAttr("sourceMillis", fmt.Sprintf("%.3f", report.SourceTime.Seconds()*1000))
 	resp.SetAttr("shipMillis", fmt.Sprintf("%.3f", report.ShipTime.Seconds()*1000))
 	resp.SetAttr("targetMillis", fmt.Sprintf("%.3f", report.TargetTime.Seconds()*1000))

@@ -154,7 +154,6 @@ type binEncoder struct {
 	dict               *binDict
 	prevID, prevParent string
 	tmp                [binary.MaxVarintLen64]byte
-	size               int64 // the records' tree-codec size, counted as they are encoded
 }
 
 var binEncoders = sync.Pool{New: func() any { return new(binEncoder) }}
@@ -184,7 +183,6 @@ func (e *binEncoder) delta(s string, prev *string) {
 }
 
 func (e *binEncoder) node(n *xmltree.Node, isRoot bool) {
-	e.size += nodeSize(n, isRoot)
 	if ix, ok := e.dict.idx[n.Name]; ok {
 		e.uvarint(ix)
 	} else {
@@ -231,28 +229,25 @@ func (e *binEncoder) node(n *xmltree.Node, isRoot bool) {
 }
 
 // appendBinRecords serializes recs into buf as one self-contained chunk
-// payload and returns their RecordBytes, counted on the way.
-func appendBinRecords(buf *bytes.Buffer, recs []*xmltree.Node, sch *schema.Schema) int64 {
+// payload.
+func appendBinRecords(buf *bytes.Buffer, recs []*xmltree.Node, sch *schema.Schema) {
 	e := binEncoders.Get().(*binEncoder)
-	e.buf, e.dict, e.prevID, e.prevParent, e.size = buf, dictFor(sch), "", "", 0
+	e.buf, e.dict, e.prevID, e.prevParent = buf, dictFor(sch), "", ""
 	buf.WriteByte(binVersion)
 	e.uvarint(uint64(len(recs)))
 	for _, r := range recs {
 		e.node(r, true)
 	}
-	size := e.size
 	e.buf, e.dict = nil, nil
 	binEncoders.Put(e)
-	return size
 }
 
 // writeBinChunk writes the wire text of one bin chunk — the binary
-// payload, DEFLATE-compressed when asked, wrapped in base64 — onto w, and
-// returns the records' RecordBytes.
-func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compress bool) (int64, error) {
+// payload, DEFLATE-compressed when asked, wrapped in base64 — onto w.
+func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compress bool) error {
 	scratch := bufpool.Buffer()
 	defer bufpool.PutBuffer(scratch)
-	size := appendBinRecords(scratch, recs, sch)
+	appendBinRecords(scratch, recs, sch)
 	payload := scratch.Bytes()
 	if compress {
 		z := bufpool.Buffer()
@@ -264,7 +259,7 @@ func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compre
 		}
 		bufpool.PutFlateWriter(fw)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		payload = z.Bytes()
 	}
@@ -274,7 +269,7 @@ func writeBinChunk(w io.Writer, recs []*xmltree.Node, sch *schema.Schema, compre
 	scratch.Grow(base64.StdEncoding.EncodedLen(len(payload)))
 	text := base64.StdEncoding.AppendEncode(scratch.AvailableBuffer(), payload)
 	_, err := w.Write(text)
-	return size, err
+	return err
 }
 
 // readBinChunk decodes a bin chunk's accumulated wire text back into
@@ -521,19 +516,19 @@ func InstanceWireBytes(recs []*xmltree.Node, sch *schema.Schema, codec Codec) (i
 		return RecordBytes(recs), nil
 	}
 	m := netsim.NewMeter(nil)
-	if _, err := writeBinChunk(m, recs, sch, codec.Flate); err != nil {
+	if err := writeBinChunk(m, recs, sch, codec.Flate); err != nil {
 		return 0, err
 	}
 	return m.Bytes(), nil
 }
 
-// RecordBytes reports the tree-codec serialized size of recs — the
-// denominator compression ratios are measured against, and the size
-// Report.PayloadBytes carries — by walking the records, not rendering them.
+// RecordBytes reports the size of recs in the xml codec: the bytes
+// WriteRecords writes for them, metered and dropped.
 func RecordBytes(recs []*xmltree.Node) int64 {
-	var n int64
-	for _, rec := range recs {
-		n += recordSize(rec, true)
-	}
-	return n
+	m := netsim.NewMeter(nil)
+	bw := bufpool.Writer(m)
+	WriteRecords(bw, recs)
+	bw.Flush() // a nil Meter never fails a write
+	bufpool.PutWriter(bw)
+	return m.Bytes()
 }

@@ -2,9 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
-	"xdx/internal/bufpool"
 	"xdx/internal/core"
 	"xdx/internal/reliable"
 	"xdx/internal/schema"
@@ -50,8 +50,7 @@ func parentRender(t testing.TB, sch *schema.Schema, out map[string]*core.Instanc
 // TestSetChunkMatchesChunkShipment: a writer that cuts and numbers its own
 // chunks over a sorted-key emit renders, for every codec, byte for byte
 // what ChunkShipment + EmitChunk render for the same shipment — from any
-// first chunk, down to an empty tail — and accounts the whole shipment's
-// tree-codec size on the way, skipped chunks included.
+// first chunk, down to an empty tail.
 func TestSetChunkMatchesChunkShipment(t *testing.T) {
 	sch, out, _ := chunkedFixture(t)
 	for _, name := range Codecs() {
@@ -75,33 +74,65 @@ func TestSetChunkMatchesChunkShipment(t *testing.T) {
 				if !bytes.Equal(buf.Bytes(), want) {
 					t.Errorf("%s size=%d from=%d: self-chunked bytes differ from ChunkShipment+EmitChunk:\n%s\nwant\n%s", name, size, from, buf.Bytes(), want)
 				}
-				if got := sw.PayloadBytes(); got != ShipmentBytes(out) {
-					t.Errorf("%s size=%d from=%d: PayloadBytes = %d, want %d", name, size, from, got, ShipmentBytes(out))
-				}
 			}
 		}
 	}
 }
 
-// TestRecordBytesMatchesRender holds the size-only walk to the renderer it
-// stands in for, escapes and attributes included.
-func TestRecordBytesMatchesRender(t *testing.T) {
-	rec := &xmltree.Node{Name: "Order", ID: `o<1>`, Parent: `c&"`, Attrs: []xmltree.Attr{{Name: "k", Value: `v"<`}}, Kids: []*xmltree.Node{
-		{Name: "Service", ID: "s", Parent: "o", Kids: []*xmltree.Node{{Name: "ServiceName", ID: "n", Text: `a&b<c>"d"`}}},
-		{Name: "Empty", ID: "e"},
-		{Name: "Leaf", ID: "dropped", Text: "x"},
-	}}
-	_, out, _ := chunkedFixture(t)
-	recs := append([]*xmltree.Node{rec}, out["0:feat"].Records...)
-	var buf bytes.Buffer
-	bw := bufpool.Writer(&buf)
-	for _, r := range recs {
-		streamRecord(bw, r, true)
-	}
-	bw.Flush()
-	bufpool.PutWriter(bw)
-	if got := RecordBytes(recs); got != int64(buf.Len()) {
-		t.Errorf("RecordBytes = %d, the renderer wrote %d", got, buf.Len())
+// buildCounter is an instance that notes every range a Build asks for.
+type buildCounter struct {
+	*core.Instance
+	built [][2]int
+}
+
+func (c *buildCounter) Build(dst []*xmltree.Node, i, j int, a *xmltree.Arena) ([]*xmltree.Node, error) {
+	c.built = append(c.built, [2]int{i, j})
+	return c.Instance.Build(dst, i, j, a)
+}
+
+// TestResumeBuildsNoSkippedChunk: a writer resuming at chunk from builds
+// only the records of the chunks it writes, each once, and writes byte for
+// byte the tail ChunkShipment + EmitChunk render.
+func TestResumeBuildsNoSkippedChunk(t *testing.T) {
+	sch, out, _ := chunkedFixture(t)
+	const size = 7
+	chunks := reliable.ChunkShipment(out, size)
+	n := int64(len(chunks))
+	for _, name := range Codecs() {
+		codec, _ := ParseCodec(name)
+		for _, from := range []int64{0, 1, n / 2, n - 1, n} {
+			want := map[string][][2]int{}
+			lo := map[string]int{}
+			for _, c := range chunks {
+				if c.Seq >= from {
+					want[c.Key] = append(want[c.Key], [2]int{lo[c.Key], lo[c.Key] + len(c.Recs)})
+				}
+				lo[c.Key] += len(c.Recs)
+			}
+			counted := map[string]*buildCounter{}
+			ship := map[string]core.Outbound{}
+			for key, in := range out {
+				counted[key] = &buildCounter{Instance: in}
+				ship[key] = core.Outbound{Frag: in.Frag, Recs: counted[key]}
+			}
+			var buf bytes.Buffer
+			sw := NewShipmentWriterCodec(&buf, sch, codec)
+			sw.SetChunk(size, from)
+			if err := EmitShipment(sw, ship); err != nil {
+				t.Fatal(err)
+			}
+			if err := sw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for key, c := range counted {
+				if !reflect.DeepEqual(c.built, want[key]) {
+					t.Errorf("%s from=%d: edge %s built ranges %v, want %v", name, from, key, c.built, want[key])
+				}
+			}
+			if tail := parentRender(t, sch, out, codec, size, from); !bytes.Equal(buf.Bytes(), tail) {
+				t.Errorf("%s from=%d: resumed bytes differ from ChunkShipment+EmitChunk:\n%s\nwant\n%s", name, from, buf.Bytes(), tail)
+			}
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func referenceRender(t testing.TB, sch *schema.Schema, f *core.Fragment, chunks 
 	var buf bytes.Buffer
 	buf.WriteString("<shipment>")
 	for seq, recs := range chunks {
-		if _, err := renderChunk(&buf, sch, codec, fmt.Sprintf("%d:feat", seq%3), f, recs, int64(seq)); err != nil {
+		if err := renderChunk(&buf, sch, codec, fmt.Sprintf("%d:feat", seq%3), f, recs, int64(seq)); err != nil {
 			t.Fatalf("render %d: %v", seq, err)
 		}
 	}

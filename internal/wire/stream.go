@@ -78,7 +78,6 @@ type ShipmentWriter struct {
 	chunk   int   // SetChunk: records per self-numbered chunk, 0 = off
 	from    int64 // SetChunk: the first self-numbered chunk written
 	nextSeq int64 // seq of the next self-numbered chunk
-	payload int64 // RecordBytes of everything rendered so far
 }
 
 // SetObs points the writer at a metric registry (nil is fine): per-chunk
@@ -97,24 +96,16 @@ func (sw *ShipmentWriter) SetObs(met *obs.Registry) {
 // order (an Emit without records still yields its one announcing chunk) —
 // for a sorted-key emitter exactly the chunks reliable.ChunkShipment cuts.
 // Tombstone chunks take the next seq too: EmitTombstones' seq argument is
-// for writers without SetChunk. Chunks numbered below from are counted
-// (their seq and their PayloadBytes) but not written, so a resumed
-// delivery re-emits exactly the tail of the shipment it started. Must be
-// called before the first Emit; n <= 0 leaves Emit unsequenced.
+// for writers without SetChunk. Chunks numbered below from are numbered
+// but neither built nor written, so a resumed delivery re-emits exactly
+// the tail of the shipment it started. Must be called before the first
+// Emit; n <= 0 leaves Emit unsequenced.
 func (sw *ShipmentWriter) SetChunk(n int, from int64) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if !sw.opened {
 		sw.chunk, sw.from = n, from
 	}
-}
-
-// PayloadBytes reports the RecordBytes of the chunks rendered so far; after
-// Close, of the whole shipment.
-func (sw *ShipmentWriter) PayloadBytes() int64 {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.payload
 }
 
 // SetDelta marks the shipment as a delta: the open tag carries delta="1".
@@ -137,8 +128,8 @@ func NewShipmentWriterCodec(w io.Writer, sch *schema.Schema, codec Codec) *Shipm
 
 // Emit writes one instance chunk carrying recs for the cross-edge key (cut
 // into several, when SetChunk asked for it). Records built on demand are
-// built for each chunk's render, and for the sizing of a chunk below
-// SetChunk's from; every chunk is on the writer when Emit returns.
+// built for each chunk's render; every chunk is on the writer when Emit
+// returns.
 func (sw *ShipmentWriter) Emit(key string, frag *core.Fragment, recs core.Records) error {
 	return sw.emit(key, frag, recs, -1)
 }
@@ -159,27 +150,16 @@ func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs core.Record
 	}
 	for lo := 0; ; {
 		hi := min(n, lo+sw.chunk)
-		if sw.nextSeq < sw.from {
-			size, err := recordBytes(recs, lo, hi)
-			if err != nil {
+		if sw.nextSeq >= sw.from {
+			if err := sw.emitLocked(key, frag, recs, lo, hi, sw.nextSeq); err != nil {
 				return err
 			}
-			sw.payload += size
-		} else if err := sw.emitLocked(key, frag, recs, lo, hi, sw.nextSeq); err != nil {
-			return err
 		}
 		sw.nextSeq++
 		if lo = hi; lo == n {
 			return nil
 		}
 	}
-}
-
-// recordBytes is the RecordBytes of records [lo, hi) of recs.
-func recordBytes(recs core.Records, lo, hi int) (int64, error) {
-	var a xmltree.Arena
-	built, err := recs.Build(nil, lo, hi, &a)
-	return RecordBytes(built), err
 }
 
 // openLocked readies the writer for one more chunk — refusing it after
@@ -229,11 +209,10 @@ func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs core.
 	s := chunkScratches.Get().(*chunkScratch)
 	buf := bufpool.Buffer()
 	defer bufpool.PutBuffer(buf)
-	var payload int64
 	var err error
 	s.built, err = recs.Build(s.built[:0], lo, hi, &s.arena)
 	if err == nil {
-		payload, err = renderChunk(buf, sw.sch, sw.codec, key, frag, s.built, seq)
+		err = renderChunk(buf, sw.sch, sw.codec, key, frag, s.built, seq)
 	}
 	clear(s.built)
 	s.arena.Reset()
@@ -243,7 +222,6 @@ func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs core.
 	sw.renderMS.ObserveSince(start)
 	if err == nil {
 		_, err = sw.bw.Write(buf.Bytes())
-		sw.payload += payload
 	}
 	sw.firstErr = err
 	return err
@@ -275,16 +253,14 @@ func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) er
 	return nil
 }
 
-// renderChunk appends the complete wire bytes of one instance chunk to buf
-// and returns the chunk's payload size: the records' tree-codec size, which
-// is the body's own length in the xml codec and is counted as the bin
-// encoder walks the records. It is the single chunk serializer; the
-// writer points it at a pooled buffer and writes the chunk whole. A bin
-// chunk's records travel as their compact binary
-// encoding (optionally DEFLATE-compressed), base64-wrapped as the
-// element's character data; each chunk is a self-contained compression
-// frame, so resumable sessions keep their chunk-granular recovery.
-func renderChunk(buf *bytes.Buffer, sch *schema.Schema, codec Codec, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) (payload int64, err error) {
+// renderChunk appends the complete wire bytes of one instance chunk to buf.
+// It is the single chunk serializer; the writer points it at a pooled
+// buffer and writes the chunk whole. A bin chunk's records travel as their
+// compact binary encoding (optionally DEFLATE-compressed), base64-wrapped
+// as the element's character data; each chunk is a self-contained
+// compression frame, so resumable sessions keep their chunk-granular
+// recovery.
+func renderChunk(buf *bytes.Buffer, sch *schema.Schema, codec Codec, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
 	bw := bufpool.Writer(buf)
 	defer bufpool.PutWriter(bw)
 	bw.WriteString(`<instance edge="`)
@@ -300,21 +276,18 @@ func renderChunk(buf *bytes.Buffer, sch *schema.Schema, codec Codec, key string,
 	}
 	if len(recs) == 0 {
 		bw.WriteString(`"/>`)
-		return 0, bw.Flush()
+		return bw.Flush()
 	}
 	bw.WriteString(`">`)
 	if codec.Kind == CodecBin {
-		if payload, err = writeBinChunk(bw, recs, sch, codec.Flate); err != nil {
-			return 0, err
+		if err := writeBinChunk(bw, recs, sch, codec.Flate); err != nil {
+			return err
 		}
 	} else {
-		// bw writes only into buf, so the two together count every byte.
-		start := buf.Len() + bw.Buffered()
 		WriteRecords(bw, recs)
-		payload = int64(buf.Len() + bw.Buffered() - start)
 	}
 	bw.WriteString("</instance>")
-	return payload, bw.Flush()
+	return bw.Flush()
 }
 
 // WriteRecords writes recs as the xml codec's chunk body: the content of a
@@ -411,35 +384,6 @@ func streamRecord(w *bufio.Writer, n *xmltree.Node, isRoot bool) {
 	w.WriteString("</")
 	w.WriteString(n.Name)
 	w.WriteByte('>')
-}
-
-// recordSize is the number of bytes streamRecord writes for the record.
-func recordSize(n *xmltree.Node, isRoot bool) int64 {
-	total := nodeSize(n, isRoot)
-	for _, k := range n.Kids {
-		total += recordSize(k, false)
-	}
-	return total
-}
-
-// nodeSize is the number of bytes streamRecord writes for n itself: its
-// tags, attributes and text, its kids left out.
-func nodeSize(n *xmltree.Node, isRoot bool) int64 {
-	size := 1 + len(n.Name)
-	interior := len(n.Kids) > 0 || n.Text == ""
-	if (isRoot || interior) && n.ID != "" {
-		size += len(` ID=""`) + xmltree.EscapedLen(n.ID)
-	}
-	if isRoot && n.Parent != "" {
-		size += len(` PARENT=""`) + xmltree.EscapedLen(n.Parent)
-	}
-	for _, a := range n.Attrs {
-		size += len(` =""`) + len(a.Name) + xmltree.EscapedLen(a.Value)
-	}
-	if len(n.Kids) == 0 && n.Text == "" {
-		return int64(size + len("/>"))
-	}
-	return int64(size + len("></>") + xmltree.EscapedLen(n.Text) + len(n.Name))
 }
 
 // StreamShipmentCodec encodes cross-edge instances in codec directly to w
@@ -1063,8 +1007,10 @@ func ReadShipment(r io.Reader, sch *schema.Schema, lookup func(name string) *cor
 	return d.Result()
 }
 
-// ShipmentBytes reports the size the communication cost is charged on: the
-// shipment's records in the universal tagged-XML codec.
+// ShipmentBytes reports the size of the shipment's records in the xml
+// codec, framing excluded: the payload figure the benchmark's staged
+// replay reports. The agency charges communication on calibrated wire
+// bytes per codec, not on this.
 func ShipmentBytes(out map[string]*core.Instance) int64 {
 	var n int64
 	for _, in := range out {

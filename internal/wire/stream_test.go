@@ -764,7 +764,7 @@ func TestDecoderReplayPayloads(t *testing.T) {
 		return b.Bytes()
 	}
 	var binText bytes.Buffer
-	if _, err := writeBinChunk(&binText, recs, sch, true); err != nil {
+	if err := writeBinChunk(&binText, recs, sch, true); err != nil {
 		t.Fatal(err)
 	}
 	next, declined := int64(0), 0

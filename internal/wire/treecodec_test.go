@@ -33,7 +33,7 @@ func EncodeShipmentCodec(out map[string]*core.Instance, sch *schema.Schema, code
 		}
 		if len(in.Records) > 0 {
 			var buf strings.Builder
-			if _, err := writeBinChunk(&buf, in.Records, sch, codec.Flate); err != nil {
+			if err := writeBinChunk(&buf, in.Records, sch, codec.Flate); err != nil {
 				return nil, err
 			}
 			ix.Text = buf.String()

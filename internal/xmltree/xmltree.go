@@ -222,21 +222,6 @@ func escapeTo(w *bufio.Writer, s string) {
 // Node tree first.
 func Escape(w *bufio.Writer, s string) { escapeTo(w, s) }
 
-// EscapedLen is the number of bytes Escape writes for s, counted in one
-// pass.
-func EscapedLen(s string) int {
-	n := len(s)
-	for i := 0; i < len(s); i++ {
-		n += escapeGrowth[s[i]]
-	}
-	return n
-}
-
-// escapeGrowth is how many bytes Escape adds for each byte it escapes.
-var escapeGrowth = [256]int{
-	'<': len("&lt;") - 1, '>': len("&gt;") - 1, '&': len("&amp;") - 1, '"': len("&quot;") - 1,
-}
-
 // Marshal serializes the subtree to a string, for tests and small payloads.
 func Marshal(n *Node, opts WriteOptions) string {
 	var b strings.Builder

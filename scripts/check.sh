@@ -78,7 +78,9 @@ make soak
 # filtered renders from rows held byte for byte to the tree path (and
 # served fresh to every Scan on both), source Combines over rows (views)
 # held record for record and byte for byte to the in-place Combine over
-# trees, orphans included, the held-render sweep (the sweeper
+# trees, orphans included, the resume arm (a writer resuming at chunk
+# from builds only the chunks it writes, and writes the tail a fresh
+# shipment would), the held-render sweep (the sweeper
 # that frees idle target sessions frees a render a failed delivery holds,
 # and a resume from it is RenderGone) and the breaker-free retry arm (an
 # exchange without shared breakers is capped by its policy alone), re-run
@@ -86,7 +88,7 @@ make soak
 # that ships the wrong records must never reach a snapshot run. Every name
 # must be a test of these packages: a renamed test fails the gate here
 # instead of silently dropping out of it.
-fast_pkgs='./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/ ./internal/core/'
+fast_pkgs='./internal/registry/ ./internal/relstore/ ./internal/endpoint/ ./internal/reliable/ ./internal/core/ ./internal/wire/'
 fast_tests='TestSweepFreesHeldRender TestRetriesNotCappedWithoutBreakers
 TestDeltaExchangeChurnProperty TestDeltaExchangeCrashRestartFallsBack
 TestDeltaExchangeFailedDeliveryKeepsBase TestDeltaLostResponseReplays
@@ -97,7 +99,7 @@ TestDiffShipmentMatchesReference TestRowsEmitMatchesTrees
 TestDiffRecordsParallelMatchesSerial TestFilteredScanMatchesTreePath
 TestFilteredScanServesEachScanFresh TestXMarkPlacementSplitsAtTarget
 TestMinMaxPlacementMatchesBruteForce TestOptimalPlansLargeMapping
-TestCombineViewMatchesTrees'
+TestCombineViewMatchesTrees TestResumeBuildsNoSkippedChunk'
 missing=$(go test -list . $fast_pkgs | awk -v want="$(echo $fast_tests)" '
     BEGIN { n = split(want, w); for (i = 1; i <= n; i++) need[w[i]] = 1 }
     { delete need[$0] }
